@@ -19,14 +19,6 @@ engine — or a future topology feature — regresses fleet wall time:
   serially — each shard's event step scans only its own flows — so a
   1-CPU container measured ~1.3x; the floor test skips there), and both
   configurations carry absolute throughput floors;
-* the **columnar** lane (PR 7) runs the same 2000-viewer workload
-  single-process on the struct-of-arrays session engine
-  (``session_engine="columnar"``) and must clear ≥2x the committed
-  machine-engine baseline floor (measured ~710 content-s/s, 2.4x the
-  floor; the machine engine measures ~730 on the same box — the wall
-  times sit at parity because the shared scheduler and MPC planner
-  dominate at this scale, so the columnar floor encodes the doubled
-  bar, not an engine-vs-engine speedup);
 * the **telemetry** lane (PR 8) repeats the single-process 2000-viewer
   run with the full observability stack on (event tracing + phase
   profiler) and gates it against the untraced run at ≤10% throughput
@@ -34,11 +26,11 @@ engine — or a future topology feature — regresses fleet wall time:
   zero-overhead-when-disabled design promises for the *enabled* path.
   ``BENCH_PHASES_OUT`` (set by CI) dumps the profiler's phase
   breakdown as JSON for ``scripts/bench_report.py``;
-* the **BOLA-columnar** lane (PR 9) swaps the MPC planner for the
-  policy zoo's BOLA controller on the same 2000-viewer columnar run —
-  the cheap-policy configuration an operator A/B would sweep — and
-  holds its own committed floor (BOLA skips horizon planning, so this
-  lane is the roofline of the session engine itself);
+* the **BOLA** lane (PR 9) swaps the MPC planner for the policy zoo's
+  BOLA controller on the same 2000-viewer single-process run — the
+  cheap-policy configuration an operator A/B would sweep — and holds
+  its own committed floor (BOLA skips horizon planning, so this lane is
+  the roofline of the session layer and scheduler themselves);
 * the **chaos-armed** lane (PR 10) repeats the single-process
   2000-viewer run with a default :class:`RetryPolicy` attached —
   the resilience layer's bookkeeping armed on every request, but no
@@ -107,29 +99,15 @@ SHARD_BASELINE_FLOOR = 300.0
 SHARD_SPEEDUP_FLOOR = 2.0
 SHARD_SPEEDUP_MIN_CPUS = 4
 
-#: The columnar session engine's ratio gate: single-process throughput
-#: on the acceptance workload must be >= this multiple of the committed
-#: machine-engine baseline floor.  Anchoring the ratio to the committed
-#: floor (not a fresh machine-engine run) keeps the gate cheap and
-#: deterministic: the baseline floor is the bar the machine engine
-#: itself must clear on the same box, scaled by the same
-#: BENCH_FLOOR_SCALE knob.  Measured ~710 content-s/s vs ~730 for the
-#: machine engine — the engines run at wall-clock parity at 2k viewers
-#: (shared scheduler + planner dominate); the columnar lane's value is
-#: the doubled committed bar and the array-backed session state.
-COLUMNAR_SPEEDUP_FLOOR = 2.0
-COLUMNAR_FLOOR = COLUMNAR_SPEEDUP_FLOOR * SHARD_BASELINE_FLOOR
-
-#: content-s/s floor for the BOLA-columnar lane (PR 9): the acceptance
-#: workload with the policy zoo's BOLA controller replacing the MPC
-#: planner, on the columnar session engine.  BOLA decides from a closed
-#: form over the cached candidate grid — no horizon search — so this
-#: lane measures the session engine and scheduler with the decision
-#: cost mostly gone.  Measured ~860 content-s/s on the reference box
-#: (vs ~710 for the MPC columnar lane), so the floor carries ~25% local
-#: headroom — the same margin as the columnar floor — and CI relaxes it
-#: by BENCH_FLOOR_SCALE like every other absolute floor here.
-BOLA_COLUMNAR_FLOOR = 700.0
+#: content-s/s floor for the BOLA lane (PR 9): the acceptance workload
+#: with the policy zoo's BOLA controller replacing the MPC planner.
+#: BOLA decides from a closed form over the cached candidate grid — no
+#: horizon search — so this lane measures the session layer and
+#: scheduler with the decision cost mostly gone.  See
+#: ``BENCH_fleet.json`` for the measured row (taken in one window with
+#: the MPC baseline row); CI relaxes the floor by BENCH_FLOOR_SCALE like
+#: every other absolute floor here.
+BOLA_FLOOR = 700.0
 
 #: wall-clock budget for running the acceptance workload with the full
 #: telemetry stack on (event tracing + phase profiler), as a multiple of
@@ -160,7 +138,7 @@ def _sessions():
 
 def _run_single_link():
     return simulate_fleet(
-        _sessions(), stable_trace(400.0), sr_cache=SRResultCache()
+        _sessions(), trace=stable_trace(400.0), sr_cache=SRResultCache()
     )
 
 
@@ -241,7 +219,7 @@ def test_thousand_session_single_link_slow():
     )
     sessions = make_fleet(1000, spec, join_spacing=0.05, n_grid=8, horizon=2)
     t0 = time.perf_counter()
-    simulate_fleet(sessions, stable_trace(4000.0), sr_cache=SRResultCache())
+    simulate_fleet(sessions, trace=stable_trace(4000.0), sr_cache=SRResultCache())
     wall = time.perf_counter() - t0
     rate = 1000 * SECONDS / wall
     print(f"\n1000-session fleet: {wall:.1f} s ({rate:.0f} content-s/s)")
@@ -320,7 +298,7 @@ def _run_sharded(workers: int):
     """The acceptance workload: 2000 diurnal viewers over an 8-edge CDN."""
     sessions = make_population(SMOKE, SHARD_SESSIONS, diurnal=True)
     topo = make_cdn(SMOKE, SHARD_SESSIONS, n_edges=SHARD_EDGES)
-    return shard_fleet(sessions, topo, workers=workers, sr_cache="per-edge")
+    return shard_fleet(sessions, topology=topo, workers=workers, sr_cache="per-edge")
 
 
 #: best observed wall time per worker count, shared between the
@@ -370,99 +348,47 @@ def test_sharded_throughput_floor():
     )
 
 
-def _run_columnar():
-    """The acceptance workload on the columnar session engine."""
-    sessions = make_population(SMOKE, SHARD_SESSIONS, diurnal=True)
-    topo = make_cdn(SMOKE, SHARD_SESSIONS, n_edges=SHARD_EDGES)
-    return shard_fleet(
-        sessions, topo, workers=1, sr_cache="per-edge",
-        session_engine="columnar",
-    )
-
-
-_COLUMNAR_WALL: dict[int, float] = {}
-
-
-def _timed_columnar() -> float:
-    with _quiesced_gc():
-        t0 = time.perf_counter()
-        _run_columnar()
-        wall = time.perf_counter() - t0
-    _COLUMNAR_WALL[1] = min(wall, _COLUMNAR_WALL.get(1, float("inf")))
-    return wall
-
-
-def test_bench_fleet_columnar(benchmark):
-    """Absolute cost of the 2000-viewer run on the columnar session
-    engine, single process (1 round — the workload runs tens of
-    seconds)."""
-    benchmark.pedantic(_timed_columnar, rounds=1, iterations=1)
-
-
-def test_columnar_throughput_floor():
-    """The columnar engine clears ≥2x the committed machine baseline.
-
-    Single process on the acceptance workload, measured against the
-    committed ``SHARD_BASELINE_FLOOR`` the machine engine itself must
-    hold — so the ratio is enforced on any box without timing two runs.
-    """
-    wall = _COLUMNAR_WALL.get(1) or _timed_columnar()
-    rate = SHARD_CONTENT_SECONDS / wall
-    ratio = rate / SHARD_BASELINE_FLOOR
-    print(f"\ncolumnar fleet {SHARD_SESSIONS}x{SECONDS}s: {wall:.1f}s "
-          f"({rate:.0f} content-s/s, {ratio:.2f}x the baseline floor)")
-    assert rate >= COLUMNAR_FLOOR * FLOOR_SCALE, (
-        f"columnar engine regressed: {rate:.0f} content-s/s is "
-        f"{ratio:.2f}x the committed machine baseline floor "
-        f"{SHARD_BASELINE_FLOOR:.0f}, under the "
-        f"{COLUMNAR_SPEEDUP_FLOOR:g}x gate "
-        f"(floor {COLUMNAR_FLOOR:.0f} x{FLOOR_SCALE:g})"
-    )
-
-
-def _run_bola_columnar():
+def _run_bola():
     """The acceptance workload with BOLA swapped in for the MPC planner."""
     sessions = make_population(SMOKE, SHARD_SESSIONS, diurnal=True, abr="bola")
     topo = make_cdn(SMOKE, SHARD_SESSIONS, n_edges=SHARD_EDGES)
     return shard_fleet(
-        sessions, topo, workers=1, sr_cache="per-edge",
-        session_engine="columnar",
+        sessions, topology=topo, workers=1, sr_cache="per-edge"
     )
 
 
-_BOLA_COLUMNAR_WALL: dict[int, float] = {}
+_BOLA_WALL: dict[int, float] = {}
 
 
-def _timed_bola_columnar() -> float:
+def _timed_bola() -> float:
     with _quiesced_gc():
         t0 = time.perf_counter()
-        _run_bola_columnar()
+        _run_bola()
         wall = time.perf_counter() - t0
-    _BOLA_COLUMNAR_WALL[1] = min(wall, _BOLA_COLUMNAR_WALL.get(1, float("inf")))
+    _BOLA_WALL[1] = min(wall, _BOLA_WALL.get(1, float("inf")))
     return wall
 
 
-def test_bench_fleet_bola_columnar(benchmark):
-    """Absolute cost of the 2000-viewer run with the zoo's BOLA policy on
-    the columnar session engine, single process (1 round — the workload
-    runs tens of seconds)."""
-    benchmark.pedantic(_timed_bola_columnar, rounds=1, iterations=1)
+def test_bench_fleet_bola(benchmark):
+    """Absolute cost of the 2000-viewer run with the zoo's BOLA policy,
+    single process (1 round — the workload runs tens of seconds)."""
+    benchmark.pedantic(_timed_bola, rounds=1, iterations=1)
 
 
-def test_bola_columnar_throughput_floor():
-    """The BOLA-columnar configuration holds its committed floor.
+def test_bola_throughput_floor():
+    """The BOLA configuration holds its committed floor.
 
     With horizon planning gone, the run is bounded by the scheduler and
-    session engine — a regression here is an engine regression that the
+    session layer — a regression here is a driver regression that the
     MPC lanes could mask behind planner cost.
     """
-    wall = _BOLA_COLUMNAR_WALL.get(1) or _timed_bola_columnar()
+    wall = _BOLA_WALL.get(1) or _timed_bola()
     rate = SHARD_CONTENT_SECONDS / wall
-    print(f"\nbola-columnar fleet {SHARD_SESSIONS}x{SECONDS}s: {wall:.1f}s "
+    print(f"\nbola fleet {SHARD_SESSIONS}x{SECONDS}s: {wall:.1f}s "
           f"({rate:.0f} content-s/s)")
-    assert rate >= BOLA_COLUMNAR_FLOOR * FLOOR_SCALE, (
-        f"BOLA-columnar fleet regressed: {rate:.0f} content-s/s "
-        f"(floor {BOLA_COLUMNAR_FLOOR:.0f} x{FLOOR_SCALE:g})"
+    assert rate >= BOLA_FLOOR * FLOOR_SCALE, (
+        f"BOLA fleet regressed: {rate:.0f} content-s/s "
+        f"(floor {BOLA_FLOOR:.0f} x{FLOOR_SCALE:g})"
     )
 
 
@@ -478,7 +404,7 @@ def _run_telemetry() -> Telemetry:
     sessions = make_population(SMOKE, SHARD_SESSIONS, diurnal=True)
     topo = make_cdn(SMOKE, SHARD_SESSIONS, n_edges=SHARD_EDGES)
     shard_fleet(
-        sessions, topo, workers=1, sr_cache="per-edge", telemetry=telemetry
+        sessions, topology=topo, workers=1, sr_cache="per-edge", telemetry=telemetry
     )
     return telemetry
 
@@ -595,7 +521,7 @@ def _run_chaos_armed():
     sessions = make_population(SMOKE, SHARD_SESSIONS, diurnal=True)
     topo = make_cdn(SMOKE, SHARD_SESSIONS, n_edges=SHARD_EDGES)
     return shard_fleet(
-        sessions, topo, workers=1, sr_cache="per-edge",
+        sessions, topology=topo, workers=1, sr_cache="per-edge",
         retry_policy=RetryPolicy(),
     )
 
@@ -687,7 +613,7 @@ def test_ten_thousand_viewer_sharded_slow():
     sessions = make_population(SMOKE, 10_000, diurnal=True)
     topo = make_cdn(SMOKE, 10_000, n_edges=16)
     t0 = time.perf_counter()
-    result = shard_fleet(sessions, topo, workers=8, sr_cache="per-edge")
+    result = shard_fleet(sessions, topology=topo, workers=8, sr_cache="per-edge")
     wall = time.perf_counter() - t0
     rate = 10_000 * SECONDS / wall
     print(f"\n10k-viewer sharded fleet: {wall:.1f} s ({rate:.0f} content-s/s)")

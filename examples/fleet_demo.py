@@ -63,7 +63,7 @@ def main() -> None:
         cache = SRResultCache()
         result = simulate_fleet(
             make_fleet(args.sessions, spec, join_spacing=0.25),
-            stable_trace(mbps, duration=float(4 * args.seconds)),
+            trace=stable_trace(mbps, duration=float(4 * args.seconds)),
             sr_cache=cache,
             telemetry=telemetry if label.startswith("congested") else None,
         )
@@ -77,7 +77,7 @@ def main() -> None:
         s.weight = 4.0 if i < max(1, args.sessions // 10) else 1.0
     result = simulate_fleet(
         sessions,
-        stable_trace(4.0 * args.sessions, duration=float(4 * args.seconds)),
+        trace=stable_trace(4.0 * args.sessions, duration=float(4 * args.seconds)),
         policy="weighted",
         sr_cache=SRResultCache(),
     )

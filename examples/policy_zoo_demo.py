@@ -46,8 +46,7 @@ def main() -> None:
         sessions = make_population(SMOKE, args.sessions, abr=name)
         topo = make_cdn(SMOKE, args.sessions, n_edges=args.edges)
         spec = FleetSpec(
-            topology=topo, sr_cache=SRResultCache(),
-            session_engine="columnar", cost_model=CostModel(),
+            topology=topo, sr_cache=SRResultCache(), cost_model=CostModel(),
         )
         t0 = time.time()
         result = simulate_fleet(sessions, spec=spec)

@@ -74,7 +74,7 @@ def main() -> None:
             mbps_per_session * len(sessions), duration=2 * window
         )
         t0 = time.time()
-        result = simulate_fleet(sessions, trace, sr_cache=SRResultCache())
+        result = simulate_fleet(sessions, trace=trace, sr_cache=SRResultCache())
         return result, time.time() - t0
 
     print(f"~{args.sessions} Poisson arrivals over {window:.0f}s, "

@@ -25,15 +25,17 @@ Schema history: v4 added the telemetry lane — the optional
 ``test_bench_fleet_telemetry`` row, the ``fleet_telemetry`` overhead
 gate, and the ``phases`` wall-clock breakdown dumped by the benchmark
 via ``BENCH_PHASES_OUT`` and fed in with ``--phases``.  v5 added the
-policy-zoo lane: the optional ``test_bench_fleet_bola_columnar`` row
-and its committed floor.  v6 added the chaos lane: the optional
+policy-zoo lane: the optional BOLA row and its committed floor.  v6
+added the chaos lane: the optional
 ``test_bench_fleet_chaos_armed`` row (acceptance workload with a
 default RetryPolicy armed but never firing), the ``fleet_chaos``
 overhead gate against the plain run, and the same-window pair dump
 (``BENCH_OVERHEADS_OUT`` / ``--overheads``) that both overhead gates
-prefer over row-derived ratios.  All v4/v5/v6 fields are optional on
-read, so committed baselines written by older schemas still compare
-cleanly.
+prefer over row-derived ratios.  v7 removed the second session engine's
+lane (its row and floor-constant ratio gate) and renamed the BOLA row
+``test_bench_fleet_bola``.  All v4+ fields are optional on read, so
+committed baselines written by older schemas still compare cleanly
+(rows a baseline no longer shares are skipped).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import os
 import sys
 from pathlib import Path
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -142,8 +144,6 @@ def build_reports(
     shard_content = fleet_mod.SHARD_CONTENT_SECONDS
     shard_base["content_s_per_wall_s"] = shard_content / shard_base["min_s"]
     shard_par["content_s_per_wall_s"] = shard_content / shard_par["min_s"]
-    columnar = need("test_bench_fleet_columnar")
-    columnar["content_s_per_wall_s"] = shard_content / columnar["min_s"]
 
     machine = _machine_fingerprint(raw)
     fleet = {
@@ -158,7 +158,6 @@ def build_reports(
             "test_bench_cdn_fleet": fleet_mod.CDN_FLOOR,
             "test_bench_sharded_baseline": fleet_mod.SHARD_BASELINE_FLOOR,
             "test_bench_sharded_fleet": fleet_mod.SHARD_FLOOR,
-            "test_bench_fleet_columnar": fleet_mod.COLUMNAR_FLOOR,
         },
         # The parallel-path gate: end-to-end speedup of the 4-worker run
         # over the single-process run on the same workload.  cpu_count
@@ -174,30 +173,11 @@ def build_reports(
             "min_cpus": fleet_mod.SHARD_SPEEDUP_MIN_CPUS,
             "cpu_count": _cpu_count(raw),
         },
-        # The columnar-engine gate: single-process throughput on the same
-        # workload, expressed as a multiple of the *committed* machine
-        # baseline floor.  The ratio is hardware-honest without a second
-        # timed run — the baseline floor is the bar the machine engine
-        # must clear on the same box — and is relaxed by
-        # BENCH_FLOOR_SCALE exactly like the absolute floors, since its
-        # numerator is a wall-clock measurement.
-        "fleet_columnar": {
-            "n_sessions": fleet_mod.SHARD_SESSIONS,
-            "n_edges": fleet_mod.SHARD_EDGES,
-            "workers": 1,
-            "baseline_floor": fleet_mod.SHARD_BASELINE_FLOOR,
-            "ratio_floor_x": fleet_mod.COLUMNAR_SPEEDUP_FLOOR,
-            "ratio_vs_baseline_floor_x": (
-                columnar["content_s_per_wall_s"]
-                / fleet_mod.SHARD_BASELINE_FLOOR
-            ),
-        },
         "benchmarks": {
             "test_bench_single_link_fleet": single,
             "test_bench_cdn_fleet": cdn,
             "test_bench_sharded_baseline": shard_base,
             "test_bench_sharded_fleet": shard_par,
-            "test_bench_fleet_columnar": columnar,
         },
     }
     # The telemetry lane (schema v4) is optional on read so raw JSONs
@@ -234,16 +214,14 @@ def build_reports(
             "fleet_telemetry", telemetry["min_s"],
             fleet_mod.TELEMETRY_OVERHEAD_X,
         )
-    # The policy-zoo lane (schema v5): BOLA on the columnar engine —
+    # The policy-zoo lane (schema v5): BOLA in place of the MPC planner —
     # optional on read for the same reason as the telemetry row, and its
     # floor rides along so the floor gate covers it when present.
-    if "test_bench_fleet_bola_columnar" in by_name:
-        bola = _stats(by_name["test_bench_fleet_bola_columnar"])
+    if "test_bench_fleet_bola" in by_name:
+        bola = _stats(by_name["test_bench_fleet_bola"])
         bola["content_s_per_wall_s"] = shard_content / bola["min_s"]
-        fleet["benchmarks"]["test_bench_fleet_bola_columnar"] = bola
-        fleet["floors"]["test_bench_fleet_bola_columnar"] = (
-            fleet_mod.BOLA_COLUMNAR_FLOOR
-        )
+        fleet["benchmarks"]["test_bench_fleet_bola"] = bola
+        fleet["floors"]["test_bench_fleet_bola"] = fleet_mod.BOLA_FLOOR
     # The chaos lane (schema v6): a default RetryPolicy armed on every
     # request but never firing, gated against the plain run — optional
     # on read like the telemetry and policy-zoo rows.
@@ -324,21 +302,6 @@ def check_regressions(
                     f"{filename}: sharded speedup {speedup:.2f}x under "
                     f"{floor:g}x but only {sharded['cpu_count']} CPU(s) "
                     f"< {sharded['min_cpus']} — parallel gate skipped"
-                )
-        columnar = report.get("fleet_columnar")
-        if columnar is not None:
-            # Measured throughput over a committed floor: the numerator
-            # is wall-clock, so BENCH_FLOOR_SCALE grants the same slack
-            # as the absolute floors (unlike the sharded ratio, whose
-            # numerator and denominator come from the same box).
-            ratio = columnar["ratio_vs_baseline_floor_x"]
-            floor = columnar["ratio_floor_x"]
-            if ratio < floor * floor_scale:
-                failures.append(
-                    f"{filename}: columnar engine at {ratio:.2f}x the "
-                    f"committed machine baseline floor "
-                    f"({columnar['baseline_floor']:.0f} content-s/s) is "
-                    f"under its {floor:g}x ratio gate x{floor_scale:g}"
                 )
         telemetry = report.get("fleet_telemetry")
         if telemetry is not None:

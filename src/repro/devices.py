@@ -17,8 +17,9 @@ What this preserves from the paper:
   come from the op counts, not the calibration;
 * *latency flat in the upsampling ratio* — VoLUT's cost is dominated by the
   kNN over *input* points (Fig. 18's observation), which the counts show;
-* plausible absolute magnitudes per device (the calibrated part; see
-  EXPERIMENTS.md for paper-vs-modeled numbers).
+* plausible absolute magnitudes per device (the calibrated part; the
+  ``fig11-device``, ``fig16-device``, ``fig17-device`` and ``fig18``
+  experiments print the modeled numbers).
 
 ``candidate_fraction`` captures how aggressively the spatial index prunes
 on each platform: the two-layer octree searches roughly the 27 cells around

@@ -134,7 +134,7 @@ def run_fleet_cdn(
         mbps_per_session * len(sessions), duration=float(scale.stream_seconds * 4)
     )
     rep = simulate_fleet(
-        sessions, trace, sr_cache=SRResultCache(capacity=sr_cache_size)
+        sessions, trace=trace, sr_cache=SRResultCache(capacity=sr_cache_size)
     ).report
     row("single-link", "-", rep)
 

@@ -20,10 +20,8 @@ decision rule varies) and reports, per policy:
   ``*`` row is dominated by no other policy (none is at least as good
   on QoE *and* no more expensive).
 
-Sessions run on the columnar engine (every zoo policy implements
-``decide_columns``); the cost model rides the run via
-``FleetSpec.cost_model`` plumbing, so the bill is read off the same
-report the QoE columns come from.
+The cost model rides the run via ``FleetSpec.cost_model``, so the bill
+is read off the same report the QoE columns come from.
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ def run_fleet_policies(
         notes=(
             f"{n_sessions} viewers, Zipf skew {skew:g}, {n_edges} edges, "
             f"{mbps_per_session:g} Mbps/viewer; same seeded arrivals and "
-            "catalog for every policy, columnar session engine; CI is a "
+            "catalog for every policy; CI is a "
             f"seeded {n_boot}-resample percentile bootstrap over "
             "per-session QoE; * marks the (mean QoE, total $) Pareto "
             "frontier."
@@ -120,7 +118,6 @@ def run_fleet_policies(
             sessions,
             topology=topo,
             sr_cache=SRResultCache(capacity=sr_cache_size),
-            session_engine="columnar",
             cost_model=cost_model,
         )
         rep = result.report

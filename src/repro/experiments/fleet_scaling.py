@@ -107,7 +107,7 @@ def run_fleet_scaling(
     for n in fleet_sizes:
         cache = SRResultCache(capacity=sr_cache_size)
         result = simulate_fleet(
-            make_fleet(n, spec, abr=abr), trace, policy=policy, sr_cache=cache
+            make_fleet(n, spec, abr=abr), trace=trace, policy=policy, sr_cache=cache
         )
         rep = result.report
         table.add(
@@ -130,7 +130,7 @@ def run_fleet_scaling(
             duration=float(scale.stream_seconds * 4),
         )
         rep = simulate_fleet(
-            sessions, pop_trace, policy=policy, sr_cache=cache
+            sessions, trace=pop_trace, policy=policy, sr_cache=cache
         ).report
         table.add(
             n_sessions=len(sessions),
@@ -195,7 +195,7 @@ def run_population_fleet(
             mbps_per_session * len(sessions),
             duration=float(scale.stream_seconds * 4),
         )
-        rep = simulate_fleet(sessions, trace, sr_cache=cache).report
+        rep = simulate_fleet(sessions, trace=trace, sr_cache=cache).report
         table.add(
             skew=skew,
             n_sessions=len(sessions),

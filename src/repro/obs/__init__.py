@@ -6,8 +6,8 @@ through :func:`~repro.streaming.fleet.simulate_fleet` /
 keyword:
 
 * **event tracing** (:mod:`repro.obs.events`) — typed virtual-time
-  events emitted by the fleet driver, both session engines, the CDN
-  caches/encode queue, the control plane, and the fault machinery;
+  events emitted by the fleet driver, the CDN caches/encode queue,
+  the control plane, and the fault machinery;
 * **metrics** (:mod:`repro.obs.metrics`) — counter/gauge/histogram
   instruments plus ring-buffered time series the fleet's fixed-interval
   sampler records (health proxy, buffer occupancy, per-edge load,
@@ -23,7 +23,7 @@ tracks), and a Prometheus-style text dump.
 Passing ``telemetry=None`` (the default) executes the exact
 pre-telemetry instruction stream — every emission site is a single
 ``is not None`` check — and the disabled configuration is bit-exact
-with the untraced simulator (the seventh oracle-parity instance,
+with the untraced simulator (an oracle-parity instance,
 ``tests/streaming/test_obs.py::TestTelemetryDisabledParity``).
 """
 

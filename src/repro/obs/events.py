@@ -7,9 +7,9 @@ activity (hit / miss / coalesce / void), origin encode activity
 (enqueue / resize), fault injection (outage / degradation / crowd,
 plus the evacuation an outage triggers), and control-plane activity
 (tick / resize / re-steer).  Emission sites live in the subsystems that
-own the state — ``fleet.py`` (driver), ``columnar.py`` (columnar
-engine), ``cdn.py`` (caches and encode queue), ``control.py``
-(controller), ``faults.py`` (schedules) — each guarded by a single
+own the state — ``fleet.py`` (driver), ``cdn.py`` (caches and encode
+queue), ``control.py`` (controller), ``faults.py`` (schedules) — each
+guarded by a single
 ``tracer is not None`` check, so a run without a tracer executes the
 exact pre-telemetry instruction stream (the disabled-tracer parity
 test pins this).

@@ -7,8 +7,7 @@ instrumented wall clock with no double counting.  The fleet loop wraps
 its four stages — ``scheduler`` (next-event computation + fluid
 advance), ``advance`` (session transitions, SR, dispatch/fill
 bookkeeping), ``planner`` (the batched ABR decision pass), ``control``
-(outage surgery + monitor/tick block) — in both session engines, since
-they share the driver loop.
+(outage surgery + monitor/tick block).
 
 :data:`NULL_PROFILER` is the disabled-mode stand-in: its spans are
 shared no-op context managers, so hot-loop call sites keep one shape

@@ -56,9 +56,9 @@ YUZU_DENSITY_LEVELS = (1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0)
 #: throughput, 0.1 s on buffer level, 0.01 on prev quality.  Merges many
 #: more steady-state rows per tensor pass than the conservative default;
 #: the resulting QoE perturbation is bounded (test-pinned at <5% relative
-#: mean-QoE drift on a 600-viewer CDN fleet, see
-#: ``tests/streaming/test_columnar.py``).  Use when decision-pass wall
-#: time matters more than exact-default fidelity.
+#: mean-QoE drift on a 48-viewer, 2-edge CDN fleet, see
+#: ``tests/streaming/test_abr_parity.py::TestDedupQuanta``).  Use when
+#: decision-pass wall time matters more than exact-default fidelity.
 COARSE_DEDUP_QUANTA = (-4, 1, 2)
 
 
@@ -180,22 +180,6 @@ class AbrController:
         on it.
         """
         return [self.decide(ctx) for ctx in ctxs]
-
-    def decide_columns(self, batch) -> list[Decision]:
-        """Decide for a columnar batch (``DecisionColumns``).
-
-        The columnar fleet engine hands decision state over as parallel
-        columns instead of context objects.  The default materializes
-        every row and defers to :meth:`decide_batch`; MPC controllers
-        override it to build dedup keys straight from the columns so
-        memo-hit and duplicate rows never allocate a context at all.
-        Must be equivalent to deciding each row's
-        :meth:`~repro.streaming.columnar.DecisionColumns.context` — the
-        columnar oracle-parity grid relies on it.
-        """
-        return self.decide_batch(
-            [batch.context(i) for i in range(len(batch))]
-        )
 
 
 class _MPCBase(AbrController):
@@ -451,20 +435,7 @@ class _MPCBase(AbrController):
                     decisions[i] = self._decision_for(float(best[j]))
             return decisions  # type: ignore[return-value]
 
-        return self._decide_keyed(
-            [self._dedup_key(ctx) for ctx in ctxs], lambda i: ctxs[i]
-        )
-
-    def _decide_keyed(self, keys: list[tuple], ctx_of) -> list[Decision]:
-        """Dedup/memo decision core, shared by both row representations.
-
-        ``keys`` are :meth:`_dedup_key`-shaped tuples, one per row;
-        ``ctx_of(i)`` lazily materializes row ``i`` as an
-        :class:`AbrContext` — it is called only for the representative
-        row of each fresh key, which is what lets the columnar engine
-        skip context construction for memo hits and duplicates entirely.
-        """
-        decisions: list[Decision | None] = [None] * len(keys)
+        keys = [self._dedup_key(ctx) for ctx in ctxs]
         self.decide_rows += len(keys)
         memo = self._decision_memo
         fresh_order: list[tuple] = []        # unique unseen keys, first-seen order
@@ -489,7 +460,7 @@ class _MPCBase(AbrController):
         for group in by_horizon.values():
             # The representative row is the first context that produced
             # the key; duplicates inherit its decision verbatim.
-            reps = [ctx_of(fresh_idxs[key][0]) for key in group]
+            reps = [ctxs[fresh_idxs[key][0]] for key in group]
             values = self._batch_plan_values(reps)
             best = self.candidates[np.argmax(values, axis=1)]
             for key, b in zip(group, best):
@@ -498,37 +469,6 @@ class _MPCBase(AbrController):
                 for i in fresh_idxs[key]:
                     decisions[i] = decision
         return decisions  # type: ignore[return-value]
-
-    def decide_columns(self, batch) -> list[Decision]:
-        """Columnar decide: dedup keys built straight from the columns.
-
-        Bit-identical to :meth:`decide_batch` over the batch's
-        materialized contexts — the key tuples are value-identical (same
-        ``round`` calls, chunk windows from the fleet-wide tuple cache
-        compare equal to freshly sliced ones), so memo state is even
-        interchangeable between engines — but memo-hit and duplicate
-        rows never allocate an :class:`AbrContext` at all.
-        """
-        if not self.dedup:
-            return self.decide_batch(
-                [batch.context(i) for i in range(len(batch))]
-            )
-        td = self._TPUT_DECIMALS
-        bd = self._BUFFER_DECIMALS
-        pd = self._PREV_DECIMALS
-        h = self.horizon
-        keys = []
-        for i in range(len(batch)):
-            prev = batch.prev[i]
-            keys.append(
-                (
-                    round(batch.tput[i], td),
-                    round(batch.buffer[i], bd),
-                    None if prev is None else round(prev, pd),
-                    batch.window(i, h),
-                )
-            )
-        return self._decide_keyed(keys, batch.context)
 
 
 class ContinuousMPC(_MPCBase):

@@ -161,8 +161,8 @@ class GrayFailure:
       it during the window is dropped.  A dropped request is modeled as
       its own retransmit: the transfer starts ``drop_delay_s`` late and
       the attempt counts in the report's retry fields.  The drop draw
-      hashes ``(seed, edge, session, request instant)`` so both session
-      engines — and any replay — agree request by request.
+      hashes ``(seed, edge, session, request instant)`` so any replay
+      agrees request by request.
 
     ``capacity_factor`` must be in ``(0, 1]`` (use
     :class:`EdgeOutage` / :class:`RegionOutage` for a total loss).
@@ -207,7 +207,7 @@ class GrayFailure:
         return self.start <= t < self.end
 
     def drops(self, sid: int, t: float) -> bool:
-        """Deterministic per-request drop draw (both engines agree)."""
+        """Deterministic per-request drop draw (replay-exact)."""
         if self.drop_fraction <= 0.0:
             return False
         if self.drop_fraction >= 1.0:

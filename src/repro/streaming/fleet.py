@@ -62,9 +62,8 @@ from ..net.traces import NetworkTrace
 from .cdn import CDNTopology, wait_percentile
 from .abr import AbrController, SRQualityModel
 from .chunks import VideoSpec
-from .columnar import NEEDS_DECISION, ColumnarFleet
-from .control import ControlPlane, FleetView, RecoveryTracker
-from .faults import DegradedTrace, FaultSchedule, RetryPolicy
+from .control import FleetView, RecoveryTracker
+from .faults import DegradedTrace
 from .latency import SRLatency, ZERO_LATENCY
 from .simulator import (
     AbandonPolicy,
@@ -77,8 +76,7 @@ from .simulator import (
 from .spec import FleetSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from ..obs import Telemetry
-    from .cost import CostModel, CostReport
+    from .cost import CostReport
 
 __all__ = [
     "FleetSession",
@@ -267,7 +265,7 @@ class FleetReport:
     encode_core_seconds: float = 0.0
     #: infrastructure bill (attached when the run carried a
     #: :class:`~repro.streaming.cost.CostModel`; None otherwise, so
-    #: uncosted runs stay field-for-field comparable across engines)
+    #: uncosted runs stay field-for-field comparable)
     cost: "CostReport | None" = None
 
 
@@ -324,7 +322,7 @@ def _batched_decisions(
     download request each decision unblocked.  ``clamp``, when given,
     rewrites each decision before the machine advances on it — the
     control plane's graceful-degradation levers (quality cap, SR off);
-    the columnar engine applies the identical callable at the same point.
+    applied before the machine advances on the decision.
     """
     by_controller: dict[int, list[int]] = {}
     for sid in session_ids:
@@ -550,31 +548,17 @@ class _RetryState:
 
 def simulate_fleet(
     sessions: list[FleetSession],
-    trace: NetworkTrace | None = None,
-    policy: str = "fair",
-    sr_cache: SRResultCache | str | None = None,
-    topology: CDNTopology | None = None,
-    engine: str | None = None,
-    assignment: list[int] | None = None,
-    faults: FaultSchedule | None = None,
-    controller: ControlPlane | None = None,
-    fleet_engine: str | None = None,
-    telemetry: "Telemetry | None" = None,
-    *,
-    retry_policy: RetryPolicy | None = None,
-    scheduler_engine: str | None = None,
-    session_engine: str | None = None,
-    cost_model: "CostModel | None" = None,
     spec: FleetSpec | None = None,
+    **fields,
 ) -> FleetResult:
     """Run a fleet of sessions over a shared serving topology.
 
-    Configuration lives in a :class:`~repro.streaming.spec.FleetSpec` —
-    pass one as ``spec=`` — or in the historical loose keywords, which a
-    thin shim folds into the identical spec (the two call forms are
-    bit-exact by construction; mixing them is rejected).  All
-    cross-field validation happens once, in
-    :meth:`~repro.streaming.spec.FleetSpec.validate`.
+    Configuration lives in a :class:`~repro.streaming.spec.FleetSpec`:
+    pass one as ``spec=``, or pass its fields as keywords, which are
+    forwarded verbatim to ``FleetSpec(**fields)`` (so the field list,
+    defaults, and unknown-name errors live once, in ``spec.py``; mixing
+    the two forms is rejected).  All cross-field validation happens
+    once, in :meth:`~repro.streaming.spec.FleetSpec.validate`.
 
     Exactly one of ``trace`` (the classic single bottleneck link, run as
     a one-hop path) and ``topology`` (a CDN: per-edge caches, backhaul +
@@ -584,24 +568,8 @@ def simulate_fleet(
     rejected rather than silently ignored.  ``scheduler_engine`` selects
     the :class:`~repro.net.topology.PathScheduler` implementation
     (``"vector"`` array math by default, ``"scalar"`` the bit-exact
-    reference oracle); its deprecated alias ``engine=`` still works and
-    warns.
-
-    ``session_engine`` (deprecated alias ``fleet_engine=``) selects the
-    *session* layer independently of the network scheduler:
-    ``"machine"`` (default) advances one
-    :class:`~repro.streaming.simulator.SessionMachine` generator per
-    viewer and is the bit-exact oracle; ``"columnar"`` runs the same
-    transitions over the struct-of-arrays
-    :class:`~repro.streaming.columnar.ColumnarFleet` state — no
-    per-session generators, contexts, or record objects on the hot loop —
-    and must reproduce the machine engine result for result (the sixth
-    oracle-parity instance, ``tests/streaming/test_columnar.py``).
-    Every serving mode runs on both engines, faults included: outage
-    evacuation, retry timeouts, and hedging read finished flags and swap
-    SR caches through engine-agnostic accessors, and the machine engine
-    stays the bit-exact oracle for the fault paths (the ninth parity
-    instance, ``tests/streaming/test_faults.py``).
+    reference oracle).  The session layer is one
+    :class:`~repro.streaming.simulator.SessionMachine` per viewer.
 
     ``cost_model`` attaches a :class:`~repro.streaming.cost.CostModel`'s
     dollarization of the run to ``report.cost`` (see
@@ -676,15 +644,15 @@ def simulate_fleet(
 
     ``telemetry`` attaches a :class:`~repro.obs.Telemetry` bundle: its
     tracer collects typed virtual-time events from every subsystem (the
-    driver wires it into the edge caches, the origin encode queue, the
-    columnar engine, and the controller for the duration of the run, and
-    unwires it on exit), its metrics registry receives the interval
+    driver wires it into the edge caches, the origin encode queue, and
+    the controller for the duration of the run, and unwires it on
+    exit), its metrics registry receives the interval
     samples (health proxy, buffer occupancy, per-edge load, encode
     busy/workers), and its profiler wraps the hot loop's four stages
     (``scheduler`` / ``advance`` / ``planner`` / ``control``) in
     wall-clock spans.  Each layer toggles independently; ``None`` (the
     default) executes the exact pre-telemetry instruction stream, and
-    the enabled tracer is bit-exact with the disabled one (the seventh
+    the enabled tracer is bit-exact with the disabled one (an
     oracle-parity instance).
 
     A topology handed to ``simulate_fleet`` is reset to its
@@ -694,58 +662,7 @@ def simulate_fleet(
     """
     if not sessions:
         raise ValueError("fleet needs at least one session")
-    if spec is not None:
-        if (
-            trace is not None
-            or policy != "fair"
-            or sr_cache is not None
-            or topology is not None
-            or engine is not None
-            or assignment is not None
-            or faults is not None
-            or controller is not None
-            or fleet_engine is not None
-            or telemetry is not None
-            or retry_policy is not None
-            or scheduler_engine is not None
-            or session_engine is not None
-            or cost_model is not None
-        ):
-            raise ValueError(
-                "pass the configuration either as spec= or as loose "
-                "keyword arguments, not both"
-            )
-    else:
-        if engine is not None and scheduler_engine is not None:
-            raise ValueError(
-                "pass scheduler_engine= or its deprecated alias engine=, "
-                "not both"
-            )
-        if fleet_engine is not None and session_engine is not None:
-            raise ValueError(
-                "pass session_engine= or its deprecated alias "
-                "fleet_engine=, not both"
-            )
-        spec = FleetSpec(
-            trace=trace,
-            topology=topology,
-            policy=policy,
-            sr_cache=sr_cache,
-            scheduler_engine=(
-                scheduler_engine if scheduler_engine is not None else "vector"
-            ),
-            session_engine=(
-                session_engine if session_engine is not None else "machine"
-            ),
-            assignment=assignment,
-            faults=faults,
-            retry_policy=retry_policy,
-            controller=controller,
-            telemetry=telemetry,
-            cost_model=cost_model,
-            engine=engine,
-            fleet_engine=fleet_engine,
-        )
+    spec = FleetSpec.resolve(spec, fields)
     spec.validate()
     trace = spec.trace
     topology = spec.topology
@@ -797,28 +714,20 @@ def simulate_fleet(
         session_sr_caches = [topology.edges[e].sr_cache for e in assignment]
     else:
         session_sr_caches = [sr_cache] * len(sessions)
-    if spec.session_engine == "columnar":
-        cols: ColumnarFleet | None = ColumnarFleet(
-            sessions, session_sr_caches
+    machines = [
+        SessionMachine(
+            s.spec,
+            s.controller,
+            sr_latency=s.sr_latency,
+            quality_model=s.quality_model,
+            config=s.config,
+            qoe_weights=s.qoe_weights,
+            start_time=s.join_time,
+            sr_cache=session_sr_caches[sid],
+            churn=s.churn,
         )
-        cols.tracer = tracer
-        machines: list[SessionMachine] = []
-    else:
-        cols = None
-        machines = [
-            SessionMachine(
-                s.spec,
-                s.controller,
-                sr_latency=s.sr_latency,
-                quality_model=s.quality_model,
-                config=s.config,
-                qoe_weights=s.qoe_weights,
-                start_time=s.join_time,
-                sr_cache=session_sr_caches[sid],
-                churn=s.churn,
-            )
-            for sid, s in enumerate(sessions)
-        ]
+        for sid, s in enumerate(sessions)
+    ]
     if tracer is not None:
         # Wire the tracer into the stateful subsystems for this run only
         # (the finally below unwires it, so a reused topology or
@@ -1132,10 +1041,7 @@ def simulate_fleet(
             queue(sid, req)
 
     def _live_totals() -> tuple[int, float, float]:
-        """Fleet-wide live counters, summed in session order (the exact
-        sequential float order both engines pin)."""
-        if cols is not None:
-            return cols.live_totals()
+        """Fleet-wide live counters, summed in session order."""
         chunks = 0
         qsum = 0.0
         stall = 0.0
@@ -1147,30 +1053,18 @@ def simulate_fleet(
 
     def _region_live_totals() -> dict[str, tuple[int, float, float]]:
         """Per fault domain live counters, summed in ascending session id
-        order over each session's *home* region — the same scalars in the
-        same sequential float order on both engines, so the per-region
-        recovery metrics are engine-exact like the fleet-wide ones."""
+        order over each session's *home* region."""
         totals = {name: (0, 0.0, 0.0) for name in region_track}
-        if cols is not None:
-            lc, lq, ls = cols.live_chunks, cols.live_qsum, cols.live_stall
-            for sid, name in enumerate(region_home):
-                if name is None:
-                    continue
-                c, q, s = totals[name]
-                totals[name] = (
-                    c + int(lc[sid]), q + float(lq[sid]), s + float(ls[sid])
-                )
-        else:
-            for sid, name in enumerate(region_home):
-                if name is None:
-                    continue
-                m = machines[sid]
-                c, q, s = totals[name]
-                totals[name] = (
-                    c + m.live_chunks,
-                    q + m.live_quality_sum,
-                    s + m.live_stall,
-                )
+        for sid, name in enumerate(region_home):
+            if name is None:
+                continue
+            m = machines[sid]
+            c, q, s = totals[name]
+            totals[name] = (
+                c + m.live_chunks,
+                q + m.live_quality_sum,
+                s + m.live_stall,
+            )
         return totals
 
     # -- graceful degradation (control-plane levers) -----------------------
@@ -1190,12 +1084,11 @@ def simulate_fleet(
         return d
 
     def _decide(ids: list[int]) -> list[tuple[int, DownloadRequest]]:
-        """Resolve parked decisions on the active session engine, routed
-        through the degradation clamp only while a lever is pulled."""
-        clamp = _clamp if clamp_active else None
-        if cols is not None:
-            return cols.decide(ids, clamp=clamp)
-        return _batched_decisions(machines, ids, clamp=clamp)
+        """Resolve parked decisions, routed through the degradation
+        clamp only while a lever is pulled."""
+        return _batched_decisions(
+            machines, ids, clamp=_clamp if clamp_active else None
+        )
 
     def _evacuate(edge_idx: int, t: float) -> None:
         """Fail edge ``edge_idx`` over at instant ``t``: re-steer its
@@ -1203,9 +1096,7 @@ def simulate_fleet(
         transfers and re-issue them from ``t`` (time already spent counts
         against the session via the retry state's sunk-time offset, plus
         any :class:`~repro.streaming.faults.RetryPolicy` backoff),
-        restart its cache cold.  Engine-agnostic: both the machine and
-        columnar session layers expose the finished flags and SR-cache
-        slots this needs.
+        restart its cache cold.
         """
         nonlocal resteered_total, origin_egress
         assert topology is not None and faults is not None
@@ -1252,11 +1143,7 @@ def simulate_fleet(
             if e2 == edge_idx and start <= until:
                 until = max(until, end)
         live = [e for e in range(n_edges) if not edge_down[e]]
-        finished = (
-            cols.finished_flags()
-            if cols is not None
-            else [m.finished for m in machines]
-        )
+        finished = [m.finished for m in machines]
         load = [0] * n_edges
         for sid, fin in enumerate(finished):
             if not fin:
@@ -1271,11 +1158,7 @@ def simulate_fleet(
             load[target] += 1
             assignment[sid] = target
             if per_edge_sr:
-                new_cache = topology.edges[target].sr_cache
-                if cols is not None:
-                    cols.sr_caches[sid] = new_cache
-                else:
-                    machines[sid].sr_cache = new_cache
+                machines[sid].sr_cache = topology.edges[target].sr_cache
             resteered_total += 1
             if tracer is not None:
                 tracer.emit(
@@ -1315,19 +1198,13 @@ def simulate_fleet(
     # Decisions are pure functions of their context, so resolving them all
     # up front is safe; the *requests* they unblock go through queue(),
     # which holds future-dated ones until virtual time catches up.
-    if cols is not None:
-        startup_reqs, first_decisions = cols.initial_requests()
-        for sid, req in startup_reqs:
-            queue(sid, req)
-        queue_decided(_decide(first_decisions))
-    else:
-        first_decisions = []
-        for sid, machine in enumerate(machines):
-            if isinstance(machine.pending, DownloadRequest):
-                queue(sid, machine.pending)
-            elif isinstance(machine.pending, DecisionRequest):
-                first_decisions.append(sid)
-        queue_decided(_decide(first_decisions))
+    first_decisions = []
+    for sid, machine in enumerate(machines):
+        if isinstance(machine.pending, DownloadRequest):
+            queue(sid, machine.pending)
+        elif isinstance(machine.pending, DecisionRequest):
+            first_decisions.append(sid)
+    queue_decided(_decide(first_decisions))
 
     now = 0.0
     end_times = [0.0] * len(sessions)
@@ -1352,10 +1229,7 @@ def simulate_fleet(
                 events.append(max(outage_bounds[next_bound], now))
             if timeout_heap:
                 # Armed retry deadlines wake the loop too.  A stale entry
-                # (its attempt already resolved) may wake it spuriously;
-                # both engines share this driver loop, so the wakeups —
-                # and therefore the fluid integration segments — stay
-                # identical across engines.
+                # (its attempt already resolved) may wake it spuriously.
                 events.append(max(timeout_heap[0][0], now))
             t = min(events)
             clock = t
@@ -1397,13 +1271,6 @@ def simulate_fleet(
                 elapsed = done.elapsed
                 if resilience:
                     elapsed += rstate.complete(done.flow_id)
-                if cols is not None:
-                    nxt = cols.advance_download(done.flow_id, elapsed)
-                    if nxt is NEEDS_DECISION:
-                        needs_decision.append(done.flow_id)
-                    else:
-                        end_times[done.flow_id] = done.finish_time
-                    continue
                 m = machines[done.flow_id]
                 if tracer is None:
                     req = m.advance(elapsed)
@@ -1538,14 +1405,9 @@ def simulate_fleet(
                 # hedge is to race a fresh path, not to sit out).
                 hedged_now = False
                 if retry_policy.hedge:
-                    finished = (
-                        cols.finished_flags()
-                        if cols is not None
-                        else [m.finished for m in machines]
-                    )
                     load = [0] * n_edges
-                    for s2, fin in enumerate(finished):
-                        if not fin:
+                    for s2, other in enumerate(machines):
+                        if not other.finished:
                             load[assignment[s2]] += 1
                     candidates = [
                         e for e in range(n_edges)
@@ -1555,11 +1417,9 @@ def simulate_fleet(
                         target = min(candidates, key=lambda e: (load[e], e))
                         assignment[sid] = target
                         if per_edge_sr:
-                            new_cache = topology.edges[target].sr_cache
-                            if cols is not None:
-                                cols.sr_caches[sid] = new_cache
-                            else:
-                                machines[sid].sr_cache = new_cache
+                            machines[sid].sr_cache = (
+                                topology.edges[target].sr_cache
+                            )
                         rstate.hedged += 1
                         resteered_total += 1
                         hedged_now = True
@@ -1601,25 +1461,14 @@ def simulate_fleet(
                         rtracker.sample(t, rh)
             finished_flags: list[bool] = []
             if metrics is not None or controller is not None:
-                finished_flags = (
-                    cols.finished_flags()
-                    if cols is not None
-                    else [m.finished for m in machines]
-                )
+                finished_flags = [m.finished for m in machines]
             if metrics is not None:
                 active = 0
                 buf_sum = 0.0
-                if cols is not None:
-                    levels = cols.level
-                    for sid, fin in enumerate(finished_flags):
-                        if not fin:
-                            active += 1
-                            buf_sum += float(levels[sid])
-                else:
-                    for sid, fin in enumerate(finished_flags):
-                        if not fin:
-                            active += 1
-                            buf_sum += machines[sid].live_buffer_level
+                for sid, fin in enumerate(finished_flags):
+                    if not fin:
+                        active += 1
+                        buf_sum += machines[sid].live_buffer_level
                 metrics.timeseries("fleet.active_sessions").record(t, active)
                 metrics.timeseries("fleet.buffer_level").record(
                     t, buf_sum / active if active else 0.0
@@ -1691,11 +1540,7 @@ def simulate_fleet(
                         )
                     assignment[sid] = target
                     if per_edge_sr:
-                        new_cache = topology.edges[target].sr_cache
-                        if cols is not None:
-                            cols.sr_caches[sid] = new_cache
-                        else:
-                            machines[sid].sr_cache = new_cache
+                        machines[sid].sr_cache = topology.edges[target].sr_cache
                     resteered_total += 1
                 if actions.quality_cap is not None:
                     decision_cap = actions.quality_cap
@@ -1744,14 +1589,10 @@ def simulate_fleet(
                 if rh is not None:
                     rtracker.sample(now, rh)
 
-    if cols is not None:
-        assert cols.all_finished(), "fleet left unfinished sessions"
-        results = cols.finalize()
-    else:
-        results = [m.result for m in machines]
-        assert all(
-            r is not None for r in results
-        ), "fleet left unfinished sessions"
+    results = [m.result for m in machines]
+    assert all(
+        r is not None for r in results
+    ), "fleet left unfinished sessions"
     assert not fill_waiters, "fleet left coalesced requests waiting"
     ops = None
     if monitor or resilience:

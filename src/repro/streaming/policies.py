@@ -1,10 +1,10 @@
 """ABR policy zoo: a registry of controllers behind one explicit protocol.
 
 :mod:`repro.streaming.abr` grew the controller *interface* implicitly —
-``decide`` / ``decide_batch`` / ``decide_columns`` — with only the MPC
-family implementing all three entry points.  This module makes the
-contract explicit (:class:`AbrPolicy`), adds a string-keyed registry so
-experiments and CLIs resolve controllers by name
+``decide`` / ``decide_batch`` — with only the MPC family vectorizing
+the batch entry point.  This module makes the contract explicit
+(:class:`AbrPolicy`), adds a string-keyed registry so experiments and
+CLIs resolve controllers by name
 (``get_policy("bola")``), and fills out the zoo with the classic
 non-MPC control families:
 
@@ -15,21 +15,18 @@ non-MPC control families:
   whose chunk downloads within one chunk duration at the (safety-
   discounted) harmonic-mean throughput estimate.  The estimate arrives
   as ``ctx.throughput_bps``, produced by the session pipeline's
-  :class:`~repro.net.estimator.HarmonicMeanEstimator` (machine engine)
-  or ``ColumnarFleet._estimate`` (columnar engine) — the controller
+  :class:`~repro.net.estimator.HarmonicMeanEstimator` — the controller
   itself stays stateless so batch order cannot perturb decisions;
 * :class:`HybridController` — throughput-gated BOLA: BOLA steady-state,
   clamped by the throughput rule while the buffer is below a gate.
 
 Every policy implements a pure-Python scalar ``decide`` as its
-**reference oracle** plus vectorized ``decide_batch`` / columnar
-``decide_columns`` paths, with all candidate-grid constants (densities,
-SR ratios, utilities, per-chunk bit sizes) precomputed once at
-construction and indexed by both paths — so the per-row arithmetic is
-elementwise identical and the scalar/batch parity grids in
-``tests/streaming/test_abr_parity.py`` pin them at 1e-9 (the eighth
-instance of the oracle-parity convention; cross-engine fleet parity
-rides ``tests/streaming/test_columnar.py``).
+**reference oracle** plus a vectorized ``decide_batch``, with all
+candidate-grid constants (densities, SR ratios, utilities, per-chunk bit
+sizes) precomputed once at construction and indexed by both paths — so
+the per-row arithmetic is elementwise identical and the scalar/batch
+parity grids in ``tests/streaming/test_abr_parity.py`` pin them at 1e-9
+(the policy zoo's instance of the oracle-parity convention).
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ __all__ = [
 
 @runtime_checkable
 class AbrPolicy(Protocol):
-    """The controller contract both fleet engines program against.
+    """The controller contract the fleet driver programs against.
 
     Capabilities, in order of obligation:
 
@@ -73,11 +70,8 @@ class AbrPolicy(Protocol):
       single source of truth; the parity grids pin the other entry
       points against it.
     * ``decide_batch(ctxs)`` — one call resolving every session parked
-      on a decision at an event step (the machine engine's path).  Must
-      equal ``[decide(c) for c in ctxs]`` to 1e-9.
-    * ``decide_columns(batch)`` — the columnar engine's path, fed a
-      :class:`~repro.streaming.columnar.DecisionColumns` view.  Must
-      equal deciding each row's materialized context.
+      on a decision at an event step.  Must equal
+      ``[decide(c) for c in ctxs]`` to 1e-9.
     * ``quality_model`` — the :class:`~repro.streaming.abr.SRQualityModel`
       the policy prices decisions with (fleet drivers and experiments
       read it to keep session quality accounting consistent).
@@ -91,8 +85,6 @@ class AbrPolicy(Protocol):
     def decide(self, ctx: AbrContext) -> Decision: ...
 
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]: ...
-
-    def decide_columns(self, batch) -> list[Decision]: ...
 
 
 def supports_dedup(policy) -> bool:
@@ -174,37 +166,30 @@ class _GridPolicy(AbrController):
         """Vectorized :meth:`_index` over same-chunk rows."""
         raise NotImplementedError
 
-    # -- the three protocol entry points -------------------------------
+    # -- the two protocol entry points ---------------------------------
     def decide(self, ctx: AbrContext) -> Decision:
         return self._decision_for(
             self._index(ctx.throughput_bps, ctx.buffer_level, ctx.next_chunks[0])
         )
 
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]:
-        return self._decide_rows(
-            [c.throughput_bps for c in ctxs],
-            [c.buffer_level for c in ctxs],
-            [c.next_chunks[0] for c in ctxs],
-        )
-
-    def decide_columns(self, batch) -> list[Decision]:
-        chunks = [batch.window(i, 1)[0] for i in range(len(batch))]
-        return self._decide_rows(batch.tput, batch.buffer, chunks)
-
-    def _decide_rows(self, tputs, bufs, chunks) -> list[Decision]:
         """Group rows by next chunk, one vectorized pass per group.
 
         Grouping only batches the arithmetic — every row's score math is
         elementwise, so group membership cannot change any decision.
         """
         groups: dict[int, list[int]] = {}
-        for i, chunk in enumerate(chunks):
-            groups.setdefault(id(chunk), []).append(i)
-        decisions: list[Decision | None] = [None] * len(chunks)
+        for i, ctx in enumerate(ctxs):
+            groups.setdefault(id(ctx.next_chunks[0]), []).append(i)
+        decisions: list[Decision | None] = [None] * len(ctxs)
         for idxs in groups.values():
-            chunk = chunks[idxs[0]]
-            t = np.array([tputs[i] for i in idxs], dtype=np.float64)
-            b = np.array([bufs[i] for i in idxs], dtype=np.float64)
+            chunk = ctxs[idxs[0]].next_chunks[0]
+            t = np.array(
+                [ctxs[i].throughput_bps for i in idxs], dtype=np.float64
+            )
+            b = np.array(
+                [ctxs[i].buffer_level for i in idxs], dtype=np.float64
+            )
             best = self._indices(t, b, chunk)
             for j, i in enumerate(idxs):
                 decisions[i] = self._decision_for(int(best[j]))
@@ -291,10 +276,9 @@ class ThroughputRuleController(_GridPolicy):
     — the chunk must download within its own playback duration at the
     safety-discounted estimate.  The estimate is the harmonic mean the
     session pipeline maintains (:class:`~repro.net.estimator.
-    HarmonicMeanEstimator`; the columnar engine reproduces its
-    sequential-sum arithmetic), delivered as ``ctx.throughput_bps`` /
-    the ``tput`` column — keeping the controller stateless, so decisions
-    are independent of batch composition and order.  When nothing is
+    HarmonicMeanEstimator`), delivered as ``ctx.throughput_bps`` —
+    keeping the controller stateless, so decisions are independent of
+    batch composition and order.  When nothing is
     feasible the sparsest candidate is fetched (the session must make
     progress to re-estimate).
     """

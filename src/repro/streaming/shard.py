@@ -54,7 +54,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -77,9 +76,6 @@ from .fleet import (
 )
 from .simulator import SessionResult
 from .spec import FleetSpec
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from .cost import CostModel
 
 __all__ = [
     "Shard",
@@ -219,8 +215,6 @@ class _ShardTask:
     faults: FaultSchedule | None = None
     #: client resilience policy, forwarded verbatim to every shard
     retry_policy: RetryPolicy | None = None
-    #: session layer: "machine" objects or the "columnar" array engine
-    session_engine: str = "machine"
     #: collect a shard-tagged event stream / phase-profiler totals for
     #: the caller's telemetry (metrics registries stay per-process and
     #: are not merged)
@@ -315,7 +309,6 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
         faults=task.faults,
         retry_policy=task.retry_policy,
         scheduler_engine=task.scheduler_engine,
-        session_engine=task.session_engine,
         telemetry=telemetry,
     )
     topo = task.topology
@@ -384,7 +377,6 @@ def _make_task(
     copy_sr: bool,
     faults: FaultSchedule | None = None,
     retry_policy: RetryPolicy | None = None,
-    session_engine: str = "machine",
     trace: bool = False,
     profile: bool = False,
 ) -> _ShardTask:
@@ -450,7 +442,6 @@ def _make_task(
         scheduler_engine=scheduler_engine,
         faults=sub_faults,
         retry_policy=retry_policy,
-        session_engine=session_engine,
         trace=trace,
         profile=profile,
     )
@@ -485,22 +476,12 @@ def _empty_outcome(shard: Shard, task: _ShardTask) -> _ShardOutcome:
 
 def shard_fleet(
     sessions: list[FleetSession],
-    topology: CDNTopology | None = None,
+    spec: FleetSpec | None = None,
     *,
     workers: int = 1,
-    sr_cache: SRResultCache | str | None = None,
-    engine: str | None = None,
-    assignment: list[int] | None = None,
     seed: int = 0,
     start_method: str | None = None,
-    faults: FaultSchedule | None = None,
-    retry_policy: RetryPolicy | None = None,
-    fleet_engine: str | None = None,
-    scheduler_engine: str | None = None,
-    session_engine: str | None = None,
-    cost_model: "CostModel | None" = None,
-    spec: FleetSpec | None = None,
-    telemetry: Telemetry | None = None,
+    **fields,
 ) -> FleetResult:
     """Run a fleet over a CDN, sharded across worker processes.
 
@@ -518,17 +499,13 @@ def shard_fleet(
     way.  ``start_method`` picks the ``multiprocessing`` start method
     (default: ``fork`` where available, else the platform default —
     ``fork`` skips re-importing the scientific stack in every worker).
-    ``session_engine`` is forwarded to each shard's ``simulate_fleet``
-    (``"columnar"`` runs the struct-of-arrays session layer in every
-    worker); ``engine`` / ``fleet_engine`` are deprecated aliases for
-    ``scheduler_engine`` / ``session_engine`` and emit a
-    :class:`DeprecationWarning`.
 
-    A :class:`~repro.streaming.spec.FleetSpec` may be passed as
-    ``spec=`` instead of the loose fleet keywords (topology mode only);
-    the shard-executor knobs (``workers``, ``seed``, ``start_method``)
-    stay as plain keywords either way.  ``cost_model`` (directly or on
-    the spec) prices the merged run and attaches a
+    The fleet configuration is a :class:`~repro.streaming.spec.FleetSpec`
+    (topology mode only), passed as ``spec=`` or as field keywords
+    forwarded verbatim to ``FleetSpec(**fields)`` exactly like
+    ``simulate_fleet``; the shard-executor knobs (``workers``, ``seed``,
+    ``start_method``) are plain keywords either way.  ``cost_model``
+    prices the merged run and attaches a
     :class:`~repro.streaming.cost.CostReport` to ``report.cost``, with
     encode core-seconds summed across the shards' partitioned pools.
 
@@ -559,52 +536,7 @@ def shard_fleet(
     """
     if not sessions:
         raise ValueError("fleet needs at least one session")
-    if spec is not None:
-        if (
-            topology is not None
-            or sr_cache is not None
-            or engine is not None
-            or assignment is not None
-            or faults is not None
-            or retry_policy is not None
-            or fleet_engine is not None
-            or telemetry is not None
-            or scheduler_engine is not None
-            or session_engine is not None
-            or cost_model is not None
-        ):
-            raise ValueError(
-                "pass the configuration either as spec= or as loose "
-                "keyword arguments, not both"
-            )
-    else:
-        if engine is not None and scheduler_engine is not None:
-            raise ValueError(
-                "pass scheduler_engine= or its deprecated alias "
-                "engine=, not both"
-            )
-        if fleet_engine is not None and session_engine is not None:
-            raise ValueError(
-                "pass session_engine= or its deprecated alias "
-                "fleet_engine=, not both"
-            )
-        spec = FleetSpec(
-            topology=topology,
-            sr_cache=sr_cache,
-            scheduler_engine=(
-                scheduler_engine if scheduler_engine is not None else "vector"
-            ),
-            session_engine=(
-                session_engine if session_engine is not None else "machine"
-            ),
-            assignment=assignment,
-            faults=faults,
-            retry_policy=retry_policy,
-            telemetry=telemetry,
-            cost_model=cost_model,
-            engine=engine,
-            fleet_engine=fleet_engine,
-        )
+    spec = FleetSpec.resolve(spec, fields)
     if spec.topology is None:
         raise ValueError(
             "shard_fleet partitions a CDNTopology; for a single shared "
@@ -681,7 +613,6 @@ def shard_fleet(
             shard, sessions, topology, plan, sr_cache,
             spec.scheduler_engine,
             copy_sr=copy_sr, faults=faults, retry_policy=retry_policy,
-            session_engine=spec.session_engine,
             trace=trace, profile=profile,
         )
         for shard in plan.shards

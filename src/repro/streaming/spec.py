@@ -1,26 +1,20 @@
 """`FleetSpec`: one validated configuration object for a fleet run.
 
-``simulate_fleet`` and ``shard_fleet`` grew to 11+ loose keyword
-arguments that had to be kept in sync by hand, with the cross-field
-rules (trace xor topology, policy-vs-topology, faults-need-topology, …)
-duplicated in both functions.  :class:`FleetSpec` is the single source
-of truth: both entry points accept ``spec=`` and route every legacy
-keyword through the same object, so the shim path is bit-exact with the
-spec path by construction, and :meth:`FleetSpec.validate` holds each
-cross-field rule exactly once.
-
-The spec is also where the historical ``engine`` / ``fleet_engine``
-naming collision is retired: the :class:`~repro.net.topology.PathScheduler`
-implementation is ``scheduler_engine`` and the session layer is
-``session_engine``.  The old names still work — as keyword aliases here
-and on both entry points — but emit a :class:`DeprecationWarning`.
+``simulate_fleet`` and ``shard_fleet`` take ``(sessions, spec=None,
+**fields)``: either a :class:`FleetSpec`, or its fields as keywords,
+which both entry points forward verbatim to ``FleetSpec(**fields)``.
+The field list, the defaults, and the unknown-name errors therefore
+live here and nowhere else, and :meth:`FleetSpec.validate` holds each
+cross-field rule (trace xor topology, policy-vs-topology,
+faults-need-topology, …) exactly once.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from ..net.topology import SCHEDULER_ENGINES
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..net.traces import NetworkTrace
@@ -44,10 +38,6 @@ class FleetSpec:
     or topology reproduces a bare call.  ``shard_fleet`` takes the same
     spec verbatim (topology mode only) and forwards it to each shard's
     inner ``simulate_fleet``.
-
-    ``engine=`` and ``fleet_engine=`` are accepted as deprecated
-    constructor aliases for ``scheduler_engine`` / ``session_engine``
-    and emit a :class:`DeprecationWarning`.
     """
 
     trace: "NetworkTrace | None" = None
@@ -55,34 +45,25 @@ class FleetSpec:
     policy: str = "fair"
     sr_cache: "SRResultCache | str | None" = None
     scheduler_engine: str = "vector"
-    session_engine: str = "machine"
     assignment: list[int] | None = None
     faults: "FaultSchedule | None" = None
     retry_policy: "RetryPolicy | None" = None
     controller: "ControlPlane | None" = None
     telemetry: "Telemetry | None" = None
     cost_model: "CostModel | None" = None
-    # -- deprecated aliases (pre-rename keyword names) ------------------
-    engine: InitVar[str | None] = None
-    fleet_engine: InitVar[str | None] = None
 
-    def __post_init__(
-        self, engine: str | None, fleet_engine: str | None
-    ) -> None:
-        if engine is not None:
-            warnings.warn(
-                "engine= is deprecated; use scheduler_engine=",
-                DeprecationWarning,
-                stacklevel=3,
+    @classmethod
+    def resolve(cls, spec: "FleetSpec | None", fields: dict) -> "FleetSpec":
+        """The spec an entry point called as ``(sessions, spec, **fields)``
+        runs: ``spec`` itself, or ``FleetSpec(**fields)`` — never a mix."""
+        if spec is None:
+            return cls(**fields)
+        if fields:
+            raise ValueError(
+                "pass the configuration either as spec= or as FleetSpec "
+                "field keywords, not both"
             )
-            self.scheduler_engine = engine
-        if fleet_engine is not None:
-            warnings.warn(
-                "fleet_engine= is deprecated; use session_engine=",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.session_engine = fleet_engine
+        return spec
 
     def validate(self) -> None:
         """Enforce every cross-field rule; normalizes empty faults.
@@ -104,10 +85,10 @@ class FleetSpec:
                 "links carry their own sharing policies (set them at "
                 "construction, e.g. uniform_cdn(policy=...))"
             )
-        if self.session_engine not in ("machine", "columnar"):
+        if self.scheduler_engine not in SCHEDULER_ENGINES:
             raise ValueError(
-                f"unknown session_engine {self.session_engine!r}; "
-                "expected 'machine' or 'columnar'"
+                f"unknown scheduler_engine {self.scheduler_engine!r}; "
+                f"expected one of {SCHEDULER_ENGINES}"
             )
         if self.faults is not None and not self.faults:
             self.faults = None  # empty schedule ≡ no faults

@@ -83,7 +83,7 @@ class TestDegenerateParity:
     def test_mpc_fleet_on_lte(self):
         trace = lte_trace(60, 18, seed=9)
         flat = simulate_fleet(
-            self.make_sessions(), trace, sr_cache=SRResultCache()
+            self.make_sessions(), trace=trace, sr_cache=SRResultCache()
         )
         cdn = simulate_fleet(
             self.make_sessions(),
@@ -111,7 +111,7 @@ class TestDegenerateParity:
                 FleetSession(spec=spec(6), controller=FixedDensity(0.5)),
             ]
 
-        flat = simulate_fleet(sessions(), trace)
+        flat = simulate_fleet(sessions(), trace=trace)
         cdn = simulate_fleet(sessions(), topology=degenerate_topology(trace))
         self.assert_identical(flat, cdn)
 
@@ -129,7 +129,7 @@ class TestDegenerateParity:
                              config=cfg, join_time=2.0),
             ]
 
-        flat = simulate_fleet(sessions(), trace, policy="weighted")
+        flat = simulate_fleet(sessions(), trace=trace, policy="weighted")
         cdn = simulate_fleet(
             sessions(),
             topology=degenerate_topology(trace, policy="weighted"),
@@ -598,7 +598,7 @@ class TestAssignment:
         with pytest.raises(ValueError, match="exactly one"):
             simulate_fleet(sessions)
         with pytest.raises(ValueError, match="exactly one"):
-            simulate_fleet(sessions, stable_trace(10.0), topology=topo)
+            simulate_fleet(sessions, trace=stable_trace(10.0), topology=topo)
 
     def test_policy_arg_rejected_with_topology(self):
         """Link policies live on the topology; a stray policy= must not

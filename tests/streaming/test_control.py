@@ -372,7 +372,7 @@ class TestNoOpControllerParity:
 
         with pytest.raises(ValueError, match="require a topology"):
             simulate_fleet(
-                fleet(2), stable_trace(80.0, duration=600.0),
+                fleet(2), trace=stable_trace(80.0, duration=600.0),
                 controller=ControlPlane(),
             )
 

@@ -89,7 +89,7 @@ class TestEncodeBusyAccounting:
     def test_sharded_busy_time_matches_single_process(self):
         ref = simulate_fleet(make_sessions(8), topology=make_topology())
         sharded = shard_fleet(
-            make_sessions(8), make_topology(), workers=1
+            make_sessions(8), topology=make_topology(), workers=1
         )
         assert sharded.report.encode_core_seconds == (
             ref.report.encode_core_seconds
@@ -100,7 +100,7 @@ class TestEncodeBusyAccounting:
         merge sums them (variants re-encoded per shard may exceed the
         single-process total, never undercount a shard)."""
         sharded = shard_fleet(
-            make_sessions(8), make_topology(), workers=2,
+            make_sessions(8), topology=make_topology(), workers=2,
             sr_cache="per-edge",
         )
         assert sharded.report.encode_core_seconds > 0.0
@@ -210,7 +210,7 @@ class TestCostAttachment:
             sr_cache="per-edge", cost_model=CostModel(),
         )
         sharded = shard_fleet(
-            make_sessions(8), make_topology(), workers=1,
+            make_sessions(8), topology=make_topology(), workers=1,
             sr_cache="per-edge", cost_model=CostModel(),
         )
         assert sharded.report.cost == ref.report.cost

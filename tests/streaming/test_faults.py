@@ -24,7 +24,14 @@ from repro.streaming import (
     uniform_cdn,
 )
 
-from .helpers import FixedDensity, spec, sr_lat
+from .helpers import (
+    FixedDensity,
+    assert_same_run,
+    check_byte_conservation,
+    check_retry_accounting,
+    spec,
+    sr_lat,
+)
 
 
 def fleet(n=8, seconds=20, stagger=0.4):
@@ -431,7 +438,7 @@ class TestOutageEndToEnd:
         trace = stable_trace(80.0, duration=600.0)
         with pytest.raises(ValueError, match="require a topology"):
             simulate_fleet(
-                fleet(2), trace,
+                fleet(2), trace=trace,
                 faults=FaultSchedule(
                     (EdgeOutage(edge=0, start=1.0, duration=1.0),)
                 ),
@@ -492,17 +499,13 @@ class TestDisabledModeParity:
         assert rep.retry_attempts == ()
         assert rep.region_recovery == ()
 
-    @pytest.mark.parametrize("engine", ["machine", "columnar"])
-    def test_default_retry_policy_is_bit_exact(self, engine):
+    def test_default_retry_policy_is_bit_exact(self):
         """``RetryPolicy()`` (infinite timeout, no hedge) on a fault-free
-        run arms nothing: bit-exact with the bare run on both engines."""
+        run arms nothing: bit-exact with the bare run."""
         sessions = fleet(6)
         topo = cdn()
-        a = simulate_fleet(sessions, topology=topo, session_engine=engine)
-        b = simulate_fleet(
-            sessions, topology=topo, session_engine=engine,
-            retry_policy=RetryPolicy(),
-        )
+        a = simulate_fleet(sessions, topology=topo)
+        b = simulate_fleet(sessions, topology=topo, retry_policy=RetryPolicy())
         assert a.report == b.report
         assert a.sessions == b.sessions
         assert a.end_times == b.end_times
@@ -581,16 +584,6 @@ class TestOutageAccounting:
         # t=12 joiner arrives after the chain ends.
         assert result.assignment[2] == 0
         assert all(r is not None for r in result.sessions)
-
-
-def check_retry_accounting(rep):
-    """The accounting contract every failure path shares: each counted
-    failed attempt belongs to a request that eventually completed, so
-    the retry counter equals the attempt histogram's weighted sum (no
-    `_RetryState` entry outlives the run)."""
-    assert rep.chunk_retries == sum(
-        (k + 1) * c for k, c in enumerate(rep.retry_attempts)
-    )
 
 
 class TestGrayFailureEndToEnd:
@@ -870,9 +863,9 @@ class TestRetryOffsetAccounting:
         assert all(r is not None for r in result.sessions)
 
 
-class TestFaultEngineParity:
-    """Ninth oracle-parity instance: fault kinds x retry policies, the
-    per-session machine engine as the bit-exact oracle for columnar."""
+class TestFaultScenarioGrid:
+    """Fault kinds x retry policies x fleet size: every combination is
+    seed-deterministic and conserves bytes and retry attempts."""
 
     FAULTS = {
         "none": None,
@@ -910,19 +903,16 @@ class TestFaultEngineParity:
         n=st.integers(5, 8),
     )
     @settings(max_examples=15, deadline=None)
-    def test_machine_is_the_columnar_oracle(self, fault, retry, n):
-        def run(engine):
+    def test_deterministic_and_conserving(self, fault, retry, n):
+        def run():
             return simulate_fleet(
                 fleet(n), topology=cdn(n_regions=2),
                 assignment=[i % 3 for i in range(n)],
                 faults=self.FAULTS[fault],
                 retry_policy=self.RETRIES[retry],
-                session_engine=engine,
             )
 
-        a = run("machine")
-        b = run("columnar")
-        assert a.report == b.report
-        assert a.sessions == b.sessions
-        assert a.assignment == b.assignment
-        assert a.end_times == b.end_times
+        a = run()
+        assert_same_run(a, run())
+        check_byte_conservation(a)
+        check_retry_accounting(a.report)

@@ -1,10 +1,13 @@
 """Fleet simulator: parity, determinism, conservation, cache, policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import QoEModel
 from repro.net import lte_trace, stable_trace
 from repro.streaming import (
+    AbandonPolicy,
     ContinuousMPC,
     FleetSession,
     SessionConfig,
@@ -12,10 +15,18 @@ from repro.streaming import (
     SRResultCache,
     simulate_fleet,
     simulate_session,
+    uniform_cdn,
 )
 from repro.streaming.latency import MeasuredSRLatency
 
-from .helpers import FixedDensity, sr_lat, spec
+from .helpers import (
+    FixedDensity,
+    assert_same_run,
+    check_byte_conservation,
+    check_retry_accounting,
+    spec,
+    sr_lat,
+)
 
 
 class TestSingleSessionParity:
@@ -46,7 +57,7 @@ class TestSingleSessionParity:
         fleet = simulate_fleet(
             [FleetSession(spec=spec(20), controller=ContinuousMPC(qm, QoEModel(), lat),
                           sr_latency=lat, quality_model=qm)],
-            trace,
+            trace=trace,
         )
         self.assert_identical(solo, fleet)
 
@@ -58,7 +69,7 @@ class TestSingleSessionParity:
         )
         fleet = simulate_fleet(
             [FleetSession(spec=spec(15), controller=FixedDensity(0.5), config=cfg)],
-            trace,
+            trace=trace,
         )
         self.assert_identical(solo, fleet)
 
@@ -67,7 +78,7 @@ class TestSingleSessionParity:
         solo = simulate_session(spec(10), trace, FixedDensity(0.5))
         fleet = simulate_fleet(
             [FleetSession(spec=spec(10), controller=FixedDensity(0.5), weight=3.0)],
-            trace,
+            trace=trace,
             policy="weighted",
         )
         self.assert_identical(solo, fleet)
@@ -93,7 +104,7 @@ class TestSingleSessionParity:
         solo = simulate_session(
             spec(12), trace, controller, sr_latency=lat, quality_model=qm
         )
-        self.assert_identical(solo, simulate_fleet(sessions, trace))
+        self.assert_identical(solo, simulate_fleet(sessions, trace=trace))
 
     def test_poisson_single_arrival_is_a_time_shift_on_stable_link(self):
         """One Poisson arrival on a constant link sees the same conditions
@@ -110,7 +121,7 @@ class TestSingleSessionParity:
         assert len(sessions) == 1
         assert sessions[0].join_time > 0.0
         solo = simulate_session(spec(10), stable_trace(80.0), FixedDensity(0.5))
-        shifted = simulate_fleet(sessions, stable_trace(80.0)).sessions[0]
+        shifted = simulate_fleet(sessions, trace=stable_trace(80.0)).sessions[0]
         assert shifted.qoe == pytest.approx(solo.qoe, rel=1e-9)
         assert shifted.total_bytes == solo.total_bytes
         assert shifted.decisions == solo.decisions
@@ -135,11 +146,11 @@ class TestEngineParityEndToEnd:
             for i in range(8)
         ]
 
-    def test_mpc_fleet_engines_agree(self):
+    def test_mpc_fleet_scheduler_engines_agree(self):
         trace = lte_trace(55, 16, seed=11)
         runs = [
             simulate_fleet(
-                self.make_sessions(), trace, policy="weighted",
+                self.make_sessions(), trace=trace, policy="weighted",
                 sr_cache=SRResultCache(), scheduler_engine=engine,
             )
             for engine in ("scalar", "vector")
@@ -169,7 +180,7 @@ class TestDeterminism:
                 for i in range(6)
             ]
             return simulate_fleet(
-                sessions, lte_trace(80, 20, seed=11), sr_cache=SRResultCache()
+                sessions, trace=lte_trace(80, 20, seed=11), sr_cache=SRResultCache()
             )
 
         a, b = run(), run()
@@ -178,6 +189,78 @@ class TestDeterminism:
             assert ra.qoe == rb.qoe
             assert ra.decisions == rb.decisions
             assert ra.total_bytes == rb.total_bytes
+
+
+class TestScenarioGrid:
+    """Link/CDN serving x SR-cache mode x churn x start-up payload: every
+    combination is seed-deterministic and conserves bytes and retries."""
+
+    def make_sessions(self, n, churn, startup_bytes):
+        qm = SRQualityModel()
+        lat = sr_lat()
+        ctrl = ContinuousMPC(qm, QoEModel(), lat, n_grid=8, horizon=2)
+        config = (
+            SessionConfig(startup_bytes=startup_bytes)
+            if startup_bytes
+            else None
+        )
+        return [
+            FleetSession(
+                spec=spec(6, name=f"v{i % 3}"),
+                controller=ctrl,
+                sr_latency=lat,
+                quality_model=qm,
+                config=config,
+                join_time=1.5 * i,
+                churn=AbandonPolicy(max_total_stall=20.0) if churn else None,
+            )
+            for i in range(n)
+        ]
+
+    @given(
+        n_sessions=st.integers(3, 8),
+        mode=st.sampled_from(["link", "cdn-1", "cdn-3"]),
+        encode_seconds=st.sampled_from([0.0, 0.05]),
+        sr_mode=st.sampled_from(["none", "per-edge", "shared"]),
+        churn=st.booleans(),
+        startup_bytes=st.sampled_from([0, 200_000]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_deterministic_and_conserving(
+        self, n_sessions, mode, encode_seconds, sr_mode, churn, startup_bytes
+    ):
+        if mode == "link" and sr_mode == "per-edge":
+            sr_mode = "shared"  # per-edge SR caches need a topology
+
+        def run():
+            kw = {}
+            if mode == "link":
+                kw["trace"] = stable_trace(60.0, duration=600.0)
+            else:
+                kw["topology"] = uniform_cdn(
+                    int(mode.split("-")[1]),
+                    access_mbps=80.0,
+                    backhaul_mbps=30.0,
+                    cache_bytes=1 << 32,
+                    assignment="static",
+                    n_encode_workers=3,
+                    encode_seconds=encode_seconds,
+                )
+            sr = {
+                "none": None,
+                "per-edge": "per-edge",
+                "shared": SRResultCache(),
+            }[sr_mode]
+            return simulate_fleet(
+                self.make_sessions(n_sessions, churn, startup_bytes),
+                sr_cache=sr,
+                **kw,
+            )
+
+        a = run()
+        assert_same_run(a, run())
+        check_byte_conservation(a)
+        check_retry_accounting(a.report)
 
 
 class TestBandwidthConservation:
@@ -190,7 +273,7 @@ class TestBandwidthConservation:
             FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0))
             for _ in range(n)
         ]
-        result = simulate_fleet(sessions, trace)
+        result = simulate_fleet(sessions, trace=trace)
         # demand (4 × 144 Mbps) >> capacity, rtt = 0: the link never idles
         # between first request and last completion.
         total_bits = 8.0 * sum(
@@ -203,7 +286,7 @@ class TestBandwidthConservation:
             FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0))
             for _ in range(3)
         ]
-        result = simulate_fleet(sessions, stable_trace(30.0, rtt=0.0))
+        result = simulate_fleet(sessions, trace=stable_trace(30.0, rtt=0.0))
         ref = result.sessions[0]
         for r in result.sessions[1:]:
             assert r.total_bytes == ref.total_bytes
@@ -212,12 +295,12 @@ class TestBandwidthConservation:
     def test_contention_slows_everyone(self):
         solo = simulate_fleet(
             [FleetSession(spec=spec(10), controller=FixedDensity(1.0, 1.0))],
-            stable_trace(50.0),
+            trace=stable_trace(50.0),
         )
         crowd = simulate_fleet(
             [FleetSession(spec=spec(10), controller=FixedDensity(1.0, 1.0))
              for _ in range(5)],
-            stable_trace(50.0),
+            trace=stable_trace(50.0),
         )
         assert crowd.report.stall_ratio > solo.report.stall_ratio
         assert crowd.report.mean_qoe < solo.report.mean_qoe
@@ -270,7 +353,7 @@ class TestSRCache:
             FleetSession(spec=spec(10), controller=FixedDensity(0.5),
                          sr_latency=lat, join_time=40.0),
         ]
-        result = simulate_fleet(sessions, stable_trace(200.0), sr_cache=cache)
+        result = simulate_fleet(sessions, trace=stable_trace(200.0), sr_cache=cache)
         # Session 2 joins after session 1 finished: every chunk hits.
         assert cache.misses == 10
         assert cache.hits == 10
@@ -285,7 +368,7 @@ class TestSRCache:
                          sr_latency=lat, join_time=2.0 * i)
             for i in range(n)
         ]
-        simulate_fleet(sessions, stable_trace(300.0), sr_cache=cache)
+        simulate_fleet(sessions, trace=stable_trace(300.0), sr_cache=cache)
         assert cache.hits + cache.misses == n * secs
 
     def test_no_sr_means_no_cache_traffic(self):
@@ -294,7 +377,7 @@ class TestSRCache:
             FleetSession(spec=spec(5), controller=FixedDensity(0.5))
             for _ in range(3)
         ]
-        result = simulate_fleet(sessions, stable_trace(200.0), sr_cache=cache)
+        result = simulate_fleet(sessions, trace=stable_trace(200.0), sr_cache=cache)
         assert cache.hits == cache.misses == 0
         assert result.report.cache_hit_rate == 0.0
 
@@ -307,7 +390,7 @@ class TestSRCache:
             FleetSession(spec=spec(5, name="b"), controller=FixedDensity(0.5),
                          sr_latency=lat, join_time=30.0),
         ]
-        simulate_fleet(sessions, stable_trace(200.0), sr_cache=cache)
+        simulate_fleet(sessions, trace=stable_trace(200.0), sr_cache=cache)
         assert cache.hits == 0
 
     def test_cache_improves_qoe_under_slow_sr(self):
@@ -319,7 +402,7 @@ class TestSRCache:
                              sr_latency=slow, join_time=20.0 * i)
                 for i in range(3)
             ]
-            return simulate_fleet(sessions, stable_trace(500.0), sr_cache=cache)
+            return simulate_fleet(sessions, trace=stable_trace(500.0), sr_cache=cache)
 
         with_cache = run(SRResultCache())
         without = run(None)
@@ -358,7 +441,7 @@ class TestWeightedPolicy:
                                 weight=w)
 
         result = simulate_fleet(
-            [session(3.0), session(1.0)], stable_trace(60.0, rtt=0.0),
+            [session(3.0), session(1.0)], trace=stable_trace(60.0, rtt=0.0),
             policy="weighted",
         )
         heavy, light = result.sessions
@@ -370,7 +453,7 @@ class TestWeightedPolicy:
                 [FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0),
                               weight=5.0),
                  FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0))],
-                stable_trace(40.0, rtt=0.0), policy=policy,
+                trace=stable_trace(40.0, rtt=0.0), policy=policy,
             )
 
         fair = run("fair")
@@ -381,7 +464,7 @@ class TestWeightedPolicy:
         with pytest.raises(ValueError, match="policy"):
             simulate_fleet(
                 [FleetSession(spec=spec(5), controller=FixedDensity(0.5))],
-                stable_trace(50.0), policy="priority",
+                trace=stable_trace(50.0), policy="priority",
             )
 
 
@@ -390,12 +473,12 @@ class TestJoinTimes:
         """On a constant-rate link a late join sees identical conditions."""
         base = simulate_fleet(
             [FleetSession(spec=spec(10), controller=FixedDensity(0.5))],
-            stable_trace(80.0),
+            trace=stable_trace(80.0),
         ).sessions[0]
         late = simulate_fleet(
             [FleetSession(spec=spec(10), controller=FixedDensity(0.5),
                           join_time=12.5)],
-            stable_trace(80.0),
+            trace=stable_trace(80.0),
         ).sessions[0]
         assert late.qoe == pytest.approx(base.qoe, rel=1e-9)
         assert late.total_bytes == base.total_bytes
@@ -407,7 +490,7 @@ class TestJoinTimes:
         with pytest.raises(ValueError):
             FleetSession(spec=spec(5), controller=FixedDensity(0.5), weight=0.0)
         with pytest.raises(ValueError):
-            simulate_fleet([], stable_trace(50.0))
+            simulate_fleet([], trace=stable_trace(50.0))
 
 
 class TestScale:
@@ -419,7 +502,7 @@ class TestScale:
             100, spec(8), join_spacing=0.1, n_grid=8, horizon=2
         )
         result = simulate_fleet(
-            sessions, stable_trace(400.0), sr_cache=SRResultCache()
+            sessions, trace=stable_trace(400.0), sr_cache=SRResultCache()
         )
         rep = result.report
         assert rep.n_sessions == 100

@@ -278,29 +278,26 @@ class TestTelemetry:
 
 
 class TestTelemetryDisabledParity:
-    """Oracle-parity instance 7: telemetry never perturbs a run.
+    """Oracle-parity instance: telemetry never perturbs a run.
 
     ``telemetry=None``, a fully-disabled ``Telemetry``, and every layer
     enabled must produce bit-identical reports — all emission sites are
     pure observation.
     """
 
-    @pytest.mark.parametrize("session_engine", ["machine", "columnar"])
-    def test_plain_cdn_run(self, session_engine):
+    def test_plain_cdn_run(self):
         def run(telemetry):
             return simulate_fleet(
-                fleet(n=6), topology=cdn(3), session_engine=session_engine,
-                telemetry=telemetry,
+                fleet(n=6), topology=cdn(3), telemetry=telemetry,
             ).report
 
         base = run(None)
         assert run(Telemetry(trace=False, metrics=False, profile=False)) == base
         assert run(Telemetry()) == base
 
-    @pytest.mark.parametrize("session_engine", ["machine", "columnar"])
-    def test_faulted_controlled_run(self, session_engine):
-        # The columnar engine rejects outages, so it gets the brownout.
-        if session_engine == "machine":
+    @pytest.mark.parametrize("fault", ["outage", "degradation"])
+    def test_faulted_controlled_run(self, fault):
+        if fault == "outage":
             faults = FaultSchedule(
                 (EdgeOutage(edge=0, start=2.0, duration=4.0),)
             )
@@ -315,7 +312,7 @@ class TestTelemetryDisabledParity:
             return simulate_fleet(
                 fleet(n=8), topology=cdn(3), faults=faults,
                 controller=ControlPlane(ControlPolicy(interval=1.0)),
-                session_engine=session_engine, telemetry=telemetry,
+                telemetry=telemetry,
             ).report
 
         base = run(None)

@@ -135,7 +135,7 @@ def churn_population(patience, n=8, seconds=8, mbps_per_session=2.0):
         seed=3,
     )
     trace = stable_trace(mbps_per_session * n, rtt=0.0)
-    return simulate_fleet(sessions, trace)
+    return simulate_fleet(sessions, trace=trace)
 
 
 class TestChurn:
@@ -192,7 +192,7 @@ class TestCacheVsSkew:
             seed=17,
         )
         cache = SRResultCache()
-        simulate_fleet(sessions, stable_trace(500.0), sr_cache=cache)
+        simulate_fleet(sessions, trace=stable_trace(500.0), sr_cache=cache)
         return cache.hit_rate
 
     def test_cache_hit_rate_monotone_in_skew(self):
@@ -220,7 +220,7 @@ class TestDeterministicReplay:
             seed=21,
         )
         return simulate_fleet(
-            sessions, stable_trace(40.0), sr_cache=SRResultCache()
+            sessions, trace=stable_trace(40.0), sr_cache=SRResultCache()
         )
 
     def test_fixed_seed_replays_bit_exactly(self):

@@ -104,7 +104,7 @@ class TestWorkersOneParity:
             )
 
         ref = run(simulate_fleet)
-        sharded = run(lambda s, **kw: shard_fleet(s, kw.pop("topology"), **kw))
+        sharded = run(lambda s, **kw: shard_fleet(s, topology=kw.pop("topology"), **kw))
         assert sharded.report == ref.report
         assert_sessions_identical(ref, sharded)
         assert sharded.assignment == ref.assignment
@@ -120,7 +120,7 @@ class TestWorkersOneParity:
                 2, assignment="popularity", encode_seconds=0.2
             ), sr_cache="per-edge",
         ).report
-        rep = shard_fleet(sessions, topo, workers=1, sr_cache="per-edge").report
+        rep = shard_fleet(sessions, topology=topo, workers=1, sr_cache="per-edge").report
         assert rep == ref
         assert rep.encode_wait_p95 >= rep.encode_wait_p50
         assert len(rep.edge_hit_rates) == 2
@@ -129,14 +129,14 @@ class TestWorkersOneParity:
     def test_single_shard_runs_inline_against_callers_sr_cache(self):
         cache = SRResultCache()
         result = shard_fleet(
-            make_sessions(4), make_topology(2), workers=1, sr_cache=cache
+            make_sessions(4), topology=make_topology(2), workers=1, sr_cache=cache
         )
         assert result.sr_cache is cache
         assert cache.hits + cache.misses > 0
 
     def test_callers_topology_never_mutated(self):
         topo = make_topology(2)
-        shard_fleet(make_sessions(5), topo, workers=2)
+        shard_fleet(make_sessions(5), topology=topo, workers=2)
         assert all(
             e.cache.hits == 0 and e.cache.misses == 0 for e in topo.edges
         )
@@ -149,7 +149,7 @@ class TestMultiWorker:
     def run(self, workers, seed=0, n=12):
         return shard_fleet(
             make_sessions(n),
-            make_topology(4, assignment="popularity", encode_seconds=0.05),
+            topology=make_topology(4, assignment="popularity", encode_seconds=0.05),
             workers=workers,
             sr_cache="per-edge",
             seed=seed,
@@ -173,7 +173,7 @@ class TestMultiWorker:
             for i in range(16)
         ]
         topo = make_topology(3, assignment="popularity")
-        result = shard_fleet(sessions, topo, workers=3)
+        result = shard_fleet(sessions, topology=topo, workers=3)
         rep = result.report
         # hit bytes are not in the report; recover them from conservation
         # on the single-process reference, then compare the sharded run's
@@ -184,7 +184,7 @@ class TestMultiWorker:
         assert all(r is not None for r in result.sessions)
 
     def test_workers_beyond_edges_capped(self):
-        result = shard_fleet(make_sessions(6), make_topology(2), workers=8)
+        result = shard_fleet(make_sessions(6), topology=make_topology(2), workers=8)
         assert result.report.n_sessions == 6
 
     def test_empty_shard_tolerated(self):
@@ -193,7 +193,7 @@ class TestMultiWorker:
         sessions = make_sessions(4)
         topo = make_topology(2)
         result = shard_fleet(
-            sessions, topo, workers=2, assignment=[0, 0, 0, 0]
+            sessions, topology=topo, workers=2, assignment=[0, 0, 0, 0]
         )
         assert result.report.n_sessions == 4
         assert result.report.edge_hit_rates[1] == 0.0
@@ -204,7 +204,7 @@ class TestMultiWorker:
         carries None."""
         cache = SRResultCache()
         result = shard_fleet(
-            make_sessions(6), make_topology(2), workers=2, sr_cache=cache
+            make_sessions(6), topology=make_topology(2), workers=2, sr_cache=cache
         )
         assert result.sr_cache is None
         assert cache.hits == 0 and cache.misses == 0
@@ -230,7 +230,7 @@ class TestShardedTelemetry:
 
         return shard_fleet(
             self.sessions(n),
-            make_topology(3, assignment="popularity", encode_seconds=0.05),
+            topology=make_topology(3, assignment="popularity", encode_seconds=0.05),
             workers=workers,
             faults=FaultSchedule((
                 BackhaulDegradation(
@@ -331,7 +331,7 @@ class TestShardedFaults:
             sessions, topology=make_topology(2), faults=faults
         )
         sharded = shard_fleet(
-            make_sessions(6), make_topology(2), workers=1, faults=faults
+            make_sessions(6), topology=make_topology(2), workers=1, faults=faults
         )
         assert sharded.report == ref.report
         assert_sessions_identical(ref, sharded)
@@ -345,7 +345,7 @@ class TestShardedFaults:
             BackhaulDegradation(edge=2, start=3.0, duration=4.0, factor=0.5),
         ))
         result = shard_fleet(
-            make_sessions(9), make_topology(3), workers=3, faults=faults
+            make_sessions(9), topology=make_topology(3), workers=3, faults=faults
         )
         assert result.report.faults_injected == 2
         assert result.report.n_sessions == 9
@@ -355,7 +355,7 @@ class TestShardedFaults:
 
         faults = FaultSchedule((EdgeOutage(edge=0, start=2.0, duration=2.0),))
         with pytest.raises(ValueError, match="simulate_fleet"):
-            shard_fleet(make_sessions(4), make_topology(2), workers=2,
+            shard_fleet(make_sessions(4), topology=make_topology(2), workers=2,
                         faults=faults)
 
     def test_flash_crowd_rejected(self):
@@ -365,14 +365,14 @@ class TestShardedFaults:
             FlashCrowd(spec=spec(6), start=2.0, n_viewers=3),
         ))
         with pytest.raises(ValueError, match="simulate_fleet"):
-            shard_fleet(make_sessions(4), make_topology(2), workers=2,
+            shard_fleet(make_sessions(4), topology=make_topology(2), workers=2,
                         faults=faults)
 
     def test_empty_schedule_is_plain_sharding(self):
         from repro.streaming import FaultSchedule
 
-        a = shard_fleet(make_sessions(5), make_topology(2), workers=2)
-        b = shard_fleet(make_sessions(5), make_topology(2), workers=2,
+        a = shard_fleet(make_sessions(5), topology=make_topology(2), workers=2)
+        b = shard_fleet(make_sessions(5), topology=make_topology(2), workers=2,
                         faults=FaultSchedule())
         assert a.report == b.report
 
@@ -439,9 +439,9 @@ class TestPartition:
         with pytest.raises(ValueError, match="edge indices"):
             partition_topology(topo, self.sessions(2), 2, assignment=[0, 9])
         with pytest.raises(ValueError, match="CDNTopology"):
-            shard_fleet(self.sessions(2), None, workers=2)
+            shard_fleet(self.sessions(2), topology=None, workers=2)
         with pytest.raises(ValueError, match="at least one session"):
-            shard_fleet([], topo, workers=2)
+            shard_fleet([], topology=topo, workers=2)
 
 
 class TestShardedRegions:
@@ -477,7 +477,7 @@ class TestShardedRegions:
             assignment=[i % 4 for i in range(8)],
         )
         sharded = shard_fleet(
-            make_sessions(8), self.topo(), workers=1, faults=faults,
+            make_sessions(8), topology=self.topo(), workers=1, faults=faults,
             assignment=[i % 4 for i in range(8)],
         )
         assert sharded.report == ref.report
@@ -503,7 +503,7 @@ class TestShardedRegions:
         assignment = [0] * 6 + [1] + [2] * 5 + [3] * 5
         faults = self.region_outage()
         result = shard_fleet(
-            make_sessions(17), topo, workers=2, faults=faults,
+            make_sessions(17), topology=topo, workers=2, faults=faults,
             assignment=assignment,
         )
         rep = result.report
@@ -525,7 +525,7 @@ class TestShardedRegions:
         faults = self.region_outage()
         with pytest.raises(ValueError, match="spans shards"):
             shard_fleet(
-                make_sessions(8), self.topo(), workers=3, faults=faults
+                make_sessions(8), topology=self.topo(), workers=3, faults=faults
             )
 
     def test_all_dark_shard_rejected(self):
@@ -536,7 +536,7 @@ class TestShardedRegions:
         assignment = [0] * 3 + [1] * 2 + [2] * 3 + [3] * 2
         with pytest.raises(ValueError, match="fallback"):
             shard_fleet(
-                make_sessions(10), self.topo(), workers=2, faults=faults,
+                make_sessions(10), topology=self.topo(), workers=2, faults=faults,
                 assignment=assignment,
             )
 
@@ -553,7 +553,7 @@ class TestShardedRegions:
             assignment=[i % 4 for i in range(8)],
         )
         sharded = shard_fleet(
-            make_sessions(8), self.topo(), workers=2, faults=faults,
+            make_sessions(8), topology=self.topo(), workers=2, faults=faults,
             assignment=[i % 4 for i in range(8)],
         )
         assert sharded.report.gray_degraded_bytes == (
@@ -587,7 +587,7 @@ class TestShardedRetryPolicy:
             retry_policy=self.policy(),
         )
         sharded = shard_fleet(
-            make_sessions(6), self.slow_topo(), workers=1,
+            make_sessions(6), topology=self.slow_topo(), workers=1,
             retry_policy=self.policy(),
         )
         assert sharded.report == ref.report
@@ -600,7 +600,7 @@ class TestShardedRetryPolicy:
             retry_policy=self.policy(), assignment=[i % 2 for i in range(8)],
         )
         sharded = shard_fleet(
-            make_sessions(8), self.slow_topo(), workers=2,
+            make_sessions(8), topology=self.slow_topo(), workers=2,
             retry_policy=self.policy(), assignment=[i % 2 for i in range(8)],
         )
         rep = sharded.report

@@ -1,10 +1,10 @@
 """FleetSpec: the one validated fleet configuration object.
 
-The shim contract: legacy loose kwargs on ``simulate_fleet`` /
-``shard_fleet`` build the same :class:`~repro.streaming.spec.FleetSpec`
-the ``spec=`` path consumes, so the two calls are bit-exact by
-construction — pinned here anyway, end to end.  The deprecated
-``engine=`` / ``fleet_engine=`` aliases keep working but warn.
+``simulate_fleet`` / ``shard_fleet`` take ``(sessions, spec=None,
+**fields)`` and forward ``fields`` verbatim to ``FleetSpec(**fields)``,
+so the keyword form and the ``spec=`` form are bit-exact by construction
+— pinned here anyway, end to end — and an unknown keyword is rejected by
+the dataclass itself.
 """
 
 import warnings
@@ -17,7 +17,6 @@ from repro.streaming import (
     AbandonPolicy,
     ContinuousMPC,
     CostModel,
-    EdgeOutage,
     FaultSchedule,
     FleetSession,
     FleetSpec,
@@ -84,14 +83,12 @@ class TestSpecShimBitExact:
             make_sessions(),
             topology=make_topology(),
             sr_cache="per-edge",
-            session_engine="columnar",
         )
         via_spec = simulate_fleet(
             make_sessions(),
             spec=FleetSpec(
                 topology=make_topology(),
                 sr_cache="per-edge",
-                session_engine="columnar",
             ),
         )
         assert_identical(loose, via_spec)
@@ -99,7 +96,7 @@ class TestSpecShimBitExact:
     def test_shard_fleet_takes_spec_verbatim(self):
         loose = shard_fleet(
             make_sessions(8),
-            make_topology(),
+            topology=make_topology(),
             workers=1,
             sr_cache="per-edge",
         )
@@ -110,39 +107,6 @@ class TestSpecShimBitExact:
         )
         assert_identical(loose, via_spec)
 
-    def test_deprecated_aliases_still_work_and_warn(self):
-        with pytest.warns(DeprecationWarning, match="scheduler_engine"):
-            a = simulate_fleet(
-                make_sessions(), topology=make_topology(), engine="scalar"
-            )
-        b = simulate_fleet(
-            make_sessions(), topology=make_topology(),
-            scheduler_engine="scalar",
-        )
-        assert_identical(a, b)
-        with pytest.warns(DeprecationWarning, match="session_engine"):
-            c = simulate_fleet(
-                make_sessions(), topology=make_topology(),
-                fleet_engine="columnar",
-            )
-        d = simulate_fleet(
-            make_sessions(), topology=make_topology(),
-            session_engine="columnar",
-        )
-        assert_identical(c, d)
-
-    def test_shard_fleet_aliases_warn(self):
-        with pytest.warns(DeprecationWarning, match="session_engine"):
-            a = shard_fleet(
-                make_sessions(8), make_topology(), workers=1,
-                fleet_engine="columnar",
-            )
-        b = shard_fleet(
-            make_sessions(8), make_topology(), workers=1,
-            session_engine="columnar",
-        )
-        assert_identical(a, b)
-
     def test_new_names_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -150,7 +114,6 @@ class TestSpecShimBitExact:
                 make_sessions(),
                 topology=make_topology(),
                 scheduler_engine="vector",
-                session_engine="machine",
             )
 
 
@@ -167,25 +130,16 @@ class TestSpecMixingRules:
         with pytest.raises(ValueError, match="not both"):
             shard_fleet(
                 make_sessions(),
-                make_topology(),
+                topology=make_topology(),
                 spec=FleetSpec(topology=make_topology()),
             )
 
-    def test_alias_plus_new_name_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            simulate_fleet(
-                make_sessions(),
-                topology=make_topology(),
-                engine="scalar",
-                scheduler_engine="vector",
-            )
-        with pytest.raises(ValueError, match="not both"):
-            simulate_fleet(
-                make_sessions(),
-                topology=make_topology(),
-                fleet_engine="machine",
-                session_engine="columnar",
-            )
+    @pytest.mark.parametrize("entry", [simulate_fleet, shard_fleet])
+    def test_unknown_field_rejected_by_the_spec(self, entry):
+        """No entry point keeps its own field list: an unknown keyword
+        reaches ``FleetSpec(**fields)`` and fails there."""
+        with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
+            entry(make_sessions(), topology=make_topology(), engine="scalar")
 
 
 class TestSpecValidation:
@@ -198,11 +152,17 @@ class TestSpecValidation:
                 topology=make_topology(),
             ).validate()
 
-    def test_unknown_session_engine(self):
-        with pytest.raises(ValueError, match="session_engine"):
-            FleetSpec(
-                topology=make_topology(), session_engine="vectorized"
-            ).validate()
+    def test_unknown_scheduler_engine(self):
+        """Rejected at the spec boundary — before the topology is reset
+        or a shard is spawned — not from inside ``PathScheduler``."""
+        topo = make_topology()
+        topo.edges[0].cache.insert(("v", 0, 1.0), 10, ready=0.0)
+        with pytest.raises(ValueError, match="scheduler_engine"):
+            FleetSpec(topology=topo, scheduler_engine="vectr").validate()
+        for entry in (simulate_fleet, shard_fleet):
+            with pytest.raises(ValueError, match="scheduler_engine"):
+                entry(make_sessions(), topology=topo, scheduler_engine="vectr")
+        assert len(topo.edges[0].cache) == 1  # never reset
 
     def test_policy_needs_single_link(self):
         with pytest.raises(ValueError, match="policy"):
@@ -223,16 +183,6 @@ class TestSpecValidation:
             FleetSpec(
                 trace=stable_trace(60.0, duration=600.0), sr_cache="per-edge"
             ).validate()
-
-    def test_columnar_accepts_outages(self):
-        """Outage evacuation is engine-agnostic now — the historical
-        columnar-vs-outages rejection is gone."""
-        faults = FaultSchedule((EdgeOutage(edge=0, start=1.0, duration=2.0),))
-        FleetSpec(
-            topology=make_topology(),
-            faults=faults,
-            session_engine="columnar",
-        ).validate()
 
     def test_retry_policy_needs_topology(self):
         from repro.streaming.faults import RetryPolicy
@@ -269,7 +219,7 @@ class TestSpecValidation:
 
     def test_spec_defaults_reproduce_bare_call(self):
         trace = stable_trace(60.0, duration=600.0)
-        bare = simulate_fleet(make_sessions(), trace)
+        bare = simulate_fleet(make_sessions(), trace=trace)
         via = simulate_fleet(make_sessions(), spec=FleetSpec(trace=trace))
         assert_identical(bare, via)
 

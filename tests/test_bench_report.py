@@ -24,12 +24,10 @@ RAW_NAMES = (
 )
 
 #: the sharded pair scales with min_s but keeps a healthy 4x ratio, so
-#: the parallel gate stays green unless a test tampers with it; the
-#: columnar lane rides at half the baseline's wall time.
+#: the parallel gate stays green unless a test tampers with it.
 SHARDED_NAMES = {
     "test_bench_sharded_baseline": 1.0,
     "test_bench_sharded_fleet": 0.25,
-    "test_bench_fleet_columnar": 0.5,
 }
 
 
@@ -43,9 +41,9 @@ def raw_json(min_s=0.1, machine="x86_64", telemetry=True, bola=True, chaos=True)
         # budget.
         stats["test_bench_fleet_telemetry"] = min_s * 1.05
     if bola:
-        # BOLA skips horizon planning, so its columnar run is faster
-        # than the MPC columnar lane (0.5x min_s above).
-        stats["test_bench_fleet_bola_columnar"] = min_s * 0.4
+        # BOLA skips horizon planning, so its run is faster than the
+        # MPC baseline lane.
+        stats["test_bench_fleet_bola"] = min_s * 0.4
     if chaos:
         # Armed-but-idle retry layer at 2% over the plain run — inside
         # its 10% budget.
@@ -99,10 +97,6 @@ class TestBuildReports:
             floors["test_bench_sharded_baseline"]
             == fleet_mod.SHARD_BASELINE_FLOOR
         )
-        assert floors["test_bench_fleet_columnar"] == fleet_mod.COLUMNAR_FLOOR
-        assert fleet_mod.COLUMNAR_FLOOR == (
-            fleet_mod.COLUMNAR_SPEEDUP_FLOOR * fleet_mod.SHARD_BASELINE_FLOOR
-        )
 
     def test_fleet_sharded_row(self):
         """The parallel path has its own trajectory row: throughput for
@@ -118,21 +112,6 @@ class TestBuildReports:
         assert par["content_s_per_wall_s"] == pytest.approx(
             fleet["content_seconds_sharded"] / 0.025
         )
-
-    def test_fleet_columnar_row(self):
-        """The columnar engine's trajectory row carries the throughput
-        ratio against the committed machine baseline floor."""
-        reports = bench_report.build_reports(raw_json(min_s=0.1))
-        fleet = reports["BENCH_fleet.json"]
-        columnar = fleet["fleet_columnar"]
-        rate = fleet["content_seconds_sharded"] / 0.05
-        assert columnar["workers"] == 1
-        assert columnar["ratio_floor_x"] >= 2.0
-        assert columnar["ratio_vs_baseline_floor_x"] == pytest.approx(
-            rate / columnar["baseline_floor"]
-        )
-        bench = fleet["benchmarks"]["test_bench_fleet_columnar"]
-        assert bench["content_s_per_wall_s"] == pytest.approx(rate)
 
     def test_fleet_telemetry_row(self):
         """The traced lane's trajectory row carries the overhead ratio
@@ -157,30 +136,27 @@ class TestBuildReports:
         assert "test_bench_fleet_telemetry" not in fleet["benchmarks"]
         assert "phases" not in fleet
 
-    def test_bola_columnar_row(self):
+    def test_bola_row(self):
         """The policy-zoo lane (schema v5) rides with its own committed
         floor when present in the raw JSON."""
         reports = bench_report.build_reports(raw_json(min_s=0.1))
         fleet = reports["BENCH_fleet.json"]
-        bench = fleet["benchmarks"]["test_bench_fleet_bola_columnar"]
+        bench = fleet["benchmarks"]["test_bench_fleet_bola"]
         assert bench["content_s_per_wall_s"] == pytest.approx(
             fleet["content_seconds_sharded"] / 0.04
         )
         fleet_mod = bench_report._load_module(
             REPO_ROOT / "benchmarks" / "bench_fleet.py"
         )
-        assert (
-            fleet["floors"]["test_bench_fleet_bola_columnar"]
-            == fleet_mod.BOLA_COLUMNAR_FLOOR
-        )
+        assert fleet["floors"]["test_bench_fleet_bola"] == fleet_mod.BOLA_FLOOR
 
     def test_raw_without_bola_lane_still_builds(self):
         """Raw JSONs from before the policy-zoo lane (schema v4 era)
         post-process cleanly — the v5 fields are optional on read."""
         reports = bench_report.build_reports(raw_json(bola=False))
         fleet = reports["BENCH_fleet.json"]
-        assert "test_bench_fleet_bola_columnar" not in fleet["benchmarks"]
-        assert "test_bench_fleet_bola_columnar" not in fleet["floors"]
+        assert "test_bench_fleet_bola" not in fleet["benchmarks"]
+        assert "test_bench_fleet_bola" not in fleet["floors"]
 
     def test_fleet_chaos_row(self):
         """The chaos lane (schema v6) carries the armed-but-idle retry
@@ -315,29 +291,6 @@ class TestRegressionGate:
         failures, notes = bench_report.check_regressions(reports, tmp_path, 0.3)
         assert failures == []
         assert any("parallel gate skipped" in n for n in notes)
-
-    def test_lost_columnar_ratio_fails(self, tmp_path):
-        """Columnar throughput under 2x the committed machine baseline
-        floor fails the gate on any hardware — no CPU-count condition,
-        since both engines run single-process."""
-        reports = bench_report.build_reports(raw_json(min_s=0.01))
-        columnar = reports["BENCH_fleet.json"]["fleet_columnar"]
-        columnar["ratio_vs_baseline_floor_x"] = 1.4
-        failures, _ = bench_report.check_regressions(reports, tmp_path, 0.3)
-        assert any(
-            "columnar engine at 1.40x" in f and "ratio gate" in f
-            for f in failures
-        )
-
-    def test_columnar_ratio_respects_floor_scale(self, tmp_path, monkeypatch):
-        """The columnar ratio's numerator is a wall-clock measurement, so
-        slow-runner slack applies (unlike the sharded same-box ratio)."""
-        reports = bench_report.build_reports(raw_json(min_s=0.01))
-        columnar = reports["BENCH_fleet.json"]["fleet_columnar"]
-        columnar["ratio_vs_baseline_floor_x"] = 1.4
-        monkeypatch.setenv("BENCH_FLOOR_SCALE", "0.5")
-        failures, _ = bench_report.check_regressions(reports, tmp_path, 0.3)
-        assert not any("ratio gate" in f for f in failures)
 
     def test_telemetry_over_budget_fails(self, tmp_path):
         """Enabled-telemetry overhead past its budget fails the gate on
