@@ -2,7 +2,8 @@
 
 These time the actual Python implementations (not the device model):
 
-* two-layer-octree kNN vs brute force — the Fig 11 mechanism;
+* octree / kd-tree / brute-force kNN — the Fig 11 mechanism, on a raw frame
+  and on a 6,000-point decoded frame (the client benchmark's regime);
 * LUT lookup vs network inference per refinement — the Fig 17 mechanism;
 * neighbor-relationship reuse vs fresh kNN — paper Eq. 2's saving.
 """
@@ -10,13 +11,22 @@ These time the actual Python implementations (not the device model):
 import pytest
 
 from repro.pointcloud import make_video
-from repro.spatial import TwoLayerOctree, brute_force_knn, merge_and_prune
+from repro.spatial import TwoLayerOctree, brute_force_knn, get_backend, merge_and_prune
 from repro.sr import LUTRefiner, NNRefiner, gather_refinement_neighborhoods, interpolate
+from repro.streaming.encoder import decode_frame_compressed, encode_frame_compressed
 
 
 @pytest.fixture(scope="module")
 def cloud():
     return make_video("longdress", n_points=5000, n_frames=1).frame(0)
+
+
+@pytest.fixture(scope="module")
+def decoded():
+    """What the client searches: ~6,000 voxel centres out of the codec."""
+    frame = make_video("longdress", n_points=12_000, n_frames=1).frame(0)
+    payload = encode_frame_compressed(frame, 0.5, depth=10, seed=0)
+    return decode_frame_compressed(payload).positions
 
 
 def test_knn_octree(benchmark, cloud):
@@ -25,9 +35,21 @@ def test_knn_octree(benchmark, cloud):
     benchmark(index.query, pts, 9)
 
 
+def test_knn_kdtree(benchmark, cloud):
+    pts = cloud.positions
+    index = get_backend("kdtree", pts)
+    benchmark(index.query, pts, 9)
+
+
 def test_knn_brute(benchmark, cloud):
     pts = cloud.positions
     benchmark(brute_force_knn, pts, pts, 9)
+
+
+@pytest.mark.parametrize("backend", ["octree", "kdtree", "brute"])
+def test_knn_decoded_frame(benchmark, decoded, backend):
+    index = get_backend(backend, decoded)
+    benchmark(index.query, decoded, 9)
 
 
 def test_refine_lut_lookup(benchmark, cloud, artifacts):

@@ -169,17 +169,21 @@ def run_downsampling_ablation(
 
 def run_octree_depth_sweep(
     scale: Scale = SMOKE,
-    levels: tuple[int, ...] = (1, 2, 3),
+    levels: tuple[int | None, ...] = (1, 2, 3, None),
     k: int = 8,
     seed: int = 0,
 ) -> ResultTable:
-    """Measured kNN query time vs octree depth (why two layers)."""
+    """Measured kNN query time vs octree depth (why two layers).
+
+    ``None`` in ``levels`` is the index's automatic depth (row ``auto``).
+    """
     gt = make_video("longdress", n_points=scale.points_per_frame, n_frames=1).frame(0)
     pts = gt.positions
     table = ResultTable(
         title="Ablation: octree depth (measured self-query kNN)",
-        columns=["levels", "cells", "build_ms", "query_ms"],
-        notes="too shallow = little pruning; too deep = ring-expansion overhead.",
+        columns=["levels", "cells", "build_ms", "query_ms", "pairs_per_query"],
+        notes="too shallow = little pruning (many distance pairs per query); "
+        "too deep = ring-expansion overhead.",
     )
     for lv in levels:
         t0 = time.perf_counter()
@@ -189,9 +193,10 @@ def run_octree_depth_sweep(
         index.query(pts, k)
         query_ms = (time.perf_counter() - t0) * 1e3
         table.add(
-            levels=lv,
+            levels="auto" if lv is None else lv,
             cells=index.stats()["cells"],
             build_ms=round(build_ms, 2),
             query_ms=round(query_ms, 2),
+            pairs_per_query=round(index.query_stats["candidate_pairs"] / len(pts), 1),
         )
     return table

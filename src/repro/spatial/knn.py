@@ -9,11 +9,16 @@ shape ``(n_queries, k)`` sorted by increasing distance.
   "vanilla kNN" cost model in the paper's speed comparisons.
 * :func:`kdtree_knn` — scipy cKDTree; the fast exact reference.
 * :class:`TwoLayerOctree` (in :mod:`repro.spatial.octree`) — the paper's
-  §4.1 structure, built on top of these primitives.
+  §4.1 cell-pruned search, a cell-batched NumPy index with its own distance
+  kernel; the two above are its independent oracles.
+
+Points and queries must be finite: a NaN or infinite coordinate raises
+``ValueError`` naming the first offending row.
 
 When a query point coincides with an indexed point (self-queries during
 interpolation), callers that need *other* points should request ``k+1`` and
-drop the first column; helpers here keep the raw semantics.
+remove the self index — with exact duplicates it need not be the first
+column; helpers here keep the raw semantics.
 """
 
 from __future__ import annotations
@@ -24,17 +29,33 @@ from scipy.spatial import cKDTree
 __all__ = ["brute_force_knn", "kdtree_knn", "KnnBackend", "get_backend"]
 
 
-def _validate(points: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.asarray(points, dtype=np.float64)
-    qrs = np.asarray(queries, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must be (n, 3), got {pts.shape}")
-    if qrs.ndim != 2 or qrs.shape[1] != 3:
-        raise ValueError(f"queries must be (m, 3), got {qrs.shape}")
+def as_finite_xyz(array: np.ndarray, what: str) -> np.ndarray:
+    """``array`` as float64 ``(n, 3)``; ``ValueError`` naming the first bad row.
+
+    A NaN or infinite coordinate would otherwise surface as a NaN bounding
+    box or a NaN distance row with at most a ``RuntimeWarning``.
+    """
+    a = np.asarray(array, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"{what} must be (n, 3), got {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"{what} row {row} is not finite: {a[row].tolist()}")
+    return a
+
+
+def check_k(k: int, n: int) -> None:
     if k <= 0:
         raise ValueError("k must be positive")
-    if k > len(pts):
-        raise ValueError(f"k={k} exceeds point count {len(pts)}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds point count {n}")
+
+
+def _validate(points: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    pts = as_finite_xyz(points, "points")
+    qrs = as_finite_xyz(queries, "queries")
+    check_k(k, len(pts))
     return pts, qrs
 
 
@@ -97,9 +118,7 @@ class KnnBackend:
     name = "base"
 
     def __init__(self, points: np.ndarray):
-        self.points = np.asarray(points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError(f"points must be (n, 3), got {self.points.shape}")
+        self.points = as_finite_xyz(points, "points")
 
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -124,9 +143,8 @@ class KDTreeBackend(KnnBackend):
         self._tree = cKDTree(self.points)
 
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k > len(self.points):
-            raise ValueError(f"k={k} exceeds point count {len(self.points)}")
-        dist, idx = self._tree.query(np.asarray(queries, dtype=np.float64), k=k)
+        check_k(k, len(self.points))
+        dist, idx = self._tree.query(as_finite_xyz(queries, "queries"), k=k)
         if k == 1:
             dist = dist[:, None]
             idx = idx[:, None]

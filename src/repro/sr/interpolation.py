@@ -141,12 +141,12 @@ def interpolate(
     # partner selection *and* (via reuse) colorization and refinement.
     nb_idx, _ = index.query(pos, rf + 1)
     t_knn = time.perf_counter() - t0
-    # The nearest hit of a self-query is the point itself except under exact
-    # duplicates; enforce self-exclusion explicitly.
-    self_col = nb_idx[:, 0] == np.arange(n)
-    neighbor_idx = np.where(
-        self_col[:, None], nb_idx[:, 1:], nb_idx[:, :-1]
-    )
+    # Under exact duplicates the self hit may sit in any column, or in none:
+    # drop it where it is, else drop the farthest neighbour.
+    is_self = nb_idx == np.arange(n)[:, None]
+    keep = ~is_self
+    keep[~is_self.any(axis=1), -1] = False
+    neighbor_idx = nb_idx[keep].reshape(n, rf)
 
     t1 = time.perf_counter()
     src = _plan_new_points(n, ratio, rng)

@@ -69,3 +69,12 @@ class TestOctreeDepthSweep:
     def test_cells_grow_with_depth(self):
         t = run_octree_depth_sweep(TINY, levels=(1, 2, 3))
         assert t.column("cells") == [8, 64, 512]
+
+    def test_auto_row_explains_itself(self):
+        """The default sweep ends with the automatic depth, and the pairs
+        column shows why it wins: fewer distances per query at every step."""
+        t = run_octree_depth_sweep(TINY)
+        assert t.column("levels") == [1, 2, 3, "auto"]
+        pairs = t.column("pairs_per_query")
+        assert pairs == sorted(pairs, reverse=True)
+        assert t.lookup(levels=1)["pairs_per_query"] == TINY.points_per_frame

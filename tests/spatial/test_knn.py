@@ -83,6 +83,40 @@ class TestBackends:
             backend.query(tiny_frame.positions[:2], len(tiny_frame) + 1)
 
 
+class TestNonFiniteRejected:
+    """A NaN or infinite coordinate is a ``ValueError`` naming the first
+    offending row, at construction and at query, on every backend."""
+
+    @pytest.mark.parametrize("name", ["brute", "kdtree", "octree"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_points(self, name, bad, tiny_frame):
+        pts = tiny_frame.positions.copy()
+        pts[7, 1] = bad
+        pts[30, 0] = bad
+        with pytest.raises(ValueError, match="points row 7 is not finite"):
+            get_backend(name, pts)
+
+    @pytest.mark.parametrize("name", ["brute", "kdtree", "octree"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_queries(self, name, bad, tiny_frame):
+        backend = get_backend(name, tiny_frame.positions)
+        q = tiny_frame.positions[:10].copy()
+        q[3, 2] = bad
+        with pytest.raises(ValueError, match="queries row 3 is not finite"):
+            backend.query(q, 2)
+
+    @pytest.mark.parametrize("fn", [brute_force_knn, kdtree_knn])
+    def test_one_shot_functions(self, fn, tiny_frame):
+        pts = tiny_frame.positions.copy()
+        q = pts[:5].copy()
+        q[4, 0] = np.inf
+        with pytest.raises(ValueError, match="queries row 4"):
+            fn(pts, q, 2)
+        pts[0, 0] = np.nan
+        with pytest.raises(ValueError, match="points row 0"):
+            fn(pts, pts[1:3], 2)
+
+
 @given(
     seed=st.integers(0, 1000),
     n=st.integers(10, 200),
@@ -99,15 +133,21 @@ def test_brute_equals_kdtree_property(seed, n, k):
     assert np.allclose(d1, d2, atol=1e-9)
 
 
-def assert_same_neighbors(idx_ref, dist_ref, idx, dist, atol=1e-6):
+def assert_same_neighbors(idx_ref, dist_ref, idx, dist, atol=1e-6, next_dist=None):
     """Backends must return the same distances, and the same indices
-    wherever the ranking is unambiguous (no distance tie at the slot)."""
+    wherever the ranking is unambiguous (no distance tie at the slot).
+
+    ``next_dist`` is the reference's (k+1)-th distance per row: on lattice
+    data the last slot is often tied with a neighbour that did not make
+    the list, which the k columns alone cannot show."""
     assert idx.shape == idx_ref.shape and dist.shape == dist_ref.shape
     assert np.allclose(dist, dist_ref, atol=atol)
     gaps = np.diff(dist_ref, axis=1)
     untied = np.ones_like(idx_ref, dtype=bool)
     untied[:, 1:] &= gaps > atol  # tied with the previous slot
     untied[:, :-1] &= gaps > atol  # tied with the next slot
+    if next_dist is not None:
+        untied[:, -1] &= next_dist - dist_ref[:, -1] > atol
     assert np.array_equal(idx[untied], idx_ref[untied])
 
 

@@ -90,6 +90,22 @@ class TestBackends:
             atol=1e-9,
         )
 
+    @pytest.mark.parametrize("backend", ["brute", "kdtree", "octree"])
+    def test_duplicate_points_never_neighbour_themselves(self, backend):
+        """With exact duplicates the self hit is not always column 0 (the
+        twin may rank first); it must go wherever it sits."""
+        g = np.random.default_rng(11)
+        pos = g.uniform(0, 1, (200, 3))
+        pos[190:] = pos[:10]
+        r = interpolate(PointCloud(pos), 3.0, k=4, dilation=2, backend=backend, seed=0)
+        assert r.neighbor_idx.shape == (200, 8)
+        assert not (r.neighbor_idx == np.arange(200)[:, None]).any()
+        assert (r.parent_a != r.parent_b).all()
+        # every row still lists 8 distinct neighbours, nearest first
+        assert all(len(set(row)) == 8 for row in r.neighbor_idx.tolist())
+        d = np.linalg.norm(pos[r.neighbor_idx] - pos[:, None], axis=2)
+        assert (np.diff(d, axis=1) >= -1e-12).all()
+
     def test_timings_recorded(self, tiny_frame):
         r = interpolate(tiny_frame, 2.0, seed=0)
         assert r.knn_seconds > 0
