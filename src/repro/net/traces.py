@@ -63,12 +63,17 @@ class NetworkTrace:
             raise ValueError("trace must have at least one segment")
         if self.timestamps[0] != 0.0:
             raise ValueError("trace must start at t=0")
-        if np.any(np.diff(self.timestamps) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
-        if np.any(self.bandwidths_bps <= 0):
-            raise ValueError("bandwidths must be positive")
-        if self.rtt < 0:
-            raise ValueError("rtt must be non-negative")
+        # Written so NaN fails them (every comparison with NaN is false):
+        # a NaN rate or instant stalls the fleet's virtual clock downstream.
+        if not (
+            np.all(np.diff(self.timestamps) > 0)
+            and self.timestamps[-1] < np.inf
+        ):
+            raise ValueError("timestamps must be finite and strictly increasing")
+        if not np.all((self.bandwidths_bps > 0) & (self.bandwidths_bps < np.inf)):
+            raise ValueError("bandwidths_bps must be finite and positive")
+        if not 0 <= self.rtt < np.inf:
+            raise ValueError("rtt must be finite and non-negative")
         # The event schedulers call bandwidth_at / time_to_next_change once
         # per link per event step — millions of times in a large fleet.
         # Traces are immutable after construction, so the duration and

@@ -77,7 +77,12 @@ EV_CHUNK_DECISION = "chunk.decision"
 EV_CHUNK_FETCH = "chunk.fetch"
 EV_CHUNK_COMPLETE = "chunk.complete"
 EV_CHUNK_STALL = "chunk.stall"
-#: a transfer an outage cancelled, re-issued from the outage instant
+#: one per re-issued request, from the fleet's single re-issue path:
+#: ``reason`` is ``outage`` / ``timeout`` / ``fill-aborted`` (the fetch
+#: was cancelled) or ``gray-drop`` (the fetch starts late instead);
+#: ``attempt`` is the request's new failed-attempt count — 0 for a
+#: future-dated request re-queued unchanged, so events with
+#: ``attempt > 0`` sum to ``report.chunk_retries``
 EV_CHUNK_RETRY = "chunk.retry"
 
 # -- edge chunk cache ---------------------------------------------------

@@ -102,6 +102,16 @@ _CHARGE_HIT = 0
 _CHARGE_ORIGIN = 1
 _CHARGE_COALESCED = 2
 
+#: Watchdog: consecutive event steps on which virtual time may fail to
+#: advance before the loop is declared stuck.  Measured at PR 14 over
+#: tier-1, the fast benchmarks lane, and seeds 0-2 of the three fleet
+#: bench workloads: the longest same-instant run is 0 steps (virtual time
+#: advanced on every step of every run).  A legitimate same-instant step
+#: (an outage bound or deadline at the current instant) consumes what woke
+#: it, so runs stay O(1); a stuck loop repeats forever.  1000 is three
+#: orders of magnitude of margin and still trips in well under a second.
+_MAX_STALLED_STEPS = 1000
+
 
 @dataclass
 class FleetSession:
@@ -125,10 +135,11 @@ class FleetSession:
     churn: AbandonPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.join_time < 0:
-            raise ValueError("join_time must be non-negative")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+        # chained so NaN fails them (every comparison with NaN is false)
+        if not 0 <= self.join_time < math.inf:
+            raise ValueError("join_time must be finite and non-negative")
+        if not 0 < self.weight < math.inf:
+            raise ValueError("weight must be finite and positive")
 
 
 class SRResultCache:
@@ -345,36 +356,51 @@ def _batched_decisions(
     return out
 
 
+@dataclass
+class _RunAggregates:
+    """What a finished run feeds :func:`build_fleet_report` beyond its
+    per-session results.
+
+    One picklable value, so the single-process path (statistics read off
+    its live topology objects) and the sharded executor (per-shard values
+    scattered back to global edge order and summed) hand the report
+    builder the same thing.  Per-edge fields are in topology edge order.
+    """
+
+    #: bytes that crossed a backhaul; None = no edges, every byte left
+    #: the origin (the single-link mode)
+    origin_egress: int | None
+    #: per edge ``(hits, misses, coalesced, coalesced_bytes)``
+    edge_stats: list[tuple[int, int, int, int]]
+    edge_hit_rates: tuple[float, ...]
+    encode_waits: list[float]
+    sr_hits: int
+    sr_misses: int
+    #: per-edge SR-result hit rates (``sr_cache="per-edge"`` only)
+    sr_edge_hit_rates: tuple[float, ...]
+    encode_core_seconds: float
+    #: control-plane / fault / resilience counters (all-default when the
+    #: run had no faults, controller, or retry policy)
+    ops: OpsStats
+
+
 def build_fleet_report(
     results: list[SessionResult],
     sessions: list[FleetSession],
     end_times: list[float],
-    *,
-    origin_egress: int | None,
-    edge_stats: list[tuple[int, int, int, int]],
-    edge_hit_rates: tuple[float, ...],
-    encode_waits: list[float],
-    sr_hits: int,
-    sr_misses: int,
-    sr_edge_hit_rates: tuple[float, ...],
-    ops: OpsStats | None = None,
-    encode_core_seconds: float = 0.0,
+    agg: _RunAggregates,
 ) -> FleetReport:
     """One :class:`FleetReport` from plain per-run aggregates.
 
     The single aggregation rulebook: :func:`simulate_fleet` feeds it the
-    statistics read off its live topology objects, the sharded executor
-    (:mod:`repro.streaming.shard`) feeds it the merged per-shard sums —
-    both paths share every formula, which is what the ``workers=1``
-    bit-exact parity rests on.  ``edge_stats`` rows are ``(hits, misses,
-    coalesced, coalesced_bytes)`` in topology edge order;
-    ``origin_egress=None`` means "no edges — every byte left the origin"
-    (the single-link mode).  ``ops`` carries the control-plane / fault
-    aggregates when the run injected faults or ran a controller.
+    aggregates of its own run, the sharded executor
+    (:mod:`repro.streaming.shard`) the merged per-shard ones — both paths
+    share every formula, which is what the ``workers=1`` bit-exact parity
+    rests on.
     """
-    if ops is None:
-        ops = OpsStats()
-    agg = aggregate_qoe(
+    ops = agg.ops
+    edge_stats = agg.edge_stats
+    qoe = aggregate_qoe(
         [r.qoe for r in results],
         [r.stall_seconds for r in results],
         [r.watched_seconds for r in results],
@@ -384,30 +410,30 @@ def build_fleet_report(
     total_bytes = sum(r.total_bytes for r in results)
     lookups = sum(h + m for h, m, _, _ in edge_stats)
     edge_hits = sum(h for h, _, _, _ in edge_stats)
-    sr_total = sr_hits + sr_misses
+    sr_total = agg.sr_hits + agg.sr_misses
     return FleetReport(
         n_sessions=len(results),
-        mean_qoe=agg["mean_qoe"],
-        p5_qoe=agg["p5_qoe"],
-        p95_qoe=agg["p95_qoe"],
-        stall_ratio=agg["stall_ratio"],
-        total_stall_seconds=agg["total_stall_seconds"],
+        mean_qoe=qoe["mean_qoe"],
+        p5_qoe=qoe["p5_qoe"],
+        p95_qoe=qoe["p95_qoe"],
+        stall_ratio=qoe["stall_ratio"],
+        total_stall_seconds=qoe["total_stall_seconds"],
         total_bytes=total_bytes,
         mean_quality=sum(r.mean_quality for r in results) / len(results),
-        cache_hit_rate=sr_hits / sr_total if sr_total else 0.0,
+        cache_hit_rate=agg.sr_hits / sr_total if sr_total else 0.0,
         makespan=max(end_times) - first_join,
         n_abandoned=n_abandoned,
         abandon_rate=n_abandoned / len(results),
-        sr_edge_hit_rates=sr_edge_hit_rates,
+        sr_edge_hit_rates=agg.sr_edge_hit_rates,
         origin_egress_bytes=(
-            total_bytes if origin_egress is None else origin_egress
+            total_bytes if agg.origin_egress is None else agg.origin_egress
         ),
         coalesced_fills=sum(c for _, _, c, _ in edge_stats),
         coalesced_bytes=sum(b for _, _, _, b in edge_stats),
         edge_hit_rate=edge_hits / lookups if lookups else 0.0,
-        edge_hit_rates=edge_hit_rates,
-        encode_wait_p50=wait_percentile(encode_waits, 50.0),
-        encode_wait_p95=wait_percentile(encode_waits, 95.0),
+        edge_hit_rates=agg.edge_hit_rates,
+        encode_wait_p50=wait_percentile(agg.encode_waits, 50.0),
+        encode_wait_p95=wait_percentile(agg.encode_waits, 95.0),
         sessions_resteered=ops.sessions_resteered,
         faults_injected=ops.faults_injected,
         control_ticks=ops.control_ticks,
@@ -420,7 +446,7 @@ def build_fleet_report(
         gray_degraded_bytes=ops.gray_degraded_bytes,
         retry_attempts=ops.retry_attempts,
         region_recovery=ops.region_recovery,
-        encode_core_seconds=encode_core_seconds,
+        encode_core_seconds=agg.encode_core_seconds,
     )
 
 
@@ -545,466 +571,352 @@ class _RetryState:
         top = max(self.histogram)
         return tuple(self.histogram.get(k, 0) for k in range(1, top + 1))
 
+class _FleetRun:
+    """One fleet run: the state the event loop shares, and its stages.
 
-def simulate_fleet(
-    sessions: list[FleetSession],
-    spec: FleetSpec | None = None,
-    **fields,
-) -> FleetResult:
-    """Run a fleet of sessions over a shared serving topology.
-
-    Configuration lives in a :class:`~repro.streaming.spec.FleetSpec`:
-    pass one as ``spec=``, or pass its fields as keywords, which are
-    forwarded verbatim to ``FleetSpec(**fields)`` (so the field list,
-    defaults, and unknown-name errors live once, in ``spec.py``; mixing
-    the two forms is rejected).  All cross-field validation happens
-    once, in :meth:`~repro.streaming.spec.FleetSpec.validate`.
-
-    Exactly one of ``trace`` (the classic single bottleneck link, run as
-    a one-hop path) and ``topology`` (a CDN: per-edge caches, backhaul +
-    access hops, origin encode contention) must be given.  ``policy``
-    configures the single link; a topology's links carry their own
-    sharing policies, so combining it with a non-default ``policy`` is
-    rejected rather than silently ignored.  ``scheduler_engine`` selects
-    the :class:`~repro.net.topology.PathScheduler` implementation
-    (``"vector"`` array math by default, ``"scalar"`` the bit-exact
-    reference oracle).  The session layer is one
-    :class:`~repro.streaming.simulator.SessionMachine` per viewer.
-
-    ``cost_model`` attaches a :class:`~repro.streaming.cost.CostModel`'s
-    dollarization of the run to ``report.cost`` (see
-    :func:`~repro.streaming.cost.attach_cost`); pricing happens after
-    the run from the report's own counters, so it cannot perturb the
-    simulation.
-
-    ``sr_cache`` may be a shared :class:`SRResultCache`, ``None`` (no SR
-    sharing), or the string ``"per-edge"`` (topology mode only): each
-    :class:`~repro.streaming.cdn.EdgeNode` then carries its own SR-result
-    cache, sessions share SR work only with co-watchers on their edge,
-    and the report gains per-edge SR hit rates — the configuration the
-    process-parallel shard executor runs, since it needs no cross-shard
-    cache traffic.
-
-    ``assignment`` overrides the topology's viewer → edge policy with a
-    precomputed per-session edge index.  The shard executor uses this to
-    pin a sub-fleet to the assignment computed over the *full* session
-    list (the ``static`` policy hashes the session's position, so
-    re-deriving it on a re-indexed subset would disagree).
-
-    The scheduler advances virtual time event to event: it asks the path
-    scheduler for the next instant any link's fluid allocation can
-    change, advances every in-flight download to that instant, and
-    resumes each session whose transfer finished — which runs that
-    session's ABR/buffer logic forward until it suspends on its next
-    request.  Sessions that suspend on an ABR decision are parked for the
-    rest of the event step and resolved together in one vectorized
-    ``decide_batch`` call per shared controller.
-
-    Under a topology, each chunk request consults its edge's cache at
-    request time: a hit travels the one-hop access path; a miss waits for
-    the origin to have the encoded variant (bounded encode workers),
-    travels backhaul + access, and fills the edge cache when the transfer
-    completes.
-
-    ``faults`` injects chaos events (topology mode only): edge outages
-    cancel the dead edge's in-flight transfers, fail its viewers over to
-    the least-loaded live edge and restart the edge cold; region outages
-    resolve through the topology's fault domains and take every member
-    edge down together (and the report gains per-region recovery
-    metrics, attributed by each session's home edge); gray failures
-    brown out an edge's access capacity through the same
-    :class:`~repro.streaming.faults.DegradedTrace` window machinery and
-    deterministically drop a fraction of its dispatches, each drop
-    retrying after ``drop_delay_s``; backhaul degradations scale an
-    edge's backhaul trace; flash-crowd entries only inform the recovery
-    metrics (materialize their sessions first via
-    :meth:`~repro.streaming.faults.FaultSchedule.expand_population`).
-
-    ``retry_policy`` attaches the client resilience layer
-    (:class:`~repro.streaming.faults.RetryPolicy`, topology mode only).
-    A finite ``timeout_s`` arms a virtual-time timer per transfer
-    attempt: at the deadline the attempt is cancelled (its charged bytes
-    credited back), counted in ``requests_timed_out``, and re-issued
-    after capped exponential backoff — or immediately against the
-    least-loaded other live edge when ``hedge`` is set.  The last
-    attempt of the ``max_attempts`` budget runs untimed, so every chunk
-    eventually delivers and the report records how hard the client
-    fought (``retry_attempts``).  Evacuation retries pay the same
-    backoff when a policy is attached.  The default
-    ``RetryPolicy()`` (infinite timeout) arms nothing, and a policy on a
-    fault-free run is bit-exact with no policy at all (the disabled-mode
-    parity suite pins both).
-    ``controller`` runs a :class:`~repro.streaming.control.ControlPlane`
-    every control interval on a sampled :class:`FleetView` — encode-pool
-    resizing, saturation re-steering, QoE-driven arrival autoscale
-    feedback.  Both default to off, and the disabled configuration is
-    bit-exact with the plain simulator: control ticks piggyback on
-    instants the event loop already wakes at, so monitoring alone never
-    perturbs the fluid-flow arithmetic (a parity test enforces this).
-
-    ``telemetry`` attaches a :class:`~repro.obs.Telemetry` bundle: its
-    tracer collects typed virtual-time events from every subsystem (the
-    driver wires it into the edge caches, the origin encode queue, and
-    the controller for the duration of the run, and unwires it on
-    exit), its metrics registry receives the interval
-    samples (health proxy, buffer occupancy, per-edge load, encode
-    busy/workers), and its profiler wraps the hot loop's four stages
-    (``scheduler`` / ``advance`` / ``planner`` / ``control``) in
-    wall-clock spans.  Each layer toggles independently; ``None`` (the
-    default) executes the exact pre-telemetry instruction stream, and
-    the enabled tracer is bit-exact with the disabled one (an
-    oracle-parity instance).
-
-    A topology handed to ``simulate_fleet`` is reset to its
-    as-constructed state first (caches cold, counters zeroed, encode pool
-    at its configured size), so reusing one topology object across runs
-    measures each run from cold rather than silently warm-starting.
+    :func:`simulate_fleet` builds one, calls :meth:`run`, then
+    :meth:`report`.  The stage methods (:meth:`on_completion`,
+    :meth:`decide`, :meth:`apply_outage_bounds`, :meth:`fire_timeouts`,
+    :meth:`sample_and_control`, :meth:`release_deferred`) are called once
+    per event step, in that order, by :meth:`run`; each failure-handling
+    block exists once — :meth:`_cancel` (credit-back), :meth:`_reissue`
+    (attempt count, backoff, sunk time), :meth:`_resteer`,
+    :meth:`_unfinished_by_edge`, :meth:`_sample_health`.
     """
-    if not sessions:
-        raise ValueError("fleet needs at least one session")
-    spec = FleetSpec.resolve(spec, fields)
-    spec.validate()
-    trace = spec.trace
-    topology = spec.topology
-    policy = spec.policy
-    sr_cache = spec.sr_cache
-    assignment = spec.assignment
-    faults = spec.faults
-    retry_policy = spec.retry_policy
-    controller = spec.controller
-    telemetry = spec.telemetry
-    tracer = telemetry.tracer if telemetry is not None else None
-    metrics = telemetry.metrics if telemetry is not None else None
-    prof = (
-        telemetry.profiler
-        if telemetry is not None and telemetry.profiler is not None
-        else NULL_PROFILER
-    )
-    if topology is None:
-        assert trace is not None
-        base_path: NetworkPath | None = NetworkPath(
-            (SharedLink(trace, policy=policy),), name="bottleneck"
+
+    def __init__(self, sessions: list[FleetSession], spec: FleetSpec) -> None:
+        if not sessions:
+            raise ValueError("fleet needs at least one session")
+        spec.validate()
+        self.sessions = sessions
+        self.spec = spec
+        self.faults = spec.faults
+        self.retry_policy = spec.retry_policy
+        self.controller = spec.controller
+        telemetry = spec.telemetry
+        self.tracer = telemetry.tracer if telemetry is not None else None
+        self.metrics = telemetry.metrics if telemetry is not None else None
+        prof = (
+            telemetry.profiler
+            if telemetry is not None and telemetry.profiler is not None
+            else NULL_PROFILER
         )
-        assignment = []
-    else:
-        base_path = None
-        topology.reset()
-        if faults is not None:
-            faults.validate_topology(len(topology.edges), topology.regions)
-        if assignment is None:
-            assignment = topology.assign(sessions)
+        # Pre-bound phase spans: with profiling disabled each is the shared
+        # no-op context manager, so the loop keeps one shape either way.
+        self.ph_sched = prof.phase("scheduler")
+        self.ph_advance = prof.phase("advance")
+        self.ph_planner = prof.phase("planner")
+        self.ph_control = prof.phase("control")
+        self.sched = PathScheduler(engine=spec.scheduler_engine)
+        self.topology = topology = spec.topology
+        if topology is None:
+            assert spec.trace is not None
+            self.base_path: NetworkPath | None = NetworkPath(
+                (SharedLink(spec.trace, policy=spec.policy),), name="bottleneck"
+            )
+            self.edges: tuple = ()
+            self.assignment: list[int] = []
         else:
-            assignment = list(assignment)
-            if len(assignment) != len(sessions):
-                raise ValueError(
-                    f"assignment names {len(assignment)} sessions, "
-                    f"fleet has {len(sessions)}"
-                )
-            if any(not 0 <= e < len(topology.edges) for e in assignment):
-                raise ValueError(
-                    f"assignment edge indices must be in [0, "
-                    f"{len(topology.edges)})"
-                )
-    per_edge_sr = isinstance(sr_cache, str)
-    if per_edge_sr:
-        # Mode string already validated by spec.validate().
-        for edge in topology.edges:
-            if edge.sr_cache is None:
-                edge.sr_cache = SRResultCache()
-        session_sr_caches = [topology.edges[e].sr_cache for e in assignment]
-    else:
-        session_sr_caches = [sr_cache] * len(sessions)
-    machines = [
-        SessionMachine(
-            s.spec,
-            s.controller,
-            sr_latency=s.sr_latency,
-            quality_model=s.quality_model,
-            config=s.config,
-            qoe_weights=s.qoe_weights,
-            start_time=s.join_time,
-            sr_cache=session_sr_caches[sid],
-            churn=s.churn,
+            self.base_path = None
+            topology.reset()
+            self.edges = topology.edges
+            if self.faults is not None:
+                self.faults.validate_topology(len(self.edges), topology.regions)
+            self.assignment = self._resolve_assignment()
+        self.per_edge_sr = isinstance(spec.sr_cache, str)
+        if self.per_edge_sr:
+            # Mode string already validated by spec.validate().
+            for edge in self.edges:
+                if edge.sr_cache is None:
+                    edge.sr_cache = SRResultCache()
+            sr_caches = [self.edges[e].sr_cache for e in self.assignment]
+        else:
+            sr_caches = [spec.sr_cache] * len(sessions)
+        self.machines = [
+            SessionMachine(
+                s.spec,
+                s.controller,
+                sr_latency=s.sr_latency,
+                quality_model=s.quality_model,
+                config=s.config,
+                qoe_weights=s.qoe_weights,
+                start_time=s.join_time,
+                sr_cache=sr_caches[sid],
+                churn=s.churn,
+            )
+            for sid, s in enumerate(sessions)
+        ]
+        self.end_times = [0.0] * len(sessions)
+        # -- serving state -------------------------------------------------
+        #: flows that must fill an edge cache on completion:
+        #: sid -> (edge idx, key, bytes)
+        self.pending_fill: dict[int, tuple] = {}
+        #: requests coalesced onto an in-flight fill:
+        #: (edge idx, key) -> [(sid, req)]
+        self.fill_waiters: dict[tuple, list[tuple[int, DownloadRequest]]] = {}
+        self.origin_egress = 0
+        #: topology requests dated beyond the current event, ordered by
+        #: (start_time, session id).  Cache lookups and encode reservations
+        #: are *stateful and time-stamped*, so a future-dated request (a
+        #: session's join, a buffer-headroom wait) must not consult them
+        #: until virtual time reaches its start — a viewer joining at t=60
+        #: sees every fill and encode that completed before t=60.
+        self.deferred: list[tuple[float, int, DownloadRequest]] = []
+        self.clock = 0.0
+        # -- resilience state ----------------------------------------------
+        #: in-flight topology downloads: sid -> (request, edge the flow was
+        #: routed via, how its bytes were charged at dispatch, attempt
+        #: serial).  A cancellation credits the ``_CHARGE_*`` counter back,
+        #: so the re-issued attempt never counts its bytes twice; the serial
+        #: identifies the attempt to its armed timeout.
+        self.live_req: dict[int, tuple[DownloadRequest, int, int, int]] = {}
+        self.attempt_serial = 0
+        #: armed per-attempt timeouts: (deadline, sid, attempt serial); an
+        #: entry whose attempt is no longer the one in flight is stale (it
+        #: may wake the loop spuriously, never fire)
+        self.timeout_heap: list[tuple[float, int, int]] = []
+        self.rstate = _RetryState()
+        self.resteered = 0
+        # -- graceful degradation (control-plane levers) -------------------
+        self.decision_cap = math.inf
+        self.sr_disabled = False
+        self._init_faults()
+        self._init_monitoring()
+
+    def _resolve_assignment(self) -> list[int]:
+        """The viewer → edge map: the spec's override, else the topology's."""
+        given = self.spec.assignment
+        if given is None:
+            return self.topology.assign(self.sessions)
+        if len(given) != len(self.sessions):
+            raise ValueError(
+                f"assignment names {len(given)} sessions, "
+                f"fleet has {len(self.sessions)}"
+            )
+        if any(not 0 <= e < len(self.edges) for e in given):
+            raise ValueError(
+                f"assignment edge indices must be in [0, {len(self.edges)})"
+            )
+        return list(given)
+
+    def _init_faults(self) -> None:
+        """Fault runtime: outage spans and bounds, gray windows, timeouts."""
+        faults = self.faults
+        regions = self.topology.regions if self.topology is not None else None
+        #: instants an outage begins or ends — the loop must wake exactly
+        #: at them (degradations and crowds need no event)
+        self.outage_bounds = faults.boundary_times() if faults is not None else []
+        self.next_bound = 0
+        #: every (edge, start, end) total-outage window — EdgeOutage events
+        #: plus RegionOutage events resolved through the topology's regions;
+        #: evacuation and edge_down recomputation read spans, never events
+        self.outage_spans = (
+            faults.edge_outage_spans(regions) if faults is not None else []
         )
-        for sid, s in enumerate(sessions)
-    ]
-    if tracer is not None:
-        # Wire the tracer into the stateful subsystems for this run only
-        # (the finally below unwires it, so a reused topology or
-        # controller never keeps emitting into a finished run's stream).
-        if topology is not None:
-            for e_idx, edge in enumerate(topology.edges):
-                edge.cache.tracer = tracer
-                edge.cache.edge = e_idx
-            topology.origin.queue.tracer = tracer
+        self.edge_down = [False] * len(self.edges)
+        #: gray failures by edge (drop draws and byte accounting at dispatch)
+        self.gray_by_edge: dict[int, list] = {}
+        #: (link, the trace it wore before this run) — see :meth:`_wire`
+        self.wrapped_links: list[tuple[SharedLink, NetworkTrace]] = []
+        if faults is not None:
+            for g in faults.gray_failures:
+                self.gray_by_edge.setdefault(g.edge, []).append(g)
+        #: timeouts are armed only when they can ever fire — the default
+        #: RetryPolicy(timeout_s=inf) keeps the no-timeout path untouched
+        self.arm_timeouts = self.retry_policy is not None and math.isfinite(
+            self.retry_policy.timeout_s
+        )
+
+    def _init_monitoring(self) -> None:
+        """Health sampling cadence, recovery trackers, controller baselines."""
+        faults, controller = self.faults, self.controller
+        #: a metrics registry alone also wants the interval samples — the
+        #: sample block is pure observation, so widening the gate cannot
+        #: perturb the run (same argument as monitoring without a controller)
+        self.sampling = (
+            faults is not None
+            or controller is not None
+            or self.metrics is not None
+        )
+        self.ticks0 = self.resizes0 = 0
+        self.sample_interval = _DEFAULT_SAMPLE_INTERVAL
         if controller is not None:
-            controller.tracer = tracer
-        for sid, s in enumerate(sessions):
-            if topology is not None:
+            self.sample_interval = controller.policy.interval
+            self.ticks0 = controller.ticks
+            self.resizes0 = controller.encode_resizes
+        self.next_sample = self.sample_interval
+        self.sampler = _FleetSampler(self.metrics)
+        self.encode_waits_seen = 0
+        self.tracker: RecoveryTracker | None = None
+        #: per fault domain recovery metrics: region -> (sampler, tracker);
+        #: sessions are attributed to the region of their *home* (initial)
+        #: edge, so an evacuated region's viewers keep reporting into it —
+        #: the dip measures what the region's audience experienced, not
+        #: where their bytes happened to come from afterwards
+        self.region_track: dict[str, tuple[_FleetSampler, RecoveryTracker]] = {}
+        self.region_home: list[str | None] = []
+        if faults is None:
+            return
+        fault_start = min(ev.start for ev in faults.events)
+        self.tracker = RecoveryTracker(fault_start)
+        regions = self.topology.regions
+        if regions:
+            self.region_track = {
+                name: (_FleetSampler(None), RecoveryTracker(fault_start))
+                for name in sorted(regions)
+            }
+            region_of_edge: list[str | None] = [None] * len(self.edges)
+            for name, members in regions.items():
+                for e in members:
+                    region_of_edge[e] = name
+            self.region_home = [region_of_edge[e] for e in self.assignment]
+
+    def _wire(self) -> None:
+        """Attach this run to the shared objects it borrows: fault windows
+        onto their links, the tracer into the stateful subsystems.
+        :meth:`_unwire` undoes both, so a reused topology or controller
+        never keeps wearing a fault or emitting into a finished run's
+        stream.
+
+        Degradations act purely through the trace wrapper: the scheduler's
+        piecewise integration segments at the window boundaries on its
+        own, so no loop events are injected.  A gray failure's brownout
+        rides the same machinery on the edge's *access* link (the edge
+        keeps serving, slower), so the two compose like any windows.
+        """
+        windows: list[tuple[SharedLink, tuple[float, float, float]]] = []
+        if self.faults is not None:
+            windows = [
+                (self.edges[d.edge].backhaul, (d.start, d.end, d.factor))
+                for d in self.faults.degradations
+            ] + [
+                (self.edges[g.edge].access, (g.start, g.end, g.capacity_factor))
+                for g in self.faults.gray_failures
+                if g.capacity_factor != 1.0
+            ]
+        by_link: dict[int, tuple[SharedLink, list]] = {}
+        for link, win in windows:
+            by_link.setdefault(id(link), (link, []))[1].append(win)
+        for link, wins in by_link.values():
+            self.wrapped_links.append((link, link.trace))
+            link.trace = DegradedTrace(link.trace, wins)
+        tracer = self.tracer
+        if tracer is None:
+            return
+        for e_idx, edge in enumerate(self.edges):
+            edge.cache.tracer = tracer
+            edge.cache.edge = e_idx
+        if self.topology is not None:
+            self.topology.origin.queue.tracer = tracer
+        if self.controller is not None:
+            self.controller.tracer = tracer
+        for sid, s in enumerate(self.sessions):
+            if self.topology is not None:
                 tracer.emit(
                     s.join_time, EV_SESSION_START, session=sid,
-                    edge=assignment[sid],
+                    edge=self.assignment[sid],
                 )
             else:
                 tracer.emit(s.join_time, EV_SESSION_START, session=sid)
-        if faults is not None:
-            faults.emit_scheduled(tracer)
-    sched = PathScheduler(engine=spec.scheduler_engine)
-    #: flows that must fill an edge cache on completion: sid -> (edge idx, key, bytes)
-    pending_fill: dict[int, tuple] = {}
-    #: requests coalesced onto an in-flight fill: (edge idx, key) -> [(sid, req)]
-    fill_waiters: dict[tuple, list[tuple[int, DownloadRequest]]] = {}
-    origin_egress = 0
+        if self.faults is not None:
+            self.faults.emit_scheduled(tracer)
 
-    # -- fault / control runtime -------------------------------------------
-    n_edges = len(topology.edges) if topology is not None else 0
-    regions = topology.regions if topology is not None else None
-    outage_bounds = faults.boundary_times() if faults is not None else []
-    #: every (edge, start, end) total-outage window — EdgeOutage events
-    #: plus RegionOutage events resolved through the topology's regions;
-    #: evacuation and edge_down recomputation read spans, never events
-    outage_spans = (
-        faults.edge_outage_spans(regions) if faults is not None else []
-    )
-    next_bound = 0
-    edge_down = [False] * n_edges
-    #: gray failures by edge (drop draws and byte accounting at dispatch)
-    gray_by_edge: dict[int, list] = {}
-    if faults is not None:
-        for g in faults.gray_failures:
-            gray_by_edge.setdefault(g.edge, []).append(g)
-    #: timeouts are armed only when they can ever fire — the default
-    #: RetryPolicy(timeout_s=inf) keeps the no-timeout path untouched
-    arm_timeouts = (
-        retry_policy is not None
-        and math.isfinite(retry_policy.timeout_s)
-        and topology is not None
-    )
-    #: outage/timeout handling needs to know which flows ride which edge;
-    #: the bookkeeping is gated so fault-free runs skip every extra dict op
-    track_live = bool(outage_spans) or arm_timeouts
-    #: any failure path live this run (gates the per-completion retry
-    #: accounting; gray drops count attempts without tracking flows)
-    resilience = track_live or bool(gray_by_edge)
-    #: in-flight downloads: sid -> (request, edge the flow was routed via,
-    #: how the bytes were charged at dispatch — origin egress, cache hit,
-    #: or coalesced attach.  A cancellation (outage or timeout) credits the
-    #: matching counter back, so the re-issued attempt does not count its
-    #: bytes against delivered totals twice.
-    live_req: dict[int, tuple[DownloadRequest, int, int]] = {}
-    rstate = _RetryState()
-    #: armed per-request timeouts: (deadline, sid, token) heap entries; a
-    #: token mismatch marks an entry stale (the attempt already resolved)
-    timeout_heap: list[tuple[float, int, int]] = []
-    flow_token: dict[int, int] = {}
-    resteered_total = 0
-    monitor = faults is not None or controller is not None
-    #: a metrics registry alone also wants the interval samples — the
-    #: sample block is pure observation, so widening the gate cannot
-    #: perturb the run (same argument as monitoring without a controller)
-    sampling = monitor or metrics is not None
-    ticks0 = resizes0 = 0
-    if controller is not None:
-        sample_interval = controller.policy.interval
-        ticks0 = controller.ticks
-        resizes0 = controller.encode_resizes
-    else:
-        sample_interval = _DEFAULT_SAMPLE_INTERVAL
-    tracker = (
-        RecoveryTracker(min(ev.start for ev in faults.events))
-        if faults is not None
-        else None
-    )
-    #: per fault domain recovery metrics: region -> (sampler, tracker);
-    #: sessions are attributed to the region of their *home* (initial)
-    #: edge, so an evacuated region's viewers keep reporting into it —
-    #: the dip measures what the region's audience experienced, not
-    #: where their bytes happened to come from afterwards
-    region_track: dict[str, tuple[_FleetSampler, RecoveryTracker]] = {}
-    region_home: list[str | None] = []
-    if faults is not None and regions:
-        fault_start = min(ev.start for ev in faults.events)
-        region_track = {
-            name: (_FleetSampler(None), RecoveryTracker(fault_start))
-            for name in sorted(regions)
-        }
-        region_of_edge: list[str | None] = [None] * n_edges
-        for name, members in regions.items():
-            for e in members:
-                region_of_edge[e] = name
-        region_home = [region_of_edge[e] for e in assignment]
-    next_sample = sample_interval
-    sampler = _FleetSampler(metrics)
-    encode_waits_seen = 0
-    # Degradations act purely through the trace wrapper: the scheduler's
-    # piecewise integration segments at the window boundaries on its own,
-    # so no loop events are injected.  Restored in the finally below so a
-    # reused topology is never left wearing a fault.
-    wrapped_links: list[tuple[SharedLink, NetworkTrace]] = []
-    if faults is not None and faults.degradations:
-        deg_windows: dict[int, list[tuple[float, float, float]]] = {}
-        for d in faults.degradations:
-            deg_windows.setdefault(d.edge, []).append((d.start, d.end, d.factor))
-        for e, wins in sorted(deg_windows.items()):
-            link = topology.edges[e].backhaul
-            wrapped_links.append((link, link.trace))
-            link.trace = DegradedTrace(link.trace, wins)
-    # A gray failure's capacity brownout rides the same window machinery,
-    # on the edge's *access* link (the edge keeps serving, slower) — so
-    # gray windows compose with backhaul degradations exactly like any
-    # other DegradedTrace windows.
-    if gray_by_edge:
-        for e, grays in sorted(gray_by_edge.items()):
-            wins = [
-                (g.start, g.end, g.capacity_factor)
-                for g in grays
-                if g.capacity_factor != 1.0
-            ]
-            if not wins:
-                continue
-            link = topology.edges[e].access
-            wrapped_links.append((link, link.trace))
-            link.trace = DegradedTrace(link.trace, wins)
-    #: topology requests dated beyond the current event, ordered by
-    #: (start_time, session id).  Cache lookups and encode reservations
-    #: are *stateful and time-stamped*, so a future-dated request (a
-    #: session's join, a buffer-headroom wait) must not consult them
-    #: until virtual time reaches its start — a viewer joining at t=60
-    #: sees every fill and encode that completed before t=60.
-    deferred: list[tuple[float, int, DownloadRequest]] = []
-    clock = 0.0
-
-    def _gray_dispatch(edge_idx: int, sid: int, req: DownloadRequest):
-        """(drop retransmit delay, gray-window bytes) for one dispatch.
-
-        Bytes count once however many gray windows overlap the instant;
-        the deterministic drop draw is per window, and a dropped request
-        is modeled as its own retransmit — the transfer starts
-        ``drop_delay_s`` late and the attempt counts as failed.
-        """
-        delay = 0.0
-        gbytes = 0
-        for g in gray_by_edge.get(edge_idx, ()):
-            if g.covers(req.start_time):
-                gbytes = req.nbytes
-                if g.drops(sid, req.start_time):
-                    delay += g.drop_delay_s
-        return delay, gbytes
-
-    def _gray_bytes_at(edge_idx: int, req: DownloadRequest) -> int:
-        """Gray-window bytes a cancelled dispatch must credit back."""
-        for g in gray_by_edge.get(edge_idx, ()):
-            if g.covers(req.start_time):
-                return req.nbytes
-        return 0
-
-    def _gray_drop(edge_idx: int, sid: int, req: DownloadRequest) -> float:
-        """Gray bookkeeping for one dispatch; returns the drop delay."""
-        gdelay, gbytes = _gray_dispatch(edge_idx, sid, req)
-        rstate.gray_bytes += gbytes
-        if gdelay > 0.0:
-            rstate.add_attempt(sid)
-            if tracer is not None:
-                tracer.emit(
-                    req.start_time, EV_CHUNK_RETRY, session=sid,
-                    nbytes=req.nbytes, reason="gray-drop",
-                )
-        return gdelay
-
-    def _arm_timeout(sid: int, req: DownloadRequest) -> None:
-        """Arm the retry policy's virtual-time timeout for one attempt.
-
-        Skipped once the attempt budget is spent — the final attempt
-        runs to completion untimed (a simulated chunk must eventually
-        deliver; the report records how hard the client fought).
-        """
-        if not arm_timeouts:
+    def _unwire(self) -> None:
+        for link, orig in self.wrapped_links:
+            link.trace = orig
+        if self.tracer is None:
             return
-        if rstate.attempts.get(sid, 0) + 1 >= retry_policy.max_attempts:
-            return
-        token = flow_token.get(sid, 0) + 1
-        flow_token[sid] = token
-        heapq.heappush(
-            timeout_heap,
-            (req.start_time + retry_policy.timeout_s, sid, token),
+        for edge in self.edges:
+            edge.cache.tracer = None
+            edge.cache.edge = None
+        if self.topology is not None:
+            self.topology.origin.queue.tracer = None
+        if self.controller is not None:
+            self.controller.tracer = None
+
+    # -- the event loop ----------------------------------------------------
+
+    def run(self) -> None:
+        """Drive virtual time event to event until every session ends."""
+        sched = self.sched
+        try:
+            self._wire()
+            self._queue_first_requests()
+            now = 0.0
+            stalled = 0
+            while sched.busy() or self.deferred:
+                with self.ph_sched:
+                    t = self.clock = self._next_instant(now)
+                    # advance() returns a materialized completion list, so
+                    # the fluid advance (scheduler phase) profiles apart
+                    # from the session transitions it unblocks (advance).
+                    completions = sched.advance(now, t) if sched.busy() else ()
+                with self.ph_advance:
+                    parked = [
+                        done.flow_id
+                        for done in completions
+                        if self.on_completion(done)
+                    ]
+                with self.ph_planner:
+                    self.decide(parked)
+                self.apply_outage_bounds(t)
+                self.fire_timeouts(t)
+                self.sample_and_control(t)
+                self.release_deferred(t)
+                # Watchdog: `not t > now` also counts a NaN clock.
+                stalled = 0 if t > now else stalled + 1
+                if stalled > _MAX_STALLED_STEPS:
+                    raise RuntimeError(self._stall_dump(stalled, t))
+                now = t
+        finally:
+            self._unwire()
+        if self.sampling:
+            # Close the monitoring stream so a recovery that completes
+            # after the last sample instant is still observed.
+            self._sample_health(now)
+
+    def _queue_first_requests(self) -> None:
+        """Every session needs its first ABR decision at join time — the
+        widest batch of the run (startup-bytes sessions enter via a
+        transfer first).  Decisions are pure functions of their context,
+        so resolving them all up front is safe; the *requests* they
+        unblock go through :meth:`queue`, which holds future-dated ones
+        until virtual time catches up."""
+        first = []
+        for sid, machine in enumerate(self.machines):
+            if isinstance(machine.pending, DownloadRequest):
+                self.queue(sid, machine.pending)
+            elif isinstance(machine.pending, DecisionRequest):
+                first.append(sid)
+        self.decide(first)
+
+    def _next_instant(self, now: float) -> float:
+        """The next instant anything can change: a link allocation, a
+        deferred request's start, an outage bound, an armed deadline (a
+        stale one may wake the loop spuriously)."""
+        events = []
+        if self.sched.busy():
+            events.append(self.sched.next_event(now))
+        if self.deferred:
+            events.append(max(self.deferred[0][0], now))
+        if self.next_bound < len(self.outage_bounds):
+            events.append(max(self.outage_bounds[self.next_bound], now))
+        if self.timeout_heap:
+            events.append(max(self.timeout_heap[0][0], now))
+        return min(events)
+
+    def _stall_dump(self, steps: int, t: float) -> str:
+        return (
+            f"fleet event loop made no progress for {steps} consecutive "
+            f"steps at virtual time {t!r}: {self.sched.n_flows} flows in "
+            f"flight, deferred head "
+            f"{self.deferred[0][:2] if self.deferred else None}, timeout "
+            f"head {self.timeout_heap[0] if self.timeout_heap else None}"
         )
 
-    def _disarm(sid: int) -> None:
-        """Invalidate any armed timeout for ``sid`` (attempt resolved)."""
-        if arm_timeouts:
-            flow_token[sid] = flow_token.get(sid, 0) + 1
+    # -- serving -----------------------------------------------------------
 
-    def dispatch(sid: int, req: DownloadRequest) -> None:
-        nonlocal origin_egress
-        if base_path is not None:
-            if tracer is not None:
-                tracer.emit(
-                    req.start_time, EV_CHUNK_FETCH, session=sid,
-                    route="link", nbytes=req.nbytes,
-                )
-            sched.add_flow(
-                sid, req.nbytes, req.start_time, base_path,
-                weight=sessions[sid].weight,
-            )
-            return
-        assert topology is not None
-        edge_idx = assignment[sid]
-        edge = topology.edges[edge_idx]
-        key = _chunk_key(req)
-        if key is not None and edge.cache.lookup(key, req.nbytes, req.start_time):
-            gdelay = _gray_drop(edge_idx, sid, req) if gray_by_edge else 0.0
-            if track_live:
-                live_req[sid] = (req, edge_idx, _CHARGE_HIT)
-            _arm_timeout(sid, req)
-            if tracer is not None:
-                tracer.emit(
-                    req.start_time, EV_CHUNK_FETCH, session=sid,
-                    route="hit", edge=edge_idx, nbytes=req.nbytes,
-                )
-            sched.add_flow(
-                sid, req.nbytes, req.start_time, edge.hit_path,
-                weight=sessions[sid].weight, extra_delay=gdelay,
-            )
-            return
-        delay = 0.0
-        if key is not None:
-            if edge.cache.fill_in_flight(key):
-                # Another viewer is already pulling this chunk: coalesce.
-                # The request parks until that one backhaul transfer
-                # lands, then streams from the edge over the access link.
-                edge.cache.attach(key, req.nbytes, at_time=req.start_time)
-                fill_waiters.setdefault((edge_idx, key), []).append((sid, req))
-                if tracer is not None:
-                    tracer.emit(
-                        req.start_time, EV_CHUNK_FETCH, session=sid,
-                        route="coalesce", edge=edge_idx, nbytes=req.nbytes,
-                    )
-                return
-            # Cold chunk: the origin must hold the encoded variant before
-            # the backhaul transfer starts (bounded transcode workers).
-            ready = topology.origin.variant_ready(key, req.start_time)
-            delay = ready - req.start_time
-            if edge.cache.capacity_bytes > 0:
-                edge.cache.begin_fill(key)
-            pending_fill[sid] = (edge_idx, key, req.nbytes)
-        if gray_by_edge:
-            delay += _gray_drop(edge_idx, sid, req)
-        origin_egress += req.nbytes
-        if track_live:
-            live_req[sid] = (req, edge_idx, _CHARGE_ORIGIN)
-        _arm_timeout(sid, req)
-        if tracer is not None:
-            tracer.emit(
-                req.start_time, EV_CHUNK_FETCH, session=sid,
-                route="origin", edge=edge_idx, nbytes=req.nbytes,
-                delay=delay,
-            )
-        sched.add_flow(
-            sid, req.nbytes, req.start_time, edge.miss_path,
-            weight=sessions[sid].weight, extra_delay=delay,
-        )
-
-    def needs_clock(sid: int, req: DownloadRequest) -> bool:
+    def needs_clock(self, sid: int, req: DownloadRequest) -> bool:
         """Does resolving this request read time-stamped mutable state?
 
         Only cacheable chunks on a topology with a live edge cache or a
@@ -1015,123 +927,377 @@ def simulate_fleet(
         scheduler — a waiting flow in the pool is what disables the
         solo-flow fast path, exactly as in :class:`SharedLink`.
         """
-        if base_path is not None or req.chunk_index is None:
+        if self.base_path is not None or req.chunk_index is None:
             return False
-        assert topology is not None
-        edge = topology.edges[assignment[sid]]
+        edge = self.edges[self.assignment[sid]]
         return (
             edge.cache.capacity_bytes > 0
-            or topology.origin.encode_seconds > 0.0
+            or self.topology.origin.encode_seconds > 0.0
         )
 
-    def queue(sid: int, req: DownloadRequest) -> None:
-        if req.start_time > clock and needs_clock(sid, req):
-            heapq.heappush(deferred, (req.start_time, sid, req))
+    def queue(self, sid: int, req: DownloadRequest) -> None:
+        if req.start_time > self.clock and self.needs_clock(sid, req):
+            heapq.heappush(self.deferred, (req.start_time, sid, req))
         else:
-            dispatch(sid, req)
+            self.dispatch(sid, req)
 
-    def queue_decided(pairs: list[tuple[int, DownloadRequest]]) -> None:
-        """Queue freshly decided requests, tracing each decision."""
-        for sid, req in pairs:
+    def dispatch(self, sid: int, req: DownloadRequest) -> None:
+        """Route one request at its start instant: the bare link, an edge
+        hit (one-hop access path), a coalesced attach onto an in-flight
+        fill, or an origin miss (encode wait, then backhaul + access)."""
+        tracer = self.tracer
+        weight = self.sessions[sid].weight
+        if self.base_path is not None:
             if tracer is not None:
                 tracer.emit(
+                    req.start_time, EV_CHUNK_FETCH, session=sid,
+                    route="link", nbytes=req.nbytes,
+                )
+            self.sched.add_flow(
+                sid, req.nbytes, req.start_time, self.base_path, weight=weight
+            )
+            return
+        edge_idx = self.assignment[sid]
+        edge = self.edges[edge_idx]
+        key = _chunk_key(req)
+        hit = key is not None and edge.cache.lookup(
+            key, req.nbytes, req.start_time
+        )
+        delay = 0.0
+        if not hit and key is not None:
+            if edge.cache.fill_in_flight(key):
+                # Another viewer is already pulling this chunk: coalesce.
+                # The request parks until that one backhaul transfer
+                # lands, then streams from the edge over the access link.
+                edge.cache.attach(key, req.nbytes, at_time=req.start_time)
+                self.fill_waiters.setdefault((edge_idx, key), []).append(
+                    (sid, req)
+                )
+                if tracer is not None:
+                    tracer.emit(
+                        req.start_time, EV_CHUNK_FETCH, session=sid,
+                        route="coalesce", edge=edge_idx, nbytes=req.nbytes,
+                    )
+                return
+            # Cold chunk: the origin must hold the encoded variant before
+            # the backhaul transfer starts (bounded transcode workers).
+            ready = self.topology.origin.variant_ready(key, req.start_time)
+            delay = ready - req.start_time
+            if edge.cache.capacity_bytes > 0:
+                edge.cache.begin_fill(key)
+            self.pending_fill[sid] = (edge_idx, key, req.nbytes)
+        delay += self._gray_drop(edge_idx, sid, req)
+        if hit:
+            route, path, kind = "hit", edge.hit_path, _CHARGE_HIT
+        else:
+            route, path, kind = "origin", edge.miss_path, _CHARGE_ORIGIN
+            self.origin_egress += req.nbytes
+        self.attempt_serial += 1
+        self.live_req[sid] = (req, edge_idx, kind, self.attempt_serial)
+        # The last attempt of the retry budget runs untimed: a simulated
+        # chunk must eventually deliver (the report records how hard the
+        # client fought).
+        if self.arm_timeouts and (
+            self.rstate.attempts.get(sid, 0) + 1 < self.retry_policy.max_attempts
+        ):
+            heapq.heappush(
+                self.timeout_heap,
+                (
+                    req.start_time + self.retry_policy.timeout_s, sid,
+                    self.attempt_serial,
+                ),
+            )
+        if tracer is not None:
+            # only an origin fetch reports its start delay
+            extra = {} if hit else {"delay": delay}
+            tracer.emit(
+                req.start_time, EV_CHUNK_FETCH, session=sid,
+                route=route, edge=edge_idx, nbytes=req.nbytes, **extra,
+            )
+        self.sched.add_flow(
+            sid, req.nbytes, req.start_time, path,
+            weight=weight, extra_delay=delay,
+        )
+
+    def _gray_drop(self, edge_idx: int, sid: int, req: DownloadRequest) -> float:
+        """Gray-failure bookkeeping for one dispatch; returns the drop delay.
+
+        Bytes count once however many gray windows overlap the instant;
+        the deterministic drop draw is per window, and a dropped request
+        is modeled as its own retransmit — the transfer starts
+        ``drop_delay_s`` late and the attempt counts as failed.
+        """
+        delay = 0.0
+        gbytes = 0
+        for g in self.gray_by_edge.get(edge_idx, ()):
+            if g.covers(req.start_time):
+                gbytes = req.nbytes
+                if g.drops(sid, req.start_time):
+                    delay += g.drop_delay_s
+        self.rstate.gray_bytes += gbytes
+        if delay > 0.0:
+            attempt = self.rstate.add_attempt(sid)
+            if self.tracer is not None:
+                self.tracer.emit(
+                    req.start_time, EV_CHUNK_RETRY, session=sid,
+                    nbytes=req.nbytes, reason="gray-drop", attempt=attempt,
+                )
+        return delay
+
+    def on_completion(self, done) -> bool:
+        """Resume the session whose transfer finished: land its edge fill,
+        close its retry ledger, run its buffer logic forward to the next
+        request.  True when the session parked on an ABR decision.
+
+        A completion that lands exactly at its timeout deadline wins:
+        completions run before :meth:`fire_timeouts`, and leaving
+        ``live_req`` is what makes the armed entry stale.
+        """
+        sid = done.flow_id
+        self.live_req.pop(sid, None)
+        fill = self.pending_fill.pop(sid, None)
+        if fill is not None:
+            self._land_fill(*fill, done.finish_time)
+        elapsed = done.elapsed + self.rstate.complete(sid)
+        m = self.machines[sid]
+        if self.tracer is None:
+            req = m.advance(elapsed)
+        else:
+            req = self._traced_advance(m, done, elapsed)
+        if isinstance(req, DecisionRequest):
+            return True
+        if req is not None:
+            self.queue(sid, req)
+        else:
+            self.end_times[sid] = done.finish_time
+        return False
+
+    def _land_fill(self, edge_idx: int, key: tuple, nbytes: int, t: float) -> None:
+        """A backhaul fill landed at ``t``: the chunk now sits at the edge,
+        so every request that coalesced onto it streams over the one-hop
+        access path, its data gated to the landing instant (the elapsed
+        time still counts from its own request)."""
+        edge = self.edges[edge_idx]
+        edge.cache.insert(key, nbytes, ready=t)
+        for wsid, wreq in self.fill_waiters.pop((edge_idx, key), ()):
+            self.live_req[wsid] = (wreq, edge_idx, _CHARGE_COALESCED, 0)
+            gate = t - (wreq.start_time + edge.hit_path.rtt)
+            self.sched.add_flow(
+                wsid, wreq.nbytes, wreq.start_time, edge.hit_path,
+                weight=self.sessions[wsid].weight,
+                extra_delay=max(gate, 0.0),
+            )
+
+    def _traced_advance(self, m: SessionMachine, done, elapsed: float):
+        """``m.advance(elapsed)`` plus the chunk / session events it
+        implies.  Live counters are pure telemetry, so diffing them across
+        the transition recovers the chunk record without touching the
+        generator's arithmetic."""
+        tracer, sid, t = self.tracer, done.flow_id, done.finish_time
+        lc0 = m.live_chunks
+        lq0 = m.live_quality_sum
+        ls0 = m.live_stall
+        req = m.advance(elapsed)
+        if m.live_chunks > lc0:
+            d_stall = m.live_stall - ls0
+            tracer.emit(
+                t, EV_CHUNK_COMPLETE, session=sid,
+                quality=m.live_quality_sum - lq0, stall=d_stall,
+                elapsed=elapsed,
+            )
+            if d_stall > 0.0:
+                tracer.emit(t, EV_CHUNK_STALL, session=sid, seconds=d_stall)
+        if m.finished:
+            assert m.result is not None
+            tracer.emit(
+                t,
+                EV_SESSION_ABANDON if m.result.abandoned else EV_SESSION_FINISH,
+                session=sid,
+            )
+        return req
+
+    def decide(self, ids: list[int]) -> None:
+        """Resolve parked ABR decisions, one ``decide_batch`` per shared
+        controller, and queue the transfers they unblock.
+
+        The clamp rewrites decisions while a control-plane lever (quality
+        cap, SR off) is pulled; while none is, ``clamp=None`` executes the
+        exact pre-lever instruction stream.
+        """
+        levers = self.decision_cap < math.inf or self.sr_disabled
+        decided = _batched_decisions(
+            self.machines, ids, clamp=self._clamp if levers else None
+        )
+        for sid, req in decided:
+            if self.tracer is not None:
+                self.tracer.emit(
                     req.start_time, EV_CHUNK_DECISION, session=sid,
                     chunk=req.chunk_index, nbytes=req.nbytes,
                 )
-            queue(sid, req)
+            self.queue(sid, req)
 
-    def _live_totals() -> tuple[int, float, float]:
-        """Fleet-wide live counters, summed in session order."""
-        chunks = 0
-        qsum = 0.0
-        stall = 0.0
-        for m in machines:
-            chunks += m.live_chunks
-            qsum += m.live_quality_sum
-            stall += m.live_stall
-        return chunks, qsum, stall
-
-    def _region_live_totals() -> dict[str, tuple[int, float, float]]:
-        """Per fault domain live counters, summed in ascending session id
-        order over each session's *home* region."""
-        totals = {name: (0, 0.0, 0.0) for name in region_track}
-        for sid, name in enumerate(region_home):
-            if name is None:
-                continue
-            m = machines[sid]
-            c, q, s = totals[name]
-            totals[name] = (
-                c + m.live_chunks,
-                q + m.live_quality_sum,
-                s + m.live_stall,
-            )
-        return totals
-
-    # -- graceful degradation (control-plane levers) -----------------------
-    # The clamp rewrites ABR decisions while a lever is pulled; while no
-    # lever is active the decision call sites receive clamp=None, so the
-    # no-op configuration executes the exact pre-lever instruction stream.
-    decision_cap = math.inf
-    sr_disabled = False
-    clamp_active = False
-
-    def _clamp(d):
+    def _clamp(self, d):
         """One ABR decision under the active degradation levers."""
-        if decision_cap < math.inf and d.density > decision_cap:
-            d = dc_replace(d, density=decision_cap)
-        if sr_disabled and d.sr_ratio != 1.0:
+        if d.density > self.decision_cap:
+            d = dc_replace(d, density=self.decision_cap)
+        if self.sr_disabled and d.sr_ratio != 1.0:
             d = dc_replace(d, sr_ratio=1.0)
         return d
 
-    def _decide(ids: list[int]) -> list[tuple[int, DownloadRequest]]:
-        """Resolve parked decisions, routed through the degradation
-        clamp only while a lever is pulled."""
-        return _batched_decisions(
-            machines, ids, clamp=_clamp if clamp_active else None
-        )
+    def release_deferred(self, t: float) -> None:
+        """Dispatch deferred requests due by ``t`` — last in the step, so
+        a fill that completed *at* t is already inserted and a chunk
+        resident at the instant a request goes out counts as a hit
+        (``ready <= at_time``)."""
+        deferred = self.deferred
+        if not deferred or deferred[0][0] > t:
+            return
+        with self.ph_advance:
+            # A release injects flows outside the completion-driven
+            # pattern the solo fast path assumes — bank any solo flow's
+            # progress up to t first, or it would restart from scratch.
+            self.sched.sync(t)
+            while deferred and deferred[0][0] <= t:
+                _, sid, req = heapq.heappop(deferred)
+                self.dispatch(sid, req)
 
-    def _evacuate(edge_idx: int, t: float) -> None:
-        """Fail edge ``edge_idx`` over at instant ``t``: re-steer its
-        viewers to the least-loaded live edges, cancel its in-flight
-        transfers and re-issue them from ``t`` (time already spent counts
-        against the session via the retry state's sunk-time offset, plus
-        any :class:`~repro.streaming.faults.RetryPolicy` backoff),
-        restart its cache cold.
+    # -- failure handling --------------------------------------------------
+
+    def _unfinished_by_edge(self) -> list[list[int]]:
+        """Unfinished session ids per assigned edge, each ascending — the
+        load every re-steer balances on and the control plane views."""
+        by_edge: list[list[int]] = [[] for _ in self.edges]
+        for sid, m in enumerate(self.machines):
+            if not m.finished:
+                by_edge[self.assignment[sid]].append(sid)
+        return by_edge
+
+    def _resteer(
+        self, sid: int, from_edge: int, target: int, t: float, reason: str
+    ) -> None:
+        """Move viewer ``sid`` to edge ``target`` (its in-flight transfer,
+        if any, keeps riding the edge it was routed via)."""
+        if self.tracer is not None:
+            self.tracer.emit(
+                t, EV_SESSION_RESTEER, session=sid, reason=reason,
+                from_edge=from_edge, to_edge=target,
+            )
+        self.assignment[sid] = target
+        if self.per_edge_sr:
+            self.machines[sid].sr_cache = self.edges[target].sr_cache
+        self.resteered += 1
+
+    def _cancel(self, sid: int, t: float):
+        """Kill ``sid``'s in-flight attempt at ``t``.
+
+        Hands back whatever the attempt was charged at dispatch — origin
+        egress, cache hit bytes, or a coalesced attach, plus gray-window
+        bytes (coalesced attaches never paid any) — so the re-issued
+        attempt, billed on its own dispatch, never counts one delivered
+        chunk's bytes twice.  If the attempt was filling an edge cache the
+        fill is aborted and the requests parked on it are orphaned (their
+        attaches voided too).  Returns ``(request, edge it rode, orphaned
+        [(sid, request)])``; the caller re-issues all of them.
         """
-        nonlocal resteered_total, origin_egress
-        assert topology is not None and faults is not None
-        edge = topology.edges[edge_idx]
-        # Outstanding work riding the dead edge, captured before any
-        # re-assignment: in-flight transfers and parked coalesced waiters.
-        # Each cancelled transfer hands back whatever it was charged at
-        # dispatch — origin egress, cache hit bytes, or a coalesced attach
-        # — so the re-issued attempt, billed on its own dispatch, never
-        # counts one delivered chunk's bytes twice.  Gray-window bytes are
-        # credited back the same way (coalesced attaches never paid any).
+        req, edge_idx, kind, _ = self.live_req.pop(sid)
+        cache = self.edges[edge_idx].cache
+        if kind == _CHARGE_ORIGIN:
+            self.origin_egress -= req.nbytes
+        elif kind == _CHARGE_HIT:
+            cache.void_hit(req.nbytes, at_time=t)
+        else:
+            cache.void_coalesced(req.nbytes, at_time=t)
+        if kind != _CHARGE_COALESCED and any(
+            g.covers(req.start_time) for g in self.gray_by_edge.get(edge_idx, ())
+        ):
+            self.rstate.gray_bytes -= req.nbytes
+        self.sched.cancel(sid)
+        orphans: list[tuple[int, DownloadRequest]] = []
+        fill = self.pending_fill.pop(sid, None)
+        if fill is not None:
+            cache.abort_fill(fill[1])
+            orphans = self.fill_waiters.pop(fill[:2], [])
+            for _, wreq in orphans:
+                cache.void_coalesced(wreq.nbytes, at_time=t)
+        return req, edge_idx, orphans
+
+    def _reissue(
+        self, sid: int, req: DownloadRequest, t: float, reason: str,
+        backoff: bool = True,
+    ) -> None:
+        """Put a cancelled request back in play at ``t``.
+
+        A request dated at/after ``t`` never started: it re-runs
+        unchanged and nothing failed (``attempt=0``).  One already in
+        flight counts a failed attempt and restarts after the retry
+        policy's capped exponential backoff (none without a policy, or
+        when a hedge races a fresh edge instead of sitting out), carrying
+        its sunk time — wait included — in the retry state's offset.
+        """
+        attempt = 0
+        if req.start_time < t:
+            attempt = self.rstate.add_attempt(sid)
+            delay = (
+                self.retry_policy.backoff(attempt)
+                if backoff and self.retry_policy is not None
+                else 0.0
+            )
+            self.rstate.offset[sid] = self.rstate.offset.get(sid, 0.0) + (
+                t + delay - req.start_time
+            )
+            req = dc_replace(req, start_time=t + delay)
+        if self.tracer is not None:
+            self.tracer.emit(
+                t, EV_CHUNK_RETRY, session=sid, nbytes=req.nbytes,
+                reason=reason, attempt=attempt,
+            )
+        self.queue(sid, req)
+
+    def apply_outage_bounds(self, t: float) -> None:
+        """Cross every outage boundary due by ``t``: recompute which edges
+        are dark and evacuate the ones that just went down."""
+        bounds = self.outage_bounds
+        if self.next_bound >= len(bounds) or bounds[self.next_bound] > t:
+            return
+        with self.ph_control:
+            # Bank any solo flow's progress before surgery on the flow set
+            # (same contract as release_deferred).
+            self.sched.sync(t)
+            while self.next_bound < len(bounds) and bounds[self.next_bound] <= t:
+                tb = bounds[self.next_bound]
+                self.next_bound += 1
+                newly_down = []
+                for e in range(len(self.edges)):
+                    down = any(
+                        e2 == e and s <= tb < end
+                        for e2, s, end in self.outage_spans
+                    )
+                    if down and not self.edge_down[e]:
+                        newly_down.append(e)
+                    self.edge_down[e] = down
+                for e in newly_down:
+                    self.evacuate(e, t)
+
+    def evacuate(self, edge_idx: int, t: float) -> None:
+        """Fail edge ``edge_idx`` over at instant ``t``: cancel the
+        transfers riding it, re-steer its viewers to the least-loaded live
+        edges, restart its cache cold, re-issue the cancelled requests
+        against each session's new edge."""
+        edge = self.edges[edge_idx]
+        # Outstanding work riding the dead edge (by the edge each flow was
+        # routed via), captured before any re-assignment; coalesced
+        # waiters come back as orphans of the fills they were parked on.
         riding = sorted(
-            sid for sid, (_, e, _) in live_req.items() if e == edge_idx
+            sid for sid, live in self.live_req.items() if live[1] == edge_idx
         )
-        retries = []
+        cancelled = []
         for sid in riding:
-            req, _, kind = live_req.pop(sid)
-            if kind == _CHARGE_ORIGIN:
-                origin_egress -= req.nbytes
-            elif kind == _CHARGE_HIT:
-                edge.cache.void_hit(req.nbytes, at_time=t)
-            else:
-                edge.cache.void_coalesced(req.nbytes, at_time=t)
-            if gray_by_edge and kind != _CHARGE_COALESCED:
-                rstate.gray_bytes -= _gray_bytes_at(edge_idx, req)
-            _disarm(sid)
-            retries.append((sid, req))
-        for k in [k for k in fill_waiters if k[0] == edge_idx]:
-            for wsid, wreq in fill_waiters.pop(k):
-                edge.cache.void_coalesced(wreq.nbytes, at_time=t)
-                retries.append((wsid, wreq))
-        if tracer is not None:
-            tracer.emit(
-                t, EV_OUTAGE_EVACUATE, edge=edge_idx,
-                cancelled=len(retries),
+            req, _, orphans = self._cancel(sid, t)
+            cancelled.append((sid, req))
+            cancelled.extend(orphans)
+        if self.tracer is not None:
+            self.tracer.emit(
+                t, EV_OUTAGE_EVACUATE, edge=edge_idx, cancelled=len(cancelled)
             )
         # Viewers whose join still lies beyond the end of this outage
         # (chained across back-to-back outage spans on the edge) will
@@ -1139,478 +1305,220 @@ def simulate_fleet(
         # strand them on another edge for no reason.  Spans already fold
         # RegionOutage events through the topology's fault domains.
         until = t
-        for e2, start, end in outage_spans:
+        for e2, start, end in self.outage_spans:
             if e2 == edge_idx and start <= until:
                 until = max(until, end)
-        live = [e for e in range(n_edges) if not edge_down[e]]
-        finished = [m.finished for m in machines]
-        load = [0] * n_edges
-        for sid, fin in enumerate(finished):
-            if not fin:
-                load[assignment[sid]] += 1
-        for sid, fin in enumerate(finished):
-            if fin or assignment[sid] != edge_idx:
-                continue
-            if sessions[sid].join_time >= until:
+        live = [e for e in range(len(self.edges)) if not self.edge_down[e]]
+        by_edge = self._unfinished_by_edge()
+        load = [len(ids) for ids in by_edge]
+        for sid in by_edge[edge_idx]:
+            if self.sessions[sid].join_time >= until:
                 continue
             target = min(live, key=lambda e: (load[e], e))
             load[edge_idx] -= 1
             load[target] += 1
-            assignment[sid] = target
-            if per_edge_sr:
-                machines[sid].sr_cache = topology.edges[target].sr_cache
-            resteered_total += 1
-            if tracer is not None:
-                tracer.emit(
-                    t, EV_SESSION_RESTEER, session=sid, reason="outage",
-                    from_edge=edge_idx, to_edge=target,
-                )
-        for sid in riding:
-            sched.cancel(sid)
-            pending_fill.pop(sid, None)
+            self._resteer(sid, edge_idx, target, t, "outage")
         # A restarted edge comes back cold: drop contents and in-flight
         # fill markers (their backhaul transfers were just cancelled).
         edge.cache.drop_all()
-        # Re-issue the orphaned requests against each session's new edge.
-        # Requests dated at/after the outage re-run unchanged; requests
-        # already in flight restart here, carrying their sunk time plus
-        # the retry policy's capped exponential backoff (no policy =
-        # immediate restart, the historical behavior bit-exactly).
-        for sid, req in sorted(retries):
-            if tracer is not None:
-                tracer.emit(t, EV_CHUNK_RETRY, session=sid, nbytes=req.nbytes)
-            if req.start_time >= t:
-                queue(sid, req)
-            else:
-                n = rstate.add_attempt(sid)
-                delay = (
-                    retry_policy.backoff(n)
-                    if retry_policy is not None
-                    else 0.0
-                )
-                rstate.offset[sid] = rstate.offset.get(sid, 0.0) + (
-                    t + delay - req.start_time
-                )
-                queue(sid, dc_replace(req, start_time=t + delay))
+        for sid, req in sorted(cancelled):
+            self._reissue(sid, req, t, "outage")
 
-    # Every session needs its first ABR decision at join time — the widest
-    # batch of the run (startup-bytes sessions enter via a transfer first).
-    # Decisions are pure functions of their context, so resolving them all
-    # up front is safe; the *requests* they unblock go through queue(),
-    # which holds future-dated ones until virtual time catches up.
-    first_decisions = []
-    for sid, machine in enumerate(machines):
-        if isinstance(machine.pending, DownloadRequest):
-            queue(sid, machine.pending)
-        elif isinstance(machine.pending, DecisionRequest):
-            first_decisions.append(sid)
-    queue_decided(_decide(first_decisions))
+    def fire_timeouts(self, t: float) -> None:
+        """Cancel and re-issue every attempt whose armed deadline is due.
 
-    now = 0.0
-    end_times = [0.0] * len(sessions)
-    # Pre-bound phase spans: with profiling disabled each is the shared
-    # no-op context manager, so the loop keeps one shape either way.
-    ph_sched = prof.phase("scheduler")
-    ph_advance = prof.phase("advance")
-    ph_planner = prof.phase("planner")
-    ph_control = prof.phase("control")
-    try:
-      while sched.busy() or deferred:
-        with ph_sched:
-            events = []
-            if sched.busy():
-                events.append(sched.next_event(now))
-            if deferred:
-                events.append(max(deferred[0][0], now))
-            if next_bound < len(outage_bounds):
-                # Outage boundaries mutate scheduler state, so the loop
-                # must wake exactly at them (degradations and crowds need
-                # no event).
-                events.append(max(outage_bounds[next_bound], now))
-            if timeout_heap:
-                # Armed retry deadlines wake the loop too.  A stale entry
-                # (its attempt already resolved) may wake it spuriously.
-                events.append(max(timeout_heap[0][0], now))
-            t = min(events)
-            clock = t
-            # advance() returns a materialized completion list, so the
-            # fluid advance (scheduler phase) profiles separately from
-            # the session transitions it unblocks (advance phase).
-            completions = sched.advance(now, t) if sched.busy() else ()
-        needs_decision: list[int] = []
-        with ph_advance:
-            for done in completions:
-                if track_live:
-                    live_req.pop(done.flow_id, None)
-                if arm_timeouts:
-                    # A completion that lands exactly at its deadline wins:
-                    # completions are processed before the timeout block,
-                    # and the token bump marks the heap entry stale.
-                    _disarm(done.flow_id)
-                fill = pending_fill.pop(done.flow_id, None)
-                if fill is not None:
-                    edge_idx, key, nbytes = fill
-                    edge = topology.edges[edge_idx]
-                    edge.cache.insert(key, nbytes, ready=done.finish_time)
-                    # Release every request that coalesced onto this fill:
-                    # the chunk now sits at the edge, so each waiter
-                    # streams it over the one-hop access path, its data
-                    # gated to the fill's landing instant (the elapsed
-                    # time still counts from its own request).
-                    for wsid, wreq in fill_waiters.pop((edge_idx, key), ()):
-                        if track_live:
-                            live_req[wsid] = (wreq, edge_idx, _CHARGE_COALESCED)
-                        gate = done.finish_time - (
-                            wreq.start_time + edge.hit_path.rtt
-                        )
-                        sched.add_flow(
-                            wsid, wreq.nbytes, wreq.start_time, edge.hit_path,
-                            weight=sessions[wsid].weight,
-                            extra_delay=max(gate, 0.0),
-                        )
-                elapsed = done.elapsed
-                if resilience:
-                    elapsed += rstate.complete(done.flow_id)
-                m = machines[done.flow_id]
-                if tracer is None:
-                    req = m.advance(elapsed)
-                else:
-                    # Live counters are pure telemetry, so diffing them
-                    # across the transition recovers the chunk record
-                    # without touching the generator's arithmetic.
-                    lc0 = m.live_chunks
-                    lq0 = m.live_quality_sum
-                    ls0 = m.live_stall
-                    req = m.advance(elapsed)
-                    if m.live_chunks > lc0:
-                        d_stall = m.live_stall - ls0
-                        tracer.emit(
-                            done.finish_time, EV_CHUNK_COMPLETE,
-                            session=done.flow_id,
-                            quality=m.live_quality_sum - lq0,
-                            stall=d_stall, elapsed=elapsed,
-                        )
-                        if d_stall > 0.0:
-                            tracer.emit(
-                                done.finish_time, EV_CHUNK_STALL,
-                                session=done.flow_id, seconds=d_stall,
-                            )
-                    if m.finished:
-                        assert m.result is not None
-                        tracer.emit(
-                            done.finish_time,
-                            EV_SESSION_ABANDON
-                            if m.result.abandoned
-                            else EV_SESSION_FINISH,
-                            session=done.flow_id,
-                        )
-                if isinstance(req, DecisionRequest):
-                    needs_decision.append(done.flow_id)
-                elif req is not None:
-                    queue(done.flow_id, req)
-                else:
-                    end_times[done.flow_id] = done.finish_time
-        with ph_planner:
-            queue_decided(_decide(needs_decision))
-        if next_bound < len(outage_bounds) and outage_bounds[next_bound] <= t:
-          with ph_control:
-            # Bank any solo flow's progress before surgery on the flow set
-            # (same contract as the deferred release below).
-            sched.sync(t)
-            while (
-                next_bound < len(outage_bounds)
-                and outage_bounds[next_bound] <= t
-            ):
-                tb = outage_bounds[next_bound]
-                next_bound += 1
-                newly_down = []
-                for e in range(n_edges):
-                    down = any(
-                        e2 == e and s <= tb < end
-                        for e2, s, end in outage_spans
-                    )
-                    if down and not edge_down[e]:
-                        newly_down.append(e)
-                    edge_down[e] = down
-                for e in newly_down:
-                    _evacuate(e, t)
-        if timeout_heap and timeout_heap[0][0] <= t:
-          with ph_control:
-            # Collect every armed deadline due by t whose attempt is still
-            # in flight.  Completions at the same instant were processed
-            # above and bumped their tokens (completion-at-deadline wins);
-            # an evacuation at a coincident outage boundary likewise
-            # already popped its sids from live_req.
+        Completions at the same instant already left ``live_req``
+        (completion-at-deadline wins), as did anything an outage bound at
+        ``t`` evacuated, so their entries are stale here.
+        """
+        heap = self.timeout_heap
+        if not heap or heap[0][0] > t:
+            return
+        policy = self.retry_policy
+        with self.ph_control:
             fired: list[int] = []
-            while timeout_heap and timeout_heap[0][0] <= t:
-                _, sid, token = heapq.heappop(timeout_heap)
-                if flow_token.get(sid, 0) != token or sid not in live_req:
-                    continue
-                flow_token[sid] = token + 1
-                fired.append(sid)
+            while heap and heap[0][0] <= t:
+                _, sid, serial = heapq.heappop(heap)
+                live = self.live_req.get(sid)
+                if live is not None and live[3] == serial:
+                    fired.append(sid)
             if fired:
                 # Cancelling flows outside the completion-driven pattern —
-                # bank any solo flow's progress first (same contract as
-                # the deferred release below).
-                sched.sync(t)
+                # bank any solo flow's progress first.
+                self.sched.sync(t)
             for sid in fired:
-                req, edge_idx, kind = live_req.pop(sid)
-                edge = topology.edges[edge_idx]
-                # Hand back whatever the attempt was charged at dispatch
-                # (see _evacuate — identical credit-back contract).
-                if kind == _CHARGE_ORIGIN:
-                    origin_egress -= req.nbytes
-                elif kind == _CHARGE_HIT:
-                    edge.cache.void_hit(req.nbytes, at_time=t)
-                else:
-                    edge.cache.void_coalesced(req.nbytes, at_time=t)
-                if gray_by_edge and kind != _CHARGE_COALESCED:
-                    rstate.gray_bytes -= _gray_bytes_at(edge_idx, req)
-                sched.cancel(sid)
-                fill = pending_fill.pop(sid, None)
-                if fill is not None:
-                    f_edge, key, _ = fill
-                    topology.edges[f_edge].cache.abort_fill(key)
-                    # Requests coalesced onto the aborted fill retry on
-                    # their own, each paying its own backoff.
-                    for wsid, wreq in fill_waiters.pop((f_edge, key), ()):
-                        topology.edges[f_edge].cache.void_coalesced(
-                            wreq.nbytes, at_time=t
-                        )
-                        if tracer is not None:
-                            tracer.emit(
-                                t, EV_CHUNK_RETRY, session=wsid,
-                                nbytes=wreq.nbytes, reason="fill-aborted",
-                            )
-                        if wreq.start_time >= t:
-                            queue(wsid, wreq)
-                            continue
-                        wn = rstate.add_attempt(wsid)
-                        wdelay = retry_policy.backoff(wn)
-                        rstate.offset[wsid] = rstate.offset.get(
-                            wsid, 0.0
-                        ) + (t + wdelay - wreq.start_time)
-                        queue(
-                            wsid,
-                            dc_replace(wreq, start_time=t + wdelay),
-                        )
-                rstate.timed_out += 1
-                if tracer is not None:
-                    tracer.emit(
+                req, edge_idx, orphans = self._cancel(sid, t)
+                # Requests coalesced onto the aborted fill retry on their
+                # own, each paying its own backoff.
+                for wsid, wreq in orphans:
+                    self._reissue(wsid, wreq, t, "fill-aborted")
+                self.rstate.timed_out += 1
+                if self.tracer is not None:
+                    self.tracer.emit(
                         t, EV_RETRY_TIMEOUT, session=sid, edge=edge_idx,
                         nbytes=req.nbytes,
                     )
-                # Hedging re-steers the retry to the least-loaded other
-                # live edge and skips the backoff wait (the point of a
-                # hedge is to race a fresh path, not to sit out).
-                hedged_now = False
-                if retry_policy.hedge:
-                    load = [0] * n_edges
-                    for s2, other in enumerate(machines):
-                        if not other.finished:
-                            load[assignment[s2]] += 1
-                    candidates = [
-                        e for e in range(n_edges)
-                        if e != edge_idx and not edge_down[e]
-                    ]
-                    if candidates:
-                        target = min(candidates, key=lambda e: (load[e], e))
-                        assignment[sid] = target
-                        if per_edge_sr:
-                            machines[sid].sr_cache = (
-                                topology.edges[target].sr_cache
-                            )
-                        rstate.hedged += 1
-                        resteered_total += 1
-                        hedged_now = True
-                        if tracer is not None:
-                            tracer.emit(
-                                t, EV_SESSION_RESTEER, session=sid,
-                                reason="hedge", from_edge=edge_idx,
-                                to_edge=target,
-                            )
-                            tracer.emit(
-                                t, EV_RETRY_HEDGE, session=sid,
-                                edge=target,
-                            )
-                n = rstate.add_attempt(sid)
-                delay = 0.0 if hedged_now else retry_policy.backoff(n)
-                rstate.offset[sid] = rstate.offset.get(sid, 0.0) + (
-                    t + delay - req.start_time
-                )
-                if tracer is not None:
-                    tracer.emit(
-                        t, EV_CHUNK_RETRY, session=sid, nbytes=req.nbytes,
-                        reason="timeout",
-                    )
-                queue(sid, dc_replace(req, start_time=t + delay))
-        if sampling and t >= next_sample:
-          with ph_control:
-            # Control ticks piggyback on instants the loop already wakes
-            # at — never injected — so pure monitoring cannot split a
-            # fluid advance interval (the bit-exactness of the disabled /
-            # no-op configurations rests on this).
-            health = sampler.health_sample(t, *_live_totals())
-            if tracker is not None and health is not None:
-                tracker.sample(t, health)
-            if region_track:
-                region_totals = _region_live_totals()
-                for name, (rsampler, rtracker) in region_track.items():
-                    rh = rsampler.health_sample(t, *region_totals[name])
-                    if rh is not None:
-                        rtracker.sample(t, rh)
-            finished_flags: list[bool] = []
-            if metrics is not None or controller is not None:
-                finished_flags = [m.finished for m in machines]
-            if metrics is not None:
-                active = 0
-                buf_sum = 0.0
-                for sid, fin in enumerate(finished_flags):
-                    if not fin:
-                        active += 1
-                        buf_sum += machines[sid].live_buffer_level
-                metrics.timeseries("fleet.active_sessions").record(t, active)
-                metrics.timeseries("fleet.buffer_level").record(
-                    t, buf_sum / active if active else 0.0
-                )
-                if topology is not None:
-                    mloads = [0] * n_edges
-                    for sid, fin in enumerate(finished_flags):
-                        if not fin:
-                            mloads[assignment[sid]] += 1
-                    for e in range(n_edges):
-                        metrics.timeseries(f"edge.load.{e}").record(
-                            t, mloads[e]
-                        )
-                    oqueue = topology.origin.queue
-                    metrics.timeseries("origin.encode_busy").record(
-                        t, oqueue.busy_at(t)
-                    )
-                    metrics.gauge("origin.encode_workers").set(
-                        oqueue.n_workers
-                    )
-            if controller is not None:
-                assert topology is not None
-                loads = [0] * n_edges
-                by_edge: dict[int, list[int]] = {
-                    e: [] for e in range(n_edges)
-                }
-                for sid, fin in enumerate(finished_flags):
-                    if not fin:
-                        by_edge[assignment[sid]].append(sid)
-                        loads[assignment[sid]] += 1
-                waits = topology.origin.queue.waits
-                new_waits = tuple(waits[encode_waits_seen:])
-                encode_waits_seen = len(waits)
-                regions_dark = (
-                    tuple(
-                        name
-                        for name in sorted(regions)
-                        if all(edge_down[e] for e in regions[name])
-                    )
-                    if regions
-                    else ()
-                )
-                actions = controller.tick(
-                    FleetView(
-                        now=t,
-                        edge_load=tuple(loads),
-                        edge_down=tuple(edge_down),
-                        sessions_by_edge={
-                            e: tuple(ids) for e, ids in by_edge.items()
-                        },
-                        encode_waits=new_waits,
-                        encode_workers=topology.origin.queue.n_workers,
-                        health=health,
-                        regions_dark=regions_dark,
-                    )
-                )
-                if actions.encode_workers is not None:
-                    topology.origin.queue.resize(
-                        actions.encode_workers, at_time=t
-                    )
-                for sid, target in actions.resteer:
-                    if finished_flags[sid] or edge_down[target]:
-                        continue
-                    if tracer is not None:
-                        tracer.emit(
-                            t, EV_SESSION_RESTEER, session=sid,
-                            reason="control", from_edge=assignment[sid],
-                            to_edge=target,
-                        )
-                    assignment[sid] = target
-                    if per_edge_sr:
-                        machines[sid].sr_cache = topology.edges[target].sr_cache
-                    resteered_total += 1
-                if actions.quality_cap is not None:
-                    decision_cap = actions.quality_cap
-                if actions.sr_enabled is not None:
-                    sr_disabled = not actions.sr_enabled
-                clamp_active = decision_cap < math.inf or sr_disabled
-            next_sample = (
-                math.floor(t / sample_interval) + 1
-            ) * sample_interval
-        # Release deferred requests due by t only after the fills that
-        # completed *at* t are inserted: a chunk resident at the instant
-        # a request goes out counts as a hit (ready <= at_time).
-        if deferred and deferred[0][0] <= t:
-          with ph_advance:
-            # A release injects flows outside the completion-driven
-            # pattern the solo fast path assumes — bank any solo flow's
-            # progress up to t first, or it would restart from scratch.
-            sched.sync(t)
-            while deferred and deferred[0][0] <= t:
-                _, sid, req = heapq.heappop(deferred)
-                dispatch(sid, req)
-        now = t
-    finally:
-        for link, orig in wrapped_links:
-            link.trace = orig
-        if tracer is not None:
-            # Unwire the tracer so a reused topology/controller never
-            # emits into a finished run's stream.
-            if topology is not None:
-                for edge in topology.edges:
-                    edge.cache.tracer = None
-                    edge.cache.edge = None
-                topology.origin.queue.tracer = None
-            if controller is not None:
-                controller.tracer = None
-    if sampling:
-        # Close the monitoring stream so a recovery that completes after
-        # the last sample instant is still observed.
-        health = sampler.health_sample(now, *_live_totals())
-        if tracker is not None and health is not None:
-            tracker.sample(now, health)
-        if region_track:
-            region_totals = _region_live_totals()
-            for name, (rsampler, rtracker) in region_track.items():
-                rh = rsampler.health_sample(now, *region_totals[name])
-                if rh is not None:
-                    rtracker.sample(now, rh)
+                hedged = policy.hedge and self._hedge(sid, edge_idx, t)
+                self._reissue(sid, req, t, "timeout", backoff=not hedged)
 
-    results = [m.result for m in machines]
-    assert all(
-        r is not None for r in results
-    ), "fleet left unfinished sessions"
-    assert not fill_waiters, "fleet left coalesced requests waiting"
-    ops = None
-    if monitor or resilience:
-        # A retry policy without faults still needs its counters surfaced
-        # (monitor alone would drop a retry-only run's timeout totals).
+    def _hedge(self, sid: int, edge_idx: int, t: float) -> bool:
+        """Re-steer a timed-out viewer to the least-loaded *other* live
+        edge; False when there is none.  The retry then skips its backoff
+        (the point of a hedge is to race a fresh path, not to sit out)."""
+        candidates = [
+            e for e in range(len(self.edges))
+            if e != edge_idx and not self.edge_down[e]
+        ]
+        if not candidates:
+            return False
+        by_edge = self._unfinished_by_edge()
+        target = min(candidates, key=lambda e: (len(by_edge[e]), e))
+        self._resteer(sid, edge_idx, target, t, "hedge")
+        self.rstate.hedged += 1
+        if self.tracer is not None:
+            self.tracer.emit(t, EV_RETRY_HEDGE, session=sid, edge=target)
+        return True
+
+    # -- monitoring and control --------------------------------------------
+
+    def sample_and_control(self, t: float) -> None:
+        """Interval health sample, metrics, and the control plane's tick.
+
+        Control ticks piggyback on instants the loop already wakes at —
+        never injected — so pure monitoring cannot split a fluid advance
+        interval (the bit-exactness of the disabled / no-op
+        configurations rests on this).
+        """
+        if not self.sampling or t < self.next_sample:
+            return
+        with self.ph_control:
+            health = self._sample_health(t)
+            if self.metrics is not None:
+                self._record_metrics(t)
+            if self.controller is not None:
+                self._control_tick(t, health)
+            self.next_sample = (
+                math.floor(t / self.sample_interval) + 1
+            ) * self.sample_interval
+
+    def _sample_health(self, t: float) -> float | None:
+        """Feed the fleet-wide and per fault domain recovery trackers one
+        health sample over the interval ending at ``t``; returns the
+        fleet-wide one.  Live counters are summed in ascending session id
+        order (regions over each session's *home* region)."""
+        chunks = 0
+        qsum = 0.0
+        stall = 0.0
+        for m in self.machines:
+            chunks += m.live_chunks
+            qsum += m.live_quality_sum
+            stall += m.live_stall
+        health = self.sampler.health_sample(t, chunks, qsum, stall)
+        if self.tracker is not None and health is not None:
+            self.tracker.sample(t, health)
+        if self.region_track:
+            totals = {name: (0, 0.0, 0.0) for name in self.region_track}
+            for sid, name in enumerate(self.region_home):
+                if name is None:
+                    continue
+                m = self.machines[sid]
+                c, q, s = totals[name]
+                totals[name] = (
+                    c + m.live_chunks,
+                    q + m.live_quality_sum,
+                    s + m.live_stall,
+                )
+            for name, (rsampler, rtracker) in self.region_track.items():
+                rh = rsampler.health_sample(t, *totals[name])
+                if rh is not None:
+                    rtracker.sample(t, rh)
+        return health
+
+    def _record_metrics(self, t: float) -> None:
+        metrics = self.metrics
+        active = 0
+        buf_sum = 0.0
+        for m in self.machines:
+            if not m.finished:
+                active += 1
+                buf_sum += m.live_buffer_level
+        metrics.timeseries("fleet.active_sessions").record(t, active)
+        metrics.timeseries("fleet.buffer_level").record(
+            t, buf_sum / active if active else 0.0
+        )
+        if self.topology is None:
+            return
+        for e, ids in enumerate(self._unfinished_by_edge()):
+            metrics.timeseries(f"edge.load.{e}").record(t, len(ids))
+        oqueue = self.topology.origin.queue
+        metrics.timeseries("origin.encode_busy").record(t, oqueue.busy_at(t))
+        metrics.gauge("origin.encode_workers").set(oqueue.n_workers)
+
+    def _control_tick(self, t: float, health: float | None) -> None:
+        """Show the control plane a :class:`FleetView`; apply its actions."""
+        oqueue = self.topology.origin.queue
+        regions = self.topology.regions
+        by_edge = self._unfinished_by_edge()
+        new_waits = tuple(oqueue.waits[self.encode_waits_seen:])
+        self.encode_waits_seen = len(oqueue.waits)
+        regions_dark = (
+            tuple(
+                name
+                for name in sorted(regions)
+                if all(self.edge_down[e] for e in regions[name])
+            )
+            if regions
+            else ()
+        )
+        actions = self.controller.tick(
+            FleetView(
+                now=t,
+                edge_load=tuple(len(ids) for ids in by_edge),
+                edge_down=tuple(self.edge_down),
+                sessions_by_edge={
+                    e: tuple(ids) for e, ids in enumerate(by_edge)
+                },
+                encode_waits=new_waits,
+                encode_workers=oqueue.n_workers,
+                health=health,
+                regions_dark=regions_dark,
+            )
+        )
+        if actions.encode_workers is not None:
+            oqueue.resize(actions.encode_workers, at_time=t)
+        for sid, target in actions.resteer:
+            if self.machines[sid].finished or self.edge_down[target]:
+                continue
+            self._resteer(sid, self.assignment[sid], target, t, "control")
+        if actions.quality_cap is not None:
+            self.decision_cap = actions.quality_cap
+        if actions.sr_enabled is not None:
+            self.sr_disabled = not actions.sr_enabled
+
+    # -- the report --------------------------------------------------------
+
+    def report(self) -> tuple[FleetResult, _RunAggregates]:
+        """The finished run's result, and the aggregates its report was
+        built from (what the sharded executor merges)."""
+        results = [m.result for m in self.machines]
+        assert all(
+            r is not None for r in results
+        ), "fleet left unfinished sessions"
+        assert not self.fill_waiters, "fleet left coalesced requests waiting"
+        controller, rstate, edges = self.controller, self.rstate, self.edges
         if controller is not None and controller.autoscaler is not None:
             controller.autoscaler.finish()
         dip, recover = (
-            tracker.metrics() if tracker is not None else (0.0, 0.0)
+            self.tracker.metrics() if self.tracker is not None else (0.0, 0.0)
         )
         ops = OpsStats(
-            sessions_resteered=resteered_total,
-            faults_injected=len(faults) if faults is not None else 0,
+            sessions_resteered=self.resteered,
+            faults_injected=len(self.faults) if self.faults is not None else 0,
             control_ticks=(
-                controller.ticks - ticks0 if controller is not None else 0
+                controller.ticks - self.ticks0 if controller is not None else 0
             ),
             encode_pool_resizes=(
-                controller.encode_resizes - resizes0
+                controller.encode_resizes - self.resizes0
                 if controller is not None
                 else 0
             ),
@@ -1622,59 +1530,115 @@ def simulate_fleet(
             gray_degraded_bytes=rstate.gray_bytes,
             retry_attempts=rstate.attempt_counts(),
             region_recovery=tuple(
-                (name, *region_track[name][1].metrics())
-                for name in sorted(region_track)
+                (name, *self.region_track[name][1].metrics())
+                for name in sorted(self.region_track)
             ),
         )
-    if topology is not None:
-        edge_stats = [
-            (e.cache.hits, e.cache.misses, e.cache.coalesced,
-             e.cache.coalesced_bytes)
-            for e in topology.edges
-        ]
-        edge_hit_rates = tuple(e.cache.hit_rate for e in topology.edges)
-        encode_waits = list(topology.origin.queue.waits)
-        encode_core_seconds = topology.origin.queue.busy_seconds
-        egress: int | None = origin_egress
-    else:
-        # No edges: every byte leaves the origin (egress=None sentinel).
-        edge_stats = []
-        edge_hit_rates = ()
-        encode_waits = []
-        encode_core_seconds = 0.0
-        egress = None
-    if per_edge_sr:
-        assert topology is not None
-        sr_hits = sum(e.sr_cache.hits for e in topology.edges)
-        sr_misses = sum(e.sr_cache.misses for e in topology.edges)
-        sr_edge_hit_rates = tuple(e.sr_cache.hit_rate for e in topology.edges)
-    else:
-        sr_hits = sr_cache.hits if sr_cache is not None else 0
-        sr_misses = sr_cache.misses if sr_cache is not None else 0
-        sr_edge_hit_rates = ()
-    report = build_fleet_report(
-        results,
-        sessions,
-        end_times,
-        origin_egress=egress,
-        edge_stats=edge_stats,
-        edge_hit_rates=edge_hit_rates,
-        encode_waits=encode_waits,
-        sr_hits=sr_hits,
-        sr_misses=sr_misses,
-        sr_edge_hit_rates=sr_edge_hit_rates,
-        ops=ops,
-        encode_core_seconds=encode_core_seconds,
-    )
-    result = FleetResult(
-        sessions=results,
-        report=report,
-        sr_cache=None if per_edge_sr else sr_cache,
-        session_specs=list(sessions),
-        topology=topology,
-        assignment=assignment,
-        end_times=end_times,
-    )
+        sr_cache = self.spec.sr_cache
+        if self.per_edge_sr:
+            sr_hits = sum(e.sr_cache.hits for e in edges)
+            sr_misses = sum(e.sr_cache.misses for e in edges)
+            sr_cache = None
+        else:
+            sr_hits = sr_cache.hits if sr_cache is not None else 0
+            sr_misses = sr_cache.misses if sr_cache is not None else 0
+        oqueue = self.topology.origin.queue if self.topology is not None else None
+        agg = _RunAggregates(
+            # No edges: every byte leaves the origin (the None sentinel).
+            origin_egress=self.origin_egress if oqueue is not None else None,
+            edge_stats=[
+                (e.cache.hits, e.cache.misses, e.cache.coalesced,
+                 e.cache.coalesced_bytes)
+                for e in edges
+            ],
+            edge_hit_rates=tuple(e.cache.hit_rate for e in edges),
+            encode_waits=list(oqueue.waits) if oqueue is not None else [],
+            sr_hits=sr_hits,
+            sr_misses=sr_misses,
+            sr_edge_hit_rates=(
+                tuple(e.sr_cache.hit_rate for e in edges)
+                if self.per_edge_sr
+                else ()
+            ),
+            encode_core_seconds=(
+                oqueue.busy_seconds if oqueue is not None else 0.0
+            ),
+            ops=ops,
+        )
+        result = FleetResult(
+            sessions=results,
+            report=build_fleet_report(
+                results, self.sessions, self.end_times, agg
+            ),
+            sr_cache=sr_cache,
+            session_specs=list(self.sessions),
+            topology=self.topology,
+            assignment=self.assignment,
+            end_times=self.end_times,
+        )
+        return result, agg
+
+
+def simulate_fleet(
+    sessions: list[FleetSession],
+    spec: FleetSpec | None = None,
+    **fields,
+) -> FleetResult:
+    """Run a fleet of sessions over a shared serving topology.
+
+    Configuration is a :class:`~repro.streaming.spec.FleetSpec` — pass one
+    as ``spec=``, or its fields as keywords (forwarded verbatim to
+    ``FleetSpec(**fields)``; mixing the two forms is rejected).  Every
+    field's semantics are documented there.  A topology handed in is
+    reset to its as-constructed state first, so reusing one across runs
+    measures each run from cold.
+
+    **The event loop.**  Virtual time advances event to event.  Each step
+    picks the next instant anything can change — a link's fluid
+    allocation, a deferred request's start, an outage boundary, an armed
+    retry deadline — advances every in-flight download to it, and then
+    runs six stages *in this order*, which is also the tie-break between
+    things that happen at the same instant:
+
+    1. **completions** — each finished transfer lands its edge-cache fill
+       (releasing requests coalesced onto it) and resumes its session's
+       buffer/ABR logic until the session suspends on its next request.
+       First, so a completion that lands exactly at its retry deadline or
+       at an outage boundary counts as delivered, not cancelled.
+    2. **decisions** — sessions parked on an ABR decision are resolved
+       together, one vectorized ``decide_batch`` per shared controller
+       (decisions are pure functions of their context, so batching cannot
+       change an outcome), and the transfers they unblock are queued.
+    3. **outage bounds** — edges that just went dark are evacuated: their
+       in-flight transfers cancelled and credited back, their viewers
+       re-steered to the least-loaded live edge, their cache restarted
+       cold, the cancelled requests re-issued.  Before timeouts, so an
+       attempt an outage already killed is not also counted as timed out.
+    4. **timeouts** — armed deadlines due now cancel their attempt and
+       re-issue it after backoff (or hedged to another edge).
+    5. **sample / control** — on the control cadence, a health sample
+       feeds the recovery trackers and metrics and the control plane
+       ticks on a view of the fleet.  Ticks piggyback on instants the
+       loop already wakes at — never injected — so monitoring alone
+       cannot split a fluid advance interval (why the disabled and no-op
+       configurations are bit-exact).  After the failure stages, so the
+       controller sees the post-failover assignment.
+    6. **deferred release** — topology requests dated in the future
+       (joins, buffer-headroom waits) are dispatched once virtual time
+       reaches them.  Last, so a fill that completed *at* this instant is
+       already resident and the request counts as a hit.
+
+    Cache lookups and encode reservations are stateful and time-stamped,
+    which is why a future-dated request must wait in the deferred heap
+    rather than consult them early.  Everything is deterministic: the
+    scheduler resolves simultaneous completions by session id.  A
+    watchdog raises ``RuntimeError`` with a state dump if virtual time
+    stops advancing, so a degenerate input cannot hang the loop silently.
+    """
+    spec = FleetSpec.resolve(spec, fields)
+    run = _FleetRun(sessions, spec)
+    run.run()
+    result, _ = run.report()
     if spec.cost_model is not None:
         from .cost import attach_cost
 

@@ -17,10 +17,11 @@ until the final merge:
   child seed per shard spawned from ``numpy``'s
   :class:`~numpy.random.SeedSequence` so any stochastic session
   component a shard hosts draws an independent, reproducible stream;
-* :func:`shard_fleet` executes the plan — each shard is a completely
-  ordinary :func:`~repro.streaming.fleet.simulate_fleet` call over a
-  deep-copied sub-topology, run in a ``concurrent.futures`` process
-  pool — and merges the per-shard outcomes into one
+* :func:`shard_fleet` executes the plan — each shard is the same run
+  object :func:`~repro.streaming.fleet.simulate_fleet` drives, over a
+  deep-copied sub-topology, in a ``concurrent.futures`` process pool
+  (it hands back the aggregates its report was built from, so nothing
+  is re-derived here) — and merges the per-shard outcomes into one
   :class:`~repro.streaming.fleet.FleetResult` whose aggregates (origin
   egress, per-edge hit rates, encode-wait percentiles, abandon rate,
   makespan) are computed over the union exactly as the single-process
@@ -71,8 +72,9 @@ from .fleet import (
     FleetSession,
     OpsStats,
     SRResultCache,
+    _FleetRun,
+    _RunAggregates,
     build_fleet_report,
-    simulate_fleet,
 )
 from .simulator import SessionResult
 from .spec import FleetSpec
@@ -227,39 +229,15 @@ class _ShardOutcome:
     """What one worker sends back to the merge (picklable)."""
 
     shard_index: int
-    session_indices: tuple[int, ...]
+    #: per-session outcomes, shard session order
     results: list[SessionResult]
     end_times: list[float]
     #: session → *local* edge index after the run — differs from the
     #: task's assignment when an in-shard region outage evacuated viewers
     final_assignment: tuple[int, ...]
-    origin_egress: int
-    encode_waits: list[float]
-    #: transcode core-seconds this shard's encode-pool slice consumed
-    encode_busy_seconds: float
-    #: per owned edge, global-index order:
-    #: (hits, misses, coalesced, coalesced_bytes)
-    edge_stats: list[tuple[int, int, int, int]]
-    #: per owned edge: chunk-cache hit rate (matches EdgeChunkCache.hit_rate)
-    edge_hit_rates: list[float]
-    #: SR-result cache tallies: per owned edge under "per-edge", else the
-    #: single (hits, misses) of the shard's copy (empty when no SR cache)
-    sr_stats: list[tuple[int, int]] = field(default_factory=list)
-    sr_edge_hit_rates: list[float] = field(default_factory=list)
-    #: fault-recovery aggregates of this shard's run (zeros when no
-    #: fault touched the shard)
-    faults_injected: int = 0
-    qoe_dip_depth: float = 0.0
-    time_to_recover_s: float = 0.0
-    #: failover / client-resilience tallies (region outages and retry
-    #: timeouts act within a shard, so these sum across shards)
-    sessions_resteered: int = 0
-    chunk_retries: int = 0
-    requests_timed_out: int = 0
-    requests_hedged: int = 0
-    gray_degraded_bytes: int = 0
-    retry_attempts: tuple[int, ...] = ()
-    region_recovery: tuple[tuple[str, float, float], ...] = ()
+    #: the run's report aggregates, per-edge fields in *local* edge order
+    #: (zeros, plus the owned fault count, for a viewer-less shard)
+    agg: _RunAggregates
     #: shard-tagged trace events, session/edge ids rewritten to global
     #: indices (empty unless the task asked for tracing)
     events: list = field(default_factory=list)
@@ -301,68 +279,33 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
             trace=task.trace, metrics=False, profile=task.profile,
             shard=task.shard.index,
         )
-    result = simulate_fleet(
+    run = _FleetRun(
         task.sessions,
-        topology=task.topology,
-        sr_cache=task.sr_cache,
-        assignment=task.assignment,
-        faults=task.faults,
-        retry_policy=task.retry_policy,
-        scheduler_engine=task.scheduler_engine,
-        telemetry=telemetry,
+        FleetSpec(
+            topology=task.topology,
+            sr_cache=task.sr_cache,
+            assignment=task.assignment,
+            faults=task.faults,
+            retry_policy=task.retry_policy,
+            scheduler_engine=task.scheduler_engine,
+            telemetry=telemetry,
+        ),
     )
-    topo = task.topology
-    edge_stats = [
-        (e.cache.hits, e.cache.misses, e.cache.coalesced, e.cache.coalesced_bytes)
-        for e in topo.edges
-    ]
-    if task.sr_cache == "per-edge":
-        sr_stats = [(e.sr_cache.hits, e.sr_cache.misses) for e in topo.edges]
-        sr_edge_hit_rates = [e.sr_cache.hit_rate for e in topo.edges]
-    elif isinstance(task.sr_cache, SRResultCache):
-        sr_stats = [(task.sr_cache.hits, task.sr_cache.misses)]
-        sr_edge_hit_rates = []
-    else:
-        sr_stats = []
-        sr_edge_hit_rates = []
+    run.run()
+    result, agg = run.report()
+    tracer = telemetry.tracer if telemetry is not None else None
+    profiler = telemetry.profiler if telemetry is not None else None
     return _ShardOutcome(
         shard_index=task.shard.index,
-        session_indices=task.shard.session_indices,
         results=result.sessions,
         end_times=result.end_times,
         final_assignment=tuple(result.assignment),
-        origin_egress=result.report.origin_egress_bytes,
-        encode_waits=list(topo.origin.queue.waits),
-        encode_busy_seconds=topo.origin.queue.busy_seconds,
-        edge_stats=edge_stats,
-        edge_hit_rates=[e.cache.hit_rate for e in topo.edges],
-        sr_stats=sr_stats,
-        sr_edge_hit_rates=sr_edge_hit_rates,
-        faults_injected=result.report.faults_injected,
-        qoe_dip_depth=result.report.qoe_dip_depth,
-        time_to_recover_s=result.report.time_to_recover_s,
-        sessions_resteered=result.report.sessions_resteered,
-        chunk_retries=result.report.chunk_retries,
-        requests_timed_out=result.report.requests_timed_out,
-        requests_hedged=result.report.requests_hedged,
-        gray_degraded_bytes=result.report.gray_degraded_bytes,
-        retry_attempts=result.report.retry_attempts,
-        region_recovery=result.report.region_recovery,
+        agg=agg,
         events=(
-            _globalize_events(telemetry.tracer.events, task)
-            if telemetry is not None and telemetry.tracer is not None
-            else []
+            _globalize_events(tracer.events, task) if tracer is not None else []
         ),
-        phase_totals=(
-            dict(telemetry.profiler.totals)
-            if telemetry is not None and telemetry.profiler is not None
-            else {}
-        ),
-        phase_counts=(
-            dict(telemetry.profiler.counts)
-            if telemetry is not None and telemetry.profiler is not None
-            else {}
-        ),
+        phase_totals=dict(profiler.totals) if profiler is not None else {},
+        phase_counts=dict(profiler.counts) if profiler is not None else {},
     )
 
 
@@ -456,21 +399,28 @@ def _empty_outcome(shard: Shard, task: _ShardTask) -> _ShardOutcome:
     count must match it.
     """
     n = len(shard.edge_indices)
-    per_edge_sr = task.sr_cache == "per-edge"
     return _ShardOutcome(
         shard_index=shard.index,
-        session_indices=(),
         results=[],
         end_times=[],
         final_assignment=(),
-        origin_egress=0,
-        encode_waits=[],
-        encode_busy_seconds=0.0,
-        edge_stats=[(0, 0, 0, 0)] * n,
-        edge_hit_rates=[0.0] * n,
-        sr_stats=[(0, 0)] * n if per_edge_sr else [],
-        sr_edge_hit_rates=[0.0] * n if per_edge_sr else [],
-        faults_injected=len(task.faults) if task.faults is not None else 0,
+        agg=_RunAggregates(
+            origin_egress=0,
+            edge_stats=[(0, 0, 0, 0)] * n,
+            edge_hit_rates=(0.0,) * n,
+            encode_waits=[],
+            sr_hits=0,
+            sr_misses=0,
+            sr_edge_hit_rates=(
+                (0.0,) * n if task.sr_cache == "per-edge" else ()
+            ),
+            encode_core_seconds=0.0,
+            ops=OpsStats(
+                faults_injected=(
+                    len(task.faults) if task.faults is not None else 0
+                )
+            ),
+        ),
     )
 
 
@@ -671,44 +621,32 @@ def _merge(
     end_times: list[float] = [0.0] * len(sessions)
     # Start from the plan; in-shard evacuations overwrite below.
     assignment = list(plan.assignment)
-    per_edge = len(topology.edges)
-    edge_stats = [(0, 0, 0, 0)] * per_edge
-    edge_hit_rates = [0.0] * per_edge
-    sr_edge_hit_rates = [0.0] * per_edge
-    sr_hits = sr_misses = 0
-    origin_egress = 0
-    encode_waits: list[float] = []
-    encode_busy_seconds = 0.0
+    n_edges = len(topology.edges)
     per_edge_sr = sr_cache == "per-edge"
+    edge_stats = [(0, 0, 0, 0)] * n_edges
+    edge_hit_rates = [0.0] * n_edges
+    sr_edge_hit_rates = [0.0] * n_edges if per_edge_sr else []
+    encode_waits: list[float] = []
+    attempts: list[int] = []
     for outcome, shard in zip(outcomes, plan.shards):
-        for sid, res, end in zip(
-            outcome.session_indices, outcome.results, outcome.end_times
+        agg = outcome.agg
+        for sid, res, end, local in zip(
+            shard.session_indices, outcome.results, outcome.end_times,
+            outcome.final_assignment,
         ):
             results[sid] = res
             end_times[sid] = end
-        for sid, local in zip(
-            outcome.session_indices, outcome.final_assignment
-        ):
             assignment[sid] = shard.edge_indices[local]
-        for e, stats, rate in zip(
-            shard.edge_indices, outcome.edge_stats, outcome.edge_hit_rates
-        ):
-            edge_stats[e] = stats
-            edge_hit_rates[e] = rate
-        if per_edge_sr:
-            for e, (h, m), rate in zip(
-                shard.edge_indices, outcome.sr_stats, outcome.sr_edge_hit_rates
-            ):
-                sr_hits += h
-                sr_misses += m
-                sr_edge_hit_rates[e] = rate
-        else:
-            for h, m in outcome.sr_stats:
-                sr_hits += h
-                sr_misses += m
-        origin_egress += outcome.origin_egress
-        encode_waits.extend(outcome.encode_waits)
-        encode_busy_seconds += outcome.encode_busy_seconds
+        for local, e in enumerate(shard.edge_indices):
+            edge_stats[e] = agg.edge_stats[local]
+            edge_hit_rates[e] = agg.edge_hit_rates[local]
+            if per_edge_sr:
+                sr_edge_hit_rates[e] = agg.sr_edge_hit_rates[local]
+        encode_waits.extend(agg.encode_waits)
+        counts = agg.ops.retry_attempts
+        attempts.extend([0] * (len(counts) - len(attempts)))
+        for i, c in enumerate(counts):
+            attempts[i] += c
     assert all(r is not None for r in results), "sharded fleet lost sessions"
 
     # Fault events are partitioned exactly once across shards, so the
@@ -717,52 +655,36 @@ def _merge(
     # counters act within a shard and sum, the retry-attempt histogram
     # adds elementwise, and the per-region recovery entries concatenate
     # (a region lives wholly inside one shard) back into name order.
-    faults_injected = sum(o.faults_injected for o in outcomes)
-    resteered = sum(o.sessions_resteered for o in outcomes)
-    retries = sum(o.chunk_retries for o in outcomes)
-    timed_out = sum(o.requests_timed_out for o in outcomes)
-    attempts: list[int] = []
-    for o in outcomes:
-        if len(o.retry_attempts) > len(attempts):
-            attempts.extend([0] * (len(o.retry_attempts) - len(attempts)))
-        for i, c in enumerate(o.retry_attempts):
-            attempts[i] += c
-    ops = None
-    if faults_injected or resteered or retries or timed_out:
-        ops = OpsStats(
-            sessions_resteered=resteered,
-            faults_injected=faults_injected,
-            qoe_dip_depth=max(o.qoe_dip_depth for o in outcomes),
-            time_to_recover_s=max(o.time_to_recover_s for o in outcomes),
-            chunk_retries=retries,
-            requests_timed_out=timed_out,
-            requests_hedged=sum(o.requests_hedged for o in outcomes),
-            gray_degraded_bytes=sum(
-                o.gray_degraded_bytes for o in outcomes
-            ),
-            retry_attempts=tuple(attempts),
-            region_recovery=tuple(sorted(
-                entry for o in outcomes for entry in o.region_recovery
-            )),
-        )
-
-    report = build_fleet_report(
-        results,  # type: ignore[arg-type]
-        sessions,
-        end_times,
-        origin_egress=origin_egress,
+    all_ops = [o.agg.ops for o in outcomes]
+    merged = _RunAggregates(
+        origin_egress=sum(o.agg.origin_egress for o in outcomes),
         edge_stats=edge_stats,
         edge_hit_rates=tuple(edge_hit_rates),
         encode_waits=encode_waits,
-        sr_hits=sr_hits,
-        sr_misses=sr_misses,
-        sr_edge_hit_rates=tuple(sr_edge_hit_rates) if per_edge_sr else (),
-        ops=ops,
-        encode_core_seconds=encode_busy_seconds,
+        sr_hits=sum(o.agg.sr_hits for o in outcomes),
+        sr_misses=sum(o.agg.sr_misses for o in outcomes),
+        sr_edge_hit_rates=tuple(sr_edge_hit_rates),
+        encode_core_seconds=sum(o.agg.encode_core_seconds for o in outcomes),
+        ops=OpsStats(
+            sessions_resteered=sum(o.sessions_resteered for o in all_ops),
+            faults_injected=sum(o.faults_injected for o in all_ops),
+            qoe_dip_depth=max(o.qoe_dip_depth for o in all_ops),
+            time_to_recover_s=max(o.time_to_recover_s for o in all_ops),
+            chunk_retries=sum(o.chunk_retries for o in all_ops),
+            requests_timed_out=sum(o.requests_timed_out for o in all_ops),
+            requests_hedged=sum(o.requests_hedged for o in all_ops),
+            gray_degraded_bytes=sum(o.gray_degraded_bytes for o in all_ops),
+            retry_attempts=tuple(attempts),
+            region_recovery=tuple(sorted(
+                entry for o in all_ops for entry in o.region_recovery
+            )),
+        ),
     )
     return FleetResult(
         sessions=results,  # type: ignore[arg-type]
-        report=report,
+        report=build_fleet_report(
+            results, sessions, end_times, merged  # type: ignore[arg-type]
+        ),
         # A single inline shard ran against the caller's cache instance
         # (simulate_fleet semantics); multi-worker copies cannot be
         # handed back meaningfully.

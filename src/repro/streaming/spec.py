@@ -32,24 +32,88 @@ __all__ = ["FleetSpec"]
 class FleetSpec:
     """Everything ``simulate_fleet`` needs beyond the session list.
 
-    Field semantics are those documented on
-    :func:`~repro.streaming.fleet.simulate_fleet`; the defaults are the
-    entry points' historical defaults, so ``FleetSpec()`` plus a trace
-    or topology reproduces a bare call.  ``shard_fleet`` takes the same
-    spec verbatim (topology mode only) and forwards it to each shard's
-    inner ``simulate_fleet``.
+    The one configuration surface, and the one place each field is
+    documented.  Defaults are the entry points' historical defaults, so
+    ``FleetSpec()`` plus a trace or topology reproduces a bare call;
+    everything optional defaults to off, and every disabled
+    configuration is bit-exact with the plain simulator (the
+    disabled-mode parity suites pin each).  ``shard_fleet`` takes the
+    same spec (topology mode only) and forwards it to each shard's run.
     """
 
+    #: the classic single bottleneck link, run as a one-hop path.
+    #: Exactly one of ``trace`` and ``topology`` must be given.
     trace: "NetworkTrace | None" = None
+    #: a CDN: per-edge chunk caches, backhaul + access hops, origin encode
+    #: contention.  Each chunk request consults its edge's cache at request
+    #: time: a hit travels the one-hop access path; a miss waits for the
+    #: origin to hold the encoded variant (bounded encode workers), travels
+    #: backhaul + access, and fills the edge cache on completion; a miss on
+    #: a chunk already being filled coalesces onto that fill.  Reset to its
+    #: as-constructed state at the start of every run.
     topology: "CDNTopology | None" = None
+    #: the single link's sharing policy (``fair`` processor sharing or
+    #: ``weighted`` by session weight).  A topology's links carry their
+    #: own, so combining it with a non-default ``policy`` is rejected
+    #: rather than silently ignored.
     policy: str = "fair"
+    #: SR-result sharing: a shared :class:`~repro.streaming.fleet.SRResultCache`,
+    #: ``None`` (none), or ``"per-edge"`` (topology mode) — each edge then
+    #: carries its own cache, sessions share SR work only with co-watchers
+    #: on their edge, and the report gains per-edge SR hit rates.  The
+    #: configuration the shard executor prefers: no cross-shard traffic.
     sr_cache: "SRResultCache | str | None" = None
+    #: :class:`~repro.net.topology.PathScheduler` implementation:
+    #: ``"vector"`` array math, or ``"scalar"``, the bit-exact reference.
     scheduler_engine: str = "vector"
+    #: precomputed viewer → edge index per session, overriding the
+    #: topology's assignment policy.  The shard executor pins a sub-fleet
+    #: to the assignment computed over the *full* session list this way
+    #: (the ``static`` policy hashes the session's position, so re-deriving
+    #: it on a re-indexed subset would disagree).
     assignment: list[int] | None = None
+    #: chaos events (topology mode).  Edge outages cancel the dead edge's
+    #: in-flight transfers, fail its viewers over to the least-loaded live
+    #: edge and restart the edge cold; region outages resolve through the
+    #: topology's fault domains and take every member edge down together
+    #: (the report gains per-region recovery, attributed by each session's
+    #: home edge); gray failures brown out an edge's access capacity and
+    #: deterministically drop a fraction of its dispatches, each drop
+    #: retrying after ``drop_delay_s``; backhaul degradations scale an
+    #: edge's backhaul trace (both through
+    #: :class:`~repro.streaming.faults.DegradedTrace` windows); flash-crowd
+    #: entries only inform the recovery metrics (materialize their sessions
+    #: first via ``FaultSchedule.expand_population``).
     faults: "FaultSchedule | None" = None
+    #: the client resilience layer (topology mode).  A finite ``timeout_s``
+    #: arms a virtual-time timer per transfer attempt: at the deadline the
+    #: attempt is cancelled (its charged bytes credited back), counted in
+    #: ``requests_timed_out``, and re-issued after capped exponential
+    #: backoff — or at once against the least-loaded other live edge when
+    #: ``hedge`` is set.  The last attempt of the ``max_attempts`` budget
+    #: runs untimed, so every chunk eventually delivers and
+    #: ``retry_attempts`` records how hard the client fought.  Evacuation
+    #: retries pay the same backoff.  The default ``RetryPolicy()``
+    #: (infinite timeout) arms nothing.
     retry_policy: "RetryPolicy | None" = None
+    #: a :class:`~repro.streaming.control.ControlPlane`, ticked every
+    #: control interval on a sampled
+    #: :class:`~repro.streaming.control.FleetView` — encode-pool resizing,
+    #: saturation re-steering, QoE-driven arrival autoscale feedback,
+    #: quality-cap / SR-off levers while a region is dark.
     controller: "ControlPlane | None" = None
+    #: a :class:`~repro.obs.Telemetry` bundle; each layer toggles
+    #: independently.  The tracer collects typed virtual-time events from
+    #: every subsystem (wired into the edge caches, the encode queue and
+    #: the controller for the run, unwired on exit); the metrics registry
+    #: receives the interval samples (health, buffer occupancy, per-edge
+    #: load, encode busy/workers); the profiler wraps the loop's four
+    #: phases (``scheduler`` / ``advance`` / ``planner`` / ``control``) in
+    #: wall-clock spans, one ``scheduler`` span per event step.
     telemetry: "Telemetry | None" = None
+    #: a :class:`~repro.streaming.cost.CostModel`; its dollarization is
+    #: attached to ``report.cost`` after the run from the report's own
+    #: counters, so pricing cannot perturb the simulation.
     cost_model: "CostModel | None" = None
 
     @classmethod

@@ -34,6 +34,21 @@ class TestNetworkTrace:
         with pytest.raises(ValueError):
             tr.bandwidth_at(-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_timestamps(self, bad):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            NetworkTrace("t", [0.0, bad], [1e6, 1e6])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_bandwidths(self, bad):
+        with pytest.raises(ValueError, match="bandwidths_bps must be finite"):
+            NetworkTrace("t", [0.0, 1.0], [bad, 5e6])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rtt(self, bad):
+        with pytest.raises(ValueError, match="rtt must be finite"):
+            NetworkTrace("t", [0.0], [1e6], rtt=bad)
+
 
 class TestStable:
     def test_constant_rate(self):

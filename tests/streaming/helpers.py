@@ -1,5 +1,6 @@
 """Shared fixtures-as-functions for the fleet/population test modules."""
 
+from repro.obs.events import EV_CHUNK_RETRY, EV_RETRY_HEDGE
 from repro.streaming import VideoSpec
 from repro.streaming.abr import AbrController, Decision
 from repro.streaming.latency import MeasuredSRLatency
@@ -55,4 +56,29 @@ def check_retry_accounting(rep):
     `_RetryState` entry outlives the run)."""
     assert rep.chunk_retries == sum(
         (k + 1) * c for k, c in enumerate(rep.retry_attempts)
+    )
+
+
+def check_retry_events(tracer, report, startup_payloads=0):
+    """The event stream's retry ledger agrees with the report's.
+
+    Every ``chunk.retry`` names its ``reason`` and the failed-attempt
+    count it produced (``attempt``; 0 = re-queued unchanged, nothing
+    failed), so: failed attempts sum to ``chunk_retries``; hedges match;
+    and every fetch ends in a completion or in exactly one cancelling
+    retry — a gray drop delays its own transfer instead of cancelling
+    one, and a startup payload (``startup_payloads`` of them) completes
+    without a ``chunk.complete``.
+    """
+    retries = [ev.data for ev in tracer.events if ev.kind == EV_CHUNK_RETRY]
+    assert all(
+        r["reason"] in ("outage", "timeout", "fill-aborted", "gray-drop")
+        for r in retries
+    )
+    assert sum(1 for r in retries if r["attempt"] > 0) == report.chunk_retries
+    counts = tracer.counts()
+    assert counts.get(EV_RETRY_HEDGE, 0) == report.requests_hedged
+    cancelled = sum(1 for r in retries if r["reason"] != "gray-drop")
+    assert counts.get("chunk.fetch", 0) == (
+        counts.get("chunk.complete", 0) + startup_payloads + cancelled
     )

@@ -4,10 +4,11 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import stable_trace
+from repro.obs import Telemetry
 from repro.net.traces import lte_trace
 from repro.streaming import (
     BackhaulDegradation,
@@ -19,6 +20,7 @@ from repro.streaming import (
     GrayFailure,
     RegionOutage,
     RetryPolicy,
+    SessionConfig,
     flash_crowd_sessions,
     simulate_fleet,
     uniform_cdn,
@@ -29,6 +31,7 @@ from .helpers import (
     assert_same_run,
     check_byte_conservation,
     check_retry_accounting,
+    check_retry_events,
     spec,
     sr_lat,
 )
@@ -901,18 +904,39 @@ class TestFaultScenarioGrid:
         fault=st.sampled_from(sorted(FAULTS)),
         retry=st.sampled_from(sorted(RETRIES)),
         n=st.integers(5, 8),
+        late=st.booleans(),
     )
+    # the cases the retry-event ledger got wrong before it had one writer
+    @example(fault="edge", retry="none", n=5, late=True)
+    @example(fault="region", retry="timeout", n=6, late=True)
+    @example(fault="gray-drop", retry="none", n=5, late=False)
     @settings(max_examples=15, deadline=None)
-    def test_deterministic_and_conserving(self, fault, retry, n):
-        def run():
+    def test_deterministic_and_conserving(self, fault, retry, n, late):
+        sessions = fleet(n)
+        assignment = [i % 3 for i in range(n)]
+        if late:
+            # Two startup-payload viewers on edge 0 joining after its
+            # outage ends: their first transfer is already in the
+            # scheduler, future-dated, when the edge goes dark.
+            for sid, join in ((n - 2, 10.0), (n - 1, 12.0)):
+                sessions[sid] = dataclasses.replace(
+                    sessions[sid], join_time=join,
+                    config=SessionConfig(startup_bytes=200_000),
+                )
+                assignment[sid] = 0
+
+        def run(telemetry=None):
             return simulate_fleet(
-                fleet(n), topology=cdn(n_regions=2),
-                assignment=[i % 3 for i in range(n)],
+                sessions, topology=cdn(n_regions=2),
+                assignment=assignment,
                 faults=self.FAULTS[fault],
                 retry_policy=self.RETRIES[retry],
+                telemetry=telemetry,
             )
 
-        a = run()
+        tel = Telemetry(metrics=False, profile=False)
+        a = run(tel)
         assert_same_run(a, run())
         check_byte_conservation(a)
         check_retry_accounting(a.report)
+        check_retry_events(tel.tracer, a.report, startup_payloads=2 * late)

@@ -1,11 +1,14 @@
 """Fleet simulator: parity, determinism, conservation, cache, policies."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import QoEModel
-from repro.net import lte_trace, stable_trace
+from repro.net import NetworkTrace, lte_trace, stable_trace
+from repro.net.topology import PathScheduler
 from repro.streaming import (
     AbandonPolicy,
     ContinuousMPC,
@@ -17,6 +20,7 @@ from repro.streaming import (
     simulate_session,
     uniform_cdn,
 )
+from repro.streaming.fleet import _MAX_STALLED_STEPS
 from repro.streaming.latency import MeasuredSRLatency
 
 from .helpers import (
@@ -512,3 +516,47 @@ class TestScale:
         assert 0.0 <= rep.stall_ratio < 1.0
         assert rep.cache_hit_rate > 0.5  # co-watching amortizes SR
         assert rep.total_bytes == sum(r.total_bytes for r in result.sessions)
+
+
+class TestHostileInput:
+    """Non-finite input is refused at the boundary, and a clock that stops
+    advancing raises instead of hanging."""
+
+    def pair(self):
+        return [
+            FleetSession(spec=spec(4), controller=FixedDensity(0.4),
+                         sr_latency=sr_lat())
+            for _ in range(2)
+        ]
+
+    def test_session_rejects_non_finite_join_time(self):
+        with pytest.raises(ValueError, match="join_time"):
+            FleetSession(spec=spec(4), controller=FixedDensity(0.4),
+                         join_time=math.nan)
+
+    def test_session_rejects_non_finite_weight(self):
+        with pytest.raises(ValueError, match="weight"):
+            FleetSession(spec=spec(4), controller=FixedDensity(0.4),
+                         weight=math.inf)
+
+    def test_nan_trace_is_rejected_before_the_fleet_runs(self):
+        with pytest.raises(ValueError, match="bandwidths_bps"):
+            NetworkTrace("x", [0, 1], [math.nan, 5e6])
+
+    def test_nan_trace_past_validation_trips_the_watchdog(self):
+        trace = NetworkTrace("x", [0, 1], [5e6, 5e6])
+        trace._bw_list[0] = math.nan  # what the lookups read
+        with pytest.raises(RuntimeError, match="no progress"):
+            simulate_fleet(self.pair(), trace=trace)
+
+    def test_stuck_clock_trips_the_watchdog(self, monkeypatch):
+        monkeypatch.setattr(
+            PathScheduler, "next_event", lambda self, now: now
+        )
+        with pytest.raises(RuntimeError) as err:
+            simulate_fleet(self.pair(), trace=stable_trace(50.0))
+        msg = str(err.value)
+        assert f"{_MAX_STALLED_STEPS + 1} consecutive steps" in msg
+        assert "virtual time 0.0" in msg
+        assert "2 flows in flight" in msg
+        assert "deferred head None" in msg and "timeout head None" in msg
