@@ -17,10 +17,10 @@ import time
 
 import numpy as np
 
+from repro.experiments.workloads import volut_latency_model
 from repro.metrics import QoEModel
 from repro.streaming import AbrContext, ContinuousMPC, SRQualityModel, VideoSpec
 from repro.streaming.abr import Decision
-from repro.streaming.latency import MeasuredSRLatency
 
 N_SESSIONS = 100
 N_GRID = 64
@@ -34,7 +34,7 @@ def make_mpc(n_grid: int = N_GRID) -> ContinuousMPC:
     return ContinuousMPC(
         SRQualityModel(),
         QoEModel(),
-        MeasuredSRLatency(0.001, 1e-8, 2e-8),
+        volut_latency_model(),
         n_grid=n_grid,
         horizon=HORIZON,
     )

@@ -17,6 +17,7 @@ Run:  python examples/population_demo.py [--sessions 200] [--seconds 20]
 import argparse
 import time
 
+from repro.experiments.workloads import volut_latency_model
 from repro.metrics import QoEModel
 from repro.net import stable_trace
 from repro.streaming import (
@@ -28,7 +29,6 @@ from repro.streaming import (
     build_population,
     simulate_fleet,
 )
-from repro.streaming.latency import MeasuredSRLatency
 from repro.streaming.population import synthetic_catalog
 
 
@@ -56,7 +56,7 @@ def main() -> None:
     args = parser.parse_args()
 
     qm = SRQualityModel()
-    lat = MeasuredSRLatency(0.001, 1e-8, 2e-8)
+    lat = volut_latency_model()
     controller = ContinuousMPC(qm, QoEModel(), lat, n_grid=32, horizon=4)
     churn = AbandonPolicy(max_total_stall=args.patience)
     window = float(4 * args.seconds)

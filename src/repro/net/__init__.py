@@ -2,12 +2,7 @@
 
 from .estimator import HarmonicMeanEstimator
 from .link import SHARING_POLICIES, Completion, Link, SharedLink
-from .topology import (
-    SCHEDULER_ENGINES,
-    NetworkPath,
-    PathScheduler,
-    path_download_time,
-)
+from .topology import NetworkPath, PathScheduler, path_download_time
 from .traces import (
     MBPS,
     PAPER_LTE_PROFILES,
@@ -32,7 +27,6 @@ __all__ = [
     "SHARING_POLICIES",
     "NetworkPath",
     "PathScheduler",
-    "SCHEDULER_ENGINES",
     "path_download_time",
     "HarmonicMeanEstimator",
 ]

@@ -5,12 +5,15 @@ starts at absolute time ``t``, by integrating the trace's piecewise-constant
 rate and adding one RTT of request latency — the behaviour of the paper's
 custom DASH-like protocol over TCP at this level of abstraction (slow-start
 effects are negligible for multi-megabyte chunks on persistent
-connections).
+connections).  :class:`Link` is the single-client integrator;
+:class:`SharedLink` is the record a link shared between concurrent
+transfers keeps (trace, sharing policy, delivered bits) — the sharing
+arithmetic itself lives in :mod:`repro.net.topology`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .traces import NetworkTrace
 
@@ -62,69 +65,31 @@ class Link:
 #: Supported bandwidth-sharing policies for :class:`SharedLink`.
 SHARING_POLICIES = ("fair", "weighted")
 
-#: Relative slack below which a flow's residual bits count as finished
-#: (absorbs the float error of draining `share * dt` per event step).
-_FINISH_RTOL = 1e-9
-
-#: Absolute slack (bits).  The event time `now + remaining/share` is
-#: rounded to `now`'s ulp, so one drain can leave a residue of order
-#: `ulp(now) * share` — for a sub-hundred-byte flow that residue exceeds
-#: the *relative* tolerance and the event loop would spin at `t == now`
-#: forever.  A milli-bit floor absorbs it without affecting any transfer
-#: of a whole byte or more.
-_FINISH_ATOL = 1e-3
-
-
-def _finish_threshold(total_bits: float) -> float:
-    """Residual bits below which a transfer counts as complete."""
-    return max(_FINISH_RTOL * total_bits, _FINISH_ATOL)
-
 
 @dataclass(frozen=True)
 class Completion:
-    """One finished transfer on a :class:`SharedLink`."""
+    """One finished transfer reported by the path scheduler."""
 
     flow_id: int
     finish_time: float
     elapsed: float  # seconds from request start, RTT included
 
 
-@dataclass
-class _Flow:
-    flow_id: int
-    nbytes: int
-    start_time: float
-    data_start: float  # start_time + RTT: when bits begin to move
-    weight: float
-    total_bits: float
-    remaining_bits: float
-    #: exact elapsed computed via Link.download_time when the flow had the
-    #: link to itself for its whole lifetime (None = shared/progressive)
-    solo_elapsed: float | None = field(default=None)
-
-
 class SharedLink:
     """A bottleneck :class:`NetworkTrace` shared by concurrent transfers.
 
-    Models weighted processor sharing (the fluid limit of per-flow fair
-    queueing): at any instant, every flow whose data is moving receives
+    A record, not an engine: the capacity ``trace``, the sharing
+    ``policy`` and the ``delivered_bits`` tally.  Links are hops of a
+    :class:`~repro.net.topology.NetworkPath`, and
+    :class:`~repro.net.topology.PathScheduler` moves the bits — weighted
+    processor sharing (the fluid limit of per-flow fair queueing), where
+    at any instant every flow whose data is moving on the link receives
 
     * ``fair``      — ``capacity / n_active`` regardless of weights;
     * ``weighted``  — ``capacity * w_i / Σ_active w_j``.
 
-    Both policies are work-conserving, so per-flow throughputs always sum
-    to the trace capacity while any flow is active.  Each transfer pays one
-    RTT of request latency before its bits start moving (matching
-    :meth:`Link.download_time`), during which it consumes no bandwidth.
-
-    The link is advanced event-to-event by a scheduler: ``next_event``
-    returns the earliest instant the fluid allocation can change (a data
-    arrival, a trace-rate boundary, or a projected completion), ``advance``
-    drains all active flows to that instant and reports completions.
-
-    A flow that occupies the link alone from request to completion resolves
-    through :meth:`Link.download_time` itself, so a single-session fleet
-    reproduces :func:`repro.streaming.simulate_session` bit-exactly.
+    Both policies are work-conserving, so per-flow allocations always sum
+    to the trace capacity while any flow is active.
     """
 
     def __init__(self, trace: NetworkTrace, policy: str = "fair"):
@@ -134,145 +99,6 @@ class SharedLink:
             )
         self.trace = trace
         self.policy = policy
-        self._solo = Link(trace)
-        self._flows: dict[int, _Flow] = {}
-        #: bits actually delivered across all flows (conservation checks)
+        #: bits that crossed this link, charged by the scheduler as each
+        #: flow leaves its pool (conservation checks)
         self.delivered_bits = 0.0
-
-    # ------------------------------------------------------------------
-    def add_flow(
-        self, flow_id: int, nbytes: int, start_time: float, weight: float = 1.0
-    ) -> None:
-        """Register a transfer of ``nbytes`` requested at ``start_time``."""
-        if flow_id in self._flows:
-            raise ValueError(f"flow {flow_id} already in flight")
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if start_time < 0:
-            raise ValueError("start_time must be non-negative")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        bits = float(nbytes) * 8.0
-        self._flows[flow_id] = _Flow(
-            flow_id=flow_id,
-            nbytes=nbytes,
-            start_time=float(start_time),
-            data_start=float(start_time) + self.trace.rtt,
-            weight=float(weight),
-            total_bits=bits,
-            remaining_bits=bits,
-        )
-
-    @property
-    def n_flows(self) -> int:
-        return len(self._flows)
-
-    def busy(self) -> bool:
-        """True while any transfer is unfinished."""
-        return bool(self._flows)
-
-    # ------------------------------------------------------------------
-    def _share_denominator(self, active: list[_Flow]) -> float:
-        """Precomputed once per event step (shares are O(1) per flow after)."""
-        if self.policy == "weighted":
-            return sum(f.weight for f in active)
-        return float(len(active))
-
-    def _share_of(self, flow: _Flow, capacity: float, denominator: float) -> float:
-        if self.policy == "weighted":
-            return capacity * flow.weight / denominator
-        return capacity / denominator
-
-    def _solo_flow(self) -> _Flow | None:
-        """The lone untouched flow, if the link holds exactly one.
-
-        New flows only arrive when an existing one completes (sessions are
-        suspended on their pending transfer), so a flow that is alone *now*
-        and has not yet drained any bits is guaranteed the whole link for
-        its entire lifetime — its finish time can be resolved exactly with
-        the single-client integrator.
-        """
-        if len(self._flows) != 1:
-            return None
-        flow = next(iter(self._flows.values()))
-        if flow.remaining_bits != flow.total_bits:
-            return None
-        return flow
-
-    def _active_waiting(self, now: float) -> tuple[list[_Flow], list[_Flow]]:
-        active = [
-            f
-            for f in self._flows.values()
-            if f.data_start <= now and f.remaining_bits > 0.0
-        ]
-        waiting = [f for f in self._flows.values() if f.data_start > now]
-        return active, waiting
-
-    def next_event(self, now: float) -> float:
-        """Earliest future instant the bandwidth allocation can change."""
-        if not self._flows:
-            raise RuntimeError("no flows in flight")
-        solo = self._solo_flow()
-        if solo is not None:
-            if solo.solo_elapsed is None:
-                solo.solo_elapsed = self._solo.download_time(
-                    solo.nbytes, solo.start_time
-                )
-            return solo.start_time + solo.solo_elapsed
-
-        active, waiting = self._active_waiting(now)
-        events = [f.data_start for f in waiting]
-        # Zero-byte transfers complete as soon as their RTT elapses.
-        events += [
-            max(f.data_start, now)
-            for f in self._flows.values()
-            if f.remaining_bits <= 0.0
-        ]
-        if active:
-            events.append(now + self.trace.time_to_next_change(now))
-            capacity = self.trace.bandwidth_at(now)
-            denom = self._share_denominator(active)
-            for f in active:
-                share = self._share_of(f, capacity, denom)
-                events.append(now + f.remaining_bits / share)
-        return min(events)
-
-    def advance(self, now: float, to_time: float) -> list[Completion]:
-        """Drain all flows from ``now`` to ``to_time``; report completions.
-
-        ``to_time`` must not exceed the next event (allocations are assumed
-        constant over the interval).  Completions are ordered by flow id for
-        determinism when several flows finish simultaneously.
-        """
-        if to_time < now:
-            raise ValueError("cannot advance backwards")
-        done: list[Completion] = []
-        solo = self._solo_flow()
-        if solo is not None and solo.solo_elapsed is not None:
-            finish = solo.start_time + solo.solo_elapsed
-            if finish <= to_time:
-                self.delivered_bits += solo.total_bits
-                del self._flows[solo.flow_id]
-                return [Completion(solo.flow_id, finish, solo.solo_elapsed)]
-            return []
-
-        active, _ = self._active_waiting(now)
-        capacity = self.trace.bandwidth_at(now) if active else 0.0
-        denom = self._share_denominator(active) if active else 1.0
-        dt = to_time - now
-        for f in active:
-            share = self._share_of(f, capacity, denom)
-            drained = min(share * dt, f.remaining_bits)
-            f.remaining_bits -= drained
-            self.delivered_bits += drained
-            if f.remaining_bits <= _finish_threshold(f.total_bits):
-                self.delivered_bits += f.remaining_bits
-                f.remaining_bits = 0.0
-        for f in sorted(self._flows.values(), key=lambda f: f.flow_id):
-            if f.remaining_bits <= 0.0 and f.data_start <= to_time:
-                finish = f.data_start if f.total_bits == 0.0 else to_time
-                done.append(
-                    Completion(f.flow_id, finish, finish - f.start_time)
-                )
-                del self._flows[f.flow_id]
-        return done

@@ -1,70 +1,60 @@
 """Multi-link network topologies: paths over shared links.
 
-The fleet simulator (PR 1–2) pushes every transfer through a single
-:class:`~repro.net.link.SharedLink`.  A CDN serves viewers over *paths* —
-origin → edge backhaul, then edge → viewer access — where several paths
-share component links and the bottleneck moves with load.  This module
-adds that layer while keeping the single-link case bit-exact:
+A CDN serves viewers over *paths* — origin → edge backhaul, then edge →
+viewer access — where several paths share component links and the
+bottleneck moves with load.  This module is the one place the repo
+splits a time-varying link between concurrent transfers:
 
 * :class:`NetworkPath` — an ordered series of :class:`SharedLink` hops.
   A fluid transfer traverses all hops simultaneously (cut-through, not
   store-and-forward): its instantaneous rate is the **minimum over hops**
   of its processor-sharing allocation on each hop, and it pays the sum of
   per-hop RTTs once before bits move.
-* :class:`PathScheduler` — the event engine.  It generalizes
-  :class:`SharedLink`'s event loop to flows on different paths over a
-  shared link pool: ``next_event`` returns the earliest instant any
-  link's fluid allocation can change, ``advance`` drains every active
-  flow at its path rate and reports completions.
+* :class:`PathScheduler` — the event engine for flows on different paths
+  over a shared link pool: ``next_event`` returns the earliest instant
+  any link's fluid allocation can change, ``advance`` drains every
+  active flow at its path rate and reports completions.
 
 The allocation is *per-link* processor sharing capped by the path
 minimum — deterministic and monotone (adding a hop can never increase a
 flow's rate), though not globally max-min (bandwidth a flow cannot use on
 a non-bottleneck hop is not redistributed; the conservative model).
 
-**Two engines, one contract.**  ``PathScheduler(engine="vector")`` (the
-default) evaluates every event step as array math over flow-state
-tensors: flow scalars live in slot-indexed NumPy arrays, each flow's hop
-membership is a row of link indices in a dense ``(slot, hop)`` matrix,
-per-link share denominators come from one ``bincount`` over the active
-rows, per-flow rates from one ``min`` over the hop axis, and the next
-completion horizon from one ``np.min`` over ``remaining / rate``.
-``engine="scalar"`` keeps the original per-flow Python loops as the
-reference oracle.  The two engines are **bit-exact** with each other:
-every float expression is the same IEEE operation in the same order (the
-one order-sensitive reduction — the ``weighted`` share denominator,
-where NumPy's pairwise summation diverges from Python's sequential
-``sum`` at 8+ flows — is computed by an insertion-order Python sum on
-weighted links in both engines).  ``tests/net/test_topology.py`` pins
-the parity on a hypothesis grid of mixed weights, staggered starts, and
-multi-hop paths over shared links.
+**One engine, one reference.**  Every event step is array math over
+flow-state tensors: flow scalars live in slot-indexed NumPy arrays, each
+flow's hop membership is a row of link indices in a dense
+``(slot, hop)`` matrix, per-link share denominators come from one
+``bincount`` over the active rows, per-flow rates from one ``min`` over
+the hop axis, and the next completion horizon from one ``np.min`` over
+``remaining / rate``.  The per-flow Python loop this replaced lives on
+as ``tests/net/reference_scheduler.py::ReferenceScheduler`` — same
+contract, its own share arithmetic — and ``tests/net/test_topology.py``
+pins the two **bit-exact** on a hypothesis grid of mixed weights,
+staggered starts, gated / cancelled / ``sync``-injected flows and one-
+to three-hop paths over shared links.  The one order-sensitive
+reduction — the ``weighted`` share denominator, where NumPy's pairwise
+summation diverges from Python's sequential ``sum`` at 8+ flows — is an
+insertion-order Python sum here for that reason.
 
-**One-hop bit-exactness.**  For flows that all traverse the same one-hop
-path, every expression here mirrors :class:`SharedLink`'s arithmetic
-operation for operation (shares, drain, finish tolerance, the solo-flow
-fast path through segment-exact integration), so a fleet scheduled
-through a one-hop :class:`PathScheduler` reproduces the bare
-``SharedLink`` fleet — and therefore ``simulate_session`` — bit for bit.
-The property tests in ``tests/net/test_topology.py`` enforce this.
+**One-hop bit-exactness.**  A flow that has every hop to itself for its
+whole lifetime resolves through :func:`path_download_time`, which on a
+one-hop path performs :meth:`repro.net.link.Link.download_time`'s float
+operations exactly, so a single-session fleet reproduces
+``simulate_session`` bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .link import (
-    Completion,
-    SharedLink,
-    _FINISH_ATOL,
-    _FINISH_RTOL,
-    _finish_threshold,
-)
+from .link import Completion, SharedLink
 from .traces import NetworkTrace
 
-__all__ = ["NetworkPath", "PathScheduler", "SCHEDULER_ENGINES", "path_download_time"]
+__all__ = ["NetworkPath", "PathScheduler", "path_download_time"]
 
 
 @dataclass(frozen=True)
@@ -148,6 +138,19 @@ def _bits_over(traces, start: float, end: float) -> float:
     raise RuntimeError("integration did not converge")  # pragma: no cover
 
 
+#: Relative slack below which a flow's residual bits count as finished
+#: (absorbs the float error of draining `share * dt` per event step).
+_FINISH_RTOL = 1e-9
+
+#: Absolute slack (bits).  The event time `now + remaining/share` is
+#: rounded to `now`'s ulp, so one drain can leave a residue of order
+#: `ulp(now) * share` — for a sub-hundred-byte flow that residue exceeds
+#: the *relative* tolerance and the event loop would spin at `t == now`
+#: forever.  A milli-bit floor absorbs it without affecting any transfer
+#: of a whole byte or more.
+_FINISH_ATOL = 1e-3
+
+
 @dataclass
 class _PathFlow:
     flow_id: int
@@ -157,16 +160,11 @@ class _PathFlow:
     data_start: float  # start_time + path RTT + any gate delay
     weight: float
     total_bits: float
-    remaining_bits: float
     #: exact elapsed via path_download_time when the flow had every hop to
     #: itself for its whole lifetime (None = shared/progressive)
-    solo_elapsed: float | None = field(default=None)
-    #: row index in the vector engine's state arrays (-1 = scalar engine)
+    solo_elapsed: float | None = None
+    #: row index in the scheduler's state arrays (-1 = not in the pool)
     slot: int = -1
-
-
-#: Supported :class:`PathScheduler` event engines.
-SCHEDULER_ENGINES = ("vector", "scalar")
 
 
 class PathScheduler:
@@ -175,39 +173,28 @@ class PathScheduler:
     Flows are registered with :meth:`add_flow` on a :class:`NetworkPath`;
     each link allocates its capacity among the flows active *on that
     link* under its own sharing policy, and a flow drains at the minimum
-    of its per-hop allocations.  The driver loop is the same contract as
-    :class:`SharedLink`: ``next_event`` → ``advance`` until ``busy()``
-    turns false.
+    of its per-hop allocations.  The driver loop is ``next_event`` →
+    ``advance`` until ``busy()`` turns false.
 
     ``extra_delay`` on :meth:`add_flow` gates a flow's data start beyond
     the path RTT without changing the elapsed-time origin — the hook the
     CDN layer uses for server-side encode waits (the viewer's measured
     download time includes the wait, as it would on a real service).
 
-    ``engine`` selects the event-step implementation: ``"vector"`` (the
-    default) runs each step as array math over all flows at once,
-    ``"scalar"`` keeps the per-flow Python loops as the reference oracle.
-    Both produce bit-identical :class:`Completion` streams (see module
-    docstring); ``delivered_bits`` totals may differ in the last ulps
-    because the vector engine accumulates the pool total with ``np.sum``
-    and charges per-link bits once per flow as it leaves the pool
-    (completion or cancellation) instead of per event step.
+    ``delivered_bits`` accumulates the pool total with ``np.sum`` per
+    event step; per-link bits are charged once per flow as it leaves the
+    pool (completion or cancellation), so both agree with a per-step
+    per-flow tally to float tolerance, not bit for bit.
     """
 
-    def __init__(self, engine: str = "vector") -> None:
-        if engine not in SCHEDULER_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; pick from {SCHEDULER_ENGINES}"
-            )
-        self.engine = engine
+    def __init__(self) -> None:
         self._flows: dict[int, _PathFlow] = {}
-        #: per-link flow registries, insertion-ordered like SharedLink's
+        #: per-link flow registries, insertion-ordered (the weighted
+        #: share denominator sums in this order)
         self._link_flows: dict[int, dict[int, _PathFlow]] = {}
-        self._links: dict[int, SharedLink] = {}
         #: bits actually delivered to receivers (conservation checks)
         self.delivered_bits = 0.0
-        if engine == "vector":
-            self._vec = _VectorState()
+        self._vec = _VectorState()
 
     # ------------------------------------------------------------------
     def add_flow(
@@ -222,15 +209,23 @@ class PathScheduler:
         """Register a transfer of ``nbytes`` requested at ``start_time``."""
         if flow_id in self._flows:
             raise ValueError(f"flow {flow_id} already in flight")
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if start_time < 0:
-            raise ValueError("start_time must be non-negative")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        if extra_delay < 0:
-            raise ValueError("extra_delay must be non-negative")
-        bits = float(nbytes) * 8.0
+        # chained so NaN fails them (every comparison with NaN is false);
+        # a non-finite flow would never drain and the driver loop would
+        # walk ``now`` to infinity with ``busy()`` still true
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(
+                f"flow {flow_id}: nbytes must be finite and non-negative"
+            )
+        if not 0 <= start_time < math.inf:
+            raise ValueError(
+                f"flow {flow_id}: start_time must be finite and non-negative"
+            )
+        if not 0 < weight < math.inf:
+            raise ValueError(f"flow {flow_id}: weight must be finite and positive")
+        if not 0 <= extra_delay < math.inf:
+            raise ValueError(
+                f"flow {flow_id}: extra_delay must be finite and non-negative"
+            )
         flow = _PathFlow(
             flow_id=flow_id,
             nbytes=nbytes,
@@ -238,19 +233,17 @@ class PathScheduler:
             start_time=float(start_time),
             data_start=float(start_time) + path.rtt + float(extra_delay),
             weight=float(weight),
-            total_bits=bits,
-            remaining_bits=bits,
+            total_bits=float(nbytes) * 8.0,
         )
         if extra_delay > 0.0:
-            # A gated flow is never "untouched solo" in the SharedLink
-            # sense; forcing the progressive path keeps elapsed exact.
+            # A gated flow does not start moving at ``start_time + rtt``,
+            # so the closed form does not describe it; forcing the
+            # progressive path keeps elapsed exact.
             flow.solo_elapsed = float("nan")
         self._flows[flow_id] = flow
         for link in path.links:
-            self._links.setdefault(id(link), link)
             self._link_flows.setdefault(id(link), {})[flow_id] = flow
-        if self.engine == "vector":
-            self._vec.add(flow)
+        self._vec.add(flow)
 
     @property
     def n_flows(self) -> int:
@@ -298,79 +291,32 @@ class PathScheduler:
         if solo is None or solo.total_bits == 0.0 or now <= solo.data_start:
             return
         traces = [link.trace for link in solo.path.links]
-        drained = min(
-            _bits_over(traces, solo.data_start, now), solo.remaining_bits
-        )
+        drained = min(_bits_over(traces, solo.data_start, now), solo.total_bits)
         if drained <= 0.0:
             return
-        solo.remaining_bits -= drained
         self.delivered_bits += drained
         solo.solo_elapsed = None
-        if self.engine == "vector":
-            # Per-link accounting is deferred to ``_remove`` (crossed =
-            # total - remaining at removal), which covers this drain.
-            self._vec.write_remaining(solo)
-        else:
-            self._account(solo, drained)
+        # Per-link accounting waits for ``_remove`` (crossed = total -
+        # remaining at removal), which covers this drain.
+        self._vec.write_remaining(solo, solo.total_bits - drained)
 
     # ------------------------------------------------------------------
     def _solo_flow(self) -> _PathFlow | None:
         """The lone untouched flow, if the whole pool holds exactly one.
 
-        Mirrors :meth:`SharedLink._solo_flow`: a flow that is alone *now*
-        and has drained nothing is guaranteed every hop to itself for its
-        entire lifetime (drivers only add flows when one completes), so
-        its finish resolves exactly through segment-exact integration.
+        A flow that is alone *now* and has drained nothing is guaranteed
+        every hop to itself for its entire lifetime (drivers only add
+        flows when one completes, or :meth:`sync` first), so its finish
+        resolves exactly through segment-exact integration.
         """
         if len(self._flows) != 1:
             return None
         flow = next(iter(self._flows.values()))
-        if self.engine == "vector" and flow.slot >= 0:
-            # The vector engine leaves object-side ``remaining_bits``
-            # stale between events (see ``_advance_vector``); refresh the
-            # one candidate before the untouched-solo check.
-            flow.remaining_bits = float(self._vec.remaining[flow.slot])
-        if flow.remaining_bits != flow.total_bits:
+        if self._vec.remaining[flow.slot] != flow.total_bits:
             return None
         if flow.solo_elapsed is not None and flow.solo_elapsed != flow.solo_elapsed:
             return None  # NaN sentinel: gated flow, use the fluid path
         return flow
-
-    def _allocations(self, now: float) -> dict[int, tuple[float, float]]:
-        """Per-link ``(capacity, share denominator)`` at ``now``.
-
-        Computed once per event step (like :class:`SharedLink` does), so
-        per-flow rates are O(hops) after this O(links + flows) pass.
-        Links with no active flow are absent.  Share arithmetic delegates
-        to the link's own ``_share_denominator``/``_share_of`` (they only
-        read ``policy`` and per-flow ``weight``), so one-hop paths are
-        float-identical to :class:`SharedLink` by construction.
-        """
-        alloc: dict[int, tuple[float, float]] = {}
-        for link_id, link in self._links.items():
-            active = [
-                f
-                for f in self._link_flows[link_id].values()
-                if f.data_start <= now and f.remaining_bits > 0.0
-            ]
-            if active:
-                alloc[link_id] = (
-                    link.trace.bandwidth_at(now),
-                    link._share_denominator(active),
-                )
-        return alloc
-
-    def _rate_of(
-        self, flow: _PathFlow, alloc: dict[int, tuple[float, float]]
-    ) -> float:
-        """Min-over-hops allocation for one active flow."""
-        rate: float | None = None
-        for link in flow.path.links:
-            capacity, denom = alloc[id(link)]
-            share = link._share_of(flow, capacity, denom)
-            rate = share if rate is None else min(rate, share)
-        assert rate is not None
-        return rate
 
     def next_event(self, now: float) -> float:
         """Earliest future instant any link's allocation can change."""
@@ -383,78 +329,82 @@ class PathScheduler:
                     solo.path, solo.nbytes, solo.start_time
                 )
             return solo.start_time + solo.solo_elapsed
-        if self.engine == "vector":
-            return self._next_event_vector(now)
-
-        events = [f.data_start for f in self._flows.values() if f.data_start > now]
-        # Zero-byte transfers complete as soon as their RTT elapses.
-        events += [
-            max(f.data_start, now)
-            for f in self._flows.values()
-            if f.remaining_bits <= 0.0
-        ]
-        alloc = self._allocations(now)
-        for link_id in alloc:
-            events.append(
-                now + self._links[link_id].trace.time_to_next_change(now)
-            )
-        if alloc:
-            for f in self._flows.values():
-                if f.data_start <= now and f.remaining_bits > 0.0:
-                    events.append(now + f.remaining_bits / self._rate_of(f, alloc))
-        return min(events)
+        v = self._vec
+        n = v.n_slots
+        ds = v.data_start[:n]
+        alive = v.alive[:n]
+        best = np.inf
+        waiting = ds[alive & (ds > now)]
+        if waiting.size:
+            best = waiting.min()
+        # Already-empty flows (zero-byte transfers, sync-drained solos)
+        # complete as soon as their data start elapses.
+        for f in v.finished:
+            best = min(best, max(f.data_start, now))
+        idx, rates, min_ttc = self._vec_alloc(now)
+        if min_ttc < np.inf:
+            best = min(best, now + min_ttc)
+        if idx.size:
+            best = min(best, (now + v.remaining[idx] / rates).min())
+        return float(best)
 
     def advance(self, now: float, to_time: float) -> list[Completion]:
         """Drain all flows from ``now`` to ``to_time``; report completions.
 
         ``to_time`` must not exceed the next event (allocations are
         assumed constant over the interval).  Completions are ordered by
-        flow id for determinism, matching :meth:`SharedLink.advance`.
+        flow id for determinism when several flows finish simultaneously.
         """
         if to_time < now:
             raise ValueError("cannot advance backwards")
+        v = self._vec
         solo = self._solo_flow()
         if solo is not None and solo.solo_elapsed is not None:
             finish = solo.start_time + solo.solo_elapsed
             if finish <= to_time:
                 self.delivered_bits += solo.total_bits
-                self._account(solo, solo.total_bits)
+                v.remaining[solo.slot] = 0.0  # ``_remove`` charges the hops
                 self._remove(solo)
                 return [Completion(solo.flow_id, finish, solo.solo_elapsed)]
             return []
-        if self.engine == "vector":
-            return self._advance_vector(now, to_time)
-
-        dt = to_time - now
-        active = [
-            f
-            for f in self._flows.values()
-            if f.data_start <= now and f.remaining_bits > 0.0
-        ]
-        # Allocations are fixed over [now, to_time]: snapshot every rate
-        # before draining, or a flow emptied earlier in this loop would
-        # hand its share to later flows mid-interval.
-        alloc = self._allocations(now)
-        rates = [self._rate_of(f, alloc) for f in active]
-        for f, rate in zip(active, rates):
-            drained = min(rate * dt, f.remaining_bits)
-            f.remaining_bits -= drained
-            self.delivered_bits += drained
-            self._account(f, drained)
-            if f.remaining_bits <= _finish_threshold(f.total_bits):
-                self.delivered_bits += f.remaining_bits
-                self._account(f, f.remaining_bits)
-                f.remaining_bits = 0.0
+        idx, rates, _ = self._vec_alloc(now)
+        finished: list[_PathFlow] = []
+        if idx.size:
+            dt = to_time - now
+            cur = v.remaining[idx]
+            drained = np.minimum(rates * dt, cur)
+            after = cur - drained
+            flush = after <= v.thresh[idx]
+            total_bits = float(drained.sum())
+            # Per-link delivered-bits accounting is deferred to
+            # ``_remove``: a per-flow loop here would be O(active flows)
+            # of Python per event step and dominate large-fleet wall time.
+            if flush.any():
+                total_bits += float(after[flush].sum())
+                after[flush] = 0.0
+                flow_of = v.flow_of
+                finished.extend(flow_of[s] for s in idx[flush].tolist())
+            self.delivered_bits += total_bits
+            v.remaining[idx] = after
+            v.version += 1
+        # Flows can complete two ways: drained to zero above, or already
+        # empty (zero-byte transfers, sync-drained solos) once their
+        # data_start has elapsed.
+        if v.finished:
+            finished.extend(
+                f for f in v.finished if f.data_start <= to_time
+            )
+        if not finished:
+            return []
+        finished.sort(key=lambda f: f.flow_id)
         done: list[Completion] = []
-        for f in sorted(self._flows.values(), key=lambda f: f.flow_id):
-            if f.remaining_bits <= 0.0 and f.data_start <= to_time:
-                finish = f.data_start if f.total_bits == 0.0 else to_time
-                done.append(Completion(f.flow_id, finish, finish - f.start_time))
-                self._remove(f)
+        for f in finished:
+            finish = f.data_start if f.total_bits == 0.0 else to_time
+            done.append(Completion(f.flow_id, finish, finish - f.start_time))
+            self._remove(f)
         return done
 
     # ------------------------------------------------------------------
-    # Vector engine: one array pass per event step.
     def _link_seg(self, li: int, now: float) -> tuple[float, float]:
         """``(bandwidth, time-to-next-change)`` for link ``li`` at ``now``.
 
@@ -464,10 +414,9 @@ class PathScheduler:
         ``fmod`` and two comparisons.  Every returned value reproduces the
         trace methods' float expressions exactly — ``bandwidth_at`` is a
         cached segment constant, ``time_to_next_change`` is the same
-        ``nxt - local`` subtraction — so scalar/vector engine parity is
-        untouched.  Wrapped traces (e.g. fault-injection
-        ``DegradedTrace``) have time-varying composition and fall back to
-        the trace methods.
+        ``nxt - local`` subtraction.  Wrapped traces (e.g.
+        fault-injection ``DegradedTrace``) have time-varying composition
+        and fall back to the trace methods.
         """
         trace = self._vec.link_list[li].trace
         if type(trace) is not NetworkTrace:
@@ -490,16 +439,17 @@ class PathScheduler:
         (``inf`` when none) — stashed here because the capacity lookup
         already touches each active link's trace segment, and
         ``min(now + ttc_i) == now + min(ttc_i)`` bit-exactly (adding the
-        same ``now`` is monotone), so ``_next_event_vector`` never
-        re-queries the traces.  Cached on ``(now, state version)`` so the
-        ``next_event`` → ``advance`` pair of one event step computes the
-        allocation once.  Every float expression mirrors the scalar
-        engine operation for operation: fair denominators are integer
-        counts (exact in any summation order), weighted denominators fall
-        back to an insertion-order Python sum (NumPy's pairwise reduction
-        diverges from ``sum`` at 8+ flows), shares are ``cap / denom`` or
-        ``(cap * w) / denom``, and the per-flow rate is an
-        order-insensitive min over the hop axis.
+        same ``now`` is monotone), so ``next_event`` never re-queries the
+        traces.  Cached on ``(now, state version)`` so the ``next_event``
+        → ``advance`` pair of one event step computes the allocation
+        once.  The float expressions are the per-flow reference's
+        (``tests/net/reference_scheduler.py``), pinned bit-exact by its
+        parity grid: fair denominators are integer counts (exact in any
+        summation order), weighted denominators are an insertion-order
+        Python sum (NumPy's pairwise reduction diverges from ``sum`` at
+        8+ flows), shares are ``cap / denom`` or ``(cap * w) / denom``,
+        and the per-flow rate is an order-insensitive min over the hop
+        axis.
         """
         v = self._vec
         key = (now, v.version)
@@ -559,105 +509,25 @@ class PathScheduler:
         v.alloc_cache = (key, out)
         return out
 
-    def _next_event_vector(self, now: float) -> float:
-        v = self._vec
-        n = v.n_slots
-        ds = v.data_start[:n]
-        alive = v.alive[:n]
-        best = np.inf
-        waiting = ds[alive & (ds > now)]
-        if waiting.size:
-            best = waiting.min()
-        # Already-empty flows (zero-byte transfers, sync-drained solos)
-        # complete as soon as their data start elapses.
-        for f in v.finished:
-            best = min(best, max(f.data_start, now))
-        idx, rates, min_ttc = self._vec_alloc(now)
-        if min_ttc < np.inf:
-            best = min(best, now + min_ttc)
-        if idx.size:
-            best = min(best, (now + v.remaining[idx] / rates).min())
-        return float(best)
-
-    def _advance_vector(self, now: float, to_time: float) -> list[Completion]:
-        v = self._vec
-        idx, rates, _ = self._vec_alloc(now)
-        finished: list[_PathFlow] = []
-        if idx.size:
-            dt = to_time - now
-            cur = v.remaining[idx]
-            drained = np.minimum(rates * dt, cur)
-            after = cur - drained
-            flush = after <= v.thresh[idx]
-            total_bits = float(drained.sum())
-            # Flow objects are NOT mirrored here: per-link delivered-bits
-            # accounting and the object-side ``remaining_bits`` are
-            # materialized lazily — per link when a flow leaves the pool
-            # (``_remove``), per object in ``_solo_flow``/``sync``.  The
-            # old per-event mirror loop was O(active flows) of Python per
-            # event step and dominated large-fleet wall time.
-            if flush.any():
-                total_bits += float(after[flush].sum())
-                after[flush] = 0.0
-                flow_of = v.flow_of
-                for s in idx[flush].tolist():
-                    f = flow_of[s]
-                    f.remaining_bits = 0.0
-                    finished.append(f)
-            self.delivered_bits += total_bits
-            v.remaining[idx] = after
-            v.version += 1
-        # Flows can complete two ways: drained to zero above, or already
-        # empty (zero-byte transfers, sync-drained solos) once their
-        # data_start has elapsed.
-        if v.finished:
-            finished.extend(
-                f for f in v.finished if f.data_start <= to_time
-            )
-        if not finished:
-            return []
-        finished.sort(key=lambda f: f.flow_id)
-        done: list[Completion] = []
-        for f in finished:
-            finish = f.data_start if f.total_bits == 0.0 else to_time
-            done.append(Completion(f.flow_id, finish, finish - f.start_time))
-            self._remove(f)
-        return done
-
-    # ------------------------------------------------------------------
-    def _account(self, flow: _PathFlow, bits: float) -> None:
-        """Charge ``bits`` to every hop the flow traverses (series)."""
-        if bits == 0.0:
-            return
-        for link in flow.path.links:
-            link.delivered_bits += bits
-
     def _remove(self, flow: _PathFlow) -> None:
-        if self.engine == "vector" and flow.slot >= 0:
-            # Deferred per-link accounting: everything the flow drained
-            # over its lifetime crosses each hop exactly once, charged as
-            # it leaves the pool (completion or cancellation).  The solo
-            # fast path accounts explicitly before removing, but such a
-            # flow is untouched (remaining == total), so its crossed
-            # bits here are zero — no double counting.
-            rem = float(self._vec.remaining[flow.slot])
-            flow.remaining_bits = rem
-            crossed = flow.total_bits - rem
-            if crossed > 0.0:
-                for link in flow.path.links:
-                    link.delivered_bits += crossed
+        # Deferred per-link accounting: everything the flow drained over
+        # its lifetime crosses each hop exactly once, charged as it
+        # leaves the pool (completion or cancellation).
+        crossed = flow.total_bits - float(self._vec.remaining[flow.slot])
+        if crossed > 0.0:
+            for link in flow.path.links:
+                link.delivered_bits += crossed
         del self._flows[flow.flow_id]
         for link in flow.path.links:
             del self._link_flows[id(link)][flow.flow_id]
-        if self.engine == "vector":
-            self._vec.remove(flow)
+        self._vec.remove(flow)
 
 
 _EMPTY = np.empty(0)
 
 
 class _VectorState:
-    """Slot-indexed array state behind the vector engine.
+    """Slot-indexed array state behind :class:`PathScheduler`.
 
     Each in-flight flow owns one row across a set of parallel arrays plus
     one row of the ``hops`` matrix, whose entries are indices into
@@ -678,9 +548,7 @@ class _VectorState:
         self.remaining = np.zeros(cap)
         self.total = np.zeros(cap)
         self.weight = np.zeros(cap)
-        #: per-flow finish threshold, precomputed at add time (the value
-        #: ``max(_FINISH_RTOL * total, _FINISH_ATOL)`` the scalar engine
-        #: derives per event)
+        #: per-flow finish threshold, precomputed at add time
         self.thresh = np.zeros(cap)
         self.alive = np.zeros(cap, dtype=bool)
         self.hops = np.zeros((cap, 2), dtype=np.intp)
@@ -728,7 +596,7 @@ class _VectorState:
         flow.slot = s
         self.flow_of[s] = flow
         self.data_start[s] = flow.data_start
-        self.remaining[s] = flow.remaining_bits
+        self.remaining[s] = flow.total_bits
         self.total[s] = flow.total_bits
         self.weight[s] = flow.weight
         self.thresh[s] = max(_FINISH_RTOL * flow.total_bits, _FINISH_ATOL)
@@ -751,17 +619,15 @@ class _VectorState:
             self.finished.remove(flow)
         self.version += 1
 
-    def write_remaining(self, flow: _PathFlow) -> None:
-        """Mirror an out-of-band drain (``sync``) into the arrays.
+    def write_remaining(self, flow: _PathFlow, remaining: float) -> None:
+        """Record an out-of-band drain (``sync``) in the arrays.
 
         A sync that empties the flow entirely (a deferred request landing
         exactly on the solo finish) must also queue it for completion:
-        with zero remaining bits it is invisible to the active-drain
-        pass, and the scalar engine's full-pool scan has no vector
-        equivalent.
+        with zero remaining bits it is invisible to the active-drain pass.
         """
-        self.remaining[flow.slot] = flow.remaining_bits
-        if flow.remaining_bits <= 0.0 and flow not in self.finished:
+        self.remaining[flow.slot] = remaining
+        if remaining <= 0.0 and flow not in self.finished:
             self.finished.append(flow)
         self.version += 1
 

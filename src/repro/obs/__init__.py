@@ -1,4 +1,4 @@
-"""``repro.obs`` — zero-overhead-when-disabled telemetry for fleet runs.
+"""``repro.obs`` — branch-free-when-disabled telemetry for fleet runs.
 
 Three independent layers, bundled by :class:`Telemetry` and threaded
 through :func:`~repro.streaming.fleet.simulate_fleet` /
@@ -20,10 +20,11 @@ Exporters (:mod:`repro.obs.export`) serialize a finished run: JSONL
 event log, Chrome trace-event JSON (Perfetto-loadable, sessions as
 tracks), and a Prometheus-style text dump.
 
-Passing ``telemetry=None`` (the default) executes the exact
-pre-telemetry instruction stream — every emission site is a single
-``is not None`` check — and the disabled configuration is bit-exact
-with the untraced simulator (an oracle-parity instance,
+With ``telemetry=None`` (the default) every emission site calls
+:data:`NULL_TRACER`'s no-op ``emit`` and every phase span is
+:data:`NULL_PROFILER`'s shared no-op context manager — stage code never
+asks whether telemetry is on — and the disabled configuration is
+bit-exact with the untraced simulator (an oracle-parity instance,
 ``tests/streaming/test_obs.py::TestTelemetryDisabledParity``).
 """
 
@@ -52,6 +53,7 @@ from .events import (
     EV_SESSION_FINISH,
     EV_SESSION_RESTEER,
     EV_SESSION_START,
+    NULL_TRACER,
     TraceEvent,
     Tracer,
     merge_events,
@@ -71,6 +73,7 @@ __all__ = [
     "Telemetry",
     "TraceEvent",
     "Tracer",
+    "NULL_TRACER",
     "merge_events",
     "ops_from_events",
     "Counter",
@@ -113,8 +116,9 @@ __all__ = [
 class Telemetry:
     """One run's telemetry bundle: tracer + metrics + profiler.
 
-    Each layer toggles independently; a disabled layer is ``None`` and
-    its emission sites compile down to one ``is not None`` check.
+    Each layer toggles independently; a disabled layer is ``None`` here,
+    and the run binds :data:`NULL_TRACER` / :data:`NULL_PROFILER` in its
+    place so emission sites stay unconditional.
     ``shard`` tags every traced event with the worker's shard index
     (the sharded executor sets it; single-process runs leave it None).
     """

@@ -8,11 +8,12 @@ activity (hit / miss / coalesce / void), origin encode activity
 plus the evacuation an outage triggers), and control-plane activity
 (tick / resize / re-steer).  Emission sites live in the subsystems that
 own the state — ``fleet.py`` (driver), ``cdn.py`` (caches and encode
-queue), ``control.py`` (controller), ``faults.py`` (schedules) — each
-guarded by a single
-``tracer is not None`` check, so a run without a tracer executes the
-exact pre-telemetry instruction stream (the disabled-tracer parity
-test pins this).
+queue), ``control.py`` (controller), ``faults.py`` (schedules) — and
+are plain ``tracer.emit(...)`` calls: a run without a tracer binds
+:data:`NULL_TRACER`, whose ``emit`` drops the event, so stage code has
+no telemetry branches and the simulation arithmetic cannot depend on
+whether anyone is listening (the disabled-tracer parity test pins
+this).
 
 Events are *virtual-time* stamped: ``t`` is simulation seconds, not
 wall clock.  Each tracer assigns a monotonically increasing ``seq`` so
@@ -32,6 +33,7 @@ from collections import Counter as _Counter
 __all__ = [
     "TraceEvent",
     "Tracer",
+    "NULL_TRACER",
     "merge_events",
     "ops_from_events",
     # event kinds
@@ -250,6 +252,27 @@ class Tracer:
 
     def __iter__(self):
         return iter(self.events)
+
+
+class _NullTracer:
+    """Disabled tracer: every ``emit`` is dropped."""
+
+    __slots__ = ()
+
+    def emit(
+        self, t: float, kind: str, session: int | None = None, **data
+    ) -> None:
+        pass
+
+    def __reduce__(self) -> str:
+        # Stays the one module-level object through the shard executor's
+        # deepcopy / pickling of the edges that hold it.
+        return "NULL_TRACER"
+
+
+#: What emission sites hold when tracing is off (the tracer-side twin of
+#: :data:`repro.obs.profiler.NULL_PROFILER`).
+NULL_TRACER = _NullTracer()
 
 
 def merge_events(streams: list[list[TraceEvent]]) -> list[TraceEvent]:

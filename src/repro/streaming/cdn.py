@@ -57,6 +57,7 @@ from ..obs.events import (
     EV_CACHE_VOID,
     EV_ENCODE_ENQUEUE,
     EV_ENCODE_RESIZE,
+    NULL_TRACER,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (fleet imports cdn)
@@ -118,9 +119,9 @@ class EdgeChunkCache:
         #: misses that attached to an in-flight fill instead of pulling
         self.coalesced = 0
         self.coalesced_bytes = 0
-        #: wired (with this cache's edge index) by the fleet driver when
-        #: tracing; unwired in its ``finally``
-        self.tracer = None
+        #: wired (with this cache's edge index) by the fleet driver for
+        #: the run; back to ``NULL_TRACER`` in its ``finally``
+        self.tracer = NULL_TRACER
         self.edge: int | None = None
 
     def lookup(self, key: tuple, nbytes: int, at_time: float) -> bool:
@@ -130,17 +131,15 @@ class EdgeChunkCache:
             self._entries.move_to_end(key)
             self.hits += 1
             self.hit_bytes += nbytes
-            if self.tracer is not None:
-                self.tracer.emit(
-                    at_time, EV_CACHE_HIT, edge=self.edge, nbytes=nbytes
-                )
+            self.tracer.emit(
+                at_time, EV_CACHE_HIT, edge=self.edge, nbytes=nbytes
+            )
             return True
         self.misses += 1
         self.miss_bytes += nbytes
-        if self.tracer is not None:
-            self.tracer.emit(
-                at_time, EV_CACHE_MISS, edge=self.edge, nbytes=nbytes
-            )
+        self.tracer.emit(
+            at_time, EV_CACHE_MISS, edge=self.edge, nbytes=nbytes
+        )
         return False
 
     # -- in-flight fill tracking (request coalescing) ------------------
@@ -159,10 +158,9 @@ class EdgeChunkCache:
             raise ValueError(f"no fill in flight for {key!r}")
         self.coalesced += 1
         self.coalesced_bytes += nbytes
-        if self.tracer is not None:
-            self.tracer.emit(
-                at_time, EV_CACHE_COALESCE, edge=self.edge, nbytes=nbytes
-            )
+        self.tracer.emit(
+            at_time, EV_CACHE_COALESCE, edge=self.edge, nbytes=nbytes
+        )
 
     def void_hit(self, nbytes: int, at_time: float = 0.0) -> None:
         """Retract a counted hit whose access transfer never completed.
@@ -174,11 +172,10 @@ class EdgeChunkCache:
         """
         self.hits -= 1
         self.hit_bytes -= nbytes
-        if self.tracer is not None:
-            self.tracer.emit(
-                at_time, EV_CACHE_VOID, edge=self.edge, what="hit",
-                nbytes=nbytes,
-            )
+        self.tracer.emit(
+            at_time, EV_CACHE_VOID, edge=self.edge, what="hit",
+            nbytes=nbytes,
+        )
 
     def void_coalesced(self, nbytes: int, at_time: float = 0.0) -> None:
         """Retract a counted coalesced attach whose fill was cancelled.
@@ -188,11 +185,10 @@ class EdgeChunkCache:
         """
         self.coalesced -= 1
         self.coalesced_bytes -= nbytes
-        if self.tracer is not None:
-            self.tracer.emit(
-                at_time, EV_CACHE_VOID, edge=self.edge, what="coalesced",
-                nbytes=nbytes,
-            )
+        self.tracer.emit(
+            at_time, EV_CACHE_VOID, edge=self.edge, what="coalesced",
+            nbytes=nbytes,
+        )
 
     def abort_fill(self, key: tuple) -> None:
         """Drop the in-flight marker for a fill that will never land.
@@ -288,8 +284,8 @@ class EncodeQueue:
         #: core-seconds of transcode work accepted (Σ job cost) — what the
         #: infrastructure cost model bills as encode compute
         self.busy_seconds = 0.0
-        #: wired by the fleet driver when tracing; unwired in its finally
-        self.tracer = None
+        #: wired by the fleet driver for the run; unwired in its finally
+        self.tracer = NULL_TRACER
 
     def resize(self, n_workers: int, at_time: float = 0.0) -> None:
         """Grow or shrink the worker pool mid-run (the control-plane hook).
@@ -302,11 +298,10 @@ class EncodeQueue:
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
         n_workers = int(n_workers)
-        if self.tracer is not None:
-            self.tracer.emit(
-                float(at_time), EV_ENCODE_RESIZE,
-                workers_from=self.n_workers, workers_to=n_workers,
-            )
+        self.tracer.emit(
+            float(at_time), EV_ENCODE_RESIZE,
+            workers_from=self.n_workers, workers_to=n_workers,
+        )
         if n_workers > self.n_workers:
             self._free_at.extend(
                 [float(at_time)] * (n_workers - self.n_workers)
@@ -334,11 +329,10 @@ class EncodeQueue:
         self._free_at[worker] = ready
         self.waits.append(start - at_time)
         self.busy_seconds += cost
-        if self.tracer is not None:
-            self.tracer.emit(
-                at_time, EV_ENCODE_ENQUEUE, wait=start - at_time,
-                workers=self.n_workers,
-            )
+        self.tracer.emit(
+            at_time, EV_ENCODE_ENQUEUE, wait=start - at_time,
+            workers=self.n_workers,
+        )
         return ready
 
     def busy_at(self, t: float) -> int:

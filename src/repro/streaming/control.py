@@ -51,6 +51,7 @@ from ..obs.events import (
     EV_CONTROL_RESIZE,
     EV_CONTROL_RESTEER,
     EV_CONTROL_TICK,
+    NULL_TRACER,
 )
 from .cdn import wait_percentile
 
@@ -197,19 +198,18 @@ class ControlPlane:
         self.degrades = 0
         self._degraded = False
         self.log: list[str] = []
-        #: wired by the fleet driver when tracing; unwired in its finally
-        self.tracer = None
+        #: wired by the fleet driver for the run; unwired in its finally
+        self.tracer = NULL_TRACER
 
     # ------------------------------------------------------------------
     def tick(self, view: FleetView) -> ControlActions:
         """One control interval: observe ``view``, emit actions."""
         pol = self.policy
         self.ticks += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                view.now, EV_CONTROL_TICK, health=view.health,
-                workers=view.encode_workers,
-            )
+        self.tracer.emit(
+            view.now, EV_CONTROL_TICK, health=view.health,
+            workers=view.encode_workers,
+        )
         actions = ControlActions()
 
         # Encode-pool autoscaling on interval p95 wait.
@@ -231,12 +231,11 @@ class ControlPlane:
                 )
             if actions.encode_workers is not None:
                 self.encode_resizes += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        view.now, EV_CONTROL_RESIZE,
-                        workers_from=view.encode_workers,
-                        workers_to=actions.encode_workers,
-                    )
+                self.tracer.emit(
+                    view.now, EV_CONTROL_RESIZE,
+                    workers_from=view.encode_workers,
+                    workers_to=actions.encode_workers,
+                )
                 self.log.append(
                     f"t={view.now:.1f} encode pool {view.encode_workers} -> "
                     f"{actions.encode_workers} (interval p95 wait {p95:.3f}s)"
@@ -282,15 +281,14 @@ class ControlPlane:
                     budget -= 1
             if actions.resteer:
                 self.resteered += len(actions.resteer)
-                if self.tracer is not None:
-                    # The controller's *intent*; the driver emits one
-                    # ``session.resteer`` per re-steer it actually applies
-                    # (finished or dark-target pairs are skipped there).
-                    for sid, target in actions.resteer:
-                        self.tracer.emit(
-                            view.now, EV_CONTROL_RESTEER, session=sid,
-                            target=target,
-                        )
+                # The controller's *intent*; the driver emits one
+                # ``session.resteer`` per re-steer it actually applies
+                # (finished or dark-target pairs are skipped there).
+                for sid, target in actions.resteer:
+                    self.tracer.emit(
+                        view.now, EV_CONTROL_RESTEER, session=sid,
+                        target=target,
+                    )
                 self.log.append(
                     f"t={view.now:.1f} re-steered {len(actions.resteer)} "
                     f"session(s) off saturated edge(s)"
@@ -313,11 +311,10 @@ class ControlPlane:
                     actions.quality_cap = pol.quality_cap_when_dark
                 if pol.disable_sr_when_dark:
                     actions.sr_enabled = False
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        view.now, EV_CONTROL_DEGRADE, state="on",
-                        regions=",".join(view.regions_dark),
-                    )
+                self.tracer.emit(
+                    view.now, EV_CONTROL_DEGRADE, state="on",
+                    regions=",".join(view.regions_dark),
+                )
                 self.log.append(
                     f"t={view.now:.1f} degraded mode ON "
                     f"(dark: {', '.join(view.regions_dark)})"
@@ -329,10 +326,9 @@ class ControlPlane:
                     actions.quality_cap = math.inf
                 if pol.disable_sr_when_dark:
                     actions.sr_enabled = True
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        view.now, EV_CONTROL_DEGRADE, state="off"
-                    )
+                self.tracer.emit(
+                    view.now, EV_CONTROL_DEGRADE, state="off"
+                )
                 self.log.append(
                     f"t={view.now:.1f} degraded mode OFF (regions back)"
                 )

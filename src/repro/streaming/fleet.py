@@ -54,6 +54,7 @@ from ..obs.events import (
     EV_SESSION_FINISH,
     EV_SESSION_RESTEER,
     EV_SESSION_START,
+    NULL_TRACER,
 )
 from ..obs.profiler import NULL_PROFILER
 from ..net.link import SharedLink
@@ -594,7 +595,9 @@ class _FleetRun:
         self.retry_policy = spec.retry_policy
         self.controller = spec.controller
         telemetry = spec.telemetry
-        self.tracer = telemetry.tracer if telemetry is not None else None
+        live = None if telemetry is None else telemetry.tracer
+        #: every emission site calls this; the no-op form when tracing is off
+        self.tracer = NULL_TRACER if live is None else live
         self.metrics = telemetry.metrics if telemetry is not None else None
         prof = (
             telemetry.profiler
@@ -607,7 +610,7 @@ class _FleetRun:
         self.ph_advance = prof.phase("advance")
         self.ph_planner = prof.phase("planner")
         self.ph_control = prof.phase("control")
-        self.sched = PathScheduler(engine=spec.scheduler_engine)
+        self.sched = PathScheduler()
         self.topology = topology = spec.topology
         if topology is None:
             assert spec.trace is not None
@@ -801,8 +804,6 @@ class _FleetRun:
             self.wrapped_links.append((link, link.trace))
             link.trace = DegradedTrace(link.trace, wins)
         tracer = self.tracer
-        if tracer is None:
-            return
         for e_idx, edge in enumerate(self.edges):
             edge.cache.tracer = tracer
             edge.cache.edge = e_idx
@@ -824,15 +825,13 @@ class _FleetRun:
     def _unwire(self) -> None:
         for link, orig in self.wrapped_links:
             link.trace = orig
-        if self.tracer is None:
-            return
         for edge in self.edges:
-            edge.cache.tracer = None
+            edge.cache.tracer = NULL_TRACER
             edge.cache.edge = None
         if self.topology is not None:
-            self.topology.origin.queue.tracer = None
+            self.topology.origin.queue.tracer = NULL_TRACER
         if self.controller is not None:
-            self.controller.tracer = None
+            self.controller.tracer = NULL_TRACER
 
     # -- the event loop ----------------------------------------------------
 
@@ -925,7 +924,7 @@ class _FleetRun:
         same way at any instant, and registering the flow immediately
         keeps the degenerate topology bit-exact with the single-link
         scheduler — a waiting flow in the pool is what disables the
-        solo-flow fast path, exactly as in :class:`SharedLink`.
+        solo-flow fast path.
         """
         if self.base_path is not None or req.chunk_index is None:
             return False
@@ -948,11 +947,10 @@ class _FleetRun:
         tracer = self.tracer
         weight = self.sessions[sid].weight
         if self.base_path is not None:
-            if tracer is not None:
-                tracer.emit(
-                    req.start_time, EV_CHUNK_FETCH, session=sid,
-                    route="link", nbytes=req.nbytes,
-                )
+            tracer.emit(
+                req.start_time, EV_CHUNK_FETCH, session=sid,
+                route="link", nbytes=req.nbytes,
+            )
             self.sched.add_flow(
                 sid, req.nbytes, req.start_time, self.base_path, weight=weight
             )
@@ -973,11 +971,10 @@ class _FleetRun:
                 self.fill_waiters.setdefault((edge_idx, key), []).append(
                     (sid, req)
                 )
-                if tracer is not None:
-                    tracer.emit(
-                        req.start_time, EV_CHUNK_FETCH, session=sid,
-                        route="coalesce", edge=edge_idx, nbytes=req.nbytes,
-                    )
+                tracer.emit(
+                    req.start_time, EV_CHUNK_FETCH, session=sid,
+                    route="coalesce", edge=edge_idx, nbytes=req.nbytes,
+                )
                 return
             # Cold chunk: the origin must hold the encoded variant before
             # the backhaul transfer starts (bounded transcode workers).
@@ -1007,13 +1004,12 @@ class _FleetRun:
                     self.attempt_serial,
                 ),
             )
-        if tracer is not None:
-            # only an origin fetch reports its start delay
-            extra = {} if hit else {"delay": delay}
-            tracer.emit(
-                req.start_time, EV_CHUNK_FETCH, session=sid,
-                route=route, edge=edge_idx, nbytes=req.nbytes, **extra,
-            )
+        # only an origin fetch reports its start delay
+        extra = {} if hit else {"delay": delay}
+        tracer.emit(
+            req.start_time, EV_CHUNK_FETCH, session=sid,
+            route=route, edge=edge_idx, nbytes=req.nbytes, **extra,
+        )
         self.sched.add_flow(
             sid, req.nbytes, req.start_time, path,
             weight=weight, extra_delay=delay,
@@ -1037,11 +1033,10 @@ class _FleetRun:
         self.rstate.gray_bytes += gbytes
         if delay > 0.0:
             attempt = self.rstate.add_attempt(sid)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    req.start_time, EV_CHUNK_RETRY, session=sid,
-                    nbytes=req.nbytes, reason="gray-drop", attempt=attempt,
-                )
+            self.tracer.emit(
+                req.start_time, EV_CHUNK_RETRY, session=sid,
+                nbytes=req.nbytes, reason="gray-drop", attempt=attempt,
+            )
         return delay
 
     def on_completion(self, done) -> bool:
@@ -1060,7 +1055,7 @@ class _FleetRun:
             self._land_fill(*fill, done.finish_time)
         elapsed = done.elapsed + self.rstate.complete(sid)
         m = self.machines[sid]
-        if self.tracer is None:
+        if self.tracer is NULL_TRACER:
             req = m.advance(elapsed)
         else:
             req = self._traced_advance(m, done, elapsed)
@@ -1129,11 +1124,10 @@ class _FleetRun:
             self.machines, ids, clamp=self._clamp if levers else None
         )
         for sid, req in decided:
-            if self.tracer is not None:
-                self.tracer.emit(
-                    req.start_time, EV_CHUNK_DECISION, session=sid,
-                    chunk=req.chunk_index, nbytes=req.nbytes,
-                )
+            self.tracer.emit(
+                req.start_time, EV_CHUNK_DECISION, session=sid,
+                chunk=req.chunk_index, nbytes=req.nbytes,
+            )
             self.queue(sid, req)
 
     def _clamp(self, d):
@@ -1177,11 +1171,10 @@ class _FleetRun:
     ) -> None:
         """Move viewer ``sid`` to edge ``target`` (its in-flight transfer,
         if any, keeps riding the edge it was routed via)."""
-        if self.tracer is not None:
-            self.tracer.emit(
-                t, EV_SESSION_RESTEER, session=sid, reason=reason,
-                from_edge=from_edge, to_edge=target,
-            )
+        self.tracer.emit(
+            t, EV_SESSION_RESTEER, session=sid, reason=reason,
+            from_edge=from_edge, to_edge=target,
+        )
         self.assignment[sid] = target
         if self.per_edge_sr:
             self.machines[sid].sr_cache = self.edges[target].sr_cache
@@ -1246,11 +1239,10 @@ class _FleetRun:
                 t + delay - req.start_time
             )
             req = dc_replace(req, start_time=t + delay)
-        if self.tracer is not None:
-            self.tracer.emit(
-                t, EV_CHUNK_RETRY, session=sid, nbytes=req.nbytes,
-                reason=reason, attempt=attempt,
-            )
+        self.tracer.emit(
+            t, EV_CHUNK_RETRY, session=sid, nbytes=req.nbytes,
+            reason=reason, attempt=attempt,
+        )
         self.queue(sid, req)
 
     def apply_outage_bounds(self, t: float) -> None:
@@ -1295,10 +1287,9 @@ class _FleetRun:
             req, _, orphans = self._cancel(sid, t)
             cancelled.append((sid, req))
             cancelled.extend(orphans)
-        if self.tracer is not None:
-            self.tracer.emit(
-                t, EV_OUTAGE_EVACUATE, edge=edge_idx, cancelled=len(cancelled)
-            )
+        self.tracer.emit(
+            t, EV_OUTAGE_EVACUATE, edge=edge_idx, cancelled=len(cancelled)
+        )
         # Viewers whose join still lies beyond the end of this outage
         # (chained across back-to-back outage spans on the edge) will
         # find it healthy again — failing them over now would permanently
@@ -1353,11 +1344,10 @@ class _FleetRun:
                 for wsid, wreq in orphans:
                     self._reissue(wsid, wreq, t, "fill-aborted")
                 self.rstate.timed_out += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        t, EV_RETRY_TIMEOUT, session=sid, edge=edge_idx,
-                        nbytes=req.nbytes,
-                    )
+                self.tracer.emit(
+                    t, EV_RETRY_TIMEOUT, session=sid, edge=edge_idx,
+                    nbytes=req.nbytes,
+                )
                 hedged = policy.hedge and self._hedge(sid, edge_idx, t)
                 self._reissue(sid, req, t, "timeout", backoff=not hedged)
 
@@ -1375,8 +1365,7 @@ class _FleetRun:
         target = min(candidates, key=lambda e: (len(by_edge[e]), e))
         self._resteer(sid, edge_idx, target, t, "hedge")
         self.rstate.hedged += 1
-        if self.tracer is not None:
-            self.tracer.emit(t, EV_RETRY_HEDGE, session=sid, edge=target)
+        self.tracer.emit(t, EV_RETRY_HEDGE, session=sid, edge=target)
         return True
 
     # -- monitoring and control --------------------------------------------

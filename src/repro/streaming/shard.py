@@ -37,7 +37,7 @@ whole pool and ``shard_fleet`` is **bit-exact** with ``simulate_fleet``
 (enforced by the hypothesis parity grid in
 ``tests/streaming/test_shard.py`` — the shard executor's entry in the
 oracle-parity convention alongside kNN backends, the vectorized MPC,
-and the PathScheduler engines).  Likewise, a plain shared
+and ``PathScheduler`` vs its ``tests/net`` reference).  Likewise, a plain shared
 :class:`~repro.streaming.fleet.SRResultCache` cannot span processes, so
 multi-worker runs copy it per shard; pass ``sr_cache="per-edge"`` (the
 recommended sharded configuration) and the partition is lossless —
@@ -210,7 +210,6 @@ class _ShardTask:
     #: session → *local* edge index, shard session order
     assignment: list[int]
     sr_cache: SRResultCache | str | None
-    scheduler_engine: str
     #: this shard's slice of the fault schedule, edges re-indexed to the
     #: sub-topology (backhaul degradations, gray failures, and region
     #: outages whose fault domain the shard wholly owns)
@@ -287,7 +286,6 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
             assignment=task.assignment,
             faults=task.faults,
             retry_policy=task.retry_policy,
-            scheduler_engine=task.scheduler_engine,
             telemetry=telemetry,
         ),
     )
@@ -315,7 +313,6 @@ def _make_task(
     topology: CDNTopology,
     plan: ShardPlan,
     sr_cache: SRResultCache | str | None,
-    scheduler_engine: str,
     *,
     copy_sr: bool,
     faults: FaultSchedule | None = None,
@@ -382,7 +379,6 @@ def _make_task(
         topology=sub_topology,
         assignment=[local_edge[plan.assignment[i]] for i in shard.session_indices],
         sr_cache=cache,
-        scheduler_engine=scheduler_engine,
         faults=sub_faults,
         retry_policy=retry_policy,
         trace=trace,
@@ -561,7 +557,6 @@ def shard_fleet(
     tasks = [
         _make_task(
             shard, sessions, topology, plan, sr_cache,
-            spec.scheduler_engine,
             copy_sr=copy_sr, faults=faults, retry_policy=retry_policy,
             trace=trace, profile=profile,
         )

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..net.topology import SCHEDULER_ENGINES
-
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..net.traces import NetworkTrace
     from ..obs import Telemetry
@@ -63,9 +61,6 @@ class FleetSpec:
     #: on their edge, and the report gains per-edge SR hit rates.  The
     #: configuration the shard executor prefers: no cross-shard traffic.
     sr_cache: "SRResultCache | str | None" = None
-    #: :class:`~repro.net.topology.PathScheduler` implementation:
-    #: ``"vector"`` array math, or ``"scalar"``, the bit-exact reference.
-    scheduler_engine: str = "vector"
     #: precomputed viewer → edge index per session, overriding the
     #: topology's assignment policy.  The shard executor pins a sub-fleet
     #: to the assignment computed over the *full* session list this way
@@ -148,11 +143,6 @@ class FleetSpec:
                 "policy applies to the single-link mode; a topology's "
                 "links carry their own sharing policies (set them at "
                 "construction, e.g. uniform_cdn(policy=...))"
-            )
-        if self.scheduler_engine not in SCHEDULER_ENGINES:
-            raise ValueError(
-                f"unknown scheduler_engine {self.scheduler_engine!r}; "
-                f"expected one of {SCHEDULER_ENGINES}"
             )
         if self.faults is not None and not self.faults:
             self.faults = None  # empty schedule ≡ no faults

@@ -1,0 +1,210 @@
+"""Per-flow reference for :class:`repro.net.topology.PathScheduler`.
+
+The oracle of the scheduler parity instance: the same driver contract
+(``add_flow`` / ``cancel`` / ``has_flow`` / ``sync`` / ``busy`` /
+``next_event`` / ``advance`` / ``delivered_bits``) written as plain
+Python loops over flow objects, with its own share arithmetic and its
+own finish tolerance.  It borrows only the production module's value
+types (``NetworkPath``, ``Completion``) and the solo closed form
+``path_download_time`` — everything that splits a link between flows is
+written out here a second time, on purpose.
+
+On a one-hop path this is the classic single-bottleneck processor-
+sharing loop: one capacity lookup, one share denominator, one drain per
+active flow per event step.  ``tests/net/test_topology.py`` pins
+production to it with ``==`` on the :class:`Completion` streams;
+``tests/streaming/test_fleet.py`` swaps it into a whole fleet run.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from repro.net import Completion, NetworkPath, path_download_time
+
+# The finish tolerance is part of the arithmetic the two implementations
+# must agree on, so it is restated, not imported.
+FINISH_RTOL = 1e-9
+FINISH_ATOL = 1e-3
+
+
+@dataclass
+class _Flow:
+    flow_id: int
+    nbytes: int
+    path: NetworkPath
+    start_time: float
+    data_start: float  # start_time + path RTT + any gate delay
+    weight: float
+    total_bits: float
+    remaining_bits: float
+    gated: bool
+    #: closed-form elapsed, once resolved for a lone untouched flow
+    solo_elapsed: float | None = None
+
+
+def _bits_over(traces, start: float, end: float) -> float:
+    """Bits a lone flow moves over ``[start, end]`` at the min-hop rate."""
+    bits, t = 0.0, start
+    while t < end:
+        rate = min(tr.bandwidth_at(t) for tr in traces)
+        step = min(min(tr.time_to_next_change(t) for tr in traces), end - t)
+        bits += rate * step
+        t += step
+    return bits
+
+
+class ReferenceScheduler:
+    """Fluid sharing of a link pool, one Python loop per flow per step."""
+
+    def __init__(self) -> None:
+        self._flows: dict[int, _Flow] = {}
+        self.delivered_bits = 0.0
+
+    # -- registry --------------------------------------------------------
+    def add_flow(
+        self,
+        flow_id: int,
+        nbytes: int,
+        start_time: float,
+        path: NetworkPath,
+        weight: float = 1.0,
+        extra_delay: float = 0.0,
+    ) -> None:
+        if flow_id in self._flows:
+            raise ValueError(f"flow {flow_id} already in flight")
+        bits = float(nbytes) * 8.0
+        self._flows[flow_id] = _Flow(
+            flow_id=flow_id,
+            nbytes=nbytes,
+            path=path,
+            start_time=float(start_time),
+            data_start=float(start_time) + path.rtt + float(extra_delay),
+            weight=float(weight),
+            total_bits=bits,
+            remaining_bits=bits,
+            gated=extra_delay > 0.0,
+        )
+
+    @property
+    def n_flows(self) -> int:
+        return len(self._flows)
+
+    def has_flow(self, flow_id: int) -> bool:
+        return flow_id in self._flows
+
+    def busy(self) -> bool:
+        return bool(self._flows)
+
+    def cancel(self, flow_id: int) -> None:
+        if flow_id not in self._flows:
+            raise KeyError(f"flow {flow_id} is not in flight")
+        del self._flows[flow_id]
+
+    # -- solo closed form --------------------------------------------------
+    def _solo(self) -> _Flow | None:
+        """The pool's only flow, if it has drained nothing and is ungated."""
+        if len(self._flows) != 1:
+            return None
+        (flow,) = self._flows.values()
+        if flow.gated or flow.remaining_bits != flow.total_bits:
+            return None
+        return flow
+
+    def sync(self, now: float) -> None:
+        solo = self._solo()
+        if solo is None or solo.total_bits == 0.0 or now <= solo.data_start:
+            return
+        traces = [link.trace for link in solo.path.links]
+        drained = min(_bits_over(traces, solo.data_start, now), solo.remaining_bits)
+        if drained <= 0.0:
+            return
+        solo.remaining_bits -= drained
+        solo.solo_elapsed = None
+        self._deliver(solo, drained)
+
+    # -- sharing arithmetic ------------------------------------------------
+    def _active(self, now: float) -> list[_Flow]:
+        return [
+            f
+            for f in self._flows.values()
+            if f.data_start <= now and f.remaining_bits > 0.0
+        ]
+
+    def _rates(self, active: list[_Flow], now: float) -> list[float]:
+        """Each active flow's min-over-hops processor-sharing allocation."""
+        on_link: dict[int, list[_Flow]] = {}
+        for f in active:  # pool insertion order, per link
+            for link in f.path.links:
+                on_link.setdefault(id(link), []).append(f)
+        rates = []
+        for f in active:
+            shares = []
+            for link in f.path.links:
+                capacity = link.trace.bandwidth_at(now)
+                sharers = on_link[id(link)]
+                if link.policy == "weighted":
+                    total = 0.0
+                    for g in sharers:
+                        total += g.weight
+                    shares.append(capacity * f.weight / total)
+                else:
+                    shares.append(capacity / float(len(sharers)))
+            rates.append(min(shares))
+        return rates
+
+    def _deliver(self, flow: _Flow, bits: float) -> None:
+        self.delivered_bits += bits
+        for link in flow.path.links:
+            link.delivered_bits += bits
+
+    # -- event loop --------------------------------------------------------
+    def next_event(self, now: float) -> float:
+        if not self._flows:
+            raise RuntimeError("no flows in flight")
+        solo = self._solo()
+        if solo is not None:
+            if solo.solo_elapsed is None:
+                solo.solo_elapsed = path_download_time(
+                    solo.path, solo.nbytes, solo.start_time
+                )
+            return solo.start_time + solo.solo_elapsed
+        flows = self._flows.values()
+        events = [f.data_start for f in flows if f.data_start > now]
+        # an already-empty flow completes as soon as its data start elapses
+        events += [max(f.data_start, now) for f in flows if f.remaining_bits <= 0.0]
+        active = self._active(now)
+        for link in {id(l): l for f in active for l in f.path.links}.values():
+            events.append(now + link.trace.time_to_next_change(now))
+        for f, rate in zip(active, self._rates(active, now)):
+            events.append(now + f.remaining_bits / rate)
+        return min(events)
+
+    def advance(self, now: float, to_time: float) -> list[Completion]:
+        if to_time < now:
+            raise ValueError("cannot advance backwards")
+        solo = self._solo()
+        if solo is not None and solo.solo_elapsed is not None:
+            finish = solo.start_time + solo.solo_elapsed
+            if finish > to_time:
+                return []
+            self._deliver(solo, solo.total_bits)
+            del self._flows[solo.flow_id]
+            return [Completion(solo.flow_id, finish, solo.solo_elapsed)]
+        dt = to_time - now
+        active = self._active(now)
+        # rates are fixed over the interval: snapshot before draining
+        for f, rate in zip(active, self._rates(active, now)):
+            drained = min(rate * dt, f.remaining_bits)
+            f.remaining_bits -= drained
+            self._deliver(f, drained)
+            if f.remaining_bits <= max(FINISH_RTOL * f.total_bits, FINISH_ATOL):
+                self._deliver(f, f.remaining_bits)
+                f.remaining_bits = 0.0
+        done = []
+        for f in sorted(self._flows.values(), key=lambda f: f.flow_id):
+            if f.remaining_bits <= 0.0 and f.data_start <= to_time:
+                finish = f.data_start if f.total_bits == 0.0 else to_time
+                done.append(Completion(f.flow_id, finish, finish - f.start_time))
+                del self._flows[f.flow_id]
+        return done

@@ -1,9 +1,21 @@
-"""SharedLink: processor sharing, weights, conservation, solo exactness."""
+"""One shared link: processor sharing, weights, conservation, solo exactness.
+
+The single-bottleneck behaviours, checked on the one engine that moves
+bits: a :class:`PathScheduler` whose every flow rides the same one-hop
+path over one :class:`SharedLink`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.net import Link, NetworkTrace, SharedLink, stable_trace
+from repro.net import (
+    Link,
+    NetworkPath,
+    NetworkTrace,
+    PathScheduler,
+    SharedLink,
+    stable_trace,
+)
 
 
 def const_trace(bps: float, rtt: float = 0.0) -> NetworkTrace:
@@ -15,12 +27,26 @@ def const_trace(bps: float, rtt: float = 0.0) -> NetworkTrace:
     )
 
 
-def drive(link: SharedLink, now: float = 0.0):
+class OneHop:
+    """A link and the scheduler sharing it between one-hop flows."""
+
+    def __init__(self, trace: NetworkTrace, policy: str = "fair"):
+        self.link = SharedLink(trace, policy=policy)
+        self.path = NetworkPath((self.link,))
+        self.sched = PathScheduler()
+        self.next_event = self.sched.next_event
+        self.advance = self.sched.advance
+
+    def add_flow(self, flow_id, nbytes, start_time, weight=1.0):
+        self.sched.add_flow(flow_id, nbytes, start_time, self.path, weight=weight)
+
+
+def drive(shared: OneHop, now: float = 0.0):
     """Run the link dry; returns completions in order."""
     out = []
-    while link.busy():
-        t = link.next_event(now)
-        out.extend(link.advance(now, t))
+    while shared.sched.busy():
+        t = shared.next_event(now)
+        out.extend(shared.advance(now, t))
         now = t
     return out
 
@@ -29,7 +55,7 @@ class TestSoloExactness:
     def test_single_flow_matches_link_download_time(self):
         trace = stable_trace(7.3, rtt=0.013)
         expected = Link(trace).download_time(1_234_567, 2.5)
-        shared = SharedLink(trace)
+        shared = OneHop(trace)
         shared.add_flow(0, 1_234_567, 2.5)
         (done,) = drive(shared)
         assert done.elapsed == expected  # bit-exact, not approx
@@ -38,7 +64,7 @@ class TestSoloExactness:
     def test_sequential_solo_flows_each_exact(self):
         trace = stable_trace(10.0, rtt=0.02)
         ref = Link(trace)
-        shared = SharedLink(trace)
+        shared = OneHop(trace)
         shared.add_flow(0, 500_000, 0.0)
         (first,) = drive(shared)
         assert first.elapsed == ref.download_time(500_000, 0.0)
@@ -47,7 +73,7 @@ class TestSoloExactness:
         assert second.elapsed == ref.download_time(800_000, first.finish_time)
 
     def test_zero_bytes_costs_one_rtt(self):
-        shared = SharedLink(const_trace(1e6, rtt=0.05))
+        shared = OneHop(const_trace(1e6, rtt=0.05))
         shared.add_flow(0, 0, 1.0)
         (done,) = drive(shared)
         assert done.elapsed == pytest.approx(0.05)
@@ -57,7 +83,7 @@ class TestSoloExactness:
 class TestFairSharing:
     def test_two_equal_flows_halve_throughput(self):
         # 1000 bps, two flows of 1000 bits each from t=0: both finish at 2 s.
-        shared = SharedLink(const_trace(1000.0))
+        shared = OneHop(const_trace(1000.0))
         shared.add_flow(0, 125, 0.0)
         shared.add_flow(1, 125, 0.0)
         done = drive(shared)
@@ -69,7 +95,7 @@ class TestFairSharing:
         # A: 2000 bits at t=0; B: 500 bits at t=1.  A runs solo-speed for
         # 1 s (1000 bits), then shares: A needs 2 more s, B needs 1 s at
         # 500 bps.  B done at t=2; A's last 500 bits at full rate: t=2.5.
-        shared = SharedLink(const_trace(1000.0))
+        shared = OneHop(const_trace(1000.0))
         shared.add_flow(0, 250, 0.0)  # 2000 bits
         shared.add_flow(1, 63, 1.0)  # 504 bits
         done = {c.flow_id: c for c in drive(shared)}
@@ -79,7 +105,7 @@ class TestFairSharing:
 
     def test_conservation_across_random_fleet(self):
         rng = np.random.default_rng(0)
-        shared = SharedLink(const_trace(5e5))
+        shared = OneHop(const_trace(5e5))
         sizes = rng.integers(10_000, 200_000, 6)
         for i, nbytes in enumerate(sizes):
             shared.add_flow(i, int(nbytes), 0.0)
@@ -88,7 +114,8 @@ class TestFairSharing:
         total_bits = 8.0 * float(sizes.sum())
         # Link saturated from 0 to last completion.
         assert total_bits == pytest.approx(5e5 * last, rel=1e-9)
-        assert shared.delivered_bits == pytest.approx(total_bits, rel=1e-9)
+        assert shared.sched.delivered_bits == pytest.approx(total_bits, rel=1e-9)
+        assert shared.link.delivered_bits == pytest.approx(total_bits, rel=1e-9)
 
     def test_variable_rate_trace_honoured(self):
         # 1000 bps for 10 s then 2000 bps.  Two flows of 7500 bits each:
@@ -99,7 +126,7 @@ class TestFairSharing:
             bandwidths_bps=np.array([1000.0, 2000.0]),
             rtt=0.0,
         )
-        shared = SharedLink(trace)
+        shared = OneHop(trace)
         shared.add_flow(0, 937, 0.0)  # 7496 bits
         shared.add_flow(1, 937, 0.0)
         done = drive(shared)
@@ -111,7 +138,7 @@ class TestFairSharing:
 class TestWeightedSharing:
     def test_weights_split_capacity_proportionally(self):
         # 3:1 weights on 1000 bps → 750/250 bps while both active.
-        shared = SharedLink(const_trace(1000.0), policy="weighted")
+        shared = OneHop(const_trace(1000.0), policy="weighted")
         shared.add_flow(0, 375, 0.0, weight=3.0)  # 3000 bits
         shared.add_flow(1, 125, 0.0, weight=1.0)  # 1000 bits
         done = {c.flow_id: c for c in drive(shared)}
@@ -120,7 +147,7 @@ class TestWeightedSharing:
         assert done[1].finish_time == pytest.approx(4.0)
 
     def test_fair_policy_ignores_weights(self):
-        shared = SharedLink(const_trace(1000.0), policy="fair")
+        shared = OneHop(const_trace(1000.0), policy="fair")
         shared.add_flow(0, 125, 0.0, weight=100.0)
         shared.add_flow(1, 125, 0.0, weight=1.0)
         done = drive(shared)
@@ -128,7 +155,7 @@ class TestWeightedSharing:
 
     def test_lone_weighted_flow_gets_full_capacity(self):
         trace = const_trace(1000.0)
-        shared = SharedLink(trace, policy="weighted")
+        shared = OneHop(trace, policy="weighted")
         shared.add_flow(0, 125, 0.0, weight=0.25)
         (done,) = drive(shared)
         assert done.finish_time == pytest.approx(1.0)
@@ -137,16 +164,16 @@ class TestWeightedSharing:
 class TestValidation:
     def test_bad_policy(self):
         with pytest.raises(ValueError, match="policy"):
-            SharedLink(const_trace(1e6), policy="strict")
+            OneHop(const_trace(1e6), policy="strict")
 
     def test_duplicate_flow_id(self):
-        shared = SharedLink(const_trace(1e6))
+        shared = OneHop(const_trace(1e6))
         shared.add_flow(0, 100, 0.0)
         with pytest.raises(ValueError, match="already"):
             shared.add_flow(0, 100, 0.0)
 
     def test_bad_args(self):
-        shared = SharedLink(const_trace(1e6))
+        shared = OneHop(const_trace(1e6))
         with pytest.raises(ValueError):
             shared.add_flow(0, -1, 0.0)
         with pytest.raises(ValueError):

@@ -1,20 +1,24 @@
-"""Multi-link path properties: one-hop parity, engine parity, accounting.
+"""Multi-link path properties: production vs reference parity, accounting.
 
-The scheduler ships two engines behind one contract: ``scalar`` (per-flow
-Python loops, the reference oracle) and ``vector`` (one array pass per
-event step, the default).  Following the repo's oracle-parity convention
-(kNN backends, the MPC planner), every property here runs against both
-engines, and :class:`TestEngineParity` drives the two engines over the
-same hypothesis-generated multi-hop workloads asserting bit-identical
-completion streams.
+``PathScheduler`` is the one engine that splits links between flows;
+``reference_scheduler.ReferenceScheduler`` is the per-flow Python loop
+it is pinned to.  Following the repo's oracle-parity convention (kNN
+backends, the MPC planner), :class:`TestEngineParity` drives both over
+the same hypothesis-generated workloads — one- to three-hop paths over
+shared links, fair and weighted, gated, cancelled and ``sync``-injected
+flows — asserting ``==`` on the completion streams, and the contract
+tests in :class:`TestOneHopParity` run against both implementations
+(ids ``vector`` = production, ``scalar`` = the reference), so the oracle
+is itself checked against the closed-form link integrator.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
-    SCHEDULER_ENGINES,
     Link,
     NetworkPath,
     PathScheduler,
@@ -23,6 +27,11 @@ from repro.net import (
     path_download_time,
     stable_trace,
 )
+
+from .reference_scheduler import ReferenceScheduler
+
+#: The contract's two implementations.
+SCHEDULERS = {"vector": PathScheduler, "scalar": ReferenceScheduler}
 
 
 def drive(engine):
@@ -49,46 +58,152 @@ flow_lists = st.lists(
     max_size=6,
 )
 
+#: per-flow (size, start, weight, path index, extra_delay, cancel, inject)
+#: draws.  ``size`` is seconds the flow would take alone at the trace's
+#: mean rate (0 = a zero-byte flow) and starts fall on a 0.1 s lattice
+#: inside 4 s, so most draws have several flows sharing a link at once
+#: and some start or finish together; byte counts drawn directly leave
+#: nine runs in ten with at most two flows ever active.  ``cancel``
+#: withdraws the flow that long after its request if it is still in
+#: flight (the outage / timeout hook); ``inject`` registers it at its
+#: start instant behind a ``sync()`` instead of up front (the fleet's
+#: deferred-request pattern).
+scripted_flows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40).map(lambda k: 0.25 * k),
+        st.integers(min_value=0, max_value=40).map(lambda k: 0.1 * k),
+        st.floats(min_value=0.25, max_value=4.0, allow_nan=False),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([0.0, 0.0, 0.5, 2.0]),
+        st.sampled_from([None, None, None, None, 0.3, 2.0]),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=12,
+)
 
-@pytest.fixture(params=SCHEDULER_ENGINES)
+
+def sized(flows, mean_mbps):
+    """``scripted_flows`` draws with sizes turned into (odd) byte counts."""
+    return [
+        (int(secs * mean_mbps * 1e6 / 8.0) + (7 if secs else 0), *rest)
+        for secs, *rest in flows
+    ]
+
+
+def build_pool(policy, mean, seed):
+    """Three links and the four paths (one to three hops) sharing them."""
+    links = [
+        SharedLink(lte_trace(mean, mean / 3, duration=90.0, seed=seed),
+                   policy=policy),
+        SharedLink(stable_trace(mean * 1.5, duration=90.0, rtt=0.005),
+                   policy=policy),
+        SharedLink(lte_trace(mean / 2, mean / 6, duration=90.0,
+                             seed=seed + 50), policy=policy),
+    ]
+    paths = [
+        NetworkPath((links[0],)),
+        NetworkPath((links[0], links[1])),
+        NetworkPath((links[1], links[2])),
+        NetworkPath((links[0], links[1], links[2])),
+    ]
+    return links, paths
+
+
+def run_script(sched, paths, flows):
+    """Drive ``sched`` through a scripted workload; return its completions.
+
+    ``flows`` are ``(nbytes, start, weight, path index, extra_delay,
+    cancel, inject)`` tuples — ``scripted_flows`` draws with byte sizes.
+    """
+    actions = []  # (time, flow id, "add" | "cancel")
+    spec = {}
+    for fid, flow in enumerate(flows):
+        nbytes, start, weight, path_i, delay, cancel_after, inject = flow
+        spec[fid] = (nbytes, paths[path_i], weight, delay)
+        if inject:
+            actions.append((start, fid, "add"))
+        else:
+            sched.add_flow(
+                fid, nbytes, start, paths[path_i],
+                weight=weight, extra_delay=delay,
+            )
+        if cancel_after is not None:
+            actions.append((start + cancel_after, fid, "cancel"))
+    actions.sort()
+    now, out, guard = 0.0, [], 0
+    while sched.busy() or actions:
+        t = actions[0][0] if actions else math.inf
+        if sched.busy():
+            t = min(t, sched.next_event(now))
+            out += sched.advance(now, t)
+        now = t
+        while actions and actions[0][0] <= now:
+            _, fid, kind = actions.pop(0)
+            if kind == "add":
+                nbytes, path, weight, delay = spec[fid]
+                sched.sync(now)
+                sched.add_flow(
+                    fid, nbytes, now, path, weight=weight, extra_delay=delay
+                )
+            elif sched.has_flow(fid):
+                sched.cancel(fid)
+        guard += 1
+        assert guard < 100_000, "event loop did not converge"
+    return out
+
+
+def assert_parity(flows, policy, mean, seed, one_hop=False):
+    """Production == reference on one scripted workload, field for field;
+    byte accounting agrees to float tolerance (the two sum drained bits
+    in different orders)."""
+    if one_hop:
+        flows = [(n, s, w, 0, *rest) for n, s, w, _, *rest in flows]
+    runs = []
+    for factory in (ReferenceScheduler, PathScheduler):
+        links, paths = build_pool(policy, mean, seed)
+        sched = factory()
+        runs.append((run_script(sched, paths, flows), sched, links))
+    (ref_done, ref, ref_links), (done, sched, links) = runs
+    assert done == ref_done  # Completion is frozen: == is field-exact
+    assert sched.delivered_bits == pytest.approx(ref.delivered_bits)
+    for got, want in zip(links, ref_links):
+        assert got.delivered_bits == pytest.approx(want.delivered_bits)
+
+
+@pytest.fixture(params=list(SCHEDULERS))
 def engine(request):
-    return request.param
+    return SCHEDULERS[request.param]
 
 
 class TestOneHopParity:
-    """A one-hop PathScheduler must be bit-exact with bare SharedLink."""
+    """The single-bottleneck pool: every flow on the same one-hop path."""
 
-    @pytest.mark.parametrize("engine", SCHEDULER_ENGINES)
+    # the reference is not compared with itself
+    @pytest.mark.parametrize("engine", ["vector"])
     @settings(max_examples=60, deadline=None)
     @given(
-        flows=flow_lists,
+        flows=scripted_flows,
         policy=st.sampled_from(["fair", "weighted"]),
         mean=st.floats(min_value=5.0, max_value=150.0),
         seed=st.integers(min_value=0, max_value=10),
     )
     def test_bit_exact_completions(self, engine, flows, policy, mean, seed):
-        trace = lte_trace(mean, mean / 3, duration=120.0, seed=seed)
-        shared = SharedLink(trace, policy=policy)
-        sched = PathScheduler(engine=engine)
-        path = NetworkPath((SharedLink(trace, policy=policy),))
-        for fid, (nbytes, start, weight) in enumerate(flows):
-            shared.add_flow(fid, nbytes, start, weight=weight)
-            sched.add_flow(fid, nbytes, start, path, weight=weight)
-        a, b = drive(shared), drive(sched)
-        assert a == b  # Completion is frozen: == is field-exact
+        assert SCHEDULERS[engine] is PathScheduler
+        assert_parity(sized(flows, mean), policy, mean, seed, one_hop=True)
 
     def test_solo_flow_matches_link_integrator(self, engine):
         """A lone flow resolves through the same segment-exact arithmetic."""
         trace = lte_trace(40, 12, seed=3)
         path = NetworkPath((SharedLink(trace),))
-        sched = PathScheduler(engine=engine)
+        sched = engine()
         sched.add_flow(0, 7_654_321, 1.25, path)
         (done,) = drive(sched)
         assert done.elapsed == Link(trace).download_time(7_654_321, 1.25)
 
     def test_zero_byte_flow_costs_path_rtt(self, engine):
         trace = stable_trace(50.0, rtt=0.025)
-        sched = PathScheduler(engine=engine)
+        sched = engine()
         sched.add_flow(0, 0, 2.0, NetworkPath((SharedLink(trace),)))
         (done,) = drive(sched)
         assert done.elapsed == pytest.approx(0.025)
@@ -179,115 +294,62 @@ class TestSharedHopContention:
         assert late.elapsed == pytest.approx(base.elapsed + 2.5)
 
 
-#: per-flow (nbytes, start, weight, path index, extra_delay) draws.
-engine_flow_lists = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=30_000_000),
-        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
-        st.floats(min_value=0.25, max_value=4.0, allow_nan=False),
-        st.integers(min_value=0, max_value=3),
-        st.sampled_from([0.0, 0.0, 0.5, 2.0]),
-    ),
-    min_size=1,
-    max_size=12,
-)
-
-
 class TestEngineParity:
-    """vector == scalar, bit for bit, on multi-hop shared-link pools.
+    """production == reference, bit for bit, on shared-link pools.
 
-    The grid mixes weights, staggered starts, gated (``extra_delay``)
-    flows, and one/two/three-hop paths sharing links — the full surface
-    the CDN fleet exercises.  Completions must compare equal field for
-    field; per-link byte accounting agrees to float tolerance (the
-    engines sum drained bits in different orders).
+    The grid mixes weights, staggered starts, gated (``extra_delay``),
+    cancelled and ``sync``-injected flows on one/two/three-hop paths
+    sharing links — the full surface the CDN fleet exercises.
     """
 
-    def build(self, engine, flows, policy, mean, seed):
-        links = [
-            SharedLink(lte_trace(mean, mean / 3, duration=90.0, seed=seed),
-                       policy=policy),
-            SharedLink(stable_trace(mean * 1.5, duration=90.0, rtt=0.005),
-                       policy=policy),
-            SharedLink(lte_trace(mean / 2, mean / 6, duration=90.0,
-                                 seed=seed + 50), policy=policy),
-        ]
-        paths = [
-            NetworkPath((links[0],)),
-            NetworkPath((links[0], links[1])),
-            NetworkPath((links[1], links[2])),
-            NetworkPath((links[0], links[1], links[2])),
-        ]
-        sched = PathScheduler(engine=engine)
-        for fid, (nbytes, start, weight, path_i, delay) in enumerate(flows):
-            sched.add_flow(
-                fid, nbytes, start, paths[path_i],
-                weight=weight, extra_delay=delay,
-            )
-        return sched, links
-
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        flows=engine_flow_lists,
+        flows=scripted_flows,
         policy=st.sampled_from(["fair", "weighted"]),
         mean=st.floats(min_value=5.0, max_value=120.0),
         seed=st.integers(min_value=0, max_value=8),
     )
     def test_bit_exact_multihop_completions(self, flows, policy, mean, seed):
-        scalar, s_links = self.build("scalar", flows, policy, mean, seed)
-        vector, v_links = self.build("vector", flows, policy, mean, seed)
-        assert drive(scalar) == drive(vector)
-        assert vector.delivered_bits == pytest.approx(scalar.delivered_bits)
-        for sl, vl in zip(s_links, v_links):
-            assert vl.delivered_bits == pytest.approx(sl.delivered_bits)
+        assert_parity(sized(flows, mean), policy, mean, seed)
 
     def test_weighted_denominator_beyond_pairwise_block(self):
-        """20 weighted flows on one hop: NumPy's pairwise summation
-        diverges from Python's sequential ``sum`` at 8+ terms, so the
-        vector engine must fall back to an insertion-order sum for the
-        weighted share denominator.  20 concurrent flows pin that."""
+        """20 weighted flows: NumPy's pairwise summation diverges from
+        Python's sequential ``sum`` at 8+ terms, so production must sum
+        the weighted share denominator in insertion order."""
         flows = [
-            (1_000_000 + 37 * i, 0.25 * (i % 3), 0.3 + 0.17 * i, i % 4, 0.0)
+            (1_000_000 + 37 * i, 0.25 * (i % 3), 0.3 + 0.17 * i, i % 4, 0.0,
+             None, False)
             for i in range(20)
         ]
-        scalar, _ = self.build("scalar", flows, "weighted", 60.0, 2)
-        vector, _ = self.build("vector", flows, "weighted", 60.0, 2)
-        assert drive(scalar) == drive(vector)
+        assert_parity(flows, "weighted", 60.0, 2)
 
     def test_weighted_single_link_pool_beyond_pairwise(self):
-        """The vector engine's one-link fast path must also sum weighted
-        denominators in insertion order — pinned against bare SharedLink
-        with 12 concurrent flows."""
-        trace = lte_trace(50, 15, duration=90.0, seed=3)
-        shared = SharedLink(trace, policy="weighted")
-        sched = PathScheduler(engine="vector")
-        path = NetworkPath((SharedLink(trace, policy="weighted"),))
-        for fid in range(12):
-            nbytes = 800_000 + 12_345 * fid
-            start = 0.2 * (fid % 4)
-            weight = 0.3 + 0.21 * fid
-            shared.add_flow(fid, nbytes, start, weight=weight)
-            sched.add_flow(fid, nbytes, start, path, weight=weight)
-        assert drive(shared) == drive(sched)
+        """Production's one-link fast path must also sum weighted
+        denominators in insertion order — 12 concurrent one-hop flows."""
+        flows = [
+            (800_000 + 12_345 * i, 0.2 * (i % 4), 0.3 + 0.21 * i, 0, 0.0,
+             None, False)
+            for i in range(12)
+        ]
+        assert_parity(flows, "weighted", 50.0, 3, one_hop=True)
 
     def test_fair_many_flows_bit_exact(self):
         flows = [
-            (500_000 + 991 * i, 0.1 * i, 1.0, i % 4, 0.0) for i in range(24)
+            (500_000 + 991 * i, 0.1 * i, 1.0, i % 4, 0.0, None, False)
+            for i in range(24)
         ]
-        scalar, _ = self.build("scalar", flows, "fair", 45.0, 5)
-        vector, _ = self.build("vector", flows, "fair", 45.0, 5)
-        assert drive(scalar) == drive(vector)
+        assert_parity(flows, "fair", 45.0, 5)
 
     def test_sync_mid_flight_injection_parity(self):
         """The fleet's deferred-release pattern: sync() at an arbitrary
-        instant, then inject a flow — both engines must bank the solo
-        flow's progress identically."""
+        instant, then inject a flow — both implementations must bank the
+        solo flow's progress identically."""
         results = []
-        for engine in SCHEDULER_ENGINES:
+        for factory in SCHEDULERS.values():
             trace = stable_trace(40.0, duration=120.0)
             link = SharedLink(trace)
             path = NetworkPath((link,))
-            sched = PathScheduler(engine=engine)
+            sched = factory()
             sched.add_flow(0, 10_000_000, 0.0, path)
             sched.next_event(0.0)  # resolves the solo fast path
             sched.sync(1.0)
@@ -298,11 +360,11 @@ class TestEngineParity:
     def test_sync_draining_solo_to_zero_still_completes(self):
         """A deferred request landing at (or past) the solo flow's finish
         makes sync() empty it outright; the emptied flow must still be
-        reported — the vector engine used to lose it and spin forever."""
+        reported — the array engine used to lose it and spin forever."""
         results = []
-        for engine in SCHEDULER_ENGINES:
+        for factory in SCHEDULERS.values():
             path = NetworkPath((SharedLink(stable_trace(80.0)),))
-            sched = PathScheduler(engine=engine)
+            sched = factory()
             sched.add_flow(0, 1_000_000, 0.0, path)  # finishes at ~0.11 s
             sched.next_event(0.0)                    # resolve solo fast path
             sched.sync(1.0)                          # fully drained
@@ -311,10 +373,6 @@ class TestEngineParity:
             assert {c.flow_id for c in done} == {0, 1}
             results.append(done)
         assert results[0] == results[1]
-
-    def test_engine_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            PathScheduler(engine="quantum")
 
 
 class TestValidation:
@@ -343,3 +401,27 @@ class TestValidation:
             sched.add_flow(1, 100, 0.0, path, extra_delay=-0.1)
         with pytest.raises(RuntimeError):
             PathScheduler().next_event(0.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"nbytes": math.nan},
+            {"start_time": math.nan},
+            {"start_time": math.inf},
+            {"weight": math.nan},
+            {"extra_delay": math.nan},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_add_flow_rejects_non_finite(self, bad):
+        """A non-finite flow never drains: the driver loop used to walk
+        ``now`` to infinity with ``busy()`` still true."""
+        sched = PathScheduler()
+        args = {"nbytes": 100, "start_time": 0.0, "weight": 1.0, "extra_delay": 0.0}
+        args.update(bad)
+        (name,) = bad
+        with pytest.raises(ValueError, match=rf"flow 7: {name} must be finite"):
+            sched.add_flow(
+                7, path=NetworkPath((SharedLink(stable_trace(10.0)),)), **args
+            )
+        assert not sched.busy()

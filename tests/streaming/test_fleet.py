@@ -23,6 +23,7 @@ from repro.streaming import (
 from repro.streaming.fleet import _MAX_STALLED_STEPS
 from repro.streaming.latency import MeasuredSRLatency
 
+from ..net.reference_scheduler import ReferenceScheduler
 from .helpers import (
     FixedDensity,
     assert_same_run,
@@ -132,7 +133,8 @@ class TestSingleSessionParity:
 
 
 class TestEngineParityEndToEnd:
-    """scalar vs vector PathScheduler through the whole fleet stack."""
+    """Production PathScheduler vs the per-flow reference through the
+    whole fleet stack (the reference is swapped in for the run)."""
 
     def make_sessions(self):
         qm = SRQualityModel()
@@ -150,16 +152,18 @@ class TestEngineParityEndToEnd:
             for i in range(8)
         ]
 
-    def test_mpc_fleet_scheduler_engines_agree(self):
+    def test_mpc_fleet_scheduler_engines_agree(self, monkeypatch):
         trace = lte_trace(55, 16, seed=11)
-        runs = [
-            simulate_fleet(
+
+        def run():
+            return simulate_fleet(
                 self.make_sessions(), trace=trace, policy="weighted",
-                sr_cache=SRResultCache(), scheduler_engine=engine,
+                sr_cache=SRResultCache(),
             )
-            for engine in ("scalar", "vector")
-        ]
-        a, b = runs
+
+        b = run()
+        monkeypatch.setattr("repro.streaming.fleet.PathScheduler", ReferenceScheduler)
+        a = run()
         for ra, rb in zip(a.sessions, b.sessions):
             assert ra.qoe == rb.qoe
             assert ra.total_bytes == rb.total_bytes

@@ -113,7 +113,7 @@ class TestSpecShimBitExact:
             simulate_fleet(
                 make_sessions(),
                 topology=make_topology(),
-                scheduler_engine="vector",
+                sr_cache="per-edge",
             )
 
 
@@ -138,8 +138,13 @@ class TestSpecMixingRules:
     def test_unknown_field_rejected_by_the_spec(self, entry):
         """No entry point keeps its own field list: an unknown keyword
         reaches ``FleetSpec(**fields)`` and fails there."""
-        with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
-            entry(make_sessions(), topology=make_topology(), engine="scalar")
+        with pytest.raises(
+            TypeError, match="unexpected keyword argument 'scheduler_engine'"
+        ):
+            entry(
+                make_sessions(), topology=make_topology(),
+                scheduler_engine="scalar",
+            )
 
 
 class TestSpecValidation:
@@ -151,18 +156,6 @@ class TestSpecValidation:
                 trace=stable_trace(60.0, duration=600.0),
                 topology=make_topology(),
             ).validate()
-
-    def test_unknown_scheduler_engine(self):
-        """Rejected at the spec boundary — before the topology is reset
-        or a shard is spawned — not from inside ``PathScheduler``."""
-        topo = make_topology()
-        topo.edges[0].cache.insert(("v", 0, 1.0), 10, ready=0.0)
-        with pytest.raises(ValueError, match="scheduler_engine"):
-            FleetSpec(topology=topo, scheduler_engine="vectr").validate()
-        for entry in (simulate_fleet, shard_fleet):
-            with pytest.raises(ValueError, match="scheduler_engine"):
-                entry(make_sessions(), topology=topo, scheduler_engine="vectr")
-        assert len(topo.edges[0].cache) == 1  # never reset
 
     def test_policy_needs_single_link(self):
         with pytest.raises(ValueError, match="policy"):

@@ -25,3 +25,35 @@ def test_no_function_body_over_150_lines():
                     if n > MAX_BODY_LINES:
                         too_long.append(f"{path.name}::{node.name} {n}")
     assert not too_long, too_long
+
+
+def test_fleet_spec_has_ten_fields_and_no_engine_knob():
+    import dataclasses
+
+    from repro.streaming import FleetSpec
+
+    names = [f.name for f in dataclasses.fields(FleetSpec)]
+    assert len(names) == 10, names
+    assert not [n for n in names if "engine" in n]
+
+
+def test_stage_code_has_no_tracer_branches():
+    """Emission sites call ``tracer.emit`` unconditionally (a run without
+    a tracer binds ``NULL_TRACER``)."""
+    offenders = [
+        f"{name}:{i}"
+        for name in ("fleet.py", "cdn.py", "control.py")
+        for i, line in enumerate(
+            (SRC / "streaming" / name).read_text().splitlines(), 1
+        )
+        if "tracer is not None" in line or "tracer is None" in line
+    ]
+    assert not offenders, offenders
+
+
+def test_shared_link_moves_no_bits():
+    """One fluid-sharing engine (``PathScheduler``); its per-flow
+    reference lives in ``tests/net/reference_scheduler.py``."""
+    from repro.net import SharedLink
+
+    assert not hasattr(SharedLink, "add_flow")
