@@ -14,13 +14,60 @@ neighbor gathering.
 The merge is exact *with respect to the candidate union*; the approximation
 error relative to a full kNN search is measured in tests (it is zero for
 midpoints when k is modest, the regime VoLUT runs in).
+
+The prune is a k-pass select, not a sort:
+
+1. cut the rows into blocks of ``_BLOCK_ROWS``;
+2. per block, lay the candidates out once as ``(rows, 2 + 2·k_src)`` —
+   columns ``parent_a``, ``parent_b``, ``N(parent_a)``, ``N(parent_b)``;
+3. squared distances by one gather per axis from contiguous x / y / z,
+   accumulated in place (no ``(rows, width, 3)`` array exists);
+4. ``k`` times: ``argmin`` along the row, record the winner, then set the
+   distance of *every* column holding the winner's index to ``inf`` — one
+   equality compare retires the winner and all its duplicates (the parents'
+   lists overlap heavily);
+5. a pass whose minimum is ``inf`` means the row ran out of distinct
+   candidates, which is an error, not a padded answer.
+
+**Ties** go to the lowest candidate column, because ``argmin`` returns the
+first minimum: ``parent_a`` before ``parent_b`` before ``N(parent_a)`` in
+list order before ``N(parent_b)`` in list order.  Ties are the common case,
+not a corner: a midpoint is equidistant from its two parents by
+construction.  Blocking does not change any row's answer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .knn import as_finite_xyz
+
 __all__ = ["merge_and_prune", "midpoint_neighbors"]
+
+#: Rows per block.  At 18 candidates a block's temporaries (candidates, one
+#: per-axis difference, distances) are ~150 KiB each and stay cache-resident.
+#: Measured on the 12 frames of ``bench``'s ``client-x8`` (m = 10,493 rows,
+#: k = 3; interleaved, best of 9, ms/frame): 256 → 4.57, 512 → 3.94,
+#: 1,024 → 3.91, 2,048 → 3.88, 4,096 → 4.39, unblocked → 4.86; on
+#: ``client-x2`` (m = 5,986): 2.69 / 2.41 / 2.21 / 2.29 / 2.45 / 2.54.
+#: 512–2,048 are within noise of each other, 4,096 and up lose 12–25 %.  The
+#: sort-based predecessor (``tests/spatial/reference_reuse.py``) took 15.8
+#: and 7.4 in the same window.
+_BLOCK_ROWS = 1024
+
+
+def _parent_indices(parent: np.ndarray, what: str, m: int, n: int) -> np.ndarray:
+    parent = np.asarray(parent)
+    if parent.shape != (m,):
+        raise ValueError(
+            f"{what} must be ({m},) to match new_points, got {parent.shape}"
+        )
+    if m and not (0 <= parent.min() and parent.max() < n):
+        row = int(np.argmax((parent < 0) | (parent >= n)))
+        raise ValueError(
+            f"{what} row {row} is {parent[row]}, outside the {n} points"
+        )
+    return parent
 
 
 def merge_and_prune(
@@ -42,57 +89,80 @@ def merge_and_prune(
     parent_a, parent_b:
         ``(m,)`` indices of each new point's two parents.
     neighbor_idx:
-        ``(n, k_src)`` precomputed neighbor lists of the original points
-        (``k_src >= k``); row ``i`` holds the neighbors of point ``i``.
+        ``(n, k_src)`` precomputed neighbor lists of the original points;
+        row ``i`` holds the neighbors of point ``i``.
     k:
         Number of neighbors to return per new point.
 
     Returns
     -------
     (indices, distances):
-        ``(m, k)`` arrays sorted by increasing distance.  The candidate set
-        for row ``j`` is ``{parent_a[j], parent_b[j]} ∪ N(parent_a[j]) ∪
-        N(parent_b[j])`` — duplicates are handled by the prune because ties
-        resolve identically.
+        ``(m, k)`` arrays sorted by increasing distance, no index repeated
+        within a row.  The candidate set for row ``j`` is ``{parent_a[j],
+        parent_b[j]} ∪ N(parent_a[j]) ∪ N(parent_b[j])``; equidistant
+        candidates come out in candidate-column order (module docstring).
+
+    Raises
+    ------
+    ValueError
+        ``new_points`` / ``points`` not finite ``(·, 3)``; ``parent_a`` /
+        ``parent_b`` not ``(m,)`` or outside ``[0, n)``; ``neighbor_idx``
+        not ``(n, k_src)``; ``k`` not positive or above the ``2 + 2·k_src``
+        candidate columns; or a row with fewer than ``k`` *distinct*
+        candidates (names the first such row and its count).
     """
-    new_points = np.asarray(new_points, dtype=np.float64)
-    m = len(new_points)
-    if m == 0:
-        return (np.zeros((0, k), dtype=np.int64), np.zeros((0, k)))
-    # Candidates: both parents plus both parents' neighbor lists.
-    cand = np.concatenate(
-        [
-            parent_a[:, None],
-            parent_b[:, None],
-            neighbor_idx[parent_a],
-            neighbor_idx[parent_b],
-        ],
-        axis=1,
-    )  # (m, 2 + 2*k_src)
-    n_cand = cand.shape[1]
-    if k > n_cand:
-        raise ValueError(f"k={k} exceeds candidate count {n_cand}")
-    diff = points[cand] - new_points[:, None, :]
-    d2 = np.einsum("mij,mij->mi", diff, diff)
-    # Duplicate candidates (shared neighbors of the two parents) must not
-    # occupy two of the k slots: inflate the distance of repeated entries.
-    sort_c = np.sort(cand, axis=1)
-    # Mark duplicates via a per-row sorted scan.
-    dup_sorted = np.zeros_like(sort_c, dtype=bool)
-    dup_sorted[:, 1:] = sort_c[:, 1:] == sort_c[:, :-1]
-    if dup_sorted.any():
-        # Map the duplicate flags back to original candidate order: for each
-        # row, keep the first occurrence of every index.
-        order = np.argsort(cand, kind="stable", axis=1)
-        dup = np.zeros_like(dup_sorted)
-        np.put_along_axis(dup, order, dup_sorted, axis=1)
-        d2 = np.where(dup, np.inf, d2)
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    pd = np.take_along_axis(d2, part, axis=1)
-    order = np.argsort(pd, axis=1, kind="stable")
-    idx = np.take_along_axis(part, order, axis=1)
-    dist = np.sqrt(np.take_along_axis(pd, order, axis=1))
-    return np.take_along_axis(cand, idx, axis=1), dist
+    new_points = as_finite_xyz(new_points, "new_points")
+    points = as_finite_xyz(points, "points")
+    m, n = len(new_points), len(points)
+    parent_a = _parent_indices(parent_a, "parent_a", m, n)
+    parent_b = _parent_indices(parent_b, "parent_b", m, n)
+    neighbor_idx = np.asarray(neighbor_idx)
+    if neighbor_idx.ndim != 2 or len(neighbor_idx) != n:
+        raise ValueError(
+            f"neighbor_idx must be ({n}, k_src) to match points, "
+            f"got {neighbor_idx.shape}"
+        )
+    k_src = neighbor_idx.shape[1]
+    width = 2 + 2 * k_src
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if k > width:
+        raise ValueError(f"k={k} exceeds candidate count {width}")
+
+    axes = [np.ascontiguousarray(points[:, a]) for a in range(3)]
+    indices = np.empty((m, k), dtype=np.int64)
+    distances = np.empty((m, k), dtype=np.float64)
+    for lo in range(0, m, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, m)
+        a, b = parent_a[lo:hi], parent_b[lo:hi]
+        cand = np.empty((hi - lo, width), dtype=np.int64)
+        cand[:, 0] = a
+        cand[:, 1] = b
+        cand[:, 2 : 2 + k_src] = neighbor_idx[a]
+        cand[:, 2 + k_src :] = neighbor_idx[b]
+        d2 = None
+        for axis, coords in enumerate(axes):
+            diff = coords[cand]
+            diff -= new_points[lo:hi, axis, None]
+            diff *= diff
+            d2 = diff if d2 is None else np.add(d2, diff, out=d2)
+        row = np.arange(hi - lo)
+        for j in range(k):
+            if j:  # retire the last winner and every duplicate of it
+                np.putmask(d2, cand == winner[:, None], np.inf)
+            first = d2.argmin(axis=1)
+            winner = cand[row, first]
+            indices[lo:hi, j] = winner
+            distances[lo:hi, j] = d2[row, first]
+        short = distances[lo:hi, -1] == np.inf
+        if short.any():
+            bad = lo + int(np.argmax(short))
+            raise ValueError(
+                f"new_points row {bad} has "
+                f"{int(np.isfinite(distances[bad]).sum())} distinct "
+                f"candidates, fewer than k={k}"
+            )
+    return indices, np.sqrt(distances, out=distances)
 
 
 def midpoint_neighbors(

@@ -16,26 +16,33 @@ point first in the index) but carries no entropy — the effective key space
 is ``b^{(n-1)·3}``, which is what makes hashing practical.
 
 Offsets predicted in normalized space are scaled back by ``R`` on apply.
+
+:meth:`PositionEncoder.encode` does the first two steps;
+:attr:`EncodedNeighborhood.bins` does the third on first access, because
+the coarse per-point table the client runs (``CoarseHashedLUT``) keys on
+the normalized coordinates and never reads the Eq. 4 bins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = ["PositionEncoder", "EncodedNeighborhood"]
 
 
-@dataclass
 class EncodedNeighborhood:
-    """Quantized neighborhoods plus the state needed to undo normalization.
+    """Normalized neighborhoods plus the state needed to undo normalization.
 
     Attributes
     ----------
     bins:
-        ``(m, rf, 3)`` int16 quantized coordinates; row order is
+        ``(m, rf, 3)`` int16 quantized coordinates (Eq. 4); row order is
         [target, neighbor_1, ..., neighbor_{rf-1}] as in the paper.
+        Computed on first access and kept: the production refiner
+        (:class:`~repro.sr.refine.LUTRefiner` over a ``CoarseHashedLUT``)
+        keys on ``normalized`` and never reads it.
     radius:
         ``(m,)`` neighborhood radii ``R`` (Eq. 3 denominators).
     normalized:
@@ -43,17 +50,24 @@ class EncodedNeighborhood:
         NN refinement consumes them and tests check the quantization error).
     """
 
-    bins: np.ndarray
-    radius: np.ndarray
-    normalized: np.ndarray
+    def __init__(
+        self, radius: np.ndarray, normalized: np.ndarray, encoder: "PositionEncoder"
+    ):
+        self.radius = radius
+        self.normalized = normalized
+        self._encoder = encoder
+
+    @cached_property
+    def bins(self) -> np.ndarray:
+        return self._encoder._quantize(self.normalized)
 
     @property
     def n_neighborhoods(self) -> int:
-        return len(self.bins)
+        return len(self.normalized)
 
     @property
     def rf_size(self) -> int:
-        return self.bins.shape[1]
+        return self.normalized.shape[1]
 
 
 class PositionEncoder:
@@ -106,15 +120,18 @@ class PositionEncoder:
         # Degenerate neighborhoods (all neighbors coincide with the target)
         # get radius 1 so normalization is a no-op instead of a div-by-zero.
         safe_r = np.where(radius > 0, radius, 1.0)
-        norm_nb = rel / safe_r[:, None, None]
-        normalized = np.concatenate(
-            [np.zeros((len(targets), 1, 3)), norm_nb], axis=1
-        )
+        # row 0 is the target, which normalizes to the origin
+        normalized = np.zeros((len(targets), self.rf_size, 3))
+        np.divide(rel, safe_r[:, None, None], out=normalized[:, 1:, :])
+        return EncodedNeighborhood(radius, normalized, self)
+
+    def _quantize(self, normalized: np.ndarray) -> np.ndarray:
+        """Eq. 4 on this encoder's (phase-shifted) grid: int16 bins."""
         q = np.floor(
             (normalized + 1.0) * 0.5 * (self.bins - 1) + self.phase
         ).astype(np.int16)
         np.clip(q, 0, self.bins - 1, out=q)
-        return EncodedNeighborhood(bins=q, radius=radius, normalized=normalized)
+        return q
 
     # ------------------------------------------------------------------
     def bin_centers(self, bins: np.ndarray) -> np.ndarray:
@@ -197,7 +214,7 @@ class PositionEncoder:
         The target point's code is constant (it sits at the origin) and is
         excluded, exactly as in :meth:`pack_keys`.
         """
-        codes = self.point_codes(normalized)[:, 1:].astype(np.uint64)
+        codes = self.point_codes(np.asarray(normalized)[:, 1:]).astype(np.uint64)
         base = np.uint64(self.point_grid ** 3)
         key = np.zeros(len(codes), dtype=np.uint64)
         for d in range(codes.shape[1]):

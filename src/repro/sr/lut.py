@@ -399,36 +399,41 @@ class CoarseHashedLUT(BaseLUT):
             self.insert(chunk, net.forward(x))
 
     def lookup_normalized(self, normalized: np.ndarray) -> np.ndarray:
-        """Offsets for ``(m, rf, 3)`` normalized neighborhoods."""
+        """Offsets for ``(m, rf, 3)`` normalized neighborhoods.
+
+        Only the ``rf - 1`` neighbour rows are coded (the target row is the
+        origin by construction).  Under ``fallback="nearest"`` hits and
+        misses take one path: each query picks the table row at or next to
+        its sorted position — the hit, else whichever neighbouring key is
+        closer — and the offsets come out of one gather.
+        """
         keys = self.encoder.pack_keys_coarse(normalized)
         m = len(keys)
-        out = np.zeros((m, 3), dtype=np.float64)
         if self.n_entries == 0:
             self.stats.misses += m
+            out = np.zeros((m, 3), dtype=np.float64)
             if self.fallback == "net":
                 out = self._net_eval(keys)
                 self.insert(keys, out)
             return out
         pos = np.searchsorted(self._keys, keys)
-        pos_clip = np.minimum(pos, self.n_entries - 1)
-        hit = self._keys[pos_clip] == keys
-        self.stats.hits += int(hit.sum())
-        self.stats.misses += int(m - hit.sum())
-        out[hit] = self._values[pos_clip[hit]].astype(np.float64)
-        miss = ~hit
-        if not miss.any():
-            return out
-        if self.fallback == "zero":
-            pass
-        elif self.fallback == "nearest":
-            lo = np.clip(pos[miss] - 1, 0, self.n_entries - 1)
-            hi = np.clip(pos[miss], 0, self.n_entries - 1)
-            klo, khi = self._keys[lo], self._keys[hi]
-            kq = keys[miss]
-            pick_hi = (khi - kq) < (kq - klo)
-            nearest = np.where(pick_hi, hi, lo)
-            out[miss] = self._values[nearest].astype(np.float64)
-        else:  # net
+        hi = np.minimum(pos, self.n_entries - 1)
+        khi = self._keys[hi]
+        hit = khi == keys
+        n_hit = int(np.count_nonzero(hit))
+        self.stats.hits += n_hit
+        self.stats.misses += m - n_hit
+        if self.fallback == "nearest":
+            lo = np.maximum(pos, 1) - 1
+            # uint64 differences wrap past either end of the table, which
+            # makes the far side lose the comparison
+            hi_is_closer = (khi - keys) < (keys - self._keys[lo])
+            row = np.where(hit | hi_is_closer, hi, lo)
+            return self._values[row].astype(np.float64)
+        out = np.zeros((m, 3), dtype=np.float64)
+        out[hit] = self._values[hi[hit]]
+        if self.fallback == "net" and n_hit < m:
+            miss = ~hit
             vals = self._net_eval(keys[miss])
             out[miss] = vals
             self.insert(keys[miss], vals)
@@ -516,12 +521,9 @@ class EnsembleLUT(BaseLUT):
                 bins=encoder.bins,
                 phase=i / n_members,
             )
-            q = np.floor(
-                (training_normalized + 1.0) * 0.5 * (enc_i.bins - 1) + enc_i.phase
-            ).astype(np.int16)
-            np.clip(q, 0, enc_i.bins - 1, out=q)
             lut = HashedLUT(enc_i, fallback=fallback)
-            lut.populate_from_network(enc_i.pack_keys(q), net)
+            keys = enc_i.pack_keys(enc_i._quantize(training_normalized))
+            lut.populate_from_network(keys, net)
             members.append(lut)
         return cls(members)
 
@@ -537,12 +539,7 @@ class EnsembleLUT(BaseLUT):
         normalized = np.asarray(normalized, dtype=np.float64)
         total = np.zeros((len(normalized), 3))
         for member in self.members:
-            enc = member.encoder
-            q = np.floor(
-                (normalized + 1.0) * 0.5 * (enc.bins - 1) + enc.phase
-            ).astype(np.int16)
-            np.clip(q, 0, enc.bins - 1, out=q)
-            total += member.lookup(q)
+            total += member.lookup(member.encoder._quantize(normalized))
         return total / len(self.members)
 
     def memory_bytes(self) -> int:

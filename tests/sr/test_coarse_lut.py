@@ -107,6 +107,46 @@ class TestCoarseLUT:
         assert coarse.stats.hit_rate > 0.15
         assert coarse.stats.hit_rate > fine.stats.hit_rate + 0.1
 
+    @pytest.mark.parametrize("fallback", ["nearest", "zero", "net"])
+    def test_hits_and_misses_against_a_per_query_loop(self, enc128, fallback):
+        """Hit: the stored value.  Miss: the closer adjacent stored key
+        (lower on a tie; the end key past either end), zero, or the net at
+        the query's own cell centre, by ``fallback``."""
+        from bisect import bisect_left
+
+        net = self._net(enc128, seed=3)
+        train = random_normalized(300, seed=11)
+        lut = build_coarse_lut(net, enc128, train, fallback=fallback)
+        table = [int(key) for key in lut._keys]
+        values = lut._values.astype(np.float64)
+        corners = np.zeros((2, 4, 3))  # keys 0 and key_space() - 1
+        corners[0, 1:], corners[1, 1:] = -1.0, 1.0
+        query = np.concatenate([train[:40], random_normalized(300, seed=12), corners])
+        keys = [int(key) for key in enc128.pack_keys_coarse(query)]
+        assert keys[-2] < table[0] and keys[-1] > table[-1]
+
+        want, n_hit = np.zeros((len(keys), 3)), 0
+        for row, key in enumerate(keys):
+            at = bisect_left(table, key)
+            if at < len(table) and table[at] == key:
+                want[row], n_hit = values[at], n_hit + 1
+            elif fallback == "nearest":
+                lo, hi = max(at - 1, 0), min(at, len(table) - 1)
+                want[row] = values[hi if table[hi] - key < key - table[lo] else lo]
+            elif fallback == "net":
+                centre = enc128.coarse_cell_centers(np.array([key], dtype=np.uint64))
+                want[row] = net.forward(np.concatenate([np.zeros((1, 3)), centre], axis=1))
+        assert 40 <= n_hit < len(keys) - 2
+
+        got = lut.lookup_normalized(query)
+        assert got.dtype == np.float64
+        # a one-row forward pass rounds differently from the batched one
+        assert np.allclose(got, want, rtol=0, atol=1e-12 if fallback == "net" else 0)
+        assert (lut.stats.hits, lut.stats.misses) == (n_hit, len(keys) - n_hit)
+        # only the net fallback memoizes what it computed
+        new_keys = len(set(keys) - set(table)) if fallback == "net" else 0
+        assert lut.n_entries == len(table) + new_keys
+
     def test_refiner_dispatches_to_normalized(self, enc128, small_frame):
         from repro.sr import gather_refinement_neighborhoods, interpolate
 

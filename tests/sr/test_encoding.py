@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sr import PositionEncoder
+from repro.nn import MLP
+from repro.sr import HashedLUT, LUTRefiner, PositionEncoder, build_coarse_lut
 
 
 def random_neighborhoods(m, rf, seed=0, scale=1.0):
@@ -154,6 +155,50 @@ class TestKeyPacking:
             enc.encode(np.zeros((3, 3)), np.zeros((3, 2, 3)))
         with pytest.raises(ValueError, match="targets"):
             enc.encode(np.zeros((3, 2)), np.zeros((3, 3, 3)))
+
+
+class TestLazyBins:
+    """``EncodedNeighborhood.bins`` is computed on first access."""
+
+    @pytest.mark.parametrize("bins", [16, 128])
+    @pytest.mark.parametrize("phase", [0.0, 0.25, 0.5])
+    def test_equals_the_eager_formula(self, phase, bins):
+        enc = PositionEncoder(rf_size=4, bins=bins, phase=phase)
+        t, nb = random_neighborhoods(200, 4, seed=3)
+        e = enc.encode(t, nb)
+        # shape queries read ``normalized`` and do not force the quantization
+        assert (e.rf_size, e.n_neighborhoods) == (4, 200)
+        assert "bins" not in vars(e)
+        want = np.floor((e.normalized + 1.0) * 0.5 * (bins - 1) + phase).astype(np.int16)
+        np.clip(want, 0, bins - 1, out=want)
+        got = e.bins
+        assert got.dtype == np.int16 and got.shape == (200, 4, 3)
+        assert np.array_equal(got, want)
+        assert e.bins is got  # kept, not recomputed
+
+    def _refine_and_capture(self, lut, monkeypatch):
+        """What ``LUTRefiner(lut).refine`` got back from ``encode``."""
+        made, encode = [], lut.encoder.encode
+
+        def recording_encode(targets, neighbors):
+            made.append(encode(targets, neighbors))
+            return made[-1]
+
+        monkeypatch.setattr(lut.encoder, "encode", recording_encode)
+        LUTRefiner(lut).refine(*random_neighborhoods(50, 4, seed=4))
+        (encoded,) = made
+        return encoded
+
+    def test_coarse_lut_refinement_leaves_bins_uncomputed(self, monkeypatch):
+        enc = PositionEncoder(rf_size=4, bins=128)
+        net = MLP((12, 8, 3), output_activation="tanh", seed=0)
+        train = enc.encode(*random_neighborhoods(50, 4, seed=5)).normalized
+        encoded = self._refine_and_capture(build_coarse_lut(net, enc, train), monkeypatch)
+        assert "bins" not in vars(encoded)
+
+    def test_bin_keyed_lut_refinement_computes_them(self, monkeypatch):
+        lut = HashedLUT(PositionEncoder(rf_size=4, bins=128), fallback="zero")
+        assert "bins" in vars(self._refine_and_capture(lut, monkeypatch))
 
 
 @given(seed=st.integers(0, 200), bins=st.integers(2, 64))

@@ -1,4 +1,5 @@
-"""Code shape: no function under streaming/ or net/ grows back into a monolith."""
+"""Code shape: no function under streaming/, net/, spatial/ or sr/ grows back
+into a monolith, and rewritten kernels leave no second path behind."""
 
 import ast
 from pathlib import Path
@@ -17,7 +18,7 @@ def body_lines(fn) -> int:
 
 def test_no_function_body_over_150_lines():
     too_long = []
-    for package in ("streaming", "net"):
+    for package in ("streaming", "net", "spatial", "sr"):
         for path in sorted((SRC / package).glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -57,3 +58,15 @@ def test_shared_link_moves_no_bits():
     from repro.net import SharedLink
 
     assert not hasattr(SharedLink, "add_flow")
+
+
+def test_merge_and_prune_has_one_path_and_no_switch():
+    """Its sort-based predecessor lives in ``tests/spatial/reference_reuse.py``."""
+    import inspect
+
+    from repro.spatial import reuse
+
+    assert list(inspect.signature(reuse.merge_and_prune).parameters) == [
+        "new_points", "points", "parent_a", "parent_b", "neighbor_idx", "k",
+    ]
+    assert reuse.__all__ == ["merge_and_prune", "midpoint_neighbors"]
