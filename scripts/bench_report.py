@@ -1,20 +1,22 @@
-"""Post-process a pytest-benchmark JSON into the committed BENCH files.
+"""Post-process a pytest-benchmark JSON into the committed ``BENCH_fleet.json``.
 
 CI runs the fast benchmark lane with ``--benchmark-json`` and feeds the
 raw output through this script, which:
 
-1. distills it into ``BENCH_fleet.json`` and ``BENCH_mpc.json`` at the
-   repo root — small, schema-stable documents (one per benchmark suite)
-   holding the per-benchmark timings, the derived throughput metrics,
-   and the floors imported from the benchmark modules themselves;
-2. compares the fresh numbers against the previously *committed* BENCH
-   files (the trajectory baseline) and against the floors, exiting
-   nonzero on a regression — more than ``--tolerance`` (default 30%)
-   slower than the baseline, or any throughput under its floor.
+1. distills it into ``BENCH_fleet.json`` at the repo root — one small,
+   schema-stable document holding the per-benchmark timings of
+   ``benchmarks/bench_fleet.py``, the derived throughput metrics, and the
+   floors imported from that module itself;
+2. compares the fresh numbers against the previously *committed* file
+   (the trajectory baseline) and against the floors, exiting nonzero on
+   a regression — more than ``--tolerance`` (default 30%) slower than
+   the baseline, or any throughput under its floor.
 
-The written files are uploaded as workflow artifacts on every push, so
-the performance trajectory is recorded run over run; the committed
-copies are refreshed manually when a PR intentionally moves the numbers.
+The written file is uploaded as a workflow artifact on every push, so
+the performance trajectory is recorded run over run; the committed copy
+is refreshed manually when a PR intentionally moves the numbers.  The
+planner's own rows (``abr.plan_s`` / ``abr.plan_calls`` /
+``abr.rows_per_call``) live in the other ledger, ``bench/``.
 
 Usage::
 
@@ -35,7 +37,9 @@ prefer over row-derived ratios.  v7 removed the second session engine's
 lane (its row and floor-constant ratio gate) and renamed the BOLA row
 ``test_bench_fleet_bola``.  All v4+ fields are optional on read, so
 committed baselines written by older schemas still compare cleanly
-(rows a baseline no longer shares are skipped).
+(rows a baseline no longer shares are skipped).  The planner
+micro-benchmark's second document left with the paths it timed; the
+fleet document did not change, so the schema number did not either.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def build_reports(
     phases: dict | None = None,
     overheads: dict | None = None,
 ) -> dict[str, dict]:
-    """Distill raw pytest-benchmark output into the per-suite documents.
+    """Distill raw pytest-benchmark output into the fleet document.
 
     ``phases`` is the optional profiler dump the telemetry benchmark
     writes under ``BENCH_PHASES_OUT`` — folded verbatim into the fleet
@@ -132,7 +136,6 @@ def build_reports(
         return _stats(by_name[name])
 
     fleet_mod = _load_module(REPO_ROOT / "benchmarks" / "bench_fleet.py")
-    mpc_mod = _load_module(REPO_ROOT / "benchmarks" / "bench_mpc.py")
 
     single = need("test_bench_single_link_fleet")
     cdn = need("test_bench_cdn_fleet")
@@ -145,12 +148,11 @@ def build_reports(
     shard_base["content_s_per_wall_s"] = shard_content / shard_base["min_s"]
     shard_par["content_s_per_wall_s"] = shard_content / shard_par["min_s"]
 
-    machine = _machine_fingerprint(raw)
     fleet = {
         "schema": SCHEMA_VERSION,
         "suite": "fleet",
         "source": "benchmarks/bench_fleet.py",
-        "machine": machine,
+        "machine": _machine_fingerprint(raw),
         "content_seconds": content,
         "content_seconds_sharded": shard_content,
         "floors": {
@@ -235,23 +237,7 @@ def build_reports(
         )
     if phases:
         fleet["phases"] = phases
-    mpc = {
-        "schema": SCHEMA_VERSION,
-        "suite": "mpc",
-        "source": "benchmarks/bench_mpc.py",
-        "machine": machine,
-        "floors": {"decide_batch_speedup_x": mpc_mod.SPEEDUP_FLOOR},
-        "benchmarks": {
-            name: need(name)
-            for name in (
-                "test_bench_decide_batch",
-                "test_bench_decide_batch_memoized",
-                "test_bench_decide_single",
-                "test_bench_scalar_reference",
-            )
-        },
-    }
-    return {"BENCH_fleet.json": fleet, "BENCH_mpc.json": mpc}
+    return {"BENCH_fleet.json": fleet}
 
 
 def check_regressions(
@@ -357,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("raw_json", help="pytest-benchmark --benchmark-json output")
     parser.add_argument(
         "--out-dir", default=str(REPO_ROOT),
-        help="where the BENCH_*.json files live (default: repo root)",
+        help="where BENCH_fleet.json lives (default: repo root)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.30,
@@ -365,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--no-check", action="store_true",
-        help="only rewrite the BENCH files, skip the regression gate",
+        help="only rewrite BENCH_fleet.json, skip the regression gate",
     )
     parser.add_argument(
         "--phases", default=None, metavar="FILE",

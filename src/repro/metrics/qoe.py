@@ -96,41 +96,22 @@ class QoEModel:
             prev = rec.quality
         return total
 
-    def plan_value(
-        self,
-        qualities: list[float],
-        stalls: list[float],
-        prev_quality: float | None,
-    ) -> float:
-        """Value of a candidate plan over the MPC horizon (used by the ABR)."""
-        if len(qualities) != len(stalls):
-            raise ValueError("qualities and stalls must align")
-        total = 0.0
-        prev = prev_quality
-        for q, s in zip(qualities, stalls):
-            total += (
-                self.quality_term(q)
-                - self.variation_term(q, prev)
-                - self.stall_term(s)
-            )
-            prev = q
-        return total
-
     def plan_values(
         self,
         qualities: np.ndarray,
         stalls: np.ndarray,
         prev_quality: np.ndarray | float | None = None,
     ) -> np.ndarray:
-        """Vectorized :meth:`plan_value` over many independent plans.
+        """Value of many candidate plans over the MPC horizon (used by the ABR).
 
         ``qualities`` and ``stalls`` broadcast against each other; axis 0 is
         the horizon (chunk index), every trailing axis an independent plan
         (candidate density, session, ...).  ``prev_quality`` may be ``None``
         (no previous chunk anywhere), a scalar, or an array broadcastable to
         the plan axes in which ``NaN`` marks "no previous chunk" for that
-        plan.  The arithmetic mirrors the scalar loop term for term, so the
-        two paths agree to the last ulp (the vectorized-MPC parity oracle).
+        plan.  Each plan's value is the sum of :meth:`chunk_qoe` over its
+        horizon, term for term (``tests/streaming/reference_planner.py``
+        is that sum written as a loop).
         """
         q, s = np.broadcast_arrays(
             np.asarray(qualities, dtype=np.float64),

@@ -17,6 +17,11 @@ quality ``Q`` of Eq. 10: the post-SR density discounted by a per-doubling
 SR efficiency (SR'd points are almost, not exactly, as good as native
 ones — the discount is calibrated from the SR-quality experiments).
 
+The MPC planners evaluate every decision row in ``decide_batch`` —
+"group by effective horizon, one array pass, argmax" — and ``decide`` is
+its one-row call; the scalar per-candidate reference they are pinned
+against lives in ``tests/streaming/reference_planner.py``.
+
 The non-MPC controllers of the policy zoo (BOLA, throughput rule,
 hybrid) live in :mod:`repro.streaming.policies` along with the
 string-keyed registry — ``get_policy("bola")`` — that the experiment
@@ -26,7 +31,7 @@ registered there too.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,22 +49,12 @@ __all__ = [
     "DiscreteMPC",
     "BufferBased",
     "YUZU_DENSITY_LEVELS",
-    "COARSE_DEDUP_QUANTA",
 ]
 
 #: Fetch densities reachable with YuZu's discrete SR options.  The paper
 #: lists them as factor pairs (1x2, 2x2, 1x3, 1x4, 4x1, 2x1), i.e. end-to-end
 #: ratios {2, 3, 4} — so a discrete client can never fetch below 1/4 density.
 YUZU_DENSITY_LEVELS = (1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0)
-
-#: Coarse decision-dedup quanta preset for ``dedup_quanta=``: 10 kbps on
-#: throughput, 0.1 s on buffer level, 0.01 on prev quality.  Merges many
-#: more steady-state rows per tensor pass than the conservative default;
-#: the resulting QoE perturbation is bounded (test-pinned at <5% relative
-#: mean-QoE drift on a 48-viewer, 2-edge CDN fleet, see
-#: ``tests/streaming/test_abr_parity.py::TestDedupQuanta``).  Use when
-#: decision-pass wall time matters more than exact-default fidelity.
-COARSE_DEDUP_QUANTA = (-4, 1, 2)
 
 
 class SRQualityModel:
@@ -129,15 +124,22 @@ class AbrContext:
     next_chunks: list[ChunkSpec]
 
     def __post_init__(self) -> None:
-        if self.throughput_bps <= 0:
+        # Stated as ``not (x > 0)`` so NaN fails every comparison it meets;
+        # an infinite throughput is legal (it plans a zero-time download).
+        if not self.throughput_bps > 0:
             raise ValueError(
                 "AbrContext.throughput_bps must be positive, got "
                 f"{self.throughput_bps!r}"
             )
-        if self.buffer_level < 0:
+        if not self.buffer_level >= 0:
             raise ValueError(
                 "AbrContext.buffer_level must be non-negative, got "
                 f"{self.buffer_level!r}"
+            )
+        if self.prev_quality is not None and math.isnan(self.prev_quality):
+            raise ValueError(
+                "AbrContext.prev_quality must be a number or None (no "
+                f"previous chunk), got {self.prev_quality!r}"
             )
         if not self.next_chunks:
             raise ValueError(
@@ -183,7 +185,13 @@ class AbrController:
 
 
 class _MPCBase(AbrController):
-    """Shared horizon-planning logic (Eq. 10 maximization)."""
+    """Shared horizon-planning logic (Eq. 10 maximization).
+
+    Robust-MPC simplification: one constant density over the next
+    ``horizon`` chunks, priced at a safety-discounted throughput estimate.
+    Every row is evaluated, so a decision depends on its context alone —
+    never on what the object was asked before.
+    """
 
     def __init__(
         self,
@@ -194,7 +202,6 @@ class _MPCBase(AbrController):
         horizon: int = 5,
         safety: float = 0.9,
         fetch_fraction: float = 1.0,
-        dedup_quanta: tuple[int, int, int] | None = None,
     ):
         cand = np.asarray(candidates, dtype=np.float64)
         if cand.ndim != 1 or len(cand) == 0:
@@ -205,85 +212,27 @@ class _MPCBase(AbrController):
             raise ValueError("horizon must be >= 1")
         if not 0 < safety <= 1:
             raise ValueError("safety must be in (0, 1]")
+        if not 0.0 < fetch_fraction <= 1.0:
+            raise ValueError("fetch_fraction must be in (0, 1]")
         self.candidates = np.sort(cand)
         self.quality_model = quality_model
         self.qoe_model = qoe_model
         self.sr_latency = sr_latency
         self.horizon = int(horizon)
         self.safety = float(safety)
-        if not 0.0 < fetch_fraction <= 1.0:
-            raise ValueError("fetch_fraction must be in (0, 1]")
-        #: lazily cached (sr_ratios, qualities) of the candidate grid
-        self._candidate_stats: tuple[np.ndarray, np.ndarray] | None = None
-        #: horizon-window tensors keyed by the chunk tuple (see
-        #: :meth:`_horizon_tensors`)
-        self._horizon_cache: dict[tuple, tuple] = {}
-        #: dedupe identical decision rows in :meth:`decide_batch` (and
-        #: memoize them across calls).  Decisions are pure functions of
-        #: their context, so two rows with the same quantized state and
-        #: chunk window get the same answer — computed once.  Flip off to
-        #: recover the one-tensor-row-per-context reference path (the
-        #: dedup parity test pins the two against each other).
-        self.dedup = True
-        if dedup_quanta is not None:
-            if len(dedup_quanta) != 3:
-                raise ValueError(
-                    "dedup_quanta must be (tput, buffer, prev) decimal "
-                    f"counts, got {dedup_quanta!r}"
-                )
-            # Instance overrides of the conservative class-level quanta
-            # (see the block comment above _dedup_key).  Coarser quanta
-            # merge more rows per tensor pass at the price of a bounded
-            # QoE perturbation — COARSE_DEDUP_QUANTA documents the
-            # measured bound.
-            self._TPUT_DECIMALS = int(dedup_quanta[0])
-            self._BUFFER_DECIMALS = int(dedup_quanta[1])
-            self._PREV_DECIMALS = int(dedup_quanta[2])
-        #: decision memo: quantized state -> Decision, bounded LRU
-        self._decision_memo: OrderedDict[tuple, Decision] = OrderedDict()
-        self._memo_capacity = 1 << 16
-        #: lifetime counters: rows seen by decide_batch, rows that needed
-        #: a fresh tensor evaluation, rows answered from the cross-call memo
-        self.decide_rows = 0
-        self.decide_unique = 0
-        self.decide_memo_hits = 0
         # Fraction of each chunk's bytes actually fetched (ViVo's
         # visibility culling); must match the session's fetch_fraction so
         # the plan prices downloads correctly.
         self.fetch_fraction = float(fetch_fraction)
+        #: the candidate grid is fixed, so its SR ratios and qualities are too
+        self._sr_ratios = quality_model.sr_ratios_for(self.candidates)
+        self._qualities = quality_model.qualities(self.candidates, self._sr_ratios)
+        #: chunk window -> its tensors (see :meth:`_horizon_tensors`)
+        self._horizon_cache: dict[tuple, tuple] = {}
+        #: lifetime count of rows :meth:`decide_batch` has evaluated
+        self.decide_rows = 0
 
     # ------------------------------------------------------------------
-    def _plan_value(self, density: float, ctx: AbrContext) -> float:
-        """QoE of fetching the next ``horizon`` chunks at ``density``.
-
-        Uses the robust-MPC simplification of a constant decision over the
-        horizon with a safety-discounted throughput estimate.
-
-        This is the scalar **reference oracle**: ``decide`` runs the
-        vectorized :meth:`plan_values` instead, and the parity test grid
-        pins the two paths against each other (the analogue of the kNN
-        three-backend parity oracle).
-        """
-        tput = ctx.throughput_bps * self.safety
-        s = self.quality_model.sr_ratio_for(density)
-        q = self.quality_model.quality(density, s)
-        horizon_chunks = ctx.next_chunks[: self.horizon]
-        buffer = ctx.buffer_level
-        qualities, stalls = [], []
-        for chunk in horizon_chunks:
-            dl = chunk.bytes_at_density(density) * self.fetch_fraction * 8.0 / tput
-            sr = chunk.n_frames * self.sr_latency(
-                chunk.points_at_density(density), s
-            )
-            # Download and SR overlap across chunks (pipelined client), so
-            # the steady-state readiness interval is the slower stage.
-            ready = max(dl, sr)
-            stall = max(0.0, ready - buffer)
-            buffer = max(buffer - ready, 0.0) + chunk.duration
-            qualities.append(q)
-            stalls.append(stall)
-        return self.qoe_model.plan_value(qualities, stalls, ctx.prev_quality)
-
     def _horizon_tensors(
         self, chunks: tuple
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,16 +248,14 @@ class _MPCBase(AbrController):
         """
         cached = self._horizon_cache.get(chunks)
         if cached is None:
-            d = self.candidates
-            s, _ = self._candidate_stats  # type: ignore[misc]
             ppf = np.array([c.points_per_frame for c in chunks])
             nf = np.array([c.n_frames for c in chunks], dtype=np.int64)
             bpp = np.array([c.bytes_per_point for c in chunks])
             dur = np.array([c.duration for c in chunks])
-            pts = batched_points_at_density(ppf[:, None], d)   # (H, C)
+            pts = batched_points_at_density(ppf[:, None], self.candidates)  # (H, C)
             nbytes = batched_chunk_bytes(nf[:, None], pts, bpp[:, None])
             bits = nbytes * self.fetch_fraction * 8.0
-            sr = nf[:, None] * latency_batch(self.sr_latency, pts, s)
+            sr = nf[:, None] * latency_batch(self.sr_latency, pts, self._sr_ratios)
             cached = (bits, sr, dur)
             self._horizon_cache[chunks] = cached
         return cached
@@ -316,20 +263,11 @@ class _MPCBase(AbrController):
     def _batch_plan_values(self, ctxs: list[AbrContext]) -> np.ndarray:
         """Plan values for every (context, candidate) pair in one pass.
 
-        All contexts must share the same effective horizon length (the
-        public entry points group by it).  Returns ``(n_ctx, n_candidates)``.
-        The arithmetic replicates :meth:`_plan_value` operation for
-        operation with a candidate axis appended — rounding modes included —
-        so both paths produce bit-identical values.
+        All contexts must share the same effective horizon length
+        (:meth:`decide_batch` groups by it).  Returns
+        ``(n_ctx, n_candidates)``: the QoE of fetching each context's next
+        ``horizon`` chunks at each candidate density.
         """
-        # The candidate grid is fixed at construction, so its SR ratios
-        # and qualities are too.
-        if self._candidate_stats is None:
-            d = self.candidates
-            qm = self.quality_model
-            srr = qm.sr_ratios_for(d)                          # (C,)
-            self._candidate_stats = (srr, qm.qualities(d, srr))
-        s, q = self._candidate_stats
         per_ctx = [
             self._horizon_tensors(tuple(ctx.next_chunks[: self.horizon]))
             for ctx in ctxs
@@ -342,10 +280,10 @@ class _MPCBase(AbrController):
             sr = np.stack([t[1] for t in per_ctx])
             dur = np.stack([t[2] for t in per_ctx])            # (N, H)
 
-        tput = (
-            np.array([ctx.throughput_bps for ctx in ctxs]) * self.safety
-        )                                                      # (N,)
+        tput = np.array([ctx.throughput_bps for ctx in ctxs]) * self.safety  # (N,)
         dl = bits / tput[:, None, None]
+        # Download and SR overlap across chunks (pipelined client), so the
+        # steady-state readiness interval is the slower stage.
         ready = np.maximum(dl, sr)                             # (N, H, C)
 
         buffer = np.array([ctx.buffer_level for ctx in ctxs])[:, None]
@@ -355,119 +293,34 @@ class _MPCBase(AbrController):
             stalls[h] = np.maximum(0.0, r - buffer)
             buffer = np.maximum(buffer - r, 0.0) + dur[:, h, None]
 
+        # NaN is plan_values' "no previous chunk" mark; AbrContext admits no other.
         prev = np.array(
-            [
-                np.nan if ctx.prev_quality is None else ctx.prev_quality
-                for ctx in ctxs
-            ]
+            [np.nan if c.prev_quality is None else c.prev_quality for c in ctxs]
         )[:, None]                                             # (N, 1)
-        return self.qoe_model.plan_values(q, stalls, prev)
+        return self.qoe_model.plan_values(self._qualities, stalls, prev)
 
     def plan_values(self, ctx: AbrContext) -> np.ndarray:
-        """Vectorized plan values over all candidate densities, ``(C,)``."""
+        """Plan values over all candidate densities, ``(C,)``."""
         return self._batch_plan_values([ctx])[0]
 
-    def _decision_for(self, density: float) -> Decision:
-        return Decision(
-            density=density, sr_ratio=self.quality_model.sr_ratio_for(density)
-        )
-
     def decide(self, ctx: AbrContext) -> Decision:
-        best = self.candidates[int(np.argmax(self.plan_values(ctx)))]
-        return self._decision_for(float(best))
-
-    #: decision-row quantization: states closer than these quanta are the
-    #: same decision problem.  Deliberately conservative — well below any
-    #: difference the planner's argmax can see in practice — so dedup
-    #: collapses genuinely-identical steady states (co-watching viewers,
-    #: every first decision per video) without materially perturbing
-    #: near-boundary ones.
-    _TPUT_DECIMALS = 3     # 0.001 bps quantum on throughput (bps-valued)
-    _BUFFER_DECIMALS = 6   # 1 µs quantum on buffer level (seconds-valued)
-    _PREV_DECIMALS = 9     # quality is in [0, 1]
-
-    def _dedup_key(self, ctx: AbrContext) -> tuple:
-        """Quantized decision-row identity of one context.
-
-        The chunk window (value-hashed frozen specs) pins the video,
-        position, and effective horizon; the quantized scalars pin the
-        client state.  Equal keys ⇒ the same decision.
-        """
-        prev = ctx.prev_quality
-        return (
-            round(ctx.throughput_bps, self._TPUT_DECIMALS),
-            round(ctx.buffer_level, self._BUFFER_DECIMALS),
-            None if prev is None else round(prev, self._PREV_DECIMALS),
-            tuple(ctx.next_chunks[: self.horizon]),
-        )
-
-    def _memo_store(self, key: tuple, decision: Decision) -> None:
-        self._decision_memo[key] = decision
-        if len(self._decision_memo) > self._memo_capacity:
-            self._decision_memo.popitem(last=False)
+        return self.decide_batch([ctx])[0]
 
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]:
-        """One array pass per horizon length over the *unique* rows.
+        """One array pass per effective horizon length, every row evaluated.
 
-        At fleet steady state many sessions face the same decision — same
-        chunk window, same quantized buffer/throughput state (the widest
-        case is the first decision of every co-watching viewer) — so the
-        batch is first deduped by :meth:`_dedup_key` and checked against
-        the bounded cross-call memo; only the surviving representative
-        rows enter the tensor evaluation, and their decisions are
-        scattered back to every duplicate.  The tensor pass therefore
-        costs O(unique states), not O(sessions).  Contexts near the end
-        of their video have shorter horizons, so unique rows are still
-        grouped by effective horizon length.  ``self.dedup = False``
-        restores the evaluate-every-row reference path.
+        Contexts near the end of their video have fewer chunks left than
+        the horizon, so rows are grouped by how many they can plan over.
         """
+        self.decide_rows += len(ctxs)
+        groups: dict[int, list[int]] = {}
+        for i, ctx in enumerate(ctxs):
+            groups.setdefault(min(len(ctx.next_chunks), self.horizon), []).append(i)
         decisions: list[Decision | None] = [None] * len(ctxs)
-        if not self.dedup:
-            groups: dict[int, list[int]] = {}
-            for i, ctx in enumerate(ctxs):
-                groups.setdefault(
-                    len(ctx.next_chunks[: self.horizon]), []
-                ).append(i)
-            for idxs in groups.values():
-                values = self._batch_plan_values([ctxs[i] for i in idxs])
-                best = self.candidates[np.argmax(values, axis=1)]
-                for j, i in enumerate(idxs):
-                    decisions[i] = self._decision_for(float(best[j]))
-            return decisions  # type: ignore[return-value]
-
-        keys = [self._dedup_key(ctx) for ctx in ctxs]
-        self.decide_rows += len(keys)
-        memo = self._decision_memo
-        fresh_order: list[tuple] = []        # unique unseen keys, first-seen order
-        fresh_idxs: dict[tuple, list[int]] = {}
-        for i, key in enumerate(keys):
-            hit = memo.get(key)
-            if hit is not None:
-                memo.move_to_end(key)
-                self.decide_memo_hits += 1
-                decisions[i] = hit
-                continue
-            idxs = fresh_idxs.get(key)
-            if idxs is None:
-                fresh_order.append(key)
-                fresh_idxs[key] = [i]
-            else:
-                idxs.append(i)
-        self.decide_unique += len(fresh_order)
-        by_horizon: dict[int, list[tuple]] = {}
-        for key in fresh_order:
-            by_horizon.setdefault(len(key[3]), []).append(key)
-        for group in by_horizon.values():
-            # The representative row is the first context that produced
-            # the key; duplicates inherit its decision verbatim.
-            reps = [ctxs[fresh_idxs[key][0]] for key in group]
-            values = self._batch_plan_values(reps)
-            best = self.candidates[np.argmax(values, axis=1)]
-            for key, b in zip(group, best):
-                decision = self._decision_for(float(b))
-                self._memo_store(key, decision)
-                for i in fresh_idxs[key]:
-                    decisions[i] = decision
+        for idxs in groups.values():
+            values = self._batch_plan_values([ctxs[i] for i in idxs])
+            for i, c in zip(idxs, np.argmax(values, axis=1)):
+                decisions[i] = Decision(float(self.candidates[c]), float(self._sr_ratios[c]))
         return decisions  # type: ignore[return-value]
 
 
@@ -490,14 +343,12 @@ class ContinuousMPC(_MPCBase):
         horizon: int = 5,
         safety: float = 0.9,
         fetch_fraction: float = 1.0,
-        dedup_quanta: tuple[int, int, int] | None = None,
     ):
         if not 0 < min_density < 1:
             raise ValueError("min_density must be in (0, 1)")
         grid = np.geomspace(min_density, 1.0, n_grid)
         super().__init__(
-            grid, quality_model, qoe_model, sr_latency, horizon, safety,
-            fetch_fraction, dedup_quanta,
+            grid, quality_model, qoe_model, sr_latency, horizon, safety, fetch_fraction
         )
 
 
@@ -512,11 +363,9 @@ class DiscreteMPC(_MPCBase):
         levels: tuple[float, ...] = YUZU_DENSITY_LEVELS,
         horizon: int = 5,
         safety: float = 0.9,
-        dedup_quanta: tuple[int, int, int] | None = None,
     ):
         super().__init__(
-            np.asarray(levels), quality_model, qoe_model, sr_latency,
-            horizon, safety, dedup_quanta=dedup_quanta,
+            np.asarray(levels), quality_model, qoe_model, sr_latency, horizon, safety
         )
 
 

@@ -20,13 +20,14 @@ non-MPC control families:
 * :class:`HybridController` — throughput-gated BOLA: BOLA steady-state,
   clamped by the throughput rule while the buffer is below a gate.
 
-Every policy implements a pure-Python scalar ``decide`` as its
-**reference oracle** plus a vectorized ``decide_batch``, with all
-candidate-grid constants (densities, SR ratios, utilities, per-chunk bit
-sizes) precomputed once at construction and indexed by both paths — so
-the per-row arithmetic is elementwise identical and the scalar/batch
-parity grids in ``tests/streaming/test_abr_parity.py`` pin them at 1e-9
-(the policy zoo's instance of the oracle-parity convention).
+Every grid policy is one vectorized ``decide_batch`` — rows grouped by
+next chunk, one index rule per policy — and ``decide`` is its one-row
+call.  All candidate-grid constants (densities, SR ratios, utilities,
+per-chunk bit sizes) are precomputed once, so a row's arithmetic is
+elementwise and batch composition cannot change a decision.  Their
+oracle is the first-principles re-derivations in
+``tests/streaming/test_abr_parity.py`` (the policy zoo's instance of the
+oracle-parity convention).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .abr import (
     DiscreteMPC,
     SRQualityModel,
 )
+from .chunks import ChunkSpec
 from .latency import ZERO_LATENCY
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "register_policy",
     "get_policy",
     "available_policies",
-    "supports_dedup",
 ]
 
 
@@ -64,20 +65,16 @@ __all__ = [
 class AbrPolicy(Protocol):
     """The controller contract the fleet driver programs against.
 
-    Capabilities, in order of obligation:
-
-    * ``decide(ctx)`` — the scalar reference path.  Every policy's
-      single source of truth; the parity grids pin the other entry
-      points against it.
     * ``decide_batch(ctxs)`` — one call resolving every session parked
-      on a decision at an event step.  Must equal
-      ``[decide(c) for c in ctxs]`` to 1e-9.
+      on a decision at an event step; the implementation of every array
+      policy.  Each decision is a function of its own context only:
+      batch composition, order and call history are invisible.
+    * ``decide(ctx)`` — the one-row call; ``decide_batch(ctxs)`` must
+      equal ``[decide(c) for c in ctxs]``.  The independent references
+      the parity grids compare against live under ``tests/streaming/``.
     * ``quality_model`` — the :class:`~repro.streaming.abr.SRQualityModel`
       the policy prices decisions with (fleet drivers and experiments
       read it to keep session quality accounting consistent).
-    * dedup/memo participation is *optional* and advertised by a
-      truthy ``dedup`` attribute (see :func:`supports_dedup`); only the
-      MPC family opts in today.
     """
 
     quality_model: SRQualityModel
@@ -85,16 +82,6 @@ class AbrPolicy(Protocol):
     def decide(self, ctx: AbrContext) -> Decision: ...
 
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]: ...
-
-
-def supports_dedup(policy) -> bool:
-    """Whether ``policy`` participates in decision-row dedup/memoization.
-
-    MPC planners quantize rows and memoize decisions across calls
-    (``_MPCBase.dedup``); the rule-based zoo recomputes — its per-row
-    arithmetic is two flops, cheaper than a dict probe.
-    """
-    return bool(getattr(policy, "dedup", False))
 
 
 # ----------------------------------------------------------------------
@@ -108,10 +95,8 @@ class _GridPolicy(AbrController):
     Everything throughput-independent is precomputed here once: the
     density grid (geometric, like :class:`ContinuousMPC`), its SR
     ratios and qualities, and — lazily, per distinct chunk — the fetched
-    bit size of every candidate.  The scalar and vectorized decision
-    paths both index these arrays, so their per-row arithmetic is
-    elementwise identical (what makes 1e-9 parity structural rather
-    than approximate).
+    bit size of every candidate.  Subclasses supply one index rule,
+    :meth:`_indices`.
     """
 
     def __init__(
@@ -134,19 +119,20 @@ class _GridPolicy(AbrController):
             self.candidates, self._sr_ratios
         )
         self.fetch_fraction = float(fetch_fraction)
-        #: chunk -> fetched bits per candidate, cached per distinct chunk
-        self._bits_cache: dict[int, np.ndarray] = {}
+        #: chunk -> fetched bits per candidate.  Keyed by the frozen,
+        #: value-hashed spec itself: an ``id()`` key outlives its chunk and
+        #: is handed to the next object allocated at that address.
+        self._bits_cache: dict[ChunkSpec, np.ndarray] = {}
 
-    def _chunk_bits(self, chunk) -> np.ndarray:
-        key = id(chunk)
-        bits = self._bits_cache.get(key)
+    def _chunk_bits(self, chunk: ChunkSpec) -> np.ndarray:
+        bits = self._bits_cache.get(chunk)
         if bits is None:
             bits = (
                 chunk.bytes_at_densities(self.candidates)
                 * self.fetch_fraction
                 * 8.0
             )
-            self._bits_cache[key] = bits
+            self._bits_cache[chunk] = bits
         return bits
 
     def _decision_for(self, i: int) -> Decision:
@@ -155,22 +141,15 @@ class _GridPolicy(AbrController):
             sr_ratio=float(self._sr_ratios[i]),
         )
 
-    # -- per-row index rules, implemented by each policy ---------------
-    def _index(self, tput: float, buf: float, chunk) -> int:
-        """Scalar reference: candidate index for one decision row."""
-        raise NotImplementedError
-
     def _indices(
-        self, tput: np.ndarray, buf: np.ndarray, chunk
+        self, tput: np.ndarray, buf: np.ndarray, chunk: ChunkSpec
     ) -> np.ndarray:
-        """Vectorized :meth:`_index` over same-chunk rows."""
+        """The policy's rule: candidate index per row, over same-chunk rows."""
         raise NotImplementedError
 
     # -- the two protocol entry points ---------------------------------
     def decide(self, ctx: AbrContext) -> Decision:
-        return self._decision_for(
-            self._index(ctx.throughput_bps, ctx.buffer_level, ctx.next_chunks[0])
-        )
+        return self.decide_batch([ctx])[0]
 
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]:
         """Group rows by next chunk, one vectorized pass per group.
@@ -178,12 +157,11 @@ class _GridPolicy(AbrController):
         Grouping only batches the arithmetic — every row's score math is
         elementwise, so group membership cannot change any decision.
         """
-        groups: dict[int, list[int]] = {}
+        groups: dict[ChunkSpec, list[int]] = {}
         for i, ctx in enumerate(ctxs):
-            groups.setdefault(id(ctx.next_chunks[0]), []).append(i)
+            groups.setdefault(ctx.next_chunks[0], []).append(i)
         decisions: list[Decision | None] = [None] * len(ctxs)
-        for idxs in groups.values():
-            chunk = ctxs[idxs[0]].next_chunks[0]
+        for chunk, idxs in groups.items():
             t = np.array(
                 [ctxs[i].throughput_bps for i in idxs], dtype=np.float64
             )
@@ -196,24 +174,19 @@ class _GridPolicy(AbrController):
         return decisions  # type: ignore[return-value]
 
 
-def _bola_scores(vu: np.ndarray, buf, bits: np.ndarray):
-    """BOLA objective ``(V·(u_c + γp) − buffer) / size_c`` per candidate.
-
-    ``buf`` is a scalar (scalar path) or an ``(N, 1)`` column (vector
-    path); either way the per-element operations are one subtract and
-    one divide — identical IEEE arithmetic in both shapes.
-    """
-    return (vu - buf) / bits
+def _bola_indices(vu: np.ndarray, buf: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Argmax of the BOLA objective ``(V·(u_c + γp) − buffer) / size_c``."""
+    return np.argmax((vu[None, :] - buf[:, None]) / bits[None, :], axis=1)
 
 
-def _tput_count(bits: np.ndarray, limit):
-    """How many candidates download within ``limit`` bits.
+def _rate_indices(bits: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Largest candidate that downloads within ``limit`` bits, else 0.
 
     ``bits`` is non-decreasing (byte size is monotone in density), so
-    the feasible set is a prefix and the count minus one is the largest
-    feasible index.
+    the feasible set is a prefix and its length minus one is the answer.
     """
-    return (bits <= limit).sum(axis=-1)
+    count = (bits[None, :] <= limit[:, None]).sum(axis=1)
+    return np.where(count > 0, count - 1, 0)
 
 
 class BolaController(_GridPolicy):
@@ -250,23 +223,8 @@ class BolaController(_GridPolicy):
         #: ``V·(u_c + γp)`` — the only per-candidate constant the score needs
         self._vu = self.lyapunov_v * (u + self.gamma_p)
 
-    def _index(self, tput: float, buf: float, chunk) -> int:
-        bits = self._chunk_bits(chunk)
-        vu = self._vu
-        best, best_score = 0, None
-        for i in range(len(vu)):
-            score = (float(vu[i]) - buf) / float(bits[i])
-            # strict > mirrors np.argmax's first-max tie-break
-            if best_score is None or score > best_score:
-                best, best_score = i, score
-        return best
-
     def _indices(self, tput, buf, chunk) -> np.ndarray:
-        bits = self._chunk_bits(chunk)
-        return np.argmax(
-            _bola_scores(self._vu[None, :], buf[:, None], bits[None, :]),
-            axis=1,
-        )
+        return _bola_indices(self._vu, buf, self._chunk_bits(chunk))
 
 
 class ThroughputRuleController(_GridPolicy):
@@ -296,20 +254,10 @@ class ThroughputRuleController(_GridPolicy):
             raise ValueError("safety must be in (0, 1]")
         self.safety = float(safety)
 
-    def _index(self, tput: float, buf: float, chunk) -> int:
-        bits = self._chunk_bits(chunk)
-        limit = tput * self.safety * chunk.duration
-        count = 0
-        for i in range(len(bits)):
-            if float(bits[i]) <= limit:
-                count += 1
-        return count - 1 if count > 0 else 0
-
     def _indices(self, tput, buf, chunk) -> np.ndarray:
-        bits = self._chunk_bits(chunk)
-        limit = tput * self.safety * chunk.duration
-        count = _tput_count(bits[None, :], limit[:, None])
-        return np.where(count > 0, count - 1, 0)
+        return _rate_indices(
+            self._chunk_bits(chunk), tput * self.safety * chunk.duration
+        )
 
 
 class HybridController(BolaController):
@@ -345,28 +293,10 @@ class HybridController(BolaController):
         self.safety = float(safety)
         self.gate_buffer = float(gate_buffer)
 
-    def _index(self, tput: float, buf: float, chunk) -> int:
-        bidx = super()._index(tput, buf, chunk)
-        if buf >= self.gate_buffer:
-            return bidx
-        bits = self._chunk_bits(chunk)
-        limit = tput * self.safety * chunk.duration
-        count = 0
-        for i in range(len(bits)):
-            if float(bits[i]) <= limit:
-                count += 1
-        tidx = count - 1 if count > 0 else 0
-        return min(bidx, tidx)
-
     def _indices(self, tput, buf, chunk) -> np.ndarray:
         bits = self._chunk_bits(chunk)
-        bidx = np.argmax(
-            _bola_scores(self._vu[None, :], buf[:, None], bits[None, :]),
-            axis=1,
-        )
-        limit = tput * self.safety * chunk.duration
-        count = _tput_count(bits[None, :], limit[:, None])
-        tidx = np.where(count > 0, count - 1, 0)
+        bidx = _bola_indices(self._vu, buf, bits)
+        tidx = _rate_indices(bits, tput * self.safety * chunk.duration)
         return np.where(buf >= self.gate_buffer, bidx, np.minimum(bidx, tidx))
 
 
@@ -400,6 +330,14 @@ def available_policies() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def _keyword_test(factory: Callable) -> Callable[[str], bool]:
+    """Predicate: does ``factory``'s signature take this keyword?"""
+    params = inspect.signature(factory).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return lambda key: True
+    return params.__contains__
+
+
 def get_policy(
     name: str,
     *,
@@ -414,8 +352,10 @@ def get_policy(
     ``ZERO_LATENCY`` and — like the extra ``kwargs`` — are forwarded
     only when the factory's signature accepts them (the experiments-CLI
     flag-forwarding convention: ``n_grid`` reaches grid-based policies
-    and is dropped for :class:`DiscreteMPC`).  Unknown names raise a
-    ``ValueError`` listing the registry.
+    and is dropped for :class:`DiscreteMPC`).  A keyword that *no*
+    registered policy accepts is a misspelling, not a forwarded flag, and
+    raises a ``ValueError`` naming it; unknown names raise one listing
+    the registry.
     """
     factory = _REGISTRY.get(name)
     if factory is None:
@@ -423,25 +363,24 @@ def get_policy(
             f"unknown policy {name!r}; available: "
             f"{', '.join(available_policies())}"
         )
-    params = inspect.signature(factory).parameters
-    accepts_any = any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-    call: dict = {}
-    base = {
+    accepts = _keyword_test(factory)
+    for key in kwargs:
+        if not accepts(key) and not any(
+            _keyword_test(f)(key) for f in _REGISTRY.values()
+        ):
+            raise ValueError(
+                f"get_policy({name!r}) got keyword {key!r}, which no "
+                "registered policy accepts"
+            )
+    offered = {
         "quality_model": quality_model
         if quality_model is not None
         else SRQualityModel(),
         "qoe_model": qoe_model if qoe_model is not None else QoEModel(),
         "sr_latency": sr_latency if sr_latency is not None else ZERO_LATENCY,
+        **kwargs,
     }
-    for key, value in base.items():
-        if accepts_any or key in params:
-            call[key] = value
-    for key, value in kwargs.items():
-        if accepts_any or key in params:
-            call[key] = value
-    return factory(**call)
+    return factory(**{k: v for k, v in offered.items() if accepts(k)})
 
 
 register_policy("continuous-mpc", ContinuousMPC)

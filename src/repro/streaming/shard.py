@@ -1,9 +1,9 @@
 """Process-parallel fleet sharding: partition a CDN by edge, run shards
 concurrently, merge one :class:`~repro.streaming.fleet.FleetReport`.
 
-The vectorized event engine (PR 4) and the deduplicated decision pass
-still run one Python process; past a few thousand viewers the single
-process is the ceiling the ROADMAP names.  This module pulls the first
+The vectorized event engine (PR 4) and the batched decision pass still
+run one Python process; past a few thousand viewers the single process
+is the ceiling the ROADMAP names.  This module pulls the first
 scale-out lever: a :class:`~repro.streaming.cdn.CDNTopology` is
 *edge-partitionable* — each viewer's flows touch only its own edge's
 access and backhaul links, so a worker that owns a disjoint set of edges

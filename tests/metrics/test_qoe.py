@@ -59,11 +59,13 @@ class TestSession:
         qualities = [0.5, 0.7, 0.6]
         stalls = [0.0, 0.1, 0.0]
         records = [ChunkRecord(quality=q, stall=s) for q, s in zip(qualities, stalls)]
-        assert m.plan_value(qualities, stalls, None) == pytest.approx(m.session(records))
+        assert m.plan_values(qualities, stalls, None) == pytest.approx(m.session(records))
 
     def test_plan_value_validation(self):
         with pytest.raises(ValueError):
-            QoEModel().plan_value([0.5], [], None)
+            QoEModel().plan_values([0.5, 0.7, 0.6], [0.0, 0.1], None)
+        with pytest.raises(ValueError, match="horizon axis"):
+            QoEModel().plan_values(0.5, 0.0, None)
 
 
 class TestSessionQoE:

@@ -165,6 +165,28 @@ class TestAbrContext:
         with pytest.raises(ValueError):
             AbrContext(1e6, 1.0, None, [])
 
+    @pytest.mark.parametrize(
+        "field,args",
+        [
+            ("throughput_bps", (float("nan"), 1.0, None)),
+            ("buffer_level", (1e6, float("nan"), None)),
+            ("prev_quality", (1e6, 1.0, float("nan"))),
+        ],
+    )
+    def test_nan_rejected(self, field, args):
+        """``nan <= 0`` is false, so NaN used to construct — and the
+        planner answered with the argmax of an all-NaN row (or read a NaN
+        ``prev_quality`` as "no previous chunk")."""
+        spec = VideoSpec(name="t", n_frames=30, fps=30, points_per_frame=100)
+        with pytest.raises(ValueError, match=rf"AbrContext\.{field}.*got nan"):
+            AbrContext(*args, spec.chunks())
+
+    def test_infinite_throughput_plans_a_zero_time_download(self):
+        spec = VideoSpec(name="t", n_frames=30, fps=30, points_per_frame=100)
+        mpc = ContinuousMPC(SRQualityModel(), QoEModel(), ZERO_LATENCY)
+        best = mpc.decide(AbrContext(float("inf"), 1.0, None, spec.chunks()))
+        assert best == Decision(density=1.0, sr_ratio=1.0)
+
 
 class TestValidationMessages:
     """Errors name the offending field and echo the rejected value."""

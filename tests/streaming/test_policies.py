@@ -16,7 +16,6 @@ from repro.streaming import (
     available_policies,
     get_policy,
     register_policy,
-    supports_dedup,
 )
 from repro.streaming.policies import _REGISTRY
 
@@ -111,12 +110,18 @@ class TestRegistry:
         assert (via_registry.candidates == direct.candidates).all()
         assert via_registry.lyapunov_v == direct.lyapunov_v
 
-    def test_supports_dedup(self):
-        assert supports_dedup(get_policy("continuous-mpc"))
-        assert supports_dedup(get_policy("discrete-mpc"))
-        assert not supports_dedup(get_policy("bola"))
-        assert not supports_dedup(get_policy("throughput"))
-        assert not supports_dedup(get_policy("hybrid"))
+    def test_misspelt_keyword_rejected(self):
+        """A keyword no registered policy accepts is a typo, not a
+        forwarded CLI flag — it used to vanish and return the defaults."""
+        with pytest.raises(ValueError, match="'bufer_target'"):
+            get_policy("bola", bufer_target=1.0, n_gird=4)
+        with pytest.raises(ValueError, match="'n_gird'"):
+            get_policy("continuous-mpc", n_gird=4)
+
+    def test_keyword_some_other_policy_accepts_is_still_dropped(self):
+        discrete = get_policy("discrete-mpc", n_grid=9, buffer_target=4.0)
+        assert isinstance(discrete, DiscreteMPC)
+        assert len(discrete.candidates) == 4
 
 
 class TestZooValidation:

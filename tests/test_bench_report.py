@@ -17,10 +17,6 @@ spec.loader.exec_module(bench_report)
 RAW_NAMES = (
     "test_bench_single_link_fleet",
     "test_bench_cdn_fleet",
-    "test_bench_decide_batch",
-    "test_bench_decide_batch_memoized",
-    "test_bench_decide_single",
-    "test_bench_scalar_reference",
 )
 
 #: the sharded pair scales with min_s but keeps a healthy 4x ratio, so
@@ -64,7 +60,7 @@ def raw_json(min_s=0.1, machine="x86_64", telemetry=True, bola=True, chaos=True)
 class TestBuildReports:
     def test_schema_and_throughput(self):
         reports = bench_report.build_reports(raw_json(min_s=0.1))
-        assert set(reports) == {"BENCH_fleet.json", "BENCH_mpc.json"}
+        assert set(reports) == {"BENCH_fleet.json"}
         fleet = reports["BENCH_fleet.json"]
         assert fleet["schema"] == bench_report.SCHEMA_VERSION
         assert fleet["suite"] == "fleet"
@@ -73,14 +69,6 @@ class TestBuildReports:
         assert single["content_s_per_wall_s"] == pytest.approx(
             fleet["content_seconds"] / 0.1
         )
-        mpc = reports["BENCH_mpc.json"]
-        assert set(mpc["benchmarks"]) == {
-            "test_bench_decide_batch",
-            "test_bench_decide_batch_memoized",
-            "test_bench_decide_single",
-            "test_bench_scalar_reference",
-        }
-        assert mpc["floors"]["decide_batch_speedup_x"] > 1.0
 
     def test_floors_mirror_benchmark_modules(self):
         """The committed floors are imported from, not duplicated against,
@@ -219,7 +207,6 @@ class TestBuildReports:
         }
         reports = bench_report.build_reports(raw_json(), phases=phases)
         assert reports["BENCH_fleet.json"]["phases"] == phases
-        assert "phases" not in reports["BENCH_mpc.json"]
 
     def test_missing_benchmark_fails_loudly(self):
         with pytest.raises(SystemExit, match="missing"):
@@ -353,9 +340,11 @@ class TestMain:
         raw_path.write_text(json.dumps(raw_json(min_s=0.05)))
         rc = bench_report.main([str(raw_path), "--out-dir", str(tmp_path)])
         assert rc == 0
-        for name in ("BENCH_fleet.json", "BENCH_mpc.json"):
-            doc = json.loads((tmp_path / name).read_text())
-            assert doc["schema"] == bench_report.SCHEMA_VERSION
+        assert [p.name for p in tmp_path.glob("BENCH_*.json")] == [
+            "BENCH_fleet.json"
+        ]
+        doc = json.loads((tmp_path / "BENCH_fleet.json").read_text())
+        assert doc["schema"] == bench_report.SCHEMA_VERSION
         # A >30% slower rerun against the just-written baseline fails…
         raw_path.write_text(json.dumps(raw_json(min_s=0.08)))
         assert bench_report.main([str(raw_path), "--out-dir", str(tmp_path)]) == 1
@@ -388,10 +377,13 @@ class TestMain:
         assert rc == 0
 
     def test_committed_bench_files_match_schema(self):
-        """The files at the repo root stay loadable and current-schema."""
-        for name in ("BENCH_fleet.json", "BENCH_mpc.json"):
-            doc = json.loads((REPO_ROOT / name).read_text())
-            assert doc["schema"] == bench_report.SCHEMA_VERSION
-            assert doc["benchmarks"], name
-            for bench in doc["benchmarks"].values():
-                assert bench["min_s"] > 0.0
+        """The file at the repo root stays loadable and current-schema,
+        and is the only one."""
+        assert [p.name for p in REPO_ROOT.glob("BENCH_*.json")] == [
+            "BENCH_fleet.json"
+        ]
+        doc = json.loads((REPO_ROOT / "BENCH_fleet.json").read_text())
+        assert doc["schema"] == bench_report.SCHEMA_VERSION
+        assert doc["benchmarks"]
+        for bench in doc["benchmarks"].values():
+            assert bench["min_s"] > 0.0

@@ -70,3 +70,44 @@ def test_merge_and_prune_has_one_path_and_no_switch():
         "new_points", "points", "parent_a", "parent_b", "neighbor_idx", "k",
     ]
     assert reuse.__all__ == ["merge_and_prune", "midpoint_neighbors"]
+
+
+def test_planner_evaluates_every_row_and_has_no_scalar_twin():
+    """One ``decide_batch`` body per planner in ``src/``; the scalar MPC
+    reference is ``tests/streaming/reference_planner.py``."""
+    import inspect
+
+    from repro.metrics import QoEModel
+    from repro.streaming import ContinuousMPC, DiscreteMPC
+    from repro.streaming.abr import _MPCBase
+    from repro.streaming.policies import _GridPolicy
+
+    for name in ("abr.py", "policies.py", "__init__.py"):
+        text = (SRC / "streaming" / name).read_text()
+        assert "dedup" not in text and "memo" not in text, name
+    assert not hasattr(_MPCBase, "_plan_value")
+    assert not hasattr(_GridPolicy, "_index")
+    assert not hasattr(QoEModel, "plan_value")
+    assert list(inspect.signature(ContinuousMPC).parameters) == [
+        "quality_model", "qoe_model", "sr_latency", "min_density", "n_grid",
+        "horizon", "safety", "fetch_fraction",
+    ]
+    assert list(inspect.signature(DiscreteMPC).parameters) == [
+        "quality_model", "qoe_model", "sr_latency", "levels", "horizon", "safety",
+    ]
+
+
+def test_reference_planner_shares_nothing_with_the_array_path():
+    """Identifiers only — its docstrings may name what it is compared to."""
+    path = Path(__file__).resolve().parent / "streaming" / "reference_planner.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            names.add(getattr(node, "module", None) or "")
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "sr_ratio_for" in names
+    assert not [n for n in names if "batch" in n or "plan_values" in n]
