@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..nn.mlp import MLP
 from ..pointcloud.datasets import make_video
 from ..sr.encoding import PositionEncoder
-from ..sr.lut import BaseLUT, build_coarse_lut, build_lut
+from ..sr.lut import HashedLUT, build_coarse_lut
 from ..sr.training import build_refinement_dataset, train_refinement_net
 from .common import Scale
 
@@ -27,7 +27,7 @@ class TrainedArtifacts:
 
     encoder: PositionEncoder
     net: MLP
-    lut: BaseLUT
+    lut: HashedLUT
     train_losses: list[float]
 
 
@@ -39,18 +39,16 @@ def get_artifacts(
     rf_size: int = 4,
     bins: int = 128,
     seed: int = 0,
-    lut_kind: str = "coarse",
 ) -> TrainedArtifacts:
     """Train (or fetch cached) refinement artifacts for a workload scale.
 
-    ``bins`` defaults to the paper's 128.  ``lut_kind="coarse"`` (default)
-    builds the paper's Table-1-style table — one scalar code per
-    receptive-field point (``b^n`` key space), which real content actually
-    covers, so lookups *hit* on unseen videos; ``"hashed"`` keys on every
-    quantized coordinate (the Eq. 4 literal — higher per-hit fidelity,
-    near-zero cross-content hit rate at b=128).
+    ``bins`` defaults to the paper's 128.  The table is per-point keyed —
+    one scalar code per receptive-field point (Table 1's ``b^n`` key
+    space), which real content actually covers, so lookups *hit* on unseen
+    videos; keying on every quantized coordinate (Eq. 4) has near-zero
+    cross-content hit rate at b=128.
     """
-    key = (scale.name, scale.points_per_frame, rf_size, bins, seed, lut_kind)
+    key = (scale.name, scale.points_per_frame, rf_size, bins, seed)
     if key in _CACHE:
         return _CACHE[key]
     encoder = PositionEncoder(rf_size=rf_size, bins=bins)
@@ -66,11 +64,8 @@ def get_artifacts(
     net, losses = train_refinement_net(
         dataset, encoder, epochs=scale.train_epochs, seed=seed
     )
-    if lut_kind == "coarse":
-        normalized = dataset.X.reshape(len(dataset), rf_size, 3)
-        lut = build_coarse_lut(net, encoder, normalized)
-    else:
-        lut = build_lut(net, encoder, dataset.bins, kind=lut_kind)
+    normalized = dataset.X.reshape(len(dataset), rf_size, 3)
+    lut = build_coarse_lut(net, encoder, normalized)
     art = TrainedArtifacts(encoder=encoder, net=net, lut=lut, train_losses=losses)
     _CACHE[key] = art
     return art

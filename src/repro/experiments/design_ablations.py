@@ -27,7 +27,7 @@ from ..pointcloud.sampling import (
 )
 from ..spatial.octree import TwoLayerOctree
 from ..sr.encoding import PositionEncoder
-from ..sr.lut import HashedLUT
+from ..sr.lut import build_lut, lut_memory_bytes
 from ..sr.pipeline import VolutUpsampler
 from ..sr.refine import LUTRefiner, NNRefiner, gather_refinement_neighborhoods
 from ..sr.interpolation import interpolate
@@ -88,8 +88,6 @@ def run_bins_sweep(
         columns=["bins", "lut_vs_net_err", "resident_kib", "dense_table_mb"],
         notes="err = mean |LUT refinement - network refinement| per point.",
     )
-    from ..sr.lut import lut_memory_bytes
-
     for bins in bin_counts:
         encoder = PositionEncoder(rf_size=4, bins=bins)
         ds = build_refinement_dataset(frames, encoder, ratios=(2.0,), seed=seed)
@@ -99,8 +97,7 @@ def run_bins_sweep(
         )
         neighbors = gather_refinement_neighborhoods(low.positions, interp, 4)
         enc = encoder.encode(interp.new_positions, neighbors)
-        lut = HashedLUT(encoder, fallback="nearest")
-        lut.populate_from_network(encoder.pack_keys(enc.bins), net)
+        lut = build_lut(net, encoder, enc.normalized)
         nn_out = NNRefiner(net, encoder).refine(interp.new_positions, neighbors)
         lut_out = LUTRefiner(lut).refine(interp.new_positions, neighbors)
         err = float(np.linalg.norm(nn_out - lut_out, axis=1).mean())

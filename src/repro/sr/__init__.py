@@ -5,8 +5,6 @@ from .encoding import EncodedNeighborhood, PositionEncoder
 from .gradpu import GradPUUpsampler
 from .interpolation import InterpolationResult, interpolate, naive_knn_interpolate
 from .lut import (
-    CoarseHashedLUT,
-    DenseLUT,
     EnsembleLUT,
     HashedLUT,
     build_coarse_lut,
@@ -14,7 +12,6 @@ from .lut import (
     lut_entries,
     lut_entries_full,
     lut_memory_bytes,
-    lut_memory_table,
 )
 from .pipeline import NaiveUpsampler, SRResult, StageTimes, VolutUpsampler
 from .refine import LUTRefiner, NNRefiner, gather_refinement_neighborhoods
@@ -33,16 +30,13 @@ __all__ = [
     "colorize_by_nearest",
     "PositionEncoder",
     "EncodedNeighborhood",
-    "DenseLUT",
     "HashedLUT",
-    "CoarseHashedLUT",
     "EnsembleLUT",
     "build_lut",
     "build_coarse_lut",
     "lut_entries",
     "lut_entries_full",
     "lut_memory_bytes",
-    "lut_memory_table",
     "NNRefiner",
     "LUTRefiner",
     "gather_refinement_neighborhoods",

@@ -7,20 +7,26 @@ in three steps:
   neighbors, as raw XYZ;
 * **normalize** (Eq. 3) — coordinates relative to the target point, scaled
   by the neighborhood radius ``R`` so everything lands in ``[-1, 1]^3``;
-* **quantize** (Eq. 4) — ``q = floor((n + 1)/2 · (b - 1))`` into ``b`` bins
-  per dimension.
+* **quantize and pack** — each neighbour coordinate snaps to a cell and
+  the cell indices become the digits of one uint64 key.
+
+The paper describes the index twice, and a table is told once, at
+construction, which of the two **keyings** it holds:
+
+* *Eq. 4 keying* — ``q = floor((n + 1)/2 · (b - 1))``: one of ``b`` bins
+  per coordinate, key space ``b^{(n-1)·3}``;
+* *per-point keying* — Table 1 sizes the table at ``b^n`` entries, one
+  ``b``-way code per receptive-field point: each neighbour snaps to a
+  ``g×g×g`` cell with ``g³ <= b``, key space ``(g³)^{n-1}``.  This is the
+  keying the client runs, because real content covers that space.
 
 The target point always normalizes to the origin and therefore quantizes to
-a constant bin; it is kept in the key (the paper places the interpolated
-point first in the index) but carries no entropy — the effective key space
-is ``b^{(n-1)·3}``, which is what makes hashing practical.
+a constant; it carries no entropy and is left out of the key.
 
 Offsets predicted in normalized space are scaled back by ``R`` on apply.
 
-:meth:`PositionEncoder.encode` does the first two steps;
-:attr:`EncodedNeighborhood.bins` does the third on first access, because
-the coarse per-point table the client runs (``CoarseHashedLUT``) keys on
-the normalized coordinates and never reads the Eq. 4 bins.
+:meth:`PositionEncoder.encode` does the first two steps and
+:meth:`PositionEncoder.keys` the third, under either keying.
 """
 
 from __future__ import annotations
@@ -40,9 +46,8 @@ class EncodedNeighborhood:
     bins:
         ``(m, rf, 3)`` int16 quantized coordinates (Eq. 4); row order is
         [target, neighbor_1, ..., neighbor_{rf-1}] as in the paper.
-        Computed on first access and kept: the production refiner
-        (:class:`~repro.sr.refine.LUTRefiner` over a ``CoarseHashedLUT``)
-        keys on ``normalized`` and never reads it.
+        Computed on first access and kept: a view for inspection — tables
+        key on ``normalized`` and never read it.
     radius:
         ``(m,)`` neighborhood radii ``R`` (Eq. 3 denominators).
     normalized:
@@ -59,7 +64,8 @@ class EncodedNeighborhood:
 
     @cached_property
     def bins(self) -> np.ndarray:
-        return self._encoder._quantize(self.normalized)
+        q = self._encoder._quantize(self.normalized, per_point=False)
+        return q.astype(np.int16)
 
     @property
     def n_neighborhoods(self) -> int:
@@ -71,7 +77,7 @@ class EncodedNeighborhood:
 
 
 class PositionEncoder:
-    """Encodes (target, neighbors) neighborhoods into LUT bins.
+    """Encodes (target, neighbors) neighborhoods into LUT keys.
 
     Parameters
     ----------
@@ -91,7 +97,7 @@ class PositionEncoder:
             raise ValueError("phase must be in [0, 1)")
         self.rf_size = int(rf_size)
         self.bins = int(bins)
-        #: fractional shift of the quantization grid (in bins).  Ensembles
+        #: fractional shift of the quantization grid (in cells).  Ensembles
         #: of phase-shifted LUTs average out quantization error — the 3-D
         #: counterpart of SR-LUT's rotation ensembling (see EnsembleLUT).
         self.phase = float(phase)
@@ -125,31 +131,8 @@ class PositionEncoder:
         np.divide(rel, safe_r[:, None, None], out=normalized[:, 1:, :])
         return EncodedNeighborhood(radius, normalized, self)
 
-    def _quantize(self, normalized: np.ndarray) -> np.ndarray:
-        """Eq. 4 on this encoder's (phase-shifted) grid: int16 bins."""
-        q = np.floor(
-            (normalized + 1.0) * 0.5 * (self.bins - 1) + self.phase
-        ).astype(np.int16)
-        np.clip(q, 0, self.bins - 1, out=q)
-        return q
-
     # ------------------------------------------------------------------
-    def bin_centers(self, bins: np.ndarray) -> np.ndarray:
-        """Normalized coordinates of bin centers (inverse of Eq. 4).
-
-        Used when distilling the network into the LUT: each stored entry is
-        the network's output at the *representative* (center) configuration
-        of its quantization cell.  Accounts for the grid ``phase``.
-        """
-        q = np.asarray(bins, dtype=np.float64)
-        return (q - self.phase + 0.5) * 2.0 / (self.bins - 1) - 1.0
-
-    def quantization_error_bound(self) -> float:
-        """Max per-axis distance between a coordinate and its bin center."""
-        return 1.0 / (self.bins - 1)
-
-    # ------------------------------------------------------------------
-    # Key packing: bins -> integer keys for hashing / sorting.
+    # Keying: normalized neighbourhood -> uint64 table key, and back.
     # ------------------------------------------------------------------
     @property
     def effective_dims(self) -> int:
@@ -157,88 +140,84 @@ class PositionEncoder:
         return (self.rf_size - 1) * 3
 
     @property
-    def packable(self) -> bool:
-        """Whether keys fit a uint64 (b^dims <= 2^64)."""
-        return self.effective_dims * np.log2(self.bins) <= 64
-
-    def pack_keys(self, bins: np.ndarray) -> np.ndarray:
-        """Pack ``(m, rf, 3)`` bin arrays into ``(m,)`` uint64 keys.
-
-        Only the neighbor dimensions enter the key (the target's bins are a
-        known constant).  Raises when the key space exceeds 64 bits — use
-        :meth:`pack_keys_bytes` for such configurations.
-        """
-        if not self.packable:
-            raise ValueError(
-                f"key space b={self.bins}, dims={self.effective_dims} exceeds "
-                "uint64; use pack_keys_bytes"
-            )
-        nb = np.asarray(bins)[:, 1:, :].reshape(len(bins), -1).astype(np.uint64)
-        key = np.zeros(len(bins), dtype=np.uint64)
-        b = np.uint64(self.bins)
-        for d in range(nb.shape[1]):
-            key = key * b + nb[:, d]
-        return key
-
-    def pack_keys_bytes(self, bins: np.ndarray) -> list[bytes]:
-        """Byte-string keys for configurations too wide for uint64."""
-        nb = np.ascontiguousarray(
-            np.asarray(bins)[:, 1:, :].reshape(len(bins), -1).astype(np.int16)
-        )
-        return [row.tobytes() for row in nb]
-
-    # ------------------------------------------------------------------
-    # Coarse per-point codes (the paper's Table-1 indexing).
-    # ------------------------------------------------------------------
-    @property
     def point_grid(self) -> int:
-        """Cells per axis of the coarse per-point code grid.
+        """Cells per axis ``g`` of the per-point code grid.
 
         The paper's Table 1 counts ``b^n`` entries — **one** code per
         receptive-field point, not one per coordinate.  A ``b``-way
-        per-point code is a 3-D grid with ``g = floor(b^(1/3))`` cells per
-        axis (g=5 for b=128, so 125 of the 128 code values are used).
+        per-point code is a 3-D grid with the largest ``g`` such that
+        ``g³ <= b`` cells per axis (g=5 for b=128, so 125 of the 128 code
+        values are used; g=4 for b=64).
         """
-        return max(2, int(np.floor(self.bins ** (1.0 / 3.0))))
+        g = round(self.bins ** (1.0 / 3.0))
+        if g ** 3 > self.bins:
+            g -= 1
+        return max(2, g)
 
-    def point_codes(self, normalized: np.ndarray) -> np.ndarray:
-        """Coarse per-point codes ∈ [0, g³) for ``(m, rf, 3)`` coords."""
-        g = self.point_grid
-        q = np.floor((np.asarray(normalized) + 1.0) * 0.5 * g).astype(np.int64)
-        np.clip(q, 0, g - 1, out=q)
-        return (q[..., 0] * g + q[..., 1]) * g + q[..., 2]
+    def _grid(self, per_point: bool) -> tuple[int, int]:
+        """``(cells spanning [-1, 1], digit radix)`` of one axis of a keying.
 
-    def pack_keys_coarse(self, normalized: np.ndarray) -> np.ndarray:
-        """Pack neighbor point-codes into uint64 keys (space ``(g³)^(n-1)``).
-
-        The target point's code is constant (it sits at the origin) and is
-        excluded, exactly as in :meth:`pack_keys`.
+        Eq. 4 spreads ``b - 1`` cells over the range and keeps bin ``b - 1``
+        for the coordinate ``+1`` itself; the per-point grid has ``g``.
         """
-        codes = self.point_codes(np.asarray(normalized)[:, 1:]).astype(np.uint64)
-        base = np.uint64(self.point_grid ** 3)
-        key = np.zeros(len(codes), dtype=np.uint64)
-        for d in range(codes.shape[1]):
-            key = key * base + codes[:, d]
-        return key
+        if per_point:
+            return self.point_grid, self.point_grid
+        return self.bins - 1, self.bins
 
-    def coarse_cell_centers(self, keys: np.ndarray) -> np.ndarray:
-        """Normalized neighbor coordinates at the center of each coarse cell.
+    def _quantize(self, normalized: np.ndarray, per_point: bool) -> np.ndarray:
+        """Cell index per coordinate on this encoder's (phase-shifted) grid,
+        as whole-valued floats in ``[0, radix)``; Eq. 4 when not per-point."""
+        cells, radix = self._grid(per_point)
+        q = np.floor((normalized + 1.0) * 0.5 * cells + self.phase)
+        return np.clip(q, 0, radix - 1, out=q)
 
-        Returns ``(m, (rf-1)·3)`` coordinates — the representative inputs
-        used to distill the network into a coarse LUT.
+    def key_space(self, *, per_point: bool) -> int:
+        """Distinct keys of a keying: ``b^((n-1)·3)`` or ``(g³)^(n-1)``."""
+        _, radix = self._grid(per_point)
+        return radix ** self.effective_dims
+
+    def keys(self, normalized: np.ndarray, *, per_point: bool) -> np.ndarray:
+        """``(m,)`` uint64 keys of ``(m, rf, 3)`` normalized neighbourhoods.
+
+        A key is the ``(rf-1)·3`` neighbour cell indices as digits of one
+        number, first neighbour's x most significant, in radix ``b`` (Eq. 4
+        keying: one bin per coordinate) or ``g`` (per-point keying: three
+        digits make one of Table 1's ``g³``-way point codes).  The target
+        row is the origin by construction and is not coded.  Wraps silently
+        when :meth:`key_space` exceeds 2^64 — ``HashedLUT`` refuses such an
+        encoder at construction.
         """
-        g = self.point_grid
-        base = np.uint64(g ** 3)
-        keys = np.asarray(keys, dtype=np.uint64)
-        n_nb = self.rf_size - 1
-        out = np.empty((len(keys), n_nb, 3))
-        rem = keys.copy()
-        for d in range(n_nb - 1, -1, -1):
-            code = (rem % base).astype(np.int64)
-            rem //= base
-            qz = code % g
-            qy = (code // g) % g
-            qx = code // (g * g)
-            grid = np.stack([qx, qy, qz], axis=1)
-            out[:, d, :] = (grid + 0.5) * 2.0 / g - 1.0
-        return out.reshape(len(keys), -1)
+        _, radix = self._grid(per_point)
+        digits = self._quantize(np.asarray(normalized)[:, 1:], per_point)
+        return _pack(digits.reshape(len(digits), -1), radix)
+
+    def cell_centers(self, keys: np.ndarray, *, per_point: bool) -> np.ndarray:
+        """``(m, (rf-1)·3)`` normalized neighbour coordinates at the centre
+        of each key's cell (inverse of :meth:`keys`).
+
+        Used when distilling the network into a table: each stored entry is
+        the network's output at the *representative* configuration of its
+        cell.  Accounts for the grid ``phase``.
+        """
+        cells, radix = self._grid(per_point)
+        digits = _unpack(np.asarray(keys, dtype=np.uint64), radix, self.effective_dims)
+        return (digits - self.phase + 0.5) * 2.0 / cells - 1.0
+
+    def quantization_error_bound(self) -> float:
+        """Max per-axis distance between a coordinate and its Eq. 4 bin center."""
+        return 1.0 / (self.bins - 1)
+
+
+def _place_values(radix: int, n_digits: int) -> np.ndarray:
+    return np.uint64(radix) ** np.arange(n_digits - 1, -1, -1, dtype=np.uint64)
+
+
+def _pack(digits: np.ndarray, radix: int) -> np.ndarray:
+    """``(m, d)`` digits in ``[0, radix)`` → ``(m,)`` uint64, first digit
+    most significant."""
+    return digits.astype(np.uint64) @ _place_values(radix, digits.shape[1])
+
+
+def _unpack(keys: np.ndarray, radix: int, n_digits: int) -> np.ndarray:
+    """Inverse of :func:`_pack`: ``(m,)`` uint64 → ``(m, n_digits)``."""
+    return keys[:, None] // _place_values(radix, n_digits) % np.uint64(radix)

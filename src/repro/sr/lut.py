@@ -1,24 +1,31 @@
-"""Refinement look-up tables (paper §4.2).
+"""The refinement look-up table (paper §4.2).
 
-The LUT maps a quantized neighborhood configuration to a 3-D refinement
-offset in normalized space (Eq. 6), storing float16 values (Eq. 7).  Two
-storage strategies are provided:
+The table maps a quantized neighbourhood configuration to a 3-D refinement
+offset in normalized space (Eq. 6), stored as float16 (Eq. 7), distilled
+offline from a trained refinement network by evaluating the network at the
+centre of every cell the training content occupies.
 
-* :class:`DenseLUT` — literally materializes every entry, exactly as the
-  paper's memory model (Table 1) counts them.  Only feasible for small
-  ``(rf, bins)``; used for the memory/quality trade-off ablation.
-* :class:`HashedLUT` — a sparse sorted-key table over the configurations
-  that actually occur.  Captured point clouds are surface samples, so the
-  occupied fraction of the ``b^{(n-1)·3}`` key space is vanishingly small;
-  the paper's 1.6 GB figure for (n=4, b=128) is itself far below the
-  literal dense count, implying the authors' artifact also stores a reduced
-  space (see DESIGN.md).  Lookups are ``O(log m)`` vectorized
-  ``searchsorted`` — still orders of magnitude cheaper than MLP inference.
+The paper sizes the index twice: Eq. 5's text says ``b^(n·3)`` entries, one
+of ``b`` bins per *coordinate* (Eq. 4), while Table 1's numbers follow
+``b^n × 3`` float16 values, one ``b``-way code per receptive-field *point*
+(:func:`lut_entries`).  These are two **keyings** of one table: a
+:class:`HashedLUT` is told at construction which one it holds
+(``per_point``), records it in its file, and asks
+:class:`~repro.sr.encoding.PositionEncoder` for keys and cell centres under
+it.
 
-Both are distilled from a trained refinement network by evaluating it at
-bin-center configurations (:func:`build_lut`).  Misses in the hashed table
-fall back (configurable) to the nearest populated entry along the sorted
-key axis, to zero offset, or to live network inference with memoization.
+* *Eq. 4 keying* (:func:`build_lut`) tracks the network closely per hit,
+  but its key space (``128^9`` at n=4) is one unseen content never hits.
+* *Per-point keying* (:func:`build_coarse_lut`) snaps each neighbour to a
+  ``g×g×g`` cell, ``g³ <= b`` — ``(5³)³ ≈ 2M`` keys at n=4/b=128, a space
+  real content *covers*, which is what lets one Long Dress table refine all
+  four videos (§7.1).  The client runs this one.
+
+Captured point clouds are surface samples and occupy a vanishing fraction
+of either key space, so storage is sparse: sorted uint64 keys and one
+vectorized ``searchsorted`` per frame — ``O(log m)`` per point, orders of
+magnitude cheaper than MLP inference.  A query whose key is not stored
+takes the nearer stored key.
 """
 
 from __future__ import annotations
@@ -32,13 +39,18 @@ from .encoding import PositionEncoder
 
 __all__ = [
     "lut_entries",
+    "lut_entries_full",
     "lut_memory_bytes",
-    "lut_memory_table",
-    "DenseLUT",
     "HashedLUT",
     "EnsembleLUT",
     "build_lut",
+    "build_coarse_lut",
 ]
+
+#: rows per network forward pass while distilling
+_BATCH = 8192
+#: what :meth:`HashedLUT.save` writes and :meth:`HashedLUT.load` requires
+_FILE_FIELDS = ("keys", "values", "rf_size", "bins", "phase", "per_point")
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +75,8 @@ def lut_entries_full(rf_size: int, bins: int) -> int:
     """The Eq. 5 literal ``b^(n·3)``: full per-coordinate key space.
 
     Astronomically larger than Table 1's sizing — the gap is why any real
-    implementation (the paper's included) must index a reduced space; see
-    DESIGN.md and :class:`HashedLUT`.
+    implementation (the paper's included) must index a reduced space
+    (:class:`HashedLUT`).
     """
     if rf_size < 1 or bins < 1:
         raise ValueError("rf_size and bins must be positive")
@@ -74,114 +86,6 @@ def lut_entries_full(rf_size: int, bins: int) -> int:
 def lut_memory_bytes(rf_size: int, bins: int, bytes_per_offset: int = 2) -> int:
     """Storage for all Table-1 entry slots at ``bytes_per_offset`` each (Eq. 7)."""
     return lut_entries(rf_size, bins) * bytes_per_offset
-
-
-def lut_memory_table(
-    rf_sizes: tuple[int, ...] = (3, 4, 5), bin_counts: tuple[int, ...] = (128, 64)
-) -> list[dict]:
-    """Reproduce paper Table 1 rows: (n, b, entries, bytes)."""
-    rows = []
-    for rf in rf_sizes:
-        for b in bin_counts:
-            rows.append(
-                {
-                    "rf_size": rf,
-                    "bins": b,
-                    "entries": lut_entries(rf, b),
-                    "bytes": lut_memory_bytes(rf, b),
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# LUT implementations.
-# ---------------------------------------------------------------------------
-
-class BaseLUT:
-    """Common interface: vectorized offset lookup for encoded neighborhoods."""
-
-    encoder: PositionEncoder
-
-    def lookup(self, bins: np.ndarray) -> np.ndarray:
-        """Return ``(m, 3)`` float offsets (normalized space) for bin arrays."""
-        raise NotImplementedError
-
-    def memory_bytes(self) -> int:
-        """Actual bytes held by this table's storage arrays."""
-        raise NotImplementedError
-
-
-class DenseLUT(BaseLUT):
-    """Fully materialized LUT over the effective (neighbor) key space.
-
-    The target point's bins are constant (it normalizes to the origin), so
-    the dense array covers ``b^{(n-1)·3}`` rows of 3 float16 offsets.  A
-    guard refuses configurations above ``max_bytes`` — building the paper's
-    literal (n=4, b=128) dense table is physically impossible, which is the
-    point of Table 1.
-    """
-
-    def __init__(
-        self,
-        encoder: PositionEncoder,
-        max_bytes: int = 512 * 1024 * 1024,
-    ):
-        self.encoder = encoder
-        dims = encoder.effective_dims
-        rows = encoder.bins ** dims
-        nbytes = rows * 3 * 2
-        if nbytes > max_bytes:
-            raise MemoryError(
-                f"dense LUT needs {nbytes} bytes "
-                f"(b={encoder.bins}, dims={dims}); limit is {max_bytes}"
-            )
-        self._table = np.zeros((rows, 3), dtype=np.float16)
-        self._filled = np.zeros(rows, dtype=bool)
-
-    def _flat_index(self, bins: np.ndarray) -> np.ndarray:
-        nb = np.asarray(bins)[:, 1:, :].reshape(len(bins), -1).astype(np.int64)
-        idx = np.zeros(len(bins), dtype=np.int64)
-        for d in range(nb.shape[1]):
-            idx = idx * self.encoder.bins + nb[:, d]
-        return idx
-
-    def fill(self, net: MLP, batch: int = 8192) -> None:
-        """Distill ``net`` into every entry (Eq. 6).
-
-        Entry values are the network evaluated at the bin-center
-        configuration of each cell.
-        """
-        dims = self.encoder.effective_dims
-        b = self.encoder.bins
-        rows = len(self._table)
-        # Enumerate all neighbor-bin combinations in row-major order.
-        for start in range(0, rows, batch):
-            stop = min(start + batch, rows)
-            flat = np.arange(start, stop, dtype=np.int64)
-            digits = np.empty((len(flat), dims), dtype=np.int64)
-            rem = flat.copy()
-            for d in range(dims - 1, -1, -1):
-                digits[:, d] = rem % b
-                rem //= b
-            centers = self.encoder.bin_centers(digits)
-            target = np.zeros((len(flat), 3))
-            x = np.concatenate([target, centers], axis=1)
-            self._table[start:stop] = net.forward(x).astype(np.float16)
-        self._filled[:] = True
-
-    def set_entries(self, bins: np.ndarray, offsets: np.ndarray) -> None:
-        """Write specific entries (used by tests and incremental builds)."""
-        idx = self._flat_index(bins)
-        self._table[idx] = np.asarray(offsets, dtype=np.float16)
-        self._filled[idx] = True
-
-    def lookup(self, bins: np.ndarray) -> np.ndarray:
-        idx = self._flat_index(bins)
-        return self._table[idx].astype(np.float64)
-
-    def memory_bytes(self) -> int:
-        return int(self._table.nbytes)
 
 
 @dataclass
@@ -200,45 +104,31 @@ class LUTStats:
         return self.hits / self.total if self.total else 0.0
 
 
-class HashedLUT(BaseLUT):
-    """Sparse LUT over occupied configurations (sorted-key + searchsorted).
+class HashedLUT:
+    """Sparse table over occupied configurations (sorted keys + searchsorted).
 
     Parameters
     ----------
     encoder:
         The :class:`PositionEncoder` whose keys this table is built for.
-    fallback:
-        Miss policy: ``"nearest"`` (nearest populated key in sorted order —
-        neighboring keys share their most-significant bins, i.e. similar
-        coarse geometry), ``"zero"`` (no refinement), or ``"net"`` (live
-        network inference, memoized into the table).
-    net:
-        Required for ``fallback="net"``.
+    per_point:
+        The keying — part of the data format, like ``rf_size`` and
+        ``bins``: ``True`` for one ``g³``-way code per neighbour (Table 1),
+        ``False`` for one of ``b`` bins per coordinate (Eq. 4).
     """
 
-    def __init__(
-        self,
-        encoder: PositionEncoder,
-        fallback: str = "nearest",
-        net: MLP | None = None,
-    ):
-        if fallback not in ("nearest", "zero", "net"):
-            raise ValueError(f"unknown fallback {fallback!r}")
-        if fallback == "net" and net is None:
-            raise ValueError("fallback='net' requires a network")
-        if not encoder.packable:
+    def __init__(self, encoder: PositionEncoder, *, per_point: bool):
+        if encoder.key_space(per_point=per_point) > 2 ** 64:
             raise ValueError(
-                "HashedLUT requires uint64-packable keys; "
-                f"b={encoder.bins}, rf={encoder.rf_size} exceeds 64 bits"
+                f"keys of rf_size={encoder.rf_size}, bins={encoder.bins}, "
+                f"per_point={per_point} do not fit a uint64"
             )
         self.encoder = encoder
-        self.fallback = fallback
-        self.net = net
+        self.per_point = per_point
         self._keys = np.zeros(0, dtype=np.uint64)
         self._values = np.zeros((0, 3), dtype=np.float16)
         self.stats = LUTStats()
 
-    # ------------------------------------------------------------------
     @property
     def n_entries(self) -> int:
         return len(self._keys)
@@ -251,81 +141,54 @@ class HashedLUT(BaseLUT):
             raise ValueError("keys and offsets must align")
         all_keys = np.concatenate([self._keys, keys])
         all_vals = np.vstack([self._values, offsets])
-        # keep last occurrence per key
         order = np.argsort(all_keys, kind="stable")
         sk, sv = all_keys[order], all_vals[order]
         last = np.r_[sk[1:] != sk[:-1], True]
         self._keys = sk[last]
         self._values = sv[last]
 
-    def populate_from_network(self, keys: np.ndarray, net: MLP, batch: int = 8192) -> None:
-        """Distill ``net`` at the bin centers of the given packed keys."""
-        keys = np.unique(np.asarray(keys, dtype=np.uint64))
-        dims = self.encoder.effective_dims
-        b = np.uint64(self.encoder.bins)
-        for start in range(0, len(keys), batch):
-            chunk = keys[start : start + batch]
-            digits = np.empty((len(chunk), dims), dtype=np.int64)
-            rem = chunk.copy()
-            for d in range(dims - 1, -1, -1):
-                digits[:, d] = (rem % b).astype(np.int64)
-                rem //= b
-            centers = self.encoder.bin_centers(digits)
+    def populate(self, normalized: np.ndarray, net: MLP) -> None:
+        """Distill ``net`` at the cell centre of every configuration in
+        ``normalized``, the training content's ``(m, rf, 3)`` array (Eq. 6)."""
+        keys = np.unique(self.encoder.keys(normalized, per_point=self.per_point))
+        for start in range(0, len(keys), _BATCH):
+            chunk = keys[start : start + _BATCH]
+            centers = self.encoder.cell_centers(chunk, per_point=self.per_point)
             x = np.concatenate([np.zeros((len(chunk), 3)), centers], axis=1)
             self.insert(chunk, net.forward(x))
 
-    # ------------------------------------------------------------------
-    def lookup(self, bins: np.ndarray) -> np.ndarray:
-        keys = self.encoder.pack_keys(bins)
+    def lookup_normalized(self, normalized: np.ndarray) -> np.ndarray:
+        """``(m, 3)`` offsets for ``(m, rf, 3)`` normalized neighbourhoods.
+
+        Hits and misses take one path: each query picks the table row at or
+        next to its sorted position — the hit, else whichever neighbouring
+        key is closer (adjacent keys share their most significant digits,
+        i.e. similar coarse geometry) — and the offsets come out of one
+        gather.  An empty table answers zero.
+        """
+        keys = self.encoder.keys(normalized, per_point=self.per_point)
         m = len(keys)
-        out = np.zeros((m, 3), dtype=np.float64)
         if self.n_entries == 0:
             self.stats.misses += m
-            if self.fallback == "net":
-                out = self._net_eval(bins)
-                self._memoize(keys, out)
-            return out
+            return np.zeros((m, 3))
         pos = np.searchsorted(self._keys, keys)
-        pos_clip = np.minimum(pos, self.n_entries - 1)
-        hit = self._keys[pos_clip] == keys
-        self.stats.hits += int(hit.sum())
-        self.stats.misses += int(m - hit.sum())
-        out[hit] = self._values[pos_clip[hit]].astype(np.float64)
-        miss = ~hit
-        if not miss.any():
-            return out
-        if self.fallback == "zero":
-            pass  # offsets stay zero
-        elif self.fallback == "nearest":
-            # Closest populated key in integer-key space; keys share
-            # most-significant digits with spatially similar coarse shapes.
-            lo = np.clip(pos[miss] - 1, 0, self.n_entries - 1)
-            hi = np.clip(pos[miss], 0, self.n_entries - 1)
-            klo, khi = self._keys[lo], self._keys[hi]
-            kq = keys[miss]
-            pick_hi = (khi - kq) < (kq - klo)
-            nearest = np.where(pick_hi, hi, lo)
-            out[miss] = self._values[nearest].astype(np.float64)
-        else:  # net
-            vals = self._net_eval(bins[miss])
-            out[miss] = vals
-            self._memoize(keys[miss], vals)
-        return out
-
-    def _net_eval(self, bins: np.ndarray) -> np.ndarray:
-        centers = self.encoder.bin_centers(
-            np.asarray(bins)[:, 1:, :].reshape(len(bins), -1)
-        )
-        x = np.concatenate([np.zeros((len(bins), 3)), centers], axis=1)
-        return self.net.forward(x)
-
-    def _memoize(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        self.insert(keys, vals)
+        hi = np.minimum(pos, self.n_entries - 1)
+        khi = self._keys[hi]
+        hit = khi == keys
+        n_hit = int(np.count_nonzero(hit))
+        self.stats.hits += n_hit
+        self.stats.misses += m - n_hit
+        lo = np.maximum(pos, 1) - 1
+        # uint64 differences wrap past either end of the table, which
+        # makes the far side lose the comparison
+        hi_is_closer = (khi - keys) < (keys - self._keys[lo])
+        row = np.where(hit | hi_is_closer, hi, lo)
+        return self._values[row].astype(np.float64)
 
     def memory_bytes(self) -> int:
+        """Bytes held by this table's storage arrays."""
         return int(self._keys.nbytes + self._values.nbytes)
 
-    # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Persist as npz — 'language- and platform-neutral', per the paper."""
         np.savez_compressed(
@@ -334,157 +197,45 @@ class HashedLUT(BaseLUT):
             values=self._values,
             rf_size=np.array(self.encoder.rf_size),
             bins=np.array(self.encoder.bins),
+            phase=np.array(self.encoder.phase),
+            per_point=np.array(self.per_point),
         )
 
     @classmethod
-    def load(cls, path, fallback: str = "nearest", net: MLP | None = None) -> "HashedLUT":
+    def load(cls, path) -> "HashedLUT":
+        """Read a table written by :meth:`save`; ``ValueError`` names the
+        field of a file that cannot be one."""
         with np.load(path) as data:
-            enc = PositionEncoder(int(data["rf_size"]), int(data["bins"]))
-            lut = cls(enc, fallback=fallback, net=net)
-            lut._keys = data["keys"].astype(np.uint64)
-            lut._values = data["values"].astype(np.float16)
+            missing = [f for f in _FILE_FIELDS if f not in data.files]
+            if missing:
+                raise ValueError(f"{path}: not a saved table, no {missing} field")
+            encoder = PositionEncoder(
+                int(data["rf_size"]), int(data["bins"]), float(data["phase"])
+            )
+            lut = cls(encoder, per_point=bool(data["per_point"]))
+            keys = data["keys"].astype(np.uint64)
+            values = data["values"].astype(np.float16)
+        if values.shape != (len(keys), 3):
+            raise ValueError(f"{path}: values is {values.shape}, not {(len(keys), 3)}")
+        # searchsorted over unsorted keys returns wrong rows without complaint
+        if not (keys[1:] > keys[:-1]).all():
+            raise ValueError(f"{path}: keys is not strictly increasing")
+        if len(keys) and int(keys[-1]) >= encoder.key_space(per_point=lut.per_point):
+            raise ValueError(f"{path}: keys reaches past the key space")
+        lut._keys, lut._values = keys, values
         return lut
 
 
-class CoarseHashedLUT(BaseLUT):
-    """Sparse LUT over the paper's **per-point** code space (Table 1).
-
-    The fine :class:`HashedLUT` keys on every quantized coordinate —
-    faithful to Eq. 4 but with a key space so large that unseen content
-    almost always misses.  The paper's own Table 1 sizes the table at
-    ``b^n`` entries: one scalar code per receptive-field point, i.e. each
-    neighbor snaps to a coarse ``g×g×g`` cell (g=5 for b=128).  That space
-    ((g³)^(n-1) ≈ 2M keys for RF=4) is small enough for real content to
-    *cover*, which is what makes the LUT generalize across videos.
-
-    Same storage/lookup machinery as :class:`HashedLUT`; keys come from
-    :meth:`PositionEncoder.pack_keys_coarse` and lookups take normalized
-    coordinates (exposed as :meth:`lookup_normalized`, which
-    :class:`repro.sr.refine.LUTRefiner` prefers automatically).
-    """
-
-    def __init__(self, encoder: PositionEncoder, fallback: str = "nearest",
-                 net: MLP | None = None):
-        if fallback not in ("nearest", "zero", "net"):
-            raise ValueError(f"unknown fallback {fallback!r}")
-        if fallback == "net" and net is None:
-            raise ValueError("fallback='net' requires a network")
-        self.encoder = encoder
-        self.fallback = fallback
-        self.net = net
-        self._keys = np.zeros(0, dtype=np.uint64)
-        self._values = np.zeros((0, 3), dtype=np.float16)
-        self.stats = LUTStats()
-
-    @property
-    def n_entries(self) -> int:
-        return len(self._keys)
-
-    # storage shared with HashedLUT
-    insert = HashedLUT.insert
-    memory_bytes = HashedLUT.memory_bytes
-
-    def key_space(self) -> int:
-        """Total possible keys ((g³)^(rf-1))."""
-        return (self.encoder.point_grid ** 3) ** (self.encoder.rf_size - 1)
-
-    def populate_from_network(self, keys: np.ndarray, net: MLP,
-                              batch: int = 8192) -> None:
-        """Distill ``net`` at coarse-cell centers of the given keys."""
-        keys = np.unique(np.asarray(keys, dtype=np.uint64))
-        for start in range(0, len(keys), batch):
-            chunk = keys[start : start + batch]
-            centers = self.encoder.coarse_cell_centers(chunk)
-            x = np.concatenate([np.zeros((len(chunk), 3)), centers], axis=1)
-            self.insert(chunk, net.forward(x))
-
-    def lookup_normalized(self, normalized: np.ndarray) -> np.ndarray:
-        """Offsets for ``(m, rf, 3)`` normalized neighborhoods.
-
-        Only the ``rf - 1`` neighbour rows are coded (the target row is the
-        origin by construction).  Under ``fallback="nearest"`` hits and
-        misses take one path: each query picks the table row at or next to
-        its sorted position — the hit, else whichever neighbouring key is
-        closer — and the offsets come out of one gather.
-        """
-        keys = self.encoder.pack_keys_coarse(normalized)
-        m = len(keys)
-        if self.n_entries == 0:
-            self.stats.misses += m
-            out = np.zeros((m, 3), dtype=np.float64)
-            if self.fallback == "net":
-                out = self._net_eval(keys)
-                self.insert(keys, out)
-            return out
-        pos = np.searchsorted(self._keys, keys)
-        hi = np.minimum(pos, self.n_entries - 1)
-        khi = self._keys[hi]
-        hit = khi == keys
-        n_hit = int(np.count_nonzero(hit))
-        self.stats.hits += n_hit
-        self.stats.misses += m - n_hit
-        if self.fallback == "nearest":
-            lo = np.maximum(pos, 1) - 1
-            # uint64 differences wrap past either end of the table, which
-            # makes the far side lose the comparison
-            hi_is_closer = (khi - keys) < (keys - self._keys[lo])
-            row = np.where(hit | hi_is_closer, hi, lo)
-            return self._values[row].astype(np.float64)
-        out = np.zeros((m, 3), dtype=np.float64)
-        out[hit] = self._values[hi[hit]]
-        if self.fallback == "net" and n_hit < m:
-            miss = ~hit
-            vals = self._net_eval(keys[miss])
-            out[miss] = vals
-            self.insert(keys[miss], vals)
-        return out
-
-    def _net_eval(self, keys: np.ndarray) -> np.ndarray:
-        centers = self.encoder.coarse_cell_centers(keys)
-        x = np.concatenate([np.zeros((len(keys), 3)), centers], axis=1)
-        return self.net.forward(x)
-
-    def lookup(self, bins: np.ndarray) -> np.ndarray:
-        """Bin-based lookup is not meaningful for coarse keys."""
-        raise NotImplementedError(
-            "CoarseHashedLUT consumes normalized coordinates; "
-            "use lookup_normalized (LUTRefiner does this automatically)"
-        )
-
-    # ------------------------------------------------------------------
-    def save(self, path) -> None:
-        np.savez_compressed(
-            path,
-            keys=self._keys,
-            values=self._values,
-            rf_size=np.array(self.encoder.rf_size),
-            bins=np.array(self.encoder.bins),
-            coarse=np.array(1),
-        )
-
-    @classmethod
-    def load(cls, path, fallback: str = "nearest", net: MLP | None = None) -> "CoarseHashedLUT":
-        with np.load(path) as data:
-            enc = PositionEncoder(int(data["rf_size"]), int(data["bins"]))
-            lut = cls(enc, fallback=fallback, net=net)
-            lut._keys = data["keys"].astype(np.uint64)
-            lut._values = data["values"].astype(np.float16)
-        return lut
-
-
-class EnsembleLUT(BaseLUT):
+class EnsembleLUT:
     """Multi-LUT fusion (paper §6 mentions 'multi-LUT fusion techniques').
 
     SR-LUT ensembles rotated quantizations of the same patch; the clean
     3-D counterpart is **phase-shifted grids** (axis permutation is a no-op
     here because permutation commutes with a per-axis-symmetric quantizer).
-    Each member LUT is built from the same network but indexes a
-    quantization grid shifted by a different fraction of a bin, so their
-    quantization errors are decorrelated and the averaged offset is closer
-    to the network's output than any single member.
-
-    Construct with :meth:`build`, which derives the phase-shifted encoders
-    and distills the network into every member.
+    Each member is an Eq. 4-keyed :class:`HashedLUT` built from the same
+    network over a quantization grid shifted by a different fraction of a
+    bin, so their quantization errors are decorrelated and the averaged
+    offset is closer to the network's output than any single member.
     """
 
     def __init__(self, members: list[HashedLUT]):
@@ -504,89 +255,46 @@ class EnsembleLUT(BaseLUT):
         encoder: PositionEncoder,
         training_normalized: np.ndarray,
         n_members: int = 3,
-        fallback: str = "nearest",
     ) -> "EnsembleLUT":
-        """Distill ``net`` into ``n_members`` phase-shifted LUTs.
-
-        ``training_normalized`` is the ``(m, rf, 3)`` normalized
-        neighborhood array (e.g. re-encoded from the refinement dataset);
-        each member quantizes it under its own grid phase.
-        """
+        """Derive ``n_members`` phase-shifted encoders and distill ``net``
+        into a table over each one's quantization of ``training_normalized``."""
         if n_members < 1:
             raise ValueError("need at least one member")
-        members = []
-        for i in range(n_members):
-            enc_i = PositionEncoder(
-                rf_size=encoder.rf_size,
-                bins=encoder.bins,
-                phase=i / n_members,
-            )
-            lut = HashedLUT(enc_i, fallback=fallback)
-            keys = enc_i.pack_keys(enc_i._quantize(training_normalized))
-            lut.populate_from_network(keys, net)
-            members.append(lut)
-        return cls(members)
-
-    def lookup(self, bins: np.ndarray) -> np.ndarray:
-        """Single-grid lookup (uses the first member only).
-
-        Prefer :meth:`lookup_normalized`, which is what fusion is for.
-        """
-        return self.members[0].lookup(bins)
+        grids = [
+            PositionEncoder(encoder.rf_size, encoder.bins, phase=i / n_members)
+            for i in range(n_members)
+        ]
+        return cls([build_lut(net, grid, training_normalized) for grid in grids])
 
     def lookup_normalized(self, normalized: np.ndarray) -> np.ndarray:
-        """Fused lookup from ``(m, rf, 3)`` normalized coordinates."""
-        normalized = np.asarray(normalized, dtype=np.float64)
-        total = np.zeros((len(normalized), 3))
-        for member in self.members:
-            total += member.lookup(member.encoder._quantize(normalized))
-        return total / len(self.members)
+        """Mean of the members' offsets for ``(m, rf, 3)`` neighbourhoods."""
+        offsets = [m.lookup_normalized(normalized) for m in self.members]
+        return sum(offsets) / len(offsets)
 
     def memory_bytes(self) -> int:
         return sum(m.memory_bytes() for m in self.members)
 
 
 def build_lut(
-    net: MLP,
-    encoder: PositionEncoder,
-    training_bins: np.ndarray,
-    kind: str = "hashed",
-    fallback: str = "nearest",
-) -> BaseLUT:
-    """Offline LUT construction from a trained refinement network.
-
-    ``training_bins`` are encoded neighborhoods observed on the training
-    video; the hashed table stores exactly the configurations the content
-    distribution produces (plus fallback behaviour for novel ones), while
-    the dense table ignores them and enumerates everything.
-    """
-    if kind == "dense":
-        lut = DenseLUT(encoder)
-        lut.fill(net)
-        return lut
-    if kind == "hashed":
-        lut = HashedLUT(encoder, fallback=fallback, net=net if fallback == "net" else None)
-        keys = encoder.pack_keys(training_bins)
-        lut.populate_from_network(keys, net)
-        return lut
-    raise ValueError(f"unknown LUT kind {kind!r}")
-
-
-def build_coarse_lut(
-    net: MLP,
-    encoder: PositionEncoder,
-    training_normalized: np.ndarray,
-    fallback: str = "nearest",
-) -> CoarseHashedLUT:
-    """Offline construction of the paper's Table-1-style coarse LUT.
+    net: MLP, encoder: PositionEncoder, training_normalized: np.ndarray
+) -> HashedLUT:
+    """Offline construction of an Eq. 4-keyed table.
 
     ``training_normalized`` is the ``(m, rf, 3)`` normalized neighborhood
     array observed on the training video (``RefinementDataset.X`` reshaped,
-    or ``EncodedNeighborhood.normalized``).
+    or ``EncodedNeighborhood.normalized``); the table stores exactly the
+    configurations that content produces.
     """
-    lut = CoarseHashedLUT(
-        encoder, fallback=fallback, net=net if fallback == "net" else None
-    )
-    keys = encoder.pack_keys_coarse(training_normalized)
-    lut.populate_from_network(keys, net)
+    lut = HashedLUT(encoder, per_point=False)
+    lut.populate(training_normalized, net)
+    return lut
+
+
+def build_coarse_lut(
+    net: MLP, encoder: PositionEncoder, training_normalized: np.ndarray
+) -> HashedLUT:
+    """:func:`build_lut` under the per-point keying — the table the client
+    runs."""
+    lut = HashedLUT(encoder, per_point=True)
+    lut.populate(training_normalized, net)
     return lut

@@ -22,7 +22,7 @@ import numpy as np
 from ..pointcloud.cloud import PointCloud
 from .colorize import colorize_by_nearest, colorize_by_parent
 from .interpolation import interpolate
-from .lut import BaseLUT
+from .lut import EnsembleLUT, HashedLUT
 from .refine import LUTRefiner, NNRefiner, gather_refinement_neighborhoods
 
 __all__ = ["StageTimes", "SRResult", "VolutUpsampler", "NaiveUpsampler"]
@@ -68,8 +68,9 @@ class VolutUpsampler:
     Parameters
     ----------
     lut:
-        Refinement table (from :func:`repro.sr.lut.build_lut`); ``None``
-        skips refinement (interpolation-only, the ``K4d2`` ablation).
+        Refinement table (from :func:`repro.sr.lut.build_coarse_lut`);
+        ``None`` skips refinement (interpolation-only, the ``K4d2``
+        ablation).
     k, dilation:
         Interpolation receptive field parameters (Eq. 1).
     backend:
@@ -79,7 +80,7 @@ class VolutUpsampler:
 
     def __init__(
         self,
-        lut: BaseLUT | None = None,
+        lut: HashedLUT | EnsembleLUT | None = None,
         k: int = 4,
         dilation: int = 2,
         backend: str = "octree",

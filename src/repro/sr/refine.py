@@ -4,8 +4,9 @@ Two interchangeable refiners with the same contract:
 
 * :class:`NNRefiner` — runs the trained refinement MLP on every
   neighborhood (what GradPU/YuZu-style systems do at inference time).
-* :class:`LUTRefiner` — VoLUT's replacement: position-encode the
-  neighborhood and look the offset up in a precomputed table (§4.2).
+* :class:`LUTRefiner` — VoLUT's replacement: normalize the neighborhood
+  and look the offset up in a precomputed table (§4.2), which quantizes
+  the normalized coordinates under its own keying.
 
 Offsets are predicted in the normalized neighborhood frame and scaled back
 by the per-neighborhood radius ``R`` before application.
@@ -19,7 +20,7 @@ from ..nn.mlp import MLP
 from ..spatial.reuse import merge_and_prune
 from .encoding import PositionEncoder
 from .interpolation import InterpolationResult
-from .lut import BaseLUT
+from .lut import EnsembleLUT, HashedLUT
 
 __all__ = ["gather_refinement_neighborhoods", "NNRefiner", "LUTRefiner"]
 
@@ -75,17 +76,14 @@ class NNRefiner:
 class LUTRefiner:
     """Refine via table lookup (VoLUT's §4.2 path)."""
 
-    def __init__(self, lut: BaseLUT):
+    def __init__(self, lut: HashedLUT | EnsembleLUT):
         self.lut = lut
         self.encoder = lut.encoder
 
     def refine(self, targets: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
         """Return refined positions for ``targets`` given their neighborhoods."""
         enc = self.encoder.encode(targets, neighbors)
-        # Fused (multi-grid) tables consume normalized coordinates so each
-        # member can quantize under its own phase; plain tables take bins.
-        if hasattr(self.lut, "lookup_normalized"):
-            offsets = self.lut.lookup_normalized(enc.normalized)
-        else:
-            offsets = self.lut.lookup(enc.bins)
+        # the table quantizes under its own keying (and each member of a
+        # fused table under its own phase), so it takes the coordinates
+        offsets = self.lut.lookup_normalized(enc.normalized)
         return targets + offsets * enc.radius[:, None]

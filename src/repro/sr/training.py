@@ -11,9 +11,9 @@ the paper trains GradPU on the *Long Dress* video:
 4. train the MLP with Gaussian-noise injection (σ = 0.02) for robustness
    to quantization (§4.2.2).
 
-The same function also returns the encoded bins of the training
-neighborhoods — the occupied configurations used to populate the hashed
-LUT.
+The inputs ``X``, reshaped to ``(m, rf, 3)``, are also the occupied
+configurations a table is populated from (:func:`repro.sr.lut.build_lut`,
+:func:`repro.sr.lut.build_coarse_lut`).
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ __all__ = ["RefinementDataset", "build_refinement_dataset", "train_refinement_ne
 class RefinementDataset:
     """Training tensors for the refinement network.
 
-    ``X`` is ``(m, rf·3)`` flattened normalized neighborhoods, ``Y`` is
-    ``(m, 3)`` normalized target offsets, and ``bins`` is the ``(m, rf, 3)``
-    quantized form used to seed the hashed LUT.
+    ``X`` is ``(m, rf·3)`` flattened normalized neighborhoods and ``Y`` is
+    ``(m, 3)`` normalized target offsets.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    bins: np.ndarray
 
     def __len__(self) -> int:
         return len(self.X)
@@ -75,7 +73,7 @@ def build_refinement_dataset(
         ``len(frame) / max(ratios)``.
     """
     rng = np.random.default_rng(seed)
-    xs, ys, bs = [], [], []
+    xs, ys = [], []
     for frame in frames:
         for ratio in ratios:
             n_low = (
@@ -101,12 +99,9 @@ def build_refinement_dataset(
             np.clip(target, -1.0, 1.0, out=target)
             xs.append(enc.normalized.reshape(len(new_pts), -1))
             ys.append(target)
-            bs.append(enc.bins)
     if not xs:
         raise ValueError("no training pairs were produced")
-    return RefinementDataset(
-        X=np.vstack(xs), Y=np.vstack(ys), bins=np.vstack(bs)
-    )
+    return RefinementDataset(X=np.vstack(xs), Y=np.vstack(ys))
 
 
 def train_refinement_net(

@@ -1,7 +1,5 @@
 """Trained-artifacts cache and configuration tests."""
 
-import pytest
-
 from repro.experiments.artifacts import get_artifacts
 from repro.experiments.common import Scale
 
@@ -26,27 +24,15 @@ class TestArtifactsCache:
         b = get_artifacts(TINY, seed=1)
         assert a is not b
 
-    def test_lut_kind_changes_artifacts(self):
-        coarse = get_artifacts(TINY, seed=0, lut_kind="coarse")
-        fine = get_artifacts(TINY, seed=0, lut_kind="hashed")
-        assert coarse is not fine
-        from repro.sr import CoarseHashedLUT, HashedLUT
-
-        assert isinstance(coarse.lut, CoarseHashedLUT)
-        assert isinstance(fine.lut, HashedLUT)
-
     def test_training_happened(self):
         art = get_artifacts(TINY, seed=0)
         assert len(art.train_losses) == TINY.train_epochs
         assert art.train_losses[-1] <= art.train_losses[0]
         assert art.lut.n_entries > 0
+        assert art.lut.per_point
 
     def test_encoder_configuration(self):
         art = get_artifacts(TINY, rf_size=4, bins=32, seed=0)
         assert art.encoder.rf_size == 4
         assert art.encoder.bins == 32
         assert art.net.in_dim == 12
-
-    def test_unknown_lut_kind(self):
-        with pytest.raises(ValueError):
-            get_artifacts(TINY, seed=3, lut_kind="btree")

@@ -1,15 +1,19 @@
-"""Coarse (per-point-code) LUT tests — the paper's Table-1 indexing."""
+"""Per-point keying tests — the paper's Table-1 indexing — and the lookup
+against a per-query loop under both keyings."""
 
 import numpy as np
 import pytest
 
 from repro.nn import MLP
 from repro.sr import (
-    CoarseHashedLUT,
+    HashedLUT,
     LUTRefiner,
     PositionEncoder,
     build_coarse_lut,
+    build_lut,
 )
+
+from .test_lut import assert_roundtrip
 
 
 @pytest.fixture
@@ -28,33 +32,52 @@ def random_normalized(m, rf=4, seed=0):
 
 class TestPointCodes:
     def test_grid_size(self, enc128):
-        assert enc128.point_grid == 5  # floor(128^(1/3))
+        assert enc128.point_grid == 5  # largest g with g^3 <= 128
+
+    @pytest.mark.parametrize("bins, g", [
+        (2, 2), (8, 2), (16, 2), (26, 2), (27, 3), (32, 3), (63, 3), (64, 4),
+        (125, 5), (128, 5), (216, 6), (512, 8), (1000, 10), (4096, 16),
+    ])
+    def test_grid_is_the_integer_cube_root(self, bins, g):
+        """Perfect cubes included: floor(b ** (1/3)) gave 3 for b=64."""
+        assert PositionEncoder(rf_size=4, bins=bins).point_grid == g
 
     def test_codes_in_range(self, enc128):
+        """Three base-125 digits: one 5x5x5 cell code per neighbour."""
         norm = random_normalized(200, seed=1)
-        codes = enc128.point_codes(norm)
-        assert codes.min() >= 0
-        assert codes.max() < 5 ** 3
+        keys = enc128.keys(norm, per_point=True)
+        assert keys.dtype == np.uint64
+        assert int(keys.max()) < (5 ** 3) ** 3
+        first_neighbour = keys // np.uint64(125 ** 2)
+        q = np.clip(np.floor((norm[:, 1] + 1.0) * 0.5 * 5), 0, 4).astype(np.uint64)
+        assert np.array_equal(first_neighbour, (q[:, 0] * 5 + q[:, 1]) * 5 + q[:, 2])
 
     def test_target_code_constant(self, enc128):
+        """The target row is the origin by construction and is not coded."""
         norm = random_normalized(50, seed=2)
-        codes = enc128.point_codes(norm)
-        assert len(np.unique(codes[:, 0])) == 1
+        moved = norm.copy()
+        moved[:, 0] = 0.7
+        assert np.array_equal(
+            enc128.keys(norm, per_point=True), enc128.keys(moved, per_point=True)
+        )
 
     def test_key_space_matches_table1_scale(self, enc128):
-        lut = CoarseHashedLUT(enc128)
         # (5^3)^3 ≈ 1.95M — coverable by real content, unlike 128^9.
-        assert lut.key_space() == (5 ** 3) ** 3
+        assert enc128.key_space(per_point=True) == (5 ** 3) ** 3
+        assert enc128.key_space(per_point=False) == 128 ** 9
+        top = np.zeros((1, 4, 3))
+        top[0, 1:] = 1.0
+        assert int(enc128.keys(top, per_point=True)[0]) == (5 ** 3) ** 3 - 1
 
     def test_cell_centers_requantize_to_same_key(self, enc128):
         norm = random_normalized(100, seed=3)
-        keys = enc128.pack_keys_coarse(norm)
-        centers = enc128.coarse_cell_centers(keys).reshape(len(keys), 3, 3)
-        with_target = np.concatenate(
-            [np.zeros((len(keys), 1, 3)), centers], axis=1
-        )
-        keys2 = enc128.pack_keys_coarse(with_target)
-        assert np.array_equal(keys, keys2)
+        for per_point in (True, False):
+            keys = enc128.keys(norm, per_point=per_point)
+            centers = enc128.cell_centers(keys, per_point=per_point)
+            with_target = np.concatenate(
+                [np.zeros((len(keys), 1, 3)), centers.reshape(len(keys), 3, 3)], axis=1
+            )
+            assert np.array_equal(keys, enc128.keys(with_target, per_point=per_point))
 
 
 class TestCoarseLUT:
@@ -74,11 +97,7 @@ class TestCoarseLUT:
         local configurations repeat), unseen-video lookups actually hit;
         fine (n·3)-dim keys at b=128 essentially never do."""
         from repro.pointcloud import make_video, random_downsample_count
-        from repro.sr import (
-            HashedLUT,
-            gather_refinement_neighborhoods,
-            interpolate,
-        )
+        from repro.sr import gather_refinement_neighborhoods, interpolate
 
         net = self._net(enc128)
 
@@ -99,53 +118,46 @@ class TestCoarseLUT:
         coarse = build_coarse_lut(net, enc128, train)
         coarse.lookup_normalized(test.normalized)
 
-        fine = HashedLUT(enc128, fallback="zero")
-        q = np.floor((train + 1.0) * 0.5 * 127).astype(np.int16)
-        fine.populate_from_network(enc128.pack_keys(q), net)
-        fine.lookup(test.bins)
+        fine = build_lut(net, enc128, train)
+        fine.lookup_normalized(test.normalized)
 
         assert coarse.stats.hit_rate > 0.15
         assert coarse.stats.hit_rate > fine.stats.hit_rate + 0.1
 
-    @pytest.mark.parametrize("fallback", ["nearest", "zero", "net"])
-    def test_hits_and_misses_against_a_per_query_loop(self, enc128, fallback):
+    @pytest.mark.parametrize("per_point", [True, False], ids=["per_point", "eq4"])
+    def test_hits_and_misses_against_a_per_query_loop(self, enc128, per_point):
         """Hit: the stored value.  Miss: the closer adjacent stored key
-        (lower on a tie; the end key past either end), zero, or the net at
-        the query's own cell centre, by ``fallback``."""
+        (lower on a tie; the end key past either end)."""
         from bisect import bisect_left
 
         net = self._net(enc128, seed=3)
         train = random_normalized(300, seed=11)
-        lut = build_coarse_lut(net, enc128, train, fallback=fallback)
+        lut = HashedLUT(enc128, per_point=per_point)
+        lut.populate(train, net)
         table = [int(key) for key in lut._keys]
         values = lut._values.astype(np.float64)
-        corners = np.zeros((2, 4, 3))  # keys 0 and key_space() - 1
+        corners = np.zeros((2, 4, 3))  # keys 0 and key_space - 1
         corners[0, 1:], corners[1, 1:] = -1.0, 1.0
         query = np.concatenate([train[:40], random_normalized(300, seed=12), corners])
-        keys = [int(key) for key in enc128.pack_keys_coarse(query)]
-        assert keys[-2] < table[0] and keys[-1] > table[-1]
+        keys = [int(key) for key in enc128.keys(query, per_point=per_point)]
+        assert keys[-2] == 0 < table[0]
+        assert keys[-1] == enc128.key_space(per_point=per_point) - 1 > table[-1]
 
         want, n_hit = np.zeros((len(keys), 3)), 0
         for row, key in enumerate(keys):
             at = bisect_left(table, key)
             if at < len(table) and table[at] == key:
                 want[row], n_hit = values[at], n_hit + 1
-            elif fallback == "nearest":
+            else:
                 lo, hi = max(at - 1, 0), min(at, len(table) - 1)
                 want[row] = values[hi if table[hi] - key < key - table[lo] else lo]
-            elif fallback == "net":
-                centre = enc128.coarse_cell_centers(np.array([key], dtype=np.uint64))
-                want[row] = net.forward(np.concatenate([np.zeros((1, 3)), centre], axis=1))
         assert 40 <= n_hit < len(keys) - 2
 
         got = lut.lookup_normalized(query)
         assert got.dtype == np.float64
-        # a one-row forward pass rounds differently from the batched one
-        assert np.allclose(got, want, rtol=0, atol=1e-12 if fallback == "net" else 0)
+        assert np.array_equal(got, want)
         assert (lut.stats.hits, lut.stats.misses) == (n_hit, len(keys) - n_hit)
-        # only the net fallback memoizes what it computed
-        new_keys = len(set(keys) - set(table)) if fallback == "net" else 0
-        assert lut.n_entries == len(table) + new_keys
+        assert lut.n_entries == len(table)
 
     def test_refiner_dispatches_to_normalized(self, enc128, small_frame):
         from repro.sr import gather_refinement_neighborhoods, interpolate
@@ -171,21 +183,10 @@ class TestCoarseLUT:
         assert err < 4 * spread
 
     def test_save_load(self, enc128, tmp_path):
-        net = self._net(enc128)
         norm = random_normalized(100, seed=9)
-        lut = build_coarse_lut(net, enc128, norm)
-        p = tmp_path / "coarse.npz"
-        lut.save(p)
-        back = CoarseHashedLUT.load(p)
-        assert back.n_entries == lut.n_entries
-        assert np.allclose(
-            back.lookup_normalized(norm), lut.lookup_normalized(norm)
-        )
-
-    def test_bin_lookup_not_supported(self, enc128):
-        lut = CoarseHashedLUT(enc128)
-        with pytest.raises(NotImplementedError):
-            lut.lookup(np.zeros((1, 4, 3), dtype=np.int16))
+        lut = build_coarse_lut(self._net(enc128), enc128, norm)
+        query = np.concatenate([norm[:20], random_normalized(60, seed=10)])
+        assert_roundtrip(lut, query, tmp_path)
 
     def test_memory_far_below_dense_table1(self, enc128):
         from repro.sr import lut_memory_bytes
@@ -194,9 +195,3 @@ class TestCoarseLUT:
         norm = random_normalized(1000, seed=10)
         lut = build_coarse_lut(net, enc128, norm)
         assert lut.memory_bytes() < lut_memory_bytes(4, 128) / 100
-
-    def test_fallback_validation(self, enc128):
-        with pytest.raises(ValueError):
-            CoarseHashedLUT(enc128, fallback="net")
-        with pytest.raises(ValueError):
-            CoarseHashedLUT(enc128, fallback="magic")

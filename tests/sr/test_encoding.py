@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import MLP
-from repro.sr import HashedLUT, LUTRefiner, PositionEncoder, build_coarse_lut
+from repro.sr import HashedLUT, LUTRefiner, PositionEncoder, build_coarse_lut, build_lut
 
 
 def random_neighborhoods(m, rf, seed=0, scale=1.0):
@@ -14,6 +14,12 @@ def random_neighborhoods(m, rf, seed=0, scale=1.0):
     targets = g.uniform(-scale, scale, (m, 3))
     neighbors = targets[:, None, :] + g.normal(0, 0.1 * scale, (m, rf - 1, 3))
     return targets, neighbors
+
+
+def eq4_centers(enc, e):
+    """Bin centres of the neighbour rows of ``e``, as ``(m, rf - 1, 3)``."""
+    keys = enc.keys(e.normalized, per_point=False)
+    return enc.cell_centers(keys, per_point=False).reshape(len(keys), -1, 3)
 
 
 class TestNormalization:
@@ -80,19 +86,21 @@ class TestQuantization:
         assert np.array_equal(e.bins[0, 1], np.clip(expected, 0, 10))
 
     def test_bin_centers_inverse(self):
-        enc = PositionEncoder(rf_size=4, bins=64)
-        bins = np.arange(64)
-        centers = enc.bin_centers(bins)
+        enc = PositionEncoder(rf_size=2, bins=64)
+        # one key per bin: the digits of key k·64² are (k, 0, 0)
+        keys = np.arange(64, dtype=np.uint64) * np.uint64(64 ** 2)
+        centers = enc.cell_centers(keys, per_point=False)
         # Re-quantizing a bin center returns the same bin.
-        requant = np.floor((centers + 1) / 2 * 63).astype(int)
-        assert np.array_equal(np.clip(requant, 0, 63), bins)
+        requant = np.floor((centers[:, 0] + 1) / 2 * 63).astype(int)
+        assert np.array_equal(np.clip(requant, 0, 63), np.arange(64))
+        with_target = np.concatenate([np.zeros((64, 1, 3)), centers[:, None]], axis=1)
+        assert np.array_equal(enc.keys(with_target, per_point=False), keys)
 
     def test_quantization_error_bound_holds(self):
         enc = PositionEncoder(rf_size=4, bins=32)
         t, nb = random_neighborhoods(200, 4, seed=5)
         e = enc.encode(t, nb)
-        centers = enc.bin_centers(e.bins)
-        err = np.abs(centers - e.normalized).max()
+        err = np.abs(eq4_centers(enc, e) - e.normalized[:, 1:]).max()
         assert err <= enc.quantization_error_bound() + 1e-12
 
     def test_more_bins_lower_error(self):
@@ -101,7 +109,7 @@ class TestQuantization:
         for b in (8, 32, 128):
             enc = PositionEncoder(rf_size=4, bins=b)
             e = enc.encode(t, nb)
-            errs.append(np.abs(enc.bin_centers(e.bins) - e.normalized).mean())
+            errs.append(np.abs(eq4_centers(enc, e) - e.normalized[:, 1:]).mean())
         assert errs[0] > errs[1] > errs[2]
 
 
@@ -110,7 +118,7 @@ class TestKeyPacking:
         enc = PositionEncoder(rf_size=3, bins=16)
         t, nb = random_neighborhoods(500, 3, seed=7)
         e = enc.encode(t, nb)
-        keys = enc.pack_keys(e.bins)
+        keys = enc.keys(e.normalized, per_point=False)
         flat = e.bins[:, 1:, :].reshape(len(e.bins), -1)
         _, unique_rows = np.unique(flat, axis=0, return_index=True)
         assert len(np.unique(keys)) == len(unique_rows)
@@ -119,7 +127,7 @@ class TestKeyPacking:
         enc = PositionEncoder(rf_size=3, bins=8)
         t, nb = random_neighborhoods(50, 3, seed=8)
         e = enc.encode(t, nb)
-        keys = enc.pack_keys(e.bins)
+        keys = enc.keys(e.normalized, per_point=False)
         # Decode digits and compare.
         digits = np.empty((50, 6), dtype=np.int64)
         rem = keys.copy()
@@ -129,21 +137,18 @@ class TestKeyPacking:
         assert np.array_equal(digits, e.bins[:, 1:, :].reshape(50, -1))
 
     def test_packable_boundary(self):
-        assert PositionEncoder(rf_size=4, bins=128).packable  # 9*7 = 63 bits
-        assert not PositionEncoder(rf_size=5, bins=128).packable  # 84 bits
+        fits = PositionEncoder(rf_size=4, bins=128)  # 9*7 = 63 bits
+        assert fits.key_space(per_point=False) == 2 ** 63
+        top = np.ones((1, 4, 3))
+        assert int(fits.keys(top, per_point=False)[0]) == 2 ** 63 - 1
+        wide = PositionEncoder(rf_size=5, bins=128)  # 84 bits
+        assert wide.key_space(per_point=False) == 2 ** 84
 
     def test_pack_rejects_oversized(self):
+        """``keys`` would wrap; the table that would hold them refuses."""
         enc = PositionEncoder(rf_size=5, bins=128)
         with pytest.raises(ValueError, match="uint64"):
-            enc.pack_keys(np.zeros((1, 5, 3), dtype=np.int16))
-
-    def test_bytes_keys_for_oversized(self):
-        enc = PositionEncoder(rf_size=5, bins=128)
-        t, nb = random_neighborhoods(10, 5, seed=9)
-        e = enc.encode(t, nb)
-        keys = enc.pack_keys_bytes(e.bins)
-        assert len(keys) == 10
-        assert all(isinstance(k, bytes) for k in keys)
+            HashedLUT(enc, per_point=False)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -190,15 +195,13 @@ class TestLazyBins:
         return encoded
 
     def test_coarse_lut_refinement_leaves_bins_uncomputed(self, monkeypatch):
-        enc = PositionEncoder(rf_size=4, bins=128)
+        """Under either keying: tables key on ``normalized``."""
         net = MLP((12, 8, 3), output_activation="tanh", seed=0)
-        train = enc.encode(*random_neighborhoods(50, 4, seed=5)).normalized
-        encoded = self._refine_and_capture(build_coarse_lut(net, enc, train), monkeypatch)
-        assert "bins" not in vars(encoded)
-
-    def test_bin_keyed_lut_refinement_computes_them(self, monkeypatch):
-        lut = HashedLUT(PositionEncoder(rf_size=4, bins=128), fallback="zero")
-        assert "bins" in vars(self._refine_and_capture(lut, monkeypatch))
+        for build in (build_coarse_lut, build_lut):
+            enc = PositionEncoder(rf_size=4, bins=128)
+            train = enc.encode(*random_neighborhoods(50, 4, seed=5)).normalized
+            encoded = self._refine_and_capture(build(net, enc, train), monkeypatch)
+            assert "bins" not in vars(encoded)
 
 
 @given(seed=st.integers(0, 200), bins=st.integers(2, 64))

@@ -1,24 +1,19 @@
-"""LUT tests: memory model, dense/hashed storage, fallbacks, fusion."""
+"""LUT tests: memory model, the Eq. 4-keyed table, its file, fusion."""
 
 import numpy as np
 import pytest
 
 from repro.nn import MLP
 from repro.sr import (
-    DenseLUT,
     EnsembleLUT,
     HashedLUT,
     PositionEncoder,
+    build_coarse_lut,
     build_lut,
     lut_entries,
     lut_entries_full,
     lut_memory_bytes,
-    lut_memory_table,
 )
-
-
-def tiny_net(rf=3, seed=0):
-    return MLP((rf * 3, 8, 3), output_activation="tanh", seed=seed)
 
 
 def encode_random(encoder, m=50, seed=0):
@@ -26,6 +21,20 @@ def encode_random(encoder, m=50, seed=0):
     t = g.uniform(-1, 1, (m, 3))
     nb = t[:, None, :] + g.normal(0, 0.1, (m, encoder.rf_size - 1, 3))
     return encoder.encode(t, nb)
+
+
+def assert_roundtrip(lut, query, tmp_path):
+    """``save`` → ``load`` restores the keying, the grid and every answer."""
+    lut.save(tmp_path / "table.npz")
+    back = HashedLUT.load(tmp_path / "table.npz")
+    assert back.per_point == lut.per_point
+    assert vars(back.encoder) == vars(lut.encoder)
+    assert back.n_entries == lut.n_entries > 0
+    before = (lut.stats.hits, lut.stats.misses)
+    assert np.array_equal(back.lookup_normalized(query), lut.lookup_normalized(query))
+    delta = (lut.stats.hits - before[0], lut.stats.misses - before[1])
+    assert (back.stats.hits, back.stats.misses) == delta
+    assert min(delta) > 0 and sum(delta) == len(query)
 
 
 class TestMemoryModel:
@@ -42,11 +51,6 @@ class TestMemoryModel:
         assert lut_entries(4, 128) == 128 ** 4 * 3
         assert lut_entries_full(4, 128) == 128 ** 12
 
-    def test_table_rows(self):
-        rows = lut_memory_table()
-        assert len(rows) == 6
-        assert {r["rf_size"] for r in rows} == {3, 4, 5}
-
     def test_validation(self):
         with pytest.raises(ValueError):
             lut_entries(0, 128)
@@ -54,119 +58,97 @@ class TestMemoryModel:
             lut_entries_full(4, 0)
 
 
-class TestDenseLUT:
-    def test_fill_and_lookup_matches_net(self):
-        enc = PositionEncoder(rf_size=3, bins=4)  # 4^6 = 4096 rows
-        net = tiny_net(rf=3)
-        lut = DenseLUT(enc)
-        lut.fill(net)
-        e = encode_random(enc, m=40, seed=1)
-        got = lut.lookup(e.bins)
-        centers = enc.bin_centers(e.bins[:, 1:, :].reshape(40, -1))
-        x = np.concatenate([np.zeros((40, 3)), centers], axis=1)
-        want = net.forward(x)
-        assert np.allclose(got, want, atol=1e-2)  # float16 storage
-
-    def test_refuses_oversized(self):
-        enc = PositionEncoder(rf_size=4, bins=128)
-        with pytest.raises(MemoryError):
-            DenseLUT(enc)
-
-    def test_set_entries(self):
-        enc = PositionEncoder(rf_size=3, bins=4)
-        lut = DenseLUT(enc)
-        bins = np.zeros((1, 3, 3), dtype=np.int16)
-        lut.set_entries(bins, np.array([[0.5, -0.25, 0.125]]))
-        got = lut.lookup(bins)
-        assert np.allclose(got, [[0.5, -0.25, 0.125]], atol=1e-3)
-
-    def test_memory_bytes(self):
-        enc = PositionEncoder(rf_size=3, bins=4)
-        lut = DenseLUT(enc)
-        assert lut.memory_bytes() == 4 ** 6 * 3 * 2
-
-
 class TestHashedLUT:
     def test_populate_then_hit(self, encoder):
         net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=0)
-        lut = HashedLUT(encoder, fallback="zero")
         e = encode_random(encoder, m=100, seed=2)
-        keys = encoder.pack_keys(e.bins)
-        lut.populate_from_network(keys, net)
+        lut = build_lut(net, encoder, e.normalized)
+        keys = encoder.keys(e.normalized, per_point=False)
         assert lut.n_entries == len(np.unique(keys))
-        out = lut.lookup(e.bins)
+        out = lut.lookup_normalized(e.normalized)
         assert lut.stats.hits == 100
         assert np.abs(out).max() <= 1.0  # tanh range
 
-    def test_zero_fallback(self, encoder):
-        lut = HashedLUT(encoder, fallback="zero")
-        e = encode_random(encoder, m=10, seed=3)
-        out = lut.lookup(e.bins)
-        assert np.allclose(out, 0.0)
-        assert lut.stats.misses == 10
-
     def test_nearest_fallback_returns_populated_value(self, encoder):
         net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=1)
-        lut = HashedLUT(encoder, fallback="nearest")
         e_train = encode_random(encoder, m=200, seed=4)
-        lut.populate_from_network(encoder.pack_keys(e_train.bins), net)
+        lut = build_lut(net, encoder, e_train.normalized)
         e_test = encode_random(encoder, m=50, seed=99)
-        out = lut.lookup(e_test.bins)
+        out = lut.lookup_normalized(e_test.normalized)
         assert np.isfinite(out).all()
         # Every returned value exists in the table (or is an exact hit).
         vals = lut._values.astype(np.float64)
         for row in out:
             assert np.isclose(vals, row, atol=1e-6).all(axis=1).any()
 
-    def test_net_fallback_memoizes(self, encoder):
+    @pytest.mark.parametrize("per_point", [True, False], ids=["per_point", "eq4"])
+    def test_lookup_only_reads(self, encoder, per_point):
+        """An empty table answers zero; a populated one answers the same
+        query the same way twice and a miss stores nothing."""
         net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=2)
-        lut = HashedLUT(encoder, fallback="net", net=net)
-        e = encode_random(encoder, m=30, seed=5)
-        before = lut.n_entries
-        lut.lookup(e.bins)
-        assert lut.n_entries > before
-        # Second lookup of the same bins: all hits.
-        h0 = lut.stats.hits
-        lut.lookup(e.bins)
-        assert lut.stats.hits == h0 + 30
+        query = encode_random(encoder, m=30, seed=5).normalized
+        lut = HashedLUT(encoder, per_point=per_point)
+        assert np.array_equal(lut.lookup_normalized(query), np.zeros((30, 3)))
+        assert (lut.stats.hits, lut.stats.misses, lut.n_entries) == (0, 30, 0)
 
-    def test_net_fallback_requires_net(self, encoder):
-        with pytest.raises(ValueError, match="requires"):
-            HashedLUT(encoder, fallback="net")
-
-    def test_unknown_fallback(self, encoder):
-        with pytest.raises(ValueError, match="fallback"):
-            HashedLUT(encoder, fallback="interpolate")
+        lut.populate(encode_random(encoder, m=60, seed=6).normalized, net)
+        n_entries = lut.n_entries
+        first = lut.lookup_normalized(query)
+        assert lut.stats.misses > 30
+        assert np.array_equal(lut.lookup_normalized(query), first)
+        assert lut.n_entries == n_entries
 
     def test_insert_last_wins(self, encoder):
-        lut = HashedLUT(encoder, fallback="zero")
+        lut = HashedLUT(encoder, per_point=False)
         keys = np.array([5, 5], dtype=np.uint64)
         vals = np.array([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]], dtype=np.float16)
         lut.insert(keys, vals)
         assert lut.n_entries == 1
         assert np.allclose(lut._values[0], 0.9, atol=1e-3)
 
-    def test_save_load_roundtrip(self, encoder, tmp_path):
-        net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=3)
-        lut = HashedLUT(encoder, fallback="zero")
-        e = encode_random(encoder, m=60, seed=6)
-        lut.populate_from_network(encoder.pack_keys(e.bins), net)
-        p = tmp_path / "table.npz"
-        lut.save(p)
-        back = HashedLUT.load(p, fallback="zero")
-        assert back.n_entries == lut.n_entries
-        assert np.allclose(back.lookup(e.bins), lut.lookup(e.bins))
+    def test_save_load_roundtrip(self, tmp_path):
+        """Eq. 4 keying, on a phase-shifted grid (an ensemble member)."""
+        encoder = PositionEncoder(rf_size=4, bins=32, phase=0.25)
+        net = MLP((12, 8, 3), output_activation="tanh", seed=3)
+        train = encode_random(encoder, m=60, seed=6).normalized
+        query = np.concatenate([train[:20], encode_random(encoder, m=60, seed=7).normalized])
+        assert_roundtrip(build_lut(net, encoder, train), query, tmp_path)
+
+    @pytest.mark.parametrize("field, damage", [
+        ("per_point", lambda d: d.pop("per_point")),
+        ("phase", lambda d: d.pop("phase")),
+        ("keys", lambda d: d.update(keys=d["keys"][::-1])),
+        ("keys", lambda d: d.update(keys=d["keys"][[0, 0, 2]])),
+        ("values", lambda d: d.update(values=d["values"][:-1])),
+        ("values", lambda d: d.update(values=d["values"][:, :2])),
+        ("keys", lambda d: d.update(keys=d["keys"] + np.uint64(125 ** 3))),
+    ])
+    def test_load_rejects_a_file_that_is_not_a_table(self, tmp_path, field, damage):
+        encoder = PositionEncoder(rf_size=4, bins=128)
+        net = MLP((12, 8, 3), output_activation="tanh", seed=3)
+        lut = build_coarse_lut(net, encoder, encode_random(encoder, m=3, seed=1).normalized)
+        assert lut.n_entries == 3
+        lut.save(tmp_path / "good.npz")
+        with np.load(tmp_path / "good.npz") as data:
+            fields = dict(data)
+        damage(fields)
+        np.savez_compressed(tmp_path / "bad.npz", **fields)
+        with pytest.raises(ValueError, match=field):
+            HashedLUT.load(tmp_path / "bad.npz")
 
     def test_rejects_unpackable_encoder(self):
-        enc = PositionEncoder(rf_size=5, bins=128)
-        with pytest.raises(ValueError, match="packable"):
-            HashedLUT(enc)
+        """Either keying: a key space past 2^64 is refused, not wrapped."""
+        with pytest.raises(ValueError, match="rf_size=5, bins=128, per_point=False"):
+            HashedLUT(PositionEncoder(rf_size=5, bins=128), per_point=False)  # 84 bits
+        with pytest.raises(ValueError, match="rf_size=8, bins=4096, per_point=True"):
+            HashedLUT(PositionEncoder(rf_size=8, bins=4096), per_point=True)  # 84 bits
+        HashedLUT(PositionEncoder(rf_size=4, bins=128), per_point=False)  # 63 bits
+        HashedLUT(PositionEncoder(rf_size=5, bins=128), per_point=True)  # 28 bits
 
     def test_memory_much_smaller_than_dense(self, encoder):
         net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=4)
-        lut = HashedLUT(encoder, fallback="zero")
         e = encode_random(encoder, m=500, seed=7)
-        lut.populate_from_network(encoder.pack_keys(e.bins), net)
+        lut = build_lut(net, encoder, e.normalized)
         assert lut.memory_bytes() < lut_memory_bytes(
             encoder.rf_size, encoder.bins
         )
@@ -177,10 +159,9 @@ class TestEnsembleLUT:
         net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=5)
         e = encode_random(encoder, m=40, seed=8)
         ens = EnsembleLUT.build(net, encoder, e.normalized, n_members=1)
-        plain = HashedLUT(encoder, fallback="nearest")
-        plain.populate_from_network(encoder.pack_keys(e.bins), net)
-        assert np.allclose(
-            ens.lookup_normalized(e.normalized), plain.lookup(e.bins)
+        plain = build_lut(net, encoder, e.normalized)
+        assert np.array_equal(
+            ens.lookup_normalized(e.normalized), plain.lookup_normalized(e.normalized)
         )
 
     def test_fusion_reduces_quantization_error(self, encoder):
@@ -210,8 +191,8 @@ class TestEnsembleLUT:
     def test_validation(self, encoder):
         with pytest.raises(ValueError):
             EnsembleLUT([])
-        other = HashedLUT(PositionEncoder(rf_size=3, bins=8), fallback="zero")
-        mine = HashedLUT(encoder, fallback="zero")
+        other = HashedLUT(PositionEncoder(rf_size=3, bins=8), per_point=False)
+        mine = HashedLUT(encoder, per_point=False)
         with pytest.raises(ValueError, match="share"):
             EnsembleLUT([mine, other])
         net = MLP((encoder.rf_size * 3, 8, 3), seed=0)
@@ -223,18 +204,6 @@ class TestBuildLUT:
     def test_hashed_build(self, encoder):
         net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=7)
         e = encode_random(encoder, m=80, seed=10)
-        lut = build_lut(net, encoder, e.bins, kind="hashed")
-        assert isinstance(lut, HashedLUT)
+        lut = build_lut(net, encoder, e.normalized)
+        assert isinstance(lut, HashedLUT) and not lut.per_point
         assert lut.n_entries > 0
-
-    def test_dense_build(self):
-        enc = PositionEncoder(rf_size=3, bins=4)
-        net = tiny_net(rf=3, seed=8)
-        e = encode_random(enc, m=10, seed=11)
-        lut = build_lut(net, enc, e.bins, kind="dense")
-        assert isinstance(lut, DenseLUT)
-
-    def test_unknown_kind(self, encoder):
-        net = MLP((encoder.rf_size * 3, 8, 3), seed=0)
-        with pytest.raises(ValueError, match="kind"):
-            build_lut(net, encoder, np.zeros((1, 4, 3), dtype=np.int16), kind="trie")

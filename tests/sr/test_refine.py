@@ -5,10 +5,10 @@ import pytest
 
 from repro.nn import MLP
 from repro.sr import (
-    HashedLUT,
     LUTRefiner,
     NNRefiner,
     PositionEncoder,
+    build_lut,
     gather_refinement_neighborhoods,
     interpolate,
 )
@@ -69,8 +69,7 @@ class TestLUTRefiner:
         frame, encoder, net, interp = setup
         nb = gather_refinement_neighborhoods(frame.positions, interp, 4)
         enc = encoder.encode(interp.new_positions, nb)
-        lut = HashedLUT(encoder, fallback="zero")
-        lut.populate_from_network(encoder.pack_keys(enc.bins), net)
+        lut = build_lut(net, encoder, enc.normalized)
 
         nn_out = NNRefiner(net, encoder).refine(interp.new_positions, nb)
         lut_out = LUTRefiner(lut).refine(interp.new_positions, nb)
@@ -87,8 +86,7 @@ class TestLUTRefiner:
             enc_b = PositionEncoder(rf_size=4, bins=bins)
             net_b = MLP((12, 16, 3), output_activation="tanh", seed=0)
             e = enc_b.encode(interp.new_positions, nb)
-            lut = HashedLUT(enc_b, fallback="zero")
-            lut.populate_from_network(enc_b.pack_keys(e.bins), net_b)
+            lut = build_lut(net_b, enc_b, e.normalized)
             nn_out = NNRefiner(net_b, enc_b).refine(interp.new_positions, nb)
             lut_out = LUTRefiner(lut).refine(interp.new_positions, nb)
             errs.append(np.linalg.norm(nn_out - lut_out, axis=1).mean())

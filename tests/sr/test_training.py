@@ -23,7 +23,6 @@ class TestDataset:
         ds = build_refinement_dataset(frames, enc, ratios=(2.0,), seed=0)
         assert ds.X.shape[1] == 12
         assert ds.Y.shape == (len(ds), 3)
-        assert ds.bins.shape == (len(ds), 4, 3)
 
     def test_multiple_ratios_give_more_pairs(self, frames):
         enc = PositionEncoder(rf_size=4, bins=32)

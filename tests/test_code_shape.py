@@ -111,3 +111,37 @@ def test_reference_planner_shares_nothing_with_the_array_path():
             names.add(node.id)
     assert "sr_ratio_for" in names
     assert not [n for n in names if "batch" in n or "plan_values" in n]
+
+
+def test_one_refinement_table_one_lookup_entry():
+    """``HashedLUT`` serves both keyings (``per_point``) through
+    ``lookup_normalized``; the miss policy is a constant."""
+    import dataclasses
+    import inspect
+    import re
+
+    from repro.experiments.artifacts import get_artifacts
+    from repro.sr import lut
+    from repro.sr.training import RefinementDataset
+
+    assert lut.__all__ == [
+        "lut_entries", "lut_entries_full", "lut_memory_bytes",
+        "HashedLUT", "EnsembleLUT", "build_lut", "build_coarse_lut",
+    ]
+    classes = re.findall(r"^class (\w*LUT\w*)", (SRC / "sr" / "lut.py").read_text(), re.M)
+    assert sorted(classes) == ["EnsembleLUT", "HashedLUT", "LUTStats"]
+    for table in (lut.HashedLUT, lut.EnsembleLUT):
+        assert not hasattr(table, "lookup")
+    keying = inspect.signature(lut.HashedLUT).parameters["per_point"]
+    assert list(inspect.signature(lut.HashedLUT).parameters) == ["encoder", "per_point"]
+    assert keying.kind is keying.KEYWORD_ONLY and keying.default is keying.empty
+    assert list(inspect.signature(lut.HashedLUT.load).parameters) == ["path"]
+    assert list(inspect.signature(get_artifacts).parameters) == [
+        "scale", "rf_size", "bins", "seed",
+    ]
+    assert [f.name for f in dataclasses.fields(RefinementDataset)] == ["X", "Y"]
+    paths = [*sorted((SRC / "sr").glob("*.py")), SRC / "experiments" / "artifacts.py"]
+    for path in paths:
+        text = path.read_text()
+        for word in ("fallback", "hasattr", "lut_kind"):
+            assert word not in text, (path.name, word)

@@ -27,7 +27,7 @@ class TestOfflineOnlineFlow:
         ds = build_refinement_dataset(frames, encoder, ratios=(2.0,), seed=0)
         net, losses = train_refinement_net(ds, encoder, hidden=(24, 24), epochs=8)
         assert losses[-1] < losses[0]
-        lut = build_lut(net, encoder, ds.bins, kind="hashed")
+        lut = build_lut(net, encoder, ds.X.reshape(len(ds), 4, 3))
         return lut, encoder
 
     def test_lut_persists_and_reloads(self, lut_and_encoder, tmp_path):
