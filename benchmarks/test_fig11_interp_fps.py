@@ -1,20 +1,16 @@
 """Fig 11 — interpolation FPS: ours vs vanilla, measured + device model."""
 
-from repro.experiments import run_fig11_device, run_fig11_measured
-from benchmarks.conftest import BENCH_SCALE
+from repro.experiments import SMOKE, run_fig11_device, run_fig11_measured
 
 
-def test_fig11_measured(benchmark):
-    table = benchmark.pedantic(
-        run_fig11_measured, args=(BENCH_SCALE,), kwargs={"repeats": 1},
-        rounds=1, iterations=1,
-    )
+def test_fig11_measured():
+    table = run_fig11_measured(SMOKE, repeats=1)
     print("\n" + table.render())
     assert all(r["speedup"] > 1.3 for r in table.rows)
 
 
-def test_fig11_device_model(benchmark):
-    table = benchmark(run_fig11_device)
+def test_fig11_device_model():
+    table = run_fig11_device()
     print("\n" + table.render())
     opi8 = table.lookup(device="orange-pi", ratio=8.0)
     assert 24 < opi8["ours_fps"] < 40          # paper: 31.2 FPS

@@ -1,7 +1,6 @@
 """Fig 12 — normalized QoE across systems and network conditions."""
 
-from repro.experiments import run_streaming_eval
-from benchmarks.conftest import BENCH_SCALE
+from repro.experiments import SMOKE, run_streaming_eval
 
 _table = None
 
@@ -9,12 +8,12 @@ _table = None
 def _get_table():
     global _table
     if _table is None:
-        _table = run_streaming_eval(BENCH_SCALE)
+        _table = run_streaming_eval(SMOKE)
     return _table
 
 
-def test_fig12_qoe(benchmark):
-    table = benchmark.pedantic(_get_table, rounds=1, iterations=1)
+def test_fig12_qoe():
+    table = _get_table()
     print("\n" + table.render())
     for cond in ("stable-50", "lte-all", "lte-low"):
         v = table.lookup(condition=cond, system="volut")["norm_qoe"]

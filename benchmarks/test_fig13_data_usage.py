@@ -3,8 +3,8 @@
 from benchmarks.test_fig12_qoe import _get_table
 
 
-def test_fig13_data_usage(benchmark):
-    table = benchmark.pedantic(_get_table, rounds=1, iterations=1)
+def test_fig13_data_usage():
+    table = _get_table()
     print("\n" + table.render())
     # Headline: up to ~70% bandwidth reduction vs raw streaming.
     stable = table.lookup(condition="stable-50", system="volut")["data_pct"]

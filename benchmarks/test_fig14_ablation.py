@@ -1,13 +1,10 @@
 """Fig 14 / Table 2 — H1/H2/H3 ablation under fluctuating bandwidth."""
 
-from repro.experiments import run_ablation
-from benchmarks.conftest import BENCH_SCALE
+from repro.experiments import SMOKE, run_ablation
 
 
-def test_fig14_ablation(benchmark):
-    table = benchmark.pedantic(
-        run_ablation, args=(BENCH_SCALE,), rounds=1, iterations=1
-    )
+def test_fig14_ablation():
+    table = run_ablation(SMOKE)
     print("\n" + table.render())
     h1 = table.lookup(variant="H1")
     h2 = table.lookup(variant="H2")

@@ -3,8 +3,8 @@
 from repro.experiments import run_memory_usage
 
 
-def test_fig15_memory(benchmark):
-    table = benchmark(run_memory_usage)
+def test_fig15_memory():
+    table = run_memory_usage()
     print("\n" + table.render())
     volut = table.lookup(system="volut (1 LUT)")
     # Paper: ~86% memory reduction vs GradPU.

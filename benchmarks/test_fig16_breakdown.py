@@ -1,11 +1,10 @@
 """Fig 16 — SR runtime breakdown per stage (device model + measured)."""
 
-from repro.experiments import run_breakdown_device, run_breakdown_measured
-from benchmarks.conftest import BENCH_SCALE
+from repro.experiments import SMOKE, run_breakdown_device, run_breakdown_measured
 
 
-def test_fig16_device(benchmark):
-    table = benchmark(run_breakdown_device)
+def test_fig16_device():
+    table = run_breakdown_device()
     print("\n" + table.render())
     for device in ("desktop-gpu", "orange-pi"):
         shares = {r["stage"]: r["share_pct"] for r in table.rows if r["device"] == device}
@@ -13,10 +12,8 @@ def test_fig16_device(benchmark):
         assert shares["knn"] == max(shares.values())
 
 
-def test_fig16_measured(benchmark):
-    table = benchmark.pedantic(
-        run_breakdown_measured, args=(BENCH_SCALE,), rounds=1, iterations=1
-    )
+def test_fig16_measured():
+    table = run_breakdown_measured(SMOKE)
     print("\n" + table.render())
     shares = {r["stage"]: r["share_pct"] for r in table.rows}
     assert shares["knn"] == max(shares.values())

@@ -1,11 +1,10 @@
 """Fig 17 — SR runtime on desktop GPU: VoLUT vs YuZu vs GradPU."""
 
-from repro.experiments import run_fig17_device, run_fig17_measured
-from benchmarks.conftest import BENCH_SCALE
+from repro.experiments import SMOKE, run_fig17_device, run_fig17_measured
 
 
-def test_fig17_device(benchmark):
-    table = benchmark(run_fig17_device)
+def test_fig17_device():
+    table = run_fig17_device()
     print("\n" + table.render())
     y = table.lookup(system="yuzu")["slowdown_vs_volut"]
     g = table.lookup(system="gradpu")["slowdown_vs_volut"]
@@ -13,10 +12,8 @@ def test_fig17_device(benchmark):
     assert 1e4 < g < 1e5       # paper: 46,400x
 
 
-def test_fig17_measured(benchmark):
-    table = benchmark.pedantic(
-        run_fig17_measured, args=(BENCH_SCALE,), rounds=1, iterations=1
-    )
+def test_fig17_measured():
+    table = run_fig17_measured(SMOKE)
     print("\n" + table.render())
     v = table.lookup(system="volut")["ms"]
     y = table.lookup(system="yuzu")["ms"]

@@ -3,8 +3,8 @@
 from repro.experiments import run_fig18_device
 
 
-def test_fig18_ratio_scaling(benchmark):
-    table = benchmark(run_fig18_device)
+def test_fig18_ratio_scaling():
+    table = run_fig18_device()
     print("\n" + table.render())
     fps = table.column("fps")
     # Paper: upsampling speed stays roughly stable across ratios because

@@ -1,11 +1,10 @@
 """Fig 4 — interpolation uniformity (GT vs dilated vs naive)."""
 
-from repro.experiments import run_fig4
-from benchmarks.conftest import BENCH_SCALE
+from repro.experiments import SMOKE, run_fig4
 
 
-def test_fig4_uniformity(benchmark):
-    table = benchmark(run_fig4, BENCH_SCALE)
+def test_fig4_uniformity():
+    table = run_fig4(SMOKE)
     print("\n" + table.render())
     dil = table.lookup(cloud="dilated-k4d2")
     nai = table.lookup(cloud="naive-k4d1")

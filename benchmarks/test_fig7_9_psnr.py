@@ -1,7 +1,6 @@
 """Figs 7/9 — viewport PSNR for x2 and x4 SR across methods and videos."""
 
-from repro.experiments import run_sr_quality
-from benchmarks.conftest import BENCH_SCALE
+from repro.experiments import SMOKE, run_sr_quality
 
 _table = None
 
@@ -9,12 +8,12 @@ _table = None
 def _get_table():
     global _table
     if _table is None:
-        _table = run_sr_quality(BENCH_SCALE, ratios=(2.0, 4.0), n_views=2)
+        _table = run_sr_quality(SMOKE, ratios=(2.0, 4.0), n_views=2)
     return _table
 
 
-def test_fig7_9_psnr(benchmark):
-    table = benchmark.pedantic(_get_table, rounds=1, iterations=1)
+def test_fig7_9_psnr():
+    table = _get_table()
     print("\n" + table.render())
     # Fig 7/9 shape: dilation (K4d2) matches or beats naive (K4d1) PSNR on
     # average across videos, at both ratios.

@@ -3,8 +3,8 @@
 from benchmarks.test_fig7_9_psnr import _get_table
 
 
-def test_fig8_10_chamfer(benchmark):
-    table = benchmark.pedantic(_get_table, rounds=1, iterations=1)
+def test_fig8_10_chamfer():
+    table = _get_table()
     print("\n" + table.render())
     # Fig 8/10 shape: LUT refinement reduces Chamfer vs unrefined dilation,
     # and x4 has larger geometric error than x2.

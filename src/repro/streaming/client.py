@@ -14,6 +14,7 @@ paper-length sessions by staying analytic).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from ..metrics.qoe import ChunkRecord, QoEWeights, session_qoe
@@ -79,7 +80,8 @@ class StreamingClient:
         self.quality_model = quality_model or SRQualityModel()
         self.keep_frames = keep_frames
         self.qoe_weights = qoe_weights
-        self._buffer = PlaybackBuffer(startup_buffer, max_buffer)
+        self.startup_buffer = startup_buffer
+        self.max_buffer = max_buffer
 
     def play(self, max_chunks: int | None = None) -> ClientSession:
         """Stream the whole video (or the first ``max_chunks`` chunks)."""
@@ -88,6 +90,8 @@ class StreamingClient:
             max_chunks, manifest.n_chunks
         )
         est = HarmonicMeanEstimator()
+        # Per session, like the estimator: a second play() starts unbuffered.
+        buffer = PlaybackBuffer(self.startup_buffer, self.max_buffer)
         specs = [self.server.chunk_spec(i) for i in range(n)]
         played: list[PlayedChunk] = []
         records: list[ChunkRecord] = []
@@ -98,7 +102,7 @@ class StreamingClient:
         for i in range(n):
             ctx = AbrContext(
                 throughput_bps=est.estimate(),
-                buffer_level=self._buffer.level,
+                buffer_level=buffer.level,
                 prev_quality=prev_q,
                 next_chunks=specs[i : i + 5],
             )
@@ -113,9 +117,7 @@ class StreamingClient:
             t += dl
             est.observe(len(blob) * 8.0 / dl if dl > 0 else est.estimate())
 
-            import time as _time
-
-            t0 = _time.perf_counter()
+            t0 = time.perf_counter()
             frames = VideoServer.decode_chunk_payload(
                 blob, compressed=self.server.compressed
             )
@@ -125,10 +127,10 @@ class StreamingClient:
                     decision.sr_ratio, max(1.0, full / max(len(f), 1))
                 )
                 out_frames.append(self.upsampler.upsample(f, ratio).cloud)
-            sr_seconds = _time.perf_counter() - t0
+            sr_seconds = time.perf_counter() - t0
 
-            stall = self._buffer.drain(dl + sr_seconds)
-            self._buffer.add(specs[i].duration)
+            stall = buffer.drain(dl + sr_seconds)
+            buffer.add(specs[i].duration)
 
             q = self.quality_model.quality(density, decision.sr_ratio)
             records.append(

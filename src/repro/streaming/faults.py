@@ -48,13 +48,9 @@ single-retry evacuation bookkeeping with this policy's state.
 
 A :class:`FaultSchedule` bundles the events, validates them against a
 topology, and answers the questions the executors ask: which instants
-the event loop must wake at (:meth:`boundary_times`), which per-edge
+the event loop must wake at (:meth:`boundary_times`) and which per-edge
 total-outage windows the events resolve to
-(:meth:`edge_outage_spans`), and whether the schedule survives
-edge-partitioning (:meth:`shardable` — backhaul degradations and gray
-failures act on one edge's private links; outages and flash crowds
-move viewers across edges, which a shard can only host when the whole
-fault domain lands inside it — see ``shard_fleet``).
+(:meth:`edge_outage_spans`).
 
 An empty schedule is falsy and ``simulate_fleet`` treats it exactly as
 ``faults=None`` — the disabled mode is bit-exact with the unfaulted
@@ -503,22 +499,6 @@ class FaultSchedule:
     @property
     def crowds(self) -> tuple[FlashCrowd, ...]:
         return tuple(e for e in self.events if isinstance(e, FlashCrowd))
-
-    def shardable(self) -> bool:
-        """True iff the schedule survives edge-partitioning outright.
-
-        Backhaul degradations and gray failures touch one edge's
-        private links and dispatch path, so they serialize into shard
-        plans; outages and flash crowds move viewers *between* edges,
-        which a shard cannot represent.  ``shard_fleet`` additionally
-        accepts :class:`RegionOutage` events whose whole region lands
-        inside one shard (the evacuation stays intra-shard) — a plan-
-        dependent question this method cannot answer alone.
-        """
-        return all(
-            isinstance(e, (BackhaulDegradation, GrayFailure))
-            for e in self.events
-        )
 
     def validate(self) -> None:
         """Schedule-level sanity checks (no topology needed).

@@ -13,10 +13,7 @@ until the final merge:
 
 * :func:`partition_topology` plans the split — edges balanced across
   shards by assigned viewer count (deterministic greedy, ties by edge
-  index), the origin's encode workers divided among shards, and one
-  child seed per shard spawned from ``numpy``'s
-  :class:`~numpy.random.SeedSequence` so any stochastic session
-  component a shard hosts draws an independent, reproducible stream;
+  index) and the origin's encode workers divided among shards;
 * :func:`shard_fleet` executes the plan — each shard is the same run
   object :func:`~repro.streaming.fleet.simulate_fleet` drives, over a
   deep-copied sub-topology, in a ``concurrent.futures`` process pool
@@ -43,7 +40,7 @@ multi-worker runs copy it per shard; pass ``sr_cache="per-edge"`` (the
 recommended sharded configuration) and the partition is lossless —
 every SR share that a per-edge cache would have served still happens.
 
-Everything is deterministic given (sessions, topology, workers, seed):
+Everything is deterministic given (sessions, topology, workers):
 the plan is a pure function of its inputs, shards are merged in shard
 order, and each shard is itself a deterministic simulation.
 """
@@ -55,8 +52,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
-
-import numpy as np
 
 from ..obs import Telemetry
 from .cdn import CDNTopology, OriginServer
@@ -100,8 +95,6 @@ class Shard:
     session_indices: tuple[int, ...]
     #: this shard's slice of the origin's encode worker pool
     n_encode_workers: int
-    #: child seed spawned from the plan's root seed
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -125,7 +118,6 @@ def partition_topology(
     workers: int,
     *,
     assignment: list[int] | None = None,
-    seed: int = 0,
 ) -> ShardPlan:
     """Partition a topology's edges (and their viewers) across workers.
 
@@ -134,8 +126,7 @@ def partition_topology(
     index, shards by current load then shard index).  ``workers`` is
     capped at the edge count — an edge is the unit of isolation and
     cannot be split.  The origin's encode workers are divided as evenly
-    as possible, every shard keeping at least one.  Child seeds come
-    from ``SeedSequence(seed).spawn``, one per shard.
+    as possible, every shard keeping at least one.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -183,17 +174,12 @@ def partition_topology(
     base, extra = divmod(pool, n_shards)
     encode_share = [max(1, base + (1 if s < extra else 0)) for s in range(n_shards)]
 
-    seeds = [
-        int(child.generate_state(1)[0])
-        for child in np.random.SeedSequence(seed).spawn(n_shards)
-    ]
     shards = tuple(
         Shard(
             index=s,
             edge_indices=tuple(shard_edges[s]),
             session_indices=tuple(shard_sessions[s]),
             n_encode_workers=encode_share[s],
-            seed=seeds[s],
         )
         for s in range(n_shards)
     )
@@ -425,8 +411,6 @@ def shard_fleet(
     spec: FleetSpec | None = None,
     *,
     workers: int = 1,
-    seed: int = 0,
-    start_method: str | None = None,
     **fields,
 ) -> FleetResult:
     """Run a fleet over a CDN, sharded across worker processes.
@@ -437,20 +421,15 @@ def shard_fleet(
     partitioned) plus ``workers``.  ``workers=1`` runs the one shard
     inline and is bit-exact with ``simulate_fleet``; more workers run
     one OS process per shard (see the module docstring for the origin
-    and SR-cache partitioning semantics).  ``seed`` feeds the plan's
-    per-shard :class:`~numpy.random.SeedSequence` children; the current
-    session dynamics are fully deterministic, so it only matters for
-    stochastic session components a future shard may host — reruns with
-    the same (sessions, topology, workers, seed) are identical either
-    way.  ``start_method`` picks the ``multiprocessing`` start method
-    (default: ``fork`` where available, else the platform default —
-    ``fork`` skips re-importing the scientific stack in every worker).
+    and SR-cache partitioning semantics).  Workers start by ``fork``
+    where available, else the platform default — ``fork`` skips
+    re-importing the scientific stack in every worker.
 
     The fleet configuration is a :class:`~repro.streaming.spec.FleetSpec`
     (topology mode only), passed as ``spec=`` or as field keywords
     forwarded verbatim to ``FleetSpec(**fields)`` exactly like
-    ``simulate_fleet``; the shard-executor knobs (``workers``, ``seed``,
-    ``start_method``) are plain keywords either way.  ``cost_model``
+    ``simulate_fleet``; ``workers`` is a plain keyword either way.
+    ``cost_model``
     prices the merged run and attaches a
     :class:`~repro.streaming.cost.CostReport` to ``report.cost``, with
     encode core-seconds summed across the shards' partitioned pools.
@@ -520,9 +499,7 @@ def shard_fleet(
                 "them through simulate_fleet"
             )
         faults.validate_topology(len(topology.edges), topology.regions)
-    plan = partition_topology(
-        topology, sessions, workers, assignment=assignment, seed=seed
-    )
+    plan = partition_topology(topology, sessions, workers, assignment=assignment)
     if region_events:
         # A region outage shards only when one worker owns its whole
         # fault domain *and* a live fallback edge outside it — failover
@@ -566,12 +543,11 @@ def shard_fleet(
     if plan.n_shards == 1:
         outcomes = [_run_shard(tasks[0])]
     else:
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else multiprocessing.get_start_method()
-            )
+        start_method = (
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else multiprocessing.get_start_method()
+        )
         ctx = multiprocessing.get_context(start_method)
         max_workers = min(len(live), os.cpu_count() or 1) or 1
         with ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx) as pool:

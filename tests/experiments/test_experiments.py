@@ -9,6 +9,7 @@ from repro.experiments import (
     run_ablation,
     run_breakdown_device,
     run_breakdown_measured,
+    run_compression_rd,
     run_fig4,
     run_fig11_device,
     run_fig11_measured,
@@ -363,6 +364,18 @@ class TestMemoryAndRuntime:
         fps = t.column("fps")
         assert max(fps) / min(fps) < 1.3
         assert all(r["knn_share_pct"] > 60 for r in t.rows)
+
+
+class TestCompressionRD:
+    def test_rate_and_distortion_at_depth_10(self):
+        """Grounds the transport model's ~6 B/pt; SMOKE, since the rate
+        per point depends on how densely the frame fills the octree."""
+        table = run_compression_rd(SMOKE)
+        d10 = table.lookup(video="longdress", depth=10)
+        assert 4.0 < d10["bytes_per_point"] < 9.0
+        # Distortion falls monotonically with depth.
+        cds = [r["chamfer"] for r in table.rows if r["video"] == "longdress"]
+        assert all(a > b for a, b in zip(cds, cds[1:]))
 
 
 class TestResultTable:

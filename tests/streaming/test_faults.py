@@ -148,8 +148,6 @@ class TestEventValidation:
         assert sched.degradations == (d,)
         assert sched.crowds == (c,)
         assert len(sched) == 3 and bool(sched)
-        assert not sched.shardable()
-        assert FaultSchedule((d,)).shardable()
         assert not FaultSchedule()
 
     def test_boundary_times_only_outages(self):

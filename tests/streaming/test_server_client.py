@@ -139,6 +139,19 @@ class TestClient:
             c.bytes_downloaded for c in session.chunks
         )
 
+    def test_play_is_reentrant(self, server, trained_artifacts):
+        """Each play() is a fresh session: the wait for its first chunk
+        is start-up delay, never a stall, however often it is called."""
+        client = self._client(server, stable_trace(0.05), trained_artifacts)
+        manifest = server.manifest
+        for _ in range(2):
+            first = client.play().chunks[0]
+            # The download alone outlasts the whole video, hence any buffer
+            # a previous session left behind: a leftover shows as a stall.
+            assert first.download_seconds > manifest.n_chunks * manifest.chunk_seconds
+            assert first.stall_seconds == 0.0
+
+
 
 def self_play_len(client, n):
     return client.play(max_chunks=n).n_chunks

@@ -146,13 +146,12 @@ class TestWorkersOneParity:
 class TestMultiWorker:
     """Process-parallel runs: determinism, conservation, SR semantics."""
 
-    def run(self, workers, seed=0, n=12):
+    def run(self, workers, n=12):
         return shard_fleet(
             make_sessions(n),
             topology=make_topology(4, assignment="popularity", encode_seconds=0.05),
             workers=workers,
             sr_cache="per-edge",
-            seed=seed,
         )
 
     def test_seed_determinism_workers_4(self):
@@ -418,15 +417,6 @@ class TestPartition:
         plan = partition_topology(topo, self.sessions(16), 2)
         loads = [len(s.session_indices) for s in plan.shards]
         assert loads == [8, 8]
-
-    def test_per_shard_seeds_deterministic_and_distinct(self):
-        topo = make_topology(4)
-        a = partition_topology(topo, self.sessions(8), 4, seed=7)
-        b = partition_topology(topo, self.sessions(8), 4, seed=7)
-        c = partition_topology(topo, self.sessions(8), 4, seed=8)
-        assert [s.seed for s in a.shards] == [s.seed for s in b.shards]
-        assert [s.seed for s in a.shards] != [s.seed for s in c.shards]
-        assert len({s.seed for s in a.shards}) == 4
 
     def test_validation(self):
         topo = make_topology(2)

@@ -145,3 +145,35 @@ def test_one_refinement_table_one_lookup_entry():
         text = path.read_text()
         for word in ("fallback", "hasattr", "lut_kind"):
             assert word not in text, (path.name, word)
+
+
+def test_one_benchmark_ledger():
+    """``bench/`` + ``BENCHMARK.json`` hold every performance number;
+    ``benchmarks/`` is the paper's figures at smoke scale as plain tests."""
+    import inspect
+
+    from repro.streaming import shard_fleet
+
+    root = SRC.parents[1]
+    assert [p.name for p in root.glob("BENCH*.json")] == ["BENCHMARK.json"]
+    assert not (root / "scripts").exists()
+    gone = (
+        "BENCH_FLOOR_SCALE", "BENCH_PHASES_OUT", "BENCH_OVERHEADS_OUT",
+        "pytest_benchmark", "pytest-benchmark",
+    )
+    this = Path(__file__).resolve()
+    offenders = []
+    for top in root.iterdir():
+        if top.name == "bench" or (top.name.startswith(".") and top.name != ".github"):
+            continue
+        for path in (top, *top.rglob("*")):
+            if path.suffix in (".py", ".yml", ".toml") and path != this:
+                text = path.read_text()
+                offenders += [f"{path}: {word}" for word in gone if word in text]
+    assert not offenders, offenders
+    for path in sorted((root / "benchmarks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert "benchmark" not in [a.arg for a in args], (path.name, node.name)
+    assert not {"seed", "start_method"} & set(inspect.signature(shard_fleet).parameters)
