@@ -17,6 +17,34 @@ format.  This module implements the codec that grounds that constant:
 
 The codec is lossy exactly the way real pipelines are: positions snap to
 voxel centers (bounded by the grid resolution) and co-located points merge.
+
+Wire format
+-----------
+A 34-byte header — magic ``OCPC``, depth (u8, 1…21), has_colors (u8), bbox
+(6 × f32 LE), voxel count (u32 LE) — then ``depth`` occupancy levels, then,
+when has_colors is set, ``rle_len`` (u32 LE) and that many RLE bytes.
+
+*Levels.*  Level 0 is the root's single occupancy byte; level ``l`` holds
+one byte per node level ``l - 1`` produced, in Morton order, so its size
+is the popcount of the level before and no length is stored.  Bit ``j`` of
+the ``i``-th byte says child ``j`` of the ``i``-th node exists, with code
+``(parent << 3) | j``; the decoder unpacks a level little-endian and reads
+set bit ``8 * i + j`` as exactly that pair.  The last level's children are
+the leaf voxels, already sorted.
+
+*Zero-RLE* (over the mod-256 color deltas, R G B per voxel in leaf order).
+Two tokens: a **literal** is one nonzero byte standing for itself; an
+**escape pair** ``0x00 r`` stands for ``r + 1`` zeros (1…256; the encoder
+splits longer stretches into full pairs and a remainder).  A length byte
+always directly follows an escape, which is a zero — so the first zero of a
+maximal zero stretch *in the encoded stream*, whose predecessor is nonzero
+or absent, can never be a length byte: it is an escape.  The zeros of a
+stretch therefore alternate escape, length, escape, …: **a zero is an
+escape iff its index inside its stretch is even**, the byte after an escape
+(zero or not) is its length, and every other byte is a literal.  That rule
+classifies every byte without walking the stream, which is what lets both
+directions run at array speed; the byte-at-a-time loops they replaced are
+the oracle in ``tests/compression/reference_codec.py``.
 """
 
 from __future__ import annotations
@@ -31,6 +59,8 @@ from .morton import MAX_DEPTH, morton_decode, morton_encode
 __all__ = ["EncodedCloud", "octree_encode", "octree_decode", "compression_summary"]
 
 _MAGIC = b"OCPC"
+#: magic (4) + depth (1) + has_colors (1) + bbox (6 × f32) + voxel count (u32)
+_HEADER_BYTES = 34
 
 
 @dataclass
@@ -50,53 +80,73 @@ class EncodedCloud:
 
 
 def _zero_rle_encode(data: np.ndarray) -> bytes:
-    """Byte-stream zero-run-length coding.
+    """Zero-run-length code a byte stream (grammar in the module docstring).
 
-    ``0x00`` is escaped as ``0x00 <run-1>`` (run ≤ 256).  Smooth color
-    deltas are mostly zero, so this captures the bulk of an entropy coder's
-    win without pulling in one.
+    Works on the maximal zero stretches: a stretch of ``L`` zeros becomes
+    ``ceil(L / 256)`` escape pairs, and every literal moves by the net
+    growth of the stretches before it.
     """
     data = np.asarray(data, dtype=np.uint8)
-    out = bytearray()
-    i = 0
     n = len(data)
-    while i < n:
-        b = data[i]
-        if b != 0:
-            out.append(b)
-            i += 1
-            continue
-        run = 1
-        while i + run < n and run < 256 and data[i + run] == 0:
-            run += 1
-        out.append(0)
-        out.append(run - 1)
-        i += run
-    return bytes(out)
+    zero = np.zeros(n + 2, dtype=bool)
+    np.equal(data, 0, out=zero[1:-1])
+    edges = np.flatnonzero(zero[1:] != zero[:-1])
+    starts, ends = edges[::2], edges[1::2]
+    lengths = ends - starts
+    pairs = (lengths + 255) >> 8
+    growth = 2 * pairs - lengths
+    shift = np.cumsum(growth)  # output index − input index, past each stretch
+    out = np.zeros(n + int(growth.sum()), dtype=np.uint8)
+
+    # Literals: the run before stretch s moved by shift[s - 1], the tail by shift[-1].
+    literal = np.flatnonzero(data)
+    run_shift = np.concatenate(([0], shift))
+    run_len = np.concatenate((starts, [n])) - np.concatenate(([0], ends))
+    out[literal + np.repeat(run_shift, run_len)] = data[literal]
+
+    # Escape bytes are the zeros ``out`` starts with; run lengths follow
+    # them: 255 for every full pair, the remainder for a stretch's last.
+    extra = pairs - 1
+    full = np.repeat(starts + shift - growth + 1, extra)
+    nth = np.arange(len(full)) - np.repeat(np.cumsum(extra) - extra, extra)
+    out[full + 2 * nth] = 255
+    out[ends + shift - 1] = (lengths - 1) & 0xFF
+    return out.tobytes()
 
 
 def _zero_rle_decode(data: bytes, expected: int) -> np.ndarray:
-    out = np.empty(expected, dtype=np.uint8)
-    pos = 0
-    i = 0
-    n = len(data)
-    while i < n and pos < expected:
-        b = data[i]
-        if b != 0:
-            out[pos] = b
-            pos += 1
-            i += 1
-        else:
-            if i + 1 >= n:
-                raise ValueError("truncated zero run")
-            run = data[i + 1] + 1
-            if pos + run > expected:
-                raise ValueError("zero run overflows output")
-            out[pos : pos + run] = 0
-            pos += run
-            i += 2
-    if pos != expected:
-        raise ValueError(f"RLE stream decoded {pos} of {expected} bytes")
+    """Inverse of :func:`_zero_rle_encode`; stops once ``expected`` bytes
+    are out (trailing input is not read, as a streaming decoder would)."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = len(buf)
+    # A zero is an escape iff its index inside its maximal zero stretch is even.
+    zeros = np.flatnonzero(buf == 0)
+    opens = np.ones(len(zeros), dtype=bool)
+    np.not_equal(zeros[1:], zeros[:-1] + 1, out=opens[1:])
+    stretch_start = np.maximum.accumulate(np.where(opens, zeros, 0))
+    escapes = zeros[(zeros - stretch_start) & 1 == 0]
+    truncated = bool((escapes[-1:] == n - 1).any())  # a last escape with no length byte
+    paired = escapes[: len(escapes) - truncated]
+
+    # Output bytes each input byte emits: literal 1, escape its run, length
+    # byte 0 — and 0 for a dangling escape, which raises if it is reached.
+    emits = np.ones(n, dtype=np.int64)
+    emits[paired] = buf[paired + 1].astype(np.int64) + 1
+    emits[paired + 1] = 0
+    emits[escapes[len(paired) :]] = 0
+    ends = np.cumsum(emits)
+    begins = ends - emits
+    used = int(np.searchsorted(begins, expected, side="left"))  # bytes read before output fills
+    produced = int(ends[used - 1]) if used else 0
+    if produced > expected:
+        raise ValueError("zero run overflows output")
+    if produced < expected:
+        if truncated:
+            raise ValueError("truncated zero run")
+        raise ValueError(f"RLE stream decoded {produced} of {expected} bytes")
+    out = np.zeros(expected, dtype=np.uint8)
+    writes = np.flatnonzero(emits[:used])  # an escape writes its own 0x00, harmlessly
+    out[begins[writes]] = buf[writes]
     return out
 
 
@@ -112,13 +162,11 @@ def _occupancy_bytes(codes: np.ndarray, depth: int) -> list[np.ndarray]:
     current = codes
     for _ in range(depth):
         parents = current >> np.uint64(3)
-        child = (current & np.uint64(7)).astype(np.int64)
-        # Group consecutive equal parents (codes are sorted).
-        boundary = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-        group_of = np.cumsum(np.r_[True, parents[1:] != parents[:-1]]) - 1
-        occ = np.zeros(len(boundary), dtype=np.uint8)
-        np.bitwise_or.at(occ, group_of, (1 << child).astype(np.uint8))
-        levels.append(occ)
+        opens = np.ones(len(current), dtype=bool)  # first child of its parent (codes are sorted)
+        np.not_equal(parents[1:], parents[:-1], out=opens[1:])
+        boundary = np.flatnonzero(opens)
+        bit = np.uint8(1) << (current & np.uint64(7)).astype(np.uint8)
+        levels.append(np.bitwise_or.reduceat(bit, boundary))
         current = parents[boundary]
     levels.reverse()  # root first
     return levels
@@ -164,13 +212,13 @@ def octree_encode(cloud: PointCloud, depth: int = 10) -> EncodedCloud:
     if cloud.has_colors:
         # Mean color per voxel, in leaf (Morton) order.
         starts = np.flatnonzero(uniq_mask)
-        counts = np.diff(np.r_[starts, n])
-        col_sorted = cloud.colors[order].astype(np.float64)
-        sums = np.add.reduceat(col_sorted, starts, axis=0)
+        counts = np.diff(starts, append=n)
+        sums = np.add.reduceat(cloud.colors[order].astype(np.float64), starts, axis=0)
         voxel_rgb = np.clip(np.round(sums / counts[:, None]), 0, 255).astype(np.uint8)
-        flat = voxel_rgb.reshape(-1).astype(np.int16)
-        deltas = np.diff(np.r_[np.int16(0), flat]).astype(np.int16)
-        rle = _zero_rle_encode((deltas & 0xFF).astype(np.uint8))
+        flat = voxel_rgb.reshape(-1)
+        deltas = flat.copy()
+        deltas[1:] -= flat[:-1]  # uint8 wraps: the mod-256 deltas of the wire format
+        rle = _zero_rle_encode(deltas)
         parts.append(np.array([len(rle)], "<u4").tobytes())
         parts.append(rle)
 
@@ -178,32 +226,40 @@ def octree_encode(cloud: PointCloud, depth: int = 10) -> EncodedCloud:
 
 
 def octree_decode(encoded: EncodedCloud | bytes) -> PointCloud:
-    """Decode to voxel-center positions (+ per-voxel colors)."""
+    """Decode to voxel-center positions (+ per-voxel colors).
+
+    ``encoded`` may be any bytes-like object; a malformed payload raises
+    ``ValueError`` naming the field that is wrong.
+    """
     payload = encoded.payload if isinstance(encoded, EncodedCloud) else encoded
     if payload[:4] != _MAGIC:
         raise ValueError("not an octree-codec payload")
-    depth = payload[4]
-    has_colors = bool(payload[5])
-    off = 6
-    bbox = np.frombuffer(payload[off : off + 24], "<f4").astype(np.float64)
+    buf = np.frombuffer(payload, dtype=np.uint8)
+    if len(buf) < _HEADER_BYTES:
+        raise ValueError(
+            f"octree payload truncated: {len(buf)} bytes, the header is {_HEADER_BYTES}"
+        )
+    depth = int(buf[4])
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"octree payload depth {depth} outside [1, {MAX_DEPTH}]")
+    has_colors = bool(buf[5])
+    bbox = np.frombuffer(payload, "<f4", count=6, offset=6).astype(np.float64)
     lo, hi = bbox[:3], bbox[3:]
-    off += 24
-    n_voxels = int(np.frombuffer(payload[off : off + 4], "<u4")[0])
-    off += 4
+    n_voxels = int(np.frombuffer(payload, "<u4", count=1, offset=30)[0])
+    off = _HEADER_BYTES
     if n_voxels == 0:
         return PointCloud.empty(with_colors=has_colors)
 
-    # Walk levels root-down, expanding occupancy bytes into child codes.
+    # Walk levels root-down, expanding occupancy bytes into child codes:
+    # set bit 8 * i + j is child j of the level's i-th node.
     codes = np.zeros(1, dtype=np.uint64)  # the root
     for _ in range(depth):
-        n_nodes = len(codes)
-        occ = np.frombuffer(payload[off : off + n_nodes], np.uint8)
-        if len(occ) < n_nodes:
+        occ = buf[off : off + len(codes)]
+        if len(occ) < len(codes):
             raise ValueError("occupancy stream truncated")
-        off += n_nodes
-        bits = (occ[:, None] >> np.arange(8, dtype=np.uint8)) & 1
-        parent_idx, child = np.nonzero(bits)
-        codes = (codes[parent_idx] << np.uint64(3)) | child.astype(np.uint64)
+        off += len(codes)
+        flat = np.flatnonzero(np.unpackbits(occ, bitorder="little"))
+        codes = (codes[flat >> 3] << np.uint64(3)) | (flat & 7).astype(np.uint64)
     if len(codes) != n_voxels:
         raise ValueError(
             f"decoded {len(codes)} leaves, header promised {n_voxels}"
@@ -216,12 +272,17 @@ def octree_decode(encoded: EncodedCloud | bytes) -> PointCloud:
 
     colors = None
     if has_colors:
-        rle_len = int(np.frombuffer(payload[off : off + 4], "<u4")[0])
+        if off + 4 > len(buf):
+            raise ValueError("color flag set but the payload ends before the color section")
+        rle_len = int(np.frombuffer(payload, "<u4", count=1, offset=off)[0])
         off += 4
-        delta_bytes = _zero_rle_decode(payload[off : off + rle_len], n_voxels * 3)
-        deltas = delta_bytes.astype(np.int8).astype(np.int16)
-        flat = np.cumsum(deltas).astype(np.int16) & 0xFF
-        colors = flat.reshape(n_voxels, 3).astype(np.uint8)
+        if off + rle_len > len(buf):
+            raise ValueError(
+                f"color section claims {rle_len} bytes, {len(buf) - off} remain"
+            )
+        delta_bytes = _zero_rle_decode(buf[off : off + rle_len], n_voxels * 3)
+        # Deltas were taken mod 256, so a wrapping running sum restores them.
+        colors = np.cumsum(delta_bytes, dtype=np.uint8).reshape(n_voxels, 3)
     return PointCloud(pos, colors)
 
 

@@ -1,4 +1,8 @@
-"""Octree codec tests: roundtrip, rate, distortion."""
+"""Octree codec tests: roundtrip, rate, distortion, the pinned wire format,
+hostile payloads, and parity with the byte-loop codec it replaced
+(``reference_codec.py``, the oracle-parity instance for this layer)."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,8 +15,13 @@ from repro.compression import (
     octree_encode,
 )
 from repro.compression.octree_codec import _zero_rle_decode, _zero_rle_encode
+from repro.compression.morton import MAX_DEPTH
 from repro.metrics import chamfer_distance
-from repro.pointcloud import PointCloud
+from repro.pointcloud import PointCloud, make_video
+from repro.pointcloud.sampling import random_downsample_count
+from repro.streaming.encoder import encode_frame_compressed
+
+from . import reference_codec as ref
 
 
 class TestRLE:
@@ -135,3 +144,162 @@ def test_roundtrip_distortion_bounded_property(seed, depth):
     # Chamfer bounded by the voxel diagonal at this depth.
     voxel = 6.0 / (1 << depth)
     assert chamfer_distance(dec, pc) <= 2 * voxel * np.sqrt(3)
+
+
+# ----------------------------------------------------------------------
+# Wire format: digests computed at PR 20 (the byte-loop codec), before the
+# array-speed rewrite.  A codec change that moves a byte moves
+# ``stream_mbps`` on every workload; it must show up here as a reviewed diff.
+WIRE_DIGESTS = {
+    (1.0, 10): (15650, "364cceae45bdc5f79bf3732027741027"),
+    (0.38, 10): (6491, "3ae418d69c0a10d284429e449b141ad3"),
+    (1.0, 6): (7131, "895fd1681dc8f46c1504aad78a7183b4"),
+}
+
+
+@pytest.mark.parametrize("density,depth", sorted(WIRE_DIGESTS))
+def test_wire_format_is_pinned(density, depth):
+    frame = make_video("longdress", n_points=2000, n_frames=1, seed=0).frame(0)
+    payload = encode_frame_compressed(frame, density, depth=depth, seed=0)
+    digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
+    assert (len(payload), digest) == WIRE_DIGESTS[density, depth]
+
+
+# ----------------------------------------------------------------------
+class TestHostilePayloads:
+    """Each malformed field gets its own ``ValueError`` before it is used."""
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        frame = make_video("loot", n_points=300, n_frames=1, seed=2).frame(0)
+        return octree_encode(frame, 7).payload
+
+    @pytest.mark.parametrize("cut", [4, 5, 20, 31, 33])
+    def test_header_cut_short(self, payload, cut):
+        with pytest.raises(ValueError, match=f"truncated: {cut} bytes, the header is 34"):
+            octree_decode(payload[:cut])
+
+    @pytest.mark.parametrize("depth", [0, MAX_DEPTH + 1, 255])
+    def test_depth_byte_out_of_range(self, payload, depth):
+        bad = payload[:4] + bytes([depth]) + payload[5:]
+        with pytest.raises(ValueError, match=rf"depth {depth} outside \[1, {MAX_DEPTH}\]"):
+            octree_decode(bad)
+
+    def test_occupancy_cut_short(self, payload):
+        with pytest.raises(ValueError, match="occupancy stream truncated"):
+            octree_decode(payload[:40])
+
+    @pytest.fixture(scope="class")
+    def flagged(self):
+        """A colorless payload with the color flag set: geometry, then nothing."""
+        bare = octree_encode(PointCloud(np.random.default_rng(0).uniform(0, 1, (50, 3))), 5)
+        return bare.payload[:5] + b"\x01" + bare.payload[6:], bare.n_voxels
+
+    def test_color_flag_without_color_section(self, flagged):
+        for tail in (b"", b"\x07\x00"):  # nothing, or half an rle_len field
+            with pytest.raises(ValueError, match="ends before the color section"):
+                octree_decode(flagged[0] + tail)
+
+    def test_rle_len_past_the_end(self, flagged):
+        geometry, n_voxels = flagged
+        rle = _zero_rle_encode(np.zeros(3 * n_voxels, dtype=np.uint8))
+        good = geometry + len(rle).to_bytes(4, "little") + rle
+        assert not octree_decode(good).colors.any()
+        bad = geometry + (len(rle) + 1).to_bytes(4, "little") + rle
+        with pytest.raises(ValueError, match=f"claims {len(rle) + 1} bytes, {len(rle)} remain"):
+            octree_decode(bad)
+
+    def test_leaf_count_mismatch(self, payload):
+        bad = payload[:30] + (10**6).to_bytes(4, "little") + payload[34:]
+        with pytest.raises(ValueError, match="header promised 1000000"):
+            octree_decode(bad)
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_any_bytes_like_decodes(self, payload, wrap):
+        want = octree_decode(payload)
+        got = octree_decode(wrap(payload))
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.colors, want.colors)
+
+
+# ----------------------------------------------------------------------
+def _outcome(decode, data, expected):
+    try:
+        return decode(data, expected).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReferenceParity:
+    """Production equals ``reference_codec`` byte for byte, array for array
+    and — on corrupt input — message for message."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 4000),
+        zero_fraction=st.sampled_from((0.05, 0.3, 0.7, 0.95, 0.999, 1.0)),
+        planted=st.sampled_from((0, 1, 255, 256, 257, 512, 513)),
+        where=st.sampled_from(("lead", "middle", "trail")),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rle_bytes_equal(self, seed, n, zero_fraction, planted, where):
+        g = np.random.default_rng(seed)
+        data = g.integers(1, 256, n).astype(np.uint8)
+        data[g.random(n) < zero_fraction] = 0
+        if planted and n > planted:
+            at = {"lead": 0, "middle": (n - planted) // 2, "trail": n - planted}[where]
+            data[max(at - 1, 0)] = data[min(at + planted, n - 1)] = 7  # exactly ``planted``
+            data[at : at + planted] = 0
+        want = ref.zero_rle_encode(data)
+        assert _zero_rle_encode(data) == want
+        back = _zero_rle_decode(want, n)
+        assert back.dtype == np.uint8 and np.array_equal(back, data)
+        assert np.array_equal(ref.zero_rle_decode(want, n), data)
+
+    @pytest.mark.parametrize("with_colors", [True, False])
+    @pytest.mark.parametrize("video", ["longdress", "loot", "haggle", "lab"])
+    def test_real_frames_payload_and_arrays_equal(self, video, with_colors):
+        frame = make_video(video, n_points=1200, n_frames=1, seed=5).frame(0)
+        if not with_colors:
+            frame = PointCloud(frame.positions)
+        merged = 0
+        for di, density in enumerate((0.125, 0.38, 0.66, 1.0)):
+            low = random_downsample_count(frame, round(len(frame) * density), seed=di)
+            for depth in (4, 6, 8, 10, 12):
+                enc = octree_encode(low, depth)
+                assert enc.payload == ref.reference_encode(low, depth), (density, depth)
+                merged += enc.n_voxels < len(low)  # several points in one voxel
+                got, want = octree_decode(enc), ref.reference_decode(enc.payload)
+                assert got.positions.dtype == want.positions.dtype
+                assert np.array_equal(got.positions, want.positions)
+                assert got.has_colors == want.has_colors == with_colors
+                if with_colors:
+                    assert got.colors.dtype == want.colors.dtype == np.uint8
+                    assert np.array_equal(got.colors, want.colors)
+        assert merged  # the grid holds voxels with several points (the per-voxel mean)
+
+    def test_corrupt_rle_streams_same_outcome(self):
+        g = np.random.default_rng(2024)
+        seen = set()
+        for _ in range(2000):
+            n = int(g.integers(0, 80))
+            data = g.integers(1, 256, n).astype(np.uint8)
+            data[g.random(n) < g.choice((0.1, 0.5, 0.9))] = 0
+            stream = bytearray(ref.zero_rle_encode(data))
+            for _ in range(int(g.integers(0, 4))):  # flip, drop or insert a byte
+                at = int(g.integers(0, len(stream) + 1))
+                op = g.integers(0, 3)
+                if op == 0 and at < len(stream):
+                    stream[at] = int(g.choice((0, 0, 1, 255, g.integers(0, 256))))
+                elif op == 1 and at < len(stream):
+                    del stream[at]
+                else:
+                    stream.insert(at, int(g.choice((0, 0, 200))))
+            expected = int(g.choice((0, n, n, max(n - 1, 0), n + 1, g.integers(0, 400))))
+            want = _outcome(ref.zero_rle_decode, bytes(stream), expected)
+            assert _outcome(_zero_rle_decode, bytes(stream), expected) == want, (
+                bytes(stream), expected)
+            seen.add(want.split(" decoded ")[0] if isinstance(want, str) else "bytes")
+        assert seen == {
+            "bytes", "truncated zero run", "zero run overflows output", "RLE stream",
+        }

@@ -1,5 +1,6 @@
-"""Code shape: no function under streaming/, net/, spatial/ or sr/ grows back
-into a monolith, and rewritten kernels leave no second path behind."""
+"""Code shape: no function under streaming/, net/, spatial/, sr/, compression/
+or pointcloud/ grows back into a monolith, and rewritten kernels leave no
+second path behind."""
 
 import ast
 from pathlib import Path
@@ -18,7 +19,7 @@ def body_lines(fn) -> int:
 
 def test_no_function_body_over_150_lines():
     too_long = []
-    for package in ("streaming", "net", "spatial", "sr"):
+    for package in ("streaming", "net", "spatial", "sr", "compression", "pointcloud"):
         for path in sorted((SRC / package).glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -70,6 +71,25 @@ def test_merge_and_prune_has_one_path_and_no_switch():
         "new_points", "points", "parent_a", "parent_b", "neighbor_idx", "k",
     ]
     assert reuse.__all__ == ["merge_and_prune", "midpoint_neighbors"]
+
+
+def test_codec_has_no_per_byte_loop():
+    """The zero-RLE runs at array speed both ways and occupancy bytes fold
+    with ``reduceat``; the byte loops and ``bitwise_or.at`` live in
+    ``tests/compression/reference_codec.py``."""
+    text = (SRC / "compression" / "octree_codec.py").read_text()
+    functions = {
+        node.name: node
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("_zero_rle_encode", "_zero_rle_decode"):
+        loops = [
+            n for n in ast.walk(functions[name])
+            if isinstance(n, (ast.While, ast.For, ast.comprehension))
+        ]
+        assert not loops, (name, [n.lineno for n in loops])
+    assert ".at(" not in text
 
 
 def test_planner_evaluates_every_row_and_has_no_scalar_twin():
