@@ -104,40 +104,41 @@ class QoEModel:
     ) -> np.ndarray:
         """Value of many candidate plans over the MPC horizon (used by the ABR).
 
-        ``qualities`` and ``stalls`` broadcast against each other; axis 0 is
-        the horizon (chunk index), every trailing axis an independent plan
-        (candidate density, session, ...).  ``prev_quality`` may be ``None``
-        (no previous chunk anywhere), a scalar, or an array broadcastable to
-        the plan axes in which ``NaN`` marks "no previous chunk" for that
-        plan.  Each plan's value is the sum of :meth:`chunk_qoe` over its
-        horizon, term for term (``tests/streaming/reference_planner.py``
-        is that sum written as a loop).
+        A *plan* holds one quality for the whole horizon (the Robust-MPC
+        simplification), so ``qualities`` has the plan axes only —
+        candidate density, session, ... — and ``stalls`` those axes behind
+        a leading horizon axis; the two broadcast.  ``prev_quality`` is
+        ``None`` (no previous chunk anywhere), one float for every plan, or
+        an array broadcastable to the plan axes in which ``NaN`` marks "no
+        previous chunk" for that plan.  Stalls must be non-negative — the
+        planner builds them as ``max(0, ·)`` of tensors it has already
+        checked, so they are not scanned again here.
+
+        Each plan's value is the sum of :meth:`chunk_qoe` over its horizon,
+        term for term and in that order
+        (``tests/streaming/reference_planner.py`` is that sum written as a
+        loop).  After the first chunk the quality does not change, so the
+        variation term is exactly ``+0.0`` and a later chunk contributes
+        ``α·q − γ·s_i``.
         """
-        q, s = np.broadcast_arrays(
-            np.asarray(qualities, dtype=np.float64),
-            np.asarray(stalls, dtype=np.float64),
-        )
-        if q.ndim < 1:
+        q = np.asarray(qualities, dtype=np.float64)
+        s = np.asarray(stalls, dtype=np.float64)
+        if s.ndim < 1:
             raise ValueError("need a horizon axis")
-        if np.any(s < 0):
-            raise ValueError("stall must be non-negative")
         w = self.weights
+        quality = w.alpha * q
+        stall = w.gamma * s
         if prev_quality is None:
-            prev = np.full(q.shape[1:], np.nan)
+            total = quality - stall[0]
         else:
-            prev = np.broadcast_to(
-                np.asarray(prev_quality, dtype=np.float64), q.shape[1:]
-            )
-        total = np.zeros(q.shape[1:])
-        for i in range(q.shape[0]):
-            qi = q[i]
-            delta = qi - prev
+            delta = q - prev_quality
             mult = np.where(delta < 0, w.drop_multiplier, 1.0)
-            variation = np.where(
-                np.isnan(prev), 0.0, w.beta * mult * np.abs(delta)
-            )
-            total = total + (w.alpha * qi - variation - w.gamma * s[i])
-            prev = qi
+            variation = w.beta * mult * np.abs(delta)
+            if not isinstance(prev_quality, float):  # an array's NaN marks
+                variation = np.where(np.isnan(prev_quality), 0.0, variation)
+            total = quality - variation - stall[0]
+        for i in range(1, len(stall)):
+            total = total + (quality - stall[i])
         return total
 
 

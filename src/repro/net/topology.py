@@ -23,9 +23,9 @@ a non-bottleneck hop is not redistributed; the conservative model).
 **One engine, one reference.**  Every event step is array math over
 flow-state tensors: flow scalars live in slot-indexed NumPy arrays, each
 flow's hop membership is a row of link indices in a dense
-``(slot, hop)`` matrix, per-link share denominators come from one
-``bincount`` over the active rows, per-flow rates from one ``min`` over
-the hop axis, and the next completion horizon from one ``np.min`` over
+``(slot, hop)`` matrix, per-link fair shares are one link-sized
+``cap / denom`` gathered through that matrix, per-flow rates one ``min``
+over the hop axis, and the next completion horizon one ``np.min`` over
 ``remaining / rate``.  The per-flow Python loop this replaced lives on
 as ``tests/net/reference_scheduler.py::ReferenceScheduler`` — same
 contract, its own share arithmetic — and ``tests/net/test_topology.py``
@@ -35,6 +35,29 @@ to three-hop paths over shared links.  The one order-sensitive
 reduction — the ``weighted`` share denominator, where NumPy's pairwise
 summation diverges from Python's sequential ``sum`` at 8+ flows — is an
 insertion-order Python sum here for that reason.
+
+**A flow's life cycle: gated → active → finished.**  Which flows share a
+link is not re-derived each step; it is kept, and changes only at events
+the scheduler already handles:
+
+* *gated* — registered, waiting for ``data_start`` (path RTT plus any
+  encode wait).  ``_VectorState.add`` queues it in a heap keyed by
+  ``data_start``; ``next_event`` reads the head as the next gate expiry.
+  Zero-byte flows skip the heap and go straight to *finished*.
+* *active* — draining.  ``_VectorState.expire_gates``, run by every
+  allocation, pops the gates that have passed and calls ``activate``: the
+  slot's ``active`` bit is set and each of the flow's links counts one
+  more sharer (``link_count`` / ``denom``).  Expiry is one-way, which is
+  why ``next_event`` / ``advance`` / ``sync`` refuse an instant earlier
+  than the last one they were shown.
+* *finished* — ``deactivate`` undoes exactly what ``activate`` did, from
+  three places: ``remove`` (completion or ``cancel``), ``write_remaining``
+  when ``sync`` drains a solo flow to zero (it then waits in ``finished``
+  for its completion report), and ``advance`` when a drain turns a flow's
+  bits NaN (it can never finish and must stop taking shares).  A flow
+  that leaves while still gated leaves its heap entry behind; the entry
+  is recognised by the flow object (``slot == -1``), never by the slot,
+  which may already belong to a newcomer.
 
 **One-hop bit-exactness.**  A flow that has every hop to itself for its
 whole lifetime resolves through :func:`path_download_time`, which on a
@@ -48,6 +71,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
 
@@ -165,6 +190,8 @@ class _PathFlow:
     solo_elapsed: float | None = None
     #: row index in the scheduler's state arrays (-1 = not in the pool)
     slot: int = -1
+    #: the path's hops as indices into the scheduler's link list
+    link_ids: tuple[int, ...] = ()
 
 
 class PathScheduler:
@@ -195,6 +222,8 @@ class PathScheduler:
         #: bits actually delivered to receivers (conservation checks)
         self.delivered_bits = 0.0
         self._vec = _VectorState()
+        #: the latest instant a caller has shown this scheduler
+        self._now = -math.inf
 
     # ------------------------------------------------------------------
     def add_flow(
@@ -287,6 +316,7 @@ class PathScheduler:
         progressively, instead of silently restarting from its full byte
         count when the newcomer lands.
         """
+        self._move_clock(now)
         solo = self._solo_flow()
         if solo is None or solo.total_bits == 0.0 or now <= solo.data_start:
             return
@@ -318,10 +348,24 @@ class PathScheduler:
             return None  # NaN sentinel: gated flow, use the fluid path
         return flow
 
+    def _move_clock(self, now: float) -> None:
+        """Gate expiry is one-way, so virtual time may not run backwards."""
+        if now < self._now:
+            raise ValueError(
+                f"time went backwards: {now!r} after {self._now!r}"
+            )
+        self._now = now
+
+    def _gate_due(self, t: float) -> bool:
+        """Telemetry's question (``fleet.wake.gate``): does a queued flow's
+        ``data_start`` fall at or before ``t``?  Reads, changes nothing."""
+        return any(f.slot >= 0 and ds <= t for ds, _, f in self._vec.gated)
+
     def next_event(self, now: float) -> float:
         """Earliest future instant any link's allocation can change."""
         if not self._flows:
             raise RuntimeError("no flows in flight")
+        self._move_clock(now)
         solo = self._solo_flow()
         if solo is not None:
             if solo.solo_elapsed is None:
@@ -330,18 +374,12 @@ class PathScheduler:
                 )
             return solo.start_time + solo.solo_elapsed
         v = self._vec
-        n = v.n_slots
-        ds = v.data_start[:n]
-        alive = v.alive[:n]
-        best = np.inf
-        waiting = ds[alive & (ds > now)]
-        if waiting.size:
-            best = waiting.min()
+        # ``best`` starts as the next gate expiry (inf when nothing waits)
+        idx, rates, min_ttc, best = self._vec_alloc(now)
         # Already-empty flows (zero-byte transfers, sync-drained solos)
         # complete as soon as their data start elapses.
         for f in v.finished:
             best = min(best, max(f.data_start, now))
-        idx, rates, min_ttc = self._vec_alloc(now)
         if min_ttc < np.inf:
             best = min(best, now + min_ttc)
         if idx.size:
@@ -357,6 +395,8 @@ class PathScheduler:
         """
         if to_time < now:
             raise ValueError("cannot advance backwards")
+        self._move_clock(now)
+        self._now = to_time
         v = self._vec
         solo = self._solo_flow()
         if solo is not None and solo.solo_elapsed is not None:
@@ -367,7 +407,7 @@ class PathScheduler:
                 self._remove(solo)
                 return [Completion(solo.flow_id, finish, solo.solo_elapsed)]
             return []
-        idx, rates, _ = self._vec_alloc(now)
+        idx, rates, _, _ = self._vec_alloc(now)
         finished: list[_PathFlow] = []
         if idx.size:
             dt = to_time - now
@@ -384,6 +424,14 @@ class PathScheduler:
                 after[flush] = 0.0
                 flow_of = v.flow_of
                 finished.extend(flow_of[s] for s in idx[flush].tolist())
+            if total_bits != total_bits:
+                # A NaN drain (a trace reporting NaN past validation)
+                # leaves NaN bits behind: such a flow can never finish
+                # and must stop taking part in shares, or virtual time
+                # creeps from trace boundary to trace boundary for ever
+                # instead of stalling where the driver's watchdog sees it.
+                for s in idx[after != after].tolist():
+                    v.deactivate(v.flow_of[s])
             self.delivered_bits += total_bits
             v.remaining[idx] = after
             v.version += 1
@@ -432,22 +480,26 @@ class PathScheduler:
         return seg[3], seg[2] - local
 
     def _vec_alloc(self, now: float):
-        """Active slots, their rates, and the active links' event horizon.
+        """Active slots, their rates, and the two event horizons around them.
 
-        Returns ``(idx, rates, min_ttc)`` where ``min_ttc`` is the
-        smallest time-to-next-change over links carrying active flows
-        (``inf`` when none) — stashed here because the capacity lookup
-        already touches each active link's trace segment, and
-        ``min(now + ttc_i) == now + min(ttc_i)`` bit-exactly (adding the
-        same ``now`` is monotone), so ``next_event`` never re-queries the
-        traces.  Cached on ``(now, state version)`` so the ``next_event``
-        → ``advance`` pair of one event step computes the allocation
-        once.  The float expressions are the per-flow reference's
-        (``tests/net/reference_scheduler.py``), pinned bit-exact by its
-        parity grid: fair denominators are integer counts (exact in any
-        summation order), weighted denominators are an insertion-order
-        Python sum (NumPy's pairwise reduction diverges from ``sum`` at
-        8+ flows), shares are ``cap / denom`` or ``(cap * w) / denom``,
+        Returns ``(idx, rates, min_ttc, next_gate)``.  Gates that have
+        expired by ``now`` are activated first (see
+        :meth:`_VectorState.expire_gates`); ``next_gate`` is the earliest
+        ``data_start`` still ahead (``inf`` when nothing waits).
+        ``min_ttc`` is the smallest time-to-next-change over links
+        carrying active flows (``inf`` when none) — stashed here because
+        the capacity lookup already touches each active link's trace
+        segment, and ``min(now + ttc_i) == now + min(ttc_i)`` bit-exactly
+        (adding the same ``now`` is monotone), so ``next_event`` never
+        re-queries the traces.  Cached on ``(now, state version)`` so the
+        ``next_event`` → ``advance`` pair of one event step computes the
+        allocation once.  The float expressions are the per-flow
+        reference's (``tests/net/reference_scheduler.py``), pinned
+        bit-exact by its parity grid: fair denominators are integer counts
+        kept at the activation transitions, weighted denominators are an
+        insertion-order Python sum (NumPy's pairwise reduction diverges
+        from ``sum`` at 8+ flows), shares are ``cap / denom`` — one
+        link-sized division, gathered per hop — or ``(cap * w) / denom``,
         and the per-flow rate is an order-insensitive min over the hop
         axis.
         """
@@ -456,11 +508,10 @@ class PathScheduler:
         cached = v.alloc_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        n = v.n_slots
-        act = v.alive[:n] & (v.data_start[:n] <= now) & (v.remaining[:n] > 0.0)
-        idx = act.nonzero()[0]
+        next_gate = v.expire_gates(now)
+        idx = v.active[: v.n_slots].nonzero()[0]
         if idx.size == 0:
-            out = (idx, _EMPTY, np.inf)
+            out = (idx, _EMPTY, np.inf, next_gate)
         elif len(v.link_list) == 2:
             # One real link in the pool (the classic single-bottleneck
             # fleet): every active flow shares it, so the whole incidence
@@ -470,31 +521,26 @@ class PathScheduler:
             if link.policy == "weighted":
                 denom = 0.0
                 for f in self._link_flows[id(link)].values():
-                    if act[f.slot]:
+                    if v.active[f.slot]:
                         denom += f.weight
                 rates = capacity * v.weight[idx] / denom
             else:
                 rates = np.full(idx.size, capacity / float(idx.size))
-            out = (idx, rates, min_ttc)
+            out = (idx, rates, min_ttc, next_gate)
         else:
             rows = v.hops[idx]
-            counts = np.bincount(rows.ravel(), minlength=len(v.link_list))
-            denom = counts.astype(np.float64)
-            denom[0] = 1.0  # padding sentinel: never a real share
-            active_links = (np.nonzero(counts[1:])[0] + 1).tolist()
-            cap = np.empty(len(v.link_list))
-            cap[0] = np.inf
+            cap, denom = v.cap, v.denom
             min_ttc = np.inf
-            for li in active_links:
+            for li in v.link_count:  # the links carrying an active flow
                 cap[li], ttc = self._link_seg(li, now)
                 if ttc < min_ttc:
                     min_ttc = ttc
             if v.weighted_links:
                 for li in v.weighted_links:
-                    if counts[li]:
+                    if li in v.link_count:
                         total = 0.0
                         for f in self._link_flows[id(v.link_list[li])].values():
-                            if act[f.slot]:
+                            if v.active[f.slot]:
                                 total += f.weight
                         denom[li] = total
                 numer = np.where(
@@ -502,10 +548,10 @@ class PathScheduler:
                     cap[rows] * v.weight[idx][:, None],
                     cap[rows],
                 )
+                rates = (numer / denom[rows]).min(axis=1)
             else:
-                numer = cap[rows]
-            rates = (numer / denom[rows]).min(axis=1)
-            out = (idx, rates, min_ttc)
+                rates = (cap / denom)[rows].min(axis=1)
+            out = (idx, rates, min_ttc, next_gate)
         v.alloc_cache = (key, out)
         return out
 
@@ -535,6 +581,10 @@ class _VectorState:
     the matrix width).  Slots are recycled through a free list, so a
     steady-state fleet allocates nothing per event; arrays double when
     the high-water mark is hit.
+
+    A flow is *gated*, *active* or *finished* (the module docstring has
+    the life cycle); ``active``, ``link_count`` and ``denom`` change only
+    inside :meth:`activate` / :meth:`deactivate`.
     """
 
     _INITIAL_SLOTS = 64
@@ -544,23 +594,41 @@ class _VectorState:
         self.n_slots = 0  # high-water mark
         self.free: list[int] = []
         self.flow_of: list[_PathFlow | None] = [None] * cap
-        self.data_start = np.zeros(cap)
         self.remaining = np.zeros(cap)
-        self.total = np.zeros(cap)
         self.weight = np.zeros(cap)
         #: per-flow finish threshold, precomputed at add time
         self.thresh = np.zeros(cap)
-        self.alive = np.zeros(cap, dtype=bool)
+        #: slots whose flow is draining (gate expired, bits left)
+        self.active = np.zeros(cap, dtype=bool)
         self.hops = np.zeros((cap, 2), dtype=np.intp)
+        #: flows waiting for their ``data_start``: a heap of
+        #: ``(data_start, add serial, flow)``.  An entry outlives a flow
+        #: that is cancelled or completes first, and is then skipped *by
+        #: identity* (``flow.slot == -1``) — the slot it names may already
+        #: belong to another flow.
+        self.gated: list[tuple[float, int, _PathFlow]] = []
+        self._serial = count()
         #: index 0 reserved as the padding sentinel
         self.link_list: list[SharedLink | None] = [None]
         self.link_index: dict[int, int] = {}
         self.weighted_links: list[int] = []
         self.is_weighted = np.zeros(1, dtype=bool)
+        #: active flows per link, links with none left out — counted over
+        #: each flow's own hops (``link_ids``), never over its ``hops``
+        #: row: the row's padding is link 0, and ``_grow_cols`` can widen
+        #: it between a flow's activation and its removal
+        self.link_count: dict[int, int] = {}
+        #: fair-share denominator per link: the count as a float, 1 for an
+        #: idle link and for the sentinel, so ``cap / denom`` never divides
+        #: by zero and the sentinel's share is ``inf`` (never a min)
+        self.denom = np.ones(1)
+        #: capacity per link, refreshed for the links in ``link_count`` at
+        #: every allocation (idle links keep a stale value nobody gathers)
+        self.cap = np.full(1, np.inf)
         #: flows already at zero remaining bits that still await their
         #: completion report: zero-byte transfers (complete at their
         #: data_start) and solo flows fully drained by an out-of-band
-        #: ``sync`` — neither shows up in the active-drain pass.
+        #: ``sync`` — neither is ever active.
         self.finished: list[_PathFlow] = []
         #: bumped on any state change; keys the allocation cache
         self.version = 0
@@ -584,34 +652,77 @@ class _VectorState:
             self.is_weighted = np.array(
                 [l is not None and l.policy == "weighted" for l in self.link_list]
             )
+            fresh = len(self.link_list) - len(self.denom)
+            self.denom = np.concatenate([self.denom, np.ones(fresh)])
+            self.cap = np.concatenate([self.cap, np.zeros(fresh)])
         if self.free:
             s = self.free.pop()
         else:
-            if self.n_slots == len(self.alive):
+            if self.n_slots == len(self.active):
                 self._grow_rows()
             s = self.n_slots
             self.n_slots += 1
         if len(links) > self.hops.shape[1]:
             self._grow_cols(len(links))
         flow.slot = s
+        flow.link_ids = tuple(self.link_index[id(link)] for link in links)
         self.flow_of[s] = flow
-        self.data_start[s] = flow.data_start
         self.remaining[s] = flow.total_bits
-        self.total[s] = flow.total_bits
         self.weight[s] = flow.weight
         self.thresh[s] = max(_FINISH_RTOL * flow.total_bits, _FINISH_ATOL)
         row = self.hops[s]
         row[:] = 0
-        for j, link in enumerate(links):
-            row[j] = self.link_index[id(link)]
-        self.alive[s] = True
+        row[: len(links)] = flow.link_ids
         if flow.total_bits == 0.0:
             self.finished.append(flow)
+        else:
+            heappush(self.gated, (flow.data_start, next(self._serial), flow))
         self.version += 1
+
+    def expire_gates(self, now: float) -> float:
+        """Activate every flow whose ``data_start`` has passed; return the
+        earliest one still ahead (``inf`` when nothing waits).
+
+        Entries of flows that already left the pool are dropped on the
+        way, so the head is always a live gate — a stale one would wake
+        the driver at an instant nothing changes.
+        """
+        gated = self.gated
+        while gated:
+            data_start, _, flow = gated[0]
+            if flow.slot >= 0:
+                if data_start > now:
+                    return data_start
+                # a solo flow ``sync`` drained to zero is already queued
+                # in ``finished`` and never becomes active
+                if self.remaining[flow.slot] > 0.0:
+                    self.activate(flow)
+            heappop(gated)
+        return np.inf
+
+    def activate(self, flow: _PathFlow) -> None:
+        self.active[flow.slot] = True
+        counts = self.link_count
+        for li in flow.link_ids:
+            counts[li] = n = counts.get(li, 0) + 1
+            self.denom[li] = n
+
+    def deactivate(self, flow: _PathFlow) -> None:
+        self.active[flow.slot] = False
+        counts = self.link_count
+        for li in flow.link_ids:
+            n = counts[li] - 1
+            if n:
+                counts[li] = n
+                self.denom[li] = n
+            else:
+                del counts[li]
+                self.denom[li] = 1.0
 
     def remove(self, flow: _PathFlow) -> None:
         s = flow.slot
-        self.alive[s] = False
+        if self.active[s]:
+            self.deactivate(flow)
         self.flow_of[s] = None
         self.free.append(s)
         flow.slot = -1
@@ -627,8 +738,11 @@ class _VectorState:
         with zero remaining bits it is invisible to the active-drain pass.
         """
         self.remaining[flow.slot] = remaining
-        if remaining <= 0.0 and flow not in self.finished:
-            self.finished.append(flow)
+        if remaining <= 0.0:
+            if self.active[flow.slot]:
+                self.deactivate(flow)
+            if flow not in self.finished:
+                self.finished.append(flow)
         self.version += 1
 
     def _grow_rows(self) -> None:
@@ -637,14 +751,12 @@ class _VectorState:
             out[: len(a)] = a
             return out
 
-        self.data_start = doubled(self.data_start)
         self.remaining = doubled(self.remaining)
-        self.total = doubled(self.total)
         self.weight = doubled(self.weight)
         self.thresh = doubled(self.thresh)
-        self.alive = doubled(self.alive)
+        self.active = doubled(self.active)
         self.hops = doubled(self.hops)
-        self.flow_of.extend([None] * (len(self.alive) - len(self.flow_of)))
+        self.flow_of.extend([None] * (len(self.active) - len(self.flow_of)))
 
     def _grow_cols(self, n_hops: int) -> None:
         wide = np.zeros((len(self.hops), n_hops), dtype=self.hops.dtype)

@@ -22,6 +22,30 @@ The MPC planners evaluate every decision row in ``decide_batch`` —
 its one-row call; the scalar per-candidate reference they are pinned
 against lives in ``tests/streaming/reference_planner.py``.
 
+**Layout: ``(H, N, C)`` — horizon step, decision row, candidate
+density.**  A fleet step plans about one row per call, so a call costs
+what its NumPy dispatches cost, not what its arithmetic costs; the
+layout is chosen so that a call makes as few of them as it can.
+
+* *Per controller* (fixed at construction): the candidate grid ``(C,)``,
+  its SR ratios and its qualities.
+* *Per chunk window* (:meth:`_MPCBase._horizon_tensors`, keyed on the
+  tuple of chunk specs): fetched bits and SR seconds ``(H, 1, C)`` and
+  chunk durations ``(H, 1, 1)`` — checked finite and non-negative once,
+  already in the planner's shape.  Horizon leads, so a one-row call uses
+  the cached tensors as they are and a batch is one ``concatenate`` along
+  the row axis; ``tensor[h]`` is a contiguous ``(N, C)`` step.
+* *Per call*: throughput, buffer and previous quality — Python floats for
+  one row, ``(N, 1)`` columns for a batch, the same expressions either
+  way — then ``ready = max(bits / tput, sr)`` on the whole tensor, the
+  buffer recursion step by step, and ``QoEModel.plan_values``.
+
+A plan holds one density over its horizon (the Robust-MPC
+simplification), so quality changes only between the previous chunk and
+the first planned one: after step 0 the variation term of Eq. 10 is
+exactly ``+0.0`` and a step adds ``α·q − γ·s_i`` — the same additions in
+the same order as the term-by-term sum, so values are bit-equal to it.
+
 The non-MPC controllers of the policy zoo (BOLA, throughput rule,
 hybrid) live in :mod:`repro.streaming.policies` along with the
 string-keyed registry — ``get_policy("bola")`` — that the experiment
@@ -238,13 +262,15 @@ class _MPCBase(AbrController):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Throughput-independent tensors of one horizon window.
 
-        ``(fetched bits, SR seconds, chunk durations)`` over the
-        ``(chunk, candidate)`` grid depend only on the chunk specs, the
-        fixed candidate densities, and the (fixed) SR latency model — so
-        they are computed once per distinct window and replayed.  Fleet
-        drivers call the planner with batches of one per completion
-        event, which makes this cache the difference between re-deriving
-        the whole tensor per chunk and a dictionary hit.
+        ``(fetched bits, SR seconds, chunk durations)`` depend only on the
+        chunk specs, the fixed candidate densities and the (fixed) SR
+        latency model — so they are computed once per distinct window,
+        checked once, and replayed already in the planner's layout:
+        ``(H, 1, C)``, ``(H, 1, C)`` and ``(H, 1, 1)``.  A hostile latency
+        model (NaN, negative, infinite seconds) is refused here, naming
+        the chunk and density, instead of planning ``argmax`` of an
+        all-NaN row for ever; a refused window is not cached, so every
+        call that needs it raises.
         """
         cached = self._horizon_cache.get(chunks)
         if cached is None:
@@ -256,7 +282,16 @@ class _MPCBase(AbrController):
             nbytes = batched_chunk_bytes(nf[:, None], pts, bpp[:, None])
             bits = nbytes * self.fetch_fraction * 8.0
             sr = nf[:, None] * latency_batch(self.sr_latency, pts, self._sr_ratios)
-            cached = (bits, sr, dur)
+            for what, grid in (("fetched bits", bits), ("SR seconds", sr)):
+                bad = ~((grid >= 0.0) & (grid < np.inf))  # NaN fails both
+                if bad.any():
+                    h, c = np.argwhere(bad)[0]
+                    raise ValueError(
+                        f"{what} of a planned chunk must be finite and "
+                        f"non-negative, got {float(grid[h, c])!r} for chunk "
+                        f"{chunks[h].index} at density {self.candidates[c]:.6g}"
+                    )
+            cached = (bits[:, None, :], sr[:, None, :], dur[:, None, None])
             self._horizon_cache[chunks] = cached
         return cached
 
@@ -268,35 +303,35 @@ class _MPCBase(AbrController):
         ``(n_ctx, n_candidates)``: the QoE of fetching each context's next
         ``horizon`` chunks at each candidate density.
         """
-        per_ctx = [
+        windows = [
             self._horizon_tensors(tuple(ctx.next_chunks[: self.horizon]))
             for ctx in ctxs
         ]
-        n_ctx, h_len = len(ctxs), len(per_ctx[0][2])
-        if n_ctx == 1:
-            bits, sr, dur = (t[None] for t in per_ctx[0])      # (1, H, ...)
+        if len(ctxs) == 1:
+            # The fleet's common call: the cached (H, 1, C) tensors as they
+            # are, context scalars as Python floats — same expressions below.
+            (bits, sr, dur), ctx = windows[0], ctxs[0]
+            tput = ctx.throughput_bps * self.safety
+            buffer = ctx.buffer_level
+            prev = ctx.prev_quality
         else:
-            bits = np.stack([t[0] for t in per_ctx])           # (N, H, C)
-            sr = np.stack([t[1] for t in per_ctx])
-            dur = np.stack([t[2] for t in per_ctx])            # (N, H)
+            bits, sr, dur = (np.concatenate(t, axis=1) for t in zip(*windows))
+            tput = (np.array([c.throughput_bps for c in ctxs]) * self.safety)[:, None]
+            buffer = np.array([c.buffer_level for c in ctxs])[:, None]
+            # NaN is plan_values' "no previous chunk" mark; AbrContext admits no other.
+            prev = np.array(
+                [np.nan if c.prev_quality is None else c.prev_quality for c in ctxs]
+            )[:, None]
 
-        tput = np.array([ctx.throughput_bps for ctx in ctxs]) * self.safety  # (N,)
-        dl = bits / tput[:, None, None]
+        ready = bits / tput                                    # (H, N, C)
         # Download and SR overlap across chunks (pipelined client), so the
         # steady-state readiness interval is the slower stage.
-        ready = np.maximum(dl, sr)                             # (N, H, C)
-
-        buffer = np.array([ctx.buffer_level for ctx in ctxs])[:, None]
-        stalls = np.empty((h_len, n_ctx, len(self.candidates)))
-        for h in range(h_len):
-            r = ready[:, h, :]
-            stalls[h] = np.maximum(0.0, r - buffer)
-            buffer = np.maximum(buffer - r, 0.0) + dur[:, h, None]
-
-        # NaN is plan_values' "no previous chunk" mark; AbrContext admits no other.
-        prev = np.array(
-            [np.nan if c.prev_quality is None else c.prev_quality for c in ctxs]
-        )[:, None]                                             # (N, 1)
+        np.maximum(ready, sr, out=ready)
+        stalls = np.empty_like(ready)
+        for r, stall, d in zip(ready, stalls, dur):
+            np.subtract(r, buffer, out=stall)
+            np.maximum(0.0, stall, out=stall)
+            buffer = np.maximum(buffer - r, 0.0) + d
         return self.qoe_model.plan_values(self._qualities, stalls, prev)
 
     def plan_values(self, ctx: AbrContext) -> np.ndarray:

@@ -97,6 +97,10 @@ _HEALTH_STALL_WEIGHT = 2.0
 #: controller — the recovery tracker still needs samples.
 _DEFAULT_SAMPLE_INTERVAL = 1.0
 
+#: ``abr.rows_per_call`` buckets: batch occupancy differs by octaves (one
+#: row per call on a diurnal day, the whole population on a flash crowd).
+_ROWS_PER_CALL_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
 #: How an in-flight download's bytes were charged at dispatch — the class
 #: of counter an outage cancellation must credit back (see ``live_req``).
 _CHARGE_HIT = 0
@@ -322,7 +326,8 @@ class FleetResult:
 
 
 def _batched_decisions(
-    machines: list[SessionMachine], session_ids: list[int], clamp=None
+    machines: list[SessionMachine], session_ids: list[int], clamp=None,
+    rows_per_call=None,
 ) -> list[tuple[int, DownloadRequest]]:
     """Resolve every machine parked on a :class:`DecisionRequest`.
 
@@ -335,6 +340,7 @@ def _batched_decisions(
     rewrites each decision before the machine advances on it — the
     control plane's graceful-degradation levers (quality cap, SR off);
     applied before the machine advances on the decision.
+    ``rows_per_call``, when given, is a histogram fed each call's row count.
     """
     by_controller: dict[int, list[int]] = {}
     for sid in session_ids:
@@ -347,6 +353,8 @@ def _batched_decisions(
             pending = machines[sid].pending
             assert isinstance(pending, DecisionRequest)
             ctxs.append(pending.ctx)
+        if rows_per_call is not None:
+            rows_per_call.observe(len(ctxs))
         for sid, decision in zip(ids, controller.decide_batch(ctxs)):
             if clamp is not None:
                 decision = clamp(decision)
@@ -599,6 +607,10 @@ class _FleetRun:
         #: every emission site calls this; the no-op form when tracing is off
         self.tracer = NULL_TRACER if live is None else live
         self.metrics = telemetry.metrics if telemetry is not None else None
+        self.rows_per_call = (
+            None if self.metrics is None
+            else self.metrics.histogram("abr.rows_per_call", _ROWS_PER_CALL_BOUNDS)
+        )
         prof = (
             telemetry.profiler
             if telemetry is not None and telemetry.profiler is not None
@@ -850,6 +862,8 @@ class _FleetRun:
                     # the fluid advance (scheduler phase) profiles apart
                     # from the session transitions it unblocks (advance).
                     completions = sched.advance(now, t) if sched.busy() else ()
+                if self.metrics is not None:
+                    self._count_wake(t, completions)
                 with self.ph_advance:
                     parked = [
                         done.flow_id
@@ -903,6 +917,28 @@ class _FleetRun:
         if self.timeout_heap:
             events.append(max(self.timeout_heap[0][0], now))
         return min(events)
+
+    def _count_wake(self, t: float, completions) -> None:
+        """Count why the loop woke at ``t``: one ``fleet.wake.*`` reason per
+        step, the first that holds (an RTT / encode gate expiring changes
+        shares; an armed deadline may be stale; what is left is a trace
+        boundary).  Read before this step's stages consume what was due."""
+        if completions:
+            why = "completion"
+        elif self.sched._gate_due(t):
+            why = "gate"
+        elif self.deferred and self.deferred[0][0] <= t:
+            why = "deferred"
+        elif self.timeout_heap and self.timeout_heap[0][0] <= t:
+            why = "timeout"
+        elif (
+            self.next_bound < len(self.outage_bounds)
+            and self.outage_bounds[self.next_bound] <= t
+        ):
+            why = "outage_bound"
+        else:
+            why = "trace"
+        self.metrics.counter(f"fleet.wake.{why}").inc()
 
     def _stall_dump(self, steps: int, t: float) -> str:
         return (
@@ -1121,7 +1157,8 @@ class _FleetRun:
         """
         levers = self.decision_cap < math.inf or self.sr_disabled
         decided = _batched_decisions(
-            self.machines, ids, clamp=self._clamp if levers else None
+            self.machines, ids, clamp=self._clamp if levers else None,
+            rows_per_call=self.rows_per_call,
         )
         for sid, req in decided:
             self.tracer.emit(

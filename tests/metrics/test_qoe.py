@@ -55,15 +55,18 @@ class TestSession:
         assert m.session(osc) < m.session(steady)
 
     def test_plan_value_matches_session(self):
+        """A plan holds one quality over its horizon."""
         m = QoEModel()
-        qualities = [0.5, 0.7, 0.6]
         stalls = [0.0, 0.1, 0.0]
-        records = [ChunkRecord(quality=q, stall=s) for q, s in zip(qualities, stalls)]
-        assert m.plan_values(qualities, stalls, None) == pytest.approx(m.session(records))
+        records = [ChunkRecord(quality=0.6, stall=s) for s in stalls]
+        assert m.plan_values(0.6, stalls, None) == pytest.approx(m.session(records))
+        assert m.plan_values(0.6, stalls, 0.9) == pytest.approx(
+            m.session(records) - m.variation_term(0.6, 0.9)
+        )
 
     def test_plan_value_validation(self):
-        with pytest.raises(ValueError):
-            QoEModel().plan_values([0.5, 0.7, 0.6], [0.0, 0.1], None)
+        with pytest.raises(ValueError):  # 3 plans against 4: no broadcast
+            QoEModel().plan_values([0.5, 0.7, 0.6], [[0.0] * 4, [0.1] * 4], None)
         with pytest.raises(ValueError, match="horizon axis"):
             QoEModel().plan_values(0.5, 0.0, None)
 

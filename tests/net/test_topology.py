@@ -34,9 +34,10 @@ from .reference_scheduler import ReferenceScheduler
 SCHEDULERS = {"vector": PathScheduler, "scalar": ReferenceScheduler}
 
 
-def drive(engine):
-    """Run an engine's event loop to completion; return all completions."""
-    now, out = 0.0, []
+def drive(engine, now=0.0):
+    """Run an engine's event loop from ``now`` to completion; return all
+    completions."""
+    out = []
     guard = 0
     while engine.busy():
         t = engine.next_event(now)
@@ -354,7 +355,7 @@ class TestEngineParity:
             sched.next_event(0.0)  # resolves the solo fast path
             sched.sync(1.0)
             sched.add_flow(1, 5_000_000, 1.0, path)
-            results.append(drive(sched))
+            results.append(drive(sched, now=1.0))
         assert results[0] == results[1]
 
     def test_sync_draining_solo_to_zero_still_completes(self):
@@ -369,10 +370,168 @@ class TestEngineParity:
             sched.next_event(0.0)                    # resolve solo fast path
             sched.sync(1.0)                          # fully drained
             sched.add_flow(1, 1_000, 1.0, path)
-            done = drive(sched)
+            done = drive(sched, now=1.0)
             assert {c.flow_id for c in done} == {0, 1}
             results.append(done)
         assert results[0] == results[1]
+
+
+    @pytest.mark.parametrize(
+        "flows",
+        [
+            pytest.param(
+                [(2_000_000, 0.0, 1.0, 0, 0.0, None, False),
+                 (1_500_000, 0.1, 1.0, 1, 2.0, 0.3, False),
+                 (900_000, 0.2, 2.0, 2, 0.0, None, False)],
+                id="cancelled-while-gated",
+            ),
+            pytest.param(
+                [(16_000_000, 0.0, 1.0, 0, 0.0, None, False),
+                 (1_500_000, 0.0, 1.0, 1, 2.0, 0.3, False),
+                 (1_200_000, 0.5, 1.0, 1, 2.0, None, True)],
+                id="slot-reused-under-a-stale-gate",
+            ),
+            pytest.param(
+                [(3_000_000, 0.0, 1.0, 1, 0.0, None, False),
+                 (0, 0.4, 1.0, 3, 0.0, None, False),
+                 (0, 0.6, 1.0, 0, 0.5, None, True),
+                 (700_000, 0.2, 0.5, 2, 0.0, None, False)],
+                id="zero-byte-flows",
+            ),
+            pytest.param(
+                [(1_000_000, 0.0, 1.0, 0, 0.0, None, False),
+                 (4_000, 1.0, 1.0, 0, 0.0, None, True)],
+                id="sync-drains-the-solo-flow-to-zero",
+            ),
+            pytest.param(
+                [(2_500_000, 0.0, 1.0, 0, 0.0, None, False),
+                 (2_000_000, 0.1, 3.0, 0, 0.0, None, False),
+                 (1_800_000, 0.3, 1.0, 3, 0.0, None, True),
+                 (600_000, 0.2, 1.0, 0, 0.0, 0.5, False)],
+                id="three-hop-flow-joins-one-hop-pool",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("policy", ["fair", "weighted"])
+    def test_scripted_life_cycle_cases(self, flows, policy):
+        """The gated → active → finished transitions the incremental
+        bookkeeping has to get right, one hand-written script each."""
+        assert_parity(flows, policy, 40.0, 4)
+
+
+class TestLifeCycleBookkeeping:
+    """White-box pins on ``_VectorState``: the three traps the incremental
+    activation fell into while it was written."""
+
+    def pool(self):
+        links = [SharedLink(stable_trace(40.0, duration=60.0, rtt=0.01))
+                 for _ in range(3)]
+        return (
+            NetworkPath((links[0],)),
+            NetworkPath((links[0], links[1], links[2])),
+        )
+
+    def test_widening_the_hop_matrix_never_touches_the_padding_link(self):
+        """``hops`` widens from 2 to 3 columns while one-hop flows are
+        active; counting over matrix rows would then decrement the padding
+        link (index 0) once more per flow than it was incremented, drive
+        its denominator negative and every rate to -inf."""
+        one_hop, three_hop = self.pool()
+        sched = PathScheduler()
+        sched.add_flow(0, 2_000_000, 0.0, one_hop)
+        sched.add_flow(1, 2_000_000, 0.0, one_hop)
+        v = sched._vec
+        now = sched.next_event(0.0)          # both gates expire at 0.01
+        sched.advance(0.0, now)
+        sched.next_event(now)
+        assert v.active[:2].all() and v.hops.shape[1] == 2
+        sched.add_flow(2, 2_000_000, now, three_hop)
+        assert v.hops.shape[1] == 3
+        done, guard = [], 0
+        while sched.busy():
+            t = sched.next_event(now)
+            assert math.isfinite(t) and t >= now
+            assert v.denom[0] == 1.0 and 0 not in v.link_count
+            assert all(n > 0 for n in v.link_count.values())
+            done += sched.advance(now, t)
+            now = t
+            guard += 1
+            assert guard < 1000
+        assert sorted(c.flow_id for c in done) == [0, 1, 2]
+        assert not v.link_count and not v.active.any()
+        assert (v.denom == 1.0).all()
+
+    def test_stale_gate_is_skipped_by_identity_not_by_slot(self):
+        """A flow cancelled while gated leaves its heap entry behind and
+        its slot is recycled at once; the stale entry must not open the
+        gate of the flow that now owns the slot."""
+        one_hop, _ = self.pool()
+        sched = PathScheduler()
+        sched.add_flow(0, 50_000_000, 0.0, one_hop)
+        sched.add_flow(1, 1_000_000, 0.0, one_hop, extra_delay=1.0)
+        slot, dead_gate = sched._flows[1].slot, sched._flows[1].data_start
+        sched.cancel(1)
+        sched.add_flow(2, 1_000_000, 0.0, one_hop, extra_delay=3.0)
+        newcomer = sched._flows[2]
+        assert newcomer.slot == slot
+        now = 0.0
+        while now < 2.0:                     # past the dead flow's gate
+            t = min(sched.next_event(now), 2.0)
+            assert t != dead_gate            # ... which wakes nobody
+            sched.advance(now, t)
+            now = t
+        assert not sched._vec.active[slot]
+        assert 1.0 < dead_gate < 2.0 < newcomer.data_start
+        assert sched.next_event(now) == newcomer.data_start
+        assert not sched._gate_due(now) and sched._gate_due(newcomer.data_start)
+
+    def test_nan_drain_leaves_the_flow_inactive(self):
+        """The old active mask's ``remaining > 0`` doubled as a NaN guard.
+        A flow whose bits turned NaN must drop out of the shares, so the
+        clock stalls at ``inf`` (where the fleet's watchdog sees it)
+        instead of creeping from trace boundary to trace boundary."""
+        trace = stable_trace(40.0, duration=60.0, rtt=0.0)
+        trace._bw_list[0] = math.nan         # what the lookups read
+        path = NetworkPath((SharedLink(trace),))
+        sched = PathScheduler()
+        sched.add_flow(0, 1_000_000, 0.0, path)
+        sched.add_flow(1, 1_000_000, 0.0, path)
+        t = sched.next_event(0.0)
+        assert sched.advance(0.0, t) == []
+        assert not sched._vec.active.any() and not sched._vec.link_count
+        assert sched.next_event(t) == math.inf
+
+
+class TestMonotoneClock:
+    """Gate expiry is one-way, so every entry point that is shown an
+    instant refuses one earlier than the last."""
+
+    def busy_pool(self):
+        path = NetworkPath((SharedLink(stable_trace(40.0, duration=60.0)),))
+        sched = PathScheduler()
+        sched.add_flow(0, 5_000_000, 0.0, path)
+        sched.add_flow(1, 5_000_000, 0.0, path)
+        sched.advance(0.0, 0.5)
+        return sched
+
+    def test_next_event_rejects_an_earlier_instant(self):
+        sched = self.busy_pool()
+        assert sched.next_event(0.5) > 0.5   # the same instant again is fine
+        with pytest.raises(ValueError, match=r"time went backwards: 0\.25 after 0\.5"):
+            sched.next_event(0.25)
+
+    def test_advance_rejects_an_earlier_instant(self):
+        sched = self.busy_pool()
+        with pytest.raises(ValueError, match="time went backwards"):
+            sched.advance(0.25, 0.75)
+        with pytest.raises(ValueError, match="cannot advance backwards"):
+            sched.advance(0.75, 0.5)
+
+    def test_sync_rejects_an_earlier_instant(self):
+        sched = self.busy_pool()
+        sched.sync(0.5)
+        with pytest.raises(ValueError, match="time went backwards"):
+            sched.sync(0.25)
 
 
 class TestValidation:

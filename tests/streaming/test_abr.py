@@ -188,6 +188,54 @@ class TestAbrContext:
         assert best == Decision(density=1.0, sr_ratio=1.0)
 
 
+class TestHostileSRLatency:
+    """A custom ``SRLatency`` is outside input.  NaN seconds used to plan
+    an all-NaN row (``argmax`` = index 0: density 0.125 / x8 for ever), a
+    negative latency planned as if SR were free, +inf gave all -inf and
+    the same silent index 0.  The window's tensors are checked where they
+    are cached; a refused window is never cached, so every decision that
+    needs it raises."""
+
+    @pytest.mark.parametrize(
+        "value,shown", [(float("nan"), "nan"), (-0.002, "-0.06"), (float("inf"), "inf")]
+    )
+    @pytest.mark.parametrize(
+        "make,ratio,density", [(ContinuousMPC, 8.0, "0.125"), (DiscreteMPC, 2.0, "0.5")]
+    )
+    def test_bad_seconds_name_chunk_density_and_value(
+        self, make, ratio, density, value, shown
+    ):
+        def hostile(n_points_in, sr_ratio):
+            return value if sr_ratio == ratio else 1e-3  # one bad candidate
+
+        mpc = make(SRQualityModel(), QoEModel(), hostile)
+        tail = ctx()
+        tail.next_chunks = tail.next_chunks[4:]
+        message = (
+            rf"SR seconds of a planned chunk must be finite and non-negative, "
+            rf"got {shown}\S* for chunk 4 at density {density}$"
+        )
+        for _ in range(2):  # once per call, not once per object
+            with pytest.raises(ValueError, match=message):
+                mpc.decide(tail)
+            with pytest.raises(ValueError, match=message):
+                mpc.decide_batch([tail, ctx(prev=0.5)])
+        assert not mpc._horizon_cache
+
+    def test_infinite_throughput_still_plans(self):
+        """``throughput_bps = inf`` is legal (a zero-time download): the
+        plan values stay finite and SR time alone sets the stalls."""
+        mpc = ContinuousMPC(
+            SRQualityModel(), QoEModel(), lambda n, r: 0.0 if r <= 1.0 else 0.05
+        )
+        fast = AbrContext(float("inf"), 0.0, 0.4, ctx().next_chunks)
+        values = mpc.plan_values(fast)
+        assert np.isfinite(values).all()
+        # 30 frames x 50 ms of SR against a 1 s chunk: any upsampling stalls
+        assert mpc.decide(fast) == Decision(density=1.0, sr_ratio=1.0)
+        assert mpc.decide_batch([fast, ctx()])[0] == Decision(density=1.0, sr_ratio=1.0)
+
+
 class TestValidationMessages:
     """Errors name the offending field and echo the rejected value."""
 

@@ -9,6 +9,7 @@ controllers — the MPC analogue of
 zoo against first-principles re-derivations of each rule.
 """
 
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,39 @@ class TestScalarVectorParity:
         batch = mpc.decide_batch(ctxs)
         singles = [mpc.decide(c) for c in ctxs]
         assert batch == singles
+
+    @pytest.mark.parametrize("mpc_name", sorted(MPC_FACTORIES))
+    def test_mixed_batch_values_equal_one_row_calls_and_the_oracle(self, mpc_name):
+        """One batch mixing effective horizons 1-3, ``prev_quality`` None
+        and set, and an infinite throughput: per horizon group the value
+        rows are *bit-equal* to one-row calls (a row shares its
+        expressions with the batch, Python floats against ``(N, 1)``
+        columns) and within 1e-9 of the scalar reference; decisions equal
+        one-row decisions and the reference's, element for element."""
+        mpc = MPC_FACTORIES[mpc_name](measured_latency())
+        ctxs = [
+            make_ctx(tput, buf, prev, n_chunks=n)
+            for n in (1, 2, 3)
+            for tput, buf, prev in [
+                (3.0, 0.0, None), (25.0, 2.5, 0.15), (math.inf, 0.5, 0.85),
+                (80.0, 9.0, None), (math.inf, 0.0, None),
+            ]
+        ]
+        by_horizon = {}
+        for ctx in ctxs:
+            by_horizon.setdefault(min(len(ctx.next_chunks), mpc.horizon), []).append(ctx)
+        assert len(by_horizon) == min(3, mpc.horizon)
+        for group in by_horizon.values():
+            batch = mpc._batch_plan_values(group)
+            assert batch.shape == (len(group), len(mpc.candidates))
+            for row, ctx in zip(batch, group):
+                np.testing.assert_array_equal(row, mpc.plan_values(ctx))
+                np.testing.assert_allclose(
+                    row, scalar_values(mpc, ctx), rtol=0.0, atol=ATOL
+                )
+        decisions = mpc.decide_batch(ctxs)
+        assert decisions == [mpc.decide(c) for c in ctxs]
+        assert decisions == [reference_planner.scalar_decide(mpc, c) for c in ctxs]
 
     def test_short_horizon_truncation_matches(self):
         """A 1-chunk tail uses a 1-chunk plan in both paths."""
@@ -429,21 +463,43 @@ class TestBatchHelpers:
         assert not out.any()
 
     def test_plan_values_matches_plan_value(self):
+        """One quality per plan: the scalar loop sees it as ``[q] * H``."""
         model = QoEModel(QoEWeights(alpha=1.1, beta=0.6, gamma=2.5))
         rng = np.random.default_rng(0)
-        qualities = rng.uniform(0.0, 1.0, (5, 7))
+        qualities = rng.uniform(0.0, 1.0, 7)
         stalls = rng.uniform(0.0, 2.0, (5, 7))
         for prev in (None, 0.4):
             vec = model.plan_values(qualities, stalls, prev)
+            assert vec.shape == (7,)
             for j in range(7):
                 ref = reference_planner.plan_value(
-                    model, list(qualities[:, j]), list(stalls[:, j]), prev
+                    model, [qualities[j]] * 5, list(stalls[:, j]), prev
                 )
                 assert vec[j] == pytest.approx(ref, abs=1e-12)
 
+    def test_plan_values_broadcasts_sessions_against_candidates(self):
+        """The planner's call: ``(C,)`` qualities, ``(H, N, C)`` stalls,
+        ``(N, 1)`` previous qualities with NaN for a first chunk."""
+        model = QoEModel(QoEWeights(alpha=0.9, beta=0.8, gamma=1.5, drop_multiplier=3.0))
+        rng = np.random.default_rng(1)
+        qualities = rng.uniform(0.0, 1.0, 4)
+        stalls = rng.uniform(0.0, 2.0, (3, 2, 4))
+        prev = np.array([[np.nan], [0.6]])
+        out = model.plan_values(qualities, stalls, prev)
+        assert out.shape == (2, 4)
+        for n, p in enumerate((None, 0.6)):
+            np.testing.assert_array_equal(
+                out[n], model.plan_values(qualities, stalls[:, n], p)
+            )
+            for c in range(4):
+                ref = reference_planner.plan_value(
+                    model, [qualities[c]] * 3, list(stalls[:, n, c]), p
+                )
+                assert out[n, c] == pytest.approx(ref, abs=1e-12)
+
     def test_plan_values_nan_prev_marks_no_history(self):
         model = QoEModel()
-        q = np.full((1, 2), 0.5)
+        q = np.full(2, 0.5)
         stalls = np.zeros((1, 2))
         prev = np.array([np.nan, 1.0])
         out = model.plan_values(q, stalls, prev)

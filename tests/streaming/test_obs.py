@@ -26,13 +26,17 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry, TimeSeries
 from repro.obs.profiler import NULL_PROFILER, PhaseProfiler
+from repro.metrics import QoEModel
 from repro.streaming import (
     BackhaulDegradation,
+    ContinuousMPC,
     ControlPlane,
     ControlPolicy,
     EdgeOutage,
     FaultSchedule,
     FleetSession,
+    RetryPolicy,
+    SRQualityModel,
     simulate_fleet,
     uniform_cdn,
 )
@@ -58,6 +62,15 @@ def cdn(n_edges=3, **kw):
     kw.setdefault("n_encode_workers", 4)
     kw.setdefault("encode_seconds", 0.02)
     return uniform_cdn(n_edges, **kw)
+
+
+def wake_counts(telemetry):
+    """``fleet.wake.<reason>`` counters of a finished run, by reason."""
+    return {
+        name.removeprefix("fleet.wake."): c.value
+        for name, c in telemetry.metrics.counters.items()
+        if name.startswith("fleet.wake.")
+    }
 
 
 def chaos_kwargs(telemetry=None):
@@ -423,3 +436,43 @@ class TestMetricsWiring:
         simulate_fleet(fleet(n=6), topology=cdn(3), telemetry=tel)
         assert len(tel.metrics.series["fleet.active_sessions"]) > 0
         assert len(tel.metrics.series["fleet.health"]) > 0
+
+    def test_wake_reasons_partition_the_loop_steps(self):
+        """Every loop step is counted under exactly one ``fleet.wake.*``
+        reason, and on a plain CDN day a step is a completion or an RTT /
+        encode gate expiring — two per request; ``abr.rows_per_call``
+        observes every ``decide_batch`` call."""
+        tel = Telemetry(trace=False)
+        mpc = ContinuousMPC(SRQualityModel(), QoEModel(), sr_lat(), n_grid=8, horizon=2)
+        sessions = [
+            FleetSession(
+                spec=spec(seconds=20, name=f"v{i % 3}"), controller=mpc,
+                sr_latency=sr_lat(), quality_model=mpc.quality_model,
+                join_time=0.4 * i,
+            )
+            for i in range(12)
+        ]
+        simulate_fleet(sessions, topology=cdn(3, cache_bytes=1 << 30), telemetry=tel)
+        wakes = wake_counts(tel)
+        steps = tel.profiler.counts["scheduler"]
+        assert set(wakes) <= {
+            "completion", "gate", "deferred", "timeout", "outage_bound", "trace",
+        }
+        assert sum(wakes.values()) == steps
+        assert wakes["gate"] + wakes["completion"] >= 0.9 * steps
+        rows = tel.metrics.histograms["abr.rows_per_call"]
+        assert rows.sum == mpc.decide_rows == 12 * 20
+        assert rows.count == rows.bucket_counts[-1] <= rows.sum
+
+    def test_wake_reasons_cover_the_resilience_path(self):
+        """Outage bounds and armed deadlines wake the loop too; the
+        partition still holds."""
+        tel = Telemetry(trace=False)
+        simulate_fleet(
+            fleet(n=8), retry_policy=RetryPolicy(timeout_s=1.0, max_attempts=3),
+            **chaos_kwargs(tel),
+        )
+        wakes = wake_counts(tel)
+        assert sum(wakes.values()) == tel.profiler.counts["scheduler"]
+        assert wakes["outage_bound"] >= 1 and wakes["timeout"] >= 1
+

@@ -117,6 +117,46 @@ def test_planner_evaluates_every_row_and_has_no_scalar_twin():
     ]
 
 
+def called_names(node) -> set[str]:
+    """Names of everything called under ``node``: ``f(...)`` and ``x.f(...)``."""
+    return {
+        call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Attribute, ast.Name))
+    }
+
+
+def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch():
+    """The two bodies a fleet step lives in keep their array-call diet:
+    the planner shapes its tensors where it caches them (no per-call
+    ``broadcast_*`` / ``stack``), ``QoEModel`` plans through one
+    ``plan_values`` with one quality per plan, and the scheduler counts
+    active flows per link at the life-cycle transitions (no ``bincount``
+    per step)."""
+    import inspect
+
+    from repro.metrics import QoEModel
+
+    def functions(path, name):
+        return [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+
+    (batch,) = functions(SRC / "streaming" / "abr.py", "_batch_plan_values")
+    (plan,) = functions(SRC / "metrics" / "qoe.py", "plan_values")
+    for fn in (batch, plan):
+        slow = called_names(fn) & {"broadcast_arrays", "broadcast_to", "stack", "zeros"}
+        assert not slow, (fn.name, slow)
+    assert list(inspect.signature(QoEModel.plan_values).parameters) == [
+        "self", "qualities", "stalls", "prev_quality",
+    ]
+    topology = ast.parse((SRC / "net" / "topology.py").read_text())
+    assert "bincount" not in called_names(topology)
+    (alloc,) = functions(SRC / "net" / "topology.py", "_vec_alloc")
+    assert not called_names(alloc) & {"ravel", "astype", "tolist"}
+
+
 def test_reference_planner_shares_nothing_with_the_array_path():
     """Identifiers only — its docstrings may name what it is compared to."""
     path = Path(__file__).resolve().parent / "streaming" / "reference_planner.py"
