@@ -173,14 +173,18 @@ def run_octree_depth_sweep(
     """Measured kNN query time vs octree depth (why two layers).
 
     ``None`` in ``levels`` is the index's automatic depth (row ``auto``).
+    ``first_pass_share`` is the fraction of rows the ring-1 pass accepts
+    (``query_stats["passes"]``): what is left pays a second, wider search.
     """
     gt = make_video("longdress", n_points=scale.points_per_frame, n_frames=1).frame(0)
     pts = gt.positions
     table = ResultTable(
         title="Ablation: octree depth (measured self-query kNN)",
-        columns=["levels", "cells", "build_ms", "query_ms", "pairs_per_query"],
+        columns=[
+            "levels", "cells", "build_ms", "query_ms", "pairs_per_query", "first_pass_share",
+        ],
         notes="too shallow = little pruning (many distance pairs per query); "
-        "too deep = ring-expansion overhead.",
+        "too deep = ring-expansion overhead (first_pass_share falls).",
     )
     for lv in levels:
         t0 = time.perf_counter()
@@ -195,5 +199,6 @@ def run_octree_depth_sweep(
             build_ms=round(build_ms, 2),
             query_ms=round(query_ms, 2),
             pairs_per_query=round(index.query_stats["candidate_pairs"] / len(pts), 1),
+            first_pass_share=round(index.query_stats["passes"][0][2] / len(pts), 3),
         )
     return table

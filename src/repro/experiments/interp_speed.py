@@ -4,7 +4,10 @@ Two complementary views are produced:
 
 * **measured** — wall-clock of our actual Python implementations (octree +
   reuse vs brute force) at a tractable point count, demonstrating the
-  speed-up is real and structural;
+  speed-up is real and structural; the same ``interpolate`` call through
+  scipy's compiled ``cKDTree`` sits beside it (``kdtree_ms``), because what
+  the octree is *for* is the paper's §4.1 claim — cell pruning beats the
+  vanilla search — not beating a compiled tree from NumPy;
 * **device-modeled** — the op-count model at the paper's 100K-point frames
   on both device profiles, reporting the same axes as Fig. 11 (FPS per
   upsampling ratio).  The workload matches §7.3: a 100K-point frame is
@@ -35,34 +38,36 @@ def run_fig11_measured(
     repeats: int = 2,
     seed: int = 0,
 ) -> ResultTable:
-    """Measured interpolation wall-clock: octree backend vs brute force."""
+    """Measured interpolation wall-clock: octree backend vs brute force,
+    with the compiled kd-tree backend as the yardstick."""
     video = make_video("longdress", n_points=scale.points_per_frame, n_frames=1)
     low = video.frame(0)
     table = ResultTable(
         title="Fig 11 (measured): interpolation time, ours vs vanilla",
-        columns=["ratio", "n_input", "ours_ms", "vanilla_ms", "speedup"],
+        columns=["ratio", "n_input", "ours_ms", "vanilla_ms", "speedup", "kdtree_ms"],
         notes=(
             "pure-Python wall-clock, fixed input size (the octree's pruning "
             "advantage grows with input size; see the device model for "
-            "paper-scale FPS)."
+            "paper-scale FPS).  speedup = vanilla / ours, the paper's claim; "
+            "kdtree_ms is the same frame and call through scipy's compiled "
+            "cKDTree, the gap a NumPy kernel leaves (about 2x on the kNN alone)."
         ),
     )
     for ratio in ratios:
         n_in = len(low)
-        ours = vanilla = np.inf
+        best = dict.fromkeys(("octree", "brute", "kdtree"), np.inf)
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            interpolate(low, ratio, k=4, dilation=2, backend="octree", seed=seed)
-            ours = min(ours, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            interpolate(low, ratio, k=4, dilation=2, backend="brute", seed=seed)
-            vanilla = min(vanilla, time.perf_counter() - t0)
+            for backend in best:
+                t0 = time.perf_counter()
+                interpolate(low, ratio, k=4, dilation=2, backend=backend, seed=seed)
+                best[backend] = min(best[backend], time.perf_counter() - t0)
         table.add(
             ratio=ratio,
             n_input=n_in,
-            ours_ms=round(ours * 1e3, 2),
-            vanilla_ms=round(vanilla * 1e3, 2),
-            speedup=round(vanilla / ours, 2),
+            ours_ms=round(best["octree"] * 1e3, 2),
+            vanilla_ms=round(best["brute"] * 1e3, 2),
+            speedup=round(best["brute"] / best["octree"], 2),
+            kdtree_ms=round(best["kdtree"] * 1e3, 2),
         )
     return table
 

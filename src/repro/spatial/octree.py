@@ -18,21 +18,38 @@ shaped for NumPy:
   to a few hundred candidates instead of thousands.
 * **Cell-batched queries.**  Points are stored sorted by cell id, so the
   cells ``(i+di, j+dj, k-r … k+r)`` of a ring are one contiguous run and a
-  ring-``r`` region is ``(2r+1)²`` runs, found for every cell at once by two
-  ``searchsorted`` calls.  Queries are grouped by cell (a group shares its
-  candidates), ordered by candidate count and cut into blocks of at most
-  ``BLOCK_PAIRS`` query×candidate pairs of similar width.  A block is one
-  padded ``(rows, width)`` pass of a difference-based distance kernel —
-  per-axis gathers, ``(q − p)²`` summed, no ``‖q‖² − 2q·p + ‖p‖²``
-  cancellation — whose temporaries are 256 KiB each whatever the cloud.
+  ring-``r`` region is ``(2r+1)²`` runs.  A table of every cell's start in
+  that order (``cells³ + 1`` offsets, 256 KiB at 32 cells per axis) makes a
+  run two gathers; only an explicit ``levels`` past the automatic range,
+  whose table would pass 2²¹ entries, bisects the sorted ids instead.
+  Queries are grouped by cell (a group shares its candidates), ordered by
+  candidate count and cut into blocks of at most ``BLOCK_PAIRS``
+  query×candidate pairs of similar width.  A block is one padded
+  ``(rows, width)`` pass of a difference-based distance kernel — per-axis
+  gathers, ``(q − p)²`` summed, no ``‖q‖² − 2q·p + ‖p‖²`` cancellation —
+  whose temporaries are 256 KiB each whatever the cloud.
+* **k-pass selection.**  The k nearest of a row are k passes of ``argmin``
+  over the block, each winner read and then retired with +inf, so they come
+  out in distance order with no partition, sort or reorder.  ``argmin``
+  streams at 0.15–0.4 ns per element where ``argpartition`` pays 3–6 at a
+  ring's widths, so k passes win while k stays small: against the partition
+  kernel a 6,000-point self-query runs ×2.0 at k = 1, ×1.5 at 9, ×1.1–1.3 at
+  16, even near 32 and ×0.5–0.7 at 64 (every caller here asks for ≤ 17).
+  Measured on 32k-pair blocks a pass of the whole kernel costs ≈ 0.4 µs per
+  row + ≈ 8 ns per pair — set-up-bound at the widths a ring produces, which
+  is why pruning more pairs (a dense-cell sub-layer, a ring sized by its
+  ring-1 count) moved the wall by −3 … +15 % and was not kept (ROADMAP 2).
+* **Ties.**  Equidistant candidates come out in candidate-slot order — the
+  ring's run order, then cell-sorted position — which is fixed by the query's
+  own cell and accepted ring: a point's neighbours do not depend on what
+  else is in the batch.
 * **Exactness.**  A row is accepted only when its k-th distance is no larger
-  than the distance to the boundary of the searched region; the rest retry
-  with a wider ring and, past ``MAX_RING``, against every point.
+  than the distance to the boundary of the searched region — one comparison
+  and one scatter per pass; the rest retry with a wider ring and, past
+  ``MAX_RING``, against every point.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -55,7 +72,9 @@ class TwoLayerOctree(KnnBackend):
         an explicit value for the index-depth ablation.
 
     ``query_stats`` holds the last query's counters: ``ring_passes``,
-    ``candidate_pairs`` (distances computed) and ``exhaustive_rows``.
+    ``candidate_pairs`` (distances computed), ``exhaustive_rows`` and
+    ``passes``, one ``(ring, rows, accepted, candidate_pairs)`` per pass in
+    order (the exhaustive pass reports ``cells_per_axis`` as its ring).
     """
 
     name = "octree"
@@ -84,6 +103,14 @@ class TwoLayerOctree(KnnBackend):
         flat = self._flat(self._cell_of(pts))
         self._order = np.argsort(flat, kind="stable")
         self._sorted_flat = flat[self._order]
+        # Where each cell's points start in cell-sorted order, cells³ + 1
+        # entries (16 MiB at the deepest automatic level); an explicit deeper
+        # grid keeps none and ``_ring_runs`` bisects ``_sorted_flat`` instead.
+        self._cell_start = None
+        if self.levels <= self.MAX_AUTO_LEVELS:
+            self._cell_start = np.zeros(self.cells_per_axis ** 3 + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=self.cells_per_axis ** 3),
+                      out=self._cell_start[1:])
         # Cell-sorted coordinates, one contiguous array per axis, with a
         # trailing +inf that padded candidate slots point at.
         self._axes = [np.append(pts[self._order, a], np.inf) for a in range(3)]
@@ -122,22 +149,27 @@ class TwoLayerOctree(KnnBackend):
     def _ring_runs(self, cells: np.ndarray, ring: int) -> tuple[np.ndarray, np.ndarray]:
         """Cell-sorted point ranges ``[start, stop)`` covering each cell's ring.
 
-        ``cells`` is ``(g, 3)``, sorted by cell id; the result is two
-        ``(g, (2·ring+1)²)`` arrays.  Cells along the last axis have
-        consecutive ids, so each ``(di, dj)`` column of the ring is a single
-        run; columns off the grid are empty.
+        ``cells`` is ``(g, 3)``; the result is two ``(g, (2·ring+1)²)``
+        arrays.  Cells along the last axis have consecutive ids, so each
+        ``(di, dj)`` column of the ring is a single run; columns off the grid
+        are empty.
         """
         c = self.cells_per_axis
         r = np.arange(-ring, ring + 1)
-        # (runs, g) layout: along g the ids rise with the cells, and
-        # ``searchsorted`` is several times faster on rising needles
-        ij = cells[None, :, :2] + np.stack(np.meshgrid(r, r, indexing="ij"), -1).reshape(-1, 1, 2)
+        ij = cells[:, None, :2] + np.stack(np.meshgrid(r, r, indexing="ij"), -1).reshape(-1, 2)
         inside = ((ij >= 0) & (ij < c)).all(axis=-1)
         base = (ij[..., 0] * c + ij[..., 1]) * c
-        k = cells[None, :, 2]
-        start = np.searchsorted(self._sorted_flat, base + np.maximum(k - ring, 0), "left")
-        stop = np.searchsorted(self._sorted_flat, base + np.minimum(k + ring, c - 1), "right")
-        return start.T, np.where(inside, stop, start).T
+        k = cells[:, 2, None]
+        first, last = base + np.maximum(k - ring, 0), base + np.minimum(k + ring, c - 1)
+        if self._cell_start is None:  # a grid too fine for the table: bisect
+            start = np.searchsorted(self._sorted_flat, first, "left")
+            stop = np.searchsorted(self._sorted_flat, last, "right")
+            return start, np.where(inside, stop, start)
+        # two gathers per column; an off-grid column reads entry 0 twice
+        return (
+            self._cell_start[np.where(inside, first, 0)],
+            self._cell_start[np.where(inside, last + 1, 0)],
+        )
 
     def _boundary_distances(self, q: np.ndarray, cells: np.ndarray, ring: int) -> np.ndarray:
         """Distance from each query to the boundary of its searched region.
@@ -152,26 +184,41 @@ class TwoLayerOctree(KnnBackend):
         hi_margin = np.where(hi_cell < c, self._lo + hi_cell * self._cell_size - q, np.inf)
         return np.minimum(lo_margin, hi_margin).min(axis=1)
 
-    def _block_knn(self, q: np.ndarray, cand: np.ndarray, group: np.ndarray, k: int):
-        """k nearest of ``cand[group[i]]`` (cell-sorted positions) for each ``q[i]``."""
-        d2 = None
+    def _block_knn(self, q, cand, group, k: int, work):
+        """k nearest of ``cand[group[i]]`` (cell-sorted positions) for each
+        ``q[i]``, nearest first, as ``(k, rows)`` positions and *squared*
+        distances; equidistant candidates in slot order.  ``work`` is three
+        flat float64 buffers of at least ``rows × width`` elements."""
+        rows, width = len(q), cand.shape[1]
+        shared, d2, diff = (
+            buf[: m * width].reshape(m, width) for buf, m in zip(work, (len(cand), rows, rows))
+        )
         for a, coords in enumerate(self._axes):
-            diff = coords[cand][group]
-            diff -= q[:, a, None]
-            diff *= diff
-            d2 = diff if d2 is None else np.add(d2, diff, out=d2)
-        del diff  # a block-sized temporary the selection below can reuse
-        row = np.arange(len(q))[:, None]
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        pd = d2[row, part]
-        by_dist = np.argsort(pd, axis=1, kind="stable")
-        return cand[group[:, None], part[row, by_dist]], np.sqrt(pd[row, by_dist])
+            out = diff if a else d2
+            coords.take(cand, out=shared, mode="clip")  # one gather per group,
+            shared.take(group, axis=0, out=out, mode="clip")  # copied to its rows
+            out -= q[:, a, None]
+            out *= out
+            if a:
+                d2 += diff
+        flat = d2.reshape(-1)
+        row0 = np.arange(0, rows * width, width)
+        slot = np.empty((k, rows), dtype=np.int64)
+        near = np.empty((k, rows))
+        for j in range(k):
+            # first minimum of every row, then retired for the next pass
+            np.add(d2.argmin(axis=1), row0, out=slot[j])
+            flat.take(slot[j], out=near[j], mode="clip")
+            flat[slot[j]] = np.inf
+        slot += group * width - row0  # slot of d2 -> slot of cand
+        return cand.reshape(-1).take(slot), near
 
-    def _scan(self, q, group, start, stop, k: int) -> Iterator[tuple[np.ndarray, ...]]:
-        """Blocks of ``(rows, positions, distances)``: each ``q[rows]`` against
-        the runs ``start[g]:stop[g]`` of its group ``g = group[row]``.
+    def _scan(self, q, group, start, stop, k: int):
+        """``(rows, positions, distances, pairs)``: each ``q[rows]`` against the
+        runs ``start[g]:stop[g]`` of its group ``g = group[row]``, the results
+        ``(k, len(rows))``, ``pairs`` the distances computed.
 
-        Rows whose runs hold fewer than ``k`` points are not yielded.
+        Rows whose runs hold fewer than ``k`` points are left out.
         """
         n = len(self.points)
         # Groups in order of candidate count and rows in order of group, so a
@@ -190,8 +237,15 @@ class TwoLayerOctree(KnnBackend):
         run_end = np.cumsum(run_len)
         ragged = np.arange(run_end[-1]) + np.repeat(start.ravel() - (run_end - run_len), run_len)
         offset = np.concatenate([[0], np.cumsum(count)])
-        lo = int(np.searchsorted(width, k))
-        self.query_stats["candidate_pairs"] += int(width[lo:].sum())
+        enough = int(np.searchsorted(width, k))  # narrower rows cannot hold k
+        rows, group, width = rows[enough:], group[enough:], width[enough:]
+        pos = np.empty((k, len(rows)), dtype=np.int64)
+        d2 = np.empty((k, len(rows)))
+        # The kernel's block-sized temporaries, allocated once per pass: fresh
+        # 256 KiB arrays per block can page-fault for longer than the
+        # arithmetic that fills them takes (measured ×2.5 on 3,000-wide rows).
+        work = np.empty((3, max(self.BLOCK_PAIRS, width.max(initial=0))))
+        lo = 0
         while lo < len(rows):
             # rows lo:hi, padded to the last one's width, fit BLOCK_PAIRS and
             # are at most half again as wide as the first (both monotone)
@@ -199,14 +253,15 @@ class TwoLayerOctree(KnnBackend):
             fits = (np.arange(1, len(w) + 1) * w <= self.BLOCK_PAIRS) & (2 * w <= 3 * w[0])
             hi = lo + max(int(np.count_nonzero(fits)), 1)
             g0, g1 = group[lo], group[hi - 1] + 1
-            sizes = count[g0:g1]
-            cand = np.full((g1 - g0, width[hi - 1]), n, dtype=np.int64)
-            cand[
-                np.repeat(np.arange(g1 - g0), sizes),
-                np.arange(offset[g1] - offset[g0]) - np.repeat(offset[g0:g1] - offset[g0], sizes),
-            ] = ragged[offset[g0] : offset[g1]]
-            yield rows[lo:hi], *self._block_knn(q[rows[lo:hi]], cand, group[lo:hi] - g0, k)
+            # the groups' lists side by side, short ones padded with n
+            slots = np.arange(width[hi - 1])
+            cand = ragged.take(offset[g0:g1, None] + slots, mode="clip")
+            cand[slots >= count[g0:g1, None]] = n
+            pos[:, lo:hi], d2[:, lo:hi] = self._block_knn(
+                q[rows[lo:hi]], cand, group[lo:hi] - g0, k, work
+            )
             lo = hi
+        return rows, pos, np.sqrt(d2, out=d2), int(width.sum())
 
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact kNN for each query point."""
@@ -217,7 +272,9 @@ class TwoLayerOctree(KnnBackend):
         out_dist = np.empty((len(qrs), k), dtype=np.float64)
         qcell = self._cell_of(qrs)
         qflat = self._flat(qcell)
-        stats = self.query_stats = {"ring_passes": 0, "candidate_pairs": 0, "exhaustive_rows": 0}
+        stats = self.query_stats = {
+            "ring_passes": 0, "candidate_pairs": 0, "exhaustive_rows": 0, "passes": [],
+        }
 
         pending = np.arange(len(qrs))
         ring = 1
@@ -234,16 +291,15 @@ class TwoLayerOctree(KnnBackend):
                 start, stop = self._ring_runs(qcell[pending[first]], ring)
                 stats["ring_passes"] += 1
             q = qrs[pending]
-            margin = self._boundary_distances(q, qcell[pending], ring)
-            accepted = np.zeros(len(pending), dtype=bool)
-            for rows, pos, dist in self._scan(q, group, start, stop, k):
-                # the k-th neighbour is provably inside the searched region
-                inside = dist[:, -1] <= margin[rows]
-                done = rows[inside]
-                accepted[done] = True
-                out_pos[pending[done]] = pos[inside]
-                out_dist[pending[done]] = dist[inside]
-            pending = pending[~accepted]
+            rows, pos, dist, pairs = self._scan(q, group, start, stop, k)
+            # the k-th neighbour is provably inside the searched region
+            inside = dist[-1] <= self._boundary_distances(q[rows], qcell[pending[rows]], ring)
+            done = rows[inside]
+            out_pos[pending[done]] = pos[:, inside].T
+            out_dist[pending[done]] = dist[:, inside].T
+            stats["candidate_pairs"] += pairs
+            stats["passes"].append((ring, len(pending), len(done), pairs))
+            pending = np.delete(pending, done)
             ring += 1
         return self._order[out_pos], out_dist
 

@@ -78,3 +78,11 @@ class TestOctreeDepthSweep:
         pairs = t.column("pairs_per_query")
         assert pairs == sorted(pairs, reverse=True)
         assert t.lookup(levels=1)["pairs_per_query"] == TINY.points_per_frame
+
+    def test_first_pass_share_falls_with_depth(self):
+        """One ring of a 2×2×2 grid is the whole cloud; deeper cells leave
+        more rows to a second, wider pass."""
+        t = run_octree_depth_sweep(TINY, levels=(1, 3, 5))
+        share = t.column("first_pass_share")
+        assert share[0] == 1.0
+        assert share == sorted(share, reverse=True) and 0.0 <= share[-1] < 1.0

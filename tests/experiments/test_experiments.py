@@ -91,6 +91,8 @@ class TestFig11:
     def test_measured_octree_wins_at_scale(self):
         t = run_fig11_measured(SMOKE, ratios=(2.0,), repeats=1)
         assert t.rows[0]["speedup"] > 1.5
+        # the compiled yardstick is reported, not asserted against
+        assert t.columns[-1] == "kdtree_ms" and t.rows[0]["kdtree_ms"] > 0
 
     def test_device_model_speedups_in_paper_band(self):
         t = run_fig11_device()

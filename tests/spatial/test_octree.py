@@ -1,4 +1,5 @@
-"""Cell-batched octree: exactness against the kd-tree oracle, structure, memory."""
+"""Cell-batched octree: exactness against the kd-tree oracle and against its
+own predecessor (``reference_octree``), batch independence, structure, memory."""
 
 import tracemalloc
 
@@ -11,6 +12,7 @@ from repro.pointcloud import make_video
 from repro.spatial import TwoLayerOctree, kdtree_knn
 from repro.streaming.encoder import decode_frame_compressed, encode_frame_compressed
 
+from .reference_octree import ReferenceOctree
 from .test_knn import assert_same_neighbors
 
 #: octree distances are difference-based, like the kd-tree's
@@ -23,6 +25,34 @@ def decoded_frame() -> np.ndarray:
     frame = make_video("longdress", n_points=12_000, n_frames=1).frame(0)
     payload = encode_frame_compressed(frame, 0.5, depth=10, seed=0)
     return decode_frame_compressed(payload).positions
+
+
+@pytest.fixture(scope="module")
+def bench_frames() -> dict:
+    """The benchmark's eight frame shapes: its four videos at 12,000 points,
+    decoded at density 0.5 (the ×2 client, ~6,000 points) and 0.125 (×8)."""
+    frames = {}
+    for vi, name in enumerate(("longdress", "loot", "haggle", "lab")):
+        frame = make_video(name, n_points=12_000, n_frames=1, seed=11).frame(0)
+        for density in (0.5, 0.125):
+            payload = encode_frame_compressed(frame, density, depth=10, seed=11_000 + 100 * vi)
+            frames[name, density] = decode_frame_compressed(payload).positions
+    return frames
+
+
+def assert_matches_reference(pts, queries, k, levels=None):
+    """Distances bit-equal to the PR 13 kernel's, the same pruning, and the
+    same indices on every row whose k + 1 nearest distances are distinct."""
+    oc, ref = TwoLayerOctree(pts, levels=levels), ReferenceOctree(pts, levels=levels)
+    idx, dist = oc.query(queries, k)
+    ref_idx, ref_dist = ref.query(queries, k)
+    assert np.array_equal(dist, ref_dist)
+    for key in ("ring_passes", "candidate_pairs", "exhaustive_rows"):
+        assert oc.query_stats[key] == ref.query_stats[key]
+    wider = ref.query(queries, min(k + 1, len(pts)))[1]
+    untied = (np.diff(wider, axis=1) > 0).all(axis=1)
+    assert np.array_equal(idx[untied], ref_idx[untied])
+    return oc
 
 
 def assert_matches_kdtree(pts, queries, k, **index_kwargs):
@@ -111,6 +141,57 @@ class TestExactness:
             assert sorted(row.tolist()) == list(range(9))
 
 
+class TestBatchIndependence:
+    """A point's neighbours are its own: among equidistant candidates the
+    kernel keeps candidate-slot order, fixed by the query's cell and ring.
+    (``argpartition``'s choice moved with the padded block width — on this
+    frame 14 tied rows answered differently alone and 45 rows across five
+    sub-batches.)"""
+
+    def test_tied_rows_answer_the_same_alone_and_in_any_batch(self, decoded_frame):
+        pts = decoded_frame
+        oc = TwoLayerOctree(pts)
+        idx, dist = oc.query(pts, 9)
+        wider = oc.query(pts, 10)[1]
+        tied = np.flatnonzero((np.diff(wider, axis=1) == 0).any(axis=1))
+        assert len(tied) > 50  # a decoded lattice has exact ties
+        for i in tied:
+            alone_idx, alone_dist = oc.query(pts[i : i + 1], 9)
+            assert np.array_equal(alone_idx[0], idx[i])
+            assert np.array_equal(alone_dist[0], dist[i])
+        g = np.random.default_rng(0)
+        for _ in range(5):
+            sub = np.sort(g.choice(len(pts), len(pts) // 3, replace=False))
+            sub_idx, sub_dist = oc.query(pts[sub], 9)
+            assert np.array_equal(sub_idx, idx[sub])
+            assert np.array_equal(sub_dist, dist[sub])
+
+
+class TestReferenceParity:
+    """The predecessor kernel (``argpartition`` + stable sort, ``searchsorted``
+    runs, per-block acceptance) is the oracle of the rewrite."""
+
+    def test_bench_frame_shapes(self, bench_frames):
+        assert len(bench_frames) == 8
+        for pts in bench_frames.values():
+            oc = assert_matches_reference(pts, pts, 9)
+            assert oc.query_stats["exhaustive_rows"] == 0
+            assert_matches_kdtree(pts, pts[::4], 9)
+
+    @pytest.mark.parametrize("levels", [1, 3, 7, 8, 12])
+    def test_explicit_depths_with_and_without_the_table(self, bench_frames, levels):
+        pts = bench_frames["haggle", 0.125]
+        oc = assert_matches_reference(pts, pts[::3], 5, levels=levels)
+        assert (oc._cell_start is None) == (levels > TwoLayerOctree.MAX_AUTO_LEVELS)
+
+    def test_external_and_single_cell_queries(self, small_frame):
+        pts = small_frame.positions
+        g = np.random.default_rng(8)
+        assert_matches_reference(pts, g.uniform(-3, 3, (200, 3)), 4)
+        assert_matches_reference(pts, pts[5] + g.uniform(0, 1e-4, (100, 3)), 6)
+        assert_matches_reference(pts[:9], pts[:9], 9)
+
+
 class TestStructure:
     def test_two_layers_give_64_cells(self, small_frame):
         oc = TwoLayerOctree(small_frame.positions, levels=2)
@@ -163,6 +244,32 @@ class TestStructure:
         assert shallow.query_stats["candidate_pairs"] == len(pts) ** 2
         assert first["candidate_pairs"] < len(pts) ** 2 / 4
 
+    def test_query_stats_say_what_each_pass_did(self, small_frame):
+        pts = small_frame.positions
+        oc = TwoLayerOctree(pts)
+        oc.query(np.vstack([pts, pts[:7] + 50.0]), 5)
+        stats = oc.query_stats
+        rings, rows, accepted, pairs = zip(*stats["passes"])
+        assert rings[:-1] == tuple(range(1, stats["ring_passes"] + 1))
+        assert rings[-1] == oc.cells_per_axis  # the exhaustive pass
+        assert rows[0] == len(pts) + 7 and rows[-1] == stats["exhaustive_rows"] == 7
+        assert all(r - a == nxt for r, a, nxt in zip(rows, accepted, rows[1:]))
+        assert sum(accepted) == len(pts) + 7
+        assert sum(pairs) == stats["candidate_pairs"] and pairs[-1] == 7 * len(pts)
+
+    def test_first_ring_settles_most_of_a_bench_frame(self, bench_frames):
+        """Read off a run what the next lever could be: on the ×2 frames the
+        first ring accepts 0.73–0.95 of the rows and no row needs a fourth."""
+        for (_, density), pts in bench_frames.items():
+            if density != 0.5:
+                continue
+            oc = TwoLayerOctree(pts)
+            oc.query(pts, 9)
+            (_, rows, accepted, _), *_ = oc.query_stats["passes"]
+            assert accepted / rows >= 0.65
+            assert oc.query_stats["ring_passes"] <= 3
+            assert oc.query_stats["exhaustive_rows"] == 0
+
     def test_invalid_levels(self, small_frame):
         with pytest.raises(ValueError):
             TwoLayerOctree(small_frame.positions, levels=0)
@@ -200,6 +307,24 @@ class TestMemory:
         assert len(decoded_frame) > 5_900
         peak = self._peak(lambda: TwoLayerOctree(decoded_frame).query(decoded_frame, 9))
         assert peak < self.LIMIT
+
+    def test_deep_explicit_grid_builds_no_offset_table(self):
+        """The cell-offset table stops at the automatic depths (2**21 + 1
+        entries); a deeper explicit grid bisects and stays small."""
+        g = np.random.default_rng(9)
+        pts = g.uniform(0, 1, (500, 3))
+        built = []
+        assert self._peak(lambda: built.append(TwoLayerOctree(pts, levels=12))) < 2**20
+        (deep,) = built
+        assert deep._cell_start is None
+        auto = TwoLayerOctree(pts)
+        assert len(auto._cell_start) == auto.cells_per_axis ** 3 + 1
+        for k in (1, 9):
+            idx, dist = deep.query(pts, k)
+            auto_idx, auto_dist = auto.query(pts, k)
+            assert np.array_equal(dist, auto_dist)
+            assert np.array_equal(idx, auto_idx)  # a uniform cloud has no ties
+        assert TwoLayerOctree(pts, levels=20).cells_per_axis == 2**20
 
     def test_exhaustive_fallback(self):
         """Clusters smaller than k: no ring holds k points, every row falls
@@ -248,3 +373,22 @@ def test_depth_does_not_change_distances_property(seed, n, k):
     for levels in range(1, 6):
         _, d = TwoLayerOctree(pts, levels=levels).query(q, k)
         assert np.array_equal(d, d_auto)
+
+
+@given(
+    seed=st.integers(0, 500),
+    n=st.integers(12, 400),
+    k=st.integers(1, 12),
+    levels=st.sampled_from([None, 1, 2, 3, 5, 9]),
+    lattice=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_reference_parity_property(seed, n, k, levels, lattice):
+    """Both clouds of the properties above — anisotropic Gaussian, and rounded
+    to a lattice so distances tie — through the rewrite and its predecessor."""
+    g = np.random.default_rng(seed)
+    pts = g.normal(0, 1, (n, 3)) * g.uniform(0.1, 3.0, 3)
+    if lattice:
+        pts = np.round(pts, 2)
+    q = np.vstack([pts[: n // 2], g.normal(0, 2.0, (7, 3))])
+    assert_matches_reference(pts, q, min(k, n), levels=levels)

@@ -126,6 +126,14 @@ def called_names(node) -> set[str]:
     }
 
 
+def functions(path, name):
+    """Every ``def name`` in the file, at any depth."""
+    return [
+        node for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+
+
 def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch():
     """The two bodies a fleet step lives in keep their array-call diet:
     the planner shapes its tensors where it caches them (no per-call
@@ -136,12 +144,6 @@ def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch():
     import inspect
 
     from repro.metrics import QoEModel
-
-    def functions(path, name):
-        return [
-            node for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.FunctionDef) and node.name == name
-        ]
 
     (batch,) = functions(SRC / "streaming" / "abr.py", "_batch_plan_values")
     (plan,) = functions(SRC / "metrics" / "qoe.py", "plan_values")
@@ -155,6 +157,36 @@ def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch():
     assert "bincount" not in called_names(topology)
     (alloc,) = functions(SRC / "net" / "topology.py", "_vec_alloc")
     assert not called_names(alloc) & {"ravel", "astype", "tolist"}
+
+
+def test_octree_selects_by_argmin_passes_through_one_kernel():
+    """The partition kernel lives in ``tests/spatial/reference_octree.py``,
+    which takes nothing from production but ``KnnBackend``; ``octree.py``
+    keeps one ``_block_knn`` / ``_ring_runs`` / ``query`` and its constants."""
+    import inspect
+
+    from repro.spatial import TwoLayerOctree
+
+    octree = SRC / "spatial" / "octree.py"
+    assert "argpartition" not in called_names(ast.parse(octree.read_text()))
+    (block,), (_,), (_,) = (functions(octree, n) for n in ("_block_knn", "_ring_runs", "query"))
+    assert "argsort" not in called_names(block) and "argmin" in called_names(block)
+    assert list(inspect.signature(TwoLayerOctree).parameters) == ["points", "levels"]
+    assert (TwoLayerOctree.BLOCK_PAIRS, TwoLayerOctree.TARGET_OCCUPANCY) == (1 << 15, 8)
+    assert (TwoLayerOctree.MAX_RING, TwoLayerOctree.MAX_AUTO_LEVELS) == (3, 7)
+    assert len(octree.read_text().splitlines()) < 320
+
+    oracle = ast.parse(
+        (Path(__file__).resolve().parent / "spatial" / "reference_octree.py").read_text()
+    )
+    from_repro = {
+        (node.module, alias.name)
+        for node in ast.walk(oracle)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("repro")
+        for alias in node.names
+    }
+    assert from_repro == {("repro.spatial.knn", "KnnBackend")}
+    assert "argpartition" in called_names(oracle)
 
 
 def test_reference_planner_shares_nothing_with_the_array_path():
