@@ -20,8 +20,12 @@ The prune is a k-pass select, not a sort:
 1. cut the rows into blocks of ``_BLOCK_ROWS``;
 2. per block, lay the candidates out once as ``(rows, 2 + 2·k_src)`` —
    columns ``parent_a``, ``parent_b``, ``N(parent_a)``, ``N(parent_b)``;
-3. squared distances by one gather per axis from contiguous x / y / z,
-   accumulated in place (no ``(rows, width, 3)`` array exists);
+3. squared distances ``(dx² + dy²) + dz²`` by one gather per axis from
+   contiguous x / y / z (the block's targets transposed to contiguous rows
+   too), accumulated in place (no ``(rows, width, 3)`` array exists) — so
+   the last returned distance is bit for bit Eq. 3's radius ``R`` of the
+   returned neighbours, which ``PositionEncoder.encode`` accepts instead of
+   measuring it again;
 4. ``k`` times: ``argmin`` along the row, record the winner, then set the
    distance of *every* column holding the winner's index to ``inf`` — one
    equality compare retires the winner and all its duplicates (the parents'
@@ -70,6 +74,27 @@ def _parent_indices(parent: np.ndarray, what: str, m: int, n: int) -> np.ndarray
     return parent
 
 
+def _neighbor_lists(neighbor_idx: np.ndarray, n: int) -> np.ndarray:
+    neighbor_idx = np.asarray(neighbor_idx)
+    if neighbor_idx.ndim != 2 or len(neighbor_idx) != n:
+        raise ValueError(
+            f"neighbor_idx must be ({n}, k_src) to match points, "
+            f"got {neighbor_idx.shape}"
+        )
+    if neighbor_idx.size == 0:
+        return neighbor_idx
+    if not np.issubdtype(neighbor_idx.dtype, np.integer):
+        row, col = 0, 0  # every entry is mistyped; name the first
+    elif 0 <= neighbor_idx.min() and neighbor_idx.max() < n:
+        return neighbor_idx
+    else:
+        row, col = np.argwhere((neighbor_idx < 0) | (neighbor_idx >= n))[0]
+    raise ValueError(
+        f"neighbor_idx row {row} holds {neighbor_idx[row, col].item()!r}; "
+        f"indices must be integers in [0, {n})"
+    )
+
+
 def merge_and_prune(
     new_points: np.ndarray,
     points: np.ndarray,
@@ -107,7 +132,8 @@ def merge_and_prune(
     ValueError
         ``new_points`` / ``points`` not finite ``(·, 3)``; ``parent_a`` /
         ``parent_b`` not ``(m,)`` or outside ``[0, n)``; ``neighbor_idx``
-        not ``(n, k_src)``; ``k`` not positive or above the ``2 + 2·k_src``
+        not ``(n, k_src)`` integers in ``[0, n)`` (names the first bad row
+        and its value); ``k`` not positive or above the ``2 + 2·k_src``
         candidate columns; or a row with fewer than ``k`` *distinct*
         candidates (names the first such row and its count).
     """
@@ -116,12 +142,7 @@ def merge_and_prune(
     m, n = len(new_points), len(points)
     parent_a = _parent_indices(parent_a, "parent_a", m, n)
     parent_b = _parent_indices(parent_b, "parent_b", m, n)
-    neighbor_idx = np.asarray(neighbor_idx)
-    if neighbor_idx.ndim != 2 or len(neighbor_idx) != n:
-        raise ValueError(
-            f"neighbor_idx must be ({n}, k_src) to match points, "
-            f"got {neighbor_idx.shape}"
-        )
+    neighbor_idx = _neighbor_lists(neighbor_idx, n)
     k_src = neighbor_idx.shape[1]
     width = 2 + 2 * k_src
     if k <= 0:
@@ -140,10 +161,11 @@ def merge_and_prune(
         cand[:, 1] = b
         cand[:, 2 : 2 + k_src] = neighbor_idx[a]
         cand[:, 2 + k_src :] = neighbor_idx[b]
+        targets = new_points[lo:hi].T.copy()
         d2 = None
         for axis, coords in enumerate(axes):
             diff = coords[cand]
-            diff -= new_points[lo:hi, axis, None]
+            diff -= targets[axis, :, None]
             diff *= diff
             d2 = diff if d2 is None else np.add(d2, diff, out=d2)
         row = np.arange(hi - lo)

@@ -15,7 +15,32 @@ from ..pointcloud.cloud import PointCloud
 from ..spatial.knn import get_backend
 from .interpolation import InterpolationResult
 
-__all__ = ["colorize_by_parent", "colorize_by_nearest"]
+__all__ = ["colorize_by_parent", "colorize_by_nearest", "nearer_parent"]
+
+
+def nearer_parent(source_positions: np.ndarray, interp: InterpolationResult) -> np.ndarray:
+    """``(m,)`` index of each new point's nearer parent; ``parent_a`` on a tie.
+
+    Distances are ``sqrt((dx² + dy²) + dz²)`` summed per axis from
+    contiguous coordinate columns — the value ``np.linalg.norm`` returns
+    for a row, without its ``(m, 3)`` temporaries.  The square root stays:
+    off the codec's lattice a midpoint's two squared distances usually
+    differ in the last bit, a few per thousand of them round to the same
+    distance, and that tie goes to ``parent_a``.
+    """
+    pa, pb = interp.parent_a, interp.parent_b
+    new = interp.new_positions
+    da = db = None
+    for axis in range(3):
+        coords = np.ascontiguousarray(source_positions[:, axis])
+        target = np.ascontiguousarray(new[:, axis])
+        xa = coords[pa] - target
+        xa *= xa
+        xb = coords[pb] - target
+        xb *= xb
+        da = xa if da is None else np.add(da, xa, out=da)
+        db = xb if db is None else np.add(db, xb, out=db)
+    return np.where(np.sqrt(da, out=da) <= np.sqrt(db, out=db), pa, pb)
 
 
 def colorize_by_parent(source: PointCloud, interp: InterpolationResult) -> PointCloud:
@@ -27,11 +52,7 @@ def colorize_by_parent(source: PointCloud, interp: InterpolationResult) -> Point
     """
     if not source.has_colors:
         return interp.upsampled.copy()
-    new_pos = interp.new_positions
-    pa, pb = interp.parent_a, interp.parent_b
-    da = np.linalg.norm(new_pos - source.positions[pa], axis=1)
-    db = np.linalg.norm(new_pos - source.positions[pb], axis=1)
-    nearest = np.where(da <= db, pa, pb)
+    nearest = nearer_parent(source.positions, interp)
     colors = np.vstack([source.colors, source.colors[nearest]])
     return PointCloud(interp.upsampled.positions.copy(), colors)
 

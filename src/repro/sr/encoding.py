@@ -103,7 +103,12 @@ class PositionEncoder:
         self.phase = float(phase)
 
     # ------------------------------------------------------------------
-    def encode(self, targets: np.ndarray, neighbors: np.ndarray) -> EncodedNeighborhood:
+    def encode(
+        self,
+        targets: np.ndarray,
+        neighbors: np.ndarray,
+        radius: np.ndarray | None = None,
+    ) -> EncodedNeighborhood:
         """Encode ``m`` neighborhoods.
 
         Parameters
@@ -112,17 +117,38 @@ class PositionEncoder:
             ``(m, 3)`` target (interpolated) points.
         neighbors:
             ``(m, rf_size - 1, 3)`` neighbor coordinates.
+        radius:
+            ``(m,)`` Eq. 3 radii ``R`` when the caller already holds them —
+            ``merge_and_prune``'s last distance column is exactly this value
+            for the neighbours it returned.  Computed here when omitted, as
+            ``sqrt((dx² + dy²) + dz²)`` maximised over the neighbours: the
+            prune's sum in the prune's order, so the two agree bit for bit.
         """
         targets = np.asarray(targets, dtype=np.float64)
         neighbors = np.asarray(neighbors, dtype=np.float64)
         if targets.ndim != 2 or targets.shape[1] != 3:
             raise ValueError(f"targets must be (m, 3), got {targets.shape}")
-        expected = (len(targets), self.rf_size - 1, 3)
+        m = len(targets)
+        expected = (m, self.rf_size - 1, 3)
         if neighbors.shape != expected:
             raise ValueError(f"neighbors must be {expected}, got {neighbors.shape}")
 
         rel = neighbors - targets[:, None, :]
-        radius = np.linalg.norm(rel, axis=2).max(axis=1)
+        if radius is None:
+            d2 = rel[..., 0] * rel[..., 0]
+            d2 += rel[..., 1] * rel[..., 1]
+            d2 += rel[..., 2] * rel[..., 2]
+            radius = np.sqrt(d2.max(axis=1))
+        else:
+            radius = np.asarray(radius, dtype=np.float64)
+            if radius.shape != (m,):
+                raise ValueError(f"radius must be ({m},), got {radius.shape}")
+            bad = ~((radius >= 0) & (radius < np.inf))  # NaN fails both
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise ValueError(
+                    f"radius row {row} is {radius[row]}; radii must be finite and >= 0"
+                )
         # Degenerate neighborhoods (all neighbors coincide with the target)
         # get radius 1 so normalization is a no-op instead of a div-by-zero.
         safe_r = np.where(radius > 0, radius, 1.0)

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..pointcloud.cloud import PointCloud
-from .colorize import colorize_by_nearest, colorize_by_parent
+from ..spatial.reuse import merge_and_prune
+from .colorize import colorize_by_nearest, nearer_parent
 from .interpolation import interpolate
 from .lut import EnsembleLUT, HashedLUT
-from .refine import LUTRefiner, NNRefiner, gather_refinement_neighborhoods
+from .refine import NNRefiner
 
 __all__ = ["StageTimes", "SRResult", "VolutUpsampler", "NaiveUpsampler"]
 
@@ -87,14 +88,21 @@ class VolutUpsampler:
         seed: int = 0,
     ):
         self.lut = lut
-        self.refiner = LUTRefiner(lut) if lut is not None else None
         self.k = int(k)
         self.dilation = int(dilation)
         self.backend = backend
         self._rng = np.random.default_rng(seed)
 
     def upsample(self, cloud: PointCloud, ratio: float) -> SRResult:
-        """Upsample ``cloud`` by ``ratio`` (continuous, ≥ 1)."""
+        """Upsample ``cloud`` by ``ratio`` (continuous, ≥ 1).
+
+        Byte for byte what ``interpolate`` → ``colorize_by_parent`` →
+        ``merge_and_prune`` → ``encode`` → ``lookup_normalized`` produce
+        called one by one, with two reuses: the prune's last distance column
+        is ``encode``'s Eq. 3 radius, and the output cloud is built once,
+        from one copy of the interpolated positions and the colors of the
+        nearer parents.
+        """
         times = StageTimes()
         interp = interpolate(
             cloud,
@@ -108,21 +116,26 @@ class VolutUpsampler:
         times.knn = interp.knn_seconds
         times.interpolation = interp.assembly_seconds
 
-        colored = colorize_by_parent(cloud, interp)
+        colors = cloud.colors
+        if colors is not None:
+            colors = np.vstack([colors, colors[nearer_parent(cloud.positions, interp)]])
         t2 = time.perf_counter()
         times.colorization = t2 - t1
 
-        if self.refiner is not None and interp.n_new > 0:
-            neighbors = gather_refinement_neighborhoods(
-                cloud.positions, interp, self.refiner.encoder.rf_size
+        positions = interp.upsampled.positions.copy()
+        if self.lut is not None and interp.n_new > 0:
+            encoder = self.lut.encoder
+            new = interp.new_positions
+            idx, dist = merge_and_prune(
+                new, cloud.positions, interp.parent_a, interp.parent_b,
+                interp.neighbor_idx, encoder.rf_size - 1,
             )
-            refined = self.refiner.refine(interp.new_positions, neighbors)
-            pos = colored.positions.copy()
-            pos[interp.n_source :] = refined
-            colored = PointCloud(pos, colored.colors)
-        t3 = time.perf_counter()
-        times.refinement = t3 - t2
-        return SRResult(cloud=colored, times=times)
+            enc = encoder.encode(new, cloud.positions[idx], radius=dist[:, -1])
+            offsets = self.lut.lookup_normalized(enc.normalized)
+            positions[interp.n_source :] = new + offsets * enc.radius[:, None]
+        out = PointCloud(positions, colors)
+        times.refinement = time.perf_counter() - t2
+        return SRResult(cloud=out, times=times)
 
 
 class NaiveUpsampler:

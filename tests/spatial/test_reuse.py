@@ -137,6 +137,23 @@ NB3_DEGENERATE = np.array([[1, 1], [0, 0], [0, 1]])
             np.array([[0.5, np.nan, 0.0]]), [0], [1], NB3, 2,
             "new_points row 0 is not finite", id="nan-new-point",
         ),
+        # NumPy would wrap -1 to the last point, raise a bare IndexError on
+        # 7, and truncate 1.5 to 1
+        pytest.param(
+            MID01, [0], [1], np.array([[1, -1], [0, 2], [0, 1]]), 2,
+            r"neighbor_idx row 0 holds -1; indices must be integers in \[0, 3\)",
+            id="neighbor=-1",
+        ),
+        pytest.param(
+            MID01, [0], [1], np.array([[1, 2], [0, 7], [0, 1]]), 2,
+            r"neighbor_idx row 1 holds 7; indices must be integers in \[0, 3\)",
+            id="neighbor-past-the-cloud",
+        ),
+        pytest.param(
+            MID01, [0], [1], np.array([[1.5, 2], [0, 2], [0, 1]]), 2,
+            r"neighbor_idx row 0 holds 1.5; indices must be integers in \[0, 3\)",
+            id="float-neighbor-list",
+        ),
         pytest.param(
             np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0]]), [0, 0], [2, 1],
             NB3_DEGENERATE, 3,

@@ -41,6 +41,52 @@ class TestVolutUpsampler:
         assert np.array_equal(r.cloud.positions, small_frame.positions)
 
 
+class TestComposedStages:
+    """Tier-1 twin of the repo benchmark's traced-round digest check
+    (``bench/wl_client.py::_traced_round``): the stages called one by one,
+    ``encode`` measuring its own radius, equal ``upsample`` byte for byte."""
+
+    @staticmethod
+    def composed(cloud, lut, ratio, rng):
+        from repro.pointcloud import PointCloud
+        from repro.spatial import merge_and_prune
+        from repro.sr import colorize_by_parent, interpolate
+
+        interp = interpolate(cloud, ratio, k=4, dilation=2, backend="octree", seed=rng)
+        colored = colorize_by_parent(cloud, interp)
+        new_pos = interp.new_positions
+        idx, _ = merge_and_prune(
+            new_pos, cloud.positions, interp.parent_a, interp.parent_b,
+            interp.neighbor_idx, lut.encoder.rf_size - 1,
+        )
+        enc = lut.encoder.encode(new_pos, cloud.positions[idx])
+        offsets = lut.lookup_normalized(enc.normalized)
+        pos = colored.positions.copy()
+        pos[interp.n_source :] = new_pos + offsets * enc.radius[:, None]
+        return PointCloud(pos, colored.colors)
+
+    @pytest.mark.parametrize(
+        "ratio, density", [(2.0, 0.5), (8.0, 0.125), (3.3, 0.5)], ids=["x2", "x8", "x3.3"]
+    )
+    def test_upsample_equals_the_composed_stages(self, trained_artifacts, ratio, density):
+        from repro.pointcloud import make_video
+        from repro.streaming.encoder import decode_frame_compressed, encode_frame_compressed
+
+        video = make_video("haggle", n_points=6_000, n_frames=2, seed=4)
+        clouds = [
+            decode_frame_compressed(encode_frame_compressed(video.frame(i), density, depth=10))
+            for i in range(2)
+        ]
+        lut = trained_artifacts.lut
+        up = VolutUpsampler(lut)  # seed 0, the benchmark's UPSAMPLER_SEED
+        rng = np.random.default_rng(0)
+        for cloud in clouds:  # two frames: a fractional ratio advances the RNG
+            got = up.upsample(cloud, ratio).cloud
+            want = self.composed(cloud, lut, ratio, rng)
+            assert got.positions.tobytes() == want.positions.tobytes()
+            assert got.colors.tobytes() == want.colors.tobytes()
+
+
 class TestQualityOrdering:
     def test_lut_refinement_improves_geometry(self, trained_artifacts):
         """VoLUT's central quality claim at module level: refined > raw interp."""

@@ -189,6 +189,35 @@ def test_octree_selects_by_argmin_passes_through_one_kernel():
     assert "argpartition" in called_names(oracle)
 
 
+def test_sr_tail_reuses_the_prunes_distances():
+    """``encode`` and ``colorize`` sum squares per axis (the ``linalg.norm``
+    formulas are ``tests/sr/reference_distances.py``), and
+    ``VolutUpsampler.upsample`` hands ``merge_and_prune``'s distances to
+    ``encode`` as Eq. 3's radius instead of letting it measure them again."""
+    for name in ("encoding.py", "colorize.py"):
+        assert "norm" not in called_names(ast.parse((SRC / "sr" / name).read_text())), name
+
+    (upsample,) = [
+        fn
+        for cls in ast.walk(ast.parse((SRC / "sr" / "pipeline.py").read_text()))
+        if isinstance(cls, ast.ClassDef) and cls.name == "VolutUpsampler"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "upsample"
+    ]
+    (prune,) = [
+        node for node in ast.walk(upsample)
+        if isinstance(node, ast.Assign) and "merge_and_prune" in called_names(node.value)
+    ]
+    _, distances = prune.targets[0].elts
+    (encode,) = [
+        node for node in ast.walk(upsample)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "encode"
+    ]
+    (radius,) = [kw.value for kw in encode.keywords if kw.arg == "radius"]
+    read = {n.id for n in ast.walk(radius) if isinstance(n, ast.Name)}
+    assert distances.id in read, ast.unparse(radius)
+
+
 def test_reference_planner_shares_nothing_with_the_array_path():
     """Identifiers only — its docstrings may name what it is compared to."""
     path = Path(__file__).resolve().parent / "streaming" / "reference_planner.py"
