@@ -1,17 +1,21 @@
 """Spatial indexing: kNN backends, two-layer octree, neighbor reuse."""
 
 from .knn import (
+    CLIENT_BACKEND,
     BruteBackend,
     KDTreeBackend,
     KnnBackend,
     brute_force_knn,
     get_backend,
     kdtree_knn,
+    ordered_query,
+    self_neighbors,
 )
 from .octree import TwoLayerOctree
 from .reuse import merge_and_prune, midpoint_neighbors
 
 __all__ = [
+    "CLIENT_BACKEND",
     "KnnBackend",
     "BruteBackend",
     "KDTreeBackend",
@@ -19,6 +23,8 @@ __all__ = [
     "brute_force_knn",
     "kdtree_knn",
     "get_backend",
+    "ordered_query",
+    "self_neighbors",
     "merge_and_prune",
     "midpoint_neighbors",
 ]

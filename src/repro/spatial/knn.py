@@ -7,7 +7,8 @@ shape ``(n_queries, k)`` sorted by increasing distance.
 
 * :func:`brute_force_knn` — exact, O(nq·n); the oracle used by tests and the
   "vanilla kNN" cost model in the paper's speed comparisons.
-* :func:`kdtree_knn` — scipy cKDTree; the fast exact reference.
+* :func:`kdtree_knn` — scipy cKDTree; the client's index
+  (:data:`CLIENT_BACKEND`).
 * :class:`TwoLayerOctree` (in :mod:`repro.spatial.octree`) — the paper's
   §4.1 cell-pruned search, a cell-batched NumPy index with its own distance
   kernel; the two above are its independent oracles.
@@ -15,10 +16,18 @@ shape ``(n_queries, k)`` sorted by increasing distance.
 Points and queries must be finite: a NaN or infinite coordinate raises
 ``ValueError`` naming the first offending row.
 
-When a query point coincides with an indexed point (self-queries during
-interpolation), callers that need *other* points should request ``k+1`` and
-remove the self index — with exact duplicates it need not be the first
-column; helpers here keep the raw semantics.
+**The tie contract.**  A backend's ``query`` breaks distance ties its own
+way (the octree by candidate slot, cKDTree by tree traversal), and on a
+decoded lattice ties are common.  :func:`ordered_query` defines the one
+answer: the ``k`` smallest by *(distance, index)*, in that order.  The
+octree and cKDTree both sum ``(dx² + dy²) + dz²`` per pair, so their
+distances are bit-equal and under the contract their indices are too; the
+brute backend's ``‖q‖² − 2q·p + ‖p‖²`` agrees only to rounding (1e-12 in
+squared distance), so its ties can fall differently.
+:func:`self_neighbors` is the self-query form every SR stage uses: with
+exact duplicates the query point need not be the first column, or fetched
+at all, and it is dropped wherever it sits.  ``query`` itself keeps the raw
+semantics.
 """
 
 from __future__ import annotations
@@ -26,7 +35,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["brute_force_knn", "kdtree_knn", "KnnBackend", "get_backend"]
+__all__ = [
+    "CLIENT_BACKEND", "brute_force_knn", "kdtree_knn", "KnnBackend", "get_backend",
+    "ordered_query", "self_neighbors",
+]
+
+#: The backend the client searches with — ``VolutUpsampler``, ``interpolate``
+#: and the GradPU / YuZu baselines, so fig17 compares architectures on one
+#: search substrate.  Compiled cKDTree outruns the NumPy octree (README, "What
+#: the octree is for"), which keeps the paper's §4.1 job: cell pruning against
+#: the vanilla search (fig11, the octree ablations).
+CLIENT_BACKEND = "kdtree"
 
 
 def as_finite_xyz(array: np.ndarray, what: str) -> np.ndarray:
@@ -162,3 +181,51 @@ def get_backend(name: str, points: np.ndarray) -> KnnBackend:
 
         return TwoLayerOctree(points)
     raise ValueError(f"unknown kNN backend {name!r}")
+
+
+def ordered_query(
+    index: KnnBackend, queries: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's ``k`` nearest indexed points by *(distance, index)*.
+
+    Fetches ``k + 1`` columns and re-sorts only the rows with two equal
+    adjacent distances.  A row whose k-th distance equals the last one
+    fetched may tie with points not fetched yet; those rows are asked again
+    with twice the columns until the tie is closed or every point is in.
+    """
+    n = len(index.points)
+    check_k(k, n)
+    queries = np.asarray(queries)
+    width = min(k + 1, n)
+    idx, dist = index.query(queries, width)
+    out_idx, out_dist = idx[:, :k], dist[:, :k]
+    rows = np.arange(len(idx))
+    while True:
+        tied = (dist[:, 1:] == dist[:, :-1]).any(axis=1)
+        straddles = (dist[:, k - 1] == dist[:, -1]) & (width < n)
+        fix = np.flatnonzero(tied & ~straddles)
+        if len(fix):
+            order = np.lexsort((idx[fix], dist[fix]))[:, :k]
+            out_idx[rows[fix]] = np.take_along_axis(idx[fix], order, axis=1)
+            out_dist[rows[fix]] = np.take_along_axis(dist[fix], order, axis=1)
+        rows = rows[straddles]
+        if not len(rows):
+            return out_idx, out_dist
+        width = min(2 * width, n)
+        idx, dist = index.query(queries[rows], width)
+
+
+def self_neighbors(index: KnnBackend, k: int) -> np.ndarray:
+    """``(n, k)``: each indexed point's ``k`` nearest *other* points, by the
+    tie contract.
+
+    Asks :func:`ordered_query` for ``k + 1`` and drops the point itself
+    wherever it sits — an exact duplicate with a smaller index ranks before
+    it — or, when more than ``k`` such duplicates push it out, the farthest.
+    """
+    n = len(index.points)
+    nb_idx, _ = ordered_query(index, index.points, k + 1)
+    is_self = nb_idx == np.arange(n)[:, None]
+    keep = ~is_self
+    keep[~is_self.any(axis=1), -1] = False
+    return nb_idx[keep].reshape(n, k)

@@ -39,10 +39,10 @@ shaped for NumPy:
   row + ≈ 8 ns per pair — set-up-bound at the widths a ring produces, which
   is why pruning more pairs (a dense-cell sub-layer, a ring sized by its
   ring-1 count) moved the wall by −3 … +15 % and was not kept (ROADMAP 2).
-* **Ties.**  Equidistant candidates come out in candidate-slot order — the
-  ring's run order, then cell-sorted position — which is fixed by the query's
-  own cell and accepted ring: a point's neighbours do not depend on what
-  else is in the batch.
+* **Ties.**  Equidistant candidates come out in candidate-slot order, fixed
+  by the query's own cell and accepted ring, so a point's neighbours do not
+  depend on the batch.  Callers that need one answer across backends take
+  the *(distance, index)* contract of :func:`repro.spatial.knn.ordered_query`.
 * **Exactness.**  A row is accepted only when its k-th distance is no larger
   than the distance to the boundary of the searched region — one comparison
   and one scatter per pass; the rest retry with a wider ring and, past

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..nn.mlp import MLP
 from ..pointcloud.cloud import PointCloud
-from ..spatial.knn import get_backend
+from ..spatial.knn import CLIENT_BACKEND, get_backend
 from .colorize import colorize_by_nearest
 from .encoding import PositionEncoder
 from .interpolation import interpolate
@@ -52,11 +52,11 @@ class GradPUUpsampler:
     step_size: float = 0.5
     k: int = 4
     dilation: int = 1
-    #: kNN backend; defaults to the same two-layer octree the VoLUT client
-    #: uses, so latency comparisons isolate the *architectural* difference
-    #: (per-step re-searching + network inference vs. one search + lookup)
-    #: rather than differences between search substrates.
-    backend: str = "octree"
+    #: kNN backend; defaults to the index the VoLUT client searches with, so
+    #: latency comparisons isolate the *architectural* difference (per-step
+    #: re-searching + network inference vs. one search + lookup) rather than
+    #: differences between search substrates.
+    backend: str = CLIENT_BACKEND
     seed: int = 0
 
     def upsample(self, cloud: PointCloud, ratio: float) -> SRResult:

@@ -14,10 +14,13 @@ points pile into already-dense areas).  Dilation ``d > 1`` widens the
 receptive field to ``k·d`` candidates, spreading new points across the
 surface (paper Figs. 4/5).
 
-Two execution strategies with identical outputs:
+The one self-query goes through :func:`repro.spatial.knn.self_neighbors`,
+so neighbours are ordered by *(distance, index)* whatever the index:
 
+* ``backend="kdtree"`` — scipy's cKDTree, the client's index (the default);
+* ``backend="octree"`` — VoLUT's two-layer octree pruning (§4.1), byte for
+  byte the kd-tree's output;
 * ``backend="brute"`` — the *vanilla* cost model: full brute-force kNN.
-* ``backend="octree"`` — VoLUT's two-layer octree pruning (§4.1).
 
 The returned :class:`InterpolationResult` carries the parent indices and
 the source neighbor lists so downstream stages (colorization, refinement)
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..pointcloud.cloud import PointCloud
-from ..spatial.knn import get_backend
+from ..spatial.knn import CLIENT_BACKEND, get_backend, self_neighbors
 
 __all__ = ["InterpolationResult", "interpolate", "naive_knn_interpolate"]
 
@@ -102,7 +105,7 @@ def interpolate(
     ratio: float,
     k: int = 4,
     dilation: int = 2,
-    backend: str = "octree",
+    backend: str = CLIENT_BACKEND,
     seed: int | np.random.Generator | None = 0,
 ) -> InterpolationResult:
     """Dilated midpoint interpolation to ``ratio`` times the input density.
@@ -119,8 +122,8 @@ def interpolate(
     dilation:
         Dilation factor ``d``; the receptive field is ``k·d`` (Eq. 1).
     backend:
-        ``"octree"`` (two-layer octree, the VoLUT path), ``"kdtree"``, or
-        ``"brute"`` (the vanilla cost model).
+        ``"kdtree"`` (the client's index), ``"octree"`` (two-layer octree,
+        §4.1) or ``"brute"`` (the vanilla cost model).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -136,17 +139,10 @@ def interpolate(
 
     pos = cloud.positions
     t0 = time.perf_counter()
-    index = get_backend(backend, pos)
-    # Self-query: ask for rf+1 and drop the self column.  One search serves
-    # partner selection *and* (via reuse) colorization and refinement.
-    nb_idx, _ = index.query(pos, rf + 1)
+    # One search serves partner selection *and* (via reuse) colorization and
+    # refinement.
+    neighbor_idx = self_neighbors(get_backend(backend, pos), rf)
     t_knn = time.perf_counter() - t0
-    # Under exact duplicates the self hit may sit in any column, or in none:
-    # drop it where it is, else drop the farthest neighbour.
-    is_self = nb_idx == np.arange(n)[:, None]
-    keep = ~is_self
-    keep[~is_self.any(axis=1), -1] = False
-    neighbor_idx = nb_idx[keep].reshape(n, rf)
 
     t1 = time.perf_counter()
     src = _plan_new_points(n, ratio, rng)

@@ -2,7 +2,8 @@
 
 ``VolutUpsampler`` chains the three client stages:
 
-1. dilated kNN interpolation on the two-layer octree (§4.1),
+1. dilated kNN interpolation (§4.1) — one self-query on the client's
+   index, cKDTree (:data:`repro.spatial.knn.CLIENT_BACKEND`),
 2. parent-reuse colorization (§4.1),
 3. LUT refinement (§4.2),
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..pointcloud.cloud import PointCloud
+from ..spatial.knn import CLIENT_BACKEND
 from ..spatial.reuse import merge_and_prune
 from .colorize import colorize_by_nearest, nearer_parent
 from .interpolation import interpolate
@@ -75,8 +77,9 @@ class VolutUpsampler:
     k, dilation:
         Interpolation receptive field parameters (Eq. 1).
     backend:
-        kNN backend for the interpolation search; the two-layer octree by
-        default.
+        kNN backend for the interpolation search; the client's index,
+        cKDTree, by default.  ``"octree"`` returns the same frame byte for
+        byte (the tie contract of :mod:`repro.spatial.knn`).
     """
 
     def __init__(
@@ -84,7 +87,7 @@ class VolutUpsampler:
         lut: HashedLUT | EnsembleLUT | None = None,
         k: int = 4,
         dilation: int = 2,
-        backend: str = "octree",
+        backend: str = CLIENT_BACKEND,
         seed: int = 0,
     ):
         self.lut = lut

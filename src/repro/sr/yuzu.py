@@ -25,7 +25,7 @@ from ..nn.mlp import MLP
 from ..nn.trainer import TrainConfig, Trainer
 from ..pointcloud.cloud import PointCloud
 from ..pointcloud.sampling import random_downsample_count
-from ..spatial.knn import get_backend, kdtree_knn
+from ..spatial.knn import CLIENT_BACKEND, get_backend, kdtree_knn, self_neighbors
 from .encoding import PositionEncoder
 from .pipeline import SRResult, StageTimes
 
@@ -56,7 +56,7 @@ class YuzuSRModel:
         self.ratio = int(ratio)
         self.encoder = encoder or PositionEncoder(rf_size=4, bins=128)
         # Same search substrate as the VoLUT client (see GradPUUpsampler).
-        self.backend = "octree"
+        self.backend = CLIENT_BACKEND
         dims = (self.encoder.rf_size * 3, *hidden, 3 * self.ratio)
         self.net = MLP(dims, activation="relu", output_activation="tanh", seed=seed)
 
@@ -67,12 +67,8 @@ class YuzuSRModel:
 
     # ------------------------------------------------------------------
     def _neighborhoods(self, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-        rf = self.encoder.rf_size
         index = get_backend(self.backend, cloud.positions)
-        idx, _ = index.query(cloud.positions, rf)
-        # drop self column
-        self_col = idx[:, 0] == np.arange(len(cloud))
-        nb = np.where(self_col[:, None], idx[:, 1:], idx[:, :-1])
+        nb = self_neighbors(index, self.encoder.rf_size - 1)
         return cloud.positions, cloud.positions[nb]
 
     def upsample(self, cloud: PointCloud) -> SRResult:

@@ -12,6 +12,8 @@ from repro.spatial import (
     brute_force_knn,
     get_backend,
     kdtree_knn,
+    ordered_query,
+    self_neighbors,
 )
 
 
@@ -191,3 +193,102 @@ class TestThreeBackendParity:
         for name in ("kdtree", "octree"):
             idx, dist = get_backend(name, pts).query(queries, k)
             assert_same_neighbors(idx_ref, dist_ref, idx, dist)
+
+
+def contract_oracle(pts, queries, k):
+    """The tie contract by brute force: every pair's ``(dx² + dy²) + dz²`` —
+    the sum the octree and cKDTree form — then ``lexsort((index, distance))``."""
+    sq = (queries[:, None, :] - pts[None, :, :]) ** 2
+    d = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
+    idx = np.broadcast_to(np.arange(len(pts)), d.shape)
+    order = np.lexsort((idx, d))[:, :k]
+    return order, np.take_along_axis(d, order, axis=1)
+
+
+class CountingIndex:
+    """A backend that records the column count of every ``query``."""
+
+    def __init__(self, backend):
+        self.backend, self.points, self.widths = backend, backend.points, []
+
+    def query(self, queries, k):
+        self.widths.append(k)
+        return self.backend.query(queries, k)
+
+
+def lattice(n_axis=5, spacing=0.37):
+    axis = np.arange(n_axis)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3) * spacing
+
+
+class TestTieContract:
+    """``ordered_query`` is the k smallest by (distance, index): the octree and
+    cKDTree equal the brute-force oracle index for index on lattice clouds,
+    where both would otherwise pick different equidistant neighbours."""
+
+    @pytest.mark.parametrize("name", ["kdtree", "octree"])
+    @pytest.mark.parametrize("k", [1, 3, 7, 9])
+    def test_scaled_integer_grid(self, name, k):
+        pts = lattice()
+        queries = np.vstack([pts, pts[::7] + 0.37 / 2, pts[::11] + (0.37 / 2, 0.0, 0.0)])
+        idx, dist = ordered_query(get_backend(name, pts), queries, k)
+        want_idx, want_dist = contract_oracle(pts, queries, k)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+    @pytest.mark.parametrize("name", ["kdtree", "octree"])
+    def test_exact_duplicates(self, name):
+        g = np.random.default_rng(3)
+        pts = np.repeat(lattice(4), 3, axis=0)[g.permutation(3 * 64)]
+        for k in (2, 4, 9):
+            idx, dist = ordered_query(get_backend(name, pts), pts, k)
+            want_idx, want_dist = contract_oracle(pts, pts, k)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(dist, want_dist)
+
+    @pytest.mark.parametrize("name", ["kdtree", "octree"])
+    def test_tie_straddling_the_kth_column_is_asked_again(self, name):
+        """A cell centre is equidistant from its 8 corners: at k = 3 the tie
+        runs past the k + 1 columns fetched, so the row is re-queried wider."""
+        pts = lattice()
+        centres = pts[pts.max(axis=1) < 4 * 0.37] + 0.37 / 2
+        spy = CountingIndex(get_backend(name, pts))
+        idx, dist = ordered_query(spy, centres, 3)
+        assert spy.widths[0] == 4 and len(spy.widths) > 1 and spy.widths[1] > 4
+        want_idx, want_dist = contract_oracle(pts, centres, 3)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+    @pytest.mark.parametrize("name", ["kdtree", "octree"])
+    def test_k_equals_n(self, name):
+        pts = lattice(3)
+        idx, dist = ordered_query(get_backend(name, pts), pts[:5], len(pts))
+        want_idx, want_dist = contract_oracle(pts, pts[:5], len(pts))
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+    def test_brute_agrees_on_distances_only(self):
+        """Brute's ``‖q‖² − 2q·p + ‖p‖²`` is not bit-equal to the other two,
+        so its parity stays at (squared) distance level."""
+        pts = lattice()
+        _, dist = ordered_query(get_backend("brute", pts), pts, 9)
+        want = contract_oracle(pts, pts, 9)[1]
+        assert np.allclose(dist**2, want**2, rtol=0, atol=1e-12)
+
+    def test_validation(self):
+        backend = get_backend("kdtree", lattice(3))
+        for k in (0, 28):
+            with pytest.raises(ValueError):
+                ordered_query(backend, lattice(3), k)
+
+    @pytest.mark.parametrize("name", ["brute", "kdtree", "octree"])
+    def test_self_neighbors_drop_the_point_wherever_it_sits(self, name):
+        """Four copies of every point: at k = 2 a point with three smaller
+        twins is not fetched at all, and the farthest column goes instead."""
+        pts = np.tile(lattice(3), (4, 1))
+        nb = self_neighbors(get_backend(name, pts), 2)
+        assert nb.shape == (len(pts), 2)
+        assert not (nb == np.arange(len(pts))[:, None]).any()
+        want = contract_oracle(pts, pts, 3)[0]
+        want = np.array([[j for j in row if j != i][:2] for i, row in enumerate(want)])
+        assert np.array_equal(nb, want)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pointcloud import make_video
-from repro.spatial import TwoLayerOctree, kdtree_knn
+from repro.spatial import TwoLayerOctree, get_backend, kdtree_knn, ordered_query
 from repro.streaming.encoder import decode_frame_compressed, encode_frame_compressed
 
 from .reference_octree import ReferenceOctree
@@ -165,6 +165,30 @@ class TestBatchIndependence:
             sub_idx, sub_dist = oc.query(pts[sub], 9)
             assert np.array_equal(sub_idx, idx[sub])
             assert np.array_equal(sub_dist, dist[sub])
+
+    def test_the_tie_contract_is_batch_independent_and_backend_independent(
+        self, decoded_frame
+    ):
+        """Under ``ordered_query`` the kd-tree keeps the property too, and
+        both backends give one answer, though their raw ties differ."""
+        pts = decoded_frame
+        kd, oc = get_backend("kdtree", pts), TwoLayerOctree(pts)
+        assert not np.array_equal(kd.query(pts, 9)[0], oc.query(pts, 9)[0])
+        idx, dist = ordered_query(kd, pts, 9)
+        oc_idx, oc_dist = ordered_query(oc, pts, 9)
+        assert np.array_equal(idx, oc_idx) and np.array_equal(dist, oc_dist)
+        tied = np.flatnonzero((np.diff(kd.query(pts, 10)[1], axis=1) == 0).any(axis=1))
+        for i in tied[:60]:
+            alone_idx, alone_dist = ordered_query(kd, pts[i : i + 1], 9)
+            assert np.array_equal(alone_idx[0], idx[i])
+            assert np.array_equal(alone_dist[0], dist[i])
+        g = np.random.default_rng(1)
+        for _ in range(5):
+            sub = np.sort(g.choice(len(pts), len(pts) // 3, replace=False))
+            for index in (kd, oc):
+                sub_idx, sub_dist = ordered_query(index, pts[sub], 9)
+                assert np.array_equal(sub_idx, idx[sub])
+                assert np.array_equal(sub_dist, dist[sub])
 
 
 class TestReferenceParity:

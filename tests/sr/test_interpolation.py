@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pointcloud import PointCloud
+from repro.pointcloud import PointCloud, make_video
 from repro.sr import interpolate, naive_knn_interpolate
+from repro.streaming.encoder import decode_frame_compressed, encode_frame_compressed
 
 
 class TestRatios:
@@ -89,6 +90,23 @@ class TestBackends:
             np.sort(ref.new_positions, axis=0),
             atol=1e-9,
         )
+
+    @pytest.mark.parametrize("depth", [6, 10])
+    def test_octree_and_kdtree_interpolate_byte_identically(self, depth):
+        """Decoded frames sit on the codec's lattice, where equidistant
+        neighbours are common; the (distance, index) contract makes the two
+        indexes' outputs one."""
+        frame = make_video("loot", n_points=4_000, n_frames=1, seed=5).frame(0)
+        for density in (0.5, 0.125):
+            cloud = decode_frame_compressed(
+                encode_frame_compressed(frame, density, depth=depth, seed=3)
+            )
+            for ratio in (2.0, 8.0, 3.3):
+                kd = interpolate(cloud, ratio, backend="kdtree", seed=7)
+                oc = interpolate(cloud, ratio, backend="octree", seed=7)
+                assert np.array_equal(kd.neighbor_idx, oc.neighbor_idx)
+                assert np.array_equal(kd.parent_b, oc.parent_b)
+                assert kd.upsampled.positions.tobytes() == oc.upsampled.positions.tobytes()
 
     @pytest.mark.parametrize("backend", ["brute", "kdtree", "octree"])
     def test_duplicate_points_never_neighbour_themselves(self, backend):

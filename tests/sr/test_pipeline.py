@@ -44,7 +44,9 @@ class TestVolutUpsampler:
 class TestComposedStages:
     """Tier-1 twin of the repo benchmark's traced-round digest check
     (``bench/wl_client.py::_traced_round``): the stages called one by one,
-    ``encode`` measuring its own radius, equal ``upsample`` byte for byte."""
+    ``encode`` measuring its own radius, equal ``upsample`` byte for byte.
+    The composition searches the octree, as the traced round does, and
+    ``upsample`` the kd-tree; the (distance, index) tie rule makes them one."""
 
     @staticmethod
     def composed(cloud, lut, ratio, rng):
@@ -149,6 +151,24 @@ class TestYuzu:
         r = model.upsample(tiny_frame)
         assert len(r.cloud) == 3 * len(tiny_frame)
         assert r.cloud.has_colors
+
+    def test_duplicates_do_not_keep_a_point_as_its_own_neighbour(self):
+        """With exact duplicates the self hit can sit past column 0 (its twin
+        ranks first); it must go wherever it is, not the farthest neighbour.
+        Each row holds the distances to the k nearest *other* points."""
+        from repro.pointcloud import PointCloud
+
+        g = np.random.default_rng(11)
+        pos = g.uniform(0, 1, (200, 3))
+        pos = np.vstack([pos, pos[:20]])
+        model = YuzuSRModel(ratio=2, seed=0)
+        targets, neighbors = model._neighborhoods(PointCloud(pos))
+        k = model.encoder.rf_size - 1
+        assert neighbors.shape == (220, k, 3)
+        got = np.linalg.norm(neighbors - targets[:, None], axis=2)
+        d = np.linalg.norm(pos[:, None] - pos[None], axis=2)
+        np.fill_diagonal(d, np.inf)
+        assert np.allclose(got, np.sort(d, axis=1)[:, :k], rtol=0, atol=1e-12)
 
     def test_ratio_validation(self):
         with pytest.raises(ValueError):

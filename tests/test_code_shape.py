@@ -189,6 +189,48 @@ def test_octree_selects_by_argmin_passes_through_one_kernel():
     assert "argpartition" in called_names(oracle)
 
 
+def test_the_client_searches_one_index_under_one_tie_rule():
+    """``interpolate``, ``VolutUpsampler`` and the GradPU / YuZu baselines
+    default to ``CLIENT_BACKEND`` (fig17 compares architectures, not search
+    substrates), and ``interpolate``'s one self-query goes through the
+    (distance, index) contract, not a backend's raw ``query``."""
+    from repro.spatial.knn import CLIENT_BACKEND
+
+    assert CLIENT_BACKEND == "kdtree"
+
+    def default(fn, name):
+        args = fn.args.args
+        return dict(zip([a.arg for a in args[len(args) - len(fn.args.defaults):]],
+                        fn.args.defaults))[name]
+
+    def class_body(path, name):
+        (cls,) = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and node.name == name
+        ]
+        return cls.body
+
+    sr = SRC / "sr"
+    (interp,) = functions(sr / "interpolation.py", "interpolate")
+    (volut_init,) = [
+        fn for fn in class_body(sr / "pipeline.py", "VolutUpsampler")
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    ]
+    (gradpu,) = [
+        node.value for node in class_body(sr / "gradpu.py", "GradPUUpsampler")
+        if isinstance(node, ast.AnnAssign) and node.target.id == "backend"
+    ]
+    (yuzu,) = [
+        node.value for node in ast.walk(ast.parse((sr / "yuzu.py").read_text()))
+        if isinstance(node, ast.Assign)
+        and ast.unparse(node.targets[0]) == "self.backend"
+    ]
+    for value in (default(interp, "backend"), default(volut_init, "backend"), gradpu, yuzu):
+        assert isinstance(value, ast.Name) and value.id == "CLIENT_BACKEND", ast.unparse(value)
+    assert "self_neighbors" in called_names(interp)
+    assert "query" not in called_names(interp)
+
+
 def test_sr_tail_reuses_the_prunes_distances():
     """``encode`` and ``colorize`` sum squares per axis (the ``linalg.norm``
     formulas are ``tests/sr/reference_distances.py``), and
