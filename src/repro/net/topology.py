@@ -21,12 +21,14 @@ flow's rate), though not globally max-min (bandwidth a flow cannot use on
 a non-bottleneck hop is not redistributed; the conservative model).
 
 **One engine, one reference.**  Every event step is array math over
-flow-state tensors: flow scalars live in slot-indexed NumPy arrays, each
-flow's hop membership is a row of link indices in a dense
-``(slot, hop)`` matrix, per-link fair shares are one link-sized
-``cap / denom`` gathered through that matrix, per-flow rates one ``min``
-over the hop axis, and the next completion horizon one ``np.min`` over
-``remaining / rate``.  The per-flow Python loop this replaced lives on
+flow-state tensors: the active flows' scalars fill the first ``n``
+columns of packed NumPy arrays, each flow's hop membership is a column
+of link indices in a dense ``(hop, column)`` matrix, per-link fair
+shares are one link-sized ``cap / denom`` gathered through that matrix,
+per-flow rates one ``min`` over the hop axis, and the next completion
+horizon one ``np.min`` over ``remaining / rate``.  A link's capacity is
+kept until its trace segment ends, not re-read every step.  The per-flow
+Python loop this replaced lives on
 as ``tests/net/reference_scheduler.py::ReferenceScheduler`` — same
 contract, its own share arithmetic — and ``tests/net/test_topology.py``
 pins the two **bit-exact** on a hypothesis grid of mixed weights,
@@ -46,18 +48,20 @@ the scheduler already handles:
   Zero-byte flows skip the heap and go straight to *finished*.
 * *active* — draining.  ``_VectorState.expire_gates``, run by every
   allocation, pops the gates that have passed and calls ``activate``: the
-  slot's ``active`` bit is set and each of the flow's links counts one
-  more sharer (``link_count`` / ``denom``).  Expiry is one-way, which is
-  why ``next_event`` / ``advance`` / ``sync`` refuse an instant earlier
-  than the last one they were shown.
-* *finished* — ``deactivate`` undoes exactly what ``activate`` did, from
-  three places: ``remove`` (completion or ``cancel``), ``write_remaining``
-  when ``sync`` drains a solo flow to zero (it then waits in ``finished``
-  for its completion report), and ``advance`` when a drain turns a flow's
-  bits NaN (it can never finish and must stop taking shares).  A flow
-  that leaves while still gated leaves its heap entry behind; the entry
-  is recognised by the flow object (``slot == -1``), never by the slot,
-  which may already belong to a newcomer.
+  flow's bits move into a new last column of the active block and each
+  of its links counts one more sharer (``link_count`` / ``denom``).
+  Expiry is one-way, which is why ``next_event`` / ``advance`` / ``sync``
+  refuse an instant earlier than the last one they were shown (or NaN).
+* *finished* — ``deactivate`` undoes exactly what ``activate`` did, and
+  moves the block's last column into the gap, from three places:
+  ``remove`` (completion or ``cancel``), ``write_remaining`` when
+  ``sync`` drains a solo flow to zero (it then waits in ``finished`` for
+  its completion report), and ``advance`` when a drain turns a flow's
+  bits NaN (it can never finish and must stop taking shares).  Outside
+  the block a flow keeps its bits itself (``_PathFlow.remaining``).  A
+  flow that leaves while still gated leaves its heap entry behind; the
+  entry is recognised by the flow object (``live`` is false), so it
+  opens no gate.
 
 **One-hop bit-exactness.**  A flow that has every hop to itself for its
 whole lifetime resolves through :func:`path_download_time`, which on a
@@ -185,11 +189,16 @@ class _PathFlow:
     data_start: float  # start_time + path RTT + any gate delay
     weight: float
     total_bits: float
+    #: bits left while outside the active block (an active flow's bits
+    #: live in its column of the scheduler's arrays)
+    remaining: float
     #: exact elapsed via path_download_time when the flow had every hop to
     #: itself for its whole lifetime (None = shared/progressive)
     solo_elapsed: float | None = None
-    #: row index in the scheduler's state arrays (-1 = not in the pool)
-    slot: int = -1
+    #: column in the scheduler's active block (-1 = gated or finished)
+    col: int = -1
+    #: false once the flow completed or was cancelled
+    live: bool = True
     #: the path's hops as indices into the scheduler's link list
     link_ids: tuple[int, ...] = ()
 
@@ -263,6 +272,7 @@ class PathScheduler:
             data_start=float(start_time) + path.rtt + float(extra_delay),
             weight=float(weight),
             total_bits=float(nbytes) * 8.0,
+            remaining=float(nbytes) * 8.0,
         )
         if extra_delay > 0.0:
             # A gated flow does not start moving at ``start_time + rtt``,
@@ -342,15 +352,18 @@ class PathScheduler:
         if len(self._flows) != 1:
             return None
         flow = next(iter(self._flows.values()))
-        if self._vec.remaining[flow.slot] != flow.total_bits:
+        if self._vec.bits(flow) != flow.total_bits:
             return None
         if flow.solo_elapsed is not None and flow.solo_elapsed != flow.solo_elapsed:
             return None  # NaN sentinel: gated flow, use the fluid path
         return flow
 
     def _move_clock(self, now: float) -> None:
-        """Gate expiry is one-way, so virtual time may not run backwards."""
-        if now < self._now:
+        """Gate expiry is one-way, so virtual time may not run backwards.
+
+        Written so NaN fails it, as in :meth:`add_flow`: a NaN instant
+        would drain every active flow to NaN bits."""
+        if not now >= self._now:
             raise ValueError(
                 f"time went backwards: {now!r} after {self._now!r}"
             )
@@ -359,7 +372,7 @@ class PathScheduler:
     def _gate_due(self, t: float) -> bool:
         """Telemetry's question (``fleet.wake.gate``): does a queued flow's
         ``data_start`` fall at or before ``t``?  Reads, changes nothing."""
-        return any(f.slot >= 0 and ds <= t for ds, _, f in self._vec.gated)
+        return any(f.live and ds <= t for ds, _, f in self._vec.gated)
 
     def next_event(self, now: float) -> float:
         """Earliest future instant any link's allocation can change."""
@@ -375,15 +388,22 @@ class PathScheduler:
             return solo.start_time + solo.solo_elapsed
         v = self._vec
         # ``best`` starts as the next gate expiry (inf when nothing waits)
-        idx, rates, min_ttc, best = self._vec_alloc(now)
+        n, rates, best = self._vec_alloc(now)
         # Already-empty flows (zero-byte transfers, sync-drained solos)
         # complete as soon as their data start elapses.
         for f in v.finished:
             best = min(best, max(f.data_start, now))
-        if min_ttc < np.inf:
-            best = min(best, now + min_ttc)
-        if idx.size:
-            best = min(best, (now + v.remaining[idx] / rates).min())
+        if n:
+            # == min(now + remaining / rates): adding one ``now`` is monotone
+            best = min(best, now + (v.remaining[:n] / rates).min())
+        for li in v.wrapped:
+            best = min(best, now + v.link_list[li].trace.time_to_next_change(now))
+        # A plain link's boundary is the trace's own ``nxt - local``
+        # expression, evaluated only where its lower bound says it can win.
+        if v.cap_until <= best:
+            for until, hi, duration in v.segments.values():
+                if until <= best:
+                    best = min(best, now + (hi - now % duration))
         return float(best)
 
     def advance(self, now: float, to_time: float) -> list[Completion]:
@@ -393,8 +413,8 @@ class PathScheduler:
         assumed constant over the interval).  Completions are ordered by
         flow id for determinism when several flows finish simultaneously.
         """
-        if to_time < now:
-            raise ValueError("cannot advance backwards")
+        if not to_time >= now:  # NaN fails it too
+            raise ValueError(f"cannot advance backwards: {now!r} to {to_time!r}")
         self._move_clock(now)
         self._now = to_time
         v = self._vec
@@ -403,37 +423,34 @@ class PathScheduler:
             finish = solo.start_time + solo.solo_elapsed
             if finish <= to_time:
                 self.delivered_bits += solo.total_bits
-                v.remaining[solo.slot] = 0.0  # ``_remove`` charges the hops
+                v.write_remaining(solo, 0.0)  # ``_remove`` charges the hops
                 self._remove(solo)
                 return [Completion(solo.flow_id, finish, solo.solo_elapsed)]
             return []
-        idx, rates, _, _ = self._vec_alloc(now)
+        n, rates, _ = self._vec_alloc(now)
         finished: list[_PathFlow] = []
-        if idx.size:
-            dt = to_time - now
-            cur = v.remaining[idx]
-            drained = np.minimum(rates * dt, cur)
-            after = cur - drained
-            flush = after <= v.thresh[idx]
+        if n:
+            rem = v.remaining[:n]  # drained in place
+            drained = np.minimum(rates * (to_time - now), rem)
+            rem -= drained
+            flush = rem <= v.thresh[:n]
             total_bits = float(drained.sum())
             # Per-link delivered-bits accounting is deferred to
             # ``_remove``: a per-flow loop here would be O(active flows)
             # of Python per event step and dominate large-fleet wall time.
             if flush.any():
-                total_bits += float(after[flush].sum())
-                after[flush] = 0.0
-                flow_of = v.flow_of
-                finished.extend(flow_of[s] for s in idx[flush].tolist())
+                total_bits += float(rem[flush].sum())
+                rem[flush] = 0.0
+                finished.extend(v.flows[c] for c in flush.nonzero()[0].tolist())
             if total_bits != total_bits:
                 # A NaN drain (a trace reporting NaN past validation)
                 # leaves NaN bits behind: such a flow can never finish
                 # and must stop taking part in shares, or virtual time
                 # creeps from trace boundary to trace boundary for ever
                 # instead of stalling where the driver's watchdog sees it.
-                for s in idx[after != after].tolist():
-                    v.deactivate(v.flow_of[s])
+                for f in [v.flows[c] for c in (rem != rem).nonzero()[0].tolist()]:
+                    v.deactivate(f)
             self.delivered_bits += total_bits
-            v.remaining[idx] = after
             v.version += 1
         # Flows can complete two ways: drained to zero above, or already
         # empty (zero-byte transfers, sync-drained solos) once their
@@ -453,55 +470,28 @@ class PathScheduler:
         return done
 
     # ------------------------------------------------------------------
-    def _link_seg(self, li: int, now: float) -> tuple[float, float]:
-        """``(bandwidth, time-to-next-change)`` for link ``li`` at ``now``.
-
-        Plain :class:`NetworkTrace` lookups dominate the per-event cost at
-        fleet scale (two bisect calls per active link per event), so the
-        current segment is cached per link and revalidated with one
-        ``fmod`` and two comparisons.  Every returned value reproduces the
-        trace methods' float expressions exactly — ``bandwidth_at`` is a
-        cached segment constant, ``time_to_next_change`` is the same
-        ``nxt - local`` subtraction.  Wrapped traces (e.g.
-        fault-injection ``DegradedTrace``) have time-varying composition
-        and fall back to the trace methods.
-        """
-        trace = self._vec.link_list[li].trace
-        if type(trace) is not NetworkTrace:
-            return trace.bandwidth_at(now), trace.time_to_next_change(now)
-        local = now % trace._duration
-        seg = self._vec.seg_cache.get(li)
-        if seg is None or seg[0] is not trace or not (seg[1] <= local < seg[2]):
-            ts = trace._ts_list
-            i = bisect_right(ts, local)
-            hi = ts[i] if i < len(ts) else trace._duration
-            seg = (trace, ts[i - 1], hi, trace._bw_list[i - 1])
-            self._vec.seg_cache[li] = seg
-        return seg[3], seg[2] - local
-
     def _vec_alloc(self, now: float):
-        """Active slots, their rates, and the two event horizons around them.
+        """The active block's rates and the next gate expiry.
 
-        Returns ``(idx, rates, min_ttc, next_gate)``.  Gates that have
-        expired by ``now`` are activated first (see
-        :meth:`_VectorState.expire_gates`); ``next_gate`` is the earliest
-        ``data_start`` still ahead (``inf`` when nothing waits).
-        ``min_ttc`` is the smallest time-to-next-change over links
-        carrying active flows (``inf`` when none) — stashed here because
-        the capacity lookup already touches each active link's trace
-        segment, and ``min(now + ttc_i) == now + min(ttc_i)`` bit-exactly
-        (adding the same ``now`` is monotone), so ``next_event`` never
-        re-queries the traces.  Cached on ``(now, state version)`` so the
-        ``next_event`` → ``advance`` pair of one event step computes the
-        allocation once.  The float expressions are the per-flow
-        reference's (``tests/net/reference_scheduler.py``), pinned
-        bit-exact by its parity grid: fair denominators are integer counts
-        kept at the activation transitions, weighted denominators are an
-        insertion-order Python sum (NumPy's pairwise reduction diverges
-        from ``sum`` at 8+ flows), shares are ``cap / denom`` — one
-        link-sized division, gathered per hop — or ``(cap * w) / denom``,
-        and the per-flow rate is an order-insensitive min over the hop
-        axis.
+        Returns ``(n, rates, next_gate)``: ``rates[c]`` is the path rate
+        of the flow in column ``c < n``.  Gates that have expired by
+        ``now`` are activated first (see :meth:`_VectorState.expire_gates`);
+        ``next_gate`` is the earliest ``data_start`` still ahead (``inf``
+        when nothing waits).  Capacities are the trace segments
+        ``_VectorState`` keeps per active link: re-read only when ``now``
+        reaches ``cap_until``, except for wrapped traces (e.g.
+        fault-injection ``DegradedTrace``, whose composition varies with
+        time), which are read every step.  Cached on ``(now, state
+        version)`` so the ``next_event`` → ``advance`` pair of one event
+        step computes the allocation once.  The float expressions are the
+        per-flow reference's (``tests/net/reference_scheduler.py``),
+        pinned bit-exact by its parity grid: fair denominators are integer
+        counts kept at the activation transitions, weighted denominators
+        are an insertion-order Python sum (NumPy's pairwise reduction
+        diverges from ``sum`` at 8+ flows), shares are ``cap / denom`` —
+        one link-sized division, gathered per hop — or ``(cap * w) /
+        denom``, and the per-flow rate is an order-insensitive min over
+        the hop axis.
         """
         v = self._vec
         key = (now, v.version)
@@ -509,49 +499,43 @@ class PathScheduler:
         if cached is not None and cached[0] == key:
             return cached[1]
         next_gate = v.expire_gates(now)
-        idx = v.active[: v.n_slots].nonzero()[0]
-        if idx.size == 0:
-            out = (idx, _EMPTY, np.inf, next_gate)
+        if now >= v.cap_until:
+            v.refresh(now)
+        cap, denom, n = v.cap, v.denom, v.n_act
+        for li in v.wrapped:
+            cap[li] = v.link_list[li].trace.bandwidth_at(now)
+        if n == 0:
+            rates = _EMPTY
         elif len(v.link_list) == 2:
             # One real link in the pool (the classic single-bottleneck
             # fleet): every active flow shares it, so the whole incidence
             # machinery collapses to one share computation.
             link = v.link_list[1]
-            capacity, min_ttc = self._link_seg(1, now)
             if link.policy == "weighted":
-                denom = 0.0
+                total = 0.0
                 for f in self._link_flows[id(link)].values():
-                    if v.active[f.slot]:
-                        denom += f.weight
-                rates = capacity * v.weight[idx] / denom
+                    if f.col >= 0:
+                        total += f.weight
+                rates = cap[1] * v.weight[:n] / total
             else:
-                rates = np.full(idx.size, capacity / float(idx.size))
-            out = (idx, rates, min_ttc, next_gate)
+                rates = np.full(n, cap[1] / float(n))
         else:
-            rows = v.hops[idx]
-            cap, denom = v.cap, v.denom
-            min_ttc = np.inf
-            for li in v.link_count:  # the links carrying an active flow
-                cap[li], ttc = self._link_seg(li, now)
-                if ttc < min_ttc:
-                    min_ttc = ttc
+            rows = v.hops[:, :n]
             if v.weighted_links:
                 for li in v.weighted_links:
                     if li in v.link_count:
                         total = 0.0
                         for f in self._link_flows[id(v.link_list[li])].values():
-                            if v.active[f.slot]:
+                            if f.col >= 0:
                                 total += f.weight
                         denom[li] = total
                 numer = np.where(
-                    v.is_weighted[rows],
-                    cap[rows] * v.weight[idx][:, None],
-                    cap[rows],
+                    v.is_weighted[rows], cap[rows] * v.weight[:n], cap[rows]
                 )
-                rates = (numer / denom[rows]).min(axis=1)
+                rates = (numer / denom[rows]).min(axis=0)
             else:
-                rates = (cap / denom)[rows].min(axis=1)
-            out = (idx, rates, min_ttc, next_gate)
+                rates = (cap / denom)[rows].min(axis=0)
+        out = (n, rates, next_gate)
         v.alloc_cache = (key, out)
         return out
 
@@ -559,7 +543,7 @@ class PathScheduler:
         # Deferred per-link accounting: everything the flow drained over
         # its lifetime crosses each hop exactly once, charged as it
         # leaves the pool (completion or cancellation).
-        crossed = flow.total_bits - float(self._vec.remaining[flow.slot])
+        crossed = flow.total_bits - self._vec.bits(flow)
         if crossed > 0.0:
             for link in flow.path.links:
                 link.delivered_bits += crossed
@@ -572,40 +556,40 @@ class PathScheduler:
 _EMPTY = np.empty(0)
 
 
+#: Slack on a stored segment end: ``now + (hi - local)`` is two roundings,
+#: each within 2**-53 of ``end + duration``, from the true instant; eight
+#: times that keeps the bound below any float the trace's expression gives.
+_BOUND_SLACK = 2.0**-50
+
+
 class _VectorState:
-    """Slot-indexed array state behind :class:`PathScheduler`.
+    """The packed active block behind :class:`PathScheduler`.
 
-    Each in-flight flow owns one row across a set of parallel arrays plus
-    one row of the ``hops`` matrix, whose entries are indices into
-    ``link_list`` (index 0 is a padding sentinel for paths shorter than
-    the matrix width).  Slots are recycled through a free list, so a
-    steady-state fleet allocates nothing per event; arrays double when
-    the high-water mark is hit.
+    The ``n_act`` active flows own columns ``0 … n_act-1`` of the rows
+    ``remaining`` / ``weight`` / ``thresh`` and of the ``(hop, column)``
+    matrix ``hops`` of indices into ``link_list`` (index 0 pads short
+    paths: a sentinel); ``flows[c]`` is column ``c``'s flow.  Activation
+    appends a column, deactivation moves the last one into the gap, so a
+    step reads ``[:n_act]`` views; the block doubles when full.  A link's
+    capacity is read when it turns active (``watch``) and, for a plain
+    ``NetworkTrace``, again only once ``now`` reaches ``cap_until``;
+    other traces are re-read every step.
 
-    A flow is *gated*, *active* or *finished* (the module docstring has
-    the life cycle); ``active``, ``link_count`` and ``denom`` change only
-    inside :meth:`activate` / :meth:`deactivate`.
+    The life cycle is in the module docstring; the block, ``link_count``
+    and ``denom`` change only inside :meth:`activate` / :meth:`deactivate`.
     """
 
-    _INITIAL_SLOTS = 64
-
     def __init__(self) -> None:
-        cap = self._INITIAL_SLOTS
-        self.n_slots = 0  # high-water mark
-        self.free: list[int] = []
-        self.flow_of: list[_PathFlow | None] = [None] * cap
-        self.remaining = np.zeros(cap)
-        self.weight = np.zeros(cap)
-        #: per-flow finish threshold, precomputed at add time
-        self.thresh = np.zeros(cap)
-        #: slots whose flow is draining (gate expired, bits left)
-        self.active = np.zeros(cap, dtype=bool)
-        self.hops = np.zeros((cap, 2), dtype=np.intp)
+        self.n_act = 0
+        self.flows: list[_PathFlow] = []
+        #: rows ``remaining`` / ``weight`` / ``thresh`` (finish threshold)
+        self.scalars = np.zeros((3, 0))
+        self.hops = np.zeros((2, 0), dtype=np.intp)
+        self._reshape(2, 64)
         #: flows waiting for their ``data_start``: a heap of
         #: ``(data_start, add serial, flow)``.  An entry outlives a flow
         #: that is cancelled or completes first, and is then skipped *by
-        #: identity* (``flow.slot == -1``) — the slot it names may already
-        #: belong to another flow.
+        #: identity* (``flow.live`` is false).
         self.gated: list[tuple[float, int, _PathFlow]] = []
         self._serial = count()
         #: index 0 reserved as the padding sentinel
@@ -615,16 +599,25 @@ class _VectorState:
         self.is_weighted = np.zeros(1, dtype=bool)
         #: active flows per link, links with none left out — counted over
         #: each flow's own hops (``link_ids``), never over its ``hops``
-        #: row: the row's padding is link 0, and ``_grow_cols`` can widen
-        #: it between a flow's activation and its removal
+        #: column: the column's padding is link 0, and ``_reshape`` can
+        #: add hop rows between a flow's activation and its removal
         self.link_count: dict[int, int] = {}
         #: fair-share denominator per link: the count as a float, 1 for an
         #: idle link and for the sentinel, so ``cap / denom`` never divides
         #: by zero and the sentinel's share is ``inf`` (never a min)
         self.denom = np.ones(1)
-        #: capacity per link, refreshed for the links in ``link_count`` at
-        #: every allocation (idle links keep a stale value nobody gathers)
+        #: capacity per link, current for the links in ``link_count``
+        #: (idle links keep a stale value nobody gathers)
         self.cap = np.full(1, np.inf)
+        #: active plain-trace links: ``li -> (until, hi, duration)``, the
+        #: cached segment's end ``hi`` in trace-local time and ``until``,
+        #: a lower bound on the instant ``now`` reaches it
+        self.segments: dict[int, tuple[float, float, float]] = {}
+        #: at most the smallest ``until`` (a link gone idle may leave its
+        #: bound behind until the next refresh)
+        self.cap_until = math.inf
+        #: active links whose trace is not a plain ``NetworkTrace``
+        self.wrapped: set[int] = set()
         #: flows already at zero remaining bits that still await their
         #: completion report: zero-byte transfers (complete at their
         #: data_start) and solo flows fully drained by an out-of-band
@@ -633,9 +626,10 @@ class _VectorState:
         #: bumped on any state change; keys the allocation cache
         self.version = 0
         self.alloc_cache: tuple | None = None
-        #: per-link current trace segment, ``li -> (trace, lo, hi, bw)``
-        #: in trace-local time; revalidated by ``_link_seg``
-        self.seg_cache: dict[int, tuple] = {}
+
+    def bits(self, flow: _PathFlow) -> float:
+        """The flow's remaining bits, wherever they live."""
+        return float(self.remaining[flow.col]) if flow.col >= 0 else flow.remaining
 
     def add(self, flow: _PathFlow) -> None:
         links = flow.path.links
@@ -655,24 +649,9 @@ class _VectorState:
             fresh = len(self.link_list) - len(self.denom)
             self.denom = np.concatenate([self.denom, np.ones(fresh)])
             self.cap = np.concatenate([self.cap, np.zeros(fresh)])
-        if self.free:
-            s = self.free.pop()
-        else:
-            if self.n_slots == len(self.active):
-                self._grow_rows()
-            s = self.n_slots
-            self.n_slots += 1
-        if len(links) > self.hops.shape[1]:
-            self._grow_cols(len(links))
-        flow.slot = s
+        if len(links) > len(self.hops):
+            self._reshape(len(links), self.hops.shape[1])
         flow.link_ids = tuple(self.link_index[id(link)] for link in links)
-        self.flow_of[s] = flow
-        self.remaining[s] = flow.total_bits
-        self.weight[s] = flow.weight
-        self.thresh[s] = max(_FINISH_RTOL * flow.total_bits, _FINISH_ATOL)
-        row = self.hops[s]
-        row[:] = 0
-        row[: len(links)] = flow.link_ids
         if flow.total_bits == 0.0:
             self.finished.append(flow)
         else:
@@ -690,25 +669,47 @@ class _VectorState:
         gated = self.gated
         while gated:
             data_start, _, flow = gated[0]
-            if flow.slot >= 0:
+            if flow.live:
                 if data_start > now:
                     return data_start
                 # a solo flow ``sync`` drained to zero is already queued
                 # in ``finished`` and never becomes active
-                if self.remaining[flow.slot] > 0.0:
-                    self.activate(flow)
+                if flow.remaining > 0.0:
+                    self.activate(flow, now)
             heappop(gated)
         return np.inf
 
-    def activate(self, flow: _PathFlow) -> None:
-        self.active[flow.slot] = True
+    def activate(self, flow: _PathFlow, now: float) -> None:
+        c = self.n_act
+        if c == self.hops.shape[1]:
+            self._reshape(len(self.hops), 2 * c)
+        self.remaining[c] = flow.remaining
+        self.weight[c] = flow.weight
+        self.thresh[c] = max(_FINISH_RTOL * flow.total_bits, _FINISH_ATOL)
+        ids = flow.link_ids
+        self.hops[:, c] = ids + (0,) * (len(self.hops) - len(ids))
+        self.flows.append(flow)
+        flow.col = c
+        self.n_act = c + 1
         counts = self.link_count
         for li in flow.link_ids:
             counts[li] = n = counts.get(li, 0) + 1
             self.denom[li] = n
+            if n == 1:
+                self.watch(li, now)
 
     def deactivate(self, flow: _PathFlow) -> None:
-        self.active[flow.slot] = False
+        c, last = flow.col, self.n_act - 1
+        flow.remaining = float(self.remaining[c])
+        if c != last:
+            moved = self.flows[last]
+            self.flows[c] = moved
+            moved.col = c
+            self.scalars[:, c] = self.scalars[:, last]
+            self.hops[:, c] = self.hops[:, last]
+        self.flows.pop()
+        self.n_act = last
+        flow.col = -1
         counts = self.link_count
         for li in flow.link_ids:
             n = counts[li] - 1
@@ -718,47 +719,73 @@ class _VectorState:
             else:
                 del counts[li]
                 self.denom[li] = 1.0
+                self.segments.pop(li, None)
+                self.wrapped.discard(li)
+
+    def watch(self, li: int, now: float) -> None:
+        """Read link ``li``'s trace segment at ``now`` into ``cap``.
+
+        A plain trace's lookup reproduces ``bandwidth_at`` exactly and
+        stores where the segment ends; any other trace goes to
+        ``wrapped``, re-read by every allocation.
+        """
+        trace = self.link_list[li].trace
+        if type(trace) is not NetworkTrace:
+            self.segments.pop(li, None)
+            self.wrapped.add(li)
+            return
+        duration = trace._duration
+        local = now % duration
+        ts = trace._ts_list
+        i = bisect_right(ts, local)
+        hi = ts[i] if i < len(ts) else duration
+        self.cap[li] = trace._bw_list[i - 1]
+        end = now + (hi - local)
+        until = end - (end + duration) * _BOUND_SLACK
+        self.segments[li] = (until, hi, duration)
+        if until < self.cap_until:
+            self.cap_until = until
+
+    def refresh(self, now: float) -> None:
+        """Re-read every plain link whose segment may have ended by ``now``."""
+        self.cap_until = math.inf
+        for li, (until, _, _) in list(self.segments.items()):
+            if until <= now:
+                self.watch(li, now)
+            elif until < self.cap_until:
+                self.cap_until = until
 
     def remove(self, flow: _PathFlow) -> None:
-        s = flow.slot
-        if self.active[s]:
+        if flow.col >= 0:
             self.deactivate(flow)
-        self.flow_of[s] = None
-        self.free.append(s)
-        flow.slot = -1
+        flow.live = False
         if flow in self.finished:
             self.finished.remove(flow)
         self.version += 1
 
     def write_remaining(self, flow: _PathFlow, remaining: float) -> None:
-        """Record an out-of-band drain (``sync``) in the arrays.
+        """Record an out-of-band drain (``sync``).
 
         A sync that empties the flow entirely (a deferred request landing
         exactly on the solo finish) must also queue it for completion:
         with zero remaining bits it is invisible to the active-drain pass.
         """
-        self.remaining[flow.slot] = remaining
-        if remaining <= 0.0:
-            if self.active[flow.slot]:
+        if flow.col >= 0:
+            self.remaining[flow.col] = remaining
+            if remaining <= 0.0:
                 self.deactivate(flow)
-            if flow not in self.finished:
-                self.finished.append(flow)
+        else:
+            flow.remaining = remaining
+        if remaining <= 0.0 and flow not in self.finished:
+            self.finished.append(flow)
         self.version += 1
 
-    def _grow_rows(self) -> None:
-        def doubled(a: np.ndarray) -> np.ndarray:
-            out = np.zeros((len(a) * 2,) + a.shape[1:], dtype=a.dtype)
-            out[: len(a)] = a
-            return out
-
-        self.remaining = doubled(self.remaining)
-        self.weight = doubled(self.weight)
-        self.thresh = doubled(self.thresh)
-        self.active = doubled(self.active)
-        self.hops = doubled(self.hops)
-        self.flow_of.extend([None] * (len(self.active) - len(self.flow_of)))
-
-    def _grow_cols(self, n_hops: int) -> None:
-        wide = np.zeros((len(self.hops), n_hops), dtype=self.hops.dtype)
-        wide[:, : self.hops.shape[1]] = self.hops
-        self.hops = wide
+    def _reshape(self, n_hops: int, n_cols: int) -> None:
+        """Re-allocate the block as ``n_hops`` × ``n_cols``, keeping the
+        active columns (new hop rows pad with the sentinel)."""
+        n = self.n_act
+        hops, scalars = np.zeros((n_hops, n_cols), dtype=np.intp), np.zeros((3, n_cols))
+        hops[: len(self.hops), :n] = self.hops[:, :n]
+        scalars[:, :n] = self.scalars[:, :n]
+        self.hops, self.scalars = hops, scalars
+        self.remaining, self.weight, self.thresh = scalars

@@ -379,8 +379,12 @@ class OriginServer:
     """
 
     def __init__(self, n_encode_workers: int = 4, encode_seconds: float = 0.0):
-        if encode_seconds < 0:
-            raise ValueError("encode_seconds must be non-negative")
+        # chained so NaN fails it: a non-finite encode time used to build
+        # and then fail the first cold miss inside ``PathScheduler.add_flow``
+        if not 0 <= encode_seconds < math.inf:
+            raise ValueError(
+                f"encode_seconds must be finite and non-negative, got {encode_seconds!r}"
+            )
         self.queue = EncodeQueue(n_encode_workers)
         self.encode_seconds = float(encode_seconds)
         self._variants: dict[tuple, float] = {}  # key -> ready time

@@ -21,12 +21,14 @@ from hypothesis import strategies as st
 from repro.net import (
     Link,
     NetworkPath,
+    NetworkTrace,
     PathScheduler,
     SharedLink,
     lte_trace,
     path_download_time,
     stable_trace,
 )
+from repro.streaming.faults import DegradedTrace
 
 from .reference_scheduler import ReferenceScheduler
 
@@ -93,20 +95,27 @@ def sized(flows, mean_mbps):
 
 
 def build_pool(policy, mean, seed):
-    """Three links and the four paths (one to three hops) sharing them."""
+    """Three links and five paths (one to three hops) sharing them.
+
+    The third link wears two overlapping degradation windows, so the
+    grid covers both capacity paths: plain traces kept until their
+    segment ends, wrapped traces re-read every step."""
     links = [
         SharedLink(lte_trace(mean, mean / 3, duration=90.0, seed=seed),
                    policy=policy),
         SharedLink(stable_trace(mean * 1.5, duration=90.0, rtt=0.005),
                    policy=policy),
-        SharedLink(lte_trace(mean / 2, mean / 6, duration=90.0,
-                             seed=seed + 50), policy=policy),
+        SharedLink(DegradedTrace(
+            lte_trace(mean / 2, mean / 6, duration=90.0, seed=seed + 50),
+            [(0.75, 2.25, 0.5), (1.5, 6.0, 0.8)],
+        ), policy=policy),
     ]
     paths = [
         NetworkPath((links[0],)),
         NetworkPath((links[0], links[1])),
         NetworkPath((links[1], links[2])),
         NetworkPath((links[0], links[1], links[2])),
+        NetworkPath((links[2],)),  # a one-link pool on the wrapped trace
     ]
     return links, paths
 
@@ -154,12 +163,12 @@ def run_script(sched, paths, flows):
     return out
 
 
-def assert_parity(flows, policy, mean, seed, one_hop=False):
+def assert_parity(flows, policy, mean, seed, path=None):
     """Production == reference on one scripted workload, field for field;
     byte accounting agrees to float tolerance (the two sum drained bits
-    in different orders)."""
-    if one_hop:
-        flows = [(n, s, w, 0, *rest) for n, s, w, _, *rest in flows]
+    in different orders).  ``path`` puts every flow on that one path."""
+    if path is not None:
+        flows = [(n, s, w, path, *rest) for n, s, w, _, *rest in flows]
     runs = []
     for factory in (ReferenceScheduler, PathScheduler):
         links, paths = build_pool(policy, mean, seed)
@@ -188,10 +197,11 @@ class TestOneHopParity:
         policy=st.sampled_from(["fair", "weighted"]),
         mean=st.floats(min_value=5.0, max_value=150.0),
         seed=st.integers(min_value=0, max_value=10),
+        path=st.sampled_from([0, 4]),  # a plain link / a DegradedTrace link
     )
-    def test_bit_exact_completions(self, engine, flows, policy, mean, seed):
+    def test_bit_exact_completions(self, engine, flows, policy, mean, seed, path):
         assert SCHEDULERS[engine] is PathScheduler
-        assert_parity(sized(flows, mean), policy, mean, seed, one_hop=True)
+        assert_parity(sized(flows, mean), policy, mean, seed, path=path)
 
     def test_solo_flow_matches_link_integrator(self, engine):
         """A lone flow resolves through the same segment-exact arithmetic."""
@@ -332,7 +342,7 @@ class TestEngineParity:
              None, False)
             for i in range(12)
         ]
-        assert_parity(flows, "weighted", 50.0, 3, one_hop=True)
+        assert_parity(flows, "weighted", 50.0, 3, path=0)
 
     def test_fair_many_flows_bit_exact(self):
         flows = [
@@ -376,6 +386,34 @@ class TestEngineParity:
         assert results[0] == results[1]
 
 
+    def test_trace_boundary_is_exactly_the_next_event(self):
+        """A plain link's boundary is found through its stored lower bound
+        but returned as the trace's own ``now + (hi - now % duration)``:
+        both engines wake at the same instants — first the 1.5 s boundary,
+        tied with a gate that opens on it, later the loop's wrap alone."""
+        runs = []
+        for factory in SCHEDULERS.values():
+            step = SharedLink(
+                NetworkTrace("step", [0.0, 1.5], [30e6, 12e6], rtt=0.0)
+            )
+            side = SharedLink(stable_trace(50.0, rtt=0.0))
+            sched = factory()
+            sched.add_flow(0, 9_000_000, 0.0, NetworkPath((step,)))
+            sched.add_flow(1, 6_000_000, 0.0, NetworkPath((step, side)))
+            sched.add_flow(2, 2_000_000, 0.0, NetworkPath((side,)), extra_delay=1.5)
+            now, instants, done = 0.0, [], []
+            while sched.busy():
+                t = sched.next_event(now)
+                instants.append(t)
+                done += sched.advance(now, t)
+                now = t
+            runs.append((instants, done))
+        assert runs[0] == runs[1]
+        instants, done = runs[1]
+        assert instants[0] == 1.5 and [c.flow_id for c in done] == [2, 1, 0]
+        wrap = [t for t in instants if 2.9 < t < 3.1]
+        assert len(wrap) == 1 and wrap[0] == pytest.approx(3.0)
+
     @pytest.mark.parametrize(
         "flows",
         [
@@ -410,6 +448,13 @@ class TestEngineParity:
                  (600_000, 0.2, 1.0, 0, 0.0, 0.5, False)],
                 id="three-hop-flow-joins-one-hop-pool",
             ),
+            pytest.param(
+                [(6_000_000, 0.0, 1.0, 2, 0.0, None, False),
+                 (400_000, 0.0, 1.0, 0, 0.0, None, False),
+                 (300_000, 0.5, 1.0, 0, 0.0, None, True),
+                 (1_000_000, 2.5, 1.0, 0, 0.0, None, True)],
+                id="link-reactivated-after-its-segment-ended",
+            ),
         ],
     )
     @pytest.mark.parametrize("policy", ["fair", "weighted"])
@@ -420,8 +465,8 @@ class TestEngineParity:
 
 
 class TestLifeCycleBookkeeping:
-    """White-box pins on ``_VectorState``: the three traps the incremental
-    activation fell into while it was written."""
+    """White-box pins on ``_VectorState``'s packed active block: the three
+    traps the incremental activation fell into while it was written."""
 
     def pool(self):
         links = [SharedLink(stable_trace(40.0, duration=60.0, rtt=0.01))
@@ -432,10 +477,11 @@ class TestLifeCycleBookkeeping:
         )
 
     def test_widening_the_hop_matrix_never_touches_the_padding_link(self):
-        """``hops`` widens from 2 to 3 columns while one-hop flows are
-        active; counting over matrix rows would then decrement the padding
-        link (index 0) once more per flow than it was incremented, drive
-        its denominator negative and every rate to -inf."""
+        """``hops`` grows from 2 to 3 hop rows while one-hop flows are
+        active, padding their columns with link 0; counting over matrix
+        columns would then decrement the padding link once more per flow
+        than it was incremented, drive its denominator negative and every
+        rate to -inf."""
         one_hop, three_hop = self.pool()
         sched = PathScheduler()
         sched.add_flow(0, 2_000_000, 0.0, one_hop)
@@ -444,52 +490,53 @@ class TestLifeCycleBookkeeping:
         now = sched.next_event(0.0)          # both gates expire at 0.01
         sched.advance(0.0, now)
         sched.next_event(now)
-        assert v.active[:2].all() and v.hops.shape[1] == 2
+        assert v.n_act == 2 and v.hops.shape[0] == 2
         sched.add_flow(2, 2_000_000, now, three_hop)
-        assert v.hops.shape[1] == 3
+        assert v.hops.shape[0] == 3 and not v.hops[2, :2].any()
         done, guard = [], 0
         while sched.busy():
             t = sched.next_event(now)
             assert math.isfinite(t) and t >= now
             assert v.denom[0] == 1.0 and 0 not in v.link_count
             assert all(n > 0 for n in v.link_count.values())
+            assert [f.col for f in v.flows] == list(range(v.n_act))
             done += sched.advance(now, t)
             now = t
             guard += 1
             assert guard < 1000
         assert sorted(c.flow_id for c in done) == [0, 1, 2]
-        assert not v.link_count and not v.active.any()
-        assert (v.denom == 1.0).all()
+        assert not v.link_count and v.n_act == 0 and not v.flows
+        assert (v.denom == 1.0).all() and not v.segments
 
-    def test_stale_gate_is_skipped_by_identity_not_by_slot(self):
-        """A flow cancelled while gated leaves its heap entry behind and
-        its slot is recycled at once; the stale entry must not open the
-        gate of the flow that now owns the slot."""
+    def test_stale_gate_is_skipped_by_identity(self):
+        """A flow cancelled while gated leaves its heap entry behind; the
+        entry names a dead flow object, which must not be given a column
+        (it would take shares for ever) nor wake the driver."""
         one_hop, _ = self.pool()
         sched = PathScheduler()
         sched.add_flow(0, 50_000_000, 0.0, one_hop)
         sched.add_flow(1, 1_000_000, 0.0, one_hop, extra_delay=1.0)
-        slot, dead_gate = sched._flows[1].slot, sched._flows[1].data_start
+        dead = sched._flows[1]
         sched.cancel(1)
+        assert not dead.live and any(f is dead for *_, f in sched._vec.gated)
         sched.add_flow(2, 1_000_000, 0.0, one_hop, extra_delay=3.0)
         newcomer = sched._flows[2]
-        assert newcomer.slot == slot
         now = 0.0
         while now < 2.0:                     # past the dead flow's gate
             t = min(sched.next_event(now), 2.0)
-            assert t != dead_gate            # ... which wakes nobody
+            assert t != dead.data_start      # ... which wakes nobody
             sched.advance(now, t)
             now = t
-        assert not sched._vec.active[slot]
-        assert 1.0 < dead_gate < 2.0 < newcomer.data_start
+        assert sched._vec.flows == [sched._flows[0]] and dead.col == -1
+        assert 1.0 < dead.data_start < 2.0 < newcomer.data_start
         assert sched.next_event(now) == newcomer.data_start
         assert not sched._gate_due(now) and sched._gate_due(newcomer.data_start)
 
     def test_nan_drain_leaves_the_flow_inactive(self):
         """The old active mask's ``remaining > 0`` doubled as a NaN guard.
-        A flow whose bits turned NaN must drop out of the shares, so the
-        clock stalls at ``inf`` (where the fleet's watchdog sees it)
-        instead of creeping from trace boundary to trace boundary."""
+        A flow whose bits turned NaN must leave the block, keeping its NaN
+        bits on the flow, so the clock stalls at ``inf`` (where the fleet's
+        watchdog sees it) instead of creeping from boundary to boundary."""
         trace = stable_trace(40.0, duration=60.0, rtt=0.0)
         trace._bw_list[0] = math.nan         # what the lookups read
         path = NetworkPath((SharedLink(trace),))
@@ -498,8 +545,52 @@ class TestLifeCycleBookkeeping:
         sched.add_flow(1, 1_000_000, 0.0, path)
         t = sched.next_event(0.0)
         assert sched.advance(0.0, t) == []
-        assert not sched._vec.active.any() and not sched._vec.link_count
+        v = sched._vec
+        assert v.n_act == 0 and not v.link_count and not v.segments
+        assert all(math.isnan(f.remaining) for f in sched._flows.values())
         assert sched.next_event(t) == math.inf
+
+
+class TestSegmentBound:
+    """``_VectorState.watch`` keeps a plain link's capacity until ``now``
+    reaches a stored lower bound on its segment's end, and ``next_event``
+    skips the link's boundary while that bound exceeds the best instant
+    found.  Both are exact only if the bound lies below every float the
+    trace's own ``now + time_to_next_change(now)`` gives for that boundary
+    and every instant before the bound is still inside the segment."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.floats(min_value=0.01, max_value=500.0),
+        loops=st.integers(min_value=0, max_value=10**6),
+        read=st.floats(min_value=0.0, max_value=0.999),
+        later=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
+    )
+    def test_bound_is_below_the_boundary_and_inside_the_segment(
+        self, width, loops, read, later
+    ):
+        trace = NetworkTrace("two", [0.0, width], [10e6, 20e6], rtt=0.0)
+        duration = trace.duration
+        t0 = loops * duration + read * width
+        link = SharedLink(trace)
+        sched = PathScheduler()
+        sched.add_flow(0, 1_000, 0.0, NetworkPath((link,)))
+        v = sched._vec
+        v.watch(1, t0)
+        until, hi, _ = v.segments[1]
+        end = t0 + trace.time_to_next_change(t0)
+        # instants spread over the segment, then the floats just below its end
+        nows = [t0 + f * (end - t0) for f in later]
+        t = end
+        for _ in range(6):
+            t = math.nextafter(t, 0.0)
+            nows.append(t)
+        for now in nows:
+            if now < t0 or now % duration >= hi:
+                continue                     # outside the segment read at t0
+            assert until <= now + trace.time_to_next_change(now)
+            if now < until:
+                assert trace.bandwidth_at(now) == v.cap[1]
 
 
 class TestMonotoneClock:
@@ -532,6 +623,26 @@ class TestMonotoneClock:
         sched.sync(0.5)
         with pytest.raises(ValueError, match="time went backwards"):
             sched.sync(0.25)
+
+    @pytest.mark.parametrize(
+        "call", ["next_event", "sync", "advance-to", "advance-from"]
+    )
+    def test_a_nan_instant_is_refused_and_changes_nothing(self, call):
+        """NaN passes every ``<`` order check: ``advance(t, nan)`` used to
+        return ``[]`` leaving every active flow's bits NaN, ``busy()`` true
+        and ``next_event`` at ``inf`` for ever."""
+        sched = self.busy_pool()
+        ahead = sched.next_event(0.5)
+        act = {
+            "next_event": lambda: sched.next_event(math.nan),
+            "sync": lambda: sched.sync(math.nan),
+            "advance-to": lambda: sched.advance(0.5, math.nan),
+            "advance-from": lambda: sched.advance(math.nan, 1.0),
+        }[call]
+        with pytest.raises(ValueError, match="nan"):
+            act()
+        assert sched.next_event(0.5) == ahead
+        assert sorted(c.flow_id for c in drive(sched, now=0.5)) == [0, 1]
 
 
 class TestValidation:

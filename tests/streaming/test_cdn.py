@@ -484,6 +484,15 @@ class TestEncodeQueue:
         with pytest.raises(ValueError):
             EncodeQueue(2).resize(0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_encode_time_is_refused_at_construction(self, bad):
+        """Both used to build, and the run then died at the first cold miss
+        inside ``PathScheduler.add_flow`` ("extra_delay must be finite")."""
+        with pytest.raises(ValueError, match=r"encode_seconds must be finite.*got (nan|inf)"):
+            OriginServer(encode_seconds=bad)
+        with pytest.raises(ValueError, match="encode_seconds must be finite"):
+            uniform_cdn(2, access_mbps=50.0, backhaul_mbps=20.0, encode_seconds=bad)
+
     def test_wait_percentile_half_ranks_round_up(self):
         # Regression: round() is half-to-even, so the p50 of an even
         # sample flipped between the lower and upper neighbor depending

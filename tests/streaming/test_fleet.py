@@ -7,12 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import QoEModel
-from repro.net import NetworkTrace, lte_trace, stable_trace
+from repro.net import NetworkTrace, SharedLink, lte_trace, stable_trace
 from repro.net.topology import PathScheduler
 from repro.streaming import (
     AbandonPolicy,
+    BackhaulDegradation,
+    CDNTopology,
     ContinuousMPC,
+    EdgeChunkCache,
+    EdgeNode,
+    FaultSchedule,
     FleetSession,
+    GrayFailure,
+    OriginServer,
     SessionConfig,
     SRQualityModel,
     SRResultCache,
@@ -170,6 +177,45 @@ class TestEngineParityEndToEnd:
             assert ra.stall_seconds == rb.stall_seconds
             assert ra.decisions == rb.decisions
         assert a.report.makespan == b.report.makespan
+
+    def test_cdn_fleet_with_gray_failure_and_degradation_engines_agree(
+        self, monkeypatch
+    ):
+        """The multi-hop path end to end: backhaul + access hops on LTE
+        traces (plain links, capacities kept until a segment ends), one
+        backhaul degraded and one edge gray (``DegradedTrace`` links, read
+        every step), cold misses gated by encode waits."""
+
+        def run():
+            edges = tuple(
+                EdgeNode(
+                    name=f"edge-{e}",
+                    backhaul=SharedLink(lte_trace(30, 9, seed=20 + e, rtt=0.02)),
+                    access=SharedLink(lte_trace(45, 14, seed=30 + e)),
+                    cache=EdgeChunkCache(capacity_bytes=1 << 30),
+                )
+                for e in range(3)
+            )
+            topology = CDNTopology(
+                edges=edges,
+                origin=OriginServer(n_encode_workers=2, encode_seconds=0.02),
+                assignment="static",
+            )
+            faults = FaultSchedule((
+                BackhaulDegradation(edge=0, start=1.5, duration=4.0, factor=0.4),
+                GrayFailure(edge=1, start=2.0, duration=5.0,
+                            capacity_factor=0.5, drop_fraction=0.2),
+            ))
+            return simulate_fleet(
+                self.make_sessions(), topology=topology, faults=faults,
+                sr_cache="per-edge",
+            )
+
+        b = run()
+        monkeypatch.setattr("repro.streaming.fleet.PathScheduler", ReferenceScheduler)
+        a = run()
+        assert_same_run(a, b)
+        assert a.report.gray_degraded_bytes > 0
 
 
 class TestDeterminism:

@@ -156,7 +156,18 @@ def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch():
     topology = ast.parse((SRC / "net" / "topology.py").read_text())
     assert "bincount" not in called_names(topology)
     (alloc,) = functions(SRC / "net" / "topology.py", "_vec_alloc")
-    assert not called_names(alloc) & {"ravel", "astype", "tolist"}
+    assert not called_names(alloc) & {"ravel", "astype", "tolist", "nonzero"}
+
+
+def test_the_scheduler_keeps_its_active_flows_in_one_packed_block():
+    """Active flows fill columns ``0 … n-1`` (swap-remove on the way out),
+    so there is no slot array to grow, scan or gather through."""
+    import dataclasses
+
+    from repro.net.topology import _PathFlow, _VectorState
+
+    assert not hasattr(_VectorState, "_grow_rows")
+    assert "slot" not in [f.name for f in dataclasses.fields(_PathFlow)]
 
 
 def test_octree_selects_by_argmin_passes_through_one_kernel():
