@@ -11,7 +11,7 @@ benchmarks) agree on what "a VoLUT viewer" is.
 from __future__ import annotations
 
 from ..metrics.qoe import QoEModel
-from ..streaming.abr import AbrController, ContinuousMPC, SRQualityModel
+from ..streaming.abr import AbrController, SRQualityModel
 from ..streaming.fleet import FleetSession
 from ..streaming.latency import MeasuredSRLatency
 from ..streaming.policies import get_policy

@@ -1,11 +1,6 @@
 """Quality and experience metrics."""
 
-from .chamfer import (
-    chamfer_distance,
-    geometry_psnr,
-    hausdorff_distance,
-    p2p_distances,
-)
+from .chamfer import chamfer_distance, geometry_psnr, p2p_distances
 from .psnr import image_mse, image_psnr, mean_image_psnr
 from .qoe import (
     ChunkRecord,
@@ -15,12 +10,10 @@ from .qoe import (
     bootstrap_ci,
     session_qoe,
 )
-from .temporal import flicker_index, temporal_chamfer
 from .uniformity import coverage_radius, local_density_cv, nn_distance_cv
 
 __all__ = [
     "chamfer_distance",
-    "hausdorff_distance",
     "geometry_psnr",
     "p2p_distances",
     "image_psnr",
@@ -35,6 +28,4 @@ __all__ = [
     "session_qoe",
     "aggregate_qoe",
     "bootstrap_ci",
-    "temporal_chamfer",
-    "flicker_index",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 from ..pointcloud.cloud import PointCloud
 from ..spatial.knn import kdtree_knn
 
-__all__ = ["p2p_distances", "chamfer_distance", "hausdorff_distance", "geometry_psnr"]
+__all__ = ["p2p_distances", "chamfer_distance", "geometry_psnr"]
 
 
 def _positions(c: PointCloud | np.ndarray) -> np.ndarray:
@@ -53,11 +53,6 @@ def chamfer_distance(
     if squared:
         return float(np.mean(d_ab ** 2) + np.mean(d_ba ** 2))
     return float(d_ab.mean() + d_ba.mean())
-
-
-def hausdorff_distance(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> float:
-    """Symmetric Hausdorff (worst-case) distance."""
-    return float(max(p2p_distances(a, b).max(), p2p_distances(b, a).max()))
 
 
 def geometry_psnr(

@@ -3,22 +3,12 @@
 from .estimator import HarmonicMeanEstimator
 from .link import SHARING_POLICIES, Completion, Link, SharedLink
 from .topology import NetworkPath, PathScheduler, path_download_time
-from .traces import (
-    MBPS,
-    PAPER_LTE_PROFILES,
-    NetworkTrace,
-    lte_trace,
-    read_trace_csv,
-    stable_trace,
-    write_trace_csv,
-)
+from .traces import MBPS, PAPER_LTE_PROFILES, NetworkTrace, lte_trace, stable_trace
 
 __all__ = [
     "NetworkTrace",
     "stable_trace",
     "lte_trace",
-    "read_trace_csv",
-    "write_trace_csv",
     "PAPER_LTE_PROFILES",
     "MBPS",
     "Link",

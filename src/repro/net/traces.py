@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "NetworkTrace",
-    "stable_trace",
-    "lte_trace",
-    "read_trace_csv",
-    "write_trace_csv",
-    "PAPER_LTE_PROFILES",
-]
+__all__ = ["NetworkTrace", "stable_trace", "lte_trace", "PAPER_LTE_PROFILES"]
 
 MBPS = 1e6
 
@@ -168,47 +161,5 @@ def lte_trace(
         name=f"lte-{mean_mbps:g}mbps",
         timestamps=np.arange(n) * step,
         bandwidths_bps=bw * MBPS,
-        rtt=rtt,
-    )
-
-
-def write_trace_csv(trace: NetworkTrace, path) -> None:
-    """Persist a trace as ``timestamp_s,bandwidth_mbps`` CSV rows.
-
-    The format matches common public LTE trace releases so externally
-    captured traces drop in without conversion.
-    """
-    with open(path, "w") as fh:
-        fh.write("# timestamp_s,bandwidth_mbps\n")
-        for t, bw in zip(trace.timestamps, trace.bandwidths_bps):
-            fh.write(f"{t:.3f},{bw / MBPS:.6f}\n")
-
-
-def read_trace_csv(path, name: str | None = None, rtt: float = 0.040) -> NetworkTrace:
-    """Load a ``timestamp_s,bandwidth_mbps`` CSV trace.
-
-    Lines starting with ``#`` are comments.  Timestamps must start at 0 and
-    increase strictly; bandwidths are megabits per second.
-    """
-    times, bws = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'time,mbps', got {line!r}")
-            times.append(float(parts[0]))
-            bws.append(float(parts[1]) * MBPS)
-    if not times:
-        raise ValueError(f"{path}: no trace rows found")
-    import os
-
-    trace_name = name or os.path.splitext(os.path.basename(str(path)))[0]
-    return NetworkTrace(
-        name=trace_name,
-        timestamps=np.asarray(times),
-        bandwidths_bps=np.asarray(bws),
         rtt=rtt,
     )

@@ -1,9 +1,9 @@
 """From-scratch NumPy neural-network substrate (no PyTorch available)."""
 
 from .layers import Layer, LeakyReLU, Linear, ReLU, Tanh
-from .loss import l1_loss, mse_loss, offset_loss
+from .loss import mse_loss
 from .mlp import MLP
-from .optim import SGD, Adam, Optimizer
+from .optim import Adam
 from .trainer import TrainConfig, Trainer, TrainResult
 
 __all__ = [
@@ -14,10 +14,6 @@ __all__ = [
     "Tanh",
     "MLP",
     "mse_loss",
-    "l1_loss",
-    "offset_loss",
-    "Optimizer",
-    "SGD",
     "Adam",
     "Trainer",
     "TrainConfig",

@@ -1,10 +1,10 @@
-"""Loss functions (value + gradient pairs)."""
+"""Loss function (value + gradient pair)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse_loss", "l1_loss", "offset_loss"]
+__all__ = ["mse_loss"]
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -16,36 +16,4 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     diff = pred - target
     loss = float(np.mean(diff ** 2))
     grad = (2.0 / diff.size) * diff
-    return loss, grad
-
-
-def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean absolute error; returns (loss, dL/dpred)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    loss = float(np.mean(np.abs(diff)))
-    grad = np.sign(diff) / diff.size
-    return loss, grad
-
-
-def offset_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean Euclidean displacement (paper Eq. 9).
-
-    The refinement objective is the mean L2 distance between refined points
-    and their ground-truth counterparts; with ``pred`` being the predicted
-    offset and ``target`` the true offset, this is ``mean ||pred - target||``
-    per point (rows).
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    norms = np.linalg.norm(diff, axis=-1)
-    loss = float(np.mean(norms))
-    safe = np.maximum(norms, 1e-12)
-    grad = diff / (safe[..., None] * norms.size)
     return loss, grad

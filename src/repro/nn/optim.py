@@ -1,60 +1,17 @@
-"""Optimizers for the NumPy network substrate."""
+"""Optimizer for the NumPy network substrate."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Updates a flat list of (param, grad) array pairs in place."""
+class Adam:
+    """Adam (Kingma & Ba) with bias correction.
 
-    def __init__(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float):
-        if len(params) != len(grads):
-            raise ValueError("params and grads must pair up")
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.params = params
-        self.grads = grads
-        self.lr = float(lr)
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def zero_grad(self) -> None:
-        for g in self.grads:
-            g[...] = 0.0
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        grads: list[np.ndarray],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-    ):
-        super().__init__(params, grads, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self._vel = [np.zeros_like(p) for p in params]
-
-    def step(self) -> None:
-        for p, g, v in zip(self.params, self.grads, self._vel):
-            if self.momentum:
-                v *= self.momentum
-                v -= self.lr * g
-                p += v
-            else:
-                p -= self.lr * g
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
+    Updates a flat list of (param, grad) array pairs in place.
+    """
 
     def __init__(
         self,
@@ -65,11 +22,21 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        super().__init__(params, grads, lr)
+        if len(params) != len(grads):
+            raise ValueError("params and grads must pair up")
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.params = params
+        self.grads = grads
+        self.lr = float(lr)
         self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self._m = [np.zeros_like(p) for p in params]
         self._v = [np.zeros_like(p) for p in params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for g in self.grads:
+            g[...] = 0.0
 
     def step(self) -> None:
         self._t += 1

@@ -1,22 +1,9 @@
-"""Point-cloud containers, I/O, sampling, and procedural datasets."""
+"""Point-cloud containers, sampling, and procedural datasets."""
 
 from .cloud import PointCloud
 from .datasets import PAPER_VIDEOS, VIDEO_NAMES, VolumetricVideo, make_video
-from .io import load, read_npz, read_ply, save, write_npz, write_ply
-from .sampling import (
-    farthest_point_sample,
-    random_downsample,
-    random_downsample_count,
-    voxel_downsample,
-)
+from .sampling import farthest_point_sample, random_downsample_count, voxel_downsample
 from .synthesis import humanoid_frame, room_frame
-from .transforms import (
-    jitter,
-    normalize_unit_sphere,
-    random_rigid_transform,
-    rotate,
-    rotation_matrix,
-)
 
 __all__ = [
     "PointCloud",
@@ -24,21 +11,9 @@ __all__ = [
     "make_video",
     "VIDEO_NAMES",
     "PAPER_VIDEOS",
-    "load",
-    "save",
-    "read_ply",
-    "write_ply",
-    "read_npz",
-    "write_npz",
-    "random_downsample",
     "random_downsample_count",
     "voxel_downsample",
     "farthest_point_sample",
     "humanoid_frame",
     "room_frame",
-    "rotation_matrix",
-    "rotate",
-    "jitter",
-    "normalize_unit_sphere",
-    "random_rigid_transform",
 ]

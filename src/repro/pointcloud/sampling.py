@@ -1,7 +1,8 @@
 """Downsampling strategies.
 
-VoLUT's server performs **random downsampling** (paper §5.2): each point is
-kept independently, which is cheap enough for video-on-demand encoding and —
+VoLUT's server performs **random downsampling** (paper §5.2): a uniform
+random subset of the points is kept, which is cheap enough for
+video-on-demand encoding and —
 combined with the robust upsampling pipeline — gives sufficient quality.
 Farthest-point sampling (FPS) is implemented as the quality-first baseline
 the paper rejects for latency reasons (§4.1), and voxel-grid downsampling is
@@ -14,12 +15,7 @@ import numpy as np
 
 from .cloud import PointCloud
 
-__all__ = [
-    "random_downsample",
-    "random_downsample_count",
-    "voxel_downsample",
-    "farthest_point_sample",
-]
+__all__ = ["random_downsample_count", "voxel_downsample", "farthest_point_sample"]
 
 
 def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -28,27 +24,15 @@ def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_downsample(
-    cloud: PointCloud, ratio: float, seed: int | np.random.Generator | None = None
-) -> PointCloud:
-    """Keep each point independently with probability ``ratio``.
-
-    This mirrors the paper's ``P_select(p_i) = r`` selection rule.  The
-    returned size is binomially distributed around ``ratio * n``; use
-    :func:`random_downsample_count` when an exact count is required (the
-    streaming encoder does, so chunk sizes are deterministic).
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must be in [0, 1], got {ratio}")
-    rng = _rng(seed)
-    mask = rng.random(len(cloud)) < ratio
-    return cloud.select(mask)
-
-
 def random_downsample_count(
     cloud: PointCloud, n_target: int, seed: int | np.random.Generator | None = None
 ) -> PointCloud:
-    """Uniformly sample exactly ``n_target`` points without replacement."""
+    """Uniformly sample exactly ``n_target`` points without replacement.
+
+    This is the paper's ``P_select(p_i) = r`` selection rule with the count
+    fixed at ``r * n`` instead of binomially distributed around it, so the
+    streaming encoder's chunk sizes are deterministic.
+    """
     n = len(cloud)
     if n_target < 0:
         raise ValueError("n_target must be non-negative")
@@ -65,8 +49,8 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
 
     Colors, when present, are averaged per voxel.
     """
-    if voxel_size <= 0:
-        raise ValueError("voxel_size must be positive")
+    if not 0 < voxel_size < np.inf:
+        raise ValueError(f"voxel_size must be positive and finite, got {voxel_size}")
     if len(cloud) == 0:
         return cloud.copy()
     lo, _ = cloud.bounds()

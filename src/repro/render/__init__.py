@@ -1,17 +1,7 @@
 """Software viewport rendering: camera, rasterizer, 6DoF traces."""
 
 from .camera import Camera
-from .rasterizer import render, render_depth
+from .rasterizer import render
 from .viewport import TRACE_KINDS, viewport_trace
-from .visibility import prediction_accuracy, trace_visibility, visible_fraction
 
-__all__ = [
-    "Camera",
-    "render",
-    "render_depth",
-    "viewport_trace",
-    "TRACE_KINDS",
-    "visible_fraction",
-    "trace_visibility",
-    "prediction_accuracy",
-]
+__all__ = ["Camera", "render", "viewport_trace", "TRACE_KINDS"]

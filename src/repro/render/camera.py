@@ -1,8 +1,8 @@
 """Pinhole camera model for viewport rendering.
 
-Provides the world→image projection the rasterizer and ViVo's visibility
-culling share.  Cameras are parameterized by position, look-at target, and
-vertical field of view — the natural parameterization for 6DoF traces.
+Provides the world→image projection the rasterizer uses.  Cameras are
+parameterized by position, look-at target, and vertical field of view — the
+natural parameterization for 6DoF traces.
 """
 
 from __future__ import annotations
@@ -105,6 +105,6 @@ class Camera:
         return xy, z_cam, valid
 
     def visible_mask(self, points: np.ndarray) -> np.ndarray:
-        """Frustum-visibility mask (used by ViVo's viewport culling)."""
+        """Frustum-visibility mask."""
         _, _, valid = self.project(points)
         return valid

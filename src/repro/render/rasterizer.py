@@ -14,7 +14,7 @@ import numpy as np
 from ..pointcloud.cloud import PointCloud
 from .camera import Camera
 
-__all__ = ["render", "render_depth"]
+__all__ = ["render"]
 
 _BACKGROUND = np.array([0, 0, 0], dtype=np.uint8)
 
@@ -86,9 +86,3 @@ def render(
         shade = (255.0 - 191.0 * (z - zmin) / span).astype(np.uint8)
         img[hit] = shade[:, None]
     return img
-
-
-def render_depth(cloud: PointCloud, camera: Camera, splat: int = 2) -> np.ndarray:
-    """Render the depth buffer (``inf`` where no point lands)."""
-    _, zbuf = _rasterize(cloud, camera, splat)
-    return zbuf

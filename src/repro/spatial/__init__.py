@@ -12,7 +12,7 @@ from .knn import (
     self_neighbors,
 )
 from .octree import TwoLayerOctree
-from .reuse import merge_and_prune, midpoint_neighbors
+from .reuse import merge_and_prune
 
 __all__ = [
     "CLIENT_BACKEND",
@@ -26,5 +26,4 @@ __all__ = [
     "ordered_query",
     "self_neighbors",
     "merge_and_prune",
-    "midpoint_neighbors",
 ]

@@ -46,7 +46,7 @@ import numpy as np
 
 from .knn import as_finite_xyz
 
-__all__ = ["merge_and_prune", "midpoint_neighbors"]
+__all__ = ["merge_and_prune"]
 
 #: Rows per block.  At 18 candidates a block's temporaries (candidates, one
 #: per-axis difference, distances) are ~150 KiB each and stay cache-resident.
@@ -185,15 +185,3 @@ def merge_and_prune(
                 f"candidates, fewer than k={k}"
             )
     return indices, np.sqrt(distances, out=distances)
-
-
-def midpoint_neighbors(
-    points: np.ndarray,
-    parent_a: np.ndarray,
-    parent_b: np.ndarray,
-    neighbor_idx: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper: neighbors of parent midpoints via reuse."""
-    mid = 0.5 * (points[parent_a] + points[parent_b])
-    return merge_and_prune(mid, points, parent_a, parent_b, neighbor_idx, k)

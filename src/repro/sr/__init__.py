@@ -3,7 +3,7 @@
 from .colorize import colorize_by_nearest, colorize_by_parent
 from .encoding import EncodedNeighborhood, PositionEncoder
 from .gradpu import GradPUUpsampler
-from .interpolation import InterpolationResult, interpolate, naive_knn_interpolate
+from .interpolation import InterpolationResult, interpolate
 from .lut import (
     EnsembleLUT,
     HashedLUT,
@@ -20,11 +20,10 @@ from .training import (
     build_refinement_dataset,
     train_refinement_net,
 )
-from .yuzu import YUZU_RATIOS, YuzuSRModel, train_yuzu_model
+from .yuzu import YUZU_RATIOS, YuzuSRModel
 
 __all__ = [
     "interpolate",
-    "naive_knn_interpolate",
     "InterpolationResult",
     "colorize_by_parent",
     "colorize_by_nearest",
@@ -49,6 +48,5 @@ __all__ = [
     "StageTimes",
     "GradPUUpsampler",
     "YuzuSRModel",
-    "train_yuzu_model",
     "YUZU_RATIOS",
 ]

@@ -38,7 +38,7 @@ import numpy as np
 from ..pointcloud.cloud import PointCloud
 from ..spatial.knn import CLIENT_BACKEND, get_backend, self_neighbors
 
-__all__ = ["InterpolationResult", "interpolate", "naive_knn_interpolate"]
+__all__ = ["InterpolationResult", "interpolate"]
 
 
 @dataclass
@@ -90,8 +90,8 @@ def _plan_new_points(
     density added is as even as the partner choice allows; the remainder
     (for fractional ratios) is a uniform random subset.
     """
-    if ratio < 1.0:
-        raise ValueError(f"upsampling ratio must be >= 1, got {ratio}")
+    if not 1.0 <= ratio < np.inf:
+        raise ValueError(f"upsampling ratio must be finite and >= 1, got {ratio}")
     m = int(round((ratio - 1.0) * n))
     full, rem = divmod(m, n)
     src = np.tile(np.arange(n), full)
@@ -176,17 +176,3 @@ def interpolate(
         knn_seconds=t_knn,
         assembly_seconds=time.perf_counter() - t1,
     )
-
-
-def naive_knn_interpolate(
-    cloud: PointCloud,
-    ratio: float,
-    k: int = 4,
-    seed: int | np.random.Generator | None = 0,
-) -> InterpolationResult:
-    """The paper's naive baseline: kNN interpolation without dilation.
-
-    Equivalent to :func:`interpolate` with ``dilation=1`` and brute-force
-    search — the configuration labelled ``K4d1`` in Figs. 7–10.
-    """
-    return interpolate(cloud, ratio, k=k, dilation=1, backend="brute", seed=seed)

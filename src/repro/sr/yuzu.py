@@ -22,14 +22,12 @@ import time
 import numpy as np
 
 from ..nn.mlp import MLP
-from ..nn.trainer import TrainConfig, Trainer
 from ..pointcloud.cloud import PointCloud
-from ..pointcloud.sampling import random_downsample_count
-from ..spatial.knn import CLIENT_BACKEND, get_backend, kdtree_knn, self_neighbors
+from ..spatial.knn import CLIENT_BACKEND, get_backend, self_neighbors
 from .encoding import PositionEncoder
 from .pipeline import SRResult, StageTimes
 
-__all__ = ["YuzuSRModel", "train_yuzu_model", "YUZU_RATIOS"]
+__all__ = ["YuzuSRModel", "YUZU_RATIOS"]
 
 #: YuZu's discrete SR options (paper §7.4 lists its factorized choices;
 #: the achievable end-to-end ratios are these integers).
@@ -93,40 +91,3 @@ class YuzuSRModel:
             colors = np.repeat(cloud.colors, self.ratio, axis=0)
         times.colorization = time.perf_counter() - t2
         return SRResult(cloud=PointCloud(children, colors), times=times)
-
-
-def train_yuzu_model(
-    frames: list[PointCloud],
-    ratio: int,
-    encoder: PositionEncoder | None = None,
-    hidden: tuple[int, ...] = (256, 256, 256),
-    epochs: int = 30,
-    lr: float = 1e-3,
-    seed: int = 0,
-) -> YuzuSRModel:
-    """Train a fixed-ratio direct SR model on ground-truth frames.
-
-    Targets: for each low-res point, its ``ratio`` nearest ground-truth
-    points, expressed as normalized offsets — the direct analogue of
-    PU-Net's patch regression at this scale.
-    """
-    model = YuzuSRModel(ratio, encoder=encoder, hidden=hidden, seed=seed)
-    enc = model.encoder
-    rng = np.random.default_rng(seed)
-    xs, ys = [], []
-    for frame in frames:
-        n_low = max(enc.rf_size + 1, int(len(frame) / ratio))
-        low = random_downsample_count(frame, n_low, seed=rng)
-        targets, neighbors = model._neighborhoods(low)
-        e = enc.encode(targets, neighbors)
-        gt_idx, _ = kdtree_knn(frame.positions, low.positions, ratio)
-        gt = frame.positions[gt_idx]  # (n_low, ratio, 3)
-        safe_r = np.where(e.radius > 0, e.radius, 1.0)
-        off = (gt - low.positions[:, None, :]) / safe_r[:, None, None]
-        np.clip(off, -1.0, 1.0, out=off)
-        xs.append(e.normalized.reshape(len(low), -1))
-        ys.append(off.reshape(len(low), -1))
-    X, Y = np.vstack(xs), np.vstack(ys)
-    cfg = TrainConfig(epochs=epochs, lr=lr, seed=seed, batch_size=256)
-    Trainer(model.net, cfg).fit(X, Y)
-    return model

@@ -13,13 +13,11 @@ into a ready-to-run configuration:
 
 from .factory import (
     SystemSetup,
-    measure_vivo_parameters,
     raw_system,
     run_system,
     vivo_system,
     volut_discrete_system,
     volut_system,
-    volut_viewport_system,
     yuzu_sr_system,
 )
 
@@ -27,10 +25,8 @@ __all__ = [
     "SystemSetup",
     "volut_system",
     "volut_discrete_system",
-    "volut_viewport_system",
     "yuzu_sr_system",
     "vivo_system",
     "raw_system",
     "run_system",
-    "measure_vivo_parameters",
 ]

@@ -21,8 +21,6 @@ __all__ = [
     "SystemSetup",
     "volut_system",
     "volut_discrete_system",
-    "volut_viewport_system",
-    "measure_vivo_parameters",
     "yuzu_sr_system",
     "vivo_system",
     "raw_system",
@@ -133,6 +131,22 @@ def vivo_system(
     motion surface as missing content in the actual viewport —
     ``prediction_accuracy`` multiplies delivered quality (paper §1: quality
     degrades 'under rapid viewer movement').
+
+    Both defaults are typed stand-ins.  Frustum-and-z-buffer visibility
+    measured on the synthetic longdress (3,000 points, orbit trace, 60
+    frames, lookahead 30) gave, for seeds 0 / 1:
+
+    ======================  =============  =======
+    parameter               measured       default
+    ======================  =============  =======
+    visible fraction        0.338 / 0.357  0.55
+    prediction accuracy     0.757 / 0.764  0.75
+    ======================  =============  =======
+
+    The measurement code was removed after commit 38d8208; to re-run it,
+    check that commit out and run ``PYTHONPATH=src python -c "from
+    repro.systems import measure_vivo_parameters as m; print(m(seed=0),
+    m(seed=1))"``.
     """
     w = weights or _default_weights()
     qm = SRQualityModel(max_ratio=1.0)  # no SR: quality == density fetched
@@ -175,77 +189,6 @@ def raw_system(
         sr_latency=ZERO_LATENCY,
         quality_model=qm,
         config=SessionConfig(chunk_seconds=chunk_seconds),
-        qoe_weights=w,
-    )
-
-
-def measure_vivo_parameters(
-    n_points: int = 3000,
-    trace_kind: str = "orbit",
-    n_frames: int = 60,
-    lookahead: int = 30,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Measure (visible_fraction, prediction_accuracy) from real geometry.
-
-    Renders a synthetic frame along a 6DoF trace and measures how much of
-    the cloud is frustum-and-occlusion visible, and how well the current
-    viewport predicts the viewport ``lookahead`` frames later.  The result
-    feeds :func:`vivo_system` in place of its defaults.
-    """
-    from ..pointcloud.datasets import make_video
-    from ..render.viewport import viewport_trace
-    from ..render.visibility import prediction_accuracy, trace_visibility
-
-    frame = make_video("longdress", n_points=n_points, n_frames=1, seed=seed).frame(0)
-    cams = viewport_trace(
-        trace_kind,
-        n_frames=n_frames,
-        center=tuple(frame.centroid()),
-        radius=2.2,
-        width=128,
-        height=128,
-        seed=seed,
-    )
-    stats = trace_visibility(frame, cams[:10])
-    acc = prediction_accuracy(frame, cams, lookahead=lookahead)
-    return stats["mean"], acc
-
-
-def volut_viewport_system(
-    profile: DeviceProfile = DESKTOP_GPU,
-    min_density: float = 1.0 / 8.0,
-    chunk_seconds: float = 1.0,
-    visible_fraction: float = 0.55,
-    prediction_accuracy: float = 0.9,
-    weights: QoEWeights | None = None,
-) -> SystemSetup:
-    """Extension (paper §9 future work): VoLUT + viewport adaptation.
-
-    Combines ViVo-style visibility culling with the SR pipeline: only the
-    predicted-visible portion of each chunk is fetched (at the ABR-chosen
-    density) and super-resolved on the client.  Misprediction costs less
-    than for ViVo because VoLUT streams the *whole* object at reduced
-    density when bandwidth allows, so off-viewport content is degraded
-    rather than missing — modeled with a milder quality factor.
-    """
-    w = weights or _default_weights()
-    qm = SRQualityModel(max_ratio=1.0 / min_density)
-    lat = DeviceSRLatency("volut", profile)
-    ctrl = ContinuousMPC(
-        qm, QoEModel(w), lat, min_density=min_density,
-        fetch_fraction=visible_fraction,
-    )
-    return SystemSetup(
-        name="volut-viewport",
-        controller=ctrl,
-        sr_latency=lat,
-        quality_model=qm,
-        config=SessionConfig(
-            chunk_seconds=chunk_seconds,
-            fetch_fraction=visible_fraction,
-            quality_factor=prediction_accuracy,
-        ),
         qoe_weights=w,
     )
 

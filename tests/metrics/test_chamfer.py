@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import (
-    chamfer_distance,
-    geometry_psnr,
-    hausdorff_distance,
-    p2p_distances,
-)
+from repro.metrics import chamfer_distance, geometry_psnr, p2p_distances
 from repro.pointcloud import PointCloud
 
 
@@ -60,20 +55,6 @@ class TestChamfer:
         small = PointCloud(small_frame.positions + g.normal(0, 0.001, (len(small_frame), 3)))
         big = PointCloud(small_frame.positions + g.normal(0, 0.05, (len(small_frame), 3)))
         assert chamfer_distance(small, small_frame) < chamfer_distance(big, small_frame)
-
-
-class TestHausdorff:
-    def test_upper_bounds_chamfer_mean(self, small_frame):
-        g = np.random.default_rng(1)
-        noisy = PointCloud(small_frame.positions + g.normal(0, 0.01, (len(small_frame), 3)))
-        assert hausdorff_distance(noisy, small_frame) >= 0.5 * chamfer_distance(
-            noisy, small_frame
-        )
-
-    def test_known_value(self):
-        a = cloud([[0, 0, 0], [1, 0, 0]])
-        b = cloud([[0, 0, 0]])
-        assert hausdorff_distance(a, b) == pytest.approx(1.0)
 
 
 class TestGeometryPSNR:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import l1_loss, mse_loss, offset_loss
+from repro.nn import mse_loss
 from tests.nn.test_layers import numeric_grad
 
 
@@ -28,39 +28,3 @@ class TestMSE:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mse_loss(np.zeros(2), np.zeros(3))
-
-
-class TestL1:
-    def test_value(self):
-        loss, _ = l1_loss(np.array([1.0, -2.0]), np.array([0.0, 0.0]))
-        assert loss == pytest.approx(1.5)
-
-    def test_gradient_numeric(self):
-        g = np.random.default_rng(1)
-        pred = g.normal(size=(3, 3)) + 0.5  # avoid the kink at 0
-        target = np.zeros((3, 3))
-        _, grad = l1_loss(pred, target)
-        num = numeric_grad(lambda: l1_loss(pred, target)[0], pred)
-        assert np.allclose(grad, num, atol=1e-5)
-
-
-class TestOffsetLoss:
-    def test_value_is_mean_euclidean(self):
-        pred = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
-        target = np.zeros((2, 3))
-        loss, _ = offset_loss(pred, target)
-        assert loss == pytest.approx(2.5)  # (5 + 0) / 2
-
-    def test_gradient_numeric(self):
-        g = np.random.default_rng(2)
-        pred = g.normal(size=(5, 3))
-        target = g.normal(size=(5, 3))
-        _, grad = offset_loss(pred, target)
-        num = numeric_grad(lambda: offset_loss(pred, target)[0], pred)
-        assert np.allclose(grad, num, atol=1e-5)
-
-    def test_no_nan_at_exact_match(self):
-        x = np.ones((2, 3))
-        loss, grad = offset_loss(x, x)
-        assert loss == 0.0
-        assert np.isfinite(grad).all()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam
+from repro.nn import Adam
 
 
 def quadratic_problem():
@@ -16,46 +16,6 @@ def quadratic_problem():
         g[...] = 2 * (p - target)
 
     return p, g, target, compute_grad
-
-
-class TestSGD:
-    def test_plain_descent_converges(self):
-        p, g, target, grad = quadratic_problem()
-        opt = SGD([p], [g], lr=0.1)
-        for _ in range(200):
-            grad()
-            opt.step()
-        assert np.allclose(p, target, atol=1e-4)
-
-    def test_momentum_faster_than_plain(self):
-        p1, g1, target, grad1 = quadratic_problem()
-        p2, g2 = p1.copy(), g1.copy()
-
-        def grad2():
-            g2[...] = 2 * (p2 - target)
-
-        plain = SGD([p1], [g1], lr=0.02)
-        mom = SGD([p2], [g2], lr=0.02, momentum=0.9)
-        for _ in range(50):
-            grad1(); plain.step()
-            grad2(); mom.step()
-        assert np.linalg.norm(p2 - target) < np.linalg.norm(p1 - target)
-
-    def test_single_step_value(self):
-        p = np.array([1.0])
-        g = np.array([2.0])
-        SGD([p], [g], lr=0.5).step()
-        assert p[0] == pytest.approx(0.0)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([np.zeros(1)], [np.zeros(1)], momentum=1.0)
-
-    def test_zero_grad(self):
-        p, g = np.zeros(2), np.ones(2)
-        opt = SGD([p], [g])
-        opt.zero_grad()
-        assert (g == 0).all()
 
 
 class TestAdam:
@@ -88,3 +48,9 @@ class TestAdam:
             Adam([np.zeros(1)], [np.zeros(1)], lr=0.0)
         with pytest.raises(ValueError):
             Adam([np.zeros(1)], [np.zeros(1), np.zeros(1)])
+
+    def test_zero_grad(self):
+        p, g = np.zeros(2), np.ones(2)
+        opt = Adam([p], [g])
+        opt.zero_grad()
+        assert (g == 0).all()

@@ -8,38 +8,9 @@ from hypothesis import strategies as st
 from repro.pointcloud import (
     PointCloud,
     farthest_point_sample,
-    random_downsample,
     random_downsample_count,
     voxel_downsample,
 )
-
-
-class TestRandomDownsample:
-    def test_ratio_zero_keeps_nothing(self, random_cloud):
-        assert len(random_downsample(random_cloud, 0.0, seed=0)) == 0
-
-    def test_ratio_one_keeps_everything(self, random_cloud):
-        assert len(random_downsample(random_cloud, 1.0, seed=0)) == len(random_cloud)
-
-    def test_expected_count(self, random_cloud):
-        # Binomial mean with generous tolerance.
-        out = random_downsample(random_cloud, 0.5, seed=1)
-        assert 0.35 * len(random_cloud) <= len(out) <= 0.65 * len(random_cloud)
-
-    def test_invalid_ratio(self, random_cloud):
-        with pytest.raises(ValueError):
-            random_downsample(random_cloud, 1.5)
-        with pytest.raises(ValueError):
-            random_downsample(random_cloud, -0.1)
-
-    def test_deterministic_with_seed(self, random_cloud):
-        a = random_downsample(random_cloud, 0.5, seed=42)
-        b = random_downsample(random_cloud, 0.5, seed=42)
-        assert np.array_equal(a.positions, b.positions)
-
-    def test_colors_follow(self, random_cloud):
-        out = random_downsample(random_cloud, 0.5, seed=3)
-        assert out.has_colors
 
 
 class TestRandomDownsampleCount:
@@ -84,8 +55,9 @@ class TestVoxelDownsample:
         assert out.colors[0].tolist() == [100, 50, 25]
 
     def test_invalid_size(self, random_cloud):
-        with pytest.raises(ValueError):
-            voxel_downsample(random_cloud, 0.0)
+        for size in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"got {size}"):
+                voxel_downsample(random_cloud, size)
 
     def test_empty_cloud(self):
         assert len(voxel_downsample(PointCloud.empty(), 1.0)) == 0

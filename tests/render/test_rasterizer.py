@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pointcloud import PointCloud
-from repro.render import Camera, render, render_depth
+from repro.render import Camera, render
 
 
 def cam(**kw):
@@ -74,16 +74,18 @@ class TestRender:
         assert image_psnr(half, gt_img) > image_psnr(tenth, gt_img)
 
 
-class TestRenderDepth:
-    def test_depth_values(self):
-        pc = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-        z = render_depth(pc, cam(), splat=1)
-        assert z[32, 32] == pytest.approx(5.0)
-        assert np.isinf(z[0, 0])
+class TestDepthOrder:
+    """The z-buffer seen through a colorless render: nearer shades brighter."""
 
-    def test_depth_monotone_with_distance(self):
-        near = PointCloud(np.array([[0.0, 0.0, -1.0]]))
-        far = PointCloud(np.array([[0.0, 0.0, 3.0]]))
-        zn = render_depth(near, cam(), splat=1)[32, 32]
-        zf = render_depth(far, cam(), splat=1)[32, 32]
-        assert zn < zf
+    def test_single_point_lit_background_empty(self):
+        img = render(PointCloud(np.array([[0.0, 0.0, 0.0]])), cam(), splat=1)
+        assert img[32, 32].tolist() == [255, 255, 255]
+        assert (img[0, 0] == 0).all()
+
+    def test_nearest_depth_wins_its_pixel(self):
+        # Depths 4 and 8 share the center pixel; depth 6 lands beside them.
+        pc = PointCloud(np.array([[0.0, 0, -1.0], [0.0, 0, 3.0], [0.5, 0, 1.0]]))
+        grey = render(pc, cam(), splat=1)[..., 0]
+        (side,) = [tuple(p) for p in np.argwhere(grey > 0) if tuple(p) != (32, 32)]
+        # The center holds depth 4, the nearest lit depth, not the hidden 8.
+        assert (grey[32, 32], grey[side]) == (255, 64)

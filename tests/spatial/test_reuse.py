@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pointcloud.datasets import make_video
-from repro.spatial import kdtree_knn, merge_and_prune, midpoint_neighbors
+from repro.spatial import kdtree_knn, merge_and_prune
 from repro.spatial.reuse import _BLOCK_ROWS
 from repro.sr.interpolation import interpolate
 from repro.streaming.encoder import decode_frame_compressed, encode_frame_compressed
@@ -78,18 +78,6 @@ class TestMergeAndPrune:
         pa = np.array([0]); pb = np.array([1])
         with pytest.raises(ValueError, match="candidate"):
             merge_and_prune(pts[:1], pts, pa, pb, nb, 100)
-
-
-class TestMidpointNeighbors:
-    def test_wrapper_matches_manual(self, small_frame):
-        pts, nb = _setup(small_frame)
-        pa = np.arange(50)
-        pb = nb[pa, 0]
-        i1, d1 = midpoint_neighbors(pts, pa, pb, nb, 4)
-        mid = 0.5 * (pts[pa] + pts[pb])
-        i2, d2 = merge_and_prune(mid, pts, pa, pb, nb, 4)
-        assert np.array_equal(i1, i2)
-        assert np.allclose(d1, d2)
 
 
 @given(seed=st.integers(0, 300), k=st.integers(1, 5))

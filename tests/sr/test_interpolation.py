@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pointcloud import PointCloud, make_video
-from repro.sr import interpolate, naive_knn_interpolate
+from repro.sr import VolutUpsampler, interpolate
 from repro.streaming.encoder import decode_frame_compressed, encode_frame_compressed
 
 
@@ -144,15 +144,16 @@ class TestDilation:
             interpolate(small_frame, 2.0, k=0)
         with pytest.raises(ValueError):
             interpolate(small_frame, 2.0, dilation=0)
+        for ratio in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"got {ratio}"):
+                interpolate(small_frame, ratio)
+            with pytest.raises(ValueError, match=f"got {ratio}"):
+                VolutUpsampler().upsample(small_frame, ratio)
 
     def test_cloud_too_small(self):
         pc = PointCloud(np.random.default_rng(0).uniform(0, 1, (5, 3)))
         with pytest.raises(ValueError, match="needs"):
             interpolate(pc, 2.0, k=4, dilation=2)
-
-    def test_naive_helper_uses_d1(self, tiny_frame):
-        r = naive_knn_interpolate(tiny_frame, 2.0, k=4, seed=0)
-        assert r.neighbor_idx.shape[1] == 4  # k * 1
 
 
 @given(ratio=st.floats(1.0, 4.0), seed=st.integers(0, 50))

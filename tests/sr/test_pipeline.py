@@ -150,7 +150,8 @@ class TestYuzu:
         model = YuzuSRModel(ratio=3, seed=0)
         r = model.upsample(tiny_frame)
         assert len(r.cloud) == 3 * len(tiny_frame)
-        assert r.cloud.has_colors
+        assert (r.cloud.colors[:3] == tiny_frame.colors[0]).all()  # children share parent color
+        assert r.times.knn > 0 and r.times.refinement > 0  # refinement = network inference
 
     def test_duplicates_do_not_keep_a_point_as_its_own_neighbour(self):
         """With exact duplicates the self hit can sit past column 0 (its twin

@@ -9,10 +9,8 @@ from repro.obs import Telemetry
 from repro.obs.events import (
     EV_CHUNK_COMPLETE,
     EV_CONTROL_TICK,
-    EV_SESSION_RESTEER,
     EV_SESSION_START,
     NULL_TRACER,
-    TraceEvent,
     Tracer,
     merge_events,
     ops_from_events,

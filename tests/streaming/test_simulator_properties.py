@@ -1,6 +1,5 @@
 """Property-based streaming-simulator invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

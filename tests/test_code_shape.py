@@ -1,6 +1,6 @@
 """Code shape: no function under streaming/, net/, spatial/, sr/, compression/
-or pointcloud/ grows back into a monolith, and rewritten kernels leave no
-second path behind."""
+or pointcloud/ grows back into a monolith, rewritten kernels leave no
+second path behind, and no public name lives only for its tests."""
 
 import ast
 from pathlib import Path
@@ -70,7 +70,7 @@ def test_merge_and_prune_has_one_path_and_no_switch():
     assert list(inspect.signature(reuse.merge_and_prune).parameters) == [
         "new_points", "points", "parent_a", "parent_b", "neighbor_idx", "k",
     ]
-    assert reuse.__all__ == ["merge_and_prune", "midpoint_neighbors"]
+    assert reuse.__all__ == ["merge_and_prune"]
 
 
 def test_codec_has_no_per_byte_loop():
@@ -319,6 +319,43 @@ def test_one_refinement_table_one_lookup_entry():
         text = path.read_text()
         for word in ("fallback", "hasattr", "lut_kind"):
             assert word not in text, (path.name, word)
+
+
+#: Public names whose only callers are tests, and why each stays.
+CALLERLESS = {
+    "StreamingClient": "the materialized client the twin experiment will drive",
+    "AbrPolicy": "the policy registry's runtime-checkable contract",
+}
+
+
+def test_every_public_name_has_a_production_caller():
+    """Every top-level public ``def`` / ``class`` under ``src/repro/`` is
+    used by name (``ast.Name`` / ``ast.Attribute``) somewhere under
+    ``src/``, ``examples/``, ``bench/`` or ``benchmarks/``, or imported by a
+    file there that is not an ``__init__.py`` — ``__all__`` strings and
+    package re-exports do not count."""
+    root = SRC.parents[1]
+    defined, used = {}, set()
+    for top in ("src", "examples", "bench", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            if path.is_relative_to(SRC):
+                for node in tree.body:
+                    if (
+                        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")
+                    ):
+                        defined[node.name] = path.relative_to(SRC).as_posix()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                    used.update(alias.name for alias in node.names)
+    unused = sorted(f"{defined[n]}::{n}" for n in set(defined) - used - set(CALLERLESS))
+    assert not unused, unused
+    assert set(CALLERLESS) <= set(defined) - used, "an allow-listed name found a caller"
 
 
 def test_one_benchmark_ledger():
