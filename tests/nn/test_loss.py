@@ -28,3 +28,33 @@ class TestMSE:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mse_loss(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (2, 3, 4)])
+    def test_any_shape_averages_every_element(self, shape):
+        g = np.random.default_rng(len(shape))
+        pred, target = g.normal(size=shape), g.normal(size=shape)
+        loss, grad = mse_loss(pred, target)
+        assert grad.shape == shape
+        assert loss == pytest.approx(((pred - target) ** 2).sum() / pred.size)
+
+    def test_value_symmetric_gradient_antisymmetric(self):
+        g = np.random.default_rng(3)
+        a, b = g.normal(size=(4, 3)), g.normal(size=(4, 3))
+        (lab, gab), (lba, gba) = mse_loss(a, b), mse_loss(b, a)
+        assert lab == lba
+        assert np.array_equal(gab, -gba)
+
+    def test_accepts_integer_lists(self):
+        loss, grad = mse_loss([1, 2, 3], [1, 2, 5])
+        assert loss == pytest.approx(4 / 3)
+        assert grad.dtype == np.float64
+        assert grad.tolist() == pytest.approx([0.0, 0.0, -4 / 3])
+
+    def test_mean_not_sum(self):
+        """Repeating the batch keeps the loss and halves each gradient."""
+        g = np.random.default_rng(4)
+        pred, target = g.normal(size=(3, 2)), g.normal(size=(3, 2))
+        loss1, grad1 = mse_loss(pred, target)
+        loss2, grad2 = mse_loss(np.vstack([pred, pred]), np.vstack([target, target]))
+        assert loss2 == pytest.approx(loss1)
+        assert np.allclose(grad2[:3], 0.5 * grad1)

@@ -54,3 +54,42 @@ class TestAdam:
         opt = Adam([p], [g])
         opt.zero_grad()
         assert (g == 0).all()
+
+    def test_zero_grad_clears_every_gradient_and_no_parameter(self):
+        params = [np.ones(2), np.ones((2, 2))]
+        grads = [np.full(2, 3.0), np.full((2, 2), -1.0)]
+        Adam(params, grads).zero_grad()
+        assert all((g == 0).all() for g in grads)
+        assert all((p == 1).all() for p in params)
+
+    def test_steps_follow_the_bias_corrected_rule(self):
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        p, g = np.array([1.0, -2.0]), np.zeros(2)
+        opt = Adam([p], [g], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        want, m, v = p.copy(), np.zeros(2), np.zeros(2)
+        for t, grad in enumerate(([0.5, -1.0], [0.2, 3.0], [-0.7, 0.1]), start=1):
+            g[:] = grad
+            opt.step()
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            want -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            assert np.allclose(p, want, rtol=0, atol=1e-15)
+
+    def test_parameters_keep_separate_moments(self):
+        """Each array moves against its own gradient only."""
+        a, b = np.zeros(1), np.zeros(3)
+        ga, gb = np.array([4.0]), np.array([-1e-3, 0.0, 2.0])
+        Adam([a, b], [ga, gb], lr=0.1).step()
+        assert a[0] == pytest.approx(-0.1, rel=1e-6)
+        assert b.tolist() == pytest.approx([0.1, 0.0, -0.1], rel=1e-4)
+
+    def test_zero_gradient_leaves_parameters_in_place(self):
+        p, g = np.array([2.0, -1.0]), np.zeros(2)
+        opt = Adam([p], [g], lr=0.5)
+        for _ in range(3):
+            opt.step()
+        assert p.tolist() == [2.0, -1.0]
+
+    def test_negative_learning_rate_rejected(self):
+        with pytest.raises(ValueError, match="learning rate"):
+            Adam([np.zeros(1)], [np.zeros(1)], lr=-0.1)

@@ -89,3 +89,50 @@ class TestDepthOrder:
         (side,) = [tuple(p) for p in np.argwhere(grey > 0) if tuple(p) != (32, 32)]
         # The center holds depth 4, the nearest lit depth, not the hidden 8.
         assert (grey[32, 32], grey[side]) == (255, 64)
+
+    def test_shade_falls_with_depth(self):
+        # Four points on distinct pixels at depths 4, 5, 6 and 8.
+        pc = PointCloud(np.array([[-1.2, 0, -1.0], [-0.4, 0, 0.0], [0.4, 0, 1.0], [1.2, 0, 3.0]]))
+        c = cam()
+        xy, depth, _ = c.project(pc.positions)
+        grey = render(pc, c, splat=1)[..., 0]
+        shades = [int(grey[int(y), int(x)]) for x, y in xy]
+        assert shades[0] == 255 and shades[-1] == 64
+        assert shades == sorted(shades, reverse=True) and len(set(shades)) == 4
+
+    def test_winner_independent_of_input_order(self, small_frame):
+        c = cam(position=(0, 1, 3), target=(0, 0.9, 0))
+        perm = np.random.default_rng(0).permutation(len(small_frame))
+        assert np.array_equal(render(small_frame, c), render(small_frame.select(perm), c))
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("splat", [1, 2, 3, 4, 5])
+    def test_interior_point_covers_splat_squared_pixels(self, splat):
+        img = render(PointCloud(np.array([[0.0, 0.0, 0.0]])), cam(), splat=splat)
+        lit = np.argwhere(img[..., 0] > 0)
+        assert len(lit) == splat * splat
+        # A square block that contains the projected pixel.
+        assert (lit.max(axis=0) - lit.min(axis=0)).tolist() == [splat - 1, splat - 1]
+        assert img[32, 32, 0] > 0
+
+    def test_behind_camera_not_drawn(self):
+        img = render(PointCloud(np.array([[0.0, 0.0, -8.0]])), cam(), splat=3)
+        assert (img == 0).all()
+
+    def test_outside_frustum_not_drawn(self):
+        img = render(PointCloud(np.array([[100.0, 0.0, 0.0]])), cam(), splat=3)
+        assert (img == 0).all()
+
+    def test_splat_clipped_at_the_image_border(self):
+        c = cam()
+        # Solve for a world x that projects onto pixel column 0 at depth 5;
+        # the camera looks down +z, so world +x is image left.
+        f = 0.5 * c.height / np.tan(np.deg2rad(c.fov_deg) / 2)
+        x = (c.width / 2 - 0.5) * 5.0 / f
+        xy, _, valid = c.project(np.array([[x, 0.0, 0.0]]))
+        assert valid[0] and int(xy[0, 0]) == 0
+        img = render(PointCloud(np.array([[x, 0.0, 0.0]])), c, splat=5)
+        lit = np.argwhere(img[..., 0] > 0)
+        assert len(lit) == 5 * 3  # the two columns left of the image are cut
+        assert lit[:, 1].min() == 0

@@ -130,6 +130,34 @@ class TestBackends:
         assert r.assembly_seconds > 0
 
 
+class TestSeeds:
+    """The seed is the reconstruction's only randomness: a fixed one makes
+    consecutive frames reproducible, a changed one re-rolls partners."""
+
+    def test_same_seed_same_bytes(self, small_frame):
+        a = interpolate(small_frame, 2.6, seed=11)
+        b = interpolate(small_frame, 2.6, seed=11)
+        assert a.upsampled.positions.tobytes() == b.upsampled.positions.tobytes()
+
+    def test_new_seed_rerolls_partners(self, small_frame):
+        a = interpolate(small_frame, 2.0, seed=1)
+        b = interpolate(small_frame, 2.0, seed=2)
+        assert not np.array_equal(a.parent_b, b.parent_b)
+
+    def test_integer_ratio_sources_do_not_depend_on_the_seed(self, small_frame):
+        a = interpolate(small_frame, 3.0, seed=1)
+        b = interpolate(small_frame, 3.0, seed=2)
+        assert np.array_equal(a.parent_a, b.parent_a)
+        assert np.array_equal(a.neighbor_idx, b.neighbor_idx)
+
+    def test_generator_seed_continues_its_stream(self, tiny_frame):
+        g = np.random.default_rng(6)
+        first = interpolate(tiny_frame, 1.5, seed=g)
+        second = interpolate(tiny_frame, 1.5, seed=g)
+        assert np.array_equal(first.parent_a, interpolate(tiny_frame, 1.5, seed=6).parent_a)
+        assert not np.array_equal(first.parent_a, second.parent_a)
+
+
 class TestDilation:
     def test_dilation_spreads_points(self, small_frame):
         """Dilation's purpose: more uniform output (lower density CV)."""

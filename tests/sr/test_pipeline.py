@@ -5,7 +5,14 @@ import pytest
 
 from repro.metrics import chamfer_distance
 from repro.pointcloud import random_downsample_count
-from repro.sr import GradPUUpsampler, NaiveUpsampler, NNRefiner, VolutUpsampler, YuzuSRModel
+from repro.sr import (
+    YUZU_RATIOS,
+    GradPUUpsampler,
+    NaiveUpsampler,
+    NNRefiner,
+    VolutUpsampler,
+    YuzuSRModel,
+)
 
 
 class TestVolutUpsampler:
@@ -144,6 +151,36 @@ class TestGradPU:
         ).upsample(tiny_frame, 2.0)
         assert slow.times.refinement > fast.times.refinement
 
+    @staticmethod
+    def gradpu(trained_artifacts, **kw):
+        return GradPUUpsampler(net=trained_artifacts.net, encoder=trained_artifacts.encoder, **kw)
+
+    def test_no_steps_is_interpolation_colored_by_nearest(self, tiny_frame, trained_artifacts):
+        from repro.sr import colorize_by_nearest, interpolate
+
+        got = self.gradpu(trained_artifacts, n_steps=0, seed=3).upsample(tiny_frame, 2.5).cloud
+        interp = interpolate(tiny_frame, 2.5, k=4, dilation=1, seed=np.random.default_rng(3))
+        want = colorize_by_nearest(tiny_frame, interp, backend="kdtree")
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.colors, want.colors)
+
+    def test_zero_step_size_moves_nothing(self, tiny_frame, trained_artifacts):
+        still = self.gradpu(trained_artifacts, n_steps=4, step_size=0.0).upsample(tiny_frame, 2.0)
+        none = self.gradpu(trained_artifacts, n_steps=0).upsample(tiny_frame, 2.0)
+        assert np.array_equal(still.cloud.positions, none.cloud.positions)
+
+    def test_refinement_moves_only_new_points(self, tiny_frame, trained_artifacts):
+        out = self.gradpu(trained_artifacts, n_steps=2).upsample(tiny_frame, 2.0).cloud
+        plain = self.gradpu(trained_artifacts, n_steps=0).upsample(tiny_frame, 2.0).cloud
+        n = len(tiny_frame)
+        assert np.array_equal(out.positions[:n], tiny_frame.positions)
+        assert not np.array_equal(out.positions[n:], plain.positions[n:])
+
+    def test_deterministic_for_a_seed(self, tiny_frame, trained_artifacts):
+        a = self.gradpu(trained_artifacts, n_steps=2, seed=5).upsample(tiny_frame, 1.7).cloud
+        b = self.gradpu(trained_artifacts, n_steps=2, seed=5).upsample(tiny_frame, 1.7).cloud
+        assert a.positions.tobytes() == b.positions.tobytes()
+
 
 class TestYuzu:
     def test_fixed_ratio_output(self, tiny_frame):
@@ -178,3 +215,44 @@ class TestYuzu:
     def test_model_bytes_positive(self):
         m = YuzuSRModel(ratio=2, seed=0)
         assert m.model_bytes() == m.net.n_parameters() * 4
+
+    @pytest.mark.parametrize("ratio", YUZU_RATIOS)
+    def test_each_ratio_gives_ratio_children_per_point(self, tiny_frame, ratio):
+        model = YuzuSRModel(ratio=ratio, hidden=(16,), seed=0)
+        out = model.upsample(tiny_frame).cloud
+        assert len(out) == ratio * len(tiny_frame)
+        # Children are grouped per source point and carry its color.
+        want = np.repeat(tiny_frame.colors[:, None], ratio, axis=1)
+        assert np.array_equal(out.colors.reshape(-1, ratio, 3), want)
+
+    def test_children_stay_within_the_neighbourhood_radius(self, tiny_frame):
+        """The tanh head bounds each offset coordinate by 1 in the
+        normalized frame, so a child is at most √3 radii from its parent."""
+        model = YuzuSRModel(ratio=4, hidden=(16,), seed=2)
+        enc = model.encoder.encode(*model._neighborhoods(tiny_frame))
+        out = model.upsample(tiny_frame).cloud.positions.reshape(-1, 4, 3)
+        reach = np.linalg.norm(out - tiny_frame.positions[:, None], axis=2)
+        assert (reach <= np.sqrt(3) * enc.radius[:, None] + 1e-12).all()
+
+    def test_seed_fixes_the_weights(self, tiny_frame):
+        a = YuzuSRModel(ratio=2, hidden=(16,), seed=4).upsample(tiny_frame).cloud
+        b = YuzuSRModel(ratio=2, hidden=(16,), seed=4).upsample(tiny_frame).cloud
+        c = YuzuSRModel(ratio=2, hidden=(16,), seed=5).upsample(tiny_frame).cloud
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert not np.array_equal(a.positions, c.positions)
+
+    def test_colorless_input_gives_colorless_output(self, tiny_frame):
+        from repro.pointcloud import PointCloud
+
+        out = YuzuSRModel(ratio=2, hidden=(16,), seed=0).upsample(PointCloud(tiny_frame.positions))
+        assert not out.cloud.has_colors
+
+    def test_network_shape_follows_encoder_and_ratio(self):
+        from repro.sr import PositionEncoder
+
+        m = YuzuSRModel(ratio=3, encoder=PositionEncoder(rf_size=6, bins=16), hidden=(8, 8))
+        assert m.net.dims == (18, 8, 8, 9)
+        # One more child adds one more 3-vector head: 8·3 weights + 3 biases.
+        assert YuzuSRModel(ratio=4, hidden=(8,)).model_bytes() - YuzuSRModel(
+            ratio=3, hidden=(8,)
+        ).model_bytes() == (8 * 3 + 3) * 4

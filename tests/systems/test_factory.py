@@ -57,6 +57,57 @@ class TestConfigs:
         assert s.config.fetch_fraction == 0.5
         assert s.config.quality_factor < 1.0
 
+    def test_vivo_defaults_are_the_documented_stand_ins(self):
+        s = vivo_system()
+        assert (s.config.fetch_fraction, s.config.quality_factor) == (0.55, 0.75)
+        assert "0.55" in vivo_system.__doc__ and "0.75" in vivo_system.__doc__
+
+    def test_vivo_planner_prices_the_culled_bytes(self):
+        s = vivo_system(visible_fraction=0.4, prediction_accuracy=0.9)
+        assert s.controller.fetch_fraction == s.config.fetch_fraction == 0.4
+        assert s.config.quality_factor == 0.9
+
+    def test_yuzu_startup_is_every_model_download(self):
+        assert yuzu_sr_system().config.startup_bytes == 5 * 12 * 1024 * 1024
+
+    @pytest.mark.parametrize("min_density", [0.5, 0.25, 0.125])
+    def test_volut_sr_ratio_ceiling_tracks_min_density(self, min_density):
+        s = volut_system(min_density=min_density)
+        assert s.quality_model.max_ratio == pytest.approx(1.0 / min_density)
+
+    def test_raw_always_asks_for_full_density(self):
+        d = raw_system().controller.decide(None)
+        assert (d.density, d.sr_ratio) == (1.0, 1.0)
+
+
+FACTORIES = {
+    f.__name__: f
+    for f in (volut_system, volut_discrete_system, yuzu_sr_system, vivo_system, raw_system)
+}
+
+
+@pytest.mark.parametrize("factory", sorted(FACTORIES))
+def test_chunk_seconds_reaches_the_session(factory):
+    setup = FACTORIES[factory](chunk_seconds=2.0)
+    assert setup.config.chunk_seconds == 2.0
+    assert run_system(setup, spec(20), stable_trace(80.0)).n_chunks == 10
+
+
+class TestDeliveredQuality:
+    def test_raw_delivers_full_density_on_an_ample_link(self):
+        r = run_system(raw_system(), spec(20), stable_trace(200.0))
+        assert all(rec.quality == pytest.approx(1.0) for rec in r.records)
+
+    def test_vivo_quality_capped_by_prediction_accuracy(self):
+        r = run_system(vivo_system(prediction_accuracy=0.6), spec(20), stable_trace(200.0))
+        assert max(rec.quality for rec in r.records) <= 0.6 + 1e-12
+
+    def test_runs_are_deterministic(self):
+        tr = lte_trace(32.5, 13.5, seed=5)
+        a = run_system(volut_system(), spec(20), tr)
+        b = run_system(volut_system(), spec(20), tr)
+        assert (a.qoe, a.total_bytes, a.decisions) == (b.qoe, b.total_bytes, b.decisions)
+
 
 class TestStableOrdering:
     """Paper Fig 12 (stable 50 Mbps): VoLUT > Yuzu-SR > ViVo."""
