@@ -2,7 +2,7 @@
 
 from .estimator import HarmonicMeanEstimator
 from .link import SHARING_POLICIES, Completion, Link, SharedLink
-from .topology import NetworkPath, PathScheduler, path_download_time
+from .topology import NetworkPath, PathScheduler
 from .traces import MBPS, PAPER_LTE_PROFILES, NetworkTrace, lte_trace, stable_trace
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "SHARING_POLICIES",
     "NetworkPath",
     "PathScheduler",
-    "path_download_time",
     "HarmonicMeanEstimator",
 ]

@@ -5,10 +5,11 @@ starts at absolute time ``t``, by integrating the trace's piecewise-constant
 rate and adding one RTT of request latency — the behaviour of the paper's
 custom DASH-like protocol over TCP at this level of abstraction (slow-start
 effects are negligible for multi-megabyte chunks on persistent
-connections).  :class:`Link` is the single-client integrator;
+connections).  :class:`Link` times one transfer on a link of its own;
 :class:`SharedLink` is the record a link shared between concurrent
-transfers keeps (trace, sharing policy, delivered bits) — the sharing
-arithmetic itself lives in :mod:`repro.net.topology`.
+transfers keeps (trace, sharing policy, delivered bits).  Both move
+their bits through :class:`repro.net.topology.PathScheduler`, the one
+transfer integrator.
 """
 
 from __future__ import annotations
@@ -29,37 +30,26 @@ class Link:
     def download_time(self, nbytes: int, start_time: float) -> float:
         """Seconds to fetch ``nbytes`` starting at ``start_time``.
 
-        Integrates the piecewise-constant trace rate segment-exactly, so
-        fluctuating traces are honoured mid-transfer.  Includes one RTT of
-        request overhead.
+        The transfer runs as the only flow of a private
+        :class:`~repro.net.topology.PathScheduler`, so fluctuating traces
+        are honoured mid-transfer.  Includes one RTT of request overhead.
+        Raises ``ValueError`` on a negative or non-finite argument, and
+        ``RuntimeError`` if the clock cannot move (a start time so large
+        that the transfer's increments round away).
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if start_time < 0:
-            raise ValueError("start_time must be non-negative")
-        if nbytes == 0:
-            return self.trace.rtt
-        remaining = float(nbytes) * 8.0  # bits
-        t = start_time + self.trace.rtt
-        elapsed = self.trace.rtt
-        # Hard cap prevents infinite loops on pathological inputs; at the
-        # 1 Mbps trace floor even a 1 GB chunk finishes well inside this.
-        max_iterations = 10_000_000
-        for _ in range(max_iterations):
-            rate = self.trace.bandwidth_at(t)
-            seg = self.trace.time_to_next_change(t)
-            if rate * seg >= remaining:
-                dt = remaining / rate
-                return elapsed + dt
-            remaining -= rate * seg
-            t += seg
-            elapsed += seg
-        raise RuntimeError("download did not converge")  # pragma: no cover
+        from .topology import NetworkPath, PathScheduler  # imports this module
 
-    def throughput_sample(self, nbytes: int, start_time: float) -> float:
-        """Observed throughput (bps) of a transfer, as a client measures it."""
-        dt = self.download_time(nbytes, start_time)
-        return float(nbytes) * 8.0 / dt if dt > 0 else float("inf")
+        sched = PathScheduler()
+        sched.add_flow(0, nbytes, start_time, NetworkPath((SharedLink(self.trace),)))
+        now = float(start_time)
+        while True:
+            t = sched.next_event(now)
+            done = sched.advance(now, t)
+            if done:
+                return done[0].elapsed
+            if not t > now:  # the pool is as it was: the next step repeats this one
+                raise RuntimeError(f"download made no progress at t={now!r}")
+            now = t
 
 
 #: Supported bandwidth-sharing policies for :class:`SharedLink`.

@@ -13,7 +13,10 @@ splits a time-varying link between concurrent transfers:
 * :class:`PathScheduler` — the event engine for flows on different paths
   over a shared link pool: ``next_event`` returns the earliest instant
   any link's fluid allocation can change, ``advance`` drains every
-  active flow at its path rate and reports completions.
+  active flow at its path rate and reports completions.  It is the only
+  transfer integrator: a lone transfer is a pool of one flow
+  (:meth:`repro.net.link.Link.download_time`), and a single session is a
+  fleet of one (:func:`repro.streaming.simulator.simulate_session`).
 
 The allocation is *per-link* processor sharing capped by the path
 minimum — deterministic and monotone (adding a hop can never increase a
@@ -32,7 +35,7 @@ Python loop this replaced lives on
 as ``tests/net/reference_scheduler.py::ReferenceScheduler`` — same
 contract, its own share arithmetic — and ``tests/net/test_topology.py``
 pins the two **bit-exact** on a hypothesis grid of mixed weights,
-staggered starts, gated / cancelled / ``sync``-injected flows and one-
+staggered starts, gated / cancelled / mid-flight-injected flows and one-
 to three-hop paths over shared links.  The one order-sensitive
 reduction — the ``weighted`` share denominator, where NumPy's pairwise
 summation diverges from Python's sequential ``sum`` at 8+ flows — is an
@@ -50,24 +53,16 @@ the scheduler already handles:
   allocation, pops the gates that have passed and calls ``activate``: the
   flow's bits move into a new last column of the active block and each
   of its links counts one more sharer (``link_count`` / ``denom``).
-  Expiry is one-way, which is why ``next_event`` / ``advance`` / ``sync``
-  refuse an instant earlier than the last one they were shown (or NaN).
+  Expiry is one-way, which is why ``next_event`` / ``advance`` refuse an
+  instant earlier than the last one they were shown (or NaN).
 * *finished* — ``deactivate`` undoes exactly what ``activate`` did, and
-  moves the block's last column into the gap, from three places:
-  ``remove`` (completion or ``cancel``), ``write_remaining`` when
-  ``sync`` drains a solo flow to zero (it then waits in ``finished`` for
-  its completion report), and ``advance`` when a drain turns a flow's
-  bits NaN (it can never finish and must stop taking shares).  Outside
-  the block a flow keeps its bits itself (``_PathFlow.remaining``).  A
-  flow that leaves while still gated leaves its heap entry behind; the
-  entry is recognised by the flow object (``live`` is false), so it
-  opens no gate.
-
-**One-hop bit-exactness.**  A flow that has every hop to itself for its
-whole lifetime resolves through :func:`path_download_time`, which on a
-one-hop path performs :meth:`repro.net.link.Link.download_time`'s float
-operations exactly, so a single-session fleet reproduces
-``simulate_session`` bit for bit.
+  moves the block's last column into the gap, from two places:
+  ``remove`` (completion or ``cancel``) and ``advance`` when a drain
+  turns a flow's bits NaN (it can never finish and must stop taking
+  shares).  Outside the block a flow keeps its bits itself
+  (``_PathFlow.remaining``).  A flow that leaves while still gated
+  leaves its heap entry behind; the entry is recognised by the flow
+  object (``live`` is false), so it opens no gate.
 """
 
 from __future__ import annotations
@@ -83,7 +78,7 @@ import numpy as np
 from .link import Completion, SharedLink
 from .traces import NetworkTrace
 
-__all__ = ["NetworkPath", "PathScheduler", "path_download_time"]
+__all__ = ["NetworkPath", "PathScheduler"]
 
 
 @dataclass(frozen=True)
@@ -118,55 +113,6 @@ class NetworkPath:
         return len(self.links)
 
 
-def path_download_time(path: NetworkPath, nbytes: int, start_time: float) -> float:
-    """Seconds to fetch ``nbytes`` over an otherwise-idle path.
-
-    The multi-hop generalization of :meth:`repro.net.link.Link.download_time`:
-    the instantaneous rate is the minimum over hop traces, segments end at
-    the nearest boundary of any hop, and the path RTT is paid up front.
-    For a one-hop path this performs the identical float operations, so it
-    is bit-exact with the single-link integrator.
-    """
-    if nbytes < 0:
-        raise ValueError("nbytes must be non-negative")
-    if start_time < 0:
-        raise ValueError("start_time must be non-negative")
-    traces = [link.trace for link in path.links]
-    rtt = path.rtt
-    if nbytes == 0:
-        return rtt
-    remaining = float(nbytes) * 8.0  # bits
-    t = start_time + rtt
-    elapsed = rtt
-    max_iterations = 10_000_000
-    for _ in range(max_iterations):
-        rate = min(tr.bandwidth_at(t) for tr in traces)
-        seg = min(tr.time_to_next_change(t) for tr in traces)
-        if rate * seg >= remaining:
-            dt = remaining / rate
-            return elapsed + dt
-        remaining -= rate * seg
-        t += seg
-        elapsed += seg
-    raise RuntimeError("download did not converge")  # pragma: no cover
-
-
-def _bits_over(traces, start: float, end: float) -> float:
-    """Bits a lone flow moves over ``[start, end]`` at the min-hop rate."""
-    bits = 0.0
-    t = start
-    max_iterations = 10_000_000
-    for _ in range(max_iterations):
-        if t >= end:
-            return bits
-        rate = min(tr.bandwidth_at(t) for tr in traces)
-        seg = min(tr.time_to_next_change(t) for tr in traces)
-        step = min(seg, end - t)
-        bits += rate * step
-        t += step
-    raise RuntimeError("integration did not converge")  # pragma: no cover
-
-
 #: Relative slack below which a flow's residual bits count as finished
 #: (absorbs the float error of draining `share * dt` per event step).
 _FINISH_RTOL = 1e-9
@@ -183,7 +129,6 @@ _FINISH_ATOL = 1e-3
 @dataclass
 class _PathFlow:
     flow_id: int
-    nbytes: int
     path: NetworkPath
     start_time: float
     data_start: float  # start_time + path RTT + any gate delay
@@ -192,9 +137,6 @@ class _PathFlow:
     #: bits left while outside the active block (an active flow's bits
     #: live in its column of the scheduler's arrays)
     remaining: float
-    #: exact elapsed via path_download_time when the flow had every hop to
-    #: itself for its whole lifetime (None = shared/progressive)
-    solo_elapsed: float | None = None
     #: column in the scheduler's active block (-1 = gated or finished)
     col: int = -1
     #: false once the flow completed or was cancelled
@@ -266,7 +208,6 @@ class PathScheduler:
             )
         flow = _PathFlow(
             flow_id=flow_id,
-            nbytes=nbytes,
             path=path,
             start_time=float(start_time),
             data_start=float(start_time) + path.rtt + float(extra_delay),
@@ -274,11 +215,6 @@ class PathScheduler:
             total_bits=float(nbytes) * 8.0,
             remaining=float(nbytes) * 8.0,
         )
-        if extra_delay > 0.0:
-            # A gated flow does not start moving at ``start_time + rtt``,
-            # so the closed form does not describe it; forcing the
-            # progressive path keeps elapsed exact.
-            flow.solo_elapsed = float("nan")
         self._flows[flow_id] = flow
         for link in path.links:
             self._link_flows.setdefault(id(link), {})[flow_id] = flow
@@ -299,11 +235,7 @@ class PathScheduler:
         riding the dead edge's links mid-flight, and the fleet driver
         re-issues them on the failover path.  Bits already drained stay
         counted in ``delivered_bits`` (they did cross the links); the
-        flow simply never reports a :class:`Completion`.  Cancelling at
-        an arbitrary instant is safe for the remaining pool: the solo
-        fast path only engages for a flow that has drained nothing,
-        which after a cancellation can only be a flow still inside its
-        RTT/encode gate — alone from here on, its closed form is exact.
+        flow simply never reports a :class:`Completion`.
         """
         flow = self._flows.get(flow_id)
         if flow is None:
@@ -314,50 +246,7 @@ class PathScheduler:
         """True while any transfer is unfinished."""
         return bool(self._flows)
 
-    def sync(self, now: float) -> None:
-        """Materialize a solo flow's progress up to ``now``.
-
-        The solo fast path resolves a lone untouched flow's finish in
-        closed form and drains nothing until it completes — valid only
-        while the pool stays unchanged, the pattern of completion-driven
-        drivers.  A driver that injects a flow at any other instant (the
-        fleet's deferred CDN requests) must call this first: the solo
-        flow's bits moved so far are accounted and it continues
-        progressively, instead of silently restarting from its full byte
-        count when the newcomer lands.
-        """
-        self._move_clock(now)
-        solo = self._solo_flow()
-        if solo is None or solo.total_bits == 0.0 or now <= solo.data_start:
-            return
-        traces = [link.trace for link in solo.path.links]
-        drained = min(_bits_over(traces, solo.data_start, now), solo.total_bits)
-        if drained <= 0.0:
-            return
-        self.delivered_bits += drained
-        solo.solo_elapsed = None
-        # Per-link accounting waits for ``_remove`` (crossed = total -
-        # remaining at removal), which covers this drain.
-        self._vec.write_remaining(solo, solo.total_bits - drained)
-
     # ------------------------------------------------------------------
-    def _solo_flow(self) -> _PathFlow | None:
-        """The lone untouched flow, if the whole pool holds exactly one.
-
-        A flow that is alone *now* and has drained nothing is guaranteed
-        every hop to itself for its entire lifetime (drivers only add
-        flows when one completes, or :meth:`sync` first), so its finish
-        resolves exactly through segment-exact integration.
-        """
-        if len(self._flows) != 1:
-            return None
-        flow = next(iter(self._flows.values()))
-        if self._vec.bits(flow) != flow.total_bits:
-            return None
-        if flow.solo_elapsed is not None and flow.solo_elapsed != flow.solo_elapsed:
-            return None  # NaN sentinel: gated flow, use the fluid path
-        return flow
-
     def _move_clock(self, now: float) -> None:
         """Gate expiry is one-way, so virtual time may not run backwards.
 
@@ -379,18 +268,10 @@ class PathScheduler:
         if not self._flows:
             raise RuntimeError("no flows in flight")
         self._move_clock(now)
-        solo = self._solo_flow()
-        if solo is not None:
-            if solo.solo_elapsed is None:
-                solo.solo_elapsed = path_download_time(
-                    solo.path, solo.nbytes, solo.start_time
-                )
-            return solo.start_time + solo.solo_elapsed
         v = self._vec
         # ``best`` starts as the next gate expiry (inf when nothing waits)
         n, rates, best = self._vec_alloc(now)
-        # Already-empty flows (zero-byte transfers, sync-drained solos)
-        # complete as soon as their data start elapses.
+        # Zero-byte transfers complete as soon as their data start elapses.
         for f in v.finished:
             best = min(best, max(f.data_start, now))
         if n:
@@ -418,15 +299,6 @@ class PathScheduler:
         self._move_clock(now)
         self._now = to_time
         v = self._vec
-        solo = self._solo_flow()
-        if solo is not None and solo.solo_elapsed is not None:
-            finish = solo.start_time + solo.solo_elapsed
-            if finish <= to_time:
-                self.delivered_bits += solo.total_bits
-                v.write_remaining(solo, 0.0)  # ``_remove`` charges the hops
-                self._remove(solo)
-                return [Completion(solo.flow_id, finish, solo.solo_elapsed)]
-            return []
         n, rates, _ = self._vec_alloc(now)
         finished: list[_PathFlow] = []
         if n:
@@ -452,9 +324,8 @@ class PathScheduler:
                     v.deactivate(f)
             self.delivered_bits += total_bits
             v.version += 1
-        # Flows can complete two ways: drained to zero above, or already
-        # empty (zero-byte transfers, sync-drained solos) once their
-        # data_start has elapsed.
+        # Flows can complete two ways: drained to zero above, or zero-byte
+        # transfers once their data_start has elapsed.
         if v.finished:
             finished.extend(
                 f for f in v.finished if f.data_start <= to_time
@@ -506,19 +377,6 @@ class PathScheduler:
             cap[li] = v.link_list[li].trace.bandwidth_at(now)
         if n == 0:
             rates = _EMPTY
-        elif len(v.link_list) == 2:
-            # One real link in the pool (the classic single-bottleneck
-            # fleet): every active flow shares it, so the whole incidence
-            # machinery collapses to one share computation.
-            link = v.link_list[1]
-            if link.policy == "weighted":
-                total = 0.0
-                for f in self._link_flows[id(link)].values():
-                    if f.col >= 0:
-                        total += f.weight
-                rates = cap[1] * v.weight[:n] / total
-            else:
-                rates = np.full(n, cap[1] / float(n))
         else:
             rows = v.hops[:, :n]
             if v.weighted_links:
@@ -618,10 +476,8 @@ class _VectorState:
         self.cap_until = math.inf
         #: active links whose trace is not a plain ``NetworkTrace``
         self.wrapped: set[int] = set()
-        #: flows already at zero remaining bits that still await their
-        #: completion report: zero-byte transfers (complete at their
-        #: data_start) and solo flows fully drained by an out-of-band
-        #: ``sync`` — neither is ever active.
+        #: zero-byte transfers awaiting their completion report (at their
+        #: data_start); never active
         self.finished: list[_PathFlow] = []
         #: bumped on any state change; keys the allocation cache
         self.version = 0
@@ -672,10 +528,7 @@ class _VectorState:
             if flow.live:
                 if data_start > now:
                     return data_start
-                # a solo flow ``sync`` drained to zero is already queued
-                # in ``finished`` and never becomes active
-                if flow.remaining > 0.0:
-                    self.activate(flow, now)
+                self.activate(flow, now)
             heappop(gated)
         return np.inf
 
@@ -761,23 +614,6 @@ class _VectorState:
         flow.live = False
         if flow in self.finished:
             self.finished.remove(flow)
-        self.version += 1
-
-    def write_remaining(self, flow: _PathFlow, remaining: float) -> None:
-        """Record an out-of-band drain (``sync``).
-
-        A sync that empties the flow entirely (a deferred request landing
-        exactly on the solo finish) must also queue it for completion:
-        with zero remaining bits it is invisible to the active-drain pass.
-        """
-        if flow.col >= 0:
-            self.remaining[flow.col] = remaining
-            if remaining <= 0.0:
-                self.deactivate(flow)
-        else:
-            flow.remaining = remaining
-        if remaining <= 0.0 and flow not in self.finished:
-            self.finished.append(flow)
         self.version += 1
 
     def _reshape(self, n_hops: int, n_cols: int) -> None:

@@ -7,6 +7,8 @@ real time once playback has started and reports stalls when it empties.
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["PlaybackBuffer"]
 
 
@@ -14,10 +16,14 @@ class PlaybackBuffer:
     """Seconds-denominated playback buffer with stall accounting."""
 
     def __init__(self, startup_threshold: float = 1.0, max_level: float = 10.0):
-        if startup_threshold < 0:
-            raise ValueError("startup_threshold must be non-negative")
-        if max_level <= 0:
-            raise ValueError("max_level must be positive")
+        # Chained so NaN fails it.  A threshold the capped level can never
+        # reach would keep playback from starting, booking every stall as
+        # start-up delay, which QoE does not charge.
+        if not (0 <= startup_threshold <= max_level < math.inf and max_level > 0):
+            raise ValueError(
+                "need 0 <= startup_threshold <= max_level, 0 < max_level < inf, got "
+                f"startup_threshold={startup_threshold!r}, max_level={max_level!r}"
+            )
         self.startup_threshold = float(startup_threshold)
         self.max_level = float(max_level)
         self.level = 0.0

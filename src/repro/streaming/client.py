@@ -9,7 +9,9 @@ two-stage pipeline, and accounts QoE — the programmatic form of
 
 This is the geometry-materializing counterpart of
 :func:`repro.streaming.simulator.simulate_session` (which scales to
-paper-length sessions by staying analytic).
+paper-length sessions by staying analytic, as a fleet of one).  Both time
+downloads on :class:`~repro.net.topology.PathScheduler`; this client runs
+its own decide → download → super-resolve loop with measured SR time.
 """
 
 from __future__ import annotations

@@ -25,11 +25,10 @@ state machines against a shared network in virtual time:
   delivered bytes).
 
 Everything is deterministic given (session specs, trace/topology, policy):
-the scheduler resolves simultaneous events by session id.  A fleet of one
-session reproduces :func:`~repro.streaming.simulator.simulate_session`
-bit-exactly, and a degenerate one-edge topology on an unconstrained
-backhaul reproduces the bare single-link fleet bit-exactly (both enforced
-by parity tests).
+the scheduler resolves simultaneous events by session id.
+:func:`~repro.streaming.simulator.simulate_session` is a fleet of one, and
+a degenerate one-edge topology on an unconstrained backhaul reproduces the
+bare single-link fleet bit-exactly (enforced by a parity test).
 """
 
 from __future__ import annotations
@@ -957,10 +956,11 @@ class _FleetRun:
         Only cacheable chunks on a topology with a live edge cache or a
         non-zero encode cost do.  Everything else (single-link mode,
         startup payloads, caching and encoding disabled) resolves the
-        same way at any instant, and registering the flow immediately
-        keeps the degenerate topology bit-exact with the single-link
-        scheduler — a waiting flow in the pool is what disables the
-        solo-flow fast path.
+        same way at any instant, so it is registered at once as a flow
+        gated until its data start.  Deferring it would add a loop wake
+        at its request instant, and that wake would split a fluid advance
+        in two and move the session's floats; registering at once keeps
+        the degenerate topology bit-exact with the single-link mode.
         """
         if self.base_path is not None or req.chunk_index is None:
             return False
@@ -1184,10 +1184,6 @@ class _FleetRun:
         if not deferred or deferred[0][0] > t:
             return
         with self.ph_advance:
-            # A release injects flows outside the completion-driven
-            # pattern the solo fast path assumes — bank any solo flow's
-            # progress up to t first, or it would restart from scratch.
-            self.sched.sync(t)
             while deferred and deferred[0][0] <= t:
                 _, sid, req = heapq.heappop(deferred)
                 self.dispatch(sid, req)
@@ -1289,9 +1285,6 @@ class _FleetRun:
         if self.next_bound >= len(bounds) or bounds[self.next_bound] > t:
             return
         with self.ph_control:
-            # Bank any solo flow's progress before surgery on the flow set
-            # (same contract as release_deferred).
-            self.sched.sync(t)
             while self.next_bound < len(bounds) and bounds[self.next_bound] <= t:
                 tb = bounds[self.next_bound]
                 self.next_bound += 1
@@ -1370,10 +1363,6 @@ class _FleetRun:
                 live = self.live_req.get(sid)
                 if live is not None and live[3] == serial:
                     fired.append(sid)
-            if fired:
-                # Cancelling flows outside the completion-driven pattern —
-                # bank any solo flow's progress first.
-                self.sched.sync(t)
             for sid in fired:
                 req, edge_idx, orphans = self._cancel(sid, t)
                 # Requests coalesced onto the aborted fill retry on their

@@ -28,9 +28,9 @@ machine that suspends at every network transfer (yielding a
 Decision suspension is what lets the fleet scheduler gather every session
 waiting on a decision at the same virtual instant and resolve them in one
 vectorized ``decide_batch`` call instead of N scalar ``decide`` calls.
-:func:`simulate_session` is the single-client driver (one session, one
-private link); :mod:`repro.streaming.fleet` runs many machines against one
-shared bottleneck in virtual time.
+There is one driver, :func:`repro.streaming.fleet.simulate_fleet`, which
+runs machines against shared links in virtual time;
+:func:`simulate_session` is a fleet of one viewer on a private link.
 
 Sessions may churn: an :class:`AbandonPolicy` makes a viewer abandon the
 session once rebuffering exceeds their patience, ending the machine early
@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 
 from ..metrics.qoe import ChunkRecord, QoEWeights, session_qoe
 from ..net.estimator import HarmonicMeanEstimator
-from ..net.link import Link
 from ..net.traces import NetworkTrace
 from .abr import AbrContext, AbrController, Decision, SRQualityModel
 from .buffer import PlaybackBuffer
@@ -83,8 +82,13 @@ class SessionConfig:
     quality_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.chunk_seconds <= 0:
-            raise ValueError("chunk_seconds must be positive")
+        if not 0.0 < self.chunk_seconds < math.inf:  # chained: NaN fails it
+            raise ValueError(f"chunk_seconds must be finite and > 0, got {self.chunk_seconds!r}")
+        if not isinstance(self.startup_bytes, int) or self.startup_bytes < 0:
+            raise ValueError(
+                "startup_bytes must be a non-negative integer, got "
+                f"{self.startup_bytes!r}"
+            )
         if not 0.0 < self.fetch_fraction <= 1.0:
             raise ValueError("fetch_fraction must be in (0, 1]")
         if not 0.0 < self.quality_factor <= 1.0:
@@ -163,12 +167,14 @@ class AbandonPolicy:
     max_single_stall: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.max_total_stall <= 0:
+        # ``not x > 0`` so NaN fails it: ``total > nan`` is always false,
+        # so a NaN patience would never abandon (``inf`` is legal: never)
+        if not self.max_total_stall > 0:
             raise ValueError(
                 "AbandonPolicy.max_total_stall must be positive, got "
                 f"{self.max_total_stall!r}"
             )
-        if self.max_single_stall <= 0:
+        if not self.max_single_stall > 0:
             raise ValueError(
                 "AbandonPolicy.max_single_stall must be positive, got "
                 f"{self.max_single_stall!r}"
@@ -189,17 +195,15 @@ class SessionMachine:
     network transfer (yielding a :class:`DownloadRequest`, answered with
     elapsed seconds) and at every ABR decision (yielding a
     :class:`DecisionRequest`, answered with a
-    :class:`~repro.streaming.abr.Decision`).  A driver —
-    :func:`simulate_session` for one client, the fleet scheduler for many —
-    resolves each request and resumes the machine via :meth:`advance`.
+    :class:`~repro.streaming.abr.Decision`).  The fleet driver
+    (:func:`repro.streaming.fleet.simulate_fleet`, of which
+    :func:`simulate_session` is the one-viewer case) resolves each request
+    and resumes the machine via :meth:`advance`.
 
     ``start_time`` staggers the session's join into a shared timeline;
     ``sr_cache`` optionally shares SR results across co-watching sessions
     (see :class:`repro.streaming.fleet.SRResultCache`); ``churn`` ends the
-    session early when the viewer's stall patience runs out.  With the
-    defaults the arithmetic is byte-for-byte the pre-refactor
-    ``simulate_session`` loop, which the single-session fleet parity test
-    enforces.
+    session early when the viewer's stall patience runs out.
     """
 
     def __init__(
@@ -403,21 +407,11 @@ def simulate_session(
     config: SessionConfig | None = None,
     qoe_weights: QoEWeights | None = None,
 ) -> SessionResult:
-    """Simulate one playback session end to end (private link, no contention)."""
-    link = Link(trace)
-    machine = SessionMachine(
-        spec,
-        controller,
-        sr_latency=sr_latency,
-        quality_model=quality_model,
-        config=config,
-        qoe_weights=qoe_weights,
+    """Simulate one playback session end to end: a fleet of one viewer,
+    alone on ``trace`` from t = 0."""
+    from .fleet import FleetSession, simulate_fleet  # fleet imports this module
+
+    session = FleetSession(
+        spec, controller, sr_latency, quality_model, config, qoe_weights
     )
-    req = machine.pending
-    while req is not None:
-        if isinstance(req, DecisionRequest):
-            req = machine.advance(controller.decide(req.ctx))
-        else:
-            req = machine.advance(link.download_time(req.nbytes, req.start_time))
-    assert machine.result is not None
-    return machine.result
+    return simulate_fleet([session], trace=trace).sessions[0]

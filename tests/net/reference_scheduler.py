@@ -1,13 +1,12 @@
 """Per-flow reference for :class:`repro.net.topology.PathScheduler`.
 
 The oracle of the scheduler parity instance: the same driver contract
-(``add_flow`` / ``cancel`` / ``has_flow`` / ``sync`` / ``busy`` /
-``next_event`` / ``advance`` / ``delivered_bits``) written as plain
-Python loops over flow objects, with its own share arithmetic and its
-own finish tolerance.  It borrows only the production module's value
-types (``NetworkPath``, ``Completion``) and the solo closed form
-``path_download_time`` — everything that splits a link between flows is
-written out here a second time, on purpose.
+(``add_flow`` / ``cancel`` / ``has_flow`` / ``busy`` / ``next_event`` /
+``advance`` / ``delivered_bits``) written as a pure per-flow fluid loop
+over flow objects, with its own share arithmetic and its own finish
+tolerance.  It borrows only the production module's value types
+(``NetworkPath``, ``Completion``) — everything that splits a link
+between flows is written out here a second time, on purpose.
 
 On a one-hop path this is the classic single-bottleneck processor-
 sharing loop: one capacity lookup, one share denominator, one drain per
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net import Completion, NetworkPath, path_download_time
+from repro.net import Completion, NetworkPath
 
 # The finish tolerance is part of the arithmetic the two implementations
 # must agree on, so it is restated, not imported.
@@ -31,27 +30,12 @@ FINISH_ATOL = 1e-3
 @dataclass
 class _Flow:
     flow_id: int
-    nbytes: int
     path: NetworkPath
     start_time: float
     data_start: float  # start_time + path RTT + any gate delay
     weight: float
     total_bits: float
     remaining_bits: float
-    gated: bool
-    #: closed-form elapsed, once resolved for a lone untouched flow
-    solo_elapsed: float | None = None
-
-
-def _bits_over(traces, start: float, end: float) -> float:
-    """Bits a lone flow moves over ``[start, end]`` at the min-hop rate."""
-    bits, t = 0.0, start
-    while t < end:
-        rate = min(tr.bandwidth_at(t) for tr in traces)
-        step = min(min(tr.time_to_next_change(t) for tr in traces), end - t)
-        bits += rate * step
-        t += step
-    return bits
 
 
 class ReferenceScheduler:
@@ -76,14 +60,12 @@ class ReferenceScheduler:
         bits = float(nbytes) * 8.0
         self._flows[flow_id] = _Flow(
             flow_id=flow_id,
-            nbytes=nbytes,
             path=path,
             start_time=float(start_time),
             data_start=float(start_time) + path.rtt + float(extra_delay),
             weight=float(weight),
             total_bits=bits,
             remaining_bits=bits,
-            gated=extra_delay > 0.0,
         )
 
     @property
@@ -100,28 +82,6 @@ class ReferenceScheduler:
         if flow_id not in self._flows:
             raise KeyError(f"flow {flow_id} is not in flight")
         del self._flows[flow_id]
-
-    # -- solo closed form --------------------------------------------------
-    def _solo(self) -> _Flow | None:
-        """The pool's only flow, if it has drained nothing and is ungated."""
-        if len(self._flows) != 1:
-            return None
-        (flow,) = self._flows.values()
-        if flow.gated or flow.remaining_bits != flow.total_bits:
-            return None
-        return flow
-
-    def sync(self, now: float) -> None:
-        solo = self._solo()
-        if solo is None or solo.total_bits == 0.0 or now <= solo.data_start:
-            return
-        traces = [link.trace for link in solo.path.links]
-        drained = min(_bits_over(traces, solo.data_start, now), solo.remaining_bits)
-        if drained <= 0.0:
-            return
-        solo.remaining_bits -= drained
-        solo.solo_elapsed = None
-        self._deliver(solo, drained)
 
     # -- sharing arithmetic ------------------------------------------------
     def _active(self, now: float) -> list[_Flow]:
@@ -162,13 +122,6 @@ class ReferenceScheduler:
     def next_event(self, now: float) -> float:
         if not self._flows:
             raise RuntimeError("no flows in flight")
-        solo = self._solo()
-        if solo is not None:
-            if solo.solo_elapsed is None:
-                solo.solo_elapsed = path_download_time(
-                    solo.path, solo.nbytes, solo.start_time
-                )
-            return solo.start_time + solo.solo_elapsed
         flows = self._flows.values()
         events = [f.data_start for f in flows if f.data_start > now]
         # an already-empty flow completes as soon as its data start elapses
@@ -183,14 +136,6 @@ class ReferenceScheduler:
     def advance(self, now: float, to_time: float) -> list[Completion]:
         if to_time < now:
             raise ValueError("cannot advance backwards")
-        solo = self._solo()
-        if solo is not None and solo.solo_elapsed is not None:
-            finish = solo.start_time + solo.solo_elapsed
-            if finish > to_time:
-                return []
-            self._deliver(solo, solo.total_bits)
-            del self._flows[solo.flow_id]
-            return [Completion(solo.flow_id, finish, solo.solo_elapsed)]
         dt = to_time - now
         active = self._active(now)
         # rates are fixed over the interval: snapshot before draining

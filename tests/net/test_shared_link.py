@@ -1,4 +1,4 @@
-"""One shared link: processor sharing, weights, conservation, solo exactness.
+"""One shared link: processor sharing, weights, conservation, lone-flow arithmetic.
 
 The single-bottleneck behaviours, checked on the one engine that moves
 bits: a :class:`PathScheduler` whose every flow rides the same one-hop
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.net import (
-    Link,
     NetworkPath,
     NetworkTrace,
     PathScheduler,
@@ -51,26 +50,56 @@ def drive(shared: OneHop, now: float = 0.0):
     return out
 
 
+#: 8 Mbps for 1 s, then 80 Mbps; the trace loops every 2 s
+STEP = NetworkTrace("step", np.array([0.0, 1.0]), np.array([8e6, 80e6]), rtt=0.0)
+
+
 class TestSoloExactness:
-    def test_single_flow_matches_link_download_time(self):
-        trace = stable_trace(7.3, rtt=0.013)
-        expected = Link(trace).download_time(1_234_567, 2.5)
-        shared = OneHop(trace)
+    """A lone flow against hand arithmetic: the scheduler is the only
+    transfer integrator (``Link`` runs one flow through it), so nothing
+    else in the tree can check it."""
+
+    def test_stable_trace_is_rtt_plus_bits_over_rate(self):
+        shared = OneHop(stable_trace(7.3, rtt=0.013))
         shared.add_flow(0, 1_234_567, 2.5)
         (done,) = drive(shared)
-        assert done.elapsed == expected  # bit-exact, not approx
-        assert done.finish_time == 2.5 + expected
+        expected = 0.013 + 8 * 1_234_567 / 7.3e6
+        assert done.elapsed == pytest.approx(expected, rel=1e-12)
+        assert done.finish_time == pytest.approx(2.5 + expected, rel=1e-12)
 
     def test_sequential_solo_flows_each_exact(self):
-        trace = stable_trace(10.0, rtt=0.02)
-        ref = Link(trace)
-        shared = OneHop(trace)
+        shared = OneHop(stable_trace(10.0, rtt=0.02))
         shared.add_flow(0, 500_000, 0.0)
         (first,) = drive(shared)
-        assert first.elapsed == ref.download_time(500_000, 0.0)
+        assert first.elapsed == pytest.approx(0.02 + 4e6 / 10e6, rel=1e-12)
         shared.add_flow(1, 800_000, first.finish_time)
         (second,) = drive(shared, first.finish_time)
-        assert second.elapsed == ref.download_time(800_000, first.finish_time)
+        assert second.elapsed == pytest.approx(0.02 + 6.4e6 / 10e6, rel=1e-12)
+
+    def test_rate_step_mid_transfer(self):
+        # 2 MB from t = 0: 1 MB in the first second at 8 Mbps, the other
+        # 1 MB in 0.1 s at 80 Mbps.
+        shared = OneHop(STEP)
+        shared.add_flow(0, 2_000_000, 0.0)
+        (done,) = drive(shared)
+        assert done.elapsed == pytest.approx(1.1, rel=1e-12)
+
+    def test_gated_flow_starts_moving_after_its_delay(self):
+        # Gated 0.4 s: 0.6 MB in the remaining 0.6 s at 8 Mbps, then
+        # 1.4 MB in 0.14 s at 80 Mbps; elapsed counts from the request.
+        shared = OneHop(STEP)
+        shared.sched.add_flow(0, 2_000_000, 0.0, shared.path, extra_delay=0.4)
+        (done,) = drive(shared)
+        assert done.elapsed == pytest.approx(1.14, rel=1e-12)
+
+    def test_transfer_across_the_trace_wrap(self):
+        # From t = 1.5: 0.5 s at 80 Mbps (40 Mbit) up to the wrap at 2 s,
+        # then 4 Mbit at 8 Mbps (0.5 s).
+        shared = OneHop(STEP)
+        shared.add_flow(0, 5_500_000, 1.5)
+        (done,) = drive(shared, 1.5)
+        assert done.elapsed == pytest.approx(1.0, rel=1e-12)
+        assert done.finish_time == pytest.approx(2.5, rel=1e-12)
 
     def test_zero_bytes_costs_one_rtt(self):
         shared = OneHop(const_trace(1e6, rtt=0.05))

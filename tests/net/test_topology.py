@@ -5,11 +5,11 @@
 it is pinned to.  Following the repo's oracle-parity convention (kNN
 backends, the MPC planner), :class:`TestEngineParity` drives both over
 the same hypothesis-generated workloads — one- to three-hop paths over
-shared links, fair and weighted, gated, cancelled and ``sync``-injected
+shared links, fair and weighted, gated, cancelled and mid-flight-injected
 flows — asserting ``==`` on the completion streams, and the contract
 tests in :class:`TestOneHopParity` run against both implementations
-(ids ``vector`` = production, ``scalar`` = the reference), so the oracle
-is itself checked against the closed-form link integrator.
+(ids ``vector`` = production, ``scalar`` = the reference).  Hand
+arithmetic checks lone flows in ``tests/net/test_shared_link.py``.
 """
 
 import math
@@ -25,7 +25,6 @@ from repro.net import (
     PathScheduler,
     SharedLink,
     lte_trace,
-    path_download_time,
     stable_trace,
 )
 from repro.streaming.faults import DegradedTrace
@@ -69,8 +68,8 @@ flow_lists = st.lists(
 #: nine runs in ten with at most two flows ever active.  ``cancel``
 #: withdraws the flow that long after its request if it is still in
 #: flight (the outage / timeout hook); ``inject`` registers it at its
-#: start instant behind a ``sync()`` instead of up front (the fleet's
-#: deferred-request pattern).
+#: start instant instead of up front (the fleet's deferred-request
+#: pattern).
 scripted_flows = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=40).map(lambda k: 0.25 * k),
@@ -152,7 +151,6 @@ def run_script(sched, paths, flows):
             _, fid, kind = actions.pop(0)
             if kind == "add":
                 nbytes, path, weight, delay = spec[fid]
-                sched.sync(now)
                 sched.add_flow(
                     fid, nbytes, now, path, weight=weight, extra_delay=delay
                 )
@@ -204,7 +202,8 @@ class TestOneHopParity:
         assert_parity(sized(flows, mean), policy, mean, seed, path=path)
 
     def test_solo_flow_matches_link_integrator(self, engine):
-        """A lone flow resolves through the same segment-exact arithmetic."""
+        """A lone flow takes what ``Link.download_time`` (a pool of one)
+        reports — for the reference, an independent derivation."""
         trace = lte_trace(40, 12, seed=3)
         path = NetworkPath((SharedLink(trace),))
         sched = engine()
@@ -256,14 +255,6 @@ class TestHopMonotonicity:
         (done,) = drive(sched)
         assert done.elapsed == pytest.approx(80e6 / 10e6)
 
-    def test_path_download_time_one_hop_matches_link(self):
-        trace = lte_trace(35, 10, seed=7)
-        path = NetworkPath((SharedLink(trace),))
-        for nbytes, start in [(0, 0.0), (123, 3.5), (9_999_999, 0.75)]:
-            assert path_download_time(path, nbytes, start) == Link(
-                trace
-            ).download_time(nbytes, start)
-
 
 class TestSharedHopContention:
     def test_shared_backhaul_splits_between_paths(self):
@@ -309,7 +300,7 @@ class TestEngineParity:
     """production == reference, bit for bit, on shared-link pools.
 
     The grid mixes weights, staggered starts, gated (``extra_delay``),
-    cancelled and ``sync``-injected flows on one/two/three-hop paths
+    cancelled and mid-flight-injected flows on one/two/three-hop paths
     sharing links — the full surface the CDN fleet exercises.
     """
 
@@ -335,8 +326,8 @@ class TestEngineParity:
         assert_parity(flows, "weighted", 60.0, 2)
 
     def test_weighted_single_link_pool_beyond_pairwise(self):
-        """Production's one-link fast path must also sum weighted
-        denominators in insertion order — 12 concurrent one-hop flows."""
+        """A one-link pool must also sum weighted denominators in
+        insertion order — 12 concurrent one-hop flows."""
         flows = [
             (800_000 + 12_345 * i, 0.2 * (i % 4), 0.3 + 0.21 * i, 0, 0.0,
              None, False)
@@ -350,41 +341,6 @@ class TestEngineParity:
             for i in range(24)
         ]
         assert_parity(flows, "fair", 45.0, 5)
-
-    def test_sync_mid_flight_injection_parity(self):
-        """The fleet's deferred-release pattern: sync() at an arbitrary
-        instant, then inject a flow — both implementations must bank the
-        solo flow's progress identically."""
-        results = []
-        for factory in SCHEDULERS.values():
-            trace = stable_trace(40.0, duration=120.0)
-            link = SharedLink(trace)
-            path = NetworkPath((link,))
-            sched = factory()
-            sched.add_flow(0, 10_000_000, 0.0, path)
-            sched.next_event(0.0)  # resolves the solo fast path
-            sched.sync(1.0)
-            sched.add_flow(1, 5_000_000, 1.0, path)
-            results.append(drive(sched, now=1.0))
-        assert results[0] == results[1]
-
-    def test_sync_draining_solo_to_zero_still_completes(self):
-        """A deferred request landing at (or past) the solo flow's finish
-        makes sync() empty it outright; the emptied flow must still be
-        reported — the array engine used to lose it and spin forever."""
-        results = []
-        for factory in SCHEDULERS.values():
-            path = NetworkPath((SharedLink(stable_trace(80.0)),))
-            sched = factory()
-            sched.add_flow(0, 1_000_000, 0.0, path)  # finishes at ~0.11 s
-            sched.next_event(0.0)                    # resolve solo fast path
-            sched.sync(1.0)                          # fully drained
-            sched.add_flow(1, 1_000, 1.0, path)
-            done = drive(sched, now=1.0)
-            assert {c.flow_id for c in done} == {0, 1}
-            results.append(done)
-        assert results[0] == results[1]
-
 
     def test_trace_boundary_is_exactly_the_next_event(self):
         """A plain link's boundary is found through its stored lower bound
@@ -439,7 +395,7 @@ class TestEngineParity:
             pytest.param(
                 [(1_000_000, 0.0, 1.0, 0, 0.0, None, False),
                  (4_000, 1.0, 1.0, 0, 0.0, None, True)],
-                id="sync-drains-the-solo-flow-to-zero",
+                id="flow-injected-after-the-first-finished",
             ),
             pytest.param(
                 [(2_500_000, 0.0, 1.0, 0, 0.0, None, False),
@@ -618,14 +574,8 @@ class TestMonotoneClock:
         with pytest.raises(ValueError, match="cannot advance backwards"):
             sched.advance(0.75, 0.5)
 
-    def test_sync_rejects_an_earlier_instant(self):
-        sched = self.busy_pool()
-        sched.sync(0.5)
-        with pytest.raises(ValueError, match="time went backwards"):
-            sched.sync(0.25)
-
     @pytest.mark.parametrize(
-        "call", ["next_event", "sync", "advance-to", "advance-from"]
+        "call", ["next_event", "advance-to", "advance-from"]
     )
     def test_a_nan_instant_is_refused_and_changes_nothing(self, call):
         """NaN passes every ``<`` order check: ``advance(t, nan)`` used to
@@ -635,7 +585,6 @@ class TestMonotoneClock:
         ahead = sched.next_event(0.5)
         act = {
             "next_event": lambda: sched.next_event(math.nan),
-            "sync": lambda: sched.sync(math.nan),
             "advance-to": lambda: sched.advance(0.5, math.nan),
             "advance-from": lambda: sched.advance(math.nan, 1.0),
         }[call]

@@ -51,6 +51,13 @@ class TestBuffer:
             PlaybackBuffer(startup_threshold=-1.0)
         with pytest.raises(ValueError):
             PlaybackBuffer(max_level=0.0)
+        # a threshold the capped level can never reach (or NaN) would keep
+        # playback from ever starting
+        for threshold, cap in [(12.0, 10.0), (float("nan"), 10.0), (1.0, float("inf"))]:
+            with pytest.raises(
+                ValueError, match=rf"startup_threshold={threshold}, max_level={cap}"
+            ):
+                PlaybackBuffer(startup_threshold=threshold, max_level=cap)
         buf = PlaybackBuffer()
         with pytest.raises(ValueError):
             buf.add(-1.0)

@@ -242,8 +242,9 @@ class TestByteConservation:
         """Enabling the cache only changes *bookkeeping* when no hit is
         possible: two viewers of distinct videos must see identical
         physics with caching on (deferred requests) and off (immediate).
-        A deferred release used to land mid-flight and silently restart
-        the in-flight solo transfer from its full byte count."""
+        A deferred release lands while the other viewer's transfer is in
+        flight alone; it once restarted that transfer from its full byte
+        count."""
         from repro.streaming import FleetSession
 
         def run(cache_bytes):

@@ -1,5 +1,7 @@
 """Trace-driven population properties: conservation, skew, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,15 @@ class TestAbandonPolicy:
             AbandonPolicy(max_total_stall=0.0)
         with pytest.raises(ValueError, match=r"max_single_stall.*got -1"):
             AbandonPolicy(max_single_stall=-1)
+
+    def test_nan_patience_is_refused_and_inf_is_never(self):
+        """``total > nan`` is always false: a NaN patience used to be
+        accepted and never abandon."""
+        for field in ("max_total_stall", "max_single_stall"):
+            with pytest.raises(ValueError, match=rf"{field}.*got nan"):
+                AbandonPolicy(**{field: math.nan})
+        never = AbandonPolicy(max_total_stall=math.inf, max_single_stall=math.inf)
+        assert not never.should_abandon(1e9, 1e9)
 
 
 def churn_population(patience, n=8, seconds=8, mbps_per_session=2.0):

@@ -1,5 +1,7 @@
 """Streaming-session simulator tests."""
 
+import math
+
 import pytest
 
 from repro.metrics import QoEModel
@@ -136,6 +138,24 @@ class TestConfig:
             SessionConfig(fetch_fraction=0.0)
         with pytest.raises(ValueError):
             SessionConfig(quality_factor=1.5)
+        # NaN used to pass and fail later as "cannot convert float NaN to
+        # integer"; a negative startup payload silently undercounted bytes
+        for chunk_seconds in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"chunk_seconds.*got {chunk_seconds}"):
+                SessionConfig(chunk_seconds=chunk_seconds)
+        for startup_bytes in (-1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=rf"startup_bytes.*got {startup_bytes}"):
+                SessionConfig(startup_bytes=startup_bytes)
+
+    @pytest.mark.parametrize("startup, cap", [(12.0, 10.0), (math.nan, 10.0), (1.0, math.inf)])
+    def test_unreachable_startup_threshold_is_refused(self, startup, cap):
+        """A start-up threshold above the buffer cap (or NaN) never starts
+        playback, so every stall was booked as uncharged start-up delay:
+        on an 8 Mbps LTE trace such a session read 0 s stall and QoE +29
+        where the default config reads 438 s and −847."""
+        cfg = SessionConfig(startup_buffer=startup, max_buffer=cap)
+        with pytest.raises(ValueError, match=rf"startup_threshold={startup}, max_level={cap}"):
+            simulate_session(spec(30), lte_trace(8, 4, seed=2), FixedDensity(0.8), config=cfg)
 
 
 class TestWithMPC:

@@ -170,6 +170,28 @@ def test_the_scheduler_keeps_its_active_flows_in_one_packed_block():
     assert "slot" not in [f.name for f in dataclasses.fields(_PathFlow)]
 
 
+def test_one_transfer_integrator():
+    """``PathScheduler`` times every transfer: ``Link`` runs one flow
+    through it and ``simulate_session`` is a fleet of one.  So outside
+    ``net/topology.py`` only the ``DegradedTrace`` wrapper reads a trace's
+    rate schedule, and there is no solo closed form nor the ``sync`` that
+    banked its progress."""
+    import repro.net
+    from repro.net import PathScheduler
+
+    readers = {
+        f"{path.relative_to(SRC).as_posix()}::{getattr(node, 'name', node.lineno)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if called_names(node) & {"bandwidth_at", "time_to_next_change"}
+    }
+    assert {r for r in readers if not r.startswith("net/topology.py::")} == {
+        "streaming/faults.py::DegradedTrace"
+    }, sorted(readers)
+    assert not hasattr(PathScheduler, "sync")
+    assert "path_download_time" not in dir(repro.net)
+
+
 def test_octree_selects_by_argmin_passes_through_one_kernel():
     """The partition kernel lives in ``tests/spatial/reference_octree.py``,
     which takes nothing from production but ``KnnBackend``; ``octree.py``
