@@ -21,7 +21,7 @@ import time
 
 from repro.net import stable_trace
 from repro.obs import Telemetry, write_chrome_trace, write_jsonl
-from repro.streaming import SRResultCache, VideoSpec, simulate_fleet
+from repro.streaming import SRResultCache, VideoSpec, simulate_fleet, single_link_cdn
 from repro.experiments import make_fleet
 
 
@@ -63,7 +63,9 @@ def main() -> None:
         cache = SRResultCache()
         result = simulate_fleet(
             make_fleet(args.sessions, spec, join_spacing=0.25),
-            trace=stable_trace(mbps, duration=float(4 * args.seconds)),
+            topology=single_link_cdn(
+                stable_trace(mbps, duration=float(4 * args.seconds))
+            ),
             sr_cache=cache,
             telemetry=telemetry if label.startswith("congested") else None,
         )
@@ -77,8 +79,10 @@ def main() -> None:
         s.weight = 4.0 if i < max(1, args.sessions // 10) else 1.0
     result = simulate_fleet(
         sessions,
-        trace=stable_trace(4.0 * args.sessions, duration=float(4 * args.seconds)),
-        policy="weighted",
+        topology=single_link_cdn(
+            stable_trace(4.0 * args.sessions, duration=float(4 * args.seconds)),
+            policy="weighted",
+        ),
         sr_cache=SRResultCache(),
     )
     n_premium = max(1, args.sessions // 10)

@@ -28,6 +28,7 @@ from repro.streaming import (
     SRResultCache,
     build_population,
     simulate_fleet,
+    single_link_cdn,
 )
 from repro.streaming.population import synthetic_catalog
 
@@ -74,7 +75,9 @@ def main() -> None:
             mbps_per_session * len(sessions), duration=2 * window
         )
         t0 = time.time()
-        result = simulate_fleet(sessions, trace=trace, sr_cache=SRResultCache())
+        result = simulate_fleet(
+            sessions, topology=single_link_cdn(trace), sr_cache=SRResultCache()
+        )
         return result, time.time() - t0
 
     print(f"~{args.sessions} Poisson arrivals over {window:.0f}s, "

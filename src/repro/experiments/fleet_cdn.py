@@ -23,7 +23,7 @@ undersized encode pool.
 from __future__ import annotations
 
 from ..net.traces import stable_trace
-from ..streaming.cdn import CDNTopology, uniform_cdn
+from ..streaming.cdn import CDNTopology, single_link_cdn, uniform_cdn
 from ..streaming.fleet import SRResultCache, simulate_fleet
 from ..streaming.shard import shard_fleet
 from .common import SMOKE, ResultTable, Scale
@@ -134,7 +134,9 @@ def run_fleet_cdn(
         mbps_per_session * len(sessions), duration=float(scale.stream_seconds * 4)
     )
     rep = simulate_fleet(
-        sessions, trace=trace, sr_cache=SRResultCache(capacity=sr_cache_size)
+        sessions,
+        topology=single_link_cdn(trace),
+        sr_cache=SRResultCache(capacity=sr_cache_size),
     ).report
     row("single-link", "-", rep)
 

@@ -21,6 +21,7 @@ isolate the co-watching lever.
 from __future__ import annotations
 
 from ..net.traces import stable_trace
+from ..streaming.cdn import single_link_cdn
 from ..streaming.chunks import VideoSpec
 from ..streaming.fleet import FleetSession, SRResultCache, simulate_fleet
 from .common import SMOKE, ResultTable, Scale
@@ -107,7 +108,9 @@ def run_fleet_scaling(
     for n in fleet_sizes:
         cache = SRResultCache(capacity=sr_cache_size)
         result = simulate_fleet(
-            make_fleet(n, spec, abr=abr), trace=trace, policy=policy, sr_cache=cache
+            make_fleet(n, spec, abr=abr),
+            topology=single_link_cdn(trace, policy=policy),
+            sr_cache=cache,
         )
         rep = result.report
         table.add(
@@ -130,7 +133,9 @@ def run_fleet_scaling(
             duration=float(scale.stream_seconds * 4),
         )
         rep = simulate_fleet(
-            sessions, trace=pop_trace, policy=policy, sr_cache=cache
+            sessions,
+            topology=single_link_cdn(pop_trace, policy=policy),
+            sr_cache=cache,
         ).report
         table.add(
             n_sessions=len(sessions),
@@ -195,7 +200,9 @@ def run_population_fleet(
             mbps_per_session * len(sessions),
             duration=float(scale.stream_seconds * 4),
         )
-        rep = simulate_fleet(sessions, trace=trace, sr_cache=cache).report
+        rep = simulate_fleet(
+            sessions, topology=single_link_cdn(trace), sr_cache=cache
+        ).report
         table.add(
             skew=skew,
             n_sessions=len(sessions),

@@ -579,25 +579,27 @@ class _VectorState:
         """Read link ``li``'s trace segment at ``now`` into ``cap``.
 
         A plain trace's lookup reproduces ``bandwidth_at`` exactly and
-        stores where the segment ends; any other trace goes to
-        ``wrapped``, re-read by every allocation.
+        stores where the segment ends; any other trace, or one whose
+        ``end`` would not move the clock (see ``NetworkTrace._locate``),
+        goes to ``wrapped``, re-read by every allocation.
         """
         trace = self.link_list[li].trace
-        if type(trace) is not NetworkTrace:
-            self.segments.pop(li, None)
-            self.wrapped.add(li)
-            return
-        duration = trace._duration
-        local = now % duration
-        ts = trace._ts_list
-        i = bisect_right(ts, local)
-        hi = ts[i] if i < len(ts) else duration
-        self.cap[li] = trace._bw_list[i - 1]
-        end = now + (hi - local)
-        until = end - (end + duration) * _BOUND_SLACK
-        self.segments[li] = (until, hi, duration)
-        if until < self.cap_until:
-            self.cap_until = until
+        if type(trace) is NetworkTrace:
+            duration = trace._duration
+            local = now % duration
+            ts = trace._ts_list
+            i = bisect_right(ts, local)
+            hi = ts[i] if i < len(ts) else duration
+            end = now + (hi - local)
+            if end > now:
+                self.cap[li] = trace._bw_list[i - 1]
+                until = end - (end + duration) * _BOUND_SLACK
+                self.segments[li] = (until, hi, duration)
+                if until < self.cap_until:
+                    self.cap_until = until
+                return
+        self.segments.pop(li, None)
+        self.wrapped.add(li)
 
     def refresh(self, now: float) -> None:
         """Re-read every plain link whose segment may have ended by ``now``."""

@@ -89,19 +89,28 @@ class NetworkTrace:
 
     def bandwidth_at(self, t: float) -> float:
         """Link rate (bps) at absolute time ``t`` (loops past the end)."""
-        if t < 0:
-            raise ValueError("time must be non-negative")
-        t = t % self._duration
-        return self._bw_list[bisect_right(self._ts_list, t) - 1]
+        return self._bw_list[self._locate(t)[0]]
 
     def time_to_next_change(self, t: float) -> float:
         """Seconds from ``t`` to the next segment boundary (loop-aware)."""
+        return self._locate(t)[1]
+
+    def _locate(self, t: float) -> tuple[int, float]:
+        """``(segment index, seconds to its end)`` at ``t``.  A ``t`` that
+        rounds onto a boundary its ``t % duration`` falls just short of (a
+        wrap: 6.5 + 3.2 on a 6.5-s trace with an instant at 3.2) lies past
+        it, or a clock stepping boundary to boundary would stand still
+        there; after one period of boundaries none can move ``t``."""
         if t < 0:
             raise ValueError("time must be non-negative")
+        ts, n = self._ts_list, len(self._ts_list)
         local = t % self._duration
-        i = bisect_right(self._ts_list, local)
-        nxt = self._ts_list[i] if i < len(self._ts_list) else self._duration
-        return nxt - local
+        first = i = bisect_right(ts, local)
+        nxt = ts[i] if i < n else self._duration
+        while t + (nxt - local) <= t and i - first < n:
+            i += 1
+            nxt = ts[i % n] + i // n * self._duration
+        return (i - 1) % n, nxt - local
 
     def mean_bandwidth(self) -> float:
         """Time-weighted mean rate over one loop (bps)."""

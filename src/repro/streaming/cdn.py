@@ -3,8 +3,8 @@
 The fleet simulator models the last mile; a service the paper's size is
 fronted by a CDN, and at scale it is the *edge*, not the access link,
 that decides aggregate QoE and serving cost.  This module provides the
-pieces :func:`~repro.streaming.fleet.simulate_fleet` wires together when
-given a topology:
+serving topology :func:`~repro.streaming.fleet.simulate_fleet` runs
+over:
 
 * :class:`EdgeChunkCache` — a byte-capacity LRU of encoded chunk
   variants held at one edge.  A hit serves the chunk over the access
@@ -32,6 +32,9 @@ given a topology:
   (greedy min-occupancy in join order), and ``popularity`` (content
   affinity: all viewers of a video share an edge, maximizing cache
   locality at the price of skew-following load imbalance).
+* :func:`uniform_cdn` builds a symmetric multi-edge CDN;
+  :func:`single_link_cdn` builds the one-edge topology that serves the
+  paper's single bottleneck link.
 
 Everything is deterministic given (topology, sessions): hashes are
 ``zlib.crc32`` (Python's builtin ``hash`` is salted per process), ties
@@ -47,9 +50,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..net.link import SharedLink
 from ..net.topology import NetworkPath
-from ..net.traces import stable_trace
+from ..net.traces import NetworkTrace, stable_trace
 from ..obs.events import (
     EV_CACHE_COALESCE,
     EV_CACHE_HIT,
@@ -71,6 +76,7 @@ __all__ = [
     "EdgeNode",
     "CDNTopology",
     "assign_sessions",
+    "single_link_cdn",
     "uniform_cdn",
     "wait_percentile",
 ]
@@ -97,7 +103,7 @@ class EdgeChunkCache:
     existing backhaul transfer (see :meth:`attach`) instead of opening a
     second origin pull.  ``capacity_bytes=0`` disables caching — and
     with it coalescing — so every request misses and pulls its own copy,
-    which is what the degenerate-topology parity test uses.
+    which is what :func:`single_link_cdn` uses.
     """
 
     def __init__(self, capacity_bytes: int = 1 << 30):
@@ -397,7 +403,7 @@ class OriginServer:
         (``encode_seconds == 0``) every variant is always available and
         *nothing is recorded* — the function is pure, which is what lets
         the fleet driver dispatch requests out of virtual-time order in
-        that configuration (its degenerate-parity mode) without a
+        that configuration (:func:`single_link_cdn`) without a
         future-dated request planting a phantom ready time that would
         gate an earlier co-watcher.
         """
@@ -634,3 +640,28 @@ def uniform_cdn(
     return CDNTopology(
         edges=edges, origin=origin, assignment=assignment, regions=regions
     )
+
+
+def single_link_cdn(trace: NetworkTrace, *, policy: str = "fair") -> CDNTopology:
+    """One bottleneck link as a one-edge CDN: every viewer shares ``trace``.
+
+    The edge's access link is the bottleneck; its cache holds nothing and
+    the origin encodes in zero time, so every request travels backhaul +
+    access at once.  The backhaul is unconstrained: at 1 Tbit/s (above any
+    access rate) with zero RTT, and split by the same policy over the same
+    flows, its share never undercuts the access share, and it steps on the
+    access trace's own grid, so each of its segment ends is an access
+    segment end computed by the same float expression — it adds no wake
+    that would split a fluid advance, which is why a fleet on this
+    topology is bit-exact with a bare one-hop path on ``trace``.
+    """
+    ts = trace.timestamps
+    backhaul = NetworkTrace("backhaul", ts, np.full(len(ts), 1e12), rtt=0.0)
+    edge = EdgeNode(
+        name="edge-0",
+        backhaul=SharedLink(backhaul, policy=policy),
+        access=SharedLink(trace, policy=policy),
+        cache=EdgeChunkCache(capacity_bytes=0),
+    )
+    origin = OriginServer(n_encode_workers=1, encode_seconds=0.0)
+    return CDNTopology(edges=(edge,), origin=origin)

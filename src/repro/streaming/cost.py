@@ -4,8 +4,8 @@ A fleet run consumes four billable resources, each read straight off
 the simulator's own accounting rather than estimated:
 
 * **origin egress** — bytes that crossed an origin → edge backhaul
-  (``FleetReport.origin_egress_bytes``; on a bare link every delivered
-  byte leaves the origin), priced $/GB;
+  (``FleetReport.origin_egress_bytes``; on a single link's zero-capacity
+  edge every delivered byte does), priced $/GB;
 * **encode compute** — transcode core-seconds actually occupied at the
   origin (``FleetReport.encode_core_seconds``, summed from
   :class:`~repro.streaming.cdn.EncodeQueue` busy time), priced
@@ -103,15 +103,13 @@ class CostModel:
     def price(self, result: "FleetResult") -> CostReport:
         """Bill one :class:`~repro.streaming.fleet.FleetResult`."""
         report = result.report
-        # On a bare link build_fleet_report already set origin egress to
-        # the delivered total (no edge tier ⇒ every byte is origin
-        # egress), so one field serves both serving modes.
+        # Every miss crosses a backhaul, so on single_link_cdn's
+        # zero-capacity edge origin egress is the delivered total and its
+        # provisioned storage is zero.
         egress_gb = report.origin_egress_bytes / _GB
         encode_core_hours = report.encode_core_seconds / 3600.0
-        storage_bytes = (
-            sum(e.cache.capacity_bytes for e in result.topology.edges)
-            if result.topology is not None
-            else 0
+        storage_bytes = sum(
+            e.cache.capacity_bytes for e in result.topology.edges
         )
         storage_gb_months = (storage_bytes / _GB) * (
             report.makespan / _SECONDS_PER_MONTH

@@ -8,11 +8,12 @@ state machines against a shared network in virtual time:
 * each session joins at its own ``join_time`` and runs its own ABR
   controller and SR latency model;
 * every transfer is scheduled per hop through a
-  :class:`~repro.net.topology.PathScheduler` — the classic single
-  bottleneck is the degenerate one-hop path, and a
-  :class:`~repro.streaming.cdn.CDNTopology` routes each viewer over its
-  edge's access link (cache hit) or the origin → edge → viewer two-hop
-  path (miss), gated by the origin's bounded encode queue;
+  :class:`~repro.net.topology.PathScheduler` over a
+  :class:`~repro.streaming.cdn.CDNTopology`, which routes each viewer
+  over its edge's access link (cache hit) or the origin → edge → viewer
+  two-hop path (miss), gated by the origin's bounded encode queue — the
+  classic single bottleneck is the one-edge
+  :func:`~repro.streaming.cdn.single_link_cdn`;
 * each link splits capacity among in-flight downloads with a configurable
   policy (``fair`` processor sharing or ``weighted`` by session weight);
 * an optional :class:`SRResultCache` shares super-resolution results
@@ -24,11 +25,13 @@ state machines against a shared network in virtual time:
   QoE, stall ratio, cache hit rates, origin egress, encode-queue waits,
   delivered bytes).
 
-Everything is deterministic given (session specs, trace/topology, policy):
-the scheduler resolves simultaneous events by session id.
-:func:`~repro.streaming.simulator.simulate_session` is a fleet of one, and
-a degenerate one-edge topology on an unconstrained backhaul reproduces the
-bare single-link fleet bit-exactly (enforced by a parity test).
+Everything is deterministic given (session specs, topology): the
+scheduler resolves simultaneous events by session id.
+:func:`~repro.streaming.simulator.simulate_session` is a fleet of one on
+:func:`~repro.streaming.cdn.single_link_cdn`, which is bit-exact with a
+bare one-hop path on the same trace: its backhaul steps on the access
+trace's own grid, so it adds no wake (golden digests pin this, odd-length
+and irregular traces included).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from ..obs.events import (
 )
 from ..obs.profiler import NULL_PROFILER
 from ..net.link import SharedLink
-from ..net.topology import NetworkPath, PathScheduler
+from ..net.topology import PathScheduler
 from ..net.traces import NetworkTrace
 from .cdn import CDNTopology, wait_percentile
 from .abr import AbrController, SRQualityModel
@@ -206,10 +209,9 @@ class SRResultCache:
 class FleetReport:
     """Aggregate service health over one fleet run.
 
-    The CDN fields are populated when the fleet ran over a
-    :class:`~repro.streaming.cdn.CDNTopology`; on a bare link every byte
-    comes from the origin, so ``origin_egress_bytes == total_bytes`` and
-    the edge/encode fields stay at their defaults.
+    On :func:`~repro.streaming.cdn.single_link_cdn` every request misses
+    the zero-capacity cache, so ``origin_egress_bytes == total_bytes``,
+    ``edge_hit_rates == (0.0,)`` and the encode fields stay at zero.
     """
 
     n_sessions: int
@@ -313,12 +315,12 @@ class FleetResult:
 
     sessions: list[SessionResult]
     report: FleetReport
+    #: the serving topology the fleet ran over
+    topology: CDNTopology
+    #: viewer → edge index per session, after any re-steering
+    assignment: list[int]
     sr_cache: SRResultCache | None = None
     session_specs: list[FleetSession] = field(default_factory=list)
-    #: the serving topology the fleet ran over (None = bare single link)
-    topology: CDNTopology | None = None
-    #: viewer → edge index per session (empty without a topology)
-    assignment: list[int] = field(default_factory=list)
     #: per-session virtual completion instants (last download finish),
     #: session order — what the sharded executor merges makespans from
     end_times: list[float] = field(default_factory=list)
@@ -375,9 +377,8 @@ class _RunAggregates:
     builder the same thing.  Per-edge fields are in topology edge order.
     """
 
-    #: bytes that crossed a backhaul; None = no edges, every byte left
-    #: the origin (the single-link mode)
-    origin_egress: int | None
+    #: bytes that crossed an origin → edge backhaul
+    origin_egress: int
     #: per edge ``(hits, misses, coalesced, coalesced_bytes)``
     edge_stats: list[tuple[int, int, int, int]]
     edge_hit_rates: tuple[float, ...]
@@ -433,9 +434,7 @@ def build_fleet_report(
         n_abandoned=n_abandoned,
         abandon_rate=n_abandoned / len(results),
         sr_edge_hit_rates=agg.sr_edge_hit_rates,
-        origin_egress_bytes=(
-            total_bytes if agg.origin_egress is None else agg.origin_egress
-        ),
+        origin_egress_bytes=agg.origin_egress,
         coalesced_fills=sum(c for _, _, c, _ in edge_stats),
         coalesced_bytes=sum(b for _, _, _, b in edge_stats),
         edge_hit_rate=edge_hits / lookups if lookups else 0.0,
@@ -623,20 +622,11 @@ class _FleetRun:
         self.ph_control = prof.phase("control")
         self.sched = PathScheduler()
         self.topology = topology = spec.topology
-        if topology is None:
-            assert spec.trace is not None
-            self.base_path: NetworkPath | None = NetworkPath(
-                (SharedLink(spec.trace, policy=spec.policy),), name="bottleneck"
-            )
-            self.edges: tuple = ()
-            self.assignment: list[int] = []
-        else:
-            self.base_path = None
-            topology.reset()
-            self.edges = topology.edges
-            if self.faults is not None:
-                self.faults.validate_topology(len(self.edges), topology.regions)
-            self.assignment = self._resolve_assignment()
+        topology.reset()
+        self.edges = topology.edges
+        if self.faults is not None:
+            self.faults.validate_topology(len(self.edges), topology.regions)
+        self.assignment = self._resolve_assignment()
         self.per_edge_sr = isinstance(spec.sr_cache, str)
         if self.per_edge_sr:
             # Mode string already validated by spec.validate().
@@ -669,7 +659,7 @@ class _FleetRun:
         #: (edge idx, key) -> [(sid, req)]
         self.fill_waiters: dict[tuple, list[tuple[int, DownloadRequest]]] = {}
         self.origin_egress = 0
-        #: topology requests dated beyond the current event, ordered by
+        #: requests dated beyond the current event, ordered by
         #: (start_time, session id).  Cache lookups and encode reservations
         #: are *stateful and time-stamped*, so a future-dated request (a
         #: session's join, a buffer-headroom wait) must not consult them
@@ -716,7 +706,7 @@ class _FleetRun:
     def _init_faults(self) -> None:
         """Fault runtime: outage spans and bounds, gray windows, timeouts."""
         faults = self.faults
-        regions = self.topology.regions if self.topology is not None else None
+        regions = self.topology.regions
         #: instants an outage begins or ends — the loop must wake exactly
         #: at them (degradations and crowds need no event)
         self.outage_bounds = faults.boundary_times() if faults is not None else []
@@ -818,18 +808,14 @@ class _FleetRun:
         for e_idx, edge in enumerate(self.edges):
             edge.cache.tracer = tracer
             edge.cache.edge = e_idx
-        if self.topology is not None:
-            self.topology.origin.queue.tracer = tracer
+        self.topology.origin.queue.tracer = tracer
         if self.controller is not None:
             self.controller.tracer = tracer
         for sid, s in enumerate(self.sessions):
-            if self.topology is not None:
-                tracer.emit(
-                    s.join_time, EV_SESSION_START, session=sid,
-                    edge=self.assignment[sid],
-                )
-            else:
-                tracer.emit(s.join_time, EV_SESSION_START, session=sid)
+            tracer.emit(
+                s.join_time, EV_SESSION_START, session=sid,
+                edge=self.assignment[sid],
+            )
         if self.faults is not None:
             self.faults.emit_scheduled(tracer)
 
@@ -839,8 +825,7 @@ class _FleetRun:
         for edge in self.edges:
             edge.cache.tracer = NULL_TRACER
             edge.cache.edge = None
-        if self.topology is not None:
-            self.topology.origin.queue.tracer = NULL_TRACER
+        self.topology.origin.queue.tracer = NULL_TRACER
         if self.controller is not None:
             self.controller.tracer = NULL_TRACER
 
@@ -953,16 +938,15 @@ class _FleetRun:
     def needs_clock(self, sid: int, req: DownloadRequest) -> bool:
         """Does resolving this request read time-stamped mutable state?
 
-        Only cacheable chunks on a topology with a live edge cache or a
-        non-zero encode cost do.  Everything else (single-link mode,
-        startup payloads, caching and encoding disabled) resolves the
-        same way at any instant, so it is registered at once as a flow
-        gated until its data start.  Deferring it would add a loop wake
-        at its request instant, and that wake would split a fluid advance
-        in two and move the session's floats; registering at once keeps
-        the degenerate topology bit-exact with the single-link mode.
+        Only cacheable chunks on an edge with a live cache or behind a
+        non-zero encode cost do.  Everything else (startup payloads,
+        caching and encoding disabled — :func:`single_link_cdn`) resolves
+        the same way at any instant, so it is registered at once as a
+        flow gated until its data start: a deferral wake at its request
+        instant would split a fluid advance in two and move
+        ``simulate_session``'s floats.
         """
-        if self.base_path is not None or req.chunk_index is None:
+        if req.chunk_index is None:
             return False
         edge = self.edges[self.assignment[sid]]
         return (
@@ -977,20 +961,11 @@ class _FleetRun:
             self.dispatch(sid, req)
 
     def dispatch(self, sid: int, req: DownloadRequest) -> None:
-        """Route one request at its start instant: the bare link, an edge
-        hit (one-hop access path), a coalesced attach onto an in-flight
-        fill, or an origin miss (encode wait, then backhaul + access)."""
+        """Route one request at its start instant: an edge hit (one-hop
+        access path), a coalesced attach onto an in-flight fill, or an
+        origin miss (encode wait, then backhaul + access)."""
         tracer = self.tracer
         weight = self.sessions[sid].weight
-        if self.base_path is not None:
-            tracer.emit(
-                req.start_time, EV_CHUNK_FETCH, session=sid,
-                route="link", nbytes=req.nbytes,
-            )
-            self.sched.add_flow(
-                sid, req.nbytes, req.start_time, self.base_path, weight=weight
-            )
-            return
         edge_idx = self.assignment[sid]
         edge = self.edges[edge_idx]
         key = _chunk_key(req)
@@ -1461,8 +1436,6 @@ class _FleetRun:
         metrics.timeseries("fleet.buffer_level").record(
             t, buf_sum / active if active else 0.0
         )
-        if self.topology is None:
-            return
         for e, ids in enumerate(self._unfinished_by_edge()):
             metrics.timeseries(f"edge.load.{e}").record(t, len(ids))
         oqueue = self.topology.origin.queue
@@ -1557,17 +1530,16 @@ class _FleetRun:
         else:
             sr_hits = sr_cache.hits if sr_cache is not None else 0
             sr_misses = sr_cache.misses if sr_cache is not None else 0
-        oqueue = self.topology.origin.queue if self.topology is not None else None
+        oqueue = self.topology.origin.queue
         agg = _RunAggregates(
-            # No edges: every byte leaves the origin (the None sentinel).
-            origin_egress=self.origin_egress if oqueue is not None else None,
+            origin_egress=self.origin_egress,
             edge_stats=[
                 (e.cache.hits, e.cache.misses, e.cache.coalesced,
                  e.cache.coalesced_bytes)
                 for e in edges
             ],
             edge_hit_rates=tuple(e.cache.hit_rate for e in edges),
-            encode_waits=list(oqueue.waits) if oqueue is not None else [],
+            encode_waits=list(oqueue.waits),
             sr_hits=sr_hits,
             sr_misses=sr_misses,
             sr_edge_hit_rates=(
@@ -1575,9 +1547,7 @@ class _FleetRun:
                 if self.per_edge_sr
                 else ()
             ),
-            encode_core_seconds=(
-                oqueue.busy_seconds if oqueue is not None else 0.0
-            ),
+            encode_core_seconds=oqueue.busy_seconds,
             ops=ops,
         )
         result = FleetResult(
@@ -1638,10 +1608,10 @@ def simulate_fleet(
        cannot split a fluid advance interval (why the disabled and no-op
        configurations are bit-exact).  After the failure stages, so the
        controller sees the post-failover assignment.
-    6. **deferred release** — topology requests dated in the future
-       (joins, buffer-headroom waits) are dispatched once virtual time
-       reaches them.  Last, so a fill that completed *at* this instant is
-       already resident and the request counts as a hit.
+    6. **deferred release** — cache- or encode-bound requests dated in
+       the future (joins, buffer-headroom waits) are dispatched once
+       virtual time reaches them.  Last, so a fill that completed *at*
+       this instant is already resident and the request counts as a hit.
 
     Cache lookups and encode reservations are stateful and time-stamped,
     which is why a future-dated request must wait in the deferred heap

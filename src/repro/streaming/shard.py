@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
@@ -126,10 +127,11 @@ def partition_topology(
     index, shards by current load then shard index).  ``workers`` is
     capped at the edge count — an edge is the unit of isolation and
     cannot be split.  The origin's encode workers are divided as evenly
-    as possible, every shard keeping at least one.
+    as possible, every shard keeping at least one.  ``workers`` must be
+    an integer >= 1 (``bool``, ``2.5``, NaN and ``inf`` are refused).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     if not sessions:
         raise ValueError("fleet needs at least one session")
     if assignment is None:
@@ -417,22 +419,22 @@ def shard_fleet(
 
     The public entry point of the sharded executor; accepts the same
     fleet and topology :func:`~repro.streaming.fleet.simulate_fleet`
-    takes (topology mode only — a single shared link cannot be
-    partitioned) plus ``workers``.  ``workers=1`` runs the one shard
-    inline and is bit-exact with ``simulate_fleet``; more workers run
-    one OS process per shard (see the module docstring for the origin
-    and SR-cache partitioning semantics).  Workers start by ``fork``
-    where available, else the platform default — ``fork`` skips
-    re-importing the scientific stack in every worker.
+    takes plus ``workers`` (an integer >= 1, capped at the edge count —
+    a :func:`~repro.streaming.cdn.single_link_cdn` is one shard).
+    ``workers=1`` runs the one shard inline and is bit-exact with
+    ``simulate_fleet``; more workers run one OS process per shard (see
+    the module docstring for the origin and SR-cache partitioning
+    semantics).  Workers start by ``fork`` where available, else the
+    platform default — ``fork`` skips re-importing the scientific stack
+    in every worker.
 
-    The fleet configuration is a :class:`~repro.streaming.spec.FleetSpec`
-    (topology mode only), passed as ``spec=`` or as field keywords
-    forwarded verbatim to ``FleetSpec(**fields)`` exactly like
-    ``simulate_fleet``; ``workers`` is a plain keyword either way.
-    ``cost_model``
-    prices the merged run and attaches a
-    :class:`~repro.streaming.cost.CostReport` to ``report.cost``, with
-    encode core-seconds summed across the shards' partitioned pools.
+    The fleet configuration is a :class:`~repro.streaming.spec.FleetSpec`,
+    passed as ``spec=`` or as field keywords forwarded verbatim to
+    ``FleetSpec(**fields)`` exactly like ``simulate_fleet``; ``workers``
+    is a plain keyword either way.  ``cost_model`` prices the merged run
+    and attaches a :class:`~repro.streaming.cost.CostReport` to
+    ``report.cost``, with encode core-seconds summed across the shards'
+    partitioned pools.
 
     Unlike ``simulate_fleet``, the caller's ``topology`` is left
     untouched (workers mutate private copies), so every statistic must
@@ -462,11 +464,6 @@ def shard_fleet(
     if not sessions:
         raise ValueError("fleet needs at least one session")
     spec = FleetSpec.resolve(spec, fields)
-    if spec.topology is None:
-        raise ValueError(
-            "shard_fleet partitions a CDNTopology; for a single shared "
-            "link use simulate_fleet(trace=...)"
-        )
     if spec.controller is not None:
         raise ValueError(
             "shard_fleet does not support a control plane (control "

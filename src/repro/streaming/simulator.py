@@ -30,7 +30,8 @@ waiting on a decision at the same virtual instant and resolve them in one
 vectorized ``decide_batch`` call instead of N scalar ``decide`` calls.
 There is one driver, :func:`repro.streaming.fleet.simulate_fleet`, which
 runs machines against shared links in virtual time;
-:func:`simulate_session` is a fleet of one viewer on a private link.
+:func:`simulate_session` is a fleet of one viewer on a private
+one-edge CDN.
 
 Sessions may churn: an :class:`AbandonPolicy` makes a viewer abandon the
 session once rebuffering exceeds their patience, ending the machine early
@@ -49,6 +50,7 @@ from ..net.estimator import HarmonicMeanEstimator
 from ..net.traces import NetworkTrace
 from .abr import AbrContext, AbrController, Decision, SRQualityModel
 from .buffer import PlaybackBuffer
+from .cdn import single_link_cdn
 from .chunks import VideoSpec
 from .latency import SRLatency, ZERO_LATENCY
 
@@ -408,10 +410,13 @@ def simulate_session(
     qoe_weights: QoEWeights | None = None,
 ) -> SessionResult:
     """Simulate one playback session end to end: a fleet of one viewer,
-    alone on ``trace`` from t = 0."""
+    alone from t = 0 on :func:`~repro.streaming.cdn.single_link_cdn`
+    over ``trace``."""
     from .fleet import FleetSession, simulate_fleet  # fleet imports this module
 
     session = FleetSession(
         spec, controller, sr_latency, quality_model, config, qoe_weights
     )
-    return simulate_fleet([session], trace=trace).sessions[0]
+    return simulate_fleet(
+        [session], topology=single_link_cdn(trace)
+    ).sessions[0]

@@ -4,9 +4,9 @@
 **fields)``: either a :class:`FleetSpec`, or its fields as keywords,
 which both entry points forward verbatim to ``FleetSpec(**fields)``.
 The field list, the defaults, and the unknown-name errors therefore
-live here and nowhere else, and :meth:`FleetSpec.validate` holds each
-cross-field rule (trace xor topology, policy-vs-topology,
-faults-need-topology, …) exactly once.
+live here and nowhere else.  There is one serving model: ``topology``
+is required, and a bare bottleneck link is the one-edge CDN
+:func:`~repro.streaming.cdn.single_link_cdn` builds.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .cdn import CDNTopology
+
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from ..net.traces import NetworkTrace
     from ..obs import Telemetry
-    from .cdn import CDNTopology
     from .control import ControlPlane
     from .cost import CostModel
     from .faults import FaultSchedule, RetryPolicy
@@ -31,35 +31,29 @@ class FleetSpec:
     """Everything ``simulate_fleet`` needs beyond the session list.
 
     The one configuration surface, and the one place each field is
-    documented.  Defaults are the entry points' historical defaults, so
-    ``FleetSpec()`` plus a trace or topology reproduces a bare call;
-    everything optional defaults to off, and every disabled
-    configuration is bit-exact with the plain simulator (the
-    disabled-mode parity suites pin each).  ``shard_fleet`` takes the
-    same spec (topology mode only) and forwards it to each shard's run.
+    documented.  ``topology`` is the one required field; everything else
+    defaults to off, and every disabled configuration is bit-exact with
+    the plain simulator (the disabled-mode parity suites pin each).
+    ``shard_fleet`` takes the same spec and forwards it to each shard's
+    run.
     """
 
-    #: the classic single bottleneck link, run as a one-hop path.
-    #: Exactly one of ``trace`` and ``topology`` must be given.
-    trace: "NetworkTrace | None" = None
-    #: a CDN: per-edge chunk caches, backhaul + access hops, origin encode
-    #: contention.  Each chunk request consults its edge's cache at request
-    #: time: a hit travels the one-hop access path; a miss waits for the
-    #: origin to hold the encoded variant (bounded encode workers), travels
-    #: backhaul + access, and fills the edge cache on completion; a miss on
-    #: a chunk already being filled coalesces onto that fill.  Reset to its
+    #: the serving graph: per-edge chunk caches, backhaul + access hops,
+    #: origin encode contention, each link with its own sharing policy
+    #: (``fair`` processor sharing or ``weighted`` by session weight).
+    #: Each chunk request consults its edge's cache at request time: a
+    #: hit travels the one-hop access path; a miss waits for the origin to
+    #: hold the encoded variant (bounded encode workers), travels backhaul
+    #: + access, and fills the edge cache on completion; a miss on a chunk
+    #: already being filled coalesces onto that fill.  A bare link is
+    #: :func:`~repro.streaming.cdn.single_link_cdn`.  Reset to its
     #: as-constructed state at the start of every run.
-    topology: "CDNTopology | None" = None
-    #: the single link's sharing policy (``fair`` processor sharing or
-    #: ``weighted`` by session weight).  A topology's links carry their
-    #: own, so combining it with a non-default ``policy`` is rejected
-    #: rather than silently ignored.
-    policy: str = "fair"
+    topology: "CDNTopology"
     #: SR-result sharing: a shared :class:`~repro.streaming.fleet.SRResultCache`,
-    #: ``None`` (none), or ``"per-edge"`` (topology mode) — each edge then
-    #: carries its own cache, sessions share SR work only with co-watchers
-    #: on their edge, and the report gains per-edge SR hit rates.  The
-    #: configuration the shard executor prefers: no cross-shard traffic.
+    #: ``None`` (none), or ``"per-edge"`` — each edge then carries its own
+    #: cache, sessions share SR work only with co-watchers on their edge,
+    #: and the report gains per-edge SR hit rates.  The configuration the
+    #: shard executor prefers: no cross-shard traffic.
     sr_cache: "SRResultCache | str | None" = None
     #: precomputed viewer → edge index per session, overriding the
     #: topology's assignment policy.  The shard executor pins a sub-fleet
@@ -67,9 +61,9 @@ class FleetSpec:
     #: (the ``static`` policy hashes the session's position, so re-deriving
     #: it on a re-indexed subset would disagree).
     assignment: list[int] | None = None
-    #: chaos events (topology mode).  Edge outages cancel the dead edge's
-    #: in-flight transfers, fail its viewers over to the least-loaded live
-    #: edge and restart the edge cold; region outages resolve through the
+    #: chaos events.  Edge outages cancel the dead edge's in-flight
+    #: transfers, fail its viewers over to the least-loaded live edge and
+    #: restart the edge cold; region outages resolve through the
     #: topology's fault domains and take every member edge down together
     #: (the report gains per-region recovery, attributed by each session's
     #: home edge); gray failures brown out an edge's access capacity and
@@ -80,8 +74,8 @@ class FleetSpec:
     #: entries only inform the recovery metrics (materialize their sessions
     #: first via ``FaultSchedule.expand_population``).
     faults: "FaultSchedule | None" = None
-    #: the client resilience layer (topology mode).  A finite ``timeout_s``
-    #: arms a virtual-time timer per transfer attempt: at the deadline the
+    #: the client resilience layer.  A finite ``timeout_s`` arms a
+    #: virtual-time timer per transfer attempt: at the deadline the
     #: attempt is cancelled (its charged bytes credited back), counted in
     #: ``requests_timed_out``, and re-issued after capped exponential
     #: backoff — or at once against the least-loaded other live edge when
@@ -125,47 +119,25 @@ class FleetSpec:
         return spec
 
     def validate(self) -> None:
-        """Enforce every cross-field rule; normalizes empty faults.
+        """Check the topology's type and the ``sr_cache`` mode string;
+        normalize empty faults.
 
-        The one home of the checks ``simulate_fleet`` and ``shard_fleet``
-        used to duplicate.  Raises ``ValueError`` on the first violated
-        rule; an empty fault schedule is normalized to ``None`` (the
-        parity convention: no events ≡ no faults).  Session-dependent
-        checks (assignment length/bounds) stay with the entry points,
-        which hold the session list.
+        Raises ``ValueError`` on a non-``CDNTopology`` (``None`` too) or
+        an unknown mode; an empty fault schedule is normalized to
+        ``None`` (the parity convention: no events ≡ no faults).
+        Topology-dependent checks (fault edges and regions, assignment
+        length/bounds) stay with the entry points, which hold the
+        topology and the session list.
         """
-        if (self.trace is None) == (self.topology is None):
+        if not isinstance(self.topology, CDNTopology):
             raise ValueError(
-                "exactly one of trace and topology must be given"
-            )
-        if self.topology is not None and self.policy != "fair":
-            raise ValueError(
-                "policy applies to the single-link mode; a topology's "
-                "links carry their own sharing policies (set them at "
-                "construction, e.g. uniform_cdn(policy=...))"
+                f"topology must be a CDNTopology, got {self.topology!r}; "
+                "serve a bare link with single_link_cdn(trace)"
             )
         if self.faults is not None and not self.faults:
             self.faults = None  # empty schedule ≡ no faults
-        if (
-            self.faults is not None or self.controller is not None
-        ) and self.topology is None:
+        if isinstance(self.sr_cache, str) and self.sr_cache != "per-edge":
             raise ValueError(
-                "faults and controller require a topology (fault events "
-                "and control actions are defined against CDN edges)"
+                f"unknown sr_cache mode {self.sr_cache!r}; pass an "
+                "SRResultCache, None, or 'per-edge'"
             )
-        if self.retry_policy is not None and self.topology is None:
-            raise ValueError(
-                "retry_policy requires a topology (timeouts retry "
-                "against CDN edges; the single-link mode has no edge "
-                "to fail over to)"
-            )
-        if self.topology is None and self.assignment is not None:
-            raise ValueError("assignment requires a topology")
-        if isinstance(self.sr_cache, str):
-            if self.sr_cache != "per-edge":
-                raise ValueError(
-                    f"unknown sr_cache mode {self.sr_cache!r}; pass an "
-                    "SRResultCache, None, or 'per-edge'"
-                )
-            if self.topology is None:
-                raise ValueError("sr_cache='per-edge' requires a topology")

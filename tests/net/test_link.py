@@ -55,6 +55,16 @@ class TestDownloadTime:
         )
         assert Link(tr).download_time(34_000_000, 0.0) == pytest.approx(7.0, rel=1e-12)
 
+    def test_transfer_across_a_wrap_onto_an_inexact_instant(self):
+        """From t = 9.0 on a 6.5-s trace: 0.7 MB at 8 Mbps until 6.5 + 3.2,
+        a float whose ``% 6.5`` is an ulp short of 3.2, then 2.3 MB at
+        80 Mbps (0.23 s).  The clock used to stand still at that instant."""
+        tr = NetworkTrace(
+            "irregular", [0.0, 0.7, 1.9, 3.2, 5.0, 5.3],
+            [8e6, 16e6, 8e6, 80e6, 8e6, 16e6], rtt=0.0,
+        )
+        assert Link(tr).download_time(3_000_000, 9.0) == pytest.approx(0.93, rel=1e-12)
+
     def test_calls_share_no_state(self):
         """Each call runs its own pool: an earlier start after a later one,
         and a repeat, give what a fresh link gives."""

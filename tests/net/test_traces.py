@@ -34,6 +34,44 @@ class TestNetworkTrace:
         with pytest.raises(ValueError):
             tr.bandwidth_at(-1.0)
 
+    def test_a_wrap_onto_an_inexact_instant_reads_the_next_segment(self):
+        """6.5 + 3.2 rounds to a float whose ``% 6.5`` is an ulp short of
+        3.2: the instant is read as lying past that boundary, so the next
+        change moves the clock and the rate is the new segment's."""
+        tr = NetworkTrace(
+            "t", [0.0, 0.7, 1.9, 3.2, 5.0, 5.3], [1e6, 2e6, 3e6, 4e6, 5e6, 6e6]
+        )
+        t = 6.5 + 3.2
+        assert t % tr.duration < 3.2  # the rounding this guards against
+        assert tr.bandwidth_at(t) == 4e6
+        assert tr.time_to_next_change(t) == pytest.approx(1.8)
+        assert t + tr.time_to_next_change(t) > t
+
+    def test_a_wrap_onto_the_period_end_reads_the_first_segment(self):
+        tr = NetworkTrace("t", [0.0, 0.1, 0.2], [1e6, 2e6, 3e6])
+        t = 2.7  # the ninth wrap, whose ``% duration`` is just short of it
+        assert t + (tr.duration - t % tr.duration) == t
+        assert tr.bandwidth_at(t) == 1e6
+        assert tr.time_to_next_change(t) == pytest.approx(0.1)
+
+    def test_an_instant_no_boundary_can_move_returns(self):
+        """At 1e20 s every boundary rounds away: the lookup gives up after
+        one period instead of searching for ever."""
+        tr = NetworkTrace("t", [0.0, 0.1, 0.2], [1e6, 2e6, 3e6])
+        t = 1e20
+        assert t % tr.duration < 0.1
+        assert tr.bandwidth_at(t) == 1e6
+        assert t + tr.time_to_next_change(t) == t
+
+    def test_every_next_change_moves_the_clock(self):
+        tr = lte_trace(30, 10, duration=3.3, step=0.1, seed=0)
+        t = 0.0
+        for _ in range(500):
+            dt = tr.time_to_next_change(t)
+            assert t + dt > t
+            t += dt
+        assert t == pytest.approx(500 * 0.1, rel=1e-9)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_timestamps(self, bad):
         with pytest.raises(ValueError, match="timestamps must be finite"):

@@ -37,11 +37,9 @@ def assert_same_run(a, b):
 
 def check_byte_conservation(result):
     """Every delivered byte left the origin, hit an edge cache, or rode a
-    coalesced fill — exactly once (on a bare link: all from the origin)."""
+    coalesced fill — exactly once (on ``single_link_cdn``: all from the
+    origin)."""
     rep = result.report
-    if result.topology is None:
-        assert rep.origin_egress_bytes == rep.total_bytes
-        return
     hit_bytes = sum(e.cache.hit_bytes for e in result.topology.edges)
     assert (
         rep.origin_egress_bytes + hit_bytes + rep.coalesced_bytes

@@ -1,20 +1,13 @@
-"""CDN subsystem: degenerate parity, byte conservation, caches, encode, assignment."""
+"""CDN subsystem: byte conservation, caches, encode, assignment."""
 
 import pytest
 
-from repro.metrics import QoEModel
-from repro.net import SharedLink, lte_trace, stable_trace
 from repro.streaming import (
-    AbandonPolicy,
     CDNTopology,
-    ContinuousMPC,
     DiurnalArrivals,
     EdgeChunkCache,
-    EdgeNode,
     EncodeQueue,
     OriginServer,
-    SessionConfig,
-    SRQualityModel,
     SRResultCache,
     assign_sessions,
     simulate_fleet,
@@ -22,119 +15,7 @@ from repro.streaming import (
 )
 from repro.streaming.cdn import wait_percentile
 
-from .helpers import FixedDensity, spec, sr_lat
-
-
-def degenerate_topology(trace, *, policy="fair"):
-    """One edge, unconstrained backhaul, caching and encode disabled.
-
-    The backhaul trace shares the access trace's loop period (so every
-    boundary it contributes already exists on the access grid) at a rate
-    so high the access share is always the path minimum, with zero RTT —
-    the configuration under which a two-hop CDN must be *bit-exact* with
-    the bare single-link fleet.
-    """
-    backhaul = stable_trace(1e6, duration=trace.duration, rtt=0.0)
-    edge = EdgeNode(
-        name="edge-0",
-        backhaul=SharedLink(backhaul, policy=policy),
-        access=SharedLink(trace, policy=policy),
-        cache=EdgeChunkCache(capacity_bytes=0),
-    )
-    origin = OriginServer(n_encode_workers=1, encode_seconds=0.0)
-    return CDNTopology(edges=(edge,), origin=origin, assignment="static")
-
-
-class TestDegenerateParity:
-    """A one-edge CDN on an unconstrained backhaul == the single-link fleet."""
-
-    def assert_identical(self, a, b):
-        assert len(a.sessions) == len(b.sessions)
-        for ra, rb in zip(a.sessions, b.sessions):
-            assert ra.qoe == rb.qoe
-            assert ra.total_bytes == rb.total_bytes
-            assert ra.stall_seconds == rb.stall_seconds
-            assert ra.startup_delay == rb.startup_delay
-            assert ra.decisions == rb.decisions
-            assert ra.abandoned == rb.abandoned
-            for ca, cb in zip(ra.records, rb.records):
-                assert ca.quality == cb.quality
-                assert ca.stall == cb.stall
-                assert ca.bytes_downloaded == cb.bytes_downloaded
-
-    def make_sessions(self):
-        from repro.streaming import FleetSession
-
-        qm = SRQualityModel()
-        lat = sr_lat()
-        ctrl = ContinuousMPC(qm, QoEModel(), lat, n_grid=8, horizon=2)
-        return [
-            FleetSession(
-                spec=spec(8, name=f"v{i % 2}"),
-                controller=ctrl,
-                sr_latency=lat,
-                quality_model=qm,
-                join_time=1.5 * i,
-                churn=AbandonPolicy(max_total_stall=20.0),
-            )
-            for i in range(5)
-        ]
-
-    def test_mpc_fleet_on_lte(self):
-        trace = lte_trace(60, 18, seed=9)
-        flat = simulate_fleet(
-            self.make_sessions(), trace=trace, sr_cache=SRResultCache()
-        )
-        cdn = simulate_fleet(
-            self.make_sessions(),
-            topology=degenerate_topology(trace),
-            sr_cache=SRResultCache(),
-        )
-        self.assert_identical(flat, cdn)
-        assert cdn.report.edge_hit_rate == 0.0
-        assert cdn.report.origin_egress_bytes == cdn.report.total_bytes
-
-    def test_unsorted_joins_with_shared_chunk_keys(self):
-        """Parity must survive dispatch order != virtual-time order: the
-        late joiner is listed *first*, and both sessions collide on every
-        (video, chunk, density) key.  A disabled encoder used to record
-        the late joiner's future request times as variant ready times,
-        gating the t=0 session behind a phantom 60 s encode wait."""
-        from repro.streaming import FleetSession
-
-        trace = stable_trace(45.0)
-
-        def sessions():
-            return [
-                FleetSession(spec=spec(6), controller=FixedDensity(0.5),
-                             join_time=60.0),
-                FleetSession(spec=spec(6), controller=FixedDensity(0.5)),
-            ]
-
-        flat = simulate_fleet(sessions(), trace=trace)
-        cdn = simulate_fleet(sessions(), topology=degenerate_topology(trace))
-        self.assert_identical(flat, cdn)
-
-    def test_startup_bytes_and_weighted_policy(self):
-        from repro.streaming import FleetSession
-
-        trace = stable_trace(45.0)
-        cfg = SessionConfig(startup_bytes=2_000_000)
-
-        def sessions():
-            return [
-                FleetSession(spec=spec(6), controller=FixedDensity(0.5),
-                             config=cfg, weight=3.0),
-                FleetSession(spec=spec(6), controller=FixedDensity(0.5),
-                             config=cfg, join_time=2.0),
-            ]
-
-        flat = simulate_fleet(sessions(), trace=trace, policy="weighted")
-        cdn = simulate_fleet(
-            sessions(),
-            topology=degenerate_topology(trace, policy="weighted"),
-        )
-        self.assert_identical(flat, cdn)
+from .helpers import FixedDensity, spec
 
 
 class TestByteConservation:
@@ -601,21 +482,6 @@ class TestAssignment:
                         assignment="nope")
         with pytest.raises(ValueError, match="at least one edge"):
             CDNTopology(edges=())
-
-    def test_trace_and_topology_are_exclusive(self):
-        sessions = self.sessions(1)
-        topo = uniform_cdn(1, access_mbps=10.0, backhaul_mbps=5.0)
-        with pytest.raises(ValueError, match="exactly one"):
-            simulate_fleet(sessions)
-        with pytest.raises(ValueError, match="exactly one"):
-            simulate_fleet(sessions, trace=stable_trace(10.0), topology=topo)
-
-    def test_policy_arg_rejected_with_topology(self):
-        """Link policies live on the topology; a stray policy= must not
-        be silently ignored."""
-        topo = uniform_cdn(1, access_mbps=10.0, backhaul_mbps=5.0)
-        with pytest.raises(ValueError, match="topology's links"):
-            simulate_fleet(self.sessions(1), policy="weighted", topology=topo)
 
 
 class TestDiurnalArrivals:

@@ -367,15 +367,6 @@ class TestNoOpControllerParity:
         assert ctrl.sessions == base.sessions
         assert ctrl.end_times == base.end_times
 
-    def test_controller_requires_topology(self):
-        from repro.net import stable_trace
-
-        with pytest.raises(ValueError, match="require a topology"):
-            simulate_fleet(
-                fleet(2), trace=stable_trace(80.0, duration=600.0),
-                controller=ControlPlane(),
-            )
-
 
 class TestClosedLoopEndToEnd:
     def test_starved_encode_pool_is_grown(self):

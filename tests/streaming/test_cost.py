@@ -15,6 +15,7 @@ from repro.streaming import (
     attach_cost,
     shard_fleet,
     simulate_fleet,
+    single_link_cdn,
     uniform_cdn,
 )
 from repro.streaming.cdn import EncodeQueue
@@ -82,7 +83,8 @@ class TestEncodeBusyAccounting:
 
     def test_single_link_has_no_encode_time(self):
         result = simulate_fleet(
-            make_sessions(), trace=stable_trace(60.0, duration=600.0)
+            make_sessions(),
+            topology=single_link_cdn(stable_trace(60.0, duration=600.0)),
         )
         assert result.report.encode_core_seconds == 0.0
 
@@ -146,10 +148,11 @@ class TestCostModel:
         )
 
     def test_single_link_prices_delivered_bytes(self):
-        """No edge tier means every delivered byte is origin egress and
-        there is no cache to store or encode pool to bill."""
+        """A zero-capacity edge means every delivered byte is origin
+        egress and there is no cache to store or encode pool to bill."""
         result = simulate_fleet(
-            make_sessions(), trace=stable_trace(60.0, duration=600.0)
+            make_sessions(),
+            topology=single_link_cdn(stable_trace(60.0, duration=600.0)),
         )
         cost = CostModel().price(result)
         assert cost.egress_gb == result.report.total_bytes / GB

@@ -435,16 +435,6 @@ class TestOutageEndToEnd:
         ).report
         assert hit.mean_qoe <= base.mean_qoe
 
-    def test_outage_requires_topology(self):
-        trace = stable_trace(80.0, duration=600.0)
-        with pytest.raises(ValueError, match="require a topology"):
-            simulate_fleet(
-                fleet(2), trace=trace,
-                faults=FaultSchedule(
-                    (EdgeOutage(edge=0, start=1.0, duration=1.0),)
-                ),
-            )
-
 
 class TestDegradationEndToEnd:
     def test_degradation_perturbs_and_restores(self):

@@ -25,6 +25,7 @@ from repro.streaming import (
     SRResultCache,
     simulate_fleet,
     simulate_session,
+    single_link_cdn,
     uniform_cdn,
 )
 from repro.streaming.fleet import _MAX_STALLED_STEPS
@@ -81,7 +82,9 @@ class TestSingleSessionParity:
         solo = simulate_session(
             spec(12), trace, controller, sr_latency=lat, quality_model=qm
         )
-        self.assert_identical(solo, simulate_fleet(sessions, trace=trace))
+        self.assert_identical(
+            solo, simulate_fleet(sessions, topology=single_link_cdn(trace))
+        )
 
     def test_poisson_single_arrival_is_a_time_shift_on_stable_link(self):
         """One Poisson arrival on a constant link sees the same conditions
@@ -98,7 +101,9 @@ class TestSingleSessionParity:
         assert len(sessions) == 1
         assert sessions[0].join_time > 0.0
         solo = simulate_session(spec(10), stable_trace(80.0), FixedDensity(0.5))
-        shifted = simulate_fleet(sessions, trace=stable_trace(80.0)).sessions[0]
+        shifted = simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(80.0))
+        ).sessions[0]
         assert shifted.qoe == pytest.approx(solo.qoe, rel=1e-9)
         assert shifted.total_bytes == solo.total_bytes
         assert shifted.decisions == solo.decisions
@@ -129,7 +134,8 @@ class TestEngineParityEndToEnd:
 
         def run():
             return simulate_fleet(
-                self.make_sessions(), trace=trace, policy="weighted",
+                self.make_sessions(),
+                topology=single_link_cdn(trace, policy="weighted"),
                 sr_cache=SRResultCache(),
             )
 
@@ -199,7 +205,9 @@ class TestDeterminism:
                 for i in range(6)
             ]
             return simulate_fleet(
-                sessions, trace=lte_trace(80, 20, seed=11), sr_cache=SRResultCache()
+                sessions,
+                topology=single_link_cdn(lte_trace(80, 20, seed=11)),
+                sr_cache=SRResultCache(),
             )
 
         a, b = run(), run()
@@ -248,15 +256,11 @@ class TestScenarioGrid:
     def test_deterministic_and_conserving(
         self, n_sessions, mode, encode_seconds, sr_mode, churn, startup_bytes
     ):
-        if mode == "link" and sr_mode == "per-edge":
-            sr_mode = "shared"  # per-edge SR caches need a topology
-
         def run():
-            kw = {}
             if mode == "link":
-                kw["trace"] = stable_trace(60.0, duration=600.0)
+                topology = single_link_cdn(stable_trace(60.0, duration=600.0))
             else:
-                kw["topology"] = uniform_cdn(
+                topology = uniform_cdn(
                     int(mode.split("-")[1]),
                     access_mbps=80.0,
                     backhaul_mbps=30.0,
@@ -272,8 +276,8 @@ class TestScenarioGrid:
             }[sr_mode]
             return simulate_fleet(
                 self.make_sessions(n_sessions, churn, startup_bytes),
+                topology=topology,
                 sr_cache=sr,
-                **kw,
             )
 
         a = run()
@@ -292,7 +296,7 @@ class TestBandwidthConservation:
             FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0))
             for _ in range(n)
         ]
-        result = simulate_fleet(sessions, trace=trace)
+        result = simulate_fleet(sessions, topology=single_link_cdn(trace))
         # demand (4 × 144 Mbps) >> capacity, rtt = 0: the link never idles
         # between first request and last completion.
         total_bits = 8.0 * sum(
@@ -305,7 +309,9 @@ class TestBandwidthConservation:
             FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0))
             for _ in range(3)
         ]
-        result = simulate_fleet(sessions, trace=stable_trace(30.0, rtt=0.0))
+        result = simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(30.0, rtt=0.0))
+        )
         ref = result.sessions[0]
         for r in result.sessions[1:]:
             assert r.total_bytes == ref.total_bytes
@@ -314,12 +320,12 @@ class TestBandwidthConservation:
     def test_contention_slows_everyone(self):
         solo = simulate_fleet(
             [FleetSession(spec=spec(10), controller=FixedDensity(1.0, 1.0))],
-            trace=stable_trace(50.0),
+            topology=single_link_cdn(stable_trace(50.0)),
         )
         crowd = simulate_fleet(
             [FleetSession(spec=spec(10), controller=FixedDensity(1.0, 1.0))
              for _ in range(5)],
-            trace=stable_trace(50.0),
+            topology=single_link_cdn(stable_trace(50.0)),
         )
         assert crowd.report.stall_ratio > solo.report.stall_ratio
         assert crowd.report.mean_qoe < solo.report.mean_qoe
@@ -372,7 +378,9 @@ class TestSRCache:
             FleetSession(spec=spec(10), controller=FixedDensity(0.5),
                          sr_latency=lat, join_time=40.0),
         ]
-        result = simulate_fleet(sessions, trace=stable_trace(200.0), sr_cache=cache)
+        result = simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(200.0)), sr_cache=cache
+        )
         # Session 2 joins after session 1 finished: every chunk hits.
         assert cache.misses == 10
         assert cache.hits == 10
@@ -387,7 +395,9 @@ class TestSRCache:
                          sr_latency=lat, join_time=2.0 * i)
             for i in range(n)
         ]
-        simulate_fleet(sessions, trace=stable_trace(300.0), sr_cache=cache)
+        simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(300.0)), sr_cache=cache
+        )
         assert cache.hits + cache.misses == n * secs
 
     def test_no_sr_means_no_cache_traffic(self):
@@ -396,7 +406,9 @@ class TestSRCache:
             FleetSession(spec=spec(5), controller=FixedDensity(0.5))
             for _ in range(3)
         ]
-        result = simulate_fleet(sessions, trace=stable_trace(200.0), sr_cache=cache)
+        result = simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(200.0)), sr_cache=cache
+        )
         assert cache.hits == cache.misses == 0
         assert result.report.cache_hit_rate == 0.0
 
@@ -409,7 +421,9 @@ class TestSRCache:
             FleetSession(spec=spec(5, name="b"), controller=FixedDensity(0.5),
                          sr_latency=lat, join_time=30.0),
         ]
-        simulate_fleet(sessions, trace=stable_trace(200.0), sr_cache=cache)
+        simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(200.0)), sr_cache=cache
+        )
         assert cache.hits == 0
 
     def test_cache_improves_qoe_under_slow_sr(self):
@@ -421,7 +435,10 @@ class TestSRCache:
                              sr_latency=slow, join_time=20.0 * i)
                 for i in range(3)
             ]
-            return simulate_fleet(sessions, trace=stable_trace(500.0), sr_cache=cache)
+            return simulate_fleet(
+                sessions, topology=single_link_cdn(stable_trace(500.0)),
+                sr_cache=cache,
+            )
 
         with_cache = run(SRResultCache())
         without = run(None)
@@ -460,8 +477,10 @@ class TestWeightedPolicy:
                                 weight=w)
 
         result = simulate_fleet(
-            [session(3.0), session(1.0)], trace=stable_trace(60.0, rtt=0.0),
-            policy="weighted",
+            [session(3.0), session(1.0)],
+            topology=single_link_cdn(
+                stable_trace(60.0, rtt=0.0), policy="weighted"
+            ),
         )
         heavy, light = result.sessions
         assert heavy.stall_seconds < light.stall_seconds
@@ -472,7 +491,9 @@ class TestWeightedPolicy:
                 [FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0),
                               weight=5.0),
                  FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0))],
-                trace=stable_trace(40.0, rtt=0.0), policy=policy,
+                topology=single_link_cdn(
+                    stable_trace(40.0, rtt=0.0), policy=policy
+                ),
             )
 
         fair = run("fair")
@@ -481,10 +502,7 @@ class TestWeightedPolicy:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
-            simulate_fleet(
-                [FleetSession(spec=spec(5), controller=FixedDensity(0.5))],
-                trace=stable_trace(50.0), policy="priority",
-            )
+            single_link_cdn(stable_trace(50.0), policy="priority")
 
 
 class TestJoinTimes:
@@ -492,12 +510,12 @@ class TestJoinTimes:
         """On a constant-rate link a late join sees identical conditions."""
         base = simulate_fleet(
             [FleetSession(spec=spec(10), controller=FixedDensity(0.5))],
-            trace=stable_trace(80.0),
+            topology=single_link_cdn(stable_trace(80.0)),
         ).sessions[0]
         late = simulate_fleet(
             [FleetSession(spec=spec(10), controller=FixedDensity(0.5),
                           join_time=12.5)],
-            trace=stable_trace(80.0),
+            topology=single_link_cdn(stable_trace(80.0)),
         ).sessions[0]
         assert late.qoe == pytest.approx(base.qoe, rel=1e-9)
         assert late.total_bytes == base.total_bytes
@@ -509,7 +527,7 @@ class TestJoinTimes:
         with pytest.raises(ValueError):
             FleetSession(spec=spec(5), controller=FixedDensity(0.5), weight=0.0)
         with pytest.raises(ValueError):
-            simulate_fleet([], trace=stable_trace(50.0))
+            simulate_fleet([], topology=single_link_cdn(stable_trace(50.0)))
 
 
 class TestScale:
@@ -521,7 +539,8 @@ class TestScale:
             100, spec(8), join_spacing=0.1, n_grid=8, horizon=2
         )
         result = simulate_fleet(
-            sessions, trace=stable_trace(400.0), sr_cache=SRResultCache()
+            sessions, topology=single_link_cdn(stable_trace(400.0)),
+            sr_cache=SRResultCache(),
         )
         rep = result.report
         assert rep.n_sessions == 100
@@ -562,14 +581,16 @@ class TestHostileInput:
         trace = NetworkTrace("x", [0, 1], [5e6, 5e6])
         trace._bw_list[0] = math.nan  # what the lookups read
         with pytest.raises(RuntimeError, match="no progress"):
-            simulate_fleet(self.pair(), trace=trace)
+            simulate_fleet(self.pair(), topology=single_link_cdn(trace))
 
     def test_stuck_clock_trips_the_watchdog(self, monkeypatch):
         monkeypatch.setattr(
             PathScheduler, "next_event", lambda self, now: now
         )
         with pytest.raises(RuntimeError) as err:
-            simulate_fleet(self.pair(), trace=stable_trace(50.0))
+            simulate_fleet(
+                self.pair(), topology=single_link_cdn(stable_trace(50.0))
+            )
         msg = str(err.value)
         assert f"{_MAX_STALLED_STEPS + 1} consecutive steps" in msg
         assert "virtual time 0.0" in msg

@@ -17,6 +17,7 @@ from repro.streaming import (
     TraceArrivals,
     build_population,
     simulate_fleet,
+    single_link_cdn,
 )
 from repro.streaming.population import synthetic_catalog
 
@@ -146,7 +147,7 @@ def churn_population(patience, n=8, seconds=8, mbps_per_session=2.0):
         seed=3,
     )
     trace = stable_trace(mbps_per_session * n, rtt=0.0)
-    return simulate_fleet(sessions, trace=trace)
+    return simulate_fleet(sessions, topology=single_link_cdn(trace))
 
 
 class TestChurn:
@@ -203,7 +204,9 @@ class TestCacheVsSkew:
             seed=17,
         )
         cache = SRResultCache()
-        simulate_fleet(sessions, trace=stable_trace(500.0), sr_cache=cache)
+        simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(500.0)), sr_cache=cache
+        )
         return cache.hit_rate
 
     def test_cache_hit_rate_monotone_in_skew(self):
@@ -231,7 +234,8 @@ class TestDeterministicReplay:
             seed=21,
         )
         return simulate_fleet(
-            sessions, trace=stable_trace(40.0), sr_cache=SRResultCache()
+            sessions, topology=single_link_cdn(stable_trace(40.0)),
+            sr_cache=SRResultCache(),
         )
 
     def test_fixed_seed_replays_bit_exactly(self):

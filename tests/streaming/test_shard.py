@@ -8,6 +8,8 @@ Multi-worker runs are pinned for seed-determinism and for the
 conservation laws that must survive the merge.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -432,6 +434,16 @@ class TestPartition:
             shard_fleet(self.sessions(2), topology=None, workers=2)
         with pytest.raises(ValueError, match="at least one session"):
             shard_fleet([], topology=topo, workers=2)
+
+    @pytest.mark.parametrize("workers", [2.5, math.nan, math.inf, True])
+    def test_workers_must_be_an_integer(self, workers):
+        """A float count used to die inside ``range`` (2.5, NaN) or run
+        one shard per edge (inf); ``True`` is not a count either."""
+        topo = make_topology(4)
+        with pytest.raises(ValueError, match=f"got {workers!r}"):
+            partition_topology(topo, self.sessions(4), workers)
+        with pytest.raises(ValueError, match=f"got {workers!r}"):
+            shard_fleet(self.sessions(4), topology=topo, workers=workers)
 
 
 class TestShardedRegions:

@@ -24,6 +24,7 @@ from repro.streaming import (
     SRResultCache,
     shard_fleet,
     simulate_fleet,
+    single_link_cdn,
     uniform_cdn,
 )
 
@@ -70,11 +71,14 @@ class TestSpecShimBitExact:
     def test_single_link_kwargs_equal_spec(self):
         trace = stable_trace(60.0, duration=600.0)
         loose = simulate_fleet(
-            make_sessions(), trace=trace, sr_cache=SRResultCache()
+            make_sessions(), topology=single_link_cdn(trace),
+            sr_cache=SRResultCache(),
         )
         via_spec = simulate_fleet(
             make_sessions(),
-            spec=FleetSpec(trace=trace, sr_cache=SRResultCache()),
+            spec=FleetSpec(
+                topology=single_link_cdn(trace), sr_cache=SRResultCache()
+            ),
         )
         assert_identical(loose, via_spec)
 
@@ -148,55 +152,30 @@ class TestSpecMixingRules:
 
 
 class TestSpecValidation:
-    def test_trace_xor_topology(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            FleetSpec().validate()
-        with pytest.raises(ValueError, match="exactly one"):
-            FleetSpec(
-                trace=stable_trace(60.0, duration=600.0),
-                topology=make_topology(),
-            ).validate()
-
-    def test_policy_needs_single_link(self):
-        with pytest.raises(ValueError, match="policy"):
-            FleetSpec(topology=make_topology(), policy="weighted").validate()
-
-    def test_assignment_requires_topology(self):
-        with pytest.raises(ValueError, match="assignment"):
-            FleetSpec(
-                trace=stable_trace(60.0, duration=600.0), assignment=[0]
-            ).validate()
+    def test_a_topology_is_required(self):
+        """A bare link is ``single_link_cdn``; there is no topology-less
+        serving mode to fall back to."""
+        with pytest.raises(TypeError, match="topology"):
+            FleetSpec()
+        with pytest.raises(ValueError, match="single_link_cdn"):
+            FleetSpec(topology=None).validate()
+        for entry in (simulate_fleet, shard_fleet):
+            with pytest.raises(TypeError, match="topology"):
+                entry(make_sessions(), sr_cache=SRResultCache())
+            for bad in (None, stable_trace(60.0, duration=600.0)):
+                with pytest.raises(ValueError, match="single_link_cdn"):
+                    entry(make_sessions(), topology=bad)
 
     def test_sr_cache_mode_strings(self):
         with pytest.raises(ValueError, match="per-edge"):
             FleetSpec(
                 topology=make_topology(), sr_cache="global"
             ).validate()
-        with pytest.raises(ValueError, match="topology"):
-            FleetSpec(
-                trace=stable_trace(60.0, duration=600.0), sr_cache="per-edge"
-            ).validate()
-
-    def test_retry_policy_needs_topology(self):
-        from repro.streaming.faults import RetryPolicy
-
-        with pytest.raises(ValueError, match="retry_policy"):
-            FleetSpec(
-                trace=stable_trace(60.0, duration=600.0),
-                retry_policy=RetryPolicy(timeout_s=5.0),
-            ).validate()
 
     def test_empty_faults_normalized(self):
         s = FleetSpec(topology=make_topology(), faults=FaultSchedule())
         s.validate()
         assert s.faults is None
-
-    def test_shard_fleet_requires_topology_spec(self):
-        with pytest.raises(ValueError, match="CDNTopology"):
-            shard_fleet(
-                make_sessions(),
-                spec=FleetSpec(trace=stable_trace(60.0, duration=600.0)),
-            )
 
     def test_shard_fleet_rejects_controller(self):
         from repro.streaming import ControlPlane, ControlPolicy
@@ -212,8 +191,10 @@ class TestSpecValidation:
 
     def test_spec_defaults_reproduce_bare_call(self):
         trace = stable_trace(60.0, duration=600.0)
-        bare = simulate_fleet(make_sessions(), trace=trace)
-        via = simulate_fleet(make_sessions(), spec=FleetSpec(trace=trace))
+        bare = simulate_fleet(make_sessions(), topology=single_link_cdn(trace))
+        via = simulate_fleet(
+            make_sessions(), spec=FleetSpec(topology=single_link_cdn(trace))
+        )
         assert_identical(bare, via)
 
     def test_cost_model_rides_the_spec(self):

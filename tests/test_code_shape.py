@@ -29,14 +29,25 @@ def test_no_function_body_over_150_lines():
     assert not too_long, too_long
 
 
-def test_fleet_spec_has_ten_fields_and_no_engine_knob():
+def test_fleet_spec_has_eight_fields_and_no_engine_knob():
     import dataclasses
 
     from repro.streaming import FleetSpec
 
     names = [f.name for f in dataclasses.fields(FleetSpec)]
-    assert len(names) == 10, names
+    assert len(names) == 8, names
     assert not [n for n in names if "engine" in n]
+    assert not {"trace", "policy"} & set(names)
+
+
+def test_one_serving_model():
+    """A bare link is ``single_link_cdn``: the fleet driver and the cost
+    model have no topology-less branch."""
+    fleet = (SRC / "streaming" / "fleet.py").read_text()
+    assert "base_path" not in fleet
+    assert "topology is None" not in fleet
+    assert "topology is not None" not in fleet
+    assert "topology is not None" not in (SRC / "streaming" / "cost.py").read_text()
 
 
 def test_stage_code_has_no_tracer_branches():
