@@ -14,7 +14,7 @@ Package layout:
 * :mod:`repro.net` — bandwidth traces, links, multi-hop paths and their
   scheduler, throughput estimation
 * :mod:`repro.streaming` — chunks, ABR (continuous MPC), session and
-  fleet simulators, CDN, faults, control plane, sharding
+  fleet simulators, CDN, faults, control plane
 * :mod:`repro.systems` — VoLUT / YuZu-SR / ViVo / raw system configs
 * :mod:`repro.obs` — fleet telemetry: tracing, metrics, phase profiling
 * :mod:`repro.devices` — device profiles and the op-count latency model

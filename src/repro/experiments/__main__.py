@@ -108,11 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         "default: each experiment's own (continuous-mpc)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-parallel shard count for experiments that take one "
-        "(fleet-cdn adds a shard_fleet row); default: single-process",
-    )
-    parser.add_argument(
         "--days", type=int, default=None, metavar="N",
         help="virtual days for multi-day diurnal experiments (fleet-cdn); "
         "default: 1",
@@ -187,8 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     cfg_bits = []
     if args.sessions is not None:
         cfg_bits.append(f"sessions={args.sessions}")
-    if args.workers is not None:
-        cfg_bits.append(f"workers={args.workers}")
     if args.days is not None:
         cfg_bits.append(f"days={args.days}")
     if args.control_interval is not None:
@@ -210,8 +203,6 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["diurnal"] = True
         if args.sessions is not None and "n_sessions" in params:
             kwargs["n_sessions"] = args.sessions
-        if args.workers is not None and "workers" in params:
-            kwargs["workers"] = args.workers
         if args.abr is not None and "abr" in params:
             kwargs["abr"] = args.abr
         if args.days is not None and "days" in params:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from ..net.traces import stable_trace
 from ..streaming.cdn import CDNTopology, single_link_cdn, uniform_cdn
 from ..streaming.fleet import SRResultCache, simulate_fleet
-from ..streaming.shard import shard_fleet
 from .common import SMOKE, ResultTable, Scale
 from .workloads import make_population
 
@@ -76,17 +75,12 @@ def run_fleet_cdn(
     sr_cache_size: int = 4096,
     diurnal: bool = False,
     days: int = 1,
-    workers: int = 0,
     abr: str = "continuous-mpc",
 ) -> ResultTable:
     """Run the population through CDN variants; report edge-side aggregates.
 
     ``days > 1`` stretches the diurnal population over several virtual
-    days (the multi-day smoke the nightly lane runs); ``workers > 1``
-    appends a process-parallel row — the same population executed by
-    :func:`~repro.streaming.shard.shard_fleet` with per-edge SR caches,
-    so the operator can compare the sharded aggregates against the
-    single-process ``cdn/popularity`` row directly.
+    days (the multi-day smoke the nightly lane runs).
     """
     table = ResultTable(
         title="CDN topology: edge caching, assignment, encode contention",
@@ -164,20 +158,4 @@ def run_fleet_cdn(
         sessions, topology=topo, sr_cache=SRResultCache(capacity=sr_cache_size)
     ).report
     row("cdn+slow-encode", "popularity", rep)
-
-    # (e) the same population, process-parallel: per-edge SR caches, the
-    # origin encode pool partitioned across shards.
-    if workers > 1:
-        topo = make_cdn(
-            scale, len(sessions), n_edges=n_edges,
-            mbps_per_session=mbps_per_session, assignment="popularity",
-        )
-        # Per-edge caches at the same capacity the shared-cache rows use,
-        # so the sharded row stays comparable to `cdn/popularity` above.
-        for edge in topo.edges:
-            edge.sr_cache = SRResultCache(capacity=sr_cache_size)
-        rep = shard_fleet(
-            sessions, topology=topo, workers=workers, sr_cache="per-edge"
-        ).report
-        row(f"cdn-sharded-w{workers}", "popularity", rep)
     return table

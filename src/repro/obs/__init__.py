@@ -1,9 +1,8 @@
 """``repro.obs`` — branch-free-when-disabled telemetry for fleet runs.
 
 Three independent layers, bundled by :class:`Telemetry` and threaded
-through :func:`~repro.streaming.fleet.simulate_fleet` /
-:func:`~repro.streaming.shard.shard_fleet` via the ``telemetry=``
-keyword:
+through :func:`~repro.streaming.fleet.simulate_fleet` via the
+``telemetry=`` keyword:
 
 * **event tracing** (:mod:`repro.obs.events`) — typed virtual-time
   events emitted by the fleet driver, the CDN caches/encode queue,
@@ -56,7 +55,6 @@ from .events import (
     NULL_TRACER,
     TraceEvent,
     Tracer,
-    merge_events,
     ops_from_events,
 )
 from .export import (
@@ -74,7 +72,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "NULL_TRACER",
-    "merge_events",
     "ops_from_events",
     "Counter",
     "Gauge",
@@ -119,18 +116,11 @@ class Telemetry:
     Each layer toggles independently; a disabled layer is ``None`` here,
     and the run binds :data:`NULL_TRACER` / :data:`NULL_PROFILER` in its
     place so emission sites stay unconditional.
-    ``shard`` tags every traced event with the worker's shard index
-    (the sharded executor sets it; single-process runs leave it None).
     """
 
     def __init__(
-        self,
-        *,
-        trace: bool = True,
-        metrics: bool = True,
-        profile: bool = True,
-        shard: int | None = None,
+        self, *, trace: bool = True, metrics: bool = True, profile: bool = True
     ) -> None:
-        self.tracer = Tracer(shard=shard) if trace else None
+        self.tracer = Tracer() if trace else None
         self.metrics = MetricsRegistry() if metrics else None
         self.profiler = PhaseProfiler() if profile else None

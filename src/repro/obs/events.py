@@ -16,14 +16,13 @@ whether anyone is listening (the disabled-tracer parity test pins
 this).
 
 Events are *virtual-time* stamped: ``t`` is simulation seconds, not
-wall clock.  Each tracer assigns a monotonically increasing ``seq`` so
-merging several shard-tagged streams (:func:`merge_events`) is total
-and deterministic: sort by ``(t, shard, seq)``.
+wall clock.  Each tracer assigns a monotonically increasing ``seq``, the
+emission order.
 
 :func:`ops_from_events` folds an event stream back into the
-control-plane counters :class:`~repro.streaming.fleet.OpsStats`
-carries — the conservation law the chaos trace test enforces
-(``report counters == fold over the event stream``).
+control-plane counters of :class:`~repro.streaming.fleet.FleetReport` —
+the conservation law the chaos trace test enforces (``report counters
+== fold over the event stream``).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "NULL_TRACER",
-    "merge_events",
     "ops_from_events",
     # event kinds
     "EV_SESSION_START",
@@ -135,21 +133,19 @@ FAULT_EVENT_KINDS = (
 class TraceEvent:
     """One virtual-time event.  ``data`` holds kind-specific fields."""
 
-    __slots__ = ("t", "kind", "session", "shard", "seq", "data")
+    __slots__ = ("t", "kind", "session", "seq", "data")
 
     def __init__(
         self,
         t: float,
         kind: str,
         session: int | None,
-        shard: int | None,
         seq: int,
         data: dict | None,
     ) -> None:
         self.t = t
         self.kind = kind
         self.session = session
-        self.shard = shard
         self.seq = seq
         self.data = data
 
@@ -158,8 +154,6 @@ class TraceEvent:
         out: dict = {"t": self.t, "kind": self.kind}
         if self.session is not None:
             out["session"] = self.session
-        if self.shard is not None:
-            out["shard"] = self.shard
         if self.data:
             out.update(self.data)
         return out
@@ -170,20 +164,14 @@ class TraceEvent:
         return f"<TraceEvent t={self.t:.3f} {self.kind}{sid}{extra}>"
 
 
-def _sort_key(ev: TraceEvent) -> tuple:
-    return (ev.t, -1 if ev.shard is None else ev.shard, ev.seq)
-
-
 class Tracer:
-    """Collects :class:`TraceEvent` records for one run (or one shard).
+    """Collects :class:`TraceEvent` records for one run.
 
     ``emit`` is the only hot-path method and does no I/O — exporters
-    (:mod:`repro.obs.export`) consume the finished stream.  ``shard``
-    tags every event when the tracer runs inside a shard worker, so
-    merged streams stay attributable.
+    (:mod:`repro.obs.export`) consume the finished stream.
 
     Storage is deliberately two-tier.  ``emit`` appends a plain tuple
-    ``(t, kind, session, shard, seq, data)`` — tuples and small dicts
+    ``(t, kind, session, seq, data)`` — tuples and small dicts
     of atoms are *untracked* by CPython's cyclic GC after they survive
     one collection, so a multi-hundred-thousand-event run does not make
     every gen-2 pass walk the whole trace (class instances are always
@@ -194,12 +182,11 @@ class Tracer:
     same object API as before, paid for outside the simulation loop.
     """
 
-    __slots__ = ("_records", "_events", "shard", "_seq")
+    __slots__ = ("_records", "_events", "_seq")
 
-    def __init__(self, shard: int | None = None) -> None:
+    def __init__(self) -> None:
         self._records: list[tuple] = []
         self._events: list[TraceEvent] = []
-        self.shard = shard
         self._seq = 0
 
     def emit(
@@ -207,17 +194,12 @@ class Tracer:
     ) -> None:
         """Record one event at virtual time ``t``."""
         self._seq += 1
-        self._records.append(
-            (t, kind, session, self.shard, self._seq, data or None)
-        )
+        self._records.append((t, kind, session, self._seq, data or None))
 
     @property
     def events(self) -> list[TraceEvent]:
-        """The recorded events, materialized and cached.
-
-        Repeated reads return the same list (and the same objects —
-        the sharded executor's id-globalization mutates them in place).
-        """
+        """The recorded events, materialized and cached: repeated reads
+        return the same list of the same objects."""
         done = len(self._events)
         if done != len(self._records):
             self._events.extend(
@@ -232,20 +214,6 @@ class Tracer:
     def counts(self) -> dict[str, int]:
         """Event count per kind."""
         return dict(_Counter(record[1] for record in self._records))
-
-    def absorb(self, streams: list[list[TraceEvent]]) -> None:
-        """Merge shard event streams into this tracer, virtual-time ordered.
-
-        The sharded executor calls this with one list per shard; events
-        keep their shard tags and per-shard sequence numbers, and the
-        merged stream is totally ordered by ``(t, shard, seq)``.
-        """
-        # Extend the compact tier so counts stay consistent; the events
-        # property re-materializes the suffix on next read.
-        self._records.extend(
-            (ev.t, ev.kind, ev.session, ev.shard, ev.seq, ev.data)
-            for ev in merge_events(streams)
-        )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -264,32 +232,14 @@ class _NullTracer:
     ) -> None:
         pass
 
-    def __reduce__(self) -> str:
-        # Stays the one module-level object through the shard executor's
-        # deepcopy / pickling of the edges that hold it.
-        return "NULL_TRACER"
-
 
 #: What emission sites hold when tracing is off (the tracer-side twin of
 #: :data:`repro.obs.profiler.NULL_PROFILER`).
 NULL_TRACER = _NullTracer()
 
 
-def merge_events(streams: list[list[TraceEvent]]) -> list[TraceEvent]:
-    """Flatten shard event streams into one virtual-time-ordered list.
-
-    Total and deterministic: ties at the same instant break by shard
-    index, then by each stream's own emission order (``seq``).
-    """
-    out: list[TraceEvent] = []
-    for stream in streams:
-        out.extend(stream)
-    out.sort(key=_sort_key)
-    return out
-
-
 def ops_from_events(events) -> dict[str, int]:
-    """Fold an event stream into the ``OpsStats`` counters it implies.
+    """Fold an event stream into the report counters it implies.
 
     The conservation law the chaos-trace test enforces: a run's report
     counters must equal this fold over its own event stream —

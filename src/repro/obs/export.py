@@ -7,7 +7,7 @@ Three interchange formats for one run's telemetry:
   as a workflow artifact);
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event format (load the file at ``ui.perfetto.dev`` or
-  ``chrome://tracing``).  Sessions render as tracks: each shard is a
+  ``chrome://tracing``).  Sessions render as tracks: the fleet is one
   process, each session a thread within it, and ``chunk.complete``
   events (which carry their transfer's ``elapsed``) become duration
   slices so a session's timeline reads as back-to-back chunk
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import re
 
-from .events import EV_CHUNK_COMPLETE, TraceEvent
+from .events import EV_CHUNK_COMPLETE
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -40,6 +40,9 @@ __all__ = [
 
 #: virtual seconds -> trace-event microseconds
 _US = 1e6
+
+#: the one process every track belongs to
+_FLEET_PID = 0
 
 #: thread id 0 is the fleet-level track; session ``s`` renders on ``s + 1``
 _FLEET_TID = 0
@@ -56,10 +59,6 @@ def write_jsonl(events, path: str) -> int:
     return n
 
 
-def _pid(ev: TraceEvent) -> int:
-    return 0 if ev.shard is None else ev.shard
-
-
 def chrome_trace(events) -> dict:
     """Chrome trace-event JSON (``traceEvents`` array form) for ``events``.
 
@@ -68,10 +67,7 @@ def chrome_trace(events) -> dict:
     instant ("i") marker on its session's (or the fleet's) track.
     """
     trace_events: list[dict] = []
-    pids: set[int] = set()
     for ev in events:
-        pid = _pid(ev)
-        pids.add(pid)
         tid = _FLEET_TID if ev.session is None else ev.session + 1
         args = dict(ev.data) if ev.data else {}
         if ev.kind == EV_CHUNK_COMPLETE and "elapsed" in args:
@@ -82,7 +78,7 @@ def chrome_trace(events) -> dict:
                     "ph": "X",
                     "ts": (ev.t - elapsed) * _US,
                     "dur": elapsed * _US,
-                    "pid": pid,
+                    "pid": _FLEET_PID,
                     "tid": tid,
                     "args": args,
                 }
@@ -94,26 +90,26 @@ def chrome_trace(events) -> dict:
                 "ph": "i",
                 "s": "t",  # thread-scoped instant
                 "ts": ev.t * _US,
-                "pid": pid,
+                "pid": _FLEET_PID,
                 "tid": tid,
                 "args": args,
             }
         )
-    for pid in sorted(pids):
+    if trace_events:
         trace_events.append(
             {
                 "name": "process_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": _FLEET_PID,
                 "tid": 0,
-                "args": {"name": f"shard-{pid}" if pid else "fleet"},
+                "args": {"name": "fleet"},
             }
         )
         trace_events.append(
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": _FLEET_PID,
                 "tid": _FLEET_TID,
                 "args": {"name": "fleet events"},
             }

@@ -13,11 +13,6 @@ bookkeeping), ``planner`` (the batched ABR decision pass), ``control``
 shared no-op context managers, so hot-loop call sites keep one shape
 (``prof.phase(...)`` once outside the loop, ``with span:`` inside) and
 the disabled cost is two empty method calls per span entry.
-
-Profilers merge (:meth:`PhaseProfiler.add`) so the sharded executor can
-sum per-shard phase totals into the caller's profiler — the summed
-breakdown is aggregate worker CPU-seconds, not elapsed wall clock,
-which is the useful number for attributing cost across processes.
 """
 
 from __future__ import annotations
@@ -117,11 +112,6 @@ class PhaseProfiler:
         if span is None:
             span = self._spans[name] = _Span(self, name)
         return span
-
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Fold externally measured time in (the shard-merge hook)."""
-        self.totals[name] = self.totals.get(name, 0.0) + seconds
-        self.counts[name] = self.counts.get(name, 0) + calls
 
     @property
     def total_seconds(self) -> float:

@@ -358,10 +358,8 @@ class EncodeQueue:
 def wait_percentile(waits: list[float], pct: float) -> float:
     """Nearest-rank percentile of a wait sample (0 if empty).
 
-    The one percentile rule every report path shares — the sharded fleet
-    merges per-shard encode waits and must reproduce the single-process
-    numbers exactly, so the formula lives here rather than on the queue.
-    Half ranks round *up* explicitly (``floor(x + 0.5)``): Python's
+    The one percentile rule the fleet report and the control plane
+    share, so the formula lives here rather than on the queue.  Half ranks round *up* explicitly (``floor(x + 0.5)``): Python's
     ``round`` is half-to-even, which made p50 over an even sample pick
     the lower or upper neighbor depending on the sample size's parity —
     inconsistent with the documented nearest-rank convention.
@@ -432,8 +430,7 @@ class EdgeNode:
     ``sr_cache`` is the edge's private SR-result cache, populated by
     ``simulate_fleet(..., sr_cache="per-edge")`` (created on demand if
     left ``None``): co-watching viewers of the *same edge* share SR
-    results without any cross-edge — and, under the sharded executor,
-    cross-process — traffic.
+    results without any cross-edge traffic.
     """
 
     name: str

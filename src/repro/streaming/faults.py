@@ -47,7 +47,7 @@ edge.  ``simulate_fleet(retry_policy=...)`` replaces the implicit
 single-retry evacuation bookkeeping with this policy's state.
 
 A :class:`FaultSchedule` bundles the events, validates them against a
-topology, and answers the questions the executors ask: which instants
+topology, and answers the questions the fleet loop asks: which instants
 the event loop must wake at (:meth:`boundary_times`) and which per-edge
 total-outage windows the events resolve to
 (:meth:`edge_outage_spans`).
@@ -550,9 +550,9 @@ class FaultSchedule:
         :class:`EdgeOutage` events map directly; :class:`RegionOutage`
         events fan out to their region's member edges through
         ``regions`` (``CDNTopology.regions``).  This is the single
-        resolution the fleet driver and the sharded executor both
-        consume — evacuation, ``edge_down`` recomputation, and chained-
-        window logic all read spans, never raw events.
+        resolution the fleet driver consumes — evacuation, ``edge_down``
+        recomputation, and chained-window logic all read spans, never
+        raw events.
         """
         spans = [(o.edge, o.start, o.end) for o in self.outages]
         for rev in self.region_outages:
@@ -678,8 +678,8 @@ class FaultSchedule:
         """``sessions`` plus every flash crowd's viewers (new list).
 
         ``template`` defaults to the first session.  Call this before
-        handing the fleet to an executor — ``simulate_fleet`` does not
-        create sessions itself.
+        handing the fleet to ``simulate_fleet``, which does not create
+        sessions itself.
         """
         out = list(sessions)
         if not self.crowds:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import TYPE_CHECKING
@@ -62,7 +63,7 @@ from ..obs.profiler import NULL_PROFILER
 from ..net.link import SharedLink
 from ..net.topology import PathScheduler
 from ..net.traces import NetworkTrace
-from .cdn import CDNTopology, wait_percentile
+from .cdn import CDNTopology
 from .abr import AbrController, SRQualityModel
 from .chunks import VideoSpec
 from .control import FleetView, RecoveryTracker
@@ -86,7 +87,6 @@ __all__ = [
     "SRResultCache",
     "FleetReport",
     "FleetResult",
-    "OpsStats",
     "simulate_fleet",
 ]
 
@@ -286,29 +286,6 @@ class FleetReport:
     cost: "CostReport | None" = None
 
 
-@dataclass(frozen=True)
-class OpsStats:
-    """Control-plane and fault-recovery aggregates for one fleet run.
-
-    Carried separately from the plain serving aggregates so the sharded
-    executor can merge them explicitly; :func:`build_fleet_report` folds
-    them into the :class:`FleetReport` fields of the same names.
-    """
-
-    sessions_resteered: int = 0
-    faults_injected: int = 0
-    control_ticks: int = 0
-    encode_pool_resizes: int = 0
-    qoe_dip_depth: float = 0.0
-    time_to_recover_s: float = 0.0
-    chunk_retries: int = 0
-    requests_timed_out: int = 0
-    requests_hedged: int = 0
-    gray_degraded_bytes: int = 0
-    retry_attempts: tuple[int, ...] = ()
-    region_recovery: tuple[tuple[str, float, float], ...] = ()
-
-
 @dataclass
 class FleetResult:
     """Per-session outcomes plus the fleet-level report."""
@@ -322,7 +299,7 @@ class FleetResult:
     sr_cache: SRResultCache | None = None
     session_specs: list[FleetSession] = field(default_factory=list)
     #: per-session virtual completion instants (last download finish),
-    #: session order — what the sharded executor merges makespans from
+    #: session order — the report's makespan is their maximum
     end_times: list[float] = field(default_factory=list)
 
 
@@ -364,97 +341,6 @@ def _batched_decisions(
             assert isinstance(req, DownloadRequest)
             out.append((sid, req))
     return out
-
-
-@dataclass
-class _RunAggregates:
-    """What a finished run feeds :func:`build_fleet_report` beyond its
-    per-session results.
-
-    One picklable value, so the single-process path (statistics read off
-    its live topology objects) and the sharded executor (per-shard values
-    scattered back to global edge order and summed) hand the report
-    builder the same thing.  Per-edge fields are in topology edge order.
-    """
-
-    #: bytes that crossed an origin → edge backhaul
-    origin_egress: int
-    #: per edge ``(hits, misses, coalesced, coalesced_bytes)``
-    edge_stats: list[tuple[int, int, int, int]]
-    edge_hit_rates: tuple[float, ...]
-    encode_waits: list[float]
-    sr_hits: int
-    sr_misses: int
-    #: per-edge SR-result hit rates (``sr_cache="per-edge"`` only)
-    sr_edge_hit_rates: tuple[float, ...]
-    encode_core_seconds: float
-    #: control-plane / fault / resilience counters (all-default when the
-    #: run had no faults, controller, or retry policy)
-    ops: OpsStats
-
-
-def build_fleet_report(
-    results: list[SessionResult],
-    sessions: list[FleetSession],
-    end_times: list[float],
-    agg: _RunAggregates,
-) -> FleetReport:
-    """One :class:`FleetReport` from plain per-run aggregates.
-
-    The single aggregation rulebook: :func:`simulate_fleet` feeds it the
-    aggregates of its own run, the sharded executor
-    (:mod:`repro.streaming.shard`) the merged per-shard ones — both paths
-    share every formula, which is what the ``workers=1`` bit-exact parity
-    rests on.
-    """
-    ops = agg.ops
-    edge_stats = agg.edge_stats
-    qoe = aggregate_qoe(
-        [r.qoe for r in results],
-        [r.stall_seconds for r in results],
-        [r.watched_seconds for r in results],
-    )
-    first_join = min(s.join_time for s in sessions)
-    n_abandoned = sum(1 for r in results if r.abandoned)
-    total_bytes = sum(r.total_bytes for r in results)
-    lookups = sum(h + m for h, m, _, _ in edge_stats)
-    edge_hits = sum(h for h, _, _, _ in edge_stats)
-    sr_total = agg.sr_hits + agg.sr_misses
-    return FleetReport(
-        n_sessions=len(results),
-        mean_qoe=qoe["mean_qoe"],
-        p5_qoe=qoe["p5_qoe"],
-        p95_qoe=qoe["p95_qoe"],
-        stall_ratio=qoe["stall_ratio"],
-        total_stall_seconds=qoe["total_stall_seconds"],
-        total_bytes=total_bytes,
-        mean_quality=sum(r.mean_quality for r in results) / len(results),
-        cache_hit_rate=agg.sr_hits / sr_total if sr_total else 0.0,
-        makespan=max(end_times) - first_join,
-        n_abandoned=n_abandoned,
-        abandon_rate=n_abandoned / len(results),
-        sr_edge_hit_rates=agg.sr_edge_hit_rates,
-        origin_egress_bytes=agg.origin_egress,
-        coalesced_fills=sum(c for _, _, c, _ in edge_stats),
-        coalesced_bytes=sum(b for _, _, _, b in edge_stats),
-        edge_hit_rate=edge_hits / lookups if lookups else 0.0,
-        edge_hit_rates=agg.edge_hit_rates,
-        encode_wait_p50=wait_percentile(agg.encode_waits, 50.0),
-        encode_wait_p95=wait_percentile(agg.encode_waits, 95.0),
-        sessions_resteered=ops.sessions_resteered,
-        faults_injected=ops.faults_injected,
-        control_ticks=ops.control_ticks,
-        encode_pool_resizes=ops.encode_pool_resizes,
-        qoe_dip_depth=ops.qoe_dip_depth,
-        time_to_recover_s=ops.time_to_recover_s,
-        chunk_retries=ops.chunk_retries,
-        requests_timed_out=ops.requests_timed_out,
-        requests_hedged=ops.requests_hedged,
-        gray_degraded_bytes=ops.gray_degraded_bytes,
-        retry_attempts=ops.retry_attempts,
-        region_recovery=ops.region_recovery,
-        encode_core_seconds=agg.encode_core_seconds,
-    )
 
 
 def _chunk_key(req: DownloadRequest) -> tuple | None:
@@ -688,7 +574,11 @@ class _FleetRun:
         self._init_monitoring()
 
     def _resolve_assignment(self) -> list[int]:
-        """The viewer → edge map: the spec's override, else the topology's."""
+        """The viewer → edge map: the spec's override, else the topology's.
+
+        Every override entry must be an integer edge index (``bool`` is
+        not one; a NumPy integer is) in ``[0, n_edges)``.
+        """
         given = self.spec.assignment
         if given is None:
             return self.topology.assign(self.sessions)
@@ -697,11 +587,18 @@ class _FleetRun:
                 f"assignment names {len(given)} sessions, "
                 f"fleet has {len(self.sessions)}"
             )
-        if any(not 0 <= e < len(self.edges) for e in given):
-            raise ValueError(
-                f"assignment edge indices must be in [0, {len(self.edges)})"
-            )
-        return list(given)
+        n_edges = len(self.edges)
+        for sid, e in enumerate(given):
+            if (
+                isinstance(e, bool)
+                or not isinstance(e, numbers.Integral)
+                or not 0 <= e < n_edges
+            ):
+                raise ValueError(
+                    f"assignment entry {e!r} of session {sid} is not an "
+                    f"edge index in [0, {n_edges})"
+                )
+        return [int(e) for e in given]
 
     def _init_faults(self) -> None:
         """Fault runtime: outage spans and bounds, gray windows, timeouts."""
@@ -1485,9 +1382,9 @@ class _FleetRun:
 
     # -- the report --------------------------------------------------------
 
-    def report(self) -> tuple[FleetResult, _RunAggregates]:
-        """The finished run's result, and the aggregates its report was
-        built from (what the sharded executor merges)."""
+    def report(self) -> FleetResult:
+        """The finished run's result: per-session outcomes and the
+        :class:`FleetReport` read off them and the live topology."""
         results = [m.result for m in self.machines]
         assert all(
             r is not None for r in results
@@ -1499,7 +1396,52 @@ class _FleetRun:
         dip, recover = (
             self.tracker.metrics() if self.tracker is not None else (0.0, 0.0)
         )
-        ops = OpsStats(
+        sr_cache = self.spec.sr_cache
+        if self.per_edge_sr:
+            sr_hits = sum(e.sr_cache.hits for e in edges)
+            sr_misses = sum(e.sr_cache.misses for e in edges)
+            sr_cache = None
+        else:
+            sr_hits = sr_cache.hits if sr_cache is not None else 0
+            sr_misses = sr_cache.misses if sr_cache is not None else 0
+        sr_total = sr_hits + sr_misses
+        qoe = aggregate_qoe(
+            [r.qoe for r in results],
+            [r.stall_seconds for r in results],
+            [r.watched_seconds for r in results],
+        )
+        n_abandoned = sum(1 for r in results if r.abandoned)
+        lookups = sum(e.cache.hits + e.cache.misses for e in edges)
+        oqueue = self.topology.origin.queue
+        report = FleetReport(
+            n_sessions=len(results),
+            mean_qoe=qoe["mean_qoe"],
+            p5_qoe=qoe["p5_qoe"],
+            p95_qoe=qoe["p95_qoe"],
+            stall_ratio=qoe["stall_ratio"],
+            total_stall_seconds=qoe["total_stall_seconds"],
+            total_bytes=sum(r.total_bytes for r in results),
+            mean_quality=sum(r.mean_quality for r in results) / len(results),
+            cache_hit_rate=sr_hits / sr_total if sr_total else 0.0,
+            makespan=(
+                max(self.end_times) - min(s.join_time for s in self.sessions)
+            ),
+            n_abandoned=n_abandoned,
+            abandon_rate=n_abandoned / len(results),
+            sr_edge_hit_rates=(
+                tuple(e.sr_cache.hit_rate for e in edges)
+                if self.per_edge_sr
+                else ()
+            ),
+            origin_egress_bytes=self.origin_egress,
+            coalesced_fills=sum(e.cache.coalesced for e in edges),
+            coalesced_bytes=sum(e.cache.coalesced_bytes for e in edges),
+            edge_hit_rate=(
+                sum(e.cache.hits for e in edges) / lookups if lookups else 0.0
+            ),
+            edge_hit_rates=tuple(e.cache.hit_rate for e in edges),
+            encode_wait_p50=oqueue.wait_percentile(50.0),
+            encode_wait_p95=oqueue.wait_percentile(95.0),
             sessions_resteered=self.resteered,
             faults_injected=len(self.faults) if self.faults is not None else 0,
             control_ticks=(
@@ -1521,47 +1463,17 @@ class _FleetRun:
                 (name, *self.region_track[name][1].metrics())
                 for name in sorted(self.region_track)
             ),
-        )
-        sr_cache = self.spec.sr_cache
-        if self.per_edge_sr:
-            sr_hits = sum(e.sr_cache.hits for e in edges)
-            sr_misses = sum(e.sr_cache.misses for e in edges)
-            sr_cache = None
-        else:
-            sr_hits = sr_cache.hits if sr_cache is not None else 0
-            sr_misses = sr_cache.misses if sr_cache is not None else 0
-        oqueue = self.topology.origin.queue
-        agg = _RunAggregates(
-            origin_egress=self.origin_egress,
-            edge_stats=[
-                (e.cache.hits, e.cache.misses, e.cache.coalesced,
-                 e.cache.coalesced_bytes)
-                for e in edges
-            ],
-            edge_hit_rates=tuple(e.cache.hit_rate for e in edges),
-            encode_waits=list(oqueue.waits),
-            sr_hits=sr_hits,
-            sr_misses=sr_misses,
-            sr_edge_hit_rates=(
-                tuple(e.sr_cache.hit_rate for e in edges)
-                if self.per_edge_sr
-                else ()
-            ),
             encode_core_seconds=oqueue.busy_seconds,
-            ops=ops,
         )
-        result = FleetResult(
+        return FleetResult(
             sessions=results,
-            report=build_fleet_report(
-                results, self.sessions, self.end_times, agg
-            ),
+            report=report,
             sr_cache=sr_cache,
             session_specs=list(self.sessions),
             topology=self.topology,
             assignment=self.assignment,
             end_times=self.end_times,
         )
-        return result, agg
 
 
 def simulate_fleet(
@@ -1623,7 +1535,7 @@ def simulate_fleet(
     spec = FleetSpec.resolve(spec, fields)
     run = _FleetRun(sessions, spec)
     run.run()
-    result, _ = run.report()
+    result = run.report()
     if spec.cost_model is not None:
         from .cost import attach_cost
 

@@ -1,8 +1,8 @@
 """`FleetSpec`: one validated configuration object for a fleet run.
 
-``simulate_fleet`` and ``shard_fleet`` take ``(sessions, spec=None,
-**fields)``: either a :class:`FleetSpec`, or its fields as keywords,
-which both entry points forward verbatim to ``FleetSpec(**fields)``.
+``simulate_fleet`` takes ``(sessions, spec=None, **fields)``: either a
+:class:`FleetSpec`, or its fields as keywords, which it forwards
+verbatim to ``FleetSpec(**fields)``.
 The field list, the defaults, and the unknown-name errors therefore
 live here and nowhere else.  There is one serving model: ``topology``
 is required, and a bare bottleneck link is the one-edge CDN
@@ -34,8 +34,6 @@ class FleetSpec:
     documented.  ``topology`` is the one required field; everything else
     defaults to off, and every disabled configuration is bit-exact with
     the plain simulator (the disabled-mode parity suites pin each).
-    ``shard_fleet`` takes the same spec and forwards it to each shard's
-    run.
     """
 
     #: the serving graph: per-edge chunk caches, backhaul + access hops,
@@ -52,14 +50,12 @@ class FleetSpec:
     #: SR-result sharing: a shared :class:`~repro.streaming.fleet.SRResultCache`,
     #: ``None`` (none), or ``"per-edge"`` — each edge then carries its own
     #: cache, sessions share SR work only with co-watchers on their edge,
-    #: and the report gains per-edge SR hit rates.  The configuration the
-    #: shard executor prefers: no cross-shard traffic.
+    #: and the report gains per-edge SR hit rates.
     sr_cache: "SRResultCache | str | None" = None
     #: precomputed viewer → edge index per session, overriding the
-    #: topology's assignment policy.  The shard executor pins a sub-fleet
-    #: to the assignment computed over the *full* session list this way
-    #: (the ``static`` policy hashes the session's position, so re-deriving
-    #: it on a re-indexed subset would disagree).
+    #: topology's assignment policy — a pinned edge layout, e.g. to put
+    #: known viewers on an edge a fault then hits.  Each entry must be an
+    #: integer in ``[0, n_edges)``.
     assignment: list[int] | None = None
     #: chaos events.  Edge outages cancel the dead edge's in-flight
     #: transfers, fail its viewers over to the least-loaded live edge and
@@ -126,8 +122,8 @@ class FleetSpec:
         an unknown mode; an empty fault schedule is normalized to
         ``None`` (the parity convention: no events ≡ no faults).
         Topology-dependent checks (fault edges and regions, assignment
-        length/bounds) stay with the entry points, which hold the
-        topology and the session list.
+        length and entries) stay with the run, which holds the topology
+        and the session list.
         """
         if not isinstance(self.topology, CDNTopology):
             raise ValueError(

@@ -1,5 +1,7 @@
 """CLI runner tests."""
 
+import pytest
+
 from repro.experiments.__main__ import REGISTRY, main
 
 
@@ -80,23 +82,28 @@ class TestCLI:
         assert main(["fleet-cdn"]) == 0
         assert seen["n_sessions"] == 200
 
-    def test_workers_and_days_flags_reach_fleet_cdn(self, monkeypatch, capsys):
-        """--workers / --days are forwarded to experiments accepting them."""
+    def test_sessions_and_days_flags_reach_fleet_cdn(self, monkeypatch, capsys):
+        """--sessions / --days are forwarded to experiments accepting them."""
         seen = {}
 
         class FakeTable:
             def render(self):
                 return "fake table"
 
-        def fake_run(scale, n_sessions=200, workers=0, days=1):
-            seen.update(n_sessions=n_sessions, workers=workers, days=days)
+        def fake_run(scale, n_sessions=200, days=1):
+            seen.update(n_sessions=n_sessions, days=days)
             return FakeTable()
 
         monkeypatch.setitem(REGISTRY, "fleet-cdn", fake_run)
-        assert main(
-            ["fleet-cdn", "--sessions", "50", "--workers", "4", "--days", "3"]
-        ) == 0
-        assert seen == {"n_sessions": 50, "workers": 4, "days": 3}
+        assert main(["fleet-cdn", "--sessions", "50", "--days", "3"]) == 0
+        assert seen == {"n_sessions": 50, "days": 3}
+
+    def test_workers_flag_is_gone(self, capsys):
+        """Fleets run in one process: --workers is an unknown option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet-cdn", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_control_interval_flag_reaches_fleet_chaos(
         self, monkeypatch, capsys
@@ -147,20 +154,20 @@ class TestCLI:
 
     def test_config_echoed_in_pass_fail_lines(self, monkeypatch, capsys):
         """Nightly logs must identify the failing configuration: the
-        --sessions/--workers values appear on the per-experiment line
+        --sessions/--days values appear on the per-experiment line
         and the summary header."""
 
-        def boom(scale, n_sessions=200, workers=0):
+        def boom(scale, n_sessions=200, days=1):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(REGISTRY, "fleet-cdn", boom)
         assert main(
-            ["fleet-cdn", "table1", "--sessions", "1000", "--workers", "4"]
+            ["fleet-cdn", "table1", "--sessions", "1000", "--days", "3"]
         ) == 1
         captured = capsys.readouterr()
         assert "[fleet-cdn: FAILED" in captured.err
-        assert "(sessions=1000, workers=4)" in captured.err
-        assert "experiment summary (sessions=1000, workers=4):" in captured.out
+        assert "(sessions=1000, days=3)" in captured.err
+        assert "experiment summary (sessions=1000, days=3):" in captured.out
 
     def test_failing_experiment_exits_nonzero_with_summary(
         self, monkeypatch, capsys

@@ -15,7 +15,7 @@ from repro.streaming import (
 )
 from repro.streaming.cdn import wait_percentile
 
-from .helpers import FixedDensity, spec
+from .helpers import FixedDensity, spec, sr_lat
 
 
 class TestByteConservation:
@@ -159,6 +159,37 @@ class TestByteConservation:
         assert rep.encode_wait_p50 <= rep.encode_wait_p95
         assert sorted(set(result.assignment)) == [0, 1, 2]
         assert result.topology is topo
+
+    def test_report_reads_each_edge_and_its_sr_cache(self):
+        """Per-edge report fields are each edge's own counters in edge
+        order (a viewer-less edge reads 0.0), and per-edge SR caches pool
+        into a request-weighted ``cache_hit_rate``."""
+        from repro.streaming import FleetSession
+
+        topo = uniform_cdn(
+            3, access_mbps=120.0, backhaul_mbps=40.0, encode_seconds=0.02
+        )
+        sessions = [
+            FleetSession(
+                spec=spec(6, name=f"v{i % 2}"),
+                controller=FixedDensity(0.4),
+                sr_latency=sr_lat(),
+                join_time=1.0 * i,
+            )
+            for i in range(8)
+        ]
+        rep = simulate_fleet(
+            sessions, topology=topo, sr_cache="per-edge", assignment=[0, 2] * 4
+        ).report
+        edges = topo.edges
+        assert rep.edge_hit_rates == tuple(e.cache.hit_rate for e in edges)
+        assert rep.sr_edge_hit_rates == tuple(e.sr_cache.hit_rate for e in edges)
+        assert rep.edge_hit_rates[1] == rep.sr_edge_hit_rates[1] == 0.0
+        sr_hits = sum(e.sr_cache.hits for e in edges)
+        sr_lookups = sr_hits + sum(e.sr_cache.misses for e in edges)
+        assert sr_hits > 0
+        assert rep.cache_hit_rate == sr_hits / sr_lookups
+        assert rep.coalesced_fills == sum(e.cache.coalesced for e in edges)
 
 
 class TestRequestCoalescing:

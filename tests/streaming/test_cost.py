@@ -13,7 +13,6 @@ from repro.streaming import (
     SRQualityModel,
     SRResultCache,
     attach_cost,
-    shard_fleet,
     simulate_fleet,
     single_link_cdn,
     uniform_cdn,
@@ -87,25 +86,6 @@ class TestEncodeBusyAccounting:
             topology=single_link_cdn(stable_trace(60.0, duration=600.0)),
         )
         assert result.report.encode_core_seconds == 0.0
-
-    def test_sharded_busy_time_matches_single_process(self):
-        ref = simulate_fleet(make_sessions(8), topology=make_topology())
-        sharded = shard_fleet(
-            make_sessions(8), topology=make_topology(), workers=1
-        )
-        assert sharded.report.encode_core_seconds == (
-            ref.report.encode_core_seconds
-        )
-
-    def test_multi_shard_busy_time_sums(self):
-        """Each worker's partitioned pool reports its own busy time; the
-        merge sums them (variants re-encoded per shard may exceed the
-        single-process total, never undercount a shard)."""
-        sharded = shard_fleet(
-            make_sessions(8), topology=make_topology(), workers=2,
-            sr_cache="per-edge",
-        )
-        assert sharded.report.encode_core_seconds > 0.0
 
 
 class TestCostModel:
@@ -206,17 +186,6 @@ class TestCostAttachment:
         out = attach_cost(result, model)
         assert out is result
         assert out.report.cost == model.price(result)
-
-    def test_shard_fleet_cost_model(self):
-        ref = simulate_fleet(
-            make_sessions(8), topology=make_topology(),
-            sr_cache="per-edge", cost_model=CostModel(),
-        )
-        sharded = shard_fleet(
-            make_sessions(8), topology=make_topology(), workers=1,
-            sr_cache="per-edge", cost_model=CostModel(),
-        )
-        assert sharded.report.cost == ref.report.cost
 
     def test_sr_cache_lowers_sr_hours_not_watched(self):
         """The SR device-hour line bills watched seconds; a shared SR

@@ -1,4 +1,4 @@
-"""Fault injection: schedules, degraded traces, outage failover, sharding."""
+"""Fault injection: schedules, degraded traces, outage failover, retries."""
 
 import dataclasses
 import math
@@ -139,7 +139,7 @@ class TestEventValidation:
             sched.validate_topology(2)
         sched.validate_topology(3)  # a third edge survives
 
-    def test_schedule_properties_and_shardable(self):
+    def test_schedule_properties(self):
         o = EdgeOutage(edge=0, start=1.0, duration=2.0)
         d = BackhaulDegradation(edge=1, start=1.0, duration=2.0, factor=0.5)
         c = FlashCrowd(spec=spec(), start=3.0, n_viewers=2)

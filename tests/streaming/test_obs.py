@@ -12,7 +12,6 @@ from repro.obs.events import (
     EV_SESSION_START,
     NULL_TRACER,
     Tracer,
-    merge_events,
     ops_from_events,
 )
 from repro.obs.export import (
@@ -96,30 +95,14 @@ class TestTracer:
         assert [ev.seq for ev in tr] == [1, 2, 3]
 
     def test_to_dict_flattens_data(self):
-        tr = Tracer(shard=2)
+        tr = Tracer()
         tr.emit(3.5, "chunk.fetch", session=7, edge=1, nbytes=100)
-        d = tr.events[0].to_dict()
-        assert d == {
-            "t": 3.5, "kind": "chunk.fetch", "session": 7, "shard": 2,
-            "edge": 1, "nbytes": 100,
-        }
-
-    def test_merge_is_total_and_deterministic(self):
-        a = Tracer(shard=0)
-        b = Tracer(shard=1)
-        for t in (1.0, 2.0, 2.0):
-            a.emit(t, "a")
-        for t in (0.5, 2.0):
-            b.emit(t, "b")
-        merged = merge_events([b.events, a.events])
-        key = [(ev.t, ev.shard, ev.seq) for ev in merged]
-        assert key == sorted(key)
-        # ties at t=2.0 break by shard index, then seq
-        assert [ev.kind for ev in merged] == ["b", "a", "a", "a", "b"]
-        # absorbing the same streams yields the same order
-        sink = Tracer()
-        sink.absorb([a.events, b.events])
-        assert [(e.t, e.shard, e.seq) for e in sink] == key
+        tr.emit(4.0, "control.tick")
+        assert [ev.to_dict() for ev in tr.events] == [
+            {"t": 3.5, "kind": "chunk.fetch", "session": 7, "edge": 1,
+             "nbytes": 100},
+            {"t": 4.0, "kind": "control.tick"},
+        ]
 
     def test_ops_fold_empty_stream(self):
         assert ops_from_events([]) == {
@@ -186,9 +169,8 @@ class TestProfiler:
 
     def test_breakdown_and_report(self):
         p = PhaseProfiler()
-        p.add("a", 3.0, calls=10)
-        p.add("b", 1.0, calls=5)
-        p.add("a", 1.0, calls=2)
+        p.totals.update(a=4.0, b=1.0)
+        p.counts.update(a=12, b=5)
         bd = p.breakdown()
         assert list(bd) == ["a", "b"]  # descending self-time
         assert bd["a"] == {"seconds": 4.0, "calls": 12, "pct": 80.0}
@@ -244,7 +226,13 @@ class TestExporters:
         assert start["ph"] == "i" and start["tid"] == 1
         (tick,) = by_name[EV_CONTROL_TICK]
         assert tick["tid"] == 0
-        assert any(ev["ph"] == "M" for ev in events)
+        # one process, named "fleet", holds every track
+        assert {ev["pid"] for ev in events} == {0}
+        (proc,) = by_name["process_name"]
+        assert proc["args"] == {"name": "fleet"}
+
+    def test_chrome_trace_of_no_events_has_no_tracks(self):
+        assert chrome_trace([]) == {"traceEvents": [], "displayTimeUnit": "ms"}
 
     def test_chrome_trace_file(self, tmp_path):
         path = tmp_path / "trace.json"
@@ -285,8 +273,6 @@ class TestTelemetry:
         assert off.tracer is None
         assert off.metrics is None
         assert off.profiler is None
-        sharded = Telemetry(trace=True, metrics=False, shard=3)
-        assert sharded.tracer.shard == 3
 
 
 class TestTelemetryDisabledParity:

@@ -1,14 +1,16 @@
 """FleetSpec: the one validated fleet configuration object.
 
-``simulate_fleet`` / ``shard_fleet`` take ``(sessions, spec=None,
-**fields)`` and forward ``fields`` verbatim to ``FleetSpec(**fields)``,
+``simulate_fleet`` takes ``(sessions, spec=None, **fields)`` and
+forwards ``fields`` verbatim to ``FleetSpec(**fields)``,
 so the keyword form and the ``spec=`` form are bit-exact by construction
 — pinned here anyway, end to end — and an unknown keyword is rejected by
 the dataclass itself.
 """
 
+import math
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.metrics import QoEModel
@@ -22,7 +24,6 @@ from repro.streaming import (
     FleetSpec,
     SRQualityModel,
     SRResultCache,
-    shard_fleet,
     simulate_fleet,
     single_link_cdn,
     uniform_cdn,
@@ -97,20 +98,6 @@ class TestSpecShimBitExact:
         )
         assert_identical(loose, via_spec)
 
-    def test_shard_fleet_takes_spec_verbatim(self):
-        loose = shard_fleet(
-            make_sessions(8),
-            topology=make_topology(),
-            workers=1,
-            sr_cache="per-edge",
-        )
-        via_spec = shard_fleet(
-            make_sessions(8),
-            workers=1,
-            spec=FleetSpec(topology=make_topology(), sr_cache="per-edge"),
-        )
-        assert_identical(loose, via_spec)
-
     def test_new_names_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -130,22 +117,13 @@ class TestSpecMixingRules:
                 spec=FleetSpec(topology=make_topology()),
             )
 
-    def test_shard_spec_plus_loose_kwarg_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            shard_fleet(
-                make_sessions(),
-                topology=make_topology(),
-                spec=FleetSpec(topology=make_topology()),
-            )
-
-    @pytest.mark.parametrize("entry", [simulate_fleet, shard_fleet])
-    def test_unknown_field_rejected_by_the_spec(self, entry):
-        """No entry point keeps its own field list: an unknown keyword
-        reaches ``FleetSpec(**fields)`` and fails there."""
+    def test_unknown_field_rejected_by_the_spec(self):
+        """The entry point keeps no field list of its own: an unknown
+        keyword reaches ``FleetSpec(**fields)`` and fails there."""
         with pytest.raises(
             TypeError, match="unexpected keyword argument 'scheduler_engine'"
         ):
-            entry(
+            simulate_fleet(
                 make_sessions(), topology=make_topology(),
                 scheduler_engine="scalar",
             )
@@ -159,12 +137,15 @@ class TestSpecValidation:
             FleetSpec()
         with pytest.raises(ValueError, match="single_link_cdn"):
             FleetSpec(topology=None).validate()
-        for entry in (simulate_fleet, shard_fleet):
-            with pytest.raises(TypeError, match="topology"):
-                entry(make_sessions(), sr_cache=SRResultCache())
-            for bad in (None, stable_trace(60.0, duration=600.0)):
-                with pytest.raises(ValueError, match="single_link_cdn"):
-                    entry(make_sessions(), topology=bad)
+        with pytest.raises(TypeError, match="topology"):
+            simulate_fleet(make_sessions(), sr_cache=SRResultCache())
+        for bad in (None, stable_trace(60.0, duration=600.0)):
+            with pytest.raises(ValueError, match="single_link_cdn"):
+                simulate_fleet(make_sessions(), topology=bad)
+
+    def test_a_fleet_needs_a_session(self):
+        with pytest.raises(ValueError, match="at least one session"):
+            simulate_fleet([], topology=make_topology())
 
     def test_sr_cache_mode_strings(self):
         with pytest.raises(ValueError, match="per-edge"):
@@ -176,18 +157,6 @@ class TestSpecValidation:
         s = FleetSpec(topology=make_topology(), faults=FaultSchedule())
         s.validate()
         assert s.faults is None
-
-    def test_shard_fleet_rejects_controller(self):
-        from repro.streaming import ControlPlane, ControlPolicy
-
-        with pytest.raises(ValueError, match="control plane"):
-            shard_fleet(
-                make_sessions(),
-                spec=FleetSpec(
-                    topology=make_topology(),
-                    controller=ControlPlane(ControlPolicy(interval=1.0)),
-                ),
-            )
 
     def test_spec_defaults_reproduce_bare_call(self):
         trace = stable_trace(60.0, duration=600.0)
@@ -204,3 +173,49 @@ class TestSpecValidation:
         )
         assert result.report.cost is not None
         assert result.report.cost.total_usd > 0.0
+
+    def test_a_shared_sr_cache_is_the_callers_instance(self):
+        cache = SRResultCache()
+        result = simulate_fleet(
+            make_sessions(4), topology=make_topology(), sr_cache=cache
+        )
+        assert result.sr_cache is cache
+        assert cache.hits + cache.misses > 0
+
+
+class TestAssignmentOverride:
+    """``assignment`` pins each viewer to an edge; a bad entry is named
+    at once instead of failing mid-run or leaking into the result."""
+
+    def test_numpy_integers_are_edge_indices(self):
+        result = simulate_fleet(
+            make_sessions(2), topology=make_topology(),
+            assignment=list(np.array([1, 0])),
+        )
+        assert result.assignment == [1, 0]
+        assert all(type(e) is int for e in result.assignment)
+
+    @pytest.mark.parametrize(
+        "assignment, bad",
+        [
+            ([0.5, 1], 0.5),
+            ([1.0, 0], 1.0),
+            ([0, -0.0], -0.0),
+            ([True, False], True),
+            ([0, math.nan], math.nan),
+            ([0, 2], 2),
+            ([-1, 0], -1),
+        ],
+    )
+    def test_bad_entries_rejected_by_name(self, assignment, bad):
+        with pytest.raises(ValueError, match=rf"entry {bad!r} of session"):
+            simulate_fleet(
+                make_sessions(2), topology=make_topology(),
+                assignment=assignment,
+            )
+
+    def test_length_must_match_the_fleet(self):
+        with pytest.raises(ValueError, match="names 1 sessions, fleet has 3"):
+            simulate_fleet(
+                make_sessions(3), topology=make_topology(), assignment=[0]
+            )
