@@ -132,8 +132,9 @@ class QoEModel:
             total = quality - stall[0]
         else:
             delta = q - prev_quality
-            mult = np.where(delta < 0, w.drop_multiplier, 1.0)
-            variation = w.beta * mult * np.abs(delta)
+            variation = np.where(
+                delta < 0, w.beta * w.drop_multiplier, w.beta
+            ) * np.abs(delta)
             if not isinstance(prev_quality, float):  # an array's NaN marks
                 variation = np.where(np.isnan(prev_quality), 0.0, variation)
             total = quality - variation - stall[0]

@@ -167,8 +167,9 @@ class PathScheduler:
 
     def __init__(self) -> None:
         self._flows: dict[int, _PathFlow] = {}
-        #: per-link flow registries, insertion-ordered (the weighted
-        #: share denominator sums in this order)
+        #: per-``weighted``-link flow registries, insertion-ordered (the
+        #: weighted share denominator sums in this order; a fair link's
+        #: denominator is a count and needs none)
         self._link_flows: dict[int, dict[int, _PathFlow]] = {}
         #: bits actually delivered to receivers (conservation checks)
         self.delivered_bits = 0.0
@@ -217,7 +218,8 @@ class PathScheduler:
         )
         self._flows[flow_id] = flow
         for link in path.links:
-            self._link_flows.setdefault(id(link), {})[flow_id] = flow
+            if link.policy == "weighted":
+                self._link_flows.setdefault(id(link), {})[flow_id] = flow
         self._vec.add(flow)
 
     @property
@@ -276,7 +278,7 @@ class PathScheduler:
             best = min(best, max(f.data_start, now))
         if n:
             # == min(now + remaining / rates): adding one ``now`` is monotone
-            best = min(best, now + (v.remaining[:n] / rates).min())
+            best = min(best, now + _min(v.remaining[:n] / rates))
         for li in v.wrapped:
             best = min(best, now + v.link_list[li].trace.time_to_next_change(now))
         # A plain link's boundary is the trace's own ``nxt - local``
@@ -306,12 +308,12 @@ class PathScheduler:
             drained = np.minimum(rates * (to_time - now), rem)
             rem -= drained
             flush = rem <= v.thresh[:n]
-            total_bits = float(drained.sum())
+            total_bits = float(_sum(drained))
             # Per-link delivered-bits accounting is deferred to
             # ``_remove``: a per-flow loop here would be O(active flows)
             # of Python per event step and dominate large-fleet wall time.
-            if flush.any():
-                total_bits += float(rem[flush].sum())
+            if _any(flush):
+                total_bits += float(_sum(rem[flush]))
                 rem[flush] = 0.0
                 finished.extend(v.flows[c] for c in flush.nonzero()[0].tolist())
             if total_bits != total_bits:
@@ -390,9 +392,9 @@ class PathScheduler:
                 numer = np.where(
                     v.is_weighted[rows], cap[rows] * v.weight[:n], cap[rows]
                 )
-                rates = (numer / denom[rows]).min(axis=0)
+                rates = _min(numer / denom[rows], axis=0)
             else:
-                rates = (cap / denom)[rows].min(axis=0)
+                rates = _min((cap / denom)[rows], axis=0)
         out = (n, rates, next_gate)
         v.alloc_cache = (key, out)
         return out
@@ -407,11 +409,16 @@ class PathScheduler:
                 link.delivered_bits += crossed
         del self._flows[flow.flow_id]
         for link in flow.path.links:
-            del self._link_flows[id(link)][flow.flow_id]
+            if link.policy == "weighted":
+                del self._link_flows[id(link)][flow.flow_id]
         self._vec.remove(flow)
 
 
 _EMPTY = np.empty(0)
+
+# A step's reductions, called as ufunc methods: ``ndarray.min`` / ``sum``
+# / ``any`` reach these same reductions through a Python wrapper.
+_min, _sum, _any = np.minimum.reduce, np.add.reduce, np.logical_or.reduce
 
 
 #: Slack on a stored segment end: ``now + (hi - local)`` is two roundings,
@@ -453,6 +460,9 @@ class _VectorState:
         #: index 0 reserved as the padding sentinel
         self.link_list: list[SharedLink | None] = [None]
         self.link_index: dict[int, int] = {}
+        #: ``id(path) -> (path, its hops' link indices)``; holding the path
+        #: keeps its ``id`` from being reused while the entry lives
+        self.path_ids: dict[int, tuple[NetworkPath, tuple[int, ...]]] = {}
         self.weighted_links: list[int] = []
         self.is_weighted = np.zeros(1, dtype=bool)
         #: active flows per link, links with none left out — counted over
@@ -488,7 +498,18 @@ class _VectorState:
         return float(self.remaining[flow.col]) if flow.col >= 0 else flow.remaining
 
     def add(self, flow: _PathFlow) -> None:
-        links = flow.path.links
+        known = self.path_ids.get(id(flow.path))
+        flow.link_ids = self._resolve(flow.path) if known is None else known[1]
+        if flow.total_bits == 0.0:
+            self.finished.append(flow)
+        else:
+            heappush(self.gated, (flow.data_start, next(self._serial), flow))
+        self.version += 1
+
+    def _resolve(self, path: NetworkPath) -> tuple[int, ...]:
+        """Index ``path``'s links (new ones join ``link_list``), once per
+        path object."""
+        links = path.links
         grew_links = False
         for link in links:
             if id(link) not in self.link_index:
@@ -507,12 +528,9 @@ class _VectorState:
             self.cap = np.concatenate([self.cap, np.zeros(fresh)])
         if len(links) > len(self.hops):
             self._reshape(len(links), self.hops.shape[1])
-        flow.link_ids = tuple(self.link_index[id(link)] for link in links)
-        if flow.total_bits == 0.0:
-            self.finished.append(flow)
-        else:
-            heappush(self.gated, (flow.data_start, next(self._serial), flow))
-        self.version += 1
+        ids = tuple(self.link_index[id(link)] for link in links)
+        self.path_ids[id(path)] = (path, ids)
+        return ids
 
     def expire_gates(self, now: float) -> float:
         """Activate every flow whose ``data_start`` has passed; return the

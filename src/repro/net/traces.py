@@ -125,10 +125,25 @@ class NetworkTrace:
         return float(np.sqrt(var))
 
 
+def _check_args(fn: str, positive: tuple[str, ...], **args: float) -> None:
+    """Name the first bad argument of a trace builder: each must be finite,
+    and positive if named in ``positive``, else non-negative.  Chained so
+    NaN fails every check."""
+    for name, value in args.items():
+        low_ok = 0 < value if name in positive else 0 <= value
+        if not (low_ok and value < np.inf):
+            kind = "positive" if name in positive else "non-negative"
+            raise ValueError(
+                f"{fn}: {name} must be finite and {kind}, got {value!r}"
+            )
+
+
 def stable_trace(mbps: float, duration: float = 600.0, rtt: float = 0.010) -> NetworkTrace:
     """A constant-rate wired link (50/75/100 Mbps in the paper)."""
-    if mbps <= 0:
-        raise ValueError("rate must be positive")
+    _check_args(
+        "stable_trace", positive=("mbps", "duration"),
+        mbps=mbps, duration=duration, rtt=rtt,
+    )
     return NetworkTrace(
         name=f"stable-{mbps:g}mbps",
         timestamps=np.array([0.0, duration / 2]),
@@ -153,8 +168,15 @@ def lte_trace(
     and std land near the requested values; exact trace shapes do not
     matter — the ABR reacts to the statistics.
     """
-    if mean_mbps <= 0 or std_mbps < 0:
-        raise ValueError("mean must be positive, std non-negative")
+    _check_args(
+        "lte_trace", positive=("mean_mbps", "duration", "step"),
+        mean_mbps=mean_mbps, std_mbps=std_mbps, duration=duration, step=step,
+        rtt=rtt,
+    )
+    if not 0 <= fade_prob <= 1:
+        raise ValueError(
+            f"lte_trace: fade_prob must be in [0, 1], got {fade_prob!r}"
+        )
     rng = np.random.default_rng(seed)
     n = max(2, int(duration / step))
     phi = 0.9

@@ -28,7 +28,8 @@ what its NumPy dispatches cost, not what its arithmetic costs; the
 layout is chosen so that a call makes as few of them as it can.
 
 * *Per controller* (fixed at construction): the candidate grid ``(C,)``,
-  its SR ratios and its qualities.
+  its SR ratios, its qualities and one :class:`Decision` per candidate,
+  which ``decide_batch`` hands out by ``argmax`` index.
 * *Per chunk window* (:meth:`_MPCBase._horizon_tensors`, keyed on the
   tuple of chunk specs): fetched bits and SR seconds ``(H, 1, C)`` and
   chunk durations ``(H, 1, 1)`` — checked finite and non-negative once,
@@ -56,6 +57,7 @@ registered there too.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +147,7 @@ class AbrContext:
     throughput_bps: float
     buffer_level: float
     prev_quality: float | None
-    next_chunks: list[ChunkSpec]
+    next_chunks: Sequence[ChunkSpec]
 
     def __post_init__(self) -> None:
         # Stated as ``not (x > 0)`` so NaN fails every comparison it meets;
@@ -251,6 +253,11 @@ class _MPCBase(AbrController):
         #: the candidate grid is fixed, so its SR ratios and qualities are too
         self._sr_ratios = quality_model.sr_ratios_for(self.candidates)
         self._qualities = quality_model.qualities(self.candidates, self._sr_ratios)
+        #: one Decision per candidate, handed out by :meth:`decide_batch`
+        self._decisions = [
+            Decision(d, s)
+            for d, s in zip(self.candidates.tolist(), self._sr_ratios.tolist())
+        ]
         #: chunk window -> its tensors (see :meth:`_horizon_tensors`)
         self._horizon_cache: dict[tuple, tuple] = {}
         #: lifetime count of rows :meth:`decide_batch` has evaluated
@@ -328,10 +335,15 @@ class _MPCBase(AbrController):
         # steady-state readiness interval is the slower stage.
         np.maximum(ready, sr, out=ready)
         stalls = np.empty_like(ready)
-        for r, stall, d in zip(ready, stalls, dur):
-            np.subtract(r, buffer, out=stall)
-            np.maximum(0.0, stall, out=stall)
-            buffer = np.maximum(buffer - r, 0.0) + d
+        last = len(ready) - 1
+        for h, (r, stall, d) in enumerate(zip(ready, stalls, dur)):
+            # stall = max(0, r - b), then b' = max(b - r, 0) + d written as
+            # d - min(r - b, 0): the same float for every input (b - r is
+            # exactly -(r - b)), infinities included, in four array calls.
+            x = r - buffer
+            np.maximum(0.0, x, out=stall)
+            if h < last:
+                buffer = d - np.minimum(x, 0.0, out=x)
         return self.qoe_model.plan_values(self._qualities, stalls, prev)
 
     def plan_values(self, ctx: AbrContext) -> np.ndarray:
@@ -354,8 +366,8 @@ class _MPCBase(AbrController):
         decisions: list[Decision | None] = [None] * len(ctxs)
         for idxs in groups.values():
             values = self._batch_plan_values([ctxs[i] for i in idxs])
-            for i, c in zip(idxs, np.argmax(values, axis=1)):
-                decisions[i] = Decision(float(self.candidates[c]), float(self._sr_ratios[c]))
+            for i, c in zip(idxs, values.argmax(axis=1).tolist()):
+                decisions[i] = self._decisions[c]
         return decisions  # type: ignore[return-value]
 
 

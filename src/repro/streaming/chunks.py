@@ -17,7 +17,9 @@ element with the scalar path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,10 +85,17 @@ class ChunkSpec:
     def __post_init__(self) -> None:
         if self.n_frames <= 0 or self.points_per_frame <= 0:
             raise ValueError("chunk must contain frames and points")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.bytes_per_point <= 0:
-            raise ValueError("bytes_per_point must be positive")
+        # chained so NaN fails them (every comparison with NaN is false)
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"ChunkSpec.duration must be finite and positive, got "
+                f"{self.duration!r}"
+            )
+        if not 0 < self.bytes_per_point < math.inf:
+            raise ValueError(
+                f"ChunkSpec.bytes_per_point must be finite and positive, got "
+                f"{self.bytes_per_point!r}"
+            )
 
     def bytes_at_density(self, density: float) -> int:
         """Encoded size when downsampled to ``density`` ∈ (0, 1]."""
@@ -128,17 +137,36 @@ class VideoSpec:
     def __post_init__(self) -> None:
         if self.n_frames <= 0 or self.fps <= 0 or self.points_per_frame <= 0:
             raise ValueError("video dimensions must be positive")
-        if self.bytes_per_point <= 0:
-            raise ValueError("bytes_per_point must be positive")
+        if not 0 < self.bytes_per_point < math.inf:
+            raise ValueError(
+                f"VideoSpec.bytes_per_point must be finite and positive, got "
+                f"{self.bytes_per_point!r}"
+            )
 
     @property
     def duration(self) -> float:
         return self.n_frames / self.fps
 
-    def chunks(self, chunk_seconds: float = 1.0) -> list[ChunkSpec]:
-        """Split into fixed-length chunks (last chunk may be shorter)."""
-        if chunk_seconds <= 0:
-            raise ValueError("chunk_seconds must be positive")
+    @cached_property
+    def _chunk_tables(self) -> dict[float, tuple[ChunkSpec, ...]]:
+        """``chunk_seconds`` -> its table, for this instance only."""
+        return {}
+
+    def chunks(self, chunk_seconds: float = 1.0) -> tuple[ChunkSpec, ...]:
+        """Split into fixed-length chunks (last chunk may be shorter).
+
+        The table is built once per spec instance and ``chunk_seconds``
+        and the same tuple is returned to every later call — every session
+        of a fleet watching this spec shares it, so it is not to be
+        modified (it is a tuple of frozen specs).
+        """
+        table = self._chunk_tables.get(chunk_seconds)
+        if table is not None:
+            return table
+        if not 0 < chunk_seconds < math.inf:
+            raise ValueError(
+                f"chunk_seconds must be finite and positive, got {chunk_seconds!r}"
+            )
         frames_per_chunk = max(1, int(round(chunk_seconds * self.fps)))
         specs = []
         start = 0
@@ -156,7 +184,8 @@ class VideoSpec:
             )
             start += nf
             idx += 1
-        return specs
+        table = self._chunk_tables[chunk_seconds] = tuple(specs)
+        return table
 
     @classmethod
     def from_video(cls, video: VolumetricVideo, points_per_frame: int | None = None) -> "VideoSpec":

@@ -471,7 +471,8 @@ class _FleetRun:
     :meth:`report`.  The stage methods (:meth:`on_completion`,
     :meth:`decide`, :meth:`apply_outage_bounds`, :meth:`fire_timeouts`,
     :meth:`sample_and_control`, :meth:`release_deferred`) are called once
-    per event step, in that order, by :meth:`run`; each failure-handling
+    per event step, in that order, by :meth:`run` (:meth:`decide` only when
+    a completion parked a session on its ABR decision); each failure-handling
     block exists once — :meth:`_cancel` (credit-back), :meth:`_reissue`
     (attempt count, backoff, sunk time), :meth:`_resteer`,
     :meth:`_unfinished_by_edge`, :meth:`_sample_health`.
@@ -751,8 +752,10 @@ class _FleetRun:
                         for done in completions
                         if self.on_completion(done)
                     ]
-                with self.ph_planner:
-                    self.decide(parked)
+                # Gate, deferred and deadline wakes park no session.
+                if parked:
+                    with self.ph_planner:
+                        self.decide(parked)
                 self.apply_outage_bounds(t)
                 self.fire_timeouts(t)
                 self.sample_and_control(t)

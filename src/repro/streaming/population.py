@@ -26,6 +26,7 @@ identical fleet reports, which the replay test enforces.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,6 +50,13 @@ __all__ = [
 ]
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    """Chained so NaN fails it: a NaN or infinite rate or span passes a
+    plain ``<= 0`` check and leaves a sampling loop that never ends."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PoissonArrivals:
     """Homogeneous Poisson arrival process (exponential inter-arrivals).
@@ -62,15 +70,11 @@ class PoissonArrivals:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise ValueError(
-                f"PoissonArrivals.rate_hz must be positive, got {self.rate_hz!r}"
-            )
+        _require_finite_positive("PoissonArrivals.rate_hz", self.rate_hz)
 
     def times(self, window: float) -> np.ndarray:
         """Arrival timestamps in ``[0, window]``, strictly increasing."""
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
+        _require_finite_positive("window", window)
         rng = np.random.default_rng(self.seed)
         out: list[float] = []
         t = 0.0
@@ -133,29 +137,23 @@ class DiurnalArrivals:
     autoscale: "Callable[[int], float] | None" = None
 
     def __post_init__(self) -> None:
-        if self.mean_rate_hz <= 0:
-            raise ValueError(
-                f"DiurnalArrivals.mean_rate_hz must be positive, got "
-                f"{self.mean_rate_hz!r}"
-            )
+        _require_finite_positive("DiurnalArrivals.mean_rate_hz", self.mean_rate_hz)
         if len(self.curve) != 24:
             raise ValueError(
                 f"DiurnalArrivals.curve needs 24 hourly factors, got "
                 f"{len(self.curve)}"
             )
-        if min(self.curve) < 0 or max(self.curve) <= 0:
+        if not all(0 <= f < math.inf for f in self.curve) or max(self.curve) <= 0:
             raise ValueError(
-                "DiurnalArrivals.curve factors must be non-negative with at "
-                "least one positive hour"
+                "DiurnalArrivals.curve factors must be finite and non-negative "
+                f"with at least one positive hour, got {self.curve!r}"
             )
-        if self.day_seconds <= 0:
+        _require_finite_positive("DiurnalArrivals.day_seconds", self.day_seconds)
+        _require_finite_positive("DiurnalArrivals.days", self.days)
+        if not math.isfinite(self.phase_hours):
             raise ValueError(
-                f"DiurnalArrivals.day_seconds must be positive, got "
-                f"{self.day_seconds!r}"
-            )
-        if self.days <= 0:
-            raise ValueError(
-                f"DiurnalArrivals.days must be positive, got {self.days!r}"
+                f"DiurnalArrivals.phase_hours must be finite, got "
+                f"{self.phase_hours!r}"
             )
 
     @cached_property
@@ -223,8 +221,7 @@ class DiurnalArrivals:
         """
         if window is None:
             window = self.span_seconds
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
+        _require_finite_positive("window", window)
         rng = np.random.default_rng(self.seed)
         base_peak = self.mean_rate_hz * max(self.curve) / self._curve_mean
         out: list[float] = []
@@ -261,8 +258,13 @@ class TraceArrivals:
         if not self.arrival_times:
             raise ValueError("TraceArrivals needs at least one arrival")
         ts = np.asarray(self.arrival_times, dtype=np.float64)
-        if np.any(ts < 0):
-            raise ValueError("arrival times must be non-negative")
+        bad = ~((ts >= 0) & (ts < np.inf))  # NaN fails both
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                "arrival times must be finite and non-negative, got "
+                f"{self.arrival_times[i]!r} at index {i}"
+            )
         if np.any(np.diff(ts) < 0):
             raise ValueError("arrival times must be sorted")
 
@@ -291,8 +293,7 @@ class TraceArrivals:
 
     def times(self, window: float) -> np.ndarray:
         """Arrivals that fall inside ``[0, window]``."""
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
+        _require_finite_positive("window", window)
         ts = np.asarray(self.arrival_times, dtype=np.float64)
         return ts[ts <= window]
 

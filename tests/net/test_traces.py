@@ -101,6 +101,20 @@ class TestStable:
         with pytest.raises(ValueError):
             stable_trace(0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"mbps": np.nan}, "mbps"),
+            ({"mbps": np.inf}, "mbps"),
+            ({"mbps": 50.0, "duration": np.inf}, "duration"),
+            ({"mbps": 50.0, "duration": 0.0}, "duration"),
+            ({"mbps": 50.0, "rtt": np.nan}, "rtt"),
+        ],
+    )
+    def test_rejects_a_bad_argument_by_name(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"stable_trace: {name} must be finite"):
+            stable_trace(**kwargs)
+
 
 class TestLTE:
     def test_matches_requested_moments(self):
@@ -140,3 +154,25 @@ class TestLTE:
             lte_trace(mean_mbps=0.0)
         with pytest.raises(ValueError):
             lte_trace(mean_mbps=10.0, std_mbps=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"step": 0.0}, "step"),  # was ZeroDivisionError
+            ({"step": np.nan}, "step"),
+            ({"duration": np.inf}, "duration"),
+            ({"duration": np.nan}, "duration"),
+            ({"mean_mbps": np.inf}, "mean_mbps"),
+            ({"std_mbps": np.nan}, "std_mbps"),
+            ({"rtt": -0.01}, "rtt"),
+        ],
+    )
+    def test_rejects_a_bad_argument_by_name(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"lte_trace: {name} must be finite"):
+            lte_trace(**kwargs)
+
+    @pytest.mark.parametrize("fade_prob", [np.nan, -0.1, 1.5])
+    def test_rejects_a_fade_probability_outside_the_unit_interval(self, fade_prob):
+        """NaN used to pass and draw no fades at all."""
+        with pytest.raises(ValueError, match="lte_trace: fade_prob must be in"):
+            lte_trace(fade_prob=fade_prob)

@@ -192,6 +192,128 @@ class TestScalarVectorParity:
         )
 
 
+def predecessor_plan_values(mpc, ctxs):
+    """The planner body the four-call recursion replaced, as its oracle:
+    ``stall = max(0, r - b)`` then ``b = max(b - r, 0) + d`` after every
+    horizon step (the last included), and the variation term as
+    ``β · where(δ < 0, m, 1) · |δ|``.  Rows must share one effective
+    horizon; it reads the controller's cached window tensors, which the
+    rewrite left alone."""
+    windows = [
+        mpc._horizon_tensors(tuple(c.next_chunks[: mpc.horizon])) for c in ctxs
+    ]
+    bits, sr, dur = (np.concatenate(t, axis=1) for t in zip(*windows))
+    tput = (np.array([c.throughput_bps for c in ctxs]) * mpc.safety)[:, None]
+    buffer = np.array([c.buffer_level for c in ctxs])[:, None]
+    prev = np.array(
+        [np.nan if c.prev_quality is None else c.prev_quality for c in ctxs]
+    )[:, None]
+    ready = np.maximum(bits / tput, sr)
+    stalls = np.empty_like(ready)
+    for r, stall, d in zip(ready, stalls, dur):
+        np.subtract(r, buffer, out=stall)
+        np.maximum(0.0, stall, out=stall)
+        buffer = np.maximum(buffer - r, 0.0) + d
+    w = mpc.qoe_model.weights
+    quality = w.alpha * mpc._qualities
+    stall = w.gamma * stalls
+    delta = mpc._qualities - prev
+    mult = np.where(delta < 0, w.drop_multiplier, 1.0)
+    variation = np.where(np.isnan(prev), 0.0, w.beta * mult * np.abs(delta))
+    total = quality - variation - stall[0]
+    for i in range(1, len(stall)):
+        total = total + (quality - stall[i])
+    return total
+
+
+def oracle_ctx(mpc, tput_bps, buffer, prev, n_chunks, points, tie):
+    """A context over ``n_chunks`` one-second chunks.  ``buffer="tie"``
+    sets the buffer to the first chunk's readiness interval at candidate
+    ``tie``, so that row's first step has ``ready == buffer`` exactly."""
+    chunks = VideoSpec(
+        name="t", n_frames=n_chunks * 30, fps=30, points_per_frame=points
+    ).chunks(1.0)
+    if buffer == "tie":
+        bits, sr, _ = mpc._horizon_tensors(tuple(chunks[: mpc.horizon]))
+        c = tie % len(mpc.candidates)
+        with np.errstate(over="ignore"):  # a subnormal throughput ties at inf
+            buffer = float(max(bits[0, 0, c] / (tput_bps * mpc.safety), sr[0, 0, c]))
+    return AbrContext(tput_bps, buffer, prev, chunks)
+
+
+def assert_matches_predecessor(mpc, ctxs):
+    """Every horizon group of ``ctxs`` is ``==`` the predecessor, as a
+    batch and row by row, and ``decide_batch`` picks its argmax.  Infinite
+    rows overflow and subtract ``inf - inf`` on purpose."""
+    groups = {}
+    for ctx in ctxs:
+        groups.setdefault(min(len(ctx.next_chunks), mpc.horizon), []).append(ctx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in groups.values():
+            expected = predecessor_plan_values(mpc, group)
+            np.testing.assert_array_equal(mpc._batch_plan_values(group), expected)
+            for ctx, row in zip(group, expected):
+                np.testing.assert_array_equal(mpc.plan_values(ctx), row)
+        picks = [
+            float(mpc.candidates[int(np.argmax(predecessor_plan_values(mpc, [c])[0]))])
+            for c in ctxs
+        ]
+        assert [d.density for d in mpc.decide_batch(ctxs)] == picks
+
+
+#: (throughput bit/s, buffer s, previous quality, chunks left, points, tie
+#: candidate): ties, an empty buffer, one-chunk horizons, an infinite
+#: throughput (a zero-time download), a subnormal one (an infinite
+#: readiness interval) and an infinite buffer
+EDGE_ROWS = [
+    (25e6, "tie", None, 4, 100_000, 0),
+    (25e6, "tie", 0.5, 1, 100_000, 63),
+    (3e6, "tie", 0.85, 6, 40_000, 7),
+    (80e6, 0.0, 0.15, 3, 100_000, 0),
+    (80e6, 0.0, None, 1, 100_000, 0),
+    (math.inf, 0.0, 0.4, 5, 100_000, 0),
+    (math.inf, "tie", None, 2, 100_000, 3),
+    (1e-310, 2.0, 0.6, 3, 100_000, 0),
+    (1e-310, "tie", None, 1, 100_000, 5),
+    (40e6, math.inf, 0.2, 4, 100_000, 0),
+]
+
+
+class TestPredecessorRecursion:
+    """``==``, not 1e-9: the four-call recursion and the one-``where``
+    variation term are the predecessor's floats, rows batched or alone."""
+
+    @pytest.mark.parametrize("mpc_name", sorted(MPC_FACTORIES))
+    @pytest.mark.parametrize("lat_name", sorted(LATENCIES))
+    def test_edge_rows_equal_the_predecessor(self, mpc_name, lat_name):
+        mpc = MPC_FACTORIES[mpc_name](LATENCIES[lat_name]())
+        ctxs = [oracle_ctx(mpc, *row) for row in EDGE_ROWS]
+        assert_matches_predecessor(mpc, ctxs)
+
+    @given(
+        mpc_name=st.sampled_from(sorted(MPC_FACTORIES)),
+        lat_name=st.sampled_from(sorted(LATENCIES)),
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.floats(1e4, 1e10), st.sampled_from([math.inf, 1e-310])),
+                st.one_of(
+                    st.sampled_from([0.0, "tie", math.inf]), st.floats(0.0, 12.0)
+                ),
+                st.one_of(st.none(), st.floats(0.0, 1.0)),
+                st.integers(1, 7),
+                st.integers(1_000, 300_000),
+                st.integers(0, 63),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_equal_the_predecessor(self, mpc_name, lat_name, rows):
+        mpc = MPC_FACTORIES[mpc_name](LATENCIES[lat_name]())
+        assert_matches_predecessor(mpc, [oracle_ctx(mpc, *row) for row in rows])
+
+
 REGISTRY_POLICIES = (
     "continuous-mpc", "discrete-mpc", "bola", "throughput", "hybrid",
     "buffer-linear",

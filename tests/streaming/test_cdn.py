@@ -1,5 +1,7 @@
 """CDN subsystem: byte conservation, caches, encode, assignment."""
 
+import math
+
 import pytest
 
 from repro.streaming import (
@@ -590,6 +592,35 @@ class TestDiurnalArrivals:
         )
         with pytest.raises(ValueError, match="non-negative multiplier"):
             bad.rate_at(0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean_rate_hz", math.nan),
+            ("mean_rate_hz", math.inf),
+            ("day_seconds", math.nan),
+            ("day_seconds", math.inf),
+            ("days", math.inf),  # ``times()`` never returned
+            ("days", math.nan),
+            ("phase_hours", math.nan),
+        ],
+    )
+    def test_rejects_a_non_finite_field_by_name(self, field, value):
+        """NaN rates and periods used to die late inside ``rate_at``."""
+        kwargs = {"mean_rate_hz": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"DiurnalArrivals.{field} must be finite"):
+            DiurnalArrivals(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_curve_factor(self, bad):
+        """Such a curve died late, inside ``times``, with a conversion error."""
+        with pytest.raises(ValueError, match="curve factors must be finite"):
+            DiurnalArrivals(mean_rate_hz=1.0, curve=(bad,) + (1.0,) * 23)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_window(self, bad):
+        with pytest.raises(ValueError, match="window must be finite"):
+            DiurnalArrivals(mean_rate_hz=1.0).times(bad)
 
 
 class TestMultiDayDiurnal:

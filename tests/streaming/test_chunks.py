@@ -1,5 +1,7 @@
 """Chunk/video spec tests."""
 
+import math
+
 import pytest
 
 from repro.pointcloud import make_video
@@ -42,6 +44,17 @@ class TestChunkSpec:
         with pytest.raises(ValueError):
             self.chunk(bytes_per_point=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_duration(self, bad):
+        with pytest.raises(ValueError, match="ChunkSpec.duration must be finite"):
+            self.chunk(duration=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_bytes_per_point(self, bad):
+        """inf used to fail only in ``bytes_at_density``, with OverflowError."""
+        with pytest.raises(ValueError, match="ChunkSpec.bytes_per_point must be finite"):
+            self.chunk(bytes_per_point=bad)
+
 
 class TestVideoSpec:
     def test_chunking_covers_all_frames(self):
@@ -80,3 +93,15 @@ class TestVideoSpec:
         spec = VideoSpec(name="t", n_frames=10, fps=30, points_per_frame=1)
         with pytest.raises(ValueError):
             spec.chunks(0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_bytes_per_point(self, bad):
+        """NaN used to pass and fail only at first use."""
+        with pytest.raises(ValueError, match="VideoSpec.bytes_per_point must be finite"):
+            VideoSpec(name="t", n_frames=10, fps=30, points_per_frame=1, bytes_per_point=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_chunk_length(self, bad):
+        spec = VideoSpec(name="t", n_frames=10, fps=30, points_per_frame=1)
+        with pytest.raises(ValueError, match="chunk_seconds must be finite"):
+            spec.chunks(bad)

@@ -44,6 +44,17 @@ class TestArrivalProcesses:
         with pytest.raises(ValueError, match="window"):
             PoissonArrivals(rate_hz=1.0).times(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_poisson_rejects_a_non_finite_rate(self, bad):
+        """Both passed ``<= 0``, and ``times`` then never returned."""
+        with pytest.raises(ValueError, match="PoissonArrivals.rate_hz must be finite"):
+            PoissonArrivals(rate_hz=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_poisson_rejects_a_non_finite_window(self, bad):
+        with pytest.raises(ValueError, match="window must be finite"):
+            PoissonArrivals(rate_hz=1.0).times(bad)
+
     def test_trace_arrivals_window_filter(self):
         arr = TraceArrivals((0.0, 1.5, 4.0, 9.0))
         assert arr.times(5.0).tolist() == [0.0, 1.5, 4.0]
@@ -55,6 +66,16 @@ class TestArrivalProcesses:
             TraceArrivals((3.0, 1.0))
         with pytest.raises(ValueError, match="non-negative"):
             TraceArrivals((-1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_trace_arrivals_reject_a_non_finite_entry(self, bad):
+        """A NaN entry used to be dropped silently by ``times``."""
+        with pytest.raises(ValueError, match=r"finite and non-negative, got .* at index 1"):
+            TraceArrivals((0.0, bad))
+
+    def test_trace_arrivals_reject_a_nan_window(self):
+        with pytest.raises(ValueError, match="window must be finite"):
+            TraceArrivals((0.0, 1.0)).times(math.nan)
 
     def test_trace_arrivals_csv_roundtrip(self, tmp_path):
         path = tmp_path / "joins.csv"

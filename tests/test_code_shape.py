@@ -181,6 +181,45 @@ def test_the_scheduler_keeps_its_active_flows_in_one_packed_block():
     assert "slot" not in [f.name for f in dataclasses.fields(_PathFlow)]
 
 
+def test_a_fleet_step_rebuilds_nothing_fixed_for_the_run():
+    """A spec builds its chunk table once per instance and length — an
+    equal but separate spec builds its own, so no cache outlives the specs
+    of a run — ``decide_batch`` hands out the controller's own
+    per-candidate ``Decision`` objects, and only a ``weighted`` link keeps
+    a flow registry (its share denominator is the registry's one reader)."""
+    from repro.metrics import QoEModel
+    from repro.net import NetworkPath, PathScheduler, SharedLink, stable_trace
+    from repro.streaming import (
+        ZERO_LATENCY, AbrContext, ContinuousMPC, SRQualityModel, VideoSpec,
+    )
+
+    spec = VideoSpec("v", n_frames=90, fps=30, points_per_frame=1000)
+    table = spec.chunks(1.0)
+    assert isinstance(table, tuple) and spec.chunks(1.0) is table
+    assert spec.chunks(0.5) is not table
+    twin = VideoSpec("v", n_frames=90, fps=30, points_per_frame=1000)
+    assert twin == spec and twin.chunks(1.0) == table
+    assert twin.chunks(1.0) is not table
+
+    mpc = ContinuousMPC(SRQualityModel(), QoEModel(), ZERO_LATENCY, n_grid=8)
+    ctxs = [AbrContext(tput, 1.0, None, table) for tput in (1e5, 1e7, 1e9)]
+    own = {id(d) for d in mpc._decisions}
+    assert {id(d) for d in mpc.decide_batch(ctxs)} <= own
+    assert id(mpc.decide(ctxs[0])) in own
+
+    sched = PathScheduler()
+    path = NetworkPath((SharedLink(stable_trace(10.0)), SharedLink(stable_trace(5.0))))
+    for flow_id in range(3):
+        sched.add_flow(flow_id, 10_000 * (flow_id + 1), 0.01 * flow_id, path)
+    now = 0.0
+    while sched.busy():
+        assert not sched._link_flows
+        t = sched.next_event(now)
+        sched.advance(now, t)
+        now = t
+    assert not sched._link_flows
+
+
 def test_one_transfer_integrator():
     """``PathScheduler`` times every transfer: ``Link`` runs one flow
     through it and ``simulate_session`` is a fleet of one.  So outside
