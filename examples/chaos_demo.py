@@ -25,7 +25,7 @@ import time
 
 from repro.experiments import make_cdn, make_population
 from repro.experiments.common import SMOKE
-from repro.obs import Telemetry, write_chrome_trace, write_jsonl
+from repro.obs import Telemetry, write_trace
 from repro.streaming import (
     BackhaulDegradation,
     ControlPlane,
@@ -113,10 +113,7 @@ def main() -> None:
     print("\nedge-outage ctrl=on phase breakdown (wall-clock self time):")
     print(telemetry.profiler.report())
     if args.trace_out:
-        if args.trace_out.endswith(".jsonl"):
-            n = write_jsonl(telemetry.tracer, args.trace_out)
-        else:
-            n = write_chrome_trace(telemetry.tracer, args.trace_out)
+        n = write_trace(telemetry.tracer, args.trace_out)
         print(f"trace: {n} events -> {args.trace_out}")
 
     print(

@@ -6,11 +6,11 @@ same video, joining a shared link at staggered times.  A shared LRU
 SR-result cache lets co-watching clients reuse each other's
 super-resolution output.  Prints the operator-facing aggregate report
 (mean/p5/p95 QoE, stall ratio, cache hit rate) for a congested and an
-overprovisioned link, plus a weighted-share comparison, and closes with
-the hot loop's wall-clock phase breakdown (scheduler / advance /
-planner self-time).  ``--trace-out FILE`` also records the congested
-run's structured event trace — Chrome trace-event JSON you can open in
-Perfetto, or a JSONL event log with a ``.jsonl`` suffix.
+overprovisioned link, and closes with the hot loop's wall-clock phase
+breakdown (scheduler / advance / planner self-time).  ``--trace-out
+FILE`` also records the congested run's structured event trace — Chrome
+trace-event JSON you can open in Perfetto, or a JSONL event log with a
+``.jsonl`` suffix.
 
 Run:  python examples/fleet_demo.py [--sessions 100] [--seconds 20]
                                     [--trace-out trace.json]
@@ -20,7 +20,7 @@ import argparse
 import time
 
 from repro.net import stable_trace
-from repro.obs import Telemetry, write_chrome_trace, write_jsonl
+from repro.obs import Telemetry, write_trace
 from repro.streaming import SRResultCache, VideoSpec, simulate_fleet, single_link_cdn
 from repro.experiments import make_fleet
 
@@ -73,34 +73,10 @@ def main() -> None:
         print(f"  [{time.time() - t0:.1f}s wall, makespan "
               f"{result.report.makespan:.0f} virtual s]")
 
-    # Weighted sharing: first 10% of clients get 4x link weight.
-    sessions = make_fleet(args.sessions, spec, join_spacing=0.25)
-    for i, s in enumerate(sessions):
-        s.weight = 4.0 if i < max(1, args.sessions // 10) else 1.0
-    result = simulate_fleet(
-        sessions,
-        topology=single_link_cdn(
-            stable_trace(4.0 * args.sessions, duration=float(4 * args.seconds)),
-            policy="weighted",
-        ),
-        sr_cache=SRResultCache(),
-    )
-    n_premium = max(1, args.sessions // 10)
-    premium = result.sessions[:n_premium]
-    standard = result.sessions[n_premium:]
-    show("weighted (10% premium @4x)", result.report)
-    line = f"  premium mean qoe {sum(r.qoe for r in premium) / len(premium):8.2f}"
-    if standard:
-        line += f"  standard {sum(r.qoe for r in standard) / len(standard):8.2f}"
-    print(line)
-
     print("\ncongested-run phase breakdown (wall-clock self time):")
     print(telemetry.profiler.report())
     if args.trace_out:
-        if args.trace_out.endswith(".jsonl"):
-            n = write_jsonl(telemetry.tracer, args.trace_out)
-        else:
-            n = write_chrome_trace(telemetry.tracer, args.trace_out)
+        n = write_trace(telemetry.tracer, args.trace_out)
         print(f"trace: {n} events -> {args.trace_out}")
 
 

@@ -135,11 +135,6 @@ def main(argv: list[str] | None = None) -> int:
         "for experiments that keep one (fleet-obs)",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="enable the wall-clock phase profiler for experiments that "
-        "support it (fleet-obs; on by default there)",
-    )
-    parser.add_argument(
         "--report", metavar="FILE", default=None,
         help="also write the rendered tables to a markdown file",
     )
@@ -215,8 +210,6 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["trace_out"] = args.trace_out
         if args.metrics_out is not None and "metrics_out" in params:
             kwargs["metrics_out"] = args.metrics_out
-        if args.profile and "profile" in params:
-            kwargs["profile"] = True
         t0 = time.time()
         try:
             rendered = fn(scale, **kwargs).render()

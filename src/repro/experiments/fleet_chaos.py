@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from ..obs import Telemetry
 from ..obs.events import ops_from_events
-from ..obs.export import write_chrome_trace, write_jsonl
+from ..obs.export import write_trace
 from ..streaming.control import ControlPlane, ControlPolicy, QoEArrivalAutoscaler
 from ..streaming.faults import (
     BackhaulDegradation,
@@ -71,7 +71,7 @@ def _controller(
     return ControlPlane(policy, autoscaler=autoscaler)
 
 
-def _check_conservation(tracer, rep) -> None:
+def check_conservation(tracer, rep) -> None:
     """The chaos conservation law: report counters == event-stream fold."""
     fold = ops_from_events(tracer)
     actual = {
@@ -220,11 +220,8 @@ def run_fleet_chaos(
             if ctrl == "on" and per_region:
                 table.notes += f" region-outage/on recovery: {per_region}."
             if telemetry is not None:
-                _check_conservation(telemetry.tracer, rep)
-                if trace_out.endswith(".jsonl"):
-                    n = write_jsonl(telemetry.tracer, trace_out)
-                else:
-                    n = write_chrome_trace(telemetry.tracer, trace_out)
+                check_conservation(telemetry.tracer, rep)
+                n = write_trace(telemetry.tracer, trace_out)
                 table.notes += (
                     f" region-outage/on trace: {n} events -> {trace_out}."
                 )
@@ -263,11 +260,8 @@ def run_fleet_chaos(
             )
         row("edge-outage", ctrl, rep)
         if telemetry is not None:
-            _check_conservation(telemetry.tracer, rep)
-            if trace_out.endswith(".jsonl"):
-                n = write_jsonl(telemetry.tracer, trace_out)
-            else:
-                n = write_chrome_trace(telemetry.tracer, trace_out)
+            check_conservation(telemetry.tracer, rep)
+            n = write_trace(telemetry.tracer, trace_out)
             table.notes += (
                 f" edge-outage/on trace: {n} events -> {trace_out}."
             )

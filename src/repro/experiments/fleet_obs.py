@@ -21,13 +21,13 @@ to the JSONL event log) and a Prometheus-style text dump.
 from __future__ import annotations
 
 from ..obs import Telemetry
-from ..obs.events import ops_from_events
-from ..obs.export import write_chrome_trace, write_jsonl, write_prometheus
+from ..obs.export import write_prometheus, write_trace
 from ..streaming.control import ControlPlane, ControlPolicy
 from ..streaming.faults import BackhaulDegradation, EdgeOutage, FaultSchedule
 from ..streaming.fleet import SRResultCache, simulate_fleet
 from .common import SMOKE, ResultTable, Scale
 from .fleet_cdn import make_cdn
+from .fleet_chaos import check_conservation
 from .workloads import make_population
 
 __all__ = ["run_fleet_obs"]
@@ -67,27 +67,9 @@ def run_fleet_obs(
         controller=ControlPlane(ControlPolicy(interval=control_interval)),
         telemetry=telemetry,
     )
-    rep = result.report
-
-    fold = ops_from_events(telemetry.tracer)
-    mismatches = {
-        name: (fold[name], actual)
-        for name, actual in (
-            ("sessions_resteered", rep.sessions_resteered),
-            ("faults_injected", rep.faults_injected),
-            ("control_ticks", rep.control_ticks),
-            ("encode_pool_resizes", rep.encode_pool_resizes),
-            ("requests_timed_out", rep.requests_timed_out),
-        )
-        if fold[name] != actual
-    }
-    if mismatches:
-        # The nightly sweep runs this experiment for exactly this check:
-        # the event stream must reconstruct the ops counters.
-        raise RuntimeError(
-            f"trace/report conservation violated: {mismatches} "
-            "(event-fold value, report value)"
-        )
+    # The nightly sweep runs this experiment for exactly this check: the
+    # event stream must reconstruct the ops counters.
+    check_conservation(telemetry.tracer, result.report)
 
     notes = [
         f"{n_sessions} viewers, {n_edges} edges, outage on edge 0 + "
@@ -95,10 +77,7 @@ def run_fleet_obs(
         "event fold == report counters (conservation checked).",
     ]
     if trace_out:
-        if trace_out.endswith(".jsonl"):
-            n = write_jsonl(telemetry.tracer, trace_out)
-        else:
-            n = write_chrome_trace(telemetry.tracer, trace_out)
+        n = write_trace(telemetry.tracer, trace_out)
         notes.append(f"trace: {n} events -> {trace_out}")
     if metrics_out:
         write_prometheus(telemetry.metrics, metrics_out)

@@ -64,7 +64,6 @@ def run_fleet_scaling(
     scale: Scale = SMOKE,
     fleet_sizes: tuple[int, ...] = (1, 4, 16, 64),
     link_mbps: float = 400.0,
-    policy: str = "fair",
     sr_cache_size: int = 4096,
     population_sessions: int = 200,
     population_mbps_per_session: float = 6.0,
@@ -109,13 +108,13 @@ def run_fleet_scaling(
         cache = SRResultCache(capacity=sr_cache_size)
         result = simulate_fleet(
             make_fleet(n, spec, abr=abr),
-            topology=single_link_cdn(trace, policy=policy),
+            topology=single_link_cdn(trace),
             sr_cache=cache,
         )
         rep = result.report
         table.add(
             n_sessions=n,
-            policy=policy,
+            policy="fair",
             mean_qoe=round(rep.mean_qoe, 2),
             p5_qoe=round(rep.p5_qoe, 2),
             p95_qoe=round(rep.p95_qoe, 2),
@@ -134,12 +133,12 @@ def run_fleet_scaling(
         )
         rep = simulate_fleet(
             sessions,
-            topology=single_link_cdn(pop_trace, policy=policy),
+            topology=single_link_cdn(pop_trace),
             sr_cache=cache,
         ).report
         table.add(
             n_sessions=len(sessions),
-            policy=f"{policy}+poisson+churn",
+            policy="fair+poisson+churn",
             mean_qoe=round(rep.mean_qoe, 2),
             p5_qoe=round(rep.p5_qoe, 2),
             p95_qoe=round(rep.p95_qoe, 2),

@@ -1,7 +1,7 @@
 """Network substrate: traces, links, multi-hop paths, throughput estimation."""
 
 from .estimator import HarmonicMeanEstimator
-from .link import SHARING_POLICIES, Completion, Link, SharedLink
+from .link import Completion, Link, SharedLink
 from .topology import NetworkPath, PathScheduler
 from .traces import MBPS, PAPER_LTE_PROFILES, NetworkTrace, lte_trace, stable_trace
 
@@ -14,7 +14,6 @@ __all__ = [
     "Link",
     "SharedLink",
     "Completion",
-    "SHARING_POLICIES",
     "NetworkPath",
     "PathScheduler",
     "HarmonicMeanEstimator",

@@ -7,7 +7,7 @@ custom DASH-like protocol over TCP at this level of abstraction (slow-start
 effects are negligible for multi-megabyte chunks on persistent
 connections).  :class:`Link` times one transfer on a link of its own;
 :class:`SharedLink` is the record a link shared between concurrent
-transfers keeps (trace, sharing policy, delivered bits).  Both move
+transfers keeps (trace, delivered bits).  Both move
 their bits through :class:`repro.net.topology.PathScheduler`, the one
 transfer integrator.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .traces import NetworkTrace
 
-__all__ = ["Link", "SharedLink", "Completion", "SHARING_POLICIES"]
+__all__ = ["Link", "SharedLink", "Completion"]
 
 
 class Link:
@@ -52,10 +52,6 @@ class Link:
             now = t
 
 
-#: Supported bandwidth-sharing policies for :class:`SharedLink`.
-SHARING_POLICIES = ("fair", "weighted")
-
-
 @dataclass(frozen=True)
 class Completion:
     """One finished transfer reported by the path scheduler."""
@@ -68,27 +64,18 @@ class Completion:
 class SharedLink:
     """A bottleneck :class:`NetworkTrace` shared by concurrent transfers.
 
-    A record, not an engine: the capacity ``trace``, the sharing
-    ``policy`` and the ``delivered_bits`` tally.  Links are hops of a
+    A record, not an engine: the capacity ``trace`` and the
+    ``delivered_bits`` tally.  Links are hops of a
     :class:`~repro.net.topology.NetworkPath`, and
-    :class:`~repro.net.topology.PathScheduler` moves the bits — weighted
-    processor sharing (the fluid limit of per-flow fair queueing), where
-    at any instant every flow whose data is moving on the link receives
-
-    * ``fair``      — ``capacity / n_active`` regardless of weights;
-    * ``weighted``  — ``capacity * w_i / Σ_active w_j``.
-
-    Both policies are work-conserving, so per-flow allocations always sum
-    to the trace capacity while any flow is active.
+    :class:`~repro.net.topology.PathScheduler` moves the bits — fair
+    processor sharing (the fluid limit of per-flow fair queueing): at any
+    instant every flow whose data is moving on the link receives
+    ``capacity / n_active``.  The split is work-conserving, so per-flow
+    allocations sum to the trace capacity while any flow is active.
     """
 
-    def __init__(self, trace: NetworkTrace, policy: str = "fair"):
-        if policy not in SHARING_POLICIES:
-            raise ValueError(
-                f"unknown sharing policy {policy!r}; pick from {SHARING_POLICIES}"
-            )
+    def __init__(self, trace: NetworkTrace):
         self.trace = trace
-        self.policy = policy
         #: bits that crossed this link, charged by the scheduler as each
         #: flow leaves its pool (conservation checks)
         self.delivered_bits = 0.0

@@ -34,12 +34,11 @@ kept until its trace segment ends, not re-read every step.  The per-flow
 Python loop this replaced lives on
 as ``tests/net/reference_scheduler.py::ReferenceScheduler`` — same
 contract, its own share arithmetic — and ``tests/net/test_topology.py``
-pins the two **bit-exact** on a hypothesis grid of mixed weights,
-staggered starts, gated / cancelled / mid-flight-injected flows and one-
-to three-hop paths over shared links.  The one order-sensitive
-reduction — the ``weighted`` share denominator, where NumPy's pairwise
-summation diverges from Python's sequential ``sum`` at 8+ flows — is an
-insertion-order Python sum here for that reason.
+pins the two **bit-exact** on a hypothesis grid of staggered starts,
+gated / cancelled / mid-flight-injected flows and one- to three-hop
+paths over shared links.  Every link splits its capacity the one fair
+way, ``cap / n_active``; no step sums anything in flow order, so
+completions do not depend on the order flows were added.
 
 **A flow's life cycle: gated → active → finished.**  Which flows share a
 link is not re-derived each step; it is kept, and changes only at events
@@ -132,7 +131,6 @@ class _PathFlow:
     path: NetworkPath
     start_time: float
     data_start: float  # start_time + path RTT + any gate delay
-    weight: float
     total_bits: float
     #: bits left while outside the active block (an active flow's bits
     #: live in its column of the scheduler's arrays)
@@ -149,9 +147,9 @@ class PathScheduler:
     """Event engine for concurrent transfers over a pool of shared links.
 
     Flows are registered with :meth:`add_flow` on a :class:`NetworkPath`;
-    each link allocates its capacity among the flows active *on that
-    link* under its own sharing policy, and a flow drains at the minimum
-    of its per-hop allocations.  The driver loop is ``next_event`` →
+    each link splits its capacity equally among the flows active *on
+    that link*, and a flow drains at the minimum of its per-hop
+    allocations.  The driver loop is ``next_event`` →
     ``advance`` until ``busy()`` turns false.
 
     ``extra_delay`` on :meth:`add_flow` gates a flow's data start beyond
@@ -167,10 +165,6 @@ class PathScheduler:
 
     def __init__(self) -> None:
         self._flows: dict[int, _PathFlow] = {}
-        #: per-``weighted``-link flow registries, insertion-ordered (the
-        #: weighted share denominator sums in this order; a fair link's
-        #: denominator is a count and needs none)
-        self._link_flows: dict[int, dict[int, _PathFlow]] = {}
         #: bits actually delivered to receivers (conservation checks)
         self.delivered_bits = 0.0
         self._vec = _VectorState()
@@ -184,7 +178,6 @@ class PathScheduler:
         nbytes: int,
         start_time: float,
         path: NetworkPath,
-        weight: float = 1.0,
         extra_delay: float = 0.0,
     ) -> None:
         """Register a transfer of ``nbytes`` requested at ``start_time``."""
@@ -201,8 +194,6 @@ class PathScheduler:
             raise ValueError(
                 f"flow {flow_id}: start_time must be finite and non-negative"
             )
-        if not 0 < weight < math.inf:
-            raise ValueError(f"flow {flow_id}: weight must be finite and positive")
         if not 0 <= extra_delay < math.inf:
             raise ValueError(
                 f"flow {flow_id}: extra_delay must be finite and non-negative"
@@ -212,14 +203,10 @@ class PathScheduler:
             path=path,
             start_time=float(start_time),
             data_start=float(start_time) + path.rtt + float(extra_delay),
-            weight=float(weight),
             total_bits=float(nbytes) * 8.0,
             remaining=float(nbytes) * 8.0,
         )
         self._flows[flow_id] = flow
-        for link in path.links:
-            if link.policy == "weighted":
-                self._link_flows.setdefault(id(link), {})[flow_id] = flow
         self._vec.add(flow)
 
     @property
@@ -358,13 +345,10 @@ class PathScheduler:
         version)`` so the ``next_event`` → ``advance`` pair of one event
         step computes the allocation once.  The float expressions are the
         per-flow reference's (``tests/net/reference_scheduler.py``),
-        pinned bit-exact by its parity grid: fair denominators are integer
-        counts kept at the activation transitions, weighted denominators
-        are an insertion-order Python sum (NumPy's pairwise reduction
-        diverges from ``sum`` at 8+ flows), shares are ``cap / denom`` —
-        one link-sized division, gathered per hop — or ``(cap * w) /
-        denom``, and the per-flow rate is an order-insensitive min over
-        the hop axis.
+        pinned bit-exact by its parity grid: denominators are integer
+        counts kept at the activation transitions, shares are ``cap /
+        denom`` — one link-sized division, gathered per hop — and the
+        per-flow rate is an order-insensitive min over the hop axis.
         """
         v = self._vec
         key = (now, v.version)
@@ -380,21 +364,7 @@ class PathScheduler:
         if n == 0:
             rates = _EMPTY
         else:
-            rows = v.hops[:, :n]
-            if v.weighted_links:
-                for li in v.weighted_links:
-                    if li in v.link_count:
-                        total = 0.0
-                        for f in self._link_flows[id(v.link_list[li])].values():
-                            if f.col >= 0:
-                                total += f.weight
-                        denom[li] = total
-                numer = np.where(
-                    v.is_weighted[rows], cap[rows] * v.weight[:n], cap[rows]
-                )
-                rates = _min(numer / denom[rows], axis=0)
-            else:
-                rates = _min((cap / denom)[rows], axis=0)
+            rates = _min((cap / denom)[v.hops[:, :n]], axis=0)
         out = (n, rates, next_gate)
         v.alloc_cache = (key, out)
         return out
@@ -408,9 +378,6 @@ class PathScheduler:
             for link in flow.path.links:
                 link.delivered_bits += crossed
         del self._flows[flow.flow_id]
-        for link in flow.path.links:
-            if link.policy == "weighted":
-                del self._link_flows[id(link)][flow.flow_id]
         self._vec.remove(flow)
 
 
@@ -431,7 +398,7 @@ class _VectorState:
     """The packed active block behind :class:`PathScheduler`.
 
     The ``n_act`` active flows own columns ``0 … n_act-1`` of the rows
-    ``remaining`` / ``weight`` / ``thresh`` and of the ``(hop, column)``
+    ``remaining`` / ``thresh`` and of the ``(hop, column)``
     matrix ``hops`` of indices into ``link_list`` (index 0 pads short
     paths: a sentinel); ``flows[c]`` is column ``c``'s flow.  Activation
     appends a column, deactivation moves the last one into the gap, so a
@@ -447,8 +414,8 @@ class _VectorState:
     def __init__(self) -> None:
         self.n_act = 0
         self.flows: list[_PathFlow] = []
-        #: rows ``remaining`` / ``weight`` / ``thresh`` (finish threshold)
-        self.scalars = np.zeros((3, 0))
+        #: rows ``remaining`` / ``thresh`` (finish threshold)
+        self.scalars = np.zeros((2, 0))
         self.hops = np.zeros((2, 0), dtype=np.intp)
         self._reshape(2, 64)
         #: flows waiting for their ``data_start``: a heap of
@@ -463,8 +430,6 @@ class _VectorState:
         #: ``id(path) -> (path, its hops' link indices)``; holding the path
         #: keeps its ``id`` from being reused while the entry lives
         self.path_ids: dict[int, tuple[NetworkPath, tuple[int, ...]]] = {}
-        self.weighted_links: list[int] = []
-        self.is_weighted = np.zeros(1, dtype=bool)
         #: active flows per link, links with none left out — counted over
         #: each flow's own hops (``link_ids``), never over its ``hops``
         #: column: the column's padding is link 0, and ``_reshape`` can
@@ -516,13 +481,8 @@ class _VectorState:
                 li = len(self.link_list)
                 self.link_index[id(link)] = li
                 self.link_list.append(link)
-                if link.policy == "weighted":
-                    self.weighted_links.append(li)
                 grew_links = True
         if grew_links:
-            self.is_weighted = np.array(
-                [l is not None and l.policy == "weighted" for l in self.link_list]
-            )
             fresh = len(self.link_list) - len(self.denom)
             self.denom = np.concatenate([self.denom, np.ones(fresh)])
             self.cap = np.concatenate([self.cap, np.zeros(fresh)])
@@ -555,7 +515,6 @@ class _VectorState:
         if c == self.hops.shape[1]:
             self._reshape(len(self.hops), 2 * c)
         self.remaining[c] = flow.remaining
-        self.weight[c] = flow.weight
         self.thresh[c] = max(_FINISH_RTOL * flow.total_bits, _FINISH_ATOL)
         ids = flow.link_ids
         self.hops[:, c] = ids + (0,) * (len(self.hops) - len(ids))
@@ -640,8 +599,8 @@ class _VectorState:
         """Re-allocate the block as ``n_hops`` × ``n_cols``, keeping the
         active columns (new hop rows pad with the sentinel)."""
         n = self.n_act
-        hops, scalars = np.zeros((n_hops, n_cols), dtype=np.intp), np.zeros((3, n_cols))
+        hops, scalars = np.zeros((n_hops, n_cols), dtype=np.intp), np.zeros((2, n_cols))
         hops[: len(self.hops), :n] = self.hops[:, :n]
         scalars[:, :n] = self.scalars[:, :n]
         self.hops, self.scalars = hops, scalars
-        self.remaining, self.weight, self.thresh = scalars
+        self.remaining, self.thresh = scalars

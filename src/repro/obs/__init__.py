@@ -63,6 +63,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
     write_prometheus,
+    write_trace,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
 from .profiler import NULL_PROFILER, PhaseProfiler
@@ -85,6 +86,7 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
     "write_prometheus",
+    "write_trace",
     "EV_SESSION_START",
     "EV_SESSION_FINISH",
     "EV_SESSION_ABANDON",

@@ -12,6 +12,8 @@ Three interchange formats for one run's telemetry:
   events (which carry their transfer's ``elapsed``) become duration
   slices so a session's timeline reads as back-to-back chunk
   transfers with instant markers for everything else;
+* :func:`write_trace` — the one place a trace file's format is picked
+  from its name: JSONL for a ``.jsonl`` suffix, Chrome JSON otherwise;
 * :func:`prometheus_text` / :func:`write_prometheus` — the Prometheus
   text exposition format for a :class:`~repro.obs.metrics.MetricsRegistry`
   (counters, gauges, ``_bucket``/``_sum``/``_count`` histograms, and
@@ -34,6 +36,7 @@ __all__ = [
     "write_jsonl",
     "chrome_trace",
     "write_chrome_trace",
+    "write_trace",
     "prometheus_text",
     "write_prometheus",
 ]
@@ -124,6 +127,14 @@ def write_chrome_trace(events, path: str) -> int:
         json.dump(doc, fh)
     # metadata records are not telemetry events
     return sum(1 for e in doc["traceEvents"] if e["ph"] != "M")
+
+
+def write_trace(events, path: str) -> int:
+    """Write ``events`` to ``path`` as a JSONL event log if the name ends
+    in ``.jsonl``, else as Chrome trace-event JSON; returns event count."""
+    if path.endswith(".jsonl"):
+        return write_jsonl(events, path)
+    return write_chrome_trace(events, path)
 
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")

@@ -193,7 +193,13 @@ class Decision:
 
 
 class AbrController:
-    """Interface: pick a decision for the next chunk."""
+    """Interface: pick a decision for the next chunk.
+
+    The contract every registered policy
+    (:mod:`repro.streaming.policies`) meets: each decision is a function
+    of its own context only, so batch composition, order and call history
+    are invisible to it.
+    """
 
     def decide(self, ctx: AbrContext) -> Decision:
         raise NotImplementedError

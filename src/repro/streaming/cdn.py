@@ -584,7 +584,6 @@ def uniform_cdn(
     access_rtt: float = 0.010,
     backhaul_rtt: float = 0.020,
     cache_bytes: int = 1 << 30,
-    policy: str = "fair",
     assignment: str = "static",
     n_encode_workers: int = 4,
     encode_seconds: float = 0.0,
@@ -620,12 +619,10 @@ def uniform_cdn(
         EdgeNode(
             name=f"edge-{i}",
             backhaul=SharedLink(
-                stable_trace(backhaul_mbps, duration=duration, rtt=backhaul_rtt),
-                policy=policy,
+                stable_trace(backhaul_mbps, duration=duration, rtt=backhaul_rtt)
             ),
             access=SharedLink(
-                stable_trace(access_mbps, duration=duration, rtt=access_rtt),
-                policy=policy,
+                stable_trace(access_mbps, duration=duration, rtt=access_rtt)
             ),
             cache=EdgeChunkCache(capacity_bytes=cache_bytes),
         )
@@ -639,14 +636,14 @@ def uniform_cdn(
     )
 
 
-def single_link_cdn(trace: NetworkTrace, *, policy: str = "fair") -> CDNTopology:
+def single_link_cdn(trace: NetworkTrace) -> CDNTopology:
     """One bottleneck link as a one-edge CDN: every viewer shares ``trace``.
 
     The edge's access link is the bottleneck; its cache holds nothing and
     the origin encodes in zero time, so every request travels backhaul +
     access at once.  The backhaul is unconstrained: at 1 Tbit/s (above any
-    access rate) with zero RTT, and split by the same policy over the same
-    flows, its share never undercuts the access share, and it steps on the
+    access rate) with zero RTT, and split fairly over the same flows, its
+    share never undercuts the access share, and it steps on the
     access trace's own grid, so each of its segment ends is an access
     segment end computed by the same float expression — it adds no wake
     that would split a fluid advance, which is why a fleet on this
@@ -656,8 +653,8 @@ def single_link_cdn(trace: NetworkTrace, *, policy: str = "fair") -> CDNTopology
     backhaul = NetworkTrace("backhaul", ts, np.full(len(ts), 1e12), rtt=0.0)
     edge = EdgeNode(
         name="edge-0",
-        backhaul=SharedLink(backhaul, policy=policy),
-        access=SharedLink(trace, policy=policy),
+        backhaul=SharedLink(backhaul),
+        access=SharedLink(trace),
         cache=EdgeChunkCache(capacity_bytes=0),
     )
     origin = OriginServer(n_encode_workers=1, encode_seconds=0.0)

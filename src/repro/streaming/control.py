@@ -44,6 +44,7 @@ pre-fault baseline, and the time from fault onset back to baseline.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from ..obs.events import (
@@ -97,26 +98,33 @@ class ControlPolicy:
     disable_sr_when_dark: bool = False
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval!r}")
-        if self.encode_wait_low > self.encode_wait_high:
+        # chained so NaN fails them (every comparison with NaN is false);
+        # an ``inf`` threshold is legal — it switches its lever off
+        if not 0 < self.interval < math.inf:
             raise ValueError(
-                "encode_wait_low must not exceed encode_wait_high, got "
-                f"{self.encode_wait_low!r} > {self.encode_wait_high!r}"
+                f"interval must be finite and positive, got {self.interval!r}"
             )
-        if self.min_encode_workers < 1:
-            raise ValueError("min_encode_workers must be >= 1")
-        if self.max_encode_workers < self.min_encode_workers:
+        if not 0 <= self.encode_wait_high <= math.inf:
             raise ValueError(
-                "max_encode_workers must be >= min_encode_workers"
+                "encode_wait_high must be non-negative, got "
+                f"{self.encode_wait_high!r}"
             )
-        if self.saturation_factor <= 1.0:
+        if not 0 <= self.encode_wait_low <= self.encode_wait_high:
+            raise ValueError(
+                "encode_wait_low must be non-negative and not exceed "
+                f"encode_wait_high, got {self.encode_wait_low!r} "
+                f"(encode_wait_high {self.encode_wait_high!r})"
+            )
+        _check_count("min_encode_workers", self.min_encode_workers, 1)
+        _check_count(
+            "max_encode_workers", self.max_encode_workers, self.min_encode_workers
+        )
+        if not 1.0 < self.saturation_factor <= math.inf:
             raise ValueError(
                 f"saturation_factor must exceed 1.0, got "
                 f"{self.saturation_factor!r}"
             )
-        if self.max_resteers_per_tick < 0:
-            raise ValueError("max_resteers_per_tick must be non-negative")
+        _check_count("max_resteers_per_tick", self.max_resteers_per_tick, 0)
         if self.quality_cap_when_dark is not None and not (
             0.0 < self.quality_cap_when_dark <= 1.0
         ):
@@ -124,6 +132,16 @@ class ControlPolicy:
                 "quality_cap_when_dark must be in (0, 1] (a density "
                 f"cap), got {self.quality_cap_when_dark!r}"
             )
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise unless ``value`` is an integer (``bool`` excluded) >= ``minimum``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or not value >= minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

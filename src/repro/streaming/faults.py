@@ -60,6 +60,7 @@ simulator (the control plane's entry in the oracle-parity convention).
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -325,23 +326,31 @@ class RetryPolicy:
     hedge: bool = False
 
     def __post_init__(self) -> None:
-        if not self.timeout_s > 0:
+        # chained so NaN fails them (every comparison with NaN is false);
+        # ``inf`` stays legal only for the timeout, where it means "never"
+        if not 0 < self.timeout_s <= math.inf:
             raise ValueError(
                 f"timeout_s must be positive, got {self.timeout_s!r}"
             )
-        if self.backoff_base_s < 0:
+        if not 0 <= self.backoff_base_s < math.inf:
             raise ValueError(
-                f"backoff_base_s must be non-negative, got "
+                f"backoff_base_s must be finite and non-negative, got "
                 f"{self.backoff_base_s!r}"
             )
-        if self.backoff_cap_s < self.backoff_base_s:
+        if not self.backoff_base_s <= self.backoff_cap_s < math.inf:
             raise ValueError(
-                "backoff_cap_s must be >= backoff_base_s, got "
-                f"{self.backoff_cap_s!r} < {self.backoff_base_s!r}"
+                "backoff_cap_s must be finite and >= backoff_base_s, got "
+                f"{self.backoff_cap_s!r} (backoff_base_s "
+                f"{self.backoff_base_s!r})"
             )
-        if self.max_attempts < 1:
+        if (
+            isinstance(self.max_attempts, bool)
+            or not isinstance(self.max_attempts, numbers.Integral)
+            or not self.max_attempts >= 1
+        ):
             raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
+                f"max_attempts must be an integer >= 1, got "
+                f"{self.max_attempts!r}"
             )
 
     def backoff(self, retry_index: int) -> float:

@@ -14,8 +14,8 @@ state machines against a shared network in virtual time:
   two-hop path (miss), gated by the origin's bounded encode queue — the
   classic single bottleneck is the one-edge
   :func:`~repro.streaming.cdn.single_link_cdn`;
-* each link splits capacity among in-flight downloads with a configurable
-  policy (``fair`` processor sharing or ``weighted`` by session weight);
+* each link splits its capacity equally among its in-flight downloads
+  (fair processor sharing);
 * an optional :class:`SRResultCache` shares super-resolution results
   across co-watching sessions of the same video, so the Nth viewer of a
   popular chunk pays nothing for SR — the amortization lever that makes
@@ -122,12 +122,12 @@ _MAX_STALLED_STEPS = 1000
 
 @dataclass
 class FleetSession:
-    """One client in a fleet: content, controller, join time, link weight.
+    """One client in a fleet: content, controller, join time, patience.
 
     Controllers may be shared across sessions (the ABR classes are
     stateless between ``decide`` calls) or instantiated per session.
-    ``weight`` only matters under the ``weighted`` sharing policy — e.g.
-    premium tiers or operator-prioritized flows.
+    Every session's downloads take an equal share of each link they
+    cross; there is no per-session priority.
     """
 
     spec: VideoSpec
@@ -137,7 +137,6 @@ class FleetSession:
     config: SessionConfig | None = None
     qoe_weights: QoEWeights | None = None
     join_time: float = 0.0
-    weight: float = 1.0
     #: viewer stall patience; None = never abandons
     churn: AbandonPolicy | None = None
 
@@ -145,8 +144,6 @@ class FleetSession:
         # chained so NaN fails them (every comparison with NaN is false)
         if not 0 <= self.join_time < math.inf:
             raise ValueError("join_time must be finite and non-negative")
-        if not 0 < self.weight < math.inf:
-            raise ValueError("weight must be finite and positive")
 
 
 class SRResultCache:
@@ -865,7 +862,6 @@ class _FleetRun:
         access path), a coalesced attach onto an in-flight fill, or an
         origin miss (encode wait, then backhaul + access)."""
         tracer = self.tracer
-        weight = self.sessions[sid].weight
         edge_idx = self.assignment[sid]
         edge = self.edges[edge_idx]
         key = _chunk_key(req)
@@ -922,8 +918,7 @@ class _FleetRun:
             route=route, edge=edge_idx, nbytes=req.nbytes, **extra,
         )
         self.sched.add_flow(
-            sid, req.nbytes, req.start_time, path,
-            weight=weight, extra_delay=delay,
+            sid, req.nbytes, req.start_time, path, extra_delay=delay
         )
 
     def _gray_drop(self, edge_idx: int, sid: int, req: DownloadRequest) -> float:
@@ -990,7 +985,6 @@ class _FleetRun:
             gate = t - (wreq.start_time + edge.hit_path.rtt)
             self.sched.add_flow(
                 wsid, wreq.nbytes, wreq.start_time, edge.hit_path,
-                weight=self.sessions[wsid].weight,
                 extra_delay=max(gate, 0.0),
             )
 

@@ -1,12 +1,10 @@
-"""ABR policy zoo: a registry of controllers behind one explicit protocol.
+"""ABR policy zoo: a registry of controllers and the non-MPC families.
 
-:mod:`repro.streaming.abr` grew the controller *interface* implicitly —
-``decide`` / ``decide_batch`` — with only the MPC family vectorizing
-the batch entry point.  This module makes the contract explicit
-(:class:`AbrPolicy`), adds a string-keyed registry so experiments and
-CLIs resolve controllers by name
-(``get_policy("bola")``), and fills out the zoo with the classic
-non-MPC control families:
+Every controller is an :class:`~repro.streaming.abr.AbrController` —
+``decide`` / ``decide_batch``, the contract the fleet driver programs
+against.  This module adds a string-keyed registry so experiments and
+CLIs resolve controllers by name (``get_policy("bola")``), and fills
+out the zoo with the classic non-MPC control families:
 
 * :class:`BolaController` — BOLA-style Lyapunov utility over buffer
   occupancy (Spiteri et al.): pick the candidate maximizing
@@ -33,7 +31,7 @@ oracle-parity convention).
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +49,6 @@ from .chunks import ChunkSpec
 from .latency import ZERO_LATENCY
 
 __all__ = [
-    "AbrPolicy",
     "BolaController",
     "ThroughputRuleController",
     "HybridController",
@@ -59,29 +56,6 @@ __all__ = [
     "get_policy",
     "available_policies",
 ]
-
-
-@runtime_checkable
-class AbrPolicy(Protocol):
-    """The controller contract the fleet driver programs against.
-
-    * ``decide_batch(ctxs)`` — one call resolving every session parked
-      on a decision at an event step; the implementation of every array
-      policy.  Each decision is a function of its own context only:
-      batch composition, order and call history are invisible.
-    * ``decide(ctx)`` — the one-row call; ``decide_batch(ctxs)`` must
-      equal ``[decide(c) for c in ctxs]``.  The independent references
-      the parity grids compare against live under ``tests/streaming/``.
-    * ``quality_model`` — the :class:`~repro.streaming.abr.SRQualityModel`
-      the policy prices decisions with (fleet drivers and experiments
-      read it to keep session quality accounting consistent).
-    """
-
-    quality_model: SRQualityModel
-
-    def decide(self, ctx: AbrContext) -> Decision: ...
-
-    def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]: ...
 
 
 # ----------------------------------------------------------------------

@@ -380,7 +380,6 @@ def build_population(
     config: SessionConfig | None = None,
     qoe_weights: QoEWeights | None = None,
     churn: AbandonPolicy | None = None,
-    weight: float = 1.0,
     seed: int = 0,
     max_sessions: int | None = None,
 ) -> list[FleetSession]:
@@ -415,7 +414,6 @@ def build_population(
             config=config,
             qoe_weights=qoe_weights,
             join_time=float(t),
-            weight=weight,
             churn=churn,
         )
         for t, u in zip(join_times, picks)

@@ -37,8 +37,7 @@ class FleetSpec:
     """
 
     #: the serving graph: per-edge chunk caches, backhaul + access hops,
-    #: origin encode contention, each link with its own sharing policy
-    #: (``fair`` processor sharing or ``weighted`` by session weight).
+    #: origin encode contention; every link is fair processor sharing.
     #: Each chunk request consults its edge's cache at request time: a
     #: hit travels the one-hop access path; a miss waits for the origin to
     #: hold the encoded variant (bounded encode workers), travels backhaul

@@ -105,6 +105,14 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_profile_flag_is_gone(self, capsys):
+        """fleet-obs profiles by default and nothing turns it off, so
+        --profile is an unknown option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet-obs", "--profile"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
+
     def test_control_interval_flag_reaches_fleet_chaos(
         self, monkeypatch, capsys
     ):

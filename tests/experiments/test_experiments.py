@@ -147,6 +147,9 @@ class TestFleetScaling:
     def test_all_fleet_sizes_reported(self, table):
         assert table.column("n_sessions")[:3] == [1, 4, 16]
 
+    def test_every_row_is_fair_sharing(self, table):
+        assert table.column("policy") == ["fair"] * 3 + ["fair+poisson+churn"]
+
     def test_contention_degrades_qoe(self, table):
         qoes = table.column("mean_qoe")
         assert qoes[0] > qoes[2]  # 16 clients on the pipe beats 1 never

@@ -33,7 +33,6 @@ class _Flow:
     path: NetworkPath
     start_time: float
     data_start: float  # start_time + path RTT + any gate delay
-    weight: float
     total_bits: float
     remaining_bits: float
 
@@ -52,7 +51,6 @@ class ReferenceScheduler:
         nbytes: int,
         start_time: float,
         path: NetworkPath,
-        weight: float = 1.0,
         extra_delay: float = 0.0,
     ) -> None:
         if flow_id in self._flows:
@@ -63,7 +61,6 @@ class ReferenceScheduler:
             path=path,
             start_time=float(start_time),
             data_start=float(start_time) + path.rtt + float(extra_delay),
-            weight=float(weight),
             total_bits=bits,
             remaining_bits=bits,
         )
@@ -92,26 +89,19 @@ class ReferenceScheduler:
         ]
 
     def _rates(self, active: list[_Flow], now: float) -> list[float]:
-        """Each active flow's min-over-hops processor-sharing allocation."""
-        on_link: dict[int, list[_Flow]] = {}
-        for f in active:  # pool insertion order, per link
-            for link in f.path.links:
-                on_link.setdefault(id(link), []).append(f)
-        rates = []
+        """Each active flow's min-over-hops fair processor-sharing
+        allocation: ``capacity / sharers`` on every hop."""
+        sharers: dict[int, int] = {}
         for f in active:
-            shares = []
             for link in f.path.links:
-                capacity = link.trace.bandwidth_at(now)
-                sharers = on_link[id(link)]
-                if link.policy == "weighted":
-                    total = 0.0
-                    for g in sharers:
-                        total += g.weight
-                    shares.append(capacity * f.weight / total)
-                else:
-                    shares.append(capacity / float(len(sharers)))
-            rates.append(min(shares))
-        return rates
+                sharers[id(link)] = sharers.get(id(link), 0) + 1
+        return [
+            min(
+                link.trace.bandwidth_at(now) / float(sharers[id(link)])
+                for link in f.path.links
+            )
+            for f in active
+        ]
 
     def _deliver(self, flow: _Flow, bits: float) -> None:
         self.delivered_bits += bits

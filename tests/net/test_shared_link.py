@@ -1,4 +1,4 @@
-"""One shared link: processor sharing, weights, conservation, lone-flow arithmetic.
+"""One shared link: fair processor sharing, conservation, lone-flow arithmetic.
 
 The single-bottleneck behaviours, checked on the one engine that moves
 bits: a :class:`PathScheduler` whose every flow rides the same one-hop
@@ -29,15 +29,15 @@ def const_trace(bps: float, rtt: float = 0.0) -> NetworkTrace:
 class OneHop:
     """A link and the scheduler sharing it between one-hop flows."""
 
-    def __init__(self, trace: NetworkTrace, policy: str = "fair"):
-        self.link = SharedLink(trace, policy=policy)
+    def __init__(self, trace: NetworkTrace):
+        self.link = SharedLink(trace)
         self.path = NetworkPath((self.link,))
         self.sched = PathScheduler()
         self.next_event = self.sched.next_event
         self.advance = self.sched.advance
 
-    def add_flow(self, flow_id, nbytes, start_time, weight=1.0):
-        self.sched.add_flow(flow_id, nbytes, start_time, self.path, weight=weight)
+    def add_flow(self, flow_id, nbytes, start_time):
+        self.sched.add_flow(flow_id, nbytes, start_time, self.path)
 
 
 def drive(shared: OneHop, now: float = 0.0):
@@ -164,37 +164,65 @@ class TestFairSharing:
             assert c.finish_time == pytest.approx(expected, rel=1e-9)
 
 
-class TestWeightedSharing:
-    def test_weights_split_capacity_proportionally(self):
-        # 3:1 weights on 1000 bps → 750/250 bps while both active.
-        shared = OneHop(const_trace(1000.0), policy="weighted")
-        shared.add_flow(0, 375, 0.0, weight=3.0)  # 3000 bits
-        shared.add_flow(1, 125, 0.0, weight=1.0)  # 1000 bits
+class TestProcessorSharingArithmetic:
+    """Fair sharing against hand arithmetic: ``cap / n_active`` per flow,
+    and a share returns to the others the moment its flow leaves."""
+
+    @pytest.mark.parametrize(
+        "kbytes",
+        [(1,), (1, 1), (1, 2, 3), (5, 5, 1), (3, 1, 4, 1, 5),
+         (2, 7, 1, 8, 2, 8), (1,) * 8, (9, 8, 7, 6, 5, 4, 3, 2, 1)],
+    )
+    def test_simultaneous_flows_finish_at_the_closed_form(self, kbytes):
+        """``n`` flows from t = 0 on a constant link: the k-th smallest
+        finishes at ``T_k = T_{k-1} + (n - k + 1)(b_k - b_{k-1}) / C`` —
+        every survivor drains the same bits between two departures."""
+        cap = 64_000.0
+        shared = OneHop(const_trace(cap))
+        for i, kb in enumerate(kbytes):
+            shared.add_flow(i, 1000 * kb, 0.0)
+        finish = {c.flow_id: c.finish_time for c in drive(shared)}
+        bits = sorted(8000.0 * kb for kb in kbytes)
+        expected, t, prev = [], 0.0, 0.0
+        for k, b in enumerate(bits):
+            t += (len(bits) - k) * (b - prev) / cap
+            expected.append(t)
+            prev = b
+        got = [finish[i] for i in sorted(finish, key=lambda i: (kbytes[i], i))]
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_a_gated_flow_takes_no_share_before_its_data_start(self):
+        # 8000 bps.  A (20 kbit) runs alone for 1 s; B (8 kbit, gated 1 s)
+        # then halves the link: B done at t = 3, A's last 4 kbit alone by 3.5.
+        shared = OneHop(const_trace(8000.0))
+        shared.add_flow(0, 2500, 0.0)
+        shared.sched.add_flow(1, 1000, 0.0, shared.path, extra_delay=1.0)
         done = {c.flow_id: c for c in drive(shared)}
-        # Both drain exactly at t=4 under proportional shares.
-        assert done[0].finish_time == pytest.approx(4.0)
-        assert done[1].finish_time == pytest.approx(4.0)
+        assert done[1].elapsed == pytest.approx(3.0, rel=1e-12)
+        assert done[0].finish_time == pytest.approx(3.5, rel=1e-12)
 
-    def test_fair_policy_ignores_weights(self):
-        shared = OneHop(const_trace(1000.0), policy="fair")
-        shared.add_flow(0, 125, 0.0, weight=100.0)
-        shared.add_flow(1, 125, 0.0, weight=1.0)
-        done = drive(shared)
-        assert done[0].finish_time == pytest.approx(done[1].finish_time)
+    def test_a_cancelled_flow_hands_its_share_back(self):
+        # Two 20-kbit flows on 8000 bps; B cancelled at t = 1 after 4 kbit.
+        # A has 16 kbit left and the whole link: done at t = 3, not 5.
+        shared = OneHop(const_trace(8000.0))
+        shared.add_flow(0, 2500, 0.0)
+        shared.add_flow(1, 2500, 0.0)
+        assert shared.advance(0.0, 1.0) == []
+        shared.sched.cancel(1)
+        (done,) = drive(shared, 1.0)
+        assert done.finish_time == pytest.approx(3.0, rel=1e-12)
+        assert shared.link.delivered_bits == pytest.approx(24_000.0, rel=1e-12)
 
-    def test_lone_weighted_flow_gets_full_capacity(self):
-        trace = const_trace(1000.0)
-        shared = OneHop(trace, policy="weighted")
-        shared.add_flow(0, 125, 0.0, weight=0.25)
-        (done,) = drive(shared)
-        assert done.finish_time == pytest.approx(1.0)
+    def test_a_zero_byte_flow_takes_no_share(self):
+        shared = OneHop(const_trace(8000.0))
+        shared.add_flow(0, 1000, 0.0)
+        shared.add_flow(1, 0, 0.0)
+        shared.sched.add_flow(2, 0, 0.0, shared.path, extra_delay=0.5)
+        done = {c.flow_id: c.finish_time for c in drive(shared)}
+        assert done == {0: pytest.approx(1.0, rel=1e-12), 1: 0.0, 2: 0.5}
 
 
 class TestValidation:
-    def test_bad_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            OneHop(const_trace(1e6), policy="strict")
-
     def test_duplicate_flow_id(self):
         shared = OneHop(const_trace(1e6))
         shared.add_flow(0, 100, 0.0)
@@ -207,8 +235,6 @@ class TestValidation:
             shared.add_flow(0, -1, 0.0)
         with pytest.raises(ValueError):
             shared.add_flow(0, 100, -1.0)
-        with pytest.raises(ValueError):
-            shared.add_flow(0, 100, 0.0, weight=0.0)
         with pytest.raises(RuntimeError):
             shared.next_event(0.0)
         with pytest.raises(ValueError):

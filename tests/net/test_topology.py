@@ -5,8 +5,7 @@
 it is pinned to.  Following the repo's oracle-parity convention (kNN
 backends, the MPC planner), :class:`TestEngineParity` drives both over
 the same hypothesis-generated workloads — one- to three-hop paths over
-shared links, fair and weighted, gated, cancelled and mid-flight-injected
-flows — asserting ``==`` on the completion streams, and the contract
+shared links, gated, cancelled and mid-flight-injected flows — asserting ``==`` on the completion streams, and the contract
 tests in :class:`TestOneHopParity` run against both implementations
 (ids ``vector`` = production, ``scalar`` = the reference).  Hand
 arithmetic checks lone flows in ``tests/net/test_shared_link.py``.
@@ -14,6 +13,7 @@ arithmetic checks lone flows in ``tests/net/test_shared_link.py``.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,19 +49,17 @@ def drive(engine, now=0.0):
     return out
 
 
-#: (nbytes, start_time, weight) triples with staggered starts.
+#: (nbytes, start_time) pairs with staggered starts.
 flow_lists = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=50_000_000),
         st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
-        st.floats(min_value=0.25, max_value=4.0, allow_nan=False),
     ),
     min_size=1,
     max_size=6,
 )
 
-#: per-flow (size, start, weight, path index, extra_delay, cancel, inject)
-#: draws.  ``size`` is seconds the flow would take alone at the trace's
+#: per-flow (size, start, path index, extra_delay, cancel, inject) draws.  ``size`` is seconds the flow would take alone at the trace's
 #: mean rate (0 = a zero-byte flow) and starts fall on a 0.1 s lattice
 #: inside 4 s, so most draws have several flows sharing a link at once
 #: and some start or finish together; byte counts drawn directly leave
@@ -74,7 +72,6 @@ scripted_flows = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=40).map(lambda k: 0.25 * k),
         st.integers(min_value=0, max_value=40).map(lambda k: 0.1 * k),
-        st.floats(min_value=0.25, max_value=4.0, allow_nan=False),
         st.integers(min_value=0, max_value=3),
         st.sampled_from([0.0, 0.0, 0.5, 2.0]),
         st.sampled_from([None, None, None, None, 0.3, 2.0]),
@@ -93,21 +90,19 @@ def sized(flows, mean_mbps):
     ]
 
 
-def build_pool(policy, mean, seed):
+def build_pool(mean, seed):
     """Three links and five paths (one to three hops) sharing them.
 
     The third link wears two overlapping degradation windows, so the
     grid covers both capacity paths: plain traces kept until their
     segment ends, wrapped traces re-read every step."""
     links = [
-        SharedLink(lte_trace(mean, mean / 3, duration=90.0, seed=seed),
-                   policy=policy),
-        SharedLink(stable_trace(mean * 1.5, duration=90.0, rtt=0.005),
-                   policy=policy),
+        SharedLink(lte_trace(mean, mean / 3, duration=90.0, seed=seed)),
+        SharedLink(stable_trace(mean * 1.5, duration=90.0, rtt=0.005)),
         SharedLink(DegradedTrace(
             lte_trace(mean / 2, mean / 6, duration=90.0, seed=seed + 50),
             [(0.75, 2.25, 0.5), (1.5, 6.0, 0.8)],
-        ), policy=policy),
+        )),
     ]
     paths = [
         NetworkPath((links[0],)),
@@ -122,21 +117,18 @@ def build_pool(policy, mean, seed):
 def run_script(sched, paths, flows):
     """Drive ``sched`` through a scripted workload; return its completions.
 
-    ``flows`` are ``(nbytes, start, weight, path index, extra_delay,
-    cancel, inject)`` tuples — ``scripted_flows`` draws with byte sizes.
+    ``flows`` are ``(nbytes, start, path index, extra_delay, cancel,
+    inject)`` tuples — ``scripted_flows`` draws with byte sizes.
     """
     actions = []  # (time, flow id, "add" | "cancel")
     spec = {}
     for fid, flow in enumerate(flows):
-        nbytes, start, weight, path_i, delay, cancel_after, inject = flow
-        spec[fid] = (nbytes, paths[path_i], weight, delay)
+        nbytes, start, path_i, delay, cancel_after, inject = flow
+        spec[fid] = (nbytes, paths[path_i], delay)
         if inject:
             actions.append((start, fid, "add"))
         else:
-            sched.add_flow(
-                fid, nbytes, start, paths[path_i],
-                weight=weight, extra_delay=delay,
-            )
+            sched.add_flow(fid, nbytes, start, paths[path_i], extra_delay=delay)
         if cancel_after is not None:
             actions.append((start + cancel_after, fid, "cancel"))
     actions.sort()
@@ -150,10 +142,8 @@ def run_script(sched, paths, flows):
         while actions and actions[0][0] <= now:
             _, fid, kind = actions.pop(0)
             if kind == "add":
-                nbytes, path, weight, delay = spec[fid]
-                sched.add_flow(
-                    fid, nbytes, now, path, weight=weight, extra_delay=delay
-                )
+                nbytes, path, delay = spec[fid]
+                sched.add_flow(fid, nbytes, now, path, extra_delay=delay)
             elif sched.has_flow(fid):
                 sched.cancel(fid)
         guard += 1
@@ -161,15 +151,15 @@ def run_script(sched, paths, flows):
     return out
 
 
-def assert_parity(flows, policy, mean, seed, path=None):
+def assert_parity(flows, mean, seed, path=None):
     """Production == reference on one scripted workload, field for field;
     byte accounting agrees to float tolerance (the two sum drained bits
     in different orders).  ``path`` puts every flow on that one path."""
     if path is not None:
-        flows = [(n, s, w, path, *rest) for n, s, w, _, *rest in flows]
+        flows = [(n, s, path, *rest) for n, s, _, *rest in flows]
     runs = []
     for factory in (ReferenceScheduler, PathScheduler):
-        links, paths = build_pool(policy, mean, seed)
+        links, paths = build_pool(mean, seed)
         sched = factory()
         runs.append((run_script(sched, paths, flows), sched, links))
     (ref_done, ref, ref_links), (done, sched, links) = runs
@@ -192,14 +182,13 @@ class TestOneHopParity:
     @settings(max_examples=60, deadline=None)
     @given(
         flows=scripted_flows,
-        policy=st.sampled_from(["fair", "weighted"]),
         mean=st.floats(min_value=5.0, max_value=150.0),
         seed=st.integers(min_value=0, max_value=10),
         path=st.sampled_from([0, 4]),  # a plain link / a DegradedTrace link
     )
-    def test_bit_exact_completions(self, engine, flows, policy, mean, seed, path):
+    def test_bit_exact_completions(self, engine, flows, mean, seed, path):
         assert SCHEDULERS[engine] is PathScheduler
-        assert_parity(sized(flows, mean), policy, mean, seed, path=path)
+        assert_parity(sized(flows, mean), mean, seed, path=path)
 
     def test_solo_flow_matches_link_integrator(self, engine):
         """A lone flow takes what ``Link.download_time`` (a pool of one)
@@ -237,9 +226,9 @@ class TestHopMonotonicity:
         extra = stable_trace(extra_mbps, duration=120.0, rtt=0.0)
         path_one = NetworkPath((SharedLink(first),))
         path_two = NetworkPath((SharedLink(first), SharedLink(extra)))
-        for fid, (nbytes, start, weight) in enumerate(flows):
-            one.add_flow(fid, nbytes, start, path_one, weight=weight)
-            two.add_flow(fid, nbytes, start, path_two, weight=weight)
+        for fid, (nbytes, start) in enumerate(flows):
+            one.add_flow(fid, nbytes, start, path_one)
+            two.add_flow(fid, nbytes, start, path_two)
         by_id_one = {c.flow_id: c for c in drive(one)}
         for c in drive(two):
             assert c.elapsed >= by_id_one[c.flow_id].elapsed - 1e-9
@@ -296,10 +285,121 @@ class TestSharedHopContention:
         assert late.elapsed == pytest.approx(base.elapsed + 2.5)
 
 
+class TestTwoHopArithmetic:
+    """Per-link fair shares capped by the path minimum, against hand
+    arithmetic.  Bandwidth a flow cannot use on a non-bottleneck hop is
+    not handed to the others (the module's conservative model)."""
+
+    def pool(self, backhaul_mbps, access_mbps):
+        backhaul = SharedLink(stable_trace(backhaul_mbps, rtt=0.0))
+        access = SharedLink(stable_trace(access_mbps, rtt=0.0))
+        return backhaul, access, NetworkPath((backhaul, access)), NetworkPath((access,))
+
+    def test_backhaul_binds_then_the_hit_flow_keeps_its_fair_share(self):
+        # 12 Mbps backhaul, 60 Mbps access.  Two misses (24 and 12 Mbit)
+        # get min(12/2, 60/3) = 6 Mbps, the hit (48 Mbit) 60/3 = 20 —
+        # not the 48 the misses leave unused.  At t = 2 the small miss
+        # is done; the big one has 12 Mbit left at min(12, 30) = 12 and
+        # the hit 8 Mbit at 30: hit done at 2 + 8/30, and the big miss
+        # drains 3.2 Mbit meanwhile, then 8.8 Mbit alone at 12 — t = 3.
+        backhaul, access, miss, hit = self.pool(12.0, 60.0)
+        sched = PathScheduler()
+        sched.add_flow(0, 3_000_000, 0.0, miss)
+        sched.add_flow(1, 1_500_000, 0.0, miss)
+        sched.add_flow(2, 6_000_000, 0.0, hit)
+        done = {c.flow_id: c.finish_time for c in drive(sched)}
+        assert done[1] == pytest.approx(2.0, rel=1e-12)
+        assert done[2] == pytest.approx(2.0 + 8.0 / 30.0, rel=1e-12)
+        assert done[0] == pytest.approx(3.0, rel=1e-12)
+        assert backhaul.delivered_bits == pytest.approx(36e6, rel=1e-12)
+        assert access.delivered_bits == pytest.approx(84e6, rel=1e-12)
+
+    def test_access_binds_a_miss_like_a_hit(self):
+        # 100 Mbps backhaul, 10 Mbps access: the access hop binds both
+        # flows at 5 Mbps until the 10-Mbit hit leaves at t = 2; the miss
+        # then has 10 Mbit left at 10 Mbps — t = 3.
+        _, _, miss, hit = self.pool(100.0, 10.0)
+        sched = PathScheduler()
+        sched.add_flow(0, 2_500_000, 0.0, miss)
+        sched.add_flow(1, 1_250_000, 0.0, hit)
+        done = {c.flow_id: c.finish_time for c in drive(sched)}
+        assert done == {
+            1: pytest.approx(2.0, rel=1e-12), 0: pytest.approx(3.0, rel=1e-12)
+        }
+
+    def test_the_bottleneck_moves_when_sharers_leave(self):
+        # 10 Mbps backhaul, 30 Mbps access, one 30-Mbit miss and three
+        # 12-Mbit hits.  Four on the access: 7.5 Mbps each, so the access
+        # binds the miss (min(10, 7.5)).  The hits leave at t = 1.6; the
+        # miss's last 18 Mbit run at min(10, 30) — the backhaul: t = 3.4.
+        _, _, miss, hit = self.pool(10.0, 30.0)
+        sched = PathScheduler()
+        sched.add_flow(0, 3_750_000, 0.0, miss)
+        for fid in (1, 2, 3):
+            sched.add_flow(fid, 1_500_000, 0.0, hit)
+        done = {c.flow_id: c.finish_time for c in drive(sched)}
+        assert [done[f] for f in (1, 2, 3)] == pytest.approx([1.6] * 3, rel=1e-12)
+        assert done[0] == pytest.approx(3.4, rel=1e-12)
+
+
+def seeded_flows(seed, n=9):
+    """``n`` flows as ``(flow id, nbytes, start, path index, extra_delay)``
+    on the ``build_pool`` paths, several of them starting together."""
+    rng = np.random.default_rng(seed)
+    return [
+        (fid, int(rng.integers(0, 4_000_000)), 0.25 * int(rng.integers(0, 6)),
+         int(rng.integers(0, 5)), float(rng.choice([0.0, 0.0, 0.5])))
+        for fid in range(n)
+    ]
+
+
+def completions(flows, seed, order=None):
+    """Completions of ``flows`` on a fresh ``build_pool``, added in
+    ``order`` (indices into ``flows``; default as listed)."""
+    _, paths = build_pool(40.0, seed)
+    sched = PathScheduler()
+    for i in order if order is not None else range(len(flows)):
+        fid, nbytes, start, path_i, delay = flows[i]
+        sched.add_flow(fid, nbytes, start, paths[path_i], extra_delay=delay)
+    return drive(sched)
+
+
+class TestFairSharingInvariants:
+    """What a count-based fair share guarantees whatever the pool."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("one_hop", [True, False], ids=["one-hop", "mixed"])
+    def test_insertion_order_is_invisible(self, seed, one_hop):
+        """A share is ``cap / count``: the same flows added in another
+        order give bit-identical completions."""
+        flows = seeded_flows(seed)
+        if one_hop:
+            flows = [(fid, n, s, 0, d) for fid, n, s, _, d in flows]
+        order = np.random.default_rng(100 + seed).permutation(len(flows))
+        base = completions(flows, seed)
+        assert completions(flows, seed, order=order.tolist()) == base
+        assert completions(flows, seed, order=order[::-1].tolist()) == base
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_another_sharer_never_speeds_a_flow_up(self, seed):
+        """Adding a flow only raises link counts, so every other flow
+        finishes no earlier than without it."""
+        flows = seeded_flows(seed)
+        alone = {c.flow_id: c.finish_time for c in completions(flows, seed)}
+        extra = (len(flows), 3_000_000, 0.25, 3, 0.0)  # the three-hop path
+        crowded = {
+            c.flow_id: c.finish_time
+            for c in completions(flows + [extra], seed)
+        }
+        for fid, t in alone.items():
+            assert crowded[fid] >= t * (1.0 - 1e-12)
+        assert any(crowded[fid] > alone[fid] for fid in alone)
+
+
 class TestEngineParity:
     """production == reference, bit for bit, on shared-link pools.
 
-    The grid mixes weights, staggered starts, gated (``extra_delay``),
+    The grid mixes staggered starts, gated (``extra_delay``),
     cancelled and mid-flight-injected flows on one/two/three-hop paths
     sharing links — the full surface the CDN fleet exercises.
     """
@@ -307,40 +407,18 @@ class TestEngineParity:
     @settings(max_examples=80, deadline=None)
     @given(
         flows=scripted_flows,
-        policy=st.sampled_from(["fair", "weighted"]),
         mean=st.floats(min_value=5.0, max_value=120.0),
         seed=st.integers(min_value=0, max_value=8),
     )
-    def test_bit_exact_multihop_completions(self, flows, policy, mean, seed):
-        assert_parity(sized(flows, mean), policy, mean, seed)
-
-    def test_weighted_denominator_beyond_pairwise_block(self):
-        """20 weighted flows: NumPy's pairwise summation diverges from
-        Python's sequential ``sum`` at 8+ terms, so production must sum
-        the weighted share denominator in insertion order."""
-        flows = [
-            (1_000_000 + 37 * i, 0.25 * (i % 3), 0.3 + 0.17 * i, i % 4, 0.0,
-             None, False)
-            for i in range(20)
-        ]
-        assert_parity(flows, "weighted", 60.0, 2)
-
-    def test_weighted_single_link_pool_beyond_pairwise(self):
-        """A one-link pool must also sum weighted denominators in
-        insertion order — 12 concurrent one-hop flows."""
-        flows = [
-            (800_000 + 12_345 * i, 0.2 * (i % 4), 0.3 + 0.21 * i, 0, 0.0,
-             None, False)
-            for i in range(12)
-        ]
-        assert_parity(flows, "weighted", 50.0, 3, path=0)
+    def test_bit_exact_multihop_completions(self, flows, mean, seed):
+        assert_parity(sized(flows, mean), mean, seed)
 
     def test_fair_many_flows_bit_exact(self):
         flows = [
-            (500_000 + 991 * i, 0.1 * i, 1.0, i % 4, 0.0, None, False)
+            (500_000 + 991 * i, 0.1 * i, i % 4, 0.0, None, False)
             for i in range(24)
         ]
-        assert_parity(flows, "fair", 45.0, 5)
+        assert_parity(flows, 45.0, 5)
 
     def test_trace_boundary_is_exactly_the_next_event(self):
         """A plain link's boundary is found through its stored lower bound
@@ -374,50 +452,49 @@ class TestEngineParity:
         "flows",
         [
             pytest.param(
-                [(2_000_000, 0.0, 1.0, 0, 0.0, None, False),
-                 (1_500_000, 0.1, 1.0, 1, 2.0, 0.3, False),
-                 (900_000, 0.2, 2.0, 2, 0.0, None, False)],
+                [(2_000_000, 0.0, 0, 0.0, None, False),
+                 (1_500_000, 0.1, 1, 2.0, 0.3, False),
+                 (900_000, 0.2, 2, 0.0, None, False)],
                 id="cancelled-while-gated",
             ),
             pytest.param(
-                [(16_000_000, 0.0, 1.0, 0, 0.0, None, False),
-                 (1_500_000, 0.0, 1.0, 1, 2.0, 0.3, False),
-                 (1_200_000, 0.5, 1.0, 1, 2.0, None, True)],
+                [(16_000_000, 0.0, 0, 0.0, None, False),
+                 (1_500_000, 0.0, 1, 2.0, 0.3, False),
+                 (1_200_000, 0.5, 1, 2.0, None, True)],
                 id="slot-reused-under-a-stale-gate",
             ),
             pytest.param(
-                [(3_000_000, 0.0, 1.0, 1, 0.0, None, False),
-                 (0, 0.4, 1.0, 3, 0.0, None, False),
-                 (0, 0.6, 1.0, 0, 0.5, None, True),
-                 (700_000, 0.2, 0.5, 2, 0.0, None, False)],
+                [(3_000_000, 0.0, 1, 0.0, None, False),
+                 (0, 0.4, 3, 0.0, None, False),
+                 (0, 0.6, 0, 0.5, None, True),
+                 (700_000, 0.2, 2, 0.0, None, False)],
                 id="zero-byte-flows",
             ),
             pytest.param(
-                [(1_000_000, 0.0, 1.0, 0, 0.0, None, False),
-                 (4_000, 1.0, 1.0, 0, 0.0, None, True)],
+                [(1_000_000, 0.0, 0, 0.0, None, False),
+                 (4_000, 1.0, 0, 0.0, None, True)],
                 id="flow-injected-after-the-first-finished",
             ),
             pytest.param(
-                [(2_500_000, 0.0, 1.0, 0, 0.0, None, False),
-                 (2_000_000, 0.1, 3.0, 0, 0.0, None, False),
-                 (1_800_000, 0.3, 1.0, 3, 0.0, None, True),
-                 (600_000, 0.2, 1.0, 0, 0.0, 0.5, False)],
+                [(2_500_000, 0.0, 0, 0.0, None, False),
+                 (2_000_000, 0.1, 0, 0.0, None, False),
+                 (1_800_000, 0.3, 3, 0.0, None, True),
+                 (600_000, 0.2, 0, 0.0, 0.5, False)],
                 id="three-hop-flow-joins-one-hop-pool",
             ),
             pytest.param(
-                [(6_000_000, 0.0, 1.0, 2, 0.0, None, False),
-                 (400_000, 0.0, 1.0, 0, 0.0, None, False),
-                 (300_000, 0.5, 1.0, 0, 0.0, None, True),
-                 (1_000_000, 2.5, 1.0, 0, 0.0, None, True)],
+                [(6_000_000, 0.0, 2, 0.0, None, False),
+                 (400_000, 0.0, 0, 0.0, None, False),
+                 (300_000, 0.5, 0, 0.0, None, True),
+                 (1_000_000, 2.5, 0, 0.0, None, True)],
                 id="link-reactivated-after-its-segment-ended",
             ),
         ],
     )
-    @pytest.mark.parametrize("policy", ["fair", "weighted"])
-    def test_scripted_life_cycle_cases(self, flows, policy):
+    def test_scripted_life_cycle_cases(self, flows):
         """The gated → active → finished transitions the incremental
         bookkeeping has to get right, one hand-written script each."""
-        assert_parity(flows, policy, 40.0, 4)
+        assert_parity(flows, 40.0, 4)
 
 
 class TestLifeCycleBookkeeping:
@@ -622,8 +699,6 @@ class TestValidation:
             sched.add_flow(1, -1, 0.0, path)
         with pytest.raises(ValueError, match="non-negative"):
             sched.add_flow(1, 100, -1.0, path)
-        with pytest.raises(ValueError, match="positive"):
-            sched.add_flow(1, 100, 0.0, path, weight=0.0)
         with pytest.raises(ValueError, match="extra_delay"):
             sched.add_flow(1, 100, 0.0, path, extra_delay=-0.1)
         with pytest.raises(RuntimeError):
@@ -635,7 +710,6 @@ class TestValidation:
             {"nbytes": math.nan},
             {"start_time": math.nan},
             {"start_time": math.inf},
-            {"weight": math.nan},
             {"extra_delay": math.nan},
         ],
         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
@@ -644,7 +718,7 @@ class TestValidation:
         """A non-finite flow never drains: the driver loop used to walk
         ``now`` to infinity with ``busy()`` still true."""
         sched = PathScheduler()
-        args = {"nbytes": 100, "start_time": 0.0, "weight": 1.0, "extra_delay": 0.0}
+        args = {"nbytes": 100, "start_time": 0.0, "extra_delay": 0.0}
         args.update(bad)
         (name,) = bad
         with pytest.raises(ValueError, match=rf"flow 7: {name} must be finite"):

@@ -68,6 +68,52 @@ class TestControlPolicy:
         with pytest.raises(ValueError, match="max_resteers"):
             ControlPolicy(max_resteers_per_tick=-1)
 
+    # NaN used to slip through every ``<`` check (a NaN interval failed
+    # mid-run, NaN thresholds switched levers off) and counts took 2.5.
+    # Each error names the field and the value.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_interval_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=rf"interval.*{bad!r}"):
+            ControlPolicy(interval=bad)
+
+    def test_encode_wait_high_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"encode_wait_high.*nan"):
+            ControlPolicy(encode_wait_high=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_encode_wait_low_rejects_nan_and_negative(self, bad):
+        with pytest.raises(ValueError, match=rf"encode_wait_low.*{bad!r}"):
+            ControlPolicy(encode_wait_low=bad)
+
+    def test_saturation_factor_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"saturation_factor.*nan"):
+            ControlPolicy(saturation_factor=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, True])
+    def test_min_encode_workers_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match=rf"min_encode_workers.*{bad!r}"):
+            ControlPolicy(min_encode_workers=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, True])
+    def test_max_encode_workers_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match=rf"max_encode_workers.*{bad!r}"):
+            ControlPolicy(max_encode_workers=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, True])
+    def test_max_resteers_per_tick_must_be_an_integer(self, bad):
+        with pytest.raises(
+            ValueError, match=rf"max_resteers_per_tick.*{bad!r}"
+        ):
+            ControlPolicy(max_resteers_per_tick=bad)
+
+    def test_inf_thresholds_stay_legal(self):
+        """``inf`` is the documented way to switch a lever off."""
+        pol = ControlPolicy(
+            encode_wait_high=math.inf, encode_wait_low=math.inf,
+            saturation_factor=math.inf,
+        )
+        assert pol.saturation_factor == math.inf
+
 
 class TestControlPlaneTick:
     def test_grows_encode_pool_on_high_wait(self):

@@ -115,6 +115,24 @@ class TestEventValidation:
         with pytest.raises(ValueError, match="max_attempts"):
             RetryPolicy(max_attempts=0)
 
+    # NaN used to slip through every ``<`` check: a NaN budget never armed
+    # a timeout, a NaN cap made every backoff NaN, a NaN base silently
+    # backed off by the cap.  Each error names the field and the value.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_retry_policy_backoff_base_s_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=rf"backoff_base_s.*{bad!r}"):
+            RetryPolicy(backoff_base_s=bad, backoff_cap_s=math.inf)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_retry_policy_backoff_cap_s_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=rf"backoff_cap_s.*{bad!r}"):
+            RetryPolicy(backoff_cap_s=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, True])
+    def test_retry_policy_max_attempts_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match=rf"max_attempts.*{bad!r}"):
+            RetryPolicy(timeout_s=0.5, max_attempts=bad)
+
     def test_retry_backoff_doubles_then_caps(self):
         pol = RetryPolicy(backoff_base_s=0.25, backoff_cap_s=1.0)
         assert [pol.backoff(k) for k in (1, 2, 3, 4)] == [0.25, 0.5, 1.0, 1.0]

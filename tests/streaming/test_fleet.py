@@ -124,7 +124,6 @@ class TestEngineParityEndToEnd:
                 sr_latency=lat,
                 quality_model=qm,
                 join_time=0.7 * i,
-                weight=1.0 + 0.5 * (i % 2),
             )
             for i in range(8)
         ]
@@ -135,7 +134,7 @@ class TestEngineParityEndToEnd:
         def run():
             return simulate_fleet(
                 self.make_sessions(),
-                topology=single_link_cdn(trace, policy="weighted"),
+                topology=single_link_cdn(trace),
                 sr_cache=SRResultCache(),
             )
 
@@ -470,39 +469,37 @@ class TestSRCache:
         assert cache.acquire(("v", 0, 0.5, 2.0), 12.5, 2.0) == 0.0  # A's result
 
 
-class TestWeightedPolicy:
-    def test_heavier_session_stalls_less(self):
-        def session(w):
-            return FleetSession(spec=spec(10), controller=FixedDensity(1.0, 1.0),
-                                weight=w)
+class TestFairShareOfAFleet:
+    """``n`` identical viewers joining together stay in lockstep, so each
+    transfer shares the link with ``n - 1`` twins: every viewer sees what
+    one viewer alone sees on the same trace at ``1/n`` of the rate."""
 
-        result = simulate_fleet(
-            [session(3.0), session(1.0)],
-            topology=single_link_cdn(
-                stable_trace(60.0, rtt=0.0), policy="weighted"
-            ),
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("kind", ["stable", "lte"])
+    def test_each_of_n_twins_gets_one_nth_of_the_link(self, n, kind):
+        trace = (
+            stable_trace(40.0, rtt=0.02) if kind == "stable"
+            else lte_trace(60, 18, duration=60, seed=n)
         )
-        heavy, light = result.sessions
-        assert heavy.stall_seconds < light.stall_seconds
-
-    def test_fair_policy_ignores_weights(self):
-        def run(policy):
-            return simulate_fleet(
-                [FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0),
-                              weight=5.0),
-                 FleetSession(spec=spec(8), controller=FixedDensity(1.0, 1.0))],
-                topology=single_link_cdn(
-                    stable_trace(40.0, rtt=0.0), policy=policy
-                ),
-            )
-
-        fair = run("fair")
-        a, b = fair.sessions
-        assert a.stall_seconds == pytest.approx(b.stall_seconds, rel=1e-9)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            single_link_cdn(stable_trace(50.0), policy="priority")
+        sessions = [
+            FleetSession(spec=spec(8), controller=FixedDensity(0.6),
+                         sr_latency=sr_lat())
+            for _ in range(n)
+        ]
+        result = simulate_fleet(sessions, topology=single_link_cdn(trace))
+        first = result.sessions[0]
+        assert all(r == first for r in result.sessions)
+        nth = NetworkTrace(
+            "nth", trace.timestamps, trace.bandwidths_bps / n, rtt=trace.rtt
+        )
+        solo = simulate_session(
+            spec(8), nth, FixedDensity(0.6), sr_latency=sr_lat()
+        )
+        assert first.total_bytes == solo.total_bytes
+        assert first.decisions == solo.decisions
+        assert first.stall_seconds == pytest.approx(solo.stall_seconds, rel=1e-9)
+        assert first.startup_delay == pytest.approx(solo.startup_delay, rel=1e-9)
+        assert first.qoe == pytest.approx(solo.qoe, rel=1e-9)
 
 
 class TestJoinTimes:
@@ -524,8 +521,6 @@ class TestJoinTimes:
     def test_validation(self):
         with pytest.raises(ValueError):
             FleetSession(spec=spec(5), controller=FixedDensity(0.5), join_time=-1.0)
-        with pytest.raises(ValueError):
-            FleetSession(spec=spec(5), controller=FixedDensity(0.5), weight=0.0)
         with pytest.raises(ValueError):
             simulate_fleet([], topology=single_link_cdn(stable_trace(50.0)))
 
@@ -567,11 +562,6 @@ class TestHostileInput:
         with pytest.raises(ValueError, match="join_time"):
             FleetSession(spec=spec(4), controller=FixedDensity(0.4),
                          join_time=math.nan)
-
-    def test_session_rejects_non_finite_weight(self):
-        with pytest.raises(ValueError, match="weight"):
-            FleetSession(spec=spec(4), controller=FixedDensity(0.4),
-                         weight=math.inf)
 
     def test_nan_trace_is_rejected_before_the_fleet_runs(self):
         with pytest.raises(ValueError, match="bandwidths_bps"):

@@ -2,6 +2,7 @@
 tracer parity grid, and the chaos-trace conservation law."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
     write_prometheus,
+    write_trace,
 )
 from repro.obs.metrics import MetricsRegistry, TimeSeries
 from repro.obs.profiler import NULL_PROFILER, PhaseProfiler
@@ -242,6 +244,23 @@ class TestExporters:
         assert n == 3
         assert len(doc["traceEvents"]) > n
 
+    @pytest.mark.parametrize(
+        "name, jsonl",
+        [("trace.jsonl", True), ("trace.json", False),
+         ("trace.perfetto", False), ("trace.jsonl.json", False)],
+    )
+    def test_write_trace_picks_the_format_by_suffix(self, tmp_path, name, jsonl):
+        """A ``.jsonl`` name gets the JSONL event log, any other the
+        Chrome trace-event JSON."""
+        path = tmp_path / name
+        assert write_trace(self.make_tracer(), str(path)) == 3
+        text = path.read_text()
+        if jsonl:
+            kinds = [json.loads(line)["kind"] for line in text.splitlines()]
+            assert kinds == [EV_SESSION_START, EV_CHUNK_COMPLETE, EV_CONTROL_TICK]
+        else:
+            assert json.loads(text) == chrome_trace(self.make_tracer())
+
     def test_prometheus_text(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("fleet.chunks").inc(7)
@@ -380,6 +399,22 @@ class TestConservation:
         assert names.count("control.tick") == rep.control_ticks
         assert names.count("control.resize") == rep.encode_pool_resizes
         assert names.count("outage.evacuate") == 1
+
+    def test_the_experiments_gate_names_the_broken_counter(self):
+        """``fleet-chaos`` and ``fleet-obs`` share one five-counter check:
+        silent when the fold matches, naming the counter when not."""
+        from repro.experiments.fleet_chaos import check_conservation
+
+        tracer = Tracer()
+        tracer.emit(1.0, EV_CONTROL_TICK, health=0.9, workers=4)
+        counters = dict(
+            sessions_resteered=0, faults_injected=0, control_ticks=1,
+            encode_pool_resizes=0, requests_timed_out=0,
+        )
+        check_conservation(tracer, SimpleNamespace(**counters))
+        counters["control_ticks"] = 2
+        with pytest.raises(RuntimeError, match="conservation.*'control_ticks': 2"):
+            check_conservation(tracer, SimpleNamespace(**counters))
 
     def test_fetches_balance_completes_and_retries(self):
         tel = Telemetry()

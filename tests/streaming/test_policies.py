@@ -4,7 +4,7 @@ import pytest
 
 from repro.metrics import QoEModel
 from repro.streaming import (
-    AbrPolicy,
+    AbrController,
     BolaController,
     BufferBased,
     ContinuousMPC,
@@ -49,7 +49,7 @@ class TestRegistry:
     def test_round_trip(self, name, cls):
         policy = get_policy(name)
         assert isinstance(policy, cls)
-        assert isinstance(policy, AbrPolicy)
+        assert isinstance(policy, AbrController)
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ValueError, match="bola"):

@@ -1,9 +1,11 @@
 """A bare link is a one-edge CDN: ``single_link_cdn`` serves it.
 
 The golden digests in ``single_link_golden.json`` were recorded from the
-dedicated single-link serving mode (``simulate_fleet(trace=…,
-policy=…)``, a one-hop path with no edge) before ``single_link_cdn``
-replaced it; every case here must still reproduce them bit for bit.
+dedicated single-link serving mode (``simulate_fleet(trace=…)``, a
+one-hop path with no edge) before ``single_link_cdn`` replaced it; every
+case here must still reproduce them bit for bit.  The ``-fair`` in a
+grid or short-trace case id is part of its golden key: weighted sharing
+has left, and its cases with it.
 A digest hashes the ``repr`` of one session's QoE, bytes, stall,
 start-up delay, decisions, abandonment and per-chunk records, so any
 float that moves fails it.
@@ -62,7 +64,7 @@ def digest(result) -> str:
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
-# -- fleet cases: id -> () -> (sessions, trace, policy, sr_cache) ----------
+# -- fleet cases: id -> () -> (sessions, trace, sr_cache) ------------------
 
 
 def _mpc_fleet_on_lte():
@@ -77,7 +79,7 @@ def _mpc_fleet_on_lte():
         )
         for i in range(5)
     ]
-    return sessions, lte_trace(60, 18, seed=9), "fair", SRResultCache()
+    return sessions, lte_trace(60, 18, seed=9), SRResultCache()
 
 
 def _unsorted_joins_with_shared_chunk_keys():
@@ -87,21 +89,10 @@ def _unsorted_joins_with_shared_chunk_keys():
         FleetSession(spec=spec(6), controller=FixedDensity(0.5), join_time=60.0),
         FleetSession(spec=spec(6), controller=FixedDensity(0.5)),
     ]
-    return sessions, stable_trace(45.0), "fair", None
+    return sessions, stable_trace(45.0), None
 
 
-def _startup_bytes_and_weighted_policy():
-    cfg = SessionConfig(startup_bytes=2_000_000)
-    sessions = [
-        FleetSession(spec=spec(6), controller=FixedDensity(0.5), config=cfg,
-                     weight=3.0),
-        FleetSession(spec=spec(6), controller=FixedDensity(0.5), config=cfg,
-                     join_time=2.0),
-    ]
-    return sessions, stable_trace(45.0), "weighted", None
-
-
-def _grid_case(seed, n, startup_bytes, policy, shared_sr):
+def _grid_case(seed, n, startup_bytes, shared_sr):
     def build():
         qm = SRQualityModel()
         lat = sr_lat()
@@ -111,13 +102,13 @@ def _grid_case(seed, n, startup_bytes, policy, shared_sr):
             FleetSession(
                 spec=spec(6, name=f"v{i % 2}"), controller=ctrl,
                 sr_latency=lat, quality_model=qm, config=config,
-                join_time=0.9 * i + 0.1 * seed, weight=1.0 + i % 3,
+                join_time=0.9 * i + 0.1 * seed,
                 churn=AbandonPolicy(max_total_stall=4.0) if i % 2 else None,
             )
             for i in range(n)
         ]
         trace = lte_trace(30 + 10 * seed, 14, duration=120, seed=seed)
-        return sessions, trace, policy, SRResultCache() if shared_sr else None
+        return sessions, trace, SRResultCache() if shared_sr else None
 
     return build
 
@@ -135,7 +126,7 @@ SHORT_TRACES = {
 }
 
 
-def _short_trace_case(trace_name, policy):
+def _short_trace_case(trace_name):
     def build():
         qm = SRQualityModel()
         lat = sr_lat()
@@ -144,40 +135,33 @@ def _short_trace_case(trace_name, policy):
             FleetSession(
                 spec=spec(8, name=f"v{i % 2}"), controller=ctrl,
                 sr_latency=lat, quality_model=qm, join_time=1.3 * i,
-                weight=1.0 + i,
             )
             for i in range(3)
         ]
-        return sessions, SHORT_TRACES[trace_name](), policy, None
+        return sessions, SHORT_TRACES[trace_name](), None
 
     return build
 
 
 def _grid_axes():
-    """(seed, n, startup bytes, policy, shared SR) — one viewer has no one
-    to share the link or SR results with, so ``n == 1`` runs fair, no SR."""
+    """(seed, n, startup bytes, shared SR) — one viewer has no one to
+    share SR results with, so ``n == 1`` runs without an SR cache."""
     for seed in range(6):
         for n in (1, 4, 12):
             for b in (0, 1_500_000):
-                for policy in ("fair", "weighted") if n > 1 else ("fair",):
-                    for sr in (False, True) if n > 1 else (False,):
-                        yield seed, n, b, policy, sr
+                for sr in (False, True) if n > 1 else (False,):
+                    yield seed, n, b, sr
 
 
 FLEET_CASES = {
     "mpc_fleet_on_lte": _mpc_fleet_on_lte,
     "unsorted_joins_with_shared_chunk_keys": _unsorted_joins_with_shared_chunk_keys,
-    "startup_bytes_and_weighted_policy": _startup_bytes_and_weighted_policy,
     **{
-        f"grid-s{seed}-n{n}-b{b}-{policy}-{'sr' if sr else 'nosr'}":
-            _grid_case(seed, n, b, policy, sr)
-        for seed, n, b, policy, sr in _grid_axes()
+        f"grid-s{seed}-n{n}-b{b}-fair-{'sr' if sr else 'nosr'}":
+            _grid_case(seed, n, b, sr)
+        for seed, n, b, sr in _grid_axes()
     },
-    **{
-        f"short-{name}-{policy}": _short_trace_case(name, policy)
-        for name in SHORT_TRACES
-        for policy in ("fair", "weighted")
-    },
+    **{f"short-{name}-fair": _short_trace_case(name) for name in SHORT_TRACES},
 }
 
 
@@ -208,10 +192,9 @@ SESSION_CASES = {
 class TestSingleLinkGolden:
     @pytest.mark.parametrize("case", sorted(FLEET_CASES))
     def test_fleet_reproduces_the_single_link_mode(self, case):
-        sessions, trace, policy, sr_cache = FLEET_CASES[case]()
+        sessions, trace, sr_cache = FLEET_CASES[case]()
         result = simulate_fleet(
-            sessions, topology=single_link_cdn(trace, policy=policy),
-            sr_cache=sr_cache,
+            sessions, topology=single_link_cdn(trace), sr_cache=sr_cache
         )
         assert [digest(r) for r in result.sessions] == GOLDEN["fleet"][case]
         check_byte_conservation(result)
@@ -228,7 +211,7 @@ class TestSingleLinkGolden:
         assert sorted(GOLDEN["session"]) == sorted(SESSION_CASES)
 
     def test_report_of_a_single_link_run(self):
-        sessions, trace, _, sr_cache = FLEET_CASES["mpc_fleet_on_lte"]()
+        sessions, trace, sr_cache = FLEET_CASES["mpc_fleet_on_lte"]()
         topology = single_link_cdn(trace)
         result = simulate_fleet(sessions, topology=topology, sr_cache=sr_cache)
         rep = result.report

@@ -184,11 +184,9 @@ def test_the_scheduler_keeps_its_active_flows_in_one_packed_block():
 def test_a_fleet_step_rebuilds_nothing_fixed_for_the_run():
     """A spec builds its chunk table once per instance and length — an
     equal but separate spec builds its own, so no cache outlives the specs
-    of a run — ``decide_batch`` hands out the controller's own
-    per-candidate ``Decision`` objects, and only a ``weighted`` link keeps
-    a flow registry (its share denominator is the registry's one reader)."""
+    of a run — and ``decide_batch`` hands out the controller's own
+    per-candidate ``Decision`` objects."""
     from repro.metrics import QoEModel
-    from repro.net import NetworkPath, PathScheduler, SharedLink, stable_trace
     from repro.streaming import (
         ZERO_LATENCY, AbrContext, ContinuousMPC, SRQualityModel, VideoSpec,
     )
@@ -207,17 +205,32 @@ def test_a_fleet_step_rebuilds_nothing_fixed_for_the_run():
     assert {id(d) for d in mpc.decide_batch(ctxs)} <= own
     assert id(mpc.decide(ctxs[0])) in own
 
-    sched = PathScheduler()
-    path = NetworkPath((SharedLink(stable_trace(10.0)), SharedLink(stable_trace(5.0))))
-    for flow_id in range(3):
-        sched.add_flow(flow_id, 10_000 * (flow_id + 1), 0.01 * flow_id, path)
-    now = 0.0
-    while sched.busy():
-        assert not sched._link_flows
-        t = sched.next_event(now)
-        sched.advance(now, t)
-        now = t
-    assert not sched._link_flows
+
+def test_one_sharing_rule():
+    """Every link is fair processor sharing, ``cap / n_active``: no link
+    takes a sharing policy, no session or flow carries a weight, the
+    scheduler keeps no per-link flow registry, and no ``"weighted"``
+    literal is left under ``net/`` or ``streaming/`` to select one."""
+    import dataclasses
+    import inspect
+
+    import repro.net
+    from repro.net import PathScheduler, SharedLink
+    from repro.streaming import FleetSession
+
+    assert list(inspect.signature(SharedLink).parameters) == ["trace"]
+    assert "SHARING_POLICIES" not in dir(repro.net)
+    assert "weight" not in [f.name for f in dataclasses.fields(FleetSession)]
+    assert "weight" not in inspect.signature(PathScheduler.add_flow).parameters
+    assert not hasattr(PathScheduler(), "_link_flows")
+    literals = [
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for top in ("net", "streaming")
+        for path in sorted((SRC / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value == "weighted"
+    ]
+    assert literals == []
 
 
 def test_one_transfer_integrator():
@@ -396,7 +409,6 @@ def test_one_refinement_table_one_lookup_entry():
 #: Public names whose only callers are tests, and why each stays.
 CALLERLESS = {
     "StreamingClient": "the materialized client the twin experiment will drive",
-    "AbrPolicy": "the policy registry's runtime-checkable contract",
 }
 
 

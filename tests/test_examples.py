@@ -49,7 +49,6 @@ class TestExamples:
         )
         assert proc.returncode == 0, proc.stderr
         assert "congested" in proc.stdout
-        assert "weighted (10% premium @4x)" in proc.stdout
         assert "cache hit" in proc.stdout
         assert "phase breakdown" in proc.stdout
         assert "scheduler" in proc.stdout
