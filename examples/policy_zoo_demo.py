@@ -3,11 +3,11 @@
 
 Every registered policy — resolve any of them with
 ``get_policy(name)`` — drives the *same* seeded viewer population over
-the same topology, so the rows differ only in the controller.  The run
-is priced by the first-principles infrastructure cost model (origin
-egress, encode core-hours, amortized edge cache storage, SR device
-time), and the last column is the operator's actual objective:
-delivered QoE per dollar spent.
+the same topology, so the rows differ only in the controller.  Each
+finished run is then priced by the first-principles infrastructure
+cost model (origin egress, encode core-hours, amortized edge cache
+storage, SR device time), and the last column is the operator's actual
+objective: delivered QoE per dollar spent.
 
 Run:  python examples/policy_zoo_demo.py [--sessions 150] [--abr NAME]
 """
@@ -19,7 +19,6 @@ from repro.experiments import make_cdn, make_population
 from repro.experiments.common import SMOKE
 from repro.streaming import (
     CostModel,
-    FleetSpec,
     SRResultCache,
     available_policies,
     simulate_fleet,
@@ -45,16 +44,16 @@ def main() -> None:
     for name in names:
         sessions = make_population(SMOKE, args.sessions, abr=name)
         topo = make_cdn(SMOKE, args.sessions, n_edges=args.edges)
-        spec = FleetSpec(
-            topology=topo, sr_cache=SRResultCache(), cost_model=CostModel(),
-        )
         t0 = time.time()
-        result = simulate_fleet(sessions, spec=spec)
-        rep = result.report
+        result = simulate_fleet(
+            sessions, topology=topo, sr_cache=SRResultCache(),
+        )
+        wall = time.time() - t0
+        rep, cost = result.report, CostModel().price(result)
         print(f"{name:<16} {rep.mean_qoe:>9.2f} "
-              f"{100 * rep.stall_ratio:>6.1f}% {rep.cost.total_usd:>9.4f} "
-              f"{rep.cost.qoe_per_dollar(rep.mean_qoe, rep.n_sessions):>10.0f}"
-              f"  [{time.time() - t0:.1f}s]")
+              f"{100 * rep.stall_ratio:>6.1f}% {cost.total_usd:>9.4f} "
+              f"{cost.qoe_per_dollar(rep.mean_qoe, rep.n_sessions):>10.0f}"
+              f"  [{wall:.1f}s]")
 
     print("\ncost components price origin egress, encode core-hours, "
           "edge cache GB-months, and SR device-hours; see "

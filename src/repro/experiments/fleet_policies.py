@@ -20,8 +20,8 @@ decision rule varies) and reports, per policy:
   ``*`` row is dominated by no other policy (none is at least as good
   on QoE *and* no more expensive).
 
-The cost model rides the run via ``FleetSpec.cost_model``, so the bill
-is read off the same report the QoE columns come from.
+Each finished run is priced afterwards by ``CostModel.price(result)``,
+so the bill is read off the same result the QoE columns come from.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ def run_fleet_policies(
             "frontier."
         ),
     )
-    cost_model = CostModel()
     stats: list[dict] = []
     for name in ZOO_POLICIES:
         sessions = make_population(
@@ -118,9 +117,9 @@ def run_fleet_policies(
             sessions,
             topology=topo,
             sr_cache=SRResultCache(capacity=sr_cache_size),
-            cost_model=cost_model,
         )
         rep = result.report
+        cost = CostModel().price(result)
         lo, hi = bootstrap_ci(
             [s.qoe for s in result.sessions], n_boot=n_boot, seed=seed
         )
@@ -128,9 +127,9 @@ def run_fleet_policies(
             {
                 "policy": name,
                 "rep": rep,
-                "cost": rep.cost,
+                "cost": cost,
                 "ci": (lo, hi),
-                "qoe_per_usd": rep.cost.qoe_per_dollar(
+                "qoe_per_usd": cost.qoe_per_dollar(
                     rep.mean_qoe, len(result.sessions)
                 ),
             }

@@ -23,7 +23,8 @@ from __future__ import annotations
 from ..net.traces import stable_trace
 from ..streaming.cdn import single_link_cdn
 from ..streaming.chunks import VideoSpec
-from ..streaming.fleet import FleetSession, SRResultCache, simulate_fleet
+from ..streaming.fleet import SRResultCache, simulate_fleet
+from ..streaming.simulator import FleetSession
 from .common import SMOKE, ResultTable, Scale
 from .workloads import make_population, volut_client
 

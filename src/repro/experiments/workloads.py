@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from ..metrics.qoe import QoEModel
 from ..streaming.abr import AbrController, SRQualityModel
-from ..streaming.fleet import FleetSession
 from ..streaming.latency import MeasuredSRLatency
 from ..streaming.policies import get_policy
 from ..streaming.population import (
@@ -21,7 +20,7 @@ from ..streaming.population import (
     build_population,
     synthetic_catalog,
 )
-from ..streaming.simulator import AbandonPolicy
+from ..streaming.simulator import AbandonPolicy, FleetSession
 from .common import Scale
 
 __all__ = ["volut_latency_model", "volut_client", "make_population"]

@@ -26,7 +26,6 @@ from ..spatial.reuse import merge_and_prune
 from .colorize import colorize_by_nearest, nearer_parent
 from .interpolation import interpolate
 from .lut import EnsembleLUT, HashedLUT
-from .refine import NNRefiner
 
 __all__ = ["StageTimes", "SRResult", "VolutUpsampler", "NaiveUpsampler"]
 
@@ -142,22 +141,14 @@ class VolutUpsampler:
 
 
 class NaiveUpsampler:
-    """Vanilla baseline: brute-force kNN, fresh searches, optional NN refine.
+    """Vanilla baseline: brute-force kNN, fresh searches, no refinement.
 
-    With ``refiner=None`` and ``dilation=1`` this is the ``K4d1`` naive
-    interpolation baseline; handing it an :class:`NNRefiner` turns it into
-    the GradPU-style interpolate+network pipeline used for the latency
-    comparisons.
+    With ``dilation=1`` this is the ``K4d1`` naive interpolation baseline;
+    the interpolate+network pipeline is
+    :class:`~repro.sr.gradpu.GradPUUpsampler`.
     """
 
-    def __init__(
-        self,
-        refiner: NNRefiner | None = None,
-        k: int = 4,
-        dilation: int = 1,
-        seed: int = 0,
-    ):
-        self.refiner = refiner
+    def __init__(self, k: int = 4, dilation: int = 1, seed: int = 0):
         self.k = int(k)
         self.dilation = int(dilation)
         self._rng = np.random.default_rng(seed)
@@ -178,20 +169,5 @@ class NaiveUpsampler:
 
         # Fresh nearest search for colors — no relationship reuse.
         colored = colorize_by_nearest(cloud, interp, backend="brute")
-        t2 = time.perf_counter()
-        times.colorization = t2 - t1
-
-        if self.refiner is not None and interp.n_new > 0:
-            # Fresh kNN for refinement neighborhoods, again no reuse.
-            from ..spatial.knn import brute_force_knn
-
-            rf = self.refiner.encoder.rf_size
-            idx, _ = brute_force_knn(cloud.positions, interp.new_positions, rf - 1)
-            neighbors = cloud.positions[idx]
-            refined = self.refiner.refine(interp.new_positions, neighbors)
-            pos = colored.positions.copy()
-            pos[interp.n_source :] = refined
-            colored = PointCloud(pos, colored.colors)
-        t3 = time.perf_counter()
-        times.refinement = t3 - t2
+        times.colorization = time.perf_counter() - t1
         return SRResult(cloud=colored, times=times)

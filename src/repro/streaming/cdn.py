@@ -507,13 +507,6 @@ class CDNTopology:
                         )
                     seen[edge] = name
 
-    def region_of(self, edge: int) -> str | None:
-        """Name of the fault domain ``edge`` belongs to (None if none)."""
-        for name, members in (self.regions or {}).items():
-            if edge in members:
-                return name
-        return None
-
     def assign(self, sessions) -> list[int]:
         """Edge index for each session under this topology's policy."""
         return assign_sessions(sessions, len(self.edges), self.assignment)

@@ -26,10 +26,13 @@ state:
   :class:`~repro.streaming.population.DiurnalArrivals` ``autoscale``
   hook, closing the loop between measured QoE and offered load.
 
-The controller is *pure* with respect to the simulation: each tick it
-receives a :class:`FleetView` snapshot and returns a
-:class:`ControlActions` for the driver to apply, so policies are unit-
-testable without a fleet.  Ticks fire **opportunistically at existing
+The controller is a pure function of its view: each tick it receives a
+:class:`FleetView` snapshot — the run's lever state included — and
+returns a :class:`ControlActions` for the fleet to apply, so policies
+are unit-testable without a fleet and a plane reused across runs acts
+like a fresh one.  It keeps no record of a run: the fleet counts the
+ticks it ran and the actions it applied, and the tracer carries every
+``control.*`` event.  Ticks fire **opportunistically at existing
 event boundaries** (the first event at or after each nominal interval) —
 the control plane never injects events of its own, which is what makes a
 controller whose thresholds never trigger bit-exact with no controller
@@ -153,8 +156,8 @@ class FleetView:
     edge_load: tuple[int, ...]
     #: edges currently dark from an :class:`~repro.streaming.faults.EdgeOutage`
     edge_down: tuple[bool, ...]
-    #: per saturated-candidate edge: unfinished session ids assigned to it,
-    #: ascending (the driver's steerable set)
+    #: every edge: unfinished session ids assigned to it, ascending (the
+    #: fleet's steerable set)
     sessions_by_edge: dict[int, tuple[int, ...]]
     #: encode-queue waits recorded since the previous tick
     encode_waits: tuple[float, ...]
@@ -166,6 +169,9 @@ class FleetView:
     #: (topology ``regions`` names, sorted) — the graceful-degradation
     #: trigger; empty when no regions are declared or none is dark
     regions_dark: tuple[str, ...] = ()
+    #: a degradation lever is pulled in this run (a decision cap below
+    #: ``inf`` or SR off) — the state the degrade / restore step reads
+    degraded: bool = False
 
 
 @dataclass
@@ -197,9 +203,9 @@ class ControlPlane:
 
     Deterministic: actions are a pure function of the policy and the
     :class:`FleetView`, ties always break toward the lower edge/session
-    index.  Counters (``ticks``, ``encode_resizes``, ``resteered``) feed
-    the report's control fields; ``log`` keeps a human-readable action
-    trail for demos.
+    index.  The plane holds configuration only — its ``policy``, the
+    optional cross-run ``autoscaler`` and the ``tracer`` the fleet wires
+    in for a run — so one plane may serve any number of runs.
     """
 
     def __init__(
@@ -209,13 +215,6 @@ class ControlPlane:
     ) -> None:
         self.policy = policy or ControlPolicy()
         self.autoscaler = autoscaler
-        self.ticks = 0
-        self.encode_resizes = 0
-        self.resteered = 0
-        #: graceful-degradation lever pulls + releases (state flips)
-        self.degrades = 0
-        self._degraded = False
-        self.log: list[str] = []
         #: wired by the fleet driver for the run; unwired in its finally
         self.tracer = NULL_TRACER
 
@@ -223,7 +222,6 @@ class ControlPlane:
     def tick(self, view: FleetView) -> ControlActions:
         """One control interval: observe ``view``, emit actions."""
         pol = self.policy
-        self.ticks += 1
         self.tracer.emit(
             view.now, EV_CONTROL_TICK, health=view.health,
             workers=view.encode_workers,
@@ -248,15 +246,10 @@ class ControlPlane:
                     pol.min_encode_workers, view.encode_workers // 2
                 )
             if actions.encode_workers is not None:
-                self.encode_resizes += 1
                 self.tracer.emit(
                     view.now, EV_CONTROL_RESIZE,
                     workers_from=view.encode_workers,
                     workers_to=actions.encode_workers,
-                )
-                self.log.append(
-                    f"t={view.now:.1f} encode pool {view.encode_workers} -> "
-                    f"{actions.encode_workers} (interval p95 wait {p95:.3f}s)"
                 )
 
         # Re-steering away from saturated (or dark) edges.
@@ -297,34 +290,25 @@ class ControlPlane:
                     load[e] -= 1
                     load[target] += 1
                     budget -= 1
-            if actions.resteer:
-                self.resteered += len(actions.resteer)
-                # The controller's *intent*; the driver emits one
-                # ``session.resteer`` per re-steer it actually applies
-                # (finished or dark-target pairs are skipped there).
-                for sid, target in actions.resteer:
-                    self.tracer.emit(
-                        view.now, EV_CONTROL_RESTEER, session=sid,
-                        target=target,
-                    )
-                self.log.append(
-                    f"t={view.now:.1f} re-steered {len(actions.resteer)} "
-                    f"session(s) off saturated edge(s)"
+            # The controller's *intent*; the fleet emits one
+            # ``session.resteer`` per re-steer it actually applies
+            # (finished or dark-target pairs are skipped there).
+            for sid, target in actions.resteer:
+                self.tracer.emit(
+                    view.now, EV_CONTROL_RESTEER, session=sid, target=target,
                 )
 
         # Graceful degradation while a whole fault domain is dark: cap
         # quality and/or switch SR off, restore when the region returns.
-        # Pure state machine on regions_dark — with both levers unset
-        # (the defaults) this block never acts, preserving the no-op
-        # parity contract.
+        # A step on (regions_dark, degraded), both read off the view —
+        # with both levers unset (the defaults) this block never acts,
+        # preserving the no-op parity contract.
         has_levers = (
             pol.quality_cap_when_dark is not None or pol.disable_sr_when_dark
         )
         if has_levers:
             dark = bool(view.regions_dark)
-            if dark and not self._degraded:
-                self._degraded = True
-                self.degrades += 1
+            if dark and not view.degraded:
                 if pol.quality_cap_when_dark is not None:
                     actions.quality_cap = pol.quality_cap_when_dark
                 if pol.disable_sr_when_dark:
@@ -333,22 +317,13 @@ class ControlPlane:
                     view.now, EV_CONTROL_DEGRADE, state="on",
                     regions=",".join(view.regions_dark),
                 )
-                self.log.append(
-                    f"t={view.now:.1f} degraded mode ON "
-                    f"(dark: {', '.join(view.regions_dark)})"
-                )
-            elif not dark and self._degraded:
-                self._degraded = False
-                self.degrades += 1
+            elif not dark and view.degraded:
                 if pol.quality_cap_when_dark is not None:
                     actions.quality_cap = math.inf
                 if pol.disable_sr_when_dark:
                     actions.sr_enabled = True
                 self.tracer.emit(
                     view.now, EV_CONTROL_DEGRADE, state="off"
-                )
-                self.log.append(
-                    f"t={view.now:.1f} degraded mode OFF (regions back)"
                 )
 
         # Feed the arrival autoscaler's per-day health accumulator.

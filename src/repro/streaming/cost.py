@@ -16,11 +16,11 @@ the simulator's own accounting rather than estimated:
 * **SR compute** — client-assist device time, one device busy per
   session for its watched seconds, priced $/device-hour.
 
-``CostModel.price`` folds a :class:`~repro.streaming.fleet.FleetResult`
-into a :class:`CostReport` carrying both the physical quantities and
-their dollar components, so every figure is hand-checkable;
-:func:`attach_cost` pins the report onto ``FleetResult.report.cost``
-(what ``FleetSpec.cost_model`` triggers at the end of a run).  The
+``CostModel.price`` folds a finished
+:class:`~repro.streaming.fleet.FleetResult` into a :class:`CostReport`
+carrying both the physical quantities and their dollar components, so
+every figure is hand-checkable.  Pricing is applied to a result after
+the run, never inside it, so it cannot perturb the simulation.  The
 defaults approximate public-cloud list prices; they are knobs, not
 claims — QoE-per-dollar *comparisons* between policies on the same
 workload are the intended reading, in the MLSYSIM spirit of grounding
@@ -29,13 +29,13 @@ systems experiments in infrastructure economics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .fleet import FleetResult
 
-__all__ = ["CostModel", "CostReport", "attach_cost"]
+__all__ = ["CostModel", "CostReport"]
 
 #: decimal gigabyte — cloud egress/storage is billed base-10
 _GB = 1e9
@@ -133,14 +133,3 @@ class CostModel:
             total_usd=egress_usd + encode_usd + storage_usd + sr_usd,
         )
 
-
-def attach_cost(result: "FleetResult", model: CostModel) -> "FleetResult":
-    """Price ``result`` and pin the bill onto ``result.report.cost``.
-
-    Returns the same result object (the report, being frozen, is
-    rebuilt with the cost attached).  Attaching is the only mutation —
-    every other report field is untouched, which keeps cost-annotated
-    runs comparable with plain ones field by field.
-    """
-    result.report = dc_replace(result.report, cost=model.price(result))
-    return result

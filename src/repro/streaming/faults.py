@@ -63,7 +63,7 @@ import math
 import numbers
 import zlib
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..obs.events import (
     EV_FAULT_CROWD,
@@ -73,9 +73,7 @@ from ..obs.events import (
     EV_FAULT_REGION_OUTAGE,
 )
 from .chunks import VideoSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle (fleet imports faults)
-    from .fleet import FleetSession
+from .simulator import FleetSession
 
 __all__ = [
     "EdgeOutage",

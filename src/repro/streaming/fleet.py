@@ -41,9 +41,8 @@ import math
 import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import TYPE_CHECKING
 
-from ..metrics.qoe import QoEWeights, aggregate_qoe
+from ..metrics.qoe import aggregate_qoe
 from ..obs.events import (
     EV_CHUNK_COMPLETE,
     EV_CHUNK_DECISION,
@@ -64,26 +63,18 @@ from ..net.link import SharedLink
 from ..net.topology import PathScheduler
 from ..net.traces import NetworkTrace
 from .cdn import CDNTopology
-from .abr import AbrController, SRQualityModel
-from .chunks import VideoSpec
 from .control import FleetView, RecoveryTracker
 from .faults import DegradedTrace
-from .latency import SRLatency, ZERO_LATENCY
 from .simulator import (
-    AbandonPolicy,
     DecisionRequest,
     DownloadRequest,
-    SessionConfig,
+    FleetSession,
     SessionMachine,
     SessionResult,
 )
 from .spec import FleetSpec
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from .cost import CostReport
-
 __all__ = [
-    "FleetSession",
     "SRResultCache",
     "FleetReport",
     "FleetResult",
@@ -118,32 +109,6 @@ _CHARGE_COALESCED = 2
 #: it, so runs stay O(1); a stuck loop repeats forever.  1000 is three
 #: orders of magnitude of margin and still trips in well under a second.
 _MAX_STALLED_STEPS = 1000
-
-
-@dataclass
-class FleetSession:
-    """One client in a fleet: content, controller, join time, patience.
-
-    Controllers may be shared across sessions (the ABR classes are
-    stateless between ``decide`` calls) or instantiated per session.
-    Every session's downloads take an equal share of each link they
-    cross; there is no per-session priority.
-    """
-
-    spec: VideoSpec
-    controller: AbrController
-    sr_latency: SRLatency = ZERO_LATENCY
-    quality_model: SRQualityModel | None = None
-    config: SessionConfig | None = None
-    qoe_weights: QoEWeights | None = None
-    join_time: float = 0.0
-    #: viewer stall patience; None = never abandons
-    churn: AbandonPolicy | None = None
-
-    def __post_init__(self) -> None:
-        # chained so NaN fails them (every comparison with NaN is false)
-        if not 0 <= self.join_time < math.inf:
-            raise ValueError("join_time must be finite and non-negative")
 
 
 class SRResultCache:
@@ -247,7 +212,7 @@ class FleetReport:
     faults_injected: int = 0
     #: control-plane intervals that actually fired
     control_ticks: int = 0
-    #: encode-pool resize actions the controller issued
+    #: encode-pool resize actions the run applied
     encode_pool_resizes: int = 0
     #: health drop below the pre-fault baseline (QoE-per-chunk units)
     qoe_dip_depth: float = 0.0
@@ -275,12 +240,9 @@ class FleetReport:
     #: regions and faults were injected
     region_recovery: tuple[tuple[str, float, float], ...] = ()
     #: origin transcode core-seconds actually occupied (encode-queue busy
-    #: time summed over jobs) — what the cost model prices as compute
+    #: time summed over jobs) — what
+    #: :meth:`~repro.streaming.cost.CostModel.price` bills as compute
     encode_core_seconds: float = 0.0
-    #: infrastructure bill (attached when the run carried a
-    #: :class:`~repro.streaming.cost.CostModel`; None otherwise, so
-    #: uncosted runs stay field-for-field comparable)
-    cost: "CostReport | None" = None
 
 
 @dataclass
@@ -521,17 +483,7 @@ class _FleetRun:
         else:
             sr_caches = [spec.sr_cache] * len(sessions)
         self.machines = [
-            SessionMachine(
-                s.spec,
-                s.controller,
-                sr_latency=s.sr_latency,
-                quality_model=s.quality_model,
-                config=s.config,
-                qoe_weights=s.qoe_weights,
-                start_time=s.join_time,
-                sr_cache=sr_caches[sid],
-                churn=s.churn,
-            )
+            SessionMachine(s, sr_cache=sr_caches[sid])
             for sid, s in enumerate(sessions)
         ]
         self.end_times = [0.0] * len(sessions)
@@ -564,7 +516,11 @@ class _FleetRun:
         #: may wake the loop spuriously, never fire)
         self.timeout_heap: list[tuple[float, int, int]] = []
         self.rstate = _RetryState()
+        #: the run's own record of what it did: re-steers it applied,
+        #: control ticks it ran, encode-pool resizes it applied
         self.resteered = 0
+        self.control_ticks = 0
+        self.pool_resizes = 0
         # -- graceful degradation (control-plane levers) -------------------
         self.decision_cap = math.inf
         self.sr_disabled = False
@@ -627,7 +583,7 @@ class _FleetRun:
         )
 
     def _init_monitoring(self) -> None:
-        """Health sampling cadence, recovery trackers, controller baselines."""
+        """Health sampling cadence and recovery trackers."""
         faults, controller = self.faults, self.controller
         #: a metrics registry alone also wants the interval samples — the
         #: sample block is pure observation, so widening the gate cannot
@@ -637,12 +593,11 @@ class _FleetRun:
             or controller is not None
             or self.metrics is not None
         )
-        self.ticks0 = self.resizes0 = 0
-        self.sample_interval = _DEFAULT_SAMPLE_INTERVAL
-        if controller is not None:
-            self.sample_interval = controller.policy.interval
-            self.ticks0 = controller.ticks
-            self.resizes0 = controller.encode_resizes
+        self.sample_interval = (
+            controller.policy.interval
+            if controller is not None
+            else _DEFAULT_SAMPLE_INTERVAL
+        )
         self.next_sample = self.sample_interval
         self.sampler = _FleetSampler(self.metrics)
         self.encode_waits_seen = 0
@@ -1024,9 +979,8 @@ class _FleetRun:
         cap, SR off) is pulled; while none is, ``clamp=None`` executes the
         exact pre-lever instruction stream.
         """
-        levers = self.decision_cap < math.inf or self.sr_disabled
         decided = _batched_decisions(
-            self.machines, ids, clamp=self._clamp if levers else None,
+            self.machines, ids, clamp=self._clamp if self.degraded else None,
             rows_per_call=self.rows_per_call,
         )
         for sid, req in decided:
@@ -1035,6 +989,12 @@ class _FleetRun:
                 chunk=req.chunk_index, nbytes=req.nbytes,
             )
             self.queue(sid, req)
+
+    @property
+    def degraded(self) -> bool:
+        """A control-plane degradation lever (quality cap, SR off) is
+        pulled in this run."""
+        return self.decision_cap < math.inf or self.sr_disabled
 
     def _clamp(self, d):
         """One ABR decision under the active degradation levers."""
@@ -1352,6 +1312,7 @@ class _FleetRun:
             if regions
             else ()
         )
+        self.control_ticks += 1
         actions = self.controller.tick(
             FleetView(
                 now=t,
@@ -1364,10 +1325,12 @@ class _FleetRun:
                 encode_workers=oqueue.n_workers,
                 health=health,
                 regions_dark=regions_dark,
+                degraded=self.degraded,
             )
         )
         if actions.encode_workers is not None:
             oqueue.resize(actions.encode_workers, at_time=t)
+            self.pool_resizes += 1
         for sid, target in actions.resteer:
             if self.machines[sid].finished or self.edge_down[target]:
                 continue
@@ -1441,14 +1404,8 @@ class _FleetRun:
             encode_wait_p95=oqueue.wait_percentile(95.0),
             sessions_resteered=self.resteered,
             faults_injected=len(self.faults) if self.faults is not None else 0,
-            control_ticks=(
-                controller.ticks - self.ticks0 if controller is not None else 0
-            ),
-            encode_pool_resizes=(
-                controller.encode_resizes - self.resizes0
-                if controller is not None
-                else 0
-            ),
+            control_ticks=self.control_ticks,
+            encode_pool_resizes=self.pool_resizes,
             qoe_dip_depth=dip,
             time_to_recover_s=recover,
             chunk_retries=rstate.retries,
@@ -1532,9 +1489,4 @@ def simulate_fleet(
     spec = FleetSpec.resolve(spec, fields)
     run = _FleetRun(sessions, spec)
     run.run()
-    result = run.report()
-    if spec.cost_model is not None:
-        from .cost import attach_cost
-
-        result = attach_cost(result, spec.cost_model)
-    return result
+    return run.report()

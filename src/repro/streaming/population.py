@@ -5,14 +5,13 @@ times.  Real services see *populations*: viewers arrive according to a
 stochastic or measured arrival process, pick content with a heavily
 skewed popularity distribution, and churn out when rebuffering exhausts
 their patience.  This module turns those three levers into
-:class:`~repro.streaming.fleet.FleetSession` lists that
+:class:`~repro.streaming.simulator.FleetSession` lists that
 :func:`~repro.streaming.fleet.simulate_fleet` can run unchanged:
 
 * **arrival processes** — :class:`PoissonArrivals` (memoryless synthetic
   load), :class:`DiurnalArrivals` (nonhomogeneous Poisson over a 24-hour
   rate curve — the prime-time peak every service provisions for), and
-  :class:`TraceArrivals` (replay measured join timestamps, optionally
-  loaded from a CSV);
+  :class:`TraceArrivals` (replay measured join timestamps);
 * **content catalogs** — :class:`ContentCatalog`, a ranked video set with
   Zipf-like popularity ``weight(rank) ∝ 1/rank^skew``; the skew is the
   knob that drives SR-cache co-watching studies;
@@ -36,9 +35,8 @@ import numpy as np
 from ..metrics.qoe import QoEWeights
 from .abr import AbrController, SRQualityModel
 from .chunks import VideoSpec
-from .fleet import FleetSession
 from .latency import SRLatency, ZERO_LATENCY
-from .simulator import AbandonPolicy, SessionConfig
+from .simulator import AbandonPolicy, FleetSession, SessionConfig
 
 __all__ = [
     "PoissonArrivals",
@@ -267,29 +265,6 @@ class TraceArrivals:
             )
         if np.any(np.diff(ts) < 0):
             raise ValueError("arrival times must be sorted")
-
-    @classmethod
-    def from_csv(cls, path) -> "TraceArrivals":
-        """Load ``timestamp_s`` rows (one per line, ``#`` comments).
-
-        Extra comma-separated columns (user id, region, ...) are ignored,
-        so raw service join logs drop in without conversion.
-        """
-        times: list[float] = []
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    times.append(float(line.split(",")[0]))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected a timestamp, got {line!r}"
-                    ) from exc
-        if not times:
-            raise ValueError(f"{path}: no arrival rows found")
-        return cls(arrival_times=tuple(times))
 
     def times(self, window: float) -> np.ndarray:
         """Arrivals that fall inside ``[0, window]``."""

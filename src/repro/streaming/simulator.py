@@ -60,6 +60,7 @@ __all__ = [
     "DownloadRequest",
     "DecisionRequest",
     "AbandonPolicy",
+    "FleetSession",
     "SessionMachine",
     "simulate_session",
 ]
@@ -189,6 +190,32 @@ class AbandonPolicy:
         )
 
 
+@dataclass
+class FleetSession:
+    """One client in a fleet: content, controller, join time, patience.
+
+    Controllers may be shared across sessions (the ABR classes are
+    stateless between ``decide`` calls) or instantiated per session.
+    Every session's downloads take an equal share of each link they
+    cross; there is no per-session priority.
+    """
+
+    spec: VideoSpec
+    controller: AbrController
+    sr_latency: SRLatency = ZERO_LATENCY
+    quality_model: SRQualityModel | None = None
+    config: SessionConfig | None = None
+    qoe_weights: QoEWeights | None = None
+    join_time: float = 0.0
+    #: viewer stall patience; None = never abandons
+    churn: AbandonPolicy | None = None
+
+    def __post_init__(self) -> None:
+        # chained so NaN fails them (every comparison with NaN is false)
+        if not 0 <= self.join_time < math.inf:
+            raise ValueError("join_time must be finite and non-negative")
+
+
 class SessionMachine:
     """One streaming session as a resumable state machine.
 
@@ -202,36 +229,23 @@ class SessionMachine:
     :func:`simulate_session` is the one-viewer case) resolves each request
     and resumes the machine via :meth:`advance`.
 
-    ``start_time`` staggers the session's join into a shared timeline;
+    ``session`` states the viewer once — content, controller, SR model,
+    join time (which staggers the session into a shared timeline) and
+    churn patience (which ends it early when stalls exhaust it);
     ``sr_cache`` optionally shares SR results across co-watching sessions
-    (see :class:`repro.streaming.fleet.SRResultCache`); ``churn`` ends the
-    session early when the viewer's stall patience runs out.
+    (see :class:`repro.streaming.fleet.SRResultCache`).
     """
 
-    def __init__(
-        self,
-        spec: VideoSpec,
-        controller: AbrController,
-        sr_latency: SRLatency = ZERO_LATENCY,
-        quality_model: SRQualityModel | None = None,
-        config: SessionConfig | None = None,
-        qoe_weights: QoEWeights | None = None,
-        *,
-        start_time: float = 0.0,
-        sr_cache=None,
-        churn: AbandonPolicy | None = None,
-    ):
-        if start_time < 0:
-            raise ValueError("start_time must be non-negative")
-        self.spec = spec
-        self.controller = controller
-        self.sr_latency = sr_latency
-        self.quality_model = quality_model or SRQualityModel()
-        self.config = config or SessionConfig()
-        self.qoe_weights = qoe_weights
-        self.start_time = float(start_time)
+    def __init__(self, session: FleetSession, *, sr_cache=None):
+        self.spec = session.spec
+        self.controller = session.controller
+        self.sr_latency = session.sr_latency
+        self.quality_model = session.quality_model or SRQualityModel()
+        self.config = session.config or SessionConfig()
+        self.qoe_weights = session.qoe_weights
+        self.start_time = float(session.join_time)
         self.sr_cache = sr_cache
-        self.churn = churn
+        self.churn = session.churn
         self.result: SessionResult | None = None
         # Live telemetry the fleet control plane samples mid-run (pure
         # counters — updating them cannot perturb the session arithmetic).
@@ -412,7 +426,7 @@ def simulate_session(
     """Simulate one playback session end to end: a fleet of one viewer,
     alone from t = 0 on :func:`~repro.streaming.cdn.single_link_cdn`
     over ``trace``."""
-    from .fleet import FleetSession, simulate_fleet  # fleet imports this module
+    from .fleet import simulate_fleet  # fleet imports this module
 
     session = FleetSession(
         spec, controller, sr_latency, quality_model, config, qoe_weights

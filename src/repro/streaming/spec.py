@@ -6,7 +6,9 @@ verbatim to ``FleetSpec(**fields)``.
 The field list, the defaults, and the unknown-name errors therefore
 live here and nowhere else.  There is one serving model: ``topology``
 is required, and a bare bottleneck link is the one-edge CDN
-:func:`~repro.streaming.cdn.single_link_cdn` builds.
+:func:`~repro.streaming.cdn.single_link_cdn` builds.  Every field
+configures the run; pricing a finished run is not one of them —
+:meth:`~repro.streaming.cost.CostModel.price` takes the result.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .cdn import CDNTopology
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..obs import Telemetry
     from .control import ControlPlane
-    from .cost import CostModel
     from .faults import FaultSchedule, RetryPolicy
     from .fleet import SRResultCache
 
@@ -95,10 +96,6 @@ class FleetSpec:
     #: phases (``scheduler`` / ``advance`` / ``planner`` / ``control``) in
     #: wall-clock spans, one ``scheduler`` span per event step.
     telemetry: "Telemetry | None" = None
-    #: a :class:`~repro.streaming.cost.CostModel`; its dollarization is
-    #: attached to ``report.cost`` after the run from the report's own
-    #: counters, so pricing cannot perturb the simulation.
-    cost_model: "CostModel | None" = None
 
     @classmethod
     def resolve(cls, spec: "FleetSpec | None", fields: dict) -> "FleetSpec":

@@ -9,7 +9,6 @@ from repro.sr import (
     YUZU_RATIOS,
     GradPUUpsampler,
     NaiveUpsampler,
-    NNRefiner,
     VolutUpsampler,
     YuzuSRModel,
 )
@@ -124,11 +123,6 @@ class TestNaiveUpsampler:
         r = NaiveUpsampler().upsample(tiny_frame, 2.0)
         assert len(r.cloud) == 2 * len(tiny_frame)
         assert r.cloud.has_colors
-
-    def test_with_nn_refiner(self, tiny_frame, trained_artifacts):
-        ref = NNRefiner(trained_artifacts.net, trained_artifacts.encoder)
-        r = NaiveUpsampler(refiner=ref).upsample(tiny_frame, 2.0)
-        assert r.times.refinement > 0
 
 
 class TestGradPU:

@@ -12,7 +12,6 @@ from repro.streaming import (
     FleetSession,
     SRQualityModel,
     SRResultCache,
-    attach_cost,
     simulate_fleet,
     single_link_cdn,
     uniform_cdn,
@@ -157,48 +156,20 @@ class TestCostModel:
         assert free.qoe_per_dollar(3.0, 10) == float("inf")
 
 
-class TestCostAttachment:
-    def test_no_cost_model_no_cost(self):
-        result = simulate_fleet(make_sessions(), topology=make_topology())
-        assert result.report.cost is None
-
-    def test_cost_model_kwarg_attaches(self):
-        result = simulate_fleet(
-            make_sessions(), topology=make_topology(),
-            cost_model=CostModel(),
-        )
-        assert isinstance(result.report.cost, CostReport)
-        assert result.report.cost.total_usd > 0.0
-
-    def test_attach_only_touches_cost_field(self):
-        plain = simulate_fleet(make_sessions(), topology=make_topology())
-        priced = simulate_fleet(
-            make_sessions(), topology=make_topology(),
-            cost_model=CostModel(),
-        )
-        from dataclasses import replace
-
-        assert replace(priced.report, cost=None) == plain.report
-
-    def test_attach_cost_helper(self):
-        result = simulate_fleet(make_sessions(), topology=make_topology())
-        model = CostModel()
-        out = attach_cost(result, model)
-        assert out is result
-        assert out.report.cost == model.price(result)
-
+class TestPricingAFinishedRun:
     def test_sr_cache_lowers_sr_hours_not_watched(self):
         """The SR device-hour line bills watched seconds; a shared SR
         cache changes compute reuse, not watch time, so the bill is a
         function of viewer behaviour only."""
-        no_cache = simulate_fleet(
-            make_sessions(), topology=make_topology(),
-            cost_model=CostModel(),
+        no_cache = CostModel().price(
+            simulate_fleet(make_sessions(), topology=make_topology())
         )
-        cached = simulate_fleet(
-            make_sessions(), topology=make_topology(),
-            sr_cache=SRResultCache(), cost_model=CostModel(),
+        cached = CostModel().price(
+            simulate_fleet(
+                make_sessions(), topology=make_topology(),
+                sr_cache=SRResultCache(),
+            )
         )
-        assert no_cache.report.cost.sr_device_hours == pytest.approx(
-            cached.report.cost.sr_device_hours, rel=0.2
+        assert no_cache.sr_device_hours == pytest.approx(
+            cached.sr_device_hours, rel=0.2
         )

@@ -290,4 +290,3 @@ class TestFaultFields:
         rep = run[0].report
         assert rep.control_ticks == rep.encode_pool_resizes == 0
         assert rep.region_recovery == ()
-        assert rep.cost is None

@@ -77,16 +77,6 @@ class TestArrivalProcesses:
         with pytest.raises(ValueError, match="window must be finite"):
             TraceArrivals((0.0, 1.0)).times(math.nan)
 
-    def test_trace_arrivals_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "joins.csv"
-        path.write_text("# t_s,user\n0.5,alice\n2.25,bob\n\n7.0,carol\n")
-        arr = TraceArrivals.from_csv(path)
-        assert arr.arrival_times == (0.5, 2.25, 7.0)
-        with pytest.raises(ValueError, match="timestamp"):
-            bad = tmp_path / "bad.csv"
-            bad.write_text("not-a-number\n")
-            TraceArrivals.from_csv(bad)
-
 
 class TestContentCatalog:
     def test_popularity_normalized_and_rank_ordered(self):

@@ -18,7 +18,6 @@ from repro.net import stable_trace
 from repro.streaming import (
     AbandonPolicy,
     ContinuousMPC,
-    CostModel,
     FaultSchedule,
     FleetSession,
     FleetSpec,
@@ -165,14 +164,6 @@ class TestSpecValidation:
             make_sessions(), spec=FleetSpec(topology=single_link_cdn(trace))
         )
         assert_identical(bare, via)
-
-    def test_cost_model_rides_the_spec(self):
-        result = simulate_fleet(
-            make_sessions(),
-            spec=FleetSpec(topology=make_topology(), cost_model=CostModel()),
-        )
-        assert result.report.cost is not None
-        assert result.report.cost.total_usd > 0.0
 
     def test_a_shared_sr_cache_is_the_callers_instance(self):
         cache = SRResultCache()

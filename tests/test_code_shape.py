@@ -29,15 +29,15 @@ def test_no_function_body_over_150_lines():
     assert not too_long, too_long
 
 
-def test_fleet_spec_has_eight_fields_and_no_engine_knob():
+def test_fleet_spec_has_seven_fields_and_no_engine_knob():
     import dataclasses
 
     from repro.streaming import FleetSpec
 
     names = [f.name for f in dataclasses.fields(FleetSpec)]
-    assert len(names) == 8, names
+    assert len(names) == 7, names
     assert not [n for n in names if "engine" in n]
-    assert not {"trace", "policy"} & set(names)
+    assert not {"trace", "policy", "cost_model"} & set(names)
 
 
 def test_one_serving_model():
@@ -204,6 +204,61 @@ def test_a_fleet_step_rebuilds_nothing_fixed_for_the_run():
     own = {id(d) for d in mpc._decisions}
     assert {id(d) for d in mpc.decide_batch(ctxs)} <= own
     assert id(mpc.decide(ctxs[0])) in own
+
+
+def test_the_control_plane_keeps_no_books():
+    """A plane is configuration: ``tick`` is a function of its view and
+    writes nothing back, and a plane holds only its policy, the optional
+    cross-run autoscaler and the tracer a run wires in.  The run keeps
+    the one record of what it did."""
+    from repro.streaming import ControlPlane
+
+    path = SRC / "streaming" / "control.py"
+    (tick,) = functions(path, "tick")
+    writes = [
+        f"line {node.lineno}"
+        for node in ast.walk(tick)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "self"
+    ]
+    assert writes == [], writes
+    assert "self.log" not in path.read_text()
+    assert set(vars(ControlPlane())) == {"policy", "autoscaler", "tracer"}
+
+
+def test_a_viewer_is_stated_once():
+    """``FleetSession`` is the one statement of a viewer, next to the
+    machine that runs it; the machine takes it whole."""
+    import inspect
+
+    import repro.streaming.fleet as fleet
+    from repro.streaming import FleetSession, SessionMachine
+
+    assert FleetSession.__module__ == "repro.streaming.simulator"
+    assert "FleetSession" not in fleet.__all__
+    params = inspect.signature(SessionMachine).parameters
+    assert list(params) == ["session", "sr_cache"]
+    assert params["sr_cache"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_pricing_is_applied_to_a_finished_run():
+    """A run carries no cost model and its report no bill:
+    ``CostModel.price(result)`` is the one way to a ``CostReport``."""
+    import dataclasses
+
+    import repro.streaming as streaming
+    from repro.streaming import FleetReport
+
+    assert "cost" not in [f.name for f in dataclasses.fields(FleetReport)]
+    assert not hasattr(streaming, "attach_cost")
+    (run,) = functions(SRC / "streaming" / "fleet.py", "simulate_fleet")
+    assert "price" not in called_names(run)
 
 
 def test_one_sharing_rule():

@@ -67,6 +67,21 @@ class TestExamples:
         first = trace.read_text().splitlines()[0]
         assert '"kind"' in first and '"t"' in first
 
+    def test_policy_zoo_demo(self):
+        from repro.streaming import available_policies
+
+        proc = run("policy_zoo_demo.py", "--sessions", "30")
+        assert proc.returncode == 0, proc.stderr
+        rows = {
+            line.split()[0]: line.split()
+            for line in proc.stdout.splitlines()
+            if line.split() and line.split()[0] in available_policies()
+        }
+        assert sorted(rows) == sorted(available_policies())
+        for cells in rows.values():
+            # mean qoe, stall %, total $, qoe/$, [wall]
+            assert float(cells[3]) > 0.0, cells
+
     def test_population_demo(self):
         proc = run("population_demo.py", "--sessions", "30", "--seconds", "8")
         assert proc.returncode == 0, proc.stderr
