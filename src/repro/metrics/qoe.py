@@ -96,50 +96,58 @@ class QoEModel:
             prev = rec.quality
         return total
 
-    def plan_values(
-        self,
-        qualities: np.ndarray,
-        stalls: np.ndarray,
-        prev_quality: np.ndarray | float | None = None,
+    def first_chunk_values(
+        self, qualities: np.ndarray, prev_quality: float | None = None
     ) -> np.ndarray:
-        """Value of many candidate plans over the MPC horizon (used by the ABR).
+        """Stall-free value of a plan's first chunk, ``α·q − β·V(q, prev)``.
 
         A *plan* holds one quality for the whole horizon (the Robust-MPC
         simplification), so ``qualities`` has the plan axes only —
-        candidate density, session, ... — and ``stalls`` those axes behind
-        a leading horizon axis; the two broadcast.  ``prev_quality`` is
-        ``None`` (no previous chunk anywhere), one float for every plan, or
-        an array broadcastable to the plan axes in which ``NaN`` marks "no
-        previous chunk" for that plan.  Stalls must be non-negative — the
-        planner builds them as ``max(0, ·)`` of tensors it has already
-        checked, so they are not scanned again here.
+        candidate density, ... — and ``prev_quality`` is the one previous
+        chunk they all follow, or ``None`` for none.  With ``None`` the row
+        is ``α·q``, which is also what every *later* chunk of a plan adds
+        before its stall: after the first chunk the quality does not
+        change, so the variation term is exactly ``+0.0``.
+
+        The row depends on nothing a throughput sample or a buffer level
+        moves, so a planner builds it once per previous quality and hands
+        it to :meth:`plan_values` on every call.
+        """
+        q = np.asarray(qualities, dtype=np.float64)
+        w = self.weights
+        quality = w.alpha * q
+        if prev_quality is None:
+            return quality
+        delta = q - prev_quality
+        variation = np.where(
+            delta < 0, w.beta * w.drop_multiplier, w.beta
+        ) * np.abs(delta)
+        return quality - variation
+
+    def plan_values(
+        self, first: np.ndarray, later: np.ndarray, stalls: np.ndarray
+    ) -> np.ndarray:
+        """Value of many candidate plans over the MPC horizon (used by the ABR).
+
+        ``first − γ·s₀ + Σᵢ (later − γ·sᵢ)``: ``first`` and ``later`` are
+        :meth:`first_chunk_values` rows — with the plan's previous quality
+        and with ``None`` — and ``stalls`` has the plan axes behind a
+        leading horizon axis; the three broadcast.  Stalls must be
+        non-negative — the planner builds them as ``max(0, ·)`` of tensors
+        it has already checked, so they are not scanned again here.
 
         Each plan's value is the sum of :meth:`chunk_qoe` over its horizon,
         term for term and in that order
         (``tests/streaming/reference_planner.py`` is that sum written as a
-        loop).  After the first chunk the quality does not change, so the
-        variation term is exactly ``+0.0`` and a later chunk contributes
-        ``α·q − γ·s_i``.
+        loop).
         """
-        q = np.asarray(qualities, dtype=np.float64)
         s = np.asarray(stalls, dtype=np.float64)
         if s.ndim < 1:
             raise ValueError("need a horizon axis")
-        w = self.weights
-        quality = w.alpha * q
-        stall = w.gamma * s
-        if prev_quality is None:
-            total = quality - stall[0]
-        else:
-            delta = q - prev_quality
-            variation = np.where(
-                delta < 0, w.beta * w.drop_multiplier, w.beta
-            ) * np.abs(delta)
-            if not isinstance(prev_quality, float):  # an array's NaN marks
-                variation = np.where(np.isnan(prev_quality), 0.0, variation)
-            total = quality - variation - stall[0]
+        stall = self.weights.gamma * s
+        total = first - stall[0]
         for i in range(1, len(stall)):
-            total = total + (quality - stall[i])
+            total = total + (later - stall[i])
         return total
 
 

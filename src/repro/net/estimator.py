@@ -8,6 +8,7 @@ transient spikes, which would otherwise cause over-fetching.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 __all__ = ["HarmonicMeanEstimator"]
@@ -26,9 +27,17 @@ class HarmonicMeanEstimator:
         self._samples: deque[float] = deque(maxlen=self.window)
 
     def observe(self, throughput_bps: float) -> None:
-        """Record one completed-transfer throughput sample."""
-        if throughput_bps <= 0:
-            raise ValueError("throughput sample must be positive")
+        """Record one completed-transfer throughput sample.
+
+        Stated as ``not (0 < x < inf)`` so NaN fails too: an infinite
+        sample would make :meth:`estimate` divide by zero, and a NaN one
+        would make it NaN.
+        """
+        if not 0.0 < throughput_bps < math.inf:
+            raise ValueError(
+                "throughput sample must be finite and positive, got "
+                f"{throughput_bps!r}"
+            )
         self._samples.append(float(throughput_bps))
 
     def estimate(self) -> float:

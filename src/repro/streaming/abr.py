@@ -29,23 +29,32 @@ layout is chosen so that a call makes as few of them as it can.
 
 * *Per controller* (fixed at construction): the candidate grid ``(C,)``,
   its SR ratios, its qualities and one :class:`Decision` per candidate,
-  which ``decide_batch`` hands out by ``argmax`` index.
+  which ``decide_batch`` hands out by ``argmax`` index; and the ``(1, C)``
+  row ``α·q`` every planned chunk after the first adds.
+* *Per previous quality* (:meth:`_MPCBase._first_row`, keyed on the
+  float, bounded): the stall-free first-chunk row ``α·q − β·V(q, prev)``
+  ``(1, C)``.  A session's previous quality is one of a handful of
+  values, so the variation term is built once per value, not per call; a
+  batch is one ``concatenate`` of the cached rows.
 * *Per chunk window* (:meth:`_MPCBase._horizon_tensors`, keyed on the
   tuple of chunk specs): fetched bits and SR seconds ``(H, 1, C)`` and
   chunk durations ``(H, 1, 1)`` — checked finite and non-negative once,
   already in the planner's shape.  Horizon leads, so a one-row call uses
   the cached tensors as they are and a batch is one ``concatenate`` along
   the row axis; ``tensor[h]`` is a contiguous ``(N, C)`` step.
-* *Per call*: throughput, buffer and previous quality — Python floats for
-  one row, ``(N, 1)`` columns for a batch, the same expressions either
-  way — then ``ready = max(bits / tput, sr)`` on the whole tensor, the
-  buffer recursion step by step, and ``QoEModel.plan_values``.
+* *Per call*: throughput and buffer — Python floats for one row,
+  ``(N, 1)`` columns for a batch, the same expressions either way — then
+  ``ready = max(bits / tput, sr)`` on the whole tensor, the buffer
+  recursion step by step writing each step's stall over its ``ready``
+  slice, and ``QoEModel.plan_values``, which only adds the stalls.
 
 A plan holds one density over its horizon (the Robust-MPC
 simplification), so quality changes only between the previous chunk and
 the first planned one: after step 0 the variation term of Eq. 10 is
-exactly ``+0.0`` and a step adds ``α·q − γ·s_i`` — the same additions in
-the same order as the term-by-term sum, so values are bit-equal to it.
+exactly ``+0.0``, so a plan's value is ``first − γ·s_0 + Σ_i (α·q −
+γ·s_i)`` — the same additions in the same order as the term-by-term sum,
+and the first-chunk row the same expressions as when it was rebuilt on
+every call, so values are bit-equal to both.
 
 The non-MPC controllers of the policy zoo (BOLA, throughput rule,
 hybrid) live in :mod:`repro.streaming.policies` along with the
@@ -157,14 +166,14 @@ class AbrContext:
                 "AbrContext.throughput_bps must be positive, got "
                 f"{self.throughput_bps!r}"
             )
-        if not self.buffer_level >= 0:
+        if not 0 <= self.buffer_level < math.inf:
             raise ValueError(
-                "AbrContext.buffer_level must be non-negative, got "
+                "AbrContext.buffer_level must be finite and non-negative, got "
                 f"{self.buffer_level!r}"
             )
-        if self.prev_quality is not None and math.isnan(self.prev_quality):
+        if self.prev_quality is not None and not math.isfinite(self.prev_quality):
             raise ValueError(
-                "AbrContext.prev_quality must be a number or None (no "
+                "AbrContext.prev_quality must be a finite number or None (no "
                 f"previous chunk), got {self.prev_quality!r}"
             )
         if not self.next_chunks:
@@ -225,6 +234,9 @@ class _MPCBase(AbrController):
     never on what the object was asked before.
     """
 
+    #: most first-chunk rows :meth:`_first_row` keeps before it starts over
+    FIRST_ROWS_LIMIT = 1024
+
     def __init__(
         self,
         candidates: np.ndarray,
@@ -266,6 +278,12 @@ class _MPCBase(AbrController):
         ]
         #: chunk window -> its tensors (see :meth:`_horizon_tensors`)
         self._horizon_cache: dict[tuple, tuple] = {}
+        #: every planned chunk after the first adds this ``(1, C)`` row
+        #: before its stall (the first-chunk row of no previous chunk)
+        self._later_row = qoe_model.first_chunk_values(self._qualities[None, :])
+        self._later_row.flags.writeable = False
+        #: previous quality -> its first-chunk row (see :meth:`_first_row`)
+        self._first_rows: dict[float | None, np.ndarray] = {None: self._later_row}
         #: lifetime count of rows :meth:`decide_batch` has evaluated
         self.decide_rows = 0
 
@@ -308,6 +326,26 @@ class _MPCBase(AbrController):
             self._horizon_cache[chunks] = cached
         return cached
 
+    def _first_row(self, prev_quality: float | None) -> np.ndarray:
+        """Stall-free first-chunk row ``(1, C)`` after ``prev_quality``.
+
+        It depends only on the fixed candidate grid and the previous
+        chunk's quality — one of a handful of values in a real session —
+        so it is built once per distinct value.  A caller feeding
+        arbitrary qualities cannot grow the cache without bound: it starts
+        over once it holds :attr:`FIRST_ROWS_LIMIT` rows.
+        """
+        row = self._first_rows.get(prev_quality)
+        if row is None:
+            if len(self._first_rows) >= self.FIRST_ROWS_LIMIT:
+                self._first_rows = {None: self._later_row}
+            row = self.qoe_model.first_chunk_values(
+                self._qualities[None, :], prev_quality
+            )
+            row.flags.writeable = False  # shared by every call that hits it
+            self._first_rows[prev_quality] = row
+        return row
+
     def _batch_plan_values(self, ctxs: list[AbrContext]) -> np.ndarray:
         """Plan values for every (context, candidate) pair in one pass.
 
@@ -321,36 +359,35 @@ class _MPCBase(AbrController):
             for ctx in ctxs
         ]
         if len(ctxs) == 1:
-            # The fleet's common call: the cached (H, 1, C) tensors as they
-            # are, context scalars as Python floats — same expressions below.
+            # The fleet's common call: the cached (H, 1, C) tensors and
+            # (1, C) first-chunk row as they are, context scalars as
+            # Python floats — same expressions below.
             (bits, sr, dur), ctx = windows[0], ctxs[0]
             tput = ctx.throughput_bps * self.safety
             buffer = ctx.buffer_level
-            prev = ctx.prev_quality
+            first = self._first_row(ctx.prev_quality)
         else:
             bits, sr, dur = (np.concatenate(t, axis=1) for t in zip(*windows))
             tput = (np.array([c.throughput_bps for c in ctxs]) * self.safety)[:, None]
             buffer = np.array([c.buffer_level for c in ctxs])[:, None]
-            # NaN is plan_values' "no previous chunk" mark; AbrContext admits no other.
-            prev = np.array(
-                [np.nan if c.prev_quality is None else c.prev_quality for c in ctxs]
-            )[:, None]
+            first = np.concatenate([self._first_row(c.prev_quality) for c in ctxs])
 
         ready = bits / tput                                    # (H, N, C)
         # Download and SR overlap across chunks (pipelined client), so the
         # steady-state readiness interval is the slower stage.
         np.maximum(ready, sr, out=ready)
-        stalls = np.empty_like(ready)
         last = len(ready) - 1
-        for h, (r, stall, d) in enumerate(zip(ready, stalls, dur)):
-            # stall = max(0, r - b), then b' = max(b - r, 0) + d written as
-            # d - min(r - b, 0): the same float for every input (b - r is
-            # exactly -(r - b)), infinities included, in four array calls.
+        for h, (r, d) in enumerate(zip(ready, dur)):
+            # stall = max(0, r - b), written over r once x holds r - b; then
+            # b' = max(b - r, 0) + d written as d - min(r - b, 0): the same
+            # float for every input (b - r is exactly -(r - b)), infinities
+            # included, in four array calls.
             x = r - buffer
-            np.maximum(0.0, x, out=stall)
+            np.maximum(0.0, x, out=r)
             if h < last:
                 buffer = d - np.minimum(x, 0.0, out=x)
-        return self.qoe_model.plan_values(self._qualities, stalls, prev)
+        stalls = ready  # every step's slice now holds its stall
+        return self.qoe_model.plan_values(first, self._later_row, stalls)
 
     def plan_values(self, ctx: AbrContext) -> np.ndarray:
         """Plan values over all candidate densities, ``(C,)``."""

@@ -1,5 +1,6 @@
 """QoE model tests (Eq. 10 semantics)."""
 
+import numpy as np
 import pytest
 
 from repro.metrics import (
@@ -59,16 +60,30 @@ class TestSession:
         m = QoEModel()
         stalls = [0.0, 0.1, 0.0]
         records = [ChunkRecord(quality=0.6, stall=s) for s in stalls]
-        assert m.plan_values(0.6, stalls, None) == pytest.approx(m.session(records))
-        assert m.plan_values(0.6, stalls, 0.9) == pytest.approx(
+        later = m.first_chunk_values(0.6)
+        assert m.plan_values(later, later, stalls) == pytest.approx(m.session(records))
+        first = m.first_chunk_values(0.6, 0.9)
+        assert m.plan_values(first, later, stalls) == pytest.approx(
             m.session(records) - m.variation_term(0.6, 0.9)
         )
 
+    def test_first_chunk_row_is_a_stall_free_chunk_qoe(self):
+        """Same expressions as the per-chunk terms, so equal to the float."""
+        m = QoEModel(QoEWeights(alpha=1.3, beta=0.7, gamma=2.0, drop_multiplier=3.0))
+        q = np.array([0.1, 0.45, 0.6, 1.0])
+        for prev in (None, 0.0, 0.45, 0.9, 1.0):
+            row = m.first_chunk_values(q, prev)
+            assert row.tolist() == [
+                m.chunk_qoe(ChunkRecord(quality=float(x)), prev) for x in q
+            ]
+
     def test_plan_value_validation(self):
+        m = QoEModel()
+        row = m.first_chunk_values([0.5, 0.7, 0.6])
         with pytest.raises(ValueError):  # 3 plans against 4: no broadcast
-            QoEModel().plan_values([0.5, 0.7, 0.6], [[0.0] * 4, [0.1] * 4], None)
+            m.plan_values(row, row, [[0.0] * 4, [0.1] * 4])
         with pytest.raises(ValueError, match="horizon axis"):
-            QoEModel().plan_values(0.5, 0.0, None)
+            m.plan_values(0.5, 0.5, 0.0)
 
 
 class TestSessionQoE:

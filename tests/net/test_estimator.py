@@ -52,3 +52,18 @@ class TestEstimator:
         est = HarmonicMeanEstimator()
         with pytest.raises(ValueError):
             est.observe(0.0)
+
+    @pytest.mark.parametrize(
+        "sample,shown", [(float("inf"), "inf"), (float("nan"), "nan"), (-1e6, "-1000000.0")]
+    )
+    def test_non_finite_sample_rejected(self, sample, shown):
+        """``inf <= 0`` and ``nan <= 0`` are false, so both used to be
+        recorded: ``estimate()`` then divided by zero (inf) or returned
+        NaN, which the next ``AbrContext`` refused with a misleading
+        "throughput_bps must be positive, got nan"."""
+        est = HarmonicMeanEstimator(initial_bps=7e6)
+        est.observe(5e6)
+        with pytest.raises(ValueError, match=rf"finite and positive, got {shown}"):
+            est.observe(sample)
+        assert est.n_samples == 1
+        assert est.estimate() == 5e6

@@ -171,14 +171,21 @@ class TestAbrContext:
             ("throughput_bps", (float("nan"), 1.0, None)),
             ("buffer_level", (1e6, float("nan"), None)),
             ("prev_quality", (1e6, 1.0, float("nan"))),
+            ("prev_quality", (1e6, 1.0, float("inf"))),
+            ("prev_quality", (1e6, 1.0, float("-inf"))),
+            ("buffer_level", (1e6, float("inf"), None)),
         ],
     )
     def test_nan_rejected(self, field, args):
         """``nan <= 0`` is false, so NaN used to construct — and the
         planner answered with the argmax of an all-NaN row (or read a NaN
-        ``prev_quality`` as "no previous chunk")."""
+        ``prev_quality`` as "no previous chunk").  An infinite previous
+        quality made every plan value ``-inf``, so ``argmax`` silently
+        picked density 0.125 / x8; an infinite buffer was accepted too."""
         spec = VideoSpec(name="t", n_frames=30, fps=30, points_per_frame=100)
-        with pytest.raises(ValueError, match=rf"AbrContext\.{field}.*got nan"):
+        with pytest.raises(
+            ValueError, match=rf"AbrContext\.{field}.*got (nan|inf|-inf)"
+        ):
             AbrContext(*args, spec.chunks())
 
     def test_infinite_throughput_plans_a_zero_time_download(self):

@@ -10,6 +10,7 @@ zoo against first-principles re-derivations of each rule.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -193,12 +194,13 @@ class TestScalarVectorParity:
 
 
 def predecessor_plan_values(mpc, ctxs):
-    """The planner body the four-call recursion replaced, as its oracle:
-    ``stall = max(0, r - b)`` then ``b = max(b - r, 0) + d`` after every
-    horizon step (the last included), and the variation term as
-    ``β · where(δ < 0, m, 1) · |δ|``.  Rows must share one effective
-    horizon; it reads the controller's cached window tensors, which the
-    rewrite left alone."""
+    """The planner body the four-call recursion and the cached first-chunk
+    rows replaced, as their oracle: ``stall = max(0, r - b)`` then
+    ``b = max(b - r, 0) + d`` after every horizon step (the last
+    included), and the variation term rebuilt on every call as
+    ``β · where(δ < 0, m, 1) · |δ|`` with NaN marking "no previous
+    chunk".  Rows must share one effective horizon; it reads the
+    controller's cached window tensors, which the rewrites left alone."""
     windows = [
         mpc._horizon_tensors(tuple(c.next_chunks[: mpc.horizon])) for c in ctxs
     ]
@@ -226,10 +228,16 @@ def predecessor_plan_values(mpc, ctxs):
     return total
 
 
+#: the largest buffer an ``AbrContext`` admits (an infinite one is refused)
+MAX_BUFFER = sys.float_info.max
+
+
 def oracle_ctx(mpc, tput_bps, buffer, prev, n_chunks, points, tie):
     """A context over ``n_chunks`` one-second chunks.  ``buffer="tie"``
     sets the buffer to the first chunk's readiness interval at candidate
-    ``tie``, so that row's first step has ``ready == buffer`` exactly."""
+    ``tie``, so that row's first step has ``ready == buffer`` exactly —
+    or, where a subnormal throughput makes that interval infinite, to
+    :data:`MAX_BUFFER`, the nearest buffer a context admits."""
     chunks = VideoSpec(
         name="t", n_frames=n_chunks * 30, fps=30, points_per_frame=points
     ).chunks(1.0)
@@ -238,6 +246,7 @@ def oracle_ctx(mpc, tput_bps, buffer, prev, n_chunks, points, tie):
         c = tie % len(mpc.candidates)
         with np.errstate(over="ignore"):  # a subnormal throughput ties at inf
             buffer = float(max(bits[0, 0, c] / (tput_bps * mpc.safety), sr[0, 0, c]))
+        buffer = min(buffer, MAX_BUFFER)
     return AbrContext(tput_bps, buffer, prev, chunks)
 
 
@@ -264,7 +273,7 @@ def assert_matches_predecessor(mpc, ctxs):
 #: (throughput bit/s, buffer s, previous quality, chunks left, points, tie
 #: candidate): ties, an empty buffer, one-chunk horizons, an infinite
 #: throughput (a zero-time download), a subnormal one (an infinite
-#: readiness interval) and an infinite buffer
+#: readiness interval) and the largest finite buffer
 EDGE_ROWS = [
     (25e6, "tie", None, 4, 100_000, 0),
     (25e6, "tie", 0.5, 1, 100_000, 63),
@@ -275,13 +284,14 @@ EDGE_ROWS = [
     (math.inf, "tie", None, 2, 100_000, 3),
     (1e-310, 2.0, 0.6, 3, 100_000, 0),
     (1e-310, "tie", None, 1, 100_000, 5),
-    (40e6, math.inf, 0.2, 4, 100_000, 0),
+    (40e6, MAX_BUFFER, 0.2, 4, 100_000, 0),
 ]
 
 
 class TestPredecessorRecursion:
-    """``==``, not 1e-9: the four-call recursion and the one-``where``
-    variation term are the predecessor's floats, rows batched or alone."""
+    """``==``, not 1e-9: the in-place four-call recursion and the cached
+    first-chunk rows are the predecessor's floats, rows batched or
+    alone."""
 
     @pytest.mark.parametrize("mpc_name", sorted(MPC_FACTORIES))
     @pytest.mark.parametrize("lat_name", sorted(LATENCIES))
@@ -297,7 +307,7 @@ class TestPredecessorRecursion:
             st.tuples(
                 st.one_of(st.floats(1e4, 1e10), st.sampled_from([math.inf, 1e-310])),
                 st.one_of(
-                    st.sampled_from([0.0, "tie", math.inf]), st.floats(0.0, 12.0)
+                    st.sampled_from([0.0, "tie", MAX_BUFFER]), st.floats(0.0, 12.0)
                 ),
                 st.one_of(st.none(), st.floats(0.0, 1.0)),
                 st.integers(1, 7),
@@ -312,6 +322,75 @@ class TestPredecessorRecursion:
     def test_property_equal_the_predecessor(self, mpc_name, lat_name, rows):
         mpc = MPC_FACTORIES[mpc_name](LATENCIES[lat_name]())
         assert_matches_predecessor(mpc, [oracle_ctx(mpc, *row) for row in rows])
+
+
+class TestFirstChunkRows:
+    """A controller builds each previous quality's first-chunk row once
+    and replays it: a cold call and a warm one are both ``==`` the
+    predecessor, which rebuilds the variation term on every call."""
+
+    @given(
+        mpc_name=st.sampled_from(sorted(MPC_FACTORIES)),
+        rows=st.lists(
+            st.tuples(
+                st.floats(1e4, 1e10),
+                st.floats(0.0, 12.0),
+                # an int picks from the controller's own quality row
+                st.one_of(
+                    st.none(),
+                    st.integers(0, 63),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                st.integers(1, 7),
+                st.integers(1_000, 300_000),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cold_and_warm_rows_equal_the_predecessor(self, mpc_name, rows):
+        factory = MPC_FACTORIES[mpc_name]
+        mpc = factory(measured_latency())
+        own = mpc._qualities.tolist()
+        ctxs = [
+            oracle_ctx(
+                mpc, tput, buf, own[prev % len(own)] if type(prev) is int else prev,
+                n_chunks, points, 0,
+            )
+            for tput, buf, prev, n_chunks, points in rows
+        ]
+        # A huge previous quality overflows the variation term to inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ctx in ctxs:
+                expected = predecessor_plan_values(mpc, [ctx])[0]
+                cold = factory(measured_latency())
+                assert ctx.prev_quality is None or ctx.prev_quality not in cold._first_rows
+                np.testing.assert_array_equal(cold.plan_values(ctx), expected)
+                np.testing.assert_array_equal(cold.plan_values(ctx), expected)
+            expected = [reference_planner.scalar_decide(mpc, c) for c in ctxs]
+            assert mpc.decide_batch(ctxs) == expected
+            assert mpc.decide_batch(ctxs) == expected
+
+    def test_the_row_cache_is_bounded(self):
+        """More distinct previous qualities than the bound: the cache
+        starts over instead of growing, and no value moves."""
+        mpc = MPC_FACTORIES["continuous-short-horizon"](measured_latency())
+        limit = mpc.FIRST_ROWS_LIMIT
+        ctxs = [
+            make_ctx(25.0, 2.5, p) for p in np.linspace(0.0, 1.0, limit + 40).tolist()
+        ]
+        sizes = []
+        for ctx in ctxs:
+            np.testing.assert_array_equal(
+                mpc.plan_values(ctx), predecessor_plan_values(mpc, [ctx])[0]
+            )
+            sizes.append(len(mpc._first_rows))
+        assert max(sizes) == limit and sizes[-1] < limit
+        assert not any(row.flags.writeable for row in mpc._first_rows.values())
+        fresh = MPC_FACTORIES["continuous-short-horizon"](measured_latency())
+        for ctx in ctxs[:3] + [make_ctx(25.0, 2.5, None)]:
+            np.testing.assert_array_equal(mpc.plan_values(ctx), fresh.plan_values(ctx))
 
 
 REGISTRY_POLICIES = (
@@ -590,8 +669,10 @@ class TestBatchHelpers:
         rng = np.random.default_rng(0)
         qualities = rng.uniform(0.0, 1.0, 7)
         stalls = rng.uniform(0.0, 2.0, (5, 7))
+        later = model.first_chunk_values(qualities)
         for prev in (None, 0.4):
-            vec = model.plan_values(qualities, stalls, prev)
+            first = model.first_chunk_values(qualities, prev)
+            vec = model.plan_values(first, later, stalls)
             assert vec.shape == (7,)
             for j in range(7):
                 ref = reference_planner.plan_value(
@@ -600,18 +681,27 @@ class TestBatchHelpers:
                 assert vec[j] == pytest.approx(ref, abs=1e-12)
 
     def test_plan_values_broadcasts_sessions_against_candidates(self):
-        """The planner's call: ``(C,)`` qualities, ``(H, N, C)`` stalls,
-        ``(N, 1)`` previous qualities with NaN for a first chunk."""
+        """The planner's call: ``(N, C)`` first-chunk rows stacked from
+        ``(1, C)`` ones, a ``(1, C)`` later row and ``(H, N, C)`` stalls."""
         model = QoEModel(QoEWeights(alpha=0.9, beta=0.8, gamma=1.5, drop_multiplier=3.0))
         rng = np.random.default_rng(1)
         qualities = rng.uniform(0.0, 1.0, 4)
         stalls = rng.uniform(0.0, 2.0, (3, 2, 4))
-        prev = np.array([[np.nan], [0.6]])
-        out = model.plan_values(qualities, stalls, prev)
+        prevs = (None, 0.6)
+        first = np.concatenate(
+            [model.first_chunk_values(qualities[None, :], p) for p in prevs]
+        )
+        later = model.first_chunk_values(qualities[None, :])
+        out = model.plan_values(first, later, stalls)
         assert out.shape == (2, 4)
-        for n, p in enumerate((None, 0.6)):
+        for n, p in enumerate(prevs):
             np.testing.assert_array_equal(
-                out[n], model.plan_values(qualities, stalls[:, n], p)
+                out[n],
+                model.plan_values(
+                    model.first_chunk_values(qualities, p),
+                    model.first_chunk_values(qualities),
+                    stalls[:, n],
+                ),
             )
             for c in range(4):
                 ref = reference_planner.plan_value(
@@ -619,12 +709,14 @@ class TestBatchHelpers:
                 )
                 assert out[n, c] == pytest.approx(ref, abs=1e-12)
 
-    def test_plan_values_nan_prev_marks_no_history(self):
-        model = QoEModel()
-        q = np.full(2, 0.5)
-        stalls = np.zeros((1, 2))
-        prev = np.array([np.nan, 1.0])
-        out = model.plan_values(q, stalls, prev)
+    def test_first_chunk_row_of_no_previous_chunk_is_the_later_row(self):
+        """``prev=None`` plans no variation: the row is ``α·q``, the value
+        every later chunk adds before its stall."""
+        model = QoEModel(QoEWeights(alpha=1.7))
+        q = np.array([0.5, 0.25])
+        np.testing.assert_array_equal(model.first_chunk_values(q), 1.7 * q)
         ref = reference_planner.plan_value
-        assert out[0] == pytest.approx(ref(model, [0.5], [0.0], None))
-        assert out[1] == pytest.approx(ref(model, [0.5], [0.0], 1.0))
+        first = model.first_chunk_values(q, 1.0)
+        out = model.plan_values(first, model.first_chunk_values(q), np.zeros((1, 2)))
+        assert out[0] == pytest.approx(ref(model, [0.5], [0.0], 1.0))
+        assert out[1] == pytest.approx(ref(model, [0.25], [0.0], 1.0))

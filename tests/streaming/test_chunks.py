@@ -64,6 +64,13 @@ class TestVideoSpec:
         assert chunks[0].n_frames == 30
         assert chunks[-1].n_frames == 5  # remainder chunk
 
+    def test_a_chunk_longer_than_the_video_is_one_short_chunk(self):
+        """Not an error: the whole video is the remainder chunk."""
+        spec = VideoSpec(name="t", n_frames=45, fps=30, points_per_frame=1000)
+        (chunk,) = spec.chunks(5.0)
+        assert chunk.n_frames == 45
+        assert chunk.duration == pytest.approx(spec.duration)
+
     def test_chunk_durations(self):
         spec = VideoSpec(name="t", n_frames=60, fps=30, points_per_frame=1000)
         for c in spec.chunks(0.5):

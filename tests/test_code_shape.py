@@ -148,10 +148,12 @@ def functions(path, name):
 def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch():
     """The two bodies a fleet step lives in keep their array-call diet:
     the planner shapes its tensors where it caches them (no per-call
-    ``broadcast_*`` / ``stack``), ``QoEModel`` plans through one
-    ``plan_values`` with one quality per plan, and the scheduler counts
-    active flows per link at the life-cycle transitions (no ``bincount``
-    per step)."""
+    ``broadcast_*`` / ``stack``) and writes stalls over its readiness
+    tensor; ``QoEModel`` splits Eq. 10 into a first-chunk row the planner
+    builds once per previous quality and a per-call ``plan_values`` that
+    only adds the stalls (no variation term rebuilt per call); and the
+    scheduler counts active flows per link at the life-cycle transitions
+    (no ``bincount`` per step)."""
     import inspect
 
     from repro.metrics import QoEModel
@@ -161,8 +163,13 @@ def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch():
     for fn in (batch, plan):
         slow = called_names(fn) & {"broadcast_arrays", "broadcast_to", "stack", "zeros"}
         assert not slow, (fn.name, slow)
+        rebuilt = called_names(fn) & {"empty_like", "where", "isnan", "abs"}
+        assert not rebuilt, (fn.name, rebuilt)
+    assert list(inspect.signature(QoEModel.first_chunk_values).parameters) == [
+        "self", "qualities", "prev_quality",
+    ]
     assert list(inspect.signature(QoEModel.plan_values).parameters) == [
-        "self", "qualities", "stalls", "prev_quality",
+        "self", "first", "later", "stalls",
     ]
     topology = ast.parse((SRC / "net" / "topology.py").read_text())
     assert "bincount" not in called_names(topology)
