@@ -19,7 +19,7 @@ import time
 
 from repro.experiments import make_cdn, make_population
 from repro.experiments.common import Scale, SMOKE
-from repro.streaming import SRResultCache, simulate_fleet
+from repro.streaming import simulate_fleet
 
 
 def show(label: str, result) -> None:
@@ -66,7 +66,7 @@ def main() -> None:
             mbps_per_session=10.0, assignment=assignment,
         )
         t0 = time.time()
-        result = simulate_fleet(sessions, topology=topo, sr_cache=SRResultCache())
+        result = simulate_fleet(sessions, topology=topo, sr_cache="shared")
         show(f"  {assignment}", result)
         print(f"    [{time.time() - t0:.1f}s wall, makespan "
               f"{result.report.makespan:.0f} virtual s]")
@@ -79,7 +79,7 @@ def main() -> None:
             mbps_per_session=10.0, assignment="popularity",
             n_encode_workers=workers, encode_seconds=secs,
         )
-        result = simulate_fleet(sessions, topology=topo, sr_cache=SRResultCache())
+        result = simulate_fleet(sessions, topology=topo, sr_cache="shared")
         rep = result.report
         print(f"{label:<26} encode waits p50 {rep.encode_wait_p50:6.2f}s  "
               f"p95 {rep.encode_wait_p95:6.2f}s  qoe {rep.mean_qoe:7.2f}  "

@@ -33,7 +33,6 @@ from repro.streaming import (
     EdgeOutage,
     FaultSchedule,
     FlashCrowd,
-    SRResultCache,
     simulate_fleet,
 )
 
@@ -77,7 +76,7 @@ def main() -> None:
         )
         t0 = time.time()
         rep = simulate_fleet(
-            fleet, topology=topo, sr_cache=SRResultCache(),
+            fleet, topology=topo, sr_cache="shared",
             faults=faults, controller=controller,
             telemetry=telemetry if traced else None,
         ).report

@@ -21,7 +21,7 @@ import time
 
 from repro.net import stable_trace
 from repro.obs import Telemetry, write_trace
-from repro.streaming import SRResultCache, VideoSpec, simulate_fleet, single_link_cdn
+from repro.streaming import VideoSpec, simulate_fleet, single_link_cdn
 from repro.experiments import make_fleet
 
 
@@ -60,13 +60,12 @@ def main() -> None:
         ("provisioned (40 Mbps/client)", 40.0 * args.sessions),
     ]:
         t0 = time.time()
-        cache = SRResultCache()
         result = simulate_fleet(
             make_fleet(args.sessions, spec, join_spacing=0.25),
             topology=single_link_cdn(
                 stable_trace(mbps, duration=float(4 * args.seconds))
             ),
-            sr_cache=cache,
+            sr_cache="shared",
             telemetry=telemetry if label.startswith("congested") else None,
         )
         show(label, result.report)

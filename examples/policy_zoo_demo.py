@@ -19,7 +19,6 @@ from repro.experiments import make_cdn, make_population
 from repro.experiments.common import SMOKE
 from repro.streaming import (
     CostModel,
-    SRResultCache,
     available_policies,
     simulate_fleet,
 )
@@ -46,7 +45,7 @@ def main() -> None:
         topo = make_cdn(SMOKE, args.sessions, n_edges=args.edges)
         t0 = time.time()
         result = simulate_fleet(
-            sessions, topology=topo, sr_cache=SRResultCache(),
+            sessions, topology=topo, sr_cache="shared",
         )
         wall = time.time() - t0
         rep, cost = result.report, CostModel().price(result)

@@ -25,7 +25,6 @@ from repro.streaming import (
     ContinuousMPC,
     PoissonArrivals,
     SRQualityModel,
-    SRResultCache,
     build_population,
     simulate_fleet,
     single_link_cdn,
@@ -76,7 +75,7 @@ def main() -> None:
         )
         t0 = time.time()
         result = simulate_fleet(
-            sessions, topology=single_link_cdn(trace), sr_cache=SRResultCache()
+            sessions, topology=single_link_cdn(trace), sr_cache="shared"
         )
         return result, time.time() - t0
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..net.traces import stable_trace
 from ..streaming.cdn import CDNTopology, single_link_cdn, uniform_cdn
-from ..streaming.fleet import SRResultCache, simulate_fleet
+from ..streaming.fleet import simulate_fleet
 from .common import SMOKE, ResultTable, Scale
 from .workloads import make_population
 
@@ -72,7 +72,6 @@ def run_fleet_cdn(
     skew: float = 1.2,
     n_edges: int = 4,
     mbps_per_session: float = 6.0,
-    sr_cache_size: int = 4096,
     diurnal: bool = False,
     days: int = 1,
     abr: str = "continuous-mpc",
@@ -130,7 +129,7 @@ def run_fleet_cdn(
     rep = simulate_fleet(
         sessions,
         topology=single_link_cdn(trace),
-        sr_cache=SRResultCache(capacity=sr_cache_size),
+        sr_cache="shared",
     ).report
     row("single-link", "-", rep)
 
@@ -144,7 +143,7 @@ def run_fleet_cdn(
             assignment=assignment,
         )
         rep = simulate_fleet(
-            sessions, topology=topo, sr_cache=SRResultCache(capacity=sr_cache_size)
+            sessions, topology=topo, sr_cache="shared"
         ).report
         row(label, assignment, rep)
 
@@ -155,7 +154,7 @@ def run_fleet_cdn(
         n_encode_workers=1, encode_seconds=0.5,
     )
     rep = simulate_fleet(
-        sessions, topology=topo, sr_cache=SRResultCache(capacity=sr_cache_size)
+        sessions, topology=topo, sr_cache="shared"
     ).report
     row("cdn+slow-encode", "popularity", rep)
     return table

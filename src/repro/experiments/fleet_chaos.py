@@ -51,7 +51,7 @@ from ..streaming.faults import (
     GrayFailure,
     RetryPolicy,
 )
-from ..streaming.fleet import SRResultCache, simulate_fleet
+from ..streaming.fleet import simulate_fleet
 from ..streaming.population import DiurnalArrivals
 from .common import SMOKE, ResultTable, Scale
 from .fleet_cdn import make_cdn
@@ -94,7 +94,6 @@ def run_fleet_chaos(
     skew: float = 1.2,
     n_edges: int = 4,
     mbps_per_session: float = 6.0,
-    sr_cache_size: int = 4096,
     control_interval: float = 5.0,
     trace_out: str | None = None,
     abr: str = "continuous-mpc",
@@ -168,7 +167,7 @@ def run_fleet_chaos(
         )
         return simulate_fleet(
             fleet, topology=topo,
-            sr_cache=SRResultCache(capacity=sr_cache_size),
+            sr_cache="shared",
             faults=faults,
             retry_policy=retry,
             controller=(
@@ -348,7 +347,7 @@ def run_fleet_chaos(
             scale, len(day1), n_edges=n_edges,
             mbps_per_session=mbps_per_session, assignment="least-loaded",
         ),
-        sr_cache=SRResultCache(capacity=sr_cache_size),
+        sr_cache="shared",
         faults=degr,
         controller=_controller(control_interval, autoscaler=autoscaler),
     ).report

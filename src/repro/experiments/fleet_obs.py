@@ -24,7 +24,7 @@ from ..obs import Telemetry
 from ..obs.export import write_prometheus, write_trace
 from ..streaming.control import ControlPlane, ControlPolicy
 from ..streaming.faults import BackhaulDegradation, EdgeOutage, FaultSchedule
-from ..streaming.fleet import SRResultCache, simulate_fleet
+from ..streaming.fleet import simulate_fleet
 from .common import SMOKE, ResultTable, Scale
 from .fleet_cdn import make_cdn
 from .fleet_chaos import check_conservation
@@ -39,7 +39,6 @@ def run_fleet_obs(
     skew: float = 1.2,
     n_edges: int = 4,
     mbps_per_session: float = 6.0,
-    sr_cache_size: int = 4096,
     control_interval: float = 5.0,
     trace_out: str | None = None,
     metrics_out: str | None = None,
@@ -62,7 +61,7 @@ def run_fleet_obs(
             scale, len(sessions), n_edges=n_edges,
             mbps_per_session=mbps_per_session, assignment="least-loaded",
         ),
-        sr_cache=SRResultCache(capacity=sr_cache_size),
+        sr_cache="shared",
         faults=faults,
         controller=ControlPlane(ControlPolicy(interval=control_interval)),
         telemetry=telemetry,

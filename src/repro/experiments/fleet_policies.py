@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from ..metrics.qoe import bootstrap_ci
 from ..streaming.cost import CostModel
-from ..streaming.fleet import SRResultCache, simulate_fleet
+from ..streaming.fleet import simulate_fleet
 from .common import SMOKE, ResultTable, Scale
 from .fleet_cdn import make_cdn
 from .workloads import make_population
@@ -70,7 +70,6 @@ def run_fleet_policies(
     skew: float = 1.2,
     n_edges: int = 4,
     mbps_per_session: float = 6.0,
-    sr_cache_size: int = 4096,
     n_boot: int = 1000,
     seed: int = 0,
 ) -> ResultTable:
@@ -116,7 +115,7 @@ def run_fleet_policies(
         result = simulate_fleet(
             sessions,
             topology=topo,
-            sr_cache=SRResultCache(capacity=sr_cache_size),
+            sr_cache="shared",
         )
         rep = result.report
         cost = CostModel().price(result)

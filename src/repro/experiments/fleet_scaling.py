@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..net.traces import stable_trace
 from ..streaming.cdn import single_link_cdn
 from ..streaming.chunks import VideoSpec
-from ..streaming.fleet import SRResultCache, simulate_fleet
+from ..streaming.fleet import simulate_fleet
 from ..streaming.simulator import FleetSession
 from .common import SMOKE, ResultTable, Scale
 from .workloads import make_population, volut_client
@@ -65,7 +65,6 @@ def run_fleet_scaling(
     scale: Scale = SMOKE,
     fleet_sizes: tuple[int, ...] = (1, 4, 16, 64),
     link_mbps: float = 400.0,
-    sr_cache_size: int = 4096,
     population_sessions: int = 200,
     population_mbps_per_session: float = 6.0,
     abr: str = "continuous-mpc",
@@ -106,11 +105,10 @@ def run_fleet_scaling(
     )
     trace = stable_trace(link_mbps, duration=float(scale.stream_seconds * 4))
     for n in fleet_sizes:
-        cache = SRResultCache(capacity=sr_cache_size)
         result = simulate_fleet(
             make_fleet(n, spec, abr=abr),
             topology=single_link_cdn(trace),
-            sr_cache=cache,
+            sr_cache="shared",
         )
         rep = result.report
         table.add(
@@ -127,7 +125,6 @@ def run_fleet_scaling(
         )
     if population_sessions > 0:
         sessions = make_population(scale, population_sessions, abr=abr)
-        cache = SRResultCache(capacity=sr_cache_size)
         pop_trace = stable_trace(
             population_mbps_per_session * len(sessions),
             duration=float(scale.stream_seconds * 4),
@@ -135,7 +132,7 @@ def run_fleet_scaling(
         rep = simulate_fleet(
             sessions,
             topology=single_link_cdn(pop_trace),
-            sr_cache=cache,
+            sr_cache="shared",
         ).report
         table.add(
             n_sessions=len(sessions),
@@ -195,13 +192,12 @@ def run_population_fleet(
             scale, n_sessions, skew=skew, stall_patience=stall_patience,
             diurnal=diurnal, abr=abr,
         )
-        cache = SRResultCache()
         trace = stable_trace(
             mbps_per_session * len(sessions),
             duration=float(scale.stream_seconds * 4),
         )
         rep = simulate_fleet(
-            sessions, topology=single_link_cdn(trace), sr_cache=cache
+            sessions, topology=single_link_cdn(trace), sr_cache="shared"
         ).report
         table.add(
             skew=skew,

@@ -9,6 +9,7 @@ transient spikes, which would otherwise cause over-fetching.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 
 __all__ = ["HarmonicMeanEstimator"]
@@ -18,10 +19,20 @@ class HarmonicMeanEstimator:
     """Sliding-window harmonic-mean throughput estimator."""
 
     def __init__(self, window: int = 5, initial_bps: float = 10e6):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if initial_bps <= 0:
-            raise ValueError("initial estimate must be positive")
+        # ``int(0.5)`` is a window that keeps no sample, so the estimate
+        # would read ``initial_bps`` for ever; the chained comparison also
+        # refuses NaN and inf, which the estimate would otherwise return
+        if (
+            isinstance(window, bool)
+            or not isinstance(window, numbers.Integral)
+            or window < 1
+        ):
+            raise ValueError(f"window must be an integer >= 1, got {window!r}")
+        if not 0.0 < initial_bps < math.inf:
+            raise ValueError(
+                "initial estimate must be finite and positive, got "
+                f"{initial_bps!r}"
+            )
         self.window = int(window)
         self.initial_bps = float(initial_bps)
         self._samples: deque[float] = deque(maxlen=self.window)
@@ -58,6 +69,3 @@ class HarmonicMeanEstimator:
     @property
     def n_samples(self) -> int:
         return len(self._samples)
-
-    def reset(self) -> None:
-        self._samples.clear()

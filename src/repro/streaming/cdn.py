@@ -45,6 +45,7 @@ events, in flow-id order.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -103,13 +104,22 @@ class EdgeChunkCache:
     existing backhaul transfer (see :meth:`attach`) instead of opening a
     second origin pull.  ``capacity_bytes=0`` disables caching — and
     with it coalescing — so every request misses and pulls its own copy,
-    which is what :func:`single_link_cdn` uses.
+    which is what :func:`single_link_cdn` uses.  Events go to ``tracer``,
+    tagged with ``edge``, the cache's edge index in its topology.
     """
 
-    def __init__(self, capacity_bytes: int = 1 << 30):
+    def __init__(
+        self,
+        capacity_bytes: int = 1 << 30,
+        *,
+        tracer=NULL_TRACER,
+        edge: int | None = None,
+    ):
         if capacity_bytes < 0:
             raise ValueError("capacity_bytes must be non-negative")
         self.capacity_bytes = int(capacity_bytes)
+        self._tracer = tracer
+        self._edge = edge
         self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
         self._pending: set[tuple] = set()
         self.used_bytes = 0
@@ -125,10 +135,6 @@ class EdgeChunkCache:
         #: misses that attached to an in-flight fill instead of pulling
         self.coalesced = 0
         self.coalesced_bytes = 0
-        #: wired (with this cache's edge index) by the fleet driver for
-        #: the run; back to ``NULL_TRACER`` in its ``finally``
-        self.tracer = NULL_TRACER
-        self.edge: int | None = None
 
     def lookup(self, key: tuple, nbytes: int, at_time: float) -> bool:
         """True (and bump LRU/stats) iff ``key`` is resident at ``at_time``."""
@@ -137,14 +143,14 @@ class EdgeChunkCache:
             self._entries.move_to_end(key)
             self.hits += 1
             self.hit_bytes += nbytes
-            self.tracer.emit(
-                at_time, EV_CACHE_HIT, edge=self.edge, nbytes=nbytes
+            self._tracer.emit(
+                at_time, EV_CACHE_HIT, edge=self._edge, nbytes=nbytes
             )
             return True
         self.misses += 1
         self.miss_bytes += nbytes
-        self.tracer.emit(
-            at_time, EV_CACHE_MISS, edge=self.edge, nbytes=nbytes
+        self._tracer.emit(
+            at_time, EV_CACHE_MISS, edge=self._edge, nbytes=nbytes
         )
         return False
 
@@ -164,8 +170,8 @@ class EdgeChunkCache:
             raise ValueError(f"no fill in flight for {key!r}")
         self.coalesced += 1
         self.coalesced_bytes += nbytes
-        self.tracer.emit(
-            at_time, EV_CACHE_COALESCE, edge=self.edge, nbytes=nbytes
+        self._tracer.emit(
+            at_time, EV_CACHE_COALESCE, edge=self._edge, nbytes=nbytes
         )
 
     def void_hit(self, nbytes: int, at_time: float = 0.0) -> None:
@@ -178,8 +184,8 @@ class EdgeChunkCache:
         """
         self.hits -= 1
         self.hit_bytes -= nbytes
-        self.tracer.emit(
-            at_time, EV_CACHE_VOID, edge=self.edge, what="hit",
+        self._tracer.emit(
+            at_time, EV_CACHE_VOID, edge=self._edge, what="hit",
             nbytes=nbytes,
         )
 
@@ -191,8 +197,8 @@ class EdgeChunkCache:
         """
         self.coalesced -= 1
         self.coalesced_bytes -= nbytes
-        self.tracer.emit(
-            at_time, EV_CACHE_VOID, edge=self.edge, what="coalesced",
+        self._tracer.emit(
+            at_time, EV_CACHE_VOID, edge=self._edge, what="coalesced",
             nbytes=nbytes,
         )
 
@@ -220,21 +226,6 @@ class EdgeChunkCache:
         self._entries.clear()
         self._pending.clear()
         self.used_bytes = 0
-
-    def reset(self) -> None:
-        """Restore as-constructed state: empty cache, zeroed counters."""
-        self._entries.clear()
-        self._pending.clear()
-        self.used_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.hit_bytes = 0
-        self.miss_bytes = 0
-        self.evictions = 0
-        self.fills = 0
-        self.aborted_fills = 0
-        self.coalesced = 0
-        self.coalesced_bytes = 0
 
     def insert(self, key: tuple, nbytes: int, ready: float) -> None:
         """Record a completed fill: ``key`` resident from ``ready`` on.
@@ -277,21 +268,19 @@ class EncodeQueue:
     free worker and returns the instant the encoded variant is ready.
     The wait (worker start − submit time) is recorded for the report's
     encode-wait percentiles.  Zero-cost jobs bypass the pool entirely —
-    that is the "encoding disabled" configuration.
+    that is the "encoding disabled" configuration.  Events go to
+    ``tracer``.
     """
 
-    def __init__(self, n_workers: int = 4):
-        if n_workers <= 0:
-            raise ValueError("n_workers must be positive")
+    def __init__(self, n_workers: int = 4, *, tracer=NULL_TRACER):
+        _check_count("n_workers", n_workers, 1)
         self.n_workers = int(n_workers)
-        self._initial_workers = self.n_workers
         self._free_at = [0.0] * self.n_workers
         self.waits: list[float] = []
         #: core-seconds of transcode work accepted (Σ job cost) — what the
         #: infrastructure cost model bills as encode compute
         self.busy_seconds = 0.0
-        #: wired by the fleet driver for the run; unwired in its finally
-        self.tracer = NULL_TRACER
+        self._tracer = tracer
 
     def resize(self, n_workers: int, at_time: float = 0.0) -> None:
         """Grow or shrink the worker pool mid-run (the control-plane hook).
@@ -301,10 +290,9 @@ class EncodeQueue:
         finishes its in-flight encode before leaving).  Recorded waits
         are untouched: the report's percentiles cover the whole run.
         """
-        if n_workers <= 0:
-            raise ValueError("n_workers must be positive")
+        _check_count("n_workers", n_workers, 1)
         n_workers = int(n_workers)
-        self.tracer.emit(
+        self._tracer.emit(
             float(at_time), EV_ENCODE_RESIZE,
             workers_from=self.n_workers, workers_to=n_workers,
         )
@@ -315,13 +303,6 @@ class EncodeQueue:
         elif n_workers < self.n_workers:
             self._free_at = sorted(self._free_at)[self.n_workers - n_workers:]
         self.n_workers = n_workers
-
-    def reset(self) -> None:
-        """Restore as-constructed state: original pool size, all idle."""
-        self.n_workers = self._initial_workers
-        self._free_at = [0.0] * self.n_workers
-        self.waits.clear()
-        self.busy_seconds = 0.0
 
     def submit(self, at_time: float, cost: float) -> float:
         """Ready time of an encode job submitted at ``at_time``."""
@@ -335,7 +316,7 @@ class EncodeQueue:
         self._free_at[worker] = ready
         self.waits.append(start - at_time)
         self.busy_seconds += cost
-        self.tracer.emit(
+        self._tracer.emit(
             at_time, EV_ENCODE_ENQUEUE, wait=start - at_time,
             workers=self.n_workers,
         )
@@ -353,6 +334,16 @@ class EncodeQueue:
     def wait_percentile(self, pct: float) -> float:
         """Nearest-rank percentile of recorded queue waits (0 if no jobs)."""
         return wait_percentile(self.waits, pct)
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise unless ``value`` is an integer (``bool`` excluded) >= ``minimum``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or not value >= minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def wait_percentile(waits: list[float], pct: float) -> float:
@@ -379,17 +370,24 @@ class OriginServer:
     Each (video, chunk, density) variant is transcoded once, on first
     request; later cold misses for the same variant reuse it (waiting for
     an in-flight encode to land if need be).  ``encode_seconds`` is the
-    service time per chunk variant; 0 disables encode contention.
+    service time per chunk variant; 0 disables encode contention.  The
+    queue's events go to ``tracer``.
     """
 
-    def __init__(self, n_encode_workers: int = 4, encode_seconds: float = 0.0):
+    def __init__(
+        self,
+        n_encode_workers: int = 4,
+        encode_seconds: float = 0.0,
+        *,
+        tracer=NULL_TRACER,
+    ):
         # chained so NaN fails it: a non-finite encode time used to build
         # and then fail the first cold miss inside ``PathScheduler.add_flow``
         if not 0 <= encode_seconds < math.inf:
             raise ValueError(
                 f"encode_seconds must be finite and non-negative, got {encode_seconds!r}"
             )
-        self.queue = EncodeQueue(n_encode_workers)
+        self.queue = EncodeQueue(n_encode_workers, tracer=tracer)
         self.encode_seconds = float(encode_seconds)
         self._variants: dict[tuple, float] = {}  # key -> ready time
 
@@ -417,27 +415,23 @@ class OriginServer:
     def n_encoded(self) -> int:
         return len(self._variants)
 
-    def reset(self) -> None:
-        """Restore as-constructed state: no variants, a fresh queue."""
-        self.queue.reset()
-        self._variants.clear()
-
 
 @dataclass
 class EdgeNode:
     """One edge site: backhaul from origin, access to viewers, chunk cache.
 
-    ``sr_cache`` is the edge's private SR-result cache, populated by
-    ``simulate_fleet(..., sr_cache="per-edge")`` (created on demand if
-    left ``None``): co-watching viewers of the *same edge* share SR
-    results without any cross-edge traffic.
+    ``sr_cache`` is the edge's private SR-result cache on the edges a
+    ``simulate_fleet(..., sr_cache="per-edge")`` run builds for itself:
+    co-watching viewers of the *same edge* share SR results without any
+    cross-edge traffic.  It is not a constructor argument; a topology
+    handed to a run describes edges, and the run builds the caches.
     """
 
     name: str
     backhaul: SharedLink
     access: SharedLink
     cache: EdgeChunkCache = field(default_factory=EdgeChunkCache)
-    sr_cache: "SRResultCache | None" = None
+    sr_cache: "SRResultCache | None" = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.backhaul is self.access:
@@ -465,6 +459,9 @@ class CDNTopology:
     affect serving or assignment — they exist purely as fault domains
     (and as the granularity of the report's per-region recovery
     metrics).
+
+    Handed to ``simulate_fleet`` a topology is a description: the run
+    serves over fresh links, caches and an idle origin built from it.
     """
 
     edges: tuple[EdgeNode, ...]
@@ -510,26 +507,6 @@ class CDNTopology:
     def assign(self, sessions) -> list[int]:
         """Edge index for each session under this topology's policy."""
         return assign_sessions(sessions, len(self.edges), self.assignment)
-
-    def reset(self) -> None:
-        """Restore as-constructed serving state for a fresh run.
-
-        ``simulate_fleet`` mutates the live topology (warm chunk caches,
-        hit/miss/fill counters, encoded variants, recorded encode waits,
-        per-link ``delivered_bits``, per-edge SR caches), so a second
-        run over the same object would silently report merged stats.
-        The fleet driver calls this at start; callers who *want* to
-        inspect a run's state must read it before the next run.  Edge
-        objects keep their identity — only their mutable serving state
-        is cleared; installed per-edge SR caches stay installed, reset.
-        """
-        for edge in self.edges:
-            edge.cache.reset()
-            if edge.sr_cache is not None:
-                edge.sr_cache.reset()
-            edge.backhaul.delivered_bits = 0.0
-            edge.access.delivered_bits = 0.0
-        self.origin.reset()
 
 
 def _stable_hash(text: str) -> int:

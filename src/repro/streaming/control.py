@@ -31,9 +31,10 @@ The controller is a pure function of its view: each tick it receives a
 returns a :class:`ControlActions` for the fleet to apply, so policies
 are unit-testable without a fleet and a plane reused across runs acts
 like a fresh one.  It keeps no record of a run: the fleet counts the
-ticks it ran and the actions it applied, and the tracer carries every
-``control.*`` event.  Ticks fire **opportunistically at existing
-event boundaries** (the first event at or after each nominal interval) —
+ticks it ran and the actions it applied, and the run's tracer, handed
+to each tick, carries every ``control.*`` event.  Ticks fire
+**opportunistically at existing event boundaries** (the first event at
+or after each nominal interval) —
 the control plane never injects events of its own, which is what makes a
 controller whose thresholds never trigger bit-exact with no controller
 at all (the disabled-mode oracle the parity convention requires).
@@ -47,7 +48,6 @@ pre-fault baseline, and the time from fault onset back to baseline.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from ..obs.events import (
@@ -57,7 +57,7 @@ from ..obs.events import (
     EV_CONTROL_TICK,
     NULL_TRACER,
 )
-from .cdn import wait_percentile
+from .cdn import _check_count, wait_percentile
 
 __all__ = [
     "ControlPolicy",
@@ -137,16 +137,6 @@ class ControlPolicy:
             )
 
 
-def _check_count(name: str, value, minimum: int) -> None:
-    """Raise unless ``value`` is an integer (``bool`` excluded) >= ``minimum``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or not value >= minimum
-    ):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class FleetView:
     """What the driver measured for one control tick (read-only)."""
@@ -203,9 +193,9 @@ class ControlPlane:
 
     Deterministic: actions are a pure function of the policy and the
     :class:`FleetView`, ties always break toward the lower edge/session
-    index.  The plane holds configuration only — its ``policy``, the
-    optional cross-run ``autoscaler`` and the ``tracer`` the fleet wires
-    in for a run — so one plane may serve any number of runs.
+    index.  The plane holds configuration only — its ``policy`` and the
+    optional cross-run ``autoscaler`` — so one plane may serve any number
+    of runs.
     """
 
     def __init__(
@@ -215,14 +205,13 @@ class ControlPlane:
     ) -> None:
         self.policy = policy or ControlPolicy()
         self.autoscaler = autoscaler
-        #: wired by the fleet driver for the run; unwired in its finally
-        self.tracer = NULL_TRACER
 
     # ------------------------------------------------------------------
-    def tick(self, view: FleetView) -> ControlActions:
-        """One control interval: observe ``view``, emit actions."""
+    def tick(self, view: FleetView, tracer=NULL_TRACER) -> ControlActions:
+        """One control interval: observe ``view``, return actions; the
+        ``control.*`` events go to the run's ``tracer``."""
         pol = self.policy
-        self.tracer.emit(
+        tracer.emit(
             view.now, EV_CONTROL_TICK, health=view.health,
             workers=view.encode_workers,
         )
@@ -246,7 +235,7 @@ class ControlPlane:
                     pol.min_encode_workers, view.encode_workers // 2
                 )
             if actions.encode_workers is not None:
-                self.tracer.emit(
+                tracer.emit(
                     view.now, EV_CONTROL_RESIZE,
                     workers_from=view.encode_workers,
                     workers_to=actions.encode_workers,
@@ -294,7 +283,7 @@ class ControlPlane:
             # ``session.resteer`` per re-steer it actually applies
             # (finished or dark-target pairs are skipped there).
             for sid, target in actions.resteer:
-                self.tracer.emit(
+                tracer.emit(
                     view.now, EV_CONTROL_RESTEER, session=sid, target=target,
                 )
 
@@ -313,7 +302,7 @@ class ControlPlane:
                     actions.quality_cap = pol.quality_cap_when_dark
                 if pol.disable_sr_when_dark:
                     actions.sr_enabled = False
-                self.tracer.emit(
+                tracer.emit(
                     view.now, EV_CONTROL_DEGRADE, state="on",
                     regions=",".join(view.regions_dark),
                 )
@@ -322,7 +311,7 @@ class ControlPlane:
                     actions.quality_cap = math.inf
                 if pol.disable_sr_when_dark:
                     actions.sr_enabled = True
-                self.tracer.emit(
+                tracer.emit(
                     view.now, EV_CONTROL_DEGRADE, state="off"
                 )
 

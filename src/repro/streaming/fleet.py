@@ -61,8 +61,7 @@ from ..obs.events import (
 from ..obs.profiler import NULL_PROFILER
 from ..net.link import SharedLink
 from ..net.topology import PathScheduler
-from ..net.traces import NetworkTrace
-from .cdn import CDNTopology
+from .cdn import CDNTopology, EdgeChunkCache, EdgeNode, OriginServer
 from .control import FleetView, RecoveryTracker
 from .faults import DegradedTrace
 from .simulator import (
@@ -157,12 +156,6 @@ class SRResultCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def reset(self) -> None:
-        """Return to the as-constructed state (entries and counters)."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -251,10 +244,13 @@ class FleetResult:
 
     sessions: list[SessionResult]
     report: FleetReport
-    #: the serving topology the fleet ran over
+    #: the serving state the run built and ran over: its own links, edge
+    #: caches (per-edge SR caches included) and origin, read as the run
+    #: left them
     topology: CDNTopology
     #: viewer → edge index per session, after any re-steering
     assignment: list[int]
+    #: the run's fleet-wide SR cache (``sr_cache="shared"``), else None
     sr_cache: SRResultCache | None = None
     session_specs: list[FleetSession] = field(default_factory=list)
     #: per-session virtual completion instants (last download finish),
@@ -300,6 +296,67 @@ def _batched_decisions(
             assert isinstance(req, DownloadRequest)
             out.append((sid, req))
     return out
+
+
+def _serving_state(
+    given: CDNTopology, faults, tracer, per_edge_sr: bool
+) -> CDNTopology:
+    """The run's own serving state, built from what ``given`` describes.
+
+    Fresh links over the given traces (a link object shared by several
+    edges stays one link), cold edge caches of the given capacities, an
+    idle origin with the given worker count and encode time, and, with
+    ``per_edge_sr``, one SR cache per edge; ``given`` is only read.  The
+    caches and the encode queue emit into ``tracer``.
+
+    Fault windows are part of the link: a backhaul degradation scales its
+    edge's backhaul trace and a gray failure's brownout its access trace,
+    through one :class:`DegradedTrace` per link.  The scheduler's
+    piecewise integration segments at the window boundaries on its own,
+    so no loop events are injected, and the two compose like any windows.
+    """
+    windows: dict[int, list[tuple[float, float, float]]] = {}
+    if faults is not None:
+        for d in faults.degradations:
+            windows.setdefault(id(given.edges[d.edge].backhaul), []).append(
+                (d.start, d.end, d.factor)
+            )
+        for g in faults.gray_failures:
+            if g.capacity_factor != 1.0:
+                windows.setdefault(id(given.edges[g.edge].access), []).append(
+                    (g.start, g.end, g.capacity_factor)
+                )
+    links: dict[int, SharedLink] = {}
+
+    def own(link: SharedLink) -> SharedLink:
+        if id(link) not in links:
+            wins = windows.get(id(link))
+            links[id(link)] = SharedLink(
+                link.trace if wins is None else DegradedTrace(link.trace, wins)
+            )
+        return links[id(link)]
+
+    edges = []
+    for e, edge in enumerate(given.edges):
+        node = EdgeNode(
+            name=edge.name,
+            backhaul=own(edge.backhaul),
+            access=own(edge.access),
+            cache=EdgeChunkCache(
+                edge.cache.capacity_bytes, tracer=tracer, edge=e
+            ),
+        )
+        if per_edge_sr:
+            node.sr_cache = SRResultCache()
+        edges.append(node)
+    origin = OriginServer(
+        given.origin.queue.n_workers, given.origin.encode_seconds,
+        tracer=tracer,
+    )
+    return CDNTopology(
+        edges=tuple(edges), origin=origin, assignment=given.assignment,
+        regions=given.regions,
+    )
 
 
 def _chunk_key(req: DownloadRequest) -> tuple | None:
@@ -443,7 +500,8 @@ class _FleetRun:
         spec.validate()
         self.sessions = sessions
         self.spec = spec
-        self.faults = spec.faults
+        #: an empty schedule ≡ no faults (the parity convention)
+        self.faults = spec.faults or None
         self.retry_policy = spec.retry_policy
         self.controller = spec.controller
         telemetry = spec.telemetry
@@ -467,21 +525,21 @@ class _FleetRun:
         self.ph_planner = prof.phase("planner")
         self.ph_control = prof.phase("control")
         self.sched = PathScheduler()
-        self.topology = topology = spec.topology
-        topology.reset()
-        self.edges = topology.edges
         if self.faults is not None:
-            self.faults.validate_topology(len(self.edges), topology.regions)
+            self.faults.validate_topology(
+                len(spec.topology.edges), spec.topology.regions
+            )
+        self.per_edge_sr = spec.sr_cache == "per-edge"
+        self.topology = _serving_state(
+            spec.topology, self.faults, self.tracer, self.per_edge_sr
+        )
+        self.edges = self.topology.edges
         self.assignment = self._resolve_assignment()
-        self.per_edge_sr = isinstance(spec.sr_cache, str)
+        self.sr_cache = SRResultCache() if spec.sr_cache == "shared" else None
         if self.per_edge_sr:
-            # Mode string already validated by spec.validate().
-            for edge in self.edges:
-                if edge.sr_cache is None:
-                    edge.sr_cache = SRResultCache()
             sr_caches = [self.edges[e].sr_cache for e in self.assignment]
         else:
-            sr_caches = [spec.sr_cache] * len(sessions)
+            sr_caches = [self.sr_cache] * len(sessions)
         self.machines = [
             SessionMachine(s, sr_cache=sr_caches[sid])
             for sid, s in enumerate(sessions)
@@ -571,8 +629,6 @@ class _FleetRun:
         self.edge_down = [False] * len(self.edges)
         #: gray failures by edge (drop draws and byte accounting at dispatch)
         self.gray_by_edge: dict[int, list] = {}
-        #: (link, the trace it wore before this run) — see :meth:`_wire`
-        self.wrapped_links: list[tuple[SharedLink, NetworkTrace]] = []
         if faults is not None:
             for g in faults.gray_failures:
                 self.gray_by_edge.setdefault(g.edge, []).append(g)
@@ -625,100 +681,54 @@ class _FleetRun:
                     region_of_edge[e] = name
             self.region_home = [region_of_edge[e] for e in self.assignment]
 
-    def _wire(self) -> None:
-        """Attach this run to the shared objects it borrows: fault windows
-        onto their links, the tracer into the stateful subsystems.
-        :meth:`_unwire` undoes both, so a reused topology or controller
-        never keeps wearing a fault or emitting into a finished run's
-        stream.
-
-        Degradations act purely through the trace wrapper: the scheduler's
-        piecewise integration segments at the window boundaries on its
-        own, so no loop events are injected.  A gray failure's brownout
-        rides the same machinery on the edge's *access* link (the edge
-        keeps serving, slower), so the two compose like any windows.
-        """
-        windows: list[tuple[SharedLink, tuple[float, float, float]]] = []
-        if self.faults is not None:
-            windows = [
-                (self.edges[d.edge].backhaul, (d.start, d.end, d.factor))
-                for d in self.faults.degradations
-            ] + [
-                (self.edges[g.edge].access, (g.start, g.end, g.capacity_factor))
-                for g in self.faults.gray_failures
-                if g.capacity_factor != 1.0
-            ]
-        by_link: dict[int, tuple[SharedLink, list]] = {}
-        for link, win in windows:
-            by_link.setdefault(id(link), (link, []))[1].append(win)
-        for link, wins in by_link.values():
-            self.wrapped_links.append((link, link.trace))
-            link.trace = DegradedTrace(link.trace, wins)
-        tracer = self.tracer
-        for e_idx, edge in enumerate(self.edges):
-            edge.cache.tracer = tracer
-            edge.cache.edge = e_idx
-        self.topology.origin.queue.tracer = tracer
-        if self.controller is not None:
-            self.controller.tracer = tracer
+    def _emit_schedule(self) -> None:
+        """Trace what the run knows at virtual time zero: every session's
+        join and edge, and the fault schedule."""
         for sid, s in enumerate(self.sessions):
-            tracer.emit(
+            self.tracer.emit(
                 s.join_time, EV_SESSION_START, session=sid,
                 edge=self.assignment[sid],
             )
         if self.faults is not None:
-            self.faults.emit_scheduled(tracer)
-
-    def _unwire(self) -> None:
-        for link, orig in self.wrapped_links:
-            link.trace = orig
-        for edge in self.edges:
-            edge.cache.tracer = NULL_TRACER
-            edge.cache.edge = None
-        self.topology.origin.queue.tracer = NULL_TRACER
-        if self.controller is not None:
-            self.controller.tracer = NULL_TRACER
+            self.faults.emit_scheduled(self.tracer)
 
     # -- the event loop ----------------------------------------------------
 
     def run(self) -> None:
         """Drive virtual time event to event until every session ends."""
         sched = self.sched
-        try:
-            self._wire()
-            self._queue_first_requests()
-            now = 0.0
-            stalled = 0
-            while sched.busy() or self.deferred:
-                with self.ph_sched:
-                    t = self.clock = self._next_instant(now)
-                    # advance() returns a materialized completion list, so
-                    # the fluid advance (scheduler phase) profiles apart
-                    # from the session transitions it unblocks (advance).
-                    completions = sched.advance(now, t) if sched.busy() else ()
-                if self.metrics is not None:
-                    self._count_wake(t, completions)
-                with self.ph_advance:
-                    parked = [
-                        done.flow_id
-                        for done in completions
-                        if self.on_completion(done)
-                    ]
-                # Gate, deferred and deadline wakes park no session.
-                if parked:
-                    with self.ph_planner:
-                        self.decide(parked)
-                self.apply_outage_bounds(t)
-                self.fire_timeouts(t)
-                self.sample_and_control(t)
-                self.release_deferred(t)
-                # Watchdog: `not t > now` also counts a NaN clock.
-                stalled = 0 if t > now else stalled + 1
-                if stalled > _MAX_STALLED_STEPS:
-                    raise RuntimeError(self._stall_dump(stalled, t))
-                now = t
-        finally:
-            self._unwire()
+        self._emit_schedule()
+        self._queue_first_requests()
+        now = 0.0
+        stalled = 0
+        while sched.busy() or self.deferred:
+            with self.ph_sched:
+                t = self.clock = self._next_instant(now)
+                # advance() returns a materialized completion list, so
+                # the fluid advance (scheduler phase) profiles apart
+                # from the session transitions it unblocks (advance).
+                completions = sched.advance(now, t) if sched.busy() else ()
+            if self.metrics is not None:
+                self._count_wake(t, completions)
+            with self.ph_advance:
+                parked = [
+                    done.flow_id
+                    for done in completions
+                    if self.on_completion(done)
+                ]
+            # Gate, deferred and deadline wakes park no session.
+            if parked:
+                with self.ph_planner:
+                    self.decide(parked)
+            self.apply_outage_bounds(t)
+            self.fire_timeouts(t)
+            self.sample_and_control(t)
+            self.release_deferred(t)
+            # Watchdog: `not t > now` also counts a NaN clock.
+            stalled = 0 if t > now else stalled + 1
+            if stalled > _MAX_STALLED_STEPS:
+                raise RuntimeError(self._stall_dump(stalled, t))
+            now = t
         if self.sampling:
             # Close the monitoring stream so a recovery that completes
             # after the last sample instant is still observed.
@@ -1326,7 +1336,8 @@ class _FleetRun:
                 health=health,
                 regions_dark=regions_dark,
                 degraded=self.degraded,
-            )
+            ),
+            self.tracer,
         )
         if actions.encode_workers is not None:
             oqueue.resize(actions.encode_workers, at_time=t)
@@ -1344,7 +1355,7 @@ class _FleetRun:
 
     def report(self) -> FleetResult:
         """The finished run's result: per-session outcomes and the
-        :class:`FleetReport` read off them and the live topology."""
+        :class:`FleetReport` read off them and the run's serving state."""
         results = [m.result for m in self.machines]
         assert all(
             r is not None for r in results
@@ -1356,11 +1367,10 @@ class _FleetRun:
         dip, recover = (
             self.tracker.metrics() if self.tracker is not None else (0.0, 0.0)
         )
-        sr_cache = self.spec.sr_cache
+        sr_cache = self.sr_cache
         if self.per_edge_sr:
             sr_hits = sum(e.sr_cache.hits for e in edges)
             sr_misses = sum(e.sr_cache.misses for e in edges)
-            sr_cache = None
         else:
             sr_hits = sr_cache.hits if sr_cache is not None else 0
             sr_misses = sr_cache.misses if sr_cache is not None else 0
@@ -1440,9 +1450,11 @@ def simulate_fleet(
     Configuration is a :class:`~repro.streaming.spec.FleetSpec` — pass one
     as ``spec=``, or its fields as keywords (forwarded verbatim to
     ``FleetSpec(**fields)``; mixing the two forms is rejected).  Every
-    field's semantics are documented there.  A topology handed in is
-    reset to its as-constructed state first, so reusing one across runs
-    measures each run from cold.
+    field's semantics are documented there.  The run builds the serving
+    state it mutates (links, caches, encode queue, SR caches) from the
+    spec and writes to nothing it was given but the telemetry sink and a
+    controller's autoscaler, so running one spec twice gives equal
+    results.
 
     **The event loop.**  Virtual time advances event to event.  Each step
     picks the next instant anything can change — a link's fluid

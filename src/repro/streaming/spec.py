@@ -9,6 +9,11 @@ is required, and a bare bottleneck link is the one-edge CDN
 :func:`~repro.streaming.cdn.single_link_cdn` builds.  Every field
 configures the run; pricing a finished run is not one of them —
 :meth:`~repro.streaming.cost.CostModel.price` takes the result.
+
+A run owns what it mutates: it builds its links, caches, encode queue
+and SR caches from what the spec describes and writes to nothing the
+spec holds, except the ``telemetry`` sink and a controller's cross-run
+autoscaler, which exist to receive output.
 """
 
 from __future__ import annotations
@@ -22,9 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..obs import Telemetry
     from .control import ControlPlane
     from .faults import FaultSchedule, RetryPolicy
-    from .fleet import SRResultCache
 
 __all__ = ["FleetSpec"]
+
+#: What ``FleetSpec.sr_cache`` accepts: no SR sharing, one cache shared
+#: by the fleet, or one cache per edge.
+_SR_CACHE_MODES = (None, "shared", "per-edge")
 
 
 @dataclass
@@ -44,14 +52,17 @@ class FleetSpec:
     #: hold the encoded variant (bounded encode workers), travels backhaul
     #: + access, and fills the edge cache on completion; a miss on a chunk
     #: already being filled coalesces onto that fill.  A bare link is
-    #: :func:`~repro.streaming.cdn.single_link_cdn`.  Reset to its
-    #: as-constructed state at the start of every run.
+    #: :func:`~repro.streaming.cdn.single_link_cdn`.  A description: the
+    #: run serves over fresh links, caches and an idle origin built from
+    #: it (same traces, capacities, worker count and encode time).
     topology: "CDNTopology"
-    #: SR-result sharing: a shared :class:`~repro.streaming.fleet.SRResultCache`,
-    #: ``None`` (none), or ``"per-edge"`` — each edge then carries its own
-    #: cache, sessions share SR work only with co-watchers on their edge,
-    #: and the report gains per-edge SR hit rates.
-    sr_cache: "SRResultCache | str | None" = None
+    #: SR-result sharing mode: ``None`` (none), ``"shared"`` — one
+    #: :class:`~repro.streaming.fleet.SRResultCache` for the whole fleet —
+    #: or ``"per-edge"`` — each edge carries its own cache, sessions share
+    #: SR work only with co-watchers on their edge, and the report gains
+    #: per-edge SR hit rates.  The run builds its caches at the default
+    #: capacity.
+    sr_cache: str | None = None
     #: precomputed viewer → edge index per session, overriding the
     #: topology's assignment policy — a pinned edge layout, e.g. to put
     #: known viewers on an edge a fault then hits.  Each entry must be an
@@ -89,12 +100,12 @@ class FleetSpec:
     controller: "ControlPlane | None" = None
     #: a :class:`~repro.obs.Telemetry` bundle; each layer toggles
     #: independently.  The tracer collects typed virtual-time events from
-    #: every subsystem (wired into the edge caches, the encode queue and
-    #: the controller for the run, unwired on exit); the metrics registry
-    #: receives the interval samples (health, buffer occupancy, per-edge
-    #: load, encode busy/workers); the profiler wraps the loop's four
-    #: phases (``scheduler`` / ``advance`` / ``planner`` / ``control``) in
-    #: wall-clock spans, one ``scheduler`` span per event step.
+    #: every subsystem (the run's edge caches, encode queue and control
+    #: ticks); the metrics registry receives the interval samples (health,
+    #: buffer occupancy, per-edge load, encode busy/workers); the profiler
+    #: wraps the loop's four phases (``scheduler`` / ``advance`` /
+    #: ``planner`` / ``control``) in wall-clock spans, one ``scheduler``
+    #: span per event step.
     telemetry: "Telemetry | None" = None
 
     @classmethod
@@ -111,12 +122,10 @@ class FleetSpec:
         return spec
 
     def validate(self) -> None:
-        """Check the topology's type and the ``sr_cache`` mode string;
-        normalize empty faults.
+        """Check the topology's type and the ``sr_cache`` mode.
 
         Raises ``ValueError`` on a non-``CDNTopology`` (``None`` too) or
-        an unknown mode; an empty fault schedule is normalized to
-        ``None`` (the parity convention: no events ≡ no faults).
+        an ``sr_cache`` that is not a mode.  Writes nothing.
         Topology-dependent checks (fault edges and regions, assignment
         length and entries) stay with the run, which holds the topology
         and the session list.
@@ -126,10 +135,9 @@ class FleetSpec:
                 f"topology must be a CDNTopology, got {self.topology!r}; "
                 "serve a bare link with single_link_cdn(trace)"
             )
-        if self.faults is not None and not self.faults:
-            self.faults = None  # empty schedule ≡ no faults
-        if isinstance(self.sr_cache, str) and self.sr_cache != "per-edge":
+        if self.sr_cache not in _SR_CACHE_MODES:
             raise ValueError(
-                f"unknown sr_cache mode {self.sr_cache!r}; pass an "
-                "SRResultCache, None, or 'per-edge'"
+                "sr_cache must be one of the modes None, 'shared' or "
+                f"'per-edge', got {self.sr_cache!r}; the run builds its "
+                "own caches"
             )

@@ -38,12 +38,6 @@ class TestEstimator:
         arith = (4 * 10e6 + 1000e6) / 5
         assert est.estimate() < arith / 2
 
-    def test_reset(self):
-        est = HarmonicMeanEstimator(initial_bps=7e6)
-        est.observe(1e6)
-        est.reset()
-        assert est.estimate() == 7e6
-
     def test_validation(self):
         with pytest.raises(ValueError):
             HarmonicMeanEstimator(window=0)
@@ -52,6 +46,20 @@ class TestEstimator:
         est = HarmonicMeanEstimator()
         with pytest.raises(ValueError):
             est.observe(0.0)
+
+    @pytest.mark.parametrize("window", [0.5, 2.5, True, 0, -1])
+    def test_window_must_be_a_whole_count(self, window):
+        """``window=0.5`` used to build a zero-length window that dropped
+        every sample, so the estimate read ``initial_bps`` for ever."""
+        with pytest.raises(ValueError, match=rf"window must be an integer >= 1, got {window!r}"):
+            HarmonicMeanEstimator(window=window)
+
+    @pytest.mark.parametrize("initial", [float("nan"), float("inf"), -1e6])
+    def test_initial_estimate_must_be_finite_and_positive(self, initial):
+        """NaN and inf used to be accepted, so the estimate before the
+        first sample was NaN or inf."""
+        with pytest.raises(ValueError, match=rf"finite and positive, got {initial!r}"):
+            HarmonicMeanEstimator(initial_bps=initial)
 
     @pytest.mark.parametrize(
         "sample,shown", [(float("inf"), "inf"), (float("nan"), "nan"), (-1e6, "-1000000.0")]

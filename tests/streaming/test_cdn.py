@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.streaming import (
@@ -10,7 +11,6 @@ from repro.streaming import (
     EdgeChunkCache,
     EncodeQueue,
     OriginServer,
-    SRResultCache,
     assign_sessions,
     simulate_fleet,
     uniform_cdn,
@@ -43,7 +43,8 @@ class TestByteConservation:
             )
             for i in range(n)
         ]
-        return simulate_fleet(sessions, topology=topo), topo
+        result = simulate_fleet(sessions, topology=topo)
+        return result, result.topology
 
     @pytest.mark.parametrize("assignment", ["static", "least-loaded", "popularity"])
     def test_conservation(self, assignment):
@@ -95,8 +96,7 @@ class TestByteConservation:
             FleetSession(spec=spec(8), controller=FixedDensity(0.5),
                          join_time=60.0),
         ]
-        simulate_fleet(sessions, topology=topo)
-        cache = topo.edges[0].cache
+        cache = simulate_fleet(sessions, topology=topo).topology.edges[0].cache
         assert cache.misses == 8   # only the first viewer's pulls
         assert cache.hits == 8     # the late joiner hits everything
 
@@ -114,8 +114,7 @@ class TestByteConservation:
             FleetSession(spec=spec(8, name="b"), controller=FixedDensity(0.5),
                          join_time=50.0),
         ]
-        simulate_fleet(sessions, topology=topo)
-        waits = topo.origin.queue.waits
+        waits = simulate_fleet(sessions, topology=topo).topology.origin.queue.waits
         assert len(waits) == 16
         # Pre-fix, the late joiner's first job reserved the worker at
         # scheduler start and an early job waited ~49.25 virtual seconds.
@@ -154,13 +153,12 @@ class TestByteConservation:
         )
 
     def test_report_percentiles_and_assignment_surface(self):
-        result, topo = self.run_fleet("least-loaded")
+        result, _ = self.run_fleet("least-loaded")
         rep = result.report
         assert len(rep.edge_hit_rates) == 3
         assert 0.0 <= rep.edge_hit_rate <= 1.0
         assert rep.encode_wait_p50 <= rep.encode_wait_p95
         assert sorted(set(result.assignment)) == [0, 1, 2]
-        assert result.topology is topo
 
     def test_report_reads_each_edge_and_its_sr_cache(self):
         """Per-edge report fields are each edge's own counters in edge
@@ -180,10 +178,10 @@ class TestByteConservation:
             )
             for i in range(8)
         ]
-        rep = simulate_fleet(
+        result = simulate_fleet(
             sessions, topology=topo, sr_cache="per-edge", assignment=[0, 2] * 4
-        ).report
-        edges = topo.edges
+        )
+        rep, edges = result.report, result.topology.edges
         assert rep.edge_hit_rates == tuple(e.cache.hit_rate for e in edges)
         assert rep.sr_edge_hit_rates == tuple(e.sr_cache.hit_rate for e in edges)
         assert rep.edge_hit_rates[1] == rep.sr_edge_hit_rates[1] == 0.0
@@ -211,7 +209,8 @@ class TestRequestCoalescing:
             )
             for i in range(n)
         ]
-        return simulate_fleet(sessions, topology=topo), topo
+        result = simulate_fleet(sessions, topology=topo)
+        return result, result.topology
 
     def test_concurrent_misses_one_origin_fill(self):
         """Six viewers requesting the same cold chunks at the same instant
@@ -256,8 +255,7 @@ class TestRequestCoalescing:
                 spec=spec(4), controller=FixedDensity(0.8), join_time=0.05
             ),
         ]
-        simulate_fleet(sessions, topology=topo)
-        cache = topo.edges[0].cache
+        cache = simulate_fleet(sessions, topology=topo).topology.edges[0].cache
         assert cache.coalesced >= 1
         assert cache.fills + cache.coalesced + cache.hits == (
             cache.hits + cache.misses
@@ -348,18 +346,6 @@ class TestEdgeChunkCache:
         assert cache.hits == 1 and cache.fills == 1  # history survives
         assert not cache.lookup(("v", 0, 0.5), 100, at_time=2.0)
 
-    def test_reset_restores_constructed_state(self):
-        cache = EdgeChunkCache(capacity_bytes=1000)
-        cache.insert(("v", 0, 0.5), 100, ready=0.0)
-        cache.lookup(("v", 0, 0.5), 100, at_time=1.0)
-        cache.lookup(("v", 1, 0.5), 100, at_time=1.0)
-        cache.begin_fill(("v", 1, 0.5))
-        cache.reset()
-        assert len(cache) == 0 and cache.used_bytes == 0
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.fills == 0 and cache.aborted_fills == 0
-        assert cache.hit_rate == 0.0
-
 
 class TestEncodeQueue:
     def test_workers_bound_concurrency(self):
@@ -399,6 +385,21 @@ class TestEncodeQueue:
         with pytest.raises(ValueError):
             EncodeQueue(2).resize(0)
 
+    @pytest.mark.parametrize("bad", [0.5, 0.9, 2.5, True, 0, -1])
+    def test_worker_count_must_be_a_whole_count(self, bad):
+        """``int(0.5)`` used to build a zero-worker pool whose first cold
+        miss died in ``min()`` of an empty sequence."""
+        match = rf"n_workers must be an integer >= 1, got {bad!r}"
+        with pytest.raises(ValueError, match=match):
+            EncodeQueue(bad)
+        with pytest.raises(ValueError, match=match):
+            EncodeQueue(3).resize(bad)
+        with pytest.raises(ValueError, match=match):
+            uniform_cdn(
+                2, access_mbps=50.0, backhaul_mbps=20.0, n_encode_workers=bad
+            )
+        assert EncodeQueue(np.int64(2)).n_workers == 2
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_encode_time_is_refused_at_construction(self, bad):
         """Both used to build, and the run then died at the first cold miss
@@ -437,39 +438,6 @@ class TestEncodeQueue:
         # Shrinking retires the idlest worker: the survivor is busy
         # until t=2, so the next job queues behind it.
         assert q.submit(0.5, 1.0) == 3.0
-
-    def test_reset_restores_original_pool(self):
-        q = EncodeQueue(n_workers=2)
-        q.submit(0.0, 5.0)
-        q.resize(8)
-        q.reset()
-        assert q.n_workers == 2
-        assert q.waits == []
-        assert q.submit(0.0, 1.0) == 1.0   # all workers idle again
-
-
-class TestTopologyReset:
-    def test_reset_restores_serving_state(self):
-        topo = uniform_cdn(
-            2, access_mbps=50.0, backhaul_mbps=40.0,
-            n_encode_workers=2, encode_seconds=0.1,
-        )
-        edge = topo.edges[0]
-        edge.sr_cache = SRResultCache(capacity=8)
-        edge.cache.insert(("v", 0, 0.5), 100, ready=0.0)
-        edge.cache.lookup(("v", 0, 0.5), 100, at_time=1.0)
-        edge.sr_cache.acquire(("v", 0, 0.5, 2), at_time=0.0, cost=0.1)
-        edge.backhaul.delivered_bits = 1e6
-        edge.access.delivered_bits = 1e6
-        topo.origin.variant_ready(("v", 0, 0.5), 0.0)
-        topo.reset()
-        assert len(edge.cache) == 0 and edge.cache.hits == 0
-        assert edge.sr_cache is not None  # stays installed, but cold
-        assert edge.sr_cache.misses == 0
-        assert edge.backhaul.delivered_bits == 0.0
-        assert edge.access.delivered_bits == 0.0
-        assert topo.origin.n_encoded == 0
-        assert topo.origin.queue.waits == []
 
 
 class TestAssignment:

@@ -509,8 +509,8 @@ class TestAReusedPlane:
         seen = []
         tick = plane.tick
 
-        def recording(view):
-            actions = tick(view)
+        def recording(view, tracer):
+            actions = tick(view, tracer)
             seen.append((bool(view.regions_dark), view.degraded, actions))
             return actions
 
@@ -605,11 +605,11 @@ class TestGracefulDegradation:
         from repro.obs.events import EV_CONTROL_DEGRADE
 
         plane = ControlPlane(ControlPolicy(quality_cap_when_dark=0.5))
-        plane.tracer = _RecordingTracer()
-        plane.tick(view(regions_dark=("region-0", "region-1")))
-        plane.tick(view(degraded=True))
+        tracer = _RecordingTracer()
+        plane.tick(view(regions_dark=("region-0", "region-1")), tracer)
+        plane.tick(view(degraded=True), tracer)
         flips = [
-            (kind, data) for _, kind, data in plane.tracer.events
+            (kind, data) for _, kind, data in tracer.events
             if kind == EV_CONTROL_DEGRADE
         ]
         assert len(flips) == 2

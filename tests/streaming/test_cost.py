@@ -11,7 +11,6 @@ from repro.streaming import (
     CostReport,
     FleetSession,
     SRQualityModel,
-    SRResultCache,
     simulate_fleet,
     single_link_cdn,
     uniform_cdn,
@@ -65,17 +64,10 @@ class TestEncodeBusyAccounting:
         q.submit(0.0, 0.0)
         assert q.busy_seconds == 0.0
 
-    def test_reset_zeroes(self):
-        q = EncodeQueue(n_workers=2)
-        q.submit(0.0, 1.0)
-        q.reset()
-        assert q.busy_seconds == 0.0
-
     def test_report_reads_origin_busy_time(self):
-        topo = make_topology()
-        result = simulate_fleet(make_sessions(), topology=topo)
+        result = simulate_fleet(make_sessions(), topology=make_topology())
         assert result.report.encode_core_seconds == (
-            topo.origin.queue.busy_seconds
+            result.topology.origin.queue.busy_seconds
         )
         assert result.report.encode_core_seconds > 0.0
 
@@ -167,7 +159,7 @@ class TestPricingAFinishedRun:
         cached = CostModel().price(
             simulate_fleet(
                 make_sessions(), topology=make_topology(),
-                sr_cache=SRResultCache(),
+                sr_cache="shared",
             )
         )
         assert no_cache.sr_device_hours == pytest.approx(

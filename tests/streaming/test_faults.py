@@ -465,7 +465,8 @@ class TestDegradationEndToEnd:
         hit = simulate_fleet(sessions, topology=topo, faults=sched).report
         assert hit != base
         assert hit.faults_injected == 1
-        # The wrapper came off: a re-run without faults matches the baseline.
+        # The given links never wore the wrapper: a re-run without faults
+        # matches the baseline.
         for edge in topo.edges:
             assert not isinstance(edge.backhaul.trace, DegradedTrace)
         again = simulate_fleet(sessions, topology=topo).report
@@ -539,8 +540,8 @@ class TestOutageAccounting:
         )
         rep = result.report
         assert rep.sessions_resteered > 0
-        hit_bytes = sum(e.cache.hit_bytes for e in topo.edges)
-        coalesced = sum(e.cache.coalesced_bytes for e in topo.edges)
+        hit_bytes = sum(e.cache.hit_bytes for e in result.topology.edges)
+        coalesced = sum(e.cache.coalesced_bytes for e in result.topology.edges)
         assert rep.coalesced_bytes == coalesced
         assert (
             rep.origin_egress_bytes + hit_bytes + coalesced == rep.total_bytes
@@ -650,8 +651,8 @@ class TestGrayFailureEndToEnd:
         assert rep.requests_timed_out == 0
         assert sum(rep.retry_attempts) > 0
         check_retry_accounting(rep)
-        hit_bytes = sum(e.cache.hit_bytes for e in topo.edges)
-        coalesced = sum(e.cache.coalesced_bytes for e in topo.edges)
+        hit_bytes = sum(e.cache.hit_bytes for e in result.topology.edges)
+        coalesced = sum(e.cache.coalesced_bytes for e in result.topology.edges)
         assert (
             rep.origin_egress_bytes + hit_bytes + coalesced
             == rep.total_bytes
@@ -675,13 +676,17 @@ class TestGrayFailureEndToEnd:
         )
         rep = result.report
         assert rep.faults_injected == 2
-        hit_bytes = sum(e.cache.hit_bytes for e in topo.edges)
-        coalesced = sum(e.cache.coalesced_bytes for e in topo.edges)
+        hit_bytes = sum(e.cache.hit_bytes for e in result.topology.edges)
+        coalesced = sum(e.cache.coalesced_bytes for e in result.topology.edges)
         assert (
             rep.origin_egress_bytes + hit_bytes + coalesced
             == rep.total_bytes
         )
-        # Both wrappers came off the reused topology.
+        # Both windows ride the run's own links; the given ones never
+        # wear a wrapper.
+        ran = result.topology.edges[0]
+        assert isinstance(ran.access.trace, DegradedTrace)
+        assert isinstance(ran.backhaul.trace, DegradedTrace)
         for edge in topo.edges:
             assert not isinstance(edge.access.trace, DegradedTrace)
             assert not isinstance(edge.backhaul.trace, DegradedTrace)

@@ -135,7 +135,7 @@ class TestEngineParityEndToEnd:
             return simulate_fleet(
                 self.make_sessions(),
                 topology=single_link_cdn(trace),
-                sr_cache=SRResultCache(),
+                sr_cache="shared",
             )
 
         b = run()
@@ -206,7 +206,7 @@ class TestDeterminism:
             return simulate_fleet(
                 sessions,
                 topology=single_link_cdn(lte_trace(80, 20, seed=11)),
-                sr_cache=SRResultCache(),
+                sr_cache="shared",
             )
 
         a, b = run(), run()
@@ -215,6 +215,103 @@ class TestDeterminism:
             assert ra.qoe == rb.qoe
             assert ra.decisions == rb.decisions
             assert ra.total_bytes == rb.total_bytes
+
+
+class TestARunOwnsWhatItMutates:
+    """A run builds its links, caches, encode queue and SR caches from
+    the spec and writes to nothing it was handed but the telemetry sink,
+    so one spec run twice gives equal runs and its objects still read as
+    constructed."""
+
+    @staticmethod
+    def given_state(topology):
+        def link(l):
+            return (id(l.trace), type(l.trace), l.delivered_bits)
+
+        def cache(c):
+            return (
+                len(c), c.used_bytes, c.hits, c.misses, c.hit_bytes,
+                c.miss_bytes, c.evictions, c.fills, c.aborted_fills,
+                c.coalesced, c.coalesced_bytes,
+            )
+
+        origin, queue = topology.origin, topology.origin.queue
+        return (
+            [
+                (link(e.backhaul), link(e.access), cache(e.cache), e.sr_cache)
+                for e in topology.edges
+            ],
+            (
+                queue.n_workers, list(queue.waits), queue.busy_seconds,
+                origin.n_encoded,
+            ),
+        )
+
+    def test_a_run_writes_nothing_it_was_given(self):
+        from dataclasses import fields, replace
+
+        from repro.obs import Telemetry
+        from repro.streaming import (
+            ControlPlane, ControlPolicy, FleetSpec, RegionOutage, RetryPolicy,
+        )
+        from repro.streaming.faults import DegradedTrace
+
+        topology = uniform_cdn(
+            4, access_mbps=60.0, backhaul_mbps=20.0, n_regions=2,
+            n_encode_workers=1, encode_seconds=0.3,
+        )
+        plane = ControlPlane(
+            ControlPolicy(interval=1.0, encode_wait_high=0.05)
+        )
+        spec_ = FleetSpec(
+            topology=topology,
+            sr_cache="per-edge",
+            faults=FaultSchedule((
+                RegionOutage("region-0", start=3.0, duration=3.0),
+                BackhaulDegradation(edge=2, start=1.0, duration=5.0, factor=0.3),
+                GrayFailure(edge=3, start=1.0, duration=6.0,
+                            capacity_factor=0.5, drop_fraction=0.3),
+            )),
+            retry_policy=RetryPolicy(
+                timeout_s=1.0, backoff_base_s=0.1, backoff_cap_s=0.4,
+                max_attempts=3,
+            ),
+            controller=plane,
+            telemetry=Telemetry(),
+        )
+        sessions = [
+            FleetSession(
+                spec=spec(8, name=f"v{i % 3}"), controller=FixedDensity(0.5),
+                sr_latency=sr_lat(), join_time=0.4 * i,
+            )
+            for i in range(12)
+        ]
+        constructed = self.given_state(topology)
+        plane_vars = dict(vars(plane))
+        held = [getattr(spec_, f.name) for f in fields(spec_)]
+
+        first = simulate_fleet(sessions, spec=spec_)
+        second_spec = replace(spec_, telemetry=Telemetry())
+        second = simulate_fleet(sessions, spec=second_spec)
+
+        rep = first.report
+        assert rep.encode_pool_resizes > 0 and rep.sessions_resteered > 0
+        assert rep.chunk_retries > 0 and rep.gray_degraded_bytes > 0
+        assert first.topology.origin.queue.n_workers != 1
+        assert isinstance(first.topology.edges[2].backhaul.trace, DegradedTrace)
+        assert self.given_state(topology) == constructed
+        for edge in topology.edges:
+            assert not isinstance(edge.backhaul.trace, DegradedTrace)
+            assert not isinstance(edge.access.trace, DegradedTrace)
+        assert vars(plane) == plane_vars
+        assert all(
+            getattr(spec_, f.name) is was for f, was in zip(fields(spec_), held)
+        )
+        assert_same_run(first, second)
+        assert first.report == second.report
+        assert [
+            (e.t, e.kind, e.data) for e in spec_.telemetry.tracer.events
+        ] == [(e.t, e.kind, e.data) for e in second_spec.telemetry.tracer.events]
 
 
 class TestScenarioGrid:
@@ -271,7 +368,7 @@ class TestScenarioGrid:
             sr = {
                 "none": None,
                 "per-edge": "per-edge",
-                "shared": SRResultCache(),
+                "shared": "shared",
             }[sr_mode]
             return simulate_fleet(
                 self.make_sessions(n_sessions, churn, startup_bytes),
@@ -369,7 +466,6 @@ class TestChunkKey:
 class TestSRCache:
     def test_co_watching_hits(self):
         """A later viewer of the same chunks pays zero SR time."""
-        cache = SRResultCache()
         lat = sr_lat()
         sessions = [
             FleetSession(spec=spec(10), controller=FixedDensity(0.5),
@@ -378,15 +474,15 @@ class TestSRCache:
                          sr_latency=lat, join_time=40.0),
         ]
         result = simulate_fleet(
-            sessions, topology=single_link_cdn(stable_trace(200.0)), sr_cache=cache
+            sessions, topology=single_link_cdn(stable_trace(200.0)), sr_cache="shared"
         )
+        cache = result.sr_cache
         # Session 2 joins after session 1 finished: every chunk hits.
         assert cache.misses == 10
         assert cache.hits == 10
         assert result.report.cache_hit_rate == pytest.approx(0.5)
 
     def test_accounting_covers_all_sr_work(self):
-        cache = SRResultCache()
         lat = sr_lat()
         n, secs = 5, 8
         sessions = [
@@ -394,25 +490,24 @@ class TestSRCache:
                          sr_latency=lat, join_time=2.0 * i)
             for i in range(n)
         ]
-        simulate_fleet(
-            sessions, topology=single_link_cdn(stable_trace(300.0)), sr_cache=cache
-        )
+        cache = simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(300.0)), sr_cache="shared"
+        ).sr_cache
         assert cache.hits + cache.misses == n * secs
 
     def test_no_sr_means_no_cache_traffic(self):
-        cache = SRResultCache()
         sessions = [
             FleetSession(spec=spec(5), controller=FixedDensity(0.5))
             for _ in range(3)
         ]
         result = simulate_fleet(
-            sessions, topology=single_link_cdn(stable_trace(200.0)), sr_cache=cache
+            sessions, topology=single_link_cdn(stable_trace(200.0)), sr_cache="shared"
         )
+        cache = result.sr_cache
         assert cache.hits == cache.misses == 0
         assert result.report.cache_hit_rate == 0.0
 
     def test_different_videos_do_not_collide(self):
-        cache = SRResultCache()
         lat = sr_lat()
         sessions = [
             FleetSession(spec=spec(5, name="a"), controller=FixedDensity(0.5),
@@ -420,9 +515,9 @@ class TestSRCache:
             FleetSession(spec=spec(5, name="b"), controller=FixedDensity(0.5),
                          sr_latency=lat, join_time=30.0),
         ]
-        simulate_fleet(
-            sessions, topology=single_link_cdn(stable_trace(200.0)), sr_cache=cache
-        )
+        cache = simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(200.0)), sr_cache="shared"
+        ).sr_cache
         assert cache.hits == 0
 
     def test_cache_improves_qoe_under_slow_sr(self):
@@ -439,7 +534,7 @@ class TestSRCache:
                 sr_cache=cache,
             )
 
-        with_cache = run(SRResultCache())
+        with_cache = run("shared")
         without = run(None)
         assert with_cache.report.mean_qoe > without.report.mean_qoe
 
@@ -535,7 +630,7 @@ class TestScale:
         )
         result = simulate_fleet(
             sessions, topology=single_link_cdn(stable_trace(400.0)),
-            sr_cache=SRResultCache(),
+            sr_cache="shared",
         )
         rep = result.report
         assert rep.n_sessions == 100

@@ -38,7 +38,6 @@ from repro.streaming import (
     GrayFailure,
     RetryPolicy,
     SRQualityModel,
-    SRResultCache,
     simulate_fleet,
     single_link_cdn,
     uniform_cdn,
@@ -75,7 +74,7 @@ def mpc_sessions(n, n_videos, gap, churn=None):
 def link_run():
     return mpc_sessions(6, 2, 1.5, AbandonPolicy(max_total_stall=1.0)), dict(
         topology=single_link_cdn(lte_trace(25, 10, seed=3)),
-        sr_cache=SRResultCache(),
+        sr_cache="shared",
     )
 
 
@@ -248,8 +247,8 @@ class TestServingFields:
             assert result.sr_cache is None
             assert rep.sr_edge_hit_rates == tuple(c.hit_rate for c in caches)
         else:
-            caches = [mode] if mode is not None else []
-            assert result.sr_cache is mode
+            caches = [result.sr_cache] if mode == "shared" else []
+            assert (result.sr_cache is None) == (mode is None)
             assert rep.sr_edge_hit_rates == ()
         hits = sum(c.hits for c in caches)
         lookups = hits + sum(c.misses for c in caches)

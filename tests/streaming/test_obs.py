@@ -11,7 +11,6 @@ from repro.obs.events import (
     EV_CHUNK_COMPLETE,
     EV_CONTROL_TICK,
     EV_SESSION_START,
-    NULL_TRACER,
     Tracer,
     ops_from_events,
 )
@@ -334,37 +333,6 @@ class TestTelemetryDisabledParity:
 
         base = run(None)
         assert run(Telemetry()) == base
-
-    @pytest.mark.parametrize("crash", [False, True])
-    def test_run_leaves_null_tracer_behind(self, crash, monkeypatch):
-        """The live tracer is wired into every cache / queue / controller
-        for the run only — also when the run raises."""
-        tel = Telemetry()
-        kwargs = chaos_kwargs(tel)
-        topology, controller = kwargs["topology"], kwargs["controller"]
-        wired_during_run = []
-        real_tick = ControlPlane.tick
-
-        def tick(self, view):
-            wired_during_run.append(
-                [e.cache.tracer for e in topology.edges]
-                + [topology.origin.queue.tracer, self.tracer]
-            )
-            if crash:
-                raise RuntimeError("tick blew up")
-            return real_tick(self, view)
-
-        monkeypatch.setattr(ControlPlane, "tick", tick)
-        if crash:
-            with pytest.raises(RuntimeError, match="tick blew up"):
-                simulate_fleet(fleet(n=10), **kwargs)
-        else:
-            simulate_fleet(fleet(n=10), **kwargs)
-        assert all(t is tel.tracer for t in wired_during_run[0])
-        for edge in topology.edges:
-            assert edge.cache.tracer is NULL_TRACER
-        assert topology.origin.queue.tracer is NULL_TRACER
-        assert controller.tracer is NULL_TRACER
 
 
 class TestConservation:

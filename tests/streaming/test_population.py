@@ -13,7 +13,6 @@ from repro.streaming import (
     ContinuousMPC,
     PoissonArrivals,
     SRQualityModel,
-    SRResultCache,
     TraceArrivals,
     build_population,
     simulate_fleet,
@@ -214,11 +213,9 @@ class TestCacheVsSkew:
             sr_latency=sr_lat(),
             seed=17,
         )
-        cache = SRResultCache()
-        simulate_fleet(
-            sessions, topology=single_link_cdn(stable_trace(500.0)), sr_cache=cache
-        )
-        return cache.hit_rate
+        return simulate_fleet(
+            sessions, topology=single_link_cdn(stable_trace(500.0)), sr_cache="shared"
+        ).sr_cache.hit_rate
 
     def test_cache_hit_rate_monotone_in_skew(self):
         """More head-heavy catalogs mean more co-watching, so the shared
@@ -246,7 +243,7 @@ class TestDeterministicReplay:
         )
         return simulate_fleet(
             sessions, topology=single_link_cdn(stable_trace(40.0)),
-            sr_cache=SRResultCache(),
+            sr_cache="shared",
         )
 
     def test_fixed_seed_replays_bit_exactly(self):

@@ -34,7 +34,6 @@ from repro.streaming import (
     RetryPolicy,
     SessionConfig,
     SRQualityModel,
-    SRResultCache,
     simulate_fleet,
     simulate_session,
     single_link_cdn,
@@ -79,7 +78,7 @@ def _mpc_fleet_on_lte():
         )
         for i in range(5)
     ]
-    return sessions, lte_trace(60, 18, seed=9), SRResultCache()
+    return sessions, lte_trace(60, 18, seed=9), "shared"
 
 
 def _unsorted_joins_with_shared_chunk_keys():
@@ -108,7 +107,7 @@ def _grid_case(seed, n, startup_bytes, shared_sr):
             for i in range(n)
         ]
         trace = lte_trace(30 + 10 * seed, 14, duration=120, seed=seed)
-        return sessions, trace, SRResultCache() if shared_sr else None
+        return sessions, trace, "shared" if shared_sr else None
 
     return build
 
@@ -219,7 +218,9 @@ class TestSingleLinkGolden:
         assert rep.edge_hit_rate == 0.0
         assert rep.origin_egress_bytes == rep.total_bytes
         assert rep.encode_core_seconds == 0.0
-        assert result.topology is topology
+        # the run serves over its own links, built over the given trace
+        assert result.topology is not topology
+        assert result.topology.edges[0].access.trace is trace
         assert result.assignment == [0] * len(sessions)
 
 

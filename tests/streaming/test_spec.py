@@ -72,13 +72,11 @@ class TestSpecShimBitExact:
         trace = stable_trace(60.0, duration=600.0)
         loose = simulate_fleet(
             make_sessions(), topology=single_link_cdn(trace),
-            sr_cache=SRResultCache(),
+            sr_cache="shared",
         )
         via_spec = simulate_fleet(
             make_sessions(),
-            spec=FleetSpec(
-                topology=single_link_cdn(trace), sr_cache=SRResultCache()
-            ),
+            spec=FleetSpec(topology=single_link_cdn(trace), sr_cache="shared"),
         )
         assert_identical(loose, via_spec)
 
@@ -137,7 +135,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="single_link_cdn"):
             FleetSpec(topology=None).validate()
         with pytest.raises(TypeError, match="topology"):
-            simulate_fleet(make_sessions(), sr_cache=SRResultCache())
+            simulate_fleet(make_sessions(), sr_cache="shared")
         for bad in (None, stable_trace(60.0, duration=600.0)):
             with pytest.raises(ValueError, match="single_link_cdn"):
                 simulate_fleet(make_sessions(), topology=bad)
@@ -146,16 +144,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="at least one session"):
             simulate_fleet([], topology=make_topology())
 
-    def test_sr_cache_mode_strings(self):
-        with pytest.raises(ValueError, match="per-edge"):
-            FleetSpec(
-                topology=make_topology(), sr_cache="global"
-            ).validate()
+    @pytest.mark.parametrize("bad", ["global", SRResultCache()])
+    def test_sr_cache_is_one_of_three_modes(self, bad):
+        """A cache object is refused too: the run builds its own."""
+        with pytest.raises(
+            ValueError, match="modes None, 'shared' or 'per-edge'"
+        ):
+            FleetSpec(topology=make_topology(), sr_cache=bad).validate()
 
-    def test_empty_faults_normalized(self):
-        s = FleetSpec(topology=make_topology(), faults=FaultSchedule())
+    def test_a_run_leaves_an_empty_fault_schedule_in_the_spec(self):
+        """The run treats an empty schedule as no faults in its own local;
+        ``validate()`` used to write ``None`` into the caller's spec."""
+        empty = FaultSchedule()
+        s = FleetSpec(topology=make_topology(), faults=empty)
         s.validate()
-        assert s.faults is None
+        result = simulate_fleet(make_sessions(), spec=s)
+        assert s.faults is empty
+        assert result.report.faults_injected == 0
 
     def test_spec_defaults_reproduce_bare_call(self):
         trace = stable_trace(60.0, duration=600.0)
@@ -165,13 +170,14 @@ class TestSpecValidation:
         )
         assert_identical(bare, via)
 
-    def test_a_shared_sr_cache_is_the_callers_instance(self):
-        cache = SRResultCache()
-        result = simulate_fleet(
-            make_sessions(4), topology=make_topology(), sr_cache=cache
-        )
-        assert result.sr_cache is cache
-        assert cache.hits + cache.misses > 0
+    def test_a_shared_sr_cache_is_the_runs_own(self):
+        spec = FleetSpec(topology=make_topology(), sr_cache="shared")
+        first = simulate_fleet(make_sessions(4), spec=spec)
+        second = simulate_fleet(make_sessions(4), spec=spec)
+        assert isinstance(first.sr_cache, SRResultCache)
+        assert first.sr_cache is not second.sr_cache
+        assert first.sr_cache.hits + first.sr_cache.misses > 0
+        assert first.report == second.report
 
 
 class TestAssignmentOverride:

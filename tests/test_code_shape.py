@@ -215,9 +215,9 @@ def test_a_fleet_step_rebuilds_nothing_fixed_for_the_run():
 
 def test_the_control_plane_keeps_no_books():
     """A plane is configuration: ``tick`` is a function of its view and
-    writes nothing back, and a plane holds only its policy, the optional
-    cross-run autoscaler and the tracer a run wires in.  The run keeps
-    the one record of what it did."""
+    writes nothing back, and a plane holds only its policy and the
+    optional cross-run autoscaler; the run hands ``tick`` its tracer.
+    The run keeps the one record of what it did."""
     from repro.streaming import ControlPlane
 
     path = SRC / "streaming" / "control.py"
@@ -236,7 +236,7 @@ def test_the_control_plane_keeps_no_books():
     ]
     assert writes == [], writes
     assert "self.log" not in path.read_text()
-    assert set(vars(ControlPlane())) == {"policy", "autoscaler", "tracer"}
+    assert set(vars(ControlPlane())) == {"policy", "autoscaler"}
 
 
 def test_a_viewer_is_stated_once():
