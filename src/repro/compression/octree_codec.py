@@ -21,8 +21,9 @@ voxel centers (bounded by the grid resolution) and co-located points merge.
 Wire format
 -----------
 A 34-byte header — magic ``OCPC``, depth (u8, 1…21), has_colors (u8), bbox
-(6 × f32 LE), voxel count (u32 LE) — then ``depth`` occupancy levels, then,
-when has_colors is set, ``rle_len`` (u32 LE) and that many RLE bytes.
+(6 × f32 LE: ``lo`` then ``hi``, finite, ``lo <= hi`` on each axis), voxel
+count (u32 LE) — then ``depth`` occupancy levels, then, when has_colors is
+set, ``rle_len`` (u32 LE) and that many RLE bytes.
 
 *Levels.*  Level 0 is the root's single occupancy byte; level ``l`` holds
 one byte per node level ``l - 1`` produced, in Morton order, so its size
@@ -45,6 +46,17 @@ escape iff its index inside its stretch is even**, the byte after an escape
 classifies every byte without walking the stream, which is what lets both
 directions run at array speed; the byte-at-a-time loops they replaced are
 the oracle in ``tests/compression/reference_codec.py``.
+
+Kernels
+-------
+Set bits are found on bool masks: ``np.flatnonzero`` is several times
+faster on a bool array than on the uint8 / int64 array it was computed
+from, so every call here gets one (an unpacked occupancy level is viewed as
+bool; integer arrays are compared with ``!= 0`` first).  The Morton sort
+need not be stable: leaf codes come out sorted and unique whatever the
+input order, and the per-voxel colour sum adds uint8 values in float64, so
+it is an exact integer in any order.  The payload therefore does not depend
+on the order of the input points.
 """
 
 from __future__ import annotations
@@ -99,7 +111,7 @@ def _zero_rle_encode(data: np.ndarray) -> bytes:
     out = np.zeros(n + int(growth.sum()), dtype=np.uint8)
 
     # Literals: the run before stretch s moved by shift[s - 1], the tail by shift[-1].
-    literal = np.flatnonzero(data)
+    literal = np.flatnonzero(data != 0)
     run_shift = np.concatenate(([0], shift))
     run_len = np.concatenate((starts, [n])) - np.concatenate(([0], ends))
     out[literal + np.repeat(run_shift, run_len)] = data[literal]
@@ -145,7 +157,7 @@ def _zero_rle_decode(data: bytes, expected: int) -> np.ndarray:
             raise ValueError("truncated zero run")
         raise ValueError(f"RLE stream decoded {produced} of {expected} bytes")
     out = np.zeros(expected, dtype=np.uint8)
-    writes = np.flatnonzero(emits[:used])  # an escape writes its own 0x00, harmlessly
+    writes = np.flatnonzero(emits[:used] != 0)  # an escape writes its own 0x00, harmlessly
     out[begins[writes]] = buf[writes]
     return out
 
@@ -194,7 +206,8 @@ def octree_encode(cloud: PointCloud, depth: int = 10) -> EncodedCloud:
         (cloud.positions - lo) / span * cells, cells - 1
     ).astype(np.int64)
     codes = morton_encode(ijk)
-    order = np.argsort(codes, kind="stable")
+    # Unstable is fine: the payload does not depend on the order of the input points.
+    order = np.argsort(codes)
     sorted_codes = codes[order]
     uniq_mask = np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
     leaf_codes = sorted_codes[uniq_mask]
@@ -245,6 +258,11 @@ def octree_decode(encoded: EncodedCloud | bytes) -> PointCloud:
     has_colors = bool(buf[5])
     bbox = np.frombuffer(payload, "<f4", count=6, offset=6).astype(np.float64)
     lo, hi = bbox[:3], bbox[3:]
+    for axis, a, b in zip("xyz", lo, hi):
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise ValueError(f"octree payload bbox is not finite on axis {axis}: [{a}, {b}]")
+        if a > b:
+            raise ValueError(f"octree payload bbox is inverted on axis {axis}: {a} > {b}")
     n_voxels = int(np.frombuffer(payload, "<u4", count=1, offset=30)[0])
     off = _HEADER_BYTES
     if n_voxels == 0:
@@ -258,7 +276,7 @@ def octree_decode(encoded: EncodedCloud | bytes) -> PointCloud:
         if len(occ) < len(codes):
             raise ValueError("occupancy stream truncated")
         off += len(codes)
-        flat = np.flatnonzero(np.unpackbits(occ, bitorder="little"))
+        flat = np.flatnonzero(np.unpackbits(occ, bitorder="little").view(bool))
         codes = (codes[flat >> 3] << np.uint64(3)) | (flat & 7).astype(np.uint64)
     if len(codes) != n_voxels:
         raise ValueError(

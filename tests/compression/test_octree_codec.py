@@ -134,6 +134,18 @@ class TestCodec:
         enc = octree_encode(small_frame, 8)
         assert len(octree_decode(enc.payload)) == enc.n_voxels
 
+    @pytest.mark.parametrize("depth", [3, 4, 6, 10])
+    def test_payload_does_not_depend_on_point_order(self, depth):
+        """What lets the Morton sort be unstable: at coarse depths many
+        points share a voxel, and its mean colour is the same in any order."""
+        frame = make_video("haggle", n_points=3000, n_frames=1, seed=11).frame(0)
+        enc = octree_encode(frame, depth)
+        assert enc.n_voxels < len(frame)
+        g = np.random.default_rng(depth)
+        for _ in range(4):
+            shuffled = frame.select(g.permutation(len(frame)))
+            assert octree_encode(shuffled, depth).payload == enc.payload
+
 
 @given(seed=st.integers(0, 100), depth=st.integers(4, 12))
 @settings(max_examples=20, deadline=None)
@@ -208,6 +220,25 @@ class TestHostilePayloads:
         bad = geometry + (len(rle) + 1).to_bytes(4, "little") + rle
         with pytest.raises(ValueError, match=f"claims {len(rle) + 1} bytes, {len(rle)} remain"):
             octree_decode(bad)
+
+    @staticmethod
+    def _bbox(payload):
+        return np.frombuffer(payload, "<f4", count=6, offset=6).copy()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_bbox_inverted(self, payload, axis):
+        bbox = self._bbox(payload)
+        bbox[[axis, 3 + axis]] = bbox[[3 + axis, axis]]  # hi < lo on this axis
+        with pytest.raises(ValueError, match=f"bbox is inverted on axis {'xyz'[axis]}"):
+            octree_decode(payload[:6] + bbox.tobytes() + payload[30:])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", [0, 4])  # lo on x, hi on y
+    def test_bbox_not_finite(self, payload, value, slot):
+        bbox = self._bbox(payload)
+        bbox[slot] = value
+        with pytest.raises(ValueError, match=f"bbox is not finite on axis {'xyz'[slot % 3]}"):
+            octree_decode(payload[:6] + bbox.tobytes() + payload[30:])
 
     def test_leaf_count_mismatch(self, payload):
         bad = payload[:30] + (10**6).to_bytes(4, "little") + payload[34:]

@@ -68,6 +68,21 @@ class TestGeometry:
         lo, hi = pc.bounds()
         assert lo.tolist() == [-1, 0, 0]
         assert hi.tolist() == [1, 2, 3]
+        # Bit-equal to the axis-0 reductions, signed zeros included (the
+        # codec header carries these bytes): clouds whose extremum on an
+        # axis is a mix of 0.0 / -0.0, one-point clouds, duplicated rows,
+        # both memory layouts.
+        g = np.random.default_rng(37)
+        for n in (1, 1, 2, 3, 8, 17, 64, 255, 1000, 4099):
+            pos = g.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=(n, 3))
+            pos[:, 1] *= -1.0  # a zero is the max here, not the min
+            pos[:, 2] = g.choice([0.0, -0.0], size=n)  # only zeros
+            pos = np.concatenate([pos, pos[g.integers(0, n, n // 2)]])  # duplicated rows
+            for layout in (pos, np.asfortranarray(pos)):
+                pc = PointCloud(layout)
+                lo, hi = pc.bounds()
+                assert lo.tobytes() == pc.positions.min(axis=0).tobytes(), (n, layout.flags)
+                assert hi.tobytes() == pc.positions.max(axis=0).tobytes(), (n, layout.flags)
 
     def test_bounds_empty(self):
         lo, hi = PointCloud.empty().bounds()
