@@ -1,6 +1,6 @@
 """From-scratch NumPy neural-network substrate (no PyTorch available)."""
 
-from .layers import Layer, LeakyReLU, Linear, ReLU, Tanh
+from .layers import Layer, Linear, ReLU, Tanh
 from .loss import mse_loss
 from .mlp import MLP
 from .optim import Adam
@@ -10,7 +10,6 @@ __all__ = [
     "Layer",
     "Linear",
     "ReLU",
-    "LeakyReLU",
     "Tanh",
     "MLP",
     "mse_loss",

@@ -1,14 +1,21 @@
-"""Multi-layer perceptron composed from :mod:`repro.nn.layers`."""
+"""Multi-layer perceptron composed from :mod:`repro.nn.layers`.
+
+One flat buffer: every ``W`` / ``b`` of an :class:`MLP` is a view into one
+flat parameter array (``flat_params``) and every gradient a view into one
+flat gradient array (``flat_grads``), in :meth:`MLP.params` order.
+``zero_grad`` is one fill, the optimizer updates the two flat arrays, and
+``load_state_dict`` writes through the views.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import Layer, LeakyReLU, Linear, ReLU, Tanh
+from .layers import Layer, Linear, ReLU, Tanh
 
 __all__ = ["MLP"]
 
-_ACTIVATIONS = {"relu": ReLU, "leaky_relu": LeakyReLU, "tanh": Tanh}
+_ACTIVATIONS = {"relu": ReLU, "tanh": Tanh}
 
 
 class MLP:
@@ -19,7 +26,7 @@ class MLP:
     dims:
         Layer widths including input and output, e.g. ``(12, 64, 64, 3)``.
     activation:
-        Hidden activation name: ``relu``, ``leaky_relu``, or ``tanh``.
+        Hidden activation name: ``relu`` or ``tanh``.
     output_activation:
         Optional activation after the last linear layer (the refinement
         net uses ``tanh`` to bound offsets).
@@ -42,13 +49,22 @@ class MLP:
             raise ValueError(f"unknown output activation {output_activation!r}")
         rng = np.random.default_rng(seed)
         self.dims = tuple(int(d) for d in dims)
+        linears = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
         self.layers: list[Layer] = []
-        for i in range(len(dims) - 1):
-            self.layers.append(Linear(dims[i], dims[i + 1], rng))
-            if i < len(dims) - 2:
+        for i, lin in enumerate(linears):
+            self.layers.append(lin)
+            if i < len(linears) - 1:
                 self.layers.append(_ACTIVATIONS[activation]())
         if output_activation is not None:
             self.layers.append(_ACTIVATIONS[output_activation]())
+        self._first = linears[0]
+        n = sum(lin.W.size + lin.b.size for lin in linears)
+        self.flat_params, self.flat_grads = np.empty(n), np.zeros(n)
+        offset = 0
+        for lin in linears:
+            span = slice(offset, offset + lin.W.size + lin.b.size)
+            lin.adopt(self.flat_params[span], self.flat_grads[span])
+            offset = span.stop
 
     # ------------------------------------------------------------------
     @property
@@ -73,11 +89,10 @@ class MLP:
 
     def n_parameters(self) -> int:
         """Total scalar parameter count (used by the memory accounting)."""
-        return int(sum(p.size for p in self.params()))
+        return int(self.flat_params.size)
 
     def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
+        self.flat_grads.fill(0.0)
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -93,11 +108,16 @@ class MLP:
 
     __call__ = forward
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Accumulate every parameter gradient from dL/d(output).
+
+        Stops at the first layer's parameter gradients: nothing reads
+        dL/d(input), so it is not computed.
+        """
         g = np.asarray(grad_out, dtype=np.float64)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
-        return g
+        self._first.accumulate_grads(g)
 
     # ------------------------------------------------------------------
     # Serialization (LUTs are built offline; nets must round-trip to disk).

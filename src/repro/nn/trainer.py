@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -34,6 +35,19 @@ class TrainConfig:
     log_every: int = 0  # 0 = silent
     log_fn: Callable[[str], None] = print  # sink for log_every lines
 
+    def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be finite and non-negative, got {self.noise_sigma}"
+            )
+        if self.log_every < 0:
+            raise ValueError(f"log_every must be non-negative, got {self.log_every}")
+
 
 @dataclass
 class TrainResult:
@@ -56,7 +70,7 @@ class Trainer:
         self.model = model
         self.config = config or TrainConfig()
         self.loss_fn = loss_fn
-        self.optimizer = Adam(model.params(), model.grads(), lr=self.config.lr)
+        self.optimizer = Adam([model.flat_params], [model.flat_grads], lr=self.config.lr)
 
     def fit(self, X: np.ndarray, Y: np.ndarray) -> TrainResult:
         X = np.asarray(X, dtype=np.float64)
@@ -65,6 +79,8 @@ class Trainer:
             raise ValueError("X and Y must have the same number of rows")
         if len(X) == 0:
             raise ValueError("empty training set")
+        _require_finite(X, "X")
+        _require_finite(Y, "Y")
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         result = TrainResult()
@@ -76,7 +92,7 @@ class Trainer:
                 idx = order[start : start + cfg.batch_size]
                 xb = X[idx]
                 if cfg.noise_sigma > 0:
-                    xb = xb + rng.normal(0.0, cfg.noise_sigma, xb.shape)
+                    xb += rng.normal(0.0, cfg.noise_sigma, xb.shape)
                 yb = Y[idx]
                 pred = self.model.forward(xb)
                 loss, grad = self.loss_fn(pred, yb)
@@ -90,3 +106,12 @@ class Trainer:
             if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
                 cfg.log_fn(f"epoch {epoch + 1:4d}  loss {epoch_loss:.6f}")
         return result
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """``ValueError`` naming the first row of ``a`` holding a NaN or inf:
+    a NaN input trains NaN weights while ReLU hides it from the loss."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(a), -1).all(axis=1)))
+        raise ValueError(f"{what} row {row} is not finite: {a[row].tolist()}")

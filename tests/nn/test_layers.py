@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import LeakyReLU, Linear, ReLU, Tanh
+from repro.nn import Linear, ReLU, Tanh
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -90,7 +90,6 @@ class TestLinear:
     [
         (ReLU, lambda x: np.maximum(x, 0)),
         (Tanh, np.tanh),
-        (LeakyReLU, lambda x: np.where(x > 0, x, 0.01 * x)),
     ],
 )
 class TestActivations:

@@ -93,3 +93,27 @@ class TestAdam:
     def test_negative_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning rate"):
             Adam([np.zeros(1)], [np.zeros(1)], lr=-0.1)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"lr": float("nan")}, "lr"),
+        ({"lr": float("inf")}, "lr"),
+        ({"beta1": 1.0}, "beta1"),
+        ({"beta1": -0.1}, "beta1"),
+        ({"beta1": float("nan")}, "beta1"),
+        ({"beta2": 1.5}, "beta2"),
+        ({"beta2": 1.0}, "beta2"),
+        ({"eps": -1.0}, "eps"),
+        ({"eps": 0.0}, "eps"),
+        ({"eps": float("nan")}, "eps"),
+        ({"eps": float("inf")}, "eps"),
+    ])
+    def test_weight_destroying_hyper_parameters_rejected(self, kwargs, field):
+        """Each of these silently turned p = [1, 1] into NaN / -inf or kept a
+        meaningless moment; now the constructor names the field."""
+        with pytest.raises(ValueError, match=field):
+            Adam([np.ones(2)], [np.ones(2)], **kwargs)
+
+    def test_boundary_hyper_parameters_accepted(self):
+        p, g = np.ones(2), np.ones(2)
+        Adam([p], [g], lr=1e-12, beta1=0.0, beta2=0.0, eps=1e-300).step()
+        assert np.isfinite(p).all()

@@ -72,3 +72,43 @@ class TestFit:
 
         with pytest.raises(ValueError):
             TrainResult().final_loss
+
+
+class TestValidation:
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"batch_size": 0}, "batch_size"),
+        ({"batch_size": -4}, "batch_size"),
+        ({"epochs": -3}, "epochs"),
+        ({"epochs": 0}, "epochs"),
+        ({"lr": float("nan")}, "lr"),
+        ({"lr": 0.0}, "lr"),
+        ({"noise_sigma": float("nan")}, "noise_sigma"),
+        ({"noise_sigma": float("inf")}, "noise_sigma"),
+        ({"noise_sigma": -0.02}, "noise_sigma"),
+        ({"log_every": -1}, "log_every"),
+    ])
+    def test_degenerate_config_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**kwargs)
+
+    def test_non_finite_inputs_rejected_naming_the_row(self):
+        """A NaN input trained a NaN first layer while the losses stayed finite."""
+        X, Y = toy_regression(n=20)
+        X[7, 1] = np.nan
+        with pytest.raises(ValueError, match="X row 7 is not finite"):
+            Trainer(MLP((3, 4, 2), seed=0), TrainConfig(epochs=1)).fit(X, Y)
+
+    def test_non_finite_targets_rejected_naming_the_row(self):
+        X, Y = toy_regression(n=20)
+        Y[2, 0] = np.inf
+        with pytest.raises(ValueError, match="Y row 2 is not finite"):
+            Trainer(MLP((3, 4, 2), seed=0), TrainConfig(epochs=1)).fit(X, Y)
+
+    def test_rejected_data_leaves_the_net_untouched(self):
+        X, Y = toy_regression(n=20)
+        X[0, 0] = -np.inf
+        net = MLP((3, 4, 2), seed=0)
+        before = [p.copy() for p in net.params()]
+        with pytest.raises(ValueError):
+            Trainer(net, TrainConfig(epochs=1)).fit(X, Y)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, net.params()))
