@@ -26,7 +26,9 @@ The prune is a k-pass select, not a sort:
    the last returned distance is bit for bit Eq. 3's radius ``R`` of the
    returned neighbours, which ``PositionEncoder.encode`` accepts instead of
    measuring it again;
-4. ``k`` times: ``argmin`` along the row, record the winner, then set the
+4. ``k`` times: ``argmin`` along the row, record the winner and its
+   distance — one ``take`` each on the raveled block at ``argmin + row
+   start``, not a 2-D ``[row, column]`` fancy index — then set the
    distance of *every* column holding the winner's index to ``inf`` — one
    equality compare retires the winner and all its duplicates (the parents'
    lists overlap heavily);
@@ -168,14 +170,15 @@ def merge_and_prune(
             diff -= targets[axis, :, None]
             diff *= diff
             d2 = diff if d2 is None else np.add(d2, diff, out=d2)
-        row = np.arange(hi - lo)
+        row_start = np.arange(0, (hi - lo) * width, width)
         for j in range(k):
             if j:  # retire the last winner and every duplicate of it
                 np.putmask(d2, cand == winner[:, None], np.inf)
-            first = d2.argmin(axis=1)
-            winner = cand[row, first]
+            flat = d2.argmin(axis=1)
+            flat += row_start
+            winner = cand.take(flat)
             indices[lo:hi, j] = winner
-            distances[lo:hi, j] = d2[row, first]
+            distances[lo:hi, j] = d2.take(flat)
         short = distances[lo:hi, -1] == np.inf
         if short.any():
             bad = lo + int(np.argmax(short))

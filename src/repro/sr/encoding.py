@@ -31,11 +31,27 @@ Offsets predicted in normalized space are scaled back by ``R`` on apply.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 
 import numpy as np
 
 __all__ = ["PositionEncoder", "EncodedNeighborhood"]
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` if it is an integer (``bool`` excluded) >= ``minimum``.
+
+    A structural size such as a receptive field or a bin count truncates
+    silently through ``int()``: ``4.9`` would become ``4``, ``True`` ``1``.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or not value >= minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class EncodedNeighborhood:
@@ -89,14 +105,11 @@ class PositionEncoder:
     """
 
     def __init__(self, rf_size: int = 4, bins: int = 128, phase: float = 0.0):
-        if rf_size < 2:
-            raise ValueError("rf_size must be >= 2 (target + >=1 neighbor)")
-        if bins < 2:
-            raise ValueError("bins must be >= 2")
+        # rf_size counts the target plus at least one neighbour
+        self.rf_size = check_count("rf_size", rf_size, 2)
+        self.bins = check_count("bins", bins, 2)
         if not 0.0 <= phase < 1.0:
             raise ValueError("phase must be in [0, 1)")
-        self.rf_size = int(rf_size)
-        self.bins = int(bins)
         #: fractional shift of the quantization grid (in cells).  Ensembles
         #: of phase-shifted LUTs average out quantization error — the 3-D
         #: counterpart of SR-LUT's rotation ensembling (see EnsembleLUT).
@@ -212,10 +225,34 @@ class PositionEncoder:
         row is the origin by construction and is not coded.  Wraps silently
         when :meth:`key_space` exceeds 2^64 — ``HashedLUT`` refuses such an
         encoder at construction.
+
+        Raises ``ValueError`` unless ``normalized`` is finite and
+        ``(m, rf_size, 3)``, naming the first non-finite row.
         """
         _, radix = self._grid(per_point)
-        digits = self._quantize(np.asarray(normalized)[:, 1:], per_point)
-        return _pack(digits.reshape(len(digits), -1), radix)
+        normalized = self._neighborhoods(normalized)
+        digits = self._quantize(normalized[:, 1:], per_point)
+        return _pack(digits.reshape(len(digits), self.effective_dims), radix)
+
+    def _neighborhoods(self, normalized: np.ndarray) -> np.ndarray:
+        """``normalized`` as a finite ``(m, rf_size, 3)`` array;
+        ``ValueError`` naming the first bad row.
+
+        A key is only this encoder's for that shape — a ``(m, rf-1, 3)`` or
+        ``(m, rf, 2)`` array packs to some other neighbourhood's key — and
+        a NaN or infinite coordinate casts to an arbitrary uint64 digit with
+        at most a ``RuntimeWarning``.
+        """
+        a = np.asarray(normalized)
+        if a.ndim != 3 or a.shape[1:] != (self.rf_size, 3):
+            raise ValueError(
+                f"normalized must be (m, {self.rf_size}, 3), got {a.shape}"
+            )
+        finite = np.isfinite(a)
+        if not finite.all():
+            row = int(np.argmin(finite.reshape(len(a), -1).all(axis=1)))
+            raise ValueError(f"normalized row {row} is not finite: {a[row].tolist()}")
+        return a
 
     def cell_centers(self, keys: np.ndarray, *, per_point: bool) -> np.ndarray:
         """``(m, (rf-1)·3)`` normalized neighbour coordinates at the centre

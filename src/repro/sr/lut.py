@@ -90,7 +90,13 @@ def lut_memory_bytes(rf_size: int, bins: int, bytes_per_offset: int = 2) -> int:
 
 @dataclass
 class LUTStats:
-    """Hit/miss accounting for sparse lookups."""
+    """Hit/miss accounting for sparse lookups.
+
+    Counts the lookups made, one per queried neighbourhood.  Under
+    :meth:`~repro.sr.pipeline.VolutUpsampler.upsample` that is one per
+    *distinct* neighbourhood of a frame, not one per new point: rows that
+    repeat a ``(parent_a, parent_b)`` pair are looked up once.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -164,14 +170,21 @@ class HashedLUT:
         next to its sorted position — the hit, else whichever neighbouring
         key is closer (adjacent keys share their most significant digits,
         i.e. similar coarse geometry) — and the offsets come out of one
-        gather.  An empty table answers zero.
+        gather.  An empty table answers zero.  ``ValueError`` unless
+        ``normalized`` is finite and ``(m, rf_size, 3)``
+        (:meth:`PositionEncoder.keys`); a refused query counts no lookup.
         """
         keys = self.encoder.keys(normalized, per_point=self.per_point)
         m = len(keys)
         if self.n_entries == 0:
             self.stats.misses += m
             return np.zeros((m, 3))
-        pos = np.searchsorted(self._keys, keys)
+        # NumPy's binary search starts each query from the previous one's
+        # bounds, so queries in key order take ≈ half the time of queries in
+        # row order; the positions are the same
+        order = keys.argsort()
+        pos = np.empty(m, dtype=np.intp)
+        pos[order] = np.searchsorted(self._keys, keys[order])
         hi = np.minimum(pos, self.n_entries - 1)
         khi = self._keys[hi]
         hit = khi == keys
@@ -267,7 +280,8 @@ class EnsembleLUT:
         return cls([build_lut(net, grid, training_normalized) for grid in grids])
 
     def lookup_normalized(self, normalized: np.ndarray) -> np.ndarray:
-        """Mean of the members' offsets for ``(m, rf, 3)`` neighbourhoods."""
+        """Mean of the members' offsets for ``(m, rf, 3)`` neighbourhoods;
+        each member refuses what :meth:`HashedLUT.lookup_normalized` does."""
         offsets = [m.lookup_normalized(normalized) for m in self.members]
         return sum(offsets) / len(offsets)
 

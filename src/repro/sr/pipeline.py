@@ -24,6 +24,7 @@ from ..pointcloud.cloud import PointCloud
 from ..spatial.knn import CLIENT_BACKEND
 from ..spatial.reuse import merge_and_prune
 from .colorize import colorize_by_nearest, nearer_parent
+from .encoding import check_count
 from .interpolation import interpolate
 from .lut import EnsembleLUT, HashedLUT
 
@@ -90,8 +91,8 @@ class VolutUpsampler:
         seed: int = 0,
     ):
         self.lut = lut
-        self.k = int(k)
-        self.dilation = int(dilation)
+        self.k = check_count("k", k, 1)
+        self.dilation = check_count("dilation", dilation, 1)
         self.backend = backend
         self._rng = np.random.default_rng(seed)
 
@@ -100,10 +101,18 @@ class VolutUpsampler:
 
         Byte for byte what ``interpolate`` → ``colorize_by_parent`` →
         ``merge_and_prune`` → ``encode`` → ``lookup_normalized`` produce
-        called one by one, with two reuses: the prune's last distance column
-        is ``encode``'s Eq. 3 radius, and the output cloud is built once,
-        from one copy of the interpolated positions and the colors of the
-        nearer parents.
+        called one by one, with three reuses:
+
+        * the prune's last distance column is ``encode``'s Eq. 3 radius;
+        * the output cloud is built once, in the interpolated positions
+          (which this call owns) and the colors of the nearer parents;
+        * the refine tail runs once per distinct ``(parent_a, parent_b)``
+          pair.  Above ×2 a source is drawn more than once and, at ``k·d``
+          partners, repeats a pair (≈ 30 % of the rows at ×8); every stage
+          of the tail is a function of the pair alone — its midpoint,
+          candidate columns, tie order, radius and key — so each distinct
+          pair is pruned, encoded and looked up once and its step is
+          scattered back to every row that drew it.
         """
         times = StageTimes()
         interp = interpolate(
@@ -124,17 +133,24 @@ class VolutUpsampler:
         t2 = time.perf_counter()
         times.colorization = t2 - t1
 
-        positions = interp.upsampled.positions.copy()
+        positions = interp.upsampled.positions
         if self.lut is not None and interp.n_new > 0:
             encoder = self.lut.encoder
-            new = interp.new_positions
+            n = interp.n_source
+            new, a, b = interp.new_positions, interp.parent_a, interp.parent_b
+            inverse = None
+            if interp.n_new > n:  # a source drawn twice may repeat a pair
+                _, rows, inverse = np.unique(
+                    a * n + b, return_index=True, return_inverse=True
+                )
+                new, a, b = new[rows], a[rows], b[rows]
             idx, dist = merge_and_prune(
-                new, cloud.positions, interp.parent_a, interp.parent_b,
-                interp.neighbor_idx, encoder.rf_size - 1,
+                new, cloud.positions, a, b, interp.neighbor_idx, encoder.rf_size - 1,
             )
             enc = encoder.encode(new, cloud.positions[idx], radius=dist[:, -1])
-            offsets = self.lut.lookup_normalized(enc.normalized)
-            positions[interp.n_source :] = new + offsets * enc.radius[:, None]
+            step = self.lut.lookup_normalized(enc.normalized)
+            step *= enc.radius[:, None]
+            positions[n:] += step if inverse is None else step[inverse]
         out = PointCloud(positions, colors)
         times.refinement = time.perf_counter() - t2
         return SRResult(cloud=out, times=times)

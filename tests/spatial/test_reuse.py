@@ -291,6 +291,29 @@ class TestTieRule:
         assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
 
 
+def test_a_rows_answer_does_not_depend_on_its_block_neighbours():
+    """What ``VolutUpsampler.upsample`` rests on when it prunes each distinct
+    parent pair once: a row's indices and distances are a function of that
+    row alone.  The same rows, each repeated three times and shuffled across
+    more than two blocks, answer byte for byte what they answered alone —
+    and the answer agrees with the sort-based oracle."""
+    g = np.random.default_rng(11)
+    pts = np.unique(g.integers(0, 12, (150, 3)), axis=0) / 12.0  # exact ties
+    nb = kdtree_knn(pts, pts, 9)[0][:, 1:]
+    m = 700
+    pa = g.integers(0, len(pts), m)
+    pb = nb[pa, g.integers(0, 8, m)]
+    new = 0.5 * (pts[pa] + pts[pb])
+    alone = merge_and_prune(new, pts, pa, pb, nb, 3)
+    _assert_parity(new, pts, pa, pb, nb, 3)
+
+    rows = g.permutation(np.tile(np.arange(m), 3))
+    assert len(rows) > 2 * _BLOCK_ROWS
+    mixed = merge_and_prune(new[rows], pts, pa[rows], pb[rows], nb, 3)
+    assert mixed[0].tobytes() == alone[0][rows].tobytes()
+    assert mixed[1].tobytes() == alone[1][rows].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Blocking: temporaries are per block, not per call.
 # ---------------------------------------------------------------------------

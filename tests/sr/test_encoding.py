@@ -161,6 +161,51 @@ class TestKeyPacking:
         with pytest.raises(ValueError, match="targets"):
             enc.encode(np.zeros((3, 2)), np.zeros((3, 3, 3)))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rf_size", 4.5), ("rf_size", True), ("bins", 128.7), ("bins", True)],
+    )
+    def test_structural_integers_are_not_truncated(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PositionEncoder(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        enc = PositionEncoder(rf_size=np.int64(4), bins=np.int32(128))
+        assert (enc.rf_size, enc.bins) == (4, 128) and type(enc.bins) is int
+
+
+class TestKeyInputs:
+    """A key belongs to one ``(m, rf_size, 3)`` finite neighbourhood; any
+    other array is refused instead of packed into some other key."""
+
+    @pytest.mark.parametrize("shape", [(5, 3, 3), (5, 4, 2), (5, 12), (4, 3)])
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_wrong_shape_is_rejected(self, shape, per_point):
+        enc = PositionEncoder(rf_size=4, bins=32)
+        with pytest.raises(ValueError, match=r"normalized must be \(m, 4, 3\)"):
+            enc.keys(np.zeros(shape), per_point=per_point)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_non_finite_names_the_first_bad_row(self, bad, per_point):
+        enc = PositionEncoder(rf_size=4, bins=32)
+        normalized = enc.encode(*random_neighborhoods(6, 4, seed=2)).normalized
+        normalized[4, 2, 1] = bad
+        normalized[5, 1, 0] = bad
+        with pytest.raises(ValueError, match="normalized row 4 is not finite"):
+            enc.keys(normalized, per_point=per_point)
+
+    def test_a_nan_target_cannot_reach_a_key(self):
+        enc = PositionEncoder(rf_size=4, bins=32)
+        t, nb = random_neighborhoods(3, 4, seed=3)
+        t[1, 0] = np.nan
+        with pytest.raises(ValueError, match="normalized row 1"):
+            enc.keys(enc.encode(t, nb).normalized, per_point=True)
+
+    def test_empty_is_valid(self):
+        enc = PositionEncoder(rf_size=4, bins=32)
+        assert enc.keys(np.zeros((0, 4, 3)), per_point=True).shape == (0,)
+
 
 class TestLazyBins:
     """``EncodedNeighborhood.bins`` is computed on first access."""

@@ -145,6 +145,25 @@ class TestHashedLUT:
         HashedLUT(PositionEncoder(rf_size=4, bins=128), per_point=False)  # 63 bits
         HashedLUT(PositionEncoder(rf_size=5, bins=128), per_point=True)  # 28 bits
 
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_lookup_refuses_what_is_not_a_neighbourhood(self, encoder, per_point):
+        """A wrong-shaped or non-finite query answers no offset and counts
+        no lookup."""
+        net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=2)
+        e = encode_random(encoder, m=30, seed=4)
+        lut = HashedLUT(encoder, per_point=per_point)
+        lut.populate(e.normalized, net)
+        bad = e.normalized.copy()
+        bad[7, 1, 2] = np.nan
+        for query, message in (
+            (e.normalized[:, 1:], "normalized must be"),
+            (e.normalized[:, :, :2], "normalized must be"),
+            (bad, "normalized row 7 is not finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                lut.lookup_normalized(query)
+        assert lut.stats.total == 0
+
     def test_memory_much_smaller_than_dense(self, encoder):
         net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=4)
         e = encode_random(encoder, m=500, seed=7)
@@ -198,6 +217,17 @@ class TestEnsembleLUT:
         net = MLP((encoder.rf_size * 3, 8, 3), seed=0)
         with pytest.raises(ValueError):
             EnsembleLUT.build(net, encoder, np.zeros((1, 4, 3)), n_members=0)
+
+    def test_lookup_refuses_what_is_not_a_neighbourhood(self, encoder):
+        net = MLP((encoder.rf_size * 3, 8, 3), output_activation="tanh", seed=3)
+        e = encode_random(encoder, m=20, seed=5)
+        ens = EnsembleLUT.build(net, encoder, e.normalized, n_members=2)
+        bad = e.normalized.copy()
+        bad[3, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="normalized row 3 is not finite"):
+            ens.lookup_normalized(bad)
+        with pytest.raises(ValueError, match="normalized must be"):
+            ens.lookup_normalized(e.normalized[:, :3])
 
 
 class TestBuildLUT:

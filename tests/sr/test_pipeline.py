@@ -46,13 +46,47 @@ class TestVolutUpsampler:
         r = VolutUpsampler(lut=trained_artifacts.lut).upsample(small_frame, 1.0)
         assert np.array_equal(r.cloud.positions, small_frame.positions)
 
+    @pytest.mark.parametrize("ratio", [2.0, 8.0], ids=["x2", "x8"])
+    def test_one_lookup_per_distinct_parent_pair(self, small_frame, trained_artifacts, ratio):
+        """At ×2 every source is drawn once and every row is looked up; at ×8
+        sources repeat a partner and each ``(parent_a, parent_b)`` pair is
+        looked up once, however many rows drew it."""
+        from repro.sr import interpolate
+
+        lut = trained_artifacts.lut
+        interp = interpolate(small_frame, ratio, k=4, dilation=2, seed=np.random.default_rng(3))
+        n = interp.n_source
+        pairs = len(np.unique(interp.parent_a * n + interp.parent_b))
+        before = lut.stats.total
+        VolutUpsampler(lut=lut, seed=3).upsample(small_frame, ratio)
+        looked_up = lut.stats.total - before
+        if ratio == 2.0:
+            assert looked_up == pairs == interp.n_new
+        else:
+            assert looked_up == pairs < interp.n_new
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", 4.9), ("k", True), ("k", 0), ("dilation", True), ("dilation", 2.5)],
+    )
+    def test_structural_integers_are_not_truncated(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            VolutUpsampler(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        up = VolutUpsampler(k=np.int64(4), dilation=np.int32(2))
+        assert (up.k, up.dilation) == (4, 2) and type(up.k) is int
+
 
 class TestComposedStages:
     """Tier-1 twin of the repo benchmark's traced-round digest check
     (``bench/wl_client.py::_traced_round``): the stages called one by one,
     ``encode`` measuring its own radius, equal ``upsample`` byte for byte.
     The composition searches the octree, as the traced round does, and
-    ``upsample`` the kd-tree; the (distance, index) tie rule makes them one."""
+    ``upsample`` the kd-tree; the (distance, index) tie rule makes them one.
+    The composition refines every row, ``upsample`` each distinct parent
+    pair once: ×8 and ×12 (ratio − 1 > k·d, so pairs must repeat) show that
+    is exact, ×2 and ×1.4 that rows drawn once take the plain path."""
 
     @staticmethod
     def composed(cloud, lut, ratio, rng):
@@ -74,7 +108,9 @@ class TestComposedStages:
         return PointCloud(pos, colored.colors)
 
     @pytest.mark.parametrize(
-        "ratio, density", [(2.0, 0.5), (8.0, 0.125), (3.3, 0.5)], ids=["x2", "x8", "x3.3"]
+        "ratio, density",
+        [(2.0, 0.5), (8.0, 0.125), (3.3, 0.5), (12.0, 0.125), (1.4, 0.5)],
+        ids=["x2", "x8", "x3.3", "x12", "x1.4"],
     )
     def test_upsample_equals_the_composed_stages(self, trained_artifacts, ratio, density):
         from repro.pointcloud import make_video

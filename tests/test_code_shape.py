@@ -393,7 +393,12 @@ def test_sr_tail_reuses_the_prunes_distances():
     """``encode`` and ``colorize`` sum squares per axis (the ``linalg.norm``
     formulas are ``tests/sr/reference_distances.py``), and
     ``VolutUpsampler.upsample`` hands ``merge_and_prune``'s distances to
-    ``encode`` as Eq. 3's radius instead of letting it measure them again."""
+    ``encode`` as Eq. 3's radius instead of letting it measure them again.
+
+    ``upsample`` calls the prune, ``encode`` and ``lookup_normalized`` once
+    each, and the prune's targets and parents are the rows ``np.unique``
+    picked out of the ``(parent_a, parent_b)`` keys, so the tail runs once
+    per distinct pair and its step goes back through the inverse."""
     for name in ("encoding.py", "colorize.py"):
         assert "norm" not in called_names(ast.parse((SRC / "sr" / name).read_text())), name
 
@@ -416,6 +421,34 @@ def test_sr_tail_reuses_the_prunes_distances():
     (radius,) = [kw.value for kw in encode.keywords if kw.arg == "radius"]
     read = {n.id for n in ast.walk(radius) if isinstance(n, ast.Name)}
     assert distances.id in read, ast.unparse(radius)
+
+    calls = [
+        getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        for node in ast.walk(upsample) if isinstance(node, ast.Call)
+    ]
+    for stage in ("merge_and_prune", "encode", "lookup_normalized", "unique"):
+        assert calls.count(stage) == 1, stage
+    (dedup,) = [
+        node for node in ast.walk(upsample)
+        if isinstance(node, ast.Assign) and "unique" in called_names(node.value)
+    ]
+    _, rows, inverse = dedup.targets[0].elts
+    narrowed = {
+        target.id
+        for node in ast.walk(upsample) if isinstance(node, ast.Assign)
+        for target, value in zip(
+            getattr(node.targets[0], "elts", [node.targets[0]]),
+            getattr(node.value, "elts", [node.value]),
+        )
+        if isinstance(value, ast.Subscript) and ast.unparse(value.slice) == rows.id
+    }
+    new, _, a, b = prune.value.args[:4]
+    assert {new.id, a.id, b.id} <= narrowed, ast.unparse(prune.value)
+    scattered = [
+        node for node in ast.walk(upsample)
+        if isinstance(node, ast.Subscript) and ast.unparse(node.slice) == inverse.id
+    ]
+    assert scattered, "the distinct rows' step is not scattered back"
 
 
 def test_reference_planner_shares_nothing_with_the_array_path():
