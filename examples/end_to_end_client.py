@@ -64,10 +64,12 @@ def main() -> None:
     t_net = 0.0
     buffer = 0.2  # seconds of pre-rolled content
     records = []
+    raw_bytes = 0  # what the clip weighs uncompressed at full density
     print(f"{'frame':>5s} {'density':>8s} {'KB':>7s} {'dl ms':>7s} {'sr ms':>7s} "
           f"{'chamfer':>9s} {'psnr':>6s}")
     for i in range(args.frames):
         gt = video.frame(i)
+        raw_bytes += gt.nbytes()
         ctx = AbrContext(
             throughput_bps=trace.bandwidth_at(t_net),
             buffer_level=buffer,
@@ -98,7 +100,7 @@ def main() -> None:
               f"{dl * 1e3:7.1f} {sr_ms:7.1f} {cd:9.5f} {min(psnr, 99):6.2f}")
 
     total_kb = sum(r.bytes_downloaded for r in records) / 1024
-    raw_kb = args.frames * SMOKE.points_per_frame * 15 / 1024
+    raw_kb = raw_bytes / 1024
     print(f"\ntotal downloaded: {total_kb:.0f} KB "
           f"({100 * total_kb / raw_kb:.1f}% of raw {raw_kb:.0f} KB)")
 

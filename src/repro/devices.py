@@ -37,8 +37,6 @@ __all__ = [
     "DeviceProfile",
     "ORANGE_PI",
     "DESKTOP_GPU",
-    "DESKTOP_CPU",
-    "PROFILES",
     "CostModel",
 ]
 
@@ -91,16 +89,6 @@ DESKTOP_GPU = DeviceProfile(
     macs_per_second=4.0e12,
     candidate_fraction=0.125,
 )
-
-#: i9-class desktop CPU (the C++ client without CUDA).
-DESKTOP_CPU = DeviceProfile(
-    name="desktop-cpu",
-    ops_per_second=1.5e10,
-    macs_per_second=6.0e10,
-    candidate_fraction=0.26,
-)
-
-PROFILES = {p.name: p for p in (ORANGE_PI, DESKTOP_GPU, DESKTOP_CPU)}
 
 
 class CostModel:

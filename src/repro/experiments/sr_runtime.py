@@ -19,7 +19,7 @@ from ..pointcloud.datasets import make_video
 from ..pointcloud.sampling import random_downsample_count
 from ..sr.gradpu import GradPUUpsampler
 from ..sr.pipeline import VolutUpsampler
-from ..sr.yuzu import YuzuSRModel
+from ..sr.yuzu import YUZU_RATIOS, YuzuSRModel
 from .artifacts import get_artifacts
 from .common import SMOKE, ResultTable, Scale
 
@@ -49,7 +49,7 @@ def run_fig17_device(
 
 
 def run_fig18_device(
-    ratios: tuple[float, ...] = (2.0, 3.0, 4.0, 6.0, 8.0),
+    ratios: tuple[float, ...] = tuple(map(float, YUZU_RATIOS)),
     n_input: int = 12_500,
 ) -> ResultTable:
     """VoLUT SR FPS on the Orange Pi vs upsampling ratio, fixed input."""

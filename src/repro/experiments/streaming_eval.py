@@ -27,8 +27,6 @@ from .common import SMOKE, ResultTable, Scale
 
 __all__ = ["run_streaming_eval", "default_spec"]
 
-SYSTEMS = ("volut", "yuzu-sr", "vivo", "raw")
-
 
 def default_spec(scale: Scale, points_per_frame: int | None = None) -> VideoSpec:
     """The Long Dress streaming workload at a given scale."""

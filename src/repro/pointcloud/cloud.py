@@ -183,13 +183,9 @@ class PointCloud:
         return PointCloud(pos, col)
 
     # ------------------------------------------------------------------
-    # Size accounting (used by the streaming encoder)
+    # Size accounting (the raw baseline the codec is measured against)
     # ------------------------------------------------------------------
-    def nbytes(self, position_bytes: int = 4, color_bytes: int = 1) -> int:
-        """Serialized payload size in bytes.
-
-        The paper streams float32 positions and uint8 colors; the defaults
-        match that wire format (15 bytes per colored point).
-        """
-        per_point = 3 * position_bytes + (3 * color_bytes if self.has_colors else 0)
-        return len(self) * per_point
+    def nbytes(self) -> int:
+        """Uncompressed size in bytes: float32 XYZ plus uint8 RGB, i.e. 15
+        bytes per colored point and 12 per colorless one."""
+        return len(self) * (15 if self.has_colors else 12)

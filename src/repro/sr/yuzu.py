@@ -24,7 +24,7 @@ import numpy as np
 from ..nn.mlp import MLP
 from ..pointcloud.cloud import PointCloud
 from ..spatial.knn import CLIENT_BACKEND, get_backend, self_neighbors
-from .encoding import PositionEncoder
+from .encoding import PositionEncoder, check_count
 from .pipeline import SRResult, StageTimes
 
 __all__ = ["YuzuSRModel", "YUZU_RATIOS"]
@@ -49,9 +49,7 @@ class YuzuSRModel:
         hidden: tuple[int, ...] = (256, 256, 256),
         seed: int = 0,
     ):
-        if ratio < 2:
-            raise ValueError("YuZu model ratio must be an integer >= 2")
-        self.ratio = int(ratio)
+        self.ratio = check_count("ratio", ratio, 2)
         self.encoder = encoder or PositionEncoder(rf_size=4, bins=128)
         # Same search substrate as the VoLUT client (see GradPUUpsampler).
         self.backend = CLIENT_BACKEND

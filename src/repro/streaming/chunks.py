@@ -23,19 +23,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ..pointcloud.datasets import VolumetricVideo
-
 __all__ = [
     "ChunkSpec",
     "VideoSpec",
-    "BYTES_PER_POINT",
     "COMPRESSED_BYTES_PER_POINT",
     "batched_points_at_density",
     "batched_chunk_bytes",
 ]
-
-#: Uncompressed wire format: float32 XYZ + uint8 RGB.
-BYTES_PER_POINT = 15
 
 #: Transport format after GROOT-class geometry/attribute compression
 #: (~2.5× over raw) — what every system in the paper actually ships.
@@ -186,18 +180,3 @@ class VideoSpec:
             idx += 1
         table = self._chunk_tables[chunk_seconds] = tuple(specs)
         return table
-
-    @classmethod
-    def from_video(cls, video: VolumetricVideo, points_per_frame: int | None = None) -> "VideoSpec":
-        """Derive a spec from a concrete :class:`VolumetricVideo`."""
-        pts = (
-            points_per_frame
-            if points_per_frame is not None
-            else len(video.frame(0))
-        )
-        return cls(
-            name=video.name,
-            n_frames=video.n_playback_frames,
-            fps=video.fps,
-            points_per_frame=pts,
-        )

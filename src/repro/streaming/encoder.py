@@ -1,112 +1,29 @@
-"""Server-side encoding: random downsampling to a requested density.
+"""Server-side encoding: random downsampling to a requested density, then
+the octree codec.
 
-This is the concrete (geometry-materializing) counterpart of the analytic
-:class:`repro.streaming.chunks.ChunkSpec` path — used by the end-to-end
-examples and the full-fidelity tests.  Per the paper (§5.2), the server
-downsamples with independent random selection; the encoder additionally
-serializes to the 15-byte/point wire format so measured chunk sizes agree
-with the analytic model.
+This is the one wire format: the concrete (geometry-materializing)
+counterpart of the analytic :class:`repro.streaming.chunks.ChunkSpec`
+path, whose ``COMPRESSED_BYTES_PER_POINT`` it grounds.  Per the paper
+(§5.2), the server downsamples with independent random selection and ships
+GROOT-class compressed frames.  ``examples/end_to_end_client.py`` is the
+full-fidelity loop that carries these payloads through the codec and the
+SR pipeline; the fleet's ``SessionMachine`` plays sessions on the analytic
+sizes alone.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..pointcloud.cloud import PointCloud
 from ..pointcloud.sampling import random_downsample_count
 
-__all__ = [
-    "encode_frame",
-    "decode_frame",
-    "encode_chunk",
-    "decode_chunk",
-    "encode_frame_compressed",
-    "decode_frame_compressed",
-]
-
-_HEADER_DTYPE = np.dtype("<u4")
-
-
-def encode_frame(frame: PointCloud, density: float, seed: int | None = 0) -> bytes:
-    """Downsample ``frame`` to ``density`` and serialize.
-
-    Wire format: uint32 point count, then float32 XYZ triples, then uint8
-    RGB triples (omitted for colorless clouds, signalled by the high bit of
-    the count).
-    """
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    n_keep = max(1, int(round(len(frame) * density)))
-    low = random_downsample_count(frame, n_keep, seed=seed)
-    n = len(low)
-    has_color = low.has_colors
-    header = np.array([n | (0x80000000 if has_color else 0)], dtype=_HEADER_DTYPE)
-    parts = [header.tobytes(), low.positions.astype("<f4").tobytes()]
-    if has_color:
-        parts.append(low.colors.tobytes())
-    return b"".join(parts)
-
-
-def decode_frame(payload: bytes) -> PointCloud:
-    """Inverse of :func:`encode_frame`."""
-    if len(payload) < 4:
-        raise ValueError("payload too short for header")
-    raw = np.frombuffer(payload[:4], dtype=_HEADER_DTYPE)[0]
-    has_color = bool(raw & 0x80000000)
-    n = int(raw & 0x7FFFFFFF)
-    pos_bytes = n * 12
-    expected = 4 + pos_bytes + (n * 3 if has_color else 0)
-    if len(payload) < expected:
-        raise ValueError(f"payload truncated: {len(payload)} < {expected}")
-    pos = np.frombuffer(payload[4 : 4 + pos_bytes], dtype="<f4").reshape(n, 3)
-    colors = None
-    if has_color:
-        colors = np.frombuffer(
-            payload[4 + pos_bytes : expected], dtype=np.uint8
-        ).reshape(n, 3)
-    return PointCloud(pos.astype(np.float64), colors.copy() if colors is not None else None)
-
-
-def encode_chunk(
-    frames: list[PointCloud], density: float, seed: int | None = 0
-) -> bytes:
-    """Serialize a chunk: uint32 frame count then length-prefixed frames."""
-    rng = np.random.default_rng(seed)
-    encoded = [
-        encode_frame(f, density, seed=int(rng.integers(2 ** 31))) for f in frames
-    ]
-    parts = [np.array([len(encoded)], dtype=_HEADER_DTYPE).tobytes()]
-    for e in encoded:
-        parts.append(np.array([len(e)], dtype=_HEADER_DTYPE).tobytes())
-        parts.append(e)
-    return b"".join(parts)
-
-
-def decode_chunk(payload: bytes) -> list[PointCloud]:
-    """Inverse of :func:`encode_chunk`."""
-    if len(payload) < 4:
-        raise ValueError("payload too short for chunk header")
-    n_frames = int(np.frombuffer(payload[:4], dtype=_HEADER_DTYPE)[0])
-    frames = []
-    off = 4
-    for _ in range(n_frames):
-        if len(payload) < off + 4:
-            raise ValueError("chunk truncated at frame header")
-        flen = int(np.frombuffer(payload[off : off + 4], dtype=_HEADER_DTYPE)[0])
-        off += 4
-        frames.append(decode_frame(payload[off : off + flen]))
-        off += flen
-    return frames
+__all__ = ["encode_frame_compressed", "decode_frame_compressed"]
 
 
 def encode_frame_compressed(
     frame: PointCloud, density: float, depth: int = 10, seed: int | None = 0
 ) -> bytes:
-    """Downsample and serialize with the octree codec (the real transport).
-
-    This is what the paper's server actually ships (GROOT-class compressed
-    chunks); :func:`encode_frame` is the uncompressed reference format.
-    """
+    """Downsample ``frame`` to ``density`` and serialize it with the octree
+    codec (what the paper's server ships)."""
     from ..compression.octree_codec import octree_encode
 
     if not 0.0 < density <= 1.0:

@@ -158,9 +158,6 @@ class TestNbytes:
         pc = PointCloud(np.zeros((10, 3)))
         assert pc.nbytes() == 10 * 12
 
-    def test_custom_precision(self, random_cloud):
-        assert random_cloud.nbytes(position_bytes=2) == len(random_cloud) * 9
-
 
 @given(
     pos=arrays(

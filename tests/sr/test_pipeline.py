@@ -242,6 +242,16 @@ class TestYuzu:
         with pytest.raises(ValueError):
             YuzuSRModel(ratio=1)
 
+    @pytest.mark.parametrize("ratio", [2.5, 3.7, True, float("nan")])
+    def test_ratio_is_an_integer_not_truncated(self, ratio):
+        """A fractional ratio used to build the model of its floor."""
+        with pytest.raises(ValueError, match=r"^ratio must be an integer >= 2, got "):
+            YuzuSRModel(ratio=ratio, hidden=(8,))
+
+    def test_numpy_integer_ratio_is_accepted(self):
+        model = YuzuSRModel(ratio=np.int64(3), hidden=(8,))
+        assert model.ratio == 3 and type(model.ratio) is int
+
     def test_model_bytes_positive(self):
         m = YuzuSRModel(ratio=2, seed=0)
         assert m.model_bytes() == m.net.n_parameters() * 4

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.pointcloud import make_video
 from repro.streaming import ChunkSpec, VideoSpec
 from repro.streaming.chunks import CHUNK_HEADER_BYTES
 
@@ -86,13 +85,6 @@ class TestVideoSpec:
         )
         c = spec.chunks(1.0)[0]
         assert c.bytes_at_density(1.0) == 30 * 100 * 15 + CHUNK_HEADER_BYTES
-
-    def test_from_video(self):
-        v = make_video("longdress", n_points=500, n_frames=10)
-        spec = VideoSpec.from_video(v)
-        assert spec.n_frames == v.n_playback_frames
-        assert spec.fps == 30
-        assert spec.points_per_frame == len(v.frame(0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

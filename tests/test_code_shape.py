@@ -501,18 +501,30 @@ def test_one_refinement_table_one_lookup_entry():
             assert word not in text, (path.name, word)
 
 
-#: Public names whose only callers are tests, and why each stays.
-CALLERLESS = {
-    "StreamingClient": "the materialized client the twin experiment will drive",
-}
+def public_names(node) -> list[str]:
+    """Public names a top-level statement defines: a ``def`` / ``class``,
+    or an UPPER_CASE constant (``NAME = …`` / ``NAME: T = …``)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [] if node.name.startswith("_") else [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        t.id for t in targets
+        if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_")
+    ]
 
 
 def test_every_public_name_has_a_production_caller():
-    """Every top-level public ``def`` / ``class`` under ``src/repro/`` is
-    used by name (``ast.Name`` / ``ast.Attribute``) somewhere under
-    ``src/``, ``examples/``, ``bench/`` or ``benchmarks/``, or imported by a
-    file there that is not an ``__init__.py`` — ``__all__`` strings and
-    package re-exports do not count."""
+    """Every top-level public ``def`` / ``class`` / UPPER_CASE constant
+    under ``src/repro/`` is used by name (``ast.Name`` / ``ast.Attribute``)
+    somewhere under ``src/``, ``examples/``, ``bench/`` or ``benchmarks/``,
+    or imported by a file there that is not an ``__init__.py`` —
+    ``__all__`` strings, package re-exports and the defining assignment do
+    not count."""
     root = SRC.parents[1]
     defined, used = {}, set()
     for top in ("src", "examples", "bench", "benchmarks"):
@@ -520,21 +532,17 @@ def test_every_public_name_has_a_production_caller():
             tree = ast.parse(path.read_text())
             if path.is_relative_to(SRC):
                 for node in tree.body:
-                    if (
-                        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                        and not node.name.startswith("_")
-                    ):
-                        defined[node.name] = path.relative_to(SRC).as_posix()
+                    for name in public_names(node):
+                        defined[name] = path.relative_to(SRC).as_posix()
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
                 elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
                     used.update(alias.name for alias in node.names)
-    unused = sorted(f"{defined[n]}::{n}" for n in set(defined) - used - set(CALLERLESS))
+    unused = sorted(f"{defined[n]}::{n}" for n in set(defined) - used)
     assert not unused, unused
-    assert set(CALLERLESS) <= set(defined) - used, "an allow-listed name found a caller"
 
 
 def test_one_benchmark_ledger():

@@ -3,13 +3,15 @@ headline shapes."""
 
 import pytest
 
-from repro.devices import (
-    DESKTOP_CPU,
-    DESKTOP_GPU,
-    ORANGE_PI,
-    PROFILES,
-    CostModel,
-    DeviceProfile,
+from repro.devices import DESKTOP_GPU, ORANGE_PI, CostModel, DeviceProfile
+
+#: An i9-class desktop CPU (the C++ client without CUDA): a third platform
+#: the paper does not measure, with rates between its two clients'.
+DESKTOP_CPU = DeviceProfile(
+    name="desktop-cpu",
+    ops_per_second=1.5e10,
+    macs_per_second=6.0e10,
+    candidate_fraction=0.26,
 )
 
 
@@ -30,7 +32,8 @@ class TestDeviceProfile:
             p.seconds(-1)
 
     def test_registry(self):
-        assert set(PROFILES) == {"orange-pi", "desktop-gpu", "desktop-cpu"}
+        """The paper's two clients (§7): the Orange Pi and the desktop GPU."""
+        assert [p.name for p in (ORANGE_PI, DESKTOP_GPU)] == ["orange-pi", "desktop-gpu"]
 
 
 class TestCostModel:

@@ -1,6 +1,7 @@
 """Examples are runnable end to end (subprocess smoke tests)."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,7 +101,12 @@ class TestExamples:
     def test_end_to_end_client(self):
         proc = run("end_to_end_client.py", "--frames", "3")
         assert proc.returncode == 0, proc.stderr
-        assert "total downloaded" in proc.stdout
+        total = re.search(
+            r"total downloaded: (\d+) KB \([\d.]+% of raw (\d+) KB\)", proc.stdout
+        )
+        assert total, proc.stdout
+        downloaded, raw = map(int, total.groups())
+        assert downloaded < raw
 
     def test_render_viewports_writes_frames(self, tmp_path):
         proc = run("render_viewports.py", "--views", "2", "--save-dir", str(tmp_path))

@@ -66,38 +66,6 @@ class TestOfflineOnlineFlow:
         assert image_psnr(img_up, img_gt) > image_psnr(img_low, img_gt)
 
 
-class TestStreamingIntegration:
-    """Encoder wire format ↔ streaming byte accounting agreement."""
-
-    def test_encoded_size_matches_chunkspec_raw_format(self):
-        from repro.streaming import VideoSpec, encode_chunk
-        from repro.streaming.chunks import CHUNK_HEADER_BYTES
-
-        video = make_video("longdress", n_points=1000, n_frames=3)
-        frames = [video.frame(i) for i in range(3)]
-        payload = encode_chunk(frames, 0.5, seed=0)
-        spec = VideoSpec(
-            name="x", n_frames=3, fps=30, points_per_frame=1000, bytes_per_point=15
-        )
-        chunk = spec.chunks(1.0)[0]
-        analytic = chunk.bytes_at_density(0.5)
-        # Wire overhead: 4-byte chunk header + 2x4-byte frame prefixes vs the
-        # analytic CHUNK_HEADER_BYTES allowance.
-        assert abs(len(payload) - analytic) < CHUNK_HEADER_BYTES + 16
-
-    def test_full_loop_decode_and_upsample(self, trained_artifacts):
-        from repro.streaming import decode_chunk, encode_chunk
-
-        video = make_video("longdress", n_points=1500, n_frames=2)
-        frames = [video.frame(i) for i in range(2)]
-        payload = encode_chunk(frames, 0.5, seed=0)
-        received = decode_chunk(payload)
-        up = VolutUpsampler(lut=trained_artifacts.lut, seed=0)
-        for low, gt in zip(received, frames):
-            out = up.upsample(low, 2.0)
-            assert len(out.cloud) == pytest.approx(len(gt), rel=0.01)
-
-
 class TestEndToEndDeterminism:
     def test_identical_runs(self, trained_artifacts):
         gt = make_video("loot", n_points=1000, n_frames=1).frame(0)
