@@ -1,4 +1,4 @@
-"""Design-choice ablations (the DESIGN.md checklist) at smoke scale."""
+"""Design-choice ablations (``experiments/design_ablations.py``) at smoke scale."""
 
 from repro.experiments import (
     SMOKE,

@@ -59,9 +59,13 @@ def morton_encode(ijk: np.ndarray) -> np.ndarray:
 
 
 def morton_decode(codes: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`morton_encode`: codes → ``(n, 3)`` int64 coords."""
+    """Inverse of :func:`morton_encode`: codes → ``(n, 3)`` int64 coords.
+
+    The result is the transpose of a ``(3, n)`` array, so each axis
+    (``.T[axis]``) is contiguous.
+    """
     codes = np.asarray(codes, dtype=np.uint64)
-    x = _compact1by2(codes)
-    y = _compact1by2(codes >> np.uint64(1))
-    z = _compact1by2(codes >> np.uint64(2))
-    return np.stack([x, y, z], axis=1).astype(np.int64)
+    ijk = np.empty((3, len(codes)), dtype=np.int64)
+    for axis in range(3):
+        ijk[axis] = _compact1by2(codes >> np.uint64(axis))
+    return ijk.T

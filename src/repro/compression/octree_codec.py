@@ -57,10 +57,21 @@ need not be stable: leaf codes come out sorted and unique whatever the
 input order, and the per-voxel colour sum adds uint8 values in float64, so
 it is an exact integer in any order.  The payload therefore does not depend
 on the order of the input points.
+
+No ``(n, 3)`` array is broadcast against a 3-vector: voxel indices and
+decoded voxel centres are computed one coordinate column at a time, with
+the same scalar expression (so the same bits), because NumPy's 3-wide inner
+loop is several times slower than three flat ones.  A voxel of one point
+has that point's colour (``c / 1`` rounds to ``c``), so the float64 mean
+is taken only over the voxels several points share — under 2 % of them on
+the benchmark's frames.  The zero-RLE places its literals with one bool
+mask over the output's alternating segments (literal stretch, zero run,
+…) rather than a per-byte index, in both directions.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,12 +102,20 @@ class EncodedCloud:
         return self.nbytes / max(self.n_voxels, 1)
 
 
+def _literal_mask(segments: np.ndarray) -> np.ndarray:
+    """Bool mask over consecutive segments of the given lengths, set on the
+    even-numbered ones: the literal stretches of a zero-RLE output."""
+    is_literal = np.zeros(len(segments), dtype=bool)
+    is_literal[0::2] = True
+    return np.repeat(is_literal, segments)
+
+
 def _zero_rle_encode(data: np.ndarray) -> bytes:
     """Zero-run-length code a byte stream (grammar in the module docstring).
 
     Works on the maximal zero stretches: a stretch of ``L`` zeros becomes
-    ``ceil(L / 256)`` escape pairs, and every literal moves by the net
-    growth of the stretches before it.
+    ``ceil(L / 256)`` escape pairs, and the literal runs between the
+    stretches keep their order.
     """
     data = np.asarray(data, dtype=np.uint8)
     n = len(data)
@@ -110,11 +129,11 @@ def _zero_rle_encode(data: np.ndarray) -> bytes:
     shift = np.cumsum(growth)  # output index − input index, past each stretch
     out = np.zeros(n + int(growth.sum()), dtype=np.uint8)
 
-    # Literals: the run before stretch s moved by shift[s - 1], the tail by shift[-1].
-    literal = np.flatnonzero(data != 0)
-    run_shift = np.concatenate(([0], shift))
-    run_len = np.concatenate((starts, [n])) - np.concatenate(([0], ends))
-    out[literal + np.repeat(run_shift, run_len)] = data[literal]
+    # The output alternates literal run, escape pairs, …, literal run.
+    segments = np.empty(2 * len(starts) + 1, dtype=np.int64)
+    segments[0::2] = np.concatenate((starts, [n])) - np.concatenate(([0], ends))
+    segments[1::2] = 2 * pairs
+    out[_literal_mask(segments)] = data[~zero[1:-1]]
 
     # Escape bytes are the zeros ``out`` starts with; run lengths follow
     # them: 255 for every full pair, the remainder for a stretch's last.
@@ -140,25 +159,29 @@ def _zero_rle_decode(data: bytes, expected: int) -> np.ndarray:
     truncated = bool((escapes[-1:] == n - 1).any())  # a last escape with no length byte
     paired = escapes[: len(escapes) - truncated]
 
-    # Output bytes each input byte emits: literal 1, escape its run, length
-    # byte 0 — and 0 for a dangling escape, which raises if it is reached.
-    emits = np.ones(n, dtype=np.int64)
-    emits[paired] = buf[paired + 1].astype(np.int64) + 1
-    emits[paired + 1] = 0
-    emits[escapes[len(paired) :]] = 0
-    ends = np.cumsum(emits)
-    begins = ends - emits
-    used = int(np.searchsorted(begins, expected, side="left"))  # bytes read before output fills
-    produced = int(ends[used - 1]) if used else 0
-    if produced > expected:
-        raise ValueError("zero run overflows output")
-    if produced < expected:
+    # Pair j writes runs[j] zeros from run_begin[j]; literals fill the rest
+    # of the output in stream order, and a dangling escape writes nothing.
+    runs = buf[paired + 1].astype(np.int64) + 1
+    growth = runs - 2  # output bytes minus input bytes of each pair
+    run_begin = paired + np.cumsum(growth) - growth
+    total = n + int(growth.sum()) - truncated
+    if total < expected:
         if truncated:
             raise ValueError("truncated zero run")
-        raise ValueError(f"RLE stream decoded {produced} of {expected} bytes")
+        raise ValueError(f"RLE stream decoded {total} of {expected} bytes")
+    cut = int(np.searchsorted(run_begin, expected))  # runs begun before the output fills
+    runs, run_begin = runs[:cut], run_begin[:cut]
+    if cut and run_begin[-1] + runs[-1] > expected:
+        raise ValueError("zero run overflows output")
+    # The output alternates literal stretch, zero run, …, literal stretch.
+    segments = np.empty(2 * cut + 1, dtype=np.int64)
+    segments[1::2] = runs
+    segments[0:-1:2] = run_begin - np.concatenate(([0], run_begin[:-1] + runs[:-1]))
+    segments[-1] = expected - segments[:-1].sum()
+    literal = buf != 0
+    literal[paired + 1] = False  # a length byte may be nonzero
     out = np.zeros(expected, dtype=np.uint8)
-    writes = np.flatnonzero(emits[:used] != 0)  # an escape writes its own 0x00, harmlessly
-    out[begins[writes]] = buf[writes]
+    out[_literal_mask(segments)] = buf[literal][: segments[0::2].sum()]
     return out
 
 
@@ -191,8 +214,13 @@ def octree_encode(cloud: PointCloud, depth: int = 10) -> EncodedCloud:
     count (u32), per-level occupancy streams, then RLE'd Morton-order color
     deltas when colors are present.
     """
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
+    if (
+        isinstance(depth, bool)
+        or not isinstance(depth, numbers.Integral)
+        or not 1 <= depth <= MAX_DEPTH
+    ):
+        raise ValueError(f"depth must be an integer in [1, {MAX_DEPTH}], got {depth!r}")
+    depth = int(depth)
     n = len(cloud)
     if n == 0:
         header = _MAGIC + bytes([depth, 0]) + np.zeros(6, "<f4").tobytes()
@@ -202,10 +230,12 @@ def octree_encode(cloud: PointCloud, depth: int = 10) -> EncodedCloud:
     lo, hi = cloud.bounds()
     span = np.maximum(hi - lo, 1e-12)
     cells = 1 << depth
-    ijk = np.minimum(
-        (cloud.positions - lo) / span * cells, cells - 1
-    ).astype(np.int64)
-    codes = morton_encode(ijk)
+    ijk = np.empty((3, n), dtype=np.int64)
+    for axis, column in enumerate(cloud.positions.T):
+        cell = (column - lo[axis]) / span[axis] * cells
+        np.minimum(cell, cells - 1, out=cell)
+        ijk[axis] = cell  # truncates, as ``astype(np.int64)``
+    codes = morton_encode(ijk.T)
     # Unstable is fine: the payload does not depend on the order of the input points.
     order = np.argsort(codes)
     sorted_codes = codes[order]
@@ -223,11 +253,19 @@ def octree_encode(cloud: PointCloud, depth: int = 10) -> EncodedCloud:
         parts.append(level.tobytes())
 
     if cloud.has_colors:
-        # Mean color per voxel, in leaf (Morton) order.
+        # Mean color per voxel, in leaf (Morton) order.  A voxel of one point
+        # has that point's color, so the mean is taken over shared voxels only.
         starts = np.flatnonzero(uniq_mask)
-        counts = np.diff(starts, append=n)
-        sums = np.add.reduceat(cloud.colors[order].astype(np.float64), starts, axis=0)
-        voxel_rgb = np.clip(np.round(sums / counts[:, None]), 0, 255).astype(np.uint8)
+        voxel_rgb = np.take(cloud.colors, order[starts], axis=0)
+        shared = ~uniq_mask  # a point in its predecessor's voxel ...
+        if shared.any():
+            shared[:-1] |= shared[1:]  # ... or with its successor in its own
+            counts = np.diff(starts, append=n)
+            multi = np.flatnonzero(counts > 1)
+            sizes = counts[multi]
+            members = np.take(cloud.colors, order[shared], axis=0).astype(np.float64)
+            sums = np.add.reduceat(members, np.cumsum(sizes) - sizes, axis=0)
+            voxel_rgb[multi] = np.clip(np.round(sums / sizes[:, None]), 0, 255)
         flat = voxel_rgb.reshape(-1)
         deltas = flat.copy()
         deltas[1:] -= flat[:-1]  # uint8 wraps: the mod-256 deltas of the wire format
@@ -284,9 +322,10 @@ def octree_decode(encoded: EncodedCloud | bytes) -> PointCloud:
         )
 
     cells = 1 << depth
-    ijk = morton_decode(codes)
     span = np.maximum(hi - lo, 1e-12)
-    pos = lo + (ijk + 0.5) / cells * span
+    pos = np.empty((n_voxels, 3))
+    for axis, column in enumerate(morton_decode(codes).T):
+        np.add(lo[axis], (column + 0.5) / cells * span[axis], out=pos[:, axis])
 
     colors = None
     if has_colors:

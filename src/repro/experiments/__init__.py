@@ -1,4 +1,5 @@
-"""One experiment module per paper table/figure.  See DESIGN.md's index."""
+"""One experiment module per paper table/figure.  See README's "Reproducing
+the paper" (``python -m repro.experiments --list`` is the index)."""
 
 from .ablation import run_ablation
 from .artifacts import TrainedArtifacts, get_artifacts

@@ -1,6 +1,7 @@
 """Ablations of VoLUT's design choices beyond the paper's headline figures.
 
-DESIGN.md lists the choices worth isolating; each gets its own sweep:
+Each choice worth isolating gets its own sweep (run from the experiments
+CLI, README's "Reproducing the paper"):
 
 * :func:`run_dilation_sweep` — dilation factor d ∈ {1, 2, 3} (extends the
   K4d1/K4d2 comparison of Figs. 7–10 with a third point);

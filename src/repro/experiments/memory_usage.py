@@ -29,8 +29,9 @@ RATIO = 2.0
 N_NEW = int((RATIO - 1.0) * N_POINTS)
 RF = 4
 
-# Model sizes (see DESIGN.md): YuZu sparse-conv ~12 MB frozen; GradPU's
-# refinement network with its distance-field features ~45 MB of weights.
+# Model sizes (the baselines: README's "The client pipeline"): YuZu
+# sparse-conv ~12 MB frozen; GradPU's refinement network with its
+# distance-field features ~45 MB of weights.
 YUZU_MODEL_BYTES = 12 * _MB
 GRADPU_MODEL_BYTES = 45 * _MB
 #: VoLUT stores the occupied LUT subset; the paper reports ~1.5 GB resident

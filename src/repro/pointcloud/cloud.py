@@ -127,11 +127,17 @@ class PointCloud:
     def select(self, index: np.ndarray) -> "PointCloud":
         """Return a new cloud containing only the points at ``index``.
 
-        ``index`` may be an integer index array or a boolean mask.
+        ``index`` may be an integer index array or a boolean mask.  Rows
+        are gathered with ``np.take``, several times faster than fancy
+        indexing on an ``(n, 3)`` array and equal to it.
         """
         idx = np.asarray(index)
-        pos = self.positions[idx]
-        col = self.colors[idx] if self.colors is not None else None
+        if idx.dtype.kind in "iu":
+            pos = np.take(self.positions, idx, axis=0)
+            col = None if self.colors is None else np.take(self.colors, idx, axis=0)
+        else:
+            pos = self.positions[idx]
+            col = self.colors[idx] if self.colors is not None else None
         return PointCloud(pos, col)
 
     def translate(self, offset: np.ndarray) -> "PointCloud":

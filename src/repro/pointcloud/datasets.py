@@ -9,9 +9,9 @@ Exposes the four evaluation videos from the paper (§7.1) as lazily generated
 * ``lab`` — a mostly static scene, 3,622 frames / 2 min.
 
 Frame counts and per-frame point budgets match the paper; content is
-procedural (see :mod:`repro.pointcloud.synthesis` and DESIGN.md).  Frames
-are cached with a small LRU so streaming simulations that revisit frames do
-not regenerate geometry.
+procedural (see :mod:`repro.pointcloud.synthesis` and README's "Layout").
+Frames are cached with a small LRU so streaming simulations that revisit
+frames do not regenerate geometry.
 """
 
 from __future__ import annotations

@@ -39,9 +39,10 @@ def random_downsample_count(
     if n_target >= n:
         return cloud.copy()
     rng = _rng(seed)
-    idx = rng.choice(n, size=n_target, replace=False)
-    idx.sort()
-    return cloud.select(idx)
+    # The draw has no repeats, so marking it on a mask sorts it in O(n).
+    keep = np.zeros(n, dtype=bool)
+    keep[rng.choice(n, size=n_target, replace=False)] = True
+    return cloud.select(np.flatnonzero(keep))
 
 
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:

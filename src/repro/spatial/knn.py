@@ -123,7 +123,7 @@ def kdtree_knn(
     if k == 1:
         dist = dist[:, None]
         idx = idx[:, None]
-    return idx.astype(np.int64), dist
+    return idx.astype(np.int64, copy=False), dist
 
 
 class KnnBackend:
@@ -167,7 +167,7 @@ class KDTreeBackend(KnnBackend):
         if k == 1:
             dist = dist[:, None]
             idx = idx[:, None]
-        return idx.astype(np.int64), dist
+        return idx.astype(np.int64, copy=False), dist
 
 
 def get_backend(name: str, points: np.ndarray) -> KnnBackend:

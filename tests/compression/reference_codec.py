@@ -4,7 +4,9 @@ through PR 20, kept as the oracle for its array-speed successor.
 Same wire format, written the obvious way: the zero-RLE walks the stream
 one byte at a time in both directions, occupancy bytes are accumulated
 with ``np.bitwise_or.at``, and the decoder expands a level through a 2-D
-``(nodes, 8)`` bit table.  ``test_octree_codec.py::TestReferenceParity`` holds
+``(nodes, 8)`` bit table; voxel indices and centres are ``(n, 3)``
+broadcasts, and every voxel's colour is a mean from one all-points
+``reduceat``.  ``test_octree_codec.py::TestReferenceParity`` holds
 production equal to this — payload bytes, decoded arrays, and the outcome
 (bytes or exception message) on corrupt RLE streams.  Shares only the
 Morton helpers and :class:`PointCloud` with ``src/``.

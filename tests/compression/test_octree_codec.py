@@ -121,6 +121,18 @@ class TestCodec:
         with pytest.raises(ValueError):
             octree_encode(small_frame, 30)
 
+    @pytest.mark.parametrize("depth", [True, 10.0, 10.5])
+    def test_depth_must_be_an_integer(self, small_frame, depth):
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            octree_encode(small_frame, depth)
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            encode_frame_compressed(small_frame, 0.5, depth=depth)
+
+    def test_numpy_integer_depth_accepted(self, small_frame):
+        enc = octree_encode(small_frame, np.int64(10))
+        assert type(enc.depth) is int and enc.depth == 10
+        assert enc.payload == octree_encode(small_frame, 10).payload
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="octree"):
             octree_decode(b"XXXX" + b"\x00" * 40)
@@ -308,6 +320,56 @@ class TestReferenceParity:
                     assert got.colors.dtype == want.colors.dtype == np.uint8
                     assert np.array_equal(got.colors, want.colors)
         assert merged  # the grid holds voxels with several points (the per-voxel mean)
+
+    @staticmethod
+    def _assert_equal(cloud, depth):
+        enc = octree_encode(cloud, depth)
+        assert enc.payload == ref.reference_encode(cloud, depth)
+        got, want = octree_decode(enc), ref.reference_decode(enc.payload)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.colors, want.colors)
+        return enc
+
+    @pytest.mark.parametrize("depth", [1, 10])
+    def test_every_voxel_shared(self, small_frame, depth):
+        """Each point twice with a second colour, so every voxel colour is
+        a rounded mean; at depth 1 all 4,000 points share at most 8 voxels."""
+        second = np.random.default_rng(depth).integers(0, 256, small_frame.colors.shape)
+        twice = PointCloud(
+            np.concatenate([small_frame.positions] * 2),
+            np.concatenate([small_frame.colors, second.astype(np.uint8)]),
+        )
+        enc = self._assert_equal(twice, depth)
+        assert enc.n_voxels <= len(small_frame)
+        if depth == 1:
+            assert enc.n_voxels <= 8
+
+    def test_no_voxel_shared(self):
+        """A sparse cloud at depth 12: every voxel holds one point, so no
+        mean is taken."""
+        g = np.random.default_rng(12)
+        cloud = PointCloud(
+            g.uniform(-1, 1, (300, 3)), g.integers(0, 256, (300, 3)).astype(np.uint8)
+        )
+        assert self._assert_equal(cloud, 12).n_voxels == len(cloud)
+
+    @pytest.mark.parametrize("depth", [4, 10])
+    def test_points_on_cell_boundaries(self, depth):
+        """Coordinates on a cell boundary and one ulp either side, in an
+        awkward bbox: where the voxel index rounds down is decided by the
+        expression's exact operation order."""
+        g = np.random.default_rng(depth)
+        lo, span = g.uniform(-3, 3, 3), g.uniform(0.01, 7, 3)
+        cells = 1 << depth
+        edges = lo + np.arange(cells + 1)[:, None] / cells * span
+        pos = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        )
+        pos = np.clip(pos, lo, lo + span)
+        for axis in range(3):
+            g.shuffle(pos[:, axis])
+        colors = g.integers(0, 256, pos.shape).astype(np.uint8)
+        self._assert_equal(PointCloud(pos, colors), depth)
 
     def test_corrupt_rle_streams_same_outcome(self):
         g = np.random.default_rng(2024)

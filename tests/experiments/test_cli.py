@@ -206,7 +206,7 @@ class TestCLI:
         assert "experiment summary:" not in capsys.readouterr().out
 
     def test_registry_covers_every_paper_artifact(self):
-        """One CLI entry per table/figure in DESIGN.md's experiment index."""
+        """One CLI entry per paper table/figure."""
         needed = {
             "table1", "fig4", "fig7-10", "fig11-measured", "fig11-device",
             "fig12-13", "fig14", "fig15", "fig16-device", "fig16-measured",

@@ -1,4 +1,4 @@
-"""Design-choice ablation tests (the DESIGN.md checklist)."""
+"""Design-choice ablation tests (``experiments/design_ablations.py``)."""
 
 import pytest
 

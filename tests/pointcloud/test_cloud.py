@@ -112,6 +112,22 @@ class TestTransforms:
         sub = random_cloud.select(mask)
         assert len(sub) == mask.sum()
 
+    @pytest.mark.parametrize(
+        "index",
+        [[3, -1, 3, 0], np.array([], dtype=np.int64), np.arange(10, dtype=np.uint32)],
+    )
+    def test_select_equals_fancy_indexing(self, random_cloud, index):
+        """The ``np.take`` gather returns what ``array[index]`` does."""
+        sub = random_cloud.select(index)
+        idx = np.asarray(index)
+        assert np.array_equal(sub.positions, random_cloud.positions[idx])
+        assert np.array_equal(sub.colors, random_cloud.colors[idx])
+        assert sub.positions.flags.c_contiguous
+
+    def test_select_out_of_range_raises(self, random_cloud):
+        with pytest.raises(IndexError):
+            random_cloud.select(np.array([len(random_cloud)]))
+
     def test_translate(self):
         pc = make([[1, 1, 1]]).translate([1, -1, 0.5])
         assert pc.positions[0].tolist() == [2, 0, 1.5]

@@ -67,6 +67,23 @@ class TestRandomDownsampleCount:
         assert np.array_equal(first.positions, again.positions)
         assert not np.array_equal(first.positions, second.positions)
 
+    @pytest.mark.parametrize("generator", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 499, 500, 505])
+    def test_equals_the_sorted_draw(self, random_cloud, k, generator):
+        """The mask over the draw selects what sorting the draw did."""
+        n = len(random_cloud)
+
+        def seed():
+            return np.random.default_rng(9) if generator else 9
+
+        out = random_downsample_count(random_cloud, k, seed=seed())
+        want = random_cloud
+        if k < n:
+            draw = np.random.default_rng(seed()).choice(n, k, replace=False)
+            want = random_cloud.select(np.sort(draw))
+        assert np.array_equal(out.positions, want.positions)
+        assert np.array_equal(out.colors, want.colors)
+
 
 class TestVoxelDownsample:
     def test_reduces_points(self, random_cloud):
