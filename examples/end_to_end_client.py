@@ -74,7 +74,7 @@ def main() -> None:
             throughput_bps=trace.bandwidth_at(t_net),
             buffer_level=buffer,
             prev_quality=records[-1].quality if records else None,
-            next_chunks=chunks[i : i + 5],
+            next_chunks=chunks[i:],
         )
         decision = mpc.decide(ctx)
 

@@ -17,11 +17,7 @@ import time
 
 from repro.experiments import make_cdn, make_population
 from repro.experiments.common import SMOKE
-from repro.streaming import (
-    CostModel,
-    available_policies,
-    simulate_fleet,
-)
+from repro.streaming import available_policies, price, simulate_fleet
 
 
 def main() -> None:
@@ -48,7 +44,7 @@ def main() -> None:
             sessions, topology=topo, sr_cache="shared",
         )
         wall = time.time() - t0
-        rep, cost = result.report, CostModel().price(result)
+        rep, cost = result.report, price(result)
         print(f"{name:<16} {rep.mean_qoe:>9.2f} "
               f"{100 * rep.stall_ratio:>6.1f}% {cost.total_usd:>9.4f} "
               f"{cost.qoe_per_dollar(rep.mean_qoe, rep.n_sessions):>10.0f}"
@@ -56,7 +52,7 @@ def main() -> None:
 
     print("\ncost components price origin egress, encode core-hours, "
           "edge cache GB-months, and SR device-hours; see "
-          "repro.streaming.cost.CostModel for the per-unit rates.")
+          "repro.streaming.cost for the per-unit rates.")
 
 
 if __name__ == "__main__":

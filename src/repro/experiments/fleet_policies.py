@@ -13,21 +13,21 @@ decision rule varies) and reports, per policy:
   per-session QoE (:func:`~repro.metrics.qoe.bootstrap_ci`) — the
   interval an A/B gate would read before promoting a policy;
 * the run's infrastructure bill from the first-principles
-  :class:`~repro.streaming.cost.CostModel` (origin egress + encode
+  :func:`~repro.streaming.cost.price` (origin egress + encode
   core-time + amortized edge cache + client SR device-time);
 * ``qoe_per_usd`` — summed delivered QoE per dollar — and a ``pareto``
   marker for the policies on the (mean QoE, total cost) frontier: a
   ``*`` row is dominated by no other policy (none is at least as good
   on QoE *and* no more expensive).
 
-Each finished run is priced afterwards by ``CostModel.price(result)``,
+Each finished run is priced afterwards by ``price(result)``,
 so the bill is read off the same result the QoE columns come from.
 """
 
 from __future__ import annotations
 
 from ..metrics.qoe import bootstrap_ci
-from ..streaming.cost import CostModel
+from ..streaming.cost import price
 from ..streaming.fleet import simulate_fleet
 from .common import SMOKE, ResultTable, Scale
 from .fleet_cdn import make_cdn
@@ -77,7 +77,7 @@ def run_fleet_policies(
 
     Every policy sees byte-identical arrivals and catalog (``seed`` pins
     the population independently of the controller), the same symmetric
-    CDN, and the same list-price :class:`~repro.streaming.cost.CostModel`
+    CDN, and the same list prices (:func:`~repro.streaming.cost.price`)
     — differences between rows are the decision rules, nothing else.
     """
     table = ResultTable(
@@ -118,7 +118,7 @@ def run_fleet_policies(
             sr_cache="shared",
         )
         rep = result.report
-        cost = CostModel().price(result)
+        cost = price(result)
         lo, hi = bootstrap_ci(
             [s.qoe for s in result.sessions], n_boot=n_boot, seed=seed
         )

@@ -23,6 +23,12 @@ __all__ = ["NetworkTrace", "stable_trace", "lte_trace", "PAPER_LTE_PROFILES"]
 
 MBPS = 1e6
 
+#: :func:`lte_trace`'s sample spacing (seconds), per-sample deep-fade
+#: probability and round-trip time (seconds)
+LTE_STEP = 1.0
+LTE_FADE_PROB = 0.02
+LTE_RTT = 0.040
+
 #: (average Mbps, std-dev Mbps) pairs spanning the paper's LTE trace set.
 PAPER_LTE_PROFILES: tuple[tuple[float, float], ...] = (
     (32.5, 13.5),
@@ -156,41 +162,34 @@ def lte_trace(
     mean_mbps: float = 32.5,
     std_mbps: float = 13.5,
     duration: float = 600.0,
-    step: float = 1.0,
-    fade_prob: float = 0.02,
-    rtt: float = 0.040,
     seed: int = 0,
 ) -> NetworkTrace:
     """Synthetic LTE trace with the paper's first/second moments.
 
-    AR(1) mean reversion (φ=0.9) plus exponential deep fades at
-    ``fade_prob`` per step, floored at 1 Mbps.  The realized sample mean
-    and std land near the requested values; exact trace shapes do not
-    matter — the ABR reacts to the statistics.
+    One sample per ``LTE_STEP`` seconds: AR(1) mean reversion (φ=0.9)
+    plus exponential deep fades at ``LTE_FADE_PROB`` per sample, floored
+    at 1 Mbps.  The realized sample mean and std land near the requested
+    values; exact trace shapes do not matter — the ABR reacts to the
+    statistics.
     """
     _check_args(
-        "lte_trace", positive=("mean_mbps", "duration", "step"),
-        mean_mbps=mean_mbps, std_mbps=std_mbps, duration=duration, step=step,
-        rtt=rtt,
+        "lte_trace", positive=("mean_mbps", "duration"),
+        mean_mbps=mean_mbps, std_mbps=std_mbps, duration=duration,
     )
-    if not 0 <= fade_prob <= 1:
-        raise ValueError(
-            f"lte_trace: fade_prob must be in [0, 1], got {fade_prob!r}"
-        )
     rng = np.random.default_rng(seed)
-    n = max(2, int(duration / step))
+    n = max(2, int(duration / LTE_STEP))
     phi = 0.9
     innovation = std_mbps * np.sqrt(1 - phi ** 2)
     bw = np.empty(n)
     bw[0] = mean_mbps
     for i in range(1, n):
         bw[i] = mean_mbps + phi * (bw[i - 1] - mean_mbps) + rng.normal(0, innovation)
-    fades = rng.random(n) < fade_prob
+    fades = rng.random(n) < LTE_FADE_PROB
     bw[fades] *= rng.uniform(0.2, 0.5, fades.sum())
     np.maximum(bw, 1.0, out=bw)
     return NetworkTrace(
         name=f"lte-{mean_mbps:g}mbps",
-        timestamps=np.arange(n) * step,
+        timestamps=np.arange(n) * LTE_STEP,
         bandwidths_bps=bw * MBPS,
-        rtt=rtt,
+        rtt=LTE_RTT,
     )

@@ -31,9 +31,9 @@ __all__ = [
 #: default histogram bucket bounds (seconds-flavored, Prometheus style)
 _DEFAULT_BOUNDS = (0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
 
-#: default ring capacity — at the fleet's 1 s monitor cadence this holds
-#: a little over 17 virtual minutes of samples per series
-_DEFAULT_CAPACITY = 1024
+#: ring capacity of every :class:`TimeSeries` — at the fleet's 1 s monitor
+#: cadence this holds a little over 17 virtual minutes of samples
+SERIES_CAPACITY = 1024
 
 
 class Counter:
@@ -45,10 +45,8 @@ class Counter:
         self.name = name
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        self.value += amount
+    def inc(self) -> None:
+        self.value += 1.0
 
 
 class Gauge:
@@ -91,32 +89,29 @@ class Histogram:
 
 
 class TimeSeries:
-    """Fixed-capacity ring buffer of ``(t, value)`` samples."""
+    """Ring buffer of the last ``SERIES_CAPACITY`` ``(t, value)`` samples."""
 
-    __slots__ = ("name", "capacity", "_t", "_v", "_head", "_n")
+    __slots__ = ("name", "_t", "_v", "_head", "_n")
 
-    def __init__(self, name: str, capacity: int = _DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.capacity = int(capacity)
-        self._t: list[float] = [0.0] * self.capacity
-        self._v: list[float] = [0.0] * self.capacity
+        self._t: list[float] = [0.0] * SERIES_CAPACITY
+        self._v: list[float] = [0.0] * SERIES_CAPACITY
         self._head = 0  # next write slot
         self._n = 0
 
     def record(self, t: float, value: float) -> None:
         self._t[self._head] = t
         self._v[self._head] = value
-        self._head = (self._head + 1) % self.capacity
-        if self._n < self.capacity:
+        self._head = (self._head + 1) % SERIES_CAPACITY
+        if self._n < SERIES_CAPACITY:
             self._n += 1
 
     def items(self) -> list[tuple[float, float]]:
         """Retained samples, oldest first."""
-        if self._n < self.capacity:
+        if self._n < SERIES_CAPACITY:
             return list(zip(self._t[: self._n], self._v[: self._n]))
-        idx = list(range(self._head, self.capacity)) + list(range(self._head))
+        idx = list(range(self._head, SERIES_CAPACITY)) + list(range(self._head))
         return [(self._t[i], self._v[i]) for i in idx]
 
     @property
@@ -124,7 +119,7 @@ class TimeSeries:
         """Most recent sample, or None when empty."""
         if self._n == 0:
             return None
-        i = (self._head - 1) % self.capacity
+        i = (self._head - 1) % SERIES_CAPACITY
         return (self._t[i], self._v[i])
 
     def __len__(self) -> int:
@@ -160,12 +155,10 @@ class MetricsRegistry:
             inst = self.histograms[name] = Histogram(name, bounds)
         return inst
 
-    def timeseries(
-        self, name: str, capacity: int = _DEFAULT_CAPACITY
-    ) -> TimeSeries:
+    def timeseries(self, name: str) -> TimeSeries:
         inst = self.series.get(name)
         if inst is None:
-            inst = self.series[name] = TimeSeries(name, capacity)
+            inst = self.series[name] = TimeSeries(name)
         return inst
 
     def snapshot(self) -> dict:

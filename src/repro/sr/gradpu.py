@@ -30,6 +30,11 @@ from .pipeline import SRResult, StageTimes
 
 __all__ = ["GradPUUpsampler"]
 
+#: damping factor applied to each predicted offset
+GRADPU_STEP_SIZE = 0.5
+#: interpolation neighbours per source point
+GRADPU_K = 4
+
 
 @dataclass
 class GradPUUpsampler:
@@ -41,22 +46,20 @@ class GradPUUpsampler:
         The trained refinement network and its position encoder.
     n_steps:
         Refinement iterations (GradPU uses tens of gradient steps; the
-        damped fixed-point iteration here has the same per-step cost).
-    step_size:
-        Damping factor applied to each predicted offset.
+        damped fixed-point iteration here has the same per-step cost),
+        each moving a point by ``GRADPU_STEP_SIZE`` x the predicted offset.
+
+    Searches go through the index the VoLUT client searches with
+    (``CLIENT_BACKEND``), so latency comparisons isolate the
+    *architectural* difference (per-step re-searching + network inference
+    vs. one search + lookup) rather than differences between search
+    substrates.
     """
 
     net: MLP
     encoder: PositionEncoder
     n_steps: int = 10
-    step_size: float = 0.5
-    k: int = 4
     dilation: int = 1
-    #: kNN backend; defaults to the index the VoLUT client searches with, so
-    #: latency comparisons isolate the *architectural* difference (per-step
-    #: re-searching + network inference vs. one search + lookup) rather than
-    #: differences between search substrates.
-    backend: str = CLIENT_BACKEND
     seed: int = 0
 
     def upsample(self, cloud: PointCloud, ratio: float) -> SRResult:
@@ -64,21 +67,21 @@ class GradPUUpsampler:
         rng = np.random.default_rng(self.seed)
         times = StageTimes()
         interp = interpolate(
-            cloud, ratio, k=self.k, dilation=self.dilation,
-            backend=self.backend, seed=rng,
+            cloud, ratio, k=GRADPU_K, dilation=self.dilation,
+            backend=CLIENT_BACKEND, seed=rng,
         )
         times.knn = interp.knn_seconds
         times.interpolation = interp.assembly_seconds
 
         t1 = time.perf_counter()
-        colored = colorize_by_nearest(cloud, interp, backend=self.backend)
+        colored = colorize_by_nearest(cloud, interp, backend=CLIENT_BACKEND)
         t2 = time.perf_counter()
         times.colorization = t2 - t1
 
         current = interp.new_positions.copy()
         if len(current):
             rf = self.encoder.rf_size
-            index = get_backend(self.backend, cloud.positions)
+            index = get_backend(CLIENT_BACKEND, cloud.positions)
             for _ in range(self.n_steps):
                 # Fresh neighborhood gather every step: positions move, so
                 # the neighbor sets must be re-queried (GradPU's cost model).
@@ -87,7 +90,7 @@ class GradPUUpsampler:
                 enc = self.encoder.encode(current, neighbors)
                 x = enc.normalized.reshape(len(current), -1)
                 offsets = self.net.forward(x)
-                current = current + self.step_size * offsets * enc.radius[:, None]
+                current = current + GRADPU_STEP_SIZE * offsets * enc.radius[:, None]
         pos = colored.positions.copy()
         pos[interp.n_source :] = current
         result = PointCloud(pos, colored.colors)

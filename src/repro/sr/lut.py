@@ -49,6 +49,8 @@ __all__ = [
 
 #: rows per network forward pass while distilling
 _BATCH = 8192
+#: bytes per stored offset in a dense table (Table 1's accounting)
+BYTES_PER_OFFSET = 2
 #: what :meth:`HashedLUT.save` writes and :meth:`HashedLUT.load` requires
 _FILE_FIELDS = ("keys", "values", "rf_size", "bins", "phase", "per_point")
 
@@ -83,9 +85,9 @@ def lut_entries_full(rf_size: int, bins: int) -> int:
     return bins ** (rf_size * 3)
 
 
-def lut_memory_bytes(rf_size: int, bins: int, bytes_per_offset: int = 2) -> int:
-    """Storage for all Table-1 entry slots at ``bytes_per_offset`` each (Eq. 7)."""
-    return lut_entries(rf_size, bins) * bytes_per_offset
+def lut_memory_bytes(rf_size: int, bins: int) -> int:
+    """Storage for all Table-1 entry slots at ``BYTES_PER_OFFSET`` each (Eq. 7)."""
+    return lut_entries(rf_size, bins) * BYTES_PER_OFFSET
 
 
 @dataclass

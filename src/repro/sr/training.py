@@ -33,6 +33,13 @@ from .refine import gather_refinement_neighborhoods
 
 __all__ = ["RefinementDataset", "build_refinement_dataset", "train_refinement_net"]
 
+#: interpolation neighbours and dilation the training pairs are built with
+TRAIN_K = 4
+TRAIN_DILATION = 2
+#: Adam step size and the Gaussian noise injected into the inputs (§4.2.2)
+LEARNING_RATE = 2e-3
+NOISE_SIGMA = 0.02
+
 
 @dataclass
 class RefinementDataset:
@@ -53,9 +60,6 @@ def build_refinement_dataset(
     frames: list[PointCloud],
     encoder: PositionEncoder,
     ratios: tuple[float, ...] = (2.0, 4.0),
-    downsample_to: int | None = None,
-    k: int = 4,
-    dilation: int = 2,
     seed: int = 0,
 ) -> RefinementDataset:
     """Build (neighborhood → offset) pairs from ground-truth frames.
@@ -67,22 +71,17 @@ def build_refinement_dataset(
     ratios:
         Upsampling ratios to synthesize low/high pairs for — the paper
         downsamples 'to different densities' so one net generalizes across
-        ratios.
-    downsample_to:
-        Low-resolution point budget before interpolation; defaults to
-        ``len(frame) / max(ratios)``.
+        ratios.  A frame is downsampled to ``len(frame) / ratio`` points,
+        then interpolated with ``TRAIN_K`` neighbours at ``TRAIN_DILATION``.
     """
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     for frame in frames:
         for ratio in ratios:
-            n_low = (
-                int(len(frame) / ratio)
-                if downsample_to is None
-                else int(downsample_to)
+            low = random_downsample_count(frame, int(len(frame) / ratio), seed=rng)
+            interp = interpolate(
+                low, ratio, k=TRAIN_K, dilation=TRAIN_DILATION, seed=rng
             )
-            low = random_downsample_count(frame, n_low, seed=rng)
-            interp = interpolate(low, ratio, k=k, dilation=dilation, seed=rng)
             new_pts = interp.new_positions
             if len(new_pts) == 0:
                 continue
@@ -109,18 +108,15 @@ def train_refinement_net(
     encoder: PositionEncoder,
     hidden: tuple[int, ...] = (64, 64),
     epochs: int = 40,
-    lr: float = 2e-3,
-    noise_sigma: float = 0.02,
     seed: int = 0,
 ) -> tuple[MLP, list[float]]:
-    """Train the refinement MLP; returns (net, per-epoch losses).
-
-    ``noise_sigma`` defaults to the paper's 0.02 Gaussian injection.
-    """
+    """Train the refinement MLP at ``LEARNING_RATE`` with the paper's
+    ``NOISE_SIGMA`` Gaussian injection; returns (net, per-epoch losses)."""
     dims = (encoder.rf_size * 3, *hidden, 3)
     net = MLP(dims, activation="relu", output_activation="tanh", seed=seed)
     cfg = TrainConfig(
-        epochs=epochs, lr=lr, noise_sigma=noise_sigma, seed=seed, batch_size=512
+        epochs=epochs, lr=LEARNING_RATE, noise_sigma=NOISE_SIGMA, seed=seed,
+        batch_size=512,
     )
     trainer = Trainer(net, cfg)
     result = trainer.fit(dataset.X, dataset.Y)

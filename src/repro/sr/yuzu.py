@@ -33,6 +33,11 @@ __all__ = ["YuzuSRModel", "YUZU_RATIOS"]
 #: the achievable end-to-end ratios are these integers).
 YUZU_RATIOS = (2, 3, 4, 6, 8)
 
+#: hidden-layer widths of the direct SR network
+YUZU_HIDDEN = (256, 256, 256)
+#: serialized bytes per network parameter (float32)
+BYTES_PER_PARAM = 4
+
 
 class YuzuSRModel:
     """A fixed-ratio direct SR network.
@@ -46,20 +51,19 @@ class YuzuSRModel:
         self,
         ratio: int,
         encoder: PositionEncoder | None = None,
-        hidden: tuple[int, ...] = (256, 256, 256),
         seed: int = 0,
     ):
         self.ratio = check_count("ratio", ratio, 2)
         self.encoder = encoder or PositionEncoder(rf_size=4, bins=128)
         # Same search substrate as the VoLUT client (see GradPUUpsampler).
         self.backend = CLIENT_BACKEND
-        dims = (self.encoder.rf_size * 3, *hidden, 3 * self.ratio)
+        dims = (self.encoder.rf_size * 3, *YUZU_HIDDEN, 3 * self.ratio)
         self.net = MLP(dims, activation="relu", output_activation="tanh", seed=seed)
 
     # ------------------------------------------------------------------
-    def model_bytes(self, bytes_per_param: int = 4) -> int:
+    def model_bytes(self) -> int:
         """Serialized model size (counts toward streamed data usage)."""
-        return self.net.n_parameters() * bytes_per_param
+        return self.net.n_parameters() * BYTES_PER_PARAM
 
     # ------------------------------------------------------------------
     def _neighborhoods(self, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:

@@ -91,23 +91,35 @@ __all__ = [
 #: ratios {2, 3, 4} — so a discrete client can never fetch below 1/4 density.
 YUZU_DENSITY_LEVELS = (1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0)
 
+#: per-doubling quality of SR'd points relative to native ones
+#: (:class:`SRQualityModel`), calibrated from the SR-quality experiments
+SR_EFFICIENCY = 0.93
+
+#: throughput-estimate discount every rate-aware controller plans with
+SAFETY = 0.9
+
+#: sparsest fetch density the density-grid controllers consider by default
+MIN_DENSITY = 1.0 / 8.0
+
+#: :class:`BufferBased` fetches ``MIN_DENSITY`` at or below the low
+#: buffer level, full density at or above the high one, linear between
+BUFFER_LOW = 1.0
+BUFFER_HIGH = 6.0
+
 
 class SRQualityModel:
     """Maps a {density, SR-ratio} pair to perceived quality Q ∈ [0, 1].
 
-    ``Q = min(1, density · sr_ratio) · efficiency^log2(sr_ratio)`` — the
-    post-SR point density, discounted per upsampling doubling.  The default
+    ``Q = min(1, density · sr_ratio) · SR_EFFICIENCY^log2(sr_ratio)`` —
+    the post-SR point density, discounted per upsampling doubling.  The
     efficiency (0.93) reproduces the PSNR gap between SR'd and native
     content measured in §7.2 (×4 SR sits a few dB below ×2).
     """
 
-    def __init__(self, max_ratio: float = 8.0, efficiency: float = 0.93):
+    def __init__(self, max_ratio: float = 8.0):
         if max_ratio < 1.0:
             raise ValueError("max_ratio must be >= 1")
-        if not 0.0 < efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
         self.max_ratio = float(max_ratio)
-        self.efficiency = float(efficiency)
 
     def sr_ratio_for(self, density: float) -> float:
         """SR ratio the client will apply for a fetch density."""
@@ -121,7 +133,7 @@ class SRQualityModel:
         if s < 1.0:
             raise ValueError("sr_ratio must be >= 1")
         restored = min(1.0, density * s)
-        discount = self.efficiency ** np.log2(max(s, 1.0))
+        discount = SR_EFFICIENCY ** np.log2(max(s, 1.0))
         return float(restored * discount)
 
     # -- batched forms (one candidate-density axis) --------------------
@@ -145,7 +157,7 @@ class SRQualityModel:
         if np.any(s < 1.0):
             raise ValueError("sr_ratio must be >= 1")
         restored = np.minimum(1.0, d * s)
-        discount = self.efficiency ** np.log2(np.maximum(s, 1.0))
+        discount = SR_EFFICIENCY ** np.log2(np.maximum(s, 1.0))
         return restored * discount
 
 
@@ -244,7 +256,6 @@ class _MPCBase(AbrController):
         qoe_model: QoEModel,
         sr_latency: SRLatency,
         horizon: int = 5,
-        safety: float = 0.9,
         fetch_fraction: float = 1.0,
     ):
         cand = np.asarray(candidates, dtype=np.float64)
@@ -254,8 +265,6 @@ class _MPCBase(AbrController):
             raise ValueError("candidate densities must be in (0, 1]")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not 0 < safety <= 1:
-            raise ValueError("safety must be in (0, 1]")
         if not 0.0 < fetch_fraction <= 1.0:
             raise ValueError("fetch_fraction must be in (0, 1]")
         self.candidates = np.sort(cand)
@@ -263,7 +272,6 @@ class _MPCBase(AbrController):
         self.qoe_model = qoe_model
         self.sr_latency = sr_latency
         self.horizon = int(horizon)
-        self.safety = float(safety)
         # Fraction of each chunk's bytes actually fetched (ViVo's
         # visibility culling); must match the session's fetch_fraction so
         # the plan prices downloads correctly.
@@ -363,12 +371,12 @@ class _MPCBase(AbrController):
             # (1, C) first-chunk row as they are, context scalars as
             # Python floats — same expressions below.
             (bits, sr, dur), ctx = windows[0], ctxs[0]
-            tput = ctx.throughput_bps * self.safety
+            tput = ctx.throughput_bps * SAFETY
             buffer = ctx.buffer_level
             first = self._first_row(ctx.prev_quality)
         else:
             bits, sr, dur = (np.concatenate(t, axis=1) for t in zip(*windows))
-            tput = (np.array([c.throughput_bps for c in ctxs]) * self.safety)[:, None]
+            tput = (np.array([c.throughput_bps for c in ctxs]) * SAFETY)[:, None]
             buffer = np.array([c.buffer_level for c in ctxs])[:, None]
             first = np.concatenate([self._first_row(c.prev_quality) for c in ctxs])
 
@@ -428,17 +436,16 @@ class ContinuousMPC(_MPCBase):
         quality_model: SRQualityModel,
         qoe_model: QoEModel,
         sr_latency: SRLatency,
-        min_density: float = 1.0 / 8.0,
+        min_density: float = MIN_DENSITY,
         n_grid: int = 64,
         horizon: int = 5,
-        safety: float = 0.9,
         fetch_fraction: float = 1.0,
     ):
         if not 0 < min_density < 1:
             raise ValueError("min_density must be in (0, 1)")
         grid = np.geomspace(min_density, 1.0, n_grid)
         super().__init__(
-            grid, quality_model, qoe_model, sr_latency, horizon, safety, fetch_fraction
+            grid, quality_model, qoe_model, sr_latency, horizon, fetch_fraction
         )
 
 
@@ -450,41 +457,28 @@ class DiscreteMPC(_MPCBase):
         quality_model: SRQualityModel,
         qoe_model: QoEModel,
         sr_latency: SRLatency,
-        levels: tuple[float, ...] = YUZU_DENSITY_LEVELS,
         horizon: int = 5,
-        safety: float = 0.9,
     ):
         super().__init__(
-            np.asarray(levels), quality_model, qoe_model, sr_latency, horizon, safety
+            np.asarray(YUZU_DENSITY_LEVELS), quality_model, qoe_model,
+            sr_latency, horizon,
         )
 
 
 class BufferBased(AbrController):
-    """Classic threshold rule: density grows linearly with buffer level."""
+    """Classic threshold rule: density grows linearly with buffer level,
+    from ``MIN_DENSITY`` at ``BUFFER_LOW`` to 1.0 at ``BUFFER_HIGH``."""
 
-    def __init__(
-        self,
-        quality_model: SRQualityModel,
-        min_density: float = 1.0 / 8.0,
-        low_buffer: float = 1.0,
-        high_buffer: float = 6.0,
-    ):
-        if not 0 < min_density <= 1:
-            raise ValueError("min_density must be in (0, 1]")
-        if low_buffer >= high_buffer:
-            raise ValueError("low_buffer must be below high_buffer")
+    def __init__(self, quality_model: SRQualityModel):
         self.quality_model = quality_model
-        self.min_density = float(min_density)
-        self.low_buffer = float(low_buffer)
-        self.high_buffer = float(high_buffer)
 
     def decide(self, ctx: AbrContext) -> Decision:
         lvl = ctx.buffer_level
-        if lvl <= self.low_buffer:
-            d = self.min_density
-        elif lvl >= self.high_buffer:
+        if lvl <= BUFFER_LOW:
+            d = MIN_DENSITY
+        elif lvl >= BUFFER_HIGH:
             d = 1.0
         else:
-            frac = (lvl - self.low_buffer) / (self.high_buffer - self.low_buffer)
-            d = self.min_density + frac * (1.0 - self.min_density)
+            frac = (lvl - BUFFER_LOW) / (BUFFER_HIGH - BUFFER_LOW)
+            d = MIN_DENSITY + frac * (1.0 - MIN_DENSITY)
         return Decision(density=d, sr_ratio=self.quality_model.sr_ratio_for(d))

@@ -85,6 +85,11 @@ __all__ = [
 #: Supported viewer → edge assignment policies.
 ASSIGNMENT_POLICIES = ("static", "least-loaded", "popularity")
 
+#: :func:`uniform_cdn`'s round-trip times (seconds): viewer ↔ edge and
+#: edge ↔ origin
+ACCESS_RTT = 0.010
+BACKHAUL_RTT = 0.020
+
 
 @dataclass
 class _CacheEntry:
@@ -551,8 +556,6 @@ def uniform_cdn(
     access_mbps: float,
     backhaul_mbps: float,
     duration: float = 600.0,
-    access_rtt: float = 0.010,
-    backhaul_rtt: float = 0.020,
     cache_bytes: int = 1 << 30,
     assignment: str = "static",
     n_encode_workers: int = 4,
@@ -589,10 +592,10 @@ def uniform_cdn(
         EdgeNode(
             name=f"edge-{i}",
             backhaul=SharedLink(
-                stable_trace(backhaul_mbps, duration=duration, rtt=backhaul_rtt)
+                stable_trace(backhaul_mbps, duration=duration, rtt=BACKHAUL_RTT)
             ),
             access=SharedLink(
-                stable_trace(access_mbps, duration=duration, rtt=access_rtt)
+                stable_trace(access_mbps, duration=duration, rtt=ACCESS_RTT)
             ),
             cache=EdgeChunkCache(capacity_bytes=cache_bytes),
         )

@@ -36,8 +36,8 @@ to each tick, carries every ``control.*`` event.  Ticks fire
 **opportunistically at existing event boundaries** (the first event at
 or after each nominal interval) —
 the control plane never injects events of its own, which is what makes a
-controller whose thresholds never trigger bit-exact with no controller
-at all (the disabled-mode oracle the parity convention requires).
+controller whose levers cannot act bit-exact with no controller at all
+(the disabled-mode oracle the parity convention requires).
 
 :class:`RecoveryTracker` computes the fault-recovery metrics
 ``FleetReport`` grows in this PR: per-interval health samples (a QoE
@@ -57,7 +57,7 @@ from ..obs.events import (
     EV_CONTROL_TICK,
     NULL_TRACER,
 )
-from .cdn import _check_count, wait_percentile
+from .cdn import wait_percentile
 
 __all__ = [
     "ControlPolicy",
@@ -68,30 +68,43 @@ __all__ = [
     "RecoveryTracker",
 ]
 
+#: grow the encode pool (doubling) when an interval's p95 encode wait
+#: exceeds this many seconds ...
+ENCODE_WAIT_HIGH = 0.5
+#: ... and shrink it (halving) when the p95 falls below this
+ENCODE_WAIT_LOW = 0.01
+MIN_ENCODE_WORKERS = 1
+MAX_ENCODE_WORKERS = 64
+#: an edge is saturated when its unfinished-session load is at least 2
+#: and exceeds this factor x the mean over live edges
+SATURATION_FACTOR = 2.0
+#: cap on re-steered sessions per tick (avoid thundering herds)
+MAX_RESTEERS_PER_TICK = 8
+
+#: :class:`QoEArrivalAutoscaler`: a day whose mean health falls below
+#: the target scales the next day's arrivals down by the step, else up,
+#: clamped to ``[AUTOSCALE_MIN_SCALE, AUTOSCALE_MAX_SCALE]``
+AUTOSCALE_TARGET_HEALTH = 0.5
+AUTOSCALE_STEP = 0.25
+AUTOSCALE_MIN_SCALE = 0.25
+AUTOSCALE_MAX_SCALE = 1.0
+
+#: :class:`RecoveryTracker`: health within this of the pre-fault
+#: baseline counts as recovered
+RECOVERY_TOLERANCE = 0.1
+
 
 @dataclass(frozen=True)
 class ControlPolicy:
-    """Thresholds and limits of one control plane.
-
-    The defaults never fire on a healthy fleet; ``math.inf`` thresholds
-    disable a lever entirely (the configuration the no-op parity test
-    runs).
+    """What one control plane is set to: its tick interval and its
+    graceful-degradation levers.  The encode-pool and re-steering
+    thresholds are the module constants above, which never fire on a
+    healthy fleet.
     """
 
     #: nominal seconds between control ticks (ticks land on the first
     #: scheduler event at or after each boundary)
     interval: float = 5.0
-    #: grow the encode pool when interval p95 wait exceeds this
-    encode_wait_high: float = 0.5
-    #: shrink it when interval p95 wait falls below this
-    encode_wait_low: float = 0.01
-    min_encode_workers: int = 1
-    max_encode_workers: int = 64
-    #: an edge is saturated when its unfinished-session load exceeds
-    #: ``saturation_factor`` x the mean over live edges (and >= 2)
-    saturation_factor: float = 2.0
-    #: cap on re-steered sessions per tick (avoid thundering herds)
-    max_resteers_per_tick: int = 8
     #: graceful degradation: while any fault domain is fully dark, cap
     #: every new decision's density at this value (None disables the
     #: lever).  Lifted at the first tick with no dark region.
@@ -101,33 +114,11 @@ class ControlPolicy:
     disable_sr_when_dark: bool = False
 
     def __post_init__(self) -> None:
-        # chained so NaN fails them (every comparison with NaN is false);
-        # an ``inf`` threshold is legal — it switches its lever off
+        # chained so NaN fails it (every comparison with NaN is false)
         if not 0 < self.interval < math.inf:
             raise ValueError(
                 f"interval must be finite and positive, got {self.interval!r}"
             )
-        if not 0 <= self.encode_wait_high <= math.inf:
-            raise ValueError(
-                "encode_wait_high must be non-negative, got "
-                f"{self.encode_wait_high!r}"
-            )
-        if not 0 <= self.encode_wait_low <= self.encode_wait_high:
-            raise ValueError(
-                "encode_wait_low must be non-negative and not exceed "
-                f"encode_wait_high, got {self.encode_wait_low!r} "
-                f"(encode_wait_high {self.encode_wait_high!r})"
-            )
-        _check_count("min_encode_workers", self.min_encode_workers, 1)
-        _check_count(
-            "max_encode_workers", self.max_encode_workers, self.min_encode_workers
-        )
-        if not 1.0 < self.saturation_factor <= math.inf:
-            raise ValueError(
-                f"saturation_factor must exceed 1.0, got "
-                f"{self.saturation_factor!r}"
-            )
-        _check_count("max_resteers_per_tick", self.max_resteers_per_tick, 0)
         if self.quality_cap_when_dark is not None and not (
             0.0 < self.quality_cap_when_dark <= 1.0
         ):
@@ -221,18 +212,18 @@ class ControlPlane:
         if view.encode_waits:
             p95 = wait_percentile(list(view.encode_waits), 95.0)
             if (
-                p95 > pol.encode_wait_high
-                and view.encode_workers < pol.max_encode_workers
+                p95 > ENCODE_WAIT_HIGH
+                and view.encode_workers < MAX_ENCODE_WORKERS
             ):
                 actions.encode_workers = min(
-                    pol.max_encode_workers, view.encode_workers * 2
+                    MAX_ENCODE_WORKERS, view.encode_workers * 2
                 )
             elif (
-                p95 < pol.encode_wait_low
-                and view.encode_workers > pol.min_encode_workers
+                p95 < ENCODE_WAIT_LOW
+                and view.encode_workers > MIN_ENCODE_WORKERS
             ):
                 actions.encode_workers = max(
-                    pol.min_encode_workers, view.encode_workers // 2
+                    MIN_ENCODE_WORKERS, view.encode_workers // 2
                 )
             if actions.encode_workers is not None:
                 tracer.emit(
@@ -245,23 +236,17 @@ class ControlPlane:
         live = [
             e for e in range(len(view.edge_load)) if not view.edge_down[e]
         ]
-        if len(live) >= 2 and pol.max_resteers_per_tick > 0:
+        if len(live) >= 2:
             load = list(view.edge_load)
             mean_load = sum(load[e] for e in live) / len(live)
-            factor = pol.saturation_factor
 
             def saturated(x: int) -> bool:
-                # Exactly as ControlPolicy documents: load exceeds
-                # saturation_factor x the live mean *and* is >= 2 (the
-                # floor keeps near-empty edges from thrashing; it is a
-                # lower bound on saturation, not a second multiplier).
-                return (
-                    not math.isinf(factor)
-                    and x >= 2
-                    and x > factor * mean_load
-                )
+                # Load exceeds SATURATION_FACTOR x the live mean *and* is
+                # >= 2 (the floor keeps near-empty edges from thrashing; it
+                # is a lower bound on saturation, not a second multiplier).
+                return x >= 2 and x > SATURATION_FACTOR * mean_load
 
-            budget = pol.max_resteers_per_tick
+            budget = MAX_RESTEERS_PER_TICK
             for e in live:
                 if budget <= 0 or not saturated(load[e]):
                     continue
@@ -329,33 +314,17 @@ class QoEArrivalAutoscaler:
     hook (a deterministic ``day -> multiplier`` callable).  During a
     fleet run the control plane feeds it per-interval health samples;
     each completed day folds its mean health into the *next* day's
-    multiplier — below ``target_health`` the offered load is scaled
-    down by ``step``, at or above it the multiplier relaxes back toward
-    1.0.  The closed loop across days: simulate day *d*, let the
+    multiplier — below ``AUTOSCALE_TARGET_HEALTH`` the offered load is
+    scaled down by ``AUTOSCALE_STEP``, at or above it the multiplier
+    relaxes back toward 1.0.  The closed loop across days: simulate day *d*, let the
     autoscaler set day *d+1*'s arrival scale, rebuild the population
     with the hook, repeat.
     """
 
-    def __init__(
-        self,
-        day_seconds: float,
-        *,
-        target_health: float = 0.5,
-        step: float = 0.25,
-        min_scale: float = 0.25,
-        max_scale: float = 1.0,
-    ) -> None:
+    def __init__(self, day_seconds: float) -> None:
         if day_seconds <= 0:
             raise ValueError("day_seconds must be positive")
-        if not 0.0 < step < 1.0:
-            raise ValueError(f"step must be in (0, 1), got {step!r}")
-        if not 0.0 < min_scale <= max_scale:
-            raise ValueError("need 0 < min_scale <= max_scale")
         self.day_seconds = float(day_seconds)
-        self.target_health = float(target_health)
-        self.step = float(step)
-        self.min_scale = float(min_scale)
-        self.max_scale = float(max_scale)
         self._scales: dict[int, float] = {}
         #: per-day (health sum, sample count) accumulators
         self._acc: dict[int, tuple[float, int]] = {}
@@ -395,10 +364,10 @@ class QoEArrivalAutoscaler:
             return
         mean = total / count
         current = self._scales.get(day, 1.0)
-        if mean < self.target_health:
-            scale = max(self.min_scale, current * (1.0 - self.step))
+        if mean < AUTOSCALE_TARGET_HEALTH:
+            scale = max(AUTOSCALE_MIN_SCALE, current * (1.0 - AUTOSCALE_STEP))
         else:
-            scale = min(self.max_scale, current * (1.0 + self.step))
+            scale = min(AUTOSCALE_MAX_SCALE, current * (1.0 + AUTOSCALE_STEP))
         self._scales[day + 1] = scale
 
 
@@ -410,18 +379,15 @@ class RecoveryTracker:
     the interval).  The tracker splits samples at the first fault onset:
     the pre-fault mean is the baseline, the post-onset minimum gives the
     **dip depth**, and the first sample at or after that minimum that
-    climbs back within ``tolerance`` of the baseline dates the
+    climbs back within ``RECOVERY_TOLERANCE`` of the baseline dates the
     **time to recover** (``math.inf`` if the run ends still degraded,
     ``0.0`` if health never left the tolerance band).
     """
 
-    def __init__(self, fault_start: float, *, tolerance: float = 0.1) -> None:
+    def __init__(self, fault_start: float) -> None:
         if fault_start < 0:
             raise ValueError("fault_start must be non-negative")
-        if tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
         self.fault_start = float(fault_start)
-        self.tolerance = float(tolerance)
         self.samples: list[tuple[float, float]] = []
 
     def sample(self, now: float, health: float) -> None:
@@ -455,8 +421,8 @@ class RecoveryTracker:
         baseline = self.baseline
         floor = min(h for _, h in post)
         dip = max(0.0, baseline - floor)
-        threshold = baseline - self.tolerance
-        if dip <= self.tolerance:
+        threshold = baseline - RECOVERY_TOLERANCE
+        if dip <= RECOVERY_TOLERANCE:
             return dip, 0.0
         low_at = next(t for t, h in post if h == floor)
         for t, h in post:

@@ -72,6 +72,7 @@ from ..obs.events import (
     EV_FAULT_OUTAGE,
     EV_FAULT_REGION_OUTAGE,
 )
+from .cdn import _check_count
 from .chunks import VideoSpec
 from .simulator import FleetSession
 
@@ -98,8 +99,7 @@ class EdgeOutage:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.edge < 0:
-            raise ValueError(f"edge index must be >= 0, got {self.edge}")
+        _check_count("edge", self.edge, 0)
         if self.start < 0:
             raise ValueError(f"start must be non-negative, got {self.start!r}")
         if not self.duration > 0:
@@ -156,8 +156,8 @@ class GrayFailure:
       it during the window is dropped.  A dropped request is modeled as
       its own retransmit: the transfer starts ``drop_delay_s`` late and
       the attempt counts in the report's retry fields.  The drop draw
-      hashes ``(seed, edge, session, request instant)`` so any replay
-      agrees request by request.
+      hashes ``(edge, session, request instant)`` so any replay agrees
+      request by request.
 
     ``capacity_factor`` must be in ``(0, 1]`` (use
     :class:`EdgeOutage` / :class:`RegionOutage` for a total loss).
@@ -169,11 +169,9 @@ class GrayFailure:
     capacity_factor: float = 0.5
     drop_fraction: float = 0.0
     drop_delay_s: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.edge < 0:
-            raise ValueError(f"edge index must be >= 0, got {self.edge}")
+        _check_count("edge", self.edge, 0)
         if self.start < 0:
             raise ValueError(f"start must be non-negative, got {self.start!r}")
         if not self.duration > 0:
@@ -208,7 +206,7 @@ class GrayFailure:
         if self.drop_fraction >= 1.0:
             return True
         digest = zlib.crc32(
-            f"gray:{self.seed}:{self.edge}:{sid}:{t!r}".encode("utf-8")
+            f"gray:0:{self.edge}:{sid}:{t!r}".encode("utf-8")
         )
         return (digest % (1 << 20)) / float(1 << 20) < self.drop_fraction
 
@@ -230,8 +228,7 @@ class BackhaulDegradation:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.edge < 0:
-            raise ValueError(f"edge index must be >= 0, got {self.edge}")
+        _check_count("edge", self.edge, 0)
         if self.start < 0:
             raise ValueError(f"start must be non-negative, got {self.start!r}")
         if not self.duration > 0:
@@ -679,27 +676,23 @@ class FaultSchedule:
                 times.add(ev.end)
         return sorted(times)
 
-    def expand_population(
-        self, sessions: list[FleetSession], template: FleetSession | None = None
-    ) -> list[FleetSession]:
-        """``sessions`` plus every flash crowd's viewers (new list).
+    def expand_population(self, sessions: list[FleetSession]) -> list[FleetSession]:
+        """``sessions`` plus every flash crowd's viewers, each a clone of
+        the first session (new list).
 
-        ``template`` defaults to the first session.  Call this before
-        handing the fleet to ``simulate_fleet``, which does not create
-        sessions itself.
+        Call this before handing the fleet to ``simulate_fleet``, which
+        does not create sessions itself.
         """
         out = list(sessions)
         if not self.crowds:
             return out
-        if template is None:
-            if not sessions:
-                raise ValueError(
-                    "expand_population needs a template session for flash "
-                    "crowds (got an empty session list and no template)"
-                )
-            template = sessions[0]
+        if not sessions:
+            raise ValueError(
+                "expand_population needs a template session for flash "
+                "crowds (got an empty session list)"
+            )
         for crowd in self.crowds:
-            out.extend(flash_crowd_sessions(crowd, template))
+            out.extend(flash_crowd_sessions(crowd, sessions[0]))
         return out
 
 

@@ -109,6 +109,10 @@ _CHARGE_COALESCED = 2
 #: orders of magnitude of margin and still trips in well under a second.
 _MAX_STALLED_STEPS = 1000
 
+#: finished SR results an :class:`SRResultCache` keeps (least recently
+#: used out first)
+SR_CACHE_CAPACITY = 4096
+
 
 class SRResultCache:
     """LRU cache of finished SR computations, shared across sessions.
@@ -121,10 +125,7 @@ class SRResultCache:
     deterministic model; hits then cost zero SR time).
     """
 
-    def __init__(self, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
+    def __init__(self):
         self._entries: OrderedDict[tuple, float] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -147,7 +148,7 @@ class SRResultCache:
         if ready is None or done < ready:
             self._entries[key] = done
         self._entries.move_to_end(key)
-        if len(self._entries) > self.capacity:
+        if len(self._entries) > SR_CACHE_CAPACITY:
             self._entries.popitem(last=False)
         return cost
 
@@ -234,7 +235,7 @@ class FleetReport:
     region_recovery: tuple[tuple[str, float, float], ...] = ()
     #: origin transcode core-seconds actually occupied (encode-queue busy
     #: time summed over jobs) — what
-    #: :meth:`~repro.streaming.cost.CostModel.price` bills as compute
+    #: :func:`~repro.streaming.cost.price` bills as compute
     encode_core_seconds: float = 0.0
 
 

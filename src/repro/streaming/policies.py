@@ -2,8 +2,8 @@
 
 Every controller is an :class:`~repro.streaming.abr.AbrController` —
 ``decide`` / ``decide_batch``, the contract the fleet driver programs
-against.  This module adds a string-keyed registry so experiments and
-CLIs resolve controllers by name (``get_policy("bola")``), and fills
+against.  This module adds a string-keyed registry (a dict literal) so
+experiments and CLIs resolve controllers by name (``get_policy("bola")``), and fills
 out the zoo with the classic non-MPC control families:
 
 * :class:`BolaController` — BOLA-style Lyapunov utility over buffer
@@ -11,7 +11,8 @@ out the zoo with the classic non-MPC control families:
   ``(V·(u_c + γp) − buffer) / size_c``;
 * :class:`ThroughputRuleController` — the rate rule: largest candidate
   whose chunk downloads within one chunk duration at the (safety-
-  discounted) harmonic-mean throughput estimate.  The estimate arrives
+  discounted, :data:`~repro.streaming.abr.SAFETY`) harmonic-mean
+  throughput estimate.  The estimate arrives
   as ``ctx.throughput_bps``, produced by the session pipeline's
   :class:`~repro.net.estimator.HarmonicMeanEstimator` — the controller
   itself stays stateless so batch order cannot perturb decisions;
@@ -37,6 +38,8 @@ import numpy as np
 
 from ..metrics.qoe import QoEModel
 from .abr import (
+    MIN_DENSITY,
+    SAFETY,
     AbrContext,
     AbrController,
     BufferBased,
@@ -52,10 +55,18 @@ __all__ = [
     "BolaController",
     "ThroughputRuleController",
     "HybridController",
-    "register_policy",
     "get_policy",
     "available_policies",
 ]
+
+#: :class:`BolaController`'s buffer level (seconds) at which the argmax
+#: reaches the densest candidate, and its utility offset ``γp``
+BOLA_BUFFER_TARGET = 6.0
+BOLA_GAMMA_P = 5.0
+
+#: :class:`HybridController` clamps BOLA to the rate rule below this
+#: buffer level (seconds)
+HYBRID_GATE_BUFFER = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -73,26 +84,15 @@ class _GridPolicy(AbrController):
     :meth:`_indices`.
     """
 
-    def __init__(
-        self,
-        quality_model: SRQualityModel,
-        min_density: float = 1.0 / 8.0,
-        n_grid: int = 16,
-        fetch_fraction: float = 1.0,
-    ):
-        if not 0 < min_density < 1:
-            raise ValueError("min_density must be in (0, 1)")
+    def __init__(self, quality_model: SRQualityModel, n_grid: int = 16):
         if n_grid < 2:
             raise ValueError("n_grid must be >= 2")
-        if not 0.0 < fetch_fraction <= 1.0:
-            raise ValueError("fetch_fraction must be in (0, 1]")
         self.quality_model = quality_model
-        self.candidates = np.geomspace(min_density, 1.0, n_grid)
+        self.candidates = np.geomspace(MIN_DENSITY, 1.0, n_grid)
         self._sr_ratios = quality_model.sr_ratios_for(self.candidates)
         self._qualities = quality_model.qualities(
             self.candidates, self._sr_ratios
         )
-        self.fetch_fraction = float(fetch_fraction)
         #: chunk -> fetched bits per candidate.  Keyed by the frozen,
         #: value-hashed spec itself: an ``id()`` key outlives its chunk and
         #: is handed to the next object allocated at that address.
@@ -101,11 +101,7 @@ class _GridPolicy(AbrController):
     def _chunk_bits(self, chunk: ChunkSpec) -> np.ndarray:
         bits = self._bits_cache.get(chunk)
         if bits is None:
-            bits = (
-                chunk.bytes_at_densities(self.candidates)
-                * self.fetch_fraction
-                * 8.0
-            )
+            bits = chunk.bytes_at_densities(self.candidates) * 8.0
             self._bits_cache[chunk] = bits
         return bits
 
@@ -169,33 +165,19 @@ class BolaController(_GridPolicy):
     Candidate ``c`` scores ``(V·(u_c + γp) − buffer) / size_c`` with
     utilities ``u_c = ln(q_c / q_min)`` from the SR-quality model and
     ``V`` derived so the scores cross zero — and the argmax reaches the
-    densest candidate — as the buffer approaches ``buffer_target``
-    (``V = buffer_target / (u_max + γp)``).  Below target the rule
+    densest candidate — as the buffer approaches ``BOLA_BUFFER_TARGET``
+    (``V = BOLA_BUFFER_TARGET / (u_max + γp)``, ``γp = BOLA_GAMMA_P``).  Below target the rule
     favors small chunks (build buffer); at/above target the least
     negative score divided by the largest size wins (spend buffer on
     quality).  Purely buffer-driven: the throughput estimate is ignored.
     """
 
-    def __init__(
-        self,
-        quality_model: SRQualityModel,
-        min_density: float = 1.0 / 8.0,
-        n_grid: int = 16,
-        buffer_target: float = 6.0,
-        gamma_p: float = 5.0,
-        fetch_fraction: float = 1.0,
-    ):
-        super().__init__(quality_model, min_density, n_grid, fetch_fraction)
-        if buffer_target <= 0:
-            raise ValueError("buffer_target must be positive")
-        if gamma_p <= 0:
-            raise ValueError("gamma_p must be positive")
-        self.buffer_target = float(buffer_target)
-        self.gamma_p = float(gamma_p)
+    def __init__(self, quality_model: SRQualityModel, n_grid: int = 16):
+        super().__init__(quality_model, n_grid)
         u = np.log(self._qualities) - np.log(self._qualities[0])
-        self.lyapunov_v = self.buffer_target / (float(u[-1]) + self.gamma_p)
+        self.lyapunov_v = BOLA_BUFFER_TARGET / (float(u[-1]) + BOLA_GAMMA_P)
         #: ``V·(u_c + γp)`` — the only per-candidate constant the score needs
-        self._vu = self.lyapunov_v * (u + self.gamma_p)
+        self._vu = self.lyapunov_v * (u + BOLA_GAMMA_P)
 
     def _indices(self, tput, buf, chunk) -> np.ndarray:
         return _bola_indices(self._vu, buf, self._chunk_bits(chunk))
@@ -204,7 +186,7 @@ class BolaController(_GridPolicy):
 class ThroughputRuleController(_GridPolicy):
     """Rate rule: densest candidate sustainable at the estimated rate.
 
-    Feasibility is ``size_bits ≤ throughput · safety · chunk_duration``
+    Feasibility is ``size_bits ≤ throughput · SAFETY · chunk_duration``
     — the chunk must download within its own playback duration at the
     safety-discounted estimate.  The estimate is the harmonic mean the
     session pipeline maintains (:class:`~repro.net.estimator.
@@ -215,29 +197,16 @@ class ThroughputRuleController(_GridPolicy):
     progress to re-estimate).
     """
 
-    def __init__(
-        self,
-        quality_model: SRQualityModel,
-        min_density: float = 1.0 / 8.0,
-        n_grid: int = 16,
-        safety: float = 0.9,
-        fetch_fraction: float = 1.0,
-    ):
-        super().__init__(quality_model, min_density, n_grid, fetch_fraction)
-        if not 0 < safety <= 1:
-            raise ValueError("safety must be in (0, 1]")
-        self.safety = float(safety)
-
     def _indices(self, tput, buf, chunk) -> np.ndarray:
         return _rate_indices(
-            self._chunk_bits(chunk), tput * self.safety * chunk.duration
+            self._chunk_bits(chunk), tput * SAFETY * chunk.duration
         )
 
 
 class HybridController(BolaController):
     """Throughput-gated BOLA: rate-capped while the buffer is thin.
 
-    Runs BOLA's score argmax, but while ``buffer < gate_buffer`` clamps
+    Runs BOLA's score argmax, but while ``buffer < HYBRID_GATE_BUFFER`` clamps
     the pick to the throughput rule's largest-feasible candidate
     (``min`` of the two indices on the shared ascending grid).  Once
     the buffer clears the gate, pure BOLA steady-state takes over —
@@ -245,58 +214,28 @@ class HybridController(BolaController):
     its buffer-driven stability.
     """
 
-    def __init__(
-        self,
-        quality_model: SRQualityModel,
-        min_density: float = 1.0 / 8.0,
-        n_grid: int = 16,
-        buffer_target: float = 6.0,
-        gamma_p: float = 5.0,
-        safety: float = 0.9,
-        gate_buffer: float = 2.0,
-        fetch_fraction: float = 1.0,
-    ):
-        super().__init__(
-            quality_model, min_density, n_grid, buffer_target, gamma_p,
-            fetch_fraction,
-        )
-        if not 0 < safety <= 1:
-            raise ValueError("safety must be in (0, 1]")
-        if gate_buffer < 0:
-            raise ValueError("gate_buffer must be non-negative")
-        self.safety = float(safety)
-        self.gate_buffer = float(gate_buffer)
-
     def _indices(self, tput, buf, chunk) -> np.ndarray:
         bits = self._chunk_bits(chunk)
         bidx = _bola_indices(self._vu, buf, bits)
-        tidx = _rate_indices(bits, tput * self.safety * chunk.duration)
-        return np.where(buf >= self.gate_buffer, bidx, np.minimum(bidx, tidx))
+        tidx = _rate_indices(bits, tput * SAFETY * chunk.duration)
+        return np.where(buf >= HYBRID_GATE_BUFFER, bidx, np.minimum(bidx, tidx))
 
 
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
 
-_REGISTRY: dict[str, Callable] = {}
-
-
-def register_policy(name: str, factory: Callable, *, replace: bool = False):
-    """Register ``factory`` (usually a controller class) under ``name``.
-
-    ``get_policy(name, ...)`` will call it with whichever of the base
-    models (``quality_model`` / ``qoe_model`` / ``sr_latency``) and
-    extra kwargs its signature accepts.  Re-registering an existing
-    name requires ``replace=True`` — silent shadowing hides typos.
-    """
-    if not name:
-        raise ValueError("policy name must be non-empty")
-    if not replace and name in _REGISTRY:
-        raise ValueError(
-            f"policy {name!r} is already registered (pass replace=True "
-            "to override)"
-        )
-    _REGISTRY[name] = factory
+#: policy name -> factory; :func:`get_policy` calls it with whichever of
+#: the base models (``quality_model`` / ``qoe_model`` / ``sr_latency``)
+#: and extra keywords its signature accepts
+_REGISTRY: dict[str, Callable] = {
+    "continuous-mpc": ContinuousMPC,
+    "discrete-mpc": DiscreteMPC,
+    "bola": BolaController,
+    "throughput": ThroughputRuleController,
+    "hybrid": HybridController,
+    "buffer-linear": BufferBased,
+}
 
 
 def available_policies() -> list[str]:
@@ -355,11 +294,3 @@ def get_policy(
         **kwargs,
     }
     return factory(**{k: v for k, v in offered.items() if accepts(k)})
-
-
-register_policy("continuous-mpc", ContinuousMPC)
-register_policy("discrete-mpc", DiscreteMPC)
-register_policy("bola", BolaController)
-register_policy("throughput", ThroughputRuleController)
-register_policy("hybrid", HybridController)
-register_policy("buffer-linear", BufferBased)

@@ -32,11 +32,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ..metrics.qoe import QoEWeights
 from .abr import AbrController, SRQualityModel
 from .chunks import VideoSpec
 from .latency import SRLatency, ZERO_LATENCY
-from .simulator import AbandonPolicy, FleetSession, SessionConfig
+from .simulator import AbandonPolicy, FleetSession
 
 __all__ = [
     "PoissonArrivals",
@@ -84,35 +83,34 @@ class PoissonArrivals:
 
 
 #: A typical service's 24-hour load shape: overnight trough, daytime ramp,
-#: prime-time evening peak.  :class:`DiurnalArrivals` normalizes the curve
-#: to mean 1.0, so only the *shape* matters here.
-DEFAULT_DIURNAL_CURVE: tuple[float, ...] = (
+#: prime-time evening peak, hour 0 at ``t = 0``.  :class:`DiurnalArrivals`
+#: normalizes the curve to mean 1.0, so only the *shape* matters here.
+DIURNAL_CURVE: tuple[float, ...] = (
     0.35, 0.25, 0.20, 0.18, 0.18, 0.22,  # 00–06: overnight trough
     0.35, 0.55, 0.75, 0.90, 1.00, 1.10,  # 06–12: morning ramp
     1.15, 1.10, 1.05, 1.05, 1.10, 1.25,  # 12–18: daytime plateau
     1.60, 2.05, 2.30, 2.10, 1.50, 0.82,  # 18–24: prime-time peak
 )
+_CURVE_MEAN = sum(DIURNAL_CURVE) / len(DIURNAL_CURVE)
 
 
 @dataclass(frozen=True)
 class DiurnalArrivals:
     """Nonhomogeneous Poisson arrivals over a 24-hour rate curve.
 
-    The instantaneous rate follows ``curve[hour(t)]``, a piecewise-
+    The instantaneous rate follows ``DIURNAL_CURVE[hour(t)]``, a piecewise-
     constant daily load shape (wrapping past 24 h), normalized to mean
     1.0 and scaled by ``mean_rate_hz`` — so ``mean_rate_hz`` is the true
-    daily mean arrival rate whatever the factors' absolute scale, and a
-    diurnal run offers the same expected load as a
-    :class:`PoissonArrivals` run at the same rate.  Samples are drawn by
-    **thinning** (Lewis & Shedler): candidates arrive as a homogeneous
-    Poisson process at the curve's peak rate and are kept with
-    probability ``rate(t) / peak_rate`` — exact for any bounded rate
+    daily mean arrival rate, and a diurnal run offers the same expected
+    load as a :class:`PoissonArrivals` run at the same rate.  Samples are
+    drawn by **thinning** (Lewis & Shedler): candidates arrive as a
+    homogeneous Poisson process at the curve's peak rate and are kept
+    with probability ``rate(t) / peak_rate`` — exact for any bounded rate
     function, and deterministic given the seed.
 
     ``day_seconds`` rescales the curve's period so short simulation
     windows can sweep a whole virtual day: with ``day_seconds=240`` the
-    prime-time peak lands 200 s into a 240 s window.  ``phase_hours``
-    sets the hour of virtual midnight at ``t=0``.
+    prime-time peak lands 200 s into a 240 s window.
 
     ``days`` extends the process over several virtual days: it is the
     default :meth:`times` window (``days * day_seconds``), the span
@@ -127,36 +125,15 @@ class DiurnalArrivals:
     """
 
     mean_rate_hz: float
-    curve: tuple[float, ...] = DEFAULT_DIURNAL_CURVE
     day_seconds: float = 86_400.0
-    phase_hours: float = 0.0
     seed: int = 0
     days: float = 1.0
     autoscale: "Callable[[int], float] | None" = None
 
     def __post_init__(self) -> None:
         _require_finite_positive("DiurnalArrivals.mean_rate_hz", self.mean_rate_hz)
-        if len(self.curve) != 24:
-            raise ValueError(
-                f"DiurnalArrivals.curve needs 24 hourly factors, got "
-                f"{len(self.curve)}"
-            )
-        if not all(0 <= f < math.inf for f in self.curve) or max(self.curve) <= 0:
-            raise ValueError(
-                "DiurnalArrivals.curve factors must be finite and non-negative "
-                f"with at least one positive hour, got {self.curve!r}"
-            )
         _require_finite_positive("DiurnalArrivals.day_seconds", self.day_seconds)
         _require_finite_positive("DiurnalArrivals.days", self.days)
-        if not math.isfinite(self.phase_hours):
-            raise ValueError(
-                f"DiurnalArrivals.phase_hours must be finite, got "
-                f"{self.phase_hours!r}"
-            )
-
-    @cached_property
-    def _curve_mean(self) -> float:
-        return sum(self.curve) / len(self.curve)
 
     @property
     def span_seconds(self) -> float:
@@ -178,13 +155,11 @@ class DiurnalArrivals:
         """Instantaneous arrival rate (joins/s) at virtual time ``t``."""
         if t < 0:
             raise ValueError("time must be non-negative")
-        hours = (t / self.day_seconds * 24.0 + self.phase_hours) % 24.0
-        # Float modulo can return exactly 24.0 for tiny negative
-        # dividends ((-1e-18) % 24.0 == 24.0); wrap the index too.
+        hours = t / self.day_seconds * 24.0 % 24.0
         return (
             self.mean_rate_hz
-            * self.curve[int(hours) % 24]
-            / self._curve_mean
+            * DIURNAL_CURVE[int(hours)]
+            / _CURVE_MEAN
             * self._day_scale(int(t // self.day_seconds))
         )
 
@@ -198,11 +173,11 @@ class DiurnalArrivals:
         expression order exactly, so interior candidates are thinned
         bit-identically.
         """
-        hours = (t / self.day_seconds * 24.0 + self.phase_hours) % 24.0
+        hours = t / self.day_seconds * 24.0 % 24.0
         return (
             self.mean_rate_hz
-            * self.curve[int(hours) % 24]
-            / self._curve_mean
+            * DIURNAL_CURVE[int(hours)]
+            / _CURVE_MEAN
             * self._day_scale(day)
         )
 
@@ -221,7 +196,7 @@ class DiurnalArrivals:
             window = self.span_seconds
         _require_finite_positive("window", window)
         rng = np.random.default_rng(self.seed)
-        base_peak = self.mean_rate_hz * max(self.curve) / self._curve_mean
+        base_peak = self.mean_rate_hz * max(DIURNAL_CURVE) / _CURVE_MEAN
         out: list[float] = []
         if self.autoscale is None:
             t = 0.0
@@ -324,19 +299,18 @@ def synthetic_catalog(
     n_videos: int,
     *,
     seconds: int = 10,
-    fps: int = 30,
     points_per_frame: int = 100_000,
     skew: float = 1.0,
-    name_prefix: str = "video",
 ) -> ContentCatalog:
-    """A catalog of ``n_videos`` identical-shape videos with Zipf ``skew``."""
+    """A catalog of ``n_videos`` identical-shape 30 fps videos with Zipf
+    ``skew``."""
     if n_videos <= 0:
         raise ValueError(f"n_videos must be positive, got {n_videos!r}")
     videos = tuple(
         VideoSpec(
-            name=f"{name_prefix}-{i:03d}",
-            n_frames=seconds * fps,
-            fps=fps,
+            name=f"video-{i:03d}",
+            n_frames=seconds * 30,
+            fps=30,
             points_per_frame=points_per_frame,
         )
         for i in range(n_videos)
@@ -352,8 +326,6 @@ def build_population(
     *,
     sr_latency: SRLatency = ZERO_LATENCY,
     quality_model: SRQualityModel | None = None,
-    config: SessionConfig | None = None,
-    qoe_weights: QoEWeights | None = None,
     churn: AbandonPolicy | None = None,
     seed: int = 0,
     max_sessions: int | None = None,
@@ -386,8 +358,6 @@ def build_population(
             controller=controller,
             sr_latency=sr_latency,
             quality_model=quality_model,
-            config=config,
-            qoe_weights=qoe_weights,
             join_time=float(t),
             churn=churn,
         )

@@ -65,17 +65,21 @@ __all__ = [
     "simulate_session",
 ]
 
+#: seconds of content buffered before playback starts
+STARTUP_BUFFER = 1.0
+#: playback-buffer capacity in seconds: the next request waits for headroom
+MAX_BUFFER = 10.0
+#: the throughput estimate is the harmonic mean of this many last samples,
+#: seeded with the initial estimate
+ESTIMATOR_WINDOW = 5
+INITIAL_THROUGHPUT_BPS = 20e6
+
 
 @dataclass
 class SessionConfig:
     """Streaming-session knobs."""
 
     chunk_seconds: float = 1.0
-    startup_buffer: float = 1.0
-    max_buffer: float = 10.0
-    horizon: int = 5
-    estimator_window: int = 5
-    initial_throughput_bps: float = 20e6
     #: bytes downloaded before playback (SR models, manifests) — YuZu's
     #: model downloads are charged here (paper §7.4 data-usage definition)
     startup_bytes: int = 0
@@ -160,14 +164,12 @@ class AbandonPolicy:
     """Viewer patience: when does a session abandon on rebuffering?
 
     The viewer churns out as soon as cumulative rebuffering exceeds
-    ``max_total_stall`` seconds, or any single rebuffering event exceeds
-    ``max_single_stall`` seconds.  Checked after each chunk is played out,
+    ``max_total_stall`` seconds.  Checked after each chunk is played out,
     so an abandoning session still accounts for the chunk that broke its
     patience.
     """
 
     max_total_stall: float = 10.0
-    max_single_stall: float = math.inf
 
     def __post_init__(self) -> None:
         # ``not x > 0`` so NaN fails it: ``total > nan`` is always false,
@@ -177,17 +179,9 @@ class AbandonPolicy:
                 "AbandonPolicy.max_total_stall must be positive, got "
                 f"{self.max_total_stall!r}"
             )
-        if not self.max_single_stall > 0:
-            raise ValueError(
-                "AbandonPolicy.max_single_stall must be positive, got "
-                f"{self.max_single_stall!r}"
-            )
 
-    def should_abandon(self, total_stall: float, last_stall: float) -> bool:
-        return (
-            total_stall > self.max_total_stall
-            or last_stall > self.max_single_stall
-        )
+    def should_abandon(self, total_stall: float) -> bool:
+        return total_stall > self.max_total_stall
 
 
 @dataclass
@@ -298,11 +292,9 @@ class SessionMachine:
         cfg = self.config
         qm = self.quality_model
         est = HarmonicMeanEstimator(
-            window=cfg.estimator_window, initial_bps=cfg.initial_throughput_bps
+            window=ESTIMATOR_WINDOW, initial_bps=INITIAL_THROUGHPUT_BPS
         )
-        buf = PlaybackBuffer(
-            startup_threshold=cfg.startup_buffer, max_level=cfg.max_buffer
-        )
+        buf = PlaybackBuffer(startup_threshold=STARTUP_BUFFER, max_level=MAX_BUFFER)
         chunks = self.spec.chunks(cfg.chunk_seconds)
         records: list[ChunkRecord] = []
         decisions: list[float] = []
@@ -332,18 +324,19 @@ class SessionMachine:
         for i, chunk in enumerate(chunks):
             # Respect buffer headroom: delay the request until the chunk fits.
             advance_buffer(t_net)
-            overflow = (buf.level + pending + chunk.duration) - cfg.max_buffer
+            overflow = (buf.level + pending + chunk.duration) - MAX_BUFFER
             if overflow > 0 and buf.playing:
                 # The buffer drains in real time, so waiting `overflow` seconds
                 # frees exactly that much headroom (no stall risk: buffer full).
                 t_net += overflow
                 advance_buffer(t_net)
 
+            # every remaining chunk: each controller plans over its own horizon
             ctx = AbrContext(
                 throughput_bps=est.estimate(),
                 buffer_level=buf.level + pending,
                 prev_quality=prev_quality,
-                next_chunks=chunks[i : i + cfg.horizon],
+                next_chunks=chunks[i:],
             )
             decision = yield DecisionRequest(ctx)
             assert isinstance(decision, Decision)
@@ -394,9 +387,7 @@ class SessionMachine:
             prev_quality = q
             watched_seconds += chunk.duration
             total_stall += stall
-            if self.churn is not None and self.churn.should_abandon(
-                total_stall, stall
-            ):
+            if self.churn is not None and self.churn.should_abandon(total_stall):
                 abandoned = True
                 break
 

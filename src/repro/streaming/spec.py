@@ -8,7 +8,7 @@ live here and nowhere else.  There is one serving model: ``topology``
 is required, and a bare bottleneck link is the one-edge CDN
 :func:`~repro.streaming.cdn.single_link_cdn` builds.  Every field
 configures the run; pricing a finished run is not one of them —
-:meth:`~repro.streaming.cost.CostModel.price` takes the result.
+:func:`~repro.streaming.cost.price` takes the result.
 
 A run owns what it mutates: it builds its links, caches, encode queue
 and SR caches from what the spec describes and writes to nothing the

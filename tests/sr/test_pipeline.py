@@ -194,11 +194,6 @@ class TestGradPU:
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.colors, want.colors)
 
-    def test_zero_step_size_moves_nothing(self, tiny_frame, trained_artifacts):
-        still = self.gradpu(trained_artifacts, n_steps=4, step_size=0.0).upsample(tiny_frame, 2.0)
-        none = self.gradpu(trained_artifacts, n_steps=0).upsample(tiny_frame, 2.0)
-        assert np.array_equal(still.cloud.positions, none.cloud.positions)
-
     def test_refinement_moves_only_new_points(self, tiny_frame, trained_artifacts):
         out = self.gradpu(trained_artifacts, n_steps=2).upsample(tiny_frame, 2.0).cloud
         plain = self.gradpu(trained_artifacts, n_steps=0).upsample(tiny_frame, 2.0).cloud
@@ -246,10 +241,10 @@ class TestYuzu:
     def test_ratio_is_an_integer_not_truncated(self, ratio):
         """A fractional ratio used to build the model of its floor."""
         with pytest.raises(ValueError, match=r"^ratio must be an integer >= 2, got "):
-            YuzuSRModel(ratio=ratio, hidden=(8,))
+            YuzuSRModel(ratio=ratio)
 
     def test_numpy_integer_ratio_is_accepted(self):
-        model = YuzuSRModel(ratio=np.int64(3), hidden=(8,))
+        model = YuzuSRModel(ratio=np.int64(3))
         assert model.ratio == 3 and type(model.ratio) is int
 
     def test_model_bytes_positive(self):
@@ -258,7 +253,7 @@ class TestYuzu:
 
     @pytest.mark.parametrize("ratio", YUZU_RATIOS)
     def test_each_ratio_gives_ratio_children_per_point(self, tiny_frame, ratio):
-        model = YuzuSRModel(ratio=ratio, hidden=(16,), seed=0)
+        model = YuzuSRModel(ratio=ratio, seed=0)
         out = model.upsample(tiny_frame).cloud
         assert len(out) == ratio * len(tiny_frame)
         # Children are grouped per source point and carry its color.
@@ -268,31 +263,31 @@ class TestYuzu:
     def test_children_stay_within_the_neighbourhood_radius(self, tiny_frame):
         """The tanh head bounds each offset coordinate by 1 in the
         normalized frame, so a child is at most √3 radii from its parent."""
-        model = YuzuSRModel(ratio=4, hidden=(16,), seed=2)
+        model = YuzuSRModel(ratio=4, seed=2)
         enc = model.encoder.encode(*model._neighborhoods(tiny_frame))
         out = model.upsample(tiny_frame).cloud.positions.reshape(-1, 4, 3)
         reach = np.linalg.norm(out - tiny_frame.positions[:, None], axis=2)
         assert (reach <= np.sqrt(3) * enc.radius[:, None] + 1e-12).all()
 
     def test_seed_fixes_the_weights(self, tiny_frame):
-        a = YuzuSRModel(ratio=2, hidden=(16,), seed=4).upsample(tiny_frame).cloud
-        b = YuzuSRModel(ratio=2, hidden=(16,), seed=4).upsample(tiny_frame).cloud
-        c = YuzuSRModel(ratio=2, hidden=(16,), seed=5).upsample(tiny_frame).cloud
+        a = YuzuSRModel(ratio=2, seed=4).upsample(tiny_frame).cloud
+        b = YuzuSRModel(ratio=2, seed=4).upsample(tiny_frame).cloud
+        c = YuzuSRModel(ratio=2, seed=5).upsample(tiny_frame).cloud
         assert a.positions.tobytes() == b.positions.tobytes()
         assert not np.array_equal(a.positions, c.positions)
 
     def test_colorless_input_gives_colorless_output(self, tiny_frame):
         from repro.pointcloud import PointCloud
 
-        out = YuzuSRModel(ratio=2, hidden=(16,), seed=0).upsample(PointCloud(tiny_frame.positions))
+        out = YuzuSRModel(ratio=2, seed=0).upsample(PointCloud(tiny_frame.positions))
         assert not out.cloud.has_colors
 
     def test_network_shape_follows_encoder_and_ratio(self):
         from repro.sr import PositionEncoder
 
-        m = YuzuSRModel(ratio=3, encoder=PositionEncoder(rf_size=6, bins=16), hidden=(8, 8))
-        assert m.net.dims == (18, 8, 8, 9)
-        # One more child adds one more 3-vector head: 8·3 weights + 3 biases.
-        assert YuzuSRModel(ratio=4, hidden=(8,)).model_bytes() - YuzuSRModel(
-            ratio=3, hidden=(8,)
-        ).model_bytes() == (8 * 3 + 3) * 4
+        m = YuzuSRModel(ratio=3, encoder=PositionEncoder(rf_size=6, bins=16))
+        assert m.net.dims == (18, 256, 256, 256, 9)
+        # One more child adds one more 3-vector head: 256·3 weights + 3 biases.
+        assert YuzuSRModel(ratio=4).model_bytes() - YuzuSRModel(
+            ratio=3
+        ).model_bytes() == (256 * 3 + 3) * 4

@@ -1,5 +1,7 @@
 """Shared fixtures-as-functions for the fleet/population test modules."""
 
+from repro.net import NetworkTrace, lte_trace
+from repro.net.traces import LTE_STEP
 from repro.obs.events import EV_CHUNK_RETRY, EV_RETRY_HEDGE
 from repro.streaming import VideoSpec
 from repro.streaming.abr import AbrController, Decision
@@ -15,6 +17,17 @@ class FixedDensity(AbrController):
 
     def decide(self, ctx):
         return Decision(density=self.density, sr_ratio=self.sr_ratio)
+
+
+def lte_trace_on_grid(mean_mbps, std_mbps, duration, step, seed):
+    """``lte_trace``'s draws for ``duration / step`` samples, spaced
+    ``step`` seconds apart instead of ``LTE_STEP``: a trace whose
+    boundaries land on fractional floats."""
+    coarse = lte_trace(mean_mbps, std_mbps, duration=duration / step * LTE_STEP, seed=seed)
+    return NetworkTrace(
+        coarse.name, coarse.timestamps / LTE_STEP * step, coarse.bandwidths_bps,
+        rtt=coarse.rtt,
+    )
 
 
 def spec(seconds=10, points=100_000, name="t"):

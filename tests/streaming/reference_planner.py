@@ -3,8 +3,8 @@
 The oracle of the vectorized-MPC parity instance: Eq. 10 planned one
 candidate density at a time, one chunk at a time, in plain Python floats.
 It reads a controller's configuration (``candidates``, ``quality_model``,
-``qoe_model``, ``sr_latency``, ``horizon``, ``safety``,
-``fetch_fraction``) and otherwise touches only the scalar leaves that
+``qoe_model``, ``sr_latency``, ``horizon``, ``fetch_fraction``) and the
+``SAFETY`` discount, and otherwise touches only the scalar leaves that
 have production traffic of their own — ``ChunkSpec.bytes_at_density`` /
 ``points_at_density``, the SR latency model's ``__call__``,
 ``SRQualityModel.sr_ratio_for`` / ``quality`` and ``QoEModel``'s three
@@ -16,7 +16,7 @@ per-chunk terms.  Nothing of the array path is imported, on purpose:
 
 from __future__ import annotations
 
-from repro.streaming.abr import AbrContext, Decision
+from repro.streaming.abr import SAFETY, AbrContext, Decision
 
 
 def plan_value(qoe_model, qualities, stalls, prev_quality) -> float:
@@ -41,7 +41,7 @@ def mpc_plan_value(mpc, density: float, ctx: AbrContext) -> float:
     The robust-MPC simplification: a constant decision over the horizon,
     priced at a safety-discounted throughput estimate.
     """
-    tput = ctx.throughput_bps * mpc.safety
+    tput = ctx.throughput_bps * SAFETY
     s = mpc.quality_model.sr_ratio_for(density)
     q = mpc.quality_model.quality(density, s)
     buffer = ctx.buffer_level

@@ -45,9 +45,9 @@ class TestSRQualityModel:
         assert all(a < b for a, b in zip(qs, qs[1:]))
 
     def test_discount_grows_with_ratio(self):
-        qm = SRQualityModel(efficiency=0.9)
-        assert qm.quality(0.5) == pytest.approx(0.9)
-        assert qm.quality(0.25) == pytest.approx(0.81)
+        qm = SRQualityModel()
+        assert qm.quality(0.5) == pytest.approx(0.93)
+        assert qm.quality(0.25) == pytest.approx(0.93 ** 2)
 
     def test_under_restored_density(self):
         qm = SRQualityModel(max_ratio=2.0)
@@ -57,8 +57,6 @@ class TestSRQualityModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             SRQualityModel(max_ratio=0.5)
-        with pytest.raises(ValueError):
-            SRQualityModel(efficiency=0.0)
         qm = SRQualityModel()
         with pytest.raises(ValueError):
             qm.quality(0.0)
@@ -123,8 +121,6 @@ class TestContinuousMPC:
             make_mpc(min_density=0.0)
         with pytest.raises(ValueError):
             make_mpc(horizon=0)
-        with pytest.raises(ValueError):
-            make_mpc(safety=0.0)
 
 
 class TestDiscreteMPC:
@@ -142,17 +138,17 @@ class TestDiscreteMPC:
 
 class TestBufferBased:
     def test_thresholds(self):
-        bb = BufferBased(SRQualityModel(), min_density=0.125, low_buffer=1, high_buffer=6)
+        bb = BufferBased(SRQualityModel())
         assert bb.decide(ctx(buffer_level=0.5)).density == pytest.approx(0.125)
         assert bb.decide(ctx(buffer_level=8.0)).density == pytest.approx(1.0)
+        # linear between the low (1 s) and high (6 s) buffer levels
         mid = bb.decide(ctx(buffer_level=3.5)).density
-        assert 0.125 < mid < 1.0
+        assert mid == pytest.approx(0.125 + 0.5 * 0.875)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BufferBased(SRQualityModel(), low_buffer=5, high_buffer=5)
-        with pytest.raises(ValueError):
-            BufferBased(SRQualityModel(), min_density=0.0)
+    @pytest.mark.parametrize("level, density", [(1.0, 0.125), (6.0, 1.0)])
+    def test_the_ramp_ends_are_inclusive(self, level, density):
+        bb = BufferBased(SRQualityModel())
+        assert bb.decide(ctx(buffer_level=level)).density == density
 
 
 class TestAbrContext:

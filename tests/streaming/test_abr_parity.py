@@ -32,7 +32,13 @@ from repro.streaming import (
     simulate_fleet,
     uniform_cdn,
 )
+from repro.streaming.abr import SAFETY
 from repro.streaming.latency import MeasuredSRLatency, latency_batch
+from repro.streaming.policies import (
+    BOLA_BUFFER_TARGET,
+    BOLA_GAMMA_P,
+    HYBRID_GATE_BUFFER,
+)
 
 from . import reference_planner
 from .helpers import assert_same_run, spec, sr_lat
@@ -205,7 +211,7 @@ def predecessor_plan_values(mpc, ctxs):
         mpc._horizon_tensors(tuple(c.next_chunks[: mpc.horizon])) for c in ctxs
     ]
     bits, sr, dur = (np.concatenate(t, axis=1) for t in zip(*windows))
-    tput = (np.array([c.throughput_bps for c in ctxs]) * mpc.safety)[:, None]
+    tput = (np.array([c.throughput_bps for c in ctxs]) * SAFETY)[:, None]
     buffer = np.array([c.buffer_level for c in ctxs])[:, None]
     prev = np.array(
         [np.nan if c.prev_quality is None else c.prev_quality for c in ctxs]
@@ -245,7 +251,7 @@ def oracle_ctx(mpc, tput_bps, buffer, prev, n_chunks, points, tie):
         bits, sr, _ = mpc._horizon_tensors(tuple(chunks[: mpc.horizon]))
         c = tie % len(mpc.candidates)
         with np.errstate(over="ignore"):  # a subnormal throughput ties at inf
-            buffer = float(max(bits[0, 0, c] / (tput_bps * mpc.safety), sr[0, 0, c]))
+            buffer = float(max(bits[0, 0, c] / (tput_bps * SAFETY), sr[0, 0, c]))
         buffer = min(buffer, MAX_BUFFER)
     return AbrContext(tput_bps, buffer, prev, chunks)
 
@@ -491,13 +497,9 @@ class TestGridPolicyChunkCache:
 
 ZOO_FACTORIES = {
     "bola": lambda: get_policy("bola", n_grid=12),
-    "bola-tuned": lambda: get_policy(
-        "bola", n_grid=7, buffer_target=4.0, gamma_p=8.0, fetch_fraction=0.6
-    ),
+    "bola-coarse": lambda: get_policy("bola", n_grid=7),
     "throughput": lambda: get_policy("throughput", n_grid=12),
-    "throughput-tight": lambda: get_policy("throughput", safety=0.5),
     "hybrid": lambda: get_policy("hybrid", n_grid=12),
-    "hybrid-gated": lambda: get_policy("hybrid", gate_buffer=5.0),
     "buffer-linear": lambda: get_policy("buffer-linear"),
 }
 
@@ -533,12 +535,12 @@ class TestZooScalarVectorParity:
         c = policy.candidates
         q = qm.qualities(c, qm.sr_ratios_for(c))
         u = np.log(q) - np.log(q[0])
-        v = policy.buffer_target / (u[-1] + policy.gamma_p)
+        v = BOLA_BUFFER_TARGET / (u[-1] + BOLA_GAMMA_P)
         for tput, buf, prev in CTX_GRID:
             ctx = make_ctx(tput, buf, prev)
             chunk = ctx.next_chunks[0]
             bits = chunk.bytes_at_densities(c) * 8.0
-            scores = (v * (u + policy.gamma_p) - buf) / bits
+            scores = (v * (u + BOLA_GAMMA_P) - buf) / bits
             expected = float(c[int(np.argmax(scores))])
             assert policy.decide(ctx).density == pytest.approx(
                 expected, abs=ATOL
@@ -565,24 +567,23 @@ class TestZooScalarVectorParity:
         the throughput rule's picks (shared ascending grid, so the min of
         indices is the min of densities); at/above it, exactly BOLA."""
         rate = get_policy("throughput", n_grid=12)
+        bola = get_policy("bola", n_grid=12)
+        hybrid = get_policy("hybrid", n_grid=12)
         picks = set()
-        # The second pair gates above BOLA's target, so below the gate
-        # BOLA already asks for the densest candidate and the min bites.
-        for gate, target in ((2.0, 6.0), (5.0, 2.0)):
-            bola = get_policy("bola", n_grid=12, buffer_target=target)
-            hybrid = get_policy(
-                "hybrid", n_grid=12, gate_buffer=gate, buffer_target=target
-            )
-            for tput, buf, prev in CTX_GRID:
-                ctx = make_ctx(tput, buf, prev)
-                h = hybrid.decide(ctx).density
-                b, r = bola.decide(ctx).density, rate.decide(ctx).density
-                if buf >= gate:
-                    assert h == b
-                else:
-                    assert h == min(b, r)
-                    picks.add("rate" if r < b else "bola" if b < r else "tie")
-        assert picks == {"rate", "bola", "tie"}
+        for tput, buf, prev in CTX_GRID:
+            ctx = make_ctx(tput, buf, prev)
+            h = hybrid.decide(ctx).density
+            b, r = bola.decide(ctx).density, rate.decide(ctx).density
+            if buf >= HYBRID_GATE_BUFFER:
+                assert h == b
+            else:
+                assert h == min(b, r)
+                picks.add("rate" if r < b else "bola" if b < r else "tie")
+        # At the module's constants BOLA already picks the sparsest
+        # candidate below the gate (its scores turn positive near the
+        # buffer target, far above the gate), so the rate clamp never
+        # binds there; the rule is still checked row by row above.
+        assert picks == {"bola", "tie"}
 
     @given(
         tput=st.floats(0.5, 1000.0),
@@ -604,7 +605,7 @@ class TestBatchHelpers:
     """The batched building blocks agree with their scalar forms."""
 
     def test_quality_model_batch_forms(self):
-        qm = SRQualityModel(max_ratio=6.0, efficiency=0.91)
+        qm = SRQualityModel(max_ratio=6.0)
         d = np.geomspace(1.0 / 16.0, 1.0, 40)
         s = qm.sr_ratios_for(d)
         q = qm.qualities(d, s)

@@ -16,6 +16,7 @@ from repro.streaming import (
     uniform_cdn,
 )
 from repro.streaming.cdn import wait_percentile
+from repro.streaming.population import DIURNAL_CURVE
 
 from .helpers import FixedDensity, spec, sr_lat
 
@@ -502,53 +503,21 @@ class TestDiurnalArrivals:
         assert evening > 2 * night
 
     def test_rate_follows_curve(self):
-        curve = (0.5,) * 12 + (1.5,) * 12
-        arr = DiurnalArrivals(
-            mean_rate_hz=1.0, curve=curve, day_seconds=24.0
-        )
-        assert arr.rate_at(0.0) == 0.5
-        assert arr.rate_at(12.0) == 1.5
-        assert arr.rate_at(24.0) == 0.5    # wraps
-        assert arr.rate_at(36.0) == 1.5
-
-    def test_phase_shifts_the_curve(self):
-        arr = DiurnalArrivals(
-            mean_rate_hz=1.0, day_seconds=24.0, phase_hours=20.0
-        )
-        mean = sum(arr.curve) / 24.0
-        assert arr.rate_at(0.0) == arr.curve[20] / mean
-
-    def test_negative_phase_float_modulo_edge(self):
-        """(-1e-18) % 24.0 == 24.0 exactly; the hour index must wrap."""
-        arr = DiurnalArrivals(
-            mean_rate_hz=1.0, day_seconds=24.0, phase_hours=-1e-18
-        )
-        mean = sum(arr.curve) / 24.0
-        assert arr.rate_at(0.0) == arr.curve[0] / mean
-        assert len(arr.times(24.0)) > 0
+        arr = DiurnalArrivals(mean_rate_hz=1.0, day_seconds=24.0)
+        mean = sum(DIURNAL_CURVE) / 24.0
+        for t, hour in ((0.0, 0), (12.0, 12), (20.5, 20), (24.0, 0), (36.0, 12)):
+            assert arr.rate_at(t) == DIURNAL_CURVE[hour] / mean  # wraps at 24
 
     def test_curve_normalized_to_mean_rate(self):
-        """mean_rate_hz is the daily mean whatever the factors' scale:
-        scaling the whole curve leaves the rate function unchanged."""
+        """mean_rate_hz is the daily mean: the time-average of rate_at
+        over the day."""
         curve = DiurnalArrivals(mean_rate_hz=2.0, day_seconds=24.0)
-        scaled = DiurnalArrivals(
-            mean_rate_hz=2.0,
-            curve=tuple(10.0 * c for c in curve.curve),
-            day_seconds=24.0,
-        )
-        for t in (0.0, 6.0, 12.0, 20.5):
-            assert scaled.rate_at(t) == pytest.approx(curve.rate_at(t))
-        # The time-average of rate_at over the day is mean_rate_hz.
         hours = [curve.rate_at(h + 0.5) for h in range(24)]
         assert sum(hours) / 24.0 == pytest.approx(2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mean_rate_hz"):
             DiurnalArrivals(mean_rate_hz=0.0)
-        with pytest.raises(ValueError, match="24 hourly"):
-            DiurnalArrivals(mean_rate_hz=1.0, curve=(1.0, 2.0))
-        with pytest.raises(ValueError, match="non-negative"):
-            DiurnalArrivals(mean_rate_hz=1.0, curve=(-1.0,) + (1.0,) * 23)
         with pytest.raises(ValueError, match="day_seconds"):
             DiurnalArrivals(mean_rate_hz=1.0, day_seconds=0.0)
         with pytest.raises(ValueError, match="window"):
@@ -570,7 +539,6 @@ class TestDiurnalArrivals:
             ("day_seconds", math.inf),
             ("days", math.inf),  # ``times()`` never returned
             ("days", math.nan),
-            ("phase_hours", math.nan),
         ],
     )
     def test_rejects_a_non_finite_field_by_name(self, field, value):
@@ -578,12 +546,6 @@ class TestDiurnalArrivals:
         kwargs = {"mean_rate_hz": 1.0, field: value}
         with pytest.raises(ValueError, match=f"DiurnalArrivals.{field} must be finite"):
             DiurnalArrivals(**kwargs)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_a_non_finite_curve_factor(self, bad):
-        """Such a curve died late, inside ``times``, with a conversion error."""
-        with pytest.raises(ValueError, match="curve factors must be finite"):
-            DiurnalArrivals(mean_rate_hz=1.0, curve=(bad,) + (1.0,) * 23)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_a_non_finite_window(self, bad):
@@ -663,7 +625,7 @@ class TestMultiDayDiurnal:
             "repro.streaming.population.np.random.default_rng", ScriptedRng
         )
         arr = DiurnalArrivals(
-            mean_rate_hz=1.0, curve=(1.0,) * 24, day_seconds=10.0, days=2.0,
+            mean_rate_hz=1.0, day_seconds=10.0, days=2.0,
             autoscale=lambda day: (1.0, 0.0)[day],
         )
         assert arr.times().tolist() == [10.0]

@@ -21,6 +21,12 @@ from repro.streaming import (
     simulate_fleet,
     uniform_cdn,
 )
+from repro.streaming.control import (
+    AUTOSCALE_MIN_SCALE,
+    MAX_ENCODE_WORKERS,
+    MAX_RESTEERS_PER_TICK,
+    MIN_ENCODE_WORKERS,
+)
 
 from .helpers import FixedDensity, spec, sr_lat
 
@@ -62,92 +68,45 @@ class TestControlPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="interval"):
             ControlPolicy(interval=0.0)
-        with pytest.raises(ValueError, match="encode_wait_low"):
-            ControlPolicy(encode_wait_low=1.0, encode_wait_high=0.5)
-        with pytest.raises(ValueError, match="min_encode_workers"):
-            ControlPolicy(min_encode_workers=0)
-        with pytest.raises(ValueError, match="max_encode_workers"):
-            ControlPolicy(min_encode_workers=4, max_encode_workers=2)
-        with pytest.raises(ValueError, match="saturation_factor"):
-            ControlPolicy(saturation_factor=1.0)
-        with pytest.raises(ValueError, match="max_resteers"):
-            ControlPolicy(max_resteers_per_tick=-1)
 
     # NaN used to slip through every ``<`` check (a NaN interval failed
-    # mid-run, NaN thresholds switched levers off) and counts took 2.5.
-    # Each error names the field and the value.
+    # mid-run).  The error names the field and the value.
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_interval_must_be_finite(self, bad):
         with pytest.raises(ValueError, match=rf"interval.*{bad!r}"):
             ControlPolicy(interval=bad)
 
-    def test_encode_wait_high_rejects_nan(self):
-        with pytest.raises(ValueError, match=r"encode_wait_high.*nan"):
-            ControlPolicy(encode_wait_high=math.nan)
-
-    @pytest.mark.parametrize("bad", [math.nan, -1.0])
-    def test_encode_wait_low_rejects_nan_and_negative(self, bad):
-        with pytest.raises(ValueError, match=rf"encode_wait_low.*{bad!r}"):
-            ControlPolicy(encode_wait_low=bad)
-
-    def test_saturation_factor_rejects_nan(self):
-        with pytest.raises(ValueError, match=r"saturation_factor.*nan"):
-            ControlPolicy(saturation_factor=math.nan)
-
-    @pytest.mark.parametrize("bad", [math.nan, 2.5, True])
-    def test_min_encode_workers_must_be_an_integer(self, bad):
-        with pytest.raises(ValueError, match=rf"min_encode_workers.*{bad!r}"):
-            ControlPolicy(min_encode_workers=bad)
-
-    @pytest.mark.parametrize("bad", [math.nan, 2.5, True])
-    def test_max_encode_workers_must_be_an_integer(self, bad):
-        with pytest.raises(ValueError, match=rf"max_encode_workers.*{bad!r}"):
-            ControlPolicy(max_encode_workers=bad)
-
-    @pytest.mark.parametrize("bad", [math.nan, 2.5, True])
-    def test_max_resteers_per_tick_must_be_an_integer(self, bad):
-        with pytest.raises(
-            ValueError, match=rf"max_resteers_per_tick.*{bad!r}"
-        ):
-            ControlPolicy(max_resteers_per_tick=bad)
-
-    def test_inf_thresholds_stay_legal(self):
-        """``inf`` is the documented way to switch a lever off."""
-        pol = ControlPolicy(
-            encode_wait_high=math.inf, encode_wait_low=math.inf,
-            saturation_factor=math.inf,
-        )
-        assert pol.saturation_factor == math.inf
-
 
 class TestControlPlaneTick:
     def test_grows_encode_pool_on_high_wait(self):
-        plane = ControlPlane(ControlPolicy(encode_wait_high=0.5))
+        plane = ControlPlane()
         actions = plane.tick(
             view(encode_waits=(1.0, 2.0, 3.0), encode_workers=4)
         )
         assert actions.encode_workers == 8
 
     def test_shrinks_idle_encode_pool(self):
-        plane = ControlPlane(ControlPolicy(encode_wait_low=0.01))
+        plane = ControlPlane()
         actions = plane.tick(
             view(encode_waits=(0.0, 0.0, 0.0), encode_workers=8)
         )
         assert actions.encode_workers == 4
 
     def test_respects_pool_bounds(self):
-        plane = ControlPlane(
-            ControlPolicy(min_encode_workers=2, max_encode_workers=8)
-        )
+        plane = ControlPlane()
         assert plane.tick(
-            view(encode_waits=(9.0,), encode_workers=8)
+            view(encode_waits=(9.0,), encode_workers=MAX_ENCODE_WORKERS)
         ).encode_workers is None
         assert plane.tick(
-            view(encode_waits=(0.0,), encode_workers=2)
+            view(encode_waits=(0.0,), encode_workers=MIN_ENCODE_WORKERS)
         ).encode_workers is None
+        # a doubling or halving stops at the bound
+        assert plane.tick(
+            view(encode_waits=(9.0,), encode_workers=MAX_ENCODE_WORKERS - 1)
+        ).encode_workers == MAX_ENCODE_WORKERS
 
     def test_resteers_off_saturated_edge(self):
-        plane = ControlPlane(ControlPolicy(saturation_factor=2.0))
+        plane = ControlPlane()
         actions = plane.tick(view(
             edge_load=(9, 1, 2),
             sessions_by_edge={0: (0, 1, 2, 3, 4, 5, 6, 7, 8), 1: (9,), 2: (10, 11)},
@@ -157,39 +116,39 @@ class TestControlPlaneTick:
         assert actions.resteer[0] == (0, 1)
         # Only the saturated edge's viewers move, within the tick budget.
         assert {sid for sid, _ in actions.resteer} <= set(range(9))
-        assert len(actions.resteer) <= plane.policy.max_resteers_per_tick
+        assert len(actions.resteer) <= MAX_RESTEERS_PER_TICK
 
     def test_never_steers_to_a_dark_edge(self):
-        # With one edge dark only two are live, so the threshold (factor x
-        # live-mean) needs a factor < 2 to be reachable at all.
-        plane = ControlPlane(ControlPolicy(saturation_factor=1.5))
+        # The dark edge is the emptiest, so a rule that forgot it was dark
+        # would pick it first.
+        plane = ControlPlane()
         actions = plane.tick(view(
-            edge_load=(9, 0, 2),
-            edge_down=(False, True, False),
-            sessions_by_edge={0: tuple(range(9)), 2: (10, 11)},
+            edge_load=(12, 0, 1, 1),
+            edge_down=(False, True, False, False),
+            sessions_by_edge={0: tuple(range(12)), 2: (12,), 3: (13,)},
         ))
         assert actions.resteer
-        assert all(target == 2 for _, target in actions.resteer)
+        assert all(target in (2, 3) for _, target in actions.resteer)
 
     def test_resteer_budget(self):
-        plane = ControlPlane(
-            ControlPolicy(saturation_factor=2.0, max_resteers_per_tick=2)
-        )
+        # 40 vs a live mean of 14: twelve moves would bring edge 0 down
+        # to 2 x the mean, the budget allows fewer.
+        plane = ControlPlane()
         actions = plane.tick(view(
-            edge_load=(20, 1, 1),
-            sessions_by_edge={0: tuple(range(20)), 1: (20,), 2: (21,)},
+            edge_load=(40, 1, 1),
+            sessions_by_edge={0: tuple(range(40)), 1: (40,), 2: (41,)},
         ))
-        assert len(actions.resteer) == 2
+        assert len(actions.resteer) == MAX_RESTEERS_PER_TICK < 12
 
-    def test_inf_thresholds_never_act(self):
-        plane = ControlPlane(ControlPolicy(
-            encode_wait_high=math.inf, encode_wait_low=0.0,
-            saturation_factor=math.inf,
-        ))
+    def test_no_lever_acts_between_the_thresholds(self):
+        """Waits between the shrink and grow thresholds, balanced edges
+        and no dark region: the tick returns no action."""
+        plane = ControlPlane(ControlPolicy())
         actions = plane.tick(view(
-            edge_load=(50, 0, 0),
-            sessions_by_edge={0: tuple(range(50))},
-            encode_waits=(100.0,) * 20,
+            edge_load=(5, 4, 5),
+            sessions_by_edge={0: tuple(range(5)), 1: tuple(range(5, 9)),
+                              2: tuple(range(9, 14))},
+            encode_waits=(0.05, 0.1, 0.2),
             encode_workers=4,
         ))
         assert not actions
@@ -197,9 +156,9 @@ class TestControlPlaneTick:
     def test_small_fleet_saturation_matches_docstring(self):
         """The docstring promises "load exceeds factor x mean (and >= 2)".
         An absolute ``max(..., 2.0)`` floor used to creep in instead,
-        silently disabling re-steering for small fleets: load 2 vs mean 1
-        exceeds 1.5 x mean and meets the >= 2 guard, so it must act."""
-        plane = ControlPlane(ControlPolicy(saturation_factor=1.5))
+        silently disabling re-steering for small fleets: load 2 vs mean
+        2/3 exceeds 2 x mean and meets the >= 2 guard, so it must act."""
+        plane = ControlPlane()
         actions = plane.tick(view(
             edge_load=(2, 0, 0),
             sessions_by_edge={0: (0, 1)},
@@ -209,7 +168,7 @@ class TestControlPlaneTick:
     def test_single_session_edge_is_never_saturated(self):
         """The >= 2 guard: one viewer on an otherwise idle fleet is not a
         hotspot, no matter how aggressive the factor."""
-        plane = ControlPlane(ControlPolicy(saturation_factor=1.1))
+        plane = ControlPlane()
         actions = plane.tick(view(
             edge_load=(1, 0, 0),
             sessions_by_edge={0: (0,)},
@@ -219,7 +178,7 @@ class TestControlPlaneTick:
 
 class TestQoEArrivalAutoscaler:
     def test_unhealthy_day_scales_next_day_down(self):
-        auto = QoEArrivalAutoscaler(day_seconds=100.0, target_health=0.5)
+        auto = QoEArrivalAutoscaler(day_seconds=100.0)
         for t in range(0, 100, 10):
             auto.observe(float(t), -2.0)
         auto.finish()
@@ -228,13 +187,20 @@ class TestQoEArrivalAutoscaler:
         assert auto.day_health(0) is None  # consumed by finish()
 
     def test_healthy_day_relaxes_back_capped_at_max(self):
-        auto = QoEArrivalAutoscaler(day_seconds=100.0, target_health=0.5)
+        auto = QoEArrivalAutoscaler(day_seconds=100.0)
         auto.observe(50.0, 3.0)
         auto.finish()
         assert auto(1) == 1.0  # capped at max_scale
 
+    def test_a_healthy_day_relaxes_by_the_step(self):
+        auto = QoEArrivalAutoscaler(day_seconds=10.0)
+        auto.observe(5.0, -1.0)   # day 0 unhealthy: day 1 at 0.75
+        auto.observe(15.0, 2.0)   # day 1 healthy: day 2 at 0.75 x 1.25
+        auto.finish()
+        assert auto(2) == pytest.approx(0.9375)
+
     def test_rolling_days_plan_while_running(self):
-        auto = QoEArrivalAutoscaler(day_seconds=10.0, target_health=0.5)
+        auto = QoEArrivalAutoscaler(day_seconds=10.0)
         auto.observe(5.0, -1.0)
         assert auto(1) == 1.0  # day 0 still open
         auto.observe(15.0, 2.0)  # first day-1 sample closes day 0
@@ -242,30 +208,25 @@ class TestQoEArrivalAutoscaler:
         assert auto.day_health(1) == pytest.approx(2.0)
 
     def test_floor(self):
-        auto = QoEArrivalAutoscaler(
-            day_seconds=10.0, target_health=0.5, min_scale=0.7
+        # Terrible days keep shrinking the next day's load but never
+        # below the floor: 1 -> 0.75 -> ... -> 0.3164 -> floor.
+        auto = QoEArrivalAutoscaler(day_seconds=10.0)
+        for day in range(5):
+            auto.observe(10.0 * day + 5.0, -9.0)
+        auto.finish()
+        assert [auto(d) for d in range(1, 5)] == pytest.approx(
+            [0.75, 0.5625, 0.421875, 0.31640625]
         )
-        auto.observe(5.0, -9.0)
-        auto.finish()
-        assert auto(1) == pytest.approx(0.75)
-        # A second terrible day keeps shrinking but never below the floor.
-        auto._scales[5] = 0.8
-        auto.observe(55.0, -9.0)
-        auto.finish()
-        assert auto(6) == pytest.approx(0.7)
+        assert auto(5) == AUTOSCALE_MIN_SCALE > 0.31640625 * 0.75
 
     def test_validation(self):
         with pytest.raises(ValueError, match="day_seconds"):
             QoEArrivalAutoscaler(day_seconds=0.0)
-        with pytest.raises(ValueError, match="step"):
-            QoEArrivalAutoscaler(day_seconds=1.0, step=1.0)
-        with pytest.raises(ValueError, match="min_scale"):
-            QoEArrivalAutoscaler(day_seconds=1.0, min_scale=0.0)
 
 
 class TestRecoveryTracker:
     def test_dip_and_recovery(self):
-        tr = RecoveryTracker(fault_start=10.0, tolerance=0.1)
+        tr = RecoveryTracker(fault_start=10.0)
         for t, h in [(2.0, 4.0), (6.0, 4.2), (12.0, 1.0), (16.0, 2.0),
                      (20.0, 4.1), (24.0, 4.2)]:
             tr.sample(t, h)
@@ -283,10 +244,10 @@ class TestRecoveryTracker:
         assert math.isinf(recover)
 
     def test_no_dip_is_zero(self):
-        tr = RecoveryTracker(fault_start=10.0, tolerance=0.5)
-        for t, h in [(5.0, 4.0), (12.0, 3.8), (20.0, 4.0)]:
+        tr = RecoveryTracker(fault_start=10.0)
+        for t, h in [(5.0, 4.0), (12.0, 3.95), (20.0, 4.0)]:
             tr.sample(t, h)
-        assert tr.metrics() == (pytest.approx(0.2), 0.0)
+        assert tr.metrics() == (pytest.approx(0.05), 0.0)
 
     def test_no_post_fault_samples(self):
         tr = RecoveryTracker(fault_start=10.0)
@@ -314,14 +275,12 @@ class TestRecoveryTracker:
     def test_validation(self):
         with pytest.raises(ValueError, match="fault_start"):
             RecoveryTracker(fault_start=-1.0)
-        with pytest.raises(ValueError, match="tolerance"):
-            RecoveryTracker(fault_start=0.0, tolerance=-0.1)
 
     def test_disjoint_fault_windows_track_the_deepest_dip(self):
         """Two separated faults, the second one worse: the dip is the
         global post-onset floor and recovery is dated from *that* floor,
         not from the first window's shallower dip."""
-        tr = RecoveryTracker(fault_start=10.0, tolerance=0.1)
+        tr = RecoveryTracker(fault_start=10.0)
         for t, h in [
             (2.0, 4.0), (6.0, 4.0),        # baseline 4.0
             (12.0, 3.0), (16.0, 4.0),      # window 1: shallow dip, recovers
@@ -339,7 +298,7 @@ class TestRecoveryTracker:
         """Health recovers between windows but the run ends inside the
         second window still degraded — time_to_recover must be inf even
         though a within-tolerance sample exists after the onset."""
-        tr = RecoveryTracker(fault_start=10.0, tolerance=0.1)
+        tr = RecoveryTracker(fault_start=10.0)
         for t, h in [
             (5.0, 4.0),
             (12.0, 2.5), (16.0, 4.0),      # first dip, full recovery
@@ -405,15 +364,18 @@ class TestFleetViewMetricsSource:
 
 class TestNoOpControllerParity:
     def test_noop_controller_is_bit_exact_modulo_ticks(self):
+        """A plane at the constants on a fleet where no lever can act —
+        one encode worker (the pool's floor, and its waits stay under the
+        grow threshold), edges balanced by the assignment — must not
+        perturb the run: ticking only observes."""
         sessions = fleet(6)
-        topo = cdn()
+        topo = cdn(n_encode_workers=1)
         base = simulate_fleet(sessions, topology=topo)
-        noop = ControlPlane(ControlPolicy(
-            interval=2.0, encode_wait_high=math.inf, encode_wait_low=0.0,
-            saturation_factor=math.inf,
-        ))
+        noop = ControlPlane(ControlPolicy(interval=2.0))
         ctrl = simulate_fleet(sessions, topology=topo, controller=noop)
         assert ctrl.report.control_ticks > 0
+        assert ctrl.report.encode_pool_resizes == 0
+        assert ctrl.report.sessions_resteered == 0
         assert dataclasses.replace(ctrl.report, control_ticks=0) == base.report
         assert ctrl.sessions == base.sessions
         assert ctrl.end_times == base.end_times
@@ -640,9 +602,8 @@ class TestGracefulDegradation:
             fleet(9), topology=topo(), faults=faults,
             assignment=[i % 3 for i in range(9)],
             controller=ControlPlane(ControlPolicy(
-                interval=1.0, encode_wait_high=math.inf,
-                encode_wait_low=0.0, saturation_factor=math.inf,
-                quality_cap_when_dark=0.2, disable_sr_when_dark=True,
+                interval=1.0, quality_cap_when_dark=0.2,
+                disable_sr_when_dark=True,
             )),
         )
         # FixedDensity(0.4) decisions clamp to 0.2 while the region is

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,21 @@ class TestEventValidation:
             EdgeOutage(edge=0, start=-1.0, duration=1.0)
         with pytest.raises(ValueError, match="duration"):
             EdgeOutage(edge=0, start=0.0, duration=0.0)
+
+    @pytest.mark.parametrize("event", [EdgeOutage, GrayFailure, BackhaulDegradation])
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, -1])
+    def test_edge_must_be_an_integer_index(self, event, bad):
+        """On a 3-edge CDN ``edge=1.5`` used to be accepted and darken
+        nothing, ``edge=1.0`` died deep in the run with a raw TypeError
+        and ``edge=True`` meant edge 1."""
+        extra = {"factor": 0.5} if event is BackhaulDegradation else {}
+        with pytest.raises(ValueError, match=rf"edge must be an integer >= 0, got {bad!r}"):
+            event(edge=bad, start=0.0, duration=1.0, **extra)
+
+    @pytest.mark.parametrize("event", [EdgeOutage, GrayFailure, BackhaulDegradation])
+    def test_a_numpy_integer_edge_is_an_index(self, event):
+        extra = {"factor": 0.5} if event is BackhaulDegradation else {}
+        assert event(edge=np.int64(1), start=0.0, duration=1.0, **extra).edge == 1
 
     def test_degradation_rejects_zero_factor(self):
         with pytest.raises(ValueError, match="EdgeOutage"):

@@ -22,7 +22,7 @@ from repro.obs.export import (
     write_prometheus,
     write_trace,
 )
-from repro.obs.metrics import MetricsRegistry, TimeSeries
+from repro.obs.metrics import SERIES_CAPACITY, MetricsRegistry, TimeSeries
 from repro.obs.profiler import NULL_PROFILER, PhaseProfiler
 from repro.metrics import QoEModel
 from repro.streaming import (
@@ -120,10 +120,9 @@ class TestMetrics:
         reg = MetricsRegistry()
         c = reg.counter("x")
         c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ValueError, match="Gauge"):
-            c.inc(-1.0)
+        c.inc()
+        assert reg.counter("x") is c
+        assert c.value == 2.0
 
     def test_gauge_and_get_or_create_identity(self):
         reg = MetricsRegistry()
@@ -145,13 +144,15 @@ class TestMetrics:
             reg.histogram("bad", bounds=(1.0, 0.1))
 
     def test_timeseries_ring_wraps(self):
-        ts = TimeSeries("s", capacity=4)
+        ts = TimeSeries("s")
         assert ts.last is None
-        for i in range(6):
+        for i in range(SERIES_CAPACITY + 2):
             ts.record(float(i), float(i * 10))
-        assert len(ts) == 4
-        assert ts.items() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0), (5.0, 50.0)]
-        assert ts.last == (5.0, 50.0)
+        assert len(ts) == SERIES_CAPACITY
+        items = ts.items()
+        assert items[:2] == [(2.0, 20.0), (3.0, 30.0)]
+        assert items[-1] == ts.last == (SERIES_CAPACITY + 1.0, (SERIES_CAPACITY + 1) * 10.0)
+        assert [t for t, _ in items] == [float(i) for i in range(2, SERIES_CAPACITY + 2)]
 
 
 class TestProfiler:
@@ -262,7 +263,8 @@ class TestExporters:
 
     def test_prometheus_text(self, tmp_path):
         reg = MetricsRegistry()
-        reg.counter("fleet.chunks").inc(7)
+        for _ in range(7):
+            reg.counter("fleet.chunks").inc()
         reg.gauge("origin.encode_workers").set(4)
         h = reg.histogram("encode.wait", bounds=(0.1, 1.0))
         h.observe(0.05)

@@ -1,5 +1,6 @@
 """Streaming-session simulator tests."""
 
+import dataclasses
 import math
 
 import pytest
@@ -54,7 +55,7 @@ class TestBasics:
         assert per_chunk == pytest.approx(30 * 50_000 * 6, rel=0.01)
 
     def test_quality_uses_model(self):
-        qm = SRQualityModel(efficiency=0.9)
+        qm = SRQualityModel()
         r = simulate_session(
             spec(5), stable_trace(500.0), FixedDensity(0.5), quality_model=qm
         )
@@ -124,12 +125,23 @@ class TestConfig:
         assert r.mean_quality == pytest.approx(0.7, rel=1e-6)
 
     def test_max_buffer_limits_prefetch(self):
-        """With a tiny buffer cap the session can't run ahead of playback."""
-        cfg = SessionConfig(max_buffer=2.0)
-        r = simulate_session(
-            spec(10), stable_trace(1000.0), FixedDensity(0.5), config=cfg
+        """On a link far faster than playback the session runs ahead only
+        until ``MAX_BUFFER`` seconds are buffered, and never starves."""
+        from repro.obs import Telemetry
+        from repro.streaming import ControlPlane, ControlPolicy, simulate_fleet
+        from repro.streaming.cdn import single_link_cdn
+        from repro.streaming.simulator import MAX_BUFFER, FleetSession
+
+        telemetry = Telemetry(trace=False, profile=False)
+        result = simulate_fleet(
+            [FleetSession(spec(30), FixedDensity(0.5))],
+            topology=single_link_cdn(stable_trace(1000.0)),
+            controller=ControlPlane(ControlPolicy(interval=0.5)),
+            telemetry=telemetry,
         )
-        assert r.stall_seconds == 0.0  # capped, but never starved
+        levels = [v for _, v in telemetry.metrics.series["fleet.buffer_level"].items()]
+        assert MAX_BUFFER - 1.0 <= max(levels) <= MAX_BUFFER
+        assert result.sessions[0].stall_seconds == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -147,16 +159,6 @@ class TestConfig:
             with pytest.raises(ValueError, match=rf"startup_bytes.*got {startup_bytes}"):
                 SessionConfig(startup_bytes=startup_bytes)
 
-    @pytest.mark.parametrize("startup, cap", [(12.0, 10.0), (math.nan, 10.0), (1.0, math.inf)])
-    def test_unreachable_startup_threshold_is_refused(self, startup, cap):
-        """A start-up threshold above the buffer cap (or NaN) never starts
-        playback, so every stall was booked as uncharged start-up delay:
-        on an 8 Mbps LTE trace such a session read 0 s stall and QoE +29
-        where the default config reads 438 s and −847."""
-        cfg = SessionConfig(startup_buffer=startup, max_buffer=cap)
-        with pytest.raises(ValueError, match=rf"startup_threshold={startup}, max_level={cap}"):
-            simulate_session(spec(30), lte_trace(8, 4, seed=2), FixedDensity(0.8), config=cfg)
-
 
 class TestWithMPC:
     def test_mpc_avoids_stalls_on_stable_link(self):
@@ -173,3 +175,61 @@ class TestWithMPC:
         mpc2 = ContinuousMPC(qm, QoEModel(), ZERO_LATENCY)
         hi = simulate_session(spec(20), stable_trace(150.0), mpc2, quality_model=qm)
         assert sum(hi.decisions) > sum(lo.decisions)
+
+
+class _FiveChunkWindow(AbrController):
+    """``controller`` offered at most five chunks per decision — how the
+    session used to cap every controller's planning horizon."""
+
+    def __init__(self, controller):
+        self.controller = controller
+
+    def decide_batch(self, ctxs):
+        return self.controller.decide_batch([
+            dataclasses.replace(c, next_chunks=c.next_chunks[:5]) for c in ctxs
+        ])
+
+    def decide(self, ctx):
+        return self.decide_batch([ctx])[0]
+
+
+class TestPlanningHorizon:
+    def test_every_remaining_chunk_is_offered(self):
+        offered = []
+
+        class Recording(FixedDensity):
+            def decide(self, ctx):
+                offered.append(len(ctx.next_chunks))
+                return super().decide(ctx)
+
+        simulate_session(spec(12), stable_trace(500.0), Recording(0.5))
+        assert offered == list(range(12, 0, -1))
+
+    def test_the_first_decision_sees_the_initial_estimate(self):
+        from repro.streaming.simulator import INITIAL_THROUGHPUT_BPS
+
+        seen = []
+
+        class Recording(FixedDensity):
+            def decide(self, ctx):
+                seen.append((ctx.throughput_bps, ctx.buffer_level))
+                return super().decide(ctx)
+
+        simulate_session(spec(3), stable_trace(500.0), Recording(0.5))
+        assert seen[0] == (INITIAL_THROUGHPUT_BPS, 0.0)
+        assert seen[1][0] != INITIAL_THROUGHPUT_BPS  # one sample folded in
+
+    def test_the_controller_plans_over_its_own_horizon(self):
+        """A horizon-8 MPC used to plan exactly like horizon 5; horizons
+        up to 5 decide as they did under the five-chunk window."""
+        qm = SRQualityModel()
+        trace = lte_trace(20, 8, duration=120.0, seed=4)
+
+        def run(horizon, window=False):
+            mpc = ContinuousMPC(qm, QoEModel(), ZERO_LATENCY, horizon=horizon)
+            ctrl = _FiveChunkWindow(mpc) if window else mpc
+            return simulate_session(spec(40), trace, ctrl, quality_model=qm)
+
+        for horizon in (1, 3, 5):
+            assert run(horizon).decisions == run(horizon, window=True).decisions
+        assert run(8).decisions != run(8, window=True).decisions

@@ -44,6 +44,7 @@ from .helpers import (
     assert_same_run,
     check_byte_conservation,
     check_retry_accounting,
+    lte_trace_on_grid,
     spec,
     sr_lat,
 )
@@ -117,7 +118,7 @@ def _grid_case(seed, n, startup_bytes, shared_sr):
 # boundary there would split fluid advances and move the floats.
 SHORT_TRACES = {
     "odd-lte-s0": lambda: lte_trace(40, 14, duration=9, seed=0),
-    "odd-lte-s1": lambda: lte_trace(25, 10, duration=7.5, step=0.5, seed=1),
+    "odd-lte-s1": lambda: lte_trace_on_grid(25, 10, duration=7.5, step=0.5, seed=1),
     "irregular": lambda: NetworkTrace(
         "irregular", [0.0, 0.75, 1.875, 3.25, 5.0, 5.25],
         [30e6, 12e6, 45e6, 8e6, 60e6, 20e6], rtt=0.02,
@@ -274,7 +275,7 @@ class TestWhatTheFoldAllows:
             gray = GrayFailure(edge=0, start=2.0, duration=20.0,
                                capacity_factor=0.5)
             faults = FaultSchedule((gray,))
-        trace = lte_trace(30, 10, duration=3.3, step=0.1, seed=0)
+        trace = lte_trace_on_grid(30, 10, duration=3.3, step=0.1, seed=0)
         result = simulate_fleet(
             self.sessions(), topology=single_link_cdn(trace), faults=faults
         )

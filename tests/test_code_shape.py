@@ -1,9 +1,11 @@
 """Code shape: no function under streaming/, net/, spatial/, sr/, compression/
 or pointcloud/ grows back into a monolith, rewritten kernels leave no
-second path behind, and no public name lives only for its tests."""
+second path behind, and no public name or knob lives only for its tests."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 MAX_BODY_LINES = 150
@@ -121,10 +123,10 @@ def test_planner_evaluates_every_row_and_has_no_scalar_twin():
     assert not hasattr(QoEModel, "plan_value")
     assert list(inspect.signature(ContinuousMPC).parameters) == [
         "quality_model", "qoe_model", "sr_latency", "min_density", "n_grid",
-        "horizon", "safety", "fetch_fraction",
+        "horizon", "fetch_fraction",
     ]
     assert list(inspect.signature(DiscreteMPC).parameters) == [
-        "quality_model", "qoe_model", "sr_latency", "levels", "horizon", "safety",
+        "quality_model", "qoe_model", "sr_latency", "horizon",
     ]
 
 
@@ -256,7 +258,7 @@ def test_a_viewer_is_stated_once():
 
 def test_pricing_is_applied_to_a_finished_run():
     """A run carries no cost model and its report no bill:
-    ``CostModel.price(result)`` is the one way to a ``CostReport``."""
+    ``price(result)`` is the one way to a ``CostReport``."""
     import dataclasses
 
     import repro.streaming as streaming
@@ -374,16 +376,24 @@ def test_the_client_searches_one_index_under_one_tie_rule():
         fn for fn in class_body(sr / "pipeline.py", "VolutUpsampler")
         if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
     ]
-    (gradpu,) = [
-        node.value for node in class_body(sr / "gradpu.py", "GradPUUpsampler")
-        if isinstance(node, ast.AnnAssign) and node.target.id == "backend"
+    # GradPU names its search index at every call: each ``backend=`` and
+    # ``get_backend`` argument
+    gradpu = [
+        arg
+        for call in ast.walk(ast.parse((sr / "gradpu.py").read_text()))
+        if isinstance(call, ast.Call)
+        for arg in (
+            [kw.value for kw in call.keywords if kw.arg == "backend"]
+            + (call.args[:1] if ast.unparse(call.func) == "get_backend" else [])
+        )
     ]
+    assert len(gradpu) == 3
     (yuzu,) = [
         node.value for node in ast.walk(ast.parse((sr / "yuzu.py").read_text()))
         if isinstance(node, ast.Assign)
         and ast.unparse(node.targets[0]) == "self.backend"
     ]
-    for value in (default(interp, "backend"), default(volut_init, "backend"), gradpu, yuzu):
+    for value in (default(interp, "backend"), default(volut_init, "backend"), *gradpu, yuzu):
         assert isinstance(value, ast.Name) and value.id == "CLIENT_BACKEND", ast.unparse(value)
     assert "self_neighbors" in called_names(interp)
     assert "query" not in called_names(interp)
@@ -518,6 +528,15 @@ def public_names(node) -> list[str]:
     ]
 
 
+def production_trees():
+    """Every ``.py`` file under ``src/``, ``examples/``, ``bench/`` and
+    ``benchmarks/`` — the code outside ``tests/`` — parsed."""
+    root = SRC.parents[1]
+    for top in ("src", "examples", "bench", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
 def test_every_public_name_has_a_production_caller():
     """Every top-level public ``def`` / ``class`` / UPPER_CASE constant
     under ``src/repro/`` is used by name (``ast.Name`` / ``ast.Attribute``)
@@ -525,25 +544,260 @@ def test_every_public_name_has_a_production_caller():
     or imported by a file there that is not an ``__init__.py`` —
     ``__all__`` strings, package re-exports and the defining assignment do
     not count."""
-    root = SRC.parents[1]
     defined, used = {}, set()
-    for top in ("src", "examples", "bench", "benchmarks"):
-        for path in sorted((root / top).rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            if path.is_relative_to(SRC):
-                for node in tree.body:
-                    for name in public_names(node):
-                        defined[name] = path.relative_to(SRC).as_posix()
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
-                    used.update(alias.name for alias in node.names)
+    for path, tree in production_trees():
+        if path.is_relative_to(SRC):
+            for node in tree.body:
+                for name in public_names(node):
+                    defined[name] = path.relative_to(SRC).as_posix()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                used.update(alias.name for alias in node.names)
     unused = sorted(f"{defined[n]}::{n}" for n in set(defined) - used)
     assert not unused, unused
 
+
+KNOB_PACKAGES = ("streaming", "net", "obs", "sr")
+
+
+def _signature(fn, skip: int) -> tuple[list[str], list[str]]:
+    """``(positional names, defaulted names)`` of a ``def``, dropping the
+    first ``skip`` positional names (``self`` / ``cls``)."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional[skip:], defaulted
+
+
+def _dataclass_signature(cls) -> tuple[list[str], list[str]] | None:
+    """The generated ``__init__``'s signature, or None for a plain class."""
+    decorators = [
+        d for d in cls.decorator_list
+        if ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")
+    ]
+    if not decorators:
+        return None
+    fields = [
+        node for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and "ClassVar" not in ast.unparse(node.annotation)
+    ]
+    kw_only = any(
+        k.arg == "kw_only" and ast.unparse(k.value) == "True"
+        for k in getattr(decorators[0], "keywords", ())
+    )
+    return (
+        [] if kw_only else [f.target.id for f in fields],
+        [f.target.id for f in fields if f.value is not None],
+    )
+
+
+def knob_signatures(tree) -> list[tuple[str, str, list[str], list[str]]]:
+    """``(label, call name, positional names, defaulted names)`` for each
+    public top-level function, public class (its ``__init__``, or the one
+    ``@dataclass`` generates) and public method of a public class."""
+    out = []
+    for node in tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node.name, *_signature(node, 0)))
+        elif isinstance(node, ast.ClassDef):
+            generated = _dataclass_signature(node)
+            if generated is not None:
+                out.append((node.name, node.name, *generated))
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = "staticmethod" in [ast.unparse(d) for d in fn.decorator_list]
+                if fn.name == "__init__" and generated is None:
+                    out.append((node.name, node.name, *_signature(fn, 1)))
+                elif not fn.name.startswith("_"):
+                    out.append((f"{node.name}.{fn.name}", fn.name,
+                                *_signature(fn, 0 if static else 1)))
+    return out
+
+
+def knob_setters(trees, signatures, factories) -> tuple[set, set]:
+    """What the code in ``trees`` sets: ``(call name, parameter)`` pairs,
+    and bare names a ``dataclasses.replace`` keyword or an ``obj.k = …``
+    store sets on whatever object it reaches.
+
+    A call sets a parameter by keyword, by position, or through ``**`` of
+    a module-level dict (``{…}`` or ``dict(…)``); a keyword handed to
+    ``get_policy`` reaches every registered factory in ``factories``."""
+    positions = {}
+    for _, name, positional, _ in signatures:
+        positions.setdefault(name, []).append(positional)
+    named, anywhere = set(), set()
+    for tree in trees:
+        literals, replaces = {}, {"dataclasses.replace"}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                value = node.value
+                if isinstance(value, ast.Dict):
+                    keys = [k.value for k in value.keys if isinstance(k, ast.Constant)]
+                elif isinstance(value, ast.Call) and ast.unparse(value.func) == "dict":
+                    keys = [k.arg for k in value.keywords if k.arg]
+                else:
+                    continue
+                literals[node.targets[0].id] = keys
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                replaces.update(a.asname or a.name for a in node.names if a.name == "replace")
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if ast.unparse(node.value) not in ("self", "cls"):
+                    anywhere.add(node.attr)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            keywords = set()
+            for kw in call.keywords:
+                if kw.arg is not None:
+                    keywords.add(kw.arg)
+                elif isinstance(kw.value, ast.Name):
+                    keywords.update(literals.get(kw.value.id, ()))
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if ast.unparse(func) in replaces:
+                anywhere |= keywords
+                continue
+            if name == "get_policy":
+                named |= {(factory, k) for factory in factories for k in keywords}
+            for positional in positions.get(name, ()):
+                for arg, param in zip(call.args, positional):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    named.add((name, param))
+            named |= {(name, k) for k in keywords}
+    return named, anywhere
+
+
+def unset_knobs(modules, trees, factories) -> tuple[int, list[str]]:
+    """``(number of knobs, labels of the knobs nothing in trees sets)``
+    over ``modules`` (label prefix -> parsed module); a knob is a
+    defaulted parameter or dataclass field of :func:`knob_signatures`."""
+    signatures = {
+        prefix: knob_signatures(tree) for prefix, tree in modules.items()
+    }
+    named, anywhere = knob_setters(
+        trees, [s for sigs in signatures.values() for s in sigs], factories
+    )
+    total, unset = 0, []
+    for prefix, sigs in signatures.items():
+        for label, name, _, defaulted in sigs:
+            total += len(defaulted)
+            unset += [
+                f"{prefix}::{label}.{k}" for k in defaulted
+                if (name, k) not in named and k not in anywhere
+            ]
+    return total, sorted(unset)
+
+
+#: knobs no code outside ``tests/`` sets, each with why it stays.  An
+#: output record is one entry for the whole class.
+KNOB_ALLOW_LIST: dict[str, str] = {
+    "streaming/control.py::ControlActions":
+        "output record: a tick's actions, filled in by the control plane",
+    "streaming/spec.py::FleetSpec.assignment":
+        "test-only edge layout; leaves with the generated-scenario work",
+}
+
+
+def test_every_knob_has_a_production_setter():
+    """Every defaulted parameter and dataclass field of a public name under
+    ``src/repro/{streaming,net,obs,sr}/`` is set by some code outside
+    ``tests/`` (see :func:`knob_setters` for what counts), or is on
+    ``KNOB_ALLOW_LIST`` with its reason.  A knob no caller sets is a
+    constant: one value in use doubles the configurations to cover for
+    nothing."""
+    from repro.streaming.policies import _REGISTRY
+
+    modules = {
+        path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
+        for package in KNOB_PACKAGES
+        for path in sorted((SRC / package).glob("*.py"))
+    }
+    factories = {factory.__name__ for factory in _REGISTRY.values()}
+    total, unset = unset_knobs(modules, [t for _, t in production_trees()], factories)
+    print(f"{total} settable values, {len(KNOB_ALLOW_LIST)} allow-list entries")
+
+    def covers(entry, label):
+        return label == entry or label.startswith(entry + ".")
+
+    assert [k for k in unset if not any(covers(e, k) for e in KNOB_ALLOW_LIST)] == []
+    stale = [e for e in KNOB_ALLOW_LIST if not any(covers(e, k) for k in unset)]
+    assert stale == [], stale
+
+
+#: a module of knobs for the pin's own tests: f.b, f.c, Policy.y, Spec.m
+KNOB_DEFINITIONS = """
+from dataclasses import dataclass
+
+def f(a, b=1, *, c=2): ...
+
+class Policy:
+    def __init__(self, x, y=0.5): ...
+
+@dataclass
+class Spec:
+    n: int
+    m: int = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "caller, knob",
+    [
+        ("f(0, 5)", "f.b"),
+        ("f(0, c=3)", "f.c"),
+        ("OPTS = dict(c=3)\nf(0, **OPTS)", "f.c"),
+        ("OPTS = {'y': 0.1}\nPolicy(1, **OPTS)", "Policy.y"),
+        ("get_policy('p', y=0.1)", "Policy.y"),
+        ("import dataclasses\ndataclasses.replace(s, m=4)", "Spec.m"),
+        ("from dataclasses import replace as r\nr(s, m=4)", "Spec.m"),
+        ("spec.m = 4", "Spec.m"),
+        ("Spec(1, 2)", "Spec.m"),
+    ],
+    ids=[
+        "positional", "keyword", "dict-call", "dict-literal", "get_policy",
+        "replace", "replace-alias", "attribute", "dataclass-positional",
+    ],
+)
+def test_the_knob_pin_sees_every_setter_form(caller, knob):
+    total, unset = unset_knobs(
+        {"m.py": ast.parse(KNOB_DEFINITIONS)}, [ast.parse(caller)], {"Policy"}
+    )
+    assert total == 4
+    assert f"m.py::{knob}" not in unset
+    assert len(unset) == 3
+
+
+def test_the_knob_pin_reports_a_knob_nothing_sets():
+    """Calls that pass only required arguments, ``self.m = …`` inside a
+    class, a ``**`` of a dict built in a function and a ``get_policy``
+    keyword with no registered factory taking it set nothing."""
+    caller = """
+f(0)
+Policy(1)
+Spec(1)
+class Other:
+    def __init__(self):
+        self.m = 4
+def build():
+    opts = {"c": 3}
+    f(0, **opts)
+get_policy("p", b=2)
+"""
+    _, unset = unset_knobs(
+        {"m.py": ast.parse(KNOB_DEFINITIONS)}, [ast.parse(caller)], {"Policy"}
+    )
+    assert unset == ["m.py::Policy.y", "m.py::Spec.m", "m.py::f.b", "m.py::f.c"]
 
 def test_one_benchmark_ledger():
     """``bench/`` + ``BENCHMARK.json`` hold every performance number;
