@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net import MBPS, PAPER_LTE_PROFILES, NetworkTrace, lte_trace, stable_trace
-from repro.net.traces import LTE_RTT, LTE_STEP
+from repro.net.traces import LTE_FADE_PROB, LTE_RTT, LTE_STEP
 
 
 class TestNetworkTrace:
@@ -123,6 +123,17 @@ class TestLTE:
         tr = lte_trace(30, 10, duration=12.5, seed=0)
         assert tr.timestamps.tolist() == [i * LTE_STEP for i in range(12)]
         assert tr.rtt == LTE_RTT
+
+    def test_deep_fades_at_the_fade_probability(self):
+        """With no AR(1) noise every sample sits at the mean unless a fade
+        cut it to 20–50 % of it, so the faded share is the fade rate."""
+        tr = lte_trace(mean_mbps=50.0, std_mbps=0.0, duration=20_000, seed=5)
+        bw = tr.bandwidths_bps / MBPS
+        faded = bw < 50.0
+        assert np.all(bw[~faded] == 50.0)
+        assert np.all((bw[faded] >= 10.0) & (bw[faded] <= 25.0))
+        # binomial sd of the share is ~0.001 over 20k samples
+        assert faded.mean() == pytest.approx(LTE_FADE_PROB, abs=0.005)
 
     def test_matches_requested_moments(self):
         """Realized mean/std land near the paper-profile parameters."""

@@ -23,9 +23,13 @@ from repro.streaming import (
 )
 from repro.streaming.control import (
     AUTOSCALE_MIN_SCALE,
+    AUTOSCALE_TARGET_HEALTH,
+    ENCODE_WAIT_HIGH,
+    ENCODE_WAIT_LOW,
     MAX_ENCODE_WORKERS,
     MAX_RESTEERS_PER_TICK,
     MIN_ENCODE_WORKERS,
+    RECOVERY_TOLERANCE,
 )
 
 from .helpers import FixedDensity, spec, sr_lat
@@ -153,6 +157,21 @@ class TestControlPlaneTick:
         ))
         assert not actions
 
+    @pytest.mark.parametrize(
+        "threshold, resized",
+        [(ENCODE_WAIT_HIGH, 8), (ENCODE_WAIT_LOW, 2)],
+        ids=["grow", "shrink"],
+    )
+    def test_a_p95_wait_at_a_threshold_resizes_nothing(self, threshold, resized):
+        """Both thresholds are strict: a p95 wait exactly at one leaves
+        the pool alone, and a hair past it moves the pool."""
+        plane = ControlPlane()
+        at = plane.tick(view(encode_waits=(threshold,) * 3, encode_workers=4))
+        assert at.encode_workers is None
+        past = threshold * (1.01 if resized > 4 else 0.99)
+        moved = plane.tick(view(encode_waits=(past,) * 3, encode_workers=4))
+        assert moved.encode_workers == resized
+
     def test_small_fleet_saturation_matches_docstring(self):
         """The docstring promises "load exceeds factor x mean (and >= 2)".
         An absolute ``max(..., 2.0)`` floor used to creep in instead,
@@ -199,6 +218,14 @@ class TestQoEArrivalAutoscaler:
         auto.finish()
         assert auto(2) == pytest.approx(0.9375)
 
+    def test_a_day_at_the_target_health_counts_as_healthy(self):
+        auto = QoEArrivalAutoscaler(day_seconds=10.0)
+        auto.observe(5.0, AUTOSCALE_TARGET_HEALTH - 0.01)  # day 1 at 0.75
+        auto.observe(15.0, AUTOSCALE_TARGET_HEALTH)  # relaxes, not cut
+        auto.finish()
+        assert auto(1) == pytest.approx(0.75)
+        assert auto(2) == pytest.approx(0.9375)
+
     def test_rolling_days_plan_while_running(self):
         auto = QoEArrivalAutoscaler(day_seconds=10.0)
         auto.observe(5.0, -1.0)
@@ -234,6 +261,19 @@ class TestRecoveryTracker:
         dip, recover = tr.metrics()
         assert dip == pytest.approx(3.1)
         assert recover == pytest.approx(10.0)  # healthy again at t=20
+
+    def test_recovery_is_dated_at_the_edge_of_the_tolerance_band(self):
+        """Health need only climb back to within ``RECOVERY_TOLERANCE``
+        of the baseline; a sample just below that band is not yet
+        recovered."""
+        tr = RecoveryTracker(fault_start=10.0)
+        edge = 1.0 - RECOVERY_TOLERANCE
+        for t, h in [(5.0, 1.0), (12.0, 0.2), (14.0, edge - 0.01),
+                     (16.0, edge), (18.0, 1.0)]:
+            tr.sample(t, h)
+        dip, recover = tr.metrics()
+        assert dip == pytest.approx(0.8)
+        assert recover == pytest.approx(6.0)  # the t=16 sample
 
     def test_never_recovers_is_inf(self):
         tr = RecoveryTracker(fault_start=10.0)

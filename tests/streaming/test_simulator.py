@@ -160,6 +160,80 @@ class TestConfig:
                 SessionConfig(startup_bytes=startup_bytes)
 
 
+def drive(seconds, elapsed, config=None):
+    """Run one session by hand: download ``i`` takes ``elapsed(i)``
+    seconds and every decision fetches density 0.5.  Returns the result,
+    the contexts the controller was offered and the bytes each download
+    asked for."""
+    from repro.streaming.simulator import (
+        DecisionRequest,
+        FleetSession,
+        SessionMachine,
+    )
+
+    machine = SessionMachine(
+        FleetSession(spec(seconds), FixedDensity(0.5), config=config)
+    )
+    ctxs, nbytes = [], []
+    req = machine.pending
+    while req is not None:
+        if isinstance(req, DecisionRequest):
+            ctxs.append(req.ctx)
+            req = machine.advance(Decision(density=0.5, sr_ratio=2.0))
+        else:
+            nbytes.append(req.nbytes)
+            req = machine.advance(elapsed(len(nbytes) - 1))
+    return machine.result, ctxs, nbytes
+
+
+class TestSessionLoop:
+    """The session's fixed buffer and estimator settings, seen through
+    the requests it makes of its driver."""
+
+    def test_the_estimate_is_the_harmonic_mean_of_the_last_window(self):
+        from repro.streaming.simulator import (
+            ESTIMATOR_WINDOW,
+            INITIAL_THROUGHPUT_BPS,
+        )
+
+        def harmonic(xs):
+            return len(xs) / sum(1.0 / x for x in xs)
+
+        _, ctxs, nbytes = drive(12, lambda i: 0.05 * (i + 1))
+        samples = [n * 8.0 / (0.05 * (i + 1)) for i, n in enumerate(nbytes)]
+        assert len(ctxs) == 12 > ESTIMATOR_WINDOW + 1
+        assert ctxs[0].throughput_bps == INITIAL_THROUGHPUT_BPS
+        for i, ctx in enumerate(ctxs[1:], start=1):
+            window = samples[max(0, i - ESTIMATOR_WINDOW):i]
+            assert ctx.throughput_bps == pytest.approx(harmonic(window), rel=1e-12)
+        # the faster early samples have left the window: the whole
+        # history would read higher
+        assert ctxs[-1].throughput_bps * 1.1 < harmonic(samples[:-1])
+
+    def test_playback_starts_once_the_startup_buffer_is_ready(self):
+        """Half-second chunks: playback waits for as many as fill
+        ``STARTUP_BUFFER``; that wait is start-up delay, not stall."""
+        from repro.streaming.simulator import STARTUP_BUFFER
+
+        cfg = SessionConfig(chunk_seconds=0.5)
+        result, _, _ = drive(4, lambda i: 0.1, config=cfg)
+        assert result.startup_delay == pytest.approx(
+            math.ceil(STARTUP_BUFFER / 0.5) * 0.1
+        )
+        assert result.stall_seconds == 0.0
+
+    def test_a_request_waits_until_its_chunk_fits_under_the_cap(self):
+        """Near-instant downloads run ahead of playback, but no chunk is
+        requested before it fits under ``MAX_BUFFER``."""
+        from repro.streaming.simulator import MAX_BUFFER
+
+        result, ctxs, _ = drive(30, lambda i: 0.01)
+        levels = [c.buffer_level for c in ctxs]
+        assert all(level + 1.0 <= MAX_BUFFER + 1e-9 for level in levels)
+        assert max(levels) == pytest.approx(MAX_BUFFER - 1.0)
+        assert result.stall_seconds == 0.0
+
+
 class TestWithMPC:
     def test_mpc_avoids_stalls_on_stable_link(self):
         qm = SRQualityModel()
