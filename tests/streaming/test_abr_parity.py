@@ -32,7 +32,7 @@ from repro.streaming import (
     simulate_fleet,
     uniform_cdn,
 )
-from repro.streaming.abr import SAFETY
+from repro.streaming.abr import MIN_DENSITY, SAFETY
 from repro.streaming.latency import MeasuredSRLatency, latency_batch
 from repro.streaming.policies import (
     BOLA_BUFFER_TARGET,
@@ -495,6 +495,15 @@ class TestGridPolicyChunkCache:
         assert policy.decide_batch([ctx, ctx]) == [fresh, fresh]
 
 
+#: one point per frame, so the 256-byte chunk header dominates every
+#: sparse candidate's size: BOLA then picks above the sparsest candidate,
+#: and at 1 kbit/s the rate rule affords nothing — the rows where the
+#: hybrid's rate clamp binds below its gate
+HEADER_GRID = [(0.001, buf, None, 1) for buf in (0.0, 1.0, 2.5)]
+
+#: the grid the hybrid's gate is checked over
+HYBRID_GRID = [(t, b, p, 100_000) for t, b, p in CTX_GRID] + HEADER_GRID
+
 ZOO_FACTORIES = {
     "bola": lambda: get_policy("bola", n_grid=12),
     "bola-coarse": lambda: get_policy("bola", n_grid=7),
@@ -514,11 +523,12 @@ class TestZooScalarVectorParity:
     def test_decide_batch_matches_decide(self, name):
         policy = ZOO_FACTORIES[name]()
         ctxs = [make_ctx(t, b, p) for t, b, p in CTX_GRID]
-        # Mixed-video batches: a second chunk shape in the same call.
+        # Mixed-video batches: more chunk shapes in the same call, one of
+        # them header-dominated (where the hybrid's rate clamp binds).
         ctxs += [
             make_ctx(40.0, 1.0, 0.5, n_chunks=1, points=40_000),
             make_ctx(3.0, 9.0, None, n_chunks=2, points=40_000),
-        ]
+        ] + [make_ctx(t, b, p, points=n) for t, b, p, n in HEADER_GRID]
         batch = policy.decide_batch(ctxs)
         singles = [policy.decide(c) for c in ctxs]
         assert len(batch) == len(singles)
@@ -570,8 +580,8 @@ class TestZooScalarVectorParity:
         bola = get_policy("bola", n_grid=12)
         hybrid = get_policy("hybrid", n_grid=12)
         picks = set()
-        for tput, buf, prev in CTX_GRID:
-            ctx = make_ctx(tput, buf, prev)
+        for tput, buf, prev, points in HYBRID_GRID:
+            ctx = make_ctx(tput, buf, prev, points=points)
             h = hybrid.decide(ctx).density
             b, r = bola.decide(ctx).density, rate.decide(ctx).density
             if buf >= HYBRID_GATE_BUFFER:
@@ -579,11 +589,19 @@ class TestZooScalarVectorParity:
             else:
                 assert h == min(b, r)
                 picks.add("rate" if r < b else "bola" if b < r else "tie")
-        # At the module's constants BOLA already picks the sparsest
-        # candidate below the gate (its scores turn positive near the
-        # buffer target, far above the gate), so the rate clamp never
-        # binds there; the rule is still checked row by row above.
-        assert picks == {"bola", "tie"}
+        assert picks == {"rate", "bola", "tie"}
+
+    def test_the_rate_clamp_binds_on_a_header_dominated_chunk(self):
+        """One point per frame: every sparse candidate costs just the chunk
+        header, so BOLA skips past them; a 1 kbit/s estimate affords none,
+        and below the gate the hybrid takes the rate rule's sparsest pick."""
+        bola = get_policy("bola", n_grid=12)
+        hybrid = get_policy("hybrid", n_grid=12)
+        below = make_ctx(0.001, 0.5 * HYBRID_GATE_BUFFER, None, points=1)
+        at = make_ctx(0.001, HYBRID_GATE_BUFFER, None, points=1)
+        assert bola.decide(below).density > MIN_DENSITY
+        assert hybrid.decide(below).density == MIN_DENSITY
+        assert hybrid.decide(at) == bola.decide(at)
 
     @given(
         tput=st.floats(0.5, 1000.0),

@@ -597,42 +597,43 @@ def _dataclass_signature(cls) -> tuple[list[str], list[str]] | None:
     )
 
 
-def knob_signatures(tree) -> list[tuple[str, str, list[str], list[str]]]:
-    """``(label, call name, positional names, defaulted names)`` for each
-    public top-level function, public class (its ``__init__``, or the one
-    ``@dataclass`` generates) and public method of a public class."""
+def knob_signatures(tree) -> list[tuple[str, str, list[str], list[str], bool]]:
+    """``(label, call name, positional names, defaulted names, is dataclass)``
+    for each public top-level function, public class (its ``__init__``, or
+    the one ``@dataclass`` generates) and public method of a public class."""
     out = []
     for node in tree.body:
         if getattr(node, "name", "_").startswith("_"):
             continue
         if isinstance(node, ast.FunctionDef):
-            out.append((node.name, node.name, *_signature(node, 0)))
+            out.append((node.name, node.name, *_signature(node, 0), False))
         elif isinstance(node, ast.ClassDef):
             generated = _dataclass_signature(node)
             if generated is not None:
-                out.append((node.name, node.name, *generated))
+                out.append((node.name, node.name, *generated, True))
             for fn in node.body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
                 static = "staticmethod" in [ast.unparse(d) for d in fn.decorator_list]
                 if fn.name == "__init__" and generated is None:
-                    out.append((node.name, node.name, *_signature(fn, 1)))
+                    out.append((node.name, node.name, *_signature(fn, 1), False))
                 elif not fn.name.startswith("_"):
                     out.append((f"{node.name}.{fn.name}", fn.name,
-                                *_signature(fn, 0 if static else 1)))
+                                *_signature(fn, 0 if static else 1), False))
     return out
 
 
 def knob_setters(trees, signatures, factories) -> tuple[set, set]:
     """What the code in ``trees`` sets: ``(call name, parameter)`` pairs,
     and bare names a ``dataclasses.replace`` keyword or an ``obj.k = …``
-    store sets on whatever object it reaches.
+    store sets on whatever object it reaches — which only a dataclass
+    field can be, so :func:`unset_knobs` applies those to fields alone.
 
     A call sets a parameter by keyword, by position, or through ``**`` of
     a module-level dict (``{…}`` or ``dict(…)``); a keyword handed to
     ``get_policy`` reaches every registered factory in ``factories``."""
     positions = {}
-    for _, name, positional, _ in signatures:
+    for _, name, positional, _, _ in signatures:
         positions.setdefault(name, []).append(positional)
     named, anywhere = set(), set()
     for tree in trees:
@@ -690,11 +691,11 @@ def unset_knobs(modules, trees, factories) -> tuple[int, list[str]]:
     )
     total, unset = 0, []
     for prefix, sigs in signatures.items():
-        for label, name, _, defaulted in sigs:
+        for label, name, _, defaulted, is_dataclass in sigs:
             total += len(defaulted)
             unset += [
                 f"{prefix}::{label}.{k}" for k in defaulted
-                if (name, k) not in named and k not in anywhere
+                if (name, k) not in named and not (is_dataclass and k in anywhere)
             ]
     return total, sorted(unset)
 
@@ -780,9 +781,12 @@ def test_the_knob_pin_sees_every_setter_form(caller, knob):
 
 def test_the_knob_pin_reports_a_knob_nothing_sets():
     """Calls that pass only required arguments, ``self.m = …`` inside a
-    class, a ``**`` of a dict built in a function and a ``get_policy``
-    keyword with no registered factory taking it set nothing."""
+    class, a ``**`` of a dict built in a function, a ``get_policy``
+    keyword with no registered factory taking it, and an ``obj.b = …``
+    store or ``replace(…, c=…)`` naming a function's parameter (only a
+    dataclass field is reached that way) set nothing."""
     caller = """
+from dataclasses import replace
 f(0)
 Policy(1)
 Spec(1)
@@ -793,6 +797,9 @@ def build():
     opts = {"c": 3}
     f(0, **opts)
 get_policy("p", b=2)
+obj.b = 1
+obj.y = 0.1
+replace(s, c=3)
 """
     _, unset = unset_knobs(
         {"m.py": ast.parse(KNOB_DEFINITIONS)}, [ast.parse(caller)], {"Policy"}
