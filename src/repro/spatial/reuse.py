@@ -18,28 +18,36 @@ midpoints when k is modest, the regime VoLUT runs in).
 The prune is a k-pass select, not a sort:
 
 1. cut the rows into blocks of ``_BLOCK_ROWS``;
-2. per block, lay the candidates out once as ``(rows, 2 + 2·k_src)`` —
-   columns ``parent_a``, ``parent_b``, ``N(parent_a)``, ``N(parent_b)``;
+2. per block, lay the candidates out once, candidate-major, as
+   ``(2 + 2·k_src, rows)`` — rows ``parent_a``, ``parent_b``,
+   ``N(parent_a)``, ``N(parent_b)``, so every candidate column is one
+   contiguous run and NumPy reduces across them without a row-wise loop;
 3. squared distances ``(dx² + dy²) + dz²`` by one gather per axis from
    contiguous x / y / z (the block's targets transposed to contiguous rows
-   too), accumulated in place (no ``(rows, width, 3)`` array exists) — so
+   too), accumulated in place (no ``(width, rows, 3)`` array exists) — so
    the last returned distance is bit for bit Eq. 3's radius ``R`` of the
    returned neighbours, which ``PositionEncoder.encode`` accepts instead of
    measuring it again;
-4. ``k`` times: ``argmin`` along the row, record the winner and its
-   distance — one ``take`` each on the raveled block at ``argmin + row
-   start``, not a 2-D ``[row, column]`` fancy index — then set the
-   distance of *every* column holding the winner's index to ``inf`` — one
-   equality compare retires the winner and all its duplicates (the parents'
-   lists overlap heavily);
+4. ``k`` times: the minimum over the candidates (``np.minimum.reduce``
+   along axis 0) is the pass's distance; the winner is the lowest candidate
+   column holding that minimum (below), taken from the raveled block at
+   ``column · rows + row``; then the distance of *every* column holding
+   the winner's index goes to ``inf`` — one equality compare retires the
+   winner and all its duplicates (the parents' lists overlap heavily);
 5. a pass whose minimum is ``inf`` means the row ran out of distinct
    candidates, which is an error, not a padded answer.
 
-**Ties** go to the lowest candidate column, because ``argmin`` returns the
-first minimum: ``parent_a`` before ``parent_b`` before ``N(parent_a)`` in
-list order before ``N(parent_b)`` in list order.  Ties are the common case,
-not a corner: a midpoint is equidistant from its two parents by
-construction.  Blocking does not change any row's answer.
+**Ties** go to the lowest candidate column: ``parent_a`` before
+``parent_b`` before ``N(parent_a)`` in list order before ``N(parent_b)``
+in list order.  Ties are the common case, not a corner: a midpoint is
+equidistant from its two parents by construction.  A pass finds that
+column without a row-wise ``argmin``: the 0 / 1 tie mask ``d² == min``
+weighted by ``2⁻ᶜ`` for column ``c`` is one BLAS mat-vec, and the
+exponent ``np.frexp`` reads off the sum is that of its largest term, the
+lowest tied column.  Any subset of 53 consecutive powers of two sums
+exactly in float64, whatever order BLAS adds in; a wider block is read in
+slices of 53 columns, the lowest slice with a tie deciding.  Blocking does
+not change any row's answer.
 """
 
 from __future__ import annotations
@@ -51,15 +59,19 @@ from .knn import as_finite_xyz
 __all__ = ["merge_and_prune"]
 
 #: Rows per block.  At 18 candidates a block's temporaries (candidates, one
-#: per-axis difference, distances) are ~150 KiB each and stay cache-resident.
-#: Measured on the 12 frames of ``bench``'s ``client-x8`` (m = 10,493 rows,
-#: k = 3; interleaved, best of 9, ms/frame): 256 → 4.57, 512 → 3.94,
-#: 1,024 → 3.91, 2,048 → 3.88, 4,096 → 4.39, unblocked → 4.86; on
-#: ``client-x2`` (m = 5,986): 2.69 / 2.41 / 2.21 / 2.29 / 2.45 / 2.54.
-#: 512–2,048 are within noise of each other, 4,096 and up lose 12–25 %.  The
-#: sort-based predecessor (``tests/spatial/reference_reuse.py``) took 15.8
-#: and 7.4 in the same window.
+#: per-axis difference, distances, tie mask) are ~150 KiB each and stay
+#: cache-resident.  Measured on the 12 frames of ``bench``'s ``client-x8``
+#: as ``upsample`` prunes them (m ≈ 7,290 distinct rows, k = 3; interleaved,
+#: best of 11, ms/frame): 256 → 4.36, 512 → 3.50, 1,024 → 3.07, 2,048 →
+#: 3.23, 4,096 → 4.47, unblocked → 5.09; on ``client-x2`` (m ≈ 5,984):
+#: 3.86 / 2.98 / 2.48 / 3.13 / 3.77 / 4.18.  1,024 was fastest in three of
+#: four such sweeps, 2,048 once; 4,096 and up lose 45–70 %.  The row-major
+#: predecessor at 1,024 rows (its body, unblocked, is the oracle in
+#: ``tests/spatial/reference_reuse.py``) took 5.25 and 3.80 in the same
+#: window.
 _BLOCK_ROWS = 1024
+#: columns one tie mat-vec reads exactly: float64 holds 53 significant bits
+_EXACT_COLUMNS = 53
 
 
 def _parent_indices(parent: np.ndarray, what: str, m: int, n: int) -> np.ndarray:
@@ -153,32 +165,44 @@ def merge_and_prune(
         raise ValueError(f"k={k} exceeds candidate count {width}")
 
     axes = [np.ascontiguousarray(points[:, a]) for a in range(3)]
+    weights = np.ldexp(1.0, -(np.arange(width) % _EXACT_COLUMNS))
+    slices = range(0, width, _EXACT_COLUMNS)
     indices = np.empty((m, k), dtype=np.int64)
     distances = np.empty((m, k), dtype=np.float64)
     for lo in range(0, m, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, m)
+        rows = hi - lo
         a, b = parent_a[lo:hi], parent_b[lo:hi]
-        cand = np.empty((hi - lo, width), dtype=np.int64)
-        cand[:, 0] = a
-        cand[:, 1] = b
-        cand[:, 2 : 2 + k_src] = neighbor_idx[a]
-        cand[:, 2 + k_src :] = neighbor_idx[b]
+        cand = np.empty((width, rows), dtype=np.int64)
+        cand[0] = a
+        cand[1] = b
+        cand[2 : 2 + k_src] = np.take(neighbor_idx, a, axis=0).T
+        cand[2 + k_src :] = np.take(neighbor_idx, b, axis=0).T
         targets = new_points[lo:hi].T.copy()
         d2 = None
         for axis, coords in enumerate(axes):
-            diff = coords[cand]
-            diff -= targets[axis, :, None]
+            diff = coords.take(cand)
+            diff -= targets[axis]
             diff *= diff
             d2 = diff if d2 is None else np.add(d2, diff, out=d2)
-        row_start = np.arange(0, (hi - lo) * width, width)
+        tie = np.empty((width, rows))
+        row = np.arange(rows)
         for j in range(k):
             if j:  # retire the last winner and every duplicate of it
-                np.putmask(d2, cand == winner[:, None], np.inf)
-            flat = d2.argmin(axis=1)
-            flat += row_start
-            winner = cand.take(flat)
+                np.putmask(d2, cand == winner, np.inf)
+            low = np.minimum.reduce(d2, axis=0)
+            np.equal(d2, low, out=tie)
+            column = None
+            for start in reversed(slices):  # the lowest slice with a tie decides
+                stop = start + _EXACT_COLUMNS
+                score = weights[start:stop] @ tie[start:stop]
+                first = start + 1 - np.frexp(score)[1]
+                column = first if column is None else np.where(score > 0, first, column)
+            column *= rows
+            column += row
+            winner = cand.take(column)
             indices[lo:hi, j] = winner
-            distances[lo:hi, j] = d2.take(flat)
+            distances[lo:hi, j] = low
         short = distances[lo:hi, -1] == np.inf
         if short.any():
             bad = lo + int(np.argmax(short))

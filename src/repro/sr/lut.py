@@ -198,7 +198,7 @@ class HashedLUT:
         # makes the far side lose the comparison
         hi_is_closer = (khi - keys) < (keys - self._keys[lo])
         row = np.where(hit | hi_is_closer, hi, lo)
-        return self._values[row].astype(np.float64)
+        return np.take(self._values, row, axis=0).astype(np.float64)
 
     def memory_bytes(self) -> int:
         """Bytes held by this table's storage arrays."""

@@ -129,7 +129,8 @@ class VolutUpsampler:
 
         colors = cloud.colors
         if colors is not None:
-            colors = np.vstack([colors, colors[nearer_parent(cloud.positions, interp)]])
+            nearer = nearer_parent(cloud.positions, interp)
+            colors = np.vstack([colors, np.take(colors, nearer, axis=0)])
         t2 = time.perf_counter()
         times.colorization = t2 - t1
 
@@ -147,7 +148,8 @@ class VolutUpsampler:
             idx, dist = merge_and_prune(
                 new, cloud.positions, a, b, interp.neighbor_idx, encoder.rf_size - 1,
             )
-            enc = encoder.encode(new, cloud.positions[idx], radius=dist[:, -1])
+            neighbors = np.take(cloud.positions, idx, axis=0)
+            enc = encoder.encode(new, neighbors, radius=dist[:, -1])
             step = self.lut.lookup_normalized(enc.normalized)
             step *= enc.radius[:, None]
             positions[n:] += step if inverse is None else step[inverse]
@@ -165,8 +167,8 @@ class NaiveUpsampler:
     """
 
     def __init__(self, k: int = 4, dilation: int = 1, seed: int = 0):
-        self.k = int(k)
-        self.dilation = int(dilation)
+        self.k = check_count("k", k, 1)
+        self.dilation = check_count("dilation", dilation, 1)
         self._rng = np.random.default_rng(seed)
 
     def upsample(self, cloud: PointCloud, ratio: float) -> SRResult:

@@ -1,12 +1,21 @@
-"""The sort-based ``merge_and_prune`` that production replaced — test oracle.
+"""The two ``merge_and_prune`` kernels that production replaced — test oracles.
 
-This is the body ``repro.spatial.reuse.merge_and_prune`` had before it
-became a row-blocked k-pass select: materialise ``points[cand]`` as
-``(m, 2 + 2·k_src, 3)``, find duplicate candidates with a row sort plus a
-stable argsort, inflate their distance, then ``argpartition`` + tail sort.
-It imports nothing from ``repro.spatial.reuse`` and validates nothing;
-ties resolve however ``einsum`` rounds and introselect partitions, which is
-why the parity grid compares indices only on rows without near-ties.
+Neither imports anything from ``repro.spatial.reuse`` or validates its
+input.
+
+* :func:`reference_merge_and_prune` is the sort-based body: materialise
+  ``points[cand]`` as ``(m, 2 + 2·k_src, 3)``, find duplicate candidates
+  with a row sort plus a stable argsort, inflate their distance, then
+  ``argpartition`` + tail sort.  Ties resolve however ``einsum`` rounds and
+  introselect partitions, which is why the parity grid compares its
+  indices only on rows without near-ties.
+* :func:`rowwise_merge_and_prune` is the row-major k-pass select that
+  followed it, without its row blocks (a row's answer never depended on
+  them): candidates laid out ``(m, 2 + 2·k_src)``, one ``argmin`` along
+  each row per pass (the first minimum, so ties go to the lowest candidate
+  column), the winner read at ``argmin + row start`` of the raveled array.
+  Its distances are summed in the order production sums them, so it is
+  production's byte-exact oracle on every row, ties included.
 """
 
 from __future__ import annotations
@@ -53,3 +62,33 @@ def reference_merge_and_prune(new_points, points, parent_a, parent_b, neighbor_i
     idx = np.take_along_axis(part, order, axis=1)
     dist = np.sqrt(np.take_along_axis(pd, order, axis=1))
     return np.take_along_axis(cand, idx, axis=1), dist
+
+
+def rowwise_merge_and_prune(new_points, points, parent_a, parent_b, neighbor_idx, k):
+    m = len(new_points)
+    k_src = neighbor_idx.shape[1]
+    width = 2 + 2 * k_src
+    cand = np.empty((m, width), dtype=np.int64)
+    cand[:, 0] = parent_a
+    cand[:, 1] = parent_b
+    cand[:, 2 : 2 + k_src] = neighbor_idx[parent_a]
+    cand[:, 2 + k_src :] = neighbor_idx[parent_b]
+    targets = new_points.T.copy()
+    d2 = None
+    for axis in range(3):
+        diff = np.ascontiguousarray(points[:, axis])[cand]
+        diff -= targets[axis, :, None]
+        diff *= diff
+        d2 = diff if d2 is None else np.add(d2, diff, out=d2)
+    indices = np.empty((m, k), dtype=np.int64)
+    distances = np.empty((m, k), dtype=np.float64)
+    row_start = np.arange(0, m * width, width)
+    for j in range(k):
+        if j:  # retire the last winner and every duplicate of it
+            np.putmask(d2, cand == winner[:, None], np.inf)
+        flat = d2.argmin(axis=1)
+        flat += row_start
+        winner = cand.take(flat)
+        indices[:, j] = winner
+        distances[:, j] = d2.take(flat)
+    return indices, np.sqrt(distances, out=distances)

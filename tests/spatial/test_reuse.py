@@ -1,8 +1,11 @@
 """Neighbor-relationship reuse (Eq. 2) tests.
 
-``reference_reuse.reference_merge_and_prune`` is the sort-based body
-production replaced; the parity grid below is the oracle-parity instance
-for the k-pass select.
+``reference_reuse`` holds the two kernels production replaced: the
+sort-based body (``reference_merge_and_prune``, indices compared on
+tie-free rows) and the row-major k-pass select
+(``rowwise_merge_and_prune``, compared byte for byte on every row, ties
+included); the parity grid below is the oracle-parity instance for the
+candidate-major select.
 """
 
 import tracemalloc
@@ -18,7 +21,7 @@ from repro.spatial.reuse import _BLOCK_ROWS
 from repro.sr.interpolation import interpolate
 from repro.streaming.encoder import decode_frame_compressed, encode_frame_compressed
 
-from .reference_reuse import reference_merge_and_prune
+from .reference_reuse import reference_merge_and_prune, rowwise_merge_and_prune
 
 
 def _setup(frame, k_src=8):
@@ -158,7 +161,7 @@ def test_bad_input_is_rejected(new_points, parent_a, parent_b, neighbor_idx, k, 
 
 
 # ---------------------------------------------------------------------------
-# Oracle parity: production vs the sort-based predecessor.
+# Oracle parity: production vs the row-major and sort-based predecessors.
 # ---------------------------------------------------------------------------
 
 #: distances closer than this are a tie: which index wins is the tie rule's
@@ -185,6 +188,9 @@ def _candidate_gaps_are_wide(new, pts, pa, pb, nb, k):
 
 def _assert_parity(new, pts, pa, pb, nb, k):
     idx, dist = merge_and_prune(new, pts, pa, pb, nb, k)
+    # the row-major select: the same answer byte for byte, every tie included
+    row_idx, row_dist = rowwise_merge_and_prune(new, pts, pa, pb, nb, k)
+    assert idx.tobytes() == row_idx.tobytes() and dist.tobytes() == row_dist.tobytes()
     ref_idx, ref_dist = reference_merge_and_prune(new, pts, pa, pb, nb, k)
     assert idx.shape == ref_idx.shape == (len(new), k) and idx.dtype == np.int64
     assert dist.shape == ref_dist.shape and dist.dtype == np.float64
@@ -206,7 +212,7 @@ def _assert_parity(new, pts, pa, pb, nb, k):
 @given(
     seed=st.integers(0, 10_000),
     lattice=st.booleans(),
-    k_src=st.integers(3, 10),
+    k_src=st.integers(3, 30),  # past 53 candidate columns from 26 on
     k=st.integers(1, 6),
     dilated_partner=st.booleans(),
     jitter=st.booleans(),
@@ -289,6 +295,25 @@ class TestTieRule:
         assert (first[0][1:-1] == self.B_THEN_A).all()
         again = merge_and_prune(new, self.PTS, pa, pb, self.NB, 6)
         assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+
+    def test_a_tie_across_more_columns_than_float64_sums_exactly(self):
+        """62 candidate columns, every one at distance 1: the midpoint of
+        points 0 and 1 is the origin, and both parents list 2, 3, 4, 5 over
+        and over.  The lowest column wins each pass; one sum of 62 powers of
+        two would round up past column 0 and start ``[3, 0, 1]``.  Then the
+        last column alone holds a nearer point, so only the second 53-column
+        slice has a tie in the first pass."""
+        pts = np.vstack([np.eye(3), -np.eye(3)])[[0, 3, 1, 4, 2, 5]]
+        pts = np.vstack([pts, [0.0, 0.0, 0.5]])
+        nb = np.tile([2, 3, 4, 5], (7, 8))[:, :30]
+        origin, a, b = np.zeros((1, 3)), np.array([0]), np.array([1])
+        idx, dist = merge_and_prune(origin, pts, a, b, nb, 6)
+        assert idx[0].tolist() == [0, 1, 2, 3, 4, 5]
+        assert (dist == 1.0).all()
+        nb[1, -1] = 6
+        idx, dist = merge_and_prune(origin, pts, a, b, nb, 3)
+        assert idx[0].tolist() == [6, 0, 1]
+        assert dist[0].tolist() == [0.5, 1.0, 1.0]
 
 
 def test_a_rows_answer_does_not_depend_on_its_block_neighbours():

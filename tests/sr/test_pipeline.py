@@ -70,12 +70,14 @@ class TestVolutUpsampler:
         [("k", 4.9), ("k", True), ("k", 0), ("dilation", True), ("dilation", 2.5)],
     )
     def test_structural_integers_are_not_truncated(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            VolutUpsampler(**{field: value})
+        for upsampler in (VolutUpsampler, NaiveUpsampler):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                upsampler(**{field: value})
 
     def test_numpy_integers_are_integers(self):
-        up = VolutUpsampler(k=np.int64(4), dilation=np.int32(2))
-        assert (up.k, up.dilation) == (4, 2) and type(up.k) is int
+        for upsampler in (VolutUpsampler, NaiveUpsampler):
+            up = upsampler(k=np.int64(4), dilation=np.int32(2))
+            assert (up.k, up.dilation) == (4, 2) and type(up.k) is int
 
 
 class TestComposedStages:
