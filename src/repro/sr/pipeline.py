@@ -144,7 +144,7 @@ class VolutUpsampler:
                 _, rows, inverse = np.unique(
                     a * n + b, return_index=True, return_inverse=True
                 )
-                new, a, b = new[rows], a[rows], b[rows]
+                new, a, b = np.take(new, rows, axis=0), a.take(rows), b.take(rows)
             idx, dist = merge_and_prune(
                 new, cloud.positions, a, b, interp.neighbor_idx, encoder.rf_size - 1,
             )
@@ -152,7 +152,9 @@ class VolutUpsampler:
             enc = encoder.encode(new, neighbors, radius=dist[:, -1])
             step = self.lut.lookup_normalized(enc.normalized)
             step *= enc.radius[:, None]
-            positions[n:] += step if inverse is None else step[inverse]
+            positions[n:] += (
+                step if inverse is None else np.take(step, inverse, axis=0)
+            )
         out = PointCloud(positions, colors)
         times.refinement = time.perf_counter() - t2
         return SRResult(cloud=out, times=times)

@@ -571,8 +571,9 @@ class _FleetRun:
         self.live_req: dict[int, tuple[DownloadRequest, int, int, int]] = {}
         self.attempt_serial = 0
         #: armed per-attempt timeouts: (deadline, sid, attempt serial); an
-        #: entry whose attempt is no longer the one in flight is stale (it
-        #: may wake the loop spuriously, never fire)
+        #: entry whose attempt is no longer the one in flight is stale — it
+        #: never fires, and :meth:`_next_instant` pops it off the head
+        #: before the head can wake the loop
         self.timeout_heap: list[tuple[float, int, int]] = []
         self.rstate = _RetryState()
         #: the run's own record of what it did: re-steers it applied,
@@ -752,8 +753,13 @@ class _FleetRun:
 
     def _next_instant(self, now: float) -> float:
         """The next instant anything can change: a link allocation, a
-        deferred request's start, an outage bound, an armed deadline (a
-        stale one may wake the loop spuriously)."""
+        deferred request's start, an outage bound, a live attempt's
+        deadline.  Stale deadlines leave the heap head first (lazy
+        deletion, as ``expire_gates`` does for gates): a timer that can
+        no longer fire must not split a drain or add a control instant."""
+        heap = self.timeout_heap
+        while heap and not self._attempt_live(heap[0]):
+            heapq.heappop(heap)
         events = []
         if self.sched.busy():
             events.append(self.sched.next_event(now))
@@ -768,8 +774,10 @@ class _FleetRun:
     def _count_wake(self, t: float, completions) -> None:
         """Count why the loop woke at ``t``: one ``fleet.wake.*`` reason per
         step, the first that holds (an RTT / encode gate expiring changes
-        shares; an armed deadline may be stale; what is left is a trace
-        boundary).  Read before this step's stages consume what was due."""
+        shares; the deadline at the heap head is live, though an outage
+        bound at the same instant may still evacuate its attempt; what is
+        left is a trace boundary).  Read before this step's stages consume
+        what was due."""
         if completions:
             why = "completion"
         elif self.sched._gate_due(t):
@@ -1199,10 +1207,9 @@ class _FleetRun:
         with self.ph_control:
             fired: list[int] = []
             while heap and heap[0][0] <= t:
-                _, sid, serial = heapq.heappop(heap)
-                live = self.live_req.get(sid)
-                if live is not None and live[3] == serial:
-                    fired.append(sid)
+                entry = heapq.heappop(heap)
+                if self._attempt_live(entry):
+                    fired.append(entry[1])
             for sid in fired:
                 req, edge_idx, orphans = self._cancel(sid, t)
                 # Requests coalesced onto the aborted fill retry on their
@@ -1216,6 +1223,13 @@ class _FleetRun:
                 )
                 hedged = policy.hedge and self._hedge(sid, edge_idx, t)
                 self._reissue(sid, req, t, "timeout", backoff=not hedged)
+
+    def _attempt_live(self, entry: tuple[float, int, int]) -> bool:
+        """True when an armed ``(deadline, sid, serial)`` entry's attempt
+        is still the one in flight — the one liveness rule both
+        :meth:`_next_instant` and :meth:`fire_timeouts` read."""
+        live = self.live_req.get(entry[1])
+        return live is not None and live[3] == entry[2]
 
     def _hedge(self, sid: int, edge_idx: int, t: float) -> bool:
         """Re-steer a timed-out viewer to the least-loaded *other* live

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import stable_trace
@@ -967,3 +967,41 @@ class TestFaultScenarioGrid:
         check_byte_conservation(a)
         check_retry_accounting(a.report)
         check_retry_events(tel.tracer, a.report, startup_payloads=2 * late)
+
+
+class TestInertTimeout:
+    """A retry deadline that never fires leaves the run as it is without
+    one: ``timeout_s=inf`` arms nothing, so a finite timeout under which no
+    request timed out must give the same run, bit for bit.  It holds only
+    while a stale deadline (its attempt completed or was re-issued) wakes
+    nothing: a wake splits a fluid drain and adds a control instant."""
+
+    @given(
+        fault=st.sampled_from(sorted(TestFaultScenarioGrid.FAULTS)),
+        n=st.integers(3, 8),
+        stagger=st.floats(0.0, 1.5),
+        hedge=st.booleans(),
+        timeout_s=st.floats(1.0, 12.0),
+    )
+    # No deadline fires here, and waking for the stale ones moves session
+    # 5's chunk records.
+    @example(fault="none", n=6, stagger=0.4, hedge=False, timeout_s=5.0)
+    @settings(max_examples=15, deadline=None)
+    def test_a_timer_that_never_fires_is_inert(
+        self, fault, n, stagger, hedge, timeout_s
+    ):
+        policy = RetryPolicy(
+            timeout_s=timeout_s, backoff_base_s=0.25, backoff_cap_s=1.0,
+            max_attempts=3, hedge=hedge,
+        )
+
+        def run(retry_policy):
+            return simulate_fleet(
+                fleet(n, stagger=stagger), topology=cdn(n_regions=2),
+                faults=TestFaultScenarioGrid.FAULTS[fault],
+                retry_policy=retry_policy,
+            )
+
+        timed = run(policy)
+        assume(timed.report.requests_timed_out == 0)
+        assert_same_run(timed, run(dataclasses.replace(policy, timeout_s=math.inf)))

@@ -455,13 +455,30 @@ class TestMetricsWiring:
 
     def test_wake_reasons_cover_the_resilience_path(self):
         """Outage bounds and armed deadlines wake the loop too; the
-        partition still holds."""
+        partition still holds, and every deadline wake fires a timeout."""
         tel = Telemetry(trace=False)
-        simulate_fleet(
+        report = simulate_fleet(
             fleet(n=8), retry_policy=RetryPolicy(timeout_s=1.0, max_attempts=3),
             **chaos_kwargs(tel),
-        )
+        ).report
         wakes = wake_counts(tel)
         assert sum(wakes.values()) == tel.profiler.counts["scheduler"]
         assert wakes["outage_bound"] >= 1 and wakes["timeout"] >= 1
+        assert wakes["timeout"] <= report.requests_timed_out
+
+    def test_a_stale_deadline_does_not_wake_the_loop(self):
+        """A deadline whose attempt already completed or was re-issued can
+        never fire, so it wakes nothing: here no request times out, and
+        no step wakes for a deadline (``test_faults.py::TestInertTimeout``
+        pins this fleet's run to the untimed one)."""
+        tel = Telemetry(trace=False)
+        report = simulate_fleet(
+            fleet(n=6), topology=cdn(n_encode_workers=2),
+            retry_policy=RetryPolicy(
+                timeout_s=5.0, backoff_base_s=0.25, backoff_cap_s=1.0,
+                max_attempts=3,
+            ),
+            telemetry=tel,
+        ).report
+        assert wake_counts(tel).get("timeout", 0) <= report.requests_timed_out
 

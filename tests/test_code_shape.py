@@ -399,6 +399,18 @@ def test_the_client_searches_one_index_under_one_tie_rule():
     assert "query" not in called_names(interp)
 
 
+def gathers_rows(node, index):
+    """``node`` gathers rows by the name ``index``: ``x[index]``,
+    ``np.take(x, index, …)`` or ``x.take(index, …)``."""
+    if isinstance(node, ast.Subscript):
+        return ast.unparse(node.slice) == index
+    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "take"):
+        return False
+    owner = node.func.value
+    args = node.args[1:] if isinstance(owner, ast.Name) and owner.id == "np" else node.args
+    return bool(args) and ast.unparse(args[0]) == index
+
+
 def test_sr_tail_reuses_the_prunes_distances():
     """``encode`` and ``colorize`` sum squares per axis (the ``linalg.norm``
     formulas are ``tests/sr/reference_distances.py``), and
@@ -450,13 +462,12 @@ def test_sr_tail_reuses_the_prunes_distances():
             getattr(node.targets[0], "elts", [node.targets[0]]),
             getattr(node.value, "elts", [node.value]),
         )
-        if isinstance(value, ast.Subscript) and ast.unparse(value.slice) == rows.id
+        if gathers_rows(value, rows.id)
     }
     new, _, a, b = prune.value.args[:4]
     assert {new.id, a.id, b.id} <= narrowed, ast.unparse(prune.value)
     scattered = [
-        node for node in ast.walk(upsample)
-        if isinstance(node, ast.Subscript) and ast.unparse(node.slice) == inverse.id
+        node for node in ast.walk(upsample) if gathers_rows(node, inverse.id)
     ]
     assert scattered, "the distinct rows' step is not scattered back"
 
