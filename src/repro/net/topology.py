@@ -12,56 +12,59 @@ splits a time-varying link between concurrent transfers:
   per-hop RTTs once before bits move.
 * :class:`PathScheduler` — the event engine for flows on different paths
   over a shared link pool: ``next_event`` returns the earliest instant
-  any link's fluid allocation can change, ``advance`` drains every
-  active flow at its path rate and reports completions.  It is the only
-  transfer integrator: a lone transfer is a pool of one flow
-  (:meth:`repro.net.link.Link.download_time`), and a single session is a
-  fleet of one (:func:`repro.streaming.simulator.simulate_session`).
+  any link's fluid allocation can change, ``advance`` moves time to it
+  and reports completions.  It is the only transfer integrator: a lone
+  transfer is a pool of one flow (:meth:`repro.net.link.Link.download_time`),
+  and a single session is a fleet of one
+  (:func:`repro.streaming.simulator.simulate_session`).
 
 The allocation is *per-link* processor sharing capped by the path
 minimum — deterministic and monotone (adding a hop can never increase a
 flow's rate), though not globally max-min (bandwidth a flow cannot use on
 a non-bottleneck hop is not redistributed; the conservative model).
+A link's share is ``cap / n_active`` and nothing is summed in flow order,
+so completions do not depend on the order flows were added.
 
-**One engine, one reference.**  Every event step is array math over
-flow-state tensors: the active flows' scalars fill the first ``n``
-columns of packed NumPy arrays, each flow's hop membership is a column
-of link indices in a dense ``(hop, column)`` matrix, per-link fair
-shares are one link-sized ``cap / denom`` gathered through that matrix,
-per-flow rates one ``min`` over the hop axis, and the next completion
-horizon one ``np.min`` over ``remaining / rate``.  A link's capacity is
-kept until its trace segment ends, not re-read every step.  The per-flow
-Python loop this replaced lives on
-as ``tests/net/reference_scheduler.py::ReferenceScheduler`` — same
-contract, its own share arithmetic — and ``tests/net/test_topology.py``
-pins the two **bit-exact** on a hypothesis grid of staggered starts,
-gated / cancelled / mid-flight-injected flows and one- to three-hop
-paths over shared links.  Every link splits its capacity the one fair
-way, ``cap / n_active``; no step sums anything in flow order, so
-completions do not depend on the order flows were added.
+**Groups and epochs.**  A flow's rate is ``min over hops of cap /
+sharers``, so every active flow on the same hop tuple (a *group*: the
+CDN's hit path or miss path through one edge) has the same rate at every
+instant.  A group keeps one ``rate``, one epoch ``t_e`` and its flows'
+bits at that epoch in ascending order; a flow's remaining bits at ``t``
+are ``bits − rate · (t − t_e)``.  That shared drain preserves the order
+(float subtraction of one value is monotone), so the group's next finish
+is ``t_e + bits[0] / rate`` and its completions are a scan from the head.
+A step re-rates only the groups on links whose sharer count or capacity
+changed since the last instant, and a group is *rebased* — its bits
+drained to the instant, its epoch moved there — only when its rate
+changes bitwise or a flow joins it.  Hence the **law**: an instant at
+which no rate changes (a factor-1 fault window, any other wake of the
+caller) changes no bit.  ``tests/net/reference_scheduler.py`` states the
+same epoch rule per flow, with its own share arithmetic, pinned ``==``
+by ``tests/net/test_topology.py`` on a hypothesis grid of staggered,
+gated, cancelled and injected flows over one- to three-hop paths; the
+drain-every-step loop this replaced is ``tests/net/drain_scheduler.py``,
+held to production within a stated tolerance.
 
 **A flow's life cycle: gated → active → finished.**  Which flows share a
 link is not re-derived each step; it is kept, and changes only at events
 the scheduler already handles:
 
 * *gated* — registered, waiting for ``data_start`` (path RTT plus any
-  encode wait).  ``_VectorState.add`` queues it in a heap keyed by
+  encode wait).  ``_PoolState.add`` queues it in a heap keyed by
   ``data_start``; ``next_event`` reads the head as the next gate expiry.
   Zero-byte flows skip the heap and go straight to *finished*.
-* *active* — draining.  ``_VectorState.expire_gates``, run by every
-  allocation, pops the gates that have passed and calls ``activate``: the
-  flow's bits move into a new last column of the active block and each
-  of its links counts one more sharer (``link_count`` / ``denom``).
-  Expiry is one-way, which is why ``next_event`` / ``advance`` refuse an
-  instant earlier than the last one they were shown (or NaN).
-* *finished* — ``deactivate`` undoes exactly what ``activate`` did, and
-  moves the block's last column into the gap, from two places:
-  ``remove`` (completion or ``cancel``) and ``advance`` when a drain
-  turns a flow's bits NaN (it can never finish and must stop taking
-  shares).  Outside the block a flow keeps its bits itself
-  (``_PathFlow.remaining``).  A flow that leaves while still gated
-  leaves its heap entry behind; the entry is recognised by the flow
-  object (``live`` is false), so it opens no gate.
+* *active* — draining.  ``_PoolState.expire_gates``, run by every
+  rating, pops the gates that have passed and calls ``activate``: the
+  group is rebased to the instant, the flow's bits are inserted in order
+  and each of its links counts one more sharer.  Expiry is one-way,
+  which is why ``next_event`` / ``advance`` refuse an instant earlier
+  than the last one they were shown (or NaN).
+* *finished* — ``deactivate`` undoes what ``activate`` did, from
+  ``remove`` (completion or ``cancel``) and from ``advance`` when a
+  group's rate is NaN (its flows' bits turn NaN: they can never finish
+  and must stop taking shares); the flow keeps its bits at that instant
+  in ``_PathFlow.remaining``.  A flow that leaves while gated leaves its
+  heap entry behind, recognised by identity (``live`` is false).
 """
 
 from __future__ import annotations
@@ -71,8 +74,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
-
-import numpy as np
 
 from .link import Completion, SharedLink
 from .traces import NetworkTrace
@@ -113,30 +114,30 @@ class NetworkPath:
 
 
 #: Relative slack below which a flow's residual bits count as finished
-#: (absorbs the float error of draining `share * dt` per event step).
+#: (absorbs the float error of the drain ``bits - rate * (t - t_e)``).
 _FINISH_RTOL = 1e-9
 
-#: Absolute slack (bits).  The event time `now + remaining/share` is
-#: rounded to `now`'s ulp, so one drain can leave a residue of order
-#: `ulp(now) * share` — for a sub-hundred-byte flow that residue exceeds
-#: the *relative* tolerance and the event loop would spin at `t == now`
-#: forever.  A milli-bit floor absorbs it without affecting any transfer
-#: of a whole byte or more.
+#: Absolute slack (bits).  The event time ``t_e + bits / rate`` is
+#: rounded to its ulp, so the drain to it can leave ``ulp(t) * rate`` —
+#: for a sub-hundred-byte flow more than the relative tolerance, and the
+#: loop would spin at one instant.  A milli-bit floor absorbs it.
 _FINISH_ATOL = 1e-3
 
 
-@dataclass
+@dataclass(eq=False)
 class _PathFlow:
     flow_id: int
     path: NetworkPath
     start_time: float
     data_start: float  # start_time + path RTT + any gate delay
     total_bits: float
-    #: bits left while outside the active block (an active flow's bits
-    #: live in its column of the scheduler's arrays)
+    #: bits left while outside a group (an active flow's bits live in
+    #: its group, at the group's epoch)
     remaining: float
-    #: column in the scheduler's active block (-1 = gated or finished)
-    col: int = -1
+    #: residual bits at or below which the flow counts as finished
+    thresh: float
+    #: the group it drains in (None = gated or finished)
+    group: _Group | None = None
     #: false once the flow completed or was cancelled
     live: bool = True
     #: the path's hops as indices into the scheduler's link list
@@ -157,17 +158,17 @@ class PathScheduler:
     CDN layer uses for server-side encode waits (the viewer's measured
     download time includes the wait, as it would on a real service).
 
-    ``delivered_bits`` accumulates the pool total with ``np.sum`` per
-    event step; per-link bits are charged once per flow as it leaves the
-    pool (completion or cancellation), so both agree with a per-step
-    per-flow tally to float tolerance, not bit for bit.
+    ``delivered_bits`` and each link's ``delivered_bits`` count a flow's
+    bits once, as it leaves the pool: all of them when it completes, the
+    bits it drained so far when it is cancelled.  Bits of a flow still in
+    flight are not counted yet.
     """
 
     def __init__(self) -> None:
         self._flows: dict[int, _PathFlow] = {}
         #: bits actually delivered to receivers (conservation checks)
         self.delivered_bits = 0.0
-        self._vec = _VectorState()
+        self._pool = _PoolState()
         #: the latest instant a caller has shown this scheduler
         self._now = -math.inf
 
@@ -198,16 +199,18 @@ class PathScheduler:
             raise ValueError(
                 f"flow {flow_id}: extra_delay must be finite and non-negative"
             )
+        bits = float(nbytes) * 8.0
         flow = _PathFlow(
             flow_id=flow_id,
             path=path,
             start_time=float(start_time),
             data_start=float(start_time) + path.rtt + float(extra_delay),
-            total_bits=float(nbytes) * 8.0,
-            remaining=float(nbytes) * 8.0,
+            total_bits=bits,
+            remaining=bits,
+            thresh=max(_FINISH_RTOL * bits, _FINISH_ATOL),
         )
         self._flows[flow_id] = flow
-        self._vec.add(flow)
+        self._pool.add(flow)
 
     @property
     def n_flows(self) -> int:
@@ -222,14 +225,14 @@ class PathScheduler:
 
         The fault-injection hook: an edge outage kills every transfer
         riding the dead edge's links mid-flight, and the fleet driver
-        re-issues them on the failover path.  Bits already drained stay
+        re-issues them on the failover path.  Bits already drained are
         counted in ``delivered_bits`` (they did cross the links); the
         flow simply never reports a :class:`Completion`.
         """
         flow = self._flows.get(flow_id)
         if flow is None:
             raise KeyError(f"flow {flow_id} is not in flight")
-        self._remove(flow)
+        self._remove(flow, done=False)
 
     def busy(self) -> bool:
         """True while any transfer is unfinished."""
@@ -250,75 +253,75 @@ class PathScheduler:
     def _gate_due(self, t: float) -> bool:
         """Telemetry's question (``fleet.wake.gate``): does a queued flow's
         ``data_start`` fall at or before ``t``?  Reads, changes nothing."""
-        return any(f.live and ds <= t for ds, _, f in self._vec.gated)
+        return any(f.live and ds <= t for ds, _, f in self._pool.gated)
 
     def next_event(self, now: float) -> float:
         """Earliest future instant any link's allocation can change."""
         if not self._flows:
             raise RuntimeError("no flows in flight")
         self._move_clock(now)
-        v = self._vec
+        pool = self._pool
         # ``best`` starts as the next gate expiry (inf when nothing waits)
-        n, rates, best = self._vec_alloc(now)
+        best = pool.rate(now)
         # Zero-byte transfers complete as soon as their data start elapses.
-        for f in v.finished:
+        for f in pool.finished:
             best = min(best, max(f.data_start, now))
-        if n:
-            # == min(now + remaining / rates): adding one ``now`` is monotone
-            best = min(best, now + _min(v.remaining[:n] / rates))
-        for li in v.wrapped:
-            best = min(best, now + v.link_list[li].trace.time_to_next_change(now))
+        # A group's head finishes first; a NaN rate's finish never wins.
+        for g in pool.active:
+            if g.finish < best:
+                best = g.finish
+        for li in pool.wrapped:
+            best = min(best, now + pool.link_list[li].trace.time_to_next_change(now))
         # A plain link's boundary is the trace's own ``nxt - local``
         # expression, evaluated only where its lower bound says it can win.
-        if v.cap_until <= best:
-            for until, hi, duration in v.segments.values():
+        if pool.cap_until <= best:
+            for until, hi, duration in pool.segments.values():
                 if until <= best:
                     best = min(best, now + (hi - now % duration))
-        return float(best)
+        # a finish that rounds below ``now`` is due now
+        return max(best, now)
 
     def advance(self, now: float, to_time: float) -> list[Completion]:
-        """Drain all flows from ``now`` to ``to_time``; report completions.
+        """Move time from ``now`` to ``to_time``; report completions.
 
         ``to_time`` must not exceed the next event (allocations are
-        assumed constant over the interval).  Completions are ordered by
-        flow id for determinism when several flows finish simultaneously.
+        assumed constant over the interval).  A flow completes when its
+        bits at ``to_time`` are at most its finish threshold.  Completions
+        are ordered by flow id for determinism when several flows finish
+        simultaneously.
         """
         if not to_time >= now:  # NaN fails it too
             raise ValueError(f"cannot advance backwards: {now!r} to {to_time!r}")
         self._move_clock(now)
         self._now = to_time
-        v = self._vec
-        n, rates, _ = self._vec_alloc(now)
+        pool = self._pool
+        pool.rate(now)
         finished: list[_PathFlow] = []
-        if n:
-            rem = v.remaining[:n]  # drained in place
-            drained = np.minimum(rates * (to_time - now), rem)
-            rem -= drained
-            flush = rem <= v.thresh[:n]
-            total_bits = float(_sum(drained))
-            # Per-link delivered-bits accounting is deferred to
-            # ``_remove``: a per-flow loop here would be O(active flows)
-            # of Python per event step and dominate large-fleet wall time.
-            if _any(flush):
-                total_bits += float(_sum(rem[flush]))
-                rem[flush] = 0.0
-                finished.extend(v.flows[c] for c in flush.nonzero()[0].tolist())
-            if total_bits != total_bits:
-                # A NaN drain (a trace reporting NaN past validation)
-                # leaves NaN bits behind: such a flow can never finish
-                # and must stop taking part in shares, or virtual time
-                # creeps from trace boundary to trace boundary for ever
-                # instead of stalling where the driver's watchdog sees it.
-                for f in [v.flows[c] for c in (rem != rem).nonzero()[0].tolist()]:
-                    v.deactivate(f)
-            self.delivered_bits += total_bits
-            v.version += 1
-        # Flows can complete two ways: drained to zero above, or zero-byte
-        # transfers once their data_start has elapsed.
-        if v.finished:
-            finished.extend(
-                f for f in v.finished if f.data_start <= to_time
-            )
+        stuck: list[_PathFlow] = []
+        for g in pool.active:
+            drain = g.rate * (to_time - g.epoch)
+            # bits are ascending, so the flows within the group's largest
+            # threshold are a prefix
+            if g.bits[0] - drain <= g.slack:
+                for f, b in zip(g.flows, g.bits):
+                    rem = b - drain
+                    if rem > g.slack:
+                        break
+                    if rem <= f.thresh:
+                        finished.append(f)
+            elif drain != drain:
+                # A NaN rate (a trace reporting NaN past validation) leaves
+                # NaN bits behind: such flows can never finish and must stop
+                # taking part in shares, or virtual time creeps from trace
+                # boundary to trace boundary for ever instead of stalling
+                # where the driver's watchdog sees it.
+                stuck += g.flows
+        for f in stuck:
+            pool.deactivate(f, to_time)
+        # Flows can complete two ways: drained to their threshold above, or
+        # zero-byte transfers once their data_start has elapsed.
+        if pool.finished:
+            finished.extend(f for f in pool.finished if f.data_start <= to_time)
         if not finished:
             return []
         finished.sort(key=lambda f: f.flow_id)
@@ -326,66 +329,20 @@ class PathScheduler:
         for f in finished:
             finish = f.data_start if f.total_bits == 0.0 else to_time
             done.append(Completion(f.flow_id, finish, finish - f.start_time))
-            self._remove(f)
+            self._remove(f, done=True)
         return done
 
     # ------------------------------------------------------------------
-    def _vec_alloc(self, now: float):
-        """The active block's rates and the next gate expiry.
-
-        Returns ``(n, rates, next_gate)``: ``rates[c]`` is the path rate
-        of the flow in column ``c < n``.  Gates that have expired by
-        ``now`` are activated first (see :meth:`_VectorState.expire_gates`);
-        ``next_gate`` is the earliest ``data_start`` still ahead (``inf``
-        when nothing waits).  Capacities are the trace segments
-        ``_VectorState`` keeps per active link: re-read only when ``now``
-        reaches ``cap_until``, except for wrapped traces (e.g.
-        fault-injection ``DegradedTrace``, whose composition varies with
-        time), which are read every step.  Cached on ``(now, state
-        version)`` so the ``next_event`` → ``advance`` pair of one event
-        step computes the allocation once.  The float expressions are the
-        per-flow reference's (``tests/net/reference_scheduler.py``),
-        pinned bit-exact by its parity grid: denominators are integer
-        counts kept at the activation transitions, shares are ``cap /
-        denom`` — one link-sized division, gathered per hop — and the
-        per-flow rate is an order-insensitive min over the hop axis.
-        """
-        v = self._vec
-        key = (now, v.version)
-        cached = v.alloc_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        next_gate = v.expire_gates(now)
-        if now >= v.cap_until:
-            v.refresh(now)
-        cap, denom, n = v.cap, v.denom, v.n_act
-        for li in v.wrapped:
-            cap[li] = v.link_list[li].trace.bandwidth_at(now)
-        if n == 0:
-            rates = _EMPTY
-        else:
-            rates = _min((cap / denom)[v.hops[:, :n]], axis=0)
-        out = (n, rates, next_gate)
-        v.alloc_cache = (key, out)
-        return out
-
-    def _remove(self, flow: _PathFlow) -> None:
-        # Deferred per-link accounting: everything the flow drained over
-        # its lifetime crosses each hop exactly once, charged as it
-        # leaves the pool (completion or cancellation).
-        crossed = flow.total_bits - self._vec.bits(flow)
+    def _remove(self, flow: _PathFlow, done: bool) -> None:
+        del self._flows[flow.flow_id]
+        self._pool.remove(flow, self._now)
+        # What the flow drained crosses each hop once, charged as it leaves
+        # (a completed flow's residue within its threshold counts too).
+        crossed = flow.total_bits - (0.0 if done else flow.remaining)
         if crossed > 0.0:
+            self.delivered_bits += crossed
             for link in flow.path.links:
                 link.delivered_bits += crossed
-        del self._flows[flow.flow_id]
-        self._vec.remove(flow)
-
-
-_EMPTY = np.empty(0)
-
-# A step's reductions, called as ufunc methods: ``ndarray.min`` / ``sum``
-# / ``any`` reach these same reductions through a Python wrapper.
-_min, _sum, _any = np.minimum.reduce, np.add.reduce, np.logical_or.reduce
 
 
 #: Slack on a stored segment end: ``now + (hi - local)`` is two roundings,
@@ -394,54 +351,83 @@ _min, _sum, _any = np.minimum.reduce, np.add.reduce, np.logical_or.reduce
 _BOUND_SLACK = 2.0**-50
 
 
-class _VectorState:
-    """The packed active block behind :class:`PathScheduler`.
+class _Group:
+    """The active flows on one hop tuple: one rate, one epoch.
 
-    The ``n_act`` active flows own columns ``0 … n_act-1`` of the rows
-    ``remaining`` / ``thresh`` and of the ``(hop, column)``
-    matrix ``hops`` of indices into ``link_list`` (index 0 pads short
-    paths: a sentinel); ``flows[c]`` is column ``c``'s flow.  Activation
-    appends a column, deactivation moves the last one into the gap, so a
-    step reads ``[:n_act]`` views; the block doubles when full.  A link's
-    capacity is read when it turns active (``watch``) and, for a plain
-    ``NetworkTrace``, again only once ``now`` reaches ``cap_until``;
-    other traces are re-read every step.
+    ``bits[i]`` is ``flows[i]``'s remaining bits at ``epoch``, ascending;
+    ``finish`` is the head's completion instant ``epoch + bits[0] / rate``
+    (``inf`` while empty) and ``slack`` at least the largest member's
+    finish threshold (kept until the group empties).
+    """
 
-    The life cycle is in the module docstring; the block, ``link_count``
-    and ``denom`` change only inside :meth:`activate` / :meth:`deactivate`.
+    __slots__ = ("hops", "flows", "bits", "rate", "epoch", "finish", "slack")
+
+    def __init__(self, hops: tuple[int, ...]) -> None:
+        self.hops = hops
+        self.flows: list[_PathFlow] = []
+        self.bits: list[float] = []
+        self.rate = math.nan
+        self.epoch = 0.0
+        self.finish = math.inf
+        self.slack = 0.0
+
+    def rerate(self, now: float, cap: list[float], count: list[int]) -> None:
+        """Take the rate ``min over hops of cap / count`` at ``now``,
+        rebasing first if it changed bitwise."""
+        rate = math.inf
+        for li in self.hops:  # a min that keeps a NaN share
+            share = cap[li] / count[li]
+            if share < rate or share != share:
+                rate = share
+        if rate != self.rate:
+            if self.epoch != now:
+                self.rebase(now)
+            self.rate = rate
+            self.finish = now + self.bits[0] / rate
+
+    def rebase(self, now: float) -> None:
+        """Drain every member to ``now`` at the current rate."""
+        drain = self.rate * (now - self.epoch)
+        self.bits = [b - drain for b in self.bits]
+        self.epoch = now
+
+
+class _PoolState:
+    """The groups, gates and link state behind :class:`PathScheduler`.
+
+    ``count[li]`` is the number of active flows on link ``li`` and
+    ``cap[li]`` its capacity; ``groups_on[li]`` lists the groups crossing
+    it.  A link's capacity is read when it turns active (``watch``) and,
+    for a plain ``NetworkTrace``, again only once ``now`` reaches
+    ``cap_until``; other traces are re-read at every rating.  A link whose
+    count or capacity changes joins ``dirty``, and the next rating
+    re-rates the groups on the dirty links only.
+
+    The life cycle is in the module docstring.
     """
 
     def __init__(self) -> None:
-        self.n_act = 0
-        self.flows: list[_PathFlow] = []
-        #: rows ``remaining`` / ``thresh`` (finish threshold)
-        self.scalars = np.zeros((2, 0))
-        self.hops = np.zeros((2, 0), dtype=np.intp)
-        self._reshape(2, 64)
         #: flows waiting for their ``data_start``: a heap of
         #: ``(data_start, add serial, flow)``.  An entry outlives a flow
         #: that is cancelled or completes first, and is then skipped *by
         #: identity* (``flow.live`` is false).
         self.gated: list[tuple[float, int, _PathFlow]] = []
         self._serial = count()
-        #: index 0 reserved as the padding sentinel
-        self.link_list: list[SharedLink | None] = [None]
+        self.link_list: list[SharedLink] = []
         self.link_index: dict[int, int] = {}
         #: ``id(path) -> (path, its hops' link indices)``; holding the path
         #: keeps its ``id`` from being reused while the entry lives
         self.path_ids: dict[int, tuple[NetworkPath, tuple[int, ...]]] = {}
-        #: active flows per link, links with none left out — counted over
-        #: each flow's own hops (``link_ids``), never over its ``hops``
-        #: column: the column's padding is link 0, and ``_reshape`` can
-        #: add hop rows between a flow's activation and its removal
-        self.link_count: dict[int, int] = {}
-        #: fair-share denominator per link: the count as a float, 1 for an
-        #: idle link and for the sentinel, so ``cap / denom`` never divides
-        #: by zero and the sentinel's share is ``inf`` (never a min)
-        self.denom = np.ones(1)
-        #: capacity per link, current for the links in ``link_count``
-        #: (idle links keep a stale value nobody gathers)
-        self.cap = np.full(1, np.inf)
+        self.count: list[int] = []
+        #: capacity per link, current for the links with a nonzero count
+        #: (idle links keep a stale value nobody reads)
+        self.cap: list[float] = []
+        self.groups: dict[tuple[int, ...], _Group] = {}
+        self.groups_on: list[list[_Group]] = []
+        #: the groups with at least one member
+        self.active: list[_Group] = []
+        #: links whose count or capacity changed since the last rating
+        self.dirty: set[int] = set()
         #: active plain-trace links: ``li -> (until, hi, duration)``, the
         #: cached segment's end ``hi`` in trace-local time and ``until``,
         #: a lower bound on the instant ``now`` reaches it
@@ -454,13 +440,11 @@ class _VectorState:
         #: zero-byte transfers awaiting their completion report (at their
         #: data_start); never active
         self.finished: list[_PathFlow] = []
-        #: bumped on any state change; keys the allocation cache
+        #: bumped on any membership change; with the instant, keys the last
+        #: rating, so ``next_event`` and ``advance`` of one step rate once
         self.version = 0
-        self.alloc_cache: tuple | None = None
-
-    def bits(self, flow: _PathFlow) -> float:
-        """The flow's remaining bits, wherever they live."""
-        return float(self.remaining[flow.col]) if flow.col >= 0 else flow.remaining
+        self.rated: tuple[float, int] | None = None
+        self.next_gate = math.inf
 
     def add(self, flow: _PathFlow) -> None:
         known = self.path_ids.get(id(flow.path))
@@ -474,23 +458,51 @@ class _VectorState:
     def _resolve(self, path: NetworkPath) -> tuple[int, ...]:
         """Index ``path``'s links (new ones join ``link_list``), once per
         path object."""
-        links = path.links
-        grew_links = False
-        for link in links:
+        for link in path.links:
             if id(link) not in self.link_index:
-                li = len(self.link_list)
-                self.link_index[id(link)] = li
+                self.link_index[id(link)] = len(self.link_list)
                 self.link_list.append(link)
-                grew_links = True
-        if grew_links:
-            fresh = len(self.link_list) - len(self.denom)
-            self.denom = np.concatenate([self.denom, np.ones(fresh)])
-            self.cap = np.concatenate([self.cap, np.zeros(fresh)])
-        if len(links) > len(self.hops):
-            self._reshape(len(links), self.hops.shape[1])
-        ids = tuple(self.link_index[id(link)] for link in links)
+                self.count.append(0)
+                self.cap.append(0.0)
+                self.groups_on.append([])
+        ids = tuple(self.link_index[id(link)] for link in path.links)
+        if ids not in self.groups:
+            self.groups[ids] = g = _Group(ids)
+            for li in ids:
+                self.groups_on[li].append(g)
         self.path_ids[id(path)] = (path, ids)
         return ids
+
+    def rate(self, now: float) -> float:
+        """Bring the groups' rates to ``now``; return the next gate expiry.
+
+        Gates that have expired by ``now`` are activated first (see
+        :meth:`expire_gates`); the next gate is the earliest
+        ``data_start`` still ahead (``inf`` when nothing waits).  Then
+        the groups on dirty links are re-rated — ``min`` over hops of
+        ``cap / count``, the reference's expression
+        (``tests/net/reference_scheduler.py``) — and a group whose rate
+        changed bitwise is rebased to ``now`` first, so its bits drained
+        at the rate they were drained at.
+        """
+        if self.rated == (now, self.version):
+            return self.next_gate
+        self.next_gate = self.expire_gates(now)
+        if now >= self.cap_until:
+            self.refresh(now)
+        cap = self.cap
+        for li in self.wrapped:
+            c = self.link_list[li].trace.bandwidth_at(now)
+            if c != cap[li]:
+                cap[li] = c
+                self.dirty.add(li)
+        if self.dirty:
+            todo = {id(g): g for li in self.dirty for g in self.groups_on[li] if g.flows}
+            for g in todo.values():
+                g.rerate(now, cap, self.count)
+            self.dirty.clear()
+        self.rated = (now, self.version)
+        return self.next_gate
 
     def expire_gates(self, now: float) -> float:
         """Activate every flow whose ``data_start`` has passed; return the
@@ -508,47 +520,42 @@ class _VectorState:
                     return data_start
                 self.activate(flow, now)
             heappop(gated)
-        return np.inf
+        return math.inf
 
     def activate(self, flow: _PathFlow, now: float) -> None:
-        c = self.n_act
-        if c == self.hops.shape[1]:
-            self._reshape(len(self.hops), 2 * c)
-        self.remaining[c] = flow.remaining
-        self.thresh[c] = max(_FINISH_RTOL * flow.total_bits, _FINISH_ATOL)
-        ids = flow.link_ids
-        self.hops[:, c] = ids + (0,) * (len(self.hops) - len(ids))
-        self.flows.append(flow)
-        flow.col = c
-        self.n_act = c + 1
-        counts = self.link_count
+        g = self.groups[flow.link_ids]
+        if not g.flows:
+            self.active.append(g)
+            g.epoch, g.rate = now, math.nan
+        elif g.epoch != now:
+            g.rebase(now)
+        i = bisect_right(g.bits, flow.remaining)
+        g.bits.insert(i, flow.remaining)
+        g.flows.insert(i, flow)
+        g.slack = max(g.slack, flow.thresh)
+        flow.group = g
         for li in flow.link_ids:
-            counts[li] = n = counts.get(li, 0) + 1
-            self.denom[li] = n
-            if n == 1:
+            self.count[li] += 1
+            self.dirty.add(li)
+            if self.count[li] == 1:
                 self.watch(li, now)
 
-    def deactivate(self, flow: _PathFlow) -> None:
-        c, last = flow.col, self.n_act - 1
-        flow.remaining = float(self.remaining[c])
-        if c != last:
-            moved = self.flows[last]
-            self.flows[c] = moved
-            moved.col = c
-            self.scalars[:, c] = self.scalars[:, last]
-            self.hops[:, c] = self.hops[:, last]
-        self.flows.pop()
-        self.n_act = last
-        flow.col = -1
-        counts = self.link_count
+    def deactivate(self, flow: _PathFlow, now: float) -> None:
+        g = flow.group
+        i = g.flows.index(flow)
+        flow.remaining = g.bits[i] - g.rate * (now - g.epoch)
+        del g.flows[i], g.bits[i]
+        flow.group = None
+        self.version += 1
+        if not g.flows:
+            self.active.remove(g)
+            g.finish, g.slack = math.inf, 0.0
+        elif i == 0:
+            g.finish = g.epoch + g.bits[0] / g.rate
         for li in flow.link_ids:
-            n = counts[li] - 1
-            if n:
-                counts[li] = n
-                self.denom[li] = n
-            else:
-                del counts[li]
-                self.denom[li] = 1.0
+            self.count[li] -= 1
+            self.dirty.add(li)
+            if not self.count[li]:
                 self.segments.pop(li, None)
                 self.wrapped.discard(li)
 
@@ -558,7 +565,7 @@ class _VectorState:
         A plain trace's lookup reproduces ``bandwidth_at`` exactly and
         stores where the segment ends; any other trace, or one whose
         ``end`` would not move the clock (see ``NetworkTrace._locate``),
-        goes to ``wrapped``, re-read by every allocation.
+        goes to ``wrapped``, re-read by every rating.
         """
         trace = self.link_list[li].trace
         if type(trace) is NetworkTrace:
@@ -583,24 +590,17 @@ class _VectorState:
         self.cap_until = math.inf
         for li, (until, _, _) in list(self.segments.items()):
             if until <= now:
+                old = self.cap[li]
                 self.watch(li, now)
+                if self.cap[li] != old:
+                    self.dirty.add(li)
             elif until < self.cap_until:
                 self.cap_until = until
 
-    def remove(self, flow: _PathFlow) -> None:
-        if flow.col >= 0:
-            self.deactivate(flow)
+    def remove(self, flow: _PathFlow, now: float) -> None:
+        if flow.group is not None:
+            self.deactivate(flow, now)
         flow.live = False
         if flow in self.finished:
             self.finished.remove(flow)
         self.version += 1
-
-    def _reshape(self, n_hops: int, n_cols: int) -> None:
-        """Re-allocate the block as ``n_hops`` × ``n_cols``, keeping the
-        active columns (new hop rows pad with the sentinel)."""
-        n = self.n_act
-        hops, scalars = np.zeros((n_hops, n_cols), dtype=np.intp), np.zeros((2, n_cols))
-        hops[: len(self.hops), :n] = self.hops[:, :n]
-        scalars[:, :n] = self.scalars[:, :n]
-        self.hops, self.scalars = hops, scalars
-        self.remaining, self.thresh = scalars

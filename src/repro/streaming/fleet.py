@@ -756,7 +756,7 @@ class _FleetRun:
         deferred request's start, an outage bound, a live attempt's
         deadline.  Stale deadlines leave the heap head first (lazy
         deletion, as ``expire_gates`` does for gates): a timer that can
-        no longer fire must not split a drain or add a control instant."""
+        no longer fire must not cost a step or add a control instant."""
         heap = self.timeout_heap
         while heap and not self._attempt_live(heap[0]):
             heapq.heappop(heap)
@@ -852,10 +852,11 @@ class _FleetRun:
                 self.fill_waiters.setdefault((edge_idx, key), []).append(
                     (sid, req)
                 )
-                tracer.emit(
-                    req.start_time, EV_CHUNK_FETCH, session=sid,
-                    route="coalesce", edge=edge_idx, nbytes=req.nbytes,
-                )
+                if tracer is not NULL_TRACER:
+                    tracer.emit(
+                        req.start_time, EV_CHUNK_FETCH, session=sid,
+                        route="coalesce", edge=edge_idx, nbytes=req.nbytes,
+                    )
                 return
             # Cold chunk: the origin must hold the encoded variant before
             # the backhaul transfer starts (bounded transcode workers).
@@ -885,12 +886,13 @@ class _FleetRun:
                     self.attempt_serial,
                 ),
             )
-        # only an origin fetch reports its start delay
-        extra = {} if hit else {"delay": delay}
-        tracer.emit(
-            req.start_time, EV_CHUNK_FETCH, session=sid,
-            route=route, edge=edge_idx, nbytes=req.nbytes, **extra,
-        )
+        if tracer is not NULL_TRACER:
+            # only an origin fetch reports its start delay
+            extra = {} if hit else {"delay": delay}
+            tracer.emit(
+                req.start_time, EV_CHUNK_FETCH, session=sid,
+                route=route, edge=edge_idx, nbytes=req.nbytes, **extra,
+            )
         self.sched.add_flow(
             sid, req.nbytes, req.start_time, path, extra_delay=delay
         )
@@ -1002,11 +1004,13 @@ class _FleetRun:
             self.machines, ids, clamp=self._clamp if self.degraded else None,
             rows_per_call=self.rows_per_call,
         )
+        tracer = self.tracer
         for sid, req in decided:
-            self.tracer.emit(
-                req.start_time, EV_CHUNK_DECISION, session=sid,
-                chunk=req.chunk_index, nbytes=req.nbytes,
-            )
+            if tracer is not NULL_TRACER:
+                tracer.emit(
+                    req.start_time, EV_CHUNK_DECISION, session=sid,
+                    chunk=req.chunk_index, nbytes=req.nbytes,
+                )
             self.queue(sid, req)
 
     @property

@@ -1,13 +1,16 @@
 """Multi-link path properties: production vs reference parity, accounting.
 
 ``PathScheduler`` is the one engine that splits links between flows;
-``reference_scheduler.ReferenceScheduler`` is the per-flow Python loop
-it is pinned to.  Following the repo's oracle-parity convention (kNN
+``reference_scheduler.ReferenceScheduler`` is the per-flow epoch loop it
+is pinned to.  Following the repo's oracle-parity convention (kNN
 backends, the MPC planner), :class:`TestEngineParity` drives both over
 the same hypothesis-generated workloads — one- to three-hop paths over
-shared links, gated, cancelled and mid-flight-injected flows — asserting ``==`` on the completion streams, and the contract
-tests in :class:`TestOneHopParity` run against both implementations
-(ids ``vector`` = production, ``scalar`` = the reference).  Hand
+shared links, gated, cancelled and mid-flight-injected flows — asserting
+``==`` on the completion streams, and the contract tests in
+:class:`TestOneHopParity` run against both implementations (ids
+``production`` and ``reference``).  :class:`TestDrainTolerance` holds
+production to its drain-every-step predecessor
+(``drain_scheduler.DrainScheduler``) within a stated bound.  Hand
 arithmetic checks lone flows in ``tests/net/test_shared_link.py``.
 """
 
@@ -29,10 +32,11 @@ from repro.net import (
 )
 from repro.streaming.faults import DegradedTrace
 
+from .drain_scheduler import DrainScheduler
 from .reference_scheduler import ReferenceScheduler
 
 #: The contract's two implementations.
-SCHEDULERS = {"vector": PathScheduler, "scalar": ReferenceScheduler}
+SCHEDULERS = {"production": PathScheduler, "reference": ReferenceScheduler}
 
 
 def drive(engine, now=0.0):
@@ -178,7 +182,7 @@ class TestOneHopParity:
     """The single-bottleneck pool: every flow on the same one-hop path."""
 
     # the reference is not compared with itself
-    @pytest.mark.parametrize("engine", ["vector"])
+    @pytest.mark.parametrize("engine", ["production"])
     @settings(max_examples=60, deadline=None)
     @given(
         flows=scripted_flows,
@@ -497,9 +501,46 @@ class TestEngineParity:
         assert_parity(flows, 40.0, 4)
 
 
+class TestDrainTolerance:
+    """production against its drain-every-step predecessor.
+
+    The two differ only in where float rounding falls: the predecessor
+    drains every active flow at every instant, production drains a group
+    only when its rate changes.  So they are the same fluid model if, on
+    the parity grid, they complete the same flows in the same order at
+    instants a few ulps apart.  Measured over 1,500 grid draws: the same
+    order every time, finish instants at most 1.2e-15 apart (relative).
+    The bound is 1e-12 of the finish instant, for the finish instant and
+    for the elapsed time (which can be much shorter than the instant)."""
+
+    RTOL = 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        flows=scripted_flows,
+        mean=st.floats(min_value=5.0, max_value=120.0),
+        seed=st.integers(min_value=0, max_value=8),
+        path=st.sampled_from([None, 0, 4]),
+    )
+    def test_same_order_and_instants_within_bound(self, flows, mean, seed, path):
+        flows = sized(flows, mean)
+        if path is not None:
+            flows = [(n, s, path, *rest) for n, s, _, *rest in flows]
+        runs = []
+        for factory in (DrainScheduler, PathScheduler):
+            _, paths = build_pool(mean, seed)
+            runs.append(run_script(factory(), paths, flows))
+        drained, done = runs
+        assert [c.flow_id for c in done] == [c.flow_id for c in drained]
+        for got, want in zip(done, drained):
+            scale = self.RTOL * want.finish_time
+            assert abs(got.finish_time - want.finish_time) <= scale
+            assert abs(got.elapsed - want.elapsed) <= scale
+
+
 class TestLifeCycleBookkeeping:
-    """White-box pins on ``_VectorState``'s packed active block: the three
-    traps the incremental activation fell into while it was written."""
+    """White-box pins on ``_PoolState``'s groups: per-link counts, the
+    order inside a group, stale gates and the NaN rule."""
 
     def pool(self):
         links = [SharedLink(stable_trace(40.0, duration=60.0, rtt=0.01))
@@ -509,49 +550,46 @@ class TestLifeCycleBookkeeping:
             NetworkPath((links[0], links[1], links[2])),
         )
 
-    def test_widening_the_hop_matrix_never_touches_the_padding_link(self):
-        """``hops`` grows from 2 to 3 hop rows while one-hop flows are
-        active, padding their columns with link 0; counting over matrix
-        columns would then decrement the padding link once more per flow
-        than it was incremented, drive its denominator negative and every
-        rate to -inf."""
+    def test_counts_and_groups_track_the_active_flows(self):
+        """At every step each link counts exactly the flows of the groups
+        crossing it, every group holds its bits ascending with one flow
+        object per slot, and a drained pool leaves nothing behind."""
         one_hop, three_hop = self.pool()
         sched = PathScheduler()
-        sched.add_flow(0, 2_000_000, 0.0, one_hop)
-        sched.add_flow(1, 2_000_000, 0.0, one_hop)
-        v = sched._vec
-        now = sched.next_event(0.0)          # both gates expire at 0.01
-        sched.advance(0.0, now)
-        sched.next_event(now)
-        assert v.n_act == 2 and v.hops.shape[0] == 2
-        sched.add_flow(2, 2_000_000, now, three_hop)
-        assert v.hops.shape[0] == 3 and not v.hops[2, :2].any()
-        done, guard = [], 0
+        for fid, nbytes in enumerate((2_000_000, 1_000_000, 3_000_000)):
+            sched.add_flow(fid, nbytes, 0.0, one_hop)
+        sched.add_flow(3, 2_500_000, 0.0, three_hop, extra_delay=0.2)
+        pool = sched._pool
+        now, done, guard = 0.0, [], 0
         while sched.busy():
             t = sched.next_event(now)
             assert math.isfinite(t) and t >= now
-            assert v.denom[0] == 1.0 and 0 not in v.link_count
-            assert all(n > 0 for n in v.link_count.values())
-            assert [f.col for f in v.flows] == list(range(v.n_act))
+            want = [0] * len(pool.count)
+            for g in pool.active:
+                assert g.flows and g.bits == sorted(g.bits)
+                assert all(f.group is g for f in g.flows)
+                for li in g.hops:
+                    want[li] += len(g.flows)
+            assert pool.count == want
             done += sched.advance(now, t)
             now = t
             guard += 1
             assert guard < 1000
-        assert sorted(c.flow_id for c in done) == [0, 1, 2]
-        assert not v.link_count and v.n_act == 0 and not v.flows
-        assert (v.denom == 1.0).all() and not v.segments
+        assert sorted(c.flow_id for c in done) == [0, 1, 2, 3]
+        assert not pool.active and not any(pool.count) and not pool.segments
+        assert len(pool.groups) == 2  # one per hop tuple, kept for reuse
 
     def test_stale_gate_is_skipped_by_identity(self):
         """A flow cancelled while gated leaves its heap entry behind; the
-        entry names a dead flow object, which must not be given a column
-        (it would take shares for ever) nor wake the driver."""
+        entry names a dead flow object, which must not join a group (it
+        would take shares for ever) nor wake the driver."""
         one_hop, _ = self.pool()
         sched = PathScheduler()
         sched.add_flow(0, 50_000_000, 0.0, one_hop)
         sched.add_flow(1, 1_000_000, 0.0, one_hop, extra_delay=1.0)
         dead = sched._flows[1]
         sched.cancel(1)
-        assert not dead.live and any(f is dead for *_, f in sched._vec.gated)
+        assert not dead.live and any(f is dead for *_, f in sched._pool.gated)
         sched.add_flow(2, 1_000_000, 0.0, one_hop, extra_delay=3.0)
         newcomer = sched._flows[2]
         now = 0.0
@@ -560,32 +598,35 @@ class TestLifeCycleBookkeeping:
             assert t != dead.data_start      # ... which wakes nobody
             sched.advance(now, t)
             now = t
-        assert sched._vec.flows == [sched._flows[0]] and dead.col == -1
+        (group,) = sched._pool.active
+        assert group.flows == [sched._flows[0]] and dead.group is None
         assert 1.0 < dead.data_start < 2.0 < newcomer.data_start
         assert sched.next_event(now) == newcomer.data_start
         assert not sched._gate_due(now) and sched._gate_due(newcomer.data_start)
 
-    def test_nan_drain_leaves_the_flow_inactive(self):
-        """The old active mask's ``remaining > 0`` doubled as a NaN guard.
-        A flow whose bits turned NaN must leave the block, keeping its NaN
-        bits on the flow, so the clock stalls at ``inf`` (where the fleet's
-        watchdog sees it) instead of creeping from boundary to boundary."""
-        trace = stable_trace(40.0, duration=60.0, rtt=0.0)
-        trace._bw_list[0] = math.nan         # what the lookups read
-        path = NetworkPath((SharedLink(trace),))
+    @pytest.mark.parametrize("hop", [0, 1], ids=["first-hop", "second-hop"])
+    def test_a_nan_rate_deactivates_the_group(self, hop):
+        """A share that reads NaN makes its group's rate NaN, wherever the
+        hop sits on the path (a plain ``min`` would drop it unless it came
+        first).  At the next ``advance`` the group's flows leave it with
+        NaN bits, so the clock stalls at ``inf`` (where the fleet's watchdog
+        sees it) instead of creeping from boundary to boundary."""
+        traces = [stable_trace(40.0, duration=60.0, rtt=0.0) for _ in range(2)]
+        traces[hop]._bw_list[0] = math.nan  # what the lookups read
+        path = NetworkPath(tuple(SharedLink(tr) for tr in traces))
         sched = PathScheduler()
         sched.add_flow(0, 1_000_000, 0.0, path)
         sched.add_flow(1, 1_000_000, 0.0, path)
         t = sched.next_event(0.0)
         assert sched.advance(0.0, t) == []
-        v = sched._vec
-        assert v.n_act == 0 and not v.link_count and not v.segments
+        pool = sched._pool
+        assert not pool.active and not any(pool.count) and not pool.segments
         assert all(math.isnan(f.remaining) for f in sched._flows.values())
         assert sched.next_event(t) == math.inf
 
 
 class TestSegmentBound:
-    """``_VectorState.watch`` keeps a plain link's capacity until ``now``
+    """``_PoolState.watch`` keeps a plain link's capacity until ``now``
     reaches a stored lower bound on its segment's end, and ``next_event``
     skips the link's boundary while that bound exceeds the best instant
     found.  Both are exact only if the bound lies below every float the
@@ -608,9 +649,9 @@ class TestSegmentBound:
         link = SharedLink(trace)
         sched = PathScheduler()
         sched.add_flow(0, 1_000, 0.0, NetworkPath((link,)))
-        v = sched._vec
-        v.watch(1, t0)
-        if 1 in v.wrapped:
+        v = sched._pool
+        v.watch(0, t0)
+        if 0 in v.wrapped:
             # only where t0 rounds onto the boundary its ``% duration``
             # falls short of (3 loops of width 85.4263598930099, read 0):
             # the segment's end would not move the clock
@@ -618,7 +659,7 @@ class TestSegmentBound:
             assert t0 + ((width if local < width else duration) - local) <= t0
             assert t0 + trace.time_to_next_change(t0) > t0
             return
-        until, hi, _ = v.segments[1]
+        until, hi, _ = v.segments[0]
         end = t0 + trace.time_to_next_change(t0)
         # instants spread over the segment, then the floats just below its end
         nows = [t0 + f * (end - t0) for f in later]
@@ -631,7 +672,7 @@ class TestSegmentBound:
                 continue                     # outside the segment read at t0
             assert until <= now + trace.time_to_next_change(now)
             if now < until:
-                assert trace.bandwidth_at(now) == v.cap[1]
+                assert trace.bandwidth_at(now) == v.cap[0]
 
 
 class TestMonotoneClock:

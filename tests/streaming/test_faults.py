@@ -1005,3 +1005,66 @@ class TestInertTimeout:
         timed = run(policy)
         assume(timed.report.requests_timed_out == 0)
         assert_same_run(timed, run(dataclasses.replace(policy, timeout_s=math.inf)))
+
+
+class TestInertInstant:
+    """An instant at which no rate changes changes no bit.  A factor-1
+    backhaul degradation, or a factor-1 gray window that drops nothing,
+    only adds the window's two edges as instants; the scheduler rebases a
+    flow's bits only when its rate changes, so the run must equal the
+    fault-free one bit for bit.  Report fields that describe the fault
+    are left out: its counters, and the recovery fields, which measure a
+    fault against the same run (ROADMAP item 25) and so read damage even
+    for one that moved nothing."""
+
+    FAULT_FIELDS = (
+        "faults_injected", "gray_degraded_bytes",
+        "qoe_dip_depth", "time_to_recover_s", "region_recovery",
+    )
+
+    @staticmethod
+    def no_op(kind, edge, start, duration):
+        if kind == "degradation":
+            return BackhaulDegradation(
+                edge=edge, start=start, duration=duration, factor=1.0
+            )
+        return GrayFailure(
+            edge=edge, start=start, duration=duration, capacity_factor=1.0
+        )
+
+    @given(
+        kind=st.sampled_from(["degradation", "gray"]),
+        n=st.integers(3, 8),
+        stagger=st.floats(0.0, 1.5),
+        n_edges=st.integers(2, 4),
+        edge=st.integers(0, 3),
+        start=st.floats(0.0, 10.0),
+        duration=st.floats(0.5, 10.0),
+    )
+    # Under the drain-every-step scheduler the window's two instants moved
+    # session 5's stall records here by an ulp (2.4161228799999996 s
+    # against 2.4161228800000014 s).
+    @example(kind="degradation", n=6, stagger=0.4, n_edges=3, edge=0,
+             start=2.0, duration=8.0)
+    @settings(max_examples=15, deadline=None)
+    def test_a_fault_that_changes_no_rate_is_inert(
+        self, kind, n, stagger, n_edges, edge, start, duration
+    ):
+        def run(faults):
+            return simulate_fleet(
+                fleet(n, stagger=stagger),
+                topology=cdn(n_edges, n_regions=2), faults=faults,
+            )
+
+        def facts(report):
+            d = dataclasses.asdict(report)
+            for name in self.FAULT_FIELDS:
+                del d[name]
+            return d
+
+        event = self.no_op(kind, edge % n_edges, start, duration)
+        faulted, clean = run(FaultSchedule((event,))), run(None)
+        assert faulted.sessions == clean.sessions
+        assert faulted.end_times == clean.end_times
+        assert faulted.assignment == clean.assignment
+        assert facts(faulted.report) == facts(clean.report)

@@ -32,6 +32,7 @@ from repro.streaming import (
 from repro.streaming.fleet import _MAX_STALLED_STEPS
 from repro.streaming.latency import MeasuredSRLatency
 
+from ..net.drain_scheduler import DrainScheduler
 from ..net.reference_scheduler import ReferenceScheduler
 from .helpers import (
     FixedDensity,
@@ -111,8 +112,9 @@ class TestSingleSessionParity:
 
 
 class TestEngineParityEndToEnd:
-    """Production PathScheduler vs the per-flow reference through the
-    whole fleet stack (the reference is swapped in for the run)."""
+    """Production PathScheduler vs the per-flow epoch reference through the
+    whole fleet stack (the reference is swapped in for the run), and vs
+    the drain-every-step predecessor within a stated bound."""
 
     def make_sessions(self):
         qm = SRQualityModel()
@@ -129,19 +131,48 @@ class TestEngineParityEndToEnd:
             for i in range(8)
         ]
 
-    def test_mpc_fleet_scheduler_engines_agree(self, monkeypatch):
-        trace = lte_trace(55, 16, seed=11)
+    def mpc_fleet(self):
+        return simulate_fleet(
+            self.make_sessions(),
+            topology=single_link_cdn(lte_trace(55, 16, seed=11)),
+            sr_cache="shared",
+        )
 
-        def run():
-            return simulate_fleet(
-                self.make_sessions(),
-                topology=single_link_cdn(trace),
-                sr_cache="shared",
+    def cdn_fleet(self):
+        """The multi-hop path end to end: backhaul + access hops on LTE
+        traces (plain links, capacities kept until a segment ends), one
+        backhaul degraded and one edge gray (``DegradedTrace`` links, read
+        every step), cold misses gated by encode waits."""
+        edges = tuple(
+            EdgeNode(
+                name=f"edge-{e}",
+                backhaul=SharedLink(
+                    dataclasses.replace(lte_trace(30, 9, seed=20 + e), rtt=0.02)
+                ),
+                access=SharedLink(lte_trace(45, 14, seed=30 + e)),
+                cache=EdgeChunkCache(capacity_bytes=1 << 30),
             )
+            for e in range(3)
+        )
+        topology = CDNTopology(
+            edges=edges,
+            origin=OriginServer(n_encode_workers=2, encode_seconds=0.02),
+            assignment="static",
+        )
+        faults = FaultSchedule((
+            BackhaulDegradation(edge=0, start=1.5, duration=4.0, factor=0.4),
+            GrayFailure(edge=1, start=2.0, duration=5.0,
+                        capacity_factor=0.5, drop_fraction=0.2),
+        ))
+        return simulate_fleet(
+            self.make_sessions(), topology=topology, faults=faults,
+            sr_cache="per-edge",
+        )
 
-        b = run()
+    def test_mpc_fleet_scheduler_engines_agree(self, monkeypatch):
+        b = self.mpc_fleet()
         monkeypatch.setattr("repro.streaming.fleet.PathScheduler", ReferenceScheduler)
-        a = run()
+        a = self.mpc_fleet()
         for ra, rb in zip(a.sessions, b.sessions):
             assert ra.qoe == rb.qoe
             assert ra.total_bytes == rb.total_bytes
@@ -152,43 +183,42 @@ class TestEngineParityEndToEnd:
     def test_cdn_fleet_with_gray_failure_and_degradation_engines_agree(
         self, monkeypatch
     ):
-        """The multi-hop path end to end: backhaul + access hops on LTE
-        traces (plain links, capacities kept until a segment ends), one
-        backhaul degraded and one edge gray (``DegradedTrace`` links, read
-        every step), cold misses gated by encode waits."""
-
-        def run():
-            edges = tuple(
-                EdgeNode(
-                    name=f"edge-{e}",
-                    backhaul=SharedLink(
-                        dataclasses.replace(lte_trace(30, 9, seed=20 + e), rtt=0.02)
-                    ),
-                    access=SharedLink(lte_trace(45, 14, seed=30 + e)),
-                    cache=EdgeChunkCache(capacity_bytes=1 << 30),
-                )
-                for e in range(3)
-            )
-            topology = CDNTopology(
-                edges=edges,
-                origin=OriginServer(n_encode_workers=2, encode_seconds=0.02),
-                assignment="static",
-            )
-            faults = FaultSchedule((
-                BackhaulDegradation(edge=0, start=1.5, duration=4.0, factor=0.4),
-                GrayFailure(edge=1, start=2.0, duration=5.0,
-                            capacity_factor=0.5, drop_fraction=0.2),
-            ))
-            return simulate_fleet(
-                self.make_sessions(), topology=topology, faults=faults,
-                sr_cache="per-edge",
-            )
-
-        b = run()
+        b = self.cdn_fleet()
         monkeypatch.setattr("repro.streaming.fleet.PathScheduler", ReferenceScheduler)
-        a = run()
+        a = self.cdn_fleet()
         assert_same_run(a, b)
         assert a.report.gray_degraded_bytes > 0
+
+    #: Measured: both fleets complete the same 64 transfers in the same
+    #: order with the same decisions; the one-link MPC fleet is bit-equal
+    #: and the CDN fleet's completion instants lie at most 6.8e-16 apart
+    #: (relative), its end times 3.2e-16.
+    DRAIN_RTOL = 1e-12
+
+    @pytest.mark.parametrize("fleet", ["mpc_fleet", "cdn_fleet"])
+    def test_the_drain_predecessor_agrees_within_bound(self, monkeypatch, fleet):
+        """The drain-every-step loop is the same fluid model: swapped into
+        the same fleet it completes the same transfers in the same order,
+        the sessions take the same decisions, and every completion instant
+        and end time lies within ``DRAIN_RTOL`` of production's."""
+        runs = []
+        for engine in (PathScheduler, DrainScheduler):
+            stream = []
+
+            class Recording(engine):
+                def advance(self, now, to_time):
+                    done = super().advance(now, to_time)
+                    stream.extend(done)
+                    return done
+
+            monkeypatch.setattr("repro.streaming.fleet.PathScheduler", Recording)
+            runs.append((getattr(self, fleet)(), stream))
+        (prod, prod_done), (drain, drain_done) = runs
+        assert [c.flow_id for c in prod_done] == [c.flow_id for c in drain_done]
+        for got, want in zip(prod_done, drain_done):
+            assert got.finish_time == pytest.approx(want.finish_time, rel=self.DRAIN_RTOL)
+        assert [r.decisions for r in prod.sessions] == [r.decisions for r in drain.sessions]
+        assert prod.end_times == pytest.approx(drain.end_times, rel=self.DRAIN_RTOL)
 
 
 class TestDeterminism:

@@ -336,6 +336,20 @@ class TestTelemetryDisabledParity:
         base = run(None)
         assert run(Telemetry()) == base
 
+    def test_an_untraced_run_builds_no_per_request_payloads(self, monkeypatch):
+        """Per-request emission sites (fetch, decision, completion) check
+        for ``NULL_TRACER`` before building their keyword payloads, so an
+        untraced run hands the null tracer only run-level events."""
+        from repro.obs.events import NULL_TRACER
+
+        kinds = []
+        monkeypatch.setattr(
+            type(NULL_TRACER), "emit",
+            lambda self, t, kind, session=None, **data: kinds.append(kind),
+        )
+        simulate_fleet(fleet(n=6), topology=cdn(3))
+        assert kinds and not {k for k in kinds if k.startswith("chunk.")}
+
 
 class TestConservation:
     """The chaos acceptance law: report counters == the event-stream fold."""

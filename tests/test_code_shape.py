@@ -53,8 +53,9 @@ def test_one_serving_model():
 
 
 def test_stage_code_has_no_tracer_branches():
-    """Emission sites call ``tracer.emit`` unconditionally (a run without
-    a tracer binds ``NULL_TRACER``)."""
+    """Emission sites never test for a missing tracer (a run without one
+    binds ``NULL_TRACER``); per-request sites skip building a payload by
+    identity with it."""
     offenders = [
         f"{name}:{i}"
         for name in ("fleet.py", "cdn.py", "control.py")
@@ -175,19 +176,50 @@ def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch():
     ]
     topology = ast.parse((SRC / "net" / "topology.py").read_text())
     assert "bincount" not in called_names(topology)
-    (alloc,) = functions(SRC / "net" / "topology.py", "_vec_alloc")
-    assert not called_names(alloc) & {"ravel", "astype", "tolist", "nonzero"}
 
 
-def test_the_scheduler_keeps_its_active_flows_in_one_packed_block():
-    """Active flows fill columns ``0 … n-1`` (swap-remove on the way out),
-    so there is no slot array to grow, scan or gather through."""
-    import dataclasses
+def test_a_scheduler_step_touches_only_the_groups_whose_rate_can_change(
+    monkeypatch,
+):
+    """A step re-rates only the groups on links whose sharer count or
+    capacity changed, and a re-rated group whose rate did not change
+    keeps its epoch.  Pool: an access link shared by a hit group (access
+    only) and a miss group (a 10 Mbit/s backhaul, then the access), and
+    a third group on a link of its own.  One more hit flow activates: the
+    hit and miss groups are re-rated (they cross the access), the miss
+    group's rate is still the backhaul's 10 Mbit/s so it keeps its epoch,
+    and the third group is not re-rated at all."""
+    from repro.net import NetworkPath, PathScheduler, SharedLink, stable_trace
+    from repro.net.topology import _Group
 
-    from repro.net.topology import _PathFlow, _VectorState
+    access, backhaul, side = (
+        SharedLink(stable_trace(mbps, rtt=0.0)) for mbps in (100.0, 10.0, 30.0)
+    )
+    hit, miss = NetworkPath((access,)), NetworkPath((backhaul, access))
+    alone = NetworkPath((side,))
+    sched = PathScheduler()
+    sched.add_flow(0, 40_000_000, 0.0, hit)
+    sched.add_flow(1, 40_000_000, 0.0, miss)
+    sched.add_flow(2, 40_000_000, 0.0, alone)
+    sched.add_flow(3, 40_000_000, 0.0, hit, extra_delay=0.5)
+    assert sched.next_event(0.0) == 0.5
+    assert sched.advance(0.0, 0.5) == []
+    groups = sched._pool.groups
+    g_hit, g_miss, g_alone = (groups[k] for k in ((0,), (1, 0), (2,)))
+    before = {id(g): (g.epoch, g.rate, list(g.bits)) for g in groups.values()}
+    rerated = []
+    real = _Group.rerate
 
-    assert not hasattr(_VectorState, "_grow_rows")
-    assert "slot" not in [f.name for f in dataclasses.fields(_PathFlow)]
+    def counting(self, *args):
+        rerated.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(_Group, "rerate", counting)
+    sched.next_event(0.5)                    # flow 3's gate opens here
+    assert sorted(map(id, rerated)) == sorted(map(id, (g_hit, g_miss)))
+    assert g_miss.rate == 10e6 and (g_miss.epoch, g_miss.rate, g_miss.bits) == before[id(g_miss)]
+    assert (g_alone.epoch, g_alone.rate, g_alone.bits) == before[id(g_alone)]
+    assert g_hit.epoch == 0.5 and g_hit.rate == 100e6 / 3
 
 
 def test_a_fleet_step_rebuilds_nothing_fixed_for_the_run():
