@@ -60,40 +60,26 @@ class QoEModel:
     def __init__(self, weights: QoEWeights | None = None):
         self.weights = weights or QoEWeights()
 
-    # ------------------------------------------------------------------
-    def quality_term(self, quality: float) -> float:
-        """α·Q for one chunk."""
-        return self.weights.alpha * float(quality)
-
-    def variation_term(self, quality: float, prev_quality: float | None) -> float:
-        """β·V between consecutive chunks (0 for the first chunk)."""
-        if prev_quality is None:
-            return 0.0
-        delta = quality - prev_quality
-        mult = self.weights.drop_multiplier if delta < 0 else 1.0
-        return self.weights.beta * mult * abs(delta)
-
-    def stall_term(self, stall: float) -> float:
-        """γ·S for one chunk."""
-        if stall < 0:
-            raise ValueError("stall must be non-negative")
-        return self.weights.gamma * float(stall)
-
-    # ------------------------------------------------------------------
-    def chunk_qoe(self, rec: ChunkRecord, prev_quality: float | None) -> float:
-        """Per-chunk contribution to the session QoE."""
-        return (
-            self.quality_term(rec.quality)
-            - self.variation_term(rec.quality, prev_quality)
-            - self.stall_term(rec.stall)
-        )
-
     def session(self, records: list[ChunkRecord]) -> float:
-        """Total QoE of a session."""
+        """Total QoE of a session: per chunk ``α·Q − β·V − γ·S`` (``V`` is 0
+        for the first chunk and weighted ``drop_multiplier`` on a drop),
+        summed in record order.  One pass with the weights in locals; the
+        same float operations, in the same order, as the term-by-term sum
+        in ``tests/metrics/reference_qoe.py``."""
+        w = self.weights
+        alpha, beta, gamma = w.alpha, w.beta, w.gamma
+        beta_drop = beta * w.drop_multiplier
         total, prev = 0.0, None
         for rec in records:
-            total += self.chunk_qoe(rec, prev)
-            prev = rec.quality
+            q, stall = rec.quality, rec.stall
+            if stall < 0:
+                raise ValueError("stall must be non-negative")
+            value = alpha * float(q)
+            if prev is not None:  # the first chunk's variation is 0
+                delta = q - prev
+                value -= (beta_drop if delta < 0 else beta) * abs(delta)
+            total += value - gamma * float(stall)
+            prev = q
         return total
 
     def first_chunk_values(
@@ -136,8 +122,8 @@ class QoEModel:
         non-negative — the planner builds them as ``max(0, ·)`` of tensors
         it has already checked, so they are not scanned again here.
 
-        Each plan's value is the sum of :meth:`chunk_qoe` over its horizon,
-        term for term and in that order
+        Each plan's value sums the per-chunk terms of :meth:`session` over
+        its horizon, term for term and in that order
         (``tests/streaming/reference_planner.py`` is that sum written as a
         loop).
         """

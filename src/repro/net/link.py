@@ -14,7 +14,7 @@ transfer integrator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .traces import NetworkTrace
 
@@ -52,8 +52,7 @@ class Link:
             now = t
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     """One finished transfer reported by the path scheduler."""
 
     flow_id: int

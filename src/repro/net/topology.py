@@ -72,6 +72,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
 
@@ -100,9 +101,10 @@ class NetworkPath:
         if len({id(l) for l in self.links}) != len(self.links):
             raise ValueError("NetworkPath hops must be distinct links")
 
-    @property
+    @cached_property
     def rtt(self) -> float:
-        """Total request latency: one RTT per hop, in series."""
+        """Total request latency: one RTT per hop, in series (summed once
+        per path: a link's trace is fixed)."""
         total = 0.0
         for link in self.links:
             total += link.trace.rtt
@@ -124,7 +126,7 @@ _FINISH_RTOL = 1e-9
 _FINISH_ATOL = 1e-3
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _PathFlow:
     flow_id: int
     path: NetworkPath

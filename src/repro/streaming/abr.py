@@ -117,8 +117,8 @@ class SRQualityModel:
     """
 
     def __init__(self, max_ratio: float = 8.0):
-        if max_ratio < 1.0:
-            raise ValueError("max_ratio must be >= 1")
+        if not 1.0 <= max_ratio < math.inf:  # chained: NaN fails it
+            raise ValueError(f"max_ratio must be finite and >= 1, got {max_ratio!r}")
         self.max_ratio = float(max_ratio)
 
     def sr_ratio_for(self, density: float) -> float:
@@ -129,18 +129,23 @@ class SRQualityModel:
 
     def quality(self, density: float, sr_ratio: float | None = None) -> float:
         """Perceived quality of Eq. 10's Q term."""
-        s = self.sr_ratio_for(density) if sr_ratio is None else float(sr_ratio)
-        if s < 1.0:
-            raise ValueError("sr_ratio must be >= 1")
+        if sr_ratio is None:
+            s = self.sr_ratio_for(density)  # checks density; min(max_ratio, 1/d) >= 1
+        else:
+            s = float(sr_ratio)
+            if not 0.0 < density <= 1.0:  # chained so NaN fails them
+                raise ValueError(f"density must be in (0, 1], got {density!r}")
+            if not 1.0 <= s < math.inf:
+                raise ValueError(f"sr_ratio must be finite and >= 1, got {s!r}")
         restored = min(1.0, density * s)
-        discount = SR_EFFICIENCY ** np.log2(max(s, 1.0))
+        discount = SR_EFFICIENCY ** np.log2(s)
         return float(restored * discount)
 
     # -- batched forms (one candidate-density axis) --------------------
     def sr_ratios_for(self, densities: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`sr_ratio_for` (identical arithmetic)."""
         d = np.asarray(densities, dtype=np.float64)
-        if np.any((d <= 0.0) | (d > 1.0)):
+        if not np.all((0.0 < d) & (d <= 1.0)):  # NaN fails both
             raise ValueError("densities must be in (0, 1]")
         return np.minimum(self.max_ratio, 1.0 / d)
 
@@ -149,15 +154,16 @@ class SRQualityModel:
     ) -> np.ndarray:
         """Vectorized :meth:`quality` (identical arithmetic)."""
         d = np.asarray(densities, dtype=np.float64)
-        s = (
-            self.sr_ratios_for(d)
-            if sr_ratios is None
-            else np.asarray(sr_ratios, dtype=np.float64)
-        )
-        if np.any(s < 1.0):
-            raise ValueError("sr_ratio must be >= 1")
+        if sr_ratios is None:
+            s = self.sr_ratios_for(d)  # checks d; min(max_ratio, 1/d) >= 1
+        else:
+            s = np.asarray(sr_ratios, dtype=np.float64)
+            if not np.all((0.0 < d) & (d <= 1.0)):  # NaN fails both
+                raise ValueError("densities must be in (0, 1]")
+            if not np.all((1.0 <= s) & (s < np.inf)):
+                raise ValueError("sr_ratios must be finite and >= 1")
         restored = np.minimum(1.0, d * s)
-        discount = SR_EFFICIENCY ** np.log2(np.maximum(s, 1.0))
+        discount = SR_EFFICIENCY ** np.log2(s)
         return restored * discount
 
 
@@ -207,9 +213,9 @@ class Decision:
             raise ValueError(
                 f"Decision.density must be in (0, 1], got {self.density!r}"
             )
-        if self.sr_ratio < 1.0:
+        if not 1.0 <= self.sr_ratio < math.inf:  # chained: NaN fails it
             raise ValueError(
-                f"Decision.sr_ratio must be >= 1, got {self.sr_ratio!r}"
+                f"Decision.sr_ratio must be finite and >= 1, got {self.sr_ratio!r}"
             )
 
 

@@ -144,20 +144,20 @@ class EdgeChunkCache:
     def lookup(self, key: tuple, nbytes: int, at_time: float) -> bool:
         """True (and bump LRU/stats) iff ``key`` is resident at ``at_time``."""
         entry = self._entries.get(key)
-        if entry is not None and entry.ready <= at_time:
+        hit = entry is not None and entry.ready <= at_time
+        if hit:
             self._entries.move_to_end(key)
             self.hits += 1
             self.hit_bytes += nbytes
+        else:
+            self.misses += 1
+            self.miss_bytes += nbytes
+        if self._tracer is not NULL_TRACER:
             self._tracer.emit(
-                at_time, EV_CACHE_HIT, edge=self._edge, nbytes=nbytes
+                at_time, EV_CACHE_HIT if hit else EV_CACHE_MISS,
+                edge=self._edge, nbytes=nbytes,
             )
-            return True
-        self.misses += 1
-        self.miss_bytes += nbytes
-        self._tracer.emit(
-            at_time, EV_CACHE_MISS, edge=self._edge, nbytes=nbytes
-        )
-        return False
+        return hit
 
     # -- in-flight fill tracking (request coalescing) ------------------
     def fill_in_flight(self, key: tuple) -> bool:
@@ -175,9 +175,10 @@ class EdgeChunkCache:
             raise ValueError(f"no fill in flight for {key!r}")
         self.coalesced += 1
         self.coalesced_bytes += nbytes
-        self._tracer.emit(
-            at_time, EV_CACHE_COALESCE, edge=self._edge, nbytes=nbytes
-        )
+        if self._tracer is not NULL_TRACER:
+            self._tracer.emit(
+                at_time, EV_CACHE_COALESCE, edge=self._edge, nbytes=nbytes
+            )
 
     def void_hit(self, nbytes: int, at_time: float = 0.0) -> None:
         """Retract a counted hit whose access transfer never completed.
@@ -321,10 +322,11 @@ class EncodeQueue:
         self._free_at[worker] = ready
         self.waits.append(start - at_time)
         self.busy_seconds += cost
-        self._tracer.emit(
-            at_time, EV_ENCODE_ENQUEUE, wait=start - at_time,
-            workers=self.n_workers,
-        )
+        if self._tracer is not NULL_TRACER:
+            self._tracer.emit(
+                at_time, EV_ENCODE_ENQUEUE, wait=start - at_time,
+                workers=self.n_workers,
+            )
         return ready
 
     def busy_at(self, t: float) -> int:

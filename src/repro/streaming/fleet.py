@@ -1123,7 +1123,7 @@ class _FleetRun:
             self.rstate.offset[sid] = self.rstate.offset.get(sid, 0.0) + (
                 t + delay - req.start_time
             )
-            req = dc_replace(req, start_time=t + delay)
+            req = req._replace(start_time=t + delay)
         self.tracer.emit(
             t, EV_CHUNK_RETRY, session=sid, nbytes=req.nbytes,
             reason=reason, attempt=attempt,

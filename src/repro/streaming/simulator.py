@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Generator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..metrics.qoe import ChunkRecord, QoEWeights, session_qoe
 from ..net.estimator import HarmonicMeanEstimator
@@ -123,8 +124,7 @@ class SessionResult:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class DownloadRequest:
+class DownloadRequest(NamedTuple):
     """A suspended session asking its driver for one network transfer.
 
     ``start_time`` is the virtual time the request goes out; the driver
@@ -145,8 +145,7 @@ class DownloadRequest:
     density: float | None = None
 
 
-@dataclass(frozen=True)
-class DecisionRequest:
+class DecisionRequest(NamedTuple):
     """A suspended session asking its driver for an ABR decision.
 
     The driver answers with a :class:`~repro.streaming.abr.Decision` for
@@ -317,6 +316,10 @@ class SessionMachine:
             buffer_clock = to_time
             return stall
 
+        # Per-decision values, once per distinct decision of this session
+        # (at most the controller's candidates, after any clamp): the
+        # chunk quality and the SR-cache key's rounded density and ratio.
+        per_decision: dict[tuple[float, float], tuple[float, float, float]] = {}
         prev_quality: float | None = None
         watched_seconds = 0.0
         total_stall = 0.0
@@ -340,30 +343,30 @@ class SessionMachine:
             )
             decision = yield DecisionRequest(ctx)
             assert isinstance(decision, Decision)
-            decisions.append(decision.density)
+            density, sr_ratio = decision.density, decision.sr_ratio
+            decisions.append(density)
+            per = per_decision.get((density, sr_ratio))
+            if per is None:
+                per = per_decision[density, sr_ratio] = (
+                    qm.quality(density, sr_ratio) * cfg.quality_factor,
+                    round(density, 3),
+                    round(sr_ratio, 3),
+                )
+            q, key_density, key_ratio = per
 
-            nbytes = int(chunk.bytes_at_density(decision.density) * cfg.fetch_fraction)
+            nbytes = int(chunk.bytes_at_density(density) * cfg.fetch_fraction)
             dl = yield DownloadRequest(
-                t_net,
-                nbytes,
-                video=self.spec.name,
-                chunk_index=chunk.index,
-                density=decision.density,
+                t_net, nbytes, self.spec.name, chunk.index, density
             )
             dl_finish = t_net + dl
             t_net = dl_finish  # next request goes out immediately after
 
             sr_time = chunk.n_frames * self.sr_latency(
-                chunk.points_at_density(decision.density), decision.sr_ratio
+                chunk.points_at_density(density), sr_ratio
             )
             sr_start = max(dl_finish, cpu_free)
             if self.sr_cache is not None and sr_time > 0.0:
-                key = (
-                    self.spec.name,
-                    chunk.index,
-                    round(decision.density, 3),
-                    round(decision.sr_ratio, 3),
-                )
+                key = (self.spec.name, chunk.index, key_density, key_ratio)
                 sr_time = self.sr_cache.acquire(key, sr_start, sr_time)
             ready = sr_start + sr_time
             cpu_free = ready
@@ -378,7 +381,6 @@ class SessionMachine:
             # A zero-byte chunk (density × fetch_fraction rounding to
             # nothing) yields no throughput sample — dl is pure RTT.
             est.observe(nbytes * 8.0 / dl if nbytes > 0 and dl > 0 else est.estimate())
-            q = qm.quality(decision.density, decision.sr_ratio) * cfg.quality_factor
             records.append(ChunkRecord(quality=q, stall=stall, bytes_downloaded=nbytes))
             self.live_chunks += 1
             self.live_quality_sum += q

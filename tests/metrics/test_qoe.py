@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.metrics import (
     ChunkRecord,
@@ -11,30 +13,67 @@ from repro.metrics import (
     bootstrap_ci,
     session_qoe,
 )
+from tests.metrics.reference_qoe import chunk_qoe, session_sum, variation_term
 
 
 class TestTerms:
+    """Each Eq. 10 term, read off ``session`` with the other weights at 0."""
+
     def test_quality_term_scales_with_alpha(self):
         m = QoEModel(QoEWeights(alpha=2.0))
-        assert m.quality_term(0.5) == pytest.approx(1.0)
+        assert m.session([ChunkRecord(quality=0.5)]) == 1.0
 
     def test_variation_first_chunk_free(self):
-        m = QoEModel()
-        assert m.variation_term(0.5, None) == 0.0
+        m = QoEModel(QoEWeights(alpha=1.0, beta=5.0))
+        assert m.session([ChunkRecord(quality=0.5)]) == 0.5
 
     def test_drops_penalized_more_than_rises(self):
-        m = QoEModel(QoEWeights(beta=1.0, drop_multiplier=2.0))
-        rise = m.variation_term(0.8, 0.5)
-        drop = m.variation_term(0.5, 0.8)
-        assert drop == pytest.approx(2.0 * rise)
+        m = QoEModel(QoEWeights(alpha=0.0, beta=1.0, drop_multiplier=2.0))
+        rise = -m.session([ChunkRecord(quality=0.5), ChunkRecord(quality=0.8)])
+        drop = -m.session([ChunkRecord(quality=0.8), ChunkRecord(quality=0.5)])
+        assert rise > 0 and drop == pytest.approx(2.0 * rise)
 
     def test_stall_term(self):
-        m = QoEModel(QoEWeights(gamma=3.0))
-        assert m.stall_term(2.0) == pytest.approx(6.0)
+        m = QoEModel(QoEWeights(alpha=0.0, gamma=3.0))
+        assert m.session([ChunkRecord(quality=0.5, stall=2.0)]) == -6.0
 
     def test_negative_stall_rejected(self):
-        with pytest.raises(ValueError):
-            QoEModel().stall_term(-1.0)
+        records = [ChunkRecord(quality=0.5), ChunkRecord(quality=0.5, stall=-1.0)]
+        with pytest.raises(ValueError, match="stall must be non-negative"):
+            QoEModel().session(records)
+
+
+unit = st.floats(0.0, 1.0)
+weight = st.floats(0.0, 10.0)
+
+
+class TestSessionOracle:
+    """``session`` folds the records in one pass; the term-by-term sum of
+    ``tests/metrics/reference_qoe.py`` is its oracle, with ``==``."""
+
+    @given(
+        st.lists(
+            st.tuples(unit, st.one_of(st.just(0.0), st.floats(0.0, 30.0))),
+            min_size=1, max_size=40,
+        ),
+        weight, weight, weight, st.floats(1.0, 5.0),
+    )
+    def test_equals_the_term_by_term_sum(self, rows, alpha, beta, gamma, drop):
+        w = QoEWeights(alpha=alpha, beta=beta, gamma=gamma, drop_multiplier=drop)
+        records = [ChunkRecord(quality=q, stall=s) for q, s in rows]
+        assert QoEModel(w).session(records) == session_sum(w, records)
+
+    @pytest.mark.parametrize(
+        "qualities",
+        [[0.7], [0.9, 0.4], [0.2, 0.6], [0.5, 0.5, 0.1, 0.8, 0.8]],
+        ids=["one-record", "drop", "rise", "mixed"],
+    )
+    def test_fixed_sessions(self, qualities):
+        w = QoEWeights(alpha=1.3, beta=0.7, gamma=2.0, drop_multiplier=3.0)
+        records = [
+            ChunkRecord(quality=q, stall=0.25 * (i % 2)) for i, q in enumerate(qualities)
+        ]
+        assert QoEModel(w).session(records) == session_sum(w, records)
 
 
 class TestSession:
@@ -64,7 +103,7 @@ class TestSession:
         assert m.plan_values(later, later, stalls) == pytest.approx(m.session(records))
         first = m.first_chunk_values(0.6, 0.9)
         assert m.plan_values(first, later, stalls) == pytest.approx(
-            m.session(records) - m.variation_term(0.6, 0.9)
+            m.session(records) - variation_term(m.weights, 0.6, 0.9)
         )
 
     def test_first_chunk_row_is_a_stall_free_chunk_qoe(self):
@@ -74,7 +113,7 @@ class TestSession:
         for prev in (None, 0.0, 0.45, 0.9, 1.0):
             row = m.first_chunk_values(q, prev)
             assert row.tolist() == [
-                m.chunk_qoe(ChunkRecord(quality=float(x)), prev) for x in q
+                chunk_qoe(m.weights, ChunkRecord(quality=float(x)), prev) for x in q
             ]
 
     def test_plan_value_validation(self):

@@ -7,8 +7,9 @@ It reads a controller's configuration (``candidates``, ``quality_model``,
 ``SAFETY`` discount, and otherwise touches only the scalar leaves that
 have production traffic of their own — ``ChunkSpec.bytes_at_density`` /
 ``points_at_density``, the SR latency model's ``__call__``,
-``SRQualityModel.sr_ratio_for`` / ``quality`` and ``QoEModel``'s three
-per-chunk terms.  Nothing of the array path is imported, on purpose:
+``SRQualityModel.sr_ratio_for`` / ``quality`` and Eq. 10's three
+per-chunk terms (``tests/metrics/reference_qoe.py``, the term-by-term
+oracle of ``QoEModel.session``).  Nothing of the array path is imported, on purpose:
 ``tests/streaming/test_abr_parity.py`` pins ``plan_values`` / ``decide`` /
 ``decide_batch`` against this module at 1e-9, and
 ``tests/test_code_shape.py`` keeps the import list honest.
@@ -17,20 +18,18 @@ per-chunk terms.  Nothing of the array path is imported, on purpose:
 from __future__ import annotations
 
 from repro.streaming.abr import SAFETY, AbrContext, Decision
+from tests.metrics.reference_qoe import quality_term, stall_term, variation_term
 
 
 def plan_value(qoe_model, qualities, stalls, prev_quality) -> float:
     """Eq. 10 summed over one candidate plan (the scalar ``QoEModel`` loop)."""
     if len(qualities) != len(stalls):
         raise ValueError("qualities and stalls must align")
+    w = qoe_model.weights
     total = 0.0
     prev = prev_quality
     for q, s in zip(qualities, stalls):
-        total += (
-            qoe_model.quality_term(q)
-            - qoe_model.variation_term(q, prev)
-            - qoe_model.stall_term(s)
-        )
+        total += quality_term(w, q) - variation_term(w, q, prev) - stall_term(w, s)
         prev = q
     return total
 

@@ -72,6 +72,63 @@ class TestDecision:
             Decision(density=0.5, sr_ratio=0.9)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteAndOutOfRangeSRInputs:
+    """Densities outside (0, 1] and SR ratios outside [1, inf) are refused
+    by every entry point: NaN fails the chained comparisons instead of
+    slipping through ``min(1.0, nan) == 1.0`` or ``nan < 1.0 == False``."""
+
+    def test_quality_refuses_a_nan_density(self):
+        with pytest.raises(ValueError, match="density"):
+            SRQualityModel().quality(NAN, 2.0)
+
+    def test_quality_refuses_a_negative_density(self):
+        with pytest.raises(ValueError, match="density"):
+            SRQualityModel().quality(-1.0, 2.0)
+
+    def test_quality_refuses_a_density_above_one(self):
+        with pytest.raises(ValueError, match="density"):
+            SRQualityModel().quality(5.0, 2.0)
+
+    def test_quality_refuses_a_nan_or_infinite_ratio(self):
+        for ratio in (NAN, INF):
+            with pytest.raises(ValueError, match="sr_ratio"):
+                SRQualityModel().quality(0.5, ratio)
+
+    def test_qualities_refuses_a_nan_density(self):
+        with pytest.raises(ValueError, match="densities"):
+            SRQualityModel().qualities([NAN], [2.0])
+
+    def test_qualities_refuses_an_out_of_range_density(self):
+        for d in (-1.0, 5.0):
+            with pytest.raises(ValueError, match="densities"):
+                SRQualityModel().qualities([0.5, d], [2.0, 2.0])
+
+    def test_qualities_refuses_a_nan_or_infinite_ratio(self):
+        for ratio in (NAN, INF):
+            with pytest.raises(ValueError, match="sr_ratios"):
+                SRQualityModel().qualities([0.5], [ratio])
+
+    def test_sr_ratios_for_refuses_a_nan_density(self):
+        with pytest.raises(ValueError, match="densities"):
+            SRQualityModel().sr_ratios_for([0.5, NAN])
+
+    def test_decision_refuses_a_nan_ratio(self):
+        with pytest.raises(ValueError, match=r"Decision\.sr_ratio.*got nan"):
+            Decision(0.5, NAN)
+
+    def test_decision_refuses_an_infinite_ratio(self):
+        with pytest.raises(ValueError, match=r"Decision\.sr_ratio.*got inf"):
+            Decision(0.5, INF)
+
+    def test_model_refuses_a_nan_or_infinite_max_ratio(self):
+        for ratio in (NAN, INF):
+            with pytest.raises(ValueError, match="max_ratio"):
+                SRQualityModel(max_ratio=ratio)
+
+
 def make_mpc(cls=ContinuousMPC, **kw):
     qm = SRQualityModel()
     return cls(qm, QoEModel(), ZERO_LATENCY, **kw)

@@ -337,10 +337,17 @@ class TestTelemetryDisabledParity:
         assert run(Telemetry()) == base
 
     def test_an_untraced_run_builds_no_per_request_payloads(self, monkeypatch):
-        """Per-request emission sites (fetch, decision, completion) check
-        for ``NULL_TRACER`` before building their keyword payloads, so an
-        untraced run hands the null tracer only run-level events."""
+        """Per-request emission sites (fetch, decision, completion, the
+        edge caches' lookups and attaches, the origin's encode enqueue)
+        check for ``NULL_TRACER`` before building their keyword payloads,
+        so an untraced run hands the null tracer only run-level events."""
         from repro.obs.events import NULL_TRACER
+
+        per_request = ("chunk.", "cache.", "encode.enqueue")
+        traced = Telemetry()
+        simulate_fleet(fleet(n=6), topology=cdn(3), telemetry=traced)
+        seen = {ev.kind for ev in traced.tracer}
+        assert all(any(k.startswith(p) for k in seen) for p in per_request)
 
         kinds = []
         monkeypatch.setattr(
@@ -348,7 +355,7 @@ class TestTelemetryDisabledParity:
             lambda self, t, kind, session=None, **data: kinds.append(kind),
         )
         simulate_fleet(fleet(n=6), topology=cdn(3))
-        assert kinds and not {k for k in kinds if k.startswith("chunk.")}
+        assert kinds and not [k for k in kinds if k.startswith(per_request)]
 
 
 class TestConservation:

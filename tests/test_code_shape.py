@@ -247,6 +247,44 @@ def test_a_fleet_step_rebuilds_nothing_fixed_for_the_run():
     assert id(mpc.decide(ctxs[0])) in own
 
 
+def test_a_chunk_prices_its_decision_once_per_session():
+    """A session looks a decision's chunk quality (and SR-cache key) up in
+    a table of its own: over a multi-session fleet run,
+    ``SRQualityModel.quality`` runs at most once per distinct (session,
+    density, SR ratio), not once per chunk.  Each session holds its own
+    model, so the model identifies the session; the controller plans with
+    a model of its own."""
+    from collections import Counter
+
+    from repro.metrics import QoEModel
+    from repro.streaming import (
+        ContinuousMPC, FleetSession, SRQualityModel, VideoSpec, ZERO_LATENCY,
+        simulate_fleet, uniform_cdn,
+    )
+
+    calls = Counter()
+
+    class Counting(SRQualityModel):
+        def quality(self, density, sr_ratio=None):
+            calls[id(self), density, sr_ratio] += 1
+            return super().quality(density, sr_ratio)
+
+    mpc = ContinuousMPC(SRQualityModel(), QoEModel(), ZERO_LATENCY, n_grid=8)
+    spec = VideoSpec("v", n_frames=20 * 30, fps=30, points_per_frame=100_000)
+    models = [Counting() for _ in range(4)]
+    sessions = [
+        FleetSession(spec, mpc, quality_model=m, join_time=0.5 * i)
+        for i, m in enumerate(models)
+    ]
+    topology = uniform_cdn(2, access_mbps=150.0, backhaul_mbps=75.0)
+    result = simulate_fleet(sessions, topology=topology)
+    for m, r in zip(models, result.sessions):
+        mine = {key[1:] for key in calls if key[0] == id(m)}
+        # several decisions per session, each repeated over its chunks
+        assert 1 < len(mine) == len(set(r.decisions)) < r.n_chunks
+    assert max(calls.values()) == 1
+
+
 def test_the_control_plane_keeps_no_books():
     """A plane is configuration: ``tick`` is a function of its view and
     writes nothing back, and a plane holds only its policy and the
