@@ -7,9 +7,10 @@ to live edges, cancels its in-flight transfers, restarts its cache
 cold), a backhaul brownout (the edge's origin link at 20% capacity),
 and a flash crowd piling onto one video.  Each faulty run is repeated
 with the closed-loop control plane on — encode-pool autoscaling,
-saturation re-steering — and the recovery metrics are printed: how deep
-QoE-per-chunk dipped below the pre-fault baseline and how many virtual
-seconds until it came back.  The run closes with the hot loop's
+saturation re-steering — and each faulty run is read against its
+fault-free twin (the same run with no faults; the flash crowd's twin is
+the population without the crowd): how deep QoE-per-chunk dipped below
+the twin's and how many virtual seconds until it came back.  The run closes with the hot loop's
 wall-clock phase breakdown; ``--trace-out FILE`` also records the
 edge-outage controller-on run's structured event trace (Chrome
 trace-event JSON for Perfetto, or a JSONL event log with a ``.jsonl``
@@ -21,11 +22,10 @@ Run:  python examples/chaos_demo.py [--sessions 120] [--interval 5]
 
 import argparse
 import math
-import time
 
 from repro.experiments import make_cdn, make_population
 from repro.experiments.common import SMOKE
-from repro.obs import Telemetry, write_trace
+from repro.obs import Telemetry, fault_damage, write_trace
 from repro.streaming import (
     BackhaulDegradation,
     ControlPlane,
@@ -37,15 +37,12 @@ from repro.streaming import (
 )
 
 
-def show(label: str, rep) -> None:
-    recover = (
-        "never" if math.isinf(rep.time_to_recover_s)
-        else f"{rep.time_to_recover_s:5.1f}s"
-    )
+def show(label: str, rep, dip: float = 0.0, recover_s: float = 0.0) -> None:
+    recover = "never" if math.isinf(recover_s) else f"{recover_s:5.1f}s"
     print(
         f"{label:<22} resteered {rep.sessions_resteered:3d}  "
         f"ticks {rep.control_ticks:3d}  resizes {rep.encode_pool_resizes}  "
-        f"dip {rep.qoe_dip_depth:5.2f}  recover {recover}  "
+        f"dip {dip:5.2f}  recover {recover}  "
         f"qoe {rep.mean_qoe:7.2f}  stall {100 * rep.stall_ratio:4.1f}%"
     )
 
@@ -74,31 +71,39 @@ def main() -> None:
             ControlPlane(ControlPolicy(interval=args.interval))
             if ctrl else None
         )
-        t0 = time.time()
-        rep = simulate_fleet(
+        return simulate_fleet(
             fleet, topology=topo, sr_cache="shared",
             faults=faults, controller=controller,
             telemetry=telemetry if traced else None,
-        ).report
-        return rep, time.time() - t0
+        )
 
-    rep, dt = run(sessions)
-    show("baseline", rep)
+    twins = {False: run(sessions), True: run(sessions, ctrl=True)}
+
+    def show_faulted(label, result, faults, ctrl):
+        onset = min(ev.start for ev in faults.events)
+        ids = range(len(result.sessions))
+        show(label, result.report,
+             *fault_damage(result, twins[ctrl], onset, ids))
+
+    show("baseline", twins[False].report)
 
     outage = FaultSchedule(
         (EdgeOutage(edge=0, start=0.4 * window, duration=0.25 * window),)
     )
     for ctrl in (False, True):
-        rep, dt = run(sessions, faults=outage, ctrl=ctrl, traced=ctrl)
-        show(f"edge-outage ctrl={'on' if ctrl else 'off'}", rep)
+        result = run(sessions, faults=outage, ctrl=ctrl, traced=ctrl)
+        show_faulted(
+            f"edge-outage ctrl={'on' if ctrl else 'off'}", result, outage,
+            ctrl,
+        )
 
     degr = FaultSchedule(
         (BackhaulDegradation(
             edge=0, start=0.3 * window, duration=window / 3.0, factor=0.2,
         ),)
     )
-    rep, dt = run(sessions, faults=degr, ctrl=True)
-    show("backhaul-degr ctrl=on", rep)
+    result = run(sessions, faults=degr, ctrl=True)
+    show_faulted("backhaul-degr ctrl=on", result, degr, True)
 
     crowd = FaultSchedule(
         (FlashCrowd(
@@ -106,8 +111,8 @@ def main() -> None:
             n_viewers=max(1, len(sessions) // 4), ramp_seconds=5.0,
         ),)
     )
-    rep, dt = run(crowd.expand_population(sessions), faults=crowd, ctrl=True)
-    show("flash-crowd ctrl=on", rep)
+    result = run(crowd.expand_population(sessions), faults=crowd, ctrl=True)
+    show_faulted("flash-crowd ctrl=on", result, crowd, True)
 
     print("\nedge-outage ctrl=on phase breakdown (wall-clock self time):")
     print(telemetry.profiler.report())

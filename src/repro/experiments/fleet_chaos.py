@@ -9,9 +9,10 @@ the recovery story an SRE reads after an incident:
 
 * ``resteer`` — sessions moved to another edge (outage failover, retry
   hedging, plus the controller's saturation re-steering);
-* ``dip`` / ``recover_s`` — QoE-per-chunk drop below the pre-fault
-  baseline and the virtual seconds until health returns to tolerance
-  (``inf`` renders when the run never recovers in-window);
+* ``dip`` / ``recover_s`` — QoE-per-chunk drop against the fault-free
+  twin (the same run with ``faults=None``) and the virtual seconds until
+  health is back within tolerance of it (``inf`` renders when the run
+  never recovers in-window), read by :func:`~repro.obs.damage.fault_damage`;
 * ``retries`` / ``timeouts`` — client-resilience attempts re-issued and
   attempts a :class:`~repro.streaming.faults.RetryPolicy` virtual-time
   timeout cancelled;
@@ -25,8 +26,8 @@ the recovery story an SRE reads after an incident:
 The ``region-outage`` scenario groups the edges into two fault domains,
 generates a correlated failure with
 :class:`~repro.streaming.faults.CorrelatedFaultGenerator`, attaches a
-retry policy, and reports the per-region dip/recovery the
-:class:`~repro.streaming.fleet.FleetReport` now carries; ``gray-edge``
+retry policy, and notes each region's dip/recovery, folding its
+audience by home edge; ``gray-edge``
 browns one edge out (half capacity, a tenth of requests dropped)
 without ever taking it dark — the failure mode a liveness probe misses.
 
@@ -39,6 +40,7 @@ plain simulator on everything but the tick counter (the parity test in
 from __future__ import annotations
 
 from ..obs import Telemetry
+from ..obs.damage import fault_damage
 from ..obs.events import ops_from_events
 from ..obs.export import write_trace
 from ..streaming.control import ControlPlane, ControlPolicy, QoEArrivalAutoscaler
@@ -58,17 +60,6 @@ from .fleet_cdn import make_cdn
 from .workloads import make_population
 
 __all__ = ["run_fleet_chaos"]
-
-
-def _controller(
-    interval: float, autoscaler=None, degrade: bool = False
-) -> ControlPlane:
-    policy = ControlPolicy(
-        interval=interval,
-        quality_cap_when_dark=0.5 if degrade else None,
-        disable_sr_when_dark=degrade,
-    )
-    return ControlPlane(policy, autoscaler=autoscaler)
 
 
 def check_conservation(tracer, rep) -> None:
@@ -134,21 +125,22 @@ def run_fleet_chaos(
             f"{n_sessions} viewers, Zipf skew {skew:g}, {n_edges} edges, "
             f"{mbps_per_session:g} Mbps/viewer, control interval "
             f"{control_interval:g}s; outage kills edge 0 for a quarter of "
-            "the window, dip/recover_s are QoE-per-chunk depth below the "
-            "pre-fault baseline and virtual seconds back to tolerance."
+            "the window, dip/recover_s are QoE-per-chunk depth against the "
+            "fault-free twin and virtual seconds back to tolerance."
         ),
     )
     sessions = make_population(scale, n_sessions, skew=skew, abr=abr)
 
-    def row(scenario: str, ctrl: str, rep) -> None:
+    def row(scenario: str, ctrl: str, rep, dmg=(0.0, 0.0)) -> None:
+        dip, recover = dmg
         table.add(
             scenario=scenario,
             ctrl=ctrl,
             resteer=rep.sessions_resteered,
             ticks=rep.control_ticks,
             resizes=rep.encode_pool_resizes,
-            dip=round(rep.qoe_dip_depth, 2),
-            recover_s=round(rep.time_to_recover_s, 1),
+            dip=round(dip, 2),
+            recover_s=round(recover, 1),
             retries=rep.chunk_retries,
             timeouts=rep.requests_timed_out,
             enc_p95_s=round(rep.encode_wait_p95, 3),
@@ -156,27 +148,60 @@ def run_fleet_chaos(
             stall_ratio=round(rep.stall_ratio, 4),
         )
 
+    # fault-free runs by configuration: each is the twin of every faulted
+    # run of its configuration, and a baseline row's run is reused as one
+    fault_free: dict[tuple, object] = {}
+
     def run(fleet, *, assignment="least-loaded", faults=None, ctrl=False,
             n_encode_workers=8, encode_seconds=0.05, telemetry=None,
-            retry=None, n_regions=None, degrade=False):
+            retry=None, n_regions=None, degrade=False, autoscaler=None):
+        key = (id(fleet), assignment, ctrl, n_encode_workers, encode_seconds,
+               retry, n_regions, degrade, autoscaler)
+        if faults is None and key in fault_free:
+            return fault_free[key]
         topo = make_cdn(
             scale, len(fleet), n_edges=n_edges,
             mbps_per_session=mbps_per_session, assignment=assignment,
             n_encode_workers=n_encode_workers, encode_seconds=encode_seconds,
             n_regions=n_regions,
         )
-        return simulate_fleet(
+        result = simulate_fleet(
             fleet, topology=topo,
             sr_cache="shared",
             faults=faults,
             retry_policy=retry,
             controller=(
-                _controller(control_interval, degrade=degrade)
+                ControlPlane(ControlPolicy(
+                    interval=control_interval,
+                    quality_cap_when_dark=0.5 if degrade else None,
+                    disable_sr_when_dark=degrade,
+                ), autoscaler=autoscaler)
                 if ctrl
                 else None
             ),
             telemetry=telemetry,
-        ).report
+        )
+        if faults is None:
+            fault_free[key] = result
+        return result
+
+    def damage(result, twin, faults, ids):
+        """``(dip, recover_s)`` of sessions ``ids`` against the twin."""
+        onset = min(ev.start for ev in faults.events)
+        return fault_damage(result, twin, onset, ids)
+
+    def faulted(fleet, faults, *, twin_fleet=None, **kw):
+        """The faulted run, its twin (the same call with ``faults=None``,
+        over ``twin_fleet`` when given) and the damage between them.  The
+        observers (a tracer, an autoscaler) watch the faulted run only;
+        they do not change the run they watch."""
+        result = run(fleet, faults=faults, **kw)
+        kw.pop("telemetry", None)
+        kw.pop("autoscaler", None)
+        twin = run(fleet if twin_fleet is None else twin_fleet, **kw)
+        return result, twin, damage(
+            result, twin, faults, range(len(result.sessions))
+        )
 
     def regional_rows() -> None:
         # Correlated regional failure: the edges split into two fault
@@ -201,23 +226,34 @@ def run_fleet_chaos(
             telemetry = Telemetry(metrics=False, profile=False) if (
                 regional and trace_out and ctrl == "on"
             ) else None
-            rep = run(
-                sessions, faults=schedule, ctrl=ctrl == "on",
+            result, twin, dmg = faulted(
+                sessions, schedule, ctrl=ctrl == "on",
                 retry=retry, n_regions=2, degrade=True,
                 telemetry=telemetry,
             )
+            rep = result.report
             if rep.sessions_resteered == 0:
                 raise RuntimeError(
                     "region-outage scenario re-steered no sessions — "
                     "regional failover is broken"
                 )
-            row("region-outage", ctrl, rep)
-            per_region = ", ".join(
-                f"{name}: dip {dip:.2f} recover {rec:.1f}s"
-                for name, dip, rec in rep.region_recovery
-            )
-            if ctrl == "on" and per_region:
-                table.notes += f" region-outage/on recovery: {per_region}."
+            row("region-outage", ctrl, rep, dmg)
+            if ctrl == "on":
+                # each region's audience: the sessions its edges host at
+                # the start, wherever failover sends them afterwards
+                topo = result.topology
+                home = topo.assign(result.session_specs)
+                per_region = []
+                for name in sorted(topo.regions):
+                    members = topo.regions[name]
+                    ids = [s for s, e in enumerate(home) if e in members]
+                    dip, rec = damage(result, twin, schedule, ids)
+                    per_region.append(
+                        f"{name}: dip {dip:.2f} recover {rec:.1f}s"
+                    )
+                table.notes += (
+                    f" region-outage/on recovery: {', '.join(per_region)}."
+                )
             if telemetry is not None:
                 check_conservation(telemetry.tracer, rep)
                 n = write_trace(telemetry.tracer, trace_out)
@@ -228,7 +264,7 @@ def run_fleet_chaos(
     if regional:
         # Nightly regional smoke: baseline + the correlated regional
         # scenario only (the full matrix runs in the default mode).
-        row("baseline", "off", run(sessions))
+        row("baseline", "off", run(sessions).report)
         regional_rows()
         return table
 
@@ -236,8 +272,8 @@ def run_fleet_chaos(
     # policy still acts on a healthy fleet (shrinks the idle encode pool,
     # trims hot-spot edges), so the pair shows the controller's footprint
     # without faults.
-    row("baseline", "off", run(sessions))
-    row("baseline", "on", run(sessions, ctrl=True))
+    row("baseline", "off", run(sessions).report)
+    row("baseline", "on", run(sessions, ctrl=True).report)
 
     # (b) edge outage mid-run: failover re-steering with and without the
     # control plane rebalancing afterwards.
@@ -248,8 +284,10 @@ def run_fleet_chaos(
         telemetry = Telemetry(metrics=False, profile=False) if (
             trace_out and ctrl == "on"
         ) else None
-        rep = run(sessions, faults=outage, ctrl=ctrl == "on",
-                  telemetry=telemetry)
+        result, _, dmg = faulted(
+            sessions, outage, ctrl=ctrl == "on", telemetry=telemetry
+        )
+        rep = result.report
         if rep.sessions_resteered == 0:
             # The nightly smoke runs this experiment for exactly this
             # guarantee: a dead edge's viewers must fail over.
@@ -257,7 +295,7 @@ def run_fleet_chaos(
                 "edge-outage scenario re-steered no sessions — failover "
                 "is broken"
             )
-        row("edge-outage", ctrl, rep)
+        row("edge-outage", ctrl, rep, dmg)
         if telemetry is not None:
             check_conservation(telemetry.tracer, rep)
             n = write_trace(telemetry.tracer, trace_out)
@@ -277,11 +315,12 @@ def run_fleet_chaos(
             capacity_factor=0.5, drop_fraction=0.1, drop_delay_s=1.0,
         ),)
     )
-    rep = run(
-        sessions, faults=gray, ctrl=True,
+    result, _, dmg = faulted(
+        sessions, gray, ctrl=True,
         retry=RetryPolicy(timeout_s=10.0, backoff_base_s=0.25),
     )
-    row("gray-edge", "on", rep)
+    rep = result.report
+    row("gray-edge", "on", rep, dmg)
     if rep.gray_degraded_bytes:
         table.notes += (
             f" gray-edge served {rep.gray_degraded_bytes >> 20} MiB "
@@ -298,42 +337,49 @@ def run_fleet_chaos(
             edge=0, start=0.3 * window, duration=window / 3.0, factor=0.2,
         ),)
     )
-    row("backhaul-degr", "on", run(sessions, faults=degr, ctrl=True))
+    result, _, dmg = faulted(sessions, degr, ctrl=True)
+    row("backhaul-degr", "on", result.report, dmg)
 
     # (c') the same brownout with an impatient client: a tight virtual-time
     # timeout cancels stalled downloads and hedges the re-issue to the
     # least-loaded live edge, so the timeouts column is exercised too.
-    rep = run(
-        sessions, faults=degr, ctrl=True,
+    result, _, dmg = faulted(
+        sessions, degr, ctrl=True,
         retry=RetryPolicy(
             timeout_s=1.5, backoff_base_s=0.25, backoff_cap_s=1.0,
             max_attempts=3, hedge=True,
         ),
     )
-    row("retry-timeout", "on", rep)
+    rep = result.report
+    row("retry-timeout", "on", rep, dmg)
     if rep.requests_timed_out == 0:
         raise RuntimeError(
             "retry-timeout scenario cancelled no requests — the "
             "virtual-time timeout path is broken"
         )
 
-    # (d) flash crowd: +25% viewers piling onto one video over a 5s ramp.
+    # (d) flash crowd: +25% viewers piling onto one video over a 5s ramp;
+    # its twin is the population without the crowd.
     crowd = FaultSchedule(
         (FlashCrowd(
             spec=sessions[0].spec, start=0.3 * window,
             n_viewers=max(1, len(sessions) // 4), ramp_seconds=5.0,
         ),)
     )
-    row(
-        "flash-crowd", "on",
-        run(crowd.expand_population(sessions), faults=crowd, ctrl=True),
+    result, _, dmg = faulted(
+        crowd.expand_population(sessions), crowd, twin_fleet=sessions,
+        ctrl=True,
     )
+    row("flash-crowd", "on", result.report, dmg)
 
     # (e) starved encode pool (one worker, 10x slower transcode): the
-    # controller has to grow the pool on encode-wait p95.
+    # controller has to grow the pool on encode-wait p95.  No fault, so
+    # no damage.
     row(
         "slow-encode", "on",
-        run(sessions, ctrl=True, n_encode_workers=1, encode_seconds=0.5),
+        run(
+            sessions, ctrl=True, n_encode_workers=1, encode_seconds=0.5
+        ).report,
     )
 
     # (f) close the arrival loop: a brownout day feeds the QoE autoscaler,
@@ -341,21 +387,13 @@ def run_fleet_chaos(
     # DiurnalArrivals.autoscale hook.
     autoscaler = QoEArrivalAutoscaler(day_seconds=window)
     day1 = make_population(scale, n_sessions, skew=skew, diurnal=True, abr=abr)
-    rep = simulate_fleet(
-        day1,
-        topology=make_cdn(
-            scale, len(day1), n_edges=n_edges,
-            mbps_per_session=mbps_per_session, assignment="least-loaded",
-        ),
-        sr_cache="shared",
-        faults=degr,
-        controller=_controller(control_interval, autoscaler=autoscaler),
-    ).report
+    result, _, dmg = faulted(day1, degr, ctrl=True, autoscaler=autoscaler)
     rate = 1.2 * n_sessions / window
     scaled = DiurnalArrivals(
         mean_rate_hz=rate, day_seconds=window, days=2.0,
         autoscale=autoscaler,
     ).times()
     day2 = int((scaled >= window).sum())
-    row(f"qoe-autoscale d2x{autoscaler(1):.2f} n{day2}", "on", rep)
+    row(f"qoe-autoscale d2x{autoscaler(1):.2f} n{day2}", "on",
+        result.report, dmg)
     return table

@@ -35,13 +35,12 @@ from .workloads import make_population
 
 __all__ = ["run_fleet_policies", "ZOO_POLICIES"]
 
-#: The A/B lineup: both MPC variants (the paper's H1/H2), the three
-#: non-MPC zoo controllers, over identical quality/latency models.
+#: The A/B lineup: both MPC variants (the paper's H1/H2), BOLA and the
+#: rate rule, over identical quality/latency models.
 ZOO_POLICIES = (
     "discrete-mpc",
     "bola",
     "throughput",
-    "hybrid",
     "continuous-mpc",
 )
 

@@ -39,7 +39,7 @@ def volut_client(
     ``abr`` names a controller in the
     :mod:`repro.streaming.policies` registry (``continuous-mpc`` — the
     historical default — ``discrete-mpc``, ``bola``, ``throughput``,
-    ``hybrid``, ...); all are built over the same quality and measured
+    ...); all are built over the same quality and measured
     LUT latency models so an A/B varies only the decision rule.
     """
     qm = SRQualityModel()

@@ -17,7 +17,9 @@ through :func:`~repro.streaming.fleet.simulate_fleet` via the
 
 Exporters (:mod:`repro.obs.export`) serialize a finished run: JSONL
 event log, Chrome trace-event JSON (Perfetto-loadable, sessions as
-tracks), and a Prometheus-style text dump.
+tracks), and a Prometheus-style text dump.  :func:`fault_damage`
+(:mod:`repro.obs.damage`) reads a finished faulted run against its
+fault-free twin: how deep health dipped and when it recovered.
 
 With ``telemetry=None`` (the default) every emission site calls
 :data:`NULL_TRACER`'s no-op ``emit`` and every phase span is
@@ -29,6 +31,7 @@ bit-exact with the untraced simulator (an oracle-parity instance,
 
 from __future__ import annotations
 
+from .damage import fault_damage
 from .events import (
     EV_CACHE_COALESCE,
     EV_CACHE_HIT,
@@ -87,6 +90,7 @@ __all__ = [
     "write_jsonl",
     "write_prometheus",
     "write_trace",
+    "fault_damage",
     "EV_SESSION_START",
     "EV_SESSION_FINISH",
     "EV_SESSION_ABANDON",

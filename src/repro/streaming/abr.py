@@ -56,8 +56,8 @@ exactly ``+0.0``, so a plan's value is ``first − γ·s_0 + Σ_i (α·q −
 and the first-chunk row the same expressions as when it was rebuilt on
 every call, so values are bit-equal to both.
 
-The non-MPC controllers of the policy zoo (BOLA, throughput rule,
-hybrid) live in :mod:`repro.streaming.policies` along with the
+The non-MPC controllers of the policy zoo (BOLA, throughput rule) live
+in :mod:`repro.streaming.policies` along with the
 string-keyed registry — ``get_policy("bola")`` — that the experiment
 CLIs resolve ``--abr`` names against; every controller here is
 registered there too.

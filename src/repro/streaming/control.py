@@ -39,10 +39,9 @@ the control plane never injects events of its own, which is what makes a
 controller whose levers cannot act bit-exact with no controller at all
 (the disabled-mode oracle the parity convention requires).
 
-:class:`RecoveryTracker` computes the fault-recovery metrics
-``FleetReport`` grows in this PR: per-interval health samples (a QoE
-proxy over chunks completed in the interval), the dip depth below the
-pre-fault baseline, and the time from fault onset back to baseline.
+How hard a fault hit and when the fleet recovered is not the control
+plane's to say: :func:`~repro.obs.damage.fault_damage` measures a faulted
+run against its fault-free twin, after both have finished.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ __all__ = [
     "FleetView",
     "ControlPlane",
     "QoEArrivalAutoscaler",
-    "RecoveryTracker",
 ]
 
 #: grow the encode pool (doubling) when an interval's p95 encode wait
@@ -88,10 +86,6 @@ AUTOSCALE_TARGET_HEALTH = 0.5
 AUTOSCALE_STEP = 0.25
 AUTOSCALE_MIN_SCALE = 0.25
 AUTOSCALE_MAX_SCALE = 1.0
-
-#: :class:`RecoveryTracker`: health within this of the pre-fault
-#: baseline counts as recovered
-RECOVERY_TOLERANCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -369,63 +363,3 @@ class QoEArrivalAutoscaler:
         else:
             scale = min(AUTOSCALE_MAX_SCALE, current * (1.0 + AUTOSCALE_STEP))
         self._scales[day + 1] = scale
-
-
-class RecoveryTracker:
-    """Fault-recovery metrics over per-interval health samples.
-
-    ``health`` is the driver's QoE proxy for one interval (mean
-    per-chunk quality minus the stall penalty over chunks completed in
-    the interval).  The tracker splits samples at the first fault onset:
-    the pre-fault mean is the baseline, the post-onset minimum gives the
-    **dip depth**, and the first sample at or after that minimum that
-    climbs back within ``RECOVERY_TOLERANCE`` of the baseline dates the
-    **time to recover** (``math.inf`` if the run ends still degraded,
-    ``0.0`` if health never left the tolerance band).
-    """
-
-    def __init__(self, fault_start: float) -> None:
-        if fault_start < 0:
-            raise ValueError("fault_start must be non-negative")
-        self.fault_start = float(fault_start)
-        self.samples: list[tuple[float, float]] = []
-
-    def sample(self, now: float, health: float) -> None:
-        self.samples.append((float(now), float(health)))
-
-    @property
-    def baseline(self) -> float:
-        """Healthy-fleet reference the dip is measured against.
-
-        Mean of the pre-fault samples.  When the first fault starts at or
-        before the first health sample there is no pre-fault record at
-        all — a fault-at-t=0 schedule, or onset inside the first
-        monitoring interval.  Falling back to 0.0 there would measure the
-        dip against an arbitrary floor (``qoe_dip_depth`` silently reads
-        as ~0 however hard the fleet was hit), so the first *post-onset*
-        sample stands in instead: the closest available proxy for
-        where health started from.
-        """
-        pre = [h for t, h in self.samples if t < self.fault_start]
-        if pre:
-            return sum(pre) / len(pre)
-        if self.samples:
-            return self.samples[0][1]
-        return 0.0
-
-    def metrics(self) -> tuple[float, float]:
-        """``(qoe_dip_depth, time_to_recover_s)`` for the run."""
-        post = [(t, h) for t, h in self.samples if t >= self.fault_start]
-        if not post:
-            return 0.0, 0.0
-        baseline = self.baseline
-        floor = min(h for _, h in post)
-        dip = max(0.0, baseline - floor)
-        threshold = baseline - RECOVERY_TOLERANCE
-        if dip <= RECOVERY_TOLERANCE:
-            return dip, 0.0
-        low_at = next(t for t, h in post if h == floor)
-        for t, h in post:
-            if t >= low_at and h >= threshold:
-                return dip, t - self.fault_start
-        return dip, math.inf

@@ -31,8 +31,9 @@ literature stresses a CDN with, scheduled in virtual time against a
 * :class:`FlashCrowd` — a step of extra viewers piling onto one content
   (the premiere/breaking-news pattern).  Crowd viewers are materialized
   as ordinary sessions *before* the run via
-  :meth:`FaultSchedule.expand_population`; the schedule entry tells the
-  recovery tracker where the load step lands.
+  :meth:`FaultSchedule.expand_population`; the schedule entry dates the
+  load step (the onset :func:`~repro.obs.damage.fault_damage` measures
+  from) and counts in ``faults_injected``.
 
 :class:`CorrelatedFaultGenerator` builds regional schedules the way
 incidents actually spread: a seeded origin region fails, and the
@@ -254,8 +255,9 @@ class FlashCrowd:
     step with a short ramp, the shape measured flash crowds have).  The
     sessions themselves must be materialized into the fleet's session
     list before the run — :meth:`FaultSchedule.expand_population` does
-    that from a template session; the schedule entry marks the window
-    for the recovery metrics.
+    that from a template session.  In the run the entry only counts in
+    ``faults_injected``; its ``start`` is the onset a crowd's damage is
+    measured from, against the population without the crowd.
     """
 
     spec: VideoSpec

@@ -43,6 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace as dc_replace
 
 from ..metrics.qoe import aggregate_qoe
+from ..obs.damage import HEALTH_STALL_WEIGHT
 from ..obs.events import (
     EV_CHUNK_COMPLETE,
     EV_CHUNK_DECISION,
@@ -62,7 +63,7 @@ from ..obs.profiler import NULL_PROFILER
 from ..net.link import SharedLink
 from ..net.topology import PathScheduler
 from .cdn import CDNTopology, EdgeChunkCache, EdgeNode, OriginServer
-from .control import FleetView, RecoveryTracker
+from .control import FleetView
 from .faults import DegradedTrace
 from .simulator import (
     DecisionRequest,
@@ -80,13 +81,8 @@ __all__ = [
     "simulate_fleet",
 ]
 
-#: Stall weight in the control plane's health signal — matches the default
-#: :class:`~repro.metrics.qoe.QoEWeights` gamma, so "health" tracks the
-#: same trade-off the QoE report scores.
-_HEALTH_STALL_WEIGHT = 2.0
-
-#: Monitor cadence (virtual seconds) when faults are injected without a
-#: controller — the recovery tracker still needs samples.
+#: Monitor cadence (virtual seconds) of a metrics registry without a
+#: controller.
 _DEFAULT_SAMPLE_INTERVAL = 1.0
 
 #: ``abr.rows_per_call`` buckets: batch occupancy differs by octaves (one
@@ -208,11 +204,6 @@ class FleetReport:
     control_ticks: int = 0
     #: encode-pool resize actions the run applied
     encode_pool_resizes: int = 0
-    #: health drop below the pre-fault baseline (QoE-per-chunk units)
-    qoe_dip_depth: float = 0.0
-    #: virtual seconds from first fault to health back within tolerance of
-    #: baseline; 0.0 = no measurable dip, ``inf`` = never recovered in-run
-    time_to_recover_s: float = 0.0
     # -- client resilience (RetryPolicy / gray failures) -------------------
     #: transfer attempts re-issued after an outage evacuation, a retry
     #: timeout, or a gray-failure drop
@@ -229,10 +220,6 @@ class FleetReport:
     #: delivered after exactly ``k`` failed attempts (drops, timeouts,
     #: evacuations); chunks delivered first try are not listed
     retry_attempts: tuple[int, ...] = ()
-    #: per fault domain ``(region, qoe_dip_depth, time_to_recover_s)``,
-    #: sorted by region name — populated when the topology declares
-    #: regions and faults were injected
-    region_recovery: tuple[tuple[str, float, float], ...] = ()
     #: origin transcode core-seconds actually occupied (encode-queue busy
     #: time summed over jobs) — what
     #: :func:`~repro.streaming.cost.price` bills as compute
@@ -363,13 +350,14 @@ def _serving_state(
 def _chunk_key(req: DownloadRequest) -> tuple | None:
     """Edge-cache / encode-queue key of a cacheable chunk request.
 
-    Density is rounded like the SR-result cache key so float planner
-    jitter cannot split one encoded variant into many.
+    The request's ``key_density`` is already rounded, by
+    :class:`~repro.streaming.simulator.SessionMachine` with the rule its
+    SR-result cache key uses, so float planner jitter cannot split one
+    encoded variant into many.
     """
     if req.chunk_index is None:
         return None
-    assert req.density is not None
-    return (req.video, req.chunk_index, round(req.density, 3))
+    return (req.video, req.chunk_index, req.key_density)
 
 
 class _FleetSampler:
@@ -379,10 +367,10 @@ class _FleetSampler:
     sample, with the default stall weight — sequential float arithmetic
     identical to the pre-telemetry ``_health_sample`` closure, so running
     with a metrics registry attached (or none) cannot perturb the value
-    the control plane's :class:`~repro.streaming.control.FleetView` and
-    the :class:`~repro.streaming.control.RecoveryTracker` read.  When a
-    registry is present every sample also lands in its ``fleet.health``
-    time series — the single source downstream consumers read.
+    the control plane's :class:`~repro.streaming.control.FleetView`
+    reads.  When a registry is present every sample also lands in its
+    ``fleet.health`` time series — the single source downstream consumers
+    read.
     """
 
     __slots__ = ("_prev", "_series")
@@ -406,7 +394,7 @@ class _FleetSampler:
         self._prev = (chunks, qsum, stall)
         if d_chunks == 0:
             return None
-        health = (d_qsum - _HEALTH_STALL_WEIGHT * d_stall) / d_chunks
+        health = (d_qsum - HEALTH_STALL_WEIGHT * d_stall) / d_chunks
         if self._series is not None:
             self._series.record(t, health)
         return health
@@ -641,16 +629,12 @@ class _FleetRun:
         )
 
     def _init_monitoring(self) -> None:
-        """Health sampling cadence and recovery trackers."""
-        faults, controller = self.faults, self.controller
-        #: a metrics registry alone also wants the interval samples — the
-        #: sample block is pure observation, so widening the gate cannot
-        #: perturb the run (same argument as monitoring without a controller)
-        self.sampling = (
-            faults is not None
-            or controller is not None
-            or self.metrics is not None
-        )
+        """Health sampling cadence."""
+        controller = self.controller
+        #: the controller and a metrics registry read the interval samples;
+        #: sampling is pure observation and adds no instants, so the gate
+        #: cannot perturb the run
+        self.sampling = controller is not None or self.metrics is not None
         self.sample_interval = (
             controller.policy.interval
             if controller is not None
@@ -659,29 +643,6 @@ class _FleetRun:
         self.next_sample = self.sample_interval
         self.sampler = _FleetSampler(self.metrics)
         self.encode_waits_seen = 0
-        self.tracker: RecoveryTracker | None = None
-        #: per fault domain recovery metrics: region -> (sampler, tracker);
-        #: sessions are attributed to the region of their *home* (initial)
-        #: edge, so an evacuated region's viewers keep reporting into it —
-        #: the dip measures what the region's audience experienced, not
-        #: where their bytes happened to come from afterwards
-        self.region_track: dict[str, tuple[_FleetSampler, RecoveryTracker]] = {}
-        self.region_home: list[str | None] = []
-        if faults is None:
-            return
-        fault_start = min(ev.start for ev in faults.events)
-        self.tracker = RecoveryTracker(fault_start)
-        regions = self.topology.regions
-        if regions:
-            self.region_track = {
-                name: (_FleetSampler(None), RecoveryTracker(fault_start))
-                for name in sorted(regions)
-            }
-            region_of_edge: list[str | None] = [None] * len(self.edges)
-            for name, members in regions.items():
-                for e in members:
-                    region_of_edge[e] = name
-            self.region_home = [region_of_edge[e] for e in self.assignment]
 
     def _emit_schedule(self) -> None:
         """Trace what the run knows at virtual time zero: every session's
@@ -731,9 +692,9 @@ class _FleetRun:
             if stalled > _MAX_STALLED_STEPS:
                 raise RuntimeError(self._stall_dump(stalled, t))
             now = t
-        if self.sampling:
-            # Close the monitoring stream so a recovery that completes
-            # after the last sample instant is still observed.
+        if self.metrics is not None:
+            # Close the registry's health series over the chunks that
+            # landed after the last sample instant.
             self._sample_health(now)
 
     def _queue_first_requests(self) -> None:
@@ -1275,10 +1236,9 @@ class _FleetRun:
             ) * self.sample_interval
 
     def _sample_health(self, t: float) -> float | None:
-        """Feed the fleet-wide and per fault domain recovery trackers one
-        health sample over the interval ending at ``t``; returns the
-        fleet-wide one.  Live counters are summed in ascending session id
-        order (regions over each session's *home* region)."""
+        """Fleet health over the interval ending at ``t`` (None when no
+        chunk landed in it).  Live counters are summed in ascending
+        session id order."""
         chunks = 0
         qsum = 0.0
         stall = 0.0
@@ -1286,26 +1246,7 @@ class _FleetRun:
             chunks += m.live_chunks
             qsum += m.live_quality_sum
             stall += m.live_stall
-        health = self.sampler.health_sample(t, chunks, qsum, stall)
-        if self.tracker is not None and health is not None:
-            self.tracker.sample(t, health)
-        if self.region_track:
-            totals = {name: (0, 0.0, 0.0) for name in self.region_track}
-            for sid, name in enumerate(self.region_home):
-                if name is None:
-                    continue
-                m = self.machines[sid]
-                c, q, s = totals[name]
-                totals[name] = (
-                    c + m.live_chunks,
-                    q + m.live_quality_sum,
-                    s + m.live_stall,
-                )
-            for name, (rsampler, rtracker) in self.region_track.items():
-                rh = rsampler.health_sample(t, *totals[name])
-                if rh is not None:
-                    rtracker.sample(t, rh)
-        return health
+        return self.sampler.health_sample(t, chunks, qsum, stall)
 
     def _record_metrics(self, t: float) -> None:
         metrics = self.metrics
@@ -1383,9 +1324,6 @@ class _FleetRun:
         controller, rstate, edges = self.controller, self.rstate, self.edges
         if controller is not None and controller.autoscaler is not None:
             controller.autoscaler.finish()
-        dip, recover = (
-            self.tracker.metrics() if self.tracker is not None else (0.0, 0.0)
-        )
         sr_cache = self.sr_cache
         if self.per_edge_sr:
             sr_hits = sum(e.sr_cache.hits for e in edges)
@@ -1435,17 +1373,11 @@ class _FleetRun:
             faults_injected=len(self.faults) if self.faults is not None else 0,
             control_ticks=self.control_ticks,
             encode_pool_resizes=self.pool_resizes,
-            qoe_dip_depth=dip,
-            time_to_recover_s=recover,
             chunk_retries=rstate.retries,
             requests_timed_out=rstate.timed_out,
             requests_hedged=rstate.hedged,
             gray_degraded_bytes=rstate.gray_bytes,
             retry_attempts=rstate.attempt_counts(),
-            region_recovery=tuple(
-                (name, *self.region_track[name][1].metrics())
-                for name in sorted(self.region_track)
-            ),
             encode_core_seconds=oqueue.busy_seconds,
         )
         return FleetResult(
@@ -1499,12 +1431,12 @@ def simulate_fleet(
     4. **timeouts** — armed deadlines due now cancel their attempt and
        re-issue it after backoff (or hedged to another edge).
     5. **sample / control** — on the control cadence, a health sample
-       feeds the recovery trackers and metrics and the control plane
-       ticks on a view of the fleet.  Ticks piggyback on instants the
-       loop already wakes at — never injected — so monitoring alone
-       cannot split a fluid advance interval (why the disabled and no-op
-       configurations are bit-exact).  After the failure stages, so the
-       controller sees the post-failover assignment.
+       feeds the metrics and the control plane ticks on a view of the
+       fleet.  Ticks piggyback on instants the loop already wakes at —
+       never injected — so monitoring alone cannot split a fluid advance
+       interval (why the disabled and no-op configurations are
+       bit-exact).  After the failure stages, so the controller sees the
+       post-failover assignment.
     6. **deferred release** — cache- or encode-bound requests dated in
        the future (joins, buffer-headroom waits) are dispatched once
        virtual time reaches them.  Last, so a fill that completed *at*

@@ -15,9 +15,7 @@ out the zoo with the classic non-MPC control families:
   throughput estimate.  The estimate arrives
   as ``ctx.throughput_bps``, produced by the session pipeline's
   :class:`~repro.net.estimator.HarmonicMeanEstimator` — the controller
-  itself stays stateless so batch order cannot perturb decisions;
-* :class:`HybridController` — throughput-gated BOLA: BOLA steady-state,
-  clamped by the throughput rule while the buffer is below a gate.
+  itself stays stateless so batch order cannot perturb decisions.
 
 Every grid policy is one vectorized ``decide_batch`` — rows grouped by
 next chunk, one index rule per policy — and ``decide`` is its one-row
@@ -54,7 +52,6 @@ from .latency import ZERO_LATENCY
 __all__ = [
     "BolaController",
     "ThroughputRuleController",
-    "HybridController",
     "get_policy",
     "available_policies",
 ]
@@ -63,10 +60,6 @@ __all__ = [
 #: reaches the densest candidate, and its utility offset ``γp``
 BOLA_BUFFER_TARGET = 6.0
 BOLA_GAMMA_P = 5.0
-
-#: :class:`HybridController` clamps BOLA to the rate rule below this
-#: buffer level (seconds)
-HYBRID_GATE_BUFFER = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -203,24 +196,6 @@ class ThroughputRuleController(_GridPolicy):
         )
 
 
-class HybridController(BolaController):
-    """Throughput-gated BOLA: rate-capped while the buffer is thin.
-
-    Runs BOLA's score argmax, but while ``buffer < HYBRID_GATE_BUFFER`` clamps
-    the pick to the throughput rule's largest-feasible candidate
-    (``min`` of the two indices on the shared ascending grid).  Once
-    the buffer clears the gate, pure BOLA steady-state takes over —
-    the standard cure for BOLA's slow cold-start ramp without giving up
-    its buffer-driven stability.
-    """
-
-    def _indices(self, tput, buf, chunk) -> np.ndarray:
-        bits = self._chunk_bits(chunk)
-        bidx = _bola_indices(self._vu, buf, bits)
-        tidx = _rate_indices(bits, tput * SAFETY * chunk.duration)
-        return np.where(buf >= HYBRID_GATE_BUFFER, bidx, np.minimum(bidx, tidx))
-
-
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
@@ -233,7 +208,6 @@ _REGISTRY: dict[str, Callable] = {
     "discrete-mpc": DiscreteMPC,
     "bola": BolaController,
     "throughput": ThroughputRuleController,
-    "hybrid": HybridController,
     "buffer-linear": BufferBased,
 }
 

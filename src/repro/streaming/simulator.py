@@ -108,6 +108,9 @@ class SessionResult:
     """Everything the evaluation section reports about one session."""
 
     records: list[ChunkRecord]
+    #: virtual instant each record's chunk finished downloading, parallel
+    #: to ``records`` (what :func:`~repro.obs.damage.fault_damage` folds)
+    landed: list[float]
     qoe: float
     total_bytes: int
     stall_seconds: float
@@ -132,17 +135,20 @@ class DownloadRequest(NamedTuple):
     any bandwidth contention it models).
 
     Content-chunk requests carry what they are fetching (``video``,
-    ``chunk_index``, ``density``) so a CDN driver can key edge caches
+    ``chunk_index``, ``key_density``) so a CDN driver can key edge caches
     and the origin encode queue; a request with ``chunk_index=None``
     (the startup payload: manifest, SR models) is not a cacheable chunk
-    and always travels the full origin path.
+    and always travels the full origin path.  ``key_density`` is the
+    fetch density rounded by the one rule that also keys the SR-result
+    cache (:meth:`SessionMachine._run`), so planner float jitter splits
+    neither cache.
     """
 
     start_time: float
     nbytes: int
     video: str | None = None
     chunk_index: int | None = None
-    density: float | None = None
+    key_density: float | None = None
 
 
 class DecisionRequest(NamedTuple):
@@ -296,6 +302,7 @@ class SessionMachine:
         buf = PlaybackBuffer(startup_threshold=STARTUP_BUFFER, max_level=MAX_BUFFER)
         chunks = self.spec.chunks(cfg.chunk_seconds)
         records: list[ChunkRecord] = []
+        landed: list[float] = []
         decisions: list[float] = []
 
         t_net = self.start_time    # network stage: time the link frees up
@@ -318,7 +325,9 @@ class SessionMachine:
 
         # Per-decision values, once per distinct decision of this session
         # (at most the controller's candidates, after any clamp): the
-        # chunk quality and the SR-cache key's rounded density and ratio.
+        # chunk quality and the cache keys' rounded density and ratio —
+        # the one rounding rule of the edge-cache, encode-queue and
+        # SR-cache keys.
         per_decision: dict[tuple[float, float], tuple[float, float, float]] = {}
         prev_quality: float | None = None
         watched_seconds = 0.0
@@ -356,7 +365,7 @@ class SessionMachine:
 
             nbytes = int(chunk.bytes_at_density(density) * cfg.fetch_fraction)
             dl = yield DownloadRequest(
-                t_net, nbytes, self.spec.name, chunk.index, density
+                t_net, nbytes, self.spec.name, chunk.index, key_density
             )
             dl_finish = t_net + dl
             t_net = dl_finish  # next request goes out immediately after
@@ -382,6 +391,7 @@ class SessionMachine:
             # nothing) yields no throughput sample — dl is pure RTT.
             est.observe(nbytes * 8.0 / dl if nbytes > 0 and dl > 0 else est.estimate())
             records.append(ChunkRecord(quality=q, stall=stall, bytes_downloaded=nbytes))
+            landed.append(dl_finish)
             self.live_chunks += 1
             self.live_quality_sum += q
             self.live_stall += stall
@@ -396,6 +406,7 @@ class SessionMachine:
         scores = session_qoe(records, self.qoe_weights)
         self.result = SessionResult(
             records=records,
+            landed=landed,
             qoe=scores["qoe"],
             total_bytes=int(scores["bytes"]) + cfg.startup_bytes,
             stall_seconds=scores["stall_seconds"],

@@ -71,15 +71,16 @@ class FleetSpec:
     #: chaos events.  Edge outages cancel the dead edge's in-flight
     #: transfers, fail its viewers over to the least-loaded live edge and
     #: restart the edge cold; region outages resolve through the
-    #: topology's fault domains and take every member edge down together
-    #: (the report gains per-region recovery, attributed by each session's
-    #: home edge); gray failures brown out an edge's access capacity and
+    #: topology's fault domains and take every member edge down together;
+    #: gray failures brown out an edge's access capacity and
     #: deterministically drop a fraction of its dispatches, each drop
     #: retrying after ``drop_delay_s``; backhaul degradations scale an
     #: edge's backhaul trace (both through
     #: :class:`~repro.streaming.faults.DegradedTrace` windows); flash-crowd
-    #: entries only inform the recovery metrics (materialize their sessions
-    #: first via ``FaultSchedule.expand_population``).
+    #: entries only count in ``faults_injected`` (materialize their
+    #: sessions first via ``FaultSchedule.expand_population``).  A fault's
+    #: damage is read after the run, against the same spec without faults
+    #: (:func:`~repro.obs.damage.fault_damage`).
     faults: "FaultSchedule | None" = None
     #: the client resilience layer.  A finite ``timeout_s`` arms a
     #: virtual-time timer per transfer attempt: at the deadline the

@@ -32,13 +32,9 @@ from repro.streaming import (
     simulate_fleet,
     uniform_cdn,
 )
-from repro.streaming.abr import MIN_DENSITY, SAFETY
+from repro.streaming.abr import SAFETY
 from repro.streaming.latency import MeasuredSRLatency, latency_batch
-from repro.streaming.policies import (
-    BOLA_BUFFER_TARGET,
-    BOLA_GAMMA_P,
-    HYBRID_GATE_BUFFER,
-)
+from repro.streaming.policies import BOLA_BUFFER_TARGET, BOLA_GAMMA_P
 
 from . import reference_planner
 from .helpers import assert_same_run, spec, sr_lat
@@ -400,8 +396,7 @@ class TestFirstChunkRows:
 
 
 REGISTRY_POLICIES = (
-    "continuous-mpc", "discrete-mpc", "bola", "throughput", "hybrid",
-    "buffer-linear",
+    "continuous-mpc", "discrete-mpc", "bola", "throughput", "buffer-linear",
 )
 
 
@@ -476,7 +471,7 @@ class TestGridPolicyChunkCache:
     *value*: an ``id()`` key outlives its chunk, and CPython builds the
     next chunk at the dead one's address."""
 
-    @pytest.mark.parametrize("name", ["bola", "throughput", "hybrid"])
+    @pytest.mark.parametrize("name", ["bola", "throughput"])
     def test_reused_address_does_not_replay_a_dead_chunks_sizes(self, name):
         policy = get_policy(name, n_grid=8)
         # One point per frame: BOLA's score is free of the size scale
@@ -495,20 +490,10 @@ class TestGridPolicyChunkCache:
         assert policy.decide_batch([ctx, ctx]) == [fresh, fresh]
 
 
-#: one point per frame, so the 256-byte chunk header dominates every
-#: sparse candidate's size: BOLA then picks above the sparsest candidate,
-#: and at 1 kbit/s the rate rule affords nothing — the rows where the
-#: hybrid's rate clamp binds below its gate
-HEADER_GRID = [(0.001, buf, None, 1) for buf in (0.0, 1.0, 2.5)]
-
-#: the grid the hybrid's gate is checked over
-HYBRID_GRID = [(t, b, p, 100_000) for t, b, p in CTX_GRID] + HEADER_GRID
-
 ZOO_FACTORIES = {
     "bola": lambda: get_policy("bola", n_grid=12),
     "bola-coarse": lambda: get_policy("bola", n_grid=7),
     "throughput": lambda: get_policy("throughput", n_grid=12),
-    "hybrid": lambda: get_policy("hybrid", n_grid=12),
     "buffer-linear": lambda: get_policy("buffer-linear"),
 }
 
@@ -523,12 +508,11 @@ class TestZooScalarVectorParity:
     def test_decide_batch_matches_decide(self, name):
         policy = ZOO_FACTORIES[name]()
         ctxs = [make_ctx(t, b, p) for t, b, p in CTX_GRID]
-        # Mixed-video batches: more chunk shapes in the same call, one of
-        # them header-dominated (where the hybrid's rate clamp binds).
+        # Mixed-video batches: more chunk shapes in the same call.
         ctxs += [
             make_ctx(40.0, 1.0, 0.5, n_chunks=1, points=40_000),
             make_ctx(3.0, 9.0, None, n_chunks=2, points=40_000),
-        ] + [make_ctx(t, b, p, points=n) for t, b, p, n in HEADER_GRID]
+        ]
         batch = policy.decide_batch(ctxs)
         singles = [policy.decide(c) for c in ctxs]
         assert len(batch) == len(singles)
@@ -572,37 +556,6 @@ class TestZooScalarVectorParity:
                 expected, abs=ATOL
             )
 
-    def test_hybrid_gates_on_buffer(self):
-        """Below the gate the hybrid is exactly the sparser of BOLA's and
-        the throughput rule's picks (shared ascending grid, so the min of
-        indices is the min of densities); at/above it, exactly BOLA."""
-        rate = get_policy("throughput", n_grid=12)
-        bola = get_policy("bola", n_grid=12)
-        hybrid = get_policy("hybrid", n_grid=12)
-        picks = set()
-        for tput, buf, prev, points in HYBRID_GRID:
-            ctx = make_ctx(tput, buf, prev, points=points)
-            h = hybrid.decide(ctx).density
-            b, r = bola.decide(ctx).density, rate.decide(ctx).density
-            if buf >= HYBRID_GATE_BUFFER:
-                assert h == b
-            else:
-                assert h == min(b, r)
-                picks.add("rate" if r < b else "bola" if b < r else "tie")
-        assert picks == {"rate", "bola", "tie"}
-
-    def test_the_rate_clamp_binds_on_a_header_dominated_chunk(self):
-        """One point per frame: every sparse candidate costs just the chunk
-        header, so BOLA skips past them; a 1 kbit/s estimate affords none,
-        and below the gate the hybrid takes the rate rule's sparsest pick."""
-        bola = get_policy("bola", n_grid=12)
-        hybrid = get_policy("hybrid", n_grid=12)
-        below = make_ctx(0.001, 0.5 * HYBRID_GATE_BUFFER, None, points=1)
-        at = make_ctx(0.001, HYBRID_GATE_BUFFER, None, points=1)
-        assert bola.decide(below).density > MIN_DENSITY
-        assert hybrid.decide(below).density == MIN_DENSITY
-        assert hybrid.decide(at) == bola.decide(at)
-
     @given(
         tput=st.floats(0.5, 1000.0),
         buf=st.floats(0.0, 12.0),
@@ -610,7 +563,7 @@ class TestZooScalarVectorParity:
     )
     @settings(max_examples=30, deadline=None)
     def test_property_parity(self, tput, buf, points):
-        for name in ("bola", "throughput", "hybrid"):
+        for name in ("bola", "throughput"):
             policy = ZOO_FACTORIES[name]()
             ctx = make_ctx(tput, buf, None, points=points)
             batched = policy.decide_batch([ctx, ctx, ctx])

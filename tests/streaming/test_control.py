@@ -1,13 +1,16 @@
-"""Control plane: policies, tick actions, autoscaler, recovery metrics, parity."""
+"""Control plane: policies, tick actions, autoscaler, fault damage, parity."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import make_cdn, make_population
 from repro.experiments.common import SMOKE
-from repro.obs import Telemetry
+from repro.metrics.qoe import ChunkRecord
+from repro.obs import Telemetry, fault_damage
+from repro.obs.damage import DAMAGE_GRID_S, RECOVERY_TOLERANCE
 from repro.obs.events import EV_CONTROL_RESIZE, EV_CONTROL_TICK
 from repro.streaming import (
     BackhaulDegradation,
@@ -16,7 +19,6 @@ from repro.streaming import (
     FaultSchedule,
     FleetView,
     QoEArrivalAutoscaler,
-    RecoveryTracker,
     RegionOutage,
     simulate_fleet,
     uniform_cdn,
@@ -29,7 +31,6 @@ from repro.streaming.control import (
     MAX_ENCODE_WORKERS,
     MAX_RESTEERS_PER_TICK,
     MIN_ENCODE_WORKERS,
-    RECOVERY_TOLERANCE,
 )
 
 from .helpers import FixedDensity, spec, sr_lat
@@ -251,111 +252,143 @@ class TestQoEArrivalAutoscaler:
             QoEArrivalAutoscaler(day_seconds=0.0)
 
 
-class TestRecoveryTracker:
+def run_of(*sessions):
+    """A fleet result whose session ``i`` lands one stall-free chunk of
+    health ``h`` mid-cell in cell ``k`` for each ``(k, h)`` of
+    ``sessions[i]`` (a chunk that does not stall scores its quality)."""
+    return SimpleNamespace(sessions=[
+        SimpleNamespace(
+            records=[ChunkRecord(quality=h) for _, h in cells],
+            landed=[(k + 0.5) * DAMAGE_GRID_S for k, _ in cells],
+        )
+        for cells in sessions
+    ])
+
+
+def healths(*values):
+    """One session, cell ``k`` at health ``values[k]``."""
+    return run_of(list(enumerate(values)))
+
+
+class TestFaultDamage:
+    """The recovery rule over the per-cell gap, twin minus faulted: the
+    dip is the deepest cell, recovery is dated at the end of the first
+    cell at or after it back within ``RECOVERY_TOLERANCE``."""
+
+    G = DAMAGE_GRID_S
+
     def test_dip_and_recovery(self):
-        tr = RecoveryTracker(fault_start=10.0)
-        for t, h in [(2.0, 4.0), (6.0, 4.2), (12.0, 1.0), (16.0, 2.0),
-                     (20.0, 4.1), (24.0, 4.2)]:
-            tr.sample(t, h)
-        assert tr.baseline == pytest.approx(4.1)
-        dip, recover = tr.metrics()
-        assert dip == pytest.approx(3.1)
-        assert recover == pytest.approx(10.0)  # healthy again at t=20
+        twin = healths(*[4.0] * 6)
+        hit = healths(4.0, 4.0, 1.0, 2.0, 3.95, 4.0)
+        dip, recover = fault_damage(hit, twin, 2 * self.G, [0])
+        assert dip == pytest.approx(3.0)
+        # back within tolerance in cell 4, which ends 3 cells after onset
+        assert recover == pytest.approx(3 * self.G)
 
     def test_recovery_is_dated_at_the_edge_of_the_tolerance_band(self):
-        """Health need only climb back to within ``RECOVERY_TOLERANCE``
-        of the baseline; a sample just below that band is not yet
-        recovered."""
-        tr = RecoveryTracker(fault_start=10.0)
+        """The gap need only close to within ``RECOVERY_TOLERANCE``; a
+        cell just outside that band is not yet recovered."""
         edge = 1.0 - RECOVERY_TOLERANCE
-        for t, h in [(5.0, 1.0), (12.0, 0.2), (14.0, edge - 0.01),
-                     (16.0, edge), (18.0, 1.0)]:
-            tr.sample(t, h)
-        dip, recover = tr.metrics()
+        twin = healths(*[1.0] * 5)
+        hit = healths(1.0, 0.2, edge - 0.01, edge, 1.0)
+        dip, recover = fault_damage(hit, twin, self.G, [0])
         assert dip == pytest.approx(0.8)
-        assert recover == pytest.approx(6.0)  # the t=16 sample
+        assert recover == pytest.approx(3 * self.G)  # the end of cell 3
 
     def test_never_recovers_is_inf(self):
-        tr = RecoveryTracker(fault_start=10.0)
-        for t, h in [(5.0, 4.0), (12.0, 1.0), (20.0, 1.5)]:
-            tr.sample(t, h)
-        dip, recover = tr.metrics()
+        twin = healths(4.0, 4.0, 4.0)
+        hit = healths(4.0, 1.0, 1.5)
+        dip, recover = fault_damage(hit, twin, self.G, [0])
         assert dip == pytest.approx(3.0)
         assert math.isinf(recover)
 
     def test_no_dip_is_zero(self):
-        tr = RecoveryTracker(fault_start=10.0)
-        for t, h in [(5.0, 4.0), (12.0, 3.95), (20.0, 4.0)]:
-            tr.sample(t, h)
-        assert tr.metrics() == (pytest.approx(0.05), 0.0)
+        twin = healths(4.0, 4.0, 4.0)
+        hit = healths(4.0, 3.95, 4.0)
+        assert fault_damage(hit, twin, self.G, [0]) == (
+            pytest.approx(0.05), 0.0
+        )
 
-    def test_no_post_fault_samples(self):
-        tr = RecoveryTracker(fault_start=10.0)
-        tr.sample(5.0, 4.0)
-        assert tr.metrics() == (0.0, 0.0)
+    def test_no_post_fault_cells(self):
+        twin, hit = healths(4.0), healths(1.0)
+        assert fault_damage(hit, twin, self.G, [0]) == (0.0, 0.0)
 
-    def test_fault_at_time_zero_uses_first_sample_as_baseline(self):
-        """A fault starting at t=0 leaves no pre-fault samples.  The
-        baseline used to collapse to 0.0, so any recovery (health >=
-        -tolerance) registered instantly and the dip was clamped to 0.
-        The first post-onset sample now anchors the baseline instead."""
-        tr = RecoveryTracker(fault_start=0.0)
-        for t, h in [(0.5, 1.0), (1.5, 0.2), (2.5, 1.0)]:
-            tr.sample(t, h)
-        assert tr.baseline == pytest.approx(1.0)
-        dip, recover = tr.metrics()
-        assert dip == pytest.approx(0.8)
-        assert recover == pytest.approx(2.5)
-
-    def test_fault_at_time_zero_no_samples(self):
-        tr = RecoveryTracker(fault_start=0.0)
-        assert tr.baseline == 0.0
-        assert tr.metrics() == (0.0, 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="fault_start"):
-            RecoveryTracker(fault_start=-1.0)
+    @pytest.mark.parametrize("onset", [-1.0, math.nan, math.inf])
+    def test_validation(self, onset):
+        run = healths(1.0)
+        with pytest.raises(ValueError, match="onset"):
+            fault_damage(run, run, onset, [0])
 
     def test_disjoint_fault_windows_track_the_deepest_dip(self):
         """Two separated faults, the second one worse: the dip is the
-        global post-onset floor and recovery is dated from *that* floor,
+        deepest post-onset gap and recovery is dated from *that* cell,
         not from the first window's shallower dip."""
-        tr = RecoveryTracker(fault_start=10.0)
-        for t, h in [
-            (2.0, 4.0), (6.0, 4.0),        # baseline 4.0
-            (12.0, 3.0), (16.0, 4.0),      # window 1: shallow dip, recovers
-            (30.0, 1.0), (34.0, 2.0),      # window 2: deeper dip...
-            (38.0, 4.0),                   # ...recovered at t=38
-        ]:
-            tr.sample(t, h)
-        dip, recover = tr.metrics()
+        twin = healths(*[4.0] * 9)
+        hit = healths(
+            4.0, 4.0,            # before onset
+            3.0, 4.0,            # window 1: shallow dip, recovers
+            4.0, 4.0,
+            1.0, 2.0,            # window 2: deeper dip...
+            4.0,                 # ...recovered in cell 8
+        )
+        dip, recover = fault_damage(hit, twin, 2 * self.G, [0])
         assert dip == pytest.approx(3.0)
-        # dated from the second window's floor (t=30), not the interim
-        # recovery at t=16
-        assert recover == pytest.approx(28.0)
+        # dated from the second window's floor, not the interim recovery
+        assert recover == pytest.approx(7 * self.G)
 
     def test_interim_recovery_does_not_mask_a_terminal_dip(self):
-        """Health recovers between windows but the run ends inside the
-        second window still degraded — time_to_recover must be inf even
-        though a within-tolerance sample exists after the onset."""
-        tr = RecoveryTracker(fault_start=10.0)
-        for t, h in [
-            (5.0, 4.0),
-            (12.0, 2.5), (16.0, 4.0),      # first dip, full recovery
-            (30.0, 0.5), (34.0, 1.0),      # second dip, run ends degraded
-        ]:
-            tr.sample(t, h)
-        dip, recover = tr.metrics()
+        """The gap closes between windows but the run ends inside the
+        second window still degraded — time to recover is inf even though
+        a within-tolerance cell exists after the onset."""
+        twin = healths(*[4.0] * 6)
+        hit = healths(4.0, 1.5, 4.0, 4.0, 0.5, 1.0)
+        dip, recover = fault_damage(hit, twin, self.G, [0])
         assert dip == pytest.approx(3.5)
         assert math.isinf(recover)
 
+    def test_a_run_against_itself_reads_no_damage(self):
+        run = healths(4.0, 1.0, 2.0, -3.0)
+        assert fault_damage(run, run, 0.0, [0]) == (0.0, 0.0)
+
+    def test_cells_before_the_onset_cell_are_not_compared(self):
+        twin = healths(4.0, 4.0, 4.0)
+        hit = healths(0.0, 4.0, 4.0)
+        assert fault_damage(hit, twin, self.G, [0]) == (0.0, 0.0)
+        # the cell holding the onset is compared whole; cell 1 closes
+        # the gap, 1.5 cells after the onset
+        assert fault_damage(hit, twin, 0.5 * self.G, [0]) == (4.0, 1.5 * self.G)
+
+    def test_cells_only_one_run_lands_in_are_not_compared(self):
+        """A cell the twin lands nothing in (the faulted run draining past
+        the twin's end) has nothing to be measured against."""
+        twin = healths(4.0, 4.0)
+        hit = healths(4.0, 4.0, -10.0, -10.0)
+        assert fault_damage(hit, twin, self.G, [0]) == (0.0, 0.0)
+
+    def test_health_is_pooled_over_the_folded_sessions(self):
+        """Cell health is the mean over every folded session's chunks;
+        only the given ids fold, and an id the twin lacks (a flash crowd's
+        viewer) folds from the faulted run alone."""
+        twin = run_of([(1, 4.0)], [(1, 4.0)])
+        hit = run_of([(1, 3.0)], [(1, 1.0)], [(1, -10.0)])
+        assert fault_damage(hit, twin, 0.0, [0, 1]) == (2.0, math.inf)
+        assert fault_damage(hit, twin, 0.0, [0]) == (1.0, math.inf)
+        assert fault_damage(hit, twin, 0.0, [0, 1, 2]) == (6.0, math.inf)
+
+    def test_a_stall_weighs_on_health(self):
+        twin = healths(1.0, 1.0)
+        hit = healths(1.0, 1.0)
+        hit.sessions[0].records[1] = ChunkRecord(quality=1.0, stall=0.5)
+        # 1.0 - 2 x 0.5: the stall weight is the default QoE gamma
+        assert fault_damage(hit, twin, 0.0, [0]) == (1.0, math.inf)
+
     def test_fleet_run_never_recovering_reports_inf(self):
         """End-to-end: a crushing brownout covering the whole tail of
-        the run (no live edge to fail over to) leaves no recovered
-        sample, so the report carries inf."""
+        the run (no live edge to fail over to) never closes the gap to
+        the fault-free twin, so recovery reads inf."""
         sessions = fleet(6, seconds=20)
-        ends = simulate_fleet(sessions, topology=cdn()).end_times
-        horizon = max(ends)
+        twin = simulate_fleet(sessions, topology=cdn())
+        horizon = max(twin.end_times)
         degr = FaultSchedule(tuple(
             BackhaulDegradation(
                 edge=e, start=0.3 * horizon, duration=100 * horizon,
@@ -363,11 +396,12 @@ class TestRecoveryTracker:
             )
             for e in range(3)
         ))
-        rep = simulate_fleet(
-            sessions, topology=cdn(), faults=degr
-        ).report
-        assert rep.qoe_dip_depth > 0
-        assert math.isinf(rep.time_to_recover_s)
+        hit = simulate_fleet(sessions, topology=cdn(), faults=degr)
+        dip, recover = fault_damage(
+            hit, twin, 0.3 * horizon, range(len(sessions))
+        )
+        assert dip > 0
+        assert math.isinf(recover)
 
 
 class TestFleetViewMetricsSource:
@@ -397,8 +431,7 @@ class TestFleetViewMetricsSource:
             series["fleet.active_sessions"].items()
         ):
             assert sum(loads[e][i][1] for e in range(3)) == active
-        # the health series feeds the same sampler the recovery tracker
-        # and the controller's view read
+        # the health series is the sampler the controller's view reads
         assert len(series["fleet.health"]) >= rep.control_ticks - 1
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import stable_trace
-from repro.obs import Telemetry
+from repro.obs import Telemetry, fault_damage
 from repro.net.traces import lte_trace
 from repro.streaming import (
     BackhaulDegradation,
@@ -448,7 +448,6 @@ class TestOutageEndToEnd:
         # Every viewer moved off the dead edge and every session finished.
         assert all(e != 0 for e in result.assignment)
         assert all(r is not None for r in result.sessions)
-        assert rep.qoe_dip_depth >= 0.0
 
     def test_outage_run_is_deterministic(self):
         sessions = fleet(9)
@@ -515,15 +514,11 @@ class TestDisabledModeParity:
         assert rep.faults_injected == 0
         assert rep.control_ticks == 0
         assert rep.encode_pool_resizes == 0
-        assert rep.qoe_dip_depth == 0.0
-        assert rep.time_to_recover_s == 0.0
-        assert not math.isinf(rep.time_to_recover_s)
         assert rep.chunk_retries == 0
         assert rep.requests_timed_out == 0
         assert rep.requests_hedged == 0
         assert rep.gray_degraded_bytes == 0
         assert rep.retry_attempts == ()
-        assert rep.region_recovery == ()
 
     def test_default_retry_policy_is_bit_exact(self):
         """``RetryPolicy()`` (infinite timeout, no hedge) on a fault-free
@@ -726,22 +721,30 @@ class TestRegionOutageEndToEnd:
         assert all(r is not None for r in result.sessions)
 
     def test_per_region_recovery_metrics_reported(self):
+        """Each region's audience (the sessions its edges host at the
+        start) read against the fault-free twin."""
         topo = cdn(n_regions=2)
         sched = FaultSchedule((
             RegionOutage(region="region-0", start=4.0, duration=6.0),
         ))
-        rep = simulate_fleet(
-            fleet(9), topology=topo,
-            assignment=[i % 3 for i in range(9)], faults=sched,
-        ).report
-        names = [name for name, _, _ in rep.region_recovery]
-        assert names == ["region-0", "region-1"]
-        for _, dip, recover in rep.region_recovery:
+        home = [i % 3 for i in range(9)]
+        hit, twin = (
+            simulate_fleet(
+                fleet(9), topology=topo, assignment=home, faults=faults
+            )
+            for faults in (sched, None)
+        )
+        dips = {}
+        for name, members in sorted(topo.regions.items()):
+            ids = [sid for sid, e in enumerate(home) if e in members]
+            dip, recover = fault_damage(hit, twin, 4.0, ids)
             assert dip >= 0.0
             assert recover >= 0.0
+            dips[name] = dip
+        assert list(dips) == ["region-0", "region-1"]
         # The dark region's audience hurts at least as much as the
         # bystander region absorbing its refugees.
-        dips = {name: dip for name, dip, _ in rep.region_recovery}
+        assert dips["region-0"] >= dips["region-1"]
         assert dips["region-0"] > 0.0
 
     def test_region_outage_requires_declared_region(self):
@@ -1012,15 +1015,11 @@ class TestInertInstant:
     backhaul degradation, or a factor-1 gray window that drops nothing,
     only adds the window's two edges as instants; the scheduler rebases a
     flow's bits only when its rate changes, so the run must equal the
-    fault-free one bit for bit.  Report fields that describe the fault
-    are left out: its counters, and the recovery fields, which measure a
-    fault against the same run (ROADMAP item 25) and so read damage even
-    for one that moved nothing."""
+    fault-free one bit for bit, and its damage against that twin reads
+    exactly none, fleet-wide and per region.  Report fields that describe
+    the fault itself are left out: its count and its gray bytes."""
 
-    FAULT_FIELDS = (
-        "faults_injected", "gray_degraded_bytes",
-        "qoe_dip_depth", "time_to_recover_s", "region_recovery",
-    )
+    FAULT_FIELDS = ("faults_injected", "gray_degraded_bytes")
 
     @staticmethod
     def no_op(kind, edge, start, duration):
@@ -1043,8 +1042,12 @@ class TestInertInstant:
     )
     # Under the drain-every-step scheduler the window's two instants moved
     # session 5's stall records here by an ulp (2.4161228799999996 s
-    # against 2.4161228800000014 s).
+    # against 2.4161228800000014 s).  Both no-op windows here also read
+    # dip 4.95 / recovery inf while damage was measured against the
+    # faulted run's own pre-fault health.
     @example(kind="degradation", n=6, stagger=0.4, n_edges=3, edge=0,
+             start=2.0, duration=8.0)
+    @example(kind="gray", n=6, stagger=0.4, n_edges=3, edge=0,
              start=2.0, duration=8.0)
     @settings(max_examples=15, deadline=None)
     def test_a_fault_that_changes_no_rate_is_inert(
@@ -1068,3 +1071,11 @@ class TestInertInstant:
         assert faulted.end_times == clean.end_times
         assert faulted.assignment == clean.assignment
         assert facts(faulted.report) == facts(clean.report)
+        topo = faulted.topology
+        home = topo.assign(faulted.session_specs)
+        audiences = [range(n)] + [
+            [sid for sid, e in enumerate(home) if e in members]
+            for members in topo.regions.values()
+        ]
+        for ids in audiences:
+            assert fault_damage(faulted, clean, start, ids) == (0.0, 0.0)

@@ -459,33 +459,60 @@ class TestBandwidthConservation:
 
 
 class TestChunkKey:
-    """Edge-cache keys quantize density the same way SR-cache keys do."""
+    """Edge-cache keys quantize density by the rule SR-cache keys use,
+    which lives in one place: the session machine rounds a decision's
+    density once and both keys read it."""
 
-    def req(self, density, chunk_index=0):
-        from repro.streaming.simulator import DownloadRequest
+    class KeyLog:
+        """An SR cache that records the keys it is asked for."""
 
-        return DownloadRequest(
-            start_time=0.0, nbytes=100, video="v",
-            chunk_index=chunk_index, density=density,
+        def __init__(self):
+            self.keys = []
+
+        def acquire(self, key, at_time, cost):
+            self.keys.append(key)
+            return cost
+
+    def first_chunk(self, density, sr_ratio=2.0):
+        """The first chunk's download request under ``density`` and the
+        SR-cache key the machine then asks for."""
+        from repro.streaming.abr import Decision
+        from repro.streaming.simulator import SessionMachine
+
+        log = self.KeyLog()
+        machine = SessionMachine(
+            FleetSession(
+                spec=spec(4, name="v"), controller=FixedDensity(0.5),
+                sr_latency=sr_lat(),
+            ),
+            sr_cache=log,
         )
+        req = machine.advance(Decision(density=density, sr_ratio=sr_ratio))
+        machine.advance(0.1)
+        return req, log.keys[0]
 
     def test_planner_jitter_collapses_to_one_variant(self):
         from repro.streaming.fleet import _chunk_key
 
-        a = _chunk_key(self.req(0.5))
-        b = _chunk_key(self.req(0.5 + 1e-9))
-        assert a == b == ("v", 0, 0.5)
-        assert _chunk_key(self.req(0.5004)) == a      # rounds down
-        assert _chunk_key(self.req(0.5006)) != a      # a real new variant
+        def key(density):
+            return _chunk_key(self.first_chunk(density)[0])
 
-    def test_matches_sr_cache_key_rounding(self):
-        # The SR-result cache key rounds density with round(d, 3)
-        # (simulator.py); the edge-cache key must agree or one SR result
-        # maps onto several encoded variants.
+        a, b = key(0.5), key(0.5 + 1e-9)
+        assert a == b == ("v", 0, 0.5)
+        assert key(0.5004) == a      # rounds down
+        assert key(0.5006) != a      # a real new variant
+
+    @pytest.mark.parametrize(
+        "density", [1 / 3, 0.1 + 0.2, 0.5 + 1e-9, 0.0005, 0.9995]
+    )
+    def test_a_jittered_density_keys_both_caches_alike(self, density):
+        """The edge-cache and encode-queue key and the SR-result cache key
+        carry the same density, rounded once: otherwise one SR result
+        maps onto several encoded variants."""
         from repro.streaming.fleet import _chunk_key
 
-        for density in (1 / 3, 0.1 + 0.2, 0.0005, 0.9995):
-            assert _chunk_key(self.req(density))[2] == round(density, 3)
+        req, sr_key = self.first_chunk(density, sr_ratio=1 / density)
+        assert _chunk_key(req)[2] == sr_key[2] == round(density, 3)
 
     def test_startup_payload_is_not_cacheable(self):
         from repro.streaming.fleet import _chunk_key

@@ -288,4 +288,3 @@ class TestFaultFields:
     def test_an_uncontrolled_run_reports_no_control_activity(self, run):
         rep = run[0].report
         assert rep.control_ticks == rep.encode_pool_resizes == 0
-        assert rep.region_recovery == ()

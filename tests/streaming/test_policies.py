@@ -9,7 +9,6 @@ from repro.streaming import (
     BufferBased,
     ContinuousMPC,
     DiscreteMPC,
-    HybridController,
     SRQualityModel,
     ThroughputRuleController,
     ZERO_LATENCY,
@@ -27,7 +26,7 @@ class TestRegistry:
         at run time."""
         assert available_policies() == [
             "bola", "buffer-linear", "continuous-mpc", "discrete-mpc",
-            "hybrid", "throughput",
+            "throughput",
         ]
 
     @pytest.mark.parametrize(
@@ -37,7 +36,6 @@ class TestRegistry:
             ("discrete-mpc", DiscreteMPC),
             ("bola", BolaController),
             ("throughput", ThroughputRuleController),
-            ("hybrid", HybridController),
             ("buffer-linear", BufferBased),
         ],
     )
