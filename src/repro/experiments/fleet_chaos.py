@@ -159,8 +159,10 @@ def run_fleet_chaos(
                retry, n_regions, degrade, autoscaler)
         if faults is None and key in fault_free:
             return fault_free[key]
+        # provisioned for the configured audience, not the fleet at hand:
+        # a flash crowd must arrive at the CDN its twin runs on
         topo = make_cdn(
-            scale, len(fleet), n_edges=n_edges,
+            scale, n_sessions, n_edges=n_edges,
             mbps_per_session=mbps_per_session, assignment=assignment,
             n_encode_workers=n_encode_workers, encode_seconds=encode_seconds,
             n_regions=n_regions,

@@ -96,8 +96,8 @@ class QoEModel:
         change, so the variation term is exactly ``+0.0``.
 
         The row depends on nothing a throughput sample or a buffer level
-        moves, so a planner builds it once per previous quality and hands
-        it to :meth:`plan_values` on every call.
+        moves, so a planner builds it once per previous quality and adds
+        each planned chunk's ``−γ·s`` to it on every call.
         """
         q = np.asarray(qualities, dtype=np.float64)
         w = self.weights
@@ -109,32 +109,6 @@ class QoEModel:
             delta < 0, w.beta * w.drop_multiplier, w.beta
         ) * np.abs(delta)
         return quality - variation
-
-    def plan_values(
-        self, first: np.ndarray, later: np.ndarray, stalls: np.ndarray
-    ) -> np.ndarray:
-        """Value of many candidate plans over the MPC horizon (used by the ABR).
-
-        ``first − γ·s₀ + Σᵢ (later − γ·sᵢ)``: ``first`` and ``later`` are
-        :meth:`first_chunk_values` rows — with the plan's previous quality
-        and with ``None`` — and ``stalls`` has the plan axes behind a
-        leading horizon axis; the three broadcast.  Stalls must be
-        non-negative — the planner builds them as ``max(0, ·)`` of tensors
-        it has already checked, so they are not scanned again here.
-
-        Each plan's value sums the per-chunk terms of :meth:`session` over
-        its horizon, term for term and in that order
-        (``tests/streaming/reference_planner.py`` is that sum written as a
-        loop).
-        """
-        s = np.asarray(stalls, dtype=np.float64)
-        if s.ndim < 1:
-            raise ValueError("need a horizon axis")
-        stall = self.weights.gamma * s
-        total = first - stall[0]
-        for i in range(1, len(stall)):
-            total = total + (later - stall[i])
-        return total
 
 
 def session_qoe(

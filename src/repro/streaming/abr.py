@@ -17,44 +17,44 @@ quality ``Q`` of Eq. 10: the post-SR density discounted by a per-doubling
 SR efficiency (SR'd points are almost, not exactly, as good as native
 ones — the discount is calibrated from the SR-quality experiments).
 
-The MPC planners evaluate every decision row in ``decide_batch`` —
-"group by effective horizon, one array pass, argmax" — and ``decide`` is
-its one-row call; the scalar per-candidate reference they are pinned
-against lives in ``tests/streaming/reference_planner.py``.
+The MPC planners plan every decision row on its own, in Python floats —
+one candidate at a time, one planned chunk at a time — and ``decide`` is
+``decide_batch``'s one-row call.  A fleet step plans about one row per
+call, and such a call run as NumPy on a ``(H, N, C)`` tensor pays for
+~19 array dispatches, not for the 48 cells of the fleet's 16 × 3 grid;
+so NumPy only builds the two caches the loop reads.  The tests hold two oracles in
+``tests/streaming/reference_planner.py``: the scalar term-by-term
+reference (1e-9) and that tensor planner (``==``).
 
-**Layout: ``(H, N, C)`` — horizon step, decision row, candidate
-density.**  A fleet step plans about one row per call, so a call costs
-what its NumPy dispatches cost, not what its arithmetic costs; the
-layout is chosen so that a call makes as few of them as it can.
+**The loop's contract.**
 
 * *Per controller* (fixed at construction): the candidate grid ``(C,)``,
-  its SR ratios, its qualities and one :class:`Decision` per candidate,
-  which ``decide_batch`` hands out by ``argmax`` index; and the ``(1, C)``
-  row ``α·q`` every planned chunk after the first adds.
+  its SR ratios, its qualities, one :class:`Decision` per candidate,
+  which ``decide_batch`` hands out by index, and the later-chunk row
+  ``α·q`` as a tuple of floats.
 * *Per previous quality* (:meth:`_MPCBase._first_row`, keyed on the
-  float, bounded): the stall-free first-chunk row ``α·q − β·V(q, prev)``
-  ``(1, C)``.  A session's previous quality is one of a handful of
-  values, so the variation term is built once per value, not per call; a
-  batch is one ``concatenate`` of the cached rows.
-* *Per chunk window* (:meth:`_MPCBase._horizon_tensors`, keyed on the
-  tuple of chunk specs): fetched bits and SR seconds ``(H, 1, C)`` and
-  chunk durations ``(H, 1, 1)`` — checked finite and non-negative once,
-  already in the planner's shape.  Horizon leads, so a one-row call uses
-  the cached tensors as they are and a batch is one ``concatenate`` along
-  the row axis; ``tensor[h]`` is a contiguous ``(N, C)`` step.
-* *Per call*: throughput and buffer — Python floats for one row,
-  ``(N, 1)`` columns for a batch, the same expressions either way — then
-  ``ready = max(bits / tput, sr)`` on the whole tensor, the buffer
-  recursion step by step writing each step's stall over its ``ready``
-  slice, and ``QoEModel.plan_values``, which only adds the stalls.
+  float, bounded by ``FIRST_ROWS_LIMIT``): the stall-free first-chunk row
+  ``α·q − β·V(q, prev)`` as a tuple of floats.  A session's previous
+  quality is one of a handful of values, so the variation term is built
+  once per value, not per call.
+* *Per chunk window* (:meth:`_MPCBase._window`, keyed on the tuple of
+  chunk specs): per planned chunk, the fetched bits and SR seconds of
+  every candidate as two float lists, and the chunk's duration as a
+  float — built with NumPy and checked finite and non-negative once.
+* *Per context, per candidate*: ``r = max(bits / tput, sr)``,
+  ``x = r − b``, stall ``max(0, x)`` and ``b' = d − min(x, 0)`` (the same
+  float as ``max(b − r, 0) + d`` for every input, infinities included),
+  accumulated as ``first − γ·s_0 + Σ_i (later − γ·s_i)``.  The
+  comparisons are written so a NaN propagates as it does in NumPy's
+  ``maximum`` / ``minimum``, and a row picks its first maximum (a NaN
+  first, as ``argmax`` does).
 
 A plan holds one density over its horizon (the Robust-MPC
 simplification), so quality changes only between the previous chunk and
 the first planned one: after step 0 the variation term of Eq. 10 is
 exactly ``+0.0``, so a plan's value is ``first − γ·s_0 + Σ_i (α·q −
-γ·s_i)`` — the same additions in the same order as the term-by-term sum,
-and the first-chunk row the same expressions as when it was rebuilt on
-every call, so values are bit-equal to both.
+γ·s_i)`` — the same float operations in the same order as the tensor
+planner, so values are bit-equal to it and decisions equal.
 
 The non-MPC controllers of the policy zoo (BOLA, throughput rule) live
 in :mod:`repro.streaming.policies` along with the
@@ -234,9 +234,10 @@ class AbrController:
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]:
         """Decide for many independent contexts at once.
 
-        The default loops over :meth:`decide`; MPC controllers override it
-        with a single array pass so a fleet driver can resolve every
-        session waiting on a decision in one call.  Must be equivalent to
+        The default loops over :meth:`decide`; the planners override it
+        (the grid policies with one array pass per group, the MPC
+        controllers with their float loop) so a fleet driver can resolve
+        every session waiting on a decision in one call.  Must be equivalent to
         ``[self.decide(c) for c in ctxs]`` — the fleet parity tests rely
         on it.
         """
@@ -290,39 +291,38 @@ class _MPCBase(AbrController):
             Decision(d, s)
             for d, s in zip(self.candidates.tolist(), self._sr_ratios.tolist())
         ]
-        #: chunk window -> its tensors (see :meth:`_horizon_tensors`)
+        #: chunk window -> its per-chunk floats (see :meth:`_window`)
         self._horizon_cache: dict[tuple, tuple] = {}
-        #: every planned chunk after the first adds this ``(1, C)`` row
-        #: before its stall (the first-chunk row of no previous chunk)
-        self._later_row = qoe_model.first_chunk_values(self._qualities[None, :])
-        self._later_row.flags.writeable = False
+        #: every planned chunk after the first adds this value per
+        #: candidate before its stall (the first-chunk row of no previous
+        #: chunk)
+        self._later_row = tuple(
+            qoe_model.first_chunk_values(self._qualities).tolist()
+        )
         #: previous quality -> its first-chunk row (see :meth:`_first_row`)
-        self._first_rows: dict[float | None, np.ndarray] = {None: self._later_row}
+        self._first_rows: dict[float | None, tuple] = {None: self._later_row}
         #: lifetime count of rows :meth:`decide_batch` has evaluated
         self.decide_rows = 0
 
     # ------------------------------------------------------------------
-    def _horizon_tensors(
-        self, chunks: tuple
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Throughput-independent tensors of one horizon window.
+    def _window(self, chunks: tuple) -> tuple:
+        """Throughput-independent floats of one horizon window.
 
-        ``(fetched bits, SR seconds, chunk durations)`` depend only on the
-        chunk specs, the fixed candidate densities and the (fixed) SR
+        Per planned chunk, ``(fetched bits, SR seconds, duration)``: two
+        lists over the candidate grid and a float.  They depend only on
+        the chunk specs, the fixed candidate densities and the (fixed) SR
         latency model — so they are computed once per distinct window,
-        checked once, and replayed already in the planner's layout:
-        ``(H, 1, C)``, ``(H, 1, C)`` and ``(H, 1, 1)``.  A hostile latency
-        model (NaN, negative, infinite seconds) is refused here, naming
-        the chunk and density, instead of planning ``argmax`` of an
-        all-NaN row for ever; a refused window is not cached, so every
-        call that needs it raises.
+        with NumPy, checked once, and replayed as Python floats.  A
+        hostile latency model (NaN, negative, infinite seconds) is refused
+        here, naming the chunk and density, instead of planning the argmax
+        of an all-NaN row for ever; a refused window is not cached, so
+        every call that needs it raises.
         """
         cached = self._horizon_cache.get(chunks)
         if cached is None:
             ppf = np.array([c.points_per_frame for c in chunks])
             nf = np.array([c.n_frames for c in chunks], dtype=np.int64)
             bpp = np.array([c.bytes_per_point for c in chunks])
-            dur = np.array([c.duration for c in chunks])
             pts = batched_points_at_density(ppf[:, None], self.candidates)  # (H, C)
             nbytes = batched_chunk_bytes(nf[:, None], pts, bpp[:, None])
             bits = nbytes * self.fetch_fraction * 8.0
@@ -336,96 +336,97 @@ class _MPCBase(AbrController):
                         f"non-negative, got {float(grid[h, c])!r} for chunk "
                         f"{chunks[h].index} at density {self.candidates[c]:.6g}"
                     )
-            cached = (bits[:, None, :], sr[:, None, :], dur[:, None, None])
+            cached = tuple(
+                zip(bits.tolist(), sr.tolist(), [float(c.duration) for c in chunks])
+            )
             self._horizon_cache[chunks] = cached
         return cached
 
-    def _first_row(self, prev_quality: float | None) -> np.ndarray:
-        """Stall-free first-chunk row ``(1, C)`` after ``prev_quality``.
+    def _first_row(self, prev_quality: float | None) -> tuple:
+        """Stall-free first-chunk value per candidate after ``prev_quality``.
 
-        It depends only on the fixed candidate grid and the previous
-        chunk's quality — one of a handful of values in a real session —
-        so it is built once per distinct value.  A caller feeding
-        arbitrary qualities cannot grow the cache without bound: it starts
-        over once it holds :attr:`FIRST_ROWS_LIMIT` rows.
+        ``α·q − β·V(q, prev)`` depends only on the fixed candidate grid
+        and the previous chunk's quality — one of a handful of values in a
+        real session — so it is built once per distinct value, with
+        NumPy, and kept as a tuple of floats.  A caller feeding arbitrary
+        qualities cannot grow the cache without bound: it starts over once
+        it holds :attr:`FIRST_ROWS_LIMIT` rows.
         """
         row = self._first_rows.get(prev_quality)
         if row is None:
             if len(self._first_rows) >= self.FIRST_ROWS_LIMIT:
                 self._first_rows = {None: self._later_row}
-            row = self.qoe_model.first_chunk_values(
-                self._qualities[None, :], prev_quality
+            row = tuple(
+                self.qoe_model.first_chunk_values(
+                    self._qualities, prev_quality
+                ).tolist()
             )
-            row.flags.writeable = False  # shared by every call that hits it
             self._first_rows[prev_quality] = row
         return row
 
-    def _batch_plan_values(self, ctxs: list[AbrContext]) -> np.ndarray:
-        """Plan values for every (context, candidate) pair in one pass.
+    def _plan(self, ctx: AbrContext) -> list[float]:
+        """Plan value of every candidate for one context, in grid order.
 
-        All contexts must share the same effective horizon length
-        (:meth:`decide_batch` groups by it).  Returns
-        ``(n_ctx, n_candidates)``: the QoE of fetching each context's next
-        ``horizon`` chunks at each candidate density.
+        One candidate at a time, one planned chunk at a time, in Python
+        floats (the module docstring states the contract).  A step whose
+        readiness fits in the buffer (``x <= 0``) stalls ``0.0``, so its
+        stall term is ``γ·0.0`` and its buffer ``d − x``; any other ``x``
+        (a stall, or a NaN, which both expressions carry on as NumPy's
+        ``maximum`` / ``minimum`` do) goes the long way.
         """
-        windows = [
-            self._horizon_tensors(tuple(ctx.next_chunks[: self.horizon]))
-            for ctx in ctxs
-        ]
-        if len(ctxs) == 1:
-            # The fleet's common call: the cached (H, 1, C) tensors and
-            # (1, C) first-chunk row as they are, context scalars as
-            # Python floats — same expressions below.
-            (bits, sr, dur), ctx = windows[0], ctxs[0]
-            tput = ctx.throughput_bps * SAFETY
-            buffer = ctx.buffer_level
-            first = self._first_row(ctx.prev_quality)
-        else:
-            bits, sr, dur = (np.concatenate(t, axis=1) for t in zip(*windows))
-            tput = (np.array([c.throughput_bps for c in ctxs]) * SAFETY)[:, None]
-            buffer = np.array([c.buffer_level for c in ctxs])[:, None]
-            first = np.concatenate([self._first_row(c.prev_quality) for c in ctxs])
-
-        ready = bits / tput                                    # (H, N, C)
-        # Download and SR overlap across chunks (pipelined client), so the
-        # steady-state readiness interval is the slower stage.
-        np.maximum(ready, sr, out=ready)
-        last = len(ready) - 1
-        for h, (r, d) in enumerate(zip(ready, dur)):
-            # stall = max(0, r - b), written over r once x holds r - b; then
-            # b' = max(b - r, 0) + d written as d - min(r - b, 0): the same
-            # float for every input (b - r is exactly -(r - b)), infinities
-            # included, in four array calls.
-            x = r - buffer
-            np.maximum(0.0, x, out=r)
-            if h < last:
-                buffer = d - np.minimum(x, 0.0, out=x)
-        stalls = ready  # every step's slice now holds its stall
-        return self.qoe_model.plan_values(first, self._later_row, stalls)
+        window = self._window(tuple(ctx.next_chunks[: self.horizon]))
+        (bits0, sr0, d0), rest = window[0], window[1:]
+        tput = ctx.throughput_bps * SAFETY
+        b0 = ctx.buffer_level
+        gamma = self.qoe_model.weights.gamma
+        zero = gamma * 0.0
+        values = []
+        for c, (first, later) in enumerate(
+            zip(self._first_row(ctx.prev_quality), self._later_row)
+        ):
+            # Download and SR overlap across chunks (pipelined client), so
+            # the steady-state readiness interval is the slower stage.
+            r, s = bits0[c] / tput, sr0[c]
+            if s > r:
+                r = s
+            x = r - b0
+            if x <= 0.0:
+                value, b = first - zero, d0 - x
+            else:
+                value, b = first - gamma * x, (d0 if x > 0.0 else d0 - x)
+            later_zero = later - zero
+            for bits, sr, d in rest:
+                r, s = bits[c] / tput, sr[c]
+                if s > r:
+                    r = s
+                x = r - b
+                if x <= 0.0:
+                    value, b = value + later_zero, d - x
+                else:
+                    value, b = value + (later - gamma * x), (d if x > 0.0 else d - x)
+            values.append(value)
+        return values
 
     def plan_values(self, ctx: AbrContext) -> np.ndarray:
         """Plan values over all candidate densities, ``(C,)``."""
-        return self._batch_plan_values([ctx])[0]
+        return np.array(self._plan(ctx))
 
     def decide(self, ctx: AbrContext) -> Decision:
         return self.decide_batch([ctx])[0]
 
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]:
-        """One array pass per effective horizon length, every row evaluated.
-
-        Contexts near the end of their video have fewer chunks left than
-        the horizon, so rows are grouped by how many they can plan over.
-        """
+        """Every row planned on its own; each picks its first maximum, or
+        its first NaN if it has one, as ``argmax`` does."""
         self.decide_rows += len(ctxs)
-        groups: dict[int, list[int]] = {}
-        for i, ctx in enumerate(ctxs):
-            groups.setdefault(min(len(ctx.next_chunks), self.horizon), []).append(i)
-        decisions: list[Decision | None] = [None] * len(ctxs)
-        for idxs in groups.values():
-            values = self._batch_plan_values([ctxs[i] for i in idxs])
-            for i, c in zip(idxs, values.argmax(axis=1).tolist()):
-                decisions[i] = self._decisions[c]
-        return decisions  # type: ignore[return-value]
+        decisions = []
+        for ctx in ctxs:
+            values = self._plan(ctx)
+            pick = values.index(max(values))
+            total = sum(values)
+            if total != total:  # a NaN (or +inf beside -inf): look for one
+                pick = next((c for c, v in enumerate(values) if v != v), pick)
+            decisions.append(self._decisions[pick])
+        return decisions
 
 
 class ContinuousMPC(_MPCBase):

@@ -8,7 +8,7 @@ over hours of content don't materialize geometry.  The encoder in
 :mod:`repro.streaming.encoder` produces actual encoded point clouds for the
 full-fidelity path.
 
-The vectorized planner evaluates many candidate densities at once, so the
+The planners price many candidate densities at once, so the
 per-chunk size queries come in scalar (``bytes_at_density``) and batched
 (``bytes_at_densities``) forms; the batched forms use the same rounding
 (round-half-even, then truncation toward zero) so they agree element for

@@ -252,10 +252,9 @@ def _batched_decisions(
 ) -> list[tuple[int, DownloadRequest]]:
     """Resolve every machine parked on a :class:`DecisionRequest`.
 
-    Machines sharing a controller object are decided in one vectorized
-    ``decide_batch`` array pass (the MPC classes evaluate the whole
-    (session, candidate, horizon) tensor at once); per-session controllers
-    degrade to batches of one.  Decisions are pure functions of their
+    Machines sharing a controller object are decided in one
+    ``decide_batch`` call; per-session controllers degrade to batches of
+    one.  Decisions are pure functions of their
     context, so batching cannot change any session's outcome.  Returns the
     download request each decision unblocked.  ``clamp``, when given,
     rewrites each decision before the machine advances on it — the
@@ -1420,7 +1419,7 @@ def simulate_fleet(
        First, so a completion that lands exactly at its retry deadline or
        at an outage boundary counts as delivered, not cancelled.
     2. **decisions** — sessions parked on an ABR decision are resolved
-       together, one vectorized ``decide_batch`` per shared controller
+       together, one ``decide_batch`` call per shared controller
        (decisions are pure functions of their context, so batching cannot
        change an outcome), and the transfers they unblock are queued.
     3. **outage bounds** — edges that just went dark are evacuated: their

@@ -38,7 +38,7 @@ def latency_batch(
 
     Models exposing a ``batch(n_points_in, sr_ratios)`` method (all the
     built-ins) are evaluated in one array pass; arbitrary callables fall
-    back to an element-wise loop, so the vectorized planner accepts any
+    back to an element-wise loop, so the planners accept any
     ``SRLatency`` without losing parity with the scalar path.
     """
     pts, s = np.broadcast_arrays(

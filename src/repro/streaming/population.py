@@ -336,7 +336,7 @@ def build_population(
     ``catalog`` by popularity (seeded, deterministic).  All sessions share
     ``controller`` — the ABR classes are stateless between decisions, and
     a shared controller is what lets the fleet scheduler resolve
-    simultaneous decisions in one vectorized ``decide_batch`` pass.
+    simultaneous decisions in one ``decide_batch`` call.
     """
     if max_sessions is not None and max_sessions < 1:
         # Validate before slicing: truncating to zero sessions used to

@@ -27,7 +27,7 @@ machine that suspends at every network transfer (yielding a
 :class:`DecisionRequest`), and is advanced by a driver that owns the link.
 Decision suspension is what lets the fleet scheduler gather every session
 waiting on a decision at the same virtual instant and resolve them in one
-vectorized ``decide_batch`` call instead of N scalar ``decide`` calls.
+``decide_batch`` call instead of N ``decide`` calls.
 There is one driver, :func:`repro.streaming.fleet.simulate_fleet`, which
 runs machines against shared links in virtual time;
 :func:`simulate_session` is a fleet of one viewer on a private
@@ -157,7 +157,7 @@ class DecisionRequest(NamedTuple):
     The driver answers with a :class:`~repro.streaming.abr.Decision` for
     ``ctx`` — usually ``machine.controller.decide(ctx)``, but a fleet
     driver may park several of these and resolve them in one
-    ``decide_batch`` array pass.  Decisions take no virtual time, so
+    ``decide_batch`` call.  Decisions take no virtual time, so
     deferring them within an event step cannot change the simulation.
     """
 

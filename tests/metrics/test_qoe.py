@@ -14,6 +14,7 @@ from repro.metrics import (
     session_qoe,
 )
 from tests.metrics.reference_qoe import chunk_qoe, session_sum, variation_term
+from tests.streaming.reference_planner import horizon_values
 
 
 class TestTerms:
@@ -95,14 +96,15 @@ class TestSession:
         assert m.session(osc) < m.session(steady)
 
     def test_plan_value_matches_session(self):
-        """A plan holds one quality over its horizon."""
+        """A plan holds one quality over its horizon: the planner oracle's
+        stall sum over first-chunk rows is the session's Eq. 10."""
         m = QoEModel()
         stalls = [0.0, 0.1, 0.0]
         records = [ChunkRecord(quality=0.6, stall=s) for s in stalls]
         later = m.first_chunk_values(0.6)
-        assert m.plan_values(later, later, stalls) == pytest.approx(m.session(records))
+        assert horizon_values(m, later, later, stalls) == pytest.approx(m.session(records))
         first = m.first_chunk_values(0.6, 0.9)
-        assert m.plan_values(first, later, stalls) == pytest.approx(
+        assert horizon_values(m, first, later, stalls) == pytest.approx(
             m.session(records) - variation_term(m.weights, 0.6, 0.9)
         )
 
@@ -120,9 +122,9 @@ class TestSession:
         m = QoEModel()
         row = m.first_chunk_values([0.5, 0.7, 0.6])
         with pytest.raises(ValueError):  # 3 plans against 4: no broadcast
-            m.plan_values(row, row, [[0.0] * 4, [0.1] * 4])
+            horizon_values(m, row, row, [[0.0] * 4, [0.1] * 4])
         with pytest.raises(ValueError, match="horizon axis"):
-            m.plan_values(0.5, 0.5, 0.0)
+            horizon_values(m, 0.5, 0.5, 0.0)
 
 
 class TestSessionQoE:

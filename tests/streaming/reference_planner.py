@@ -1,21 +1,35 @@
-"""Scalar reference for the MPC planners in :mod:`repro.streaming.abr`.
+"""References for the MPC planners in :mod:`repro.streaming.abr`.
 
-The oracle of the vectorized-MPC parity instance: Eq. 10 planned one
-candidate density at a time, one chunk at a time, in plain Python floats.
-It reads a controller's configuration (``candidates``, ``quality_model``,
-``qoe_model``, ``sr_latency``, ``horizon``, ``fetch_fraction``) and the
-``SAFETY`` discount, and otherwise touches only the scalar leaves that
-have production traffic of their own — ``ChunkSpec.bytes_at_density`` /
-``points_at_density``, the SR latency model's ``__call__``,
-``SRQualityModel.sr_ratio_for`` / ``quality`` and Eq. 10's three
-per-chunk terms (``tests/metrics/reference_qoe.py``, the term-by-term
-oracle of ``QoEModel.session``).  Nothing of the array path is imported, on purpose:
-``tests/streaming/test_abr_parity.py`` pins ``plan_values`` / ``decide`` /
-``decide_batch`` against this module at 1e-9, and
-``tests/test_code_shape.py`` keeps the import list honest.
+Two oracles, neither of them production code:
+
+* **The scalar reference** — Eq. 10 planned one candidate density at a
+  time, one chunk at a time, in plain Python floats, through the scalar
+  leaves that have production traffic of their own:
+  ``ChunkSpec.bytes_at_density`` / ``points_at_density``, the SR latency
+  model's ``__call__``, ``SRQualityModel.sr_ratio_for`` / ``quality`` and
+  Eq. 10's three per-chunk terms (``tests/metrics/reference_qoe.py``, the
+  term-by-term oracle of ``QoEModel.session``).  Its sum order differs
+  from production's, so ``tests/streaming/test_abr_parity.py`` pins
+  ``plan_values`` / ``decide`` / ``decide_batch`` against it at 1e-9.
+* **The tensor planner** — the ``(H, N, C)`` NumPy pass (horizon step,
+  decision row, candidate) that production ran before its one-pass float
+  loop: window tensors from the public ``ChunkSpec.bytes_at_densities`` /
+  ``points_at_densities``, first-chunk rows from
+  ``QoEModel.first_chunk_values``, the buffer recursion in array calls
+  and ``first − γ·s₀ + Σᵢ (later − γ·sᵢ)`` over the stall tensor.  It
+  performs the same float operations in the same order as production,
+  so values and first-max decisions are pinned with ``==``.
+
+Both read a controller's configuration only (``candidates``,
+``quality_model``, ``qoe_model``, ``sr_latency``, ``horizon``,
+``fetch_fraction``) and the ``SAFETY`` discount, never its caches; and
+nothing here shares a name with a production array path, which
+``tests/test_code_shape.py`` keeps honest.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.streaming.abr import SAFETY, AbrContext, Decision
 from tests.metrics.reference_qoe import quality_term, stall_term, variation_term
@@ -69,3 +83,79 @@ def scalar_decide(mpc, ctx: AbrContext) -> Decision:
     return Decision(
         density=density, sr_ratio=mpc.quality_model.sr_ratio_for(density)
     )
+
+
+# -- the tensor planner ------------------------------------------------------
+
+
+def candidate_qualities(mpc) -> np.ndarray:
+    """Quality ``Q`` of each candidate density, ``(C,)``."""
+    qm, cands = mpc.quality_model, mpc.candidates
+    return qm.qualities(cands, qm.sr_ratios_for(cands))
+
+
+def window_tensors(mpc, chunks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fetched bits and SR seconds ``(H, 1, C)`` and durations ``(H, 1, 1)``
+    of one horizon window, chunk by chunk through the public helpers."""
+    cands = mpc.candidates
+    ratios = mpc.quality_model.sr_ratios_for(cands).tolist()
+    bits = np.array(
+        [c.bytes_at_densities(cands) * mpc.fetch_fraction * 8.0 for c in chunks]
+    )
+    sr = np.array([
+        [
+            c.n_frames * mpc.sr_latency(int(p), r)
+            for p, r in zip(c.points_at_densities(cands).tolist(), ratios)
+        ]
+        for c in chunks
+    ])
+    dur = np.array([c.duration for c in chunks])
+    return bits[:, None, :], sr[:, None, :], dur[:, None, None]
+
+
+def horizon_values(qoe_model, first, later, stalls) -> np.ndarray:
+    """``first − γ·s₀ + Σᵢ (later − γ·sᵢ)`` over a leading horizon axis.
+
+    ``first`` and ``later`` are ``QoEModel.first_chunk_values`` rows — with
+    the plan's previous quality and with ``None`` — and broadcast against
+    the plan axes of ``stalls``.
+    """
+    s = np.asarray(stalls, dtype=np.float64)
+    if s.ndim < 1:
+        raise ValueError("need a horizon axis")
+    stall = qoe_model.weights.gamma * s
+    total = first - stall[0]
+    for i in range(1, len(stall)):
+        total = total + (later - stall[i])
+    return total
+
+
+def tensor_values(mpc, ctxs: list[AbrContext]) -> np.ndarray:
+    """Plan values ``(N, C)`` of contexts sharing one effective horizon."""
+    windows = [window_tensors(mpc, c.next_chunks[: mpc.horizon]) for c in ctxs]
+    if len({len(w[0]) for w in windows}) != 1:
+        raise ValueError("contexts must share one effective horizon")
+    bits, sr, dur = (np.concatenate(t, axis=1) for t in zip(*windows))
+    tput = (np.array([c.throughput_bps for c in ctxs]) * SAFETY)[:, None]
+    buffer = np.array([c.buffer_level for c in ctxs])[:, None]
+    q = candidate_qualities(mpc)[None, :]
+    first = np.concatenate(
+        [mpc.qoe_model.first_chunk_values(q, c.prev_quality) for c in ctxs]
+    )
+    ready = bits / tput                                    # (H, N, C)
+    np.maximum(ready, sr, out=ready)
+    last = len(ready) - 1
+    for h, (r, d) in enumerate(zip(ready, dur)):
+        # stall = max(0, r - b) written over r; b' = d - min(r - b, 0)
+        x = r - buffer
+        np.maximum(0.0, x, out=r)
+        if h < last:
+            buffer = d - np.minimum(x, 0.0, out=x)
+    return horizon_values(mpc.qoe_model, first, mpc.qoe_model.first_chunk_values(q), ready)
+
+
+def tensor_decide(mpc, ctx: AbrContext) -> Decision:
+    """``argmax`` of :func:`tensor_values` for one context."""
+    c = int(np.argmax(tensor_values(mpc, [ctx])[0]))
+    density = float(mpc.candidates[c])
+    return Decision(density, mpc.quality_model.sr_ratio_for(density))

@@ -1,12 +1,13 @@
-"""Vectorized-MPC parity oracle: batched planner vs scalar reference.
+"""MPC parity oracles: the one-pass float planner vs its references.
 
-``tests/streaming/reference_planner.py`` is the scalar reference
-implementation; ``plan_values`` / ``decide`` / ``decide_batch`` in
-``src/`` run the batched NumPy evaluation.  These tests pin production
-against the reference across a parametrized grid of contexts and
-controllers — the MPC analogue of
-``tests/spatial/test_knn.py::TestThreeBackendParity`` — and the rule-based
-zoo against first-principles re-derivations of each rule.
+``tests/streaming/reference_planner.py`` holds two: the scalar reference
+(1e-9 — it sums Eq. 10 term by term, in another order) and the
+``(H, N, C)`` tensor planner production ran before (``==`` — the same
+float operations in the same order).  ``plan_values`` / ``decide`` /
+``decide_batch`` in ``src/`` are pinned against both across a
+parametrized grid of contexts and controllers — the MPC analogue of
+``tests/spatial/test_knn.py::TestThreeBackendParity`` — and the
+rule-based zoo against first-principles re-derivations of each rule.
 """
 
 import math
@@ -139,10 +140,9 @@ class TestScalarVectorParity:
     @pytest.mark.parametrize("mpc_name", sorted(MPC_FACTORIES))
     def test_mixed_batch_values_equal_one_row_calls_and_the_oracle(self, mpc_name):
         """One batch mixing effective horizons 1-3, ``prev_quality`` None
-        and set, and an infinite throughput: per horizon group the value
-        rows are *bit-equal* to one-row calls (a row shares its
-        expressions with the batch, Python floats against ``(N, 1)``
-        columns) and within 1e-9 of the scalar reference; decisions equal
+        and set, and an infinite throughput: per horizon group the tensor
+        planner's batched rows are *bit-equal* to production's one-row
+        calls and within 1e-9 of the scalar reference; decisions equal
         one-row decisions and the reference's, element for element."""
         mpc = MPC_FACTORIES[mpc_name](measured_latency())
         ctxs = [
@@ -158,7 +158,7 @@ class TestScalarVectorParity:
             by_horizon.setdefault(min(len(ctx.next_chunks), mpc.horizon), []).append(ctx)
         assert len(by_horizon) == min(3, mpc.horizon)
         for group in by_horizon.values():
-            batch = mpc._batch_plan_values(group)
+            batch = reference_planner.tensor_values(mpc, group)
             assert batch.shape == (len(group), len(mpc.candidates))
             for row, ctx in zip(batch, group):
                 np.testing.assert_array_equal(row, mpc.plan_values(ctx))
@@ -196,15 +196,16 @@ class TestScalarVectorParity:
 
 
 def predecessor_plan_values(mpc, ctxs):
-    """The planner body the four-call recursion and the cached first-chunk
-    rows replaced, as their oracle: ``stall = max(0, r - b)`` then
-    ``b = max(b - r, 0) + d`` after every horizon step (the last
+    """The tensor body before the four-call recursion and the cached
+    first-chunk rows, as a second ``==`` oracle: ``stall = max(0, r - b)``
+    then ``b = max(b - r, 0) + d`` after every horizon step (the last
     included), and the variation term rebuilt on every call as
     ``β · where(δ < 0, m, 1) · |δ|`` with NaN marking "no previous
-    chunk".  Rows must share one effective horizon; it reads the
-    controller's cached window tensors, which the rewrites left alone."""
+    chunk".  Rows must share one effective horizon; it reads the tensor
+    planner's window tensors."""
     windows = [
-        mpc._horizon_tensors(tuple(c.next_chunks[: mpc.horizon])) for c in ctxs
+        reference_planner.window_tensors(mpc, c.next_chunks[: mpc.horizon])
+        for c in ctxs
     ]
     bits, sr, dur = (np.concatenate(t, axis=1) for t in zip(*windows))
     tput = (np.array([c.throughput_bps for c in ctxs]) * SAFETY)[:, None]
@@ -219,9 +220,10 @@ def predecessor_plan_values(mpc, ctxs):
         np.maximum(0.0, stall, out=stall)
         buffer = np.maximum(buffer - r, 0.0) + d
     w = mpc.qoe_model.weights
-    quality = w.alpha * mpc._qualities
+    qualities = reference_planner.candidate_qualities(mpc)
+    quality = w.alpha * qualities
     stall = w.gamma * stalls
-    delta = mpc._qualities - prev
+    delta = qualities - prev
     mult = np.where(delta < 0, w.drop_multiplier, 1.0)
     variation = np.where(np.isnan(prev), 0.0, w.beta * mult * np.abs(delta))
     total = quality - variation - stall[0]
@@ -244,7 +246,7 @@ def oracle_ctx(mpc, tput_bps, buffer, prev, n_chunks, points, tie):
         name="t", n_frames=n_chunks * 30, fps=30, points_per_frame=points
     ).chunks(1.0)
     if buffer == "tie":
-        bits, sr, _ = mpc._horizon_tensors(tuple(chunks[: mpc.horizon]))
+        bits, sr, _ = reference_planner.window_tensors(mpc, chunks[: mpc.horizon])
         c = tie % len(mpc.candidates)
         with np.errstate(over="ignore"):  # a subnormal throughput ties at inf
             buffer = float(max(bits[0, 0, c] / (tput_bps * SAFETY), sr[0, 0, c]))
@@ -253,16 +255,19 @@ def oracle_ctx(mpc, tput_bps, buffer, prev, n_chunks, points, tie):
 
 
 def assert_matches_predecessor(mpc, ctxs):
-    """Every horizon group of ``ctxs`` is ``==`` the predecessor, as a
-    batch and row by row, and ``decide_batch`` picks its argmax.  Infinite
-    rows overflow and subtract ``inf - inf`` on purpose."""
+    """Every horizon group of ``ctxs`` is ``==`` the predecessor: the
+    tensor planner as a batch, production row by row; and
+    ``decide_batch`` picks its argmax.  Infinite rows overflow and
+    subtract ``inf - inf`` on purpose."""
     groups = {}
     for ctx in ctxs:
         groups.setdefault(min(len(ctx.next_chunks), mpc.horizon), []).append(ctx)
     with np.errstate(over="ignore", invalid="ignore"):
         for group in groups.values():
             expected = predecessor_plan_values(mpc, group)
-            np.testing.assert_array_equal(mpc._batch_plan_values(group), expected)
+            np.testing.assert_array_equal(
+                reference_planner.tensor_values(mpc, group), expected
+            )
             for ctx, row in zip(group, expected):
                 np.testing.assert_array_equal(mpc.plan_values(ctx), row)
         picks = [
@@ -291,9 +296,9 @@ EDGE_ROWS = [
 
 
 class TestPredecessorRecursion:
-    """``==``, not 1e-9: the in-place four-call recursion and the cached
-    first-chunk rows are the predecessor's floats, rows batched or
-    alone."""
+    """``==``, not 1e-9: the float loop's recursion and the cached
+    first-chunk rows are the predecessor's floats, and so are the tensor
+    planner's rows batched."""
 
     @pytest.mark.parametrize("mpc_name", sorted(MPC_FACTORIES))
     @pytest.mark.parametrize("lat_name", sorted(LATENCIES))
@@ -326,6 +331,92 @@ class TestPredecessorRecursion:
         assert_matches_predecessor(mpc, [oracle_ctx(mpc, *row) for row in rows])
 
 
+#: the grids production plans on, pinned ``==`` to the tensor planner:
+#: the fleet's 16 x 3, two larger continuous grids (the paper's is
+#: 64 x 5) and the discrete YuZu levels
+TENSOR_GRIDS = {
+    "continuous-16x3": lambda lat: ContinuousMPC(
+        SRQualityModel(), QoEModel(), lat, n_grid=16, horizon=3
+    ),
+    "continuous-32x4": lambda lat: ContinuousMPC(
+        SRQualityModel(), QoEModel(), lat, n_grid=32, horizon=4
+    ),
+    "continuous-64x5": lambda lat: ContinuousMPC(
+        SRQualityModel(), QoEModel(), lat, n_grid=64, horizon=5
+    ),
+    "discrete": lambda lat: DiscreteMPC(SRQualityModel(), QoEModel(), lat),
+}
+
+
+def assert_equals_the_tensor_planner(mpc, ctxs):
+    """Each row's values are bit-equal to the tensor planner's, and
+    ``decide_batch`` over all rows picks the tensor planner's argmax."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ctx in ctxs:
+            want = reference_planner.tensor_values(mpc, [ctx])[0]
+            got = mpc.plan_values(ctx)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = [reference_planner.tensor_decide(mpc, c) for c in ctxs]
+    assert mpc.decide_batch(ctxs) == want
+    assert [mpc.decide(c) for c in ctxs] == want
+
+
+class TestTensorOracle:
+    """The one-pass float loop performs the tensor planner's float
+    operations in its order: values bit-equal, decisions equal, on every
+    horizon tail, with and without a previous chunk, from an empty
+    buffer, at a subnormal and an infinite throughput."""
+
+    @pytest.mark.parametrize("grid", sorted(TENSOR_GRIDS))
+    @pytest.mark.parametrize("lat_name", sorted(LATENCIES))
+    def test_edge_rows_equal_the_tensor_planner(self, grid, lat_name):
+        mpc = TENSOR_GRIDS[grid](LATENCIES[lat_name]())
+        ctxs = [oracle_ctx(mpc, *row) for row in EDGE_ROWS]
+        ctxs += [
+            oracle_ctx(mpc, tput, 0.0, None, tail, 100_000, 0)
+            for tput in (5e-324, math.inf, 25e6)
+            for tail in range(1, mpc.horizon + 2)
+        ]
+        assert_equals_the_tensor_planner(mpc, ctxs)
+
+    @pytest.mark.parametrize("tput", [1e-301, 2e-301, 4e-301, 8e-301])
+    def test_a_nan_value_is_picked_as_argmax_picks_it(self, tput):
+        """``γ = 0`` against an infinite stall is ``0 · inf = NaN``: the
+        candidates whose bits overflow at a subnormal throughput plan NaN,
+        the rest finite values before them, and the first NaN wins."""
+        mpc = ContinuousMPC(
+            SRQualityModel(), QoEModel(QoEWeights(gamma=0.0)), ZERO_LATENCY,
+            n_grid=16, horizon=3,
+        )
+        ctx = AbrContext(tput, 1.0, 0.5, make_ctx(1.0, 1.0, 0.5).next_chunks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nans = np.isnan(reference_planner.tensor_values(mpc, [ctx])[0])
+        assert nans.any()
+        assert_equals_the_tensor_planner(mpc, [ctx])
+        assert mpc.decide(ctx).density == mpc.candidates[int(np.argmax(nans))]
+
+    @given(
+        grid=st.sampled_from(sorted(TENSOR_GRIDS)),
+        lat_name=st.sampled_from(sorted(LATENCIES)),
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.floats(1e4, 1e10), st.sampled_from([math.inf, 5e-324])),
+                st.one_of(st.sampled_from([0.0, "tie"]), st.floats(0.0, 12.0)),
+                st.one_of(st.none(), st.floats(0.0, 1.0)),
+                st.integers(1, 6),
+                st.integers(1_000, 300_000),
+                st.integers(0, 63),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_equal_the_tensor_planner(self, grid, lat_name, rows):
+        mpc = TENSOR_GRIDS[grid](LATENCIES[lat_name]())
+        assert_equals_the_tensor_planner(mpc, [oracle_ctx(mpc, *row) for row in rows])
+
+
 class TestFirstChunkRows:
     """A controller builds each previous quality's first-chunk row once
     and replays it: a cold call and a warm one are both ``==`` the
@@ -354,7 +445,7 @@ class TestFirstChunkRows:
     def test_cold_and_warm_rows_equal_the_predecessor(self, mpc_name, rows):
         factory = MPC_FACTORIES[mpc_name]
         mpc = factory(measured_latency())
-        own = mpc._qualities.tolist()
+        own = reference_planner.candidate_qualities(mpc).tolist()
         ctxs = [
             oracle_ctx(
                 mpc, tput, buf, own[prev % len(own)] if type(prev) is int else prev,
@@ -389,7 +480,8 @@ class TestFirstChunkRows:
             )
             sizes.append(len(mpc._first_rows))
         assert max(sizes) == limit and sizes[-1] < limit
-        assert not any(row.flags.writeable for row in mpc._first_rows.values())
+        # shared by every call that hits it, so immutable
+        assert all(type(row) is tuple for row in mpc._first_rows.values())
         fresh = MPC_FACTORIES["continuous-short-horizon"](measured_latency())
         for ctx in ctxs[:3] + [make_ctx(25.0, 2.5, None)]:
             np.testing.assert_array_equal(mpc.plan_values(ctx), fresh.plan_values(ctx))
@@ -636,7 +728,8 @@ class TestBatchHelpers:
         assert not out.any()
 
     def test_plan_values_matches_plan_value(self):
-        """One quality per plan: the scalar loop sees it as ``[q] * H``."""
+        """The tensor planner's stall sum against the scalar loop, one
+        quality per plan: the scalar loop sees it as ``[q] * H``."""
         model = QoEModel(QoEWeights(alpha=1.1, beta=0.6, gamma=2.5))
         rng = np.random.default_rng(0)
         qualities = rng.uniform(0.0, 1.0, 7)
@@ -644,7 +737,7 @@ class TestBatchHelpers:
         later = model.first_chunk_values(qualities)
         for prev in (None, 0.4):
             first = model.first_chunk_values(qualities, prev)
-            vec = model.plan_values(first, later, stalls)
+            vec = reference_planner.horizon_values(model, first, later, stalls)
             assert vec.shape == (7,)
             for j in range(7):
                 ref = reference_planner.plan_value(
@@ -653,8 +746,9 @@ class TestBatchHelpers:
                 assert vec[j] == pytest.approx(ref, abs=1e-12)
 
     def test_plan_values_broadcasts_sessions_against_candidates(self):
-        """The planner's call: ``(N, C)`` first-chunk rows stacked from
-        ``(1, C)`` ones, a ``(1, C)`` later row and ``(H, N, C)`` stalls."""
+        """The tensor planner's call: ``(N, C)`` first-chunk rows stacked
+        from ``(1, C)`` ones, a ``(1, C)`` later row and ``(H, N, C)``
+        stalls."""
         model = QoEModel(QoEWeights(alpha=0.9, beta=0.8, gamma=1.5, drop_multiplier=3.0))
         rng = np.random.default_rng(1)
         qualities = rng.uniform(0.0, 1.0, 4)
@@ -664,12 +758,13 @@ class TestBatchHelpers:
             [model.first_chunk_values(qualities[None, :], p) for p in prevs]
         )
         later = model.first_chunk_values(qualities[None, :])
-        out = model.plan_values(first, later, stalls)
+        out = reference_planner.horizon_values(model, first, later, stalls)
         assert out.shape == (2, 4)
         for n, p in enumerate(prevs):
             np.testing.assert_array_equal(
                 out[n],
-                model.plan_values(
+                reference_planner.horizon_values(
+                    model,
                     model.first_chunk_values(qualities, p),
                     model.first_chunk_values(qualities),
                     stalls[:, n],
@@ -689,6 +784,8 @@ class TestBatchHelpers:
         np.testing.assert_array_equal(model.first_chunk_values(q), 1.7 * q)
         ref = reference_planner.plan_value
         first = model.first_chunk_values(q, 1.0)
-        out = model.plan_values(first, model.first_chunk_values(q), np.zeros((1, 2)))
+        out = reference_planner.horizon_values(
+            model, first, model.first_chunk_values(q), np.zeros((1, 2))
+        )
         assert out[0] == pytest.approx(ref(model, [0.5], [0.0], 1.0))
         assert out[1] == pytest.approx(ref(model, [0.25], [0.0], 1.0))

@@ -107,8 +107,10 @@ def test_codec_has_no_per_byte_loop():
 
 
 def test_planner_evaluates_every_row_and_has_no_scalar_twin():
-    """One ``decide_batch`` body per planner in ``src/``; the scalar MPC
-    reference is ``tests/streaming/reference_planner.py``."""
+    """One planner body per controller family in ``src/``: the MPC's
+    one-pass float loop and the rule-based zoo's ``decide_batch``.  The
+    scalar MPC reference and the ``(H, N, C)`` tensor planner it replaced
+    are the tests' oracles in ``tests/streaming/reference_planner.py``."""
     import inspect
 
     from repro.metrics import QoEModel
@@ -148,32 +150,74 @@ def functions(path, name):
     ]
 
 
-def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch():
-    """The two bodies a fleet step lives in keep their array-call diet:
-    the planner shapes its tensors where it caches them (no per-call
-    ``broadcast_*`` / ``stack``) and writes stalls over its readiness
-    tensor; ``QoEModel`` splits Eq. 10 into a first-chunk row the planner
-    builds once per previous quality and a per-call ``plan_values`` that
-    only adds the stalls (no variation term rebuilt per call); and the
-    scheduler counts active flows per link at the life-cycle transitions
-    (no ``bincount`` per step)."""
+def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch(monkeypatch):
+    """A fleet step plans about one row per call, so the planner's
+    per-decision body (``_plan``, ``decide``, ``decide_batch``) makes no
+    NumPy call: NumPy builds the two caches it reads — the chunk window's
+    floats and the first-chunk row per previous quality — and
+    ``plan_values`` wraps the loop's list for its callers; nothing else in
+    ``_MPCBase`` names it.  Checked twice: by name in the source, and by
+    running warm decisions with NumPy taken away from the planner and
+    ``QoEModel``.  ``QoEModel`` keeps only the first-chunk row of Eq. 10's
+    split; the stall sum is the loop's (its tensor form is the tests'
+    oracle).  And the scheduler counts active flows per link at the
+    life-cycle transitions (no ``bincount`` per step)."""
     import inspect
 
+    import repro.metrics.qoe as qoe
+    import repro.streaming.abr as abr
     from repro.metrics import QoEModel
+    from repro.streaming import AbrContext, ContinuousMPC, DiscreteMPC, SRQualityModel, VideoSpec
+    from repro.streaming.latency import MeasuredSRLatency
 
-    (batch,) = functions(SRC / "streaming" / "abr.py", "_batch_plan_values")
-    (plan,) = functions(SRC / "metrics" / "qoe.py", "plan_values")
-    for fn in (batch, plan):
-        slow = called_names(fn) & {"broadcast_arrays", "broadcast_to", "stack", "zeros"}
-        assert not slow, (fn.name, slow)
-        rebuilt = called_names(fn) & {"empty_like", "where", "isnan", "abs"}
-        assert not rebuilt, (fn.name, rebuilt)
+    (mpc_base,) = [
+        node for node in ast.parse((SRC / "streaming" / "abr.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "_MPCBase"
+    ]
+    uses_numpy = {
+        fn.name
+        for fn in mpc_base.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(fn))
+    }
+    assert uses_numpy <= {"__init__", "_window", "_first_row", "plan_values"}, uses_numpy
     assert list(inspect.signature(QoEModel.first_chunk_values).parameters) == [
         "self", "qualities", "prev_quality",
     ]
-    assert list(inspect.signature(QoEModel.plan_values).parameters) == [
-        "self", "first", "later", "stalls",
+    assert not hasattr(QoEModel, "plan_values")
+
+    lat = MeasuredSRLatency(0.001, 1e-8, 2e-8)
+    chunks = VideoSpec("v", n_frames=300, fps=30, points_per_frame=100_000).chunks(1.0)
+    ctxs = [
+        AbrContext(tput, buf, prev, chunks[start:])
+        for tput, buf, prev, start in [
+            (25e6, 2.5, None, 0), (3e6, 0.0, 0.5, 8), (float("inf"), 1.0, 0.5, 9),
+        ]
     ]
+    planners = [
+        ContinuousMPC(SRQualityModel(), QoEModel(), lat, n_grid=16, horizon=3),
+        DiscreteMPC(SRQualityModel(), QoEModel(), lat),
+    ]
+    expected = [mpc.decide_batch(ctxs) for mpc in planners]  # warms both caches
+    for mpc in planners:
+        for window in mpc._horizon_cache.values():
+            assert all(
+                type(x) is float for bits, sr, d in window for x in (*bits, *sr, d)
+            )
+        assert all(type(x) is float for row in mpc._first_rows.values() for x in row)
+
+    class NoNumPy:
+        def __getattr__(self, name):
+            raise AssertionError(f"the per-decision body called np.{name}")
+
+    monkeypatch.setattr(abr, "np", NoNumPy())
+    monkeypatch.setattr(qoe, "np", NoNumPy())
+    for mpc, want in zip(planners, expected):
+        assert mpc.decide_batch(ctxs) == want
+        assert [mpc.decide(c) for c in ctxs] == want
+    with pytest.raises(AssertionError, match="per-decision body called np"):
+        planners[0].decide(AbrContext(25e6, 2.5, 0.25, chunks[3:]))  # cold caches
+
     topology = ast.parse((SRC / "net" / "topology.py").read_text())
     assert "bincount" not in called_names(topology)
 
