@@ -14,7 +14,8 @@ evaluation harness (to score finished sessions), exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +41,14 @@ class QoEWeights:
     beta: float = 0.5
     gamma: float = 2.0
     drop_multiplier: float = 2.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):  # a negative γ rewards stalls; 0 turns a term off
+            value = getattr(self, f.name)
+            if not 0 <= value < math.inf:  # chained: NaN fails it
+                raise ValueError(
+                    f"QoEWeights.{f.name} must be finite and non-negative, got {value!r}"
+                )
 
 
 @dataclass

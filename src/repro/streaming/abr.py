@@ -21,17 +21,18 @@ The MPC planners plan every decision row on its own, in Python floats —
 one candidate at a time, one planned chunk at a time — and ``decide`` is
 ``decide_batch``'s one-row call.  A fleet step plans about one row per
 call, and such a call run as NumPy on a ``(H, N, C)`` tensor pays for
-~19 array dispatches, not for the 48 cells of the fleet's 16 × 3 grid;
-so NumPy only builds the two caches the loop reads.  The tests hold two oracles in
-``tests/streaming/reference_planner.py``: the scalar term-by-term
-reference (1e-9) and that tensor planner (``==``).
+~19 array dispatches, not for the 48 cells of the fleet's 16 × 3 grid.
+Every per-candidate constant and cache comes from the scalar calls the
+session scores a chunk with, so a plan's Q is the session's Q, float for
+float.  The tests hold two oracles in ``tests/streaming/reference_planner.py``:
+the scalar term-by-term reference (1e-9) and the tensor planner (``==``).
 
 **The loop's contract.**
 
 * *Per controller* (fixed at construction): the candidate grid ``(C,)``,
-  its SR ratios, its qualities, one :class:`Decision` per candidate,
-  which ``decide_batch`` hands out by index, and the later-chunk row
-  ``α·q`` as a tuple of floats.
+  its SR ratios and qualities as float lists, one :class:`Decision`
+  per candidate, which ``decide_batch`` hands out by index, and the
+  later-chunk row ``α·q`` as a tuple of floats.
 * *Per previous quality* (:meth:`_MPCBase._first_row`, keyed on the
   float, bounded by ``FIRST_ROWS_LIMIT``): the stall-free first-chunk row
   ``α·q − β·V(q, prev)`` as a tuple of floats.  A session's previous
@@ -40,7 +41,7 @@ reference (1e-9) and that tensor planner (``==``).
 * *Per chunk window* (:meth:`_MPCBase._window`, keyed on the tuple of
   chunk specs): per planned chunk, the fetched bits and SR seconds of
   every candidate as two float lists, and the chunk's duration as a
-  float — built with NumPy and checked finite and non-negative once.
+  float — checked finite and non-negative once.
 * *Per context, per candidate*: ``r = max(bits / tput, sr)``,
   ``x = r − b``, stall ``max(0, x)`` and ``b' = d − min(x, 0)`` (the same
   float as ``max(b − r, 0) + d`` for every input, infinities included),
@@ -72,8 +73,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..metrics.qoe import QoEModel
-from .chunks import ChunkSpec, batched_chunk_bytes, batched_points_at_density
-from .latency import SRLatency, latency_batch
+from .chunks import ChunkSpec
+from .latency import SRLatency
 
 __all__ = [
     "SRQualityModel",
@@ -140,31 +141,6 @@ class SRQualityModel:
         restored = min(1.0, density * s)
         discount = SR_EFFICIENCY ** np.log2(s)
         return float(restored * discount)
-
-    # -- batched forms (one candidate-density axis) --------------------
-    def sr_ratios_for(self, densities: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`sr_ratio_for` (identical arithmetic)."""
-        d = np.asarray(densities, dtype=np.float64)
-        if not np.all((0.0 < d) & (d <= 1.0)):  # NaN fails both
-            raise ValueError("densities must be in (0, 1]")
-        return np.minimum(self.max_ratio, 1.0 / d)
-
-    def qualities(
-        self, densities: np.ndarray, sr_ratios: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`quality` (identical arithmetic)."""
-        d = np.asarray(densities, dtype=np.float64)
-        if sr_ratios is None:
-            s = self.sr_ratios_for(d)  # checks d; min(max_ratio, 1/d) >= 1
-        else:
-            s = np.asarray(sr_ratios, dtype=np.float64)
-            if not np.all((0.0 < d) & (d <= 1.0)):  # NaN fails both
-                raise ValueError("densities must be in (0, 1]")
-            if not np.all((1.0 <= s) & (s < np.inf)):
-                raise ValueError("sr_ratios must be finite and >= 1")
-        restored = np.minimum(1.0, d * s)
-        discount = SR_EFFICIENCY ** np.log2(s)
-        return restored * discount
 
 
 @dataclass
@@ -283,14 +259,15 @@ class _MPCBase(AbrController):
         # visibility culling); must match the session's fetch_fraction so
         # the plan prices downloads correctly.
         self.fetch_fraction = float(fetch_fraction)
-        #: the candidate grid is fixed, so its SR ratios and qualities are too
-        self._sr_ratios = quality_model.sr_ratios_for(self.candidates)
-        self._qualities = quality_model.qualities(self.candidates, self._sr_ratios)
-        #: one Decision per candidate, handed out by :meth:`decide_batch`
-        self._decisions = [
-            Decision(d, s)
-            for d, s in zip(self.candidates.tolist(), self._sr_ratios.tolist())
+        #: the candidate grid is fixed, so its SR ratios and qualities are
+        #: too: the session's own scalar Q, candidate by candidate
+        densities = self.candidates.tolist()
+        self._sr_ratios = [quality_model.sr_ratio_for(d) for d in densities]
+        self._qualities = [
+            quality_model.quality(d, s) for d, s in zip(densities, self._sr_ratios)
         ]
+        #: one Decision per candidate, handed out by :meth:`decide_batch`
+        self._decisions = [Decision(d, s) for d, s in zip(densities, self._sr_ratios)]
         #: chunk window -> its per-chunk floats (see :meth:`_window`)
         self._horizon_cache: dict[tuple, tuple] = {}
         #: every planned chunk after the first adds this value per
@@ -312,33 +289,36 @@ class _MPCBase(AbrController):
         lists over the candidate grid and a float.  They depend only on
         the chunk specs, the fixed candidate densities and the (fixed) SR
         latency model — so they are computed once per distinct window,
-        with NumPy, checked once, and replayed as Python floats.  A
-        hostile latency model (NaN, negative, infinite seconds) is refused
-        here, naming the chunk and density, instead of planning the argmax
-        of an all-NaN row for ever; a refused window is not cached, so
-        every call that needs it raises.
+        through the scalar leaves the session charges a chunk with,
+        checked once, and replayed.  A hostile latency model (NaN,
+        negative, infinite seconds) is refused here, naming the chunk and
+        density, instead of planning the argmax of an all-NaN row for
+        ever; a refused window is not cached, so every call that needs it
+        raises.
         """
         cached = self._horizon_cache.get(chunks)
         if cached is None:
-            ppf = np.array([c.points_per_frame for c in chunks])
-            nf = np.array([c.n_frames for c in chunks], dtype=np.int64)
-            bpp = np.array([c.bytes_per_point for c in chunks])
-            pts = batched_points_at_density(ppf[:, None], self.candidates)  # (H, C)
-            nbytes = batched_chunk_bytes(nf[:, None], pts, bpp[:, None])
-            bits = nbytes * self.fetch_fraction * 8.0
-            sr = nf[:, None] * latency_batch(self.sr_latency, pts, self._sr_ratios)
-            for what, grid in (("fetched bits", bits), ("SR seconds", sr)):
-                bad = ~((grid >= 0.0) & (grid < np.inf))  # NaN fails both
-                if bad.any():
-                    h, c = np.argwhere(bad)[0]
-                    raise ValueError(
-                        f"{what} of a planned chunk must be finite and "
-                        f"non-negative, got {float(grid[h, c])!r} for chunk "
-                        f"{chunks[h].index} at density {self.candidates[c]:.6g}"
-                    )
+            densities = self.candidates.tolist()
             cached = tuple(
-                zip(bits.tolist(), sr.tolist(), [float(c.duration) for c in chunks])
+                (
+                    [c.bytes_at_density(d) * self.fetch_fraction * 8.0 for d in densities],
+                    [
+                        float(c.n_frames * self.sr_latency(c.points_at_density(d), s))
+                        for d, s in zip(densities, self._sr_ratios)
+                    ],
+                    float(c.duration),
+                )
+                for c in chunks
             )
+            for what, k in (("fetched bits", 0), ("SR seconds", 1)):
+                for chunk, row in zip(chunks, cached):
+                    for d, x in zip(densities, row[k]):
+                        if not 0.0 <= x < math.inf:  # chained: NaN fails it
+                            raise ValueError(
+                                f"{what} of a planned chunk must be finite and "
+                                f"non-negative, got {x!r} for chunk "
+                                f"{chunk.index} at density {d:.6g}"
+                            )
             self._horizon_cache[chunks] = cached
         return cached
 

@@ -8,11 +8,10 @@ over hours of content don't materialize geometry.  The encoder in
 :mod:`repro.streaming.encoder` produces actual encoded point clouds for the
 full-fidelity path.
 
-The planners price many candidate densities at once, so the
-per-chunk size queries come in scalar (``bytes_at_density``) and batched
-(``bytes_at_densities``) forms; the batched forms use the same rounding
-(round-half-even, then truncation toward zero) so they agree element for
-element with the scalar path.
+``points_at_density`` / ``bytes_at_density`` state the size model once
+(round-half-even, then truncation toward zero): the session charges a
+chunk with them, and the planners build their per-candidate caches from
+them.
 """
 
 from __future__ import annotations
@@ -21,14 +20,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 __all__ = [
     "ChunkSpec",
     "VideoSpec",
     "COMPRESSED_BYTES_PER_POINT",
-    "batched_points_at_density",
-    "batched_chunk_bytes",
 ]
 
 #: Transport format after GROOT-class geometry/attribute compression
@@ -39,31 +34,6 @@ COMPRESSED_BYTES_PER_POINT = 6.0
 
 #: Fixed per-chunk container/metadata overhead (manifest entry, header).
 CHUNK_HEADER_BYTES = 256
-
-
-def batched_points_at_density(points_per_frame, densities) -> np.ndarray:
-    """Per-frame point counts for broadcastable (frame budget, density).
-
-    The single source of the downsampling rounding rule: ``np.rint``
-    rounds half-to-even exactly like the builtin ``round`` used by
-    :meth:`ChunkSpec.points_at_density`, so scalar and batched paths
-    agree element for element (pinned by the MPC parity oracle).
-    """
-    return np.rint(
-        np.asarray(points_per_frame) * np.asarray(densities, dtype=np.float64)
-    ).astype(np.int64)
-
-
-def batched_chunk_bytes(n_frames, points, bytes_per_point) -> np.ndarray:
-    """Encoded chunk sizes for broadcastable (frames, points, B/pt).
-
-    Truncates toward zero like the scalar ``int()`` in
-    :meth:`ChunkSpec.bytes_at_density`, then adds the per-chunk header.
-    """
-    media = (
-        np.asarray(n_frames) * points * np.asarray(bytes_per_point)
-    ).astype(np.int64)
-    return media + CHUNK_HEADER_BYTES
 
 
 @dataclass(frozen=True)
@@ -103,19 +73,6 @@ class ChunkSpec:
         if not 0.0 < density <= 1.0:
             raise ValueError(f"density must be in (0, 1], got {density}")
         return int(round(self.points_per_frame * density))
-
-    # -- batched forms (one candidate-density axis) --------------------
-    def points_at_densities(self, densities: np.ndarray) -> np.ndarray:
-        """Per-frame point counts for an array of densities (int64)."""
-        d = np.asarray(densities, dtype=np.float64)
-        if np.any((d <= 0.0) | (d > 1.0)):
-            raise ValueError("densities must be in (0, 1]")
-        return batched_points_at_density(self.points_per_frame, d)
-
-    def bytes_at_densities(self, densities: np.ndarray) -> np.ndarray:
-        """Encoded sizes for an array of densities (int64)."""
-        pts = self.points_at_densities(densities)
-        return batched_chunk_bytes(self.n_frames, pts, self.bytes_per_point)
 
 
 @dataclass(frozen=True)

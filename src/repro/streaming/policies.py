@@ -20,8 +20,9 @@ out the zoo with the classic non-MPC control families:
 Every grid policy is one vectorized ``decide_batch`` — rows grouped by
 next chunk, one index rule per policy — and ``decide`` is its one-row
 call.  All candidate-grid constants (densities, SR ratios, utilities,
-per-chunk bit sizes) are precomputed once, so a row's arithmetic is
-elementwise and batch composition cannot change a decision.  Their
+per-chunk bit sizes) are precomputed once, from the scalar calls the
+session scores a chunk with, so a row's arithmetic is elementwise and
+batch composition cannot change a decision.  Their
 oracle is the first-principles re-derivations in
 ``tests/streaming/test_abr_parity.py`` (the policy zoo's instance of the
 oracle-parity convention).
@@ -82,9 +83,11 @@ class _GridPolicy(AbrController):
             raise ValueError("n_grid must be >= 2")
         self.quality_model = quality_model
         self.candidates = np.geomspace(MIN_DENSITY, 1.0, n_grid)
-        self._sr_ratios = quality_model.sr_ratios_for(self.candidates)
-        self._qualities = quality_model.qualities(
-            self.candidates, self._sr_ratios
+        densities = self.candidates.tolist()
+        ratios = [quality_model.sr_ratio_for(d) for d in densities]
+        self._sr_ratios = np.array(ratios)
+        self._qualities = np.array(
+            [quality_model.quality(d, s) for d, s in zip(densities, ratios)]
         )
         #: chunk -> fetched bits per candidate.  Keyed by the frozen,
         #: value-hashed spec itself: an ``id()`` key outlives its chunk and
@@ -94,7 +97,8 @@ class _GridPolicy(AbrController):
     def _chunk_bits(self, chunk: ChunkSpec) -> np.ndarray:
         bits = self._bits_cache.get(chunk)
         if bits is None:
-            bits = chunk.bytes_at_densities(self.candidates) * 8.0
+            sizes = [chunk.bytes_at_density(d) for d in self.candidates.tolist()]
+            bits = np.array(sizes) * 8.0
             self._bits_cache[chunk] = bits
         return bits
 

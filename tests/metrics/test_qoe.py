@@ -44,6 +44,25 @@ class TestTerms:
             QoEModel().session(records)
 
 
+class TestWeights:
+    """Eq. 10's weights are finite and non-negative: a negative γ would
+    reward stalls, a NaN would score every session NaN.  Zero switches a
+    term off and stays legal."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "drop_multiplier"])
+    def test_refuses_a_non_finite_or_negative_weight(self, name, value):
+        with pytest.raises(
+            ValueError,
+            match=rf"QoEWeights\.{name} must be finite and non-negative, got {value!r}$",
+        ):
+            QoEWeights(**{name: value})
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "drop_multiplier"])
+    def test_a_zero_weight_is_legal(self, name):
+        assert getattr(QoEWeights(**{name: 0.0}), name) == 0.0
+
+
 unit = st.floats(0.0, 1.0)
 weight = st.floats(0.0, 10.0)
 

@@ -13,9 +13,8 @@ Two oracles, neither of them production code:
   ``plan_values`` / ``decide`` / ``decide_batch`` against it at 1e-9.
 * **The tensor planner** — the ``(H, N, C)`` NumPy pass (horizon step,
   decision row, candidate) that production ran before its one-pass float
-  loop: window tensors from the public ``ChunkSpec.bytes_at_densities`` /
-  ``points_at_densities``, first-chunk rows from
-  ``QoEModel.first_chunk_values``, the buffer recursion in array calls
+  loop: window tensors stacked from the same scalar leaves, first-chunk
+  rows from ``QoEModel.first_chunk_values``, the buffer recursion in array calls
   and ``first − γ·s₀ + Σᵢ (later − γ·sᵢ)`` over the stall tensor.  It
   performs the same float operations in the same order as production,
   so values and first-max decisions are pinned with ``==``.
@@ -90,22 +89,25 @@ def scalar_decide(mpc, ctx: AbrContext) -> Decision:
 
 def candidate_qualities(mpc) -> np.ndarray:
     """Quality ``Q`` of each candidate density, ``(C,)``."""
-    qm, cands = mpc.quality_model, mpc.candidates
-    return qm.qualities(cands, qm.sr_ratios_for(cands))
+    qm = mpc.quality_model
+    return np.array(
+        [qm.quality(d, qm.sr_ratio_for(d)) for d in mpc.candidates.tolist()]
+    )
 
 
 def window_tensors(mpc, chunks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fetched bits and SR seconds ``(H, 1, C)`` and durations ``(H, 1, 1)``
-    of one horizon window, chunk by chunk through the public helpers."""
-    cands = mpc.candidates
-    ratios = mpc.quality_model.sr_ratios_for(cands).tolist()
-    bits = np.array(
-        [c.bytes_at_densities(cands) * mpc.fetch_fraction * 8.0 for c in chunks]
-    )
+    of one horizon window, cell by cell through the scalar leaves."""
+    cands = mpc.candidates.tolist()
+    ratios = [mpc.quality_model.sr_ratio_for(d) for d in cands]
+    bits = np.array([
+        [c.bytes_at_density(d) * mpc.fetch_fraction * 8.0 for d in cands]
+        for c in chunks
+    ])
     sr = np.array([
         [
-            c.n_frames * mpc.sr_latency(int(p), r)
-            for p, r in zip(c.points_at_densities(cands).tolist(), ratios)
+            c.n_frames * mpc.sr_latency(c.points_at_density(d), r)
+            for d, r in zip(cands, ratios)
         ]
         for c in chunks
     ])

@@ -97,24 +97,6 @@ class TestNonFiniteAndOutOfRangeSRInputs:
             with pytest.raises(ValueError, match="sr_ratio"):
                 SRQualityModel().quality(0.5, ratio)
 
-    def test_qualities_refuses_a_nan_density(self):
-        with pytest.raises(ValueError, match="densities"):
-            SRQualityModel().qualities([NAN], [2.0])
-
-    def test_qualities_refuses_an_out_of_range_density(self):
-        for d in (-1.0, 5.0):
-            with pytest.raises(ValueError, match="densities"):
-                SRQualityModel().qualities([0.5, d], [2.0, 2.0])
-
-    def test_qualities_refuses_a_nan_or_infinite_ratio(self):
-        for ratio in (NAN, INF):
-            with pytest.raises(ValueError, match="sr_ratios"):
-                SRQualityModel().qualities([0.5], [ratio])
-
-    def test_sr_ratios_for_refuses_a_nan_density(self):
-        with pytest.raises(ValueError, match="densities"):
-            SRQualityModel().sr_ratios_for([0.5, NAN])
-
     def test_decision_refuses_a_nan_ratio(self):
         with pytest.raises(ValueError, match=r"Decision\.sr_ratio.*got nan"):
             Decision(0.5, NAN)

@@ -34,7 +34,7 @@ from repro.streaming import (
     uniform_cdn,
 )
 from repro.streaming.abr import SAFETY
-from repro.streaming.latency import MeasuredSRLatency, latency_batch
+from repro.streaming.latency import MeasuredSRLatency
 from repro.streaming.policies import BOLA_BUFFER_TARGET, BOLA_GAMMA_P
 
 from . import reference_planner
@@ -60,7 +60,7 @@ def measured_latency():
 
 
 def slow_python_latency(n_points_in, sr_ratio):
-    """A plain callable with no ``batch`` method (exercises the fallback)."""
+    """A plain callable, not one of the built-in latency models."""
     if sr_ratio <= 1.0:
         return 0.0
     return 1e-9 * n_points_in + 1e-4 * sr_ratio
@@ -619,13 +619,13 @@ class TestZooScalarVectorParity:
         policy = get_policy("bola", n_grid=12)
         qm = policy.quality_model
         c = policy.candidates
-        q = qm.qualities(c, qm.sr_ratios_for(c))
+        q = np.array([qm.quality(d, qm.sr_ratio_for(d)) for d in c.tolist()])
         u = np.log(q) - np.log(q[0])
         v = BOLA_BUFFER_TARGET / (u[-1] + BOLA_GAMMA_P)
         for tput, buf, prev in CTX_GRID:
             ctx = make_ctx(tput, buf, prev)
             chunk = ctx.next_chunks[0]
-            bits = chunk.bytes_at_densities(c) * 8.0
+            bits = np.array([chunk.bytes_at_density(d) for d in c.tolist()]) * 8.0
             scores = (v * (u + BOLA_GAMMA_P) - buf) / bits
             expected = float(c[int(np.argmax(scores))])
             assert policy.decide(ctx).density == pytest.approx(
@@ -638,7 +638,7 @@ class TestZooScalarVectorParity:
         for tput, buf, prev in CTX_GRID:
             ctx = make_ctx(tput, buf, prev)
             chunk = ctx.next_chunks[0]
-            bits = chunk.bytes_at_densities(c) * 8.0
+            bits = [chunk.bytes_at_density(d) * 8.0 for d in c.tolist()]
             feasible = [
                 i for i in range(len(c))
                 if bits[i] <= ctx.throughput_bps * 0.9 * chunk.duration
@@ -665,67 +665,7 @@ class TestZooScalarVectorParity:
 
 
 class TestBatchHelpers:
-    """The batched building blocks agree with their scalar forms."""
-
-    def test_quality_model_batch_forms(self):
-        qm = SRQualityModel(max_ratio=6.0)
-        d = np.geomspace(1.0 / 16.0, 1.0, 40)
-        s = qm.sr_ratios_for(d)
-        q = qm.qualities(d, s)
-        for i, dens in enumerate(d):
-            assert s[i] == qm.sr_ratio_for(float(dens))
-            assert q[i] == pytest.approx(qm.quality(float(dens)), abs=1e-15)
-        with pytest.raises(ValueError):
-            qm.sr_ratios_for(np.array([0.0, 0.5]))
-        with pytest.raises(ValueError):
-            qm.qualities(np.array([0.5]), np.array([0.5]))
-
-    def test_chunk_batch_forms(self):
-        spec = VideoSpec(name="t", n_frames=90, fps=30, points_per_frame=77_777)
-        chunk = spec.chunks(1.0)[0]
-        d = np.geomspace(1.0 / 8.0, 1.0, 64)
-        pts = chunk.points_at_densities(d)
-        nbytes = chunk.bytes_at_densities(d)
-        for i, dens in enumerate(d):
-            assert pts[i] == chunk.points_at_density(float(dens))
-            assert nbytes[i] == chunk.bytes_at_density(float(dens))
-        with pytest.raises(ValueError):
-            chunk.points_at_densities(np.array([1.5]))
-
-    def test_measured_latency_batch(self):
-        lat = measured_latency()
-        pts = np.array([[1000, 50_000], [200_000, 10]])
-        ratios = np.array([1.0, 4.0])
-        out = latency_batch(lat, pts, ratios)
-        for i in range(2):
-            for j in range(2):
-                assert out[i, j] == lat(int(pts[i, j]), float(ratios[j]))
-
-    def test_plain_callable_fallback_batch(self):
-        pts = np.array([1000, 2000, 3000])
-        ratios = np.array([1.0, 2.0, 8.0])
-        out = latency_batch(slow_python_latency, pts, ratios)
-        expected = [
-            slow_python_latency(int(p), float(r)) for p, r in zip(pts, ratios)
-        ]
-        assert out.tolist() == expected
-
-    def test_device_latency_batch_dedups_but_stays_exact(self):
-        from repro.devices import DESKTOP_GPU
-        from repro.streaming import DeviceSRLatency
-
-        lat = DeviceSRLatency("volut", DESKTOP_GPU)
-        pts = np.array([[5000, 5000, 20_000], [5000, 20_000, 20_000]])
-        ratios = np.array([1.0, 2.0, 4.0])
-        out = latency_batch(lat, pts, ratios)
-        for i in range(pts.shape[0]):
-            for j in range(pts.shape[1]):
-                assert out[i, j] == lat(int(pts[i, j]), float(ratios[j]))
-
-    def test_zero_latency_batch(self):
-        out = latency_batch(ZERO_LATENCY, np.arange(6).reshape(2, 3) + 1, 2.0)
-        assert out.shape == (2, 3)
-        assert not out.any()
+    """The tensor oracle's horizon sum agrees with the scalar loop."""
 
     def test_plan_values_matches_plan_value(self):
         """The tensor planner's stall sum against the scalar loop, one
@@ -789,3 +729,36 @@ class TestBatchHelpers:
         )
         assert out[0] == pytest.approx(ref(model, [0.5], [0.0], 1.0))
         assert out[1] == pytest.approx(ref(model, [0.25], [0.0], 1.0))
+
+
+class TestPlannedQIsScoredQ:
+    """Every production grid plans with the Q the session scores:
+    ``SessionMachine`` prices a chunk with ``quality(density, sr_ratio)``,
+    and each controller's per-candidate Q and SR ratio are that call's
+    floats, compared with ``==``.  (An array ``np.power`` over the grid
+    and the scalar ``pow`` can part by one ulp, depending on the build's
+    SIMD, so a quality computed any other way may plan a Q no session
+    ever scores.)"""
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("continuous-mpc", {"n_grid": 16}),
+            ("continuous-mpc", {"n_grid": 64}),
+            ("discrete-mpc", {}),
+            ("bola", {}),
+            ("throughput", {}),
+        ],
+        ids=["continuous-16", "continuous-64", "discrete", "bola", "throughput"],
+    )
+    def test_planned_q_equals_scored_q(self, name, kwargs):
+        policy = get_policy(name, **kwargs)
+        qm = policy.quality_model
+        for c, d in enumerate(policy.candidates.tolist()):
+            if isinstance(policy, (ContinuousMPC, DiscreteMPC)):
+                decision = policy._decisions[c]
+            else:
+                decision = policy._decision_for(c)
+            assert decision.density == d
+            assert decision.sr_ratio == qm.sr_ratio_for(d)
+            assert policy._qualities[c] == qm.quality(d, qm.sr_ratio_for(d))

@@ -40,6 +40,18 @@ class TestMeasuredSRLatency:
         with pytest.raises(ValueError):
             MeasuredSRLatency(-0.1, 0, 0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+    @pytest.mark.parametrize("name", ["base", "per_input_point", "per_output_point"])
+    def test_refuses_a_non_finite_or_negative_coefficient(self, name, value):
+        """Each coefficient alone: a NaN used to slip past ``min(...) < 0``
+        and price every SR frame NaN seconds."""
+        coefficients = {"base": 0.001, "per_input_point": 1e-8, "per_output_point": 2e-8}
+        coefficients[name] = value
+        with pytest.raises(
+            ValueError, match=rf"{name} must be finite and non-negative, got {value!r}$"
+        ):
+            MeasuredSRLatency(**coefficients)
+
 
 def test_zero_latency():
     assert ZERO_LATENCY(10_000, 8.0) == 0.0

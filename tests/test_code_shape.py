@@ -602,6 +602,30 @@ def test_reference_planner_shares_nothing_with_the_array_path():
     assert not [n for n in names if "batch" in n or "plan_values" in n]
 
 
+def test_each_streaming_model_is_stated_once():
+    """Chunk size, SR latency and quality Q have one scalar form each; the
+    planners build their per-candidate caches from those leaves, so no
+    batched twin is left to drift from them.  Identifiers and exported
+    strings only — prose may name what left."""
+    gone = {"batch", "latency_batch", "sr_ratios_for", "qualities"}
+    twins = []
+    for path in sorted((SRC / "streaming").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.alias)):
+                name = node.name
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name in gone or name.endswith("_at_densities") or name.startswith("batched_"):
+                twins.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert not twins, twins
+
+
 def test_one_refinement_table_one_lookup_entry():
     """``HashedLUT`` serves both keyings (``per_point``) through
     ``lookup_normalized``; the miss policy is a constant."""
