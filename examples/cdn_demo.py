@@ -6,7 +6,8 @@ catalog, and are assigned to CDN edges.  Each chunk request consults its
 edge's LRU cache: a hit is served over the access link alone, a miss
 pulls origin → edge → viewer over the backhaul (after the origin's
 bounded encode workers have the variant) and fills the cache for the
-next co-watching viewer.  Prints the CDN columns an operator watches —
+next co-watching viewer.  Runs the ``fleet-cdn`` experiment's CDN rows
+at 10 Mbps per viewer and prints the columns an operator watches —
 per-edge hit rates, origin egress vs delivered bytes, encode-queue
 waits — for the three viewer→edge assignment policies, then shows
 encode-pool contention.
@@ -16,14 +17,13 @@ Run:  python examples/cdn_demo.py [--sessions 120] [--seconds 12]
 
 import argparse
 import time
+from dataclasses import replace
 
-from repro.experiments import make_cdn, make_population
-from repro.experiments.common import Scale, SMOKE
-from repro.streaming import simulate_fleet
+from repro.experiments import SMOKE, run_scenario
+from repro.experiments.fleet_cdn import cdn_rows
 
 
-def show(label: str, result) -> None:
-    rep = result.report
+def show(label: str, rep) -> None:
     per_edge = "/".join(f"{100 * h:.0f}%" for h in rep.edge_hit_rates)
     print(
         f"{label:<24} edge hit {100 * rep.edge_hit_rate:5.1f}% [{per_edge}]  "
@@ -45,42 +45,31 @@ def main() -> None:
                         help="catalog popularity skew")
     args = parser.parse_args()
 
-    scale = Scale(
-        name="demo",
-        points_per_frame=SMOKE.points_per_frame,
-        quality_frames=SMOKE.quality_frames,
-        image_size=SMOKE.image_size,
-        train_epochs=SMOKE.train_epochs,
-        stream_seconds=args.seconds,
-    )
-    sessions = make_population(scale, args.sessions, skew=args.skew)
+    scale = replace(SMOKE, name="demo", stream_seconds=args.seconds)
     print(
-        f"{len(sessions)} viewers over {args.edges} edges, "
+        f"{args.sessions} viewers over {args.edges} edges, "
         f"Zipf skew {args.skew:g}, {args.seconds}s videos"
     )
+    rows = {
+        (topology, row.assignment): row
+        for topology, row in cdn_rows(
+            args.sessions, skew=args.skew, n_edges=args.edges,
+            mbps_per_session=10.0,
+        )
+    }
 
     print("\nassignment policy sweep (warm 4 GiB edge caches):")
     for assignment in ("static", "least-loaded", "popularity"):
-        topo = make_cdn(
-            scale, len(sessions), n_edges=args.edges,
-            mbps_per_session=10.0, assignment=assignment,
-        )
         t0 = time.time()
-        result = simulate_fleet(sessions, topology=topo, sr_cache="shared")
-        show(f"  {assignment}", result)
+        rep = run_scenario(rows["cdn", assignment], scale).result.report
+        show(f"  {assignment}", rep)
         print(f"    [{time.time() - t0:.1f}s wall, makespan "
-              f"{result.report.makespan:.0f} virtual s]")
+              f"{rep.makespan:.0f} virtual s]")
 
     print("\nencode contention (popularity assignment, cold origin):")
-    for label, workers, secs in [("  provisioned (8 workers)", 8, 0.05),
-                                 ("  starved (1 worker, 10x)", 1, 0.5)]:
-        topo = make_cdn(
-            scale, len(sessions), n_edges=args.edges,
-            mbps_per_session=10.0, assignment="popularity",
-            n_encode_workers=workers, encode_seconds=secs,
-        )
-        result = simulate_fleet(sessions, topology=topo, sr_cache="shared")
-        rep = result.report
+    for label, topology in [("  provisioned (8 workers)", "cdn"),
+                            ("  starved (1 worker, 10x)", "cdn+slow-encode")]:
+        rep = run_scenario(rows[topology, "popularity"], scale).result.report
         print(f"{label:<26} encode waits p50 {rep.encode_wait_p50:6.2f}s  "
               f"p95 {rep.encode_wait_p95:6.2f}s  qoe {rep.mean_qoe:7.2f}  "
               f"stall {100 * rep.stall_ratio:5.1f}%")

@@ -2,12 +2,13 @@
 """Run a 100-session fleet over one shared bottleneck link.
 
 Every client is a VoLUT session (continuous ABR + LUT SR) watching the
-same video, joining a shared link at staggered times.  A shared LRU
-SR-result cache lets co-watching clients reuse each other's
-super-resolution output.  Prints the operator-facing aggregate report
-(mean/p5/p95 QoE, stall ratio, cache hit rate) for a congested and an
-overprovisioned link, and closes with the hot loop's wall-clock phase
-breakdown (scheduler / advance / planner self-time).  ``--trace-out
+same video, joining a shared link every half second (the ``fleet``
+experiment's fixed-join rows).  A shared LRU SR-result cache lets
+co-watching clients reuse each other's super-resolution output.  Prints
+the operator-facing aggregate report (mean/p5/p95 QoE, stall ratio,
+cache hit rate) for a congested and an overprovisioned link, and
+closes with the hot loop's wall-clock phase breakdown (scheduler /
+advance / planner self-time).  ``--trace-out
 FILE`` also records the congested run's structured event trace — Chrome
 trace-event JSON you can open in Perfetto, or a JSONL event log with a
 ``.jsonl`` suffix.
@@ -18,11 +19,10 @@ Run:  python examples/fleet_demo.py [--sessions 100] [--seconds 20]
 
 import argparse
 import time
+from dataclasses import replace
 
-from repro.net import stable_trace
+from repro.experiments import SMOKE, Scenario, run_scenario
 from repro.obs import Telemetry, write_trace
-from repro.streaming import VideoSpec, simulate_fleet, single_link_cdn
-from repro.experiments import make_fleet
 
 
 def show(label: str, report) -> None:
@@ -46,28 +46,21 @@ def main() -> None:
                         "(Chrome trace JSON; .jsonl for the event log)")
     args = parser.parse_args()
     telemetry = Telemetry(trace=args.trace_out is not None, metrics=False)
-
-    spec = VideoSpec(
-        name="longdress",
-        n_frames=args.seconds * 30,
-        fps=30,
-        points_per_frame=100_000,
-    )
+    scale = replace(SMOKE, name="demo", stream_seconds=args.seconds)
 
     print(f"fleet of {args.sessions} sessions, {args.seconds}s video each")
     for label, mbps in [
-        ("congested (4 Mbps/client)", 4.0 * args.sessions),
-        ("provisioned (40 Mbps/client)", 40.0 * args.sessions),
+        ("congested (4 Mbps/client)", 4.0),
+        ("provisioned (40 Mbps/client)", 40.0),
     ]:
-        t0 = time.time()
-        result = simulate_fleet(
-            make_fleet(args.sessions, spec, join_spacing=0.25),
-            topology=single_link_cdn(
-                stable_trace(mbps, duration=float(4 * args.seconds))
-            ),
-            sr_cache="shared",
-            telemetry=telemetry if label.startswith("congested") else None,
+        row = Scenario(
+            args.sessions, arrivals="fixed", edges=0, mbps_per_session=mbps
         )
+        t0 = time.time()
+        result = run_scenario(
+            row, scale,
+            telemetry if label.startswith("congested") else None,
+        ).result
         show(label, result.report)
         print(f"  [{time.time() - t0:.1f}s wall, makespan "
               f"{result.report.makespan:.0f} virtual s]")

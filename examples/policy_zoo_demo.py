@@ -3,7 +3,8 @@
 
 Every registered policy — resolve any of them with
 ``get_policy(name)`` — drives the *same* seeded viewer population over
-the same topology, so the rows differ only in the controller.  Each
+the same topology (the ``fleet-policies`` experiment's row with only
+``abr`` changed), so the rows differ only in the controller.  Each
 finished run is then priced by the first-principles infrastructure
 cost model (origin egress, encode core-hours, amortized edge cache
 storage, SR device time), and the last column is the operator's actual
@@ -15,9 +16,8 @@ Run:  python examples/policy_zoo_demo.py [--sessions 150] [--abr NAME]
 import argparse
 import time
 
-from repro.experiments import make_cdn, make_population
-from repro.experiments.common import SMOKE
-from repro.streaming import available_policies, price, simulate_fleet
+from repro.experiments import SMOKE, Scenario, run_scenario
+from repro.streaming import available_policies
 
 
 def main() -> None:
@@ -37,14 +37,12 @@ def main() -> None:
           f"{'qoe/$':>10}  wall")
 
     for name in names:
-        sessions = make_population(SMOKE, args.sessions, abr=name)
-        topo = make_cdn(SMOKE, args.sessions, n_edges=args.edges)
         t0 = time.time()
-        result = simulate_fleet(
-            sessions, topology=topo, sr_cache="shared",
+        report = run_scenario(
+            Scenario(args.sessions, abr=name, edges=args.edges), SMOKE
         )
         wall = time.time() - t0
-        rep, cost = result.report, price(result)
+        rep, cost = report.result.report, report.cost
         print(f"{name:<16} {rep.mean_qoe:>9.2f} "
               f"{100 * rep.stall_ratio:>6.1f}% {cost.total_usd:>9.4f} "
               f"{cost.qoe_per_dollar(rep.mean_qoe, rep.n_sessions):>10.0f}"

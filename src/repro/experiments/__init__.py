@@ -12,16 +12,16 @@ from .design_ablations import (
     run_octree_depth_sweep,
 )
 from .fig4_uniformity import run_fig4
-from .fleet_cdn import make_cdn, run_fleet_cdn
+from .fleet_cdn import run_fleet_cdn
 from .fleet_chaos import run_fleet_chaos
 from .fleet_obs import run_fleet_obs
 from .fleet_policies import run_fleet_policies
-from .fleet_scaling import make_fleet, run_fleet_scaling, run_population_fleet
-from .workloads import make_population, volut_client, volut_latency_model
+from .fleet_scaling import run_fleet_scaling, run_population_fleet
 from .interp_speed import run_fig11_device, run_fig11_measured
 from .memory_usage import run_memory_usage
 from .multivideo import run_multivideo_eval
 from .runtime_breakdown import run_breakdown_device, run_breakdown_measured
+from .scenario import Scenario, ScenarioReport, run_scenario
 from .sr_quality import run_sr_quality
 from .sr_runtime import run_fig17_device, run_fig17_measured, run_fig18_device
 from .streaming_eval import run_streaming_eval
@@ -46,11 +46,9 @@ __all__ = [
     "run_fleet_chaos",
     "run_fleet_obs",
     "run_fleet_policies",
-    "make_fleet",
-    "make_population",
-    "make_cdn",
-    "volut_client",
-    "volut_latency_model",
+    "Scenario",
+    "ScenarioReport",
+    "run_scenario",
     "run_ablation",
     "run_dilation_sweep",
     "run_bins_sweep",

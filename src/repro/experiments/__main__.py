@@ -8,12 +8,15 @@ experiment no longer aborts the rest of the list: its traceback is
 printed, the remaining experiments still run, a per-experiment pass/fail
 summary closes the output, and the exit status is 1 — so a nightly
 ``--all`` sweep reports every failure at once and still fails the build.
+A flag reaches only the experiments whose runner takes its parameter,
+and each pass/fail line echoes exactly what its experiment took.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 import time
 import traceback
@@ -77,13 +80,44 @@ REGISTRY = {
 }
 
 
+#: CLI flag (argparse dest) -> the runner parameter it sets; a runner
+#: without that parameter does not take the flag
+FLAGS = {
+    "sessions": "n_sessions",
+    "days": "days",
+    "control_interval": "control_interval",
+    "abr": "abr",
+    "diurnal": "diurnal",
+    "regional": "regional",
+    "trace_out": "trace_out",
+    "metrics_out": "metrics_out",
+}
+
+
 def _list_experiments(stream) -> None:
     print("available experiments:", file=stream)
     for name in REGISTRY:
         print(f"  {name}", file=stream)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    # chained so NaN fails it (every comparison with NaN is false)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}"
+        )
+    return value
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments", description=__doc__
     )
@@ -96,9 +130,9 @@ def main(argv: list[str] | None = None) -> int:
         help="use the 24h diurnal arrival curve for the population experiments",
     )
     parser.add_argument(
-        "--sessions", type=int, default=None, metavar="N",
-        help="viewer count for experiments that take one (fleet-cdn, "
-        "fleet-population, fleet-chaos); default: each experiment's own",
+        "--sessions", type=_count, default=None, metavar="N",
+        help="viewer count (>= 1) for experiments that take one (fleet-cdn, "
+        "fleet-population, fleet-chaos, ...); default: each experiment's own",
     )
     parser.add_argument(
         "--abr", metavar="NAME", default=None,
@@ -108,14 +142,14 @@ def main(argv: list[str] | None = None) -> int:
         "default: each experiment's own (continuous-mpc)",
     )
     parser.add_argument(
-        "--days", type=int, default=None, metavar="N",
-        help="virtual days for multi-day diurnal experiments (fleet-cdn); "
-        "default: 1",
+        "--days", type=_count, default=None, metavar="N",
+        help="virtual days (>= 1) for multi-day diurnal experiments "
+        "(fleet-cdn); default: 1",
     )
     parser.add_argument(
-        "--control-interval", type=float, default=None, metavar="S",
-        help="virtual seconds between control-plane ticks for experiments "
-        "that run one (fleet-chaos); default: 5",
+        "--control-interval", type=_seconds, default=None, metavar="S",
+        help="virtual seconds (finite, > 0) between control-plane ticks for "
+        "experiments that run one (fleet-chaos, fleet-obs); default: 5",
     )
     parser.add_argument(
         "--regional", action="store_true",
@@ -138,13 +172,33 @@ def main(argv: list[str] | None = None) -> int:
         "--report", metavar="FILE", default=None,
         help="also write the rendered tables to a markdown file",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    if args.list:
-        for name in REGISTRY:
-            print(name)
-        return 0
 
+def _taken(fn, args) -> dict[str, object]:
+    """The flags ``fn`` takes: ``{flag dest: value}`` for every flag set
+    on the command line whose parameter ``fn``'s runner has."""
+    params = inspect.signature(fn).parameters
+    return {
+        flag: getattr(args, flag) for flag, param in FLAGS.items()
+        if getattr(args, flag) not in (None, False) and param in params
+    }
+
+
+def _echo(taken: dict[str, object]) -> str:
+    """`` (sessions=1000, diurnal)`` — empty when nothing was taken."""
+    bits = [
+        flag if value is True
+        else f"{flag}={value:g}" if isinstance(value, float)
+        else f"{flag}={value}"
+        for flag, value in taken.items()
+    ]
+    return f" ({', '.join(bits)})" if bits else ""
+
+
+def _usage_error(args, parser) -> int:
+    """Exit status 2 with a message when the names or ``--abr`` are
+    wrong, else 0."""
     if args.names and args.all:
         print(
             f"--all runs every experiment; drop it or the names {args.names}",
@@ -169,50 +223,36 @@ def main(argv: list[str] | None = None) -> int:
             for name in available_policies():
                 print(f"  {name}", file=sys.stderr)
             return 2
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.list:
+        for name in REGISTRY:
+            print(name)
+        return 0
+    status = _usage_error(args, parser)
+    if status:
+        return status
     names = list(REGISTRY) if args.all else args.names
 
     scale = PAPER if args.scale == "paper" else SMOKE
-    # Echoed on every pass/fail line so a nightly log names the failing
-    # configuration, not just the experiment.
-    cfg_bits = []
-    if args.sessions is not None:
-        cfg_bits.append(f"sessions={args.sessions}")
-    if args.days is not None:
-        cfg_bits.append(f"days={args.days}")
-    if args.control_interval is not None:
-        cfg_bits.append(f"control_interval={args.control_interval:g}")
-    if args.abr is not None:
-        cfg_bits.append(f"abr={args.abr}")
-    if args.diurnal:
-        cfg_bits.append("diurnal")
-    if args.regional:
-        cfg_bits.append("regional")
-    cfg = f" ({', '.join(cfg_bits)})" if cfg_bits else ""
     sections: list[str] = []
     outcomes: list[tuple[str, bool, float]] = []
+    # every flag at least one experiment took, echoed on the summary
+    taken_by_any: set[str] = set()
     for name in names:
         fn = REGISTRY[name]
-        params = inspect.signature(fn).parameters
-        kwargs = {}
-        if args.diurnal and "diurnal" in params:
-            kwargs["diurnal"] = True
-        if args.sessions is not None and "n_sessions" in params:
-            kwargs["n_sessions"] = args.sessions
-        if args.abr is not None and "abr" in params:
-            kwargs["abr"] = args.abr
-        if args.days is not None and "days" in params:
-            kwargs["days"] = args.days
-        if args.control_interval is not None and "control_interval" in params:
-            kwargs["control_interval"] = args.control_interval
-        if args.regional and "regional" in params:
-            kwargs["regional"] = True
-        if args.trace_out is not None and "trace_out" in params:
-            kwargs["trace_out"] = args.trace_out
-        if args.metrics_out is not None and "metrics_out" in params:
-            kwargs["metrics_out"] = args.metrics_out
+        taken = _taken(fn, args)
+        taken_by_any.update(taken)
+        # Echoed on every pass/fail line so a nightly log names the
+        # failing configuration, not just the experiment.
+        cfg = _echo(taken)
         t0 = time.time()
         try:
-            rendered = fn(scale, **kwargs).render()
+            rendered = fn(scale, **{FLAGS[f]: v for f, v in taken.items()}).render()
         except Exception:
             traceback.print_exc()
             outcomes.append((name, False, time.time() - t0))
@@ -233,7 +273,8 @@ def main(argv: list[str] | None = None) -> int:
     failed = [name for name, ok, _ in outcomes if not ok]
     if len(outcomes) > 1 or failed:
         width = max(len(name) for name, _, _ in outcomes)
-        print(f"experiment summary{cfg}:")
+        summary = {f: getattr(args, f) for f in FLAGS if f in taken_by_any}
+        print(f"experiment summary{_echo(summary)}:")
         for name, ok, dt in outcomes:
             status = "ok  " if ok else "FAIL"
             print(f"  {name:<{width}}  {status}  {dt:.1f}s")

@@ -22,15 +22,23 @@ from __future__ import annotations
 
 from ..obs import Telemetry
 from ..obs.export import write_prometheus, write_trace
-from ..streaming.control import ControlPlane, ControlPolicy
+from ..streaming.control import ControlPolicy
 from ..streaming.faults import BackhaulDegradation, EdgeOutage, FaultSchedule
-from ..streaming.fleet import simulate_fleet
 from .common import SMOKE, ResultTable, Scale
-from .fleet_cdn import make_cdn
-from .fleet_chaos import check_conservation
-from .workloads import make_population
+from .scenario import Scenario, run_scenario
 
 __all__ = ["run_fleet_obs"]
+
+
+def outage_and_brownout(window: float, fleet) -> FaultSchedule:
+    """Edge 0 dark for a quarter of the window while edge 1's backhaul
+    runs at 30 % for a third of it."""
+    return FaultSchedule((
+        EdgeOutage(edge=0, start=0.4 * window, duration=0.25 * window),
+        BackhaulDegradation(
+            edge=1, start=0.2 * window, duration=window / 3.0, factor=0.3,
+        ),
+    ))
 
 
 def run_fleet_obs(
@@ -42,33 +50,20 @@ def run_fleet_obs(
     control_interval: float = 5.0,
     trace_out: str | None = None,
     metrics_out: str | None = None,
-    profile: bool = True,
     abr: str = "continuous-mpc",
 ) -> ResultTable:
     """One fully-instrumented chaos run; see the module docstring."""
-    window = float(scale.stream_seconds)
-    sessions = make_population(scale, n_sessions, skew=skew, abr=abr)
-    faults = FaultSchedule((
-        EdgeOutage(edge=0, start=0.4 * window, duration=0.25 * window),
-        BackhaulDegradation(
-            edge=1, start=0.2 * window, duration=window / 3.0, factor=0.3,
-        ),
-    ))
-    telemetry = Telemetry(profile=profile)
-    result = simulate_fleet(
-        sessions,
-        topology=make_cdn(
-            scale, len(sessions), n_edges=n_edges,
-            mbps_per_session=mbps_per_session, assignment="least-loaded",
-        ),
-        sr_cache="shared",
-        faults=faults,
-        controller=ControlPlane(ControlPolicy(interval=control_interval)),
-        telemetry=telemetry,
+    row = Scenario(
+        n_sessions, skew=skew, abr=abr, edges=n_edges,
+        mbps_per_session=mbps_per_session, assignment="least-loaded",
+        faults=outage_and_brownout,
+        control=ControlPolicy(interval=control_interval),
     )
-    # The nightly sweep runs this experiment for exactly this check: the
-    # event stream must reconstruct the ops counters.
-    check_conservation(telemetry.tracer, result.report)
+    # The nightly sweep runs this experiment for its conservation check
+    # (the event stream must reconstruct the ops counters), which
+    # run_scenario makes on every traced run.
+    telemetry = Telemetry()
+    run_scenario(row, scale, telemetry)
 
     notes = [
         f"{n_sessions} viewers, {n_edges} edges, outage on edge 0 + "
@@ -87,13 +82,12 @@ def run_fleet_obs(
         columns=["section", "name", "value"],
         notes=" ".join(notes),
     )
-    if profile:
-        for name, cells in telemetry.profiler.breakdown().items():
-            table.add(
-                section="phase", name=name,
-                value=f"{cells['seconds']:.4f}s {cells['pct']:.1f}% "
-                f"x{cells['calls']}",
-            )
+    for name, cells in telemetry.profiler.breakdown().items():
+        table.add(
+            section="phase", name=name,
+            value=f"{cells['seconds']:.4f}s {cells['pct']:.1f}% "
+            f"x{cells['calls']}",
+        )
     counts = telemetry.tracer.counts()
     for kind in sorted(counts):
         table.add(section="event", name=kind, value=counts[kind])

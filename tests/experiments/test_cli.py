@@ -177,6 +177,56 @@ class TestCLI:
         assert "(sessions=1000, days=3)" in captured.err
         assert "experiment summary (sessions=1000, days=3):" in captured.out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sessions", "0"), ("--sessions", "-3"), ("--days", "0"),
+        ("--control-interval", "nan"), ("--control-interval", "inf"),
+        ("--control-interval", "0"), ("--control-interval", "-1"),
+    ])
+    def test_bad_flag_values_are_refused_before_anything_runs(
+        self, monkeypatch, capsys, flag, value
+    ):
+        """A value no experiment can run is an argparse error (exit 2,
+        one message line naming the flag), not a traceback from inside
+        each run of an ``--all`` sweep."""
+        ran = []
+        monkeypatch.setitem(
+            REGISTRY, "fleet-chaos", lambda scale, **kw: ran.append(kw)
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet-chaos", flag, value])
+        assert exc.value.code == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        (message,) = [line for line in err.splitlines() if "error:" in line]
+        assert flag in message and value in message
+
+    def test_only_the_flags_an_experiment_took_are_echoed(
+        self, monkeypatch, capsys
+    ):
+        """Each pass/fail line echoes what its experiment was given; the
+        summary echoes the flags some experiment took."""
+
+        class FakeTable:
+            def render(self):
+                return "fake table"
+
+        monkeypatch.setitem(
+            REGISTRY, "fleet-cdn", lambda scale, n_sessions=200: FakeTable()
+        )
+        monkeypatch.setitem(REGISTRY, "fig4", lambda scale: FakeTable())
+        args = ["fig4", "--sessions", "5", "--abr", "bola", "--days", "2"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        (line,) = [x for x in out.splitlines() if x.startswith("[fig4:")]
+        assert line.endswith("s]")
+        assert main(["fleet-cdn", *args]) == 0
+        out = capsys.readouterr().out
+        (line,) = [x for x in out.splitlines() if x.startswith("[fig4:")]
+        assert line.endswith("s]")
+        (line,) = [x for x in out.splitlines() if x.startswith("[fleet-cdn:")]
+        assert line.endswith("s] (sessions=5)")
+        assert "experiment summary (sessions=5):" in out
+
     def test_failing_experiment_exits_nonzero_with_summary(
         self, monkeypatch, capsys
     ):

@@ -286,7 +286,7 @@ class TestFleetChaos:
 class TestFleetPolicies:
     @pytest.fixture(scope="class")
     def table(self):
-        return run_fleet_policies(TINY, n_sessions=48, n_edges=2, n_boot=50)
+        return run_fleet_policies(TINY, n_sessions=48, n_edges=2)
 
     def test_every_zoo_policy_gets_a_row(self, table):
         from repro.experiments.fleet_policies import ZOO_POLICIES

@@ -6,8 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments import make_cdn, make_population
-from repro.experiments.common import SMOKE
+from repro.experiments import SMOKE, Scenario
 from repro.metrics.qoe import ChunkRecord
 from repro.obs import Telemetry, fault_damage
 from repro.obs.damage import DAMAGE_GRID_S, RECOVERY_TOLERANCE
@@ -502,11 +501,10 @@ def _dark_region_run(plane, start, duration=100 * _WINDOW):
     """24 viewers on a 2-region CDN whose region-0 goes dark at ``start``;
     the report and the run's ``control.*`` events."""
     telemetry = Telemetry(trace=True, metrics=False)
+    row = Scenario(24, assignment="least-loaded", regions=2)
     result = simulate_fleet(
-        make_population(SMOKE, 24, seed=0),
-        topology=make_cdn(
-            SMOKE, 24, n_edges=4, assignment="least-loaded", n_regions=2,
-        ),
+        row.population(SMOKE),
+        topology=row.topology(SMOKE),
         faults=FaultSchedule((RegionOutage("region-0", start, duration),)),
         controller=plane,
         telemetry=telemetry,

@@ -683,16 +683,14 @@ class TestJoinTimes:
 
 class TestScale:
     def test_hundred_concurrent_sessions(self):
-        """Acceptance: ≥100 sessions, one process, aggregate report emitted."""
-        from repro.experiments import make_fleet
+        """Acceptance: ≥100 sessions, one process, aggregate report
+        emitted — the ``fleet`` experiment's fixed-join row on an 8 s
+        video and a 400 Mbps link."""
+        from repro.experiments import SMOKE, Scenario, run_scenario
 
-        sessions = make_fleet(
-            100, spec(8), join_spacing=0.1, n_grid=8, horizon=2
-        )
-        result = simulate_fleet(
-            sessions, topology=single_link_cdn(stable_trace(400.0)),
-            sr_cache="shared",
-        )
+        row = Scenario(100, arrivals="fixed", edges=0, mbps_per_session=4.0)
+        scale = dataclasses.replace(SMOKE, stream_seconds=8)
+        result = run_scenario(row, scale).result
         rep = result.report
         assert rep.n_sessions == 100
         assert len(result.sessions) == 100

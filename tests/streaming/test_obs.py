@@ -394,7 +394,7 @@ class TestConservation:
     def test_the_experiments_gate_names_the_broken_counter(self):
         """``fleet-chaos`` and ``fleet-obs`` share one five-counter check:
         silent when the fold matches, naming the counter when not."""
-        from repro.experiments.fleet_chaos import check_conservation
+        from repro.experiments.scenario import check_conservation
 
         tracer = Tracer()
         tracer.emit(1.0, EV_CONTROL_TICK, health=0.9, workers=4)

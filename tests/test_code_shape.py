@@ -19,6 +19,24 @@ def body_lines(fn) -> int:
     return body[-1].end_lineno - body[0].lineno + 1 if body else 0
 
 
+#: an experiment is its rows, its columns and its own post-processing
+MAX_EXPERIMENT_BODY_LINES = 80
+
+
+def test_no_experiment_function_over_80_lines():
+    """Fleet experiments are rows of one scenario table, and the CLI maps
+    flags to parameters through one table, so no runner or ``main``
+    grows back a hand-built scenario."""
+    too_long = [
+        f"{path.name}::{node.name} {body_lines(node)}"
+        for path in sorted((SRC / "experiments").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and body_lines(node) > MAX_EXPERIMENT_BODY_LINES
+    ]
+    assert not too_long, too_long
+
+
 def test_no_function_body_over_150_lines():
     too_long = []
     for package in ("streaming", "net", "spatial", "sr", "compression", "pointcloud"):
@@ -368,6 +386,50 @@ def test_a_viewer_is_stated_once():
     params = inspect.signature(SessionMachine).parameters
     assert list(params) == ["session", "sr_cache"]
     assert params["sr_cache"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_a_fleet_scenario_is_stated_once():
+    """Every fleet experiment and example runs a ``Scenario`` row through
+    ``run_scenario``, the one ``simulate_fleet`` call outside the library
+    and its tests; the per-experiment builders are gone."""
+    root = SRC.parents[1]
+    calls = [
+        f"{path.relative_to(root)}:{i}"
+        for path in (
+            *sorted((SRC / "experiments").glob("*.py")),
+            *sorted((root / "examples").glob("*.py")),
+        )
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "simulate_fleet(" in line
+    ]
+    assert calls == ["src/repro/experiments/scenario.py:" + calls[0].split(":")[1]]
+    import repro.experiments as experiments
+
+    for gone in ("make_population", "make_cdn", "make_fleet", "volut_client"):
+        assert not hasattr(experiments, gone), gone
+    assert not (SRC / "experiments" / "workloads.py").exists()
+
+
+def test_every_scenario_field_is_set_by_some_row():
+    """A ``Scenario`` field exists only where rows differ: each one but
+    the audience is set by keyword (to ``Scenario`` or ``replace``)
+    somewhere under ``src/``, ``examples/`` or ``benchmarks/``."""
+    import dataclasses
+
+    from repro.experiments import Scenario
+
+    root = SRC.parents[1]
+    set_by_keyword = set()
+    for top in ("src", "examples", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+                ) in ("Scenario", "replace"):
+                    set_by_keyword.update(k.arg for k in node.keywords)
+    fields = [f.name for f in dataclasses.fields(Scenario)]
+    assert fields[0] == "n_sessions"
+    assert [f for f in fields[1:] if f not in set_by_keyword] == []
 
 
 def test_pricing_is_applied_to_a_finished_run():
