@@ -57,12 +57,15 @@ def main() -> None:
     print(f"{args.sessions} viewers over a 4-edge CDN, "
           f"{SMOKE.stream_seconds}s window\n")
     rows = chaos_rows(n_sessions=args.sessions, control_interval=args.interval)
+    runs: dict = {}  # fault-free runs: each twin runs once
     for name, row in rows:
         ctrl = "off" if row.control is None else "on"
         if name not in SHOWN or (name == "baseline" and ctrl == "on"):
             continue
         traced = name == "edge-outage" and ctrl == "on"
-        report = run_scenario(row, SMOKE, telemetry if traced else None)
+        report = run_scenario(
+            row, SMOKE, telemetry if traced else None, runs
+        )
         show(f"{name} ctrl={ctrl}", report)
 
     print("\nedge-outage ctrl=on phase breakdown (wall-clock self time):")

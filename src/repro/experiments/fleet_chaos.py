@@ -263,12 +263,13 @@ def run_fleet_chaos(
         n_sessions, skew, n_edges, mbps_per_session, control_interval, abr,
         regional,
     )
+    runs: dict = {}  # fault-free runs: each twin runs once
     for name, row in rows:
         ctrl = "off" if row.control is None else "on"
         telemetry = Telemetry(metrics=False, profile=False) if (
             trace_out and name == traced and ctrl == "on"
         ) else None
-        report = run_scenario(row, scale, telemetry)
+        report = run_scenario(row, scale, telemetry, runs)
         counter, broken = MUST_MOVE.get(name, (None, ""))
         if counter and getattr(report.result.report, counter) == 0:
             raise RuntimeError(

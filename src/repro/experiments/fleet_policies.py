@@ -89,18 +89,16 @@ def run_fleet_policies(
             "frontier."
         ),
     )
-    reports = [
-        run_scenario(Scenario(
+    # a row is added as its run ends, so one run is alive at a time; the
+    # Pareto marker is set once every point is in
+    points = []
+    for name in ZOO_POLICIES:
+        report = run_scenario(Scenario(
             n_sessions, skew=skew, abr=name, edges=n_edges,
             mbps_per_session=mbps_per_session,
         ), scale)
-        for name in ZOO_POLICIES
-    ]
-    front = _pareto_front(
-        [(r.result.report.mean_qoe, r.cost.total_usd) for r in reports]
-    )
-    for report, on_front in zip(reports, front):
-        add_row(
-            table, report, policy=report.row.abr, pareto="*" if on_front else ""
-        )
+        add_row(table, report, policy=name, pareto="")
+        points.append((report.result.report.mean_qoe, report.cost.total_usd))
+    for row, on_front in zip(table.rows, _pareto_front(points)):
+        row["pareto"] = "*" if on_front else ""
     return table

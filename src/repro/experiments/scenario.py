@@ -13,13 +13,13 @@ of stall, on a Zipf catalog of 8 videos seeded at 0.  Every row is
 provisioned for its configured audience: access capacity is
 ``mbps_per_session × n_sessions`` however many viewers a flash crowd
 adds.  A faulted row's damage is read against its **twin**, the same row
-with ``faults=None``, whose run is memoised by the row itself (so a
-baseline row's run is also every matching faulted row's twin).
+with ``faults=None``.  An experiment hands :func:`run_scenario` one memo
+of fault-free runs keyed by the row itself, so a baseline row's run is
+also every matching faulted row's twin and each twin runs once.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import Any
@@ -118,8 +118,6 @@ class Scenario:
     encode_pool: tuple[int, float] = ENCODE_POOL
     #: contiguous fault domains the edges are grouped into
     regions: int | None = None
-    #: SR-result sharing: ``"shared"`` fleet-wide or ``"per-edge"``
-    sr_cache: str = "shared"
     #: the fault plan, a module-level function of the window and the
     #: population (a flash crowd clones the first viewer)
     faults: FaultPlan | None = None
@@ -228,15 +226,14 @@ class ScenarioReport:
         )
 
     def cells(self) -> dict[str, Any]:
-        """The fixed report row, rounded as the tables print it."""
+        """The fixed report row, rounded as the tables print it (the
+        bootstrap CI is left to :func:`add_row`)."""
         rep, cost = self.result.report, self.cost
-        lo, hi = self.qoe_ci95
         dip, recover_s = self.damage
         return {
             "n_sessions": rep.n_sessions,
             "mbps_per_session": round(self.row.mbps_per_session, 1),
             "mean_qoe": round(rep.mean_qoe, 2),
-            "qoe_ci95": f"[{lo:.2f}, {hi:.2f}]",
             "p5_qoe": round(rep.p5_qoe, 2),
             "p95_qoe": round(rep.p95_qoe, 2),
             "stall_ratio": round(rep.stall_ratio, 4),
@@ -265,8 +262,12 @@ class ScenarioReport:
 
 def add_row(table: ResultTable, report: ScenarioReport, **labels: Any) -> None:
     """Add ``report``'s cells (and the row's ``labels``) in ``table``'s
-    columns."""
+    columns; the bootstrap CI is resampled only for a table that shows
+    it."""
     cells = {**report.cells(), **labels}
+    if "qoe_ci95" in table.columns:
+        lo, hi = report.qoe_ci95
+        cells["qoe_ci95"] = f"[{lo:.2f}, {hi:.2f}]"
     table.add(**{c: cells[c] for c in table.columns})
 
 
@@ -296,7 +297,7 @@ def _simulate(row: Scenario, scale: Scale, telemetry=None):
     result = simulate_fleet(
         sessions if faults is None else faults.expand_population(sessions),
         topology=row.topology(scale),
-        sr_cache=row.sr_cache,
+        sr_cache="shared",
         faults=faults,
         retry_policy=row.retry,
         controller=(
@@ -310,27 +311,35 @@ def _simulate(row: Scenario, scale: Scale, telemetry=None):
     return result, faults, autoscaler
 
 
-#: ``fleet-chaos`` reads a twin (its ctrl-on baseline) again after three
-#: other twins have run, so four kept runs run each twin once
-@functools.lru_cache(maxsize=4)
-def _fault_free(row: Scenario, scale: Scale):
-    """A fault-free row's run, memoised by the row: a twin is run once."""
-    return _simulate(row, scale)
-
-
-def run_scenario(row: Scenario, scale: Scale, telemetry=None) -> ScenarioReport:
+def run_scenario(
+    row: Scenario,
+    scale: Scale,
+    telemetry=None,
+    runs: dict[tuple[Scenario, Scale], tuple] | None = None,
+) -> ScenarioReport:
     """Run ``row`` at ``scale`` (and, if it is faulted, its twin).
 
     ``telemetry`` observes the row's own run, never the twin, and a
-    traced run must pass :func:`check_conservation`.
+    traced run must pass :func:`check_conservation`.  ``runs`` is the
+    caller's memo of fault-free runs keyed by ``(row, scale)``: passing
+    one dict to every row of an experiment runs each twin once, and the
+    runs are freed with the dict.
     """
+
+    def fault_free(r: Scenario):
+        if runs is None:
+            return _simulate(r, scale)
+        if (r, scale) not in runs:
+            runs[r, scale] = _simulate(r, scale)
+        return runs[r, scale]
+
     if row.faults is None and telemetry is None:
-        result, faults, autoscaler = _fault_free(row, scale)
+        result, faults, autoscaler = fault_free(row)
     else:
         result, faults, autoscaler = _simulate(row, scale, telemetry)
     twin, onset, damage = None, None, (0.0, 0.0)
     if faults is not None:
-        twin = _fault_free(replace(row, faults=None), scale)[0]
+        twin = fault_free(replace(row, faults=None))[0]
         onset = min(ev.start for ev in faults.events)
         damage = fault_damage(result, twin, onset, range(len(result.sessions)))
     return ScenarioReport(

@@ -307,6 +307,57 @@ class TestFleetPolicies:
             assert lo <= row["mean_qoe"] <= hi
 
 
+class TestScenario:
+    """``run_scenario``'s costs are paid where they are asked for."""
+
+    ROW_SCALE = Scale(
+        name="scenario", points_per_frame=1200, quality_frames=1,
+        image_size=64, train_epochs=4, stream_seconds=8,
+    )
+
+    def test_ci_is_resampled_only_for_a_table_that_shows_it(self, monkeypatch):
+        from repro.experiments import Scenario, run_scenario, scenario
+        from repro.experiments.common import ResultTable
+        from repro.experiments.scenario import add_row
+
+        calls = []
+        real = scenario.bootstrap_ci
+        monkeypatch.setattr(
+            scenario, "bootstrap_ci",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
+        report = run_scenario(Scenario(8, edges=2), self.ROW_SCALE)
+        add_row(ResultTable("t", ["mean_qoe"]), report)
+        assert calls == []
+        shown = ResultTable("t", ["mean_qoe", "qoe_ci95"])
+        add_row(shown, report)
+        assert calls == [1]
+        assert shown.rows[0]["qoe_ci95"].startswith("[")
+
+    def test_a_twin_runs_once_per_memo_and_not_across_memos(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.experiments import Scenario, run_scenario, scenario
+        from repro.experiments.fleet_chaos import edge_outage
+
+        runs = []
+        real = scenario._simulate
+        monkeypatch.setattr(
+            scenario, "_simulate",
+            lambda row, *a, **k: runs.append(row) or real(row, *a, **k),
+        )
+        base = Scenario(8, edges=2)
+        faulted = replace(base, faults=edge_outage)
+        memo: dict = {}
+        hit = run_scenario(faulted, self.ROW_SCALE, runs=memo)
+        again = run_scenario(base, self.ROW_SCALE, runs=memo)
+        assert runs == [faulted, base]
+        assert again.result is hit.twin
+        # a fresh memo (or none) keeps nothing from an earlier one
+        run_scenario(faulted, self.ROW_SCALE)
+        assert runs == [faulted, base, faulted, base]
+
+
 class TestAblation:
     @pytest.fixture(scope="class")
     def table(self):

@@ -684,13 +684,20 @@ class TestJoinTimes:
 class TestScale:
     def test_hundred_concurrent_sessions(self):
         """Acceptance: ≥100 sessions, one process, aggregate report
-        emitted — the ``fleet`` experiment's fixed-join row on an 8 s
-        video and a 400 Mbps link."""
-        from repro.experiments import SMOKE, Scenario, run_scenario
+        emitted — the ``fleet`` experiment's fixed-join viewers of an 8 s
+        video on a 400 Mbps link, joining 0.1 s apart so about 80 stream
+        at once."""
+        from repro.experiments import SMOKE, Scenario
 
         row = Scenario(100, arrivals="fixed", edges=0, mbps_per_session=4.0)
         scale = dataclasses.replace(SMOKE, stream_seconds=8)
-        result = run_scenario(row, scale).result
+        sessions = [
+            dataclasses.replace(s, join_time=0.1 * i)
+            for i, s in enumerate(row.population(scale))
+        ]
+        result = simulate_fleet(
+            sessions, topology=row.topology(scale), sr_cache="shared"
+        )
         rep = result.report
         assert rep.n_sessions == 100
         assert len(result.sessions) == 100

@@ -410,26 +410,78 @@ def test_a_fleet_scenario_is_stated_once():
     assert not (SRC / "experiments" / "workloads.py").exists()
 
 
+def _scenario_keywords(tree: ast.AST) -> list[ast.keyword]:
+    """The keywords a module's rows are built with: those of every
+    ``Scenario(...)`` call, and of every ``replace(name, ...)`` whose
+    ``name`` holds rows — it is bound to an expression that makes a
+    ``Scenario`` or reads another name that holds rows."""
+
+    def callee(node):
+        return isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)
+        )
+
+    def is_row(node, rows):
+        return callee(node) == "Scenario" or (
+            callee(node) == "replace" and node.args
+            and isinstance(node.args[0], ast.Name) and node.args[0].id in rows
+        )
+
+    def holds_rows(value, rows):
+        return any(
+            callee(n) == "Scenario" or (isinstance(n, ast.Name) and n.id in rows)
+            for n in ast.walk(value)
+        )
+
+    rows: set[str] = set()
+    while True:
+        bound = {
+            t.id
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and holds_rows(node.value, rows)
+            for t in node.targets if isinstance(t, ast.Name)
+        }
+        if bound <= rows:
+            break
+        rows |= bound
+    return [
+        k for node in ast.walk(tree) if is_row(node, rows)
+        for k in node.keywords
+    ]
+
+
 def test_every_scenario_field_is_set_by_some_row():
     """A ``Scenario`` field exists only where rows differ: each one but
-    the audience is set by keyword (to ``Scenario`` or ``replace``)
-    somewhere under ``src/``, ``examples/`` or ``benchmarks/``."""
+    the audience is set away from its default, by keyword to
+    ``Scenario`` or to ``replace`` on a row, somewhere under ``src/`` or
+    ``examples/`` (a CLI flag's value counts; a test's row does not)."""
     import dataclasses
 
     from repro.experiments import Scenario
 
     root = SRC.parents[1]
-    set_by_keyword = set()
-    for top in ("src", "examples", "benchmarks"):
+    defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+    varied = set()
+    for top in ("src", "examples"):
         for path in sorted((root / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)
-                ) in ("Scenario", "replace"):
-                    set_by_keyword.update(k.arg for k in node.keywords)
-    fields = [f.name for f in dataclasses.fields(Scenario)]
+            for k in _scenario_keywords(ast.parse(path.read_text())):
+                literal = isinstance(k.value, ast.Constant)
+                if not (literal and k.value.value == defaults[k.arg]):
+                    varied.add(k.arg)
+    fields = list(defaults)
     assert fields[0] == "n_sessions"
-    assert [f for f in fields[1:] if f not in set_by_keyword] == []
+    assert [f for f in fields[1:] if f not in varied] == []
+    # a test-only row does not keep a field alive, nor does a keyword
+    # passed to ``replace`` on something that is not a row
+    probe = ast.parse(
+        "base = Scenario(4, edges=0)\nrow = replace(base, cache=False)\n"
+        "rows = {a: replace(row, abr=a) for a in 'xy'}\n"
+        "first = rows['x']\nother = replace(first, days=2)\n"
+        "scale = replace(SMOKE, skew=2)"
+    )
+    assert sorted(k.arg for k in _scenario_keywords(probe)) == [
+        "abr", "cache", "days", "edges",
+    ]
 
 
 def test_pricing_is_applied_to_a_finished_run():
