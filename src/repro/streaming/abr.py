@@ -17,11 +17,12 @@ quality ``Q`` of Eq. 10: the post-SR density discounted by a per-doubling
 SR efficiency (SR'd points are almost, not exactly, as good as native
 ones — the discount is calibrated from the SR-quality experiments).
 
-The MPC planners plan every decision row on its own, in Python floats —
-one candidate at a time, one planned chunk at a time — and ``decide`` is
-``decide_batch``'s one-row call.  A fleet step plans about one row per
-call, and such a call run as NumPy on a ``(H, N, C)`` tensor pays for
-~19 array dispatches, not for the 48 cells of the fleet's 16 × 3 grid.
+The MPC planners plan each distinct decision row of a call once, in
+Python floats — one candidate at a time, one planned chunk at a time — and
+``decide`` is ``decide_batch``'s one-row call.  A fleet step plans about
+one row per call, and such a call run as NumPy on a ``(H, N, C)`` tensor
+pays for ~19 array dispatches, not for the 48 cells of the fleet's
+16 × 3 grid.
 Every per-candidate constant and cache comes from the scalar calls the
 session scores a chunk with, so a plan's Q is the session's Q, float for
 float.  The tests hold two oracles in ``tests/streaming/reference_planner.py``:
@@ -42,7 +43,14 @@ the scalar term-by-term reference (1e-9) and the tensor planner (``==``).
   chunk specs): per planned chunk, the fetched bits and SR seconds of
   every candidate as two float lists, and the chunk's duration as a
   float — checked finite and non-negative once.
-* *Per context, per candidate*: ``r = max(bits / tput, sr)``,
+* *Per call* (:meth:`_MPCBase.decide_batch`, a dict that dies with the
+  call): each distinct row — the chunk window, then ``(throughput,
+  buffer, previous quality)`` as the exact floats the plan reads — is
+  planned once, and every row with its key gets its :class:`Decision`.
+  Keys compare with ``==``, so a zero of either sign is one key; the plan
+  never reads a zero's sign.  A flash crowd of co-watching viewers hands
+  in many equal rows at once.
+* *Per distinct row, per candidate*: ``r = max(bits / tput, sr)``,
   ``x = r − b``, stall ``max(0, x)`` and ``b' = d − min(x, 0)`` (the same
   float as ``max(b − r, 0) + d`` for every input, infinities included),
   accumulated as ``first − γ·s_0 + Σ_i (later − γ·s_i)``.  The
@@ -225,8 +233,11 @@ class _MPCBase(AbrController):
 
     Robust-MPC simplification: one constant density over the next
     ``horizon`` chunks, priced at a safety-discounted throughput estimate.
-    Every row is evaluated, so a decision depends on its context alone —
-    never on what the object was asked before.
+    A plan is a pure function of its row (chunk window, throughput,
+    buffer, previous quality), so each distinct row of a call is planned
+    once and its decision shared; no key outlives the call, so a decision
+    depends on its context alone — never on the rest of the batch or on
+    what the object was asked before.
     """
 
     #: most first-chunk rows :meth:`_first_row` keeps before it starts over
@@ -278,8 +289,10 @@ class _MPCBase(AbrController):
         )
         #: previous quality -> its first-chunk row (see :meth:`_first_row`)
         self._first_rows: dict[float | None, tuple] = {None: self._later_row}
-        #: lifetime count of rows :meth:`decide_batch` has evaluated
+        #: lifetime count of rows handed to :meth:`decide_batch`
         self.decide_rows = 0
+        #: lifetime count of rows it planned: one per distinct row of a call
+        self.decide_unique = 0
 
     # ------------------------------------------------------------------
     def _window(self, chunks: tuple) -> tuple:
@@ -344,25 +357,32 @@ class _MPCBase(AbrController):
             self._first_rows[prev_quality] = row
         return row
 
-    def _plan(self, ctx: AbrContext) -> list[float]:
-        """Plan value of every candidate for one context, in grid order.
+    def _plan(
+        self,
+        window: tuple,
+        throughput_bps: float,
+        buffer_level: float,
+        prev_quality: float | None,
+    ) -> list[float]:
+        """Plan value of every candidate for one row, in grid order.
 
-        One candidate at a time, one planned chunk at a time, in Python
-        floats (the module docstring states the contract).  A step whose
-        readiness fits in the buffer (``x <= 0``) stalls ``0.0``, so its
-        stall term is ``γ·0.0`` and its buffer ``d − x``; any other ``x``
-        (a stall, or a NaN, which both expressions carry on as NumPy's
-        ``maximum`` / ``minimum`` do) goes the long way.
+        A row is a chunk window's floats (:meth:`_window`) and the three
+        scalars of its context; nothing else is read.  One candidate at a
+        time, one planned chunk at a time, in Python floats (the module
+        docstring states the contract).  A step whose readiness fits in
+        the buffer (``x <= 0``) stalls ``0.0``, so its stall term is
+        ``γ·0.0`` and its buffer ``d − x``; any other ``x`` (a stall, or a
+        NaN, which both expressions carry on as NumPy's ``maximum`` /
+        ``minimum`` do) goes the long way.
         """
-        window = self._window(tuple(ctx.next_chunks[: self.horizon]))
         (bits0, sr0, d0), rest = window[0], window[1:]
-        tput = ctx.throughput_bps * SAFETY
-        b0 = ctx.buffer_level
+        tput = throughput_bps * SAFETY
+        b0 = buffer_level
         gamma = self.qoe_model.weights.gamma
         zero = gamma * 0.0
         values = []
         for c, (first, later) in enumerate(
-            zip(self._first_row(ctx.prev_quality), self._later_row)
+            zip(self._first_row(prev_quality), self._later_row)
         ):
             # Download and SR overlap across chunks (pipelined client), so
             # the steady-state readiness interval is the slower stage.
@@ -389,23 +409,45 @@ class _MPCBase(AbrController):
 
     def plan_values(self, ctx: AbrContext) -> np.ndarray:
         """Plan values over all candidate densities, ``(C,)``."""
-        return np.array(self._plan(ctx))
+        window = self._window(tuple(ctx.next_chunks[: self.horizon]))
+        return np.array(
+            self._plan(window, ctx.throughput_bps, ctx.buffer_level, ctx.prev_quality)
+        )
 
     def decide(self, ctx: AbrContext) -> Decision:
         return self.decide_batch([ctx])[0]
 
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]:
-        """Every row planned on its own; each picks its first maximum, or
-        its first NaN if it has one, as ``argmax`` does."""
+        """Each distinct row of the call planned once; each plan picks its
+        first maximum, or its first NaN if it has one, as ``argmax`` does.
+
+        A row's key is its chunk window, then ``(throughput, buffer,
+        previous quality)`` — the exact floats :meth:`_plan` reads — so
+        rows with equal keys plan equal values and share one
+        :class:`Decision`.  The window enters the key by the identity of
+        its cached floats: the chunk tuple is hashed once per row, by
+        :meth:`_window`'s lookup, and the cache holds every window for the
+        controller's life, so an identity names one window.  The keys
+        live for one call only.
+        """
         self.decide_rows += len(ctxs)
+        window_of, horizon = self._window, self.horizon
+        planned: dict[tuple, Decision] = {}
         decisions = []
         for ctx in ctxs:
-            values = self._plan(ctx)
-            pick = values.index(max(values))
-            total = sum(values)
-            if total != total:  # a NaN (or +inf beside -inf): look for one
-                pick = next((c for c, v in enumerate(values) if v != v), pick)
-            decisions.append(self._decisions[pick])
+            window = window_of(tuple(ctx.next_chunks[:horizon]))
+            tput, buffer, prev = ctx.throughput_bps, ctx.buffer_level, ctx.prev_quality
+            key = (id(window), tput, buffer, prev)
+            decision = planned.get(key)
+            if decision is None:
+                values = self._plan(window, tput, buffer, prev)
+                pick = values.index(max(values))
+                total = sum(values)
+                if total != total:  # a NaN (or +inf beside -inf): look for one
+                    pick = next((c for c, v in enumerate(values) if v != v), pick)
+                decision = planned[key] = self._decisions[pick]
+            decisions.append(decision)
+        self.decide_unique += len(planned)
         return decisions
 
 

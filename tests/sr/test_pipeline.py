@@ -175,13 +175,29 @@ class TestGradPU:
         assert r.cloud.has_colors
 
     def test_more_steps_cost_more(self, tiny_frame, trained_artifacts):
-        fast = GradPUUpsampler(
-            net=trained_artifacts.net, encoder=trained_artifacts.encoder, n_steps=1
-        ).upsample(tiny_frame, 2.0)
-        slow = GradPUUpsampler(
-            net=trained_artifacts.net, encoder=trained_artifacts.encoder, n_steps=8
-        ).upsample(tiny_frame, 2.0)
-        assert slow.times.refinement > fast.times.refinement
+        """Counted, not timed: 8 steps run 8x the network passes of one
+        step, each over the same rows (every new point).  The wall-clock
+        form is ``benchmarks/test_fig17_sr_runtime.py::
+        test_gradpu_more_steps_cost_more``, a median of repeats."""
+
+        class CountingNet:
+            def __init__(self, net):
+                self.net, self.rows = net, []
+
+            def forward(self, x):
+                self.rows.append(len(x))
+                return self.net.forward(x)
+
+        def passes(n_steps):
+            net = CountingNet(trained_artifacts.net)
+            GradPUUpsampler(
+                net=net, encoder=trained_artifacts.encoder, n_steps=n_steps
+            ).upsample(tiny_frame, 2.0)
+            return net.rows
+
+        one, eight = passes(1), passes(8)
+        assert one == [len(tiny_frame)]  # x2 adds one new point per source point
+        assert eight == 8 * one
 
     @staticmethod
     def gradpu(trained_artifacts, **kw):

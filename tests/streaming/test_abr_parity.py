@@ -417,6 +417,73 @@ class TestTensorOracle:
         assert_equals_the_tensor_planner(mpc, [oracle_ctx(mpc, *row) for row in rows])
 
 
+def window_ctx(tput, buffer, prev, n_chunks, points):
+    """A context over fresh ``ChunkSpec`` objects on every call."""
+    chunks = VideoSpec(
+        name="t", n_frames=n_chunks * 30, fps=30, points_per_frame=points
+    ).chunks(1.0)
+    return AbrContext(tput, buffer, prev, chunks)
+
+
+class TestRowsPlannedOncePerCall:
+    """``decide_batch`` plans each distinct row of a call once and hands
+    its decision to every equal row: over batches full of repeats —
+    value-equal but distinct contexts and chunk specs, a zero buffer and
+    previous quality of either sign beside ``None``, equal scalars under
+    different windows, in a drawn order — it equals the one-row calls
+    and the tensor planner, and plans exactly the distinct keys."""
+
+    @given(
+        grid=st.sampled_from(sorted(TENSOR_GRIDS)),
+        lat_name=st.sampled_from(sorted(LATENCIES)),
+        tputs=st.lists(
+            st.one_of(st.floats(1e4, 1e10), st.sampled_from([math.inf, 5e-324])),
+            min_size=1,
+            max_size=3,
+        ),
+        buffers=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 12.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        prevs=st.lists(
+            st.one_of(st.sampled_from([None, 0.0, -0.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        windows=st.lists(
+            st.tuples(st.integers(1, 6), st.integers(1_000, 300_000)),
+            min_size=1,
+            max_size=3,
+        ),
+        # each row picks one value of every column: repeats of whole rows,
+        # and of some columns under others
+        picks=st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=1, max_size=24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_with_repeats_equals_one_row_calls_and_the_tensor_planner(
+        self, grid, lat_name, tputs, buffers, prevs, windows, picks
+    ):
+        mpc = TENSOR_GRIDS[grid](LATENCIES[lat_name]())
+        columns = (tputs, buffers, prevs, windows)
+        ctxs = [
+            window_ctx(tput, buffer, prev, *window)
+            for tput, buffer, prev, window in (
+                [col[i % len(col)] for col, i in zip(columns, row)] for row in picks
+            )
+        ]
+        keys = {
+            (tuple(c.next_chunks[: mpc.horizon]), c.throughput_bps, c.buffer_level,
+             c.prev_quality)
+            for c in ctxs
+        }
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [reference_planner.tensor_decide(mpc, c) for c in ctxs]
+        batch = mpc.decide_batch(ctxs)
+        assert mpc.decide_unique == len(keys)
+        assert batch == [mpc.decide(c) for c in ctxs] == want
+
+
 class TestFirstChunkRows:
     """A controller builds each previous quality's first-chunk row once
     and replays it: a cold call and a warm one are both ``==`` the
@@ -517,6 +584,25 @@ class TestContextAloneDecides:
         mpc.decide_batch([make_ctx(25.0, 2.5, 0.15) for _ in range(8)])
         mpc.decide(make_ctx(25.0, 2.5, 0.15))
         assert mpc.decide_rows == 9
+
+    def test_decide_unique_counts_planned_rows(self):
+        """``decide_unique`` counts the rows a call plans — one per
+        distinct (chunk window, throughput, buffer, previous quality) —
+        beside ``decide_rows``, which counts every row handed in;
+        ``bench/wl_fleet.py`` reads their ratio as ``abr.dedup_ratio``.
+        The same call twice plans its rows twice."""
+        mpc = MPC_FACTORIES["continuous"](measured_latency())
+        ctxs = [make_ctx(25.0, 2.5, 0.15) for _ in range(6)] + [
+            make_ctx(25.0, 2.5, None),
+            make_ctx(25.0, 2.5, 0.15, n_chunks=2),
+            make_ctx(3.0, 2.5, 0.15),
+        ]
+        mpc.decide_batch(ctxs)
+        assert (mpc.decide_rows, mpc.decide_unique) == (9, 4)
+        mpc.decide_batch(ctxs)
+        assert (mpc.decide_rows, mpc.decide_unique) == (18, 8)
+        mpc.decide(make_ctx(25.0, 2.5, 0.15))
+        assert (mpc.decide_rows, mpc.decide_unique) == (19, 9)
 
     def run_fleet(self, ctrl, n=48):
         qm, lat = ctrl.quality_model, ctrl.sr_latency

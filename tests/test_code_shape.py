@@ -124,21 +124,26 @@ def test_codec_has_no_per_byte_loop():
     assert ".at(" not in text
 
 
-def test_planner_evaluates_every_row_and_has_no_scalar_twin():
+def test_planner_plans_each_distinct_row_of_a_call_once_and_has_no_scalar_twin(
+    monkeypatch,
+):
     """One planner body per controller family in ``src/``: the MPC's
     one-pass float loop and the rule-based zoo's ``decide_batch``.  The
     scalar MPC reference and the ``(H, N, C)`` tensor planner it replaced
-    are the tests' oracles in ``tests/streaming/reference_planner.py``."""
+    are the tests' oracles in ``tests/streaming/reference_planner.py``.
+
+    A call of n rows with k distinct keys (chunk window, throughput,
+    buffer, previous quality) runs ``_plan`` exactly k times, and the
+    same call again runs it k times again: rows are planned once per
+    call, and no planned row survives the call."""
     import inspect
 
     from repro.metrics import QoEModel
-    from repro.streaming import ContinuousMPC, DiscreteMPC
+    from repro.streaming import AbrContext, ContinuousMPC, DiscreteMPC, SRQualityModel, VideoSpec
     from repro.streaming.abr import _MPCBase
+    from repro.streaming.latency import MeasuredSRLatency
     from repro.streaming.policies import _GridPolicy
 
-    for name in ("abr.py", "policies.py", "__init__.py"):
-        text = (SRC / "streaming" / name).read_text()
-        assert "dedup" not in text and "memo" not in text, name
     assert not hasattr(_MPCBase, "_plan_value")
     assert not hasattr(_GridPolicy, "_index")
     assert not hasattr(QoEModel, "plan_value")
@@ -149,6 +154,40 @@ def test_planner_evaluates_every_row_and_has_no_scalar_twin():
     assert list(inspect.signature(DiscreteMPC).parameters) == [
         "quality_model", "qoe_model", "sr_latency", "horizon",
     ]
+
+    plans = []
+    plan = _MPCBase._plan
+
+    def counted(self, window, *scalars):
+        plans.append((id(window), *scalars))  # the controller keeps its windows
+        return plan(self, window, *scalars)
+
+    monkeypatch.setattr(_MPCBase, "_plan", counted)
+
+    def ctx(tput, buffer, prev, start, points=100_000):
+        """Fresh chunk and context objects on every call."""
+        video = VideoSpec("v", n_frames=300, fps=30, points_per_frame=points)
+        return AbrContext(tput, buffer, prev, video.chunks(1.0)[start:])
+
+    # 12 rows, 6 keys: one key four times, equal scalars under three
+    # windows, and each scalar moved once under the first window
+    rows = [
+        ctx(25e6, 2.5, 0.5, 0), ctx(25e6, 2.5, 0.5, 0), ctx(25e6, 2.5, 0.5, 4),
+        ctx(25e6, 2.5, 0.5, 0, points=40_000), ctx(3e6, 2.5, 0.5, 0),
+        ctx(25e6, 2.5, 0.5, 0), ctx(25e6, 0.0, 0.5, 0), ctx(25e6, 2.5, None, 0),
+        ctx(25e6, 2.5, 0.5, 4), ctx(25e6, 2.5, 0.5, 0), ctx(3e6, 2.5, 0.5, 0),
+        ctx(25e6, 0.0, 0.5, 0),
+    ]
+    for mpc in (
+        ContinuousMPC(SRQualityModel(), QoEModel(), MeasuredSRLatency(0.001, 1e-8, 2e-8),
+                      n_grid=16, horizon=3),
+        DiscreteMPC(SRQualityModel(), QoEModel(), MeasuredSRLatency(0.001, 1e-8, 2e-8)),
+    ):
+        for call in range(3):
+            plans.clear()
+            mpc.decide_batch(rows)
+            assert len(plans) == len(set(plans)) == 6, (call, plans)
+        assert (mpc.decide_rows, mpc.decide_unique) == (3 * 12, 3 * 6)
 
 
 def called_names(node) -> set[str]:
