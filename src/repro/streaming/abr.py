@@ -377,7 +377,6 @@ class _MPCBase(AbrController):
         """
         (bits0, sr0, d0), rest = window[0], window[1:]
         tput = throughput_bps * SAFETY
-        b0 = buffer_level
         gamma = self.qoe_model.weights.gamma
         zero = gamma * 0.0
         values = []
@@ -389,7 +388,7 @@ class _MPCBase(AbrController):
             r, s = bits0[c] / tput, sr0[c]
             if s > r:
                 r = s
-            x = r - b0
+            x = r - buffer_level
             if x <= 0.0:
                 value, b = first - zero, d0 - x
             else:

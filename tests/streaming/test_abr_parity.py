@@ -417,27 +417,20 @@ class TestTensorOracle:
         assert_equals_the_tensor_planner(mpc, [oracle_ctx(mpc, *row) for row in rows])
 
 
-def window_ctx(tput, buffer, prev, n_chunks, points):
-    """A context over fresh ``ChunkSpec`` objects on every call."""
-    chunks = VideoSpec(
-        name="t", n_frames=n_chunks * 30, fps=30, points_per_frame=points
-    ).chunks(1.0)
-    return AbrContext(tput, buffer, prev, chunks)
-
-
 class TestRowsPlannedOncePerCall:
     """``decide_batch`` plans each distinct row of a call once and hands
     its decision to every equal row: over batches full of repeats —
     value-equal but distinct contexts and chunk specs, a zero buffer and
     previous quality of either sign beside ``None``, equal scalars under
     different windows, in a drawn order — it equals the one-row calls
-    and the tensor planner, and plans exactly the distinct keys."""
+    and the tensor planner, and plans exactly the distinct keys.
+    ``make_ctx`` builds fresh chunk specs on every call."""
 
     @given(
         grid=st.sampled_from(sorted(TENSOR_GRIDS)),
         lat_name=st.sampled_from(sorted(LATENCIES)),
-        tputs=st.lists(
-            st.one_of(st.floats(1e4, 1e10), st.sampled_from([math.inf, 5e-324])),
+        tputs=st.lists(  # Mbit/s
+            st.one_of(st.floats(1e-2, 1e4), st.sampled_from([math.inf, 5e-324])),
             min_size=1,
             max_size=3,
         ),
@@ -467,7 +460,7 @@ class TestRowsPlannedOncePerCall:
         mpc = TENSOR_GRIDS[grid](LATENCIES[lat_name]())
         columns = (tputs, buffers, prevs, windows)
         ctxs = [
-            window_ctx(tput, buffer, prev, *window)
+            make_ctx(tput, buffer, prev, *window)
             for tput, buffer, prev, window in (
                 [col[i % len(col)] for col, i in zip(columns, row)] for row in picks
             )
