@@ -1,22 +1,18 @@
 """A bare link is a one-edge CDN: ``single_link_cdn`` serves it.
 
-The golden digests in ``single_link_golden.json`` were recorded from the
-dedicated single-link serving mode (``simulate_fleet(trace=…)``, a
-one-hop path with no edge) before ``single_link_cdn`` replaced it; every
-case here must still reproduce them bit for bit.  The ``-fair`` in a
-grid or short-trace case id is part of its golden key: weighted sharing
-has left, and its cases with it.
-A digest hashes the ``repr`` of one session's QoE, bytes, stall,
-start-up delay, decisions, abandonment and per-chunk records, so any
-float that moves fails it.
+The golden rows in ``tests/golden/single_link.json`` descend from digests
+recorded from the dedicated single-link serving mode
+(``simulate_fleet(trace=…)``, a one-hop path with no edge) before
+``single_link_cdn`` replaced it; every case here must still reproduce
+them bit for bit.  The ``-fair`` in a grid or short-trace case id is part
+of its golden key: weighted sharing has left, and its cases with it.
+A row holds one session's QoE, bytes, stall, start-up delay, abandonment
+and decisions, and a digest of its per-chunk records, so any float that
+moves fails it.
 
 The fold also lets a single link carry what only topologies could:
 retry timeouts, gray failures and a control plane.
 """
-
-import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
@@ -39,6 +35,7 @@ from repro.streaming import (
     single_link_cdn,
 )
 
+from ..golden import assert_golden, digest
 from .helpers import (
     FixedDensity,
     assert_same_run,
@@ -49,19 +46,19 @@ from .helpers import (
     sr_lat,
 )
 
-GOLDEN = json.loads(
-    Path(__file__).with_name("single_link_golden.json").read_text()
-)
 
-
-def digest(result) -> str:
-    """Hash of everything a session reports, floats by ``repr``."""
-    text = repr((
-        result.qoe, result.total_bytes, result.stall_seconds,
-        result.startup_delay, result.decisions, result.abandoned,
-        [(c.quality, c.stall, c.bytes_downloaded) for c in result.records],
-    ))
-    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+def session_row(case: str, session: int, result) -> dict:
+    """One session's golden row, floats exact."""
+    return {
+        "case": case, "session": session, "qoe": result.qoe,
+        "total_bytes": result.total_bytes,
+        "stall_seconds": result.stall_seconds,
+        "startup_delay": result.startup_delay, "abandoned": result.abandoned,
+        "decisions": result.decisions,
+        "records": digest(
+            [(c.quality, c.stall, c.bytes_downloaded) for c in result.records]
+        ),
+    }
 
 
 # -- fleet cases: id -> () -> (sessions, trace, sr_cache) ------------------
@@ -190,25 +187,19 @@ SESSION_CASES = {
 
 
 class TestSingleLinkGolden:
-    @pytest.mark.parametrize("case", sorted(FLEET_CASES))
-    def test_fleet_reproduces_the_single_link_mode(self, case):
-        sessions, trace, sr_cache = FLEET_CASES[case]()
-        result = simulate_fleet(
-            sessions, topology=single_link_cdn(trace), sr_cache=sr_cache
-        )
-        assert [digest(r) for r in result.sessions] == GOLDEN["fleet"][case]
-        check_byte_conservation(result)
-
-    @pytest.mark.parametrize("case", sorted(SESSION_CASES))
-    def test_simulate_session_on_paper_lte_profiles(self, case):
-        args, kwargs = SESSION_CASES[case]()
-        assert digest(simulate_session(*args, **kwargs)) == (
-            GOLDEN["session"][case]
-        )
-
-    def test_golden_file_holds_exactly_these_cases(self):
-        assert sorted(GOLDEN["fleet"]) == sorted(FLEET_CASES)
-        assert sorted(GOLDEN["session"]) == sorted(SESSION_CASES)
+    def test_every_case_reproduces_the_single_link_mode(self):
+        rows = []
+        for case in sorted(FLEET_CASES):
+            sessions, trace, sr_cache = FLEET_CASES[case]()
+            result = simulate_fleet(
+                sessions, topology=single_link_cdn(trace), sr_cache=sr_cache
+            )
+            check_byte_conservation(result)
+            rows += [session_row(case, i, r) for i, r in enumerate(result.sessions)]
+        for case in sorted(SESSION_CASES):
+            args, kwargs = SESSION_CASES[case]()
+            rows.append(session_row(case, 0, simulate_session(*args, **kwargs)))
+        assert_golden("single_link", rows, key=("case", "session"))
 
     def test_report_of_a_single_link_run(self):
         sessions, trace, sr_cache = FLEET_CASES["mpc_fleet_on_lte"]()
