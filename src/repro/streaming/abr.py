@@ -450,6 +450,21 @@ class _MPCBase(AbrController):
         return decisions
 
 
+def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` densities from ``lo`` to ``hi``, evenly spaced in log10.
+
+    ``np.geomspace``'s arithmetic in stdlib floats (``linspace``'s
+    ``i * step + a``, then ``10.0 ** y``, both ends pinned), so the grid
+    is the same on every CPU: NumPy dispatches ``log10`` and ``power`` to
+    SIMD kernels whose last bits differ between AVX2 and AVX-512.
+    """
+    if n < 2:
+        return [lo][:n]
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (n - 1)
+    return [lo, *(10.0 ** (i * step + a) for i in range(1, n - 1)), hi]
+
+
 class ContinuousMPC(_MPCBase):
     """VoLUT's continuous ABR: a fine density grid (§5.1).
 
@@ -471,9 +486,9 @@ class ContinuousMPC(_MPCBase):
     ):
         if not 0 < min_density < 1:
             raise ValueError("min_density must be in (0, 1)")
-        grid = np.geomspace(min_density, 1.0, n_grid)
         super().__init__(
-            grid, quality_model, qoe_model, sr_latency, horizon, fetch_fraction
+            geometric_grid(min_density, 1.0, n_grid), quality_model,
+            qoe_model, sr_latency, horizon, fetch_fraction,
         )
 
 

@@ -46,6 +46,7 @@ from .abr import (
     Decision,
     DiscreteMPC,
     SRQualityModel,
+    geometric_grid,
 )
 from .chunks import ChunkSpec
 from .latency import ZERO_LATENCY
@@ -82,7 +83,7 @@ class _GridPolicy(AbrController):
         if n_grid < 2:
             raise ValueError("n_grid must be >= 2")
         self.quality_model = quality_model
-        self.candidates = np.geomspace(MIN_DENSITY, 1.0, n_grid)
+        self.candidates = np.array(geometric_grid(MIN_DENSITY, 1.0, n_grid))
         densities = self.candidates.tolist()
         ratios = [quality_model.sr_ratio_for(d) for d in densities]
         self._sr_ratios = np.array(ratios)

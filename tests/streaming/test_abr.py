@@ -7,6 +7,7 @@ from repro.metrics import QoEModel
 from repro.streaming import (
     YUZU_DENSITY_LEVELS,
     AbrContext,
+    BolaController,
     BufferBased,
     ContinuousMPC,
     Decision,
@@ -15,6 +16,8 @@ from repro.streaming import (
     VideoSpec,
     ZERO_LATENCY,
 )
+
+from ..golden import assert_golden
 
 
 def ctx(tput_mbps=50.0, buffer_level=3.0, prev=None, points=100_000, bpp=6.0):
@@ -154,6 +157,19 @@ class TestContinuousMPC:
         hungry = mpc.decide(ctx(tput_mbps=60.0, buffer_level=0.0)).density
         comfy = mpc.decide(ctx(tput_mbps=60.0, buffer_level=8.0)).density
         assert hungry <= comfy
+
+    def test_candidate_grids_are_pinned(self):
+        """The grids the single-link cases (8, 12), the fleet (16) and the
+        paper figures (64) plan over hold on every CPU; the rule-based
+        zoo's grid is the same one."""
+        rows = [
+            {"n": n, "i": i, "density": d}
+            for n in (8, 12, 16, 64)
+            for i, d in enumerate(make_mpc(n_grid=n).candidates.tolist())
+        ]
+        assert_golden("planner_grid", rows, key=("n", "i"))
+        bola = BolaController(SRQualityModel(), n_grid=16)
+        assert bola.candidates.tolist() == make_mpc(n_grid=16).candidates.tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
