@@ -1,5 +1,8 @@
 """Design-choice ablations (``experiments/design_ablations.py``) at smoke scale."""
 
+import numpy as np
+import pytest
+
 from repro.experiments import (
     SMOKE,
     run_bins_sweep,
@@ -33,11 +36,33 @@ def test_ablate_downsampling():
 
 
 def test_ablate_octree_depth():
+    """A second octree level prunes: each query compares fewer candidate
+    pairs than with one level (a deterministic count; the wall-clock form
+    is the slow ``test_two_octree_levels_query_faster_than_one``)."""
     table = run_octree_depth_sweep(SMOKE)
     print("\n" + table.render())
-    one = table.lookup(levels=1)["query_ms"]
-    two = table.lookup(levels=2)["query_ms"]
+    one = table.lookup(levels=1)["pairs_per_query"]
+    two = table.lookup(levels=2)["pairs_per_query"]
     assert two < one
+
+
+REPEATS = 7
+
+
+@pytest.mark.slow
+def test_two_octree_levels_query_faster_than_one():
+    """The pruning pays in wall time: over ``REPEATS`` sweeps, the median
+    two-level query beats the median one-level query."""
+    ms = {1: [], 2: []}
+    for _ in range(REPEATS):
+        table = run_octree_depth_sweep(SMOKE, levels=(1, 2))
+        for levels, runs in ms.items():
+            runs.append(table.lookup(levels=levels)["query_ms"])
+    print("\nquery ms, median (min-max): " + ", ".join(
+        f"{lv} level(s) {np.median(r):.2f} ({min(r):.2f}-{max(r):.2f})"
+        for lv, r in ms.items()
+    ))
+    assert np.median(ms[2]) < np.median(ms[1])
 
 
 def test_multivideo():

@@ -1,71 +1,37 @@
 #!/usr/bin/env python
 """Regenerate every table and figure from the paper's evaluation section.
 
-Runs the full experiment suite (Table 1, Figs 4, 7-18) at the chosen scale
-and prints each result table.  ``--scale smoke`` (default) finishes in a
-couple of minutes; ``--scale paper`` uses §7.1-sized workloads and takes
-much longer in pure Python.
+Runs the paper's experiments (Table 1, Figs 4, 7-18) from the experiment
+registry at the chosen scale, prints each result table and closes with
+a per-experiment pass/fail summary.  ``--scale smoke`` (default) finishes
+in a couple of minutes; ``--scale paper`` uses §7.1-sized workloads and
+takes much longer in pure Python.
 
-Run:  python examples/reproduce_paper.py [--scale smoke|paper] [--only fig11]
+Run:  python examples/reproduce_paper.py [--scale smoke|paper] [--only fig11-measured]
 """
 
 import argparse
-import time
+import sys
 
-from repro.experiments import (
-    PAPER,
-    SMOKE,
-    run_ablation,
-    run_breakdown_device,
-    run_breakdown_measured,
-    run_fig4,
-    run_fig11_device,
-    run_fig11_measured,
-    run_fig17_device,
-    run_fig17_measured,
-    run_fig18_device,
-    run_memory_usage,
-    run_sr_quality,
-    run_streaming_eval,
-    run_table1,
-)
+from repro.experiments.__main__ import REGISTRY, main as run_experiments
 
-EXPERIMENTS = {
-    "table1": lambda scale: run_table1(),
-    "fig4": run_fig4,
-    "fig7-10": run_sr_quality,
-    "fig11-measured": lambda scale: run_fig11_measured(scale),
-    "fig11-device": lambda scale: run_fig11_device(),
-    "fig12-13": run_streaming_eval,
-    "fig14": run_ablation,
-    "fig15": lambda scale: run_memory_usage(),
-    "fig16-device": lambda scale: run_breakdown_device(),
-    "fig16-measured": run_breakdown_measured,
-    "fig17-device": lambda scale: run_fig17_device(),
-    "fig17-measured": run_fig17_measured,
-    "fig18": lambda scale: run_fig18_device(),
-}
+#: the registry's entries that reproduce a table or figure of the paper
+PAPER_EXPERIMENTS = [n for n in REGISTRY if n.startswith(("table", "fig"))]
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=["smoke", "paper"], default="smoke")
     parser.add_argument(
         "--only",
-        choices=sorted(EXPERIMENTS),
+        choices=PAPER_EXPERIMENTS,
         default=None,
         help="run a single experiment",
     )
     args = parser.parse_args()
-    scale = PAPER if args.scale == "paper" else SMOKE
-
-    names = [args.only] if args.only else list(EXPERIMENTS)
-    for name in names:
-        t0 = time.time()
-        table = EXPERIMENTS[name](scale)
-        print(table.render())
-        print(f"[{name}: {time.time() - t0:.1f}s]\n")
+    names = [args.only] if args.only else PAPER_EXPERIMENTS
+    return run_experiments(["--scale", args.scale, *names])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

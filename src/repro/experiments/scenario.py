@@ -63,7 +63,8 @@ N_VIDEOS = 8
 #: seeds the arrivals, the catalog picks and the bootstrap
 SEED = 0
 #: arrival rate over the requested count: the window almost always
-#: yields ``n_sessions`` arrivals, then the population is capped
+#: yields ``n_sessions`` arrivals, then the population is capped; where
+#: it does not (a small row), the rate is padded again until it does
 ARRIVAL_PADDING = 1.2
 #: seconds between joins of a ``"fixed"`` fleet
 JOIN_SPACING = 0.5
@@ -143,8 +144,9 @@ class Scenario:
             raise ValueError("autoscale needs a control plane")
 
     def population(self, scale: Scale) -> list[FleetSession]:
-        """The row's viewers: one shared controller, deterministic given
-        ``SEED``, so every row sees the same joins whatever its ``abr``."""
+        """The row's ``n_sessions`` viewers: one shared controller,
+        deterministic given ``SEED``, so every row sees the same joins
+        whatever its ``abr``."""
         qm = SRQualityModel()
         lat = MeasuredSRLatency(0.001, 1e-8, 2e-8)
         ctrl = get_policy(
@@ -169,16 +171,22 @@ class Scenario:
         )
         window = float(scale.stream_seconds)
         span = window * self.days
+
+        def arrivals(rate: float) -> PoissonArrivals | DiurnalArrivals:
+            if self.arrivals == "diurnal":
+                return DiurnalArrivals(
+                    mean_rate_hz=rate, day_seconds=window,
+                    days=float(self.days), seed=SEED,
+                )
+            return PoissonArrivals(rate_hz=rate, seed=SEED)
+
+        # the expected count is proportional to the rate, so raising it
+        # ends the loop
         rate = ARRIVAL_PADDING * self.n_sessions / span
-        if self.arrivals == "diurnal":
-            arrivals: PoissonArrivals | DiurnalArrivals = DiurnalArrivals(
-                mean_rate_hz=rate, day_seconds=window, days=float(self.days),
-                seed=SEED,
-            )
-        else:
-            arrivals = PoissonArrivals(rate_hz=rate, seed=SEED)
+        while len(arrivals(rate).times(span)) < self.n_sessions:
+            rate *= ARRIVAL_PADDING
         return build_population(
-            catalog, arrivals, span, ctrl, sr_latency=lat, quality_model=qm,
+            catalog, arrivals(rate), span, ctrl, sr_latency=lat, quality_model=qm,
             churn=AbandonPolicy(max_total_stall=STALL_PATIENCE), seed=SEED,
             max_sessions=self.n_sessions,
         )

@@ -2,8 +2,6 @@
 hostile payloads, and parity with the byte-loop codec it replaced
 (``reference_codec.py``, the oracle-parity instance for this layer)."""
 
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +19,7 @@ from repro.pointcloud import PointCloud, make_video
 from repro.pointcloud.sampling import random_downsample_count
 from repro.streaming.encoder import encode_frame_compressed
 
+from ..golden import assert_golden, digest
 from . import reference_codec as ref
 
 
@@ -171,22 +170,20 @@ def test_roundtrip_distortion_bounded_property(seed, depth):
 
 
 # ----------------------------------------------------------------------
-# Wire format: digests computed at PR 20 (the byte-loop codec), before the
-# array-speed rewrite.  A codec change that moves a byte moves
-# ``stream_mbps`` on every workload; it must show up here as a reviewed diff.
-WIRE_DIGESTS = {
-    (1.0, 10): (15650, "364cceae45bdc5f79bf3732027741027"),
-    (0.38, 10): (6491, "3ae418d69c0a10d284429e449b141ad3"),
-    (1.0, 6): (7131, "895fd1681dc8f46c1504aad78a7183b4"),
-}
-
-
-@pytest.mark.parametrize("density,depth", sorted(WIRE_DIGESTS))
-def test_wire_format_is_pinned(density, depth):
+# Wire format: payload lengths and digests first recorded from the
+# byte-loop codec, before the array-speed rewrite.  A codec change that
+# moves a byte moves ``stream_mbps`` on every workload; it must show up
+# here as a reviewed diff of ``tests/golden/codec_wire.json``.
+def test_wire_format_is_pinned():
     frame = make_video("longdress", n_points=2000, n_frames=1, seed=0).frame(0)
-    payload = encode_frame_compressed(frame, density, depth=depth, seed=0)
-    digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
-    assert (len(payload), digest) == WIRE_DIGESTS[density, depth]
+    rows = []
+    for density, depth in ((0.38, 10), (1.0, 6), (1.0, 10)):
+        payload = encode_frame_compressed(frame, density, depth=depth, seed=0)
+        rows.append({
+            "density": density, "depth": depth, "len": len(payload),
+            "digest": digest(payload),
+        })
+    assert_golden("codec_wire", rows, key=("density", "depth"))
 
 
 # ----------------------------------------------------------------------

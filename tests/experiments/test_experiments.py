@@ -334,6 +334,19 @@ class TestScenario:
         assert calls == [1]
         assert shown.rows[0]["qoe_ci95"].startswith("[")
 
+    @pytest.mark.parametrize(
+        "arrivals, days", [("poisson", 1), ("diurnal", 1), ("diurnal", 3)]
+    )
+    def test_a_row_yields_exactly_its_configured_audience(self, arrivals, days):
+        """Its topology is provisioned for ``n_sessions``; a short draw
+        (18 of 24 diurnal viewers at ``SMOKE``) is redrawn at a higher
+        rate, not left under-filled."""
+        from repro.experiments import SMOKE, Scenario
+
+        for n in range(1, 61):
+            row = Scenario(n, arrivals=arrivals, days=days)
+            assert len(row.population(SMOKE)) == n, n
+
     def test_a_twin_runs_once_per_memo_and_not_across_memos(self, monkeypatch):
         from dataclasses import replace
 

@@ -31,33 +31,29 @@ def digest(obj) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-def _text(value) -> str:
-    return json.dumps(value)
+def _text(row: dict, field: str) -> str:
+    return json.dumps(row[field]) if field in row else "<absent>"
 
 
 def _first_field(old: dict, new: dict) -> str | None:
     """The first field whose value differs between two rows, else None."""
-    for f in [*old, *(f for f in new if f not in old)]:
-        if f not in old or f not in new or _text(old[f]) != _text(new[f]):
-            return f
-    return None
+    return next(
+        (f for f in {**old, **new} if _text(old, f) != _text(new, f)), None
+    )
 
 
 def _dump(rows: list[dict]) -> str:
     """One field per line, lists inline."""
     return "[\n" + ",\n".join(
-        "{\n" + ",\n".join(f" {_text(f)}: {_text(v)}" for f, v in row.items())
+        "{\n" + ",\n".join(f" {json.dumps(f)}: {_text(row, f)}" for f in row)
         + "\n}"
         for row in rows
     ) + "\n]\n"
 
 
-def _index(rows: list[dict], key: tuple[str, ...], path: Path) -> dict:
-    index = {}
-    for row in rows:
-        k = tuple(row[f] for f in key)
-        assert k not in index, f"{path}: two rows keyed {k}"
-        index[k] = row
+def _index(rows: list[dict], key: tuple[str, ...], shown: Path) -> dict:
+    index = {tuple(row[f] for f in key): row for row in rows}
+    assert len(index) == len(rows), f"{shown}: two rows share a key {key}"
     return index
 
 
@@ -66,29 +62,28 @@ def assert_golden(name: str, rows: list[dict], key: tuple[str, ...]) -> None:
     identified by its ``key`` fields; fail naming the first differing
     row and field, both values, and how many rows differ."""
     path = GOLDEN_DIR / f"{name}.json"
+    shown = path.relative_to(GOLDEN_DIR.parents[1])
     text = _dump(rows)
     rows = json.loads(text)  # tuples become lists, as stored
     if not path.exists():
         path.parent.mkdir(exist_ok=True)
         path.write_text(text)
-        pytest.fail(f"{path}: recorded — review the diff and commit")
-    got = _index(rows, key, path)
-    want = _index(json.loads(path.read_text()), key, path)
+        pytest.fail(f"{shown}: recorded — review the diff and commit")
+    got = _index(rows, key, shown)
+    want = _index(json.loads(path.read_text()), key, shown)
     problems = []
-    missing, extra = sorted(want.keys() - got), sorted(got.keys() - want)
-    if missing:
+    if missing := sorted(want.keys() - got):
         problems.append(f"recorded rows not produced: {missing}")
-    if extra:
+    if extra := sorted(got.keys() - want):
         problems.append(f"rows not recorded: {extra}")
     differ = {
         k: f for k in want
         if k in got and (f := _first_field(want[k], got[k])) is not None
     }
     if differ:
-        k, field = next(iter(differ.items()))
-        old, new = want[k].get(field, "<absent>"), got[k].get(field, "<absent>")
+        k, f = next(iter(differ.items()))
         problems.append(
             f"{len(differ)} of {len(want)} rows differ; first {k}, field "
-            f"{field!r}: recorded {_text(old)}, now {_text(new)}"
+            f"{f!r}: recorded {_text(want[k], f)}, now {_text(got[k], f)}"
         )
-    assert not problems, f"{path}: " + "; ".join(problems)
+    assert not problems, f"{shown}: " + "; ".join(problems)

@@ -7,6 +7,8 @@ from repro.streaming import VideoSpec
 from repro.streaming.abr import AbrController, Decision
 from repro.streaming.latency import MeasuredSRLatency
 
+from ..golden import digest
+
 
 class FixedDensity(AbrController):
     """Always fetches the same density — the simplest deterministic ABR."""
@@ -38,6 +40,20 @@ def spec(seconds=10, points=100_000, name="t"):
 
 def sr_lat():
     return MeasuredSRLatency(0.001, 1e-8, 2e-8)
+
+
+def session_facts(result) -> dict:
+    """What a session reports, for a golden row: floats exact, the
+    per-chunk records as one digest."""
+    return {
+        "qoe": result.qoe, "total_bytes": result.total_bytes,
+        "stall_seconds": result.stall_seconds,
+        "startup_delay": result.startup_delay, "abandoned": result.abandoned,
+        "decisions": result.decisions,
+        "records": digest(
+            [(c.quality, c.stall, c.bytes_downloaded) for c in result.records]
+        ),
+    }
 
 
 def assert_same_run(a, b):

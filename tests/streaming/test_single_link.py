@@ -35,30 +35,21 @@ from repro.streaming import (
     single_link_cdn,
 )
 
-from ..golden import assert_golden, digest
+from ..golden import assert_golden
 from .helpers import (
     FixedDensity,
     assert_same_run,
     check_byte_conservation,
     check_retry_accounting,
     lte_trace_on_grid,
+    session_facts,
     spec,
     sr_lat,
 )
 
 
 def session_row(case: str, session: int, result) -> dict:
-    """One session's golden row, floats exact."""
-    return {
-        "case": case, "session": session, "qoe": result.qoe,
-        "total_bytes": result.total_bytes,
-        "stall_seconds": result.stall_seconds,
-        "startup_delay": result.startup_delay, "abandoned": result.abandoned,
-        "decisions": result.decisions,
-        "records": digest(
-            [(c.quality, c.stall, c.bytes_downloaded) for c in result.records]
-        ),
-    }
+    return {"case": case, "session": session, **session_facts(result)}
 
 
 # -- fleet cases: id -> () -> (sessions, trace, sr_cache) ------------------

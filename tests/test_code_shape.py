@@ -1156,3 +1156,35 @@ def test_fleet_runs_in_one_process():
         if "shard" in text.lower():
             offenders.append(f"{path.name}: shard")
     assert not offenders, offenders
+
+
+def test_one_golden_mechanism():
+    """``tests/golden.py`` alone stores, compares and reports pinned
+    results: no other file under ``tests/`` hashes, names a golden file
+    or keeps a table of digests."""
+    tests = Path(__file__).resolve().parent
+    offenders = []
+    for path in sorted(tests.rglob("*.py")):
+        if path.parent == tests and path.name == "golden.py":
+            continue
+        where = path.relative_to(tests).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            offenders += [f"{where}: import {m}" for m in modules if m == "hashlib"]
+            if isinstance(node, ast.Name) and (
+                node.id.endswith("_DIGESTS") or "GOLDEN" in node.id
+            ):
+                offenders.append(f"{where}: {node.id}")
+            if isinstance(node, (ast.Call, ast.BinOp)):
+                offenders += [
+                    f"{where}: {arg.value!r}"
+                    for arg in ast.walk(node)
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                    and "golden" in arg.value.lower()
+                ]
+    assert not offenders, offenders
