@@ -174,15 +174,28 @@ def test_roundtrip_distortion_bounded_property(seed, depth):
 # byte-loop codec, before the array-speed rewrite.  A codec change that
 # moves a byte moves ``stream_mbps`` on every workload; it must show up
 # here as a reviewed diff of ``tests/golden/codec_wire.json``.
-def test_wire_format_is_pinned():
+WIRE_CASES = ((0.38, 10), (1.0, 6), (1.0, 10))
+
+
+def wire_row(density: float, depth: int) -> dict:
     frame = make_video("longdress", n_points=2000, n_frames=1, seed=0).frame(0)
-    rows = []
-    for density, depth in ((0.38, 10), (1.0, 6), (1.0, 10)):
-        payload = encode_frame_compressed(frame, density, depth=depth, seed=0)
-        rows.append({
-            "density": density, "depth": depth, "len": len(payload),
-            "digest": digest(payload),
-        })
+    payload = encode_frame_compressed(frame, density, depth=depth, seed=0)
+    return {
+        "density": density, "depth": depth, "len": len(payload),
+        "digest": digest(payload),
+    }
+
+
+@pytest.mark.parametrize("density,depth", WIRE_CASES)
+def test_wire_format_is_pinned(density, depth):
+    assert_golden(
+        "codec_wire", [wire_row(density, depth)], key=("density", "depth"),
+        where={"density": density, "depth": depth},
+    )
+
+
+def test_wire_format_golden_holds_exactly_these_payloads():
+    rows = [wire_row(density, depth) for density, depth in WIRE_CASES]
     assert_golden("codec_wire", rows, key=("density", "depth"))
 
 

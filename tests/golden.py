@@ -11,7 +11,9 @@ records, a codec payload) is stored as :func:`digest`.
 
 There is no option.  A missing file is written and the test fails once;
 a deliberate move deletes the file and reruns the test, and the diff of
-the JSON is what gets reviewed.
+the JSON is what gets reviewed.  A test of one case passes ``where`` and
+compares only that case's recorded rows; the file's whole-file test
+records it and names missing or extra rows.
 """
 
 from __future__ import annotations
@@ -57,20 +59,33 @@ def _index(rows: list[dict], key: tuple[str, ...], shown: Path) -> dict:
     return index
 
 
-def assert_golden(name: str, rows: list[dict], key: tuple[str, ...]) -> None:
+def assert_golden(
+    name: str, rows: list[dict], key: tuple[str, ...], where: dict | None = None
+) -> None:
     """Compare ``rows`` with ``tests/golden/<name>.json``, each row
     identified by its ``key`` fields; fail naming the first differing
-    row and field, both values, and how many rows differ."""
+    row and field, both values, and how many rows differ.  With
+    ``where``, only the recorded rows whose fields equal it are compared,
+    and a missing file is left to the whole-file test to record."""
     path = GOLDEN_DIR / f"{name}.json"
     shown = path.relative_to(GOLDEN_DIR.parents[1])
     text = _dump(rows)
     rows = json.loads(text)  # tuples become lists, as stored
     if not path.exists():
+        if where is not None:
+            pytest.fail(f"{shown}: not recorded — run its whole-file test")
         path.parent.mkdir(exist_ok=True)
         path.write_text(text)
         pytest.fail(f"{shown}: recorded — review the diff and commit")
+    recorded = json.loads(path.read_text())
+    if where is not None:
+        where = json.loads(json.dumps(where))
+        recorded = [
+            r for r in recorded
+            if all(r.get(f) == v for f, v in where.items())
+        ]
     got = _index(rows, key, shown)
-    want = _index(json.loads(path.read_text()), key, shown)
+    want = _index(recorded, key, shown)
     problems = []
     if missing := sorted(want.keys() - got):
         problems.append(f"recorded rows not produced: {missing}")

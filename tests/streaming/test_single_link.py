@@ -14,6 +14,8 @@ The fold also lets a single link carry what only topologies could:
 retry timeouts, gray failures and a control plane.
 """
 
+import functools
+
 import pytest
 
 from repro.metrics import QoEModel
@@ -177,19 +179,40 @@ SESSION_CASES = {
 }
 
 
+@functools.cache
+def case_rows(case: str) -> tuple[dict, ...]:
+    """One row per session of a fleet or ``simulate_session`` case, run
+    once per process: the whole-file test reuses the per-case runs."""
+    if case in SESSION_CASES:
+        args, kwargs = SESSION_CASES[case]()
+        return (session_row(case, 0, simulate_session(*args, **kwargs)),)
+    sessions, trace, sr_cache = FLEET_CASES[case]()
+    result = simulate_fleet(
+        sessions, topology=single_link_cdn(trace), sr_cache=sr_cache
+    )
+    check_byte_conservation(result)
+    return tuple(session_row(case, i, r) for i, r in enumerate(result.sessions))
+
+
+def assert_case_pinned(case: str) -> None:
+    assert_golden(
+        "single_link", list(case_rows(case)), key=("case", "session"),
+        where={"case": case},
+    )
+
+
 class TestSingleLinkGolden:
-    def test_every_case_reproduces_the_single_link_mode(self):
-        rows = []
-        for case in sorted(FLEET_CASES):
-            sessions, trace, sr_cache = FLEET_CASES[case]()
-            result = simulate_fleet(
-                sessions, topology=single_link_cdn(trace), sr_cache=sr_cache
-            )
-            check_byte_conservation(result)
-            rows += [session_row(case, i, r) for i, r in enumerate(result.sessions)]
-        for case in sorted(SESSION_CASES):
-            args, kwargs = SESSION_CASES[case]()
-            rows.append(session_row(case, 0, simulate_session(*args, **kwargs)))
+    @pytest.mark.parametrize("case", sorted(FLEET_CASES))
+    def test_fleet_reproduces_the_single_link_mode(self, case):
+        assert_case_pinned(case)
+
+    @pytest.mark.parametrize("case", sorted(SESSION_CASES))
+    def test_simulate_session_on_paper_lte_profiles(self, case):
+        assert_case_pinned(case)
+
+    def test_golden_file_holds_exactly_these_cases(self):
+        cases = sorted(FLEET_CASES) + sorted(SESSION_CASES)
+        rows = [row for case in cases for row in case_rows(case)]
         assert_golden("single_link", rows, key=("case", "session"))
 
     def test_report_of_a_single_link_run(self):
