@@ -35,7 +35,9 @@ class HarmonicMeanEstimator:
             )
         self.window = int(window)
         self.initial_bps = float(initial_bps)
-        self._samples: deque[float] = deque(maxlen=self.window)
+        #: ``1 / sample`` of the last ``window`` samples: each sample is
+        #: divided once, when it arrives, not once per estimate it is in
+        self._inverses: deque[float] = deque(maxlen=self.window)
 
     def observe(self, throughput_bps: float) -> None:
         """Record one completed-transfer throughput sample.
@@ -49,7 +51,7 @@ class HarmonicMeanEstimator:
                 "throughput sample must be finite and positive, got "
                 f"{throughput_bps!r}"
             )
-        self._samples.append(float(throughput_bps))
+        self._inverses.append(1.0 / float(throughput_bps))
 
     def estimate(self) -> float:
         """Current harmonic-mean estimate (bps).
@@ -57,15 +59,16 @@ class HarmonicMeanEstimator:
         Computed with plain-Python arithmetic: this runs once per ABR
         decision, and for windows under numpy's pairwise-summation block
         (8) the sequential sum is bit-identical to the ``np.mean`` it
-        replaces.
+        replaces (``sum()`` is not: from Python 3.12 it compensates).
         """
-        if not self._samples:
+        inverses = self._inverses
+        if not inverses:
             return self.initial_bps
         total = 0.0
-        for s in self._samples:
-            total += 1.0 / s
-        return 1.0 / (total / len(self._samples))
+        for r in inverses:
+            total += r
+        return 1.0 / (total / len(inverses))
 
     @property
     def n_samples(self) -> int:
-        return len(self._samples)
+        return len(self._inverses)

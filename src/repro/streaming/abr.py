@@ -42,7 +42,10 @@ the scalar term-by-term reference (1e-9) and the tensor planner (``==``).
 * *Per chunk window* (:meth:`_MPCBase._window`, keyed on the tuple of
   chunk specs): per planned chunk, the fetched bits and SR seconds of
   every candidate as two float lists, and the chunk's duration as a
-  float — checked finite and non-negative once.
+  float — checked finite and non-negative once.  ``decide_batch`` finds
+  a row's window first by the identity of its first chunk (bounded by
+  ``WINDOW_IDS_LIMIT``), so a fleet's sessions, which share their
+  video's chunk table, hash no chunk spec once the window is known.
 * *Per call* (:meth:`_MPCBase.decide_batch`, a dict that dies with the
   call): each distinct row — the chunk window, then ``(throughput,
   buffer, previous quality)`` as the exact floats the plan reads — is
@@ -242,6 +245,8 @@ class _MPCBase(AbrController):
 
     #: most first-chunk rows :meth:`_first_row` keeps before it starts over
     FIRST_ROWS_LIMIT = 1024
+    #: most first-chunk identities :meth:`_window` keeps before it starts over
+    WINDOW_IDS_LIMIT = 4096
 
     def __init__(
         self,
@@ -279,8 +284,12 @@ class _MPCBase(AbrController):
         ]
         #: one Decision per candidate, handed out by :meth:`decide_batch`
         self._decisions = [Decision(d, s) for d, s in zip(densities, self._sr_ratios)]
-        #: chunk window -> its per-chunk floats (see :meth:`_window`)
+        #: chunk window, by value -> its per-chunk floats (see
+        #: :meth:`_window`); value-equal windows share one floats object
         self._horizon_cache: dict[tuple, tuple] = {}
+        #: ``id`` of a window's first chunk -> ``(window, its floats)``;
+        #: the entry holds the chunk, so the id names it while it is kept
+        self._window_ids: dict[int, tuple[tuple, tuple]] = {}
         #: every planned chunk after the first adds this value per
         #: candidate before its stall (the first-chunk row of no previous
         #: chunk)
@@ -308,6 +317,10 @@ class _MPCBase(AbrController):
         density, instead of planning the argmax of an all-NaN row for
         ever; a refused window is not cached, so every call that needs it
         raises.
+
+        A window found or filled here is also filed under the identity of
+        its first chunk, where :meth:`decide_batch` looks first; that map
+        starts over once it holds :attr:`WINDOW_IDS_LIMIT` entries.
         """
         cached = self._horizon_cache.get(chunks)
         if cached is None:
@@ -333,6 +346,10 @@ class _MPCBase(AbrController):
                                 f"{chunk.index} at density {d:.6g}"
                             )
             self._horizon_cache[chunks] = cached
+        window_ids = self._window_ids
+        if len(window_ids) >= self.WINDOW_IDS_LIMIT:
+            window_ids.clear()
+        window_ids[id(chunks[0])] = (chunks, cached)
         return cached
 
     def _first_row(self, prev_quality: float | None) -> tuple:
@@ -370,15 +387,17 @@ class _MPCBase(AbrController):
         scalars of its context; nothing else is read.  One candidate at a
         time, one planned chunk at a time, in Python floats (the module
         docstring states the contract).  A step whose readiness fits in
-        the buffer (``x <= 0``) stalls ``0.0``, so its stall term is
-        ``γ·0.0`` and its buffer ``d − x``; any other ``x`` (a stall, or a
-        NaN, which both expressions carry on as NumPy's ``maximum`` /
-        ``minimum`` do) goes the long way.
+        the buffer (``x <= 0``) stalls ``0.0``, so its stall term ``γ·0.0``
+        is ``+0.0`` (``γ`` is finite and non-negative) and subtracting it
+        returns the value unchanged, every float ``-0.0`` included: the
+        step adds the candidate's row value as it is, and its buffer is
+        ``d − x``.  Any other ``x`` (a stall, or a NaN, which both
+        expressions carry on as NumPy's ``maximum`` / ``minimum`` do) goes
+        the long way.
         """
         (bits0, sr0, d0), rest = window[0], window[1:]
         tput = throughput_bps * SAFETY
         gamma = self.qoe_model.weights.gamma
-        zero = gamma * 0.0
         values = []
         for c, (first, later) in enumerate(
             zip(self._first_row(prev_quality), self._later_row)
@@ -390,17 +409,16 @@ class _MPCBase(AbrController):
                 r = s
             x = r - buffer_level
             if x <= 0.0:
-                value, b = first - zero, d0 - x
+                value, b = first, d0 - x
             else:
                 value, b = first - gamma * x, (d0 if x > 0.0 else d0 - x)
-            later_zero = later - zero
             for bits, sr, d in rest:
                 r, s = bits[c] / tput, sr[c]
                 if s > r:
                     r = s
                 x = r - b
                 if x <= 0.0:
-                    value, b = value + later_zero, d - x
+                    value, b = value + later, d - x
                 else:
                     value, b = value + (later - gamma * x), (d if x > 0.0 else d - x)
             values.append(value)
@@ -423,18 +441,26 @@ class _MPCBase(AbrController):
         A row's key is its chunk window, then ``(throughput, buffer,
         previous quality)`` — the exact floats :meth:`_plan` reads — so
         rows with equal keys plan equal values and share one
-        :class:`Decision`.  The window enters the key by the identity of
-        its cached floats: the chunk tuple is hashed once per row, by
-        :meth:`_window`'s lookup, and the cache holds every window for the
-        controller's life, so an identity names one window.  The keys
-        live for one call only.
+        :class:`Decision`.  A row finds its window's floats by the identity
+        of its first chunk, confirmed with tuple ``==`` (which compares
+        identical elements without calling theirs), so a row whose chunk
+        table the controller has seen hashes no chunk spec; any other row
+        goes through :meth:`_window`'s value-keyed cache.  The window
+        enters the key by the identity of its cached floats: that cache
+        holds every window for the controller's life, so an identity names
+        one window.  The keys live for one call only.
         """
         self.decide_rows += len(ctxs)
-        window_of, horizon = self._window, self.horizon
+        window_of, window_ids, horizon = self._window, self._window_ids, self.horizon
         planned: dict[tuple, Decision] = {}
         decisions = []
         for ctx in ctxs:
-            window = window_of(tuple(ctx.next_chunks[:horizon]))
+            chunks = tuple(ctx.next_chunks[:horizon])
+            known = window_ids.get(id(chunks[0]))
+            if known is not None and known[0] == chunks:
+                window = known[1]
+            else:
+                window = window_of(chunks)
             tput, buffer, prev = ctx.throughput_bps, ctx.buffer_level, ctx.prev_quality
             key = (id(window), tput, buffer, prev)
             decision = planned.get(key)

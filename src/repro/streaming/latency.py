@@ -2,7 +2,10 @@
 
 The simulator needs per-frame SR processing time as a function of the
 fetched point count and the SR ratio: an :data:`SRLatency` is just that
-callable, which both the session and the planners' caches call.  Models:
+callable, which both the session and the planners' caches call.  It must
+be a pure function of its two arguments: the session evaluates it once
+per distinct (density, SR ratio, frames) of a chunk and the planner once
+per chunk window and candidate, and both replay the result.  Models:
 
 * :class:`DeviceSRLatency` — the operation-count model of
   :mod:`repro.devices` evaluated for a named system on a device profile

@@ -308,7 +308,6 @@ class SessionMachine:
         t_net = self.start_time    # network stage: time the link frees up
         cpu_free = self.start_time  # compute stage: time the SR worker frees up
         buffer_clock = self.start_time  # wall time the buffer is drained to
-        pending = 0.0       # seconds of content downloaded/in SR, not yet ready
 
         # Startup payload (manifest + any SR models) before the first chunk.
         if cfg.startup_bytes > 0:
@@ -323,12 +322,16 @@ class SessionMachine:
             buffer_clock = to_time
             return stall
 
-        # Per-decision values, once per distinct decision of this session
-        # (at most the controller's candidates, after any clamp): the
-        # chunk quality and the cache keys' rounded density and ratio —
-        # the one rounding rule of the edge-cache, encode-queue and
-        # SR-cache keys.
-        per_decision: dict[tuple[float, float], tuple[float, float, float]] = {}
+        # Per-decision values, once per distinct decision and chunk length
+        # of this session: the chunk quality, the cache keys' rounded
+        # density and ratio (the one rounding rule of the edge-cache,
+        # encode-queue and SR-cache keys), and the chunk's fetched bytes
+        # and SR seconds.  Every chunk of the spec shares its points per
+        # frame and bytes per point, and the latency model is a pure
+        # function, so the frame count completes the key.
+        per_decision: dict[
+            tuple[float, float, int], tuple[float, float, float, int, float]
+        ] = {}
         prev_quality: float | None = None
         watched_seconds = 0.0
         total_stall = 0.0
@@ -336,7 +339,7 @@ class SessionMachine:
         for i, chunk in enumerate(chunks):
             # Respect buffer headroom: delay the request until the chunk fits.
             advance_buffer(t_net)
-            overflow = (buf.level + pending + chunk.duration) - MAX_BUFFER
+            overflow = (buf.level + chunk.duration) - MAX_BUFFER
             if overflow > 0 and buf.playing:
                 # The buffer drains in real time, so waiting `overflow` seconds
                 # frees exactly that much headroom (no stall risk: buffer full).
@@ -346,46 +349,44 @@ class SessionMachine:
             # every remaining chunk: each controller plans over its own horizon
             ctx = AbrContext(
                 throughput_bps=est.estimate(),
-                buffer_level=buf.level + pending,
+                buffer_level=buf.level,
                 prev_quality=prev_quality,
                 next_chunks=chunks[i:],
             )
-            decision = yield DecisionRequest(ctx)
-            assert isinstance(decision, Decision)
+            decision = yield DecisionRequest(ctx)  # advance() checked its type
             density, sr_ratio = decision.density, decision.sr_ratio
             decisions.append(density)
-            per = per_decision.get((density, sr_ratio))
+            n_frames = chunk.n_frames
+            per = per_decision.get((density, sr_ratio, n_frames))
             if per is None:
-                per = per_decision[density, sr_ratio] = (
+                per = per_decision[density, sr_ratio, n_frames] = (
                     qm.quality(density, sr_ratio) * cfg.quality_factor,
                     round(density, 3),
                     round(sr_ratio, 3),
+                    int(chunk.bytes_at_density(density) * cfg.fetch_fraction),
+                    n_frames * self.sr_latency(chunk.points_at_density(density), sr_ratio),
                 )
-            q, key_density, key_ratio = per
+            q, key_density, key_ratio, nbytes, sr_time = per
 
-            nbytes = int(chunk.bytes_at_density(density) * cfg.fetch_fraction)
             dl = yield DownloadRequest(
                 t_net, nbytes, self.spec.name, chunk.index, key_density
             )
             dl_finish = t_net + dl
             t_net = dl_finish  # next request goes out immediately after
 
-            sr_time = chunk.n_frames * self.sr_latency(
-                chunk.points_at_density(density), sr_ratio
-            )
             sr_start = max(dl_finish, cpu_free)
             if self.sr_cache is not None and sr_time > 0.0:
                 key = (self.spec.name, chunk.index, key_density, key_ratio)
                 sr_time = self.sr_cache.acquire(key, sr_start, sr_time)
             ready = sr_start + sr_time
             cpu_free = ready
-            pending += chunk.duration
 
             # The chunk becomes playable at `ready`: drain (possibly stalling)
-            # up to that instant, then enqueue.
+            # up to that instant, then enqueue — before the next decision, so
+            # a chunk still in SR when the next request goes out is already
+            # in the level that decision reads.
             stall = advance_buffer(ready)
             buf.add(chunk.duration)
-            pending -= chunk.duration
 
             # A zero-byte chunk (density × fetch_fraction rounding to
             # nothing) yields no throughput sample — dl is pure RTT.

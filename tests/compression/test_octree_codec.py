@@ -186,6 +186,7 @@ def wire_row(density: float, depth: int) -> dict:
     }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("density,depth", WIRE_CASES)
 def test_wire_format_is_pinned(density, depth):
     assert_golden(
@@ -194,6 +195,7 @@ def test_wire_format_is_pinned(density, depth):
     )
 
 
+@pytest.mark.golden
 def test_wire_format_golden_holds_exactly_these_payloads():
     rows = [wire_row(density, depth) for density, depth in WIRE_CASES]
     assert_golden("codec_wire", rows, key=("density", "depth"))

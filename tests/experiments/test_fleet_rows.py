@@ -11,6 +11,8 @@ fleet run keeps ``tests/golden/fleet_rows.json`` as it is.
 
 from dataclasses import asdict, replace
 
+import pytest
+
 from repro.experiments.common import SMOKE
 from repro.experiments.fleet_cdn import cdn_rows
 from repro.experiments.fleet_chaos import chaos_rows
@@ -37,6 +39,7 @@ TABLES = {
 }
 
 
+@pytest.mark.golden
 def test_scenario_rows_are_pinned():
     rows = []
     for table, labelled in TABLES.items():

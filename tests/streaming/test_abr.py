@@ -17,7 +17,10 @@ from repro.streaming import (
     ZERO_LATENCY,
 )
 
+from repro.streaming.latency import MeasuredSRLatency
+
 from ..golden import assert_golden
+from . import reference_planner
 
 
 def ctx(tput_mbps=50.0, buffer_level=3.0, prev=None, points=100_000, bpp=6.0):
@@ -158,6 +161,7 @@ class TestContinuousMPC:
         comfy = mpc.decide(ctx(tput_mbps=60.0, buffer_level=8.0)).density
         assert hungry <= comfy
 
+    @pytest.mark.golden
     def test_candidate_grids_are_pinned(self):
         """The grids the single-link cases (8, 12), the fleet (16) and the
         paper figures (64) plan over hold on every CPU; the rule-based
@@ -278,7 +282,7 @@ class TestHostileSRLatency:
                 mpc.decide(tail)
             with pytest.raises(ValueError, match=message):
                 mpc.decide_batch([tail, ctx(prev=0.5)])
-        assert not mpc._horizon_cache
+        assert not mpc._horizon_cache and not mpc._window_ids
 
     def test_infinite_throughput_still_plans(self):
         """``throughput_bps = inf`` is legal (a zero-time download): the
@@ -292,6 +296,98 @@ class TestHostileSRLatency:
         # 30 frames x 50 ms of SR against a 1 s chunk: any upsampling stalls
         assert mpc.decide(fast) == Decision(density=1.0, sr_ratio=1.0)
         assert mpc.decide_batch([fast, ctx()])[0] == Decision(density=1.0, sr_ratio=1.0)
+
+
+def measured():
+    return MeasuredSRLatency(0.001, 1e-8, 2e-8)
+
+
+class TestWindowIdentityMap:
+    """``decide_batch`` finds a row's window floats by the identity of its
+    first chunk, confirmed by tuple ``==``, and falls back to the
+    value-keyed ``_horizon_cache``: the floats never depend on which of
+    the two found them."""
+
+    def test_value_equal_tables_plan_through_one_window(self):
+        """Eight specs of one shape hold value-equal chunks as separate
+        objects: each first chunk gets its own identity entry, all of
+        them naming the one cached floats object, and rows with equal
+        scalars plan once."""
+        mpc = ContinuousMPC(SRQualityModel(), QoEModel(), measured(), n_grid=16, horizon=3)
+        tables = [
+            VideoSpec(f"v{k}", n_frames=300, fps=30, points_per_frame=100_000).chunks(1.0)
+            for k in range(8)
+        ]
+        assert tables[0] == tables[1] and tables[0][0] is not tables[1][0]
+        rows = [AbrContext(25e6, 2.5, 0.5, table[2:]) for table in tables]
+        decisions = mpc.decide_batch(rows)
+        (window,) = mpc._horizon_cache.values()
+        assert len(mpc._window_ids) == 8
+        for key, (chunks, floats) in mpc._window_ids.items():
+            assert floats is window and key == id(chunks[0])
+        assert {id(chunks[0]) for chunks, _ in mpc._window_ids.values()} == {
+            id(table[2]) for table in tables
+        }
+        assert (mpc.decide_rows, mpc.decide_unique) == (8, 1)
+        assert decisions == [reference_planner.tensor_decide(mpc, rows[0])] * 8
+
+    def test_a_reused_first_chunk_plans_its_own_followers(self):
+        """One first-chunk object followed by other chunks: the identity
+        entry does not confirm, so the row plans its own window, as a
+        fresh controller and both oracles do — in either order, and
+        again once the entries are warm."""
+        wide, mid, thin = (
+            VideoSpec(name, n_frames=300, fps=30, points_per_frame=points).chunks(1.0)
+            for name, points in (("a", 100_000), ("b", 50_000), ("c", 20_000))
+        )
+        head = wide[0]
+        rows = [
+            AbrContext(25e6, 3.0, None, wide[:5]),
+            AbrContext(25e6, 3.0, None, (head, *thin[1:5])),
+            AbrContext(25e6, 3.0, None, (head, *mid[1:5])),
+            AbrContext(25e6, 3.0, None, (head, thin[1])),
+        ]
+        for order in (rows, rows[::-1]):
+            mpc = ContinuousMPC(SRQualityModel(), QoEModel(), measured(), n_grid=16, horizon=3)
+            for _ in range(2):
+                decisions = mpc.decide_batch(order)
+                for ctx, decision in zip(order, decisions):
+                    fresh = ContinuousMPC(
+                        SRQualityModel(), QoEModel(), measured(), n_grid=16, horizon=3
+                    )
+                    values = mpc.plan_values(ctx)
+                    np.testing.assert_array_equal(values, fresh.plan_values(ctx))
+                    np.testing.assert_array_equal(
+                        values, reference_planner.tensor_values(mpc, [ctx])[0]
+                    )
+                    np.testing.assert_allclose(
+                        values, reference_planner.scalar_values(mpc, ctx), rtol=0.0, atol=1e-9
+                    )
+                    assert decision == reference_planner.tensor_decide(mpc, ctx)
+            assert len(mpc._horizon_cache) == 4
+        # the followers move the decision, so a stale entry would show
+        assert len({d.density for d in mpc.decide_batch(rows[:3])}) == 3
+
+    def test_the_identity_map_is_bounded(self):
+        """More first chunks than the bound: the map starts over instead
+        of growing, every entry still names its own chunk, and no value
+        moves."""
+        mpc = ContinuousMPC(SRQualityModel(), QoEModel(), measured(), n_grid=4, horizon=2)
+        limit = mpc.WINDOW_IDS_LIMIT
+        table = VideoSpec(
+            "long", n_frames=30 * (limit + 40), fps=30, points_per_frame=1000
+        ).chunks(1.0)
+        sizes = []
+        for start in range(len(table)):
+            mpc.decide_batch([AbrContext(25e6, 2.5, None, table[start : start + 2])])
+            sizes.append(len(mpc._window_ids))
+        assert max(sizes) == limit and sizes[-1] < limit
+        assert all(key == id(chunks[0]) for key, (chunks, _) in mpc._window_ids.items())
+        fresh = ContinuousMPC(SRQualityModel(), QoEModel(), measured(), n_grid=4, horizon=2)
+        for start in (0, 1, limit - 1, limit, len(table) - 1):
+            ctx = AbrContext(25e6, 2.5, 0.3, table[start:])
+            assert mpc.decide(ctx) == fresh.decide(ctx)
+            np.testing.assert_array_equal(mpc.plan_values(ctx), fresh.plan_values(ctx))
 
 
 class TestValidationMessages:

@@ -234,6 +234,57 @@ class TestSessionLoop:
         assert result.stall_seconds == 0.0
 
 
+class _ByChunksLeft(AbrController):
+    """Decides by how many chunks are left, cycling through three
+    decisions: a function of the context that repeats every third chunk."""
+
+    CYCLE = (Decision(0.5, 2.0), Decision(0.25, 4.0), Decision(1.0, 1.0))
+
+    def decide(self, ctx):
+        return self.CYCLE[len(ctx.next_chunks) % 3]
+
+
+class TestSessionPrices:
+    """A session prices a decision's chunk once per distinct (density, SR
+    ratio, frames) and replays it: every chunk of a spec shares its points
+    per frame and bytes per point, and a latency model is a pure function
+    (``streaming/latency.py``)."""
+
+    def test_each_chunk_is_charged_its_own_price_once_per_key(self):
+        from collections import Counter
+
+        from repro.streaming import FleetSession, simulate_fleet, single_link_cdn
+
+        video = VideoSpec("t", n_frames=7 * 30 + 12, fps=30, points_per_frame=100_000)
+        chunks = video.chunks(1.0)
+        assert [c.n_frames for c in chunks] == [30] * 7 + [12]  # a short tail
+        expected = [_ByChunksLeft.CYCLE[(len(chunks) - i) % 3] for i in range(len(chunks))]
+        # the tail repeats a whole chunk's decision, so only its frames tell them apart
+        assert expected[-1] in expected[:-1]
+        keys = {(d.density, d.sr_ratio, c.n_frames) for c, d in zip(chunks, expected)}
+        assert len(keys) < len(chunks)
+
+        calls = Counter()
+
+        def counting(n_points_in, sr_ratio):
+            calls[n_points_in, sr_ratio] += 1
+            return 1e-3 if sr_ratio > 1.0 else 0.0
+
+        cfg = SessionConfig(fetch_fraction=0.55)
+        sessions = [
+            FleetSession(video, _ByChunksLeft(), counting, config=cfg, join_time=t)
+            for t in (0.0, 0.4)
+        ]
+        result = simulate_fleet(sessions, topology=single_link_cdn(stable_trace(200.0)))
+        for r in result.sessions:
+            assert r.decisions == [d.density for d in expected]
+            assert [rec.bytes_downloaded for rec in r.records] == [
+                int(c.bytes_at_density(d.density) * cfg.fetch_fraction)
+                for c, d in zip(chunks, expected)
+            ]
+        assert sum(calls.values()) == len(sessions) * len(keys)
+
+
 class TestWithMPC:
     def test_mpc_avoids_stalls_on_stable_link(self):
         qm = SRQualityModel()

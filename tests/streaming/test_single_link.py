@@ -202,14 +202,17 @@ def assert_case_pinned(case: str) -> None:
 
 
 class TestSingleLinkGolden:
+    @pytest.mark.golden
     @pytest.mark.parametrize("case", sorted(FLEET_CASES))
     def test_fleet_reproduces_the_single_link_mode(self, case):
         assert_case_pinned(case)
 
+    @pytest.mark.golden
     @pytest.mark.parametrize("case", sorted(SESSION_CASES))
     def test_simulate_session_on_paper_lte_profiles(self, case):
         assert_case_pinned(case)
 
+    @pytest.mark.golden
     def test_golden_file_holds_exactly_these_cases(self):
         cases = sorted(FLEET_CASES) + sorted(SESSION_CASES)
         rows = [row for case in cases for row in case_rows(case)]

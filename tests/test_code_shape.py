@@ -348,13 +348,60 @@ def test_a_fleet_step_rebuilds_nothing_fixed_for_the_run():
     assert id(mpc.decide(ctxs[0])) in own
 
 
+def test_a_warm_row_hashes_no_chunk_spec(monkeypatch):
+    """A row whose chunk table the controller has seen finds its window
+    by the identity of its first chunk: a warm ``decide_batch`` over rows
+    from eight videos of value-equal chunks — a fleet catalog's shape —
+    calls no ``ChunkSpec.__hash__`` or ``__eq__``.  A cold controller
+    does call them (the value-keyed cache shares one window between the
+    videos), which shows the counters count."""
+    from collections import Counter
+
+    from repro.metrics import QoEModel
+    from repro.streaming import AbrContext, ChunkSpec, ContinuousMPC, SRQualityModel, VideoSpec
+    from repro.streaming.latency import MeasuredSRLatency
+
+    def planner():
+        lat = MeasuredSRLatency(0.001, 1e-8, 2e-8)
+        return ContinuousMPC(SRQualityModel(), QoEModel(), lat, n_grid=16, horizon=3)
+
+    tables = [
+        VideoSpec(f"v{k}", n_frames=300, fps=30, points_per_frame=100_000).chunks(1.0)
+        for k in range(8)
+    ]
+    ctxs = [
+        AbrContext(tput, buf, prev, table[start:])
+        for table in tables
+        for tput, buf, prev, start in [
+            (25e6, 2.5, None, 0), (3e6, 0.0, 0.5, 4), (25e6, 2.5, 0.5, 9),
+        ]
+    ]
+    mpc = planner()
+    expected = mpc.decide_batch(ctxs)  # warms both maps
+    assert len(mpc._horizon_cache) == 3 and len(mpc._window_ids) == 3 * len(tables)
+
+    calls = Counter()
+    for name in ("__hash__", "__eq__"):
+        def counting(self, *args, _name=name, _real=getattr(ChunkSpec, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(ChunkSpec, name, counting)
+    for _ in range(2):
+        assert mpc.decide_batch(ctxs) == expected
+    assert not calls, calls
+    assert planner().decide_batch(ctxs) == expected
+    assert calls["__hash__"] > 0 and calls["__eq__"] > 0
+
+
 def test_a_chunk_prices_its_decision_once_per_session():
     """A session looks a decision's chunk quality (and SR-cache key) up in
     a table of its own: over a multi-session fleet run,
     ``SRQualityModel.quality`` runs at most once per distinct (session,
-    density, SR ratio), not once per chunk.  Each session holds its own
-    model, so the model identifies the session; the controller plans with
-    a model of its own."""
+    density, SR ratio, frames per chunk), not once per chunk — here every
+    chunk is whole, so once per (session, density, SR ratio).  Each
+    session holds its own model, so the model identifies the session; the
+    controller plans with a model of its own."""
     from collections import Counter
 
     from repro.metrics import QoEModel
@@ -1188,3 +1235,61 @@ def test_one_golden_mechanism():
                     and "golden" in arg.value.lower()
                 ]
     assert not offenders, offenders
+
+
+#: the marker CI's AVX-off step selects (``pytest -m golden``)
+MARKER = "golden"
+
+
+def test_every_golden_comparison_carries_the_marker():
+    """CI reruns the golden tests with NumPy's AVX2 and AVX-512 dispatch
+    off by marker, not by a hand-kept list: every test that calls
+    ``assert_golden`` — itself or through a helper of its module — carries
+    the marker (on itself or its class), and every marked test does."""
+    root = SRC.parents[1]
+    tests = root / "tests"
+    assert f"{MARKER}:" in (root / "pyproject.toml").read_text()
+    assert f"-m {MARKER}" in (root / ".github" / "workflows" / "ci.yml").read_text()
+
+    def marked(node) -> bool:
+        return any(
+            isinstance(d, ast.Attribute) and d.attr == MARKER
+            and ast.unparse(d.value) == "pytest.mark"
+            for d in node.decorator_list
+        )
+
+    unmarked, idle, seen = [], [], []
+    for path in sorted(tests.rglob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [(fn, None) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        defs += [
+            (fn, cls)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        ]
+        compares = {"assert_golden"}
+        grew = True
+        while grew:  # module helpers that reach the comparison
+            helpers = {
+                fn.name for fn, cls in defs
+                if cls is None and called_names(fn) & compares
+            }
+            grew = not helpers <= compares
+            compares |= helpers
+        for fn, cls in defs:
+            if not fn.name.startswith("test_"):
+                continue
+            where = "::".join(
+                [path.relative_to(tests).as_posix(), *([cls.name] if cls else []), fn.name]
+            )
+            is_marked = marked(fn) or (cls is not None and marked(cls))
+            does_compare = bool(called_names(fn) & compares)
+            if does_compare:
+                seen.append(where)
+            if does_compare and not is_marked:
+                unmarked.append(where)
+            if is_marked and not does_compare:
+                idle.append(where)
+    assert not unmarked and not idle, (unmarked, idle)
+    assert "experiments/test_fleet_rows.py::test_scenario_rows_are_pinned" in seen
+    assert len(seen) >= 7, seen
