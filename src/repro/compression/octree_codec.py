@@ -304,7 +304,7 @@ def octree_decode(encoded: EncodedCloud | bytes) -> PointCloud:
     n_voxels = int(np.frombuffer(payload, "<u4", count=1, offset=30)[0])
     off = _HEADER_BYTES
     if n_voxels == 0:
-        return PointCloud.empty(with_colors=has_colors)
+        return PointCloud(np.zeros((0, 3)), np.zeros((0, 3), np.uint8) if has_colors else None)
 
     # Walk levels root-down, expanding occupancy bytes into child codes:
     # set bit 8 * i + j is child j of the level's i-th node.

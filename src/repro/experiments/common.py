@@ -67,9 +67,6 @@ class ResultTable:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
 
-    def show(self) -> None:  # pragma: no cover - console convenience
-        print(self.render())
-
 
 @dataclass(frozen=True)
 class Scale:

@@ -68,7 +68,3 @@ class HarmonicMeanEstimator:
         for r in inverses:
             total += r
         return 1.0 / (total / len(inverses))
-
-    @property
-    def n_samples(self) -> int:
-        return len(self._inverses)

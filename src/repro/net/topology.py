@@ -110,10 +110,6 @@ class NetworkPath:
             total += link.trace.rtt
         return total
 
-    @property
-    def n_hops(self) -> int:
-        return len(self.links)
-
 
 #: Relative slack below which a flow's residual bits count as finished
 #: (absorbs the float error of the drain ``bits - rate * (t - t_e)``).

@@ -78,7 +78,8 @@ class NetworkTrace:
         # Traces are immutable after construction, so the duration and
         # plain-list views are computed once here and the lookups below run
         # on bisect instead of array machinery.  Values are bit-identical
-        # (tolist() preserves float64 exactly).
+        # (tolist() preserves float64 exactly).  The nominal duration is the
+        # last segment start + the median segment width.
         if len(self.timestamps) == 1:
             self._duration = float(self.timestamps[0] + 1.0)
         else:
@@ -88,11 +89,6 @@ class NetworkTrace:
         self._bw_list: list[float] = self.bandwidths_bps.tolist()
 
     # ------------------------------------------------------------------
-    @property
-    def duration(self) -> float:
-        """Nominal trace length: last segment start + median segment width."""
-        return self._duration
-
     def bandwidth_at(self, t: float) -> float:
         """Link rate (bps) at absolute time ``t`` (loops past the end)."""
         return self._bw_list[self._locate(t)[0]]
@@ -117,18 +113,6 @@ class NetworkTrace:
             i += 1
             nxt = ts[i % n] + i // n * self._duration
         return (i - 1) % n, nxt - local
-
-    def mean_bandwidth(self) -> float:
-        """Time-weighted mean rate over one loop (bps)."""
-        widths = np.diff(np.r_[self.timestamps, self.duration])
-        return float(np.average(self.bandwidths_bps, weights=widths))
-
-    def std_bandwidth(self) -> float:
-        """Time-weighted std-dev over one loop (bps)."""
-        widths = np.diff(np.r_[self.timestamps, self.duration])
-        mean = np.average(self.bandwidths_bps, weights=widths)
-        var = np.average((self.bandwidths_bps - mean) ** 2, weights=widths)
-        return float(np.sqrt(var))
 
 
 def _check_args(fn: str, positive: tuple[str, ...], **args: float) -> None:

@@ -29,23 +29,12 @@ __all__ = ["Layer", "Linear", "ReLU", "Tanh"]
 class Layer:
     """Base class: a differentiable map with cached forward state."""
 
-    #: list of (param, grad) array pairs, filled by subclasses
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Given dL/d(output), accumulate parameter grads, return dL/d(input)."""
         raise NotImplementedError
-
-    def zero_grad(self) -> None:
-        for g in self.grads():
-            g[...] = 0.0
 
 
 class Linear(Layer):
@@ -61,12 +50,6 @@ class Linear(Layer):
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
-
-    def params(self) -> list[np.ndarray]:
-        return [self.W, self.b]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.dW, self.db]
 
     def adopt(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Move ``W`` / ``b`` and their gradients into views of the flat

@@ -2,9 +2,8 @@
 
 One flat buffer: every ``W`` / ``b`` of an :class:`MLP` is a view into one
 flat parameter array (``flat_params``) and every gradient a view into one
-flat gradient array (``flat_grads``), in :meth:`MLP.params` order.
-``zero_grad`` is one fill, the optimizer updates the two flat arrays, and
-``load_state_dict`` writes through the views.
+flat gradient array (``flat_grads``), layer by layer, ``W`` before ``b``.
+``zero_grad`` is one fill, and the optimizer updates the two flat arrays.
 """
 
 from __future__ import annotations
@@ -75,22 +74,6 @@ class MLP:
     def out_dim(self) -> int:
         return self.dims[-1]
 
-    def params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
-    def grads(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.extend(layer.grads())
-        return out
-
-    def n_parameters(self) -> int:
-        """Total scalar parameter count (used by the memory accounting)."""
-        return int(self.flat_params.size)
-
     def zero_grad(self) -> None:
         self.flat_grads.fill(0.0)
 
@@ -118,32 +101,3 @@ class MLP:
         for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
         self._first.accumulate_grads(g)
-
-    # ------------------------------------------------------------------
-    # Serialization (LUTs are built offline; nets must round-trip to disk).
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {f"p{i}": p.copy() for i, p in enumerate(self.params())}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        params = self.params()
-        if len(state) != len(params):
-            raise ValueError(
-                f"state has {len(state)} arrays, model has {len(params)}"
-            )
-        for i, p in enumerate(params):
-            src = state[f"p{i}"]
-            if src.shape != p.shape:
-                raise ValueError(f"shape mismatch at p{i}: {src.shape} vs {p.shape}")
-            p[...] = src
-
-    def save(self, path) -> None:
-        np.savez_compressed(path, dims=np.array(self.dims), **self.state_dict())
-
-    @classmethod
-    def load(cls, path, activation: str = "relu", output_activation: str | None = "tanh") -> "MLP":
-        with np.load(path) as data:
-            dims = tuple(int(d) for d in data["dims"])
-            model = cls(dims, activation=activation, output_activation=output_activation)
-            model.load_state_dict({k: data[k] for k in data.files if k != "dims"})
-        return model

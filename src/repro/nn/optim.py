@@ -50,10 +50,6 @@ class Adam:
         self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self._t = 0
 
-    def zero_grad(self) -> None:
-        for g in self.grads:
-            g[...] = 0.0
-
     def step(self) -> None:
         self._t += 1
         b1t = 1.0 - self.beta1 ** self._t

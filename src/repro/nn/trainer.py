@@ -55,12 +55,6 @@ class TrainResult:
 
     epoch_losses: list[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        if not self.epoch_losses:
-            raise ValueError("no epochs were run")
-        return self.epoch_losses[-1]
-
 
 class Trainer:
     """Trains an :class:`MLP` on an in-memory (X, Y) dataset with Adam."""

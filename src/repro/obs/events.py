@@ -207,10 +207,6 @@ class Tracer:
             )
         return self._events
 
-    def count(self, kind: str) -> int:
-        """Number of recorded events of ``kind``."""
-        return sum(1 for record in self._records if record[1] == kind)
-
     def counts(self) -> dict[str, int]:
         """Event count per kind."""
         return dict(_Counter(record[1] for record in self._records))

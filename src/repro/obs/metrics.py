@@ -13,8 +13,7 @@ A :class:`MetricsRegistry` hands out named instruments:
   the oldest samples fall off.
 
 Instruments are get-or-create by name, so emission sites never need to
-coordinate registration.  :meth:`MetricsRegistry.snapshot` returns a
-JSON-ready dict; the Prometheus text rendering lives in
+coordinate registration.  The Prometheus text rendering lives in
 :func:`repro.obs.export.prometheus_text`.
 """
 
@@ -160,23 +159,3 @@ class MetricsRegistry:
         if inst is None:
             inst = self.series[name] = TimeSeries(name)
         return inst
-
-    def snapshot(self) -> dict:
-        """JSON-ready dump of every instrument's current state."""
-        return {
-            "counters": {n: c.value for n, c in sorted(self.counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self.gauges.items())},
-            "histograms": {
-                n: {
-                    "bounds": list(h.bounds),
-                    "buckets": h.cumulative(),
-                    "count": h.count,
-                    "sum": h.sum,
-                }
-                for n, h in sorted(self.histograms.items())
-            },
-            "series": {
-                n: [[t, v] for t, v in s.items()]
-                for n, s in sorted(self.series.items())
-            },
-        }

@@ -71,11 +71,6 @@ class PointCloud:
         return self.positions.shape[0]
 
     @property
-    def n_points(self) -> int:
-        """Number of points in the cloud."""
-        return len(self)
-
-    @property
     def has_colors(self) -> bool:
         """Whether per-point RGB attributes are present."""
         return self.colors is not None
@@ -140,53 +135,10 @@ class PointCloud:
             col = self.colors[idx] if self.colors is not None else None
         return PointCloud(pos, col)
 
-    def translate(self, offset: np.ndarray) -> "PointCloud":
-        """Return a copy translated by ``offset`` (length-3 vector)."""
-        off = np.asarray(offset, dtype=np.float64).reshape(3)
-        return PointCloud(self.positions + off, self.colors)
-
-    def scale(self, factor: float, center: np.ndarray | None = None) -> "PointCloud":
-        """Return a copy scaled by ``factor`` about ``center`` (default centroid)."""
-        c = self.centroid() if center is None else np.asarray(center, dtype=np.float64)
-        return PointCloud((self.positions - c) * float(factor) + c, self.colors)
-
-    def concat(self, other: "PointCloud") -> "PointCloud":
-        """Concatenate two clouds.
-
-        Colors are kept only when *both* clouds carry them; otherwise the
-        result is geometry-only to avoid fabricating attributes.
-        """
-        pos = np.vstack([self.positions, other.positions])
-        if self.has_colors and other.has_colors:
-            col = np.vstack([self.colors, other.colors])
-        else:
-            col = None
-        return PointCloud(pos, col)
-
     def copy(self) -> "PointCloud":
         """Deep copy."""
         col = None if self.colors is None else self.colors.copy()
         return PointCloud(self.positions.copy(), col)
-
-    def with_positions(self, positions: np.ndarray) -> "PointCloud":
-        """Return a cloud with new positions but the same colors.
-
-        The replacement must preserve the point count so attributes remain
-        aligned; VoLUT's refinement stage uses this to apply LUT offsets.
-        """
-        pos = _as_positions(positions)
-        if pos.shape[0] != len(self):
-            raise ValueError(
-                f"replacement has {pos.shape[0]} points, expected {len(self)}"
-            )
-        return PointCloud(pos, self.colors)
-
-    @staticmethod
-    def empty(with_colors: bool = False) -> "PointCloud":
-        """An empty cloud, optionally with an empty color table."""
-        pos = np.zeros((0, 3))
-        col = np.zeros((0, 3), dtype=np.uint8) if with_colors else None
-        return PointCloud(pos, col)
 
     # ------------------------------------------------------------------
     # Size accounting (the raw baseline the codec is measured against)

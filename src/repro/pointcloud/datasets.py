@@ -68,11 +68,6 @@ class VolumetricVideo:
         """Total frames played, counting loops."""
         return self.n_frames * self.loops
 
-    @property
-    def duration(self) -> float:
-        """Playback duration in seconds, counting loops."""
-        return self.n_playback_frames / self.fps
-
     def frame(self, index: int) -> PointCloud:
         """Return playback frame ``index`` (loop-aware, cached)."""
         if not 0 <= index < self.n_playback_frames:
@@ -95,10 +90,6 @@ class VolumetricVideo:
     def __iter__(self) -> Iterator[PointCloud]:
         for i in range(self.n_playback_frames):
             yield self.frame(i)
-
-    def frame_time(self, index: int) -> float:
-        """Presentation timestamp of playback frame ``index`` in seconds."""
-        return index / self.fps
 
 
 def make_video(

@@ -103,8 +103,3 @@ class Camera:
         valid = in_front & inside
         xy = np.stack([px, py], axis=1)
         return xy, z_cam, valid
-
-    def visible_mask(self, points: np.ndarray) -> np.ndarray:
-        """Frustum-visibility mask."""
-        _, _, valid = self.project(points)
-        return valid

@@ -32,7 +32,6 @@ Offsets predicted in normalized space are scaled back by ``R`` on apply.
 from __future__ import annotations
 
 import numbers
-from functools import cached_property
 
 import numpy as np
 
@@ -59,37 +58,18 @@ class EncodedNeighborhood:
 
     Attributes
     ----------
-    bins:
-        ``(m, rf, 3)`` int16 quantized coordinates (Eq. 4); row order is
-        [target, neighbor_1, ..., neighbor_{rf-1}] as in the paper.
-        Computed on first access and kept: a view for inspection — tables
-        key on ``normalized`` and never read it.
     radius:
         ``(m,)`` neighborhood radii ``R`` (Eq. 3 denominators).
     normalized:
-        ``(m, rf, 3)`` float coordinates before quantization (kept because
-        NN refinement consumes them and tests check the quantization error).
+        ``(m, rf, 3)`` float coordinates before quantization; row order is
+        [target, neighbor_1, ..., neighbor_{rf-1}] as in the paper.  Tables
+        key on it (:meth:`PositionEncoder.keys`) and NN refinement consumes
+        it.
     """
 
-    def __init__(
-        self, radius: np.ndarray, normalized: np.ndarray, encoder: "PositionEncoder"
-    ):
+    def __init__(self, radius: np.ndarray, normalized: np.ndarray):
         self.radius = radius
         self.normalized = normalized
-        self._encoder = encoder
-
-    @cached_property
-    def bins(self) -> np.ndarray:
-        q = self._encoder._quantize(self.normalized, per_point=False)
-        return q.astype(np.int16)
-
-    @property
-    def n_neighborhoods(self) -> int:
-        return len(self.normalized)
-
-    @property
-    def rf_size(self) -> int:
-        return self.normalized.shape[1]
 
 
 class PositionEncoder:
@@ -168,7 +148,7 @@ class PositionEncoder:
         # row 0 is the target, which normalizes to the origin
         normalized = np.zeros((len(targets), self.rf_size, 3))
         np.divide(rel, safe_r[:, None, None], out=normalized[:, 1:, :])
-        return EncodedNeighborhood(radius, normalized, self)
+        return EncodedNeighborhood(radius, normalized)
 
     # ------------------------------------------------------------------
     # Keying: normalized neighbourhood -> uint64 table key, and back.
@@ -265,10 +245,6 @@ class PositionEncoder:
         cells, radix = self._grid(per_point)
         digits = _unpack(np.asarray(keys, dtype=np.uint64), radix, self.effective_dims)
         return (digits - self.phase + 0.5) * 2.0 / cells - 1.0
-
-    def quantization_error_bound(self) -> float:
-        """Max per-axis distance between a coordinate and its Eq. 4 bin center."""
-        return 1.0 / (self.bins - 1)
 
 
 def _place_values(radix: int, n_digits: int) -> np.ndarray:

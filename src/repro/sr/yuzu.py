@@ -35,8 +35,6 @@ YUZU_RATIOS = (2, 3, 4, 6, 8)
 
 #: hidden-layer widths of the direct SR network
 YUZU_HIDDEN = (256, 256, 256)
-#: serialized bytes per network parameter (float32)
-BYTES_PER_PARAM = 4
 
 
 class YuzuSRModel:
@@ -59,11 +57,6 @@ class YuzuSRModel:
         self.backend = CLIENT_BACKEND
         dims = (self.encoder.rf_size * 3, *YUZU_HIDDEN, 3 * self.ratio)
         self.net = MLP(dims, activation="relu", output_activation="tanh", seed=seed)
-
-    # ------------------------------------------------------------------
-    def model_bytes(self) -> int:
-        """Serialized model size (counts toward streamed data usage)."""
-        return self.net.n_parameters() * BYTES_PER_PARAM
 
     # ------------------------------------------------------------------
     def _neighborhoods(self, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:

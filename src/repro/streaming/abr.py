@@ -150,7 +150,7 @@ class SRQualityModel:
             if not 1.0 <= s < math.inf:
                 raise ValueError(f"sr_ratio must be finite and >= 1, got {s!r}")
         restored = min(1.0, density * s)
-        discount = SR_EFFICIENCY ** np.log2(s)
+        discount = SR_EFFICIENCY ** math.log2(s)
         return float(restored * discount)
 
 

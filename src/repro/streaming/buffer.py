@@ -59,8 +59,3 @@ class PlaybackBuffer:
         self.level = 0.0
         self.total_stall += stall
         return stall
-
-    @property
-    def headroom(self) -> float:
-        """Seconds of space before the buffer caps out."""
-        return self.max_level - self.level

@@ -334,10 +334,6 @@ class EncodeQueue:
         (the queue-depth gauge the metrics sampler records)."""
         return sum(1 for free in self._free_at if free > t)
 
-    @property
-    def n_jobs(self) -> int:
-        return len(self.waits)
-
     def wait_percentile(self, pct: float) -> float:
         """Nearest-rank percentile of recorded queue waits (0 if no jobs)."""
         return wait_percentile(self.waits, pct)
@@ -417,10 +413,6 @@ class OriginServer:
             ready = self.queue.submit(at_time, self.encode_seconds)
             self._variants[key] = ready
         return max(ready, at_time)
-
-    @property
-    def n_encoded(self) -> int:
-        return len(self._variants)
 
 
 @dataclass

@@ -345,13 +345,6 @@ class QoEArrivalAutoscaler:
         for day in sorted(self._acc):
             self._plan_next(day)
 
-    def day_health(self, day: int) -> float | None:
-        """Mean observed health of ``day`` (None if unobserved)."""
-        acc = self._acc.get(day)
-        if acc is None or acc[1] == 0:
-            return None
-        return acc[0] / acc[1]
-
     def _plan_next(self, day: int) -> None:
         total, count = self._acc.pop(day, (0.0, 0))
         if count == 0:

@@ -277,10 +277,6 @@ class FlashCrowd:
                 f"ramp_seconds must be non-negative, got {self.ramp_seconds!r}"
             )
 
-    @property
-    def end(self) -> float:
-        return self.start + self.ramp_seconds
-
 
 #: The event kinds a :class:`FaultSchedule` accepts.
 FAULT_KINDS = (
@@ -729,10 +725,6 @@ class DegradedTrace:
         self.windows = sorted(windows)
         self.rtt = base.rtt
         self.name = f"degraded({getattr(base, 'name', 'trace')})"
-
-    @property
-    def duration(self) -> float:
-        return self.base.duration
 
     def _factor(self, t: float) -> float:
         f = 1.0

@@ -10,8 +10,9 @@ per chunk window and candidate, and both replay the result.  Models:
 * :class:`DeviceSRLatency` — the operation-count model of
   :mod:`repro.devices` evaluated for a named system on a device profile
   (used for paper-scale sessions);
-* :class:`MeasuredSRLatency` — wraps wall-clock measurements of the actual
-  Python pipelines (used by tests and small-scale full-fidelity runs).
+* :class:`MeasuredSRLatency` — a linear model with typed coefficients:
+  the fleet's stand-in for a measured client (used by the fleet scenarios
+  and tests; ROADMAP items 4(b) and 20 replace it with a measured card).
 * :data:`ZERO_LATENCY` — for no-SR systems (raw streaming, ViVo).
 """
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-import numpy as np
 
 from ..devices import CostModel, DeviceProfile
 
@@ -53,10 +53,12 @@ class DeviceSRLatency:
 
 
 class MeasuredSRLatency:
-    """Linear model fitted to measured (points, ratio) → seconds samples.
+    """Linear (points, ratio) → seconds model with typed coefficients.
 
-    ``base + per_input·n + per_output·(ratio-1)·n`` captures both kNN-bound
-    and output-bound regimes of the real pipelines.
+    ``base + per_input·n + per_output·(ratio-1)·n`` has the shape of both
+    kNN-bound and output-bound regimes of the real pipelines, but nothing
+    fits it to measurements: ``Scenario.population`` builds it from the
+    constants ``(0.001, 1e-8, 2e-8)``.
     """
 
     def __init__(self, base: float, per_input_point: float, per_output_point: float):
@@ -74,29 +76,6 @@ class MeasuredSRLatency:
             return 0.0
         m = max(0.0, sr_ratio - 1.0) * n_points_in
         return self.base + self.per_input * n_points_in + self.per_output * m
-
-    @classmethod
-    def fit(
-        cls, samples: list[tuple[int, float, float]]
-    ) -> "MeasuredSRLatency":
-        """Least-squares fit from ``(n_points_in, sr_ratio, seconds)`` rows.
-
-        Coefficients are clamped at zero (negative rates are measurement
-        noise, not physics).  Use with wall-clock samples of the real
-        pipeline to build a simulator latency model for new hardware.
-        """
-        if len(samples) < 3:
-            raise ValueError("need at least 3 samples to fit 3 coefficients")
-        A = np.array(
-            [
-                [1.0, n, max(0.0, s - 1.0) * n]
-                for n, s, _ in samples
-            ]
-        )
-        y = np.array([t for _, _, t in samples])
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        base, per_in, per_out = (max(0.0, float(c)) for c in coef)
-        return cls(base, per_in, per_out)
 
 
 def _zero(n_points_in: int, sr_ratio: float) -> float:

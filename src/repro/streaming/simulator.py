@@ -328,7 +328,8 @@ class SessionMachine:
         # encode-queue and SR-cache keys), and the chunk's fetched bytes
         # and SR seconds.  Every chunk of the spec shares its points per
         # frame and bytes per point, and the latency model is a pure
-        # function, so the frame count completes the key.
+        # function, so the frame count completes the key.  The SR seconds
+        # are checked once, when their entry is filled.
         per_decision: dict[
             tuple[float, float, int], tuple[float, float, float, int, float]
         ] = {}
@@ -359,12 +360,18 @@ class SessionMachine:
             n_frames = chunk.n_frames
             per = per_decision.get((density, sr_ratio, n_frames))
             if per is None:
+                sr_time = n_frames * self.sr_latency(chunk.points_at_density(density), sr_ratio)
+                if not 0.0 <= sr_time < math.inf:  # chained: NaN fails it
+                    raise ValueError(
+                        f"SR seconds of a chunk must be finite and non-negative, "
+                        f"got {sr_time!r} for chunk {chunk.index} at density {density:.6g}"
+                    )
                 per = per_decision[density, sr_ratio, n_frames] = (
                     qm.quality(density, sr_ratio) * cfg.quality_factor,
                     round(density, 3),
                     round(sr_ratio, 3),
                     int(chunk.bytes_at_density(density) * cfg.fetch_fraction),
-                    n_frames * self.sr_latency(chunk.points_at_density(density), sr_ratio),
+                    sr_time,
                 )
             q, key_density, key_ratio, nbytes, sr_time = per
 

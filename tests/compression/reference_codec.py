@@ -145,7 +145,7 @@ def reference_decode(payload: bytes) -> PointCloud:
     n_voxels = int(np.frombuffer(payload[off : off + 4], "<u4")[0])
     off += 4
     if n_voxels == 0:
-        return PointCloud.empty(with_colors=has_colors)
+        return PointCloud(np.zeros((0, 3)), np.zeros((0, 3), np.uint8) if has_colors else None)
 
     codes = np.zeros(1, dtype=np.uint64)
     for _ in range(depth):

@@ -104,7 +104,7 @@ class TestCodec:
         assert len(dec) > 0
 
     def test_empty_cloud(self):
-        enc = octree_encode(PointCloud.empty(), 8)
+        enc = octree_encode(PointCloud(np.zeros((0, 3))), 8)
         dec = octree_decode(enc)
         assert len(dec) == 0
 

@@ -644,7 +644,7 @@ class TestSegmentBound:
         self, width, loops, read, later
     ):
         trace = NetworkTrace("two", [0.0, width], [10e6, 20e6], rtt=0.0)
-        duration = trace.duration
+        duration = 2 * width  # last start + median width
         t0 = loops * duration + read * width
         link = SharedLink(trace)
         sched = PathScheduler()

@@ -17,11 +17,6 @@ class TestNetworkTrace:
         tr = NetworkTrace("t", np.array([0.0, 10.0]), np.array([1e6, 2e6]))
         assert tr.bandwidth_at(25.0) == 1e6  # 25 % 20 = 5
 
-    def test_mean_and_std_weighted(self):
-        tr = NetworkTrace("t", np.array([0.0, 10.0]), np.array([1e6, 3e6]))
-        assert tr.mean_bandwidth() == pytest.approx(2e6)
-        assert tr.std_bandwidth() == pytest.approx(1e6)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NetworkTrace("t", np.array([1.0]), np.array([1e6]))  # not at 0
@@ -43,7 +38,7 @@ class TestNetworkTrace:
             "t", [0.0, 0.7, 1.9, 3.2, 5.0, 5.3], [1e6, 2e6, 3e6, 4e6, 5e6, 6e6]
         )
         t = 6.5 + 3.2
-        assert t % tr.duration < 3.2  # the rounding this guards against
+        assert t % 6.5 < 3.2  # the rounding this guards against
         assert tr.bandwidth_at(t) == 4e6
         assert tr.time_to_next_change(t) == pytest.approx(1.8)
         assert t + tr.time_to_next_change(t) > t
@@ -51,7 +46,8 @@ class TestNetworkTrace:
     def test_a_wrap_onto_the_period_end_reads_the_first_segment(self):
         tr = NetworkTrace("t", [0.0, 0.1, 0.2], [1e6, 2e6, 3e6])
         t = 2.7  # the ninth wrap, whose ``% duration`` is just short of it
-        assert t + (tr.duration - t % tr.duration) == t
+        duration = 0.2 + 0.1  # last start + median width, as the trace sums it
+        assert t + (duration - t % duration) == t
         assert tr.bandwidth_at(t) == 1e6
         assert tr.time_to_next_change(t) == pytest.approx(0.1)
 
@@ -60,7 +56,7 @@ class TestNetworkTrace:
         one period instead of searching for ever."""
         tr = NetworkTrace("t", [0.0, 0.1, 0.2], [1e6, 2e6, 3e6])
         t = 1e20
-        assert t % tr.duration < 0.1
+        assert t % (0.2 + 0.1) < 0.1
         assert tr.bandwidth_at(t) == 1e6
         assert t + tr.time_to_next_change(t) == t
 
@@ -136,15 +132,17 @@ class TestLTE:
         assert faded.mean() == pytest.approx(LTE_FADE_PROB, abs=0.005)
 
     def test_matches_requested_moments(self):
-        """Realized mean/std land near the paper-profile parameters."""
+        """Realized mean/std land near the paper-profile parameters (the
+        samples are evenly spaced, so the time-weighted moments are the
+        plain ones)."""
         tr = lte_trace(mean_mbps=75.0, std_mbps=20.0, duration=3000, seed=0)
-        assert tr.mean_bandwidth() / MBPS == pytest.approx(75.0, rel=0.15)
-        assert tr.std_bandwidth() / MBPS == pytest.approx(20.0, rel=0.5)
+        assert tr.bandwidths_bps.mean() / MBPS == pytest.approx(75.0, rel=0.15)
+        assert tr.bandwidths_bps.std() / MBPS == pytest.approx(20.0, rel=0.5)
 
     @pytest.mark.parametrize("mean,std", PAPER_LTE_PROFILES)
     def test_paper_profiles_generate(self, mean, std):
         tr = lte_trace(mean, std, duration=300, seed=1)
-        assert tr.mean_bandwidth() > 0
+        assert tr.bandwidths_bps.mean() > 0
 
     def test_floor_at_1mbps(self):
         tr = lte_trace(mean_mbps=2.0, std_mbps=5.0, duration=600, seed=2)

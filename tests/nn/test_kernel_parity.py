@@ -42,8 +42,7 @@ def test_training_is_bit_identical_to_the_reference(hidden, epochs, seed):
     ref_losses = reference_fit(ref, X, Y, epochs=epochs, batch_size=512, lr=2e-3,
                                noise_sigma=0.02, seed=seed)
     assert losses == ref_losses
-    for got, want in zip(net.params(), ref.params(), strict=True):
-        assert got.tobytes() == want.tobytes()
+    assert net.flat_params.tobytes() == _flat(ref.params())
     x = X[:64]
     assert net.forward(x).tobytes() == ref.forward(x).tobytes()
 
@@ -83,18 +82,26 @@ def test_backward_matches_the_reference_parameter_gradients_and_returns_none():
     ref.zero_grad()
     assert net.backward(grad) is None
     ref.backward(grad)
-    for got, want in zip(net.grads(), ref.grads(), strict=True):
-        assert got.tobytes() == want.tobytes()
+    assert net.flat_grads.tobytes() == _flat(ref.grads())
+
+
+def _flat(arrays) -> bytes:
+    return np.concatenate([a.ravel() for a in arrays]).tobytes()
+
+
+def _linears(net):
+    return [layer for layer in net.layers if isinstance(layer, Linear)]
 
 
 class TestFlatBuffer:
     def test_params_and_grads_are_views_of_the_flat_arrays(self):
         net = MLP((4, 8, 3), seed=0)
-        params, grads = net.params(), net.grads()
+        params = [a for lin in _linears(net) for a in (lin.W, lin.b)]
+        grads = [a for lin in _linears(net) for a in (lin.dW, lin.db)]
         assert all(np.shares_memory(p, net.flat_params) for p in params)
         assert all(np.shares_memory(g, net.flat_grads) for g in grads)
-        assert np.concatenate([p.ravel() for p in params]).tobytes() == net.flat_params.tobytes()
-        assert net.n_parameters() == net.flat_params.size == net.flat_grads.size
+        assert _flat(params) == net.flat_params.tobytes()
+        assert net.flat_params.size == net.flat_grads.size == sum(p.size for p in params)
         net.flat_params[:] = 7.0
         net.flat_grads[:] = -1.0
         assert all((p == 7.0).all() for p in params)
@@ -103,34 +110,18 @@ class TestFlatBuffer:
         assert all((g == 0.0).all() for g in grads)
         assert (net.flat_params == 7.0).all()
 
-    def test_load_state_dict_writes_through(self):
-        a, b = MLP((4, 8, 3), seed=0), MLP((4, 8, 3), seed=99)
-        flat, views = b.flat_params, b.params()
-        b.load_state_dict(a.state_dict())
-        assert b.flat_params is flat
-        assert b.flat_params.tobytes() == a.flat_params.tobytes()
-        assert all(np.shares_memory(p, flat) for p in views)
-
-    def test_state_dict_round_trips_and_owns_its_arrays(self):
-        a = MLP((4, 8, 3), seed=0)
-        state = a.state_dict()
-        assert not any(np.shares_memory(v, a.flat_params) for v in state.values())
-        b = MLP((4, 8, 3), seed=1)
-        b.load_state_dict(state)
-        assert all(s.tobytes() == p.tobytes() for s, p in zip(state.values(), b.params()))
-
     def test_adam_on_the_flat_array_equals_adam_per_array(self):
         g = np.random.default_rng(7)
         net = MLP((12, 64, 64, 3), seed=7)
-        per_array = [p.copy() for p in net.params()]
+        per_array = [a.copy() for lin in _linears(net) for a in (lin.W, lin.b)]
         per_grads = [np.zeros_like(p) for p in per_array]
         flat = Adam([net.flat_params], [net.flat_grads], lr=2e-3)
         ref = ReferenceAdam(per_array, per_grads, lr=2e-3)
         for _ in range(5):
             net.flat_grads[:] = g.normal(size=net.flat_grads.size)
-            for dst, src in zip(per_grads, net.grads()):
+            grads = [a for lin in _linears(net) for a in (lin.dW, lin.db)]
+            for dst, src in zip(per_grads, grads, strict=True):
                 dst[...] = src
             flat.step()
             ref.step()
-        for got, want in zip(net.params(), per_array, strict=True):
-            assert got.tobytes() == want.tobytes()
+        assert net.flat_params.tobytes() == _flat(per_array)

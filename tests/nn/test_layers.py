@@ -55,14 +55,13 @@ class TestLinear:
             return float(lin.forward(x).sum())
 
         lin.forward(x)
-        lin.zero_grad()
         lin.backward(np.ones((4, 2)))
         dW_num = numeric_grad(loss, lin.W)
         db_num = numeric_grad(loss, lin.b)
         assert np.allclose(lin.dW, dW_num, atol=1e-5)
         assert np.allclose(lin.db, db_num, atol=1e-5)
 
-    def test_grad_accumulates_until_zeroed(self):
+    def test_grad_accumulates_across_backward_calls(self):
         g = np.random.default_rng(3)
         lin = Linear(2, 2, rng=g)
         x = g.normal(size=(3, 2))
@@ -72,8 +71,6 @@ class TestLinear:
         lin.forward(x)
         lin.backward(np.ones((3, 2)))
         assert np.allclose(lin.dW, 2 * first)
-        lin.zero_grad()
-        assert np.allclose(lin.dW, 0.0)
 
     def test_backward_before_forward_raises(self):
         lin = Linear(2, 2)

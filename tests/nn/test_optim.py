@@ -49,19 +49,6 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([np.zeros(1)], [np.zeros(1), np.zeros(1)])
 
-    def test_zero_grad(self):
-        p, g = np.zeros(2), np.ones(2)
-        opt = Adam([p], [g])
-        opt.zero_grad()
-        assert (g == 0).all()
-
-    def test_zero_grad_clears_every_gradient_and_no_parameter(self):
-        params = [np.ones(2), np.ones((2, 2))]
-        grads = [np.full(2, 3.0), np.full((2, 2), -1.0)]
-        Adam(params, grads).zero_grad()
-        assert all((g == 0).all() for g in grads)
-        assert all((p == 1).all() for p in params)
-
     def test_steps_follow_the_bias_corrected_rule(self):
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         p, g = np.array([1.0, -2.0]), np.zeros(2)

@@ -20,13 +20,13 @@ class TestFit:
         X, Y = toy_regression()
         net = MLP((3, 16, 2), output_activation=None, seed=0)
         result = Trainer(net, TrainConfig(epochs=30, lr=5e-3, seed=0)).fit(X, Y)
-        assert result.final_loss < result.epoch_losses[0] * 0.5
+        assert result.epoch_losses[-1] < result.epoch_losses[0] * 0.5
 
     def test_fits_linear_map_well(self):
         X, Y = toy_regression()
         net = MLP((3, 32, 2), output_activation=None, seed=0)
         result = Trainer(net, TrainConfig(epochs=80, lr=5e-3, seed=0)).fit(X, Y)
-        assert result.final_loss < 0.01
+        assert result.epoch_losses[-1] < 0.01
 
     def test_reproducible(self):
         X, Y = toy_regression()
@@ -67,12 +67,6 @@ class TestFit:
         with pytest.raises(ValueError, match="same number"):
             Trainer(net).fit(np.zeros((5, 3)), np.zeros((4, 2)))
 
-    def test_final_loss_requires_epochs(self):
-        from repro.nn import TrainResult
-
-        with pytest.raises(ValueError):
-            TrainResult().final_loss
-
 
 class TestValidation:
     @pytest.mark.parametrize("kwargs,field", [
@@ -108,7 +102,7 @@ class TestValidation:
         X, Y = toy_regression(n=20)
         X[0, 0] = -np.inf
         net = MLP((3, 4, 2), seed=0)
-        before = [p.copy() for p in net.params()]
+        before = net.flat_params.tobytes()
         with pytest.raises(ValueError):
             Trainer(net, TrainConfig(epochs=1)).fit(X, Y)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, net.params()))
+        assert net.flat_params.tobytes() == before

@@ -17,7 +17,6 @@ class TestConstruction:
     def test_basic(self):
         pc = make([[0, 0, 0], [1, 2, 3]])
         assert len(pc) == 2
-        assert pc.n_points == 2
         assert not pc.has_colors
 
     def test_positions_coerced_to_float64(self):
@@ -55,12 +54,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="colors"):
             PointCloud(np.zeros((2, 3)), np.zeros((2, 4), dtype=np.uint8))
 
-    def test_empty(self):
-        pc = PointCloud.empty()
-        assert len(pc) == 0 and not pc.has_colors
-        pc2 = PointCloud.empty(with_colors=True)
-        assert pc2.has_colors and len(pc2) == 0
-
 
 class TestGeometry:
     def test_bounds(self):
@@ -85,7 +78,7 @@ class TestGeometry:
                 assert hi.tobytes() == pc.positions.max(axis=0).tobytes(), (n, layout.flags)
 
     def test_bounds_empty(self):
-        lo, hi = PointCloud.empty().bounds()
+        lo, hi = PointCloud(np.zeros((0, 3))).bounds()
         assert lo.tolist() == [0, 0, 0] and hi.tolist() == [0, 0, 0]
 
     def test_centroid(self):
@@ -93,7 +86,7 @@ class TestGeometry:
         assert pc.centroid().tolist() == [1, 1, 1]
 
     def test_centroid_empty(self):
-        assert PointCloud.empty().centroid().tolist() == [0, 0, 0]
+        assert PointCloud(np.zeros((0, 3))).centroid().tolist() == [0, 0, 0]
 
     def test_extent(self):
         pc = make([[0, 0, 0], [3, 4, 0]])
@@ -128,42 +121,10 @@ class TestTransforms:
         with pytest.raises(IndexError):
             random_cloud.select(np.array([len(random_cloud)]))
 
-    def test_translate(self):
-        pc = make([[1, 1, 1]]).translate([1, -1, 0.5])
-        assert pc.positions[0].tolist() == [2, 0, 1.5]
-
-    def test_scale_about_centroid(self):
-        pc = make([[0, 0, 0], [2, 0, 0]]).scale(2.0)
-        assert pc.positions[0].tolist() == [-1, 0, 0]
-        assert pc.positions[1].tolist() == [3, 0, 0]
-
-    def test_scale_about_custom_center(self):
-        pc = make([[1, 0, 0]]).scale(3.0, center=[0, 0, 0])
-        assert pc.positions[0].tolist() == [3, 0, 0]
-
-    def test_concat_keeps_colors_when_both_have(self, random_cloud):
-        both = random_cloud.concat(random_cloud)
-        assert len(both) == 2 * len(random_cloud)
-        assert both.has_colors
-
-    def test_concat_drops_colors_on_mismatch(self, random_cloud):
-        plain = PointCloud(np.zeros((2, 3)))
-        assert not random_cloud.concat(plain).has_colors
-
     def test_copy_is_deep(self, random_cloud):
         cp = random_cloud.copy()
         cp.positions[0] = 99.0
         assert random_cloud.positions[0, 0] != 99.0
-
-    def test_with_positions(self, random_cloud):
-        new = random_cloud.positions + 1.0
-        moved = random_cloud.with_positions(new)
-        assert np.allclose(moved.positions, new)
-        assert (moved.colors == random_cloud.colors).all()
-
-    def test_with_positions_rejects_count_change(self, random_cloud):
-        with pytest.raises(ValueError, match="points"):
-            random_cloud.with_positions(np.zeros((3, 3)))
 
 
 class TestNbytes:
@@ -188,17 +149,3 @@ def test_roundtrip_select_all_is_identity(pos):
     sub = pc.select(np.arange(len(pc)))
     assert np.array_equal(sub.positions, pc.positions)
 
-
-@given(
-    pos=arrays(
-        np.float64,
-        st.tuples(st.integers(2, 40), st.just(3)),
-        elements=st.floats(-100, 100, allow_nan=False),
-    ),
-    factor=st.floats(0.1, 10.0),
-)
-@settings(max_examples=40, deadline=None)
-def test_scale_preserves_centroid(pos, factor):
-    pc = PointCloud(pos)
-    scaled = pc.scale(factor)
-    assert np.allclose(scaled.centroid(), pc.centroid(), atol=1e-9)

@@ -114,7 +114,7 @@ class TestVoxelDownsample:
                 voxel_downsample(random_cloud, size)
 
     def test_empty_cloud(self):
-        assert len(voxel_downsample(PointCloud.empty(), 1.0)) == 0
+        assert len(voxel_downsample(PointCloud(np.zeros((0, 3))), 1.0)) == 0
 
     def test_colorless_stays_colorless(self):
         pc = PointCloud(np.random.default_rng(0).uniform(0, 1, (50, 3)))

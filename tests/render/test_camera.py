@@ -86,19 +86,12 @@ class TestProjection:
 
 
 class TestVisibility:
-    def test_visible_mask_matches_project(self, small_frame):
-        cam = Camera(
-            position=(0, 1, 3), target=(0, 0.9, 0), width=64, height=64
-        )
-        mask = cam.visible_mask(small_frame.positions)
-        _, _, valid = cam.project(small_frame.positions)
-        assert np.array_equal(mask, valid)
-
     def test_fraction_reasonable_for_orbit_distance(self, small_frame):
         """At typical viewing distance a figure is mostly in frame."""
         c = small_frame.centroid()
         cam = Camera(position=tuple(c + [0, 0, 3]), target=tuple(c))
-        frac = cam.visible_mask(small_frame.positions).mean()
+        _, _, visible = cam.project(small_frame.positions)
+        frac = visible.mean()
         assert frac > 0.5
 
     def test_config_validation(self):

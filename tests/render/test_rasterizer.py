@@ -20,11 +20,11 @@ class TestRender:
         assert img.dtype == np.uint8
 
     def test_empty_scene_is_background(self):
-        img = render(PointCloud.empty(), cam())
+        img = render(PointCloud(np.zeros((0, 3))), cam())
         assert (img == 0).all()
 
     def test_custom_background(self):
-        img = render(PointCloud.empty(), cam(), background=np.array([10, 20, 30]))
+        img = render(PointCloud(np.zeros((0, 3))), cam(), background=np.array([10, 20, 30]))
         assert (img == [10, 20, 30]).all()
 
     def test_single_point_lands_at_center(self):

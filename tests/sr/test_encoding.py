@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import MLP
-from repro.sr import HashedLUT, LUTRefiner, PositionEncoder, build_coarse_lut, build_lut
+from repro.sr import HashedLUT, PositionEncoder
 
 
 def random_neighborhoods(m, rf, seed=0, scale=1.0):
@@ -14,6 +13,17 @@ def random_neighborhoods(m, rf, seed=0, scale=1.0):
     targets = g.uniform(-scale, scale, (m, 3))
     neighbors = targets[:, None, :] + g.normal(0, 0.1 * scale, (m, rf - 1, 3))
     return targets, neighbors
+
+
+def eq4_bins(e, bins, phase=0.0):
+    """Eq. 4's bins of the neighbour rows of ``e``, ``(m, rf - 1, 3)``:
+    ``floor((n + 1)/2 · (b - 1) + phase)``, clipped to the ``b`` bins."""
+    q = np.floor((e.normalized[:, 1:] + 1.0) * 0.5 * (bins - 1) + phase)
+    return np.clip(q, 0, bins - 1).astype(np.int64)
+
+
+def eq4_keys(enc, e):
+    return enc.keys(e.normalized, per_point=False)
 
 
 def eq4_centers(enc, e):
@@ -50,7 +60,7 @@ class TestNormalization:
         t, nb = random_neighborhoods(30, 4)
         e1 = enc.encode(t, nb)
         e2 = enc.encode(t * 50.0, (nb - t[:, None, :]) * 50.0 + t[:, None, :] * 50.0)
-        assert np.array_equal(e1.bins, e2.bins)
+        assert np.array_equal(eq4_keys(enc, e1), eq4_keys(enc, e2))
 
     def test_translation_invariance(self):
         enc = PositionEncoder(rf_size=4, bins=32)
@@ -58,7 +68,7 @@ class TestNormalization:
         off = np.array([100.0, -50.0, 3.0])
         e1 = enc.encode(t, nb)
         e2 = enc.encode(t + off, nb + off)
-        assert np.array_equal(e1.bins, e2.bins)
+        assert np.array_equal(eq4_keys(enc, e1), eq4_keys(enc, e2))
 
     def test_degenerate_neighborhood_no_nan(self):
         enc = PositionEncoder(rf_size=3, bins=16)
@@ -74,7 +84,7 @@ class TestQuantization:
         enc = PositionEncoder(rf_size=4, bins=8)
         t, nb = random_neighborhoods(100, 4)
         e = enc.encode(t, nb)
-        assert e.bins.min() >= 0 and e.bins.max() <= 7
+        assert (eq4_keys(enc, e) < enc.key_space(per_point=False)).all()
 
     def test_eq4_formula(self):
         enc = PositionEncoder(rf_size=2, bins=11)
@@ -82,8 +92,9 @@ class TestQuantization:
         nb = np.array([[[0.5, -1.0, 1.0]]])  # radius sqrt(2.25)=1.5
         e = enc.encode(t, nb)
         n = nb[0, 0] / 1.5
-        expected = np.floor((n + 1) / 2 * 10).astype(int)
-        assert np.array_equal(e.bins[0, 1], np.clip(expected, 0, 10))
+        expected = np.clip(np.floor((n + 1) / 2 * 10).astype(int), 0, 10)
+        (key,) = eq4_keys(enc, e).tolist()
+        assert [key // 121, key // 11 % 11, key % 11] == expected.tolist()
 
     def test_bin_centers_inverse(self):
         enc = PositionEncoder(rf_size=2, bins=64)
@@ -101,7 +112,7 @@ class TestQuantization:
         t, nb = random_neighborhoods(200, 4, seed=5)
         e = enc.encode(t, nb)
         err = np.abs(eq4_centers(enc, e) - e.normalized[:, 1:]).max()
-        assert err <= enc.quantization_error_bound() + 1e-12
+        assert err <= 1.0 / (32 - 1) + 1e-12  # half of a 2 / (b - 1) bin
 
     def test_more_bins_lower_error(self):
         t, nb = random_neighborhoods(200, 4, seed=6)
@@ -119,12 +130,13 @@ class TestKeyPacking:
         t, nb = random_neighborhoods(500, 3, seed=7)
         e = enc.encode(t, nb)
         keys = enc.keys(e.normalized, per_point=False)
-        flat = e.bins[:, 1:, :].reshape(len(e.bins), -1)
+        flat = eq4_bins(e, 16).reshape(len(keys), -1)
         _, unique_rows = np.unique(flat, axis=0, return_index=True)
         assert len(np.unique(keys)) == len(unique_rows)
 
-    def test_pack_roundtrip_by_digits(self):
-        enc = PositionEncoder(rf_size=3, bins=8)
+    @pytest.mark.parametrize("phase", [0.0, 0.25, 0.5])
+    def test_pack_roundtrip_by_digits(self, phase):
+        enc = PositionEncoder(rf_size=3, bins=8, phase=phase)
         t, nb = random_neighborhoods(50, 3, seed=8)
         e = enc.encode(t, nb)
         keys = enc.keys(e.normalized, per_point=False)
@@ -134,7 +146,7 @@ class TestKeyPacking:
         for d in range(5, -1, -1):
             digits[:, d] = (rem % 8).astype(np.int64)
             rem //= 8
-        assert np.array_equal(digits, e.bins[:, 1:, :].reshape(50, -1))
+        assert np.array_equal(digits, eq4_bins(e, 8, phase).reshape(50, -1))
 
     def test_packable_boundary(self):
         fits = PositionEncoder(rf_size=4, bins=128)  # 9*7 = 63 bits
@@ -207,48 +219,6 @@ class TestKeyInputs:
         assert enc.keys(np.zeros((0, 4, 3)), per_point=True).shape == (0,)
 
 
-class TestLazyBins:
-    """``EncodedNeighborhood.bins`` is computed on first access."""
-
-    @pytest.mark.parametrize("bins", [16, 128])
-    @pytest.mark.parametrize("phase", [0.0, 0.25, 0.5])
-    def test_equals_the_eager_formula(self, phase, bins):
-        enc = PositionEncoder(rf_size=4, bins=bins, phase=phase)
-        t, nb = random_neighborhoods(200, 4, seed=3)
-        e = enc.encode(t, nb)
-        # shape queries read ``normalized`` and do not force the quantization
-        assert (e.rf_size, e.n_neighborhoods) == (4, 200)
-        assert "bins" not in vars(e)
-        want = np.floor((e.normalized + 1.0) * 0.5 * (bins - 1) + phase).astype(np.int16)
-        np.clip(want, 0, bins - 1, out=want)
-        got = e.bins
-        assert got.dtype == np.int16 and got.shape == (200, 4, 3)
-        assert np.array_equal(got, want)
-        assert e.bins is got  # kept, not recomputed
-
-    def _refine_and_capture(self, lut, monkeypatch):
-        """What ``LUTRefiner(lut).refine`` got back from ``encode``."""
-        made, encode = [], lut.encoder.encode
-
-        def recording_encode(targets, neighbors):
-            made.append(encode(targets, neighbors))
-            return made[-1]
-
-        monkeypatch.setattr(lut.encoder, "encode", recording_encode)
-        LUTRefiner(lut).refine(*random_neighborhoods(50, 4, seed=4))
-        (encoded,) = made
-        return encoded
-
-    def test_coarse_lut_refinement_leaves_bins_uncomputed(self, monkeypatch):
-        """Under either keying: tables key on ``normalized``."""
-        net = MLP((12, 8, 3), output_activation="tanh", seed=0)
-        for build in (build_coarse_lut, build_lut):
-            enc = PositionEncoder(rf_size=4, bins=128)
-            train = enc.encode(*random_neighborhoods(50, 4, seed=5)).normalized
-            encoded = self._refine_and_capture(build(net, enc, train), monkeypatch)
-            assert "bins" not in vars(encoded)
-
-
 @given(seed=st.integers(0, 200), bins=st.integers(2, 64))
 @settings(max_examples=30, deadline=None)
 def test_encoding_deterministic_and_bounded(seed, bins):
@@ -256,5 +226,5 @@ def test_encoding_deterministic_and_bounded(seed, bins):
     t, nb = random_neighborhoods(20, 4, seed=seed)
     e1 = enc.encode(t, nb)
     e2 = enc.encode(t, nb)
-    assert np.array_equal(e1.bins, e2.bins)
-    assert e1.bins.min() >= 0 and e1.bins.max() < bins
+    assert np.array_equal(eq4_keys(enc, e1), eq4_keys(enc, e2))
+    assert (eq4_keys(enc, e1) < enc.key_space(per_point=False)).all()

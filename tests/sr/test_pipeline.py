@@ -265,10 +265,6 @@ class TestYuzu:
         model = YuzuSRModel(ratio=np.int64(3))
         assert model.ratio == 3 and type(model.ratio) is int
 
-    def test_model_bytes_positive(self):
-        m = YuzuSRModel(ratio=2, seed=0)
-        assert m.model_bytes() == m.net.n_parameters() * 4
-
     @pytest.mark.parametrize("ratio", YUZU_RATIOS)
     def test_each_ratio_gives_ratio_children_per_point(self, tiny_frame, ratio):
         model = YuzuSRModel(ratio=ratio, seed=0)
@@ -306,6 +302,6 @@ class TestYuzu:
         m = YuzuSRModel(ratio=3, encoder=PositionEncoder(rf_size=6, bins=16))
         assert m.net.dims == (18, 256, 256, 256, 9)
         # One more child adds one more 3-vector head: 256·3 weights + 3 biases.
-        assert YuzuSRModel(ratio=4).model_bytes() - YuzuSRModel(
+        assert YuzuSRModel(ratio=4).net.flat_params.size - YuzuSRModel(
             ratio=3
-        ).model_bytes() == (256 * 3 + 3) * 4
+        ).net.flat_params.size == 256 * 3 + 3

@@ -1,5 +1,8 @@
 """ABR controller tests (continuous vs discrete MPC, quality model)."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,16 @@ class TestSRQualityModel:
         qm = SRQualityModel()
         assert qm.quality(0.5) == pytest.approx(0.93)
         assert qm.quality(0.25) == pytest.approx(0.93 ** 2)
+
+    def test_quality_is_the_stdlib_formula(self):
+        """``log2`` is the stdlib's: NumPy's SIMD ``log2`` differs from it by
+        one ulp on some ratios on AVX-512 hosts (about 4 in 10,000 on
+        [1, 16]), and Q is stated once."""
+        qm = SRQualityModel(max_ratio=16.0)
+        rng = random.Random(7)
+        for _ in range(100_000):
+            d, s = 1.0 - rng.random(), rng.uniform(1.0, 16.0)
+            assert qm.quality(d, s) == min(1.0, d * s) * 0.93 ** math.log2(s), (d, s)
 
     def test_under_restored_density(self):
         qm = SRQualityModel(max_ratio=2.0)

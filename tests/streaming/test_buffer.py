@@ -39,12 +39,12 @@ class TestBuffer:
         buf = PlaybackBuffer(startup_threshold=1.0, max_level=4.0)
         buf.add(10.0)
         assert buf.level == 4.0
-        assert buf.headroom == 0.0
+        assert buf.max_level - buf.level == 0.0
 
     def test_headroom(self):
         buf = PlaybackBuffer(startup_threshold=1.0, max_level=5.0)
         buf.add(2.0)
-        assert buf.headroom == pytest.approx(3.0)
+        assert buf.max_level - buf.level == pytest.approx(3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

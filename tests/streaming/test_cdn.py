@@ -362,7 +362,7 @@ class TestEncodeQueue:
         q = EncodeQueue(n_workers=1)
         q.submit(0.0, 2.0)
         assert q.submit(1.0, 0.0) == 1.0   # no wait, no job recorded
-        assert q.n_jobs == 1
+        assert len(q.waits) == 1
 
     def test_origin_encodes_each_variant_once(self):
         origin = OriginServer(n_encode_workers=1, encode_seconds=1.0)
@@ -371,8 +371,7 @@ class TestEncodeQueue:
         assert origin.variant_ready(("v", 0, 0.5), 0.5) == 1.0
         # Long after: variant exists, served immediately.
         assert origin.variant_ready(("v", 0, 0.5), 10.0) == 10.0
-        assert origin.n_encoded == 1
-        assert origin.queue.n_jobs == 1
+        assert len(origin.queue.waits) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -203,7 +203,8 @@ class TestQoEArrivalAutoscaler:
         auto.finish()
         assert auto(0) == 1.0
         assert auto(1) == pytest.approx(0.75)
-        assert auto.day_health(0) is None  # consumed by finish()
+        auto.finish()  # day 0 was consumed: a second close plans nothing
+        assert auto(1) == pytest.approx(0.75)
 
     def test_healthy_day_relaxes_back_capped_at_max(self):
         auto = QoEArrivalAutoscaler(day_seconds=100.0)
@@ -232,7 +233,8 @@ class TestQoEArrivalAutoscaler:
         assert auto(1) == 1.0  # day 0 still open
         auto.observe(15.0, 2.0)  # first day-1 sample closes day 0
         assert auto(1) == pytest.approx(0.75)
-        assert auto.day_health(1) == pytest.approx(2.0)
+        auto.finish()  # day 1 holds the healthy sample: day 2 relaxes
+        assert auto(2) == pytest.approx(0.9375)
 
     def test_floor(self):
         # Terrible days keep shrinking the next day's load but never

@@ -345,7 +345,6 @@ class TestDegradedTrace:
         assert t.bandwidth_at(7.0) == pytest.approx(0.25 * base.bandwidth_at(7.0))
         assert t.bandwidth_at(10.0) == base.bandwidth_at(10.0)  # end exclusive
         assert t.rtt == base.rtt
-        assert t.duration == base.duration
 
     def test_overlapping_windows_compose(self):
         base = stable_trace(10.0, duration=100.0)

@@ -268,16 +268,14 @@ class TestARunOwnsWhatItMutates:
                 c.coalesced, c.coalesced_bytes,
             )
 
-        origin, queue = topology.origin, topology.origin.queue
+        # every variant the origin records submits one job: one wait
+        queue = topology.origin.queue
         return (
             [
                 (link(e.backhaul), link(e.access), cache(e.cache), e.sr_cache)
                 for e in topology.edges
             ],
-            (
-                queue.n_workers, list(queue.waits), queue.busy_seconds,
-                origin.n_encoded,
-            ),
+            (queue.n_workers, list(queue.waits), queue.busy_seconds),
         )
 
     def test_a_run_writes_nothing_it_was_given(self):

@@ -90,7 +90,7 @@ class TestTracer:
         tr.emit(0.5, "a.y", session=1, nbytes=10)
         tr.emit(1.0, "a.x")
         assert len(tr) == 3
-        assert tr.count("a.x") == 2
+        assert tr.counts()["a.x"] == 2
         assert tr.counts() == {"a.x": 2, "a.y": 1}
         # seq increases in emission order regardless of timestamps
         assert [ev.seq for ev in tr] == [1, 2, 3]

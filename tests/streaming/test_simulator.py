@@ -159,6 +159,23 @@ class TestConfig:
             with pytest.raises(ValueError, match=rf"startup_bytes.*got {startup_bytes}"):
                 SessionConfig(startup_bytes=startup_bytes)
 
+    @pytest.mark.parametrize("latency, shown", [(-0.5, "-15.0"), (math.nan, "nan")])
+    def test_a_bad_sr_latency_is_refused_naming_chunk_density_and_value(
+        self, latency, shown
+    ):
+        """A negative latency used to be charged as negative SR time,
+        hiding stalls, and a NaN one gave a NaN QoE; both now stop the
+        session at its first chunk (30 frames × the latency)."""
+        with pytest.raises(
+            ValueError,
+            match=rf"SR seconds of a chunk must be finite and non-negative, "
+            rf"got {shown} for chunk 0 at density 0.25$",
+        ):
+            simulate_session(
+                spec(5), stable_trace(50.0), FixedDensity(0.25, 4.0),
+                sr_latency=lambda n, r: latency,
+            )
+
 
 def drive(seconds, elapsed, config=None):
     """Run one session by hand: download ``i`` takes ``elapsed(i)``

@@ -972,21 +972,24 @@ def knob_signatures(tree) -> list[tuple[str, str, list[str], list[str], bool]]:
     return out
 
 
-def knob_setters(trees, signatures, factories) -> tuple[set, set]:
-    """What the code in ``trees`` sets: ``(call name, parameter)`` pairs,
-    and bare names a ``dataclasses.replace`` keyword or an ``obj.k = …``
-    store sets on whatever object it reaches — which only a dataclass
-    field can be, so :func:`unset_knobs` applies those to fields alone.
+def knob_setters(trees, signatures, factories) -> set:
+    """What the code in ``trees`` sets: ``(call name, parameter)`` pairs.
 
     A call sets a parameter by keyword, by position, or through ``**`` of
     a module-level dict (``{…}`` or ``dict(…)``); a keyword handed to
-    ``get_policy`` reaches every registered factory in ``factories``."""
-    positions = {}
-    for _, name, positional, _, _ in signatures:
+    ``get_policy`` reaches every registered factory in ``factories``.  A
+    ``dataclasses.replace`` keyword or an ``obj.k = …`` store sets field
+    ``k`` of the dataclasses its module names (``Name``, ``Attribute`` or
+    import) — the only objects the module can hold that way."""
+    positions, dataclasses = {}, set()
+    for _, name, positional, _, is_dataclass in signatures:
         positions.setdefault(name, []).append(positional)
-    named, anywhere = set(), set()
+        if is_dataclass:
+            dataclasses.add(name)
+    named = set()
     for tree in trees:
         literals, replaces = {}, {"dataclasses.replace"}
+        mentioned, stored = set(), set()
         for node in tree.body:
             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
                 value = node.value
@@ -998,11 +1001,18 @@ def knob_setters(trees, signatures, factories) -> tuple[set, set]:
                     continue
                 literals[node.targets[0].id] = keys
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
-                replaces.update(a.asname or a.name for a in node.names if a.name == "replace")
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                if ast.unparse(node.value) not in ("self", "cls"):
-                    anywhere.add(node.attr)
+            if isinstance(node, ast.ImportFrom):
+                mentioned.update(a.name for a in node.names)
+                if node.module == "dataclasses":
+                    replaces.update(a.asname or a.name for a in node.names if a.name == "replace")
+            elif isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+                if isinstance(node.ctx, ast.Store) and ast.unparse(node.value) not in (
+                    "self", "cls"
+                ):
+                    stored.add(node.attr)
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
@@ -1015,7 +1025,7 @@ def knob_setters(trees, signatures, factories) -> tuple[set, set]:
             func = call.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if ast.unparse(func) in replaces:
-                anywhere |= keywords
+                stored |= keywords
                 continue
             if name == "get_policy":
                 named |= {(factory, k) for factory in factories for k in keywords}
@@ -1025,7 +1035,8 @@ def knob_setters(trees, signatures, factories) -> tuple[set, set]:
                         break
                     named.add((name, param))
             named |= {(name, k) for k in keywords}
-    return named, anywhere
+        named |= {(cls, k) for cls in dataclasses & mentioned for k in stored}
+    return named
 
 
 def unset_knobs(modules, trees, factories) -> tuple[int, list[str]]:
@@ -1035,17 +1046,14 @@ def unset_knobs(modules, trees, factories) -> tuple[int, list[str]]:
     signatures = {
         prefix: knob_signatures(tree) for prefix, tree in modules.items()
     }
-    named, anywhere = knob_setters(
+    named = knob_setters(
         trees, [s for sigs in signatures.values() for s in sigs], factories
     )
     total, unset = 0, []
     for prefix, sigs in signatures.items():
-        for label, name, _, defaulted, is_dataclass in sigs:
+        for label, name, _, defaulted, _ in sigs:
             total += len(defaulted)
-            unset += [
-                f"{prefix}::{label}.{k}" for k in defaulted
-                if (name, k) not in named and not (is_dataclass and k in anywhere)
-            ]
+            unset += [f"{prefix}::{label}.{k}" for k in defaulted if (name, k) not in named]
     return total, sorted(unset)
 
 
@@ -1109,9 +1117,9 @@ class Spec:
         ("OPTS = dict(c=3)\nf(0, **OPTS)", "f.c"),
         ("OPTS = {'y': 0.1}\nPolicy(1, **OPTS)", "Policy.y"),
         ("get_policy('p', y=0.1)", "Policy.y"),
-        ("import dataclasses\ndataclasses.replace(s, m=4)", "Spec.m"),
-        ("from dataclasses import replace as r\nr(s, m=4)", "Spec.m"),
-        ("spec.m = 4", "Spec.m"),
+        ("import dataclasses\nfrom m import Spec\ndataclasses.replace(s, m=4)", "Spec.m"),
+        ("from dataclasses import replace as r\ns: Spec\nr(s, m=4)", "Spec.m"),
+        ("import m\nspec: m.Spec\nspec.m = 4", "Spec.m"),
         ("Spec(1, 2)", "Spec.m"),
     ],
     ids=[
@@ -1154,6 +1162,21 @@ replace(s, c=3)
         {"m.py": ast.parse(KNOB_DEFINITIONS)}, [ast.parse(caller)], {"Policy"}
     )
     assert unset == ["m.py::Policy.y", "m.py::Spec.m", "m.py::f.b", "m.py::f.c"]
+
+
+def test_the_knob_pin_reads_a_replace_against_the_classes_its_module_names():
+    """``replace(row, m=4)`` and ``row.m = 4`` in a module that names only
+    ``Row`` set no ``Spec.m``, though ``Spec`` has a field ``m``."""
+    caller = """
+from dataclasses import replace
+from rows import Row
+row = replace(Row(1), m=4)
+row.m = 4
+"""
+    _, unset = unset_knobs(
+        {"m.py": ast.parse(KNOB_DEFINITIONS)}, [ast.parse(caller)], {"Policy"}
+    )
+    assert "m.py::Spec.m" in unset
 
 def test_one_benchmark_ledger():
     """``bench/`` + ``BENCHMARK.json`` hold every performance number;
