@@ -579,6 +579,27 @@ class TestLifeCycleBookkeeping:
         assert not pool.active and not any(pool.count) and not pool.segments
         assert len(pool.groups) == 2  # one per hop tuple, kept for reuse
 
+    def test_flow_count_and_membership_follow_add_cancel_and_drain(self):
+        """``n_flows`` (the count the fleet's watchdog prints) and
+        ``has_flow`` agree with the flows added, cancelled and drained."""
+        one_hop, three_hop = self.pool()
+        sched = PathScheduler()
+        sched.add_flow(0, 1_000_000, 0.0, one_hop)
+        sched.add_flow(1, 2_000_000, 0.0, three_hop)
+        sched.add_flow(2, 3_000_000, 0.0, one_hop)
+        assert sched.n_flows == 3
+        sched.cancel(1)
+        assert sched.n_flows == 2
+        assert [sched.has_flow(f) for f in (0, 1, 2)] == [True, False, True]
+        now, done = 0.0, []
+        while sched.busy():
+            t = sched.next_event(now)
+            done += sched.advance(now, t)
+            now = t
+            assert sched.n_flows == 2 - len(done)
+            assert all(not sched.has_flow(c.flow_id) for c in done)
+        assert sorted(c.flow_id for c in done) == [0, 2]
+
     def test_stale_gate_is_skipped_by_identity(self):
         """A flow cancelled while gated leaves its heap entry behind; the
         entry names a dead flow object, which must not join a group (it

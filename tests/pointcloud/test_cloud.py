@@ -54,6 +54,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="colors"):
             PointCloud(np.zeros((2, 3)), np.zeros((2, 4), dtype=np.uint8))
 
+    def test_empty(self):
+        pc = PointCloud(np.zeros((0, 3)))
+        assert len(pc) == 0 and not pc.has_colors
+        pc2 = PointCloud(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8))
+        assert pc2.has_colors and len(pc2) == 0
+
+    def test_repr_names_the_count_and_colors(self):
+        assert repr(make([[0, 0, 0], [1, 2, 3]])) == "PointCloud(n=2, no-color)"
+        assert repr(make([[0, 0, 0]], [[1, 2, 3]])) == "PointCloud(n=1, rgb)"
+
 
 class TestGeometry:
     def test_bounds(self):

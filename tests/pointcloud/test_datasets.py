@@ -81,6 +81,11 @@ class TestVolumetricVideo:
         v = self._video(n_frames=3, loops=1)
         assert sum(1 for _ in v) == 3
 
+    def test_iteration_plays_every_loop_in_order(self):
+        v = self._video(n_frames=3, loops=2)
+        xs = [float(f.positions[0, 0] - v.frame(0).positions[0, 0]) for f in v]
+        assert xs == [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             VolumetricVideo(name="x", n_frames=0, fps=30, frame_fn=lambda i: None)

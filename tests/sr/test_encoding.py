@@ -134,19 +134,23 @@ class TestKeyPacking:
         _, unique_rows = np.unique(flat, axis=0, return_index=True)
         assert len(np.unique(keys)) == len(unique_rows)
 
+    @pytest.mark.parametrize("bins", [8, 16, 128])
     @pytest.mark.parametrize("phase", [0.0, 0.25, 0.5])
-    def test_pack_roundtrip_by_digits(self, phase):
-        enc = PositionEncoder(rf_size=3, bins=8, phase=phase)
-        t, nb = random_neighborhoods(50, 3, seed=8)
+    def test_pack_roundtrip_by_digits(self, phase, bins):
+        """The key's base-``bins`` digits are Eq. 4's bins, up to the
+        63-bit key of ``rf_size=4, bins=128``."""
+        enc = PositionEncoder(rf_size=4, bins=bins, phase=phase)
+        t, nb = random_neighborhoods(200, 4, seed=8)
         e = enc.encode(t, nb)
         keys = enc.keys(e.normalized, per_point=False)
         # Decode digits and compare.
-        digits = np.empty((50, 6), dtype=np.int64)
+        digits = np.empty((200, 9), dtype=np.int64)
         rem = keys.copy()
-        for d in range(5, -1, -1):
-            digits[:, d] = (rem % 8).astype(np.int64)
-            rem //= 8
-        assert np.array_equal(digits, eq4_bins(e, 8, phase).reshape(50, -1))
+        for d in range(8, -1, -1):
+            digits[:, d] = (rem % np.uint64(bins)).astype(np.int64)
+            rem //= np.uint64(bins)
+        assert (rem == 0).all()
+        assert np.array_equal(digits, eq4_bins(e, bins, phase).reshape(200, -1))
 
     def test_packable_boundary(self):
         fits = PositionEncoder(rf_size=4, bins=128)  # 9*7 = 63 bits

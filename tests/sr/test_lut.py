@@ -117,6 +117,9 @@ class TestHashedLUT:
     @pytest.mark.parametrize("field, damage", [
         ("per_point", lambda d: d.pop("per_point")),
         ("phase", lambda d: d.pop("phase")),
+        ("rf_size", lambda d: d.pop("rf_size")),
+        ("bins", lambda d: d.pop("bins")),
+        ("values", lambda d: d.pop("values")),
         ("keys", lambda d: d.update(keys=d["keys"][::-1])),
         ("keys", lambda d: d.update(keys=d["keys"][[0, 0, 2]])),
         ("values", lambda d: d.update(values=d["values"][:-1])),

@@ -68,6 +68,18 @@ class TestSRQualityModel:
             d, s = 1.0 - rng.random(), rng.uniform(1.0, 16.0)
             assert qm.quality(d, s) == min(1.0, d * s) * 0.93 ** math.log2(s), (d, s)
 
+    def test_nan_is_refused(self):
+        """The range checks are chained comparisons, which NaN fails."""
+        with pytest.raises(ValueError, match="max_ratio"):
+            SRQualityModel(max_ratio=math.nan)
+        qm = SRQualityModel()
+        with pytest.raises(ValueError, match="density"):
+            qm.quality(math.nan)
+        with pytest.raises(ValueError, match="density"):
+            qm.quality(math.nan, sr_ratio=2.0)
+        with pytest.raises(ValueError, match="sr_ratio"):
+            qm.quality(0.5, sr_ratio=math.nan)
+
     def test_under_restored_density(self):
         qm = SRQualityModel(max_ratio=2.0)
         # density 0.25 with SR capped at 2x -> restored 0.5, discounted.

@@ -95,6 +95,14 @@ class TestTracer:
         # seq increases in emission order regardless of timestamps
         assert [ev.seq for ev in tr] == [1, 2, 3]
 
+    def test_event_repr_names_time_kind_session_and_data(self):
+        tr = Tracer()
+        tr.emit(1.25, "a.x", session=3, nbytes=10)
+        tr.emit(2.0, "a.y")
+        first, second = tr
+        assert repr(first) == "<TraceEvent t=1.250 a.x sid=3 {'nbytes': 10}>"
+        assert repr(second) == "<TraceEvent t=2.000 a.y>"
+
     def test_to_dict_flattens_data(self):
         tr = Tracer()
         tr.emit(3.5, "chunk.fetch", session=7, edge=1, nbytes=100)

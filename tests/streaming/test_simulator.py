@@ -159,7 +159,10 @@ class TestConfig:
             with pytest.raises(ValueError, match=rf"startup_bytes.*got {startup_bytes}"):
                 SessionConfig(startup_bytes=startup_bytes)
 
-    @pytest.mark.parametrize("latency, shown", [(-0.5, "-15.0"), (math.nan, "nan")])
+    @pytest.mark.parametrize(
+        "latency, shown",
+        [(-0.5, "-15.0"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")],
+    )
     def test_a_bad_sr_latency_is_refused_naming_chunk_density_and_value(
         self, latency, shown
     ):
@@ -175,6 +178,19 @@ class TestConfig:
                 spec(5), stable_trace(50.0), FixedDensity(0.25, 4.0),
                 sr_latency=lambda n, r: latency,
             )
+
+    def test_a_zero_sr_latency_is_charged_nothing(self):
+        """0 s is the bound's closed end: the session runs, as with
+        ``ZERO_LATENCY``."""
+        runs = [
+            simulate_session(
+                spec(5), stable_trace(50.0), FixedDensity(0.25, 4.0), sr_latency=lat
+            )
+            for lat in (lambda n, r: 0.0, ZERO_LATENCY)
+        ]
+        assert runs[0].n_chunks == 5
+        assert runs[0].stall_seconds == runs[1].stall_seconds
+        assert runs[0].qoe == runs[1].qoe
 
 
 def drive(seconds, elapsed, config=None):

@@ -1120,11 +1120,13 @@ class Spec:
         ("import dataclasses\nfrom m import Spec\ndataclasses.replace(s, m=4)", "Spec.m"),
         ("from dataclasses import replace as r\ns: Spec\nr(s, m=4)", "Spec.m"),
         ("import m\nspec: m.Spec\nspec.m = 4", "Spec.m"),
+        ("import dataclasses, m\nspec: m.Spec\ndataclasses.replace(spec, m=4)", "Spec.m"),
         ("Spec(1, 2)", "Spec.m"),
     ],
     ids=[
         "positional", "keyword", "dict-call", "dict-literal", "get_policy",
-        "replace", "replace-alias", "attribute", "dataclass-positional",
+        "replace", "replace-alias", "attribute", "replace-attribute",
+        "dataclass-positional",
     ],
 )
 def test_the_knob_pin_sees_every_setter_form(caller, knob):
@@ -1177,6 +1179,7 @@ row.m = 4
         {"m.py": ast.parse(KNOB_DEFINITIONS)}, [ast.parse(caller)], {"Policy"}
     )
     assert "m.py::Spec.m" in unset
+
 
 def test_one_benchmark_ledger():
     """``bench/`` + ``BENCHMARK.json`` hold every performance number;
