@@ -34,6 +34,7 @@ from repro.streaming.faults import DegradedTrace
 
 from .drain_scheduler import DrainScheduler
 from .reference_scheduler import ReferenceScheduler
+from .test_traces import period
 
 #: The contract's two implementations.
 SCHEDULERS = {"production": PathScheduler, "reference": ReferenceScheduler}
@@ -665,7 +666,7 @@ class TestSegmentBound:
         self, width, loops, read, later
     ):
         trace = NetworkTrace("two", [0.0, width], [10e6, 20e6], rtt=0.0)
-        duration = 2 * width  # last start + median width
+        duration = period(trace)
         t0 = loops * duration + read * width
         link = SharedLink(trace)
         sched = PathScheduler()

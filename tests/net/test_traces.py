@@ -7,6 +7,13 @@ from repro.net import MBPS, PAPER_LTE_PROFILES, NetworkTrace, lte_trace, stable_
 from repro.net.traces import LTE_FADE_PROB, LTE_RTT, LTE_STEP
 
 
+def period(tr: NetworkTrace) -> float:
+    """The period a trace loops with, from its public arrays: the last
+    segment start plus the median segment width, summed as the trace sums
+    it."""
+    return float(tr.timestamps[-1] + float(np.median(np.diff(tr.timestamps))))
+
+
 class TestNetworkTrace:
     def test_lookup_in_segments(self):
         tr = NetworkTrace("t", np.array([0.0, 10.0]), np.array([1e6, 2e6]))
@@ -38,7 +45,8 @@ class TestNetworkTrace:
             "t", [0.0, 0.7, 1.9, 3.2, 5.0, 5.3], [1e6, 2e6, 3e6, 4e6, 5e6, 6e6]
         )
         t = 6.5 + 3.2
-        assert t % 6.5 < 3.2  # the rounding this guards against
+        assert period(tr) == 6.5
+        assert t % period(tr) < 3.2  # the rounding this guards against
         assert tr.bandwidth_at(t) == 4e6
         assert tr.time_to_next_change(t) == pytest.approx(1.8)
         assert t + tr.time_to_next_change(t) > t
@@ -46,7 +54,7 @@ class TestNetworkTrace:
     def test_a_wrap_onto_the_period_end_reads_the_first_segment(self):
         tr = NetworkTrace("t", [0.0, 0.1, 0.2], [1e6, 2e6, 3e6])
         t = 2.7  # the ninth wrap, whose ``% duration`` is just short of it
-        duration = 0.2 + 0.1  # last start + median width, as the trace sums it
+        duration = period(tr)
         assert t + (duration - t % duration) == t
         assert tr.bandwidth_at(t) == 1e6
         assert tr.time_to_next_change(t) == pytest.approx(0.1)
@@ -56,7 +64,7 @@ class TestNetworkTrace:
         one period instead of searching for ever."""
         tr = NetworkTrace("t", [0.0, 0.1, 0.2], [1e6, 2e6, 3e6])
         t = 1e20
-        assert t % (0.2 + 0.1) < 0.1
+        assert t % period(tr) < 0.1
         assert tr.bandwidth_at(t) == 1e6
         assert t + tr.time_to_next_change(t) == t
 

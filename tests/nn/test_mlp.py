@@ -75,30 +75,3 @@ class TestBackward:
         b = MLP((4, 8, 2), seed=42)
         x = np.ones((2, 4))
         assert np.allclose(a.forward(x), b.forward(x))
-
-    def test_grad_accumulates_until_zeroed(self):
-        net = MLP((3, 5, 2), seed=2)
-        x = np.random.default_rng(3).normal(size=(4, 3))
-        net.forward(x)
-        net.backward(np.ones((4, 2)))
-        first = net.flat_grads.copy()
-        assert first.any()
-        net.forward(x)
-        net.backward(np.ones((4, 2)))
-        assert np.allclose(net.flat_grads, 2 * first)
-        net.zero_grad()
-        assert not net.flat_grads.any()
-
-    def test_zero_grad_clears_every_gradient_and_no_parameter(self):
-        """``zero_grad`` is one fill of the flat buffer, which every
-        layer's ``dW`` / ``db`` views."""
-        net = MLP((3, 6, 4, 2), seed=4)
-        x = np.random.default_rng(6).normal(size=(5, 3))
-        net.forward(x)
-        net.backward(np.ones((5, 2)))
-        params = net.flat_params.copy()
-        net.zero_grad()
-        linears = [layer for layer in net.layers if isinstance(layer, Linear)]
-        assert len(linears) == 3
-        assert all(not lin.dW.any() and not lin.db.any() for lin in linears)
-        assert net.flat_params.tobytes() == params.tobytes()

@@ -11,15 +11,14 @@ entry there is stale (its function is gone or was reached), and 2 if an
 entry point fails.  An extension that nothing measured uses pays no rent:
 it leaves, or it names here why it stays.
 
-    python tests/reach_map.py            # ≈ 6 min
-    python tests/reach_map.py --jobs 2   # two entry points at a time: ≈ 3.5 min on 2 cores
+    python tests/reach_map.py   # ≈ 3.5 min on 2 cores
 
-Stdlib only.  Run from anywhere; the paths are the repo's.
+Entry points run one per core at a time.  Stdlib only.  Run from
+anywhere; the paths are the repo's.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import subprocess
@@ -35,9 +34,10 @@ PACKAGE = SRC / "repro"
 
 #: name -> argv after ``python``; ``{tmp}`` is a scratch directory.  The
 #: experiments CLI with the flags README and the nightly CI lane use
-#: (smaller), every example with the arguments ``tests/test_examples.py``
-#: runs it with (and README's), the paper-figure lane, and the repo
-#: benchmark plain and traced, with its own tests.
+#: (smaller), every example (``tests/test_examples.py`` runs the
+#: ``examples/…`` entries as they stand here) and README's chaos command,
+#: the paper-figure lane, and the repo benchmark plain and traced, with
+#: its own tests.
 ENTRY_POINTS: dict[str, list[str]] = {
     "experiments --all": ["-m", "repro.experiments", "--all"],
     "experiments fleet-chaos --regional": [
@@ -183,6 +183,11 @@ def functions() -> dict[tuple[str, int], tuple[str, int]]:
     return out
 
 
+def command(argv: list[str], tmp: str) -> list[str]:
+    """``python`` followed by an entry point's ``argv``, ``{tmp}`` filled in."""
+    return [sys.executable, *(a.replace("{tmp}", tmp) for a in argv)]
+
+
 def run_entry(name: str, argv: list[str], hook_dir: str, work: str) -> tuple[str, int, float]:
     """Run one entry point under the hook; its records land in ``work``."""
     out = os.path.join(work, name.replace("/", "_").replace(" ", "_").replace("'", ""))
@@ -195,7 +200,7 @@ def run_entry(name: str, argv: list[str], hook_dir: str, work: str) -> tuple[str
     env["REACH_MAP_OUT"] = out
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, *(a.replace("{tmp}", out) for a in argv)],
+        command(argv, out),
         cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     if proc.returncode != 0:
@@ -213,17 +218,13 @@ def reached_lines(work: str) -> set[tuple[str, int]]:
     return reached
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--jobs", type=int, default=1, help="entry points run at a time")
-    args = ap.parse_args(argv)
-
+def main() -> int:
     defs = functions()
     with tempfile.TemporaryDirectory(prefix="reach-map-") as work:
         hook_dir = os.path.join(work, "hook")
         os.makedirs(hook_dir)
         Path(hook_dir, "sitecustomize.py").write_text(_HOOK)
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(min(len(ENTRY_POINTS), os.cpu_count() or 1)) as pool:
             runs = list(pool.map(
                 lambda item: run_entry(*item, hook_dir, work), ENTRY_POINTS.items()
             ))

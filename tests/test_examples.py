@@ -1,22 +1,26 @@
-"""Examples are runnable end to end (subprocess smoke tests)."""
+"""Examples are runnable end to end (subprocess smoke tests).
+
+Each runs with the arguments its entry in the reach map's
+:data:`~tests.reach_map.ENTRY_POINTS` gives it, so the map counts what
+these tests run."""
 
 import os
 import re
 import subprocess
-import sys
 from pathlib import Path
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
-SRC = Path(__file__).resolve().parent.parent / "src"
+from tests.reach_map import ENTRY_POINTS, ROOT, SRC, command
 
 
-def run(script: str, *args: str) -> subprocess.CompletedProcess:
+def run(script: str, tmp: Path) -> subprocess.CompletedProcess:
+    """Run ``examples/<script>`` as its entry point does; ``{tmp}`` is ``tmp``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, str(EXAMPLES / script), *args],
+        command(ENTRY_POINTS[f"examples/{script}"], str(tmp)),
+        cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=300,
@@ -25,29 +29,26 @@ def run(script: str, *args: str) -> subprocess.CompletedProcess:
 
 
 class TestExamples:
-    def test_quickstart(self):
-        proc = run("quickstart.py")
+    def test_quickstart(self, tmp_path):
+        proc = run("quickstart.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "chamfer (VoLUT output)" in proc.stdout
         assert "per-stage latency" in proc.stdout
 
-    def test_streaming_session(self):
-        proc = run("streaming_session.py", "--seconds", "20")
+    def test_streaming_session(self, tmp_path):
+        proc = run("streaming_session.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "volut" in proc.stdout
         assert "stable 50 Mbps" in proc.stdout
 
-    def test_reproduce_paper_single(self):
-        proc = run("reproduce_paper.py", "--only", "table1")
+    def test_reproduce_paper_single(self, tmp_path):
+        proc = run("reproduce_paper.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "1.61 GB" in proc.stdout
 
     def test_fleet_demo(self, tmp_path):
         trace = tmp_path / "fleet-trace.json"
-        proc = run(
-            "fleet_demo.py", "--sessions", "40", "--seconds", "10",
-            "--trace-out", str(trace),
-        )
+        proc = run("fleet_demo.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "congested" in proc.stdout
         assert "cache hit" in proc.stdout
@@ -58,9 +59,7 @@ class TestExamples:
 
     def test_chaos_demo(self, tmp_path):
         trace = tmp_path / "chaos-trace.jsonl"
-        proc = run(
-            "chaos_demo.py", "--sessions", "30", "--trace-out", str(trace),
-        )
+        proc = run("chaos_demo.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "edge-outage ctrl=on" in proc.stdout
         assert "phase breakdown" in proc.stdout
@@ -68,10 +67,10 @@ class TestExamples:
         first = trace.read_text().splitlines()[0]
         assert '"kind"' in first and '"t"' in first
 
-    def test_policy_zoo_demo(self):
+    def test_policy_zoo_demo(self, tmp_path):
         from repro.streaming import available_policies
 
-        proc = run("policy_zoo_demo.py", "--sessions", "30")
+        proc = run("policy_zoo_demo.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         rows = {
             line.split()[0]: line.split()
@@ -83,23 +82,23 @@ class TestExamples:
             # mean qoe, stall %, total $, qoe/$, [wall]
             assert float(cells[3]) > 0.0, cells
 
-    def test_population_demo(self):
-        proc = run("population_demo.py", "--sessions", "30", "--seconds", "8")
+    def test_population_demo(self, tmp_path):
+        proc = run("population_demo.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "popularity skew sweep" in proc.stdout
         assert "abandoned" in proc.stdout
         assert "provisioning sweep" in proc.stdout
 
-    def test_cdn_demo(self):
-        proc = run("cdn_demo.py", "--sessions", "30", "--seconds", "8")
+    def test_cdn_demo(self, tmp_path):
+        proc = run("cdn_demo.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "assignment policy sweep" in proc.stdout
         assert "popularity" in proc.stdout
         assert "encode contention" in proc.stdout
         assert "GB delivered" in proc.stdout
 
-    def test_end_to_end_client(self):
-        proc = run("end_to_end_client.py", "--frames", "3")
+    def test_end_to_end_client(self, tmp_path):
+        proc = run("end_to_end_client.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         total = re.search(
             r"total downloaded: (\d+) KB \([\d.]+% of raw (\d+) KB\)", proc.stdout
@@ -109,7 +108,7 @@ class TestExamples:
         assert downloaded < raw
 
     def test_render_viewports_writes_frames(self, tmp_path):
-        proc = run("render_viewports.py", "--views", "2", "--save-dir", str(tmp_path))
+        proc = run("render_viewports.py", tmp_path)
         assert proc.returncode == 0, proc.stderr
         ppm = list(tmp_path.glob("*.ppm"))
         assert len(ppm) == 8  # 3 methods x 2 views + 2 ground truth

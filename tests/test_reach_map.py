@@ -89,7 +89,7 @@ def two_traces(monkeypatch):
 
     def run(allow):
         monkeypatch.setattr(reach_map, "ALLOW_LIST", allow)
-        return reach_map.main([])
+        return reach_map.main()
 
     return run
 
