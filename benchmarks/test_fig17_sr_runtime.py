@@ -1,18 +1,11 @@
-"""Fig 17 — SR runtime on desktop GPU: VoLUT vs YuZu vs GradPU."""
+"""Fig 17 — SR runtime, measured: VoLUT vs YuZu vs GradPU.  The device
+model's slowdown bands are rows of the reproduction ledger
+(``tests/experiments/test_reproduction.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.experiments import SMOKE, run_fig17_device, run_fig17_measured
-
-
-def test_fig17_device():
-    table = run_fig17_device()
-    print("\n" + table.render())
-    y = table.lookup(system="yuzu")["slowdown_vs_volut"]
-    g = table.lookup(system="gradpu")["slowdown_vs_volut"]
-    assert 6 < y < 14          # paper: 8.4x
-    assert 1e4 < g < 1e5       # paper: 46,400x
+from repro.experiments import SMOKE, run_fig17_measured
 
 
 def test_fig17_measured():

@@ -31,6 +31,7 @@ oracle-parity convention).
 from __future__ import annotations
 
 import inspect
+import math
 from typing import Callable
 
 import numpy as np
@@ -172,7 +173,10 @@ class BolaController(_GridPolicy):
 
     def __init__(self, quality_model: SRQualityModel, n_grid: int = 16):
         super().__init__(quality_model, n_grid)
-        u = np.log(self._qualities) - np.log(self._qualities[0])
+        # math.log per candidate: NumPy's SIMD log may round differently
+        # on another CPU, and these utilities rank every decision
+        u = np.array([math.log(q) for q in self._qualities.tolist()])
+        u -= u[0]
         self.lyapunov_v = BOLA_BUFFER_TARGET / (float(u[-1]) + BOLA_GAMMA_P)
         #: ``V·(u_c + γp)`` — the only per-candidate constant the score needs
         self._vu = self.lyapunov_v * (u + BOLA_GAMMA_P)

@@ -275,4 +275,4 @@ class TestReport:
         text = out.read_text()
         assert "# VoLUT reproduction" in text
         assert "## table1" in text and "## fig15" in text
-        assert "1.61 GB" in text
+        assert "eq5_keyspace" in text  # table1's own table, not only its heading

@@ -1,28 +1,20 @@
-"""Experiment harness tests: every table/figure runs and shows the paper's
-qualitative shape at smoke scale."""
+"""Experiment harness tests: every table/figure runs and has the shape its
+readers rely on.  The paper's bands and orderings are judged once, by the
+reproduction ledger (``test_reproduction.py``), on the same ``SMOKE`` runs
+(the ``paper_table`` fixture)."""
 
 import pytest
 
 from repro.experiments import (
     SMOKE,
     Scale,
-    run_ablation,
-    run_breakdown_device,
     run_breakdown_measured,
-    run_compression_rd,
-    run_fig4,
-    run_fig11_device,
     run_fig11_measured,
-    run_fig17_device,
     run_fig17_measured,
-    run_fig18_device,
     run_fleet_cdn,
     run_fleet_chaos,
     run_fleet_policies,
     run_fleet_scaling,
-    run_memory_usage,
-    run_sr_quality,
-    run_streaming_eval,
     run_table1,
 )
 
@@ -37,54 +29,27 @@ TINY = Scale(
 
 
 class TestTable1:
-    def test_paper_rows(self):
-        t = run_table1()
-        assert len(t.rows) == 6
-        row = t.lookup(rf_size=4, bins=128)
-        assert row["entries"] == 805306368
-        assert row["size"] == "1.61 GB"
-
     def test_render_is_text(self):
         out = run_table1().render()
         assert "Table 1" in out and "128" in out
 
 
 class TestFig4:
-    def test_dilated_more_uniform_than_naive(self):
-        # The uniformity gap needs enough points to be stable; the smallest
-        # TINY scale is too sparse for the density statistic.
-        t = run_fig4(SMOKE)
-        dil = t.lookup(cloud="dilated-k4d2")
-        nai = t.lookup(cloud="naive-k4d1")
-        assert dil["density_cv"] < nai["density_cv"]
-
-    def test_ground_truth_row_present(self):
-        t = run_fig4(TINY)
-        gt = t.lookup(cloud="ground-truth")
+    def test_ground_truth_row_present(self, paper_table):
+        gt = paper_table("fig4").lookup(cloud="ground-truth")
         assert gt["coverage_radius"] == 0.0
 
 
 class TestSRQuality:
     @pytest.fixture(scope="class")
-    def table(self):
-        return run_sr_quality(TINY, ratios=(2.0,), videos=("longdress", "lab"), n_views=2)
+    def table(self, paper_table):
+        return paper_table("fig7-10")
 
     def test_all_cells_present(self, table):
-        assert len(table.rows) == 2 * 1 * 4  # videos x ratios x methods
+        assert len(table.rows) == 4 * 2 * 4  # videos x ratios x methods
 
     def test_psnr_positive(self, table):
         assert all(r["psnr_db"] > 5 for r in table.rows)
-
-    def test_lut_improves_chamfer_over_plain_interp(self, table):
-        for video in ("longdress", "lab"):
-            lut = table.lookup(video=video, ratio=2.0, method="K4d2-lut")
-            plain = table.lookup(video=video, ratio=2.0, method="K4d2")
-            assert lut["chamfer"] <= plain["chamfer"] * 1.05
-
-    def test_generalizes_across_videos(self, table):
-        """LUT trained on longdress still helps on the lab scene."""
-        lut = table.lookup(video="lab", ratio=2.0, method="K4d2-lut")
-        assert lut["chamfer"] < float("inf")
 
 
 class TestFig11:
@@ -94,46 +59,21 @@ class TestFig11:
         # the compiled yardstick is reported, not asserted against
         assert t.columns[-1] == "kdtree_ms" and t.rows[0]["kdtree_ms"] > 0
 
-    def test_device_model_speedups_in_paper_band(self):
-        t = run_fig11_device()
-        for row in t.rows:
-            if row["device"] == "orange-pi":
-                assert 3.0 < row["speedup"] < 4.5
-            else:
-                assert 7.0 < row["speedup"] < 9.0
-
-    def test_orange_pi_8x_near_paper(self):
-        t = run_fig11_device()
-        row = t.lookup(device="orange-pi", ratio=8.0)
-        assert 24 < row["ours_fps"] < 40  # paper: 31.2
-        assert 6 < row["vanilla_fps"] < 10  # paper: 8.0
-
 
 class TestStreamingEval:
     @pytest.fixture(scope="class")
-    def table(self):
-        return run_streaming_eval(TINY, lte_profiles=((32.5, 13.5),))
+    def table(self, paper_table):
+        return paper_table("fig12-13")
 
     def test_all_conditions_and_systems(self, table):
         conditions = set(table.column("condition"))
         assert {"stable-50", "lte-all", "lte-low"} <= conditions
         assert set(table.column("system")) == {"volut", "yuzu-sr", "vivo", "raw"}
 
-    def test_volut_normalized_to_100(self, table):
-        for cond in ("stable-50", "lte-low"):
+    def test_volut_qoe_and_raw_data_are_the_references(self, table):
+        for cond in ("stable-50", "lte-all", "lte-low"):
             assert table.lookup(condition=cond, system="volut")["norm_qoe"] == 100.0
-
-    def test_fig12_ordering_stable(self, table):
-        v = table.lookup(condition="stable-50", system="volut")["norm_qoe"]
-        y = table.lookup(condition="stable-50", system="yuzu-sr")["norm_qoe"]
-        vi = table.lookup(condition="stable-50", system="vivo")["norm_qoe"]
-        assert v > y > vi
-
-    def test_fig13_data_usage(self, table):
-        raw = table.lookup(condition="stable-50", system="raw")["data_pct"]
-        volut = table.lookup(condition="stable-50", system="volut")["data_pct"]
-        assert raw == 100.0
-        assert volut < 45.0  # the ~70%-reduction headline
+            assert table.lookup(condition=cond, system="raw")["data_pct"] == 100.0
 
 
 class TestFleetScaling:
@@ -372,54 +312,20 @@ class TestScenario:
 
 
 class TestAblation:
-    @pytest.fixture(scope="class")
-    def table(self):
-        return run_ablation(TINY, lte_profiles=((32.5, 13.5), (75.0, 20.0)))
-
-    def test_h1_best_qoe(self, table):
-        h1 = table.lookup(variant="H1")["norm_qoe"]
-        h2 = table.lookup(variant="H2")["norm_qoe"]
-        h3 = table.lookup(variant="H3")["norm_qoe"]
-        assert h1 == 100.0
-        assert h1 > h2 > h3
-
-    def test_h2_uses_more_data(self, table):
-        assert table.lookup(variant="H2")["data_vs_h1"] > 100.0
+    def test_h1_is_the_reference(self, paper_table):
+        h1 = paper_table("fig14").lookup(variant="H1")
+        assert h1["norm_qoe"] == h1["data_vs_h1"] == 100.0
 
 
 class TestMemoryAndRuntime:
-    def test_fig15_memory_relationships(self):
-        t = run_memory_usage()
-        volut = t.lookup(system="volut (1 LUT)")
-        gradpu = t.lookup(system="gradpu (pytorch)")
-        yuzu = t.lookup(system="yuzu (frozen c++)")
-        # Paper: ~86% less than GradPU; comparable to YuZu (same order).
-        assert volut["vs_gradpu_pct"] < 20.0
+    def test_fig15_gradpu_is_the_reference(self, paper_table):
+        gradpu = paper_table("fig15").lookup(system="gradpu (pytorch)")
         assert gradpu["vs_gradpu_pct"] == 100.0
-        assert yuzu["total_mb"] < 10 * volut["total_mb"]
-
-    def test_fig16_knn_dominates_on_both_devices(self):
-        t = run_breakdown_device()
-        for device in ("desktop-gpu", "orange-pi"):
-            shares = {
-                r["stage"]: r["share_pct"] for r in t.rows if r["device"] == device
-            }
-            assert shares["knn"] == max(shares.values())
-            assert shares["refinement"] < shares["knn"]
 
     def test_fig16_measured_knn_dominates(self):
         t = run_breakdown_measured(TINY)
         shares = {r["stage"]: r["share_pct"] for r in t.rows}
         assert shares["knn"] == max(shares.values())
-
-    def test_fig17_device_orderings(self):
-        t = run_fig17_device()
-        v = t.lookup(system="volut")
-        y = t.lookup(system="yuzu")
-        g = t.lookup(system="gradpu")
-        assert v["fps"] > y["fps"] > g["fps"]
-        assert 6 < y["slowdown_vs_volut"] < 14      # paper: 8.4
-        assert 1e4 < g["slowdown_vs_volut"] < 1e5   # paper: 46,400
 
     def test_fig17_measured_ordering(self):
         t = run_fig17_measured(TINY)
@@ -428,21 +334,10 @@ class TestMemoryAndRuntime:
         g = t.lookup(system="gradpu")["ms"]
         assert v < y < g
 
-    def test_fig18_flat_latency(self):
-        t = run_fig18_device()
-        fps = t.column("fps")
-        assert max(fps) / min(fps) < 1.3
-        assert all(r["knn_share_pct"] > 60 for r in t.rows)
-
 
 class TestCompressionRD:
-    def test_rate_and_distortion_at_depth_10(self):
-        """Grounds the transport model's ~6 B/pt; SMOKE, since the rate
-        per point depends on how densely the frame fills the octree."""
-        table = run_compression_rd(SMOKE)
-        d10 = table.lookup(video="longdress", depth=10)
-        assert 4.0 < d10["bytes_per_point"] < 9.0
-        # Distortion falls monotonically with depth.
+    def test_distortion_falls_with_depth(self, paper_table):
+        table = paper_table("compression-rd")
         cds = [r["chamfer"] for r in table.rows if r["video"] == "longdress"]
         assert all(a > b for a, b in zip(cds, cds[1:]))
 

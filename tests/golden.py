@@ -6,14 +6,19 @@ lists — in ``tests/golden/<name>.json``, one field per line, so the git
 diff of a re-recording says which field of which row moved.  Python's
 ``json`` round-trips floats exactly (``Infinity`` included), and values
 are compared by their JSON text, so ``0.0`` and ``-0.0`` differ as they
-do bit for bit.  A field too long to store readably (a session's chunk
-records, a codec payload) is stored as :func:`digest`.
+do bit for bit; the one exception is a row's ``value`` when the recorded
+row states a ``tolerance`` (a number known to depend on the CPU's SIMD
+kernels), which may move by that much.  A field too long to store
+readably (a session's chunk records, a codec payload) is stored as
+:func:`digest`.
 
 There is no option.  A missing file is written and the test fails once;
 a deliberate move deletes the file and reruns the test, and the diff of
 the JSON is what gets reviewed.  A test of one case passes ``where`` and
 compares only that case's recorded rows; the file's whole-file test
-records it and names missing or extra rows.
+records it and names missing or extra rows.  A key field a row lacks
+reads as ``null``, so a file can gain rows of a new kind, keyed by a new
+field, and leave its recorded rows as they are.
 """
 
 from __future__ import annotations
@@ -37,11 +42,15 @@ def _text(row: dict, field: str) -> str:
     return json.dumps(row[field]) if field in row else "<absent>"
 
 
+def _differs(old: dict, new: dict, field: str) -> bool:
+    if field == "value" and "tolerance" in old and field in new:
+        return not abs(new[field] - old[field]) <= old["tolerance"]
+    return _text(old, field) != _text(new, field)
+
+
 def _first_field(old: dict, new: dict) -> str | None:
     """The first field whose value differs between two rows, else None."""
-    return next(
-        (f for f in {**old, **new} if _text(old, f) != _text(new, f)), None
-    )
+    return next((f for f in {**old, **new} if _differs(old, new, f)), None)
 
 
 def _dump(rows: list[dict]) -> str:
@@ -54,9 +63,15 @@ def _dump(rows: list[dict]) -> str:
 
 
 def _index(rows: list[dict], key: tuple[str, ...], shown: Path) -> dict:
-    index = {tuple(row[f] for f in key): row for row in rows}
+    index = {tuple(row.get(f) for f in key): row for row in rows}
     assert len(index) == len(rows), f"{shown}: two rows share a key {key}"
     return index
+
+
+def recorded_rows(name: str) -> list[dict]:
+    """The rows ``tests/golden/<name>.json`` holds, for a test that shows
+    them in another form (a document's table)."""
+    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
 
 
 def assert_golden(
@@ -87,9 +102,9 @@ def assert_golden(
     got = _index(rows, key, shown)
     want = _index(recorded, key, shown)
     problems = []
-    if missing := sorted(want.keys() - got):
+    if missing := sorted(want.keys() - got, key=str):
         problems.append(f"recorded rows not produced: {missing}")
-    if extra := sorted(got.keys() - want):
+    if extra := sorted(got.keys() - want, key=str):
         problems.append(f"rows not recorded: {extra}")
     differ = {
         k: f for k in want

@@ -38,17 +38,15 @@ def assert_roundtrip(lut, query, tmp_path):
 
 
 class TestMemoryModel:
-    def test_paper_table1_values(self):
-        """Exact reproduction of Table 1's reported sizes."""
-        assert lut_memory_bytes(3, 128) == 6291456 * 2        # 12 MB
-        assert lut_memory_bytes(3, 64) == 786432 * 2          # 1.5 MB
-        assert lut_memory_bytes(4, 128) == 805306368 * 2      # 1.61 GB
-        assert lut_memory_bytes(4, 64) == 50331648 * 2        # ~100 MB
-        assert lut_memory_bytes(5, 128) == 103079215104 * 2   # ~201 GB
-        assert lut_memory_bytes(5, 64) == 3221225472 * 2      # ~6.25 GB
+    @pytest.mark.parametrize("rf_size", [3, 4, 5])
+    @pytest.mark.parametrize("bins", [128, 64])
+    def test_table1_rows_are_two_bytes_per_entry(self, rf_size, bins):
+        """Every row of Table 1 sizes ``b^n · 3`` float16 slots (its
+        rf 4 / bins 128 row is a reproduction-ledger claim)."""
+        assert lut_entries(rf_size, bins) == bins ** rf_size * 3
+        assert lut_memory_bytes(rf_size, bins) == 2 * lut_entries(rf_size, bins)
 
     def test_entries_formula(self):
-        assert lut_entries(4, 128) == 128 ** 4 * 3
         assert lut_entries_full(4, 128) == 128 ** 12
 
     def test_validation(self):

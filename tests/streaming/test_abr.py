@@ -190,13 +190,19 @@ class TestContinuousMPC:
     def test_candidate_grids_are_pinned(self):
         """The grids the single-link cases (8, 12), the fleet (16) and the
         paper figures (64) plan over hold on every CPU; the rule-based
-        zoo's grid is the same one."""
+        zoo's grid is the same one, and so are BOLA's per-candidate
+        scores ``V·(u_c + γp)`` over it."""
+        grids = (8, 12, 16, 64)
         rows = [
             {"n": n, "i": i, "density": d}
-            for n in (8, 12, 16, 64)
+            for n in grids
             for i, d in enumerate(make_mpc(n_grid=n).candidates.tolist())
+        ] + [
+            {"policy": "bola", "n": n, "i": i, "vu": v}
+            for n in grids
+            for i, v in enumerate(BolaController(SRQualityModel(), n_grid=n)._vu.tolist())
         ]
-        assert_golden("planner_grid", rows, key=("n", "i"))
+        assert_golden("planner_grid", rows, key=("n", "i", "policy"))
         bola = BolaController(SRQualityModel(), n_grid=16)
         assert bola.candidates.tolist() == make_mpc(n_grid=16).candidates.tolist()
 

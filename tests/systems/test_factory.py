@@ -110,22 +110,13 @@ class TestDeliveredQuality:
 
 
 class TestStableOrdering:
-    """Paper Fig 12 (stable 50 Mbps): VoLUT > Yuzu-SR > ViVo."""
-
-    def test_volut_beats_yuzu(self, stable_results):
-        assert stable_results["volut"].qoe > stable_results["yuzu-sr"].qoe
-
-    def test_yuzu_beats_vivo(self, stable_results):
-        assert stable_results["yuzu-sr"].qoe > stable_results["vivo"].qoe
+    """The stable 50 Mbps link of Fig 12.  Its VoLUT > YuZu-SR > ViVo
+    ordering and data band are the reproduction ledger's ``fig12-13``
+    ``stable-50`` rows, whose sessions equal these."""
 
     def test_everyone_beats_raw(self, stable_results):
         for name in ("volut", "yuzu-sr", "vivo"):
             assert stable_results[name].qoe > stable_results["raw"].qoe
-
-    def test_bandwidth_reduction_headline(self, stable_results):
-        """Paper: up to 70% bandwidth reduction vs raw streaming."""
-        frac = stable_results["volut"].total_bytes / stable_results["raw"].total_bytes
-        assert frac < 0.45  # >55% reduction on this link
 
     def test_volut_no_stalls_on_stable_link(self, stable_results):
         assert stable_results["volut"].stall_seconds == pytest.approx(0.0)

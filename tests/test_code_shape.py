@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from .golden import recorded_rows
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 MAX_BODY_LINES = 150
 
@@ -1319,3 +1321,27 @@ def test_every_golden_comparison_carries_the_marker():
     assert not unmarked and not idle, (unmarked, idle)
     assert "experiments/test_fleet_rows.py::test_scenario_rows_are_pinned" in seen
     assert len(seen) >= 7, seen
+
+
+def test_each_paper_band_is_stated_once():
+    """A paper band lives in the reproduction ledger alone: outside its
+    test, no ordering comparison under ``tests/`` or ``benchmarks/`` holds
+    both ends of a two-sided band of ``reproduction.json``, and no ``==`` /
+    ``in`` holds an exact one's value.  (One-sided bands end at 0, 1,
+    100…, which comparisons hold for other reasons.)"""
+    root = SRC.parents[1]
+    bands = [row["band"] for row in recorded_rows("reproduction") if None not in row["band"]]
+    offenders = set()
+    for path in [*(root / "tests").rglob("*.py"), *(root / "benchmarks").rglob("*.py")]:
+        if path.name == "test_reproduction.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            ordered = any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+            held = {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
+            offenders |= {
+                f"{path.relative_to(root)}:{node.lineno} {band}"
+                for band in bands if (band[0] != band[1]) == ordered and set(band) <= held
+            }
+    assert not offenders, sorted(offenders)

@@ -1,5 +1,6 @@
-"""Device profile + op-count cost model tests, including the paper's
-headline shapes."""
+"""Device profile + op-count cost model tests.  The paper's headline
+latency bands (Figs 11, 17, 18) are judged once, on the device-model
+tables, by the reproduction ledger (``tests/experiments/test_reproduction.py``)."""
 
 import pytest
 
@@ -55,62 +56,6 @@ class TestCostModel:
     def test_unknown_system(self):
         with pytest.raises(ValueError):
             CostModel.frame_seconds("pu-net", 1000, 2.0, ORANGE_PI)
-
-
-class TestPaperShapes:
-    """The headline latency relationships the reproduction must preserve."""
-
-    def test_interpolation_speedup_orange_pi(self):
-        """Paper: 3.7-3.9x over vanilla on the Orange Pi (Fig 11)."""
-        for ratio in (2.0, 4.0, 8.0):
-            n_in = int(100_000 / ratio)
-            ours = CostModel.volut_frame(n_in, ratio, ORANGE_PI)
-            van = CostModel.vanilla_frame(n_in, ratio, ORANGE_PI)
-            ours_interp = ours["knn"] + ours["interpolation"]
-            van_interp = (
-                ORANGE_PI.seconds(CostModel.knn_ops(n_in, n_in, 1.0))
-                + van["interpolation"]
-            )
-            speedup = van_interp / ours_interp
-            assert 3.0 < speedup < 4.5
-
-    def test_interpolation_speedup_gpu(self):
-        """Paper: 7.5-8.1x on the 3080Ti."""
-        n_in = 50_000
-        ours = CostModel.volut_frame(n_in, 2.0, DESKTOP_GPU)
-        van_knn = DESKTOP_GPU.seconds(CostModel.knn_ops(n_in, n_in, 1.0))
-        speedup = van_knn / (ours["knn"] + ours["interpolation"])
-        assert 7.0 < speedup < 9.0
-
-    def test_orange_pi_line_rate_at_8x(self):
-        """Paper: ~31 FPS at 8x on the Orange Pi."""
-        sec = CostModel.frame_seconds("volut", 12_500, 8.0, ORANGE_PI)
-        assert 24 < 1.0 / sec < 40
-
-    def test_gpu_fps_at_2x(self):
-        """Paper: ~357 FPS at 2x on the 3080Ti."""
-        sec = CostModel.frame_seconds("volut", 50_000, 2.0, DESKTOP_GPU)
-        assert 250 < 1.0 / sec < 450
-
-    def test_yuzu_slowdown_near_paper(self):
-        """Paper: VoLUT 8.4x faster than YuZu's neural SR (Fig 17)."""
-        v = CostModel.frame_seconds("volut", 50_000, 2.0, DESKTOP_GPU)
-        y = CostModel.frame_seconds("yuzu", 50_000, 2.0, DESKTOP_GPU)
-        assert 6.0 < y / v < 14.0
-
-    def test_gradpu_slowdown_order_of_magnitude(self):
-        """Paper: 46,400x faster than GradPU (Fig 17)."""
-        v = CostModel.frame_seconds("volut", 50_000, 2.0, DESKTOP_GPU)
-        g = CostModel.frame_seconds("gradpu", 50_000, 2.0, DESKTOP_GPU)
-        assert 1e4 < g / v < 1e5
-
-    def test_volut_latency_flat_in_ratio(self):
-        """Paper Fig 18: FPS ~stable across ratios at fixed input size."""
-        times = [
-            CostModel.frame_seconds("volut", 12_500, r, ORANGE_PI)
-            for r in (2.0, 4.0, 8.0)
-        ]
-        assert max(times) / min(times) < 1.3
 
     def test_yuzu_workload_grows_at_low_density(self):
         """Paper §7.4: lower fetch density → more SR workload for YuZu."""
