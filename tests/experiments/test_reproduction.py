@@ -182,17 +182,27 @@ CLAIMS: dict[str, tuple[str, list[Claim]]] = {
 }
 
 
+def ledger_row(figure: str, claim: Claim, table) -> dict:
+    """The claim's row; a float value to four significant digits, as printed."""
+    value = claim.value(table)
+    return {
+        "figure": figure, "quantity": claim.quantity, "condition": claim.condition,
+        "value": float(f"{value:.4g}") if isinstance(value, float) else value,
+        **({"tolerance": claim.tolerance} if claim.tolerance is not None else {}),
+        "band": list(claim.band), "paper": claim.paper, "kind": CLAIMS[figure][0],
+    }
+
+
 def ledger_rows(figure: str, table) -> list[dict]:
-    """The figure's rows; a float value to four significant digits, as printed."""
-    kind, claims = CLAIMS[figure]
-    printed = lambda v: float(f"{v:.4g}") if isinstance(v, float) else v
-    return [
-        {"figure": figure, "quantity": c.quantity, "condition": c.condition,
-         "value": printed(c.value(table)),
-         **({"tolerance": c.tolerance} if c.tolerance is not None else {}),
-         "band": list(c.band), "paper": c.paper, "kind": kind}
-        for c in claims
-    ]
+    return [ledger_row(figure, c, table) for c in CLAIMS[figure][1]]
+
+
+#: a test id in ASCII, which pytest prints unescaped
+_ASCII = str.maketrans({"×": "x", "−": "-"})
+
+
+def _claim_id(figure: str, claim: Claim) -> str:
+    return f"{figure} {claim.quantity} {claim.condition}".translate(_ASCII)
 
 
 def _text(x) -> str:
@@ -224,11 +234,14 @@ def assert_bands(rows: list[dict]) -> None:
 
 
 @pytest.mark.golden
-@pytest.mark.parametrize("figure", list(CLAIMS))
-def test_claims_reproduce(figure, paper_table):
-    rows = ledger_rows(figure, paper_table(figure))
-    assert_bands(rows)
-    assert_golden(LEDGER, rows, KEY, where={"figure": figure})
+@pytest.mark.parametrize(("figure", "claim"), [
+    pytest.param(figure, claim, id=_claim_id(figure, claim))
+    for figure, (_, claims) in CLAIMS.items() for claim in claims
+])
+def test_claims_reproduce(figure, claim, paper_table):
+    row = ledger_row(figure, claim, paper_table(figure))
+    assert_bands([row])
+    assert_golden(LEDGER, [row], KEY, where={f: row[f] for f in KEY})
 
 
 @pytest.mark.golden
