@@ -45,6 +45,16 @@ gated, cancelled and injected flows over one- to three-hop paths; the
 drain-every-step loop this replaced is ``tests/net/drain_scheduler.py``,
 held to production within a stated tolerance.
 
+**Capacities are kept too.**  A link's trace answers ``segment(now)``:
+its rate and a lower bound ``until`` on the instant it next changes (a
+plain ``NetworkTrace``'s segment end; a ``DegradedTrace`` clips its
+base's at the next fault-window start or end).  The rate is read when the
+link turns active and again only once ``now`` reaches ``until``, and
+``next_event`` evaluates the trace's own ``now + time_to_next_change(now)``
+only for a link whose ``until`` could beat the best instant found, so the
+wake instants are the ones a read at every step gives.  No trace type is
+special here: ``net`` cannot import the fault layer, and need not.
+
 **A flow's life cycle: gated → active → finished.**  Which flows share a
 link is not re-derived each step; it is kept, and changes only at events
 the scheduler already handles:
@@ -77,7 +87,6 @@ from heapq import heappop, heappush
 from itertools import count
 
 from .link import Completion, SharedLink
-from .traces import NetworkTrace
 
 __all__ = ["NetworkPath", "PathScheduler"]
 
@@ -268,14 +277,13 @@ class PathScheduler:
         for g in pool.active:
             if g.finish < best:
                 best = g.finish
-        for li in pool.wrapped:
-            best = min(best, now + pool.link_list[li].trace.time_to_next_change(now))
-        # A plain link's boundary is the trace's own ``nxt - local``
-        # expression, evaluated only where its lower bound says it can win.
+        # A link's boundary is the trace's own ``now + time_to_next_change``,
+        # evaluated only where its cached lower bound says it can win.
         if pool.cap_until <= best:
-            for until, hi, duration in pool.segments.values():
+            links = pool.link_list
+            for li, until in pool.segments.items():
                 if until <= best:
-                    best = min(best, now + (hi - now % duration))
+                    best = min(best, now + links[li].trace.time_to_next_change(now))
         # a finish that rounds below ``now`` is due now
         return max(best, now)
 
@@ -343,12 +351,6 @@ class PathScheduler:
                 link.delivered_bits += crossed
 
 
-#: Slack on a stored segment end: ``now + (hi - local)`` is two roundings,
-#: each within 2**-53 of ``end + duration``, from the true instant; eight
-#: times that keeps the bound below any float the trace's expression gives.
-_BOUND_SLACK = 2.0**-50
-
-
 class _Group:
     """The active flows on one hop tuple: one rate, one epoch.
 
@@ -395,11 +397,12 @@ class _PoolState:
 
     ``count[li]`` is the number of active flows on link ``li`` and
     ``cap[li]`` its capacity; ``groups_on[li]`` lists the groups crossing
-    it.  A link's capacity is read when it turns active (``watch``) and,
-    for a plain ``NetworkTrace``, again only once ``now`` reaches
-    ``cap_until``; other traces are re-read at every rating.  A link whose
-    count or capacity changes joins ``dirty``, and the next rating
-    re-rates the groups on the dirty links only.
+    it.  A link's capacity is read when it turns active (``watch``) and
+    again only once ``now`` reaches ``cap_until``, whatever the trace: a
+    plain ``NetworkTrace`` and a fault-windowed ``DegradedTrace`` both
+    answer ``segment``.  A link whose count or capacity changes joins
+    ``dirty``, and the next rating re-rates the groups on the dirty links
+    only.
 
     The life cycle is in the module docstring.
     """
@@ -426,15 +429,12 @@ class _PoolState:
         self.active: list[_Group] = []
         #: links whose count or capacity changed since the last rating
         self.dirty: set[int] = set()
-        #: active plain-trace links: ``li -> (until, hi, duration)``, the
-        #: cached segment's end ``hi`` in trace-local time and ``until``,
-        #: a lower bound on the instant ``now`` reaches it
-        self.segments: dict[int, tuple[float, float, float]] = {}
+        #: active links: ``li -> until``, a lower bound on the instant the
+        #: link's capacity ``cap[li]`` can next change
+        self.segments: dict[int, float] = {}
         #: at most the smallest ``until`` (a link gone idle may leave its
         #: bound behind until the next refresh)
         self.cap_until = math.inf
-        #: active links whose trace is not a plain ``NetworkTrace``
-        self.wrapped: set[int] = set()
         #: zero-byte transfers awaiting their completion report (at their
         #: data_start); never active
         self.finished: list[_PathFlow] = []
@@ -488,16 +488,10 @@ class _PoolState:
         self.next_gate = self.expire_gates(now)
         if now >= self.cap_until:
             self.refresh(now)
-        cap = self.cap
-        for li in self.wrapped:
-            c = self.link_list[li].trace.bandwidth_at(now)
-            if c != cap[li]:
-                cap[li] = c
-                self.dirty.add(li)
         if self.dirty:
             todo = {id(g): g for li in self.dirty for g in self.groups_on[li] if g.flows}
             for g in todo.values():
-                g.rerate(now, cap, self.count)
+                g.rerate(now, self.cap, self.count)
             self.dirty.clear()
         self.rated = (now, self.version)
         return self.next_gate
@@ -554,39 +548,25 @@ class _PoolState:
             self.count[li] -= 1
             self.dirty.add(li)
             if not self.count[li]:
-                self.segments.pop(li, None)
-                self.wrapped.discard(li)
+                del self.segments[li]
 
     def watch(self, li: int, now: float) -> None:
-        """Read link ``li``'s trace segment at ``now`` into ``cap``.
-
-        A plain trace's lookup reproduces ``bandwidth_at`` exactly and
-        stores where the segment ends; any other trace, or one whose
-        ``end`` would not move the clock (see ``NetworkTrace._locate``),
-        goes to ``wrapped``, re-read by every rating.
+        """Read link ``li``'s trace segment at ``now``: its capacity, equal
+        to ``bandwidth_at(now)``, into ``cap`` and the lower bound on its
+        next change into ``segments`` (the trace's ``segment``).  A bound at
+        or below ``now`` — a segment end that would not move the clock, see
+        ``NetworkTrace._locate`` — makes every rating re-read the link and
+        every ``next_event`` evaluate its boundary until one lies ahead.
         """
-        trace = self.link_list[li].trace
-        if type(trace) is NetworkTrace:
-            duration = trace._duration
-            local = now % duration
-            ts = trace._ts_list
-            i = bisect_right(ts, local)
-            hi = ts[i] if i < len(ts) else duration
-            end = now + (hi - local)
-            if end > now:
-                self.cap[li] = trace._bw_list[i - 1]
-                until = end - (end + duration) * _BOUND_SLACK
-                self.segments[li] = (until, hi, duration)
-                if until < self.cap_until:
-                    self.cap_until = until
-                return
-        self.segments.pop(li, None)
-        self.wrapped.add(li)
+        self.cap[li], until = self.link_list[li].trace.segment(now)
+        self.segments[li] = until
+        if until < self.cap_until:
+            self.cap_until = until
 
     def refresh(self, now: float) -> None:
-        """Re-read every plain link whose segment may have ended by ``now``."""
+        """Re-read every link whose segment may have ended by ``now``."""
         self.cap_until = math.inf
-        for li, (until, _, _) in list(self.segments.items()):
+        for li, until in list(self.segments.items()):
             if until <= now:
                 old = self.cap[li]
                 self.watch(li, now)

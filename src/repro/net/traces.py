@@ -9,7 +9,10 @@ Two families:
   fades, which captures the burstiness MPC-style ABRs are sensitive to.
 
 A trace is a step function of time: ``bandwidth_at(t)`` returns the link
-rate in bits per second.
+rate in bits per second, ``time_to_next_change(t)`` the seconds to the
+next step, and ``segment(t)`` the rate together with a lower bound on the
+instant it can next change — what the event scheduler caches per link.
+Any object answering these three (and carrying ``rtt``) is a trace.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ import numpy as np
 __all__ = ["NetworkTrace", "stable_trace", "lte_trace", "PAPER_LTE_PROFILES"]
 
 MBPS = 1e6
+
+#: Relative slack on a segment bound: ``t + (hi - t % duration)`` is two
+#: roundings, each within 2**-53 of ``end + duration``, from the true
+#: instant; eight times that keeps the bound below any float the trace's
+#: own expression gives.
+_BOUND_SLACK = 2.0**-50
 
 #: :func:`lte_trace`'s sample spacing (seconds), per-sample deep-fade
 #: probability and round-trip time (seconds)
@@ -96,6 +105,23 @@ class NetworkTrace:
     def time_to_next_change(self, t: float) -> float:
         """Seconds from ``t`` to the next segment boundary (loop-aware)."""
         return self._locate(t)[1]
+
+    def segment(self, t: float) -> tuple[float, float]:
+        """``(bandwidth_at(t), until)``: ``until`` is a lower bound on
+        ``t' + time_to_next_change(t')`` for every ``t'`` in ``[t, until)``,
+        over which the rate stays ``bandwidth_at(t)``.  ``until <= t``
+        where the segment's end would not move the clock (the corner
+        :meth:`_locate` steps over): the caller reads again at its next
+        instant."""
+        if t < 0:
+            raise ValueError("time must be non-negative")
+        ts, duration = self._ts_list, self._duration
+        local = t % duration
+        i = bisect_right(ts, local)
+        end = t + ((ts[i] if i < len(ts) else duration) - local)
+        if end > t:
+            return self._bw_list[i - 1], end - (end + duration) * _BOUND_SLACK
+        return self._bw_list[self._locate(t)[0]], t
 
     def _locate(self, t: float) -> tuple[int, float]:
         """``(segment index, seconds to its end)`` at ``t``.  A ``t`` that

@@ -66,6 +66,7 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+from ..net.traces import _BOUND_SLACK
 from ..obs.events import (
     EV_FAULT_CROWD,
     EV_FAULT_DEGRADATION,
@@ -702,7 +703,10 @@ class DegradedTrace:
     virtual time is inside ``[start, end)`` — windows compose
     multiplicatively where they overlap.  ``time_to_next_change`` is
     capped at the next window boundary, so the schedulers' piecewise-
-    constant integration remains segment-exact through a degradation.
+    constant integration remains segment-exact through a degradation,
+    and :meth:`segment` clips the base's segment bound at that boundary,
+    so the scheduler keeps a windowed link's capacity as long as a plain
+    one's.
 
     Windows are *absolute* virtual times (they do not loop with the
     base trace's period — a fault happens once, at a wall-clock instant).
@@ -735,6 +739,18 @@ class DegradedTrace:
 
     def bandwidth_at(self, t: float) -> float:
         return self.base.bandwidth_at(t) * self._factor(t)
+
+    def segment(self, t: float) -> tuple[float, float]:
+        """The base's ``segment`` scaled by ``_factor(t)``, its bound
+        clipped below the next window start or end after ``t`` (with the
+        slack of ``t + (b - t)``'s two roundings, as
+        :meth:`~repro.net.traces.NetworkTrace.segment`)."""
+        bw, until = self.base.segment(t)
+        for start, end, _ in self.windows:
+            b = start if t < start else end
+            if t < b:
+                until = min(until, b - b * _BOUND_SLACK)
+        return bw * self._factor(t), until
 
     def time_to_next_change(self, t: float) -> float:
         dt = self.base.time_to_next_change(t)

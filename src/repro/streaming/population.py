@@ -271,8 +271,12 @@ class ContentCatalog:
 
     @cached_property
     def popularity(self) -> np.ndarray:
-        """Normalized choice probabilities, catalog order = rank order."""
-        w = 1.0 / np.arange(1, len(self.videos) + 1, dtype=np.float64) ** self.skew
+        """Normalized choice probabilities, catalog order = rank order.
+
+        The weights take libm's ``pow`` one rank at a time: NumPy's array
+        ``**`` dispatches to an AVX-512 kernel that differs from it in the
+        last bit (rank 7 at skew 1.2), which would move a draw by CPU."""
+        w = np.array([1.0 / math.pow(r, self.skew) for r in range(1, len(self.videos) + 1)])
         return w / w.sum()
 
     @cached_property

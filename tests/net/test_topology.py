@@ -35,6 +35,7 @@ from repro.streaming.faults import DegradedTrace
 from .drain_scheduler import DrainScheduler
 from .reference_scheduler import ReferenceScheduler
 from .test_traces import period
+from .windowed_reads import WindowedReads
 
 #: The contract's two implementations.
 SCHEDULERS = {"production": PathScheduler, "reference": ReferenceScheduler}
@@ -99,8 +100,8 @@ def build_pool(mean, seed):
     """Three links and five paths (one to three hops) sharing them.
 
     The third link wears two overlapping degradation windows, so the
-    grid covers both capacity paths: plain traces kept until their
-    segment ends, wrapped traces re-read every step."""
+    grid covers both kinds of segment bound: a plain trace's segment end
+    and one clipped at a window's start or end."""
     links = [
         SharedLink(lte_trace(mean, mean / 3, duration=90.0, seed=seed)),
         SharedLink(stable_trace(mean * 1.5, duration=90.0, rtt=0.005)),
@@ -114,7 +115,7 @@ def build_pool(mean, seed):
         NetworkPath((links[0], links[1])),
         NetworkPath((links[1], links[2])),
         NetworkPath((links[0], links[1], links[2])),
-        NetworkPath((links[2],)),  # a one-link pool on the wrapped trace
+        NetworkPath((links[2],)),  # a one-link pool on the windowed trace
     ]
     return links, paths
 
@@ -648,12 +649,43 @@ class TestLifeCycleBookkeeping:
 
 
 class TestSegmentBound:
-    """``_PoolState.watch`` keeps a plain link's capacity until ``now``
-    reaches a stored lower bound on its segment's end, and ``next_event``
-    skips the link's boundary while that bound exceeds the best instant
-    found.  Both are exact only if the bound lies below every float the
-    trace's own ``now + time_to_next_change(now)`` gives for that boundary
-    and every instant before the bound is still inside the segment."""
+    """``_PoolState.watch`` keeps a link's capacity until ``now`` reaches
+    the lower bound its trace's ``segment`` gives on the next change, and
+    ``next_event`` skips the link's boundary while that bound exceeds the
+    best instant found.  Both are exact only if the bound lies below every
+    float the trace's own ``now + time_to_next_change(now)`` gives up to
+    that boundary and the capacity read holds at every instant before it:
+    for a plain ``NetworkTrace`` and for a ``DegradedTrace``, whose bound is
+    also clipped at the next window start or end."""
+
+    def check(self, trace, t0, later, scale):
+        """Watch ``trace``'s one link at ``t0`` and check the two facts at
+        instants spread over the segment and on the floats just below its
+        end; return False where ``t0`` is the corner whose bound is at or
+        below ``t0`` (every rating re-reads the link there)."""
+        sched = PathScheduler()
+        sched.add_flow(0, 1_000, 0.0, NetworkPath((SharedLink(trace),)))
+        v = sched._pool
+        v.watch(0, t0)
+        until, cap = v.segments[0], v.cap[0]
+        assert v.cap_until <= until
+        assert cap == trace.bandwidth_at(t0)
+        end = t0 + trace.time_to_next_change(t0)
+        assert end > t0
+        if until <= t0:
+            return False
+        # below the boundary, and not by more than the slack
+        assert until <= end and end - until <= scale * 2.0**-49
+        nows = [t0 + f * (end - t0) for f in later]
+        t = end
+        for _ in range(24):
+            t = math.nextafter(t, 0.0)
+            nows.append(t)
+        for now in nows:
+            if t0 <= now < until:
+                assert until <= now + trace.time_to_next_change(now)
+                assert trace.bandwidth_at(now) == cap
+        return True
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -668,33 +700,83 @@ class TestSegmentBound:
         trace = NetworkTrace("two", [0.0, width], [10e6, 20e6], rtt=0.0)
         duration = period(trace)
         t0 = loops * duration + read * width
-        link = SharedLink(trace)
-        sched = PathScheduler()
-        sched.add_flow(0, 1_000, 0.0, NetworkPath((link,)))
-        v = sched._pool
-        v.watch(0, t0)
-        if 0 in v.wrapped:
+        if not self.check(trace, t0, later, t0 + 2 * duration):
             # only where t0 rounds onto the boundary its ``% duration``
             # falls short of (3 loops of width 85.4263598930099, read 0):
             # the segment's end would not move the clock
             local = t0 % duration
             assert t0 + ((width if local < width else duration) - local) <= t0
-            assert t0 + trace.time_to_next_change(t0) > t0
-            return
-        until, hi, _ = v.segments[0]
-        end = t0 + trace.time_to_next_change(t0)
-        # instants spread over the segment, then the floats just below its end
-        nows = [t0 + f * (end - t0) for f in later]
-        t = end
-        for _ in range(6):
-            t = math.nextafter(t, 0.0)
-            nows.append(t)
-        for now in nows:
-            if now < t0 or now % duration >= hi:
-                continue                     # outside the segment read at t0
-            assert until <= now + trace.time_to_next_change(now)
-            if now < until:
-                assert trace.bandwidth_at(now) == v.cap[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.floats(min_value=0.01, max_value=500.0),
+        loops=st.integers(min_value=0, max_value=10**6),
+        read=st.floats(min_value=0.0, max_value=0.999),
+        # (start, length, factor), start and length in base-segment widths
+        # from the segment's start: windows before, across, inside and
+        # after it, overlapping freely
+        windows=st.lists(
+            st.tuples(
+                st.floats(min_value=-0.5, max_value=1.5),
+                st.floats(min_value=0.01, max_value=1.0),
+                st.sampled_from([0.25, 0.5, 0.8, 1.0, 3.0]),
+            ),
+            min_size=1, max_size=4,
+        ),
+        on=st.integers(min_value=-1, max_value=7),
+        later=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
+    )
+    def test_a_windowed_bound_is_below_every_boundary_and_inside_the_segment(
+        self, width, loops, read, windows, on, later
+    ):
+        base = NetworkTrace("two", [0.0, width], [10e6, 20e6], rtt=0.0)
+        duration = period(base)
+        lo = loops * duration
+        spans = []
+        for a, length, factor in windows:
+            start = max(0.0, lo + a * width)
+            spans.append((start, start + length * width, factor))
+        trace = DegradedTrace(base, spans)
+        bounds = sorted(b for start, end, _ in spans for b in (start, end))
+        # ``on`` >= 0 reads exactly on a window start or end
+        t0 = bounds[on] if 0 <= on < len(bounds) else lo + read * width
+        self.check(trace, t0, later, t0 + 2 * duration)
+
+
+class TestWindowedReads:
+    """A fault-windowed link is read like a plain one: at activation and
+    where a segment or window boundary passes, not at every step (one
+    ``bandwidth_at`` and one ``time_to_next_change`` per step before)."""
+
+    def test_a_windowed_link_is_read_per_boundary_not_per_step(self, monkeypatch):
+        counter = WindowedReads(monkeypatch)
+        trace = DegradedTrace(
+            stable_trace(20.0, duration=4.0),       # a boundary every 2 s
+            [(0.75, 2.25, 0.5), (1.5, 6.0, 0.8), (5.0, 5.5, 0.25)],
+        )
+        windowed = SharedLink(trace)
+        plain = SharedLink(stable_trace(30.0, duration=60.0))
+        paths = [NetworkPath((windowed,)), NetworkPath((plain, windowed)),
+                 NetworkPath((plain,))]
+        sched = PathScheduler()
+        # two long transfers over the windowed link with a gap between,
+        # under a stream of short ones on the plain link: many steps, and
+        # the windowed link goes idle and comes back
+        sched.add_flow(0, 10_000_000, 0.0, paths[0])
+        sched.add_flow(1, 4_000_000, 12.0, paths[1])
+        for k in range(2, 400):
+            sched.add_flow(k, 40_000 + 100 * k, 0.04 * k, paths[2])
+        pool, active_steps, now = sched._pool, 0, 0.0
+        while sched.busy():
+            t = sched.next_event(now)
+            active_steps += pool.count[pool.link_index[id(windowed)]] > 0
+            sched.advance(now, t)
+            now = t
+        reads, bound = counter.reads[id(trace)], counter.bound(trace)
+        assert counter.activations[id(trace)] >= 2
+        assert active_steps > 10 * bound     # the parent read it at each
+        assert reads["segment"] <= bound
+        assert reads["bandwidth_at"] + reads["time_to_next_change"] <= bound
 
 
 class TestMonotoneClock:

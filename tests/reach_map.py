@@ -125,6 +125,11 @@ ALLOW_LIST: dict[str, tuple[str, str]] = {
         ("oracle seam", "the planner's values, == the tests' tensor planner"),
     "net/topology.py::PathScheduler.has_flow":
         ("oracle seam", "flow membership, == the tests' reference schedulers"),
+    "streaming/faults.py::DegradedTrace.bandwidth_at": (
+        "oracle seam",
+        "the windowed rate at one instant, which the scheduler reads through "
+        "segment; the tests' reference and drain schedulers read it",
+    ),
     "obs/metrics.py::TimeSeries.items": (
         "test seam",
         "the retained samples, which nothing else exposes; read by "

@@ -27,6 +27,11 @@ from repro.streaming import (
     uniform_cdn,
 )
 
+from repro.experiments.common import SMOKE
+from repro.experiments.fleet_chaos import chaos_rows
+from repro.experiments.scenario import run_scenario
+
+from ..net.windowed_reads import WindowedReads
 from .helpers import (
     FixedDensity,
     assert_same_run,
@@ -485,6 +490,36 @@ class TestDegradationEndToEnd:
             assert not isinstance(edge.backhaul.trace, DegradedTrace)
         again = simulate_fleet(sessions, topology=topo).report
         assert again == base
+
+
+class TestWindowedReadsInAFleet:
+    """The chaos rows' gray edge and backhaul brownouts put a
+    ``DegradedTrace`` under the run's links; the scheduler reads one at
+    activation and where a segment or window boundary passes, as it reads a
+    plain link, not at every fleet step (the gray row took 442 each of
+    ``bandwidth_at`` and ``time_to_next_change`` before)."""
+
+    def test_a_windowed_link_costs_reads_per_boundary(self, monkeypatch):
+        counter = WindowedReads(monkeypatch)
+        scale = dataclasses.replace(SMOKE, stream_seconds=12)
+        seen = 0
+        for name, row in chaos_rows(40):
+            if name not in ("gray-edge", "backhaul-degr", "retry-timeout"):
+                continue
+            result = run_scenario(row, scale).result
+            for edge in result.topology.edges:
+                for trace in (edge.access.trace, edge.backhaul.trace):
+                    if not isinstance(trace, DegradedTrace):
+                        continue
+                    seen += 1
+                    reads, bound = counter.reads[id(trace)], counter.bound(trace)
+                    assert reads["segment"] <= bound, (name, reads, bound)
+                    # a driver wake (a request, a timeout, a control tick)
+                    # between the step a boundary falls due and the step
+                    # that crosses it evaluates the boundary again
+                    evaluations = reads["bandwidth_at"] + reads["time_to_next_change"]
+                    assert evaluations <= 2 * bound, (name, reads, bound)
+        assert seen == 3
 
 
 class TestDisabledModeParity:

@@ -626,7 +626,7 @@ def test_one_transfer_integrator():
         f"{path.relative_to(SRC).as_posix()}::{getattr(node, 'name', node.lineno)}"
         for path in sorted(SRC.rglob("*.py"))
         for node in ast.parse(path.read_text()).body
-        if called_names(node) & {"bandwidth_at", "time_to_next_change"}
+        if called_names(node) & {"bandwidth_at", "time_to_next_change", "segment"}
     }
     assert {r for r in readers if not r.startswith("net/topology.py::")} == {
         "streaming/faults.py::DegradedTrace"
@@ -1181,6 +1181,112 @@ row.m = 4
         {"m.py": ast.parse(KNOB_DEFINITIONS)}, [ast.parse(caller)], {"Policy"}
     )
     assert "m.py::Spec.m" in unset
+
+
+#: NumPy calls whose float result is the kernel's: transcendentals (the
+#: AVX2 and AVX-512 kernels differ in the last bit) and float reductions
+#: (the kernel fixes the summation order)
+FLOAT_CALLS = frozenset({
+    "log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "power",
+    "float_power", "geomspace", "logspace", "mean", "median", "average",
+    "sum", "nansum", "prod", "std", "var", "cumsum", "cumprod", "dot",
+    "matmul", "einsum",
+})
+
+
+def float_calls(prefix: str, tree: ast.AST) -> list[str]:
+    """``prefix::qualname::name`` of every ``<expr>.name(...)`` call with a
+    name in ``FLOAT_CALLS`` (``math.*`` excepted: one libm value per
+    argument) and every ``**`` with a NumPy call in an operand (an array
+    power is ``np.power``)."""
+    found = []
+
+    def numpy_call(node):
+        return any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == "np"
+            for n in ast.walk(node)
+        )
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            where = f"{prefix}::{'.'.join(inner) or '<module>'}"
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in FLOAT_CALLS
+                and not (isinstance(child.func.value, ast.Name) and child.func.value.id == "math")
+            ):
+                found.append(f"{where}::{child.func.attr}")
+            elif (
+                isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
+                and (numpy_call(child.left) or numpy_call(child.right))
+            ):
+                found.append(f"{where}::**")
+            visit(child, inner)
+
+    visit(tree, [])
+    return found
+
+
+#: every ``FLOAT_CALLS`` call under ``streaming/`` and ``net/``, with why
+#: its value is the same on every CPU
+FLOAT_CALL_ALLOW_LIST: dict[str, str] = {
+    "net/traces.py::NetworkTrace.__post_init__::median":
+        "fixes the period ``_duration`` every segment bound derives from: "
+        "a sort picks the middle and an even count averages two floats "
+        "(one add, one halving)",
+    "net/traces.py::lte_trace::sum": "counts the fade mask: an integer sum",
+    "streaming/policies.py::_rate_indices::sum":
+        "counts each row's feasible candidates (a boolean mask): an integer sum",
+    "streaming/population.py::ContentCatalog.popularity::sum":
+        "the Zipf normaliser: NumPy's pairwise sum, whose order the length "
+        "fixes (bit-equal with AVX2 and AVX-512 dispatch off)",
+    "streaming/population.py::ContentCatalog._cdf::cumsum":
+        "the inverse-CDF table: one add per element, in order",
+}
+
+
+def test_every_float_call_on_the_decision_path_names_why_it_is_exact():
+    """Under ``streaming/`` and ``net/`` (the fleet's decisions, scores and
+    link model) every NumPy transcendental or float reduction is on
+    ``FLOAT_CALL_ALLOW_LIST`` with why its value does not depend on the
+    CPU's SIMD kernels; a new one is written in ``math`` or gets a reason.
+    A stale entry fails too."""
+    found = {
+        call
+        for top in ("streaming", "net")
+        for path in sorted((SRC / top).rglob("*.py"))
+        for call in float_calls(path.relative_to(SRC).as_posix(), ast.parse(path.read_text()))
+    }
+    assert sorted(found - FLOAT_CALL_ALLOW_LIST.keys()) == []
+    assert sorted(FLOAT_CALL_ALLOW_LIST.keys() - found) == []
+
+
+def test_the_float_call_pin_sees_every_form():
+    """A NumPy call, an array method, an array ``**`` and a nested scope
+    are found; ``math`` calls, builtin ``sum`` and a scalar ``**`` are not."""
+    module = """
+import math
+import numpy as np
+LEVELS = np.geomspace(1.0, 8.0, 4)
+def utility(x):
+    return np.log(x) + math.log(2.0) + sum([1.0, 2.0]) + 2.0 ** 3
+class Planner:
+    def score(self, a):
+        def inner():
+            return a.mean()
+        return inner() * np.arange(3.0) ** 0.5
+"""
+    assert sorted(float_calls("m.py", ast.parse(module))) == [
+        "m.py::<module>::geomspace",
+        "m.py::Planner.score.inner::mean",
+        "m.py::Planner.score::**",
+        "m.py::utility::log",
+    ]
 
 
 def test_one_benchmark_ledger():
