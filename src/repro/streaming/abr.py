@@ -33,33 +33,62 @@ the scalar term-by-term reference (1e-9) and the tensor planner (``==``).
 * *Per controller* (fixed at construction): the candidate grid ``(C,)``,
   its SR ratios and qualities as float lists, one :class:`Decision`
   per candidate, which ``decide_batch`` hands out by index, and the
-  later-chunk row ``α·q`` as a tuple of floats.
+  later-chunk row ``L = α·q`` with its suffix maxima, as tuples of floats.
 * *Per previous quality* (:meth:`_MPCBase._first_row`, keyed on the
   float, bounded by ``FIRST_ROWS_LIMIT``): the stall-free first-chunk row
-  ``α·q − β·V(q, prev)`` as a tuple of floats.  A session's previous
-  quality is one of a handful of values, so the variation term is built
-  once per value, not per call.
+  ``F = α·q − β·V(q, prev)`` and its suffix maxima, as tuples of floats.
+  A session's previous quality is one of a handful of values, so the
+  variation term is built once per value, not per call.
 * *Per chunk window* (:meth:`_MPCBase._window`, keyed on the tuple of
   chunk specs): per planned chunk, the fetched bits and SR seconds of
-  every candidate as two float lists, and the chunk's duration as a
-  float — checked finite and non-negative once.  ``decide_batch`` finds
-  a row's window first by the identity of its first chunk (bounded by
-  ``WINDOW_IDS_LIMIT``), so a fleet's sessions, which share their
-  video's chunk table, hash no chunk spec once the window is known.
+  every candidate as two float lists, the chunk's duration as a float —
+  checked finite and non-negative once — and the suffix minima of both
+  lists.  ``decide_batch`` finds a row's window first by the identity of
+  its first chunk (bounded by ``WINDOW_IDS_LIMIT``), so a fleet's
+  sessions, which share their video's chunk table, hash no chunk spec
+  once the window is known.
 * *Per call* (:meth:`_MPCBase.decide_batch`, a dict that dies with the
   call): each distinct row — the chunk window, then ``(throughput,
   buffer, previous quality)`` as the exact floats the plan reads — is
-  planned once, and every row with its key gets its :class:`Decision`.
+  picked once, and every row with its key gets its :class:`Decision`.
   Keys compare with ``==``, so a zero of either sign is one key; the plan
   never reads a zero's sign.  A flash crowd of co-watching viewers hands
   in many equal rows at once.
-* *Per distinct row, per candidate*: ``r = max(bits / tput, sr)``,
-  ``x = r − b``, stall ``max(0, x)`` and ``b' = d − min(x, 0)`` (the same
-  float as ``max(b − r, 0) + d`` for every input, infinities included),
-  accumulated as ``first − γ·s_0 + Σ_i (later − γ·s_i)``.  The
-  comparisons are written so a NaN propagates as it does in NumPy's
-  ``maximum`` / ``minimum``, and a row picks its first maximum (a NaN
-  first, as ``argmax`` does).
+* *Per distinct row, per candidate* (:func:`_plan`): ``r = max(bits /
+  tput, sr)``, ``x = r − b``, stall ``max(0, x)`` and ``b' = d − min(x,
+  0)`` (the same float as ``max(b − r, 0) + d`` for every input,
+  infinities included), accumulated as ``first − γ·s_0 + Σ_i (later −
+  γ·s_i)``.  The comparisons are written so a NaN propagates as it does
+  in NumPy's ``maximum`` / ``minimum``.
+
+**The pick** (:meth:`_MPCBase._pick`).  A row's decision is its first
+maximum, or its first NaN, as ``argmax`` picks over every candidate's
+value; the pick plans candidates in grid order and stops early when the
+rest cannot change it.  A NaN ends the row at once.  Once a planned value
+is not above the best so far, the pick plans one *bound* on every
+candidate ``c ≥ k`` after it — the same loop on the suffix minima
+``min(bits_h[k:])``, ``min(sr_h[k:])`` and the suffix maxima ``F[k]``,
+``L[k]`` — and stops if the bound is ``<=`` the best: no later candidate
+can be a strictly greater first maximum.  The bound is exact, float for
+float:
+
+* every step is a correctly rounded ``+``, ``−``, ``max``, ``÷ tput > 0``
+  or ``× γ ≥ 0``, each monotone in its inputs, so a step fed costs no
+  larger and values and a buffer no smaller returns a value and a buffer
+  no smaller — by induction the bound is ``>=`` every candidate ``c ≥ k``
+  while no NaN appears;
+* with ``γ > 0`` a plan value is NaN only through ``inf − inf``: a
+  partial sum at ``+inf`` (then so is the bound's, which ends ``+inf`` or
+  NaN, never ``<=`` a finite best — and the pick does not prune once the
+  best is ``+inf``), or a buffer that overflowed to ``+inf`` (then so did
+  the bound's, which stays ``+inf`` or NaN, and the pick prunes only on a
+  finite final bound buffer);
+* with ``γ = 0`` an infinite stall plans ``0 · inf = NaN``, which no
+  bound sees, so the pick plans every candidate, as ``argmax`` does.
+
+An overloaded fleet, whose sparsest candidate wins most rows because
+stalls dominate, plans two or three of the sixteen; a row whose values
+rise along the grid computes no bound.
 
 A plan holds one density over its horizon (the Robust-MPC
 simplification), so quality changes only between the previous chunk and
@@ -237,10 +266,19 @@ class _MPCBase(AbrController):
     Robust-MPC simplification: one constant density over the next
     ``horizon`` chunks, priced at a safety-discounted throughput estimate.
     A plan is a pure function of its row (chunk window, throughput,
-    buffer, previous quality), so each distinct row of a call is planned
+    buffer, previous quality), so each distinct row of a call is picked
     once and its decision shared; no key outlives the call, so a decision
     depends on its context alone — never on the rest of the batch or on
     what the object was asked before.
+
+    The pick is Eq. 10's argmax without planning every candidate: it
+    plans the grid in order, keeps the first maximum (or first NaN), and
+    stops once an exact upper bound on the remaining candidates — the
+    plan loop run on their suffix-minimum costs and suffix-maximum row
+    values — is ``<=`` the best so far.  The bound is not used with
+    ``γ = 0``, where an infinite stall plans NaN; the module docstring
+    gives the exactness argument.  :meth:`plan_values` plans every
+    candidate, for the tests' oracles.
     """
 
     #: most first-chunk rows :meth:`_first_row` keeps before it starts over
@@ -293,30 +331,41 @@ class _MPCBase(AbrController):
         #: every planned chunk after the first adds this value per
         #: candidate before its stall (the first-chunk row of no previous
         #: chunk)
-        self._later_row = tuple(
-            qoe_model.first_chunk_values(self._qualities).tolist()
-        )
-        #: previous quality -> its first-chunk row (see :meth:`_first_row`)
-        self._first_rows: dict[float | None, tuple] = {None: self._later_row}
+        later = qoe_model.first_chunk_values(self._qualities)
+        self._later_row = tuple(later.tolist())
+        #: ``max(later_row[k:])``: the later-chunk value :meth:`_pick`'s
+        #: bound on candidates ``k, k+1, …`` adds
+        self._later_max = tuple(_suffix(np.maximum, later))
+        #: previous quality -> its first-chunk row and that row's suffix
+        #: maxima (see :meth:`_first_row`)
+        self._first_rows: dict[float | None, tuple] = {
+            None: (self._later_row, self._later_max)
+        }
         #: lifetime count of rows handed to :meth:`decide_batch`
         self.decide_rows = 0
         #: lifetime count of rows it planned: one per distinct row of a call
         self.decide_unique = 0
+        #: lifetime count of candidates those rows planned before their
+        #: pick was settled (the grid's size when nothing is pruned)
+        self.decide_candidates = 0
 
     # ------------------------------------------------------------------
     def _window(self, chunks: tuple) -> tuple:
         """Throughput-independent floats of one horizon window.
 
-        Per planned chunk, ``(fetched bits, SR seconds, duration)``: two
-        lists over the candidate grid and a float.  They depend only on
-        the chunk specs, the fixed candidate densities and the (fixed) SR
-        latency model — so they are computed once per distinct window,
-        through the scalar leaves the session charges a chunk with,
-        checked once, and replayed.  A hostile latency model (NaN,
-        negative, infinite seconds) is refused here, naming the chunk and
-        density, instead of planning the argmax of an all-NaN row for
-        ever; a refused window is not cached, so every call that needs it
-        raises.
+        ``(steps, floors)``: per planned chunk, ``steps`` holds ``(fetched
+        bits, SR seconds, duration)`` — two lists over the candidate grid
+        and a float — and ``floors`` the same chunk's suffix minima, whose
+        ``k``-th entries ``min(bits[k:])`` and ``min(sr[k:])`` are what
+        :meth:`_pick`'s bound on candidates ``k, k+1, …`` plans with.
+        They depend only on the chunk specs, the fixed candidate densities
+        and the (fixed) SR latency model — so they are computed once per
+        distinct window, through the scalar leaves the session charges a
+        chunk with, checked once, and replayed.  A hostile latency model
+        (NaN, negative, infinite seconds) is refused here, naming the
+        chunk and density, instead of planning the argmax of an all-NaN
+        row for ever; a refused window is not cached, so every call that
+        needs it raises.
 
         A window found or filled here is also filed under the identity of
         its first chunk, where :meth:`decide_batch` looks first; that map
@@ -325,7 +374,7 @@ class _MPCBase(AbrController):
         cached = self._horizon_cache.get(chunks)
         if cached is None:
             densities = self.candidates.tolist()
-            cached = tuple(
+            steps = tuple(
                 (
                     [c.bytes_at_density(d) * self.fetch_fraction * 8.0 for d in densities],
                     [
@@ -337,7 +386,7 @@ class _MPCBase(AbrController):
                 for c in chunks
             )
             for what, k in (("fetched bits", 0), ("SR seconds", 1)):
-                for chunk, row in zip(chunks, cached):
+                for chunk, row in zip(chunks, steps):
                     for d, x in zip(densities, row[k]):
                         if not 0.0 <= x < math.inf:  # chained: NaN fails it
                             raise ValueError(
@@ -345,7 +394,11 @@ class _MPCBase(AbrController):
                                 f"non-negative, got {x!r} for chunk "
                                 f"{chunk.index} at density {d:.6g}"
                             )
-            self._horizon_cache[chunks] = cached
+            floors = tuple(
+                (_suffix(np.minimum, bits), _suffix(np.minimum, sr), d)
+                for bits, sr, d in steps
+            )
+            cached = self._horizon_cache[chunks] = (steps, floors)
         window_ids = self._window_ids
         if len(window_ids) >= self.WINDOW_IDS_LIMIT:
             window_ids.clear()
@@ -353,93 +406,95 @@ class _MPCBase(AbrController):
         return cached
 
     def _first_row(self, prev_quality: float | None) -> tuple:
-        """Stall-free first-chunk value per candidate after ``prev_quality``.
+        """Stall-free first-chunk value per candidate after ``prev_quality``,
+        and its suffix maxima.
 
         ``α·q − β·V(q, prev)`` depends only on the fixed candidate grid
         and the previous chunk's quality — one of a handful of values in a
         real session — so it is built once per distinct value, with
-        NumPy, and kept as a tuple of floats.  A caller feeding arbitrary
-        qualities cannot grow the cache without bound: it starts over once
-        it holds :attr:`FIRST_ROWS_LIMIT` rows.
+        NumPy, and kept as a tuple of floats beside the tuple of its
+        suffix maxima ``max(row[k:])`` (:meth:`_pick`'s bound).  A caller
+        feeding arbitrary qualities cannot grow the cache without bound:
+        it starts over once it holds :attr:`FIRST_ROWS_LIMIT` rows.
         """
-        row = self._first_rows.get(prev_quality)
-        if row is None:
+        rows = self._first_rows.get(prev_quality)
+        if rows is None:
             if len(self._first_rows) >= self.FIRST_ROWS_LIMIT:
-                self._first_rows = {None: self._later_row}
-            row = tuple(
-                self.qoe_model.first_chunk_values(
-                    self._qualities, prev_quality
-                ).tolist()
+                self._first_rows = {None: (self._later_row, self._later_max)}
+            row = self.qoe_model.first_chunk_values(self._qualities, prev_quality)
+            rows = self._first_rows[prev_quality] = (
+                tuple(row.tolist()), tuple(_suffix(np.maximum, row))
             )
-            self._first_rows[prev_quality] = row
-        return row
+        return rows
 
-    def _plan(
+    def _pick(
         self,
         window: tuple,
         throughput_bps: float,
         buffer_level: float,
         prev_quality: float | None,
-    ) -> list[float]:
-        """Plan value of every candidate for one row, in grid order.
+    ) -> tuple[int, int]:
+        """One row's decision index, and how many candidates it planned.
 
         A row is a chunk window's floats (:meth:`_window`) and the three
-        scalars of its context; nothing else is read.  One candidate at a
-        time, one planned chunk at a time, in Python floats (the module
-        docstring states the contract).  A step whose readiness fits in
-        the buffer (``x <= 0``) stalls ``0.0``, so its stall term ``γ·0.0``
-        is ``+0.0`` (``γ`` is finite and non-negative) and subtracting it
-        returns the value unchanged, every float ``-0.0`` included: the
-        step adds the candidate's row value as it is, and its buffer is
-        ``d − x``.  Any other ``x`` (a stall, or a NaN, which both
-        expressions carry on as NumPy's ``maximum`` / ``minimum`` do) goes
-        the long way.
+        scalars of its context; nothing else is read.  Candidates are
+        planned in grid order (:func:`_plan`) and the first maximum is
+        kept, or the first NaN, which ends the row as ``argmax`` would.
+        Once a planned value is not above the best, the loop plans one
+        bound on every candidate after it — :func:`_plan` of the suffix
+        minima of the costs and the suffix maxima of the row values — and
+        stops if that bound is ``<=`` the best: no later candidate can be
+        a strictly greater first maximum.  The module docstring states why
+        the bound is exact, and when it is not used (``γ = 0``, a best of
+        ``+inf``, a bound whose buffer overflowed).
         """
-        (bits0, sr0, d0), rest = window[0], window[1:]
+        steps, floors = window
+        first_row, first_max = self._first_row(prev_quality)
+        later_row, later_max = self._later_row, self._later_max
         tput = throughput_bps * SAFETY
         gamma = self.qoe_model.weights.gamma
-        values = []
-        for c, (first, later) in enumerate(
-            zip(self._first_row(prev_quality), self._later_row)
-        ):
-            # Download and SR overlap across chunks (pipelined client), so
-            # the steady-state readiness interval is the slower stage.
-            r, s = bits0[c] / tput, sr0[c]
-            if s > r:
-                r = s
-            x = r - buffer_level
-            if x <= 0.0:
-                value, b = first, d0 - x
-            else:
-                value, b = first - gamma * x, (d0 if x > 0.0 else d0 - x)
-            for bits, sr, d in rest:
-                r, s = bits[c] / tput, sr[c]
-                if s > r:
-                    r = s
-                x = r - b
-                if x <= 0.0:
-                    value, b = value + later, d - x
-                else:
-                    value, b = value + (later - gamma * x), (d if x > 0.0 else d - x)
-            values.append(value)
-        return values
+        prune = gamma > 0.0
+        best = _plan(steps, 0, first_row[0], later_row[0], tput, buffer_level, gamma)[0]
+        if best != best:
+            return 0, 1
+        pick, n = 0, len(later_row)
+        for c in range(1, n):
+            value = _plan(steps, c, first_row[c], later_row[c], tput, buffer_level, gamma)[0]
+            if value > best:
+                best, pick = value, c
+            elif value != value:
+                return c, c + 1
+            elif prune and best < math.inf and c + 1 < n:
+                k = c + 1
+                bound, b = _plan(
+                    floors, k, first_max[k], later_max[k], tput, buffer_level, gamma
+                )
+                if bound <= best and b < math.inf:
+                    return pick, k
+        return pick, n
 
     def plan_values(self, ctx: AbrContext) -> np.ndarray:
-        """Plan values over all candidate densities, ``(C,)``."""
-        window = self._window(tuple(ctx.next_chunks[: self.horizon]))
-        return np.array(
-            self._plan(window, ctx.throughput_bps, ctx.buffer_level, ctx.prev_quality)
-        )
+        """Plan values over all candidate densities, ``(C,)``: every
+        candidate planned, none pruned — what :meth:`decide_batch`'s pick
+        is the first maximum (or first NaN) of."""
+        steps, _ = self._window(tuple(ctx.next_chunks[: self.horizon]))
+        first_row, _ = self._first_row(ctx.prev_quality)
+        tput = ctx.throughput_bps * SAFETY
+        gamma = self.qoe_model.weights.gamma
+        return np.array([
+            _plan(steps, c, first, later, tput, ctx.buffer_level, gamma)[0]
+            for c, (first, later) in enumerate(zip(first_row, self._later_row))
+        ])
 
     def decide(self, ctx: AbrContext) -> Decision:
         return self.decide_batch([ctx])[0]
 
     def decide_batch(self, ctxs: list[AbrContext]) -> list[Decision]:
-        """Each distinct row of the call planned once; each plan picks its
+        """Each distinct row of the call picked once (:meth:`_pick`): its
         first maximum, or its first NaN if it has one, as ``argmax`` does.
 
         A row's key is its chunk window, then ``(throughput, buffer,
-        previous quality)`` — the exact floats :meth:`_plan` reads — so
+        previous quality)`` — the exact floats :meth:`_pick` reads — so
         rows with equal keys plan equal values and share one
         :class:`Decision`.  A row finds its window's floats by the identity
         of its first chunk, confirmed with tuple ``==`` (which compares
@@ -465,15 +520,48 @@ class _MPCBase(AbrController):
             key = (id(window), tput, buffer, prev)
             decision = planned.get(key)
             if decision is None:
-                values = self._plan(window, tput, buffer, prev)
-                pick = values.index(max(values))
-                total = sum(values)
-                if total != total:  # a NaN (or +inf beside -inf): look for one
-                    pick = next((c for c, v in enumerate(values) if v != v), pick)
+                pick, n_planned = self._pick(window, tput, buffer, prev)
+                self.decide_candidates += n_planned
                 decision = planned[key] = self._decisions[pick]
             decisions.append(decision)
         self.decide_unique += len(planned)
         return decisions
+
+
+def _suffix(op, row) -> list[float]:
+    """``out[k] = op.reduce(row[k:])``: a row's suffix minima or maxima."""
+    return op.accumulate(np.asarray(row, dtype=np.float64)[::-1])[::-1].tolist()
+
+
+def _plan(steps, c, first, later, tput, buffer, gamma) -> tuple[float, float]:
+    """Eq. 10 value of candidate ``c``'s plan over ``steps``, and the
+    buffer it ends with.
+
+    One planned chunk at a time, in Python floats (the module docstring
+    states the contract).  ``value`` starts at ``-0.0``, which every
+    float ``y`` added to it returns unchanged, so the first step's value
+    is ``first − γ·s₀`` exactly.  A step whose readiness fits in the
+    buffer (``x <= 0``) stalls ``0.0``, so its stall term ``γ·0.0`` is
+    ``+0.0`` (``γ`` is finite and non-negative) and subtracting it
+    returns the value unchanged, every float ``-0.0`` included: the step
+    adds the candidate's row value as it is, and its buffer is ``d − x``.
+    Any other ``x`` (a stall, or a NaN, which both expressions carry on
+    as NumPy's ``maximum`` / ``minimum`` do) goes the long way.
+    """
+    value, gain, b = -0.0, first, buffer
+    for bits, sr, d in steps:
+        # Download and SR overlap across chunks (pipelined client), so
+        # the steady-state readiness interval is the slower stage.
+        r, s = bits[c] / tput, sr[c]
+        if s > r:
+            r = s
+        x = r - b
+        if x <= 0.0:
+            value, b = value + gain, d - x
+        else:
+            value, b = value + (gain - gamma * x), (d if x > 0.0 else d - x)
+        gain = later
+    return value, b
 
 
 def geometric_grid(lo: float, hi: float, n: int) -> list[float]:

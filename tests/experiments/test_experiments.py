@@ -9,7 +9,6 @@ from repro.experiments import (
     SMOKE,
     Scale,
     run_breakdown_measured,
-    run_fig11_measured,
     run_fig17_measured,
     run_fleet_cdn,
     run_fleet_chaos,
@@ -53,11 +52,30 @@ class TestSRQuality:
 
 
 class TestFig11:
-    def test_measured_octree_wins_at_scale(self):
-        t = run_fig11_measured(SMOKE, ratios=(2.0,), repeats=1)
-        assert t.rows[0]["speedup"] > 1.5
-        # the compiled yardstick is reported, not asserted against
-        assert t.columns[-1] == "kdtree_ms" and t.rows[0]["kdtree_ms"] > 0
+    def test_measured_octree_wins_at_scale(self, monkeypatch):
+        """Fig 11's claim on work, not on a clock: interpolating the
+        ``SMOKE`` frame at ×2, the two-layer octree computes ≈ 107
+        distances per query point (summed over every query its
+        ``self_neighbors`` makes; ``query_stats`` keeps only the last),
+        where brute force computes ``n`` = 3,000.  The wall-clock form is
+        ``benchmarks/test_fig11_interp_fps.py::test_fig11_measured``."""
+        from repro.pointcloud.datasets import make_video
+        from repro.spatial.octree import TwoLayerOctree
+        from repro.sr.interpolation import interpolate
+
+        pairs = []
+        query = TwoLayerOctree.query
+
+        def counted(self, queries, k):
+            out = query(self, queries, k)
+            pairs.append(self.query_stats["candidate_pairs"])
+            return out
+
+        monkeypatch.setattr(TwoLayerOctree, "query", counted)
+        low = make_video("longdress", n_points=SMOKE.points_per_frame, n_frames=1).frame(0)
+        interpolate(low, 2.0, k=4, dilation=2, backend="octree", seed=0)
+        per_query = sum(pairs) / len(low)
+        assert pairs and len(low) > 1.5 * per_query, (len(low), per_query)
 
 
 class TestStreamingEval:

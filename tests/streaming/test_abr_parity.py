@@ -12,6 +12,7 @@ rule-based zoo against first-principles re-derivations of each rule.
 
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from repro.streaming import (
     simulate_fleet,
     uniform_cdn,
 )
-from repro.streaming.abr import SAFETY
+from repro.streaming.abr import SAFETY, _MPCBase, geometric_grid
 from repro.streaming.latency import MeasuredSRLatency
 from repro.streaming.policies import BOLA_BUFFER_TARGET, BOLA_GAMMA_P
 
@@ -417,6 +418,228 @@ class TestTensorOracle:
         assert_equals_the_tensor_planner(mpc, [oracle_ctx(mpc, *row) for row in rows])
 
 
+@dataclass(frozen=True)
+class WobblyChunk(ChunkSpec):
+    """A chunk whose encoded size is not monotone in density: its
+    ``bytes_at_density`` scaled by ``1 + wobble·sin(97·d)``, so a denser
+    candidate can fetch fewer bits than a sparser one."""
+
+    wobble: float = 0.0
+
+    def bytes_at_density(self, density: float) -> int:
+        size = super().bytes_at_density(density)
+        return int(size * (1.0 + self.wobble * math.sin(97.0 * density)))
+
+
+def falling_latency(per_ratio):
+    """SR seconds ``per_ratio · sr_ratio`` per frame: they fall with
+    density, as the SR ratio does."""
+    return lambda n_points_in, sr_ratio: per_ratio * sr_ratio
+
+
+#: densities the pruned pick's grids draw from (with repeats: tied plans)
+PICK_LEVELS = geometric_grid(1.0 / 8.0, 1.0, 12)
+
+
+def first_max_or_first_nan(values) -> int:
+    """``argmax``'s rule, stated: the first NaN, else the first maximum."""
+    nans = [c for c, v in enumerate(values) if v != v]
+    return nans[0] if nans else values.index(max(values))
+
+
+def assert_picks_first_max_or_first_nan(mpc, ctxs) -> list[int]:
+    """``decide_batch`` and ``decide`` pick, row by row, the first NaN or
+    else the first maximum of the tensor planner's values; returns the
+    picked indices."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        picks = [
+            first_max_or_first_nan(reference_planner.tensor_values(mpc, [ctx])[0].tolist())
+            for ctx in ctxs
+        ]
+        want = [mpc._decisions[c] for c in picks]
+        assert mpc.decide_batch(ctxs) == want
+        assert [mpc.decide(ctx) for ctx in ctxs] == want
+    return picks
+
+
+class TestPrunedPick:
+    """``decide_batch`` plans a row's candidates in grid order and stops
+    once a bound on the rest is ``<=`` the best so far; its pick must be
+    the first maximum — or first NaN — of the tensor planner's values
+    over every candidate.  Drawn grids (repeated densities plan exactly
+    tied values), Eq. 10 weights (``γ = 0``; ``β > α``, whose values fall
+    along the grid), windows whose fetched bits rise and fall along the
+    grid (the bound must use each chunk's suffix minima), SR seconds
+    that fall with density, subnormal throughputs (all-``−inf`` rows
+    with ``γ > 0``, NaN rows with ``γ = 0``), a previous quality that
+    overflows the first row to ``−inf``, an infinite throughput and an
+    empty buffer."""
+
+    @given(
+        grid=st.lists(st.sampled_from(PICK_LEVELS), min_size=1, max_size=16),
+        weights=st.tuples(
+            st.sampled_from([0.5, 1.0, 1.2]),   # α
+            st.sampled_from([0.0, 0.5, 2.0]),   # β
+            st.sampled_from([0.0, 2.0, 3.0]),   # γ
+        ),
+        horizon=st.integers(1, 4),
+        latency=st.one_of(
+            st.sampled_from([ZERO_LATENCY, measured_latency()]),
+            st.sampled_from([1e-4, 1e-3, 1e-2]).map(falling_latency),
+        ),
+        rows=st.lists(
+            st.tuples(
+                st.one_of(  # bit/s, log-uniform: most rows stall somewhere
+                    st.floats(5.0, 9.5).map(lambda e: 10.0**e),
+                    # the denser candidates' bits / tput overflow to +inf
+                    st.floats(-304.0, -300.0).map(lambda e: 10.0**e),
+                    st.sampled_from([math.inf, 5e-324]),
+                ),
+                st.one_of(st.just(0.0), st.floats(0.0, 12.0)),
+                st.one_of(  # ±1e308 overflow the variation term: a −inf first row
+                    st.none(), st.sampled_from(PICK_LEVELS), st.floats(0.0, 1.0),
+                    st.sampled_from([1e308, -1e308]),
+                ),
+                st.sampled_from([0.0, 0.5, 0.9]),            # wobble
+                st.integers(1, 5),                           # chunks left
+                st.integers(1_000, 300_000),                 # points per frame
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pick_is_the_first_max_of_the_tensor_planner(
+        self, grid, weights, horizon, latency, rows
+    ):
+        alpha, beta, gamma = weights
+        mpc = _MPCBase(
+            np.array(grid), SRQualityModel(),
+            QoEModel(QoEWeights(alpha=alpha, beta=beta, gamma=gamma)), latency,
+            horizon=horizon,
+        )
+        ctxs = [
+            AbrContext(tput, buffer, prev, tuple(
+                WobblyChunk(i, 30, points, 1.0, wobble=wobble) for i in range(n)
+            ))
+            for tput, buffer, prev, wobble, n, points in rows
+        ]
+        assert_picks_first_max_or_first_nan(mpc, ctxs)
+
+    @pytest.mark.parametrize("tput", [2e6, 8e6])
+    @pytest.mark.parametrize("buffer", [0.0, 2.5])
+    def test_a_denser_candidate_that_fetches_fewer_bits_is_not_pruned(
+        self, tput, buffer
+    ):
+        """Stalls dominate on these links, but the fetched bits rise and
+        fall along the grid: a denser candidate that fetches fewer bits
+        wins, and the bound on it must read the suffix minimum of the
+        bits, not the bits of the first candidate it covers."""
+        mpc = TENSOR_GRIDS["continuous-16x3"](measured_latency())
+        chunks = tuple(WobblyChunk(i, 30, 100_000, 1.0, wobble=0.9) for i in range(3))
+        ctx = AbrContext(tput, buffer, None, chunks)
+        assert_picks_first_max_or_first_nan(mpc, [ctx])
+        assert mpc.candidates[0] < mpc.decide(ctx).density
+
+    @pytest.mark.parametrize("prev", [1e308, -1e308])
+    @pytest.mark.parametrize("tput", [2e-301, 4e-301, 8e-301])
+    def test_gamma_zero_prunes_nothing(self, prev, tput):
+        """``γ = 0``: the candidates whose bits overflow at a tiny
+        throughput plan ``0 · inf = NaN``, which no bound sees.  A huge
+        previous quality rounds every first-chunk value to one float, so
+        the values before the first NaN tie, and a pick that pruned on
+        the tie would miss the NaN.  The pick plans up to the first NaN
+        and stops there."""
+        mpc = ContinuousMPC(
+            SRQualityModel(), QoEModel(QoEWeights(gamma=0.0)), ZERO_LATENCY,
+            n_grid=16, horizon=3,
+        )
+        ctx = AbrContext(tput, 1.0, prev, make_ctx(1.0, 1.0, 0.5).next_chunks)
+        first_nan = assert_picks_first_max_or_first_nan(mpc, [ctx])[0]
+        assert first_nan > 1 and mpc.decide_candidates == 2 * (first_nan + 1)
+
+    @given(
+        grid=st.lists(st.sampled_from(PICK_LEVELS), min_size=4, max_size=16),
+        beta=st.sampled_from([0.5, 2.0]),
+        horizon=st.integers(1, 3),
+        # a 100,000-point chunk's bits / tput overflow from density 1/8 at
+        # 10**-300.95 and from density 1 at 10**-300.05
+        tput=st.floats(-301.0, -300.0).map(lambda e: 10.0**e),
+        prev=st.one_of(
+            st.none(), st.sampled_from(PICK_LEVELS), st.sampled_from([1e308, -1e308])
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_gamma_zero_rows_pick_their_first_nan(self, grid, beta, horizon, tput, prev):
+        """The same rows drawn: throughputs at which only the denser
+        candidates' bits overflow, and previous qualities that tie the
+        values before the first NaN."""
+        mpc = _MPCBase(
+            np.array(grid), SRQualityModel(),
+            QoEModel(QoEWeights(beta=beta, gamma=0.0)), ZERO_LATENCY, horizon=horizon,
+        )
+        chunks = tuple(ChunkSpec(i, 30, 100_000, 1.0) for i in range(horizon))
+        assert_picks_first_max_or_first_nan(mpc, [AbrContext(tput, 1.0, prev, chunks)])
+
+    @pytest.mark.parametrize(
+        "weights,horizon,tput,buffer,prev,chunks",
+        [
+            # a 1e308-s first chunk overflows the buffer to +inf, and the
+            # second chunk's denser candidates take +inf seconds: inf − inf
+            ((0.5, 2.0, 2.0), 2, 1e-303, 1e308, 0.2,
+             [(1, 1e308), (200, 1.0)]),
+            # α = 1e308: two stall-free chunks sum to +inf, and the densest
+            # candidates' third-chunk stall costs γ·x = +inf: inf − inf
+            ((1e308, 0.5, 1e308), 3, 1e6, 1.0, None,
+             [(1000, 1.0), (1000, 1.0), (10_000, 1.0)]),
+        ],
+        ids=["overflowed-buffer", "infinite-best"],
+    )
+    def test_inf_minus_inf_rows_are_not_pruned(
+        self, weights, horizon, tput, buffer, prev, chunks
+    ):
+        """With ``γ > 0`` a value is NaN only through ``inf − inf``; the
+        two ways to it, each with a candidate whose bound is ``<=`` the
+        best before the first NaN.  The pick must not prune on a bound
+        whose buffer overflowed, nor once the best is ``+inf``."""
+        alpha, beta, gamma = weights
+        mpc = ContinuousMPC(
+            SRQualityModel(), QoEModel(QoEWeights(alpha=alpha, beta=beta, gamma=gamma)),
+            ZERO_LATENCY, n_grid=16, horizon=horizon,
+        )
+        ctx = AbrContext(tput, buffer, prev, tuple(
+            ChunkSpec(i, 30, points, seconds) for i, (points, seconds) in enumerate(chunks)
+        ))
+        (pick,) = assert_picks_first_max_or_first_nan(mpc, [ctx])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(reference_planner.tensor_values(mpc, [ctx])[0][pick])
+
+    def test_an_overloaded_batch_plans_few_candidates(self):
+        """Provisioned below the sparsest rung (a 1-s chunk of 100,000
+        points at density 1/8 is 18 Mbit; these viewers get 1–12 Mbit/s,
+        ``fleet-diurnal``'s 6 Mbit/s among them), stalls dominate and the
+        sparsest candidates win: a distinct row plans at most 4 of the
+        fleet grid's 16 candidates on average, and each pick is the
+        tensor planner's."""
+        mpc = ContinuousMPC(
+            SRQualityModel(), QoEModel(), measured_latency(), n_grid=16, horizon=3
+        )
+        chunks = VideoSpec("v", n_frames=1800, fps=30, points_per_frame=100_000).chunks(1.0)
+        rng = np.random.default_rng(11)
+        prevs = [None, *mpc._qualities]
+        ctxs = [
+            AbrContext(
+                float(rng.uniform(1e6, 12e6)), float(rng.uniform(0.0, 8.0)),
+                prevs[int(rng.integers(len(prevs)))], chunks[int(rng.integers(60)):],
+            )
+            for _ in range(300)
+        ]
+        decisions = mpc.decide_batch(ctxs)
+        assert mpc.decide_unique == 300
+        assert mpc.decide_candidates <= 4 * mpc.decide_unique
+        assert decisions == [reference_planner.tensor_decide(mpc, c) for c in ctxs]
+
+
 class TestRowsPlannedOncePerCall:
     """``decide_batch`` plans each distinct row of a call once and hands
     its decision to every equal row: over batches full of repeats —
@@ -596,6 +819,23 @@ class TestContextAloneDecides:
         assert (mpc.decide_rows, mpc.decide_unique) == (18, 8)
         mpc.decide(make_ctx(25.0, 2.5, 0.15))
         assert (mpc.decide_rows, mpc.decide_unique) == (19, 9)
+
+    def test_decide_candidates_counts_planned_candidates(self):
+        """``decide_candidates`` adds, once per planned row, how many
+        candidates its pick planned: the whole grid when values rise along
+        it (a fast link) or when ``γ = 0`` (nothing is pruned), fewer once
+        a bound settles the pick, and nothing for a repeated row."""
+        mpc = MPC_FACTORIES["continuous-short-horizon"](measured_latency())
+        mpc.decide_batch([make_ctx(1e4, 9.0, None)] * 3)
+        assert (mpc.decide_unique, mpc.decide_candidates) == (1, 16)
+        mpc.decide(make_ctx(3.0, 0.0, None))
+        assert mpc.decide_unique == 2 and 16 < mpc.decide_candidates < 2 * 16
+        blind = ContinuousMPC(
+            SRQualityModel(), QoEModel(QoEWeights(gamma=0.0)), measured_latency(),
+            n_grid=16, horizon=2,
+        )
+        blind.decide(make_ctx(3.0, 0.0, None))
+        assert blind.decide_candidates == 16
 
     def run_fleet(self, ctrl, n=48):
         qm, lat = ctrl.quality_model, ctrl.sr_latency

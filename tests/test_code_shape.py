@@ -135,9 +135,9 @@ def test_planner_plans_each_distinct_row_of_a_call_once_and_has_no_scalar_twin(
     are the tests' oracles in ``tests/streaming/reference_planner.py``.
 
     A call of n rows with k distinct keys (chunk window, throughput,
-    buffer, previous quality) runs ``_plan`` exactly k times, and the
-    same call again runs it k times again: rows are planned once per
-    call, and no planned row survives the call."""
+    buffer, previous quality) runs the pick (``_pick``) exactly k times,
+    and the same call again runs it k times again: rows are planned once
+    per call, and no planned row survives the call."""
     import inspect
 
     from repro.metrics import QoEModel
@@ -158,13 +158,13 @@ def test_planner_plans_each_distinct_row_of_a_call_once_and_has_no_scalar_twin(
     ]
 
     plans = []
-    plan = _MPCBase._plan
+    pick = _MPCBase._pick
 
     def counted(self, window, *scalars):
         plans.append((id(window), *scalars))  # the controller keeps its windows
-        return plan(self, window, *scalars)
+        return pick(self, window, *scalars)
 
-    monkeypatch.setattr(_MPCBase, "_plan", counted)
+    monkeypatch.setattr(_MPCBase, "_pick", counted)
 
     def ctx(tput, buffer, prev, start, points=100_000):
         """Fresh chunk and context objects on every call."""
@@ -211,11 +211,12 @@ def functions(path, name):
 
 def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch(monkeypatch):
     """A fleet step plans about one row per call, so the planner's
-    per-decision body (``_plan``, ``decide``, ``decide_batch``) makes no
-    NumPy call: NumPy builds the two caches it reads — the chunk window's
-    floats and the first-chunk row per previous quality — and
-    ``plan_values`` wraps the loop's list for its callers; nothing else in
-    ``_MPCBase`` names it.  Checked twice: by name in the source, and by
+    per-decision body (``_pick``, ``decide``, ``decide_batch`` and the
+    module's ``_plan``) makes no NumPy call: NumPy builds the two caches
+    it reads — the chunk window's floats with their suffix minima, and
+    the first-chunk row per previous quality with its suffix maxima — and
+    ``plan_values`` wraps the loop's list for its callers; nothing else
+    in ``_MPCBase`` names it.  Checked twice: by name in the source, and by
     running warm decisions with NumPy taken away from the planner and
     ``QoEModel``.  ``QoEModel`` keeps only the first-chunk row of Eq. 10's
     split; the stall sum is the loop's (its tensor form is the tests'
@@ -261,9 +262,13 @@ def test_a_fleet_step_pays_for_arithmetic_not_for_dispatch(monkeypatch):
     for mpc in planners:
         for window in mpc._horizon_cache.values():
             assert all(
-                type(x) is float for bits, sr, d in window for x in (*bits, *sr, d)
+                type(x) is float
+                for steps in window for bits, sr, d in steps for x in (*bits, *sr, d)
             )
-        assert all(type(x) is float for row in mpc._first_rows.values() for x in row)
+        assert all(
+            type(x) is float
+            for rows in mpc._first_rows.values() for row in rows for x in row
+        )
 
     class NoNumPy:
         def __getattr__(self, name):
